@@ -373,7 +373,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 					if err := svc.Ingest(serverSide); err != nil {
 						b.Fatal(err)
 					}
-					cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+					cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -43,22 +43,6 @@ type serviceCase struct {
 	SpeedupVs1 float64 `json:"speedup_vs_1_client"`
 }
 
-// wireCase is one entry of the session-vs-legacy comparison: the same
-// workload and durability level, differing only in the wire protocol
-// the clients speak.
-type wireCase struct {
-	// Wire is "legacy" (per-report ECIES frames) or "session" (one
-	// handshake, then AEAD-sealed batches of DefaultClientBatch).
-	Wire          string  `json:"wire"`
-	Persist       string  `json:"persist"`
-	GoMaxProcs    int     `json:"go_max_procs"`
-	ReportsPerSec float64 `json:"reports_per_sec"`
-	NsPerReport   float64 `json:"ns_per_report"`
-	// SpeedupVsLegacy is the throughput ratio this-wire/legacy (the
-	// legacy row records 1.0).
-	SpeedupVsLegacy float64 `json:"speedup_vs_legacy"`
-}
-
 type serviceBenchReport struct {
 	Benchmark   string `json:"benchmark"`
 	GeneratedBy string `json:"generated_by"`
@@ -75,13 +59,8 @@ type serviceBenchReport struct {
 	Note   string        `json:"note,omitempty"`
 	Cases  []serviceCase `json:"cases"`
 	// Persistence is the durability on/off comparison, measured at the
-	// first client count (legacy wire).
+	// first client count.
 	Persistence []persistenceCase `json:"persistence"`
-	// SessionVsLegacy compares the two wire protocols at the first
-	// client count with the WAL at fsync=batch — the headline number of
-	// the session protocol: the per-report ECIES wall against one
-	// handshake plus AEAD-sealed batches.
-	SessionVsLegacy []wireCase `json:"session_vs_legacy"`
 }
 
 // runServiceSuite streams n pre-randomized SOLH reports through a
@@ -118,11 +97,10 @@ func runServiceSuite(n, d, batch, epochs int, clientCounts []int) (serviceBenchR
 	}
 	if rep.GoMaxProcs == 1 {
 		rep.Note = "single-CPU runner: client encryption and the worker pool " +
-			"share one core, so throughput is flat across client counts; " +
-			"multi-core machines scale until the decrypt pool saturates"
+			"share one core, so throughput is flat across client counts"
 	}
 	for _, clients := range clientCounts {
-		ns, err := timeServiceRun(fo, key, reports, clients, batch, epochs, "off", "legacy")
+		ns, err := timeServiceRun(fo, key, reports, clients, batch, epochs, "off")
 		if err != nil {
 			return serviceBenchReport{}, err
 		}
@@ -145,7 +123,7 @@ func runServiceSuite(n, d, batch, epochs int, clientCounts []int) (serviceBenchR
 	// The persistence delta: one client count, WAL off vs every fsync
 	// policy — the price of crash recovery under each durability level.
 	for _, mode := range []string{"off", "none", "batch", "always"} {
-		ns, err := timeServiceRun(fo, key, reports, clientCounts[0], batch, epochs, mode, "legacy")
+		ns, err := timeServiceRun(fo, key, reports, clientCounts[0], batch, epochs, mode)
 		if err != nil {
 			return serviceBenchReport{}, err
 		}
@@ -164,35 +142,10 @@ func runServiceSuite(n, d, batch, epochs int, clientCounts []int) (serviceBenchR
 		fmt.Printf("service: persist=%-7s %10.0f reports/s  %8.0f ns/report  (%.2fx slower than off)\n",
 			pc.Mode, pc.ReportsPerSec, pc.NsPerReport, pc.SlowdownVsOff)
 	}
-
-	// The wire-protocol comparison the session path exists for: same
-	// workload, same fsync=batch durability, legacy per-report ECIES
-	// against the batched session AEAD.
-	for _, wire := range []string{"legacy", "session"} {
-		ns, err := timeServiceRun(fo, key, reports, clientCounts[0], batch, epochs, "batch", wire)
-		if err != nil {
-			return serviceBenchReport{}, err
-		}
-		wc := wireCase{
-			Wire:          wire,
-			Persist:       "batch",
-			GoMaxProcs:    runtime.GOMAXPROCS(0),
-			ReportsPerSec: float64(n) / (ns / 1e9),
-			NsPerReport:   ns / float64(n),
-		}
-		if len(rep.SessionVsLegacy) > 0 {
-			wc.SpeedupVsLegacy = wc.ReportsPerSec / rep.SessionVsLegacy[0].ReportsPerSec
-		} else {
-			wc.SpeedupVsLegacy = 1
-		}
-		rep.SessionVsLegacy = append(rep.SessionVsLegacy, wc)
-		fmt.Printf("service: wire=%-8s %10.0f reports/s  %8.0f ns/report  (%.2fx vs legacy, persist=batch)\n",
-			wc.Wire, wc.ReportsPerSec, wc.NsPerReport, wc.SpeedupVsLegacy)
-	}
 	return rep, nil
 }
 
-func timeServiceRun(fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp.Report, clients, batch, epochs int, persist, wire string) (float64, error) {
+func timeServiceRun(fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp.Report, clients, batch, epochs int, persist string) (float64, error) {
 	epochReports := 0
 	if epochs > 1 {
 		epochReports = (len(reports) + epochs - 1) / epochs
@@ -229,12 +182,7 @@ func timeServiceRun(fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp
 			if err := svc.Ingest(serverSide); err != nil {
 				return 0, err
 			}
-			var cl *service.Client
-			if wire == "session" {
-				cl, err = service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
-			} else {
-				cl, err = service.NewClient(fo, key.Public(), nil, clientSide)
-			}
+			cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 			if err != nil {
 				return 0, err
 			}

@@ -86,8 +86,7 @@ func (of oracleFlags) build() (ldp.FrequencyOracle, error) {
 
 // parseTopology builds the cluster topology from the address flags.
 // analyzers is a comma-separated list in shard order; a single address
-// is the classic one-analyzer deployment (the cluster package treats a
-// 1-element list and the legacy singular field identically).
+// is the classic one-analyzer deployment.
 func parseTopology(shufflers, analyzers string) (cluster.Topology, error) {
 	var topo cluster.Topology
 	for _, a := range strings.Split(shufflers, ",") {

@@ -135,9 +135,8 @@ func TestParseTopologyAndOracleFlags(t *testing.T) {
 	if _, err := parseTopology("a,b", " ,"); err == nil {
 		t.Fatal("accepted an empty analyzer list")
 	}
-	// A single analyzer address is the legacy deployment: one entry in
-	// the shard list, which the cluster package treats identically to
-	// the old singular field.
+	// A single analyzer address is the unsharded deployment: one entry
+	// in the shard list.
 	topo, err := parseTopology(" a , b ,c", "anlz")
 	if err != nil {
 		t.Fatal(err)

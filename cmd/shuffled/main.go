@@ -1,9 +1,9 @@
 // Command shuffled runs the shuffle model as a real streaming
 // deployment over TCP loopback (Figure 1 of the paper, §III): the
 // analysis server hosts the internal/service ingestion tier — batch
-// shuffler plus a decrypt/aggregate worker pool — and several
-// concurrent collector gateways stream the users' ECIES-encrypted
-// reports into it. The live estimate is printed from mid-stream
+// shuffler plus a decode/aggregate worker pool — and several
+// concurrent collector gateways stream the users' reports into it in
+// session-sealed batches. The live estimate is printed from mid-stream
 // Snapshots while ingestion is still running; Drain prints the final
 // histogram and the per-party cost account (transport.Meter).
 //
@@ -34,7 +34,7 @@
 //	shuffled [-n users] [-d domain] [-eps epsC] [-seed s] [-clients c] [-batch b]
 //	         [-epochs e] [-total-eps B] [-accountant naive|advanced] [-window k]
 //	         [-data-dir dir] [-fsync always|batch|none]
-//	         [-session=false] [-session-batch r] [-max-frame bytes]
+//	         [-session-batch r] [-max-frame bytes]
 //	shuffled analyzer|shuffler|client [role flags; -h lists them]
 package main
 
@@ -86,7 +86,6 @@ func main() {
 	window := flag.Int("window", 2, "sliding-window width for the final window query")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
 	fsync := flag.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
-	session := flag.Bool("session", true, "gateways speak the session protocol (one handshake, AEAD-sealed batches); false falls back to per-report ECIES frames")
 	sessionBatch := flag.Int("session-batch", 0, "reports per session frame (0: the service default)")
 	maxFrame := flag.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
 	flag.Parse()
@@ -175,12 +174,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wire := "session"
-	if !*session {
-		wire = "legacy per-report ECIES"
-	}
-	fmt.Printf("ingestion service listening on %s (%d gateways, wire=%s, batch=%d, rotate every %d reports)\n",
-		ln.Addr(), *clients, wire, *batch, (*n+*epochs-1)/(*epochs))
+	fmt.Printf("ingestion service listening on %s (%d gateways, batch=%d, rotate every %d reports)\n",
+		ln.Addr(), *clients, *batch, (*n+*epochs-1)/(*epochs))
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- svc.Serve(ln) }()
 
@@ -202,12 +197,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			var cl *service.Client
-			if *session {
-				cl, err = service.NewSessionClient(fo, key.Public(), nil, conn, *sessionBatch)
-			} else {
-				cl, err = service.NewClient(fo, key.Public(), nil, conn)
-			}
+			cl, err := service.NewSessionClient(fo, key.Public(), nil, conn, *sessionBatch)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -23,7 +23,7 @@ type AnalyzerConfig struct {
 	// Topology names every role's address.
 	Topology Topology
 	// Listener optionally supplies a pre-bound listener (overriding
-	// Topology.Analyzer); the node closes it.
+	// the Topology address of this shard); the node closes it.
 	Listener net.Listener
 	// FO is the frequency oracle the clients report through (GRR or a
 	// hashing oracle — the word-encodable PEOS set).
@@ -226,7 +226,7 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := listenOrUse(cfg.Listener, cfg.Topology.AnalyzerAddrs()[cfg.Shard])
+	ln, err := listenOrUse(cfg.Listener, cfg.Topology.Analyzers[cfg.Shard])
 	if err != nil {
 		return nil, err
 	}

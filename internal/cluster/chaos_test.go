@@ -199,7 +199,7 @@ func TestChaosControlLinkResetReconnects(t *testing.T) {
 		cfg.Retry = chaosRetry()
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		if j == 0 {
-			cfg.Dial = chaosDialTo(ctrlChaos, cfg.Topology.Analyzer)
+			cfg.Dial = chaosDialTo(ctrlChaos, cfg.Topology.Coordinator())
 		}
 	})
 	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
@@ -259,7 +259,7 @@ func TestChaosSilentConnDroppedAtHelloTimeout(t *testing.T) {
 		cfg.HelloTimeout = 100 * time.Millisecond
 	})
 
-	for name, addr := range map[string]string{"shuffler": h.topo.Shufflers[0], "analyzer": h.topo.Analyzer} {
+	for name, addr := range map[string]string{"shuffler": h.topo.Shufflers[0], "analyzer": h.topo.Coordinator()} {
 		silent, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

@@ -42,18 +42,14 @@ import (
 )
 
 // Topology names the cluster's listen addresses: Shufflers[j] is
-// shuffler j's address (R = len(Shufflers)); the analyzer tier is
-// either the single legacy Analyzer address or the sharded Analyzers
-// list (shard order; index 0 is the coordinator — DESIGN.md §13).
+// shuffler j's address (R = len(Shufflers)); the analyzer tier is the
+// Analyzers list (shard order; index 0 is the coordinator — DESIGN.md
+// §13), one element for the unsharded deployment.
 // Every role is configured with the same Topology, agreed out of band
 // like the protocol parameters themselves.
 type Topology struct {
 	// Shufflers holds the shuffler listen addresses, indexed by role.
 	Shufflers []string
-	// Analyzer is the single-analyzer listen address (legacy form,
-	// equivalent to a 1-element Analyzers list). Set exactly one of
-	// Analyzer and Analyzers.
-	Analyzer string
 	// Analyzers holds the analyzer shard listen addresses in shard
 	// order; shard 0 is the coordinator the shufflers treat as "the"
 	// analyzer for control traffic.
@@ -63,40 +59,23 @@ type Topology struct {
 // R returns the shuffler count.
 func (t Topology) R() int { return len(t.Shufflers) }
 
-// A returns the analyzer shard count (1 for the legacy single-address
-// form).
-func (t Topology) A() int { return len(t.AnalyzerAddrs()) }
-
-// AnalyzerAddrs returns the analyzer addresses in shard order,
-// normalizing the legacy single-address form to a 1-element list.
-func (t Topology) AnalyzerAddrs() []string {
-	if len(t.Analyzers) > 0 {
-		return t.Analyzers
-	}
-	if t.Analyzer != "" {
-		return []string{t.Analyzer}
-	}
-	return nil
-}
+// A returns the analyzer shard count.
+func (t Topology) A() int { return len(t.Analyzers) }
 
 // Coordinator returns the address of analyzer shard 0, the node that
 // drives rounds and serves estimates.
 func (t Topology) Coordinator() string {
-	addrs := t.AnalyzerAddrs()
-	if len(addrs) == 0 {
+	if len(t.Analyzers) == 0 {
 		return ""
 	}
-	return addrs[0]
+	return t.Analyzers[0]
 }
 
 func (t Topology) validate() error {
 	if len(t.Shufflers) < 2 {
 		return errors.New("cluster: PEOS needs at least 2 shufflers")
 	}
-	if t.Analyzer != "" && len(t.Analyzers) > 0 {
-		return errors.New("cluster: set Topology.Analyzer or Topology.Analyzers, not both")
-	}
-	if len(t.AnalyzerAddrs()) == 0 {
+	if len(t.Analyzers) == 0 {
 		return errors.New("cluster: topology needs the analyzer address")
 	}
 	for a, addr := range t.Analyzers {

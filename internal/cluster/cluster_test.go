@@ -62,7 +62,7 @@ func bindTopology(t *testing.T, r int) (cluster.Topology, []net.Listener, net.Li
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo.Analyzer = aln.Addr().String()
+	topo.Analyzers = []string{aln.Addr().String()}
 	return topo, lns, aln
 }
 
@@ -362,11 +362,11 @@ func TestClusterShufflerDropsIdleClient(t *testing.T) {
 func TestClusterConfigValidation(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(4, 1)
-	goodTopo := cluster.Topology{Shufflers: []string{"a", "b"}, Analyzer: "c"}
+	goodTopo := cluster.Topology{Shufflers: []string{"a", "b"}, Analyzers: []string{"c"}}
 	if _, err := cluster.NewShuffler(cluster.ShufflerConfig{Index: 5, Topology: goodTopo, Pub: ahe.PublicKey(priv), Source: rng.New(1)}); err == nil {
 		t.Fatal("accepted out-of-range shuffler index")
 	}
-	if _, err := cluster.NewShuffler(cluster.ShufflerConfig{Index: 0, Topology: cluster.Topology{Shufflers: []string{"a"}, Analyzer: "c"}, Pub: ahe.PublicKey(priv), Source: rng.New(1)}); err == nil {
+	if _, err := cluster.NewShuffler(cluster.ShufflerConfig{Index: 0, Topology: cluster.Topology{Shufflers: []string{"a"}, Analyzers: []string{"c"}}, Pub: ahe.PublicKey(priv), Source: rng.New(1)}); err == nil {
 		t.Fatal("accepted a 1-shuffler cluster")
 	}
 	if _, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: goodTopo, FO: fo, Priv: priv, NR: -1}); err == nil {

@@ -278,7 +278,7 @@ func TestConformanceNoFakesClusterPEOSAndRecoveredService(t *testing.T) {
 		if err := svc.Ingest(serverSide); err != nil {
 			return from, err
 		}
-		scl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+		scl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 1)
 		if err != nil {
 			return from, err
 		}

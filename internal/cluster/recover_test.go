@@ -31,7 +31,7 @@ func analyzerTopo(t *testing.T) cluster.Topology {
 	}
 	addr := aln.Addr().String()
 	aln.Close()
-	return cluster.Topology{Shufflers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Analyzer: addr}
+	return cluster.Topology{Shufflers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Analyzers: []string{addr}}
 }
 
 func TestRecoverAnalyzerReplaysWALTail(t *testing.T) {

@@ -135,8 +135,8 @@ func startShardedCluster(t *testing.T, r, analyzers, nr int, fo ldp.FrequencyOra
 // TestShardConformanceMatrix is the headline gate: at every analyzer
 // count the sharded cluster's per-round and cumulative estimates are
 // bit-identical to protocol.PEOS.Run over matched seeds, and the merge
-// proof holds after every round. analyzers=1 is the legacy topology
-// expressed through the Analyzers list, so the matrix also pins the
+// proof holds after every round. analyzers=1 is the unsharded topology
+// (a 1-element Analyzers list), so the matrix also pins the
 // scale-out path to single-analyzer behavior. With d=8, analyzers=3
 // does not divide the domain evenly, so the uneven-cut arithmetic is
 // exercised, not just balanced halves.
@@ -413,54 +413,5 @@ func TestShardConformanceChaosCoordinatorLink(t *testing.T) {
 	}
 	if got := ledger.Epochs(); got != 1 {
 		t.Fatalf("retried round charged the coordinator ledger %d times, want 1", got)
-	}
-}
-
-// A topology naming ONE analyzer through the Analyzers list must
-// behave exactly like the legacy singular Analyzer field — the
-// regression test for generalizing every address consumer.
-func TestSingleElementAnalyzersListMatchesLegacyField(t *testing.T) {
-	const (
-		r        = 2
-		n        = 20
-		d        = 8
-		nr       = 2
-		fakeSeed = 471
-	)
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(d, 2)
-	values := synthValues(n, d, 472)
-
-	run := func(t *testing.T, topo cluster.Topology, coord *cluster.Analyzer) []float64 {
-		t.Helper()
-		cl, err := cluster.DialClient(topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		if err := cl.SendValues(0, values, rng.New(473)); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		col, err := coord.Collect(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return col.Estimates
-	}
-	lh := startCluster(t, r, nr, fo, priv, fakeSeed, nil, nil)
-	legacy := run(t, lh.topo, lh.analyzer)
-	sh := startShardedCluster(t, r, 1, nr, fo, priv, fakeSeed, nil, nil)
-	listed := run(t, sh.topo, sh.coordinator())
-	if !estimatesEqual(legacy, listed) {
-		t.Fatalf("a 1-element Analyzers list diverged from the legacy Analyzer field:\n list   %v\n legacy %v", listed, legacy)
-	}
-
-	// Both spellings at once is a configuration error.
-	bad := cluster.Topology{Shufflers: []string{"a", "b"}, Analyzer: "c", Analyzers: []string{"c"}}
-	if _, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: bad, FO: fo, Priv: priv}); err == nil {
-		t.Fatal("a topology with both Analyzer and Analyzers was accepted")
 	}
 }

@@ -612,7 +612,7 @@ func (s *Shuffler) collect(a *attempt) error {
 	if len(a.cuts) < 2 || a.cuts[len(a.cuts)-1] != total {
 		return fmt.Errorf("%w: seal cuts cover %v of %d reports", errBadFrame, a.cuts, total)
 	}
-	addrs := s.cfg.Topology.AnalyzerAddrs()
+	addrs := s.cfg.Topology.Analyzers
 	if len(a.cuts)-1 != len(addrs) {
 		return fmt.Errorf("%w: seal names %d analyzer windows, topology has %d analyzers", errBadFrame, len(a.cuts)-1, len(addrs))
 	}

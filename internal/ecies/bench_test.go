@@ -34,46 +34,6 @@ func BenchmarkDecrypt32B(b *testing.B) {
 	}
 }
 
-// The append-style forms reuse the caller's buffer: the per-report
-// slice allocations (ciphertext, tag, assembled output / plaintext)
-// disappear and only the unavoidable ECDH internals remain. Compare
-// allocs/op against BenchmarkEncrypt32B / BenchmarkDecrypt32B.
-func BenchmarkEncryptTo32B(b *testing.B) {
-	priv, err := GenerateKey()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub := priv.Public()
-	msg := make([]byte, 32)
-	dst := make([]byte, 0, len(msg)+Overhead)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncryptTo(pub, dst[:0], msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecryptTo32B(b *testing.B) {
-	priv, err := GenerateKey()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, err := Encrypt(priv.Public(), make([]byte, 32))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]byte, 0, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecryptTo(priv, dst[:0], ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The session hot path: what one report costs once the handshake is
 // amortized away. Must report 0 allocs/op (TestSessionNoAllocs gates
 // it); contrast with BenchmarkDecrypt32B, the per-report ECIES wall.

@@ -86,15 +86,6 @@ func deriveKeys(secret, ephPub []byte) (encKey, macKey []byte) {
 // Encrypt seals plaintext to pub. Output layout:
 // ephemeral public key (65) || ciphertext (len(plaintext)) || MAC (32).
 func Encrypt(pub *PublicKey, plaintext []byte) ([]byte, error) {
-	return EncryptTo(pub, make([]byte, 0, len(plaintext)+Overhead), plaintext)
-}
-
-// EncryptTo is the append-style form of Encrypt: the ciphertext is
-// appended to dst (allocating only when dst lacks capacity) and the
-// extended slice is returned. Callers on a hot path reuse one scratch
-// buffer across reports instead of paying Encrypt's three allocations
-// (ciphertext, MAC, assembled output) per call.
-func EncryptTo(pub *PublicKey, dst, plaintext []byte) ([]byte, error) {
 	eph, err := ecdh.P256().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
@@ -113,26 +104,19 @@ func EncryptTo(pub *PublicKey, dst, plaintext []byte) ([]byte, error) {
 	// CTR with a zero IV is safe here because the key is single-use
 	// (fresh ephemeral ECDH per message).
 	var iv [aes.BlockSize]byte
-	base := len(dst)
-	dst = append(dst, ephPub...)
-	dst = append(dst, plaintext...)
-	ct := dst[base+pubKeySize:]
+	out := make([]byte, 0, len(plaintext)+Overhead)
+	out = append(out, ephPub...)
+	out = append(out, plaintext...)
+	ct := out[pubKeySize:]
 	cipher.NewCTR(block, iv[:]).XORKeyStream(ct, ct)
 
 	mac := hmac.New(sha256.New, macKey)
-	mac.Write(dst[base:])
-	return mac.Sum(dst), nil
+	mac.Write(out)
+	return mac.Sum(out), nil
 }
 
 // Decrypt opens a ciphertext produced by Encrypt.
 func Decrypt(priv *PrivateKey, data []byte) ([]byte, error) {
-	return DecryptTo(priv, nil, data)
-}
-
-// DecryptTo is the append-style form of Decrypt: the plaintext is
-// appended to dst and the extended slice returned, so a decrypt worker
-// can reuse one scratch buffer across a whole batch of reports.
-func DecryptTo(priv *PrivateKey, dst, data []byte) ([]byte, error) {
 	if len(data) < Overhead {
 		return nil, errors.New("ecies: ciphertext too short")
 	}
@@ -161,10 +145,9 @@ func DecryptTo(priv *PrivateKey, dst, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	var iv [aes.BlockSize]byte
-	base := len(dst)
-	dst = append(dst, ct...)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst[base:], dst[base:])
-	return dst, nil
+	pt := make([]byte, len(ct))
+	cipher.NewCTR(block, iv[:]).XORKeyStream(pt, ct)
+	return pt, nil
 }
 
 // OnionEncrypt wraps plaintext for the given hop keys so that

@@ -220,57 +220,3 @@ func TestStorageSealerRoundTrip(t *testing.T) {
 		t.Fatal("storage record opened under the wrong key")
 	}
 }
-
-// EncryptTo/DecryptTo append into the caller's buffer and must agree
-// with the allocating forms byte-for-byte at the protocol level.
-func TestEncryptToDecryptTo(t *testing.T) {
-	priv, err := GenerateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("append-style round trip")
-	scratch := make([]byte, 0, len(msg)+Overhead)
-	ct, err := EncryptTo(priv.Public(), scratch, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct) != len(msg)+Overhead {
-		t.Fatalf("ciphertext %d bytes, want %d", len(ct), len(msg)+Overhead)
-	}
-	ptBuf := make([]byte, 0, len(msg))
-	pt, err := DecryptTo(priv, ptBuf, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt, msg) {
-		t.Fatal("plaintext differs")
-	}
-	// The appended forms must preserve existing dst prefixes.
-	prefix := []byte("prefix-")
-	ct2, err := EncryptTo(priv.Public(), append([]byte(nil), prefix...), msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(ct2, prefix) {
-		t.Fatal("EncryptTo clobbered dst prefix")
-	}
-	pt2, err := DecryptTo(priv, append([]byte(nil), prefix...), ct2[len(prefix):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt2, append(prefix, msg...)) {
-		t.Fatal("DecryptTo did not append to dst")
-	}
-	// Cross-compatibility with the allocating forms.
-	ct3, err := Encrypt(priv.Public(), msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt3, err := DecryptTo(priv, nil, ct3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt3, msg) {
-		t.Fatal("DecryptTo failed on Encrypt output")
-	}
-}

@@ -168,7 +168,7 @@ func (s *Server) Receive(in io.Reader, n int) ([]float64, error) {
 // RunPipeline runs the shuffle model over the streaming ingestion
 // service (internal/service): one client connection submits every
 // report over an in-memory net.Pipe, the service batches, shuffles,
-// decrypts, and aggregates, and the final drained estimate is
+// decodes, and aggregates, and the final drained estimate is
 // returned. cmd/shuffled runs the same pipeline over TCP with many
 // concurrent clients.
 //
@@ -198,7 +198,7 @@ func RunPipeline(fo ldp.FrequencyOracle, values []int, seed uint64) ([]float64, 
 	if err := svc.Ingest(serverSide); err != nil {
 		return nil, err
 	}
-	client, err := service.NewClient(fo, key.Public(), nil, clientSide)
+	client, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 	if err != nil {
 		return nil, err
 	}

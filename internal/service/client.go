@@ -12,15 +12,9 @@ import (
 	"shuffledp/internal/transport"
 )
 
-// Client submits encrypted reports to a Service over one connection,
-// in one of two wire modes:
-//
-//   - NewClient: the legacy per-report protocol — every report is
-//     individually ECIES-encrypted and framed.
-//   - NewSessionClient: the session protocol — one handshake frame on
-//     first write, then batches of reports sealed under the
-//     per-connection AEAD key (a small fraction of the legacy CPU
-//     cost on both ends).
+// Client submits encrypted reports to a Service over one connection
+// in the session protocol: one handshake frame on first write, then
+// batches of reports sealed under the per-connection AEAD key.
 //
 // Every frame is written all-or-nothing: the full frame (header and
 // payload) is assembled in one buffer and handed to the connection in
@@ -33,7 +27,6 @@ import (
 type Client struct {
 	fo    ldp.FrequencyOracle
 	codec *Codec
-	key   *ecies.PublicKey
 	rand  *rng.Rand
 	conn  io.Writer
 	epoch uint32
@@ -43,11 +36,10 @@ type Client struct {
 
 	// wire is the frame assembly buffer (header plus payload, written
 	// in one call); frameStart is where the current frame's header
-	// begins in it (after the hello frame on a session's first write).
+	// begins in it (after the hello frame on the first write).
 	wire       []byte
 	frameStart int
 
-	// Session mode (nil sess means legacy).
 	sess       *ecies.Session
 	hello      []byte // handshake frame payload, pending until first write
 	helloSent  bool
@@ -57,38 +49,13 @@ type Client struct {
 	batchEpoch uint32 // epoch the open batch asserts
 }
 
-// NewClient prepares a legacy per-report submission client. rand may
-// be nil if only SendReport (pre-randomized reports) will be used.
-func NewClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *rng.Rand, conn io.Writer) (*Client, error) {
-	return newClient(fo, serverKey, rand, conn)
-}
-
-// NewSessionClient prepares a session-mode submission client: its
-// first write leads with the session hello, and reports are packed
-// batchSize to a frame under the session key (batchSize <= 0 means
-// DefaultClientBatch). Buffered reports are pushed by Flush or Close
-// — like any buffered writer, a batch that is never flushed is never
-// sent.
+// NewSessionClient prepares a submission client: its first write leads
+// with the session hello, and reports are packed batchSize to a frame
+// under the session key (batchSize <= 0 means DefaultClientBatch).
+// Buffered reports are pushed by Flush or Close — like any buffered
+// writer, a batch that is never flushed is never sent. rand may be nil
+// if only SendReport (pre-randomized reports) will be used.
 func NewSessionClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *rng.Rand, conn io.Writer, batchSize int) (*Client, error) {
-	c, err := newClient(fo, serverKey, rand, conn)
-	if err != nil {
-		return nil, err
-	}
-	if batchSize <= 0 {
-		batchSize = DefaultClientBatch
-	}
-	sess, hello, err := ecies.NewClientSession(serverKey)
-	if err != nil {
-		return nil, fmt.Errorf("service: client session handshake: %w", err)
-	}
-	c.sess = sess
-	c.hello = hello
-	c.batchSize = batchSize
-	c.batch = make([]byte, 0, batchSize*c.codec.Size())
-	return c, nil
-}
-
-func newClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *rng.Rand, conn io.Writer) (*Client, error) {
 	if fo == nil {
 		return nil, errors.New("service: client needs a frequency oracle")
 	}
@@ -102,7 +69,18 @@ func newClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *rng.Ran
 	if err != nil {
 		return nil, err
 	}
-	return &Client{fo: fo, codec: codec, key: serverKey, rand: rand, conn: conn, epoch: EpochCurrent}, nil
+	if batchSize <= 0 {
+		batchSize = DefaultClientBatch
+	}
+	sess, hello, err := ecies.NewClientSession(serverKey)
+	if err != nil {
+		return nil, fmt.Errorf("service: client session handshake: %w", err)
+	}
+	return &Client{
+		fo: fo, codec: codec, rand: rand, conn: conn, epoch: EpochCurrent,
+		sess: sess, hello: hello, batchSize: batchSize,
+		batch: make([]byte, 0, batchSize*codec.Size()),
+	}, nil
 }
 
 // SetEpoch stamps subsequent reports with a specific epoch id instead
@@ -113,7 +91,7 @@ func newClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *rng.Ran
 // reports, so changing the epoch flushes the open batch first (any
 // flush error latches and surfaces on the next send or Flush).
 func (c *Client) SetEpoch(epoch uint32) {
-	if c.sess != nil && c.batchCount > 0 && epoch != c.batchEpoch {
+	if c.batchCount > 0 && epoch != c.batchEpoch {
 		_ = c.flushBatch()
 	}
 	c.epoch = epoch
@@ -137,37 +115,25 @@ func (c *Client) SendValues(values []int) error {
 	return nil
 }
 
-// SendReport encrypts an already-randomized report end-to-end for the
-// server and submits it: immediately as one ECIES frame in legacy
-// mode, or into the open session batch (flushed when full).
+// SendReport submits an already-randomized report into the open
+// session batch, which is sealed end-to-end for the server and written
+// when full.
 func (c *Client) SendReport(rep ldp.Report) error {
 	if c.broken != nil {
 		return c.broken
 	}
-	if c.sess != nil {
-		if c.batchCount == 0 {
-			c.batchEpoch = c.epoch
-		}
-		var err error
-		if c.batch, err = c.codec.AppendMarshal(c.batch, rep); err != nil {
-			return err
-		}
-		c.batchCount++
-		if c.batchCount >= c.batchSize {
-			return c.flushBatch()
-		}
-		return nil
+	if c.batchCount == 0 {
+		c.batchEpoch = c.epoch
 	}
-	payload, err := c.codec.Marshal(rep)
-	if err != nil {
+	var err error
+	if c.batch, err = c.codec.AppendMarshal(c.batch, rep); err != nil {
 		return err
 	}
-	wire := c.beginFrame()
-	wire, err = ecies.EncryptTo(c.key, wire, payload)
-	if err != nil {
-		return fmt.Errorf("service: client encrypt: %w", err)
+	c.batchCount++
+	if c.batchCount >= c.batchSize {
+		return c.flushBatch()
 	}
-	return c.finishFrame(wire, c.epoch)
+	return nil
 }
 
 // flushBatch seals and writes the open session batch as one frame.
@@ -190,13 +156,13 @@ func (c *Client) flushBatch() error {
 }
 
 // beginFrame resets the wire buffer and lays down an 8-byte header
-// placeholder for the frame about to be assembled. On a session
-// client whose hello has not gone out yet, the complete hello frame
-// is laid down first, so the handshake rides in the same write as the
-// first batch — never a frame fragment on its own.
+// placeholder for the frame about to be assembled. While the hello
+// has not gone out yet, the complete hello frame is laid down first,
+// so the handshake rides in the same write as the first batch — never
+// a frame fragment on its own.
 func (c *Client) beginFrame() []byte {
 	wire := c.wire[:0]
-	if c.sess != nil && !c.helloSent {
+	if !c.helloSent {
 		var hdr [8]byte
 		binary.BigEndian.PutUint32(hdr[:4], uint32(len(c.hello)))
 		binary.BigEndian.PutUint32(hdr[4:], SessionHelloTag)
@@ -223,17 +189,13 @@ func (c *Client) finishFrame(wire []byte, tag uint32) error {
 		c.broken = fmt.Errorf("service: client write: %w", err)
 		return c.broken
 	}
-	c.helloSent = c.helloSent || c.sess != nil
+	c.helloSent = true
 	return nil
 }
 
-// Flush pushes the open session batch, if any, to the connection
-// (legacy mode buffers nothing between frames).
+// Flush pushes the open session batch, if any, to the connection.
 func (c *Client) Flush() error {
-	if c.sess != nil {
-		return c.flushBatch()
-	}
-	return c.broken
+	return c.flushBatch()
 }
 
 // Close flushes and, if the connection is a closer, closes it —

@@ -64,7 +64,7 @@ func TestEpochWindowBitIdenticalToOfflineMerge(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestRaceIngestDuringRotate(t *testing.T) {
 		if err := svc.Ingest(serverSide); err != nil {
 			t.Fatal(err)
 		}
-		cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+		cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestLateEpochReportsDropped(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestWindowRetainTrims(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestAutoRotationByReportCount(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), rng.New(12), clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), rng.New(12), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +595,7 @@ func TestAutoRotationByReportCount(t *testing.T) {
 	}
 }
 
-// NewClient needs a rand only for Send; epoch stamping and rotation
+// A client needs a rand only for Send; epoch stamping and rotation
 // must not disturb netproto's single-epoch bit-identical contract —
 // covered by the PR 2 tests in service_test.go — so here only the
 // budget-at-New path: a ledger that cannot afford epoch 0 refuses

@@ -112,6 +112,18 @@ func FuzzSessionFrame(f *testing.F) {
 	counterOnly := make([]byte, ecies.SessionOverhead+16)
 	counterOnly[7] = 1 // claims frame counter 1
 	f.Add(counterOnly)
+	// A well-formed per-report ECIES ciphertext of one 8-byte word
+	// record — what a client that skips the handshake would send — is
+	// neither a hello nor a session frame.
+	seedKey, err := ecies.GenerateKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	eciesReport, err := ecies.Encrypt(seedKey.Public(), make([]byte, 8))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(eciesReport)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		key, err := ecies.GenerateKey()

@@ -148,24 +148,19 @@ func (s *Service) restore(rec *store.Recovered) error {
 	}
 	for _, r := range rec.Tail {
 		switch r.Type {
-		case store.RecordReport, store.RecordSealedReport:
+		case store.RecordReport:
+			// The service only ever logs sealed reports; an unsealed
+			// one means the directory was not written by this tier.
+			return fmt.Errorf("service: WAL holds an unsealed report record (epoch %d, %d bytes); the service logs only sealed reports", r.Epoch, len(r.Payload))
+		case store.RecordSealedReport:
 			if exhausted || r.Epoch != uint32(cur.id) {
 				return fmt.Errorf("service: WAL report for epoch %d while epoch %d is open", r.Epoch, cur.id)
 			}
-			var pt []byte
-			var err error
-			if r.Type == store.RecordSealedReport {
-				// A session report, re-sealed under the at-rest storage
-				// key (the connection key is gone with the connection).
-				pt, err = s.sealer.Open(nil, r.Payload)
-				if err != nil {
-					return fmt.Errorf("service: opening sealed WAL report: %w", err)
-				}
-			} else {
-				pt, err = ecies.Decrypt(s.cfg.Key, r.Payload)
-				if err != nil {
-					return fmt.Errorf("service: decrypting WAL report: %w", err)
-				}
+			// Reports are logged re-sealed under the at-rest storage
+			// key (the connection key is gone with the connection).
+			pt, err := s.sealer.Open(nil, r.Payload)
+			if err != nil {
+				return fmt.Errorf("service: opening sealed WAL report: %w", err)
 			}
 			rep, err := s.codec.Unmarshal(pt)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func (w *recoveryWorld) send(t *testing.T, svc *service.Service, from, to int) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(w.fo, w.key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientSide, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +251,37 @@ func TestCrashRecoveryConformance(t *testing.T) {
 	}
 }
 
+// stageInterruptedRotation hand-writes dir exactly as a service that
+// crashed right after the shuffler wrote the rotation marker would
+// leave it: reports[:n] logged for epoch 0 (each marshalled payload
+// handed to appendRec), the marker opening epoch 1, no checkpoint.
+func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int, appendRec func(st *store.Store, payload []byte) error) {
+	t.Helper()
+	codec, err := service.NewCodec(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range w.reports[:n] {
+		payload, err := codec.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := appendRec(st, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Rotate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A crash between the rotation marker and its checkpoint: the WAL
 // tail ends with a rotate record whose seal never became a
 // checkpoint. Recovery must replay the seal — charging the ledger
@@ -258,39 +290,17 @@ func TestCrashRecoveryConformance(t *testing.T) {
 func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 	w := newRecoveryWorld(t)
 	dir := t.TempDir()
-	codec, err := service.NewCodec(w.fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stage the directory exactly as a service that crashed right
-	// after the shuffler wrote the marker: reports logged for epoch 0,
-	// marker opening epoch 1, no checkpoint.
-	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	sealer, err := ecies.NewStorageSealer(w.key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 300
+	w.stageInterruptedRotation(t, dir, n, func(st *store.Store, payload []byte) error {
+		return st.AppendSealedReport(0, sealer.Seal(nil, payload))
+	})
 	agg := w.fo.NewAggregator()
 	for _, rep := range w.reports[:n] {
-		payload, err := codec.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := ecies.Encrypt(w.key.Public(), payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AppendReport(0, ct); err != nil {
-			t.Fatal(err)
-		}
 		agg.Add(rep)
-	}
-	if err := st.Rotate(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	ledger := w.ledger(t)
@@ -319,6 +329,30 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 	}
 	if len(cks) == 0 {
 		t.Fatal("recovery did not re-write the lost checkpoint")
+	}
+}
+
+// The service logs only sealed reports. A tail holding an unsealed
+// store.RecordReport (the per-report ECIES shape cluster.Analyzer
+// logs) was not written by this tier: Recover must refuse it with an
+// error naming the record — never panic, never skip it silently.
+func TestRecoverRejectsUnsealedReportRecord(t *testing.T) {
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	w.stageInterruptedRotation(t, dir, 3, func(st *store.Store, payload []byte) error {
+		ct, err := ecies.Encrypt(w.key.Public(), payload)
+		if err != nil {
+			return err
+		}
+		return st.AppendReport(0, ct)
+	})
+	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err == nil {
+		svc.Close()
+		t.Fatal("Recover accepted a WAL tail holding an unsealed report record")
+	}
+	if !strings.Contains(err.Error(), "unsealed report record") {
+		t.Fatalf("Recover error %q does not name the offending record", err)
 	}
 }
 
@@ -355,7 +389,7 @@ func TestRecoverExhaustedLedgerStillRefuses(t *testing.T) {
 	if err := svc.Ingest(serverPre); err != nil {
 		t.Fatal(err)
 	}
-	clPre, err := service.NewClient(w.fo, w.key.Public(), nil, clientPre)
+	clPre, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientPre, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

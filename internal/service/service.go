@@ -8,23 +8,20 @@
 // Pipeline stages, each a bounded queue ahead of it (backpressure
 // propagates from a slow stage back to the clients' writes):
 //
-//	conn readers  --intake-->  shuffler  --batches-->  decrypt  --decoded-->  aggregate
-//	(one per conn,             (batch +                (ECIES or              (shard
-//	 session open)              permute)                decode)                Add)
+//	conn readers  --intake-->  shuffler  --batches-->  aggregate
+//	(one per conn,             (batch +                (decode +
+//	 session open)              permute)                shard Add)
 //
-// # Wire protocols
+// # Wire protocol
 //
-// A connection speaks one of two protocols, decided by its first
-// frame (see readConn). The session protocol — the default client —
-// pays one ECIES-grade handshake (ecies.NewClientSession) when it
-// connects and then streams batches of reports sealed under a
-// per-connection AES-GCM key with a strict monotonic frame counter:
-// per-report crypto cost collapses from an ECDH exchange to a slice
-// of one AEAD open. The legacy protocol encrypts every report
-// individually under full ECIES; it remains fully supported for old
-// clients, and conformance tests pin both protocols to bit-identical
-// estimates. DESIGN.md ("Session wire protocol") specifies the
-// handshake transcript, nonce discipline, and downgrade rules.
+// Every connection speaks the session protocol: it pays one
+// ECIES-grade handshake (ecies.NewClientSession) when it connects and
+// then streams batches of reports sealed under a per-connection
+// AES-GCM key with a strict monotonic frame counter, so the per-report
+// crypto cost is a slice of one AEAD open. The first frame must be the
+// session hello; a connection that opens with anything else is kicked
+// (see readConn). DESIGN.md ("Session wire protocol") specifies the
+// handshake transcript and nonce discipline.
 //
 // The shuffler stage permutes every fixed-size batch before any worker
 // sees it, so the linkage between an arrival (which connection, which
@@ -102,13 +99,12 @@ const DefaultMaxFrame = 4 << 20
 const DefaultClientBatch = 256
 
 // SessionHelloTag is the frame tag of a session hello — the tag a
-// session client stamps on the FIRST frame of a connection. The
-// service decides the connection's protocol by that first frame alone:
-// this tag starts a session handshake, anything else is a legacy
-// per-report ECIES stream (the tag is then the epoch id, and epoch
-// ids count up from zero, far from this magic). A hello tag on any
-// later frame is not special — downgrade or upgrade mid-connection is
-// impossible by construction.
+// session client stamps on the FIRST frame of a connection, and the
+// only first frame the service accepts: a connection that opens with
+// any other tag is kicked. On every later frame the tag is the epoch
+// id the batch asserts (epoch ids count up from zero, far from this
+// magic), so a hello tag mid-stream is not special — re-keying a
+// connection is impossible by construction.
 const SessionHelloTag = 0x53445031 // "SDP1"
 
 // rejectedLogCap bounds how many post-exhaustion rejected drops are
@@ -126,18 +122,18 @@ type Config struct {
 	// server's role).
 	Key *ecies.PrivateKey
 	// BatchSize is the number of reports shuffled together before any
-	// worker may decrypt them. 0 means DefaultBatchSize.
+	// worker may decode them. 0 means DefaultBatchSize.
 	BatchSize int
-	// Workers is the aggregate pool size. <1 means GOMAXPROCS.
+	// Workers is the decode + aggregate pool size. <1 means GOMAXPROCS.
 	Workers int
-	// DecryptWorkers sizes the decrypt/decode pool independently from
-	// the aggregate pool: decryption is the expensive stage for legacy
-	// per-report ECIES traffic but near-free for session batches, so
-	// the two stages scale separately. <1 means Workers.
-	DecryptWorkers int
 	// QueueDepth bounds how many shuffled batches may wait for workers
 	// before the shuffler (and transitively the clients) block. 0 means
-	// 2 * Workers.
+	// 5 * Workers. The shuffler is a single goroutine that also
+	// re-seals and write-ahead logs every report of a durable service,
+	// so it needs enough buffered batches to keep running while every
+	// worker is mid-batch: 2 * Workers cost the durable benchmark
+	// workload (svc_durable_query_d1024) about a tenth of its
+	// reports/s.
 	QueueDepth int
 	// ShuffleSeed drives the batch permutations; each epoch shuffles
 	// from its own substream of it.
@@ -231,29 +227,19 @@ type Snapshot struct {
 	Kicked int64
 }
 
-// taggedReport is one ciphertext frame with the epoch id its sender
-// asserted.
+// taggedReport is one codec-marshalled report record (codec.Size()
+// bytes, split out of an opened session batch) with the epoch id its
+// batch asserted.
 type taggedReport struct {
 	epoch uint32
-	ct    []byte
+	rec   []byte
 }
 
-// epochBatch is one shuffled batch routed to the epoch that was open
-// when it was flushed. Items are either legacy ECIES ciphertexts
-// (codec.Size() + ecies.Overhead bytes) or already-decrypted session
-// records (exactly codec.Size() bytes); the two lengths can never
-// coincide, so the decrypt stage discriminates by length alone.
+// epochBatch is one shuffled batch of report records routed to the
+// epoch that was open when it was flushed.
 type epochBatch struct {
-	ep  *epochState
-	cts [][]byte
-}
-
-// decodedBatch is one batch past the decrypt/decode stage, headed for
-// an aggregate worker. The reports slice is pool-owned: the aggregate
-// worker returns it after folding.
-type decodedBatch struct {
-	ep      *epochState
-	reports *[]ldp.Report
+	ep   *epochState
+	recs [][]byte
 }
 
 // Service is a running ingestion pipeline. Create with New, feed it
@@ -266,8 +252,7 @@ type Service struct {
 	codec *Codec
 
 	intake  chan taggedReport // report items, readers -> shuffler
-	batches chan epochBatch   // shuffled batches, shuffler -> decrypt pool
-	decoded chan decodedBatch // decoded batches, decrypt pool -> aggregate pool
+	batches chan epochBatch   // shuffled batches, shuffler -> aggregate pool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -275,15 +260,9 @@ type Service struct {
 
 	conns        sync.WaitGroup // active connection readers
 	shufflerPool pipeline.Pool  // the single batch-shuffler stage goroutine
-	decryptPool  pipeline.Pool  // decrypt/decode stage workers
-	workerPool   pipeline.Pool  // aggregate stage workers
+	workerPool   pipeline.Pool  // decode + aggregate stage workers
 
-	// reportsPool recycles the decoded-report slices that flow between
-	// the decrypt and aggregate stages, so steady-state ingestion
-	// allocates per batch, not per report.
-	reportsPool sync.Pool
-
-	// sealer re-encrypts session reports for the WAL (their wire
+	// sealer re-encrypts reports for the WAL (their wire
 	// framing is under a connection-ephemeral key recovery could never
 	// re-derive). Nil for an in-memory service.
 	sealer *ecies.StorageSealer
@@ -381,16 +360,12 @@ func prepare(cfg Config) (*Service, error) {
 		cfg.BatchSize = DefaultBatchSize
 	}
 	cfg.Workers = ldp.Workers(cfg.Workers)
-	if cfg.DecryptWorkers <= 0 {
-		cfg.DecryptWorkers = cfg.Workers
-	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.Workers
+		cfg.QueueDepth = 5 * cfg.Workers
 	}
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
-	batchSize := cfg.BatchSize
 	s := &Service{
 		cfg:   cfg,
 		codec: codec,
@@ -399,17 +374,12 @@ func prepare(cfg Config) (*Service, error) {
 		// backpressure through their connection writes.
 		intake:       make(chan taggedReport, cfg.BatchSize),
 		batches:      make(chan epochBatch, cfg.QueueDepth),
-		decoded:      make(chan decodedBatch, cfg.QueueDepth),
 		stop:         make(chan struct{}),
 		rotateCh:     make(chan rotateReq),
 		rotateHint:   make(chan struct{}, 1),
 		shufflerDone: make(chan struct{}),
 		drainStart:   make(chan struct{}),
 		allTime:      cfg.FO.NewAggregator(),
-	}
-	s.reportsPool.New = func() any {
-		sl := make([]ldp.Report, 0, batchSize)
-		return &sl
 	}
 	return s, nil
 }
@@ -423,14 +393,6 @@ func (s *Service) storeMeta() store.Meta {
 // current epoch.
 func (s *Service) start() {
 	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
-	s.decryptPool.Go(s.cfg.DecryptWorkers, s.runDecryptWorker)
-	// The decoded queue closes exactly when the decrypt stage exits —
-	// on drain (batches closed by the shuffler) and abort (stop) alike
-	// — so the aggregate workers always terminate.
-	go func() {
-		s.decryptPool.Wait()
-		close(s.decoded)
-	}()
 	s.workerPool.Go(s.cfg.Workers, s.runWorker)
 	if s.cfg.EpochReports > 0 {
 		s.rotatorWG.Add(1)
@@ -438,8 +400,6 @@ func (s *Service) start() {
 	}
 }
 
-// Serve accepts connections from ln and ingests each until ln is
-// closed (Drain and Close close every listener handed to Serve).
 // Serve accepts connections from ln and ingests each until the
 // listener closes (Drain and Close close registered listeners, which
 // makes Serve return nil).
@@ -527,14 +487,14 @@ var errStopIngest = errors.New("service: stopping")
 // on.
 var errKickConn = errors.New("service: kicking connection")
 
-// enqueue hands one report item to the shuffler, or reports the stop.
-func (s *Service) enqueue(epoch uint32, item []byte) error {
+// enqueue hands one report record to the shuffler, or reports the stop.
+func (s *Service) enqueue(epoch uint32, rec []byte) error {
 	// Post-exhaustion frames flow to the shuffler too: it is the
 	// single goroutine that counts AND write-ahead logs rejected
 	// drops, so the Rejected counter survives a crash like the
 	// others.
 	select {
-	case s.intake <- taggedReport{epoch: epoch, ct: item}:
+	case s.intake <- taggedReport{epoch: epoch, rec: rec}:
 		s.received.Add(1)
 		return nil
 	case <-s.stop:
@@ -547,20 +507,17 @@ func (s *Service) enqueue(epoch uint32, item []byte) error {
 // disconnected (Snapshot.IdleClosed) instead of pinning this goroutine
 // — and Drain's conns.Wait — forever.
 //
-// The first frame decides the connection's protocol. A SessionHelloTag
-// frame performs the session handshake: every later frame is then one
-// AEAD-sealed batch of codec-marshalled reports, opened and split here
-// so the rest of the pipeline sees plain Size()-byte records. Any
-// other first frame is a legacy per-report ECIES stream: each frame is
-// one ciphertext, forwarded as-is for the decrypt stage. Protocol
-// violations (oversized frame, bad hello, failed AEAD, replayed or
+// The first frame must be a SessionHelloTag frame, which performs the
+// session handshake: every later frame is then one AEAD-sealed batch
+// of codec-marshalled reports, opened and split here so the rest of
+// the pipeline sees plain Size()-byte records. Protocol violations
+// (oversized frame, missing or bad hello, failed AEAD, replayed or
 // reordered counter, misaligned batch) kick only this connection.
 func (s *Service) readConn(conn net.Conn) {
 	defer s.conns.Done()
 	defer s.forget(conn)
 	defer conn.Close()
 	var sess *ecies.Session
-	first := true
 	size := s.codec.Size()
 	rd := &pipeline.Reader{
 		Conn:        conn,
@@ -568,24 +525,18 @@ func (s *Service) readConn(conn net.Conn) {
 		MaxFrame:    s.cfg.MaxFrame,
 		Reuse:       true,
 		Handle: func(tag uint32, frame []byte) error {
-			if first {
-				first = false
-				if tag == SessionHelloTag {
-					ns, err := ecies.NewServerSession(s.cfg.Key, frame)
-					if err != nil {
-						return fmt.Errorf("%w: %v", errKickConn, err)
-					}
-					sess = ns
-					return nil
+			if sess == nil {
+				if tag != SessionHelloTag {
+					return fmt.Errorf("%w: first frame has tag %#x, not the session hello", errKickConn, tag)
 				}
+				ns, err := ecies.NewServerSession(s.cfg.Key, frame)
+				if err != nil {
+					return fmt.Errorf("%w: %v", errKickConn, err)
+				}
+				sess = ns
+				return nil
 			}
 			s.cfg.Meter.Send(PartyUsers, PartyShuffler, len(frame))
-			if sess == nil {
-				// Legacy per-report frame. The reader's buffer is
-				// recycled, and the pipeline retains the ciphertext
-				// until a worker decrypts it, so copy.
-				return s.enqueue(tag, append([]byte(nil), frame...))
-			}
 			// Session batch frame: the tag is the epoch the whole
 			// batch asserts. The plaintext buffer is a fresh
 			// allocation per frame — its records are subslices that
@@ -621,7 +572,7 @@ func (s *Service) readConn(conn net.Conn) {
 }
 
 // runShuffler is the batch + shuffle stage: a pipeline.Batcher buffers
-// ciphertexts into BatchSize batches, permutes each, and the flush
+// report records into BatchSize batches, permutes each, and the flush
 // callback forwards it to the worker queue tagged with the open epoch.
 // Rotation requests land here — between batches, never inside one — so
 // every batch belongs to exactly one epoch and each epoch's
@@ -655,12 +606,12 @@ func (s *Service) runShuffler() {
 				}
 			}
 			n := 0
-			for _, ct := range batch {
-				n += len(ct)
+			for _, rec := range batch {
+				n += len(rec)
 			}
 			cur.pending.Add(1)
 			select {
-			case s.batches <- epochBatch{ep: cur, cts: batch}:
+			case s.batches <- epochBatch{ep: cur, recs: batch}:
 				s.shuffled.Add(1)
 				cur.batches.Add(1)
 				s.wal.batches++
@@ -673,7 +624,6 @@ func (s *Service) runShuffler() {
 	if cur != nil {
 		batcher.SetRand(s.shufflerEpochRNG(cur.id))
 	}
-	recordSize := s.codec.Size()
 	var sealBuf []byte
 	accept := func(tr taggedReport) {
 		// Dropped frames move out of Received into exactly one of the
@@ -717,25 +667,19 @@ func (s *Service) runShuffler() {
 			return
 		}
 		if s.st != nil {
-			if len(tr.ct) == recordSize {
-				// A session report: its wire frame was sealed under a
-				// connection-ephemeral key recovery could never re-derive,
-				// so re-seal the record under the at-rest storage key
-				// before logging — the WAL still never holds plaintext
-				// reports. The scratch is safe to reuse: the store's
-				// record encoder copies the payload.
-				sealBuf = s.sealer.Seal(sealBuf[:0], tr.ct)
-				if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
-					s.fail(err)
-				}
-			} else {
-				if err := s.st.AppendReport(uint32(cur.id), tr.ct); err != nil {
-					s.fail(err)
-				}
+			// The report's wire frame was sealed under a
+			// connection-ephemeral key recovery could never re-derive,
+			// so re-seal the record under the at-rest storage key
+			// before logging — the WAL never holds plaintext reports.
+			// The scratch is safe to reuse: the store's record encoder
+			// copies the payload.
+			sealBuf = s.sealer.Seal(sealBuf[:0], tr.rec)
+			if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
+				s.fail(err)
 			}
 			s.wal.received++
 		}
-		batcher.Add(tr.ct)
+		batcher.Add(tr.rec)
 		accepted := cur.accepted.Add(1)
 		if s.cfg.EpochReports > 0 && accepted == int64(s.cfg.EpochReports) {
 			select {
@@ -807,64 +751,25 @@ func (s *Service) runShuffler() {
 	}
 }
 
-// runDecryptWorker is the decrypt/decode stage: each batch item is
-// either a legacy ECIES ciphertext (decrypted into a reused scratch)
-// or an already-open session record (codec.Size() bytes exactly — the
-// two lengths can never coincide), decoded either way into a
-// pool-recycled report slice headed for the aggregate stage. Corrupt
-// reports are dropped and surfaced as the service error rather than
-// silently mis-estimating.
-func (s *Service) runDecryptWorker(int) {
-	size := s.codec.Size()
-	var ptBuf []byte
+// runWorker is the decode + aggregate stage: it decodes each record
+// of a shuffled batch and folds it into the batch's epoch shard owned
+// by this worker. Corrupt records are dropped and surfaced as the
+// service error rather than silently mis-estimating.
+func (s *Service) runWorker(i int) {
 	for eb := range s.batches {
 		start := time.Now()
-		rp := s.reportsPool.Get().(*[]ldp.Report)
-		reports := (*rp)[:0]
-		for _, ct := range eb.cts {
-			data := ct
-			if len(ct) != size {
-				pt, err := ecies.DecryptTo(s.cfg.Key, ptBuf[:0], ct)
-				if err != nil {
-					s.fail(fmt.Errorf("service: decrypt report: %w", err))
-					continue
-				}
-				ptBuf, data = pt, pt
-			}
-			// Unmarshal never aliases its input, so the scratch is free
-			// for the next ciphertext.
-			rep, err := s.codec.Unmarshal(data)
+		sh := eb.ep.shards[i]
+		sh.mu.Lock()
+		for _, rec := range eb.recs {
+			rep, err := s.codec.Unmarshal(rec)
 			if err != nil {
 				s.fail(err)
 				continue
 			}
-			reports = append(reports, rep)
-		}
-		*rp = reports
-		s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
-		select {
-		case s.decoded <- decodedBatch{ep: eb.ep, reports: rp}:
-		case <-s.stop:
-			eb.ep.pending.Done()
-			s.reportsPool.Put(rp)
-		}
-	}
-}
-
-// runWorker is the aggregate stage: it folds each decoded batch into
-// the batch's epoch shard owned by this worker and recycles the
-// report slice.
-func (s *Service) runWorker(i int) {
-	for db := range s.decoded {
-		start := time.Now()
-		sh := db.ep.shards[i]
-		sh.mu.Lock()
-		for _, rep := range *db.reports {
 			sh.agg.Add(rep)
 		}
 		sh.mu.Unlock()
-		db.ep.pending.Done()
-		s.reportsPool.Put(db.reports)
+		eb.ep.pending.Done()
 		s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
 	}
 }
@@ -896,7 +801,7 @@ func (s *Service) Snapshot() Snapshot {
 // all-time snapshot — every epoch's reports merged, bit-identical to
 // a sequential pass over the full stream. The returned error is the
 // first failure observed anywhere in the pipeline (a run with a
-// corrupt or undecryptable report is not silently trusted).
+// corrupt report is not silently trusted).
 func (s *Service) Drain() (Snapshot, error) {
 	s.drainOnce.Do(func() {
 		// Under mu so the flip is atomic with Ingest's check-and-register:

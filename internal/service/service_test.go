@@ -1,9 +1,11 @@
 package service_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +42,7 @@ func runConcurrent(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, c
 		if err := svc.Ingest(serverSide); err != nil {
 			t.Fatal(err)
 		}
-		cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+		cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +251,7 @@ func TestServiceOverTCP(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			cl, err := service.NewClient(fo, key.Public(), rng.New(uint64(100+c)), conn)
+			cl, err := service.NewSessionClient(fo, key.Public(), rng.New(uint64(100+c)), conn, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -266,6 +268,10 @@ func TestServiceOverTCP(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	// The clients have written and closed, but a connection may still
+	// sit in the listener backlog: account for every frame before the
+	// drain cutoff (the contract documented on Serve).
+	waitReceived(t, svc, n)
 	snap, err := svc.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +321,10 @@ func TestDrainEmptyService(t *testing.T) {
 	}
 }
 
-// A report encrypted under the wrong key must surface as a drain
-// error, never silently skew the histogram.
+// A client keyed to the wrong server key derives different session
+// keys, so its first batch fails authentication: the connection is
+// kicked, nothing it sent is aggregated, and the service itself stays
+// healthy.
 func TestWrongKeyReportSurfacesError(t *testing.T) {
 	fo := ldp.NewGRR(4, 1)
 	key, _ := ecies.GenerateKey()
@@ -330,7 +338,7 @@ func TestWrongKeyReportSurfacesError(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, wrong.Public(), rng.New(1), clientSide)
+	cl, err := service.NewSessionClient(fo, wrong.Public(), rng.New(1), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,16 +347,79 @@ func TestWrongKeyReportSurfacesError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Close(); err != nil {
+	// The kick closes the server side, which may race the tail of the
+	// client's write; the client's own error is not the subject here.
+	_ = cl.Close()
+	clientSide.Close()
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatalf("a wrong-key client failed the whole service: %v", err)
+	}
+	if snap.Kicked != 1 || snap.Reports != 0 || snap.Received != 0 {
+		t.Fatalf("want 1 kick and nothing aggregated, got %+v", snap)
+	}
+}
+
+// An authentic session batch can still carry a record the codec
+// rejects (here a word past the SOLH report group). The worker that
+// decodes it must drop that record and fail the run — Drain returns the
+// codec error — while the batch's valid records are aggregated and the
+// counters account for the drop.
+func TestCorruptRecordInAuthenticBatchFailsDrain(t *testing.T) {
+	fo := ldp.NewSOLH(16, 4, 2)
+	key, err := ecies.GenerateKey()
+	if err != nil {
 		t.Fatal(err)
 	}
+	codec, err := service.NewCodec(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := ldp.RandomizeParallel(fo, []int{3, 5, 7}, 19, 0)
+	corrupt := bytes.Repeat([]byte{0xff}, codec.Size())
+	if _, err := codec.Unmarshal(corrupt); err == nil {
+		t.Fatal("the all-ones word decodes; pick another corrupt record")
+	}
+	var batch []byte
+	for i, rep := range reports {
+		if i == 1 {
+			batch = append(batch, corrupt...)
+		}
+		if batch, err = codec.AppendMarshal(batch, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	conn, sess := sessionConn(t, svc, key)
+	frame, err := sess.Seal(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteTaggedFrame(conn, service.EpochCurrent, frame); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+
 	snap, err := svc.Drain()
-	if err == nil {
-		t.Fatal("undecryptable reports did not surface an error")
+	if err == nil || !strings.Contains(err.Error(), "outside group order") {
+		t.Fatalf("Drain error = %v, want the codec's group-order rejection", err)
 	}
-	if snap.Reports != 0 {
-		t.Fatalf("undecryptable reports were aggregated: %d", snap.Reports)
+	if snap.Kicked != 0 {
+		t.Fatalf("an authentic frame kicked its connection: %+v", snap)
 	}
+	if snap.Reports != len(reports) || snap.Received-int64(snap.Reports) != 1 {
+		t.Fatalf("want %d reports aggregated and 1 received-but-dropped, got %+v", len(reports), snap)
+	}
+	agg := fo.NewAggregator()
+	for _, rep := range reports {
+		agg.Add(rep)
+	}
+	sameEstimates(t, "drain estimate of the valid records", snap.Estimates, agg.Estimates())
 }
 
 // unknownOracle hides the concrete oracle type from the codec's type
@@ -457,7 +528,7 @@ func TestIdleClientDisconnectedAndDrainCompletes(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), rng.New(1), clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), rng.New(1), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +581,7 @@ func TestNoIdleTimeoutKeepsSlowClient(t *testing.T) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), rng.New(1), clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), rng.New(1), clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

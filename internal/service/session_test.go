@@ -18,12 +18,11 @@ import (
 	"shuffledp/internal/transport"
 )
 
-// runMixedClients pushes pre-randomized reports through a service with
-// one connection per entry of batchSizes: entry 0 means a legacy
-// per-report client, a positive entry means a session client with that
-// batch size. Report i goes to client i%len(batchSizes). Returns the
-// drained snapshot.
-func runMixedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, batchSizes []int, cfg service.Config) service.Snapshot {
+// runSessionClients pushes pre-randomized reports through a service
+// with one session connection per entry of batchSizes, each batching
+// that many reports per frame. Report i goes to client
+// i%len(batchSizes). Returns the drained snapshot.
+func runSessionClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, batchSizes []int, cfg service.Config) service.Snapshot {
 	t.Helper()
 	key, err := ecies.GenerateKey()
 	if err != nil {
@@ -45,12 +44,7 @@ func runMixedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report,
 		if err := svc.Ingest(serverSide); err != nil {
 			t.Fatal(err)
 		}
-		var cl *service.Client
-		if batchSizes[c] > 0 {
-			cl, err = service.NewSessionClient(fo, key.Public(), nil, clientSide, batchSizes[c])
-		} else {
-			cl, err = service.NewClient(fo, key.Public(), nil, clientSide)
-		}
+		cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, batchSizes[c])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,10 +82,9 @@ func runMixedClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report,
 // clients with wildly different batch sizes — including batch 1, so
 // single-report frames and ragged final flushes are all exercised —
 // must produce a histogram bit-identical to both the sequential
-// netproto reference (the legacy wire path) and a direct in-process
-// aggregation of the same report multiset. Batching, the decrypt pool
-// split, and buffer recycling may change how bytes move, never what
-// the estimates are.
+// netproto reference (one connection, default batch) and a direct
+// in-process aggregation of the same report multiset. Batching may
+// change how bytes move, never what the estimates are.
 func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 	const (
 		d    = 64
@@ -120,10 +113,9 @@ func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 		}
 	}
 
-	snap := runMixedClients(t, fo, reports, []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{
-		BatchSize:      128,
-		ShuffleSeed:    seed + 1,
-		DecryptWorkers: 3,
+	snap := runSessionClients(t, fo, reports, []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{
+		BatchSize:   128,
+		ShuffleSeed: seed + 1,
 	})
 	if snap.Reports != n {
 		t.Fatalf("aggregated %d reports, want %d", snap.Reports, n)
@@ -133,40 +125,7 @@ func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 	}
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, legacy pipeline = %v (not bit-identical)", v, snap.Estimates[v], want[v])
-		}
-	}
-}
-
-// Session and legacy clients must coexist on one service — the first
-// frame of each connection picks its protocol independently — and the
-// merged histogram must still be bit-identical to a direct aggregation
-// of the report multiset. Run under -race.
-func TestRaceSessionLegacyMixedBitIdentical(t *testing.T) {
-	const d, seed = 32, 53
-	n := 4096 + 311
-	values := make([]int, n)
-	for i := range values {
-		values[i] = (i * 5) % d
-	}
-	fo := ldp.NewSOLH(d, 8, 2)
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	agg := fo.NewAggregator()
-	for _, rep := range reports {
-		agg.Add(rep)
-	}
-	want := agg.Estimates()
-
-	snap := runMixedClients(t, fo, reports, []int{0, 8, 0, 64, 1, 0, 256, 33}, service.Config{
-		BatchSize:   64,
-		ShuffleSeed: seed + 1,
-	})
-	if snap.Reports != n {
-		t.Fatalf("aggregated %d reports, want %d", snap.Reports, n)
-	}
-	for v := range want {
-		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, direct aggregation = %v (not bit-identical)", v, snap.Estimates[v], want[v])
+			t.Fatalf("estimate[%d] = %v, sequential pipeline = %v (not bit-identical)", v, snap.Estimates[v], want[v])
 		}
 	}
 }
@@ -223,55 +182,6 @@ func TestClientWriteErrorPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports := ldp.RandomizeParallel(fo, []int{1, 2, 3, 4, 5, 6}, 9, 0)
-
-	t.Run("legacy", func(t *testing.T) {
-		w := &flakyWriter{failAt: 3, partial: 5}
-		cl, err := service.NewClient(fo, key.Public(), nil, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sendErr error
-		sent := 0
-		for _, rep := range reports {
-			if sendErr = cl.SendReport(rep); sendErr != nil {
-				break
-			}
-			sent++
-		}
-		if sendErr == nil || !errors.Is(sendErr, errFlaky) {
-			t.Fatalf("write failure not surfaced: sent %d, err %v", sent, sendErr)
-		}
-		if sent != 3 {
-			t.Fatalf("%d sends succeeded before the failing write, want 3", sent)
-		}
-		// Poisoned: every later call returns the same latched error and
-		// writes nothing more.
-		if err := cl.SendReport(reports[0]); !errors.Is(err, errFlaky) {
-			t.Fatalf("send after write failure: %v, want the latched error", err)
-		}
-		if err := cl.Flush(); !errors.Is(err, errFlaky) {
-			t.Fatalf("flush after write failure: %v, want the latched error", err)
-		}
-		if err := cl.Close(); !errors.Is(err, errFlaky) {
-			t.Fatalf("close after write failure: %v, want the latched error", err)
-		}
-		if len(w.calls) != 3 {
-			t.Fatalf("connection saw %d writes after poisoning, want 3", len(w.calls))
-		}
-		codec, err := service.NewCodec(fo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, call := range w.calls {
-			tags, payloads := parseFrames(t, call)
-			if len(tags) != 1 {
-				t.Fatalf("write %d carries %d frames, want exactly 1", i, len(tags))
-			}
-			if len(payloads[0]) != codec.Size()+ecies.Overhead {
-				t.Fatalf("write %d payload is %d bytes, want one ECIES report (%d)", i, len(payloads[0]), codec.Size()+ecies.Overhead)
-			}
-		}
-	})
 
 	t.Run("session", func(t *testing.T) {
 		w := &flakyWriter{failAt: 0, partial: 10}
@@ -373,14 +283,15 @@ func waitKicked(t *testing.T, svc *service.Service, n int64) {
 	}
 }
 
-// sendLegacy pushes reports through one legacy connection and closes it.
-func sendLegacy(t *testing.T, svc *service.Service, fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp.Report) {
+// sendSession pushes reports through one conforming session connection
+// and closes it.
+func sendSession(t *testing.T, svc *service.Service, fo ldp.FrequencyOracle, key *ecies.PrivateKey, reports []ldp.Report) {
 	t.Helper()
 	clientSide, serverSide := net.Pipe()
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +334,7 @@ func TestServiceKicksOversizedFrame(t *testing.T) {
 	// The rest of the service is unharmed: a conforming client on a new
 	// connection still streams.
 	reports := ldp.RandomizeParallel(fo, []int{1, 2, 3}, 11, 0)
-	sendLegacy(t, svc, fo, key, reports)
+	sendSession(t, svc, fo, key, reports)
 	snap, err := svc.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -433,12 +344,20 @@ func TestServiceKicksOversizedFrame(t *testing.T) {
 	}
 }
 
-// Malformed session hellos — truncated, wrong version, not a curve
-// point — kick only the offending connection. The service keeps
-// serving, and the kicks are counted.
+// A connection whose first frame is not a well-formed session hello —
+// truncated, wrong version, not a curve point, or no hello at all but
+// an old-style per-report ECIES ciphertext under an epoch tag — is
+// kicked and counted. The service keeps serving: a session connection
+// open across all the kicks folds every one of its reports, and the
+// drained histogram is bit-identical to a sequential aggregation of
+// them.
 func TestSessionHandshakeViolationsKick(t *testing.T) {
 	fo := ldp.NewSOLH(16, 4, 2)
 	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := service.NewCodec(fo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,34 +367,79 @@ func TestSessionHandshakeViolationsKick(t *testing.T) {
 	}
 	defer svc.Close()
 
+	reports := ldp.RandomizeParallel(fo, []int{1, 2, 3, 5, 8, 13}, 13, 0)
+	goodSide, serverSide := net.Pipe()
+	defer goodSide.Close()
+	if err := svc.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	good, err := service.NewSessionClient(fo, key.Public(), nil, goodSide, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	truncated := make([]byte, 10)
 	truncated[0] = ecies.SessionVersion
 	wrongVersion := make([]byte, ecies.HelloSize)
 	wrongVersion[0] = 99
 	badPoint := make([]byte, ecies.HelloSize)
 	badPoint[0] = ecies.SessionVersion // version ok, point bytes all zero
+	payload, err := codec.Marshal(reports[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eciesReport, err := ecies.Encrypt(key.Public(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for i, hello := range [][]byte{truncated, wrongVersion, badPoint} {
+	firstFrames := []struct {
+		tag   uint32
+		frame []byte
+	}{
+		{service.SessionHelloTag, truncated},
+		{service.SessionHelloTag, wrongVersion},
+		{service.SessionHelloTag, badPoint},
+		{service.EpochCurrent, eciesReport},
+	}
+	for i, ff := range firstFrames {
+		// The conforming connection streams between the violations.
+		if err := good.SendReport(reports[i]); err != nil {
+			t.Fatal(err)
+		}
 		clientSide, serverSide := net.Pipe()
 		if err := svc.Ingest(serverSide); err != nil {
 			t.Fatal(err)
 		}
-		if err := transport.WriteTaggedFrame(clientSide, service.SessionHelloTag, hello); err != nil {
-			t.Fatalf("hello %d: %v", i, err)
+		if err := transport.WriteTaggedFrame(clientSide, ff.tag, ff.frame); err != nil {
+			t.Fatalf("first frame %d: %v", i, err)
 		}
 		waitKicked(t, svc, int64(i+1))
 		clientSide.Close()
 	}
-
-	reports := ldp.RandomizeParallel(fo, []int{1, 2}, 13, 0)
-	sendLegacy(t, svc, fo, key, reports)
+	if err := svc.Err(); err != nil {
+		t.Fatalf("a kicked connection failed the service: %v", err)
+	}
+	for _, rep := range reports[len(firstFrames):] {
+		if err := good.SendReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := good.Close(); err != nil {
+		t.Fatal(err)
+	}
 	snap, err := svc.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Reports != 2 || snap.Kicked != 3 {
-		t.Fatalf("want 2 reports and 3 kicks, got %+v", snap)
+	if snap.Reports != len(reports) || snap.Kicked != int64(len(firstFrames)) {
+		t.Fatalf("want %d reports and %d kicks, got %+v", len(reports), len(firstFrames), snap)
 	}
+	agg := fo.NewAggregator()
+	for _, rep := range reports {
+		agg.Add(rep)
+	}
+	sameEstimates(t, "drain estimate across the kicks", snap.Estimates, agg.Estimates())
 }
 
 // sessionConn hand-rolls the client side of a session — hello frame
@@ -594,7 +558,7 @@ func TestSessionFrameViolationsKick(t *testing.T) {
 
 	t.Run("hello-tag-mid-stream", func(t *testing.T) {
 		// A SessionHelloTag on a later frame is NOT a new handshake:
-		// the protocol is fixed at the first frame, and the tag is just
+		// the session is keyed by the first frame, and the tag is just
 		// this batch's (nonsensical) epoch assertion — the frame itself
 		// still authenticates, so the reports land as Late, not as a
 		// session reset.
@@ -699,8 +663,7 @@ func TestSessionOverTCPServe(t *testing.T) {
 
 // Session reports reach the WAL re-sealed under the at-rest storage
 // key (the connection key dies with the connection), and recovery
-// opens them back into the epoch bit-identically — alongside legacy
-// ECIES records in the same log.
+// opens them back into the epoch bit-identically.
 func TestRecoverSealedSessionReports(t *testing.T) {
 	const d, n = 32, 24
 	fo := ldp.NewSOLH(d, 8, 2)
@@ -722,25 +685,7 @@ func TestRecoverSealedSessionReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 16 reports over a session connection (sealed WAL records), 8 over
-	// a legacy one (ECIES WAL records) — one log, both record types.
-	clientSide, serverSide := net.Pipe()
-	if err := svc.Ingest(serverSide); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reports[:16] {
-		if err := cl.SendReport(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sendLegacy(t, svc, fo, key, reports[16:])
+	sendSession(t, svc, fo, key, reports)
 
 	// Three full shuffle batches forwarded means three WAL commits: all
 	// 24 reports are durable regardless of the crash below.

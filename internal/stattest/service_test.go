@@ -52,7 +52,7 @@ func serviceTrial(fo ldp.FrequencyOracle, values []int, clients, batch int) stat
 			if err := svc.Ingest(serverSide); err != nil {
 				return nil, err
 			}
-			cl, err := service.NewClient(fo, key.Public(), nil, clientSide)
+			cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
 			if err != nil {
 				return nil, err
 			}
