@@ -219,7 +219,8 @@ func BenchmarkAblationPlanner(b *testing.B) {
 }
 
 // BenchmarkAblationEOS isolates the AHE overhead: plain oblivious
-// shuffle vs EOS with DGK vs EOS with Paillier, same vector length.
+// shuffle vs EOS with DGK (with and without the per-element
+// rerandomization), same vector length.
 func BenchmarkAblationEOS(b *testing.B) {
 	const n, r = 200, 3
 	mod := secretshare.NewModulus(64)
@@ -228,10 +229,6 @@ func BenchmarkAblationEOS(b *testing.B) {
 		values[i] = uint64(i)
 	}
 	dgk, err := ahe.GenerateDGK(768, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pai, err := ahe.GeneratePaillier(512, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,12 +246,10 @@ func BenchmarkAblationEOS(b *testing.B) {
 	})
 	for _, tc := range []struct {
 		name string
-		key  ahe.PrivateKey
 		fast bool
 	}{
-		{"eos-dgk", dgk, false},
-		{"eos-dgk-fast", dgk, true}, // the paper's Table III cost model
-		{"eos-paillier", pai, false},
+		{"eos-dgk", false},
+		{"eos-dgk-fast", true}, // the paper's Table III cost model
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			src := rng.New(8)
@@ -263,7 +258,7 @@ func BenchmarkAblationEOS(b *testing.B) {
 				shares := secretshare.SplitVector(values, r, mod, src)
 				enc := make([]*ahe.Ciphertext, n)
 				for j, s := range shares[r-1] {
-					c, err := tc.key.Encrypt(s)
+					c, err := dgk.Encrypt(s)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -273,7 +268,7 @@ func BenchmarkAblationEOS(b *testing.B) {
 				st := &oblivious.State{Plain: shares, Enc: enc, EncHolder: r - 1}
 				b.StartTimer()
 				err := oblivious.Run(st, oblivious.Config{
-					Mod: mod, Source: src, Pub: tc.key,
+					Mod: mod, Source: src, Pub: dgk,
 					SkipRerandomize: tc.fast,
 				})
 				if err != nil {

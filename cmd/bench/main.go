@@ -91,11 +91,7 @@ func main() {
 	peosNR := flag.Int("peos-nr", 24, "peos-suite joint fake reports")
 	peosKeyBits := flag.String("peos-keybits", "1024", "comma-separated DGK modulus bit sizes for the peos suite")
 	peosRs := flag.String("peos-r", "2,3", "comma-separated shuffler counts for the peos suite")
-	peosWorkers := flag.String("peos-workers", "0", "comma-separated decryption worker counts for the peos suite (0 = GOMAXPROCS)")
-	peosNaive := flag.Bool("peos-naive", false, "run the peos suite with the DGK fast path disabled (naive-AHE ablation)")
 	peosAnalyzers := flag.String("peos-analyzers", "1,2,4", "comma-separated analyzer shard counts for the peos scaling sweep")
-	peosShufWorkers := flag.String("peos-shuffler-workers", "1,2,4", "comma-separated shuffler crypto worker counts for the peos scaling sweep")
-	peosChunkWords := flag.Int("peos-chunk-words", 64, "wire chunk window (elements) for the shuffler scaling sweep (0 = one frame)")
 	peosOut := flag.String("peos-out", "BENCH_peos.json", "peos-suite output JSON path")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected suites to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the suites) to this path")
@@ -145,19 +141,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("bad -peos-keybits: %v", err)
 		}
-		workers, err := parseIntsMin(*peosWorkers, 0)
-		if err != nil {
-			log.Fatalf("bad -peos-workers: %v", err)
-		}
 		analyzerCounts, err := parseInts(*peosAnalyzers)
 		if err != nil {
 			log.Fatalf("bad -peos-analyzers: %v", err)
 		}
-		shufWorkers, err := parseInts(*peosShufWorkers)
-		if err != nil {
-			log.Fatalf("bad -peos-shuffler-workers: %v", err)
-		}
-		rep, err := runPEOSSuite(*peosN, *peosD, *peosNR, keyBits, rs, workers, analyzerCounts, shufWorkers, *peosChunkWords, *peosNaive)
+		rep, err := runPEOSSuite(*peosN, *peosD, *peosNR, keyBits, rs, analyzerCounts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -199,20 +187,16 @@ func main() {
 	writeJSON(*out, rep)
 }
 
-func parseInts(csv string) ([]int, error) { return parseIntsMin(csv, 1) }
-
-// parseIntsMin parses a comma-separated int list, requiring every
-// entry to be at least min (0 for worker counts, where 0 means
-// GOMAXPROCS).
-func parseIntsMin(csv string, min int) ([]int, error) {
+// parseInts parses a comma-separated list of positive ints.
+func parseInts(csv string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(csv, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, fmt.Errorf("entry %q: %w", f, err)
 		}
-		if v < min {
-			return nil, fmt.Errorf("entry %q: must be >= %d", f, min)
+		if v < 1 {
+			return nil, fmt.Errorf("entry %q: must be >= 1", f)
 		}
 		out = append(out, v)
 	}

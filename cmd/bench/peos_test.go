@@ -6,7 +6,7 @@ import "testing"
 // be populated and positive, and the cluster path must complete — the
 // same guarantee the CI bench-smoke job checks from the outside.
 func TestPEOSSuiteSmoke(t *testing.T) {
-	rep, err := runPEOSSuite(40, 8, 4, []int{512}, []int{2}, []int{0}, []int{1, 2}, []int{1, 2}, 16, false)
+	rep, err := runPEOSSuite(40, 8, 4, []int{512}, []int{2}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,8 +17,8 @@ func TestPEOSSuiteSmoke(t *testing.T) {
 	if c.R != 2 || c.N != 40 || c.NR != 4 || c.KeyBits != 512 {
 		t.Fatalf("case parameters %+v", c)
 	}
-	if !c.FastPath || c.DecryptWorkers != 0 {
-		t.Fatalf("sweep fields not populated: %+v", c)
+	if rep.GoMaxProcs < 1 || rep.NumCPU < 1 {
+		t.Fatalf("core counts not recorded: go_max_procs %d, num_cpu %d", rep.GoMaxProcs, rep.NumCPU)
 	}
 	if c.InProcessSeconds <= 0 || c.ClusterSeconds <= 0 {
 		t.Fatalf("timings not populated: %+v", c)
@@ -33,8 +33,8 @@ func TestPEOSSuiteSmoke(t *testing.T) {
 		t.Fatalf("user bytes %d, want %d", c.UserSentBytes, want)
 	}
 	// The analyzer scale-out sweep: one row per requested shard count,
-	// speedup relative to the first row, coordinator window strictly
-	// smaller once the tier is sharded.
+	// measured wall clock per row, coordinator window strictly smaller
+	// once the tier is sharded.
 	if len(rep.AnalyzerScaling) != 2 {
 		t.Fatalf("want 2 scaling rows, got %d", len(rep.AnalyzerScaling))
 	}
@@ -47,36 +47,5 @@ func TestPEOSSuiteSmoke(t *testing.T) {
 	}
 	if one.CoordinatorWindowWords != 44 || two.CoordinatorWindowWords != 22 {
 		t.Fatalf("coordinator windows %d, %d", one.CoordinatorWindowWords, two.CoordinatorWindowWords)
-	}
-	// The acceptance headline: the per-report decrypt bill of the
-	// busiest node halves when the tier is sharded two ways.
-	if one.CoordinatorDecryptNsPerReport <= 0 ||
-		two.CoordinatorDecryptNsPerReport != one.CoordinatorDecryptNsPerReport/2 {
-		t.Fatalf("decrypt bills %+v", rep.AnalyzerScaling)
-	}
-	if one.DecryptSpeedupVsOneAnalyzer != 1 || two.DecryptSpeedupVsOneAnalyzer != 2 {
-		t.Fatalf("decrypt speedups %+v", rep.AnalyzerScaling)
-	}
-	// The shuffler worker sweep: one row per requested worker count, the
-	// per-worker crypto bill halving from 1 to 2 workers, pool traffic
-	// recorded, rounds completing with the chunked wire on.
-	if len(rep.ShufflerScaling) != 2 {
-		t.Fatalf("want 2 shuffler scaling rows, got %d", len(rep.ShufflerScaling))
-	}
-	w1, w2 := rep.ShufflerScaling[0], rep.ShufflerScaling[1]
-	if w1.Workers != 1 || w2.Workers != 2 || w1.ChunkWords != 16 || w2.ChunkWords != 16 {
-		t.Fatalf("shuffler scaling rows %+v", rep.ShufflerScaling)
-	}
-	if w1.ClusterSeconds <= 0 || w2.ClusterSeconds <= 0 || w1.WorkerCryptoNsPerReport <= 0 {
-		t.Fatalf("shuffler scaling timings not populated: %+v", rep.ShufflerScaling)
-	}
-	if w2.WorkerCryptoNsPerReport != w1.WorkerCryptoNsPerReport/2 {
-		t.Fatalf("worker crypto bills %+v", rep.ShufflerScaling)
-	}
-	if w1.CryptoSpeedupVsOneWorker != 1 || w2.CryptoSpeedupVsOneWorker != 2 {
-		t.Fatalf("crypto speedups %+v", rep.ShufflerScaling)
-	}
-	if w1.PoolHits+w1.PoolMisses == 0 || w2.PoolHits+w2.PoolMisses == 0 {
-		t.Fatalf("pool stats not populated: %+v", rep.ShufflerScaling)
 	}
 }

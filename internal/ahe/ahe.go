@@ -1,15 +1,11 @@
 // Package ahe implements additively homomorphic encryption (§II-C).
 //
-// Two schemes are provided behind one interface:
-//
-//   - DGK (Damgård–Geisler–Krøigaard), in the full-decryption variant
-//     with plaintext space Z_{2^l} decrypted via Pohlig–Hellman — the
-//     scheme the paper instantiates PEOS with (§VI-A3): "there is a
-//     crucial requirement for the AHE scheme: it should support a
-//     plaintext space of Z_{2^l} ... so that the decrypted result
-//     modulo 2^l looks like other reports."
-//   - Paillier, the classic AHE over Z_n, provided for comparison and
-//     the EOS-overhead ablation benchmark.
+// One scheme is provided: DGK (Damgård–Geisler–Krøigaard), in the
+// full-decryption variant with plaintext space Z_{2^l} decrypted via
+// Pohlig–Hellman — the scheme the paper instantiates PEOS with
+// (§VI-A3): "there is a crucial requirement for the AHE scheme: it
+// should support a plaintext space of Z_{2^l} ... so that the decrypted
+// result modulo 2^l looks like other reports."
 //
 // All arithmetic uses math/big; randomness is crypto/rand. Key
 // generation is probabilistic-prime based, so use small key sizes in
@@ -18,8 +14,7 @@ package ahe
 
 import "math/big"
 
-// Ciphertext is one encrypted value. Both schemes use a single group
-// element (Z_n for DGK, Z_{n^2} for Paillier).
+// Ciphertext is one encrypted value: a single group element of Z_n.
 type Ciphertext struct {
 	v *big.Int
 }
@@ -27,17 +22,15 @@ type Ciphertext struct {
 // Value exposes the raw group element (for serialization).
 func (c *Ciphertext) Value() *big.Int { return new(big.Int).Set(c.v) }
 
-// Clone returns an independent copy. The in-place ScratchOps kernels
-// mutate their operands, so any ciphertext a caller retains across an
-// evaluation pass (the cluster's per-collection fake cache) must hand
-// the pass a clone.
+// Clone returns an independent copy. The in-place kernels
+// (AddPlainInto, RerandomizeInto) mutate their operands, so any
+// ciphertext a caller retains across an evaluation pass (the cluster's
+// per-collection fake cache) must hand the pass a clone.
 func (c *Ciphertext) Clone() *Ciphertext { return &Ciphertext{v: new(big.Int).Set(c.v)} }
 
 // PublicKey is the encryptor/evaluator side: users encrypt their last
 // share with it, shufflers homomorphically add and rerandomize.
 type PublicKey interface {
-	// Scheme returns the scheme name ("DGK" or "Paillier").
-	Scheme() string
 	// PlaintextBits returns l: plaintext semantics are Z_{2^l}.
 	PlaintextBits() int
 	// Encrypt encrypts m (reduced mod 2^l).
@@ -49,6 +42,26 @@ type PublicKey interface {
 	// Rerandomize refreshes the ciphertext so it is unlinkable to its
 	// input (multiplication by a fresh encryption of zero).
 	Rerandomize(a *Ciphertext) (*Ciphertext, error)
+	// NewScratch returns a fresh scratch area for one worker goroutine
+	// of the in-place kernels below.
+	NewScratch() *Scratch
+	// AddPlainInto stores AddPlain(a, m) into dst. dst may alias a —
+	// the in-place form the oblivious-shuffle loops use.
+	AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error
+	// RerandomizeInto stores Rerandomize(a) into dst. dst may alias a.
+	RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error
+	// StartRandomizerPool starts or joins the key's background
+	// randomizer refiller, which precomputes encryption randomizers off
+	// the critical path, and returns the matching stop function. Call
+	// sites with an encryption-heavy phase — the PEOS user loop, the
+	// cluster client, the shufflers' rerandomize sites — hold it for
+	// the phase's duration:
+	//
+	//	defer pub.StartRandomizerPool()()
+	//
+	// Starting is reference-counted and the returned stop is idempotent,
+	// so nested components sharing one key compose safely.
+	StartRandomizerPool() (stop func())
 	// CiphertextBytes returns the fixed serialized size, used by the
 	// Table III communication accounting.
 	CiphertextBytes() int
@@ -65,61 +78,12 @@ type PrivateKey interface {
 	Decrypt(c *Ciphertext) (uint64, error)
 }
 
-// Scratch holds the per-worker big.Int accumulators the scratch
-// variants of the hot public-key operations (ScratchOps) reuse across
-// calls. One Scratch belongs to exactly one goroutine; distinct
-// workers of a parallel loop each allocate their own via NewScratch.
+// Scratch holds the per-worker big.Int accumulators the in-place
+// variants of the hot public-key operations reuse across calls. One
+// Scratch belongs to exactly one goroutine; distinct workers of a
+// parallel loop each allocate their own via NewScratch.
 type Scratch struct {
 	e, acc, tmp big.Int
-}
-
-// ScratchOps is implemented by public keys whose hot homomorphic
-// operations can run with caller-owned scratch state and an in-place
-// destination — the allocation-flat kernels the worker-pooled
-// oblivious-shuffle loops run on. Keys without it (Paillier) are
-// served by the plain AddPlain/Rerandomize fallback; the results are
-// identical either way, only the allocation profile differs.
-type ScratchOps interface {
-	PublicKey
-	// NewScratch returns a fresh scratch area for one worker goroutine.
-	NewScratch() *Scratch
-	// AddPlainInto stores AddPlain(a, m) into dst. dst may alias a —
-	// the in-place form the hot loops use.
-	AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error
-	// RerandomizeInto stores Rerandomize(a) into dst. dst may alias a.
-	RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error
-}
-
-// Pooler is implemented by public keys that can precompute encryption
-// randomizers off the critical path (DGK's background (r, h^r) pool).
-// Call sites with an encryption-heavy phase — the PEOS user loop, the
-// cluster client, the shufflers' rerandomize sites — start the pool
-// for the phase's duration and stop it when done:
-//
-//	if pl, ok := pub.(ahe.Pooler); ok {
-//		defer pl.StartRandomizerPool(0)()
-//	}
-//
-// Starting is reference-counted and the returned stop is idempotent,
-// so nested components sharing one key compose safely.
-type Pooler interface {
-	// StartRandomizerPool starts or joins the key's background
-	// randomizer refiller with the given pool capacity (<1 selects
-	// DefaultPoolSize) and returns the matching stop function.
-	StartRandomizerPool(capacity int) (stop func())
-}
-
-// PoolerN extends Pooler with explicit refill concurrency, for sites
-// whose drain rate scales with a worker count (the parallel shuffler
-// loops): size the capacity with PoolSizeFor(workers) and let the
-// refill side keep up. The first starter of a key's pool fixes both
-// numbers; later joiners share it (same refcount semantics as Pooler).
-type PoolerN interface {
-	Pooler
-	// StartRandomizerPoolN is StartRandomizerPool with the refiller
-	// count exposed (<1 selects DefaultPoolRefillers, derived from
-	// GOMAXPROCS).
-	StartRandomizerPoolN(capacity, refillers int) (stop func())
 }
 
 // serializeFixed left-pads v to size bytes.

@@ -14,10 +14,6 @@ var (
 	dgkOnce   sync.Once
 	dgkKey    *DGKPrivateKey
 	dgkKeyErr error
-
-	paiOnce sync.Once
-	paiKey  *PaillierPrivateKey
-	paiErr  error
 )
 
 func testDGK(t *testing.T) *DGKPrivateKey {
@@ -29,162 +25,139 @@ func testDGK(t *testing.T) *DGKPrivateKey {
 	return dgkKey
 }
 
-func testPaillier(t *testing.T) *PaillierPrivateKey {
-	t.Helper()
-	paiOnce.Do(func() { paiKey, paiErr = GeneratePaillier(512, 32) })
-	if paiErr != nil {
-		t.Fatalf("GeneratePaillier: %v", paiErr)
-	}
-	return paiKey
-}
-
-// schemes under test, via the common interface.
-func testKeys(t *testing.T) []PrivateKey {
-	return []PrivateKey{testDGK(t), testPaillier(t)}
-}
-
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	for _, key := range testKeys(t) {
-		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
-		for _, m := range []uint64{0, 1, 2, 1000, mask, mask - 1} {
-			c, err := key.Encrypt(m)
-			if err != nil {
-				t.Fatalf("%s Encrypt: %v", key.Scheme(), err)
-			}
-			got, err := key.Decrypt(c)
-			if err != nil {
-				t.Fatalf("%s Decrypt: %v", key.Scheme(), err)
-			}
-			if got != m&mask {
-				t.Fatalf("%s: roundtrip %d -> %d", key.Scheme(), m, got)
-			}
+	key := testDGK(t)
+	mask := uint64(1)<<uint(key.PlaintextBits()) - 1
+	for _, m := range []uint64{0, 1, 2, 1000, mask, mask - 1} {
+		c, err := key.Encrypt(m)
+		if err != nil {
+			t.Fatalf("Encrypt: %v", err)
+		}
+		got, err := key.Decrypt(c)
+		if err != nil {
+			t.Fatalf("Decrypt: %v", err)
+		}
+		if got != m&mask {
+			t.Fatalf("roundtrip %d -> %d", m, got)
 		}
 	}
 }
 
 func TestHomomorphicAddition(t *testing.T) {
-	for _, key := range testKeys(t) {
-		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
-		cases := [][2]uint64{{1, 2}, {mask, 1}, {mask, mask}, {0, 0}, {123456, 654321}}
-		for _, c := range cases {
-			ca, err := key.Encrypt(c[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb, err := key.Encrypt(c[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum, err := key.Decrypt(key.Add(ca, cb))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := (c[0] + c[1]) & mask; sum != want {
-				t.Fatalf("%s: %d + %d = %d, want %d (mod 2^l)",
-					key.Scheme(), c[0], c[1], sum, want)
-			}
+	key := testDGK(t)
+	mask := uint64(1)<<uint(key.PlaintextBits()) - 1
+	cases := [][2]uint64{{1, 2}, {mask, 1}, {mask, mask}, {0, 0}, {123456, 654321}}
+	for _, c := range cases {
+		ca, err := key.Encrypt(c[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := key.Encrypt(c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := key.Decrypt(key.Add(ca, cb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (c[0] + c[1]) & mask; sum != want {
+			t.Fatalf("%d + %d = %d, want %d (mod 2^l)", c[0], c[1], sum, want)
 		}
 	}
 }
 
 func TestAddPlain(t *testing.T) {
-	for _, key := range testKeys(t) {
-		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
-		c, err := key.Encrypt(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := key.AddPlain(c, mask) // adds -1 mod 2^l
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := key.Decrypt(c2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 99 {
-			t.Fatalf("%s: 100 + (2^l - 1) = %d, want 99", key.Scheme(), got)
-		}
+	key := testDGK(t)
+	mask := uint64(1)<<uint(key.PlaintextBits()) - 1
+	c, err := key.Encrypt(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := key.AddPlain(c, mask) // adds -1 mod 2^l
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := key.Decrypt(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 99 {
+		t.Fatalf("100 + (2^l - 1) = %d, want 99", got)
 	}
 }
 
 func TestRerandomizePreservesPlaintextChangesCiphertext(t *testing.T) {
-	for _, key := range testKeys(t) {
-		c, err := key.Encrypt(42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := key.Rerandomize(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Value().Cmp(c2.Value()) == 0 {
-			t.Fatalf("%s: rerandomize did not change the ciphertext", key.Scheme())
-		}
-		got, err := key.Decrypt(c2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 42 {
-			t.Fatalf("%s: rerandomize changed plaintext to %d", key.Scheme(), got)
-		}
+	key := testDGK(t)
+	c, err := key.Encrypt(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := key.Rerandomize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Value().Cmp(c2.Value()) == 0 {
+		t.Fatal("rerandomize did not change the ciphertext")
+	}
+	got, err := key.Decrypt(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 42 {
+		t.Fatalf("rerandomize changed plaintext to %d", got)
 	}
 }
 
 func TestProbabilisticEncryption(t *testing.T) {
-	for _, key := range testKeys(t) {
-		a, err := key.Encrypt(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := key.Encrypt(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Value().Cmp(b.Value()) == 0 {
-			t.Fatalf("%s: two encryptions of the same value are equal", key.Scheme())
-		}
+	key := testDGK(t)
+	a, err := key.Encrypt(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := key.Encrypt(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Value().Cmp(b.Value()) == 0 {
+		t.Fatal("two encryptions of the same value are equal")
 	}
 }
 
 func TestSerializeDeserialize(t *testing.T) {
-	for _, key := range testKeys(t) {
-		c, err := key.Encrypt(31337)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := key.Serialize(c)
-		if len(data) != key.CiphertextBytes() {
-			t.Fatalf("%s: serialized to %d bytes, want %d",
-				key.Scheme(), len(data), key.CiphertextBytes())
-		}
-		c2, err := key.Deserialize(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := key.Decrypt(c2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 31337 {
-			t.Fatalf("%s: deserialize roundtrip gave %d", key.Scheme(), got)
-		}
+	key := testDGK(t)
+	c, err := key.Encrypt(31337)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := key.Serialize(c)
+	if len(data) != key.CiphertextBytes() {
+		t.Fatalf("serialized to %d bytes, want %d", len(data), key.CiphertextBytes())
+	}
+	c2, err := key.Deserialize(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := key.Decrypt(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 31337 {
+		t.Fatalf("deserialize roundtrip gave %d", got)
 	}
 }
 
 func TestDeserializeRejectsBadInput(t *testing.T) {
-	for _, key := range testKeys(t) {
-		if _, err := key.Deserialize([]byte{1, 2, 3}); err == nil {
-			t.Fatalf("%s: accepted short input", key.Scheme())
-		}
-		// All-0xff of the right length exceeds the modulus.
-		bad := make([]byte, key.CiphertextBytes())
-		for i := range bad {
-			bad[i] = 0xff
-		}
-		if _, err := key.Deserialize(bad); err == nil {
-			t.Fatalf("%s: accepted out-of-range ciphertext", key.Scheme())
-		}
+	key := testDGK(t)
+	if _, err := key.Deserialize([]byte{1, 2, 3}); err == nil {
+		t.Fatal("accepted short input")
+	}
+	// All-0xff of the right length exceeds the modulus.
+	bad := make([]byte, key.CiphertextBytes())
+	for i := range bad {
+		bad[i] = 0xff
+	}
+	if _, err := key.Deserialize(bad); err == nil {
+		t.Fatal("accepted out-of-range ciphertext")
 	}
 }
 
@@ -192,21 +165,18 @@ func TestDeserializeRejectsBadInput(t *testing.T) {
 // not a unit, is never produced by Encrypt, and is an absorbing
 // element under Add — one planted by a malicious client silently
 // destroys the whole shuffled accumulator. It must be refused at the
-// door like any other out-of-range value, for both schemes.
+// door like any other out-of-range value.
 func TestDeserializeRejectsZeroCiphertext(t *testing.T) {
-	for _, key := range testKeys(t) {
-		zero := make([]byte, key.CiphertextBytes())
-		if _, err := key.Deserialize(zero); err == nil {
-			t.Fatalf("%s: accepted the zero ciphertext", key.Scheme())
-		}
-		// A non-zero non-unit (a multiple of a secret factor) is just as
-		// invalid; for DGK check the shared factor is rejected too.
-		if dgk, ok := key.(*DGKPrivateKey); ok {
-			pBlob := serializeFixed(dgk.p, dgk.CiphertextBytes())
-			if _, err := dgk.Deserialize(pBlob); err == nil {
-				t.Fatal("DGK: accepted a non-unit ciphertext")
-			}
-		}
+	key := testDGK(t)
+	zero := make([]byte, key.CiphertextBytes())
+	if _, err := key.Deserialize(zero); err == nil {
+		t.Fatal("accepted the zero ciphertext")
+	}
+	// A non-zero non-unit (a multiple of a secret factor) is just as
+	// invalid: the shared factor is rejected too.
+	pBlob := serializeFixed(key.p, key.CiphertextBytes())
+	if _, err := key.Deserialize(pBlob); err == nil {
+		t.Fatal("accepted a non-unit ciphertext")
 	}
 }
 
@@ -285,15 +255,6 @@ func TestGenerateDGKValidation(t *testing.T) {
 		t.Error("accepted plaintext bits 65")
 	}
 	if _, err := GenerateDGK(128, 32); err == nil {
-		t.Error("accepted tiny key")
-	}
-}
-
-func TestGeneratePaillierValidation(t *testing.T) {
-	if _, err := GeneratePaillier(512, 0); err == nil {
-		t.Error("accepted plaintext bits 0")
-	}
-	if _, err := GeneratePaillier(100, 32); err == nil {
 		t.Error("accepted tiny key")
 	}
 }

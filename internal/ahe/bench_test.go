@@ -8,25 +8,21 @@ import (
 var (
 	benchOnce sync.Once
 	benchDGK  *DGKPrivateKey
-	benchPai  *PaillierPrivateKey
 )
 
-func benchKeys(b *testing.B) (*DGKPrivateKey, *PaillierPrivateKey) {
+func benchKey(b *testing.B) *DGKPrivateKey {
 	b.Helper()
 	benchOnce.Do(func() {
 		var err error
 		if benchDGK, err = GenerateDGK(1024, 64); err != nil {
 			panic(err)
 		}
-		if benchPai, err = GeneratePaillier(1024, 64); err != nil {
-			panic(err)
-		}
 	})
-	return benchDGK, benchPai
+	return benchDGK
 }
 
 func BenchmarkDGKEncrypt(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := key.Encrypt(uint64(i)); err != nil {
@@ -36,7 +32,7 @@ func BenchmarkDGKEncrypt(b *testing.B) {
 }
 
 func BenchmarkDGKDecrypt(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, err := key.Encrypt(0xdeadbeef)
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +46,7 @@ func BenchmarkDGKDecrypt(b *testing.B) {
 }
 
 func BenchmarkDGKAdd(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c1, _ := key.Encrypt(1)
 	c2, _ := key.Encrypt(2)
 	b.ReportAllocs()
@@ -61,7 +57,7 @@ func BenchmarkDGKAdd(b *testing.B) {
 }
 
 func BenchmarkDGKAddPlain(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, _ := key.Encrypt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +68,7 @@ func BenchmarkDGKAddPlain(b *testing.B) {
 }
 
 func BenchmarkDGKRerandomize(b *testing.B) {
-	key, _ := benchKeys(b)
+	key := benchKey(b)
 	c, _ := key.Encrypt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,82 +78,22 @@ func BenchmarkDGKRerandomize(b *testing.B) {
 	}
 }
 
-// withNaive runs the benchmark body with the fast path disabled and
-// restores it afterwards — the ablation counterpart of the fast-path
-// benchmarks above.
-func withNaive(b *testing.B, key *DGKPrivateKey, body func()) {
-	key.SetFastPath(false)
-	defer key.SetFastPath(true)
-	b.ResetTimer()
-	body()
-}
+// The *Naive benchmarks run the retained math/big reference through a
+// key copy without fast-path state — the ablation counterpart of the
+// fast-path benchmarks above.
 
 func BenchmarkDGKEncryptNaive(b *testing.B) {
-	key, _ := benchKeys(b)
-	withNaive(b, key, func() {
-		for i := 0; i < b.N; i++ {
-			if _, err := key.Encrypt(uint64(i)); err != nil {
-				b.Fatal(err)
-			}
+	key := naiveCopy(benchKey(b))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := key.Encrypt(uint64(i)); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 func BenchmarkDGKDecryptNaive(b *testing.B) {
-	key, _ := benchKeys(b)
-	c, err := key.Encrypt(0xdeadbeef)
-	if err != nil {
-		b.Fatal(err)
-	}
-	withNaive(b, key, func() {
-		for i := 0; i < b.N; i++ {
-			if _, err := key.Decrypt(c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkDGKRerandomizeNaive(b *testing.B) {
-	key, _ := benchKeys(b)
-	c, _ := key.Encrypt(1)
-	withNaive(b, key, func() {
-		for i := 0; i < b.N; i++ {
-			if _, err := key.Rerandomize(c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDGKEncryptPooled measures Encrypt with the background
-// randomizer pool keeping (r, h^r) pairs warm — the client/shuffler
-// steady state. On a loaded single-core machine it converges to the
-// unpooled table path; spare cores turn h^r into a pool pop.
-func BenchmarkDGKEncryptPooled(b *testing.B) {
-	key, _ := benchKeys(b)
-	stop := key.StartRandomizerPool(0)
-	defer stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := key.Encrypt(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPaillierEncrypt(b *testing.B) {
-	_, key := benchKeys(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := key.Encrypt(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPaillierDecrypt(b *testing.B) {
-	_, key := benchKeys(b)
+	key := naiveCopy(benchKey(b))
 	c, err := key.Encrypt(0xdeadbeef)
 	if err != nil {
 		b.Fatal(err)
@@ -165,6 +101,33 @@ func BenchmarkPaillierDecrypt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := key.Decrypt(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDGKRerandomizeNaive(b *testing.B) {
+	key := naiveCopy(benchKey(b))
+	c, _ := key.Encrypt(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := key.Rerandomize(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDGKEncryptPooled measures Encrypt with the background
+// randomizer pool keeping (r, h^r) pairs warm — the client/shuffler
+// steady state. On a loaded single-core machine it converges to the
+// unpooled table path; spare cores turn h^r into a pool pop.
+func BenchmarkDGKEncryptPooled(b *testing.B) {
+	key := benchKey(b)
+	stop := key.StartRandomizerPool()
+	defer stop()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := key.Encrypt(uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,9 +37,10 @@ import (
 // discrete log 8 bits per round from one shared squaring chain and
 // per-key digit tables — O(l) modular multiplications per ciphertext
 // instead of the naive O(l^2) squaring triangle. The naive math/big
-// path is retained verbatim behind SetFastPath(false) as the
-// correctness reference; the conformance tests in fixedbase_test.go
-// hold the two paths bit-identical.
+// path is retained verbatim as the fall-through the fast kernels take
+// (exponent beyond the table, value outside gamma's subgroup) and as
+// the correctness reference; the conformance tests in
+// fixedbase_test.go hold the two paths bit-identical.
 
 const dgkSubgroupBits = 160 // t: size of vp, vq
 
@@ -58,7 +59,8 @@ type DGKPrivateKey struct {
 	// precomputed so Pohlig–Hellman decryption needs no ModInverse.
 	gammaP    []*big.Int
 	gammaInvP []*big.Int
-	// dec holds the windowed-decryption digit tables (fast path).
+	// dec holds the windowed-decryption digit tables (fast path); nil,
+	// like a nil fb, means naive-only.
 	dec *dgkDecFast
 }
 
@@ -68,11 +70,11 @@ type DGKPublicKey struct {
 	g, h *big.Int
 	l    int // plaintext bits
 	rnd  int // randomizer bit-length (2.5 t)
-	// fb is the shared fast-path state (fixed-base tables, naive-path
-	// flag, randomizer pool). It is a pointer so every copy of the key
-	// struct — including the embedded copy inside DGKPrivateKey and
-	// interface values — shares one set of tables. nil (a key built by
-	// hand inside the package) means naive-only.
+	// fb is the shared fast-path state (fixed-base tables, randomizer
+	// pool). It is a pointer so every copy of the key struct —
+	// including the embedded copy inside DGKPrivateKey and interface
+	// values — shares one set of tables. nil (a key built by hand
+	// inside the package) means naive-only.
 	fb *dgkFast
 }
 
@@ -82,10 +84,6 @@ type dgkFast struct {
 	once sync.Once
 	gTab *fbTable // fixed-base windows for g, exponents < 2^l
 	hTab *fbTable // fixed-base windows for h, exponents < 2^rnd
-	// naive, when true, routes every operation through the retained
-	// math/big reference path (SetFastPath).
-	naive atomic.Bool
-
 	// pool is the optional background randomizer pool; poolMu guards
 	// only start/stop bookkeeping — the hot path drains through the
 	// atomic pointer without taking any lock.
@@ -377,47 +375,18 @@ func crt(a, b, p, q *big.Int) (*big.Int, error) {
 	return x, nil
 }
 
-// Scheme implements PublicKey.
-func (k DGKPublicKey) Scheme() string { return "DGK" }
-
 // PlaintextBits implements PublicKey.
 func (k DGKPublicKey) PlaintextBits() int { return k.l }
 
 // Modulus returns n (for tests and serialization checks).
 func (k DGKPublicKey) Modulus() *big.Int { return new(big.Int).Set(k.n) }
 
-// SetFastPath enables (the default) or disables the fixed-base fast
-// path for every operation of this key, including copies that share
-// its table state — the naive math/big path is the retained
-// correctness reference the conformance tests compare against. The
-// switch is atomic and safe to flip concurrently with operations.
-func (k DGKPublicKey) SetFastPath(on bool) {
-	if k.fb != nil {
-		k.fb.naive.Store(!on)
-	}
-}
-
-// fastEnabled reports whether the fixed-base path should serve
-// public-key operations.
-func (k DGKPublicKey) fastEnabled() bool {
-	return k.fb != nil && !k.fb.naive.Load()
-}
-
-// StartRandomizerPool implements Pooler: it starts (or joins) the
+// StartRandomizerPool implements PublicKey: it starts (or joins) the
 // key's background refiller producing (r, h^r) pairs off the critical
-// path, sized to `capacity` pairs (<1 means DefaultPoolSize) with the
-// default (GOMAXPROCS-derived) refill concurrency. The returned stop
-// function is idempotent; the pool shuts down when every starter has
-// called stop.
-func (k DGKPublicKey) StartRandomizerPool(capacity int) (stop func()) {
-	return k.StartRandomizerPoolN(capacity, 0)
-}
-
-// StartRandomizerPoolN implements PoolerN: StartRandomizerPool with
-// the refiller-goroutine count exposed (<1 means
-// DefaultPoolRefillers). The first starter fixes both capacity and
-// refill concurrency; later joiners share the running pool.
-func (k DGKPublicKey) StartRandomizerPoolN(capacity, refillers int) (stop func()) {
+// path, with capacity and refill concurrency derived from GOMAXPROCS
+// (randpool.go). The returned stop function is idempotent; the pool
+// shuts down when every starter has called stop.
+func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	if k.fb == nil {
 		return func() {}
 	}
@@ -426,7 +395,7 @@ func (k DGKPublicKey) StartRandomizerPoolN(capacity, refillers int) (stop func()
 	if fb.poolRefs == 0 {
 		fb.ensure(k)
 		key := k // the fill closure's stable copy
-		fb.pool.Store(newRandPool(capacity, refillers, func() (*big.Int, *big.Int, error) {
+		fb.pool.Store(newRandPool(func() (*big.Int, *big.Int, error) {
 			r, err := key.randomizer()
 			if err != nil {
 				return nil, nil, err
@@ -526,7 +495,7 @@ func (k DGKPublicKey) RandomizerPoolStats() (hits, misses uint64) {
 
 // Encrypt implements PublicKey: g^m h^r mod n.
 func (k DGKPublicKey) Encrypt(m uint64) (*Ciphertext, error) {
-	if !k.fastEnabled() {
+	if k.fb == nil {
 		return k.encryptNaive(m)
 	}
 	k.fb.ensure(k)
@@ -561,7 +530,7 @@ func (k DGKPublicKey) Add(a, b *Ciphertext) *Ciphertext {
 // AddPlain implements PublicKey: multiply by g^m (no fresh randomness;
 // call Rerandomize if unlinkability is needed).
 func (k DGKPublicKey) AddPlain(a *Ciphertext, m uint64) (*Ciphertext, error) {
-	if k.fastEnabled() {
+	if k.fb != nil {
 		k.fb.ensure(k)
 		if gm := k.fb.gTab.Exp(k.reduce(m)); gm != nil {
 			v := gm.Mul(a.v, gm)
@@ -575,7 +544,7 @@ func (k DGKPublicKey) AddPlain(a *Ciphertext, m uint64) (*Ciphertext, error) {
 
 // Rerandomize implements PublicKey: multiply by h^r.
 func (k DGKPublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	if k.fastEnabled() {
+	if k.fb != nil {
 		k.fb.ensure(k)
 		hr, err := k.hPower()
 		if err != nil {
@@ -593,7 +562,7 @@ func (k DGKPublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{v: v.Mod(v, k.n)}, nil
 }
 
-// NewScratch implements ScratchOps.
+// NewScratch implements PublicKey.
 func (k DGKPublicKey) NewScratch() *Scratch { return &Scratch{} }
 
 // reduceInto is reduce with a caller-owned destination.
@@ -604,13 +573,13 @@ func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
 	return dst.SetUint64(m)
 }
 
-// AddPlainInto implements ScratchOps: AddPlain(a, m) into dst (which
+// AddPlainInto implements PublicKey: AddPlain(a, m) into dst (which
 // may alias a), reusing sc's accumulators so a steady-state fold loop
-// allocates only what math/big's Mod allocates internally. With the
-// fast path disabled it routes through the retained naive reference —
-// same result, allocating profile.
+// allocates only what math/big's Mod allocates internally. Where the
+// fixed-base table declines it routes through the retained naive
+// reference — same result, allocating profile.
 func (k DGKPublicKey) AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error {
-	if k.fastEnabled() {
+	if k.fb != nil {
 		k.fb.ensure(k)
 		if gm := k.fb.gTab.ExpInto(&sc.acc, &sc.tmp, k.reduceInto(&sc.e, m)); gm != nil {
 			// gm is sc.acc; a.v is read before dst.v is written, so
@@ -631,13 +600,13 @@ func (k DGKPublicKey) AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) er
 	return nil
 }
 
-// RerandomizeInto implements ScratchOps: Rerandomize(a) into dst
+// RerandomizeInto implements PublicKey: Rerandomize(a) into dst
 // (which may alias a). The randomizer comes from the shared pool when
 // one is running — the same crypto/rand draw order as Rerandomize, so
 // the two are distribution-identical — and from an inline fixed-base
 // exponentiation into sc otherwise.
 func (k DGKPublicKey) RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error {
-	if k.fastEnabled() {
+	if k.fb != nil {
 		k.fb.ensure(k)
 		hr, err := k.hPowerInto(sc)
 		if err != nil {
@@ -692,10 +661,10 @@ var bigOne = big.NewInt(1)
 // Decrypt implements PrivateKey via Pohlig–Hellman in the 2^l-order
 // subgroup: recover m from c^vp = gamma^m mod p, 8 bits per round on
 // the fast path (falling back to the naive bit-by-bit reference when
-// the fast path is disabled or the value is outside gamma's subgroup,
-// so the two paths are bit-identical on every input).
+// the value is outside gamma's subgroup, so the two paths are
+// bit-identical on every input).
 func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
-	if k.dec != nil && k.fastEnabled() {
+	if k.dec != nil {
 		if m, ok := k.decryptFast(c); ok {
 			return m, nil
 		}

@@ -94,6 +94,17 @@ func conformanceKeys(t *testing.T) []*DGKPrivateKey {
 	return confKeys
 }
 
+// naiveCopy returns a copy of key without fast-path state (fb and dec
+// nil — the shape the key types document as naive-only), so every
+// operation on it runs the retained math/big reference code. It shares
+// the key material, so ciphertexts move freely between the two.
+func naiveCopy(key *DGKPrivateKey) *DGKPrivateKey {
+	ref := *key
+	ref.fb = nil
+	ref.dec = nil
+	return &ref
+}
+
 // TestFastPathConformance is the named CI gate: the fixed-base /
 // windowed fast path must be bit-identical to the retained naive
 // reference — same decryptions for ciphertexts produced by either
@@ -101,6 +112,7 @@ func conformanceKeys(t *testing.T) []*DGKPrivateKey {
 // randomizer pool, across random keys and plaintexts.
 func TestFastPathConformance(t *testing.T) {
 	for _, key := range conformanceKeys(t) {
+		ref := naiveCopy(key)
 		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
 		if key.PlaintextBits() == 64 {
 			mask = ^uint64(0)
@@ -111,18 +123,15 @@ func TestFastPathConformance(t *testing.T) {
 			m2 := r.Uint64() & mask
 
 			// Fast-encrypted ciphertext...
-			key.SetFastPath(true)
 			c1, err := key.Encrypt(m1)
 			if err != nil {
 				return false
 			}
 			// ...and a naive-encrypted one.
-			key.SetFastPath(false)
-			c2, err := key.Encrypt(m2)
+			c2, err := ref.Encrypt(m2)
 			if err != nil {
 				return false
 			}
-			key.SetFastPath(true)
 
 			// A homomorphic chain touching every public-key op.
 			sum := key.Add(c1, c2)
@@ -185,25 +194,40 @@ func TestFastPathConformanceJunkInput(t *testing.T) {
 	}
 }
 
-// TestRandomizerPool exercises the pooled encrypt path: concurrent
-// encrypts draining the pool while the refiller pushes, reference-
-// counted start/stop, and idempotent stop — all under -race in CI.
+// TestRandomizerPool exercises the pooled path: concurrent encrypts
+// and in-place rerandomizes draining the pool while the refillers
+// push, the hit/miss accounting, the GOMAXPROCS-derived sizing,
+// reference-counted start/stop, and idempotent stop — all under -race
+// in CI.
 func TestRandomizerPool(t *testing.T) {
 	key := conformanceKeys(t)[0]
-	stopA := key.StartRandomizerPool(16)
-	stopB := asPooler(key).StartRandomizerPool(16) // join via the interface
+	if c := poolCapacity(); c < poolSizePerProc || c > maxPoolSize {
+		t.Fatalf("poolCapacity() = %d, want %d..%d", c, poolSizePerProc, maxPoolSize)
+	}
+	if r := poolRefillers(); r < 1 || r > 4 {
+		t.Fatalf("poolRefillers() = %d, want 1..4", r)
+	}
+	hits0, misses0 := key.RandomizerPoolStats()
+	stopA := key.StartRandomizerPool()
+	stopB := PublicKey(key).StartRandomizerPool() // join via the interface
 	defer stopB()
 
+	const workers, perWorker = 4, 25
 	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for w := 0; w < 4; w++ {
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
+			sc := key.NewScratch()
+			for i := 0; i < perWorker; i++ {
 				m := uint64(w*100 + i)
 				c, err := key.Encrypt(m)
 				if err != nil {
+					errs[w] = err
+					return
+				}
+				if err := key.RerandomizeInto(c, c, sc); err != nil {
 					errs[w] = err
 					return
 				}
@@ -225,21 +249,32 @@ func TestRandomizerPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Every Encrypt and RerandomizeInto draws exactly one randomizer,
+	// from the pool (hit) or inline (miss).
+	hits1, misses1 := key.RandomizerPoolStats()
+	if draws := (hits1 - hits0) + (misses1 - misses0); draws != 2*workers*perWorker {
+		t.Fatalf("counters recorded %d randomizer draws, want %d", draws, 2*workers*perWorker)
+	}
+	if hits1 == hits0 {
+		t.Fatal("a running pool served zero hits")
+	}
 	stopA()
 	stopA() // idempotent
 	// The pool is refcounted: stopB's pool is still live, encrypts
 	// still work, and the final stop tears it down.
+	if key.fb.pool.Load() == nil {
+		t.Fatal("first stop tore down a pool another starter still holds")
+	}
 	if _, err := key.Encrypt(7); err != nil {
 		t.Fatal(err)
 	}
 	stopB()
+	if key.fb.pool.Load() != nil {
+		t.Fatal("last stop left the pool running")
+	}
 	if _, err := key.Encrypt(7); err != nil { // post-stop: inline path
 		t.Fatal(err)
 	}
 }
-
-// asPooler converts a private key to the Pooler interface the call
-// sites use, proving the promoted method satisfies it.
-func asPooler(k *DGKPrivateKey) Pooler { return k }
 
 var errRoundTrip = errors.New("ahe: pooled round trip mismatch")

@@ -15,11 +15,10 @@ package ahe
 // drained-empty pool falls back to the inline fixed-base computation,
 // so the pool is a pure latency optimization with no failure mode.
 //
-// Sizing. Capacity and refill concurrency are both configurable
-// (StartRandomizerPoolN); the defaults derive from GOMAXPROCS so a
-// multi-worker rerandomize loop does not drain the pool into the slow
-// path on a machine with cores to spare. PoolSizeFor maps a consumer's
-// worker count to a capacity.
+// Sizing. Capacity and refill concurrency both derive from GOMAXPROCS
+// — the width the PEOS passes fan out at — so a multi-worker
+// rerandomize loop does not drain the pool into the slow path on a
+// machine with cores to spare.
 
 import (
 	"math/big"
@@ -28,41 +27,35 @@ import (
 	"sync/atomic"
 )
 
-// DefaultPoolSize is the per-worker randomizer-pool capacity used by
-// the PEOS call sites (protocol.Run, cluster client and shuffler
-// nodes) — deep enough to absorb a burst of a few hundred encryptions,
-// small enough that a warm pool holds only a few hundred kilobytes of
-// pairs.
-const DefaultPoolSize = 256
+// poolSizePerProc is the randomizer-pool capacity per consuming
+// goroutine — deep enough to absorb a burst of a few hundred
+// encryptions, small enough that a warm pool holds only a few hundred
+// kilobytes of pairs.
+const poolSizePerProc = 256
 
-// maxPoolSize caps PoolSizeFor so a very wide worker sweep cannot ask
-// for an unbounded precompute backlog.
+// maxPoolSize caps poolCapacity so a very wide host cannot ask for an
+// unbounded precompute backlog.
 const maxPoolSize = 4096
 
-// PoolSizeFor returns the randomizer-pool capacity for a site running
-// `workers` concurrent encrypt/rerandomize goroutines: DefaultPoolSize
-// pairs per worker (workers < 1 counts as 1), capped at 4096 pairs so
-// wide sweeps stay bounded. The worker-pooled shuffler hot loops size
-// their pool with this so parallel rerandomize stays on the pooled
-// fast path instead of draining into inline exponentiation.
-func PoolSizeFor(workers int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	size := DefaultPoolSize * workers
+// poolCapacity returns the randomizer-pool capacity: poolSizePerProc
+// pairs per GOMAXPROCS (the PEOS call sites run that many concurrent
+// encrypt/rerandomize goroutines), capped at maxPoolSize, so parallel
+// rerandomize stays on the pooled fast path instead of draining into
+// inline exponentiation.
+func poolCapacity() int {
+	size := poolSizePerProc * runtime.GOMAXPROCS(0)
 	if size > maxPoolSize {
 		size = maxPoolSize
 	}
 	return size
 }
 
-// DefaultPoolRefillers is the refill concurrency selected when a
-// caller asks for the default (refillers < 1): half of GOMAXPROCS,
+// poolRefillers returns the refill concurrency: half of GOMAXPROCS,
 // clamped to [1, 4]. Refillers only burn CPU while the pool is below
 // capacity — they park once it is full — so on a many-core host extra
 // refillers shorten the drain-recovery window without competing with
 // the consumers at steady state.
-func DefaultPoolRefillers() int {
+func poolRefillers() int {
 	r := runtime.GOMAXPROCS(0) / 2
 	if r < 1 {
 		r = 1
@@ -91,20 +84,14 @@ type randPool struct {
 	wg       sync.WaitGroup
 }
 
-// newRandPool starts a pool of the given capacity (<1 means
-// DefaultPoolSize) refilled by `refillers` goroutines (<1 means
-// DefaultPoolRefillers); fill computes one fresh (r, h^r) pair and
+// newRandPool starts a pool of poolCapacity pairs refilled by
+// poolRefillers goroutines; fill computes one fresh (r, h^r) pair and
 // must be safe for concurrent calls (crypto/rand and the immutable
 // fixed-base tables are).
-func newRandPool(capacity, refillers int, fill func() (r, hr *big.Int, err error)) *randPool {
-	if capacity < 1 {
-		capacity = DefaultPoolSize
-	}
-	if refillers < 1 {
-		refillers = DefaultPoolRefillers()
-	}
+func newRandPool(fill func() (r, hr *big.Int, err error)) *randPool {
+	refillers := poolRefillers()
 	p := &randPool{
-		capacity: int64(capacity),
+		capacity: int64(poolCapacity()),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -160,7 +147,9 @@ func (p *randPool) push(n *hrPair) {
 // (the caller computes inline). Lock-free: a CAS retry loop with no
 // mutex on the drain path. The Treiber ABA hazard does not apply —
 // popped nodes are never pushed back, so a head pointer can never
-// reappear.
+// reappear. A popped node's next link is left as it is: a concurrent
+// popper that loaded the same head may still be reading it (its CAS
+// then fails), so clearing it here would be a data race.
 func (p *randPool) get() *hrPair {
 	for {
 		n := p.head.Load()
@@ -172,7 +161,6 @@ func (p *randPool) get() *hrPair {
 			if p.size.Add(-1) < p.capacity/2 {
 				p.nudge()
 			}
-			n.next = nil
 			return n
 		}
 	}

@@ -1,15 +1,14 @@
 package ahe
 
 // Tests for the worker-pool support layer (DESIGN.md §14): the
-// scratch-reusing in-place kernels behind ScratchOps, the fixed-base
-// ExpInto variant, the multi-refiller randomizer pool behind PoolerN,
-// the pool hit/miss accounting, and the allocation regression pins of
-// the steady-state fold loops. CI runs this file under -race.
+// scratch-reusing in-place kernels (AddPlainInto, RerandomizeInto), the
+// fixed-base ExpInto variant, and the allocation regression pins of
+// the steady-state fold loops. CI runs this file under -race (the
+// allocation pins skip there: the race runtime inflates the counts).
 
 import (
 	"crypto/rand"
 	"math/big"
-	"sync"
 	"testing"
 
 	"shuffledp/internal/rng"
@@ -75,37 +74,36 @@ func TestExpIntoMatchesExp(t *testing.T) {
 // TestScratchOpsMatchAllocatingOps: AddPlainInto / RerandomizeInto —
 // including the dst == a in-place form the shuffle loops use — must
 // decrypt identically to the allocating AddPlain / Rerandomize, on the
-// fast path and through the naive fallback, with one Scratch reused
-// across every call.
+// fast path and through the naive fallback (a key copy without
+// fast-path state), with one Scratch reused across every call.
 func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 	for _, key := range conformanceKeys(t) {
-		so, ok := PublicKey(key).(ScratchOps)
-		if !ok {
-			t.Fatal("DGK key does not implement ScratchOps")
-		}
 		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
 		if key.PlaintextBits() == 64 {
 			mask = ^uint64(0)
 		}
 		r := rng.New(0x5c7a7c4)
-		sc := so.NewScratch()
+		sc := key.NewScratch()
 		for _, fast := range []bool{true, false} {
-			key.SetFastPath(fast)
+			k := key
+			if !fast {
+				k = naiveCopy(key)
+			}
 			for i := 0; i < 8; i++ {
 				m := r.Uint64() & mask
 				add := r.Uint64() & mask
-				c, err := key.Encrypt(m)
+				c, err := k.Encrypt(m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// In-place chain: add, then rerandomize, dst aliasing a.
-				if err := so.AddPlainInto(c, c, add, sc); err != nil {
+				if err := k.AddPlainInto(c, c, add, sc); err != nil {
 					t.Fatal(err)
 				}
-				if err := so.RerandomizeInto(c, c, sc); err != nil {
+				if err := k.RerandomizeInto(c, c, sc); err != nil {
 					t.Fatal(err)
 				}
-				got, err := key.Decrypt(c)
+				got, err := k.Decrypt(c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,10 +113,10 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 				}
 				// Distinct-destination form, dst starting zero-valued.
 				var out Ciphertext
-				if err := so.AddPlainInto(&out, c, add, sc); err != nil {
+				if err := k.AddPlainInto(&out, c, add, sc); err != nil {
 					t.Fatal(err)
 				}
-				got, err = key.Decrypt(&out)
+				got, err = k.Decrypt(&out)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +126,6 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 				}
 			}
 		}
-		key.SetFastPath(true)
 	}
 }
 
@@ -137,14 +134,12 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 // plaintext.
 func TestRerandomizeIntoChangesCiphertext(t *testing.T) {
 	key := conformanceKeys(t)[0]
-	so := PublicKey(key).(ScratchOps)
-	sc := so.NewScratch()
 	c, err := key.Encrypt(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.Value()
-	if err := so.RerandomizeInto(c, c, sc); err != nil {
+	if err := key.RerandomizeInto(c, c, key.NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if before.Cmp(c.Value()) == 0 {
@@ -157,13 +152,12 @@ func TestRerandomizeIntoChangesCiphertext(t *testing.T) {
 // fake cache depends on across retried attempts.
 func TestCiphertextClone(t *testing.T) {
 	key := conformanceKeys(t)[0]
-	so := PublicKey(key).(ScratchOps)
 	c, err := key.Encrypt(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clone := c.Clone()
-	if err := so.AddPlainInto(c, c, 5, so.NewScratch()); err != nil {
+	if err := key.AddPlainInto(c, c, 5, key.NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := key.Decrypt(clone)
@@ -172,80 +166,6 @@ func TestCiphertextClone(t *testing.T) {
 	}
 	if got != 9 {
 		t.Fatalf("clone decrypts %d after mutating the original, want 9", got)
-	}
-}
-
-// TestRandomizerPoolN: the multi-refiller pool keeps concurrent
-// scratch-kernel workers on the pooled path, the hit/miss counters
-// advance, and PoolSizeFor scales capacity with the worker count.
-func TestRandomizerPoolN(t *testing.T) {
-	key := conformanceKeys(t)[0]
-	pn, ok := PublicKey(key).(PoolerN)
-	if !ok {
-		t.Fatal("DGK key does not implement PoolerN")
-	}
-	const workers = 4
-	hits0, misses0 := key.RandomizerPoolStats()
-	stop := pn.StartRandomizerPoolN(PoolSizeFor(workers), 2)
-	defer stop()
-
-	so := PublicKey(key).(ScratchOps)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := so.NewScratch()
-			c, err := key.Encrypt(uint64(w))
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			for i := 0; i < 25; i++ {
-				if err := so.RerandomizeInto(c, c, sc); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			got, err := key.Decrypt(c)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			if got != uint64(w) {
-				errs[w] = errRoundTrip
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits1, misses1 := key.RandomizerPoolStats()
-	if draws := (hits1 - hits0) + (misses1 - misses0); draws < workers*25 {
-		t.Fatalf("counters recorded %d randomizer draws, want >= %d", draws, workers*25)
-	}
-	if hits1 == hits0 {
-		t.Fatal("a running multi-refiller pool served zero hits")
-	}
-}
-
-// TestPoolSizing pins the sizing helpers the call sites build on.
-func TestPoolSizing(t *testing.T) {
-	if got := PoolSizeFor(0); got != DefaultPoolSize {
-		t.Fatalf("PoolSizeFor(0) = %d, want %d", got, DefaultPoolSize)
-	}
-	if got := PoolSizeFor(4); got != 4*DefaultPoolSize {
-		t.Fatalf("PoolSizeFor(4) = %d, want %d", got, 4*DefaultPoolSize)
-	}
-	if got := PoolSizeFor(1 << 20); got != maxPoolSize {
-		t.Fatalf("PoolSizeFor(1<<20) = %d, want the %d cap", got, maxPoolSize)
-	}
-	if r := DefaultPoolRefillers(); r < 1 || r > 4 {
-		t.Fatalf("DefaultPoolRefillers() = %d, want 1..4", r)
 	}
 }
 
@@ -264,24 +184,26 @@ func TestPoolSizing(t *testing.T) {
 //     <= 80; the pooled path the cluster actually runs (pool hit →
 //     one Mul + one Mod) costs ~2.
 func TestScratchKernelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation counts; the pins are exact only without -race")
+	}
 	key := conformanceKeys(t)[0]
-	so := PublicKey(key).(ScratchOps)
-	sc := so.NewScratch()
+	sc := key.NewScratch()
 	c, err := key.Encrypt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the scratch capacities and the lazily-built tables.
 	for i := 0; i < 4; i++ {
-		if err := so.AddPlainInto(c, c, uint64(i), sc); err != nil {
+		if err := key.AddPlainInto(c, c, uint64(i), sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := so.RerandomizeInto(c, c, sc); err != nil {
+		if err := key.RerandomizeInto(c, c, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	addAllocs := testing.AllocsPerRun(50, func() {
-		if err := so.AddPlainInto(c, c, 3, sc); err != nil {
+		if err := key.AddPlainInto(c, c, 3, sc); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -289,7 +211,7 @@ func TestScratchKernelAllocs(t *testing.T) {
 		t.Fatalf("AddPlainInto allocates %.1f/op, want <= 3", addAllocs)
 	}
 	rerAllocs := testing.AllocsPerRun(50, func() {
-		if err := so.RerandomizeInto(c, c, sc); err != nil {
+		if err := key.RerandomizeInto(c, c, sc); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -33,9 +33,6 @@ type AnalyzerConfig struct {
 	// Priv is the AHE key pair; only the analyzer ever holds the
 	// private half.
 	Priv ahe.PrivateKey
-	// Workers sizes the decryption fan-out (<1 means GOMAXPROCS), the
-	// paper's parallel-decryption server (§VII-D).
-	Workers int
 	// Ledger, when non-nil, is charged one per-collection guarantee at
 	// every Collect; once it refuses, Collect returns an error wrapping
 	// budget.ErrExhausted and the analyzer stays queryable.
@@ -96,8 +93,8 @@ func (cfg *AnalyzerConfig) validate() error {
 	if cfg.Priv == nil {
 		return errors.New("cluster: analyzer needs the AHE private key")
 	}
-	if cfg.Priv.PlaintextBits() != 64 {
-		return fmt.Errorf("cluster: PEOS requires a Z_{2^64} AHE plaintext space, got 2^%d", cfg.Priv.PlaintextBits())
+	if err := requireWordPlaintext(cfg.Priv); err != nil {
+		return err
 	}
 	if cfg.Shard < 0 || cfg.Shard >= cfg.Topology.A() {
 		return fmt.Errorf("cluster: analyzer shard %d out of range [0, %d)", cfg.Shard, cfg.Topology.A())
@@ -614,7 +611,7 @@ func (a *Analyzer) awaitVectors(conns []net.Conn, g gen, total int) ([]uint64, i
 	if st.EncHolder < 0 {
 		return nil, -1, errors.New("cluster: no shuffler delivered the encrypted column")
 	}
-	words, err := oblivious.RevealParallel(st, a.mod, a.cfg.Priv, a.cfg.Workers)
+	words, err := oblivious.RevealParallel(st, a.mod, a.cfg.Priv, 0)
 	return words, -1, err
 }
 

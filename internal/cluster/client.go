@@ -44,13 +44,6 @@ type ClientConfig struct {
 	// sealed round. The zero policy reports each frame at most once,
 	// surfacing the first write error — the pre-existing behavior.
 	Retry RetryPolicy
-	// PoolSize overrides the key's randomizer-pool capacity for this
-	// client (<1 = ahe.DefaultPoolSize); PoolRefillers its refill
-	// concurrency (<1 = ahe.DefaultPoolRefillers). Both only matter for
-	// keys implementing ahe.PoolerN, and only the first starter of a
-	// shared key's pool fixes them.
-	PoolSize      int
-	PoolRefillers int
 }
 
 func (cfg *ClientConfig) validate() error {
@@ -60,7 +53,7 @@ func (cfg *ClientConfig) validate() error {
 	if cfg.FO == nil || cfg.Pub == nil || cfg.Source == nil {
 		return errors.New("cluster: client needs an oracle, the AHE public key, and randomness")
 	}
-	return nil
+	return requireWordPlaintext(cfg.Pub)
 }
 
 // Client submits secret-shared reports to every shuffler of a cluster
@@ -90,8 +83,7 @@ type Client struct {
 	// reference's split-for-split.
 	nonce      uint64
 	reconnects int
-	// stopPool releases the key's background randomizer pool; nil when
-	// the key has none.
+	// stopPool releases the key's background randomizer pool.
 	stopPool func()
 }
 
@@ -120,11 +112,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	// in the background for the lifetime of the client. The pool draws
 	// from crypto/rand only, never cfg.Source, so shares stay
 	// bit-identical to the in-process reference run.
-	if pn, ok := cfg.Pub.(ahe.PoolerN); ok {
-		c.stopPool = pn.StartRandomizerPoolN(cfg.PoolSize, cfg.PoolRefillers)
-	} else if pl, ok := cfg.Pub.(ahe.Pooler); ok {
-		c.stopPool = pl.StartRandomizerPool(cfg.PoolSize)
-	}
+	c.stopPool = cfg.Pub.StartRandomizerPool()
 	for _, addr := range cfg.Topology.Shufflers {
 		conn, err := dialRetry(cfg.Dial, addr, cfg.DialTimeout)
 		if err != nil {
@@ -306,9 +294,7 @@ func (c *Client) Flush() error {
 // client's "done"). Safe on a partially-dialed client and safe to call
 // more than once.
 func (c *Client) Close() error {
-	if c.stopPool != nil {
-		c.stopPool() // idempotent
-	}
+	c.stopPool() // idempotent
 	var first error
 	for j, w := range c.w {
 		if w == nil {

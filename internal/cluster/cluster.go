@@ -39,6 +39,8 @@ import (
 	"math/rand/v2"
 	"net"
 	"time"
+
+	"shuffledp/internal/ahe"
 )
 
 // Topology names the cluster's listen addresses: Shufflers[j] is
@@ -90,6 +92,17 @@ func (t Topology) validate() error {
 // that has not started listening yet (cluster processes start in no
 // particular order).
 const DefaultDialTimeout = 10 * time.Second
+
+// requireWordPlaintext rejects an AHE key whose plaintext space is not
+// Z_{2^64}, the ring every PEOS share lives in: a narrower key would
+// silently encrypt shares reduced mod 2^l and poison the round. Every
+// role runs it on the key it is handed.
+func requireWordPlaintext(pub ahe.PublicKey) error {
+	if pub.PlaintextBits() != 64 {
+		return fmt.Errorf("cluster: PEOS requires a Z_{2^64} AHE plaintext space, got 2^%d", pub.PlaintextBits())
+	}
+	return nil
+}
 
 // DefaultHelloTimeout is the default bound on the wait for an inbound
 // connection's hello frame: a connection that sends nothing identifies

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -378,6 +379,38 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if _, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{Topology: goodTopo, FO: fo, Priv: priv}); err == nil {
 		t.Fatal("RecoverAnalyzer accepted an empty DataDir")
+	}
+}
+
+// PEOS shares live in Z_{2^64}: every role must refuse a key with a
+// narrower plaintext space, with the same error. A client handed the
+// wrong key file would otherwise encrypt shares reduced mod 2^l and
+// silently poison the round — it must fail before it dials anyone.
+func TestClusterRejectsNarrowPlaintextKey(t *testing.T) {
+	key32, err := ahe.GenerateDGK(512, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo := ldp.NewGRR(4, 1)
+	topo := cluster.Topology{Shufflers: []string{"a", "b"}, Analyzers: []string{"c"}}
+	const want = "PEOS requires a Z_{2^64} AHE plaintext space, got 2^32"
+	_, err = cluster.NewShuffler(cluster.ShufflerConfig{Index: 0, Topology: topo, Pub: ahe.PublicKey(key32), Source: rng.New(1)})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("shuffler: got %v, want %q", err, want)
+	}
+	_, err = cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: topo, FO: fo, Priv: key32})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("analyzer: got %v, want %q", err, want)
+	}
+	_, err = cluster.NewClient(cluster.ClientConfig{
+		Topology: topo, FO: fo, Pub: ahe.PublicKey(key32), Source: rng.New(1),
+		Dial: func(addr string, _ time.Duration) (net.Conn, error) {
+			t.Errorf("client dialed %s with a 32-bit plaintext key", addr)
+			return nil, errors.New("unreachable")
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("client: got %v, want %q", err, want)
 	}
 }
 

@@ -2,14 +2,18 @@ package cluster_test
 
 // TestParallelEOSConformance is the named conformance gate of the
 // worker-pooled, chunk-streamed shuffler tier (DESIGN.md §14): every
-// combination of per-node worker counts and chunked/unchunked wire —
-// including a mixed fleet where only one shuffler chunk-streams, a
-// mesh link torn mid-chunk-stream, and a client link torn mid-stream —
-// must produce estimates bit-identical to the serial in-process
-// protocol.PEOS.Run reference. CI runs this file under -race.
+// combination of fan-out width and chunked/unchunked wire — including
+// a mixed fleet where only one shuffler chunk-streams, a mesh link
+// torn mid-chunk-stream, and a client link torn mid-stream — must
+// produce estimates bit-identical to the serial in-process
+// protocol.PEOS.Run reference. The width is GOMAXPROCS, which every
+// node of the in-process fleet shares, so the test sets it itself (a
+// 1-core runner still exercises width 4 against width 1) and must not
+// run in parallel with anything. CI runs this file under -race.
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,6 +24,13 @@ import (
 	"shuffledp/internal/protocol"
 	"shuffledp/internal/rng"
 )
+
+// setWidth pins the PEOS fan-out width (GOMAXPROCS) until the calling
+// test or subtest ends.
+func setWidth(t *testing.T, width int) {
+	prev := runtime.GOMAXPROCS(width)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func TestParallelEOSConformance(t *testing.T) {
 	const (
@@ -37,6 +48,7 @@ func TestParallelEOSConformance(t *testing.T) {
 	// The serial reference every networked variant must reproduce. Each
 	// subtest starts a fresh cluster with the same fake seed and the
 	// same single collection, so one reference serves them all.
+	setWidth(t, 1)
 	p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +97,7 @@ func TestParallelEOSConformance(t *testing.T) {
 		return col.Estimates, col.Attempts, cl
 	}
 
-	// The worker/chunk grid: serial reference wire, parallel crypto with
+	// The width/chunk grid: serial reference wire, parallel crypto with
 	// the legacy wire, and parallel crypto with the chunk-streamed wire.
 	t.Run("grid", func(t *testing.T) {
 		for _, tc := range []struct{ workers, chunk int }{
@@ -94,8 +106,8 @@ func TestParallelEOSConformance(t *testing.T) {
 			{4, 0},
 			{4, 16},
 		} {
+			setWidth(t, tc.workers)
 			got, _, _ := runOnce(t, nil, func(_ int, cfg *cluster.ShufflerConfig) {
-				cfg.Workers = tc.workers
 				cfg.ChunkWords = tc.chunk
 			}, nil)
 			if !estimatesEqual(got, want) {
@@ -105,13 +117,13 @@ func TestParallelEOSConformance(t *testing.T) {
 		}
 	})
 
-	// A mixed fleet: shuffler 0 runs parallel and chunk-streams, shuffler
-	// 1 is a legacy serial node. The wire's final-fragment encoding is
+	// A mixed fleet at width 4: shuffler 0 chunk-streams, shuffler 1 is a
+	// legacy single-frame node. The wire's final-fragment encoding is
 	// byte-identical to a legacy frame, so they must interoperate.
 	t.Run("mixed-fleet", func(t *testing.T) {
+		setWidth(t, 4)
 		got, _, _ := runOnce(t, nil, func(j int, cfg *cluster.ShufflerConfig) {
 			if j == 0 {
-				cfg.Workers = 4
 				cfg.ChunkWords = 16
 			}
 		}, nil)
@@ -124,6 +136,7 @@ func TestParallelEOSConformance(t *testing.T) {
 	// reset lands inside the streamed vector): the retry must replay the
 	// round on a fresh link and still converge bit-identically.
 	t.Run("mid-chunk-fault", func(t *testing.T) {
+		setWidth(t, 2)
 		meshChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 			if conn == 0 {
 				return faultnet.Fault{ResetAfter: 180}
@@ -134,7 +147,6 @@ func TestParallelEOSConformance(t *testing.T) {
 		got, attempts, _ := runOnce(t, func(cfg *cluster.AnalyzerConfig) {
 			cfg.Retry = chaosRetry()
 		}, func(j int, cfg *cluster.ShufflerConfig) {
-			cfg.Workers = 2
 			cfg.ChunkWords = 8
 			if j == 1 {
 				meshAddr = cfg.Topology.Shufflers[0]
@@ -156,6 +168,7 @@ func TestParallelEOSConformance(t *testing.T) {
 	// chunked: the client reconnects and resubmits (nonce-deduplicated),
 	// and the estimates still match.
 	t.Run("chaos-client-link", func(t *testing.T) {
+		setWidth(t, 4)
 		clientChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 			if conn == 0 {
 				return faultnet.Fault{ResetAfter: 500}
@@ -164,7 +177,6 @@ func TestParallelEOSConformance(t *testing.T) {
 		}})
 		var shuf0 string
 		mutateS := func(j int, cfg *cluster.ShufflerConfig) {
-			cfg.Workers = 4
 			cfg.ChunkWords = 8
 			if j == 0 {
 				shuf0 = cfg.Topology.Shufflers[j]

@@ -372,7 +372,7 @@ func (a *Analyzer) revealWindow(sa *shardAttempt) ([]uint64, error) {
 			if st.EncHolder < 0 {
 				return nil, errors.New("cluster: no shuffler delivered the encrypted chunk")
 			}
-			return oblivious.RevealParallel(st, a.mod, a.cfg.Priv, a.cfg.Workers)
+			return oblivious.RevealParallel(st, a.mod, a.cfg.Priv, 0)
 		}
 		b.mu.Unlock()
 		if a.isClosed() {

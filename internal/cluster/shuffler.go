@@ -78,17 +78,11 @@ type ShufflerConfig struct {
 	// outbound connections (peer mesh and analyzer link) — the
 	// chaos-injection hook (faultnet.Network.Dial fits).
 	Dial DialFunc
-	// Workers sets oblivious.Config.Workers for this node's shuffle
-	// passes (DESIGN.md §14): <=1 runs the serial reference path.
-	// Estimates are bit-identical at every setting, so nodes in one
-	// fleet may disagree on it freely.
-	Workers int
 	// ChunkWords streams this node's outbound hide/reshare vectors in
 	// windows of at most ChunkWords elements, overlapping AHE compute
-	// with transmission (0 = one legacy frame per vector). Like
-	// Workers, it is a per-node knob: chunked and unchunked nodes
-	// interoperate because a final fragment is byte-identical to a
-	// legacy frame.
+	// with transmission (0 = one legacy frame per vector). It is a
+	// per-node knob: chunked and unchunked nodes interoperate because a
+	// final fragment is byte-identical to a legacy frame.
 	ChunkWords int
 }
 
@@ -241,9 +235,9 @@ type Shuffler struct {
 	buffered    int   // total shares across s.cols, bounded by MaxBuffered
 	closed      bool
 
-	// stopPool releases the key's background randomizer pool (nil when
-	// the key has none). The enc-holder's fake-share encryptions and
-	// every node's rerandomize pass draw from it.
+	// stopPool releases the key's background randomizer pool. The
+	// enc-holder's fake-share encryptions and every node's rerandomize
+	// pass draw from it.
 	stopPool func()
 }
 
@@ -273,8 +267,8 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 	if cfg.Pub == nil {
 		return nil, errors.New("cluster: shuffler needs the analyzer's AHE public key")
 	}
-	if cfg.Pub.PlaintextBits() != 64 {
-		return nil, fmt.Errorf("cluster: PEOS requires a Z_{2^64} AHE plaintext space, got 2^%d", cfg.Pub.PlaintextBits())
+	if err := requireWordPlaintext(cfg.Pub); err != nil {
+		return nil, err
 	}
 	if cfg.Source == nil {
 		return nil, errors.New("cluster: shuffler needs a randomness source")
@@ -299,13 +293,7 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 	// rerandomize pass of every shuffle both drain the pool. Pool
 	// randomness is crypto/rand, never cfg.Source/FakeSource, so the
 	// cluster's estimates stay bit-identical to the in-process run.
-	// The pool is sized to the worker count — a parallel shuffle
-	// drains Workers times faster than the serial path refills.
-	if pn, ok := cfg.Pub.(ahe.PoolerN); ok {
-		s.stopPool = pn.StartRandomizerPoolN(ahe.PoolSizeFor(cfg.Workers), 0)
-	} else if pl, ok := cfg.Pub.(ahe.Pooler); ok {
-		s.stopPool = pl.StartRandomizerPool(0)
-	}
+	s.stopPool = cfg.Pub.StartRandomizerPool()
 	return s, nil
 }
 
@@ -587,7 +575,6 @@ func (s *Shuffler) collect(a *attempt) error {
 		Source:          s.cfg.Source,
 		Pub:             s.cfg.Pub,
 		SkipRerandomize: s.cfg.FastShuffle,
-		Workers:         s.cfg.Workers,
 		ChunkWords:      s.cfg.ChunkWords,
 	}, tr, plain, enc)
 	if err != nil {
@@ -1050,9 +1037,7 @@ func (s *Shuffler) Close() error {
 }
 
 func (s *Shuffler) teardown() {
-	if s.stopPool != nil {
-		s.stopPool() // idempotent; teardown runs from both Run and Close
-	}
+	s.stopPool() // idempotent; teardown runs from both Run and Close
 	s.ln.Close()
 	s.mu.Lock()
 	cur := s.cur

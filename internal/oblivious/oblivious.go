@@ -19,8 +19,6 @@ package oblivious
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/rng"
@@ -51,15 +49,6 @@ type Config struct {
 	// seeing the same ciphertext before and after a round can track
 	// that position, so leave it off outside benchmarks.
 	SkipRerandomize bool
-	// Workers fans the per-element AHE passes (rerandomize, encrypted
-	// split, plaintext fold) out over this many goroutines in
-	// contiguous order-preserving chunks. <= 1 runs serially (the
-	// default and the reference). Every deterministic Source draw
-	// happens in serial element order regardless of Workers, so the
-	// share plaintexts — and therefore the estimates — are
-	// bit-identical to the serial path for a fixed seed; only the
-	// crypto/rand rerandomizer nonces differ (DESIGN.md §14).
-	Workers int
 }
 
 // State is the shufflers' joint state: party j holds Plain[j], except
@@ -274,7 +263,7 @@ func runRound(st *State, cfg Config, hiders []int) error {
 	if encAt >= 0 {
 		var err error
 		cfg.Meter.Track(shufflerName(encAt), func() {
-			err = addPlainAll(encAcc, acc[encAt], cfg.Mod, cfg.Pub, cfg.Workers)
+			err = addPlainAll(encAcc, acc[encAt], cfg.Mod, cfg.Pub)
 		})
 		if err != nil {
 			return err
@@ -305,7 +294,7 @@ func runRound(st *State, cfg Config, hiders []int) error {
 			// Refresh ciphertexts so positions are unlinkable across
 			// the permutation.
 			if !cfg.SkipRerandomize {
-				err = rerandomizeAll(encAcc, cfg.Pub, cfg.Workers)
+				err = rerandomizeAll(encAcc, cfg.Pub)
 			}
 		})
 		if err != nil {
@@ -363,7 +352,7 @@ func runRound(st *State, cfg Config, hiders []int) error {
 	if newEncHolder >= 0 {
 		var err error
 		cfg.Meter.Track(shufflerName(newEncHolder), func() {
-			err = addPlainAll(newEnc, newPlain[newEncHolder], cfg.Mod, cfg.Pub, cfg.Workers)
+			err = addPlainAll(newEnc, newPlain[newEncHolder], cfg.Mod, cfg.Pub)
 		})
 		if err != nil {
 			return err
@@ -385,11 +374,11 @@ func splitPlain(vec []uint64, k int, cfg Config) [][]uint64 {
 // vectors and one ciphertext remainder: rem_i = enc_i - sum(parts_i),
 // computed homomorphically and rerandomized. Stage A (the
 // deterministic Source draws) runs serially in element order no
-// matter what cfg.Workers says — the bit-identity invariant — and
+// matter how wide the fan-out is — the bit-identity invariant — and
 // stage B (the AHE bill, whose only randomness is crypto/rand) fans
-// out over the workers. The remainder reuses the input ciphertext
+// out over the cores. The remainder reuses the input ciphertext
 // objects as its buffers, so the engine-owned vector is transformed
-// in place and the parallel path allocates no fresh ciphertexts.
+// in place and allocates no fresh ciphertexts.
 func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64, rem []*ahe.Ciphertext, err error) {
 	n := len(enc)
 	parts = make([][]uint64, k-1)
@@ -408,36 +397,20 @@ func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64,
 		}
 		negSum[i] = cfg.Mod.Neg(sum)
 	}
-	// Stage B: subtract and rerandomize, chunked across the workers.
+	// Stage B: subtract and rerandomize, chunked across the cores.
 	rem = make([]*ahe.Ciphertext, n)
 	copy(rem, enc)
-	so, _ := cfg.Pub.(ahe.ScratchOps)
-	err = parFor(n, cfg.Workers, func(_, lo, hi int) error {
-		if so != nil {
-			sc := so.NewScratch()
-			for i := lo; i < hi; i++ {
-				if err := so.AddPlainInto(rem[i], rem[i], negSum[i], sc); err != nil {
-					return err
-				}
-				if !cfg.SkipRerandomize {
-					if err := so.RerandomizeInto(rem[i], rem[i], sc); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
+	err = parFor(n, fanOut(), func(_, lo, hi int) error {
+		sc := cfg.Pub.NewScratch()
 		for i := lo; i < hi; i++ {
-			c, err := cfg.Pub.AddPlain(rem[i], negSum[i])
-			if err != nil {
+			if err := cfg.Pub.AddPlainInto(rem[i], rem[i], negSum[i], sc); err != nil {
 				return err
 			}
 			if !cfg.SkipRerandomize {
-				if c, err = cfg.Pub.Rerandomize(c); err != nil {
+				if err := cfg.Pub.RerandomizeInto(rem[i], rem[i], sc); err != nil {
 					return err
 				}
 			}
-			rem[i] = c
 		}
 		return nil
 	})
@@ -455,53 +428,30 @@ func addInto(dst, src []uint64, mod secretshare.Modulus) {
 
 // addPlainAll folds a plaintext vector into a ciphertext vector,
 // reducing each addend into the share ring first. The fold is
-// deterministic given its inputs, so the worker fan-out is a pure
-// latency win; with a ScratchOps key the ciphertexts are updated in
-// place through per-worker scratch.
-func addPlainAll(enc []*ahe.Ciphertext, plain []uint64, mod secretshare.Modulus, pub ahe.PublicKey, workers int) error {
-	so, _ := pub.(ahe.ScratchOps)
-	return parFor(len(enc), workers, func(_, lo, hi int) error {
-		if so != nil {
-			sc := so.NewScratch()
-			for i := lo; i < hi; i++ {
-				if err := so.AddPlainInto(enc[i], enc[i], mod.Reduce(plain[i]), sc); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+// deterministic given its inputs, so the fan-out is a pure latency
+// win; the ciphertexts are updated in place through per-worker scratch.
+func addPlainAll(enc []*ahe.Ciphertext, plain []uint64, mod secretshare.Modulus, pub ahe.PublicKey) error {
+	return parFor(len(enc), fanOut(), func(_, lo, hi int) error {
+		sc := pub.NewScratch()
 		for i := lo; i < hi; i++ {
-			c, err := pub.AddPlain(enc[i], mod.Reduce(plain[i]))
-			if err != nil {
+			if err := pub.AddPlainInto(enc[i], enc[i], mod.Reduce(plain[i]), sc); err != nil {
 				return err
 			}
-			enc[i] = c
 		}
 		return nil
 	})
 }
 
-// rerandomizeAll refreshes every ciphertext. Its randomness is all
-// crypto/rand (pool or inline), so chunk order across workers cannot
-// influence any plaintext.
-func rerandomizeAll(enc []*ahe.Ciphertext, pub ahe.PublicKey, workers int) error {
-	so, _ := pub.(ahe.ScratchOps)
-	return parFor(len(enc), workers, func(_, lo, hi int) error {
-		if so != nil {
-			sc := so.NewScratch()
-			for i := lo; i < hi; i++ {
-				if err := so.RerandomizeInto(enc[i], enc[i], sc); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+// rerandomizeAll refreshes every ciphertext in place. Its randomness is
+// all crypto/rand (pool or inline), so chunk order across workers
+// cannot influence any plaintext.
+func rerandomizeAll(enc []*ahe.Ciphertext, pub ahe.PublicKey) error {
+	return parFor(len(enc), fanOut(), func(_, lo, hi int) error {
+		sc := pub.NewScratch()
 		for i := lo; i < hi; i++ {
-			c, err := pub.Rerandomize(enc[i])
-			if err != nil {
+			if err := pub.RerandomizeInto(enc[i], enc[i], sc); err != nil {
 				return err
 			}
-			enc[i] = c
 		}
 		return nil
 	})
@@ -533,7 +483,8 @@ func Reveal(st *State, mod secretshare.Modulus, priv ahe.PrivateKey) ([]uint64, 
 // RevealParallel is Reveal with the AHE decryptions fanned out over
 // `workers` goroutines — the paper's server parallelizes exactly this
 // phase ("the decryptions is done in parallel ... we use 32 threads",
-// §VII-D). workers < 1 uses GOMAXPROCS.
+// §VII-D). workers < 1 uses GOMAXPROCS, what every production caller
+// passes.
 func RevealParallel(st *State, mod secretshare.Modulus, priv ahe.PrivateKey, workers int) ([]uint64, error) {
 	n := st.Len()
 	out := make([]uint64, n)
@@ -550,51 +501,20 @@ func RevealParallel(st *State, mod secretshare.Modulus, priv ahe.PrivateKey, wor
 		return nil, errors.New("oblivious: encrypted state requires the private key to reveal")
 	}
 	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = fanOut()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, c := range st.Enc {
-			m, err := priv.Decrypt(c)
+	err := parFor(n, workers, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			m, err := priv.Decrypt(st.Enc[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out[i] = mod.Add(out[i], m)
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				m, err := priv.Decrypt(st.Enc[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = mod.Add(out[i], m)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package oblivious
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -182,45 +183,6 @@ func TestEOSPreservesMultisetAndHidesHolder(t *testing.T) {
 	}
 	if match > n/4 {
 		t.Fatalf("colluding shufflers reconstructed %d/%d values", match, n)
-	}
-}
-
-func TestEOSWithPaillier(t *testing.T) {
-	key, err := ahe.GeneratePaillier(512, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := secretshare.NewModulus(32)
-	src := rng.New(4)
-	const r, n = 3, 15
-	values := make([]uint64, n)
-	for i := range values {
-		values[i] = uint64(i + 7)
-	}
-	shares := secretshare.SplitVector(values, r, mod, src)
-	enc := make([]*ahe.Ciphertext, n)
-	for i, s := range shares[0] {
-		c, err := key.Encrypt(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc[i] = c
-	}
-	shares[0] = nil
-	st := &State{Plain: shares, Enc: enc, EncHolder: 0}
-	if err := Run(st, Config{Mod: mod, Source: src, Pub: key.PaillierPublicKey}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Reveal(st, mod, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSorted := sortedCopy(values)
-	gotSorted := sortedCopy(out)
-	for i := range wantSorted {
-		if gotSorted[i] != wantSorted[i] {
-			t.Fatal("Paillier EOS changed the multiset")
-		}
 	}
 }
 
@@ -443,6 +405,56 @@ func TestRevealParallelDecryptErrorPropagates(t *testing.T) {
 			if _, err := RevealParallel(st, mod, fk, workers); err != wantErr {
 				t.Fatalf("workers=%d failAt=%d: got %v, want the injected error", workers, failAt, err)
 			}
+		}
+	}
+}
+
+// indexedFailKey fails Decrypt with a per-ciphertext error, so a test
+// can tell WHICH failure a fan-out surfaced.
+type indexedFailKey struct {
+	ahe.PrivateKey
+	fail map[*ahe.Ciphertext]error
+}
+
+func (k *indexedFailKey) Decrypt(c *ahe.Ciphertext) (uint64, error) {
+	if err := k.fail[c]; err != nil {
+		return 0, err
+	}
+	return k.PrivateKey.Decrypt(c)
+}
+
+// TestRevealParallelDerivedWidth: RevealParallel(…, 0) — the call every
+// production site makes — takes its width from GOMAXPROCS through the
+// shared parFor, so width 1 and width 4 must both return the original
+// words in order, and with two failing ciphertexts in different chunks the error of
+// the lowest-index chunk wins at either width.
+func TestRevealParallelDerivedWidth(t *testing.T) {
+	key := dgk(t)
+	mod := secretshare.NewModulus(32)
+	const r, n = 3, 24
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = uint64(i * 13)
+	}
+	st := buildEncState(t, values, r, mod, key, rng.New(52))
+	// Width 4 over 24 elements: chunks [0,6) [6,12) [12,18) [18,24).
+	errLow, errHigh := errors.New("decrypt 5 failed"), errors.New("decrypt 20 failed")
+	failing := &indexedFailKey{PrivateKey: key, fail: map[*ahe.Ciphertext]error{st.Enc[5]: errLow, st.Enc[20]: errHigh}}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, width := range []int{1, 4} {
+		runtime.GOMAXPROCS(width)
+		out, err := RevealParallel(st, mod, key, 0)
+		if err != nil {
+			t.Fatalf("width=%d: %v", width, err)
+		}
+		for i, v := range values {
+			if out[i] != v {
+				t.Fatalf("width=%d: word %d reveals %d, want %d", width, i, out[i], v)
+			}
+		}
+		if _, err := RevealParallel(st, mod, failing, 0); err != errLow {
+			t.Fatalf("width=%d: got %v, want the lowest-index chunk's error %v", width, err, errLow)
 		}
 	}
 }

@@ -1,17 +1,26 @@
 package oblivious
 
-// Worker-pool layer for the shuffler-side hot loops (DESIGN.md §14).
+// Worker-pool layer for the per-element hot loops (DESIGN.md §14).
 // The three ciphertext passes of a hide-and-seek round —
-// rerandomizeAll, addPlainAll, and stage B of splitEncrypted — fan out
-// over Config.Workers goroutines in contiguous, order-preserving
-// chunks, the same decomposition RevealParallel already uses for the
-// server's decrypt phase. Determinism is preserved by construction:
-// every draw from the deterministic Source happens on the caller's
-// goroutine in serial element order before any worker starts, so the
-// only randomness inside a worker is crypto/rand (rerandomizer
-// nonces), which never reaches a plaintext or an estimate.
+// rerandomizeAll, addPlainAll, and stage B of splitEncrypted — and the
+// server's decrypt phase (RevealParallel) fan out over fanOut()
+// goroutines in contiguous, order-preserving chunks. Determinism is
+// preserved by construction: every draw from the deterministic Source
+// happens on the caller's goroutine in serial element order before any
+// worker starts, so the only randomness inside a worker is crypto/rand
+// (rerandomizer nonces), which never reaches a plaintext or an
+// estimate — the share plaintexts, and therefore the estimates, are
+// bit-identical at every width for a fixed seed.
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
+
+// fanOut is the one fan-out rule of the PEOS tier: the per-element
+// passes run GOMAXPROCS wide (parFor caps the width at the element
+// count). GOMAXPROCS=1 is the serial override.
+func fanOut() int { return runtime.GOMAXPROCS(0) }
 
 // parFor splits [0, n) into at most `workers` contiguous chunks and
 // runs fn(w, lo, hi) on one goroutine per chunk. workers <= 1 (or a

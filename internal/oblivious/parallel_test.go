@@ -6,10 +6,15 @@ package oblivious
 // distributed engine against the unchunked one, and the stream
 // reassembly edge cases of recvVector. CI runs the cluster-level
 // conformance gate under -race; these pin the engine-level invariants.
+//
+// The fan-out width is GOMAXPROCS, so the width-sweeping tests set it
+// (and restore it) themselves — a 1-core runner still exercises width
+// 4 against width 1. None of them may call t.Parallel.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -95,10 +100,10 @@ func buildEncState(t *testing.T, values []uint64, r int, mod secretshare.Modulus
 }
 
 // TestRunParallelMatchesSerial is the simulator-level bit-identity
-// claim of Config.Workers: for a fixed seed, the parallel engine's
-// plaintext shares, holder choice, and revealed (ordered) output are
-// identical to the serial engine's — only the ciphertext group
-// elements differ, and those never reach a plaintext.
+// claim of the fan-out: for a fixed seed, the engine's plaintext
+// shares, holder choice, and revealed (ordered) output at width 4 are
+// identical to the serial (width 1) engine's — only the ciphertext
+// group elements differ, and those never reach a plaintext.
 func TestRunParallelMatchesSerial(t *testing.T) {
 	const (
 		r    = 3
@@ -116,8 +121,9 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		values[i] = src.Uint64()
 	}
 	run := func(workers int) (*State, []uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		st := buildEncState(t, values, r, mod, ahe.PublicKey(priv), rng.New(1))
-		if err := Run(st, Config{Mod: mod, Source: rng.New(seed), Pub: ahe.PublicKey(priv), Workers: workers}); err != nil {
+		if err := Run(st, Config{Mod: mod, Source: rng.New(seed), Pub: ahe.PublicKey(priv)}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		out, err := Reveal(st, mod, priv)
@@ -126,14 +132,14 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		}
 		return st, out
 	}
-	stSerial, outSerial := run(0)
+	stSerial, outSerial := run(1)
 	stPar, outPar := run(4)
 	if stPar.EncHolder != stSerial.EncHolder {
 		t.Fatalf("holders diverged: serial %d, parallel %d", stSerial.EncHolder, stPar.EncHolder)
 	}
 	for j := range stSerial.Plain {
 		if fmt.Sprint(stPar.Plain[j]) != fmt.Sprint(stSerial.Plain[j]) {
-			t.Fatalf("party %d plaintext shares diverged under Workers=4", j)
+			t.Fatalf("party %d plaintext shares diverged at width 4", j)
 		}
 	}
 	// Ordered comparison: the permutation itself must match, not just
@@ -143,9 +149,11 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// runPartiesOpt is runParties with the parallel knobs exposed.
+// runPartiesOpt is runParties at fan-out width `workers` (GOMAXPROCS,
+// restored on return) with the chunk size exposed.
 func runPartiesOpt(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertext, encHolder int, pub ahe.PublicKey, seed uint64, workers, chunkWords int) ([][]uint64, []([]*ahe.Ciphertext), []error) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	pipes := newPipes(r)
 	mod := secretshare.NewModulus(64)
 	outPlain := make([][]uint64, r)
@@ -162,7 +170,6 @@ func runPartiesOpt(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertex
 				Mod:        mod,
 				Source:     rng.Substream(seed, uint64(j)),
 				Pub:        pub,
-				Workers:    workers,
 				ChunkWords: chunkWords,
 			}
 			var plain []uint64
@@ -180,7 +187,7 @@ func runPartiesOpt(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertex
 }
 
 // TestRunPartyChunkedMatchesSerial is the distributed-engine
-// bit-identity claim: every (Workers, ChunkWords) combination —
+// bit-identity claim: every (width, ChunkWords) combination —
 // including chunk sizes that leave a short tail window — produces the
 // same plaintext shares, the same final holder, and the same ordered
 // reveal as the serial unchunked engine, for a fixed seed.
@@ -231,7 +238,7 @@ func TestRunPartyChunkedMatchesSerial(t *testing.T) {
 		return out, st.EncHolder
 	}
 
-	refPlain, refEnc, errs := runPartiesOpt(t, r, vectors, mkEnc(), encHolder, pub, seed, 0, 0)
+	refPlain, refEnc, errs := runPartiesOpt(t, r, vectors, mkEnc(), encHolder, pub, seed, 1, 0)
 	for j, err := range errs {
 		if err != nil {
 			t.Fatalf("reference party %d: %v", j, err)

@@ -150,10 +150,6 @@ type PartyConfig struct {
 	// Rounds overrides the number of hide-and-seek rounds (0 means the
 	// full C(r, t) schedule, required for the security guarantee).
 	Rounds int
-	// Workers fans this party's per-element AHE passes out over
-	// goroutine chunks (see Config.Workers; <= 1 is the serial
-	// reference, bit-identical estimates either way).
-	Workers int
 	// ChunkWords, when > 0, streams the hide/reshare vectors in
 	// windows of this many elements: the AHE work on window k+1
 	// overlaps the transmission of window k, and each window travels
@@ -204,7 +200,7 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 	if enc != nil {
 		n = len(enc)
 	}
-	icfg := Config{Mod: cfg.Mod, Source: cfg.Source, Pub: cfg.Pub, SkipRerandomize: cfg.SkipRerandomize, Workers: cfg.Workers}
+	icfg := Config{Mod: cfg.Mod, Source: cfg.Source, Pub: cfg.Pub, SkipRerandomize: cfg.SkipRerandomize}
 	for round := 0; round < rounds; round++ {
 		var err error
 		plain, enc, err = runPartyRound(cfg, icfg, tr, round, partitions[round], n, plain, enc)
@@ -429,7 +425,7 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 		// Fold accumulated plaintext mass into the ciphertext vector so
 		// this hider holds exactly one vector (Figure 2, "Hide").
 		if encAcc != nil {
-			if err := addPlainAll(encAcc, acc, cfg.Mod, cfg.Pub, icfg.Workers); err != nil {
+			if err := addPlainAll(encAcc, acc, cfg.Mod, cfg.Pub); err != nil {
 				return nil, nil, err
 			}
 			acc = nil
@@ -503,7 +499,7 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 		} else {
 			encAcc = applyPermCipher(encAcc, perm)
 			if !cfg.SkipRerandomize {
-				if err := rerandomizeAll(encAcc, cfg.Pub, icfg.Workers); err != nil {
+				if err := rerandomizeAll(encAcc, cfg.Pub); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -613,7 +609,7 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 	// the ciphertext vector so every party exits the round holding
 	// exactly one vector.
 	if newEnc != nil {
-		if err := addPlainAll(newEnc, newPlain, cfg.Mod, cfg.Pub, icfg.Workers); err != nil {
+		if err := addPlainAll(newEnc, newPlain, cfg.Mod, cfg.Pub); err != nil {
 			return nil, nil, err
 		}
 		return nil, newEnc, nil

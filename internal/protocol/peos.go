@@ -46,16 +46,6 @@ type PEOS struct {
 	// rerandomization disabled — the paper's Table III cost model.
 	// See oblivious.Config.SkipRerandomize for the security caveat.
 	FastShuffle bool
-	// DecryptWorkers bounds the server's decryption fan-out; <1 selects
-	// GOMAXPROCS. The cmd/bench PEOS suite sweeps it to separate the
-	// algorithmic AHE speedups from plain parallelism.
-	DecryptWorkers int
-	// ShuffleWorkers sets oblivious.Config.Workers: the goroutine count
-	// of the simulated shufflers' ciphertext passes (DESIGN.md §14).
-	// <=1 runs the serial reference path. Estimates are bit-identical
-	// at every setting; the randomizer pool is sized to the worker
-	// count so the parallel drain rate never starves it.
-	ShuffleWorkers int
 
 	enc *ldp.WordEncoder
 	mod secretshare.Modulus
@@ -111,11 +101,7 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 	// pairs, and the pool keeps refilling while the protocol computes.
 	// Pool randomness is crypto/rand, never p.Source, so estimates stay
 	// bit-identical with or without it.
-	if pn, ok := pub.(ahe.PoolerN); ok {
-		defer pn.StartRandomizerPoolN(ahe.PoolSizeFor(p.ShuffleWorkers), 0)()
-	} else if pl, ok := pub.(ahe.Pooler); ok {
-		defer pl.StartRandomizerPool(0)()
-	}
+	defer pub.StartRandomizerPool()()
 
 	// --- Users (Algorithm 1, "User i"). ---
 	// plainShares[j][i] is user i's j-th share; encShares[i] is the
@@ -192,7 +178,6 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 		Pub:             pub,
 		Meter:           meter,
 		SkipRerandomize: p.FastShuffle,
-		Workers:         p.ShuffleWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -211,7 +196,7 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 	meter.Track(PartyServer, func() {
 		// Decryptions fan out across cores, as in the paper's server
 		// (§VII-D "the decryptions is done in parallel").
-		words, srvErr = oblivious.RevealParallel(st, p.mod, p.Priv, p.DecryptWorkers)
+		words, srvErr = oblivious.RevealParallel(st, p.mod, p.Priv, 0)
 	})
 	if srvErr != nil {
 		return nil, srvErr

@@ -18,12 +18,11 @@
 //
 // Everything is implemented from scratch on the Go standard library:
 // the LDP frequency-oracle family, privacy-amplification analysis,
-// additive secret sharing, DGK/Paillier additively homomorphic
-// encryption, hybrid EC onion encryption, the resharing-based oblivious
-// shuffle, and the TreeHist succinct-histogram algorithm (see
-// FrequentStrings). DESIGN.md maps each subsystem to its package;
-// EXPERIMENTS.md records the reproduction of every table and figure in
-// the paper's evaluation.
+// additive secret sharing, DGK additively homomorphic encryption,
+// hybrid EC onion encryption, the resharing-based oblivious shuffle,
+// and the TreeHist succinct-histogram algorithm (see FrequentStrings).
+// DESIGN.md maps each subsystem to its package; EXPERIMENTS.md records
+// the reproduction of every table and figure in the paper's evaluation.
 package shuffledp
 
 import (
