@@ -321,7 +321,6 @@ func runShuffler(args []string) {
 	phaseTimeout := fs.Duration("phase-timeout", 0, "bound on each oblivious-shuffle phase (0 = seal timeout only)")
 	hello := fs.Duration("hello-timeout", cluster.DefaultHelloTimeout, "drop inbound connections silent past this before their hello")
 	fast := fs.Bool("fast-shuffle", false, "skip ciphertext rerandomization (Table III cost model; weakens unlinkability)")
-	chunkWords := fs.Int("chunk-words", 0, "stream outbound shuffle vectors in windows of this many elements (0 = one frame)")
 	fs.Parse(args)
 
 	topo, err := parseTopology(*shufflers, *analyzer)
@@ -346,7 +345,6 @@ func runShuffler(args []string) {
 		SealTimeout:  *sealTimeout,
 		PhaseTimeout: *phaseTimeout,
 		HelloTimeout: *hello,
-		ChunkWords:   *chunkWords,
 	})
 	if err != nil {
 		log.Fatal(err)

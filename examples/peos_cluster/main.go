@@ -66,7 +66,6 @@ var (
 	seedFlag    = flag.Uint64("seed", 1, "base seed for all deterministic streams")
 	killFlag    = flag.Bool("kill", false, "kill shuffler 0 mid-stream, expect a clean error, rerun to completion")
 	chaosFlag   = flag.Bool("chaos", false, "inject deterministic faults (mesh reset + client disconnect) and self-heal")
-	chunkFlag   = flag.Int("chunk-words", 0, "stream shuffle vectors in windows of this many elements (0 = one frame)")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-phase safety timeout")
 )
 
@@ -169,7 +168,6 @@ func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, collection int)
 			Source:      rng.Substream(*seedFlag, 5000+uint64(j)),
 			FakeSource:  fakeSource(collection, j),
 			SealTimeout: *timeoutFlag,
-			ChunkWords:  *chunkFlag,
 		}
 		if meshNet != nil && j > 0 {
 			// Only higher-index shufflers dial shuffler 0, so this is

@@ -1,12 +1,10 @@
 package cluster_test
 
 // TestParallelEOSConformance is the named conformance gate of the
-// worker-pooled, chunk-streamed shuffler tier (DESIGN.md §14): every
-// combination of fan-out width and chunked/unchunked wire — including
-// a mixed fleet where only one shuffler chunk-streams, a mesh link
-// torn mid-chunk-stream, and a client link torn mid-stream — must
-// produce estimates bit-identical to the serial in-process
-// protocol.PEOS.Run reference. The width is GOMAXPROCS, which every
+// fanned-out shuffler tier (DESIGN.md §14): every fan-out width —
+// including a mesh link torn mid-vector and a client link torn
+// mid-stream — must produce estimates bit-identical to the serial
+// in-process protocol.PEOS.Run reference. The width is GOMAXPROCS, which every
 // node of the in-process fleet shares, so the test sets it itself (a
 // 1-core runner still exercises width 4 against width 1) and must not
 // run in parallel with anything. CI runs this file under -race.
@@ -97,45 +95,21 @@ func TestParallelEOSConformance(t *testing.T) {
 		return col.Estimates, col.Attempts, cl
 	}
 
-	// The width/chunk grid: serial reference wire, parallel crypto with
-	// the legacy wire, and parallel crypto with the chunk-streamed wire.
+	// The width grid.
 	t.Run("grid", func(t *testing.T) {
-		for _, tc := range []struct{ workers, chunk int }{
-			{1, 0},
-			{2, 16},
-			{4, 0},
-			{4, 16},
-		} {
-			setWidth(t, tc.workers)
-			got, _, _ := runOnce(t, nil, func(_ int, cfg *cluster.ShufflerConfig) {
-				cfg.ChunkWords = tc.chunk
-			}, nil)
+		for _, workers := range []int{1, 2, 4} {
+			setWidth(t, workers)
+			got, _, _ := runOnce(t, nil, nil, nil)
 			if !estimatesEqual(got, want) {
-				t.Fatalf("workers=%d chunk=%d diverged from the serial reference:\n net %v\n ref %v",
-					tc.workers, tc.chunk, got, want)
+				t.Fatalf("workers=%d diverged from the serial reference:\n net %v\n ref %v", workers, got, want)
 			}
 		}
 	})
 
-	// A mixed fleet at width 4: shuffler 0 chunk-streams, shuffler 1 is a
-	// legacy single-frame node. The wire's final-fragment encoding is
-	// byte-identical to a legacy frame, so they must interoperate.
-	t.Run("mixed-fleet", func(t *testing.T) {
-		setWidth(t, 4)
-		got, _, _ := runOnce(t, nil, func(j int, cfg *cluster.ShufflerConfig) {
-			if j == 0 {
-				cfg.ChunkWords = 16
-			}
-		}, nil)
-		if !estimatesEqual(got, want) {
-			t.Fatalf("mixed legacy/chunked fleet diverged:\n net %v\n ref %v", got, want)
-		}
-	})
-
-	// A mesh connection reset mid-chunk-stream (8-word windows, the
-	// reset lands inside the streamed vector): the retry must replay the
+	// A mesh connection reset mid-vector (the reset lands inside the
+	// first 284-byte share-vector frame): the retry must replay the
 	// round on a fresh link and still converge bit-identically.
-	t.Run("mid-chunk-fault", func(t *testing.T) {
+	t.Run("mid-vector-fault", func(t *testing.T) {
 		setWidth(t, 2)
 		meshChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 			if conn == 0 {
@@ -147,25 +121,24 @@ func TestParallelEOSConformance(t *testing.T) {
 		got, attempts, _ := runOnce(t, func(cfg *cluster.AnalyzerConfig) {
 			cfg.Retry = chaosRetry()
 		}, func(j int, cfg *cluster.ShufflerConfig) {
-			cfg.ChunkWords = 8
 			if j == 1 {
 				meshAddr = cfg.Topology.Shufflers[0]
 				cfg.Dial = chaosDialTo(meshChaos, meshAddr)
 			}
 		}, nil)
 		if attempts < 2 {
-			t.Fatalf("round took %d attempt(s); the mid-chunk reset should have forced a retry", attempts)
+			t.Fatalf("round took %d attempt(s); the mid-vector reset should have forced a retry", attempts)
 		}
 		if got := meshChaos.Stats().Resets; got < 1 {
 			t.Fatalf("mesh chaos injected %d resets, want >= 1", got)
 		}
 		if !estimatesEqual(got, want) {
-			t.Fatalf("estimates diverged across the mid-chunk fault:\n net %v\n ref %v", got, want)
+			t.Fatalf("estimates diverged across the mid-vector fault:\n net %v\n ref %v", got, want)
 		}
 	})
 
-	// A client link torn mid-stream while the fleet runs parallel and
-	// chunked: the client reconnects and resubmits (nonce-deduplicated),
+	// A client link torn mid-stream while the fleet runs parallel: the
+	// client reconnects and resubmits (nonce-deduplicated),
 	// and the estimates still match.
 	t.Run("chaos-client-link", func(t *testing.T) {
 		setWidth(t, 4)
@@ -177,7 +150,6 @@ func TestParallelEOSConformance(t *testing.T) {
 		}})
 		var shuf0 string
 		mutateS := func(j int, cfg *cluster.ShufflerConfig) {
-			cfg.ChunkWords = 8
 			if j == 0 {
 				shuf0 = cfg.Topology.Shufflers[j]
 			}

@@ -78,12 +78,6 @@ type ShufflerConfig struct {
 	// outbound connections (peer mesh and analyzer link) — the
 	// chaos-injection hook (faultnet.Network.Dial fits).
 	Dial DialFunc
-	// ChunkWords streams this node's outbound hide/reshare vectors in
-	// windows of at most ChunkWords elements, overlapping AHE compute
-	// with transmission (0 = one legacy frame per vector). It is a
-	// per-node knob: chunked and unchunked nodes interoperate because a
-	// final fragment is byte-identical to a legacy frame.
-	ChunkWords int
 }
 
 // collectionBuf buffers one collection's share column as it streams in
@@ -567,15 +561,16 @@ func (s *Shuffler) collect(a *attempt) error {
 	if err != nil {
 		return err
 	}
-	tr := newConnTransport(peers, s.cfg.Pub, s.cfg.SealTimeout, s.cfg.PhaseTimeout)
+	tr := newConnTransport(peers, s.cfg.Pub, total, s.cfg.SealTimeout, s.cfg.PhaseTimeout)
 	outPlain, outEnc, err := oblivious.RunParty(oblivious.PartyConfig{
-		Index:           s.cfg.Index,
-		Parties:         s.cfg.Topology.R(),
-		Mod:             s.mod,
-		Source:          s.cfg.Source,
-		Pub:             s.cfg.Pub,
-		SkipRerandomize: s.cfg.FastShuffle,
-		ChunkWords:      s.cfg.ChunkWords,
+		Config: oblivious.Config{
+			Mod:             s.mod,
+			Source:          s.cfg.Source,
+			Pub:             s.cfg.Pub,
+			SkipRerandomize: s.cfg.FastShuffle,
+		},
+		Index:   s.cfg.Index,
+		Parties: s.cfg.Topology.R(),
 	}, tr, plain, enc)
 	if err != nil {
 		return err

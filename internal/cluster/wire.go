@@ -20,8 +20,6 @@ package cluster
 //	roundPlain     [round u32][words ...]                   EOS peer traffic
 //	roundEnc       [round u32][cts ...]                     EOS peer traffic
 //	roundSeed      [round u32][seed u64be]                  EOS peer traffic
-//	roundPlainMore [round u32][words ...]                   EOS peer traffic
-//	roundEncMore   [round u32][cts ...]                     EOS peer traffic
 //	shardHello     [shard u16][analyzers u16]
 //	               [bound u32 × (analyzers+1)]              shard -> coordinator
 //	shardSeal      [collection u32][attempt u32][n u32]     coordinator -> shard
@@ -43,15 +41,9 @@ package cluster
 // Ciphertext vectors are the fixed-size ahe serialization
 // concatenated, so the element count is implied by the payload length.
 //
-// Chunk streaming (DESIGN.md §14): a roundPlainMore/roundEncMore frame
-// is a non-final fragment of a chunk-streamed shuffle vector — the
-// payload layout is exactly the legacy roundPlain/roundEnc layout, the
-// tag itself carries the "more fragments follow" bit, and the final
-// fragment of a stream always uses the legacy tag. A node with
-// chunking disabled therefore emits byte-identical legacy frames, and
-// its frames are accepted unchanged by chunk-aware peers, so mixed
-// fleets interoperate; fragment reassembly lives in the oblivious
-// engine (oblivious.Msg.More).
+// Every EOS vector travels as one frame, so a shuffler knows the
+// largest frame a peer may legitimately send before the shuffle starts
+// (connTransport.frameLimit) and refuses anything longer unread.
 //
 // The self-healing fields: a peer hello names the exact collection
 // attempt its mesh connection serves, so a connection left over from
@@ -99,8 +91,6 @@ const (
 	tagShardWords
 	tagShardCommit
 	tagShardAck
-	tagRoundPlainMore
-	tagRoundEncMore
 )
 
 // errBadFrame wraps every malformed-payload failure so callers can
@@ -384,19 +374,27 @@ func decodeCiphertexts(pub ahe.PublicKey, data []byte) ([]*ahe.Ciphertext, error
 // bounds each whole EOS phase — so a peer that keeps trickling single
 // messages but never finishes a phase is still cut off. Every I/O op
 // uses the earlier of the two deadlines.
+//
+// Inbound frames are capped at frameLimit, the longest payload the
+// round can legitimately carry — the round prefix plus one whole
+// vector in its wider encoding — so a hostile peer's length prefix is
+// refused before any of its payload is buffered.
 type connTransport struct {
 	peers         []net.Conn
 	pub           ahe.PublicKey
+	frameLimit    int
 	timeout       time.Duration // per-message I/O deadline, 0 = none
 	phaseTimeout  time.Duration // per-EOS-phase deadline, 0 = none
 	phaseDeadline atomic.Int64  // current phase deadline, unix nanos (0 = unset)
 	sendMu        []sync.Mutex
 }
 
-func newConnTransport(peers []net.Conn, pub ahe.PublicKey, timeout, phaseTimeout time.Duration) *connTransport {
+// newConnTransport serves one shuffle of a total-element vector.
+func newConnTransport(peers []net.Conn, pub ahe.PublicKey, total int, timeout, phaseTimeout time.Duration) *connTransport {
 	return &connTransport{
 		peers:        peers,
 		pub:          pub,
+		frameLimit:   4 + total*max(8, pub.CiphertextBytes()),
 		timeout:      timeout,
 		phaseTimeout: phaseTimeout,
 		sendMu:       make([]sync.Mutex, len(peers)),
@@ -452,17 +450,9 @@ func (t *connTransport) Send(to int, m oblivious.Msg) error {
 	binary.BigEndian.PutUint32(round[:], uint32(m.Round))
 	switch m.Kind {
 	case oblivious.MsgPlain:
-		tag := tagRoundPlain
-		if m.More {
-			tag = tagRoundPlainMore
-		}
-		return transport.WriteTaggedFrame(conn, tag, append(round[:], transport.EncodeUint64s(m.Words)...))
+		return transport.WriteTaggedFrame(conn, tagRoundPlain, append(round[:], transport.EncodeUint64s(m.Words)...))
 	case oblivious.MsgEnc:
-		tag := tagRoundEnc
-		if m.More {
-			tag = tagRoundEncMore
-		}
-		return transport.WriteTaggedFrame(conn, tag, append(round[:], encodeCiphertexts(t.pub, m.Enc)...))
+		return transport.WriteTaggedFrame(conn, tagRoundEnc, append(round[:], encodeCiphertexts(t.pub, m.Enc)...))
 	case oblivious.MsgSeed:
 		payload := make([]byte, 12)
 		copy(payload, round[:])
@@ -483,7 +473,10 @@ func (t *connTransport) Recv(from int) (oblivious.Msg, error) {
 			return oblivious.Msg{}, err
 		}
 	}
-	tag, payload, err := transport.ReadTaggedFrame(conn)
+	tag, payload, err := transport.ReadTaggedFrameLimit(conn, t.frameLimit)
+	if errors.Is(err, transport.ErrFrameTooLarge) {
+		return oblivious.Msg{}, fmt.Errorf("%w: shuffler %d: %w", errBadFrame, from, err)
+	}
 	if err != nil {
 		return oblivious.Msg{}, err
 	}
@@ -493,15 +486,13 @@ func (t *connTransport) Recv(from int) (oblivious.Msg, error) {
 	m := oblivious.Msg{Round: int(binary.BigEndian.Uint32(payload))}
 	body := payload[4:]
 	switch tag {
-	case tagRoundPlain, tagRoundPlainMore:
+	case tagRoundPlain:
 		m.Kind = oblivious.MsgPlain
-		m.More = tag == tagRoundPlainMore
 		if m.Words, err = transport.DecodeUint64s(body); err != nil {
 			return oblivious.Msg{}, err
 		}
-	case tagRoundEnc, tagRoundEncMore:
+	case tagRoundEnc:
 		m.Kind = oblivious.MsgEnc
-		m.More = tag == tagRoundEncMore
 		if m.Enc, err = decodeCiphertexts(t.pub, body); err != nil {
 			return oblivious.Msg{}, err
 		}

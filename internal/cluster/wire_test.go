@@ -2,10 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"shuffledp/internal/ahe"
+	"shuffledp/internal/oblivious"
 	"shuffledp/internal/transport"
 )
 
@@ -344,4 +349,68 @@ func FuzzWireFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestConnTransportFrameDiscipline drives connTransport.Recv over
+// net.Pipe with hand-written mesh frames: the ceiling is the round's
+// vector length (a full ciphertext vector passes, one byte more is
+// refused on the header alone), and the tags of the retired
+// chunk-streamed framing are refused, not reassembled.
+func TestConnTransportFrameDiscipline(t *testing.T) {
+	priv, err := ahe.GenerateDGK(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := ahe.PublicKey(priv)
+	const total = 3
+	cts := make([]*ahe.Ciphertext, total)
+	for i := range cts {
+		if cts[i], err = pub.Encrypt(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// recvAfter hands peer 1's end of a fresh pipe to write, and returns
+	// what party 0 receives.
+	recvAfter := func(write func(peer net.Conn) error) (oblivious.Msg, error) {
+		mine, peer := net.Pipe()
+		defer mine.Close()
+		defer peer.Close()
+		werr := make(chan error, 1)
+		go func() { werr <- write(peer) }()
+		m, err := newConnTransport([]net.Conn{nil, mine}, pub, total, time.Second, 0).Recv(1)
+		if e := <-werr; e != nil {
+			t.Fatalf("writer: %v", e)
+		}
+		return m, err
+	}
+
+	m, err := recvAfter(func(peer net.Conn) error {
+		return newConnTransport([]net.Conn{peer, nil}, pub, total, time.Second, 0).
+			Send(0, oblivious.Msg{Kind: oblivious.MsgEnc, Round: 2, Enc: cts})
+	})
+	if err != nil || m.Kind != oblivious.MsgEnc || m.Round != 2 || len(m.Enc) != total {
+		t.Fatalf("full-length ciphertext vector: %+v, %v", m, err)
+	}
+
+	// Only the 8-byte header is ever written: the refusal cannot have
+	// waited for, let alone buffered, a payload.
+	_, err = recvAfter(func(peer net.Conn) error {
+		var hdr [8]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(4+total*pub.CiphertextBytes()+1))
+		binary.BigEndian.PutUint32(hdr[4:], tagRoundEnc)
+		_, err := peer.Write(hdr[:])
+		return err
+	})
+	if !errors.Is(err, errBadFrame) || !errors.Is(err, transport.ErrFrameTooLarge) {
+		t.Fatalf("frame one byte over the round's ceiling: %v", err)
+	}
+
+	for _, retired := range []uint32{20, 21} { // roundPlainMore, roundEncMore
+		_, err := recvAfter(func(peer net.Conn) error {
+			return transport.WriteTaggedFrame(peer, retired, make([]byte, 12))
+		})
+		if !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), "during the shuffle") {
+			t.Fatalf("retired tag %d: %v", retired, err)
+		}
+	}
 }

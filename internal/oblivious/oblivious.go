@@ -14,11 +14,17 @@
 // the server's additively homomorphic key, so even all r shufflers
 // colluding cannot reconstruct the values — yet the shares can still be
 // split, accumulated and permuted, processed under AHE (Figure 2).
+//
+// There is one engine. RunParty (party.go) is a single shuffler
+// exchanging messages with its peers over a Transport; Run seats r of
+// them on in-memory channels for the in-process protocol and the
+// experiments, and internal/cluster runs one per node over TCP.
 package oblivious
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/rng"
@@ -30,13 +36,17 @@ import (
 type Config struct {
 	// Mod is the share ring Z_{2^l}.
 	Mod secretshare.Modulus
-	// Source provides the shufflers' randomness.
+	// Source provides the shufflers' randomness. Run — the in-process
+	// simulation — seeds one stream per party from it; RunParty draws
+	// from it directly as that party's own (secretshare.Crypto on a
+	// real node).
 	Source secretshare.Source
-	// Pub is the server's AHE key; required iff the state carries an
+	// Pub is the server's AHE key; required iff the shuffle carries an
 	// encrypted vector.
 	Pub ahe.PublicKey
-	// Meter optionally accounts communication and computation per
-	// shuffler ("shuffler-0", "shuffler-1", ...).
+	// Meter optionally accounts communication (Table III payload
+	// bytes, at the sender) and ciphertext computation per shuffler
+	// ("shuffler-0", "shuffler-1", ...).
 	Meter *transport.Meter
 	// Rounds overrides the number of hide-and-seek rounds (0 means the
 	// full C(r, t), the value required for the security guarantee; the
@@ -172,197 +182,130 @@ func Combinations(r, t int) [][]int {
 func shufflerName(j int) string { return fmt.Sprintf("shuffler-%d", j) }
 
 // Run executes the oblivious shuffle (EOS when the state carries an
-// encrypted vector), mutating st in place. On return the share vectors
+// encrypted vector) in process, mutating st in place: it seats one
+// RunParty engine per shuffler on an in-memory transport and joins
+// them. Each party's randomness is its own stream, seeded from
+// cfg.Source serially in index order, so a seeded Source reproduces
+// the run whatever the goroutine schedule. On return the share vectors
 // represent the same multiset of values in a permuted order, and (for
 // EOS) EncHolder points at the final ciphertext holder.
 func Run(st *State, cfg Config) error {
 	if err := st.validate(cfg); err != nil {
 		return err
 	}
-	r := st.NumParties()
-	t := Hiders(r)
-	partitions := Combinations(r, t)
-	rounds := cfg.Rounds
-	if rounds <= 0 || rounds > len(partitions) {
-		rounds = len(partitions)
+	if st.Len() == 0 {
+		return nil // nothing to permute
 	}
-	for round := 0; round < rounds; round++ {
-		if err := runRound(st, cfg, partitions[round]); err != nil {
-			return fmt.Errorf("oblivious: round %d: %w", round, err)
+	r := st.NumParties()
+	sources := make([]secretshare.Source, r)
+	for j := range sources {
+		sources[j] = rng.New(cfg.Source.Uint64())
+	}
+	mesh := newMemMesh(r)
+	plain := make([][]uint64, r)
+	enc := make([][]*ahe.Ciphertext, r)
+	var wg sync.WaitGroup
+	for j := 0; j < r; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			pcfg := PartyConfig{Config: cfg, Index: j, Parties: r}
+			pcfg.Source = sources[j]
+			var held []*ahe.Ciphertext // st.Plain[j] is nil for the holder
+			if j == st.EncHolder {
+				held = st.Enc
+			}
+			var err error
+			if plain[j], enc[j], err = RunParty(pcfg, memTransport{mesh, j}, st.Plain[j], held); err != nil {
+				mesh.abort(err)
+			}
+		}(j)
+	}
+	wg.Wait()
+	if mesh.err != nil {
+		return mesh.err
+	}
+	holder, holders := -1, 0
+	for j, e := range enc {
+		if e != nil {
+			holder = j
+			holders++
 		}
+	}
+	want := 0
+	if st.EncHolder >= 0 {
+		want = 1
+	}
+	if holders != want {
+		return fmt.Errorf("oblivious: %d shufflers ended holding a ciphertext vector, want %d", holders, want)
+	}
+	st.Plain, st.EncHolder, st.Enc = plain, holder, nil
+	if holder >= 0 {
+		st.Enc = enc[holder]
 	}
 	return nil
 }
 
-// runRound performs one hide-and-seek round with the given hider set.
-func runRound(st *State, cfg Config, hiders []int) error {
-	r := st.NumParties()
-	n := st.Len()
-	t := len(hiders)
-	isHider := make([]bool, r)
-	for _, h := range hiders {
-		isHider[h] = true
-	}
+// memMesh is the in-memory transport Run seats its parties on: one
+// FIFO channel per ordered pair of parties, and a done channel closed
+// by the first party that fails, so that no peer — and no sendAll
+// goroutine — stays blocked on a party that has left.
+type memMesh struct {
+	pipes [][]chan Msg // pipes[from][to]
+	done  chan struct{}
+	once  sync.Once
+	err   error // the first failure; read after the parties are joined
+}
 
-	// --- Hide phase: seekers split their vectors among the hiders. ---
-	// acc[h] accumulates hider h's plaintext mass; encAcc is the single
-	// ciphertext vector in flight (held by encAt, a hider index).
-	acc := make([][]uint64, r)
-	for _, h := range hiders {
-		if h == st.EncHolder {
-			acc[h] = make([]uint64, n)
-		} else {
-			acc[h] = append([]uint64(nil), st.Plain[h]...)
+func newMemMesh(r int) *memMesh {
+	m := &memMesh{pipes: make([][]chan Msg, r), done: make(chan struct{})}
+	for from := range m.pipes {
+		m.pipes[from] = make([]chan Msg, r)
+		for to := range m.pipes[from] {
+			// Capacity 3 is one round's sends on a pair (hide part,
+			// seed, reshare part), so no party waits on a slower peer
+			// inside a round.
+			m.pipes[from][to] = make(chan Msg, 3)
 		}
 	}
-	var encAcc []*ahe.Ciphertext
-	encAt := -1
-	if st.EncHolder >= 0 && isHider[st.EncHolder] {
-		encAcc = st.Enc
-		encAt = st.EncHolder
-	}
+	return m
+}
 
-	for s := 0; s < r; s++ {
-		if isHider[s] {
-			continue
-		}
-		if s == st.EncHolder {
-			// Encrypted seeker: t-1 plaintext parts + 1 ciphertext
-			// remainder sent to a random hider, who becomes the
-			// ciphertext holder for this round.
-			target := hiders[rng.New(cfg.Source.Uint64()).Intn(t)]
-			parts, rem, err := splitEncrypted(st.Enc, t, cfg)
-			if err != nil {
-				return err
-			}
-			pi := 0
-			for _, h := range hiders {
-				if h == target {
-					continue
-				}
-				addInto(acc[h], parts[pi], cfg.Mod)
-				cfg.Meter.Send(shufflerName(s), shufflerName(h), 8*n)
-				pi++
-			}
-			encAcc = rem
-			encAt = target
-			cfg.Meter.Send(shufflerName(s), shufflerName(target), cfg.Pub.CiphertextBytes()*n)
-			continue
-		}
-		// Plain seeker: t plaintext parts.
-		parts := splitPlain(st.Plain[s], t, cfg)
-		for i, h := range hiders {
-			addInto(acc[h], parts[i], cfg.Mod)
-			cfg.Meter.Send(shufflerName(s), shufflerName(h), 8*n)
-		}
-	}
+// abort records the first failure and releases every blocked party.
+func (m *memMesh) abort(err error) {
+	m.once.Do(func() {
+		m.err = err
+		close(m.done)
+	})
+}
 
-	// The ciphertext hider also accumulated plaintext mass from the
-	// seekers; fold it into the ciphertext vector (AHE AddPlain) so it
-	// holds exactly one vector — the Figure 2 "Hide" column.
-	if encAt >= 0 {
-		var err error
-		cfg.Meter.Track(shufflerName(encAt), func() {
-			err = addPlainAll(encAcc, acc[encAt], cfg.Mod, cfg.Pub)
-		})
-		if err != nil {
-			return err
-		}
-		acc[encAt] = nil
-	}
+// errMeshAborted is what the surviving parties observe after an abort.
+var errMeshAborted = errors.New("oblivious: shuffle aborted by a peer's failure")
 
-	// --- Shuffle phase: hiders apply an agreed permutation. ---
-	// The first hider samples it and the others learn it via a shared
-	// seed (32 bytes on the wire).
-	seed := cfg.Source.Uint64()
-	perm := rng.New(seed).Perm(n)
-	for _, h := range hiders[1:] {
-		cfg.Meter.Send(shufflerName(hiders[0]), shufflerName(h), 32)
-	}
-	for _, h := range hiders {
-		if acc[h] == nil {
-			continue // ciphertext hider, permuted below
-		}
-		cfg.Meter.Track(shufflerName(h), func() {
-			acc[h] = applyPermUint64(acc[h], perm)
-		})
-	}
-	if encAt >= 0 {
-		var err error
-		cfg.Meter.Track(shufflerName(encAt), func() {
-			encAcc = applyPermCipher(encAcc, perm)
-			// Refresh ciphertexts so positions are unlinkable across
-			// the permutation.
-			if !cfg.SkipRerandomize {
-				err = rerandomizeAll(encAcc, cfg.Pub)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
+// memTransport is one party's seat on a memMesh.
+type memTransport struct {
+	mesh *memMesh
+	me   int
+}
 
-	// --- Reshare phase: each hider splits its vector to all parties. ---
-	newPlain := make([][]uint64, r)
-	for j := 0; j < r; j++ {
-		newPlain[j] = make([]uint64, n)
+// Send implements Transport.
+func (t memTransport) Send(to int, m Msg) error {
+	select {
+	case t.mesh.pipes[t.me][to] <- m:
+		return nil
+	case <-t.mesh.done:
+		return errMeshAborted
 	}
-	var newEnc []*ahe.Ciphertext
-	newEncHolder := -1
-	for _, h := range hiders {
-		if h == encAt {
-			continue // handled below
-		}
-		parts := splitPlain(acc[h], r, cfg)
-		for j := 0; j < r; j++ {
-			addInto(newPlain[j], parts[j], cfg.Mod)
-			if j != h {
-				cfg.Meter.Send(shufflerName(h), shufflerName(j), 8*n)
-			}
-		}
-	}
-	if encAt >= 0 {
-		// Ciphertext hider: r-1 plaintext parts + ciphertext remainder
-		// to a random party.
-		target := rng.New(cfg.Source.Uint64() ^ 0x5bd1e995).Intn(r)
-		parts, rem, err := splitEncrypted(encAcc, r, cfg)
-		if err != nil {
-			return err
-		}
-		pi := 0
-		for j := 0; j < r; j++ {
-			if j == target {
-				continue
-			}
-			addInto(newPlain[j], parts[pi], cfg.Mod)
-			if j != encAt {
-				cfg.Meter.Send(shufflerName(encAt), shufflerName(j), 8*n)
-			}
-			pi++
-		}
-		newEnc = rem
-		newEncHolder = target
-		if target != encAt {
-			cfg.Meter.Send(shufflerName(encAt), shufflerName(target), cfg.Pub.CiphertextBytes()*n)
-		}
-	}
+}
 
-	// Fold the new ciphertext holder's plaintext reshare pieces into
-	// the ciphertext vector so each party holds exactly one vector.
-	if newEncHolder >= 0 {
-		var err error
-		cfg.Meter.Track(shufflerName(newEncHolder), func() {
-			err = addPlainAll(newEnc, newPlain[newEncHolder], cfg.Mod, cfg.Pub)
-		})
-		if err != nil {
-			return err
-		}
-		newPlain[newEncHolder] = nil
+// Recv implements Transport.
+func (t memTransport) Recv(from int) (Msg, error) {
+	select {
+	case m := <-t.mesh.pipes[from][t.me]:
+		return m, nil
+	case <-t.mesh.done:
+		return Msg{}, errMeshAborted
 	}
-	st.Plain = newPlain
-	st.Enc = newEnc
-	st.EncHolder = newEncHolder
-	return nil
 }
 
 // splitPlain additively splits vec into k share vectors.
@@ -385,8 +328,8 @@ func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64,
 	for i := range parts {
 		parts[i] = make([]uint64, n)
 	}
-	// Stage A: draw all shares and the per-element correction, in the
-	// exact order the serial engine draws them.
+	// Stage A: draw all shares and the per-element correction, in
+	// element order.
 	negSum := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		var sum uint64

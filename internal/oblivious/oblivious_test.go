@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/rng"
@@ -246,13 +248,78 @@ func TestMeterAccountsCommunication(t *testing.T) {
 	for _, p := range meter.Parties() {
 		total += meter.Stats(p).SentBytes
 	}
-	if total == 0 {
-		t.Fatal("no communication recorded")
+	// C(3,2) = 3 rounds; in each the seeker sends 2 hide parts, each of
+	// the 2 hiders sends 2 reshare parts off-party (800 bytes a
+	// vector), and the lead hider sends one 32-byte seed.
+	plainWant := int64(3*(2+2*2)*800 + 3*32)
+	if total != plainWant {
+		t.Fatalf("metered %d bytes, want %d", total, plainWant)
 	}
-	// Rough shape: C(3,2)=3 rounds, each with seeker->hiders (2 vectors)
-	// and hiders->all (6 vectors) of 800 bytes each.
-	if total < 3*8*100 {
-		t.Fatalf("implausibly low communication: %d bytes", total)
+
+	// EOS: the same hops, except that the ones carrying the ciphertext
+	// vector (between 0 and 2 a round, by the holder draws) bill
+	// CiphertextBytes an element instead of 8.
+	key := dgk(t)
+	meter.Reset()
+	est := buildEncState(t, values, 3, mod, key, rng.New(8))
+	if err := Run(est, Config{Mod: mod, Source: src, Pub: key.DGKPublicKey, Meter: &meter}); err != nil {
+		t.Fatal(err)
+	}
+	total = 0
+	for _, p := range meter.Parties() {
+		total += meter.Stats(p).SentBytes
+	}
+	perHop := int64(key.CiphertextBytes()-8) * 100
+	if extra := total - plainWant; extra < 0 || extra > 6*perHop || extra%perHop != 0 {
+		t.Fatalf("metered %d bytes: not the plain total %d plus 0..6 ciphertext hops of %d extra bytes", total, plainWant, perHop)
+	}
+}
+
+var errInjectedAddPlain = errors.New("oblivious test: injected AddPlainInto fault")
+
+// failingPub wraps a real public key and fails every AddPlainInto
+// after the first failAt calls — a fault inside one party's ciphertext
+// work while its peers are blocked on the transport.
+type failingPub struct {
+	ahe.PublicKey
+	calls  atomic.Int64
+	failAt int64
+}
+
+func (k *failingPub) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scratch) error {
+	if k.calls.Add(1) > k.failAt {
+		return errInjectedAddPlain
+	}
+	return k.PublicKey.AddPlainInto(dst, a, m, sc)
+}
+
+// TestRunAbortsAllPartiesOnError: when one party fails mid-shuffle, Run
+// must return that party's error — not the abort its peers observe —
+// and every goroutine it started (parties and their senders) must
+// exit, whether the fault is in the first split or rounds later.
+func TestRunAbortsAllPartiesOnError(t *testing.T) {
+	key := dgk(t)
+	mod := secretshare.NewModulus(32)
+	const r, n = 3, 12
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = uint64(i)
+	}
+	before := runtime.NumGoroutine()
+	for _, failAt := range []int64{0, n / 2, 3 * n} {
+		st := buildEncState(t, values, r, mod, key, rng.New(61))
+		pub := &failingPub{PublicKey: key.DGKPublicKey, failAt: failAt}
+		err := Run(st, Config{Mod: mod, Source: rng.New(62), Pub: pub})
+		if !errors.Is(err, errInjectedAddPlain) {
+			t.Fatalf("failAt=%d: got %v, want the injected error", failAt, err)
+		}
+		// The released senders exit on their own schedule; wait for them.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("failAt=%d: %d goroutines before Run, %d after", failAt, before, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -1,11 +1,10 @@
 package oblivious
 
-// Tests for the worker-pooled, chunk-streamed EOS paths (DESIGN.md
-// §14): parFor's chunking and error discipline, the bit-identity of
-// the parallel simulator against the serial reference, the chunked
-// distributed engine against the unchunked one, and the stream
-// reassembly edge cases of recvVector. CI runs the cluster-level
-// conformance gate under -race; these pin the engine-level invariants.
+// Tests for the fanned-out EOS paths (DESIGN.md §14): parFor's
+// chunking and error discipline, and the bit-identity of the engine at
+// width 4 against width 1, through Run and through RunParty. CI runs
+// the cluster-level conformance gate under -race; these pin the
+// engine-level invariants.
 //
 // The fan-out width is GOMAXPROCS, so the width-sweeping tests set it
 // (and restore it) themselves — a 1-core runner still exercises width
@@ -99,7 +98,7 @@ func buildEncState(t *testing.T, values []uint64, r int, mod secretshare.Modulus
 	return st
 }
 
-// TestRunParallelMatchesSerial is the simulator-level bit-identity
+// TestRunParallelMatchesSerial is the in-process bit-identity
 // claim of the fan-out: for a fixed seed, the engine's plaintext
 // shares, holder choice, and revealed (ordered) output at width 4 are
 // identical to the serial (width 1) engine's — only the ciphertext
@@ -149,49 +148,18 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// runPartiesOpt is runParties at fan-out width `workers` (GOMAXPROCS,
-// restored on return) with the chunk size exposed.
-func runPartiesOpt(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertext, encHolder int, pub ahe.PublicKey, seed uint64, workers, chunkWords int) ([][]uint64, []([]*ahe.Ciphertext), []error) {
+// runPartiesWide is runParties at fan-out width `workers` (GOMAXPROCS,
+// restored on return).
+func runPartiesWide(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertext, encHolder int, pub ahe.PublicKey, seed uint64, workers int) ([][]uint64, []([]*ahe.Ciphertext), []error) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-	pipes := newPipes(r)
-	mod := secretshare.NewModulus(64)
-	outPlain := make([][]uint64, r)
-	outEnc := make([][]*ahe.Ciphertext, r)
-	errs := make([]error, r)
-	var wg sync.WaitGroup
-	for j := 0; j < r; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			cfg := PartyConfig{
-				Index:      j,
-				Parties:    r,
-				Mod:        mod,
-				Source:     rng.Substream(seed, uint64(j)),
-				Pub:        pub,
-				ChunkWords: chunkWords,
-			}
-			var plain []uint64
-			var e []*ahe.Ciphertext
-			if j == encHolder {
-				e = enc
-			} else {
-				plain = append([]uint64(nil), vectors[j]...)
-			}
-			outPlain[j], outEnc[j], errs[j] = RunParty(cfg, &chanTransport{me: j, pipes: pipes}, plain, e)
-		}(j)
-	}
-	wg.Wait()
-	return outPlain, outEnc, errs
+	return runParties(t, r, vectors, enc, encHolder, pub, seed)
 }
 
-// TestRunPartyChunkedMatchesSerial is the distributed-engine
-// bit-identity claim: every (width, ChunkWords) combination —
-// including chunk sizes that leave a short tail window — produces the
-// same plaintext shares, the same final holder, and the same ordered
-// reveal as the serial unchunked engine, for a fixed seed.
-func TestRunPartyChunkedMatchesSerial(t *testing.T) {
+// TestRunPartyMatchesSerial is the distributed-engine bit-identity
+// claim: width 4 produces the same plaintext shares, the same final
+// holder, and the same ordered reveal as width 1, for a fixed seed.
+func TestRunPartyMatchesSerial(t *testing.T) {
 	const (
 		r    = 3
 		n    = 20
@@ -238,7 +206,7 @@ func TestRunPartyChunkedMatchesSerial(t *testing.T) {
 		return out, st.EncHolder
 	}
 
-	refPlain, refEnc, errs := runPartiesOpt(t, r, vectors, mkEnc(), encHolder, pub, seed, 1, 0)
+	refPlain, refEnc, errs := runPartiesWide(t, r, vectors, mkEnc(), encHolder, pub, seed, 1)
 	for j, err := range errs {
 		if err != nil {
 			t.Fatalf("reference party %d: %v", j, err)
@@ -247,91 +215,24 @@ func TestRunPartyChunkedMatchesSerial(t *testing.T) {
 	refOut, refHolder := reveal(refPlain, refEnc)
 
 	for _, workers := range []int{1, 4} {
-		for _, chunk := range []int{0, 3, 7, n, 2 * n} {
-			name := fmt.Sprintf("workers=%d/chunk=%d", workers, chunk)
-			outPlain, outEnc, errs := runPartiesOpt(t, r, vectors, mkEnc(), encHolder, pub, seed, workers, chunk)
-			for j, err := range errs {
-				if err != nil {
-					t.Fatalf("%s party %d: %v", name, j, err)
-				}
-			}
-			out, holder := reveal(outPlain, outEnc)
-			if holder != refHolder {
-				t.Fatalf("%s: holder %d, want %d", name, holder, refHolder)
-			}
-			for j := 0; j < r; j++ {
-				if fmt.Sprint(outPlain[j]) != fmt.Sprint(refPlain[j]) {
-					t.Fatalf("%s: party %d plaintext shares diverged", name, j)
-				}
-			}
-			if fmt.Sprint(out) != fmt.Sprint(refOut) {
-				t.Fatalf("%s: revealed output diverged:\n got %v\nwant %v", name, out, refOut)
+		name := fmt.Sprintf("workers=%d", workers)
+		outPlain, outEnc, errs := runPartiesWide(t, r, vectors, mkEnc(), encHolder, pub, seed, workers)
+		for j, err := range errs {
+			if err != nil {
+				t.Fatalf("%s party %d: %v", name, j, err)
 			}
 		}
-	}
-}
-
-// TestSendVectorRecvVectorRoundTrip: a chunk-streamed plaintext vector
-// reassembles exactly, whatever the window size — including windows
-// that divide the length evenly (no empty trailing fragment).
-func TestSendVectorRecvVectorRoundTrip(t *testing.T) {
-	words := make([]uint64, 10)
-	for i := range words {
-		words[i] = uint64(i) * 3
-	}
-	for _, chunk := range []int{0, 1, 3, 5, 10, 99} {
-		pipes := newPipes(2)
-		tr0 := &chanTransport{me: 0, pipes: pipes}
-		tr1 := &chanTransport{me: 1, pipes: pipes}
-		errc := make(chan error, 1)
-		go func() { errc <- sendVector(tr0, 1, 2, chunk, words) }()
-		m, err := recvVector(tr1, 0, 2, len(words))
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
+		out, holder := reveal(outPlain, outEnc)
+		if holder != refHolder {
+			t.Fatalf("%s: holder %d, want %d", name, holder, refHolder)
 		}
-		if err := <-errc; err != nil {
-			t.Fatalf("chunk=%d send: %v", chunk, err)
+		for j := 0; j < r; j++ {
+			if fmt.Sprint(outPlain[j]) != fmt.Sprint(refPlain[j]) {
+				t.Fatalf("%s: party %d plaintext shares diverged", name, j)
+			}
 		}
-		if m.Kind != MsgPlain || m.More {
-			t.Fatalf("chunk=%d: reassembled message %+v", chunk, m)
+		if fmt.Sprint(out) != fmt.Sprint(refOut) {
+			t.Fatalf("%s: revealed output diverged:\n got %v\nwant %v", name, out, refOut)
 		}
-		if fmt.Sprint(m.Words) != fmt.Sprint(words) {
-			t.Fatalf("chunk=%d: got %v, want %v", chunk, m.Words, words)
-		}
-	}
-}
-
-// TestRecvVectorRejectsMalformedStreams: the reassembler must fail
-// loudly on protocol violations — a chunk-streamed seed, a kind switch
-// mid-stream, a stream that overruns the vector length, and a round
-// change mid-stream.
-func TestRecvVectorRejectsMalformedStreams(t *testing.T) {
-	feed := func(msgs ...Msg) (Msg, error) {
-		pipes := newPipes(2)
-		for _, m := range msgs {
-			pipes[0][1] <- m
-		}
-		return recvVector(&chanTransport{me: 1, pipes: pipes}, 0, 0, 4)
-	}
-	if _, err := feed(Msg{Kind: MsgSeed, Seed: 9, More: true}); err == nil {
-		t.Fatal("accepted a chunk-streamed permutation seed")
-	}
-	if _, err := feed(
-		Msg{Kind: MsgPlain, Words: []uint64{1}, More: true},
-		Msg{Kind: MsgEnc, Enc: []*ahe.Ciphertext{}},
-	); err == nil {
-		t.Fatal("accepted a kind switch mid-stream")
-	}
-	if _, err := feed(
-		Msg{Kind: MsgPlain, Words: []uint64{1, 2, 3}, More: true},
-		Msg{Kind: MsgPlain, Words: []uint64{4, 5}},
-	); err == nil {
-		t.Fatal("accepted a stream overrunning the vector length")
-	}
-	if _, err := feed(
-		Msg{Kind: MsgPlain, Words: []uint64{1}, More: true},
-		Msg{Kind: MsgPlain, Round: 1, Words: []uint64{2}},
-	); err == nil {
-		t.Fatal("accepted a round change mid-stream")
 	}
 }

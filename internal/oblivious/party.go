@@ -1,14 +1,13 @@
 package oblivious
 
-// Distributed party engine: the same hide-and-seek EOS as Run, but
-// executed from the perspective of ONE shuffler exchanging messages
-// with its peers instead of a simulator mutating the joint state. The
-// round schedule (Hiders, Combinations) and the share arithmetic are
-// shared with the in-process simulator, so the two express one
-// protocol; what RunParty adds is the message discipline — who sends
-// what to whom in each phase, and in which order a party may block on
-// its peers. internal/cluster runs R of these engines over real TCP
-// connections to form the networked PEOS shuffler tier.
+// The EOS engine: the hide-and-seek shuffle executed from the
+// perspective of ONE shuffler exchanging messages with its peers.
+// runPartyRound is the package's only implementation of a round. Run
+// starts r of these engines over an in-memory transport; internal/cluster
+// runs one per node over real TCP connections to form the networked
+// PEOS shuffler tier. What the engine fixes is the message discipline —
+// who sends what to whom in each phase, and in which order a party may
+// block on its peers.
 //
 // Per round (hider set H, |H| = t, seekers S = [r] \ H):
 //
@@ -23,13 +22,13 @@ package oblivious
 //	         remainder to one party, who becomes the next holder).
 //	         Every party sums what it received into its new vector.
 //
-// Message counts per phase are structural — a hider hears from every
-// seeker, a non-lead hider hears one seed, everyone hears from every
-// hider in reshare — so a party always knows exactly which peers to
-// block on, and FIFO order per peer pair is the only transport
-// guarantee required. Each phase's sends run concurrently with its
-// receives (two parties sending large vectors to each other must not
-// deadlock on full transport buffers).
+// Every vector travels as one message. Message counts per phase are
+// structural — a hider hears from every seeker, a non-lead hider hears
+// one seed, everyone hears from every hider in reshare — so a party
+// always knows exactly which peers to block on, and FIFO order per
+// peer pair is the only transport guarantee required. Each phase's
+// sends run concurrently with its receives (two parties sending large
+// vectors to each other must not deadlock on full transport buffers).
 
 import (
 	"errors"
@@ -37,7 +36,6 @@ import (
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/rng"
-	"shuffledp/internal/secretshare"
 )
 
 // MsgKind discriminates the distributed-shuffle messages.
@@ -69,12 +67,6 @@ type Msg struct {
 	Enc []*ahe.Ciphertext
 	// Seed is the joint permutation seed (MsgSeed).
 	Seed uint64
-	// More marks a chunk-streamed fragment: the logical vector
-	// continues in the next message from the same sender (same kind,
-	// same round). The final fragment — and every unchunked message —
-	// has More false, so a legacy single-frame vector is simply the
-	// one-fragment case and mixed fleets interoperate.
-	More bool
 }
 
 // Transport delivers messages between the r parties of one shuffle.
@@ -128,34 +120,19 @@ func announce(tr Transport, round int, phase Phase) {
 	}
 }
 
-// PartyConfig parameterizes one shuffler's engine.
+// PartyConfig parameterizes one shuffler's engine: the shuffle's
+// Config, read from this party's seat. Source is the party's OWN
+// randomness (its share splits, its permutation seeds when it leads a
+// round, its holder choices); Pub may be nil for a plain shuffle, but
+// any party can become the ciphertext holder through resharing, so
+// every party of an encrypted shuffle needs it; Meter accounts this
+// party's sends and its ciphertext work.
 type PartyConfig struct {
+	Config
 	// Index is this party's id in [0, Parties).
 	Index int
 	// Parties is r, the number of shufflers.
 	Parties int
-	// Mod is the share ring Z_{2^l}.
-	Mod secretshare.Modulus
-	// Source is this party's own randomness (its share splits, its
-	// permutation seeds when it leads a round, its holder choices).
-	// Unlike the simulator's single joint source, every party draws
-	// only from its own.
-	Source secretshare.Source
-	// Pub is the server's AHE key. Every party needs it: any party can
-	// become the ciphertext holder through resharing.
-	Pub ahe.PublicKey
-	// SkipRerandomize reproduces the paper's Table III cost model (see
-	// Config.SkipRerandomize for the caveat).
-	SkipRerandomize bool
-	// Rounds overrides the number of hide-and-seek rounds (0 means the
-	// full C(r, t) schedule, required for the security guarantee).
-	Rounds int
-	// ChunkWords, when > 0, streams the hide/reshare vectors in
-	// windows of this many elements: the AHE work on window k+1
-	// overlaps the transmission of window k, and each window travels
-	// as a Msg fragment with More set (the receiver reassembles).
-	// 0 sends every vector as one legacy frame.
-	ChunkWords int
 }
 
 func (cfg PartyConfig) validate(plain []uint64, enc []*ahe.Ciphertext) error {
@@ -168,42 +145,35 @@ func (cfg PartyConfig) validate(plain []uint64, enc []*ahe.Ciphertext) error {
 	if cfg.Source == nil {
 		return errors.New("oblivious: PartyConfig.Source is required")
 	}
-	if cfg.Pub == nil {
-		return errors.New("oblivious: PartyConfig.Pub is required (any party can become the ciphertext holder)")
-	}
 	if plain != nil && enc != nil {
 		return errors.New("oblivious: a party holds a plaintext or a ciphertext vector, not both")
 	}
 	if plain == nil && enc == nil {
 		return errors.New("oblivious: party holds no vector")
 	}
+	if enc != nil && cfg.Pub == nil {
+		return errors.New("oblivious: a ciphertext vector requires the AHE public key")
+	}
 	return nil
 }
 
-// RunParty executes the distributed encrypted oblivious shuffle for
-// one party. plain is this party's share vector, or nil when it enters
-// holding the ciphertext vector enc (exactly one party of the run
-// does). It returns the party's post-shuffle vector: plain shares for
-// most parties, the ciphertext vector for the final holder.
+// RunParty executes the encrypted oblivious shuffle for one party.
+// plain is this party's share vector, or nil when it enters holding
+// the ciphertext vector enc (at most one party of the run does). It
+// returns the party's post-shuffle vector: plain shares for most
+// parties, the ciphertext vector for the final holder.
 func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
 	if err := cfg.validate(plain, enc); err != nil {
 		return nil, nil, err
 	}
-	r := cfg.Parties
-	t := Hiders(r)
-	partitions := Combinations(r, t)
+	partitions := Combinations(cfg.Parties, Hiders(cfg.Parties))
 	rounds := cfg.Rounds
 	if rounds <= 0 || rounds > len(partitions) {
 		rounds = len(partitions)
 	}
-	n := len(plain)
-	if enc != nil {
-		n = len(enc)
-	}
-	icfg := Config{Mod: cfg.Mod, Source: cfg.Source, Pub: cfg.Pub, SkipRerandomize: cfg.SkipRerandomize}
 	for round := 0; round < rounds; round++ {
 		var err error
-		plain, enc, err = runPartyRound(cfg, icfg, tr, round, partitions[round], n, plain, enc)
+		plain, enc, err = runPartyRound(cfg, tr, round, partitions[round], plain, enc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("oblivious: party %d round %d: %w", cfg.Index, round, err)
 		}
@@ -212,17 +182,40 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 	return plain, enc, nil
 }
 
-// sendAll runs sends in a goroutine so a phase's sends never block its
+// sendAll sends out[j] to every party j it holds a message for (the
+// zero Msg means none), accounting each one's Table III payload bytes
+// (8 per share word, CiphertextBytes per ciphertext, 32 per seed). It
+// runs on its own goroutine so a phase's sends never block its
 // receives; the returned channel yields the first send error.
-func sendAll(fn func() error) <-chan error {
+func sendAll(cfg PartyConfig, tr Transport, out []Msg) <-chan error {
 	errc := make(chan error, 1)
-	go func() { errc <- fn() }()
+	go func() {
+		for to, m := range out {
+			var bytes int
+			switch m.Kind {
+			case MsgPlain:
+				bytes = 8 * len(m.Words)
+			case MsgEnc:
+				bytes = cfg.Pub.CiphertextBytes() * len(m.Enc)
+			case MsgSeed:
+				bytes = 32
+			default:
+				continue
+			}
+			if err := tr.Send(to, m); err != nil {
+				errc <- err
+				return
+			}
+			cfg.Meter.Send(shufflerName(cfg.Index), shufflerName(to), bytes)
+		}
+		errc <- nil
+	}()
 	return errc
 }
 
 // expectMsg receives the next message from a peer and validates the
-// round; the caller validates the kind, since a receiver cannot know
-// in advance whether a peer forwards plaintext or the ciphertext
+// round; inbox.add validates the kind, since a receiver cannot know in
+// advance whether a peer forwards plaintext or the ciphertext
 // remainder.
 func expectMsg(tr Transport, from, round int) (Msg, error) {
 	m, err := tr.Recv(from)
@@ -235,252 +228,153 @@ func expectMsg(tr Transport, from, round int) (Msg, error) {
 	return m, nil
 }
 
-// recvVector receives one logical vector from a peer, reassembling
-// chunk-streamed fragments (Msg.More) in FIFO order. An unchunked
-// message is the one-fragment case, so a receiver on this path accepts
-// legacy and chunk-streaming senders alike. n bounds the reassembled
-// length (the call sites still validate the exact final length, with
-// their phase-specific error text).
-func recvVector(tr Transport, from, round, n int) (Msg, error) {
-	m, err := expectMsg(tr, from, round)
-	if err != nil || !m.More {
-		return m, err
+// The two holder draws of a round are domain-separated by a salt on
+// the word drawn from the party's Source.
+const (
+	hideSalt    uint64 = 0
+	reshareSalt uint64 = 0x5bd1e995
+)
+
+// splitFor splits this party's vector into one message per party in
+// dests (the returned slice is indexed by party; the rest stay zero).
+// A plaintext vector becomes len(dests) additive parts. The ciphertext
+// vector becomes len(dests)-1 plaintext parts, walking dests in order,
+// plus the encrypted remainder for one destination drawn from the
+// party's Source — the next ciphertext holder.
+func splitFor(cfg PartyConfig, round int, dests []int, salt uint64, plain []uint64, enc []*ahe.Ciphertext) ([]Msg, error) {
+	out := make([]Msg, cfg.Parties)
+	if enc == nil {
+		for i, part := range splitPlain(plain, len(dests), cfg.Config) {
+			out[dests[i]] = Msg{Kind: MsgPlain, Round: round, Words: part}
+		}
+		return out, nil
 	}
-	switch m.Kind {
-	case MsgPlain:
-		words := make([]uint64, 0, n)
-		m.Words = append(words, m.Words...)
-	case MsgEnc:
-		enc := make([]*ahe.Ciphertext, 0, n)
-		m.Enc = append(enc, m.Enc...)
-	default:
-		return Msg{}, fmt.Errorf("party %d chunk-streamed kind %d", from, m.Kind)
+	target := dests[rng.New(cfg.Source.Uint64()^salt).Intn(len(dests))]
+	parts, rem, err := splitEncrypted(enc, len(dests), cfg.Config)
+	if err != nil {
+		return nil, err
 	}
-	m.More = false
-	for {
-		frag, err := expectMsg(tr, from, round)
-		if err != nil {
-			return Msg{}, err
+	pi := 0
+	for _, d := range dests {
+		if d == target {
+			out[d] = Msg{Kind: MsgEnc, Round: round, Enc: rem}
+			continue
 		}
-		if frag.Kind != m.Kind {
-			return Msg{}, fmt.Errorf("party %d switched from kind %d to %d mid-stream", from, m.Kind, frag.Kind)
-		}
-		if m.Kind == MsgPlain {
-			m.Words = append(m.Words, frag.Words...)
-			if len(m.Words) > n {
-				return Msg{}, fmt.Errorf("party %d streamed %d words, want at most %d", from, len(m.Words), n)
-			}
-		} else {
-			m.Enc = append(m.Enc, frag.Enc...)
-			if len(m.Enc) > n {
-				return Msg{}, fmt.Errorf("party %d streamed %d ciphertexts, want at most %d", from, len(m.Enc), n)
-			}
-		}
-		if !frag.More {
-			return m, nil
-		}
+		out[d] = Msg{Kind: MsgPlain, Round: round, Words: parts[pi]}
+		pi++
 	}
+	return out, nil
 }
 
-// sendVector sends one logical plaintext vector, fragmented into
-// chunk-sized windows when chunking is on (chunk > 0). A vector that
-// fits one window — and every send with chunk <= 0 — goes out as a
-// single legacy frame.
-func sendVector(tr Transport, to, round, chunk int, words []uint64) error {
-	if chunk <= 0 || len(words) <= chunk {
-		return tr.Send(to, Msg{Kind: MsgPlain, Round: round, Words: words})
-	}
-	for lo := 0; lo < len(words); lo += chunk {
-		hi := lo + chunk
-		if hi > len(words) {
-			hi = len(words)
+// inbox accumulates the vectors a party takes in during one phase:
+// plaintext parts sum into words, and at most one ciphertext vector
+// may arrive.
+type inbox struct {
+	words []uint64
+	enc   []*ahe.Ciphertext
+}
+
+// add validates one vector message from a peer and absorbs it.
+func (in *inbox) add(cfg PartyConfig, from int, m Msg) error {
+	n := len(in.words)
+	switch m.Kind {
+	case MsgPlain:
+		if len(m.Words) != n {
+			return fmt.Errorf("party %d sent a part of length %d, want %d", from, len(m.Words), n)
 		}
-		if err := tr.Send(to, Msg{Kind: MsgPlain, Round: round, Words: words[lo:hi], More: hi < len(words)}); err != nil {
-			return err
+		addInto(in.words, m.Words, cfg.Mod)
+	case MsgEnc:
+		if cfg.Pub == nil {
+			return fmt.Errorf("party %d sent a ciphertext vector to a party without the AHE key", from)
 		}
+		if in.enc != nil {
+			return fmt.Errorf("party %d sent a second ciphertext vector", from)
+		}
+		if len(m.Enc) != n {
+			return fmt.Errorf("party %d ciphertext vector has length %d, want %d", from, len(m.Enc), n)
+		}
+		in.enc = m.Enc
+	default:
+		return fmt.Errorf("party %d sent kind %d, want a share vector", from, m.Kind)
 	}
 	return nil
 }
 
-// streamSplitEncrypted runs splitEncrypted window by window over the
-// vector (chunk elements per window; <= 0 means one window) and hands
-// each finished window to emit on a dedicated pipeline goroutine, so
-// the AHE work on window k+1 overlaps the transmission of window k —
-// the compute/transmit pipeline of the chunk-streamed wire. emit runs
-// in window order on a single goroutine and receives the window's
-// base offset, its plaintext parts and ciphertext remainder, and
-// whether more windows follow. The deterministic Source draws happen
-// in the same element order as one unchunked splitEncrypted, so the
-// resulting shares are bit-identical at every chunk size. The
-// returned channel yields the first error once both the compute and
-// emit sides have finished.
-func streamSplitEncrypted(enc []*ahe.Ciphertext, k, chunk int, icfg Config, emit func(lo int, parts [][]uint64, rem []*ahe.Ciphertext, more bool) error) <-chan error {
-	out := make(chan error, 1)
-	n := len(enc)
-	if chunk <= 0 || chunk >= n {
-		go func() {
-			parts, rem, err := splitEncrypted(enc, k, icfg)
-			if err != nil {
-				out <- err
-				return
-			}
-			out <- emit(0, parts, rem, false)
-		}()
-		return out
+// fold returns the one vector the party holds after the phase: when a
+// ciphertext vector arrived, the accumulated plaintext mass is added
+// into it homomorphically (Figure 2, "Hide").
+func (in *inbox) fold(cfg PartyConfig) (plain []uint64, enc []*ahe.Ciphertext, err error) {
+	if in.enc == nil {
+		return in.words, nil, nil
 	}
-	type window struct {
-		lo    int
-		parts [][]uint64
-		rem   []*ahe.Ciphertext
-		more  bool
+	cfg.Meter.Track(shufflerName(cfg.Index), func() {
+		err = addPlainAll(in.enc, in.words, cfg.Mod, cfg.Pub)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	// Capacity 1: one window may be computed while one is on the wire.
-	windows := make(chan window, 1)
-	emitErr := make(chan error, 1)
-	go func() {
-		for w := range windows {
-			if err := emit(w.lo, w.parts, w.rem, w.more); err != nil {
-				emitErr <- err
-				// Drain so the compute side never blocks on a dead pipe.
-				for range windows {
-				}
-				return
-			}
-		}
-		emitErr <- nil
-	}()
-	go func() {
-		var failed error
-		for lo := 0; lo < n && failed == nil; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			parts, rem, err := splitEncrypted(enc[lo:hi], k, icfg)
-			if err != nil {
-				failed = err
-				break
-			}
-			windows <- window{lo: lo, parts: parts, rem: rem, more: hi < n}
-		}
-		close(windows)
-		if err := <-emitErr; failed == nil {
-			failed = err
-		}
-		out <- failed
-	}()
-	return out
+	return nil, in.enc, nil
 }
 
-func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders []int, n int, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
-	r, t, me := cfg.Parties, len(hiders), cfg.Index
+// runPartyRound performs one hide-and-seek round with the given hider
+// set and returns the party's vector after it.
+func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders []int, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
+	r, me := cfg.Parties, cfg.Index
+	n := len(plain) + len(enc)
+	everyone := make([]int, r)
 	isHider := make([]bool, r)
+	for j := range everyone {
+		everyone[j] = j
+	}
 	for _, h := range hiders {
 		isHider[h] = true
 	}
 
-	// --- Hide phase. ---
+	// --- Hide phase: seekers split their vectors among the hiders. ---
 	announce(tr, round, PhaseHide)
-	var acc []uint64             // my accumulated plaintext mass (hiders only)
-	var encAcc []*ahe.Ciphertext // the ciphertext vector, if I hold it
-	if isHider[me] {
-		if enc != nil {
-			acc = make([]uint64, n)
-			encAcc = enc
-		} else {
-			acc = append([]uint64(nil), plain...)
-		}
-		recvHide := func() error {
-			for s := 0; s < r; s++ {
-				if isHider[s] {
-					continue
-				}
-				m, err := recvVector(tr, s, round, n)
-				if err != nil {
-					return err
-				}
-				switch m.Kind {
-				case MsgPlain:
-					if len(m.Words) != n {
-						return fmt.Errorf("party %d hide part has length %d, want %d", s, len(m.Words), n)
-					}
-					addInto(acc, m.Words, cfg.Mod)
-				case MsgEnc:
-					if encAcc != nil {
-						return fmt.Errorf("party %d sent a second ciphertext vector", s)
-					}
-					if len(m.Enc) != n {
-						return fmt.Errorf("party %d ciphertext vector has length %d, want %d", s, len(m.Enc), n)
-					}
-					encAcc = m.Enc
-				default:
-					return fmt.Errorf("party %d sent kind %d in the hide phase", s, m.Kind)
-				}
-			}
-			return nil
-		}
-		if err := recvHide(); err != nil {
+	if !isHider[me] {
+		out, err := splitFor(cfg, round, hiders, hideSalt, plain, enc)
+		if err != nil {
 			return nil, nil, err
 		}
-		// Fold accumulated plaintext mass into the ciphertext vector so
-		// this hider holds exactly one vector (Figure 2, "Hide").
-		if encAcc != nil {
-			if err := addPlainAll(encAcc, acc, cfg.Mod, cfg.Pub); err != nil {
-				return nil, nil, err
-			}
-			acc = nil
+		if err := <-sendAll(cfg, tr, out); err != nil {
+			return nil, nil, err
 		}
 	} else {
-		// Seeker: split and send everything away. The encrypted seeker
-		// chunk-streams: each window's AHE split goes onto the wire
-		// while the next window computes.
-		var sendErr <-chan error
-		if enc != nil {
-			target := hiders[rng.New(cfg.Source.Uint64()).Intn(t)]
-			sendErr = streamSplitEncrypted(enc, t, cfg.ChunkWords, icfg, func(_ int, parts [][]uint64, rem []*ahe.Ciphertext, more bool) error {
-				pi := 0
-				for _, h := range hiders {
-					if h == target {
-						continue
-					}
-					if err := tr.Send(h, Msg{Kind: MsgPlain, Round: round, Words: parts[pi], More: more}); err != nil {
-						return err
-					}
-					pi++
-				}
-				return tr.Send(target, Msg{Kind: MsgEnc, Round: round, Enc: rem, More: more})
-			})
-		} else {
-			parts := splitPlain(plain, t, icfg)
-			sendErr = sendAll(func() error {
-				for i, h := range hiders {
-					if err := sendVector(tr, h, round, cfg.ChunkWords, parts[i]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+		// A copy: the input vector belongs to the caller.
+		in := inbox{words: make([]uint64, n), enc: enc}
+		copy(in.words, plain)
+		for s := 0; s < r; s++ {
+			if isHider[s] {
+				continue
+			}
+			m, err := expectMsg(tr, s, round)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := in.add(cfg, s, m); err != nil {
+				return nil, nil, err
+			}
 		}
-		if err := <-sendErr; err != nil {
+		var err error
+		if plain, enc, err = in.fold(cfg); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	// --- Shuffle phase (hiders only). ---
+	// --- Shuffle phase: hiders apply an agreed permutation. ---
+	// The lead hider samples it and the others learn it via a shared
+	// seed.
 	announce(tr, round, PhaseShuffle)
 	if isHider[me] {
 		var seed uint64
 		if me == hiders[0] {
 			seed = cfg.Source.Uint64()
-			sendErr := sendAll(func() error {
-				for _, h := range hiders[1:] {
-					if err := tr.Send(h, Msg{Kind: MsgSeed, Round: round, Seed: seed}); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err := <-sendErr; err != nil {
+			out := make([]Msg, r)
+			for _, h := range hiders[1:] {
+				out[h] = Msg{Kind: MsgSeed, Round: round, Seed: seed}
+			}
+			if err := <-sendAll(cfg, tr, out); err != nil {
 				return nil, nil, err
 			}
 		} else {
@@ -494,96 +388,50 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 			seed = m.Seed
 		}
 		perm := rng.New(seed).Perm(n)
-		if acc != nil {
-			acc = applyPermUint64(acc, perm)
-		} else {
-			encAcc = applyPermCipher(encAcc, perm)
-			if !cfg.SkipRerandomize {
-				if err := rerandomizeAll(encAcc, cfg.Pub); err != nil {
-					return nil, nil, err
-				}
+		var err error
+		cfg.Meter.Track(shufflerName(me), func() {
+			if enc == nil {
+				plain = applyPermUint64(plain, perm)
+				return
 			}
+			enc = applyPermCipher(enc, perm)
+			// Refresh ciphertexts so positions are unlinkable across
+			// the permutation.
+			if !cfg.SkipRerandomize {
+				err = rerandomizeAll(enc, cfg.Pub)
+			}
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 
-	// --- Reshare phase. ---
+	// --- Reshare phase: each hider splits its vector to all parties. ---
 	announce(tr, round, PhaseReshare)
-	// My new vector starts from the parts I keep for myself. The
-	// ciphertext hider's kept pieces land in keep/keepEnc on the
-	// pipeline goroutine and merge after the send join — the receive
-	// loop below runs concurrently with the chunk stream and must not
-	// share newPlain with it.
-	newPlain := make([]uint64, n)
-	var newEnc []*ahe.Ciphertext
-	var keep []uint64
-	var keepEnc []*ahe.Ciphertext
+	in := inbox{words: make([]uint64, n)}
 	var sendErr <-chan error
 	if isHider[me] {
-		if acc != nil {
-			parts := splitPlain(acc, r, icfg)
-			copy(newPlain, parts[me])
-			sendErr = sendAll(func() error {
-				for j := 0; j < r; j++ {
-					if j == me {
-						continue
-					}
-					if err := sendVector(tr, j, round, cfg.ChunkWords, parts[j]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		} else {
-			target := rng.New(cfg.Source.Uint64() ^ 0x5bd1e995).Intn(r)
-			keep = make([]uint64, n)
-			// parts[pi] walks the non-target parties in index order,
-			// mirroring the simulator's distribution; each window's
-			// sends go out while the next window computes.
-			sendErr = streamSplitEncrypted(encAcc, r, cfg.ChunkWords, icfg, func(lo int, parts [][]uint64, rem []*ahe.Ciphertext, more bool) error {
-				pi := 0
-				for j := 0; j < r; j++ {
-					if j == target {
-						continue
-					}
-					if j == me {
-						copy(keep[lo:lo+len(rem)], parts[pi])
-					} else if err := tr.Send(j, Msg{Kind: MsgPlain, Round: round, Words: parts[pi], More: more}); err != nil {
-						return err
-					}
-					pi++
-				}
-				if target == me {
-					keepEnc = append(keepEnc, rem...)
-					return nil
-				}
-				return tr.Send(target, Msg{Kind: MsgEnc, Round: round, Enc: rem, More: more})
-			})
+		out, err := splitFor(cfg, round, everyone, reshareSalt, plain, enc)
+		if err != nil {
+			return nil, nil, err
 		}
+		// The part a hider deals itself never touches the transport.
+		if err := in.add(cfg, me, out[me]); err != nil {
+			return nil, nil, err
+		}
+		out[me] = Msg{}
+		sendErr = sendAll(cfg, tr, out)
 	}
 	for _, h := range hiders {
 		if h == me {
 			continue
 		}
-		m, err := recvVector(tr, h, round, n)
+		m, err := expectMsg(tr, h, round)
 		if err != nil {
 			return nil, nil, err
 		}
-		switch m.Kind {
-		case MsgPlain:
-			if len(m.Words) != n {
-				return nil, nil, fmt.Errorf("party %d reshare part has length %d, want %d", h, len(m.Words), n)
-			}
-			addInto(newPlain, m.Words, cfg.Mod)
-		case MsgEnc:
-			if newEnc != nil {
-				return nil, nil, fmt.Errorf("party %d sent a second ciphertext remainder", h)
-			}
-			if len(m.Enc) != n {
-				return nil, nil, fmt.Errorf("party %d ciphertext remainder has length %d, want %d", h, len(m.Enc), n)
-			}
-			newEnc = m.Enc
-		default:
-			return nil, nil, fmt.Errorf("party %d sent kind %d in the reshare phase", h, m.Kind)
+		if err := in.add(cfg, h, m); err != nil {
+			return nil, nil, err
 		}
 	}
 	if sendErr != nil {
@@ -591,28 +439,8 @@ func runPartyRound(cfg PartyConfig, icfg Config, tr Transport, round int, hiders
 			return nil, nil, err
 		}
 	}
-	// Merge the ciphertext hider's kept pieces (written by the pipeline
-	// goroutine, published by the sendErr join). Addition commutes mod
-	// 2^l, so folding them after the received parts is bit-identical to
-	// the serial engine's copy-then-accumulate order.
-	if keep != nil {
-		addInto(newPlain, keep, cfg.Mod)
-	}
-	if keepEnc != nil {
-		if newEnc != nil {
-			return nil, nil, errors.New("kept and received a ciphertext remainder in one round")
-		}
-		newEnc = keepEnc
-	}
-
 	// The new ciphertext holder folds its plaintext reshare mass into
 	// the ciphertext vector so every party exits the round holding
 	// exactly one vector.
-	if newEnc != nil {
-		if err := addPlainAll(newEnc, newPlain, cfg.Mod, cfg.Pub); err != nil {
-			return nil, nil, err
-		}
-		return nil, newEnc, nil
-	}
-	return newPlain, nil, nil
+	return in.fold(cfg)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,69 +13,42 @@ import (
 	"shuffledp/internal/secretshare"
 )
 
-// chanTransport delivers messages between in-process parties over
-// per-pair channels — the loopback harness the TCP layer in
-// internal/cluster is conformance-tested against.
-type chanTransport struct {
-	me    int
-	pipes [][]chan Msg // pipes[from][to]
-	fail  *failSet
-}
-
-// failSet marks parties whose links are severed (the kill test).
-type failSet struct {
-	mu   sync.Mutex
+// deadPeerTransport is the production in-memory transport with some
+// parties' links severed: any Send or Recv touching a dead party fails
+// (the kill test).
+type deadPeerTransport struct {
+	memTransport
 	dead map[int]bool
 }
 
-func (f *failSet) isDead(p int) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead[p]
-}
-
-func (t *chanTransport) Send(to int, m Msg) error {
-	if t.fail.isDead(to) || t.fail.isDead(t.me) {
+func (t deadPeerTransport) Send(to int, m Msg) error {
+	if t.dead[to] {
 		return errors.New("peer connection closed")
 	}
-	t.pipes[t.me][to] <- m
-	return nil
+	return t.memTransport.Send(to, m)
 }
 
-func (t *chanTransport) Recv(from int) (Msg, error) {
-	if t.fail.isDead(from) || t.fail.isDead(t.me) {
+func (t deadPeerTransport) Recv(from int) (Msg, error) {
+	if t.dead[from] {
 		return Msg{}, errors.New("peer connection closed")
 	}
-	m, ok := <-t.pipes[from][t.me]
-	if !ok {
-		return Msg{}, errors.New("peer connection closed")
-	}
-	return m, nil
+	return t.memTransport.Recv(from)
 }
 
-func newPipes(r int) [][]chan Msg {
-	pipes := make([][]chan Msg, r)
-	for i := range pipes {
-		pipes[i] = make([]chan Msg, r)
-		for j := range pipes[i] {
-			// Capacity 4 covers every per-round pair sequence; the
-			// engine must not rely on it (sends run concurrently with
-			// receives), but it keeps the harness snappy.
-			pipes[i][j] = make(chan Msg, 4)
-		}
+// partyCfg is party j's seat in an r-party test shuffle.
+func partyCfg(j, r int, pub ahe.PublicKey, seed uint64) PartyConfig {
+	return PartyConfig{
+		Config:  Config{Mod: secretshare.NewModulus(64), Source: rng.Substream(seed, uint64(j)), Pub: pub},
+		Index:   j,
+		Parties: r,
 	}
-	return pipes
 }
 
-// runParties executes the distributed shuffle over the channel
+// runParties executes the distributed shuffle over the in-memory
 // transport and returns each party's final vectors.
 func runParties(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertext, encHolder int, pub ahe.PublicKey, seed uint64) ([][]uint64, []([]*ahe.Ciphertext), []error) {
 	t.Helper()
-	pipes := newPipes(r)
-	mod := secretshare.NewModulus(64)
+	mesh := newMemMesh(r)
 	outPlain := make([][]uint64, r)
 	outEnc := make([][]*ahe.Ciphertext, r)
 	errs := make([]error, r)
@@ -83,13 +57,6 @@ func runParties(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertext, 
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			cfg := PartyConfig{
-				Index:   j,
-				Parties: r,
-				Mod:     mod,
-				Source:  rng.Substream(seed, uint64(j)),
-				Pub:     pub,
-			}
 			var plain []uint64
 			var e []*ahe.Ciphertext
 			if j == encHolder {
@@ -97,7 +64,7 @@ func runParties(t *testing.T, r int, vectors [][]uint64, enc []*ahe.Ciphertext, 
 			} else {
 				plain = vectors[j]
 			}
-			outPlain[j], outEnc[j], errs[j] = RunParty(cfg, &chanTransport{me: j, pipes: pipes}, plain, e)
+			outPlain[j], outEnc[j], errs[j] = RunParty(partyCfg(j, r, pub, seed), memTransport{mesh, j}, plain, e)
 		}(j)
 	}
 	wg.Wait()
@@ -112,12 +79,6 @@ func sortedWords(words []uint64) []uint64 {
 
 func TestRunPartyPlainPreservesMultiset(t *testing.T) {
 	mod := secretshare.NewModulus(64)
-	// Pub is required even for plain runs (any party could in
-	// principle receive a ciphertext); use a tiny test key.
-	priv, err := ahe.GenerateDGK(512, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range []int{2, 3, 4, 5} {
 		r := r
 		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
@@ -129,7 +90,8 @@ func TestRunPartyPlainPreservesMultiset(t *testing.T) {
 				values[i] = src.Uint64()
 			}
 			vectors := secretshare.SplitVector(values, r, mod, src)
-			outPlain, outEnc, errs := runParties(t, r, vectors, nil, -1, ahe.PublicKey(priv), 5)
+			// A plain shuffle runs keyless.
+			outPlain, outEnc, errs := runParties(t, r, vectors, nil, -1, nil, 5)
 			for j, err := range errs {
 				if err != nil {
 					t.Fatalf("party %d: %v", j, err)
@@ -216,10 +178,6 @@ func TestRunPartyEncryptedPreservesMultisetAndSingleHolder(t *testing.T) {
 func TestRunPartyDeadPeerFailsCleanly(t *testing.T) {
 	const r = 3
 	mod := secretshare.NewModulus(64)
-	priv, err := ahe.GenerateDGK(512, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 8
 	values := make([]uint64, n)
 	src := rng.New(3)
@@ -228,20 +186,16 @@ func TestRunPartyDeadPeerFailsCleanly(t *testing.T) {
 	}
 	vectors := secretshare.SplitVector(values, r, mod, src)
 
-	pipes := newPipes(r)
-	fail := &failSet{dead: map[int]bool{2: true}}
+	mesh := newMemMesh(r)
+	dead := map[int]bool{2: true}
 	var wg sync.WaitGroup
 	errs := make([]error, r)
 	for j := 0; j < 2; j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			cfg := PartyConfig{
-				Index: j, Parties: r, Mod: mod,
-				Source: rng.Substream(4, uint64(j)),
-				Pub:    ahe.PublicKey(priv),
-			}
-			_, _, errs[j] = RunParty(cfg, &chanTransport{me: j, pipes: pipes, fail: fail}, vectors[j], nil)
+			tr := deadPeerTransport{memTransport{mesh, j}, dead}
+			_, _, errs[j] = RunParty(partyCfg(j, r, nil, 4), tr, vectors[j], nil)
 		}(j)
 	}
 	wg.Wait()
@@ -253,10 +207,9 @@ func TestRunPartyDeadPeerFailsCleanly(t *testing.T) {
 }
 
 func TestRunPartyConfigValidation(t *testing.T) {
-	mod := secretshare.NewModulus(64)
-	priv, _ := ahe.GenerateDGK(512, 64)
-	base := PartyConfig{Index: 0, Parties: 2, Mod: mod, Source: rng.New(1), Pub: ahe.PublicKey(priv)}
-	tr := &chanTransport{me: 0, pipes: newPipes(2)}
+	pub := ahe.PublicKey(dgk(t))
+	base := partyCfg(0, 2, pub, 1)
+	tr := memTransport{newMemMesh(2), 0}
 	if _, _, err := RunParty(base, tr, nil, nil); err == nil {
 		t.Fatal("accepted a party with no vector")
 	}
@@ -265,10 +218,16 @@ func TestRunPartyConfigValidation(t *testing.T) {
 	if _, _, err := RunParty(cfg, tr, []uint64{1}, nil); err == nil {
 		t.Fatal("accepted a party without randomness")
 	}
+	// A plain shuffle may run keyless; holding the ciphertext vector
+	// may not.
 	cfg = base
 	cfg.Pub = nil
-	if _, _, err := RunParty(cfg, tr, []uint64{1}, nil); err == nil {
-		t.Fatal("accepted a party without the AHE key")
+	ct, err := pub.Encrypt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunParty(cfg, tr, nil, []*ahe.Ciphertext{ct}); err == nil {
+		t.Fatal("accepted a ciphertext holder without the AHE key")
 	}
 	cfg = base
 	cfg.Parties = 1
@@ -282,17 +241,34 @@ func TestRunPartyConfigValidation(t *testing.T) {
 	}
 }
 
+// A party of a keyless (plain) shuffle that is handed a ciphertext
+// vector must fail: it could neither fold nor reshare it.
+func TestRunPartyKeylessRejectsCiphertext(t *testing.T) {
+	ct, err := dgk(t).Encrypt(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// r = 2: both parties hide, so party 0's first receive is party 1's
+	// reshare message.
+	mesh := newMemMesh(2)
+	mesh.pipes[1][0] <- Msg{Kind: MsgEnc, Round: 0, Enc: []*ahe.Ciphertext{ct}}
+	_, _, err = RunParty(partyCfg(0, 2, nil, 1), memTransport{mesh, 0}, []uint64{1}, nil)
+	if err == nil || !strings.Contains(err.Error(), "without the AHE key") {
+		t.Fatalf("got %v, want the keyless-party error", err)
+	}
+}
+
 // phaseCall records one Phaser announcement.
 type phaseCall struct {
 	round int
 	phase Phase
 }
 
-// phaserTransport wraps chanTransport and records the phase boundaries
-// RunParty announces — the hook internal/cluster uses to re-arm its
-// per-phase network deadlines.
+// phaserTransport wraps the in-memory transport and records the phase
+// boundaries RunParty announces — the hook internal/cluster uses to
+// re-arm its per-phase network deadlines.
 type phaserTransport struct {
-	chanTransport
+	memTransport
 	mu    sync.Mutex
 	calls []phaseCall
 }
@@ -309,25 +285,17 @@ func TestRunPartyAnnouncesPhases(t *testing.T) {
 		rounds = 2
 		seed   = 31
 	)
-	pub := ahe.PublicKey(dgk(t))
-	pipes := newPipes(r)
-	mod := secretshare.NewModulus(64)
+	mesh := newMemMesh(r)
 	trs := make([]*phaserTransport, r)
 	errs := make([]error, r)
 	var wg sync.WaitGroup
 	for j := 0; j < r; j++ {
-		trs[j] = &phaserTransport{chanTransport: chanTransport{me: j, pipes: pipes}}
+		trs[j] = &phaserTransport{memTransport: memTransport{mesh, j}}
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			cfg := PartyConfig{
-				Index:   j,
-				Parties: r,
-				Mod:     mod,
-				Source:  rng.Substream(seed, uint64(j)),
-				Pub:     pub,
-				Rounds:  rounds,
-			}
+			cfg := partyCfg(j, r, nil, seed)
+			cfg.Rounds = rounds
 			_, _, errs[j] = RunParty(cfg, trs[j], []uint64{1, 2, 3}, nil)
 		}(j)
 	}
