@@ -12,7 +12,6 @@ import (
 	"shuffledp/internal/composition"
 	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/rng"
 	"shuffledp/internal/service"
 )
 
@@ -531,67 +530,130 @@ func TestWindowRetainTrims(t *testing.T) {
 	}
 }
 
-// Config.EpochReports auto-rotates without explicit Rotate calls.
-func TestAutoRotationByReportCount(t *testing.T) {
-	const n, perEpoch = 300, 100
-	fo := ldp.NewGRR(8, 2)
-	key, _ := ecies.GenerateKey()
-	svc, err := service.New(service.Config{
-		FO: fo, Key: key, BatchSize: 16, ShuffleSeed: 5, EpochReports: perEpoch,
-	})
-	if err != nil {
-		t.Fatal(err)
+// Config.EpochReports auto-rotates without explicit Rotate calls. The
+// open epoch's report count advances a whole frame at a time, so the
+// hint has to fire when a frame carries the count across the threshold,
+// not only when it lands on it (frames of 100): frame sizes that do not
+// divide the threshold — 1000 even exceeds the shuffle batch — step
+// over it every epoch. The client waits out each rotation
+// it knows it triggered, which makes every epoch's membership exact:
+// the shortest run of whole frames that reaches the threshold.
+func TestAutoRotationFiresOnCrossing(t *testing.T) {
+	const (
+		d        = 32
+		seed     = 61
+		n        = 5000
+		perEpoch = 500
+	)
+	fo := ldp.NewSOLH(d, 8, 2)
+	values := make([]int, n)
+	for i := range values {
+		values[i] = (i * 11) % d
 	}
-	defer svc.Close()
+	reports := ldp.RandomizeParallel(fo, values, seed, 0)
+	seq := fo.NewAggregator()
+	for _, rep := range reports {
+		seq.Add(rep)
+	}
+	want := seq.Estimates()
 
-	clientSide, serverSide := net.Pipe()
-	if err := svc.Ingest(serverSide); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := service.NewSessionClient(fo, key.Public(), rng.New(12), clientSide, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := cl.Send(i % 8); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%perEpoch == 0 {
-			// Let the rotation land before streaming on so every epoch
-			// actually triggers one.
+	for _, frame := range []int{100, 7, 256, 1000} {
+		t.Run(fmt.Sprintf("frame%d", frame), func(t *testing.T) {
+			ledger, err := budget.NewLedger(
+				composition.Guarantee{Eps: 100, Delta: 1e-3},
+				composition.Guarantee{Eps: 0.1, Delta: 1e-9},
+				budget.Naive{},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, _ := ecies.GenerateKey()
+			svc, err := service.New(service.Config{
+				FO: fo, Key: key, BatchSize: 64, ShuffleSeed: seed + 1,
+				EpochReports: perEpoch, Ledger: ledger,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			clientSide, serverSide := net.Pipe()
+			if err := svc.Ingest(serverSide); err != nil {
+				t.Fatal(err)
+			}
+			cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var sealed []int // reports each auto-rotated epoch must hold
+			open := 0        // reports sent into the open epoch
+			frameSent := func(reports int) {
+				open += reports
+				if open < perEpoch {
+					return
+				}
+				wantEpoch := len(sealed) + 1
+				deadline := time.Now().Add(10 * time.Second)
+				for svc.Epoch() < wantEpoch {
+					if time.Now().After(deadline) {
+						t.Fatalf("epoch %d holds %d >= %d reports and never rotated", wantEpoch-1, open, perEpoch)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				sealed = append(sealed, open)
+				open = 0
+			}
+			for i, rep := range reports {
+				if err := cl.SendReport(rep); err != nil {
+					t.Fatal(err)
+				}
+				if (i+1)%frame == 0 {
+					frameSent(frame)
+				}
+			}
 			if err := cl.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			wantEpoch := (i + 1) / perEpoch
-			deadline := time.Now().Add(10 * time.Second)
-			for svc.Epoch() < wantEpoch {
-				if time.Now().After(deadline) {
-					t.Fatalf("auto-rotation to epoch %d never happened (at %d)", wantEpoch, svc.Epoch())
-				}
-				time.Sleep(time.Millisecond)
+			frameSent(n % frame)
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := svc.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Reports != n {
-		t.Fatalf("drained %d reports, want %d", snap.Reports, n)
-	}
-	hist := svc.History()
-	if len(hist) < 3 {
-		t.Fatalf("auto-rotation produced %d epochs, want >= 3", len(hist))
-	}
-	total := 0
-	for _, es := range hist {
-		total += es.Reports
-	}
-	if total != n {
-		t.Fatalf("epochs sum to %d, want %d", total, n)
+			snap, err := svc.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if len(sealed) < n/(perEpoch+frame) {
+				t.Fatalf("%d auto-rotations over %d reports, want >= %d", len(sealed), n, n/(perEpoch+frame))
+			}
+			hist := svc.History()
+			if len(hist) != len(sealed)+1 { // the drain seals the open epoch
+				t.Fatalf("history has %d epochs, want %d", len(hist), len(sealed)+1)
+			}
+			for e, reports := range sealed {
+				if hist[e].Reports != reports || reports < perEpoch || reports >= perEpoch+frame {
+					t.Fatalf("epoch %d sealed %d reports, want %d in [%d, %d)", e, hist[e].Reports, reports, perEpoch, perEpoch+frame)
+				}
+			}
+			if last := hist[len(hist)-1].Reports; last != open {
+				t.Fatalf("drain-sealed epoch holds %d reports, want %d", last, open)
+			}
+			if ledger.Epochs() != len(hist) {
+				t.Fatalf("ledger charged %d epochs, %d were opened", ledger.Epochs(), len(hist))
+			}
+			win, err := svc.EstimateWindow(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Reports != n || win.Reports != n {
+				t.Fatalf("drain covers %d reports, window %d, want %d", snap.Reports, win.Reports, n)
+			}
+			for v := range want {
+				if snap.Estimates[v] != want[v] || win.Estimates[v] != want[v] {
+					t.Fatalf("estimate[%d]: drain %v, all-epochs window %v, sequential %v (not bit-identical)", v, snap.Estimates[v], win.Estimates[v], want[v])
+				}
+			}
+		})
 	}
 }
 

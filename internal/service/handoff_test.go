@@ -1,0 +1,347 @@
+package service
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"shuffledp/internal/ecies"
+	"shuffledp/internal/ldp"
+)
+
+// The tests in this file look inside the pipeline — the batches the
+// workers are handed, the shard locks, the raw counters — so they live
+// in the package; everything observable from outside is tested from
+// service_test.
+
+// pipeClient ingests one end of an in-memory connection and returns a
+// session client on the other, batching frame reports per frame.
+func pipeClient(t *testing.T, s *Service, frame int) *Client {
+	t.Helper()
+	clientSide, serverSide := net.Pipe()
+	if err := s.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewSessionClient(s.cfg.FO, s.cfg.Key.Public(), nil, clientSide, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+func waitCounter(t *testing.T, what string, load func() int64, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s = %d (have %d)", what, want, load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRaceSessionFrameHandoffBitIdentical is the conformance test of
+// the frame-sized intake hand-off (run it under -race): connections
+// whose frames are smaller than, equal to and far larger than the
+// shuffle batch stream at once across a manual rotation, while one
+// more connection keeps asserting epoch 0 after it was sealed. Moving
+// frames instead of reports may change how records travel, never where
+// they land: the estimate is bit-identical to a sequential pass, the
+// counters are exact, a late frame is dropped whole, and the privacy
+// unit holds — no worker is ever handed more than BatchSize records,
+// however large the frame they arrived in.
+func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
+	const (
+		d         = 64
+		seed      = 83
+		batchSize = 64
+		n         = 3*ldp.ShardSize/2 + 911 // streamed by the conforming connections
+		early     = 150                     // sent asserting epoch 0 while it is open
+		late      = 2*1000 + 333            // sent asserting epoch 0 after it sealed
+	)
+	frames := []int{1, 7, 256, 1000, 256, 7}
+	fo := ldp.NewSOLH(d, 16, 3)
+	values := make([]int, n+early+late)
+	for i := range values {
+		values[i] = (i * i) % d
+	}
+	reports := ldp.RandomizeParallel(fo, values, seed, 0)
+	seq := fo.NewAggregator()
+	for _, rep := range reports[:n+early] {
+		seq.Add(rep)
+	}
+	want := seq.Estimates()
+
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New's pipeline, with the worker loop opened up so the test sees
+	// each batch at the moment a worker receives it.
+	s, err := prepare(Config{FO: fo, Key: key, BatchSize: batchSize, Workers: 3, ShuffleSeed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cur.Store(newEpochState(0, fo, s.cfg.Workers))
+	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
+	s.workerPool.Go(s.cfg.Workers, func(i int) {
+		for eb := range s.batches {
+			if len(eb.recs) > batchSize {
+				t.Errorf("worker %d received a batch of %d records, BatchSize is %d", i, len(eb.recs), batchSize)
+			}
+			s.foldBatch(i, eb)
+		}
+	})
+	defer s.Close()
+
+	// The stale connection's first frames assert epoch 0 while it is
+	// open: accepted like any other.
+	stale := pipeClient(t, s, 1000)
+	stale.SetEpoch(0)
+	send := func(cl *Client, reps []ldp.Report) error {
+		for _, rep := range reps {
+			if err := cl.SendReport(rep); err != nil {
+				return err
+			}
+		}
+		return cl.Flush()
+	}
+	if err := send(stale, reports[n:n+early]); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, "Received", s.received.Load, early)
+
+	// Every connection announces when it is half-way through its share
+	// and keeps streaming; only its final report waits for the rotation,
+	// so both epochs provably receive part of the stream.
+	var streaming, halfway sync.WaitGroup
+	rotated := make(chan struct{})
+	errc := make(chan error, len(frames))
+	for c, frame := range frames {
+		cl := pipeClient(t, s, frame)
+		streaming.Add(1)
+		halfway.Add(1)
+		go func(c int, cl *Client) {
+			defer streaming.Done()
+			signalled := false
+			for i := c; i < n; i += len(frames) {
+				if !signalled && i >= n/2 {
+					halfway.Done()
+					signalled = true
+				}
+				if i+len(frames) >= n {
+					<-rotated
+				}
+				if err := cl.SendReport(reports[i]); err != nil {
+					errc <- fmt.Errorf("client %d: %w", c, err)
+					return
+				}
+			}
+			errc <- cl.Close()
+		}(c, cl)
+	}
+
+	// Cut the stream while every connection is mid-way through it, then
+	// let the stale connection go on asserting the epoch just sealed.
+	halfway.Wait()
+	_, err = s.Rotate()
+	close(rotated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := send(stale, reports[n+early:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Close(); err != nil {
+		t.Fatal(err)
+	}
+	streaming.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if snap.Reports != n+early || snap.Received != int64(snap.Reports) {
+		t.Fatalf("drained %d reports with Received = %d, want both %d", snap.Reports, snap.Received, n+early)
+	}
+	if snap.Late != late || snap.Rejected != 0 || snap.Kicked != 0 {
+		t.Fatalf("late %d, rejected %d, kicked %d; want exactly the %d reports of the stale frames late", snap.Late, snap.Rejected, snap.Kicked, late)
+	}
+	for v := range want {
+		if snap.Estimates[v] != want[v] {
+			t.Fatalf("estimate[%d] = %v, sequential %v (not bit-identical)", v, snap.Estimates[v], want[v])
+		}
+	}
+	hist := s.History()
+	if len(hist) != 2 {
+		t.Fatalf("history has %d epochs, want 2", len(hist))
+	}
+	var batches int64
+	for _, es := range hist {
+		perEpoch := int64((es.Reports + batchSize - 1) / batchSize)
+		if es.Batches != perEpoch {
+			t.Fatalf("epoch %d: %d reports in %d batches, want %d", es.Epoch, es.Reports, es.Batches, perEpoch)
+		}
+		batches += perEpoch
+	}
+	if hist[0].Reports <= early || hist[1].Reports < len(frames) {
+		t.Fatalf("rotation was not mid-stream: epochs hold %d and %d reports", hist[0].Reports, hist[1].Reports)
+	}
+	if snap.Batches != batches {
+		t.Fatalf("forwarded %d batches, want %d", snap.Batches, batches)
+	}
+}
+
+// TestIngestBackpressureBound states the tier's memory bound in
+// reports. With every worker stalled, connections pushing as fast as
+// they can fill the pipeline's queues and then block: what the service
+// has accepted but not aggregated stops at the frames the intake and
+// the blocked readers hold plus the records the shuffler and the worker
+// queue hold — (intakeFrames + connections) frames and BatchSize *
+// (QueueDepth + Workers + 1) records. Close must still return at once,
+// and every goroutine New started must exit.
+func TestIngestBackpressureBound(t *testing.T) {
+	const (
+		conns      = 4
+		frame      = 256
+		batchSize  = 64
+		workers    = 2
+		queueDepth = 3
+		floor      = batchSize * (queueDepth + workers + 1) // held past the intake once everything is stuck
+		bound      = (intakeFrames+conns)*frame + floor
+	)
+	before := runtime.NumGoroutine()
+	fo := ldp.NewGRR(16, 2)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, Workers: workers, QueueDepth: queueDepth, ShuffleSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stall the workers: each blocks on its shard with one batch in
+	// hand. (Snapshot would block on the same locks, so the test reads
+	// the counter itself; nothing is aggregated, Reports stays 0.)
+	shards := s.cur.Load().shards
+	for _, sh := range shards {
+		sh.mu.Lock()
+	}
+	stalled := true
+	release := func() {
+		if stalled {
+			for _, sh := range shards {
+				sh.mu.Unlock()
+			}
+			stalled = false
+		}
+	}
+	defer release()
+	defer s.Close()
+
+	var clients sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		cl := pipeClient(t, s, frame)
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for cl.SendReport(ldp.Report{Value: 3}) == nil {
+			}
+		}()
+	}
+
+	// The backlog climbs to at least the floor, never passes the bound,
+	// and then stands still: every reader is blocked on the intake.
+	waitCounter(t, "Received", s.received.Load, floor)
+	level, steady := s.received.Load(), 0
+	for deadline := time.Now().Add(10 * time.Second); steady < 50; {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog still growing at %d reports", level)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if now := s.received.Load(); now != level {
+			level, steady = now, 0
+		} else {
+			steady++
+		}
+		if level > bound {
+			t.Fatalf("backlog reached %d reports, bound is %d", level, bound)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close stuck behind the stalled pipeline")
+	}
+	release()
+	clients.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIngestAllocsPerReport pins the steady-state allocation cost of
+// the session ingest path: one plaintext buffer per frame and one batch
+// slice per shuffle batch, nothing per record. The figure covers the
+// whole process — client, in-memory connection, reader, shuffler,
+// workers — so it is an upper bound on the service's share.
+func TestIngestAllocsPerReport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const (
+		warm = 4 * DefaultBatchSize
+		n    = 200 * DefaultClientBatch
+	)
+	fo := ldp.NewSOLH(64, 16, 3)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{FO: fo, Key: key, ShuffleSeed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cl := pipeClient(t, s, 0)
+	rep := ldp.Report{Seed: 5, Value: 2}
+	sent := int64(0)
+	push := func(reports int64) {
+		for i := int64(0); i < reports; i++ {
+			if err := cl.SendReport(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent += reports
+		waitCounter(t, "Received", s.received.Load, sent)
+	}
+	push(warm)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	push(n)
+	runtime.ReadMemStats(&m1)
+	perReport := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("%.4f allocations per report", perReport)
+	if perReport > 0.05 {
+		t.Fatalf("%.4f heap allocations per report on the ingest path, want <= 0.05 (per-frame and per-batch only)", perReport)
+	}
+}

@@ -9,8 +9,15 @@
 // propagates from a slow stage back to the clients' writes):
 //
 //	conn readers  --intake-->  shuffler  --batches-->  aggregate
-//	(one per conn,             (batch +                (decode +
-//	 session open)              permute)                shard Add)
+//	(one per conn,  (frames)   (split, batch  (records)  (decode +
+//	 session open)              + permute)               shard Add)
+//
+// The unit of hand-off on the intake edge is the opened session frame,
+// not the report: a reader authenticates a frame and passes its whole
+// plaintext on in one channel send, and the shuffler — which must look
+// at every record anyway to batch it — cuts it into records. A
+// per-report hand-off cost more than everything else the tier does to
+// a report (EXPERIMENTS.md, "Spend the profile").
 //
 // # Wire protocol
 //
@@ -162,9 +169,11 @@ type Config struct {
 	// ingestion from then on.
 	Ledger *budget.Ledger
 	// EpochReports, when > 0, auto-rotates once the open epoch has
-	// accepted at least this many reports (rotation happens at a
-	// shuffle-batch boundary, so epochs run a partial batch long).
-	// 0 means epochs rotate only through explicit Rotate calls.
+	// accepted at least this many reports. The count advances a whole
+	// session frame at a time and the cut lands between frames, after
+	// whatever the intake already held, so epochs run long by up to one
+	// frame plus the frames that arrived while the rotation was on its
+	// way. 0 means epochs rotate only through explicit Rotate calls.
 	EpochReports int
 	// WindowRetain bounds how many sealed epochs are kept for
 	// History/EstimateWindow; older epochs are dropped (their reports
@@ -192,10 +201,12 @@ type Snapshot struct {
 	Estimates []float64
 	// Reports is how many reports Estimates covers.
 	Reports int
-	// Received is how many report frames are in the pipeline or
-	// aggregated: frames the readers accepted minus frames later
-	// dropped (those move to Late or Rejected instead, the three
-	// counters are disjoint). Received is cumulative across epochs
+	// Received is how many reports are in the pipeline or aggregated:
+	// reports the readers accepted minus reports later dropped (those
+	// move to Late or Rejected instead, the three counters are
+	// disjoint). All three advance a whole session frame at a time — a
+	// frame's reports are accepted, late or rejected together —
+	// never report by report. Received is cumulative across epochs
 	// while Reports covers the open epoch only, so mid-stream the
 	// in-flight backlog is Received minus Reports minus the reports
 	// already sealed into History; in a Drain snapshot (all epochs
@@ -227,12 +238,22 @@ type Snapshot struct {
 	Kicked int64
 }
 
-// taggedReport is one codec-marshalled report record (codec.Size()
-// bytes, split out of an opened session batch) with the epoch id its
-// batch asserted.
-type taggedReport struct {
+// intakeFrames is the intake queue's capacity in opened session
+// frames: enough that a reader can open its next frame while the
+// shuffler splits the previous one. It is a constant, not a knob:
+// capacities 1, 4 and 16 measured no better than 2 on either service
+// benchmark workload (EXPERIMENTS.md, "Spend the profile"), and each
+// slot can pin a MaxFrame-sized plaintext, which is the reason to keep
+// it small.
+const intakeFrames = 2
+
+// frameBlock is one opened session frame on its way to the shuffler:
+// the whole authenticated plaintext — a whole number of codec.Size()
+// records, checked by the reader — with the epoch id the frame
+// asserted.
+type frameBlock struct {
 	epoch uint32
-	rec   []byte
+	recs  []byte
 }
 
 // epochBatch is one shuffled batch of report records routed to the
@@ -251,8 +272,8 @@ type Service struct {
 	cfg   Config
 	codec *Codec
 
-	intake  chan taggedReport // report items, readers -> shuffler
-	batches chan epochBatch   // shuffled batches, shuffler -> aggregate pool
+	intake  chan frameBlock // opened session frames, readers -> shuffler
+	batches chan epochBatch // shuffled batches, shuffler -> aggregate pool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -369,10 +390,9 @@ func prepare(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:   cfg,
 		codec: codec,
-		// One batch of intake slack keeps readers and the shuffler
-		// decoupled; beyond that, readers block and the clients feel
-		// backpressure through their connection writes.
-		intake:       make(chan taggedReport, cfg.BatchSize),
+		// Past intakeFrames of slack the readers block and the clients
+		// feel backpressure through their connection writes.
+		intake:       make(chan frameBlock, intakeFrames),
 		batches:      make(chan epochBatch, cfg.QueueDepth),
 		stop:         make(chan struct{}),
 		rotateCh:     make(chan rotateReq),
@@ -487,21 +507,6 @@ var errStopIngest = errors.New("service: stopping")
 // on.
 var errKickConn = errors.New("service: kicking connection")
 
-// enqueue hands one report record to the shuffler, or reports the stop.
-func (s *Service) enqueue(epoch uint32, rec []byte) error {
-	// Post-exhaustion frames flow to the shuffler too: it is the
-	// single goroutine that counts AND write-ahead logs rejected
-	// drops, so the Rejected counter survives a crash like the
-	// others.
-	select {
-	case s.intake <- taggedReport{epoch: epoch, rec: rec}:
-		s.received.Add(1)
-		return nil
-	case <-s.stop:
-		return errStopIngest
-	}
-}
-
 // readConn is the ingest stage for one connection: a pipeline.Reader
 // feeding the intake queue, deadline-guarded so a stalled client is
 // disconnected (Snapshot.IdleClosed) instead of pinning this goroutine
@@ -509,10 +514,12 @@ func (s *Service) enqueue(epoch uint32, rec []byte) error {
 //
 // The first frame must be a SessionHelloTag frame, which performs the
 // session handshake: every later frame is then one AEAD-sealed batch
-// of codec-marshalled reports, opened and split here so the rest of
-// the pipeline sees plain Size()-byte records. Protocol violations
-// (oversized frame, missing or bad hello, failed AEAD, replayed or
-// reordered counter, misaligned batch) kick only this connection.
+// of codec-marshalled reports, opened and checked here and handed to
+// the shuffler whole — one intake send per frame — so the rest of the
+// pipeline sees only authenticated, record-aligned plaintext. Protocol
+// violations (oversized frame, missing or bad hello, failed AEAD,
+// replayed or reordered counter, misaligned batch) kick only this
+// connection.
 func (s *Service) readConn(conn net.Conn) {
 	defer s.conns.Done()
 	defer s.forget(conn)
@@ -551,12 +558,17 @@ func (s *Service) readConn(conn net.Conn) {
 			if len(pt)%size != 0 {
 				return fmt.Errorf("%w: session batch of %d bytes is not a whole number of %d-byte reports", errKickConn, len(pt), size)
 			}
-			for off := 0; off < len(pt); off += size {
-				if err := s.enqueue(tag, pt[off:off+size:off+size]); err != nil {
-					return err
-				}
+			// Post-exhaustion frames flow to the shuffler too: it is the
+			// single goroutine that counts AND write-ahead logs rejected
+			// drops, so the Rejected counter survives a crash like the
+			// others.
+			select {
+			case s.intake <- frameBlock{epoch: tag, recs: pt}:
+				s.received.Add(int64(len(pt) / size))
+				return nil
+			case <-s.stop:
+				return errStopIngest
 			}
-			return nil
 		},
 	}
 	switch err := rd.Run(); {
@@ -571,16 +583,19 @@ func (s *Service) readConn(conn net.Conn) {
 	}
 }
 
-// runShuffler is the batch + shuffle stage: a pipeline.Batcher buffers
-// report records into BatchSize batches, permutes each, and the flush
-// callback forwards it to the worker queue tagged with the open epoch.
-// Rotation requests land here — between batches, never inside one — so
-// every batch belongs to exactly one epoch and each epoch's
-// permutations come from its own RNG substream. The partial final
-// batch is flushed when the intake closes (graceful drain).
+// runShuffler is the batch + shuffle stage: it cuts each opened frame
+// into records, a pipeline.Batcher buffers them into BatchSize batches
+// (a frame larger than a batch simply spans several), permutes each,
+// and the flush callback forwards it to the worker queue tagged with
+// the open epoch. Rotation requests land here — between frames, never
+// inside one — so every frame and every batch belongs to exactly one
+// epoch and each epoch's permutations come from its own RNG substream.
+// The partial final batch is flushed when the intake closes (graceful
+// drain).
 func (s *Service) runShuffler() {
 	defer close(s.shufflerDone)
 	defer close(s.batches)
+	size := s.codec.Size()
 	cur := s.cur.Load()
 	// rejectEpoch is the id the next epoch would have had — the tag
 	// rejected-drop records carry so replay filters them correctly
@@ -605,17 +620,13 @@ func (s *Service) runShuffler() {
 					s.fail(fmt.Errorf("service: committing WAL batch: %w", err))
 				}
 			}
-			n := 0
-			for _, rec := range batch {
-				n += len(rec)
-			}
 			cur.pending.Add(1)
 			select {
 			case s.batches <- epochBatch{ep: cur, recs: batch}:
 				s.shuffled.Add(1)
 				cur.batches.Add(1)
 				s.wal.batches++
-				s.cfg.Meter.Send(PartyShuffler, PartyServer, n)
+				s.cfg.Meter.Send(PartyShuffler, PartyServer, len(batch)*size)
 			case <-s.stop:
 				cur.pending.Done()
 			}
@@ -625,63 +636,76 @@ func (s *Service) runShuffler() {
 		batcher.SetRand(s.shufflerEpochRNG(cur.id))
 	}
 	var sealBuf []byte
-	accept := func(tr taggedReport) {
-		// Dropped frames move out of Received into exactly one of the
-		// drop counters, so Received / Late / Rejected stay disjoint
-		// and the Snapshot backlog arithmetic holds.
+	accept := func(b frameBlock) {
+		// What a frame asserts — and whether the budget still admits it —
+		// is constant per frame, so it is decided once here; only the
+		// logging and batching below are per record. Dropped records move
+		// out of Received into exactly one of the drop counters, so
+		// Received / Late / Rejected stay disjoint and the Snapshot
+		// backlog arithmetic holds.
+		n := int64(len(b.recs) / size)
 		if cur == nil {
-			// The budget ran out: count the report, log the drop (the
+			// The budget ran out: count the reports, log the drops (the
 			// service has stopped checkpointing, so the WAL is the only
 			// thing that carries Rejected across a restart), never
-			// aggregate it. Logging stops at rejectedLogCap: an
+			// aggregate them. Logging stops at rejectedLogCap: an
 			// exhausted service writes no more checkpoints, so nothing
 			// would ever prune these records, and a client flooding a
 			// still-open connection must not grow the WAL (or the next
 			// recovery's replay) without bound. Past the cap the
 			// recovered Rejected count is a lower bound.
-			s.rejected.Add(1)
-			s.received.Add(-1)
-			if s.st != nil && s.wal.rejected < rejectedLogCap {
-				if err := s.st.AppendDrop(rejectEpoch, store.DropRejected); err != nil {
-					s.fail(err)
+			s.rejected.Add(n)
+			s.received.Add(-n)
+			if logged := min(n, rejectedLogCap-s.wal.rejected); s.st != nil && logged > 0 {
+				for i := int64(0); i < logged; i++ {
+					if err := s.st.AppendDrop(rejectEpoch, store.DropRejected); err != nil {
+						s.fail(err)
+					}
 				}
+				s.wal.rejected += logged
 				// No batch flush will ever run again (nothing
-				// aggregates), so commit the drop record now — the
-				// exhausted service has no other work to slow down.
+				// aggregates), so commit the frame's drop records now —
+				// the exhausted service has no other work to slow down.
 				if err := s.st.Commit(); err != nil {
 					s.fail(err)
 				}
-				s.wal.rejected++
 			}
 			return
 		}
-		if tr.epoch != EpochCurrent && tr.epoch != uint32(cur.id) {
-			s.late.Add(1)
-			s.received.Add(-1)
+		if b.epoch != EpochCurrent && b.epoch != uint32(cur.id) {
+			s.late.Add(n)
+			s.received.Add(-n)
 			if s.st != nil {
-				if err := s.st.AppendDrop(uint32(cur.id), store.DropLate); err != nil {
+				for i := int64(0); i < n; i++ {
+					if err := s.st.AppendDrop(uint32(cur.id), store.DropLate); err != nil {
+						s.fail(err)
+					}
+				}
+				s.wal.late += n
+			}
+			return
+		}
+		for off := 0; off < len(b.recs); off += size {
+			rec := b.recs[off : off+size : off+size]
+			if s.st != nil {
+				// The report's wire frame was sealed under a
+				// connection-ephemeral key recovery could never re-derive,
+				// so re-seal the record under the at-rest storage key
+				// before logging — the WAL never holds plaintext reports.
+				// The scratch is safe to reuse: the store's record encoder
+				// copies the payload.
+				sealBuf = s.sealer.Seal(sealBuf[:0], rec)
+				if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
 					s.fail(err)
 				}
-				s.wal.late++
+				s.wal.received++
 			}
-			return
+			batcher.Add(rec)
 		}
-		if s.st != nil {
-			// The report's wire frame was sealed under a
-			// connection-ephemeral key recovery could never re-derive,
-			// so re-seal the record under the at-rest storage key
-			// before logging — the WAL never holds plaintext reports.
-			// The scratch is safe to reuse: the store's record encoder
-			// copies the payload.
-			sealBuf = s.sealer.Seal(sealBuf[:0], tr.rec)
-			if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
-				s.fail(err)
-			}
-			s.wal.received++
-		}
-		batcher.Add(tr.rec)
-		accepted := cur.accepted.Add(1)
-		if s.cfg.EpochReports > 0 && accepted == int64(s.cfg.EpochReports) {
+		// The count advances by a whole frame, so the hint fires on
+		// crossing the threshold, not on landing on it.
+		prev := cur.accepted.Add(n) - n
+		if e := int64(s.cfg.EpochReports); e > 0 && prev < e && prev+n >= e {
 			select {
 			case s.rotateHint <- struct{}{}:
 			default:
@@ -690,26 +714,26 @@ func (s *Service) runShuffler() {
 	}
 	for {
 		select {
-		case tr, ok := <-s.intake:
+		case b, ok := <-s.intake:
 			if !ok {
 				batcher.FlushNow()
 				return
 			}
-			accept(tr)
+			accept(b)
 		case req := <-s.rotateCh:
 			// A rotation cuts the stream *after* everything already
-			// received: drain the intake into the closing epoch first,
-			// so a caller that saw Received == n before rotating knows
-			// all n reports belong to the sealed epoch.
+			// received: drain the intake's frames into the closing epoch
+			// first, so a caller that saw Received == n before rotating
+			// knows all n reports belong to the sealed epoch.
 			closed := false
 			for !closed {
 				select {
-				case tr, ok := <-s.intake:
+				case b, ok := <-s.intake:
 					if !ok {
 						closed = true
 						break
 					}
-					accept(tr)
+					accept(b)
 				default:
 					closed = true
 				}
@@ -751,27 +775,33 @@ func (s *Service) runShuffler() {
 	}
 }
 
-// runWorker is the decode + aggregate stage: it decodes each record
-// of a shuffled batch and folds it into the batch's epoch shard owned
-// by this worker. Corrupt records are dropped and surfaced as the
-// service error rather than silently mis-estimating.
+// runWorker is the decode + aggregate stage: worker i folds every
+// shuffled batch it receives until the shuffler closes the queue.
 func (s *Service) runWorker(i int) {
 	for eb := range s.batches {
-		start := time.Now()
-		sh := eb.ep.shards[i]
-		sh.mu.Lock()
-		for _, rec := range eb.recs {
-			rep, err := s.codec.Unmarshal(rec)
-			if err != nil {
-				s.fail(err)
-				continue
-			}
-			sh.agg.Add(rep)
-		}
-		sh.mu.Unlock()
-		eb.ep.pending.Done()
-		s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
+		s.foldBatch(i, eb)
 	}
+}
+
+// foldBatch decodes each record of a shuffled batch and folds it into
+// the batch's epoch shard owned by worker i. Corrupt records are
+// dropped and surfaced as the service error rather than silently
+// mis-estimating.
+func (s *Service) foldBatch(i int, eb epochBatch) {
+	start := time.Now()
+	sh := eb.ep.shards[i]
+	sh.mu.Lock()
+	for _, rec := range eb.recs {
+		rep, err := s.codec.Unmarshal(rec)
+		if err != nil {
+			s.fail(err)
+			continue
+		}
+		sh.agg.Add(rep)
+	}
+	sh.mu.Unlock()
+	eb.ep.pending.Done()
+	s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
 }
 
 // Snapshot returns the open epoch's current estimate without stopping
