@@ -283,10 +283,10 @@ func BenchmarkAblationEOS(b *testing.B) {
 // O(n*d) hash-evaluation kernel — at n = 10^5 reports for a small and a
 // large domain. It reports ns/report (one report costs d hash
 // evaluations); allocs/op covers the whole aggregator lifecycle (the
-// per-block fold itself is allocation-free — see BenchmarkCountSupport
-// in internal/hash). cmd/bench runs the same workload against the
-// seed's sequential baseline and records the speedup in
-// BENCH_aggregate.json.
+// per-block fold itself is allocation-free — see
+// TestFamilyKernelsDoNotAllocate in internal/hash). The tracked
+// trajectory of this path is hash.count_support_ns_per_pair and
+// ldp.aggregate_ns from `go run ./benchmark --trace 1`.
 func BenchmarkAggregateSOLH(b *testing.B) {
 	const n = 100000
 	for _, d := range []int{1024, 65536} {

@@ -2,43 +2,91 @@ package hash
 
 import "math/bits"
 
-// Family is the seeded universal hash family H_seed : [d] -> [d'] used by
-// the local-hashing frequency oracles. A user's LDP report carries the
-// seed (the "chosen hash function"); the server re-evaluates H_seed on
-// every candidate value during estimation.
+// Family is the seeded universal hash family H_seed : [2^32] -> [d'] used
+// by the local-hashing frequency oracles. A user's LDP report carries
+// the seed (the "chosen hash function"); the server re-evaluates H_seed
+// on every candidate value during estimation, so the family is built to
+// cost one multiply per (report, value) pair.
 //
-// A 64-bit xxHash is mapped to a bucket by multiply-shift range
-// reduction, bucket = floor(h * d' / 2^64), rather than h mod d'. Both
-// partition the 64-bit hash space into d' near-equal classes (sizes
-// differ by at most one part in 2^64/d' either way), so the privacy and
-// utility analyses are unchanged; the range form is what lets the
-// aggregation kernel turn "bucket == y" into a precomputed range test
-// on the raw hash with no per-candidate division or multiplication
-// (see CountSupport).
+// Integer keys use Dietzfelbinger's multiply-add-shift scheme:
+//
+//	a, b   = xxh64(seed, 0), xxh64(seed, 1)   once per report
+//	h      = a*pi(v) + b  mod 2^64            pi a fixed bijection on 32-bit keys
+//	bucket = floor((h >> 32) * d' / 2^32)
+//
+// For a and b uniform over 64-bit words the top 32 bits of h are
+// strongly universal over 32-bit keys: for any two distinct keys the
+// pair of top halves is exactly uniform on [2^32]^2 (Dietzfelbinger
+// 1996; 64 >= 32 + 32 - 1 bits of state). The multiply-high range
+// reduction then splits [2^32] into d' classes whose sizes differ by at
+// most one, so (H(u), H(v)) is pairwise uniform to within 2^-32 per
+// bucket for d' <= 2^31 — the property the unbiasedness and variance
+// of local hashing need. (a, b) come from the report's 32-bit seed
+// through xxHash64 used as a PRG, the same assumption any 32-bit-seeded
+// family makes.
+//
+// pi is public and carries no security weight. A bare a*v + b maps the
+// arithmetic progression u, u+s, u+2s to another arithmetic progression
+// of hashes, so "u and u+s collide" would all but imply "u+2s collides
+// too" and the estimates of evenly spaced values would be strongly
+// correlated. Scrambling the key first leaves pairwise uniformity
+// untouched (pi is a bijection) and breaks that structure for the
+// index-shaped domains the oracles use.
+//
+// Byte-string keys (HashBytes) hash through xxHash64 directly.
 //
 // Family is stateless and safe for concurrent use.
 type Family struct {
-	// OutputSize is d', the size of the hashed domain (>= 2).
+	// OutputSize is d', the size of the hashed domain, in [2, 2^31].
 	OutputSize int
 }
 
+// MaxOutputSize is the largest d' the family supports: (h >> 32) * d'
+// must fit in 64 bits with the 2^-32 bucket-bias bound intact.
+const MaxOutputSize = 1 << 31
+
+// MaxKeys is the size of the integer key space: Hash and CountSupport
+// are defined for values in [0, MaxKeys).
+const MaxKeys = 1 << 32
+
 // NewFamily returns the hash family with output domain [0, outputSize).
-// It panics if outputSize < 2 (a 1-bucket hash carries no information).
+// It panics if outputSize < 2 (a 1-bucket hash carries no information)
+// or outputSize > MaxOutputSize.
 func NewFamily(outputSize int) Family {
 	if outputSize < 2 {
 		panic("hash: family output size must be >= 2")
 	}
+	if uint64(outputSize) > MaxOutputSize {
+		panic("hash: family output size must be <= 2^31")
+	}
 	return Family{OutputSize: outputSize}
 }
 
-// Hash maps value into [0, OutputSize) under the function named by seed.
+// scramble is pi: a fixed bijection on 32-bit keys (xor-shifts and odd
+// multiplies are each invertible mod 2^32; the constants are the
+// murmur3 finalizer's).
+func scramble(v uint32) uint64 {
+	v ^= v >> 16
+	v *= 0x85ebca6b
+	v ^= v >> 13
+	v *= 0xc2b2ae35
+	v ^= v >> 16
+	return uint64(v)
+}
+
+// Hash maps value into [0, OutputSize) under the function named by
+// seed. Keys are 32-bit: value must lie in [0, MaxKeys). The two
+// Sum64Uint64 calls are written out, here and in CountSupport, so they
+// inline: a helper returning both is past the inliner's budget.
 func (f Family) Hash(seed uint64, value uint64) int {
-	hi, _ := bits.Mul64(Sum64Uint64(seed, value), uint64(f.OutputSize))
-	return int(hi)
+	a, b := Sum64Uint64(seed, 0), Sum64Uint64(seed, 1)
+	h := a*scramble(uint32(value)) + b
+	return int((h >> 32) * uint64(f.OutputSize) >> 32)
 }
 
 // HashBytes is Hash for byte-string values (used by TreeHist, whose
-// domain is prefixes rather than integer indices).
+// domain is prefixes rather than integer indices): xxHash64 bucketed by
+// multiply-high range reduction over the full 64-bit hash.
 func (f Family) HashBytes(seed uint64, value []byte) int {
 	hi, _ := bits.Mul64(Sum64(seed, value), uint64(f.OutputSize))
 	return int(hi)
@@ -57,76 +105,70 @@ const supportChunk = 128
 // equivalent to calling Hash once per (report, value) pair, but
 // structured for throughput:
 //
-//   - the value-dependent lane of the 8-byte xxHash64 is hoisted out of
-//     the report loop, and four candidate lanes share each report load;
-//   - "bucket == y" is tested as a range check on the raw 64-bit hash —
-//     bucket(h) = floor(h*d'/2^64) equals y iff h lies in
-//     [ceil(y*2^64/d'), ceil((y+1)*2^64/d')) — with the per-report
-//     bounds precomputed per chunk, so the per-candidate tail is one
-//     subtract and one compare, with no division or multiplication.
+//   - each report's (a, b) is expanded once per chunk, the scrambled key
+//     pi(v) is hoisted out of the report loop, and four candidates share
+//     each report load;
+//   - "bucket == y" is tested as a range check on the raw 64-bit h —
+//     bucket(h) equals y iff h >> 32 lies in
+//     [ceil(y*2^32/d'), ceil((y+1)*2^32/d')) — with the lower bound
+//     folded into the additive term per chunk, so the per-pair work is
+//     one multiply, one add and one compare: a*k + (b - lo) <= width-1.
 //
 // The kernel performs zero heap allocations. Every ys[i] must lie in
-// [0, OutputSize).
+// [0, OutputSize), and len(counts) must not exceed MaxKeys.
 func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 	if len(seeds) != len(ys) {
 		panic("hash: CountSupport lanes have mismatched lengths")
 	}
 	m := uint64(f.OutputSize)
-	if m < 2 {
-		panic("hash: family output size must be >= 2")
+	if m < 2 || m > MaxOutputSize {
+		panic("hash: family output size must be in [2, 2^31]")
+	}
+	if uint64(len(counts)) > MaxKeys {
+		panic("hash: CountSupport domain exceeds the 32-bit key space")
 	}
 	// Fixed-size stack arrays indexed by i < cn <= supportChunk let the
 	// compiler drop every bounds check from the inner loop.
-	var sd, lo, wm1 [supportChunk]uint64
+	var ma, mc, wm1 [supportChunk]uint64
 	for base := 0; base < len(seeds); base += supportChunk {
 		cn := len(seeds) - base
 		if cn > supportChunk {
 			cn = supportChunk
 		}
 		for i := 0; i < cn; i++ {
-			// Pre-offset the seed state (Sum64Uint64's h0) and turn the
-			// target bucket into [lo, lo+width) bounds on the raw hash;
-			// wm1 = width-1 so the y = d'-1 bucket, whose upper bound is
-			// 2^64, stays representable.
-			sd[i] = seeds[base+i] + prime5 + 8
 			y := ys[base+i]
 			if y >= m {
 				panic("hash: CountSupport target outside [0, OutputSize)")
 			}
-			l, r := bits.Div64(y, 0, m)
-			if r > 0 {
-				l++
-			}
-			var hb uint64 // ceil((y+1)*2^64/m), wrapped at 2^64
-			if y+1 < m {
-				hq, hr := bits.Div64(y+1, 0, m)
-				if hr > 0 {
-					hq++
-				}
-				hb = hq
-			}
-			lo[i] = l
-			wm1[i] = hb - l - 1
+			// Bucket y is h in [lo, hi) with lo = ceil(y*2^32/m) << 32 and
+			// hi likewise for y+1 (2^64, wrapped to 0, for the last
+			// bucket); wm1 = width-1 keeps that last bound representable.
+			lo := (y<<32 + m - 1) / m << 32
+			hi := ((y+1)<<32 + m - 1) / m << 32
+			s := seeds[base+i]
+			ma[i] = Sum64Uint64(s, 0)
+			mc[i] = Sum64Uint64(s, 1) - lo
+			wm1[i] = hi - lo - 1
 		}
 		v := 0
 		for ; v+4 <= len(counts); v += 4 {
-			k0 := lhLane(uint64(v))
-			k1 := lhLane(uint64(v + 1))
-			k2 := lhLane(uint64(v + 2))
-			k3 := lhLane(uint64(v + 3))
+			k0 := scramble(uint32(v))
+			k1 := scramble(uint32(v + 1))
+			k2 := scramble(uint32(v + 2))
+			k3 := scramble(uint32(v + 3))
 			var c0, c1, c2, c3 int
 			for i := 0; i < cn; i++ {
-				s, l, w := sd[i], lo[i], wm1[i]
-				if lhMix(s, k0)-l <= w {
+				a, c, w := ma[i], mc[i], wm1[i]
+				if a*k0+c <= w {
 					c0++
 				}
-				if lhMix(s, k1)-l <= w {
+				if a*k1+c <= w {
 					c1++
 				}
-				if lhMix(s, k2)-l <= w {
+				if a*k2+c <= w {
 					c2++
 				}
-				if lhMix(s, k3)-l <= w {
+				if a*k3+c <= w {
 					c3++
 				}
 			}
@@ -136,35 +178,14 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 			counts[v+3] += c3
 		}
 		for ; v < len(counts); v++ {
-			k := lhLane(uint64(v))
+			k := scramble(uint32(v))
 			c := 0
 			for i := 0; i < cn; i++ {
-				if lhMix(sd[i], k)-lo[i] <= wm1[i] {
+				if ma[i]*k+mc[i] <= wm1[i] {
 					c++
 				}
 			}
 			counts[v] += c
 		}
 	}
-}
-
-// lhLane is the value-dependent half of the 8-byte xxHash64: the mixed
-// input lane of Sum64Uint64, a pure function of the candidate value.
-func lhLane(v uint64) uint64 {
-	k := v * prime2
-	k = (k << 31) | (k >> 33)
-	return k * prime1
-}
-
-// lhMix finishes Sum64Uint64 given the pre-offset seed state
-// sd = seed + prime5 + 8 and a precomputed value lane.
-func lhMix(sd, k uint64) uint64 {
-	h := sd ^ k
-	h = ((h<<27)|(h>>37))*prime1 + prime4
-	h ^= h >> 33
-	h *= prime2
-	h ^= h >> 29
-	h *= prime3
-	h ^= h >> 32
-	return h
 }

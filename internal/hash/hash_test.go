@@ -62,8 +62,8 @@ func TestSum64Uint64MatchesBytes(t *testing.T) {
 }
 
 // CountSupport must agree with the naive per-pair Hash loop for every
-// output size, including powers of two and sizes adjacent to them (the
-// divisibility-test edge cases).
+// output size, including powers of two and sizes adjacent to them
+// (where the per-bucket bounds ceil(y*2^32/d') are and are not exact).
 func TestCountSupportMatchesNaive(t *testing.T) {
 	r := rng.New(321)
 	for _, dPrime := range []int{2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65, 705, 1024} {
@@ -77,14 +77,7 @@ func TestCountSupportMatchesNaive(t *testing.T) {
 		}
 		got := make([]int, d)
 		fam.CountSupport(seeds, ys, got)
-		want := make([]int, d)
-		for i := range seeds {
-			for v := 0; v < d; v++ {
-				if fam.Hash(seeds[i], uint64(v)) == int(ys[i]) {
-					want[v]++
-				}
-			}
-		}
+		want := naiveCounts(fam, seeds, ys, d)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("d'=%d: counts[%d] = %d, want %d", dPrime, v, got[v], want[v])
@@ -93,22 +86,16 @@ func TestCountSupportMatchesNaive(t *testing.T) {
 	}
 }
 
-// The h < y guard: a report whose y exceeds the hash value must not be
-// counted through modular wraparound.
+// Narrow buckets: at d' = 2^20 a bucket is 2^44 wide, and a report
+// aimed at the last bucket (upper bound 2^64) or at bucket 0 must not
+// be counted through wraparound of the range test.
 func TestCountSupportSmallHashGuard(t *testing.T) {
 	fam := NewFamily(1 << 20)
 	counts := make([]int, 64)
 	seeds := []uint64{0, 1, 2, 3}
 	ys := []uint64{1 << 19, 1<<20 - 1, 7, 0}
 	fam.CountSupport(seeds, ys, counts)
-	want := make([]int, 64)
-	for i := range seeds {
-		for v := 0; v < 64; v++ {
-			if fam.Hash(seeds[i], uint64(v)) == int(ys[i]) {
-				want[v]++
-			}
-		}
-	}
+	want := naiveCounts(fam, seeds, ys, 64)
 	for v := range want {
 		if counts[v] != want[v] {
 			t.Fatalf("counts[%d] = %d, want %d", v, counts[v], want[v])
@@ -138,8 +125,8 @@ func TestFamilyPanicsOnTinyRange(t *testing.T) {
 }
 
 // The collision probability over random seeds should be close to 1/d'
-// (the defining property of a universal family that the privacy analysis
-// of SOLH relies on: Pr[H(v) = H(v')] ~ 1/d').
+// (the defining property of a universal family: Pr[H(v) = H(v')] ~ 1/d';
+// TestFamilyPairwiseUniform checks the full joint distribution).
 func TestFamilyPairwiseCollisions(t *testing.T) {
 	const dPrime = 16
 	fam := NewFamily(dPrime)

@@ -5,8 +5,12 @@
 //
 // The paper's prototype uses python-xxhash with 32-bit seeds as the
 // "randomly chosen hash function from a universal family" (§VII-B,
-// appendix); we mirror that: a report carries a seed and the hash
-// function is xxHash64(seed, value) mod d'.
+// appendix). We keep the 32-bit seed in the report and xxHash64 for
+// byte-string keys (TreeHist), but integer keys use a provably
+// strongly universal multiply-add-shift family whose coefficients
+// xxHash64 expands from the seed (see Family): the server evaluates the
+// hash n*d times per estimate, and that family costs one multiply per
+// evaluation.
 package hash
 
 import "encoding/binary"
@@ -83,13 +87,19 @@ func Sum64(seed uint64, data []byte) uint64 {
 	return h
 }
 
-// Sum64Uint64 hashes a single 64-bit value (the common case for the
-// frequency oracles, where user values are domain indices). It is the
-// 8-byte specialization of Sum64 — bit-identical to hashing the value's
-// little-endian encoding — written without the byte staging or length
-// loops so the compiler can inline it into aggregation kernels. It
-// never allocates. lhLane and lhMix (family.go) are the two halves the
-// CountSupport kernel hoists separately.
+// Sum64Uint64 hashes a single 64-bit value: the 8-byte specialization
+// of Sum64 — bit-identical to hashing the value's little-endian
+// encoding — written without the byte staging or length loops so it
+// inlines. The integer-key family expands a report's seed into its
+// multiply-add-shift coefficients with it (see Family). It never
+// allocates.
 func Sum64Uint64(seed, v uint64) uint64 {
-	return lhMix(seed+prime5+8, lhLane(v))
+	k := rol(v*prime2, 31) * prime1
+	h := rol((seed+prime5+8)^k, 27)*prime1 + prime4
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
+	return h
 }

@@ -10,9 +10,10 @@ import "fmt"
 //
 // We pack a GRR report as the bare value, and a SOLH/OLH/Hadamard report
 // as seed*outputSize + value, exactly the ordinal-group mapping the
-// paper describes. Both fit a 64-bit word (seed is 32 bits, outputSize
-// <= 2^31), which matches the paper's fixed 64-bit report size in
-// Table III.
+// paper describes. Both fit a 64-bit word: the seed is 32 bits and a
+// hashed outputSize is at most 2^31 — newLocalHash rejects a larger d',
+// Hadamard's is 2 — so GroupOrder = 2^32 * outputSize <= 2^63. That
+// matches the paper's fixed 64-bit report size in Table III.
 
 // WordEncoder maps reports of a given oracle to/from 64-bit words.
 type WordEncoder struct {

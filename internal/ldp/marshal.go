@@ -10,7 +10,7 @@ package ldp
 //
 //	offset  size  field
 //	0       1     format version (aggStateVersion)
-//	1       1     aggregator kind (kindGRR..kindOUE)
+//	1       1     aggregator kind (kindGRR..kindLocalHash)
 //	2       8     domain size d (Hadamard: matrix order D)
 //	10      8     aux parameter (local hashing: d'; AUE: blanket rounds)
 //	18      8     float64 bits of the defining probability
@@ -47,14 +47,22 @@ const aggStateVersion = 1
 var ErrStateVersion = errors.New("ldp: unknown aggregator state version")
 
 // Aggregator kind bytes. Append-only: a kind, once released, keeps its
-// byte forever so old checkpoints stay readable.
+// byte forever, so a blob is never read as something it is not.
+//
+// Local-hash support counts are only meaningful under the hash family
+// that produced them, so the family is part of the kind. Byte 2 was
+// local hashing over xxHash64-per-pair; it is reserved, never written
+// again, and refused on load like any other kind mismatch — those
+// counts cannot be merged with, or calibrated as, counts under the
+// multiply-add-shift family (kindLocalHash).
 const (
-	kindGRR       = 1
-	kindLocalHash = 2
-	kindHadamard  = 3
-	kindUnary     = 4
-	kindAUE       = 5
-	kindOUE       = 6
+	kindGRR            = 1
+	kindLocalHashXXH64 = 2 // retired; refused on load
+	kindHadamard       = 3
+	kindUnary          = 4
+	kindAUE            = 5
+	kindOUE            = 6
+	kindLocalHash      = 7
 )
 
 // aggHeaderSize is the fixed prefix before the payload.
@@ -207,6 +215,9 @@ func (a *localHashAggregator) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements Aggregator, replacing the receiver's
 // state (including any buffered block).
 func (a *localHashAggregator) UnmarshalBinary(data []byte) error {
+	if len(data) >= aggHeaderSize && data[0] == aggStateVersion && data[1] == kindLocalHashXXH64 {
+		return fmt.Errorf("ldp: aggregator state kind %d holds local-hash counts under the retired xxHash64 family; they cannot be loaded under the current family (kind %d)", kindLocalHashXXH64, kindLocalHash)
+	}
 	n, counts, err := unmarshalCounts(data, kindLocalHash, uint64(a.l.d), uint64(a.l.dPrime), a.l.p)
 	if err != nil {
 		return err

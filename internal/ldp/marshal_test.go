@@ -2,6 +2,8 @@ package ldp
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"testing"
 
 	"shuffledp/internal/rng"
@@ -141,6 +143,45 @@ func TestAggregatorStateFutureVersion(t *testing.T) {
 	}
 	if restored.Count() != 0 {
 		t.Fatalf("failed load left partial state: count %d", restored.Count())
+	}
+}
+
+// Support counts folded under the retired xxHash64-per-pair family
+// (kind byte 2) mean nothing under the current one. The fixture is a
+// SOLH(d=32, d'=8, eps=2) aggregator blob written by the last build
+// that used that family: every echoed parameter matches the receiver,
+// so the kind byte is the only thing standing between it and a silent
+// merge.
+func TestAggregatorStateRefusesRetiredHashFamily(t *testing.T) {
+	blob, err := os.ReadFile("testdata/solh_xxhash_kind2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo := NewSOLH(32, 8, 2)
+	agg := fo.NewAggregator()
+	if err := agg.UnmarshalBinary(blob); err == nil || !strings.Contains(err.Error(), "retired xxHash64 family") {
+		t.Fatalf("UnmarshalBinary(kind-2 blob): err = %v, want a retired-family refusal", err)
+	}
+	if agg.Count() != 0 {
+		t.Fatalf("refused load left partial state: count %d", agg.Count())
+	}
+	if _, err := UnmarshalAggregator(fo, blob); err == nil {
+		t.Fatal("UnmarshalAggregator(kind-2 blob) succeeded")
+	}
+	// Control: with the kind byte rewritten the same bytes load, so the
+	// refusal above is the kind check and not a parameter mismatch.
+	relabeled := append([]byte(nil), blob...)
+	relabeled[1] = kindLocalHash
+	if _, err := UnmarshalAggregator(fo, relabeled); err != nil {
+		t.Fatalf("relabeled fixture does not load: %v", err)
+	}
+	// And the current build never writes the retired byte.
+	fresh, err := fo.NewAggregator().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh[1] == kindLocalHashXXH64 {
+		t.Fatalf("local-hash aggregator wrote the retired kind %d", fresh[1])
 	}
 }
 

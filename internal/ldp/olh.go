@@ -9,8 +9,10 @@ import (
 
 // LocalHash is the local-hashing mechanism family (§II-B "Local
 // Hashing", §IV-B2): each user samples a hash function H (a 32-bit
-// seed into the xxHash64 family), computes H(v) in [0, d'), and reports
-// GRR_{d'}(H(v)) together with the seed.
+// seed into hash.Family, a strongly universal multiply-add-shift family
+// over 32-bit keys), computes H(v) in [0, d'), and reports
+// GRR_{d'}(H(v)) together with the seed. The family bounds the domains:
+// d <= 2^32 and d' <= 2^31.
 //
 // Two named instantiations differ only in how d' is chosen:
 //
@@ -57,10 +59,16 @@ func newLocalHash(d, dPrime int, eps float64) *LocalHash {
 	if dPrime < 2 {
 		panic("ldp: local hashing requires d' >= 2")
 	}
+	if uint64(d) > hash.MaxKeys {
+		panic("ldp: local hashing requires d <= 2^32 (the hash family's key space)")
+	}
 	if dPrime > d {
 		// Hashing into a domain larger than d wastes budget; clamp as
 		// in the reference implementations.
 		dPrime = d
+	}
+	if uint64(dPrime) > hash.MaxOutputSize {
+		panic("ldp: local hashing requires d' <= 2^31 (the hash family's bucket-bias bound and the 64-bit report word)")
 	}
 	e := math.Exp(eps)
 	return &LocalHash{

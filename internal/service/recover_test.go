@@ -549,6 +549,49 @@ func TestRecoverFutureCheckpointVersion(t *testing.T) {
 	}
 }
 
+// A checkpoint written by a build whose local hashing ran over the
+// retired xxHash64 family holds support counts this build cannot
+// interpret (oracle name, d, d' and p all still match). Recover must
+// fail on the aggregator blob's kind byte instead of serving estimates
+// that mix the two families. The fixture is ldp's checked-in blob from
+// the last such build; recoveryWorld's oracle has its parameters.
+func TestRecoverRefusesRetiredHashFamilyCheckpoint(t *testing.T) {
+	w := newRecoveryWorld(t)
+	blob, err := os.ReadFile(filepath.Join("..", "ldp", "testdata", "solh_xxhash_kind2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.WriteCheckpoint(&store.Checkpoint{
+		OpenEpoch: 1, OpenCharged: true, LedgerCharged: 2,
+		Received: 200, Batches: 2,
+		AllTime: blob,
+		History: []store.EpochCheckpoint{{
+			Epoch: 0, Reports: 200, Batches: 2,
+			Guarantee: composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
+			Root:      blob,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err == nil {
+		svc.Close()
+		t.Fatal("Recover loaded a checkpoint holding retired-family support counts")
+	}
+	if !strings.Contains(err.Error(), "retired xxHash64 family") {
+		t.Fatalf("Recover error %q does not name the retired hash family", err)
+	}
+}
+
 // New must refuse a data directory that already holds state — losing
 // a run to a typo'd restart would be unrecoverable.
 func TestNewRefusesExistingState(t *testing.T) {
