@@ -12,8 +12,9 @@ package shuffledp
 //	Figure 4  -> BenchmarkFigure4TreeHist   (metric: SOLH precision)
 //	Table III -> BenchmarkTable3Protocols   (sub-bench per protocol)
 //
-// The cmd/ binaries print the full row-by-row artifacts; these benches
-// are the perf- and regression-tracking entry points.
+// The cmd/ binaries print the full row-by-row artifacts, and the tracked
+// performance numbers come from `go run ./benchmark` alone; these benches
+// are shape checks and profiling entry points.
 
 import (
 	"net"
@@ -115,6 +116,11 @@ func BenchmarkFigure4TreeHist(b *testing.B) {
 	b.ReportMetric(points[0].Precision["SOLH"], "SOLH-precision")
 }
 
+// BenchmarkTable3Protocols times SS and PEOS in process. The tracked
+// PEOS numbers are the peos_* workloads of `go run ./benchmark`; this
+// benchmark is the protocol tier's pprof entry point:
+//
+//	go test -run '^$' -bench Table3Protocols/PEOS -cpuprofile /tmp/peos.prof .
 func BenchmarkTable3Protocols(b *testing.B) {
 	const n, nr, keyBits = 500, 50, 768
 	values := make([]int, n)
@@ -127,7 +133,7 @@ func BenchmarkTable3Protocols(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, r := range []int{3, 7} {
-		b.Run("SS/r="+itoa(r), func(b *testing.B) {
+		b.Run("SS/r="+strconv.Itoa(r), func(b *testing.B) {
 			ss, err := protocol.NewSS(fo, r, nr)
 			if err != nil {
 				b.Fatal(err)
@@ -139,7 +145,7 @@ func BenchmarkTable3Protocols(b *testing.B) {
 				}
 			}
 		})
-		b.Run("PEOS/r="+itoa(r), func(b *testing.B) {
+		b.Run("PEOS/r="+strconv.Itoa(r), func(b *testing.B) {
 			p, err := protocol.NewPEOS(fo, r, nr, key, rng.New(9))
 			if err != nil {
 				b.Fatal(err)
@@ -279,67 +285,15 @@ func BenchmarkAblationEOS(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregateSOLH tracks the SOLH server-side hot path — the
-// O(n*d) hash-evaluation kernel — at n = 10^5 reports for a small and a
-// large domain. It reports ns/report (one report costs d hash
-// evaluations); allocs/op covers the whole aggregator lifecycle (the
-// per-block fold itself is allocation-free — see
-// TestFamilyKernelsDoNotAllocate in internal/hash). The tracked
-// trajectory of this path is hash.count_support_ns_per_pair and
-// ldp.aggregate_ns from `go run ./benchmark --trace 1`.
-func BenchmarkAggregateSOLH(b *testing.B) {
-	const n = 100000
-	for _, d := range []int{1024, 65536} {
-		b.Run("d="+strconv.Itoa(d), func(b *testing.B) {
-			fo := ldp.NewSOLH(d, 128, 4)
-			r := rng.New(1)
-			reports := make([]ldp.Report, n)
-			for i := range reports {
-				reports[i] = fo.Randomize(i%d, r)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg := fo.NewAggregator()
-				for _, rep := range reports {
-					agg.Add(rep)
-				}
-				if est := agg.Estimates(); len(est) != d {
-					b.Fatal("bad estimate length")
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/report")
-		})
-	}
-}
-
-// BenchmarkAggregateSOLHParallel is the same workload through the
-// sharded engine at GOMAXPROCS workers.
-func BenchmarkAggregateSOLHParallel(b *testing.B) {
-	const n, d = 100000, 1024
-	fo := ldp.NewSOLH(d, 128, 4)
-	r := rng.New(1)
-	reports := make([]ldp.Report, n)
-	for i := range reports {
-		reports[i] = fo.Randomize(i%d, r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := ldp.AggregateParallel(fo, reports, 0)
-		if est := agg.Estimates(); len(est) != d {
-			b.Fatal("bad estimate length")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/report")
-}
-
 // BenchmarkServiceThroughput measures the streaming ingestion tier end
 // to end: concurrent client connections encrypt and frame
 // pre-randomized SOLH reports over net.Pipe, the service batches,
 // shuffles, decrypts, and aggregates, and the run drains to a final
-// histogram. Reported as reports/s (the deployment-facing number);
-// cmd/bench runs the same workload across client counts and records
-// the curve in BENCH_service.json.
+// histogram. Reported as reports/s. The tracked number is reports_per_s
+// on the svc_* workloads of `go run ./benchmark`; this benchmark is the
+// service tier's pprof entry point:
+//
+//	go test -run '^$' -bench ServiceThroughput -cpuprofile /tmp/svc.prof .
 func BenchmarkServiceThroughput(b *testing.B) {
 	const n, d, batch = 4000, 64, 256
 	fo := ldp.NewSOLH(d, 16, 3)
@@ -415,14 +369,4 @@ func BenchmarkPublicAPIEstimate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func itoa(v int) string {
-	if v == 3 {
-		return "3"
-	}
-	if v == 7 {
-		return "7"
-	}
-	return string(rune('0' + v))
 }

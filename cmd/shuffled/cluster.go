@@ -320,7 +320,6 @@ func runShuffler(args []string) {
 	sealTimeout := fs.Duration("seal-timeout", 5*time.Minute, "per-collection wait and peer I/O bound (0 = none)")
 	phaseTimeout := fs.Duration("phase-timeout", 0, "bound on each oblivious-shuffle phase (0 = seal timeout only)")
 	hello := fs.Duration("hello-timeout", cluster.DefaultHelloTimeout, "drop inbound connections silent past this before their hello")
-	fast := fs.Bool("fast-shuffle", false, "skip ciphertext rerandomization (Table III cost model; weakens unlinkability)")
 	fs.Parse(args)
 
 	topo, err := parseTopology(*shufflers, *analyzer)
@@ -340,7 +339,6 @@ func runShuffler(args []string) {
 		NR:           *nr,
 		Pub:          pub,
 		Source:       secretshare.Crypto,
-		FastShuffle:  *fast,
 		IdleTimeout:  *idle,
 		SealTimeout:  *sealTimeout,
 		PhaseTimeout: *phaseTimeout,

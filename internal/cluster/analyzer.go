@@ -463,7 +463,7 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 			a.recoverConns(conns, shards, g, badConn, badShard)
 			continue
 		}
-		col, err := a.seal(collection, n, words, true)
+		col, err := a.seal(collection, n, words)
 		if err != nil {
 			// A durable-store failure is not retryable: the round's
 			// exchange succeeded, the disk did not.
@@ -708,10 +708,9 @@ func (a *Analyzer) isClosed() bool {
 
 // seal makes one collection's decoded words durable (WAL + rotation
 // marker + checkpoint when configured) and folds them into the
-// cumulative counts. persist=false is the recovery replay, which
-// re-seals from the already-durable WAL tail.
-func (a *Analyzer) seal(collection uint32, n int, words []uint64, persist bool) (Collection, error) {
-	if persist && a.st != nil {
+// cumulative counts.
+func (a *Analyzer) seal(collection uint32, n int, words []uint64) (Collection, error) {
+	if a.st != nil {
 		// The round's words reach the platters before they can
 		// influence any served estimate, mirroring the service's
 		// WAL-before-aggregate invariant.
@@ -725,6 +724,27 @@ func (a *Analyzer) seal(collection uint32, n int, words []uint64, persist bool) 
 			return Collection{}, err
 		}
 	}
+	colCounts, err := a.fold(collection, words, n, a.cfg.NR)
+	if err != nil {
+		return Collection{}, err
+	}
+	return Collection{
+		Collection: int(collection),
+		Reports:    n,
+		Fakes:      a.cfg.NR,
+		Estimates:  protocol.EstimateCounts(a.cfg.FO, colCounts, n, a.cfg.NR),
+		Cumulative: a.Estimates(),
+	}, nil
+}
+
+// fold is the one place a collection's revealed words become state, on
+// a coordinator and on a shard alike: decode them, add their support
+// counts to the cumulative counts, advance the sealed watermark, and —
+// on a durable node — checkpoint. reals and fakes are the caller's
+// bookkeeping (user reports and NR on a coordinator; a shard counts its
+// window's words as reals and no fakes). It returns the collection's own
+// support counts.
+func (a *Analyzer) fold(collection uint32, words []uint64, reals, fakes int) ([]int, error) {
 	reports := make([]ldp.Report, len(words))
 	for i, w := range words {
 		reports[i] = a.enc.Decode(w)
@@ -734,8 +754,8 @@ func (a *Analyzer) seal(collection uint32, n int, words []uint64, persist bool) 
 	for v, c := range colCounts {
 		a.counts[v] += c
 	}
-	a.reals += n
-	a.fakes += a.cfg.NR
+	a.reals += reals
+	a.fakes += fakes
 	a.collections = int(collection) + 1
 	if a.chunkCounts != nil {
 		// Track the coordinator's own window tally. Recomputed from the
@@ -749,20 +769,13 @@ func (a *Analyzer) seal(collection uint32, n int, words []uint64, persist bool) 
 		}
 		a.chunkReals += cut
 	}
-	cum := protocol.EstimateCounts(a.cfg.FO, a.counts, a.reals, a.fakes)
 	a.stateMu.Unlock()
 	if a.st != nil {
 		if err := a.writeCheckpoint(); err != nil {
-			return Collection{}, err
+			return nil, err
 		}
 	}
-	return Collection{
-		Collection: int(collection),
-		Reports:    n,
-		Fakes:      a.cfg.NR,
-		Estimates:  protocol.EstimateCounts(a.cfg.FO, colCounts, n, a.cfg.NR),
-		Cumulative: cum,
-	}, nil
+	return colCounts, nil
 }
 
 // Estimates returns the cumulative calibrated estimate over every
@@ -1004,10 +1017,9 @@ func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 }
 
 // restore applies the checkpoint and replays the WAL tail. It runs
-// before the accept loop exists, so it mutates state freely. Shard
-// nodes replay with shard semantics (restoreShard): a words record is
-// a PREPARED window there, so marker-less words are kept pending for
-// the seal-watermark healing instead of dropped.
+// before the accept loop exists, so it mutates state freely. The two
+// roles differ in what a rotation marker commits and in what becomes of
+// words no marker followed.
 func (a *Analyzer) restore(rec *store.Recovered) error {
 	if cp := rec.Checkpoint; cp != nil {
 		if err := a.unmarshalState(cp.AllTime); err != nil {
@@ -1020,53 +1032,83 @@ func (a *Analyzer) restore(rec *store.Recovered) error {
 		}
 	}
 	if a.cfg.Shard > 0 {
-		return a.restoreShard(rec)
+		// A shard's words record is a PREPARED window: a marker commits it
+		// (recharging the ledger exactly like the live commit), and
+		// marker-less words — prepared windows whose commit the crash
+		// swallowed — stay pending for the seal-watermark healing.
+		pending, err := a.replayTail(rec.Tail, func(collection uint32, words []uint64) error {
+			return a.sealWindow(collection, words, false)
+		})
+		if err != nil {
+			return err
+		}
+		for col, words := range pending {
+			a.preparedW[col] = &preparedWindow{restored: true, words: words}
+		}
+		return nil
 	}
-	// The tail holds, per interrupted collection, one words record and
-	// — if the seal got as far as the marker — the rotation marker.
-	// Marker present: replay the seal (charging the ledger exactly as
-	// the live Collect did before the crash lost its in-memory
-	// charge). Marker absent: the collection never completed; drop it.
+	// The coordinator's tail holds, per interrupted collection, one words
+	// record and — if the seal got as far as the marker — the rotation
+	// marker. Marker present: fold the words as the seal did (charging
+	// the ledger exactly as the live Collect did before the crash lost
+	// its in-memory charge). Marker absent: the collection never
+	// completed; drop it.
+	_, err := a.replayTail(rec.Tail, func(collection uint32, words []uint64) error {
+		n := len(words) - a.cfg.NR
+		if n <= 0 {
+			return fmt.Errorf("cluster: WAL collection %d has %d words for %d fakes", collection, len(words), a.cfg.NR)
+		}
+		if a.cfg.Ledger != nil {
+			if err := a.cfg.Ledger.Charge(); err != nil {
+				return fmt.Errorf("cluster: recharging collection %d: %w", collection, err)
+			}
+		}
+		_, err := a.fold(collection, words, n, a.cfg.NR)
+		return err
+	})
+	return err
+}
+
+// replayTail walks a recovered WAL tail, the same way on a coordinator
+// and on a shard. A words record pends under its collection, and a
+// later one for the same collection supersedes it: a crash between a
+// words record's Commit and its marker leaves an orphan in the log, and
+// the re-run round (or a shard's retried attempt) writes the
+// authoritative record behind it — only a marker turns pending words
+// into state, so keeping the last record is always correct. A rotation
+// marker must find its collection's words and must name the next
+// unsealed collection; commit then makes them state. The words still
+// pending at the end are returned.
+func (a *Analyzer) replayTail(tail []store.Record, commit func(collection uint32, words []uint64) error) (map[uint32][]uint64, error) {
+	// The errors name what a marker does on this node.
+	commits, committed, log := "seals collection", "collections are sealed", "an analyzer log"
+	if a.cfg.Shard > 0 {
+		commits, committed, log = "commits shard window", "windows are committed", "a shard log"
+	}
 	pending := map[uint32][]uint64{}
-	for _, r := range rec.Tail {
+	for _, r := range tail {
 		switch r.Type {
 		case store.RecordReport:
 			words, err := transport.DecodeUint64s(r.Payload)
 			if err != nil {
-				return fmt.Errorf("cluster: WAL words for collection %d: %w", r.Epoch, err)
+				return nil, fmt.Errorf("cluster: WAL words for collection %d: %w", r.Epoch, err)
 			}
-			// A later words record supersedes an earlier one for the
-			// same collection: a crash between a seal's Commit and its
-			// marker leaves an orphan words record that a recovery
-			// drops — but the orphan stays in the log, and the re-run
-			// round writes the authoritative record behind it. Only a
-			// marker turns pending words into state, so keeping the
-			// last record is always correct.
 			pending[r.Epoch] = words
 		case store.RecordRotate:
 			words, ok := pending[r.Epoch]
 			if !ok {
-				return fmt.Errorf("cluster: WAL seals collection %d without its words", r.Epoch)
+				return nil, fmt.Errorf("cluster: WAL %s %d without its words", commits, r.Epoch)
 			}
 			delete(pending, r.Epoch)
 			if int(r.Epoch) != a.collections {
-				return fmt.Errorf("cluster: WAL seals collection %d while %d collections are sealed", r.Epoch, a.collections)
+				return nil, fmt.Errorf("cluster: WAL %s %d while %d %s", commits, r.Epoch, a.collections, committed)
 			}
-			n := len(words) - a.cfg.NR
-			if n <= 0 {
-				return fmt.Errorf("cluster: WAL collection %d has %d words for %d fakes", r.Epoch, len(words), a.cfg.NR)
-			}
-			if a.cfg.Ledger != nil {
-				if err := a.cfg.Ledger.Charge(); err != nil {
-					return fmt.Errorf("cluster: recharging collection %d: %w", r.Epoch, err)
-				}
-			}
-			if _, err := a.seal(r.Epoch, n, words, false); err != nil {
-				return err
+			if err := commit(r.Epoch, words); err != nil {
+				return nil, err
 			}
 		default:
-			return fmt.Errorf("cluster: unexpected WAL record type %d in an analyzer log", r.Type)
+			return nil, fmt.Errorf("cluster: unexpected WAL record type %d in %s", r.Type, log)
 		}
 	}
-	return nil
+	return pending, nil
 }

@@ -39,9 +39,7 @@ import (
 	"time"
 
 	"shuffledp/internal/ahe"
-	"shuffledp/internal/ldp"
 	"shuffledp/internal/oblivious"
-	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
@@ -500,61 +498,8 @@ func (a *Analyzer) sealWindow(collection uint32, words []uint64, persist bool) e
 			return err
 		}
 	}
-	reports := make([]ldp.Report, len(words))
-	for i, w := range words {
-		reports[i] = a.enc.Decode(w)
-	}
-	colCounts := ldp.SupportCounts(a.cfg.FO, reports)
-	a.stateMu.Lock()
-	for v, c := range colCounts {
-		a.counts[v] += c
-	}
-	a.reals += len(words)
-	a.collections = int(collection) + 1
-	a.stateMu.Unlock()
-	if a.st != nil {
-		return a.writeCheckpoint()
-	}
-	return nil
-}
-
-// restoreShard replays a shard's WAL tail: rotation markers commit
-// their windows (recharging the ledger exactly like the live commit),
-// and marker-less words — prepared windows whose commit the crash
-// swallowed — stay pending for the seal-watermark healing.
-func (a *Analyzer) restoreShard(rec *store.Recovered) error {
-	pending := map[uint32][]uint64{}
-	for _, r := range rec.Tail {
-		switch r.Type {
-		case store.RecordReport:
-			words, err := transport.DecodeUint64s(r.Payload)
-			if err != nil {
-				return fmt.Errorf("cluster: WAL words for collection %d: %w", r.Epoch, err)
-			}
-			// Last record wins: each retried attempt prepared its own
-			// words record, and the marker (or the coordinator's next
-			// seal) commits the newest.
-			pending[r.Epoch] = words
-		case store.RecordRotate:
-			words, ok := pending[r.Epoch]
-			if !ok {
-				return fmt.Errorf("cluster: WAL commits shard window %d without its words", r.Epoch)
-			}
-			delete(pending, r.Epoch)
-			if int(r.Epoch) != a.collections {
-				return fmt.Errorf("cluster: WAL commits shard window %d while %d windows are committed", r.Epoch, a.collections)
-			}
-			if err := a.sealWindow(r.Epoch, words, false); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("cluster: unexpected WAL record type %d in a shard log", r.Type)
-		}
-	}
-	for col, words := range pending {
-		a.preparedW[col] = &preparedWindow{restored: true, words: words}
-	}
-	return nil
+	_, err := a.fold(collection, words, len(words), 0)
+	return err
 }
 
 // writeCoord runs one frame write on the coordinator link under the

@@ -43,9 +43,6 @@ type ShufflerConfig struct {
 	// collection takes (fake shares are cached per collection), so
 	// retried rounds stay bit-identical to the reference.
 	FakeSource secretshare.Source
-	// FastShuffle disables ciphertext rerandomization (Table III cost
-	// model; see oblivious.Config.SkipRerandomize for the caveat).
-	FastShuffle bool
 	// IdleTimeout bounds the silence tolerated on a client connection
 	// between report frames (0 = none); stalled clients are dropped.
 	IdleTimeout time.Duration
@@ -564,10 +561,9 @@ func (s *Shuffler) collect(a *attempt) error {
 	tr := newConnTransport(peers, s.cfg.Pub, total, s.cfg.SealTimeout, s.cfg.PhaseTimeout)
 	outPlain, outEnc, err := oblivious.RunParty(oblivious.PartyConfig{
 		Config: oblivious.Config{
-			Mod:             s.mod,
-			Source:          s.cfg.Source,
-			Pub:             s.cfg.Pub,
-			SkipRerandomize: s.cfg.FastShuffle,
+			Mod:    s.mod,
+			Source: s.cfg.Source,
+			Pub:    s.cfg.Pub,
 		},
 		Index:   s.cfg.Index,
 		Parties: s.cfg.Topology.R(),

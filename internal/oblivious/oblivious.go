@@ -48,10 +48,6 @@ type Config struct {
 	// bytes, at the sender) and ciphertext computation per shuffler
 	// ("shuffler-0", "shuffler-1", ...).
 	Meter *transport.Meter
-	// Rounds overrides the number of hide-and-seek rounds (0 means the
-	// full C(r, t), the value required for the security guarantee; the
-	// override exists for the ablation benchmarks).
-	Rounds int
 	// SkipRerandomize omits the per-element ciphertext refresh after
 	// each permutation and split. The paper's prototype accounts only
 	// homomorphic additions for the shufflers (Table III); this knob

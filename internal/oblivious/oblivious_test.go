@@ -525,25 +525,3 @@ func TestRevealParallelDerivedWidth(t *testing.T) {
 		}
 	}
 }
-
-func TestRoundsOverride(t *testing.T) {
-	mod := secretshare.NewModulus(32)
-	src := rng.New(7)
-	values := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	st := makeSharedState(values, 5, mod, src)
-	// One round only (ablation mode) — multiset must still hold.
-	if err := Run(st, Config{Mod: mod, Source: src, Rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := Reveal(st, mod, nil)
-	if len(out) != len(values) {
-		t.Fatal("length changed")
-	}
-	got := sortedCopy(out)
-	want := sortedCopy(values)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("multiset changed with Rounds=1")
-		}
-	}
-}

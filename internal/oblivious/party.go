@@ -109,7 +109,7 @@ const (
 // before the next phase is announced.
 type Phaser interface {
 	// Phase announces that the engine is entering the given phase of
-	// the given round (round == Rounds and PhaseDone at the end).
+	// the given round (the round count and PhaseDone at the end).
 	Phase(round int, phase Phase)
 }
 
@@ -166,19 +166,17 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 	if err := cfg.validate(plain, enc); err != nil {
 		return nil, nil, err
 	}
+	// One round per way of choosing the hiders: all C(r, t) of them, the
+	// number the security argument needs.
 	partitions := Combinations(cfg.Parties, Hiders(cfg.Parties))
-	rounds := cfg.Rounds
-	if rounds <= 0 || rounds > len(partitions) {
-		rounds = len(partitions)
-	}
-	for round := 0; round < rounds; round++ {
+	for round, hiders := range partitions {
 		var err error
-		plain, enc, err = runPartyRound(cfg, tr, round, partitions[round], plain, enc)
+		plain, enc, err = runPartyRound(cfg, tr, round, hiders, plain, enc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("oblivious: party %d round %d: %w", cfg.Index, round, err)
 		}
 	}
-	announce(tr, rounds, PhaseDone)
+	announce(tr, len(partitions), PhaseDone)
 	return plain, enc, nil
 }
 

@@ -281,10 +281,10 @@ func (t *phaserTransport) Phase(round int, phase Phase) {
 
 func TestRunPartyAnnouncesPhases(t *testing.T) {
 	const (
-		r      = 3
-		rounds = 2
-		seed   = 31
+		r    = 3
+		seed = 31
 	)
+	rounds := len(Combinations(r, Hiders(r)))
 	mesh := newMemMesh(r)
 	trs := make([]*phaserTransport, r)
 	errs := make([]error, r)
@@ -294,9 +294,7 @@ func TestRunPartyAnnouncesPhases(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			cfg := partyCfg(j, r, nil, seed)
-			cfg.Rounds = rounds
-			_, _, errs[j] = RunParty(cfg, trs[j], []uint64{1, 2, 3}, nil)
+			_, _, errs[j] = RunParty(partyCfg(j, r, nil, seed), trs[j], []uint64{1, 2, 3}, nil)
 		}(j)
 	}
 	wg.Wait()

@@ -211,7 +211,7 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 		}
 	}
 	if chargeErr == nil {
-		next = newEpochState(cur.id+1, s.cfg.FO, s.cfg.Workers)
+		next = newEpochState(cur.id+1, s.cfg.FO, s.workers)
 	}
 
 	req := rotateReq{next: next, done: make(chan *epochState, 1)}

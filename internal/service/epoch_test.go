@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -323,8 +324,9 @@ func TestRaceIngestDuringRotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // four workers
 	svc, err := service.New(service.Config{
-		FO: fo, Key: key, BatchSize: 32, ShuffleSeed: seed + 1, Workers: 4,
+		FO: fo, Key: key, BatchSize: 32, ShuffleSeed: seed + 1,
 	})
 	if err != nil {
 		t.Fatal(err)

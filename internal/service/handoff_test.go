@@ -79,15 +79,16 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// New's pipeline, with the worker loop opened up so the test sees
-	// each batch at the moment a worker receives it.
-	s, err := prepare(Config{FO: fo, Key: key, BatchSize: batchSize, Workers: 3, ShuffleSeed: seed + 1})
+	// New's pipeline at three workers, with the worker loop opened up so
+	// the test sees each batch at the moment a worker receives it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s, err := prepare(Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: seed + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cur.Store(newEpochState(0, fo, s.cfg.Workers))
+	s.cur.Store(newEpochState(0, fo, s.workers))
 	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
-	s.workerPool.Go(s.cfg.Workers, func(i int) {
+	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
 			if len(eb.recs) > batchSize {
 				t.Errorf("worker %d received a batch of %d records, BatchSize is %d", i, len(eb.recs), batchSize)
@@ -207,25 +208,26 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 // has accepted but not aggregated stops at the frames the intake and
 // the blocked readers hold plus the records the shuffler and the worker
 // queue hold — (intakeFrames + connections) frames and BatchSize *
-// (QueueDepth + Workers + 1) records. Close must still return at once,
-// and every goroutine New started must exit.
+// ((queuedBatchesPerWorker + 1) * workers + 1) records, workers being
+// GOMAXPROCS. Close must still return at once, and every goroutine New
+// started must exit.
 func TestIngestBackpressureBound(t *testing.T) {
 	const (
-		conns      = 4
-		frame      = 256
-		batchSize  = 64
-		workers    = 2
-		queueDepth = 3
-		floor      = batchSize * (queueDepth + workers + 1) // held past the intake once everything is stuck
-		bound      = (intakeFrames+conns)*frame + floor
+		conns     = 4
+		frame     = 256
+		batchSize = 64
+		workers   = 2
+		floor     = batchSize * ((queuedBatchesPerWorker+1)*workers + 1) // held past the intake once everything is stuck
+		bound     = (intakeFrames+conns)*frame + floor
 	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	before := runtime.NumGoroutine()
 	fo := ldp.NewGRR(16, 2)
 	key, err := ecies.GenerateKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, Workers: workers, QueueDepth: queueDepth, ShuffleSeed: 5})
+	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +298,38 @@ func TestIngestBackpressureBound(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWorkersAndQueueFollowGOMAXPROCS pins the two sizes the service
+// derives instead of taking as options: a fresh and a recovered service
+// both run GOMAXPROCS workers — one aggregator shard each — behind a
+// batches queue of queuedBatchesPerWorker slots per worker.
+func TestWorkersAndQueueFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	fo := ldp.NewGRR(16, 2)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		cfg := Config{FO: fo, Key: key, DataDir: t.TempDir()}
+		for _, build := range []struct {
+			name string
+			fn   func(Config) (*Service, error)
+		}{{"New", New}, {"Recover", Recover}} {
+			s, err := build.fn(cfg)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %s: %v", procs, build.name, err)
+			}
+			shards, queue := len(s.cur.Load().shards), cap(s.batches)
+			s.Close()
+			if shards != procs || queue != queuedBatchesPerWorker*procs {
+				t.Fatalf("GOMAXPROCS=%d: %s built %d shards and a %d-batch queue, want %d and %d",
+					procs, build.name, shards, queue, procs, queuedBatchesPerWorker*procs)
+			}
+		}
 	}
 }
 

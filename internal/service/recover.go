@@ -68,8 +68,9 @@ func Recover(cfg Config) (*Service, error) {
 	s.start()
 	// A recovered open epoch may already be past the auto-rotation
 	// threshold (the crash hit after the hint was generated but before
-	// the rotator acted on it); re-arm the hint, since the equality
-	// trigger in the shuffler will not fire again.
+	// the rotator acted on it); re-arm the hint, since the shuffler
+	// hints only when a frame carries the count across the threshold,
+	// and this epoch is already past it.
 	if s.cfg.EpochReports > 0 && s.cur.Load().accepted.Load() >= int64(s.cfg.EpochReports) {
 		select {
 		case s.rotateHint <- struct{}{}:
@@ -139,7 +140,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 		}
 	}
 
-	cur := newEpochState(openEpoch, s.cfg.FO, s.cfg.Workers)
+	cur := newEpochState(openEpoch, s.cfg.FO, s.workers)
 	if exhausted {
 		// The stored pointer is only the sealed final epoch kept for
 		// queries; recover its frozen state from the history so
@@ -203,7 +204,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 			cur.bnd = s.wal
 			s.seal(cur, r.Next >= 0)
 			if r.Next >= 0 {
-				cur = newEpochState(int(r.Next), s.cfg.FO, s.cfg.Workers)
+				cur = newEpochState(int(r.Next), s.cfg.FO, s.workers)
 			}
 		}
 	}
@@ -222,7 +223,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 // for a service recovered in the exhausted state, so queries against
 // the current epoch keep answering with its frozen estimate.
 func (s *Service) sealedFinalEpoch(id int) *epochState {
-	e := newEpochState(id, s.cfg.FO, s.cfg.Workers)
+	e := newEpochState(id, s.cfg.FO, s.workers)
 	e.sealed = true
 	e.frozen = true
 	e.frozenEst = make([]float64, s.cfg.FO.Domain())

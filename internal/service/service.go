@@ -68,6 +68,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,17 +132,6 @@ type Config struct {
 	// BatchSize is the number of reports shuffled together before any
 	// worker may decode them. 0 means DefaultBatchSize.
 	BatchSize int
-	// Workers is the decode + aggregate pool size. <1 means GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds how many shuffled batches may wait for workers
-	// before the shuffler (and transitively the clients) block. 0 means
-	// 5 * Workers. The shuffler is a single goroutine that also
-	// re-seals and write-ahead logs every report of a durable service,
-	// so it needs enough buffered batches to keep running while every
-	// worker is mid-batch: 2 * Workers cost the durable benchmark
-	// workload (svc_durable_query_d1024) about a tenth of its
-	// reports/s.
-	QueueDepth int
 	// ShuffleSeed drives the batch permutations; each epoch shuffles
 	// from its own substream of it.
 	ShuffleSeed uint64
@@ -247,6 +237,16 @@ type Snapshot struct {
 // it small.
 const intakeFrames = 2
 
+// queuedBatchesPerWorker sizes the batches queue: that many shuffled
+// batches per decode + aggregate worker (GOMAXPROCS of them, counted at
+// New or Recover) may wait before the shuffler — and transitively the
+// clients — block. The shuffler is a single goroutine that also
+// re-seals and write-ahead logs every report of a durable service, so
+// it needs enough buffered batches to keep running while every worker
+// is mid-batch: 2 per worker cost the durable benchmark workload
+// (svc_durable_query_d1024) about a tenth of its reports/s.
+const queuedBatchesPerWorker = 5
+
 // frameBlock is one opened session frame on its way to the shuffler:
 // the whole authenticated plaintext — a whole number of codec.Size()
 // records, checked by the reader — with the epoch id the frame
@@ -271,6 +271,9 @@ type epochBatch struct {
 type Service struct {
 	cfg   Config
 	codec *Codec
+	// workers is the decode + aggregate pool size, and so every epoch's
+	// shard count: GOMAXPROCS when the service was built.
+	workers int
 
 	intake  chan frameBlock // opened session frames, readers -> shuffler
 	batches chan epochBatch // shuffled batches, shuffler -> aggregate pool
@@ -357,7 +360,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.cur.Store(newEpochState(0, s.cfg.FO, s.cfg.Workers))
+	s.cur.Store(newEpochState(0, s.cfg.FO, s.workers))
 	s.start()
 	return s, nil
 }
@@ -380,20 +383,18 @@ func prepare(cfg Config) (*Service, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	cfg.Workers = ldp.Workers(cfg.Workers)
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 5 * cfg.Workers
-	}
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
+	workers := runtime.GOMAXPROCS(0)
 	s := &Service{
-		cfg:   cfg,
-		codec: codec,
+		cfg:     cfg,
+		codec:   codec,
+		workers: workers,
 		// Past intakeFrames of slack the readers block and the clients
 		// feel backpressure through their connection writes.
 		intake:       make(chan frameBlock, intakeFrames),
-		batches:      make(chan epochBatch, cfg.QueueDepth),
+		batches:      make(chan epochBatch, queuedBatchesPerWorker*workers),
 		stop:         make(chan struct{}),
 		rotateCh:     make(chan rotateReq),
 		rotateHint:   make(chan struct{}, 1),
@@ -413,7 +414,7 @@ func (s *Service) storeMeta() store.Meta {
 // current epoch.
 func (s *Service) start() {
 	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
-	s.workerPool.Go(s.cfg.Workers, s.runWorker)
+	s.workerPool.Go(s.workers, s.runWorker)
 	if s.cfg.EpochReports > 0 {
 		s.rotatorWG.Add(1)
 		go s.runRotator()

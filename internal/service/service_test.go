@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -390,7 +391,8 @@ func TestCorruptRecordInAuthenticBatchFailsDrain(t *testing.T) {
 		}
 	}
 
-	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 2, Workers: 2})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two workers
+	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
