@@ -25,18 +25,19 @@ package main
 // ciphertexts. Oracle parameters (-oracle/-d/-dprime/-epsl) and -nr
 // must match across all roles, like the protocol parameters they are.
 //
-// The analyzer tier can be sharded by domain partition: give every
-// role the full shard list and each analyzer process its index —
+// The analyzer tier's decrypt work can be spread over several nodes:
+// give every role the full shard list and each analyzer process its
+// index —
 //
 //	shuffled analyzer -analyzers :7900,:7910 -shard 0 ... # coordinator
-//	shuffled analyzer -analyzers :7900,:7910 -shard 1 ... # window shard
+//	shuffled analyzer -analyzers :7900,:7910 -shard 1 ... # reveal worker
 //	shuffled shuffler -analyzer :7900,:7910 ...
 //
-// Shard 0 coordinates rounds exactly like the single analyzer (its
-// durable state stays byte-identical); higher shards serve their
-// domain window passively and exit once -collections windows have
-// committed. -partition overrides the even domain split, and a
-// restarted shard recovers from its own -data-dir.
+// Shard 0 coordinates rounds exactly like the single analyzer and is
+// the only node with a -data-dir. Higher shards are stateless: each
+// decrypts its even cut of every round's shuffled vector and exits once
+// the coordinator has told it -collections rounds sealed; a crashed one
+// is simply started again (DESIGN.md §13).
 
 import (
 	"errors"
@@ -44,7 +45,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -108,32 +108,6 @@ func parseTopology(shufflers, analyzers string) (cluster.Topology, error) {
 	return topo, nil
 }
 
-// parsePartition parses `-partition "0,8,16"` into a PartitionPlan:
-// the cumulative domain bounds, one boundary per shard edge. Empty
-// means the even split (the analyzer derives it from d and the
-// topology).
-func parsePartition(s string, analyzers, d int) (cluster.PartitionPlan, error) {
-	if s == "" {
-		return cluster.PartitionPlan{}, nil
-	}
-	var bounds []int
-	for _, part := range strings.Split(s, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return cluster.PartitionPlan{}, fmt.Errorf("-partition %q: %w", s, err)
-		}
-		bounds = append(bounds, b)
-	}
-	p := cluster.PartitionPlan{Analyzers: len(bounds) - 1, Bounds: bounds}
-	if p.Analyzers != analyzers {
-		return p, fmt.Errorf("-partition %q describes %d shard(s), topology has %d analyzer(s)", s, p.Analyzers, analyzers)
-	}
-	if err := p.Validate(d); err != nil {
-		return p, fmt.Errorf("-partition %q: %w", s, err)
-	}
-	return p, nil
-}
-
 // loadOrCreateKey returns the analyzer's DGK key pair: loaded from
 // path when the file exists, freshly generated (and persisted, with
 // the public half next to it as path+".pub") otherwise.
@@ -181,14 +155,13 @@ func runAnalyzer(args []string) {
 	listen := fs.String("listen", "127.0.0.1:7900", "analyzer listen address")
 	analyzers := fs.String("analyzers", "", "comma-separated analyzer shard addresses, in shard order (empty = single analyzer at -listen)")
 	shard := fs.Int("shard", 0, "this analyzer's shard index into -analyzers (0 = coordinator)")
-	partition := fs.String("partition", "", "comma-separated cumulative domain bounds, e.g. 0,8,16 (empty = even split)")
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
 	nr := fs.Int("nr", 24, "joint fake reports per collection")
 	keyPath := fs.String("key", "peos.key", "DGK private-key file (created on first run)")
 	keyBits := fs.Int("keybits", 1024, "DGK modulus bits when generating (paper deploys 3072)")
 	n := fs.Int("n", 400, "users per collection round")
 	collections := fs.Int("collections", 1, "collection rounds to drive")
-	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
+	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory (coordinator only)")
 	fsync := fs.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-phase collect timeout")
 	retries := fs.Int("retry-attempts", 1, "attempts per collection round (>1 enables abort-and-retry self-healing)")
@@ -228,10 +201,6 @@ func runAnalyzer(args []string) {
 			topo.Analyzers[*shard] = *listen
 		}
 	}
-	plan, err := parsePartition(*partition, topo.A(), fo.Domain())
-	if err != nil {
-		log.Fatal(err)
-	}
 	priv, err := loadOrCreateKey(*keyPath, *keyBits)
 	if err != nil {
 		log.Fatal(err)
@@ -246,7 +215,6 @@ func runAnalyzer(args []string) {
 		NR:             *nr,
 		Priv:           priv,
 		Shard:          *shard,
-		Plan:           plan,
 		DataDir:        *dataDir,
 		Sync:           syncPolicy,
 		CollectTimeout: *timeout,
@@ -271,19 +239,19 @@ func runAnalyzer(args []string) {
 	}
 	defer a.Close()
 
-	// A window shard is passive: the coordinator drives the rounds and
-	// two-phase-commits this node's windows. It serves until the target
-	// number of windows has committed, then exits — symmetric with the
-	// coordinator's loop below, so a sharded deployment winds down
-	// cleanly when the rounds are done.
+	// A shard is passive: the coordinator drives the rounds. It serves
+	// until the coordinator's done frames say the target number of
+	// rounds sealed, then exits — symmetric with the coordinator's loop
+	// below, so a sharded deployment winds down cleanly when the rounds
+	// are done. (If the final done frame is lost the shard keeps
+	// polling; it holds no state, so stopping it by hand loses nothing.)
 	if *shard != 0 {
 		fmt.Printf("analyzer shard %d/%d listening on %s (coordinator %s)\n",
 			*shard, topo.A(), a.Addr(), topo.Coordinator())
 		for a.Collections() < *collections {
 			time.Sleep(100 * time.Millisecond)
 		}
-		reals, _ := a.Totals()
-		fmt.Printf("shard %d done: %d windows committed, %d words revealed\n", *shard, a.Collections(), reals)
+		fmt.Printf("shard %d done: the coordinator sealed %d collections\n", *shard, a.Collections())
 		return
 	}
 	fmt.Printf("analyzer listening on %s, waiting for %d shufflers\n", a.Addr(), topo.R())

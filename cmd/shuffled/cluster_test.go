@@ -153,31 +153,10 @@ func TestParseTopologyAndOracleFlags(t *testing.T) {
 	}
 }
 
-func TestParsePartition(t *testing.T) {
-	if p, err := parsePartition("", 3, 8); err != nil || p.Analyzers != 0 {
-		t.Fatalf("empty -partition: %+v, %v", p, err)
-	}
-	p, err := parsePartition("0, 3, 8", 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Analyzers != 2 || p.Bounds[1] != 3 {
-		t.Fatalf("parsed %+v", p)
-	}
-	if _, err := parsePartition("0,8", 2, 8); err == nil {
-		t.Fatal("accepted a plan with the wrong shard count")
-	}
-	if _, err := parsePartition("0,9,8", 2, 8); err == nil {
-		t.Fatal("accepted decreasing bounds")
-	}
-	if _, err := parsePartition("0,x,8", 2, 8); err == nil {
-		t.Fatal("accepted a non-numeric bound")
-	}
-}
-
 // A sharded deployment through the role subcommands: two analyzer
-// processes (coordinator + window shard), two shufflers, one client,
-// one round. The shard exits on its own once its window has committed.
+// processes (coordinator + reveal-worker shard), two shufflers, one
+// client, one round. The shard exits on its own once the coordinator's
+// done frame tells it the round sealed.
 func TestRoleSubcommandsShardedRound(t *testing.T) {
 	dir := t.TempDir()
 	keyPath := filepath.Join(dir, "peos.key")
@@ -192,7 +171,7 @@ func TestRoleSubcommandsShardedRound(t *testing.T) {
 		runAnalyzer([]string{
 			"-analyzers", analyzers, "-shard", "0", "-shufflers", shufflers,
 			"-key", keyPath, "-keybits", "512",
-			"-oracle", "grr", "-d", "8", "-nr", "6", "-partition", "0,4,8",
+			"-oracle", "grr", "-d", "8", "-nr", "6",
 			"-n", "80", "-collections", "1", "-timeout", "30s",
 		})
 	}()
@@ -203,7 +182,7 @@ func TestRoleSubcommandsShardedRound(t *testing.T) {
 		runAnalyzer([]string{
 			"-analyzers", analyzers, "-shard", "1", "-shufflers", shufflers,
 			"-key", keyPath,
-			"-oracle", "grr", "-d", "8", "-nr", "6", "-partition", "0,4,8",
+			"-oracle", "grr", "-d", "8", "-nr", "6",
 			"-n", "80", "-collections", "1", "-timeout", "30s",
 		})
 	}()

@@ -15,10 +15,10 @@
 // cumulative estimate must equal the protocol estimator over all
 // rounds' reports. Any drift exits non-zero.
 //
-// With -analyzers > 1 the analyzer tier itself is sharded by domain
-// partition: shard 0 coordinates rounds and higher shards serve their
-// domain window, and the demo additionally proves the merge — summing
-// every shard's window tally reproduces the coordinator's counts.
+// With -analyzers > 1 the analyzer's decrypt work is spread over
+// several nodes: shard 0 coordinates rounds, higher shards are stateless
+// workers that each reveal an even cut of the shuffled vector, and the
+// same bit-identity must hold.
 //
 // With -kill, the demo instead rehearses the failure drill the CI
 // smoke job runs: one shuffler (or, when sharded, one analyzer shard)
@@ -64,7 +64,7 @@ var (
 	colFlag     = flag.Int("collections", 2, "collection rounds")
 	keyBits     = flag.Int("keybits", 512, "DGK modulus bits (paper deploys 3072)")
 	seedFlag    = flag.Uint64("seed", 1, "base seed for all deterministic streams")
-	killFlag    = flag.Bool("kill", false, "kill shuffler 0 mid-stream, expect a clean error, rerun to completion")
+	killFlag    = flag.Bool("kill", false, "kill shuffler 0 (analyzer shard 1 with -analyzers > 1) mid-round, expect a clean error, rerun to completion")
 	chaosFlag   = flag.Bool("chaos", false, "inject deterministic faults (mesh reset + client disconnect) and self-heal")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-phase safety timeout")
 )
@@ -91,7 +91,7 @@ func retryPolicy() cluster.RetryPolicy {
 
 // nodes is one running cluster: listeners bound first so the topology
 // carries real ports, then one goroutine per role. analyzers[0] is the
-// coordinator; any further entries are passive window shards.
+// coordinator; any further entries are stateless reveal workers.
 type nodes struct {
 	topo      cluster.Topology
 	analyzers []*cluster.Analyzer
@@ -100,18 +100,6 @@ type nodes struct {
 }
 
 func (ns *nodes) analyzer() *cluster.Analyzer { return ns.analyzers[0] }
-
-// mergedEstimates is the sharded tier's merge proof: sum every
-// analyzer node's window tally and run the shared estimator over it —
-// it must reproduce the coordinator's estimates exactly.
-func (ns *nodes) mergedEstimates(fo ldp.FrequencyOracle) []float64 {
-	shards := make([][]int, len(ns.analyzers))
-	for s, a := range ns.analyzers {
-		shards[s] = a.ShardCounts()
-	}
-	reals, fakes := ns.analyzer().Totals()
-	return protocol.EstimateCounts(fo, protocol.MergeShardCounts(shards), reals, fakes)
-}
 
 // startNodes boots the analyzer tier and R shufflers on loopback.
 // Collection c of shuffler j draws its fake shares from substream
@@ -253,7 +241,14 @@ func main() {
 	}
 
 	if *killFlag {
-		runKillDrill(priv, fo)
+		// Kill a reveal-worker shard with the whole round in flight when
+		// the tier is sharded, shuffler 0 halfway through the reports
+		// otherwise.
+		if *aFlag > 1 {
+			runKillDrill(priv, fo, "analyzer shard 1", *nFlag, func(ns *nodes) { ns.analyzers[1].Close() })
+		} else {
+			runKillDrill(priv, fo, "shuffler 0", *nFlag/2, func(ns *nodes) { ns.shufflers[0].Close() })
+		}
 		return
 	}
 
@@ -345,12 +340,6 @@ func main() {
 		log.Fatal("FAIL: cumulative estimate diverged from the protocol estimator")
 	}
 	fmt.Printf("cumulative over %d rounds bit-identical to the in-process reference ✓\n", *colFlag)
-	if *aFlag > 1 {
-		if !equal(ns.mergedEstimates(fo), ns.analyzer().Estimates()) {
-			log.Fatal("FAIL: merged per-shard counts diverged from the coordinator")
-		}
-		fmt.Printf("merge proof: %d shards' window tallies re-sum to the coordinator's counts ✓\n", *aFlag)
-	}
 
 	if *chaosFlag {
 		mesh, cl := meshNet.Stats(), clientNet.Stats()
@@ -369,16 +358,12 @@ func main() {
 	}
 }
 
-// runKillDrill is the CI failure rehearsal: kill one node mid-stream
-// (a window shard when the tier is sharded, shuffler 0 otherwise),
-// demand a clean protocol error, then rerun to completion on a fresh
-// cluster and demand bit-identity.
-func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) {
-	if *aFlag > 1 {
-		runShardKillDrill(priv, fo)
-		return
-	}
-	fmt.Println("kill drill: shuffler 0 dies mid-stream")
+// runKillDrill is the CI failure rehearsal: send the first `sent`
+// reports of the round, kill one node, demand a clean protocol error
+// from Collect — never a hang, never a partially sealed round — then
+// rerun to completion on a fresh cluster and demand bit-identity.
+func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, victim string, sent int, kill func(*nodes)) {
+	fmt.Printf("kill drill: %s dies mid-round\n", victim)
 	ns, err := startNodes(priv, fo, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -388,30 +373,30 @@ func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) {
 		log.Fatal(err)
 	}
 	values := synthValues(0)
-	if err := client.SendValues(0, values[:len(values)/2], rng.Substream(*seedFlag, 8000)); err != nil {
+	if err := client.SendValues(0, values[:sent], rng.Substream(*seedFlag, 8000)); err != nil {
 		log.Fatal(err)
 	}
 	if err := client.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	ns.shufflers[0].Close()
+	kill(ns)
 
-	type res struct {
-		err error
-	}
-	done := make(chan res, 1)
+	done := make(chan error, 1)
 	go func() {
 		_, err := ns.analyzer().Collect(*nFlag)
-		done <- res{err}
+		done <- err
 	}()
 	select {
-	case r := <-done:
-		if r.err == nil {
-			log.Fatal("FAIL: Collect succeeded with a dead shuffler")
+	case err := <-done:
+		if err == nil {
+			log.Fatalf("FAIL: Collect succeeded with a dead %s", victim)
 		}
-		fmt.Printf("  round failed cleanly: %v\n", r.err)
+		fmt.Printf("  round failed cleanly: %v\n", err)
 	case <-time.After(*timeoutFlag):
-		log.Fatal("FAIL: Collect hung on a dead shuffler")
+		log.Fatalf("FAIL: Collect hung on a dead %s", victim)
+	}
+	if ns.analyzer().Collections() != 0 {
+		log.Fatal("FAIL: a failed round left a sealed collection behind")
 	}
 	client.Close()
 	ns.stop()
@@ -445,85 +430,4 @@ func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) {
 		log.Fatal("FAIL: rerun estimates diverged from protocol.PEOS.Run")
 	}
 	fmt.Println("  rerun completed, estimates bit-identical to the in-process reference ✓")
-}
-
-// runShardKillDrill rehearses an analyzer-shard failure: the full
-// round's reports are in flight, then a window shard is hard-killed.
-// The coordinator must fail the round with a clean protocol error —
-// never a hang, never a partial window commit — and a rerun on a
-// fresh sharded cluster must match the reference and its merge proof.
-func runShardKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) {
-	fmt.Printf("kill drill: analyzer shard 1 of %d dies mid-round\n", *aFlag)
-	ns, err := startNodes(priv, fo, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	client, err := cluster.DialClient(ns.topo, fo, ahe.PublicKey(priv), rng.Substream(*seedFlag, 6000), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	values := synthValues(0)
-	if err := client.SendValues(0, values, rng.Substream(*seedFlag, 8000)); err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	ns.analyzers[1].Crash()
-
-	type res struct {
-		err error
-	}
-	done := make(chan res, 1)
-	go func() {
-		_, err := ns.analyzer().Collect(*nFlag)
-		done <- res{err}
-	}()
-	select {
-	case r := <-done:
-		if r.err == nil {
-			log.Fatal("FAIL: Collect succeeded with a dead analyzer shard")
-		}
-		fmt.Printf("  round failed cleanly: %v\n", r.err)
-	case <-time.After(*timeoutFlag):
-		log.Fatal("FAIL: Collect hung on a dead analyzer shard")
-	}
-	if ns.analyzer().Collections() != 0 {
-		log.Fatal("FAIL: a failed round left a committed window behind")
-	}
-	client.Close()
-	ns.stop()
-
-	fmt.Println("rerun on a fresh sharded cluster:")
-	ns, err = startNodes(priv, fo, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ns.stop()
-	client, err = cluster.DialClient(ns.topo, fo, ahe.PublicKey(priv), rng.Substream(*seedFlag, 6001), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.SendValues(0, values, rng.Substream(*seedFlag, 8000)); err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	col, err := ns.analyzer().Collect(*nFlag)
-	if err != nil {
-		log.Fatalf("rerun failed: %v", err)
-	}
-	ref, err := refRun(priv, fo, values, func(j int) secretshare.Source { return fakeSource(0, j) }, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !equal(col.Estimates, ref.Estimates) {
-		log.Fatal("FAIL: rerun estimates diverged from protocol.PEOS.Run")
-	}
-	if !equal(ns.mergedEstimates(fo), ns.analyzer().Estimates()) {
-		log.Fatal("FAIL: rerun merge proof failed")
-	}
-	fmt.Println("  rerun completed, estimates bit-identical to the in-process reference, merge proof holds ✓")
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"shuffledp/internal/rng"
 )
@@ -211,6 +212,15 @@ func TestRandomizerPool(t *testing.T) {
 	stopA := key.StartRandomizerPool()
 	stopB := PublicKey(key).StartRandomizerPool() // join via the interface
 	defer stopB()
+	// Let a refiller run before the workers start: on a loaded host they
+	// can otherwise finish every draw inline before one is scheduled,
+	// and the hit assertion below would be testing the scheduler.
+	for deadline := time.Now().Add(5 * time.Second); key.fb.pool.Load().size.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("a started pool stayed empty for 5 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	const workers, perWorker = 4, 25
 	var wg sync.WaitGroup

@@ -35,14 +35,16 @@ type AnalyzerConfig struct {
 	Priv ahe.PrivateKey
 	// Ledger, when non-nil, is charged one per-collection guarantee at
 	// every Collect; once it refuses, Collect returns an error wrapping
-	// budget.ErrExhausted and the analyzer stays queryable.
+	// budget.ErrExhausted and the analyzer stays queryable. Coordinator
+	// only: a shard charges nothing.
 	Ledger *budget.Ledger
 	// DataDir, when non-empty, makes the analyzer durable: each sealed
 	// collection's decoded words are write-ahead logged and the
 	// cumulative counts checkpointed, so RecoverAnalyzer restores a
 	// crashed analyzer bit-identically. (The log holds post-shuffle
 	// DECODED reports — exactly what the analyzer role legitimately
-	// sees; it never holds anything linkable to a client.)
+	// sees; it never holds anything linkable to a client.) Coordinator
+	// only: a shard keeps no state a restart needs.
 	DataDir string
 	// Sync is the WAL fsync policy (store.SyncBatch when zero);
 	// rotation markers and checkpoints are always fsynced.
@@ -62,16 +64,13 @@ type AnalyzerConfig struct {
 	HelloTimeout time.Duration
 	// Shard is this node's analyzer-shard index in [0, Topology.A()).
 	// Shard 0 — the default, and the only shard of a single-analyzer
-	// topology — is the coordinator: it drives Collect, owns the full
-	// durable history, and serves estimates. Shards >= 1 are passive
-	// window workers (DESIGN.md §13): they reveal their partition's cut
-	// of each round and keep their own ledger/WAL per committed window.
+	// topology — is the coordinator: it drives Collect, owns the
+	// durable history, and serves estimates. Shards >= 1 are stateless
+	// reveal workers (DESIGN.md §13): they decrypt their even cut of
+	// each round's post-shuffle vector and hand the words to the
+	// coordinator. A crashed shard is replaced by a blank one at the
+	// same address.
 	Shard int
-	// Plan is the analyzer tier's domain-partition plan; every shard
-	// (and no other role — shufflers learn the derived cuts from each
-	// seal frame) must be configured with the same plan. The zero value
-	// means EvenPlan(FO.Domain(), Topology.A()).
-	Plan PartitionPlan
 	// DialTimeout bounds connection establishment to the coordinator
 	// (shard nodes only; 0 = DefaultDialTimeout).
 	DialTimeout time.Duration
@@ -99,24 +98,10 @@ func (cfg *AnalyzerConfig) validate() error {
 	if cfg.Shard < 0 || cfg.Shard >= cfg.Topology.A() {
 		return fmt.Errorf("cluster: analyzer shard %d out of range [0, %d)", cfg.Shard, cfg.Topology.A())
 	}
+	if cfg.Shard > 0 && (cfg.DataDir != "" || cfg.Ledger != nil) {
+		return fmt.Errorf("cluster: analyzer shard %d is a stateless reveal worker: DataDir and Ledger belong to the coordinator (shard 0)", cfg.Shard)
+	}
 	return nil
-}
-
-// resolvePlan returns the tier's partition plan: the configured one
-// (validated against the oracle's domain and the topology's shard
-// count) or the balanced default.
-func (cfg *AnalyzerConfig) resolvePlan() (PartitionPlan, error) {
-	a := cfg.Topology.A()
-	if len(cfg.Plan.Bounds) == 0 && cfg.Plan.Analyzers == 0 {
-		return EvenPlan(cfg.FO.Domain(), a)
-	}
-	if err := cfg.Plan.Validate(cfg.FO.Domain()); err != nil {
-		return PartitionPlan{}, err
-	}
-	if cfg.Plan.Analyzers != a {
-		return PartitionPlan{}, fmt.Errorf("cluster: partition plan has %d shards, topology has %d analyzers", cfg.Plan.Analyzers, a)
-	}
-	return cfg.Plan, nil
 }
 
 // Collection is one sealed collection round's outcome.
@@ -143,12 +128,11 @@ type Collection struct {
 // Collect, query with Estimates/Totals, and stop with Close (orderly)
 // or Crash (simulated power cut).
 type Analyzer struct {
-	cfg  AnalyzerConfig
-	plan PartitionPlan
-	enc  *ldp.WordEncoder
-	mod  secretshare.Modulus
-	ln   net.Listener
-	st   *store.Store
+	cfg AnalyzerConfig
+	enc *ldp.WordEncoder
+	mod secretshare.Modulus
+	ln  net.Listener
+	st  *store.Store
 
 	mu         sync.Mutex
 	conns      []net.Conn            // by shuffler index (control links; data links on a shard)
@@ -161,24 +145,17 @@ type Analyzer struct {
 	counts      []int
 	reals       int
 	fakes       int
-	collections int
+	collections int    // sealed rounds; on a shard, the rounds it knows the coordinator sealed
 	attempts    uint32 // monotonic attempt counter; never reused, so a generation never repeats
-	// chunkCounts/chunkReals track the support counts and word count of
-	// the windows THIS node revealed — the coordinator's own cut of a
-	// sharded tier (equal to counts/reals on a single analyzer, where
-	// the window is the whole vector). ShardCounts serves them; the
-	// conformance suite sums them across the tier against counts.
-	chunkCounts []int
-	chunkReals  int
 
-	// Shard-node state (cfg.Shard > 0): the coordinator control link,
-	// buffered shuffler chunk frames, the in-flight window attempt, and
-	// the prepared-but-uncommitted windows of the two-phase commit.
+	// Shard-node state (cfg.Shard > 0; shard.go): the coordinator
+	// control link (under mu, like every link) and, under stateMu, the
+	// in-flight window attempt and each shuffler's newest chunk frame.
 	coord     net.Conn
 	coordWMu  sync.Mutex // serializes writes on the coordinator link
-	chunks    *chunkBuf
 	curShard  *shardAttempt
-	preparedW map[uint32]*preparedWindow
+	chunks    []chunk // by shuffler index
+	chunkMore chan struct{}
 }
 
 // NewAnalyzer validates cfg, binds the listener, creates the durable
@@ -219,17 +196,12 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	plan, err := cfg.resolvePlan()
-	if err != nil {
-		return nil, err
-	}
 	ln, err := listenOrUse(cfg.Listener, cfg.Topology.Analyzers[cfg.Shard])
 	if err != nil {
 		return nil, err
 	}
 	a := &Analyzer{
 		cfg:      cfg,
-		plan:     plan,
 		enc:      enc,
 		mod:      secretshare.NewModulus(64),
 		ln:       ln,
@@ -238,13 +210,12 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		connMore: make(chan struct{}, 1),
 		counts:   make([]int, cfg.FO.Domain()),
 	}
-	if cfg.Shard == 0 && plan.Analyzers > 1 {
-		a.shardConns = make([]net.Conn, plan.Analyzers)
-		a.chunkCounts = make([]int, cfg.FO.Domain())
+	if cfg.Shard == 0 && cfg.Topology.A() > 1 {
+		a.shardConns = make([]net.Conn, cfg.Topology.A())
 	}
 	if cfg.Shard > 0 {
-		a.chunks = newChunkBuf()
-		a.preparedW = make(map[uint32]*preparedWindow)
+		a.chunks = make([]chunk, cfg.Topology.R())
+		a.chunkMore = make(chan struct{}, 1)
 	}
 	return a, nil
 }
@@ -259,8 +230,8 @@ func (a *Analyzer) Addr() string { return a.ln.Addr().String() }
 // acceptLoop registers inbound connections by their hello. On every
 // node, shuffler hellos claim the per-shuffler link slot (a
 // reconnecting shuffler replaces its old link); the coordinator of a
-// sharded tier additionally accepts shard hellos, validating the
-// peer's partition plan against its own. On a shard node the shuffler
+// sharded tier additionally accepts shard hellos, refusing a peer
+// configured for a different analyzer count. On a shard node the shuffler
 // links are chunk DATA links, each drained by its own reader into the
 // chunk buffer.
 func (a *Analyzer) acceptLoop() {
@@ -316,9 +287,8 @@ func (a *Analyzer) acceptLoop() {
 					go a.readChunks(idx, conn)
 				}
 			case tagShardHello:
-				shard, plan, err := parseShardHello(payload)
-				if err != nil || a.cfg.Shard != 0 || a.shardConns == nil ||
-					shard >= a.plan.Analyzers || !planEqual(plan, a.plan) {
+				shard, err := parseShardHello(payload, a.cfg.Topology.A())
+				if err != nil || a.shardConns == nil {
 					drop()
 					return
 				}
@@ -470,16 +440,9 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 			return Collection{}, err
 		}
 		col.Attempts = try + 1
-		// Second phase of the shard two-phase commit: the coordinator's
-		// durable seal above is the commit point, so the shards now
-		// seal their prepared windows too and confirm. A failure inside
-		// this window is a hard error (the coordinator's round stands;
-		// the shard heals its window from its WAL at the next seal's
-		// watermark — DESIGN.md §13 spells out the caveat).
-		if err := a.commitShards(shards, g); err != nil {
-			return col, fmt.Errorf("cluster: collection %d sealed, but committing analyzer shards failed: %w", collection, err)
-		}
-		a.broadcastDone(conns, collection)
+		// The durable seal above is the round's one commit point; what
+		// follows only lets shufflers and shards drop what they buffer.
+		a.broadcastDone(conns, shards, collection)
 		return col, nil
 	}
 	return Collection{}, fmt.Errorf("cluster: collection %d failed after %d attempt(s): %w", collection, policy.Attempts, lastErr)
@@ -496,9 +459,9 @@ func (a *Analyzer) nextAttempt() uint32 {
 	return att
 }
 
-// attemptRound runs one generation of a collection: shard seals (the
-// window workers arm first, so no chunk can beat its seal), the seal
-// broadcast to the shufflers, the coordinator's own window vectors,
+// attemptRound runs one generation of a collection: the seal broadcast
+// — one frame, to the shards first so they are armed before any chunk
+// can arrive, then to the shufflers — the coordinator's own window vectors,
 // then each shard's revealed words — reassembled in cut order into the
 // full post-shuffle word vector, byte-identical to what a single
 // analyzer reveals. On failure it reports which shuffler or shard link
@@ -507,12 +470,13 @@ func (a *Analyzer) nextAttempt() uint32 {
 // link.
 func (a *Analyzer) attemptRound(conns, shards []net.Conn, g gen, n int) ([]uint64, int, int, error) {
 	total := n + a.cfg.NR
-	cuts := a.plan.Cuts(total)
+	analyzers := a.cfg.Topology.A()
+	cuts := evenCuts(total, analyzers)
 	for s := 1; s < len(shards); s++ {
 		if a.cfg.CollectTimeout > 0 {
 			shards[s].SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
 		}
-		err := writeShardSeal(shards[s], g, n)
+		err := writeSealFrame(shards[s], g, n, analyzers)
 		shards[s].SetWriteDeadline(time.Time{})
 		if err != nil {
 			return nil, -1, s, fmt.Errorf("sealing with analyzer shard %d: %w", s, err)
@@ -522,7 +486,7 @@ func (a *Analyzer) attemptRound(conns, shards []net.Conn, g gen, n int) ([]uint6
 		if a.cfg.CollectTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
 		}
-		err := writeSealFrame(conn, g, n, cuts)
+		err := writeSealFrame(conn, g, n, analyzers)
 		conn.SetWriteDeadline(time.Time{})
 		if err != nil {
 			return nil, j, -1, fmt.Errorf("sealing with shuffler %d: %w", j, err)
@@ -658,22 +622,26 @@ func (a *Analyzer) recoverConns(conns, shards []net.Conn, g gen, badConn, badSha
 	}
 }
 
-// broadcastDone tells every shuffler the collection sealed durably, so
-// they can prune its buffered shares, cached fakes, and parked mesh
-// connections. Best-effort: a shuffler that misses it prunes on the
-// next seal instead.
-func (a *Analyzer) broadcastDone(conns []net.Conn, collection uint32) {
-	for j, conn := range conns {
-		if conn == nil {
-			continue
-		}
+// broadcastDone tells every shuffler and shard the collection sealed
+// durably, so shufflers can prune its buffered shares, cached fakes,
+// and parked mesh connections, and shards its chunk frames.
+// Best-effort: a node that misses it prunes on the next seal instead.
+func (a *Analyzer) broadcastDone(conns, shards []net.Conn, collection uint32) {
+	send := func(conn net.Conn) error {
 		if a.cfg.CollectTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
 		}
-		err := writeDoneFrame(conn, collection)
-		conn.SetWriteDeadline(time.Time{})
-		if err != nil {
+		defer conn.SetWriteDeadline(time.Time{})
+		return writeDoneFrame(conn, collection)
+	}
+	for j, conn := range conns {
+		if conn != nil && send(conn) != nil {
 			a.dropShuffler(j, conn)
+		}
+	}
+	for s := 1; s < len(shards); s++ {
+		if send(shards[s]) != nil {
+			a.dropShard(s, shards[s])
 		}
 	}
 }
@@ -724,7 +692,7 @@ func (a *Analyzer) seal(collection uint32, n int, words []uint64) (Collection, e
 			return Collection{}, err
 		}
 	}
-	colCounts, err := a.fold(collection, words, n, a.cfg.NR)
+	colCounts, err := a.fold(collection, n, words)
 	if err != nil {
 		return Collection{}, err
 	}
@@ -737,14 +705,12 @@ func (a *Analyzer) seal(collection uint32, n int, words []uint64) (Collection, e
 	}, nil
 }
 
-// fold is the one place a collection's revealed words become state, on
-// a coordinator and on a shard alike: decode them, add their support
-// counts to the cumulative counts, advance the sealed watermark, and —
-// on a durable node — checkpoint. reals and fakes are the caller's
-// bookkeeping (user reports and NR on a coordinator; a shard counts its
-// window's words as reals and no fakes). It returns the collection's own
-// support counts.
-func (a *Analyzer) fold(collection uint32, words []uint64, reals, fakes int) ([]int, error) {
+// fold is the one place a collection's revealed words (n user reports
+// + NR fakes) become state, live and on replay alike: decode them, add
+// their support counts to the cumulative counts, advance the sealed
+// watermark, and — on a durable node — checkpoint. It returns the
+// collection's own support counts.
+func (a *Analyzer) fold(collection uint32, n int, words []uint64) ([]int, error) {
 	reports := make([]ldp.Report, len(words))
 	for i, w := range words {
 		reports[i] = a.enc.Decode(w)
@@ -754,21 +720,9 @@ func (a *Analyzer) fold(collection uint32, words []uint64, reals, fakes int) ([]
 	for v, c := range colCounts {
 		a.counts[v] += c
 	}
-	a.reals += reals
-	a.fakes += fakes
+	a.reals += n
+	a.fakes += a.cfg.NR
 	a.collections = int(collection) + 1
-	if a.chunkCounts != nil {
-		// Track the coordinator's own window tally. Recomputed from the
-		// words (not captured during the reveal) so a recovery replay —
-		// which re-seals from the WAL'd full vector — derives the same
-		// chunk deterministically.
-		cut := a.plan.Cuts(len(words))[1]
-		chunk := ldp.SupportCounts(a.cfg.FO, reports[:cut])
-		for v, c := range chunk {
-			a.chunkCounts[v] += c
-		}
-		a.chunkReals += cut
-	}
 	a.stateMu.Unlock()
 	if a.st != nil {
 		if err := a.writeCheckpoint(); err != nil {
@@ -793,29 +747,13 @@ func (a *Analyzer) Totals() (reports, fakes int) {
 	return a.reals, a.fakes
 }
 
-// Collections returns how many collection rounds have sealed.
+// Collections returns how many collection rounds have sealed. On a
+// shard it is the done watermark: the rounds the coordinator's done
+// frames — or a later round's seal — have told it sealed.
 func (a *Analyzer) Collections() int {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
 	return a.collections
-}
-
-// ShardCounts returns the cumulative support counts over the vector
-// windows THIS node revealed: a shard's full tally, the coordinator's
-// own cut on a sharded tier, and the whole count vector on a single
-// analyzer. Summing every tier member's ShardCounts with
-// protocol.MergeShardCounts reproduces the coordinator's cumulative
-// counts exactly — the merge proof obligation of DESIGN.md §13. (A
-// coordinator recovered from a pre-sharding store starts with its
-// window tally equal to the full counts: it really did reveal every
-// word of those rounds.)
-func (a *Analyzer) ShardCounts() []int {
-	a.stateMu.Lock()
-	defer a.stateMu.Unlock()
-	if a.chunkCounts != nil {
-		return append([]int(nil), a.chunkCounts...)
-	}
-	return append([]int(nil), a.counts...)
 }
 
 // Close shuts the node down in an orderly way: the listener and every
@@ -847,11 +785,8 @@ func (a *Analyzer) shutdown(crash bool) {
 	for c := range a.pending {
 		conns = append(conns, c)
 	}
-	cur := a.curShard
 	a.mu.Unlock()
-	if cur != nil {
-		cur.abort()
-	}
+	a.cancelShardAttempt()
 	a.ln.Close()
 	for _, c := range conns {
 		if c != nil {
@@ -871,15 +806,15 @@ func (a *Analyzer) shutdown(crash bool) {
 // --- durable state blob ---
 
 // stateMagic/stateVersion frame the cumulative-counts blob stored in
-// the checkpoint's aggregate slot. Version 1 is the single-analyzer
-// (and shard-node) layout; version 2 — written only by a sharded
-// coordinator — appends the node's own window tally
-// ([chunkReals u64][chunkCounts u64 × d]) so ShardCounts survives
-// recovery.
+// the checkpoint's aggregate slot. Version 2 is read, never written: a
+// sharded coordinator used to append its own window's tally
+// ([words u64][support counts u64 × d]) to the version-1 layout;
+// nothing reads that tally any more, so it is length-checked and
+// dropped and the next checkpoint is version 1.
 const (
-	stateMagic        = "PEOA"
-	stateVersion      = 1
-	stateVersionShard = 2
+	stateMagic          = "PEOA"
+	stateVersion        = 1
+	stateVersionTallied = 2
 )
 
 // marshalState encodes (NR, reals, fakes, collections, counts). NR is
@@ -887,12 +822,8 @@ const (
 // refused (it would silently mis-calibrate every estimate) instead of
 // loaded. Callers hold stateMu.
 func (a *Analyzer) marshalState() []byte {
-	version := byte(stateVersion)
-	if a.chunkCounts != nil {
-		version = stateVersionShard
-	}
 	buf := append([]byte(nil), stateMagic...)
-	buf = append(buf, version)
+	buf = append(buf, stateVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.cfg.NR))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.reals))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.fakes))
@@ -900,12 +831,6 @@ func (a *Analyzer) marshalState() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.counts)))
 	for _, c := range a.counts {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	if version == stateVersionShard {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.chunkReals))
-		for _, c := range a.chunkCounts {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-		}
 	}
 	return buf
 }
@@ -916,8 +841,8 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 		return errors.New("cluster: malformed analyzer state blob")
 	}
 	version := data[4]
-	if version != stateVersion && version != stateVersionShard {
-		return fmt.Errorf("cluster: analyzer state version %d (this build reads %d and %d)", version, stateVersion, stateVersionShard)
+	if version != stateVersion && version != stateVersionTallied {
+		return fmt.Errorf("cluster: analyzer state version %d (this build reads %d and %d)", version, stateVersion, stateVersionTallied)
 	}
 	nr := int(binary.LittleEndian.Uint32(data[5:]))
 	if nr != a.cfg.NR {
@@ -931,7 +856,7 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 		return fmt.Errorf("cluster: state blob covers domain %d, oracle has %d", d, a.cfg.FO.Domain())
 	}
 	want := hdr + 8*d
-	if version == stateVersionShard {
+	if version == stateVersionTallied {
 		want += 8 + 8*d
 	}
 	if len(data) != want {
@@ -942,23 +867,6 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 	a.collections = int(collections)
 	for v := range a.counts {
 		a.counts[v] = int(binary.LittleEndian.Uint64(data[hdr+8*v:]))
-	}
-	switch {
-	case version == stateVersionShard && a.chunkCounts != nil:
-		off := hdr + 8*d
-		a.chunkReals = int(binary.LittleEndian.Uint64(data[off:]))
-		for v := range a.chunkCounts {
-			a.chunkCounts[v] = int(binary.LittleEndian.Uint64(data[off+8+8*v:]))
-		}
-	case version == stateVersionShard:
-		return errors.New("cluster: sharded-coordinator state blob, but this node is not a sharded coordinator")
-	case a.chunkCounts != nil:
-		// A pre-sharding store scaled out under a sharded topology: this
-		// node revealed every word of the recorded rounds, so its window
-		// tally starts at the full counts (keeping the tier-wide merge
-		// sum exact — the fresh shards contribute zero for old rounds).
-		copy(a.chunkCounts, a.counts)
-		a.chunkReals = a.reals + a.fakes
 	}
 	return nil
 }
@@ -991,6 +899,9 @@ func (a *Analyzer) writeCheckpoint() error {
 // logged but whose rotation marker never became durable is dropped:
 // its Collect never returned success.
 func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
+	if cfg.Shard > 0 {
+		return nil, fmt.Errorf("cluster: RecoverAnalyzer: analyzer shard %d keeps no durable state; replace it with a blank NewAnalyzer", cfg.Shard)
+	}
 	if cfg.DataDir == "" {
 		return nil, errors.New("cluster: RecoverAnalyzer needs AnalyzerConfig.DataDir")
 	}
@@ -1010,16 +921,11 @@ func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		return nil, err
 	}
 	go a.acceptLoop()
-	if a.cfg.Shard > 0 {
-		go a.shardRun()
-	}
 	return a, nil
 }
 
 // restore applies the checkpoint and replays the WAL tail. It runs
-// before the accept loop exists, so it mutates state freely. The two
-// roles differ in what a rotation marker commits and in what becomes of
-// words no marker followed.
+// before the accept loop exists, so it mutates state freely.
 func (a *Analyzer) restore(rec *store.Recovered) error {
 	if cp := rec.Checkpoint; cp != nil {
 		if err := a.unmarshalState(cp.AllTime); err != nil {
@@ -1031,84 +937,56 @@ func (a *Analyzer) restore(rec *store.Recovered) error {
 			}
 		}
 	}
-	if a.cfg.Shard > 0 {
-		// A shard's words record is a PREPARED window: a marker commits it
-		// (recharging the ledger exactly like the live commit), and
-		// marker-less words — prepared windows whose commit the crash
-		// swallowed — stay pending for the seal-watermark healing.
-		pending, err := a.replayTail(rec.Tail, func(collection uint32, words []uint64) error {
-			return a.sealWindow(collection, words, false)
-		})
-		if err != nil {
-			return err
-		}
-		for col, words := range pending {
-			a.preparedW[col] = &preparedWindow{restored: true, words: words}
-		}
-		return nil
-	}
-	// The coordinator's tail holds, per interrupted collection, one words
-	// record and — if the seal got as far as the marker — the rotation
-	// marker. Marker present: fold the words as the seal did (charging
-	// the ledger exactly as the live Collect did before the crash lost
-	// its in-memory charge). Marker absent: the collection never
-	// completed; drop it.
-	_, err := a.replayTail(rec.Tail, func(collection uint32, words []uint64) error {
-		n := len(words) - a.cfg.NR
-		if n <= 0 {
-			return fmt.Errorf("cluster: WAL collection %d has %d words for %d fakes", collection, len(words), a.cfg.NR)
-		}
-		if a.cfg.Ledger != nil {
-			if err := a.cfg.Ledger.Charge(); err != nil {
-				return fmt.Errorf("cluster: recharging collection %d: %w", collection, err)
-			}
-		}
-		_, err := a.fold(collection, words, n, a.cfg.NR)
-		return err
-	})
-	return err
+	return a.replayTail(rec.Tail)
 }
 
-// replayTail walks a recovered WAL tail, the same way on a coordinator
-// and on a shard. A words record pends under its collection, and a
-// later one for the same collection supersedes it: a crash between a
-// words record's Commit and its marker leaves an orphan in the log, and
-// the re-run round (or a shard's retried attempt) writes the
-// authoritative record behind it — only a marker turns pending words
-// into state, so keeping the last record is always correct. A rotation
-// marker must find its collection's words and must name the next
-// unsealed collection; commit then makes them state. The words still
-// pending at the end are returned.
-func (a *Analyzer) replayTail(tail []store.Record, commit func(collection uint32, words []uint64) error) (map[uint32][]uint64, error) {
-	// The errors name what a marker does on this node.
-	commits, committed, log := "seals collection", "collections are sealed", "an analyzer log"
-	if a.cfg.Shard > 0 {
-		commits, committed, log = "commits shard window", "windows are committed", "a shard log"
-	}
+// replayTail walks a recovered WAL tail. It holds, per interrupted
+// collection, a words record and — if the seal got as far as the
+// marker — the rotation marker. A words record pends under its
+// collection, and a later one for the same collection supersedes it: a
+// crash between a words record's Commit and its marker leaves an orphan
+// in the log, and the re-run round writes the authoritative record
+// behind it — only a marker turns pending words into state, so keeping
+// the last record is always correct. A rotation marker must find its
+// collection's words and must name the next unsealed collection; the
+// words are then folded as the seal did, charging the ledger exactly as
+// the live Collect did before the crash lost its in-memory charge.
+// Words no marker followed are dropped: their collection never
+// completed.
+func (a *Analyzer) replayTail(tail []store.Record) error {
 	pending := map[uint32][]uint64{}
 	for _, r := range tail {
 		switch r.Type {
 		case store.RecordReport:
 			words, err := transport.DecodeUint64s(r.Payload)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: WAL words for collection %d: %w", r.Epoch, err)
+				return fmt.Errorf("cluster: WAL words for collection %d: %w", r.Epoch, err)
 			}
 			pending[r.Epoch] = words
 		case store.RecordRotate:
 			words, ok := pending[r.Epoch]
 			if !ok {
-				return nil, fmt.Errorf("cluster: WAL %s %d without its words", commits, r.Epoch)
+				return fmt.Errorf("cluster: WAL seals collection %d without its words", r.Epoch)
 			}
 			delete(pending, r.Epoch)
 			if int(r.Epoch) != a.collections {
-				return nil, fmt.Errorf("cluster: WAL %s %d while %d %s", commits, r.Epoch, a.collections, committed)
+				return fmt.Errorf("cluster: WAL seals collection %d while %d collections are sealed", r.Epoch, a.collections)
 			}
-			if err := commit(r.Epoch, words); err != nil {
-				return nil, err
+			n := len(words) - a.cfg.NR
+			if n <= 0 {
+				return fmt.Errorf("cluster: WAL collection %d has %d words for %d fakes", r.Epoch, len(words), a.cfg.NR)
+			}
+			if a.cfg.Ledger != nil {
+				if err := a.cfg.Ledger.Charge(); err != nil {
+					return fmt.Errorf("cluster: recharging collection %d: %w", r.Epoch, err)
+				}
+			}
+			if _, err := a.fold(r.Epoch, n, words); err != nil {
+				return err
 			}
 		default:
-			return nil, fmt.Errorf("cluster: unexpected WAL record type %d in %s", r.Type, log)
+			return fmt.Errorf("cluster: unexpected WAL record type %d in an analyzer log", r.Type)
 		}
 	}
-	return pending, nil
+	return nil
 }

@@ -80,12 +80,36 @@ func (t Topology) validate() error {
 	if len(t.Analyzers) == 0 {
 		return errors.New("cluster: topology needs the analyzer address")
 	}
+	if len(t.Analyzers) > maxAnalyzers {
+		return fmt.Errorf("cluster: topology lists %d analyzer shards, at most %d are supported", len(t.Analyzers), maxAnalyzers)
+	}
 	for a, addr := range t.Analyzers {
 		if addr == "" {
 			return fmt.Errorf("cluster: analyzer shard %d has an empty address", a)
 		}
 	}
 	return nil
+}
+
+// maxAnalyzers bounds the analyzer tier: seal and shard-hello frames
+// carry the shard count as a u16, and a count this small keeps
+// total*A far inside int64 in evenCuts.
+const maxAnalyzers = 1 << 12
+
+// evenCuts splits a round's post-shuffle vector of total words (n
+// reports + NR fakes) evenly across the analyzer tier: shard s reveals
+// the window [cuts[s], cuts[s+1]). The windows tile [0, total) exactly,
+// differ by at most one word, and are empty for some shards when there
+// are more analyzers than words. Coordinator, shards and shufflers each
+// evaluate it from the Topology they already hold, so no cut list ever
+// crosses the wire (DESIGN.md §13).
+func evenCuts(total, analyzers int) []int {
+	cuts := make([]int, analyzers+1)
+	for s := range cuts {
+		// int64: total is u32-sized, so the product can pass 32 bits.
+		cuts[s] = int(int64(total) * int64(s) / int64(analyzers))
+	}
+	return cuts
 }
 
 // DefaultDialTimeout bounds how long a role retries dialing a peer

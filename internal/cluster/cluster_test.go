@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -379,6 +380,36 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if _, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{Topology: goodTopo, FO: fo, Priv: priv}); err == nil {
 		t.Fatal("RecoverAnalyzer accepted an empty DataDir")
+	}
+}
+
+// A shard is a stateless reveal worker: asking one to be durable, to
+// charge a ledger, or to recover is refused with the reason, before it
+// binds a port or opens a file.
+func TestShardRefusesDurabilityByName(t *testing.T) {
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(4, 1)
+	topo := cluster.Topology{Shufflers: []string{"a", "b"}, Analyzers: []string{"c", "127.0.0.1:0"}}
+	dir := t.TempDir()
+	const want = "analyzer shard 1 is a stateless reveal worker"
+	for name, cfg := range map[string]cluster.AnalyzerConfig{
+		"DataDir": {Topology: topo, FO: fo, Priv: priv, Shard: 1, DataDir: dir},
+		"Ledger":  {Topology: topo, FO: fo, Priv: priv, Shard: 1, Ledger: testLedger(t)},
+	} {
+		a, err := cluster.NewAnalyzer(cfg)
+		if err == nil {
+			a.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("NewAnalyzer on a shard with a %s: %v, want %q", name, err, want)
+		}
+	}
+	_, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{Topology: topo, FO: fo, Priv: priv, Shard: 1, DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "analyzer shard 1 keeps no durable state") {
+		t.Fatalf("RecoverAnalyzer on a shard: %v", err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("a refused shard left %d entries in its data directory (%v)", len(left), err)
 	}
 }
 

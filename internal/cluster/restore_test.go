@@ -12,14 +12,12 @@ import (
 	"shuffledp/internal/transport"
 )
 
-// TestRestoreTailBothRoles drives the one WAL-tail walker as a
-// coordinator and as a shard over the same tails. The roles agree on
-// everything a marker demands — its words, the next unsealed collection,
-// the last words record winning — and differ only in what a committed
-// collection adds to the totals and in what becomes of words no marker
-// followed: a coordinator drops them (the collection never completed), a
-// shard keeps them as a restored prepared window for the coordinator's
-// next seal to heal. The analyzers are bare structs: restore touches no
+// TestRestoreTailBothRoles drives the WAL-tail walker over five tails
+// and pins what a marker demands — its words, the next unsealed
+// collection, the last words record winning — and that words no marker
+// followed are dropped (the collection never completed). The name is
+// from when shards replayed a log too; the coordinator is the one role
+// left with one. The analyzers are bare structs: restore touches no
 // listener, key or store.
 func TestRestoreTailBothRoles(t *testing.T) {
 	const (
@@ -46,86 +44,56 @@ func TestRestoreTailBothRoles(t *testing.T) {
 	freshCounts := ldp.SupportCounts(fo, freshReports)
 
 	cases := []struct {
-		name string
-		tail []store.Record
-		// wantErr, when set, must appear in both roles' errors; the
-		// role-specific wording is checked beside it.
+		name      string
+		tail      []store.Record
 		wantErr   string
 		committed bool // the fresh words became collection 0
-		leftover  bool // the fresh words were left without a marker
 	}{
-		{name: "marker-less words", tail: []store.Record{wordsRec(0, fresh)}, leftover: true},
+		{name: "marker-less words", tail: []store.Record{wordsRec(0, fresh)}},
 		{name: "marker without words", tail: []store.Record{marker(0)}, wantErr: "0 without its words"},
 		{name: "marker names the wrong collection", tail: []store.Record{wordsRec(1, fresh), marker(1)}, wantErr: "1 while 0 "},
 		{name: "last words record wins", tail: []store.Record{wordsRec(0, stale), wordsRec(0, fresh), marker(0)}, committed: true},
 		{name: "foreign record type", tail: []store.Record{{Type: store.RecordDrop}}, wantErr: "unexpected WAL record type"},
 	}
-	roles := []struct {
-		name         string
-		shard        int
-		wording      string // in every marker error of this role
-		reals, fakes int    // what committing the fresh words adds
-	}{
-		{"coordinator", 0, "seals collection", len(fresh) - nr, nr},
-		{"shard", 1, "commits shard window", len(fresh), 0},
-	}
 	for _, tc := range cases {
-		for _, role := range roles {
-			t.Run(tc.name+"/"+role.name, func(t *testing.T) {
-				ledger, err := budget.NewLedger(
-					composition.Guarantee{Eps: 3, Delta: 3e-9},
-					composition.Guarantee{Eps: 1, Delta: 1e-9},
-					budget.Naive{},
-				)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(tc.name+"/coordinator", func(t *testing.T) {
+			ledger, err := budget.NewLedger(
+				composition.Guarantee{Eps: 3, Delta: 3e-9},
+				composition.Guarantee{Eps: 1, Delta: 1e-9},
+				budget.Naive{},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := &Analyzer{
+				cfg:    AnalyzerConfig{FO: fo, NR: nr, Ledger: ledger},
+				enc:    enc,
+				counts: make([]int, d),
+			}
+			err = a.restore(&store.Recovered{Tail: tc.tail})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("restore error = %v, want one containing %q", err, tc.wantErr)
 				}
-				a := &Analyzer{
-					cfg:       AnalyzerConfig{FO: fo, NR: nr, Shard: role.shard, Ledger: ledger},
-					enc:       enc,
-					counts:    make([]int, d),
-					preparedW: map[uint32]*preparedWindow{},
+				if tc.tail[len(tc.tail)-1].Type == store.RecordRotate && !strings.Contains(err.Error(), "seals collection") {
+					t.Fatalf("restore error = %v, want it to say what the marker does", err)
 				}
-				err = a.restore(&store.Recovered{Tail: tc.tail})
-				if tc.wantErr != "" {
-					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-						t.Fatalf("restore error = %v, want one containing %q", err, tc.wantErr)
-					}
-					if tc.tail[len(tc.tail)-1].Type == store.RecordRotate && !strings.Contains(err.Error(), role.wording) {
-						t.Fatalf("restore error = %v, want this role's wording %q", err, role.wording)
-					}
-					if len(a.preparedW) != 0 {
-						t.Fatalf("a failed replay filed %d prepared windows", len(a.preparedW))
-					}
-					return
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantCollections, wantReals, wantFakes, wantCounts := 0, 0, 0, make([]int, d)
-				if tc.committed {
-					wantCollections, wantReals, wantFakes, wantCounts = 1, role.reals, role.fakes, freshCounts
-				}
-				if a.collections != wantCollections || a.reals != wantReals || a.fakes != wantFakes || ledger.Epochs() != wantCollections {
-					t.Fatalf("replayed %d collections (%d reals, %d fakes, %d ledger charges), want %d (%d, %d, %d)",
-						a.collections, a.reals, a.fakes, ledger.Epochs(), wantCollections, wantReals, wantFakes, wantCollections)
-				}
-				if !slices.Equal(a.counts, wantCounts) {
-					t.Fatalf("counts = %v, want %v", a.counts, wantCounts)
-				}
-				wantPrepared := 0
-				if tc.leftover && role.shard > 0 {
-					wantPrepared = 1
-				}
-				if len(a.preparedW) != wantPrepared {
-					t.Fatalf("%d prepared windows after the replay, want %d", len(a.preparedW), wantPrepared)
-				}
-				if wantPrepared == 1 {
-					if pw := a.preparedW[0]; pw == nil || !pw.restored || !slices.Equal(pw.words, fresh) {
-						t.Fatalf("marker-less words were filed as %+v, want a restored window of %v", pw, fresh)
-					}
-				}
-			})
-		}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCollections, wantReals, wantFakes, wantCounts := 0, 0, 0, make([]int, d)
+			if tc.committed {
+				wantCollections, wantReals, wantFakes, wantCounts = 1, len(fresh)-nr, nr, freshCounts
+			}
+			if a.collections != wantCollections || a.reals != wantReals || a.fakes != wantFakes || ledger.Epochs() != wantCollections {
+				t.Fatalf("replayed %d collections (%d reals, %d fakes, %d ledger charges), want %d (%d, %d, %d)",
+					a.collections, a.reals, a.fakes, ledger.Epochs(), wantCollections, wantReals, wantFakes, wantCollections)
+			}
+			if !slices.Equal(a.counts, wantCounts) {
+				t.Fatalf("counts = %v, want %v", a.counts, wantCounts)
+			}
+		})
 	}
 }

@@ -115,7 +115,6 @@ type fakeSet struct {
 type attempt struct {
 	g      gen
 	n      int
-	cuts   []int // analyzer-shard windows of the output vector
 	cancel chan struct{}
 
 	mu      sync.Mutex
@@ -343,11 +342,11 @@ func (s *Shuffler) Run() error {
 		}
 		switch tag {
 		case tagSeal:
-			g, n, cuts, err := parseSealFrame(payload)
+			g, n, err := parseSealFrame(payload, s.cfg.Topology.A())
 			if err != nil {
 				return err
 			}
-			s.startAttempt(g, n, cuts)
+			s.startAttempt(g, n)
 		case tagAbort:
 			g, err := parseAbortFrame(payload)
 			if err != nil {
@@ -396,7 +395,7 @@ func (s *Shuffler) connectAnalyzer() error {
 // predecessor — a newer seal supersedes whatever was running) and
 // launches its goroutine. A seal for a generation not newer than the
 // current one is stale control traffic and ignored.
-func (s *Shuffler) startAttempt(g gen, n int, cuts []int) {
+func (s *Shuffler) startAttempt(g gen, n int) {
 	s.mu.Lock()
 	prev := s.cur
 	if prev != nil && !prev.g.less(g) {
@@ -407,7 +406,7 @@ func (s *Shuffler) startAttempt(g gen, n int, cuts []int) {
 		s.mu.Unlock()
 		return
 	}
-	cur := &attempt{g: g, n: n, cuts: cuts, cancel: make(chan struct{})}
+	cur := &attempt{g: g, n: n, cancel: make(chan struct{})}
 	s.cur = cur
 	// Collections before this one can never seal again; parked mesh
 	// connections from older generations serve aborted attempts.
@@ -574,11 +573,11 @@ func (s *Shuffler) collect(a *attempt) error {
 
 	// Forward stage: the post-shuffle vector goes to the analyzer tier,
 	// stamped with the attempt's generation so a stale vector from an
-	// aborted attempt is recognizable. The seal's cuts slice the vector
-	// into per-shard windows: window 0 rides the coordinator control
-	// link (with one analyzer, that is the whole vector — the legacy
-	// wire behavior), the rest go to their shards' data links. Empty
-	// windows are still sent, so every shard sees every attempt.
+	// aborted attempt is recognizable. The tier's even cuts slice the
+	// vector into per-shard windows: window 0 rides the coordinator
+	// control link (with one analyzer, that is the whole vector), the
+	// rest go to their shards' data links. Empty windows are still sent,
+	// so every shard sees every attempt.
 	//
 	// Shard windows go out FIRST: once window 0 lands, the coordinator
 	// stops reading this shuffler's control link (it moves on to
@@ -587,15 +586,10 @@ func (s *Shuffler) collect(a *attempt) error {
 	// the attempt until a timeout. Failing before window 0 keeps every
 	// failure inside the coordinator's awaitVectors stage, where it
 	// aborts and retries promptly.
-	if len(a.cuts) < 2 || a.cuts[len(a.cuts)-1] != total {
-		return fmt.Errorf("%w: seal cuts cover %v of %d reports", errBadFrame, a.cuts, total)
-	}
 	addrs := s.cfg.Topology.Analyzers
-	if len(a.cuts)-1 != len(addrs) {
-		return fmt.Errorf("%w: seal names %d analyzer windows, topology has %d analyzers", errBadFrame, len(a.cuts)-1, len(addrs))
-	}
+	cuts := evenCuts(total, len(addrs))
 	window := func(sh int) (uint32, []byte) {
-		lo, hi := a.cuts[sh], a.cuts[sh+1]
+		lo, hi := cuts[sh], cuts[sh+1]
 		if outEnc != nil {
 			return tagEncVector, encodeCiphertexts(s.cfg.Pub, outEnc[lo:hi])
 		}

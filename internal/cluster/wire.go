@@ -11,32 +11,29 @@ package cluster
 //	report         [collection u32][index u32][nonce u64][share u64le]
 //	encReport      [collection u32][index u32][nonce u64][ct ...]
 //	seal           [collection u32][attempt u32][n u32]
-//	               [analyzers u16][cut u32 × (analyzers+1)] analyzer -> shuffler
-//	abort          [collection u32][attempt u32]            analyzer -> shuffler
-//	done           [collection u32]                         analyzer -> shuffler
+//	               [analyzers u16]                          analyzer -> shuffler, shard
+//	abort          [collection u32][attempt u32]            analyzer -> shuffler, shard
+//	done           [collection u32]                         analyzer -> shuffler, shard
 //	vector         [collection u32][attempt u32][words ...] shuffler -> analyzer
 //	encVector      [collection u32][attempt u32][cts ...]   shuffler -> analyzer
-//	fail           [collection u32][attempt u32][utf8 msg]  shuffler -> analyzer
+//	fail           [collection u32][attempt u32][utf8 msg]  shuffler, shard -> analyzer
 //	roundPlain     [round u32][words ...]                   EOS peer traffic
 //	roundEnc       [round u32][cts ...]                     EOS peer traffic
 //	roundSeed      [round u32][seed u64be]                  EOS peer traffic
-//	shardHello     [shard u16][analyzers u16]
-//	               [bound u32 × (analyzers+1)]              shard -> coordinator
-//	shardSeal      [collection u32][attempt u32][n u32]     coordinator -> shard
+//	shardHello     [shard u16][analyzers u16]               shard -> coordinator
 //	shardWords     [collection u32][attempt u32][words ...] shard -> coordinator
-//	shardCommit    [collection u32][attempt u32]            coordinator -> shard
-//	shardAck       [collection u32][attempt u32]            shard -> coordinator
 //
-// The sharded-analyzer frames (DESIGN.md §13): a shard's hello to the
-// coordinator carries its shard index and its full partition plan so a
-// mismatched -partition deployment fails at connect time; shardSeal
-// starts a shard's window for one collection attempt, shardWords
-// returns the revealed window (the shard's prepare), shardCommit /
-// shardAck close the round's two-phase commit. Abort frames are reused
-// verbatim on shard links. Shufflers route post-shuffle vector chunks
-// to the owning shard over data links opened with the ordinary
-// shuffler hello; the chunk frames are ordinary vector/encVector
-// frames whose length is the shard's cut window.
+// The sharded analyzer tier (DESIGN.md §13) adds two frames: a shard's
+// hello to the coordinator and the shardWords frame that returns its
+// revealed window. Seal, abort and done are the shufflers' frames,
+// reused verbatim on shard links. Nobody ships a cut list: the seal
+// names the analyzer count, every receiver checks it against its own
+// Topology (so a deployment whose roles disagree on the tier fails at
+// the first seal or hello), and each role derives the same even cuts
+// (evenCuts). Shufflers route post-shuffle vector chunks to the owning
+// shard over data links opened with the ordinary shuffler hello; the
+// chunk frames are ordinary vector/encVector frames whose length is
+// the shard's cut window.
 //
 // Ciphertext vectors are the fixed-size ahe serialization
 // concatenated, so the element count is implied by the payload length.
@@ -87,10 +84,7 @@ const (
 	tagAbort
 	tagDone
 	tagShardHello
-	tagShardSeal
 	tagShardWords
-	tagShardCommit
-	tagShardAck
 )
 
 // errBadFrame wraps every malformed-payload failure so callers can
@@ -178,86 +172,26 @@ func parseReportFrame(tag uint32, payload []byte) (reportFrame, error) {
 	return rf, nil
 }
 
-// writeSealFrame opens a collection attempt at a shuffler. Beyond the
-// generation and the report count it carries the analyzer-shard cuts
-// of the n+NR output vector ([analyzers u16][cut u32 × (analyzers+1)])
-// so the shuffler knows which window of its post-shuffle vector each
-// shard owns; a single-analyzer deployment sends cuts [0, n+NR].
-func writeSealFrame(w io.Writer, g gen, n int, cuts []int) error {
-	payload := make([]byte, 14+4*len(cuts))
+// writeSealFrame opens a collection attempt at a shuffler or an
+// analyzer shard. Beyond the generation and the report count it names
+// the analyzer count the coordinator cut the n+NR output vector for.
+func writeSealFrame(w io.Writer, g gen, n, analyzers int) error {
+	var payload [14]byte
 	binary.BigEndian.PutUint32(payload[0:], g.col)
 	binary.BigEndian.PutUint32(payload[4:], g.att)
 	binary.BigEndian.PutUint32(payload[8:], uint32(n))
-	binary.BigEndian.PutUint16(payload[12:], uint16(len(cuts)-1))
-	for i, c := range cuts {
-		binary.BigEndian.PutUint32(payload[14+4*i:], uint32(c))
-	}
-	return transport.WriteTaggedFrame(w, tagSeal, payload)
+	binary.BigEndian.PutUint16(payload[12:], uint16(analyzers))
+	return transport.WriteTaggedFrame(w, tagSeal, payload[:])
 }
 
-func parseSealFrame(payload []byte) (g gen, n int, cuts []int, err error) {
-	if len(payload) < 14 {
-		return gen{}, 0, nil, fmt.Errorf("%w: bad seal frame", errBadFrame)
+// parseSealFrame refuses a seal cut for any analyzer count but the
+// receiver's own: the two sides would slice the vector differently.
+func parseSealFrame(payload []byte, analyzers int) (g gen, n int, err error) {
+	if len(payload) != 14 {
+		return gen{}, 0, fmt.Errorf("%w: bad seal frame", errBadFrame)
 	}
-	analyzers := int(binary.BigEndian.Uint16(payload[12:]))
-	if analyzers < 1 || analyzers > maxPlanAnalyzers || len(payload) != 14+4*(analyzers+1) {
-		return gen{}, 0, nil, fmt.Errorf("%w: bad seal frame", errBadFrame)
-	}
-	cuts = make([]int, analyzers+1)
-	for i := range cuts {
-		cuts[i] = int(binary.BigEndian.Uint32(payload[14+4*i:]))
-	}
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] < cuts[i-1] {
-			return gen{}, 0, nil, fmt.Errorf("%w: bad seal frame", errBadFrame)
-		}
-	}
-	return gen{
-		col: binary.BigEndian.Uint32(payload[0:]),
-		att: binary.BigEndian.Uint32(payload[4:]),
-	}, int(binary.BigEndian.Uint32(payload[8:])), cuts, nil
-}
-
-// writeShardHello identifies an analyzer shard's control link to the
-// coordinator, carrying the shard's partition plan for the equality
-// check that rejects inconsistently configured deployments.
-func writeShardHello(w io.Writer, shard int, plan PartitionPlan) error {
-	enc := encodePartitionPlan(plan)
-	payload := make([]byte, 2+len(enc))
-	binary.BigEndian.PutUint16(payload[0:], uint16(shard))
-	copy(payload[2:], enc)
-	return transport.WriteTaggedFrame(w, tagShardHello, payload)
-}
-
-func parseShardHello(payload []byte) (shard int, plan PartitionPlan, err error) {
-	if len(payload) < 2 {
-		return 0, PartitionPlan{}, fmt.Errorf("%w: bad shard hello", errBadFrame)
-	}
-	shard = int(binary.BigEndian.Uint16(payload[0:]))
-	plan, err = parsePartitionPlan(payload[2:])
-	if err != nil {
-		return 0, PartitionPlan{}, fmt.Errorf("%w: bad shard hello plan", errBadFrame)
-	}
-	if shard < 1 || shard >= plan.Analyzers {
-		return 0, PartitionPlan{}, fmt.Errorf("%w: shard hello index %d out of range", errBadFrame, shard)
-	}
-	return shard, plan, nil
-}
-
-// writeShardSeal starts one shard's window of a collection attempt
-// (n is the round's report count, from which the shard re-derives its
-// cut window).
-func writeShardSeal(w io.Writer, g gen, n int) error {
-	var payload [12]byte
-	binary.BigEndian.PutUint32(payload[0:], g.col)
-	binary.BigEndian.PutUint32(payload[4:], g.att)
-	binary.BigEndian.PutUint32(payload[8:], uint32(n))
-	return transport.WriteTaggedFrame(w, tagShardSeal, payload[:])
-}
-
-func parseShardSeal(payload []byte) (g gen, n int, err error) {
-	if len(payload) != 12 {
-		return gen{}, 0, fmt.Errorf("%w: bad shard seal frame", errBadFrame)
+	if named := int(binary.BigEndian.Uint16(payload[12:])); named != analyzers {
+		return gen{}, 0, fmt.Errorf("%w: seal names %d analyzer windows, topology has %d analyzers", errBadFrame, named, analyzers)
 	}
 	return gen{
 		col: binary.BigEndian.Uint32(payload[0:]),
@@ -265,26 +199,34 @@ func parseShardSeal(payload []byte) (g gen, n int, err error) {
 	}, int(binary.BigEndian.Uint32(payload[8:])), nil
 }
 
-// writeGenFrame writes a bare-generation frame (shardCommit/shardAck
-// share the abort layout under their own tags).
-func writeGenFrame(w io.Writer, tag uint32, g gen) error {
-	var payload [8]byte
-	binary.BigEndian.PutUint32(payload[0:], g.col)
-	binary.BigEndian.PutUint32(payload[4:], g.att)
-	return transport.WriteTaggedFrame(w, tag, payload[:])
+// writeShardHello identifies an analyzer shard's control link to the
+// coordinator, naming the tier size the shard was configured with.
+func writeShardHello(w io.Writer, shard, analyzers int) error {
+	var payload [4]byte
+	binary.BigEndian.PutUint16(payload[0:], uint16(shard))
+	binary.BigEndian.PutUint16(payload[2:], uint16(analyzers))
+	return transport.WriteTaggedFrame(w, tagShardHello, payload[:])
 }
 
-func parseGenFrame(payload []byte) (gen, error) {
-	if len(payload) != 8 {
-		return gen{}, fmt.Errorf("%w: bad generation frame", errBadFrame)
+// parseShardHello refuses a shard configured for any analyzer count but
+// the coordinator's own, and an index outside the worker shards
+// [1, analyzers).
+func parseShardHello(payload []byte, analyzers int) (shard int, err error) {
+	if len(payload) != 4 {
+		return 0, fmt.Errorf("%w: bad shard hello", errBadFrame)
 	}
-	return gen{
-		col: binary.BigEndian.Uint32(payload[0:]),
-		att: binary.BigEndian.Uint32(payload[4:]),
-	}, nil
+	if named := int(binary.BigEndian.Uint16(payload[2:])); named != analyzers {
+		return 0, fmt.Errorf("%w: shard hello names %d analyzers, topology has %d", errBadFrame, named, analyzers)
+	}
+	shard = int(binary.BigEndian.Uint16(payload[0:]))
+	if shard < 1 || shard >= analyzers {
+		return 0, fmt.Errorf("%w: shard hello index %d out of range", errBadFrame, shard)
+	}
+	return shard, nil
 }
 
-// writeAbortFrame tells a shuffler to cancel one collection attempt.
+// writeAbortFrame tells a shuffler (or shard) to cancel one collection
+// attempt.
 func writeAbortFrame(w io.Writer, g gen) error {
 	var payload [8]byte
 	binary.BigEndian.PutUint32(payload[0:], g.col)
@@ -302,8 +244,8 @@ func parseAbortFrame(payload []byte) (gen, error) {
 	}, nil
 }
 
-// writeDoneFrame tells a shuffler a collection sealed durably: buffers
-// and cached fakes through it can be pruned.
+// writeDoneFrame tells a shuffler (or shard) a collection sealed
+// durably: whatever it still buffers through that collection can go.
 func writeDoneFrame(w io.Writer, collection uint32) error {
 	var payload [4]byte
 	binary.BigEndian.PutUint32(payload[0:], collection)

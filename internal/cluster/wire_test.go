@@ -52,57 +52,27 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	g := gen{col: 9, att: 0xdeadbeef}
 
 	var buf bytes.Buffer
-	if err := writeSealFrame(&buf, g, 123, []int{0, 41, 41, 123}); err != nil {
+	if err := writeSealFrame(&buf, g, 123, 3); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err := transport.ReadTaggedFrame(&buf)
 	if err != nil || tag != tagSeal {
 		t.Fatalf("seal frame: tag %d err %v", tag, err)
 	}
-	sg, n, cuts, err := parseSealFrame(payload)
-	if err != nil || sg != g || n != 123 {
+	if sg, n, err := parseSealFrame(payload, 3); err != nil || sg != g || n != 123 {
 		t.Fatalf("seal parsed (%v, %d, %v)", sg, n, err)
-	}
-	if len(cuts) != 4 || cuts[0] != 0 || cuts[1] != 41 || cuts[2] != 41 || cuts[3] != 123 {
-		t.Fatalf("seal cuts %v", cuts)
 	}
 
 	buf.Reset()
-	plan := PartitionPlan{Analyzers: 3, Bounds: []int{0, 5, 5, 16}}
-	if err := writeShardHello(&buf, 2, plan); err != nil {
+	if err := writeShardHello(&buf, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err = transport.ReadTaggedFrame(&buf)
 	if err != nil || tag != tagShardHello {
 		t.Fatalf("shard hello: tag %d err %v", tag, err)
 	}
-	shard, hp, err := parseShardHello(payload)
-	if err != nil || shard != 2 || !planEqual(hp, plan) {
-		t.Fatalf("shard hello parsed (%d, %+v, %v)", shard, hp, err)
-	}
-
-	buf.Reset()
-	if err := writeShardSeal(&buf, g, 321); err != nil {
-		t.Fatal(err)
-	}
-	tag, payload, err = transport.ReadTaggedFrame(&buf)
-	if err != nil || tag != tagShardSeal {
-		t.Fatalf("shard seal: tag %d err %v", tag, err)
-	}
-	if ssg, sn, err := parseShardSeal(payload); err != nil || ssg != g || sn != 321 {
-		t.Fatalf("shard seal parsed (%v, %d, %v)", ssg, sn, err)
-	}
-
-	buf.Reset()
-	if err := writeGenFrame(&buf, tagShardCommit, g); err != nil {
-		t.Fatal(err)
-	}
-	tag, payload, err = transport.ReadTaggedFrame(&buf)
-	if err != nil || tag != tagShardCommit {
-		t.Fatalf("shard commit: tag %d err %v", tag, err)
-	}
-	if cg, err := parseGenFrame(payload); err != nil || cg != g {
-		t.Fatalf("shard commit parsed (%v, %v)", cg, err)
+	if shard, err := parseShardHello(payload, 3); err != nil || shard != 2 {
+		t.Fatalf("shard hello parsed (%d, %v)", shard, err)
 	}
 
 	buf.Reset()
@@ -162,25 +132,30 @@ func TestWireParseRejectsMalformedFrames(t *testing.T) {
 	if _, err := parseReportFrame(tagEncReport, make([]byte, 16)); !errors.Is(err, errBadFrame) {
 		t.Fatalf("empty ciphertext: %v", err)
 	}
-	if _, _, _, err := parseSealFrame([]byte{1}); !errors.Is(err, errBadFrame) {
+	if _, _, err := parseSealFrame([]byte{1}, 1); !errors.Is(err, errBadFrame) {
 		t.Fatalf("short seal: %v", err)
 	}
-	// Seal with non-monotone cuts: [col][att][n][A=1][cut0=5][cut1=2].
-	bad := make([]byte, 22)
-	bad[9] = 1  // A = 1
-	bad[13] = 5 // cut0 = 5
-	bad[17] = 2 // cut1 = 2 < cut0
-	if _, _, _, err := parseSealFrame(bad); !errors.Is(err, errBadFrame) {
-		t.Fatalf("non-monotone seal cuts: %v", err)
+	// The retired layout — a cut list behind the count — is a long seal.
+	if _, _, err := parseSealFrame(make([]byte, 22), 0); !errors.Is(err, errBadFrame) {
+		t.Fatalf("seal with a cut list: %v", err)
 	}
-	if _, _, err := parseShardHello([]byte{0, 1}); !errors.Is(err, errBadFrame) {
+	// A seal or shard hello cut for another tier size names both counts.
+	seal := []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 9, 0, 3}
+	if _, _, err := parseSealFrame(seal, 2); !errors.Is(err, errBadFrame) ||
+		!strings.Contains(err.Error(), "seal names 3 analyzer windows, topology has 2") {
+		t.Fatalf("seal for the wrong analyzer count: %v", err)
+	}
+	if _, err := parseShardHello([]byte{0, 1, 0, 3}, 2); !errors.Is(err, errBadFrame) ||
+		!strings.Contains(err.Error(), "names 3 analyzers, topology has 2") {
+		t.Fatalf("shard hello for the wrong analyzer count: %v", err)
+	}
+	if _, err := parseShardHello([]byte{0, 1}, 2); !errors.Is(err, errBadFrame) {
 		t.Fatalf("short shard hello: %v", err)
 	}
-	if _, _, err := parseShardSeal([]byte{1, 2, 3}); !errors.Is(err, errBadFrame) {
-		t.Fatalf("short shard seal: %v", err)
-	}
-	if _, err := parseGenFrame([]byte{1, 2, 3}); !errors.Is(err, errBadFrame) {
-		t.Fatalf("short gen frame: %v", err)
+	for _, shard := range []byte{0, 3} { // the coordinator's own index; one past the tier
+		if _, err := parseShardHello([]byte{0, shard, 0, 3}, 3); !errors.Is(err, errBadFrame) {
+			t.Fatalf("shard hello index %d of 3: %v", shard, err)
+		}
 	}
 	if _, err := parseAbortFrame([]byte{1, 2, 3}); !errors.Is(err, errBadFrame) {
 		t.Fatalf("short abort: %v", err)
@@ -253,14 +228,22 @@ func FuzzWireFrames(f *testing.F) {
 		return payload
 	}
 	f.Add(uint8(0), seed(func(w *bytes.Buffer) error { return writePeerHello(w, 2, g) }))
-	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return writeSealFrame(w, g, 100, []int{0, 55, 100}) }))
+	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return writeSealFrame(w, g, 100, 2) }))
 	f.Add(uint8(2), seed(func(w *bytes.Buffer) error { return writeAbortFrame(w, g) }))
 	f.Add(uint8(3), seed(func(w *bytes.Buffer) error { return writeDoneFrame(w, 7) }))
 	f.Add(uint8(4), seed(func(w *bytes.Buffer) error { return writeReportFrame(w, 7, 3, 99, 12345) }))
 	f.Add(uint8(5), seed(func(w *bytes.Buffer) error { return writeEncReportFrame(w, 7, 3, 99, []byte{1, 2, 3}) }))
 	f.Add(uint8(6), prefixed(g, []byte{8, 8, 8}))
+	f.Add(uint8(7), seed(func(w *bytes.Buffer) error { return writeShardHello(w, 1, 2) }))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		switch kind % 7 {
+		// The seal and the shard hello are refused unless they name the
+		// receiver's analyzer count; let the payload pick the receiver so
+		// the fuzzer can reach past that check.
+		analyzers := 0
+		if len(payload) >= 2 {
+			analyzers = int(binary.BigEndian.Uint16(payload[len(payload)-2:]))
+		}
+		switch kind % 8 {
 		case 0:
 			from, hg, err := parsePeerHello(payload, 8)
 			if err != nil {
@@ -275,12 +258,12 @@ func FuzzWireFrames(f *testing.F) {
 				t.Fatalf("peer hello re-encode mismatch: %x vs %x", re, payload)
 			}
 		case 1:
-			sg, n, cuts, err := parseSealFrame(payload)
+			sg, n, err := parseSealFrame(payload, analyzers)
 			if err != nil {
 				return
 			}
 			var buf bytes.Buffer
-			if err := writeSealFrame(&buf, sg, n, cuts); err != nil {
+			if err := writeSealFrame(&buf, sg, n, analyzers); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrame(&buf)
@@ -346,6 +329,22 @@ func FuzzWireFrames(f *testing.F) {
 			}
 			if !bytes.Equal(prefixed(pg, body), payload) {
 				t.Fatal("prefixed re-encode mismatch")
+			}
+		case 7:
+			shard, err := parseShardHello(payload, analyzers)
+			if err != nil {
+				return
+			}
+			if shard < 1 || shard >= analyzers {
+				t.Fatalf("parseShardHello accepted shard %d of %d", shard, analyzers)
+			}
+			var buf bytes.Buffer
+			if err := writeShardHello(&buf, shard, analyzers); err != nil {
+				t.Fatal(err)
+			}
+			_, re, _ := transport.ReadTaggedFrame(&buf)
+			if !bytes.Equal(re, payload) {
+				t.Fatalf("shard hello re-encode mismatch: %x vs %x", re, payload)
 			}
 		}
 	})

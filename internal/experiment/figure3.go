@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"shuffledp/internal/dataset"
+	"shuffledp/internal/ldp"
 )
 
 // CurvePoint is one x-position of a Figure 3-style plot: the mean MSE
@@ -66,7 +67,7 @@ func Figure3(ds *dataset.Dataset, cfg Figure3Config) ([]CurvePoint, error) {
 	mses := make([]float64, jobs)
 	analytic := make([]float64, jobs)
 	errs := make([]error, jobs)
-	forEachParallel(jobs, cfg.Concurrency, func(job int) {
+	ldp.RunSharded(jobs, ldp.Workers(cfg.Concurrency), func(_, job int) {
 		pi, mi := job/len(methods), job%len(methods)
 		epsC, name := cfg.EpsCs[pi], methods[mi]
 		m, err := NewMethod(name, epsC, cfg.Delta, n, ds.D)

@@ -63,7 +63,7 @@ func Figure4(ds *dataset.StringDataset, cfg Figure4Config) ([]Figure4Point, erro
 	jobs := len(cfg.EpsCs) * len(cfg.Methods)
 	precisions := make([]float64, jobs)
 	errs := make([]error, jobs)
-	forEachParallel(jobs, cfg.Concurrency, func(job int) {
+	ldp.RunSharded(jobs, ldp.Workers(cfg.Concurrency), func(_, job int) {
 		pi, mi := job/len(cfg.Methods), job%len(cfg.Methods)
 		epsC, name := cfg.EpsCs[pi], cfg.Methods[mi]
 		r := jobStream(cfg.Seed, job)

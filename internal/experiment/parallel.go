@@ -1,26 +1,14 @@
 package experiment
 
-import (
-	"shuffledp/internal/ldp"
-	"shuffledp/internal/rng"
-)
+import "shuffledp/internal/rng"
 
 // The figure/table runners fan their (budget, method) trial jobs out
-// over a worker pool. Every job draws its randomness from
+// over ldp.RunSharded, the estimation engine's work-stealing loop
+// (cfg.Concurrency < 1 means GOMAXPROCS). Every job draws its randomness from
 // rng.Substream(cfg.Seed, jobID) where the job id is a pure function of
 // the job's position in the configuration, so a run's artifact is
 // identical for any Concurrency setting — the same contract the public
 // EstimateHistogram API makes.
-
-// forEachParallel runs fn(job) for every job in [0, jobs) on up to
-// `workers` goroutines (workers < 1 means GOMAXPROCS), re-raising the
-// first worker panic in the caller. It rides the estimation engine's
-// work-stealing loop.
-func forEachParallel(jobs, workers int, fn func(job int)) {
-	ldp.RunSharded(jobs, ldp.Workers(workers), func(_, job int) {
-		fn(job)
-	})
-}
 
 // jobStream returns the deterministic trial generator for one job of a
 // seeded run.

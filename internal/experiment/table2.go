@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"shuffledp/internal/dataset"
+	"shuffledp/internal/ldp"
 )
 
 // Table2Row is one epsC column of Table II: the optimal d' of SOLH and
@@ -62,7 +63,7 @@ func Table2(ds *dataset.Dataset, cfg Table2Config) ([]Table2Row, error) {
 	mses := make([]float64, jobs)
 	dPrimes := make([]int, len(cfg.EpsCs))
 	errs := make([]error, jobs)
-	forEachParallel(jobs, cfg.Concurrency, func(job int) {
+	ldp.RunSharded(jobs, ldp.Workers(cfg.Concurrency), func(_, job int) {
 		ri, vi := job/stride, job%stride
 		epsC := cfg.EpsCs[ri]
 		r := jobStream(cfg.Seed, job)

@@ -86,28 +86,6 @@ func (st *State) Len() int {
 	return 0
 }
 
-// Window returns the sub-state over positions [lo, hi) of every share
-// vector — the per-partition slice an analyzer shard reveals in the
-// sharded cluster (internal/cluster PartitionPlan.Cuts). The windows
-// of a partition reveal to exactly the corresponding windows of the
-// full state's reveal, since combining and decrypting are element-wise.
-// The returned state shares backing arrays with st.
-func (st *State) Window(lo, hi int) (*State, error) {
-	if lo < 0 || hi < lo || hi > st.Len() {
-		return nil, fmt.Errorf("oblivious: window [%d, %d) out of range for length %d", lo, hi, st.Len())
-	}
-	w := &State{Plain: make([][]uint64, len(st.Plain)), EncHolder: st.EncHolder}
-	for j, p := range st.Plain {
-		if p != nil {
-			w.Plain[j] = p[lo:hi]
-		}
-	}
-	if st.Enc != nil {
-		w.Enc = st.Enc[lo:hi]
-	}
-	return w, nil
-}
-
 func (st *State) validate(cfg Config) error {
 	r := len(st.Plain)
 	if r < 2 {

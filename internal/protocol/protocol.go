@@ -67,30 +67,6 @@ func EstimateCounts(fo ldp.FrequencyOracle, counts []int, n, nr int) []float64 {
 	return ldp.CalibrateWithFakes(counts, n, nr, p, q, beta)
 }
 
-// MergeShardCounts element-wise sums per-shard support counts into the
-// single-analyzer counts. Support counting is additive over any split
-// of the report vector, so a sharded analyzer tier (internal/cluster,
-// DESIGN.md §13) that counts disjoint windows reproduces — exactly,
-// in integers — the counts a single analyzer computes over the whole
-// vector; feeding the merge through EstimateCounts therefore yields
-// bit-identical estimates, the invariant the sharded conformance
-// suite asserts.
-func MergeShardCounts(shards [][]int) []int {
-	if len(shards) == 0 {
-		return nil
-	}
-	merged := make([]int, len(shards[0]))
-	for _, counts := range shards {
-		if len(counts) != len(merged) {
-			panic("protocol: shard count vectors disagree on domain size")
-		}
-		for i, c := range counts {
-			merged[i] += c
-		}
-	}
-	return merged
-}
-
 // PlainShuffle runs the basic shuffle model: each user randomizes with
 // fo, a single shuffler permutes, the server estimates. This is the
 // "SH"/"SOLH" setting of §III-B/§IV evaluated end to end.

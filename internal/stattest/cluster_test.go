@@ -7,9 +7,9 @@ package stattest_test
 // suite in internal/cluster proves the sharded tier bit-identical to
 // the single-analyzer protocol; this test closes the remaining gap —
 // that the protocol those shards jointly compute is itself a correctly
-// calibrated, unbiased estimator. A partition that dropped a window,
-// double-counted a boundary location, or mis-merged shard counts
-// would blow the MSE band by orders of magnitude.
+// calibrated, unbiased estimator. A cut that dropped a window or
+// counted a boundary word twice would blow the MSE band by orders of
+// magnitude.
 
 import (
 	"net"
@@ -48,7 +48,7 @@ func clusterStatKey(t *testing.T) *ahe.DGKPrivateKey {
 
 // clusterTrial returns a stattest.Trial that stands up a fresh
 // loopback cluster — r shuffler nodes, the analyzer tier sharded
-// `analyzers` ways by the even domain partition — runs one full
+// `analyzers` ways by the even cuts of the shuffled vector — runs one full
 // collection round of the values, and returns the coordinator's served
 // estimates. All client and shuffler randomness derives from the trial
 // seed, so each estimate is a pure function of it.
