@@ -28,6 +28,16 @@ func (c *Ciphertext) Value() *big.Int { return new(big.Int).Set(c.v) }
 // per-collection fake cache) must hand the pass a clone.
 func (c *Ciphertext) Clone() *Ciphertext { return &Ciphertext{v: new(big.Int).Set(c.v)} }
 
+// startAt makes dst (which may be a) hold a's group element in a
+// big.Int of its own and returns it: the accumulator the in-place
+// kernels multiply into.
+func (dst *Ciphertext) startAt(a *Ciphertext) *big.Int {
+	if dst.v == nil {
+		dst.v = new(big.Int)
+	}
+	return dst.v.Set(a.v)
+}
+
 // PublicKey is the encryptor/evaluator side: users encrypt their last
 // share with it, shufflers homomorphically add and rerandomize.
 type PublicKey interface {
@@ -78,12 +88,13 @@ type PrivateKey interface {
 	Decrypt(c *Ciphertext) (uint64, error)
 }
 
-// Scratch holds the per-worker big.Int accumulators the in-place
+// Scratch holds the per-worker big.Int temporaries the in-place
 // variants of the hot public-key operations reuse across calls. One
 // Scratch belongs to exactly one goroutine; distinct workers of a
 // parallel loop each allocate their own via NewScratch.
 type Scratch struct {
-	e, acc, tmp big.Int
+	e       big.Int // AddPlainInto's reduced plaintext exponent
+	t, q, u big.Int // mulRedc's product, quotient and quotient*modulus
 }
 
 // serializeFixed left-pads v to size bytes.

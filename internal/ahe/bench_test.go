@@ -1,6 +1,7 @@
 package ahe
 
 import (
+	"math/big"
 	"sync"
 	"testing"
 )
@@ -118,7 +119,7 @@ func BenchmarkDGKRerandomizeNaive(b *testing.B) {
 }
 
 // BenchmarkDGKEncryptPooled measures Encrypt with the background
-// randomizer pool keeping (r, h^r) pairs warm — the client/shuffler
+// randomizer pool keeping randomizers h^r warm — the client/shuffler
 // steady state. On a loaded single-core machine it converges to the
 // unpooled table path; spare cores turn h^r into a pool pop.
 func BenchmarkDGKEncryptPooled(b *testing.B) {
@@ -131,4 +132,33 @@ func BenchmarkDGKEncryptPooled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkModMul prices one modular multiplication at the bench key's
+// modulus both ways: math/big's Mul followed by Mod (the long division
+// the fast path no longer runs) and the division-free mulRedc every
+// table, pool and decryption multiplication now is.
+func BenchmarkModMul(b *testing.B) {
+	key := benchKey(b)
+	m := newMont(key.n)
+	x := new(big.Int).Sub(key.n, big.NewInt(12345))
+	y := new(big.Int).Rsh(key.n, 1)
+	b.Run("MulMod", func(b *testing.B) {
+		b.ReportAllocs()
+		var acc, tmp big.Int
+		acc.Set(x)
+		for i := 0; i < b.N; i++ {
+			tmp.Mul(&acc, y)
+			acc.Mod(&tmp, key.n)
+		}
+	})
+	b.Run("mulRedc", func(b *testing.B) {
+		b.ReportAllocs()
+		var acc big.Int
+		var sc Scratch
+		acc.Set(x)
+		for i := 0; i < b.N; i++ {
+			m.mulRedc(&acc, &acc, y, &sc)
+		}
+	})
 }

@@ -31,15 +31,18 @@ import (
 // PEOS needs so fake reports are indistinguishable after decryption.
 //
 // Fast path. Both bases of Enc are fixed per key, so every public-key
-// operation runs over fixed-base window tables (fixedbase.go) built
-// once per key and shared read-only, optionally fronted by the
-// background randomizer pool (randpool.go); decryption recovers the
-// discrete log 8 bits per round from one shared squaring chain and
-// per-key digit tables — O(l) modular multiplications per ciphertext
-// instead of the naive O(l^2) squaring triangle. The naive math/big
-// path is retained verbatim as the fall-through the fast kernels take
-// (exponent beyond the table, value outside gamma's subgroup) and as
-// the correctness reference; the conformance tests in
+// operation multiplies fixed-base window-table entries (fixedbase.go)
+// straight into the ciphertext — tables built once per key and shared
+// read-only, optionally fronted by the background randomizer pool
+// (randpool.go); decryption recovers the discrete log 8 bits per round
+// from one shared squaring chain and per-key digit tables — O(l)
+// modular multiplications per ciphertext instead of the naive O(l^2)
+// squaring triangle. Every one of those multiplications is the
+// division-free mulRedc of mont.go: table entries, pooled randomizers
+// and digit rows are stored in Montgomery form, ciphertexts never are.
+// The naive math/big path is retained verbatim as the fall-through the
+// fast kernels take (exponent beyond the table, value outside gamma's
+// subgroup) and as the correctness reference; the conformance tests in
 // fixedbase_test.go hold the two paths bit-identical.
 
 const dgkSubgroupBits = 160 // t: size of vp, vq
@@ -82,6 +85,7 @@ type DGKPublicKey struct {
 // DGKPublicKey.
 type dgkFast struct {
 	once sync.Once
+	m    *mont    // Montgomery context mod n, shared by both tables
 	gTab *fbTable // fixed-base windows for g, exponents < 2^l
 	hTab *fbTable // fixed-base windows for h, exponents < 2^rnd
 	// pool is the optional background randomizer pool; poolMu guards
@@ -99,13 +103,16 @@ type dgkFast struct {
 	poolMisses atomic.Uint64
 }
 
-// ensure builds the fixed-base tables once. k is a copy of the owning
-// key (all its big.Int fields are shared pointers, so any copy works).
-func (fb *dgkFast) ensure(k DGKPublicKey) {
+// ensure builds the fixed-base tables once and returns fb. k is a copy
+// of the owning key (all its big.Int fields are shared pointers, so any
+// copy works).
+func (fb *dgkFast) ensure(k DGKPublicKey) *dgkFast {
 	fb.once.Do(func() {
-		fb.gTab = newFBTable(k.g, k.n, k.l)
-		fb.hTab = newFBTable(k.h, k.n, k.rnd)
+		fb.m = newMont(k.n)
+		fb.gTab = newFBTable(k.g, fb.m, k.l)
+		fb.hTab = newFBTable(k.h, fb.m, k.rnd)
 	})
+	return fb
 }
 
 // GenerateDGK creates a DGK key pair with an n of about keyBits bits
@@ -215,19 +222,23 @@ func finishDGKPrivateKey(pub DGKPublicKey, p, vp *big.Int) (*DGKPrivateKey, erro
 }
 
 // dgkDecFast holds the per-key digit tables of the windowed
-// Pohlig–Hellman decryption. Immutable after construction.
+// Pohlig–Hellman decryption, every group element in Montgomery form
+// mod p (decryptFast converts c^vp once and never converts back).
+// Immutable after construction.
 type dgkDecFast struct {
+	m *mont // Montgomery context mod p
 	// exps[i] = l - 8i - widths[i]: the power of two that maps round
 	// i's digit into the top window, strictly decreasing to 0.
 	exps []int
 	// widths[i] is round i's digit width: 8 for all but possibly the
 	// final round (l mod 8, when l is not a multiple of 8).
 	widths []int
-	// look[i] maps gamma^(d << (l - widths[i])) mod p — serialized via
-	// big.Int.Bytes — back to the digit d. All full-width rounds share
-	// one map.
-	look []map[string]byte
-	// inv[pos][d-1] = gamma^(-d << pos) mod p for the correction
+	// look[i] maps gamma^(d << (l - widths[i])) * R mod p — as
+	// keyLen fixed-width bytes — back to the digit d. All full-width
+	// rounds share one map.
+	look   []map[string]byte
+	keyLen int
+	// inv[pos][d-1] = gamma^(-d << pos) * R mod p for the correction
 	// factors that cancel already-recovered digits out of the shared
 	// squaring chain.
 	inv map[int][]*big.Int
@@ -241,11 +252,14 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 	l := k.l
 	nd := (l + dgkDecDigitBits - 1) / dgkDecDigitBits
 	df := &dgkDecFast{
+		m:      newMont(k.p),
 		exps:   make([]int, nd),
 		widths: make([]int, nd),
 		look:   make([]map[string]byte, nd),
+		keyLen: (k.p.BitLen() + 7) / 8,
 		inv:    make(map[int][]*big.Int),
 	}
+	var sc Scratch
 	for i := 0; i < nd; i++ {
 		w := dgkDecDigitBits
 		if rem := l - dgkDecDigitBits*i; rem < w {
@@ -261,14 +275,12 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 		tab := byWidth[w]
 		if tab == nil {
 			tab = make(map[string]byte, 1<<uint(w))
-			base := k.gammaP[l-w] // gamma^(2^(l-w))
-			cur := big.NewInt(1)
+			base := df.m.toMont(k.gammaP[l-w], &sc) // gamma^(2^(l-w))
+			cur := new(big.Int).Set(df.m.one)
+			key := make([]byte, df.keyLen)
 			for d := 0; d < 1<<uint(w); d++ {
-				tab[string(cur.Bytes())] = byte(d)
-				if d+1 < 1<<uint(w) {
-					nxt := new(big.Int).Mul(cur, base)
-					cur = nxt.Mod(nxt, k.p)
-				}
+				tab[string(cur.FillBytes(key))] = byte(d)
+				df.m.mulRedc(cur, cur, base, &sc)
 			}
 			byWidth[w] = tab
 		}
@@ -282,14 +294,8 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 			if _, ok := df.inv[pos]; ok {
 				continue
 			}
-			row := make([]*big.Int, (1<<dgkDecDigitBits)-1)
-			base := k.gammaInvP[pos] // gamma^(-2^pos)
-			row[0] = base
-			for d := 2; d < 1<<dgkDecDigitBits; d++ {
-				v := new(big.Int).Mul(row[d-2], base)
-				row[d-1] = v.Mod(v, k.p)
-			}
-			df.inv[pos] = row
+			// gamma^(-2^pos) and its 255 multiples.
+			df.inv[pos] = df.m.powerRow(df.m.toMont(k.gammaInvP[pos], &sc), &sc)
 		}
 	}
 	return df
@@ -382,7 +388,7 @@ func (k DGKPublicKey) PlaintextBits() int { return k.l }
 func (k DGKPublicKey) Modulus() *big.Int { return new(big.Int).Set(k.n) }
 
 // StartRandomizerPool implements PublicKey: it starts (or joins) the
-// key's background refiller producing (r, h^r) pairs off the critical
+// key's background refiller producing randomizers h^r off the critical
 // path, with capacity and refill concurrency derived from GOMAXPROCS
 // (randpool.go). The returned stop function is idempotent; the pool
 // shuts down when every starter has called stop.
@@ -395,16 +401,18 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	if fb.poolRefs == 0 {
 		fb.ensure(k)
 		key := k // the fill closure's stable copy
-		fb.pool.Store(newRandPool(func() (*big.Int, *big.Int, error) {
+		fb.pool.Store(newRandPool(func(sc *Scratch) (*big.Int, error) {
 			r, err := key.randomizer()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			hr := fb.hTab.Exp(r)
-			if hr == nil {
-				hr = new(big.Int).Exp(key.h, r, key.n)
+			// Starting the chain at R yields h^r*R, the form a pool
+			// hit multiplies in with one mulRedc.
+			hr := new(big.Int).Set(fb.m.one)
+			if !fb.hTab.mulInto(hr, r, sc) {
+				fb.m.mulRedc(hr, new(big.Int).Exp(key.h, r, key.n), fb.m.r2, sc)
 			}
-			return r, hr, nil
+			return hr, nil
 		}))
 	}
 	fb.poolRefs++
@@ -427,11 +435,14 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	}
 }
 
-func (k DGKPublicKey) reduce(m uint64) *big.Int {
-	if k.l == 64 {
-		return new(big.Int).SetUint64(m)
+func (k DGKPublicKey) reduce(m uint64) *big.Int { return k.reduceInto(new(big.Int), m) }
+
+// reduceInto sets dst to m mod 2^l.
+func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
+	if k.l != 64 {
+		m &= (1 << uint(k.l)) - 1
 	}
-	return new(big.Int).SetUint64(m & ((1 << uint(k.l)) - 1))
+	return dst.SetUint64(m)
 }
 
 func (k DGKPublicKey) randomizer() (*big.Int, error) {
@@ -439,46 +450,36 @@ func (k DGKPublicKey) randomizer() (*big.Int, error) {
 	return rand.Int(rand.Reader, bound)
 }
 
-// hPower returns h^r for a fresh randomizer r: a pooled pair when the
-// background pool has one ready, the fixed-base tables otherwise. It
-// feeds the hit/miss counters RandomizerPoolStats reports.
-func (k DGKPublicKey) hPower() (*big.Int, error) {
-	if p := k.fb.pool.Load(); p != nil {
-		if pair := p.get(); pair != nil {
-			k.fb.poolHits.Add(1)
-			return pair.hr, nil
-		}
-	}
-	k.fb.poolMisses.Add(1)
-	r, err := k.randomizer()
-	if err != nil {
-		return nil, err
-	}
-	if hr := k.fb.hTab.Exp(r); hr != nil {
-		return hr, nil
-	}
-	return new(big.Int).Exp(k.h, r, k.n), nil
+// mulExpNaive sets v = v * base^e mod n by generic exponentiation: the
+// retained reference, and the fall-through where a table declines.
+func (k DGKPublicKey) mulExpNaive(v, base, e *big.Int) {
+	v.Mul(v, new(big.Int).Exp(base, e, k.n)).Mod(v, k.n)
 }
 
-// hPowerInto is hPower with the fixed-base fallback computed into the
-// caller's scratch accumulators. The returned big.Int is either a
-// pooled value or sc.acc; it is consumed before the next scratch call.
-func (k DGKPublicKey) hPowerInto(sc *Scratch) (*big.Int, error) {
-	if p := k.fb.pool.Load(); p != nil {
-		if pair := p.get(); pair != nil {
-			k.fb.poolHits.Add(1)
-			return pair.hr, nil
+// mulHPower multiplies v, a residue mod n, by h^r for a fresh
+// randomizer r: one multiplication by a pooled h^r when the background
+// pool has one ready, the fixed-base chain straight into v otherwise.
+// It feeds the hit/miss counters RandomizerPoolStats reports.
+func (k DGKPublicKey) mulHPower(v *big.Int, sc *Scratch) error {
+	if fb := k.fb; fb != nil {
+		fb.ensure(k)
+		if p := fb.pool.Load(); p != nil {
+			if hr := p.get(); hr != nil {
+				fb.poolHits.Add(1)
+				fb.m.mulRedc(v, v, hr, sc)
+				return nil
+			}
 		}
+		fb.poolMisses.Add(1)
 	}
-	k.fb.poolMisses.Add(1)
 	r, err := k.randomizer()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if hr := k.fb.hTab.ExpInto(&sc.acc, &sc.tmp, r); hr != nil {
-		return hr, nil
+	if k.fb == nil || !k.fb.hTab.mulInto(v, r, sc) {
+		k.mulExpNaive(v, k.h, r)
 	}
-	return new(big.Int).Exp(k.h, r, k.n), nil
+	return nil
 }
 
 // RandomizerPoolStats returns the cumulative randomizer accounting of
@@ -493,21 +494,20 @@ func (k DGKPublicKey) RandomizerPoolStats() (hits, misses uint64) {
 	return k.fb.poolHits.Load(), k.fb.poolMisses.Load()
 }
 
-// Encrypt implements PublicKey: g^m h^r mod n.
+// Encrypt implements PublicKey: g^m h^r mod n, as 1 -> *g^m -> *h^r
+// through the in-place kernels.
 func (k DGKPublicKey) Encrypt(m uint64) (*Ciphertext, error) {
 	if k.fb == nil {
 		return k.encryptNaive(m)
 	}
-	k.fb.ensure(k)
-	hr, err := k.hPower()
-	if err != nil {
+	c, sc := &Ciphertext{v: big.NewInt(1)}, k.NewScratch()
+	if err := k.AddPlainInto(c, c, m, sc); err != nil {
 		return nil, err
 	}
-	gm := k.fb.gTab.Exp(k.reduce(m))
-	if gm == nil {
-		return k.encryptNaive(m)
+	if err := k.RerandomizeInto(c, c, sc); err != nil {
+		return nil, err
 	}
-	return &Ciphertext{v: gm.Mul(gm, hr).Mod(gm, k.n)}, nil
+	return c, nil
 }
 
 // encryptNaive is the retained generic-exponentiation reference.
@@ -530,101 +530,44 @@ func (k DGKPublicKey) Add(a, b *Ciphertext) *Ciphertext {
 // AddPlain implements PublicKey: multiply by g^m (no fresh randomness;
 // call Rerandomize if unlinkability is needed).
 func (k DGKPublicKey) AddPlain(a *Ciphertext, m uint64) (*Ciphertext, error) {
-	if k.fb != nil {
-		k.fb.ensure(k)
-		if gm := k.fb.gTab.Exp(k.reduce(m)); gm != nil {
-			v := gm.Mul(a.v, gm)
-			return &Ciphertext{v: v.Mod(v, k.n)}, nil
-		}
+	dst := new(Ciphertext)
+	if err := k.AddPlainInto(dst, a, m, k.NewScratch()); err != nil {
+		return nil, err
 	}
-	gm := new(big.Int).Exp(k.g, k.reduce(m), k.n)
-	v := new(big.Int).Mul(a.v, gm)
-	return &Ciphertext{v: v.Mod(v, k.n)}, nil
+	return dst, nil
 }
 
 // Rerandomize implements PublicKey: multiply by h^r.
 func (k DGKPublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	if k.fb != nil {
-		k.fb.ensure(k)
-		hr, err := k.hPower()
-		if err != nil {
-			return nil, err
-		}
-		v := new(big.Int).Mul(a.v, hr)
-		return &Ciphertext{v: v.Mod(v, k.n)}, nil
-	}
-	r, err := k.randomizer()
-	if err != nil {
+	dst := new(Ciphertext)
+	if err := k.RerandomizeInto(dst, a, k.NewScratch()); err != nil {
 		return nil, err
 	}
-	hr := new(big.Int).Exp(k.h, r, k.n)
-	v := new(big.Int).Mul(a.v, hr)
-	return &Ciphertext{v: v.Mod(v, k.n)}, nil
+	return dst, nil
 }
 
 // NewScratch implements PublicKey.
 func (k DGKPublicKey) NewScratch() *Scratch { return &Scratch{} }
 
-// reduceInto is reduce with a caller-owned destination.
-func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
-	if k.l != 64 {
-		m &= (1 << uint(k.l)) - 1
-	}
-	return dst.SetUint64(m)
-}
-
 // AddPlainInto implements PublicKey: AddPlain(a, m) into dst (which
-// may alias a), reusing sc's accumulators so a steady-state fold loop
-// allocates only what math/big's Mod allocates internally. Where the
-// fixed-base table declines it routes through the retained naive
-// reference — same result, allocating profile.
+// may alias a). The fixed-base chain runs straight into dst's own
+// big.Int through sc, so a steady-state fold loop allocates nothing;
+// where the table declines (or the key has none) it takes the retained
+// generic exponentiation — same result, allocating profile.
 func (k DGKPublicKey) AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error {
-	if k.fb != nil {
-		k.fb.ensure(k)
-		if gm := k.fb.gTab.ExpInto(&sc.acc, &sc.tmp, k.reduceInto(&sc.e, m)); gm != nil {
-			// gm is sc.acc; a.v is read before dst.v is written, so
-			// dst == a is safe.
-			sc.tmp.Mul(a.v, gm)
-			if dst.v == nil {
-				dst.v = new(big.Int)
-			}
-			dst.v.Mod(&sc.tmp, k.n)
-			return nil
-		}
+	v, e := dst.startAt(a), k.reduceInto(&sc.e, m)
+	if k.fb == nil || !k.fb.ensure(k).gTab.mulInto(v, e, sc) {
+		k.mulExpNaive(v, k.g, e)
 	}
-	c, err := k.AddPlain(a, m)
-	if err != nil {
-		return err
-	}
-	dst.v = c.v
 	return nil
 }
 
 // RerandomizeInto implements PublicKey: Rerandomize(a) into dst
 // (which may alias a). The randomizer comes from the shared pool when
-// one is running — the same crypto/rand draw order as Rerandomize, so
-// the two are distribution-identical — and from an inline fixed-base
-// exponentiation into sc otherwise.
+// one is running and from an inline fixed-base chain into dst
+// otherwise — a crypto/rand draw of the same width either way.
 func (k DGKPublicKey) RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error {
-	if k.fb != nil {
-		k.fb.ensure(k)
-		hr, err := k.hPowerInto(sc)
-		if err != nil {
-			return err
-		}
-		sc.tmp.Mul(a.v, hr)
-		if dst.v == nil {
-			dst.v = new(big.Int)
-		}
-		dst.v.Mod(&sc.tmp, k.n)
-		return nil
-	}
-	c, err := k.Rerandomize(a)
-	if err != nil {
-		return err
-	}
-	dst.v = c.v
-	return nil
+	return k.mulHPower(dst.startAt(a), sc)
 }
 
 // CiphertextBytes implements PublicKey.
@@ -683,7 +626,10 @@ func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
 // squarings snapshotted at each exps[i] (the naive path re-squares
 // from scratch every bit — the O(l^2) inner loop this replaces), and
 // the correction factors gamma^(-d_j << (exps[i]+8j)) are table rows.
-// Total: ~l squarings + O((l/8)^2) multiplications mod p.
+// Total: ~l squarings + O((l/8)^2) multiplications mod p, every one a
+// mulRedc: cm enters the Montgomery domain once, squares and
+// corrections keep it there, and the lookup is keyed by the
+// Montgomery-form bytes, so nothing is converted back.
 //
 // ok = false means the value is not in gamma's 2^l-order subgroup
 // (impossible for anything produced by Encrypt/Add/AddPlain/
@@ -692,35 +638,33 @@ func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
 func (k *DGKPrivateKey) decryptFast(c *Ciphertext) (uint64, bool) {
 	df := k.dec
 	nd := len(df.exps)
-	cm := new(big.Int).Exp(new(big.Int).Mod(c.v, k.p), k.vp, k.p)
+	var sc Scratch
+	cur := new(big.Int).Exp(new(big.Int).Mod(c.v, k.p), k.vp, k.p)
+	df.m.mulRedc(cur, cur, df.m.r2, &sc)
 
 	// One squaring chain, snapshotted at each round's exponent
 	// (exps is strictly decreasing; exps[nd-1] == 0).
-	snaps := make([]*big.Int, nd)
-	cur := new(big.Int).Set(cm)
+	snaps := make([]big.Int, nd)
 	e := 0
 	for i := nd - 1; i >= 0; i-- {
-		for e < df.exps[i] {
-			cur.Mul(cur, cur)
-			cur.Mod(cur, k.p)
-			e++
+		for ; e < df.exps[i]; e++ {
+			df.m.mulRedc(cur, cur, cur, &sc)
 		}
-		snaps[i] = new(big.Int).Set(cur)
+		snaps[i].Set(cur)
 	}
 
 	var m uint64
-	z := new(big.Int)
+	key := make([]byte, df.keyLen)
 	for i := 0; i < nd; i++ {
-		z.Set(snaps[i])
+		z := &snaps[i] // read by this round only, so corrected in place
 		for j := 0; j < i; j++ {
 			d := byte(m >> uint(dgkDecDigitBits*j))
 			if d == 0 {
 				continue
 			}
-			z.Mul(z, df.inv[df.exps[i]+dgkDecDigitBits*j][d-1])
-			z.Mod(z, k.p)
+			df.m.mulRedc(z, z, df.inv[df.exps[i]+dgkDecDigitBits*j][d-1], &sc)
 		}
-		d, ok := df.look[i][string(z.Bytes())]
+		d, ok := df.look[i][string(z.FillBytes(key))]
 		if !ok {
 			return 0, false
 		}

@@ -4,13 +4,20 @@ package ahe
 // time computing g^m and h^r for the two FIXED bases g and h of one
 // key — the classic fixed-base comb: precompute, once per key,
 //
-//	win[i][d-1] = base^(d << (8 i)) mod n,   d in 1..255
+//	win[i][d-1] = base^(d << (8 i)) * R mod n,   d in 1..255
 //
 // (one 255-entry row per 8-bit window of the largest supported
-// exponent), and every later exponentiation becomes one table lookup
+// exponent), and multiplying a value by base^e becomes one table lookup
 // and one modular multiplication per NONZERO exponent byte — about 58
-// Mul+Mod for a full Encrypt versus the ~580 Montgomery operations of
-// two generic big.Int.Exp calls, measured ~5x faster at 1024 bits.
+// for a full Encrypt versus the ~580 Montgomery operations of two
+// generic big.Int.Exp calls. Entries are stored in Montgomery form
+// (mont.go) while every value they multiply stays an ordinary residue:
+// REDC(acc * ent*R) = acc*ent mod n exactly, so a modular
+// multiplication is three big.Int.Mul with no division, and nothing
+// outside the tables — ciphertexts, wire bytes, the decryption input —
+// ever sees the Montgomery domain. Measured at 1024 bits
+// (BenchmarkModMul): ~0.7 us per multiplication against ~1.2 us for
+// Mul+Mod, with no allocation.
 //
 // A table is immutable after construction and safe for concurrent
 // readers; the per-key tables are built once behind a sync.Once (see
@@ -22,118 +29,61 @@ import (
 )
 
 // fbWindowBits is the window width. 8 keeps the row count at
-// maxBits/8 (50 rows for the 400-bit DGK randomizer — ~1.6 MB per
-// 1024-bit key, built once in ~15 ms) while cutting a 400-bit
-// exponentiation to at most 50 multiplications. Wider windows grow
-// the build cost 16x per +4 bits for <25% fewer multiplications.
+// maxBits/8 (50 rows for the 400-bit DGK randomizer — with g's 8
+// rows ~3.0 MB per 1024-bit key, built once in ~11 ms) while cutting
+// a 400-bit exponentiation to at most 50 multiplications. Wider
+// windows grow the build cost 16x per +4 bits for <25% fewer
+// multiplications.
 const fbWindowBits = 8
 
 // fbTable holds the precomputed window rows for one (base, modulus)
 // pair.
 type fbTable struct {
-	mod     *big.Int
+	m       *mont
 	maxBits int
-	// win[i][d-1] = base^(d << (8 i)) mod mod for d in 1..255.
+	// win[i][d-1] = base^(d << (8 i)) * R mod n for d in 1..255.
 	win [][]*big.Int
 }
 
 // newFBTable precomputes the window rows for exponents in
 // [0, 2^maxBits). Build cost is one modular multiplication per table
 // entry: 255 * ceil(maxBits/8).
-func newFBTable(base, mod *big.Int, maxBits int) *fbTable {
+func newFBTable(base *big.Int, m *mont, maxBits int) *fbTable {
 	if maxBits < 1 {
 		maxBits = 1
 	}
 	nw := (maxBits + fbWindowBits - 1) / fbWindowBits
-	t := &fbTable{mod: mod, maxBits: maxBits, win: make([][]*big.Int, nw)}
-	b := new(big.Int).Mod(base, mod)
-	for i := 0; i < nw; i++ {
-		row := make([]*big.Int, 255)
-		row[0] = b
-		for d := 2; d <= 255; d++ {
-			v := new(big.Int).Mul(row[d-2], b)
-			row[d-1] = v.Mod(v, mod)
-		}
-		t.win[i] = row
-		if i+1 < nw {
-			// The next row's unit is base^(256^(i+1)) = row[254] * b
-			// (b^255 * b) — one multiplication instead of 8 squarings.
-			nb := new(big.Int).Mul(row[254], b)
-			b = nb.Mod(nb, mod)
-		}
+	t := &fbTable{m: m, maxBits: maxBits, win: make([][]*big.Int, nw)}
+	var sc Scratch
+	b := m.toMont(new(big.Int).Mod(base, m.n), &sc)
+	for i := range t.win {
+		t.win[i] = m.powerRow(b, &sc)
+		// The next row's unit is base^(256^(i+1)) = b^255 * b — one
+		// multiplication instead of 8 squarings.
+		next := new(big.Int)
+		m.mulRedc(next, t.win[i][254], b, &sc)
+		b = next
 	}
 	return t
 }
 
-// Exp returns base^e mod n via the precomputed windows, or nil when e
-// is negative or too wide for the table (the caller falls back to
-// big.Int.Exp). The result is freshly allocated; the table is only
-// read, so concurrent calls are safe.
-func (t *fbTable) Exp(e *big.Int) *big.Int {
+// mulInto multiplies acc, a residue in [0, n), by base^e in place: one
+// table entry per nonzero byte of e. It reports false, leaving acc
+// untouched, when e is negative or too wide for the table (the caller
+// falls back to big.Int.Exp). The table is only read, so concurrent
+// calls with distinct acc and sc are safe.
+func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) bool {
 	if e.Sign() < 0 || e.BitLen() > t.maxBits {
-		return nil
+		return false
 	}
-	var acc *big.Int
-	i := 0
+	i := 0 // < len(t.win) at every nonzero byte, by the BitLen guard
 	for _, w := range e.Bits() {
 		for s := 0; s < bits.UintSize; s += fbWindowBits {
-			d := byte(w >> uint(s))
-			if d != 0 {
-				if i >= len(t.win) {
-					return nil // unreachable given the BitLen guard
-				}
-				ent := t.win[i][d-1]
-				if acc == nil {
-					acc = new(big.Int).Set(ent)
-				} else {
-					acc.Mul(acc, ent)
-					acc.Mod(acc, t.mod)
-				}
+			if d := byte(w >> uint(s)); d != 0 {
+				t.m.mulRedc(acc, acc, t.win[i][d-1], sc)
 			}
 			i++
 		}
 	}
-	if acc == nil {
-		return big.NewInt(1) // e == 0
-	}
-	return acc
-}
-
-// ExpInto is Exp with caller-owned accumulators: the result lands in
-// dst and tmp holds the ping-pong product, so a hot loop reuses the
-// same two big.Ints across calls instead of allocating a fresh chain
-// each time (math/big's Mod still allocates its internal quotient —
-// the scratch path is allocation-flat, not allocation-free). Returns
-// nil exactly when Exp would (negative or too-wide exponent; the
-// caller falls back to big.Int.Exp), dst otherwise. dst and tmp must
-// be distinct and must not alias e.
-func (t *fbTable) ExpInto(dst, tmp, e *big.Int) *big.Int {
-	if e.Sign() < 0 || e.BitLen() > t.maxBits {
-		return nil
-	}
-	started := false
-	i := 0
-	for _, w := range e.Bits() {
-		for s := 0; s < bits.UintSize; s += fbWindowBits {
-			d := byte(w >> uint(s))
-			if d != 0 {
-				if i >= len(t.win) {
-					return nil // unreachable given the BitLen guard
-				}
-				ent := t.win[i][d-1]
-				if !started {
-					dst.Set(ent)
-					started = true
-				} else {
-					tmp.Mul(dst, ent)
-					dst.Mod(tmp, t.mod)
-				}
-			}
-			i++
-		}
-	}
-	if !started {
-		return dst.SetInt64(1) // e == 0
-	}
-	return dst
+	return true
 }

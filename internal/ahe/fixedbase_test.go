@@ -12,10 +12,12 @@ import (
 	"shuffledp/internal/rng"
 )
 
-// TestFixedBaseExpMatchesBigExp holds the windowed kernel bit-identical
-// to math/big generic exponentiation across exponent shapes: zero,
-// single-window, zero-byte-riddled, and full-width.
-func TestFixedBaseExpMatchesBigExp(t *testing.T) {
+// fbTestTable builds a fixed-base table over a fresh 512-bit RSA-shaped
+// modulus and a random base, plus the exponent shapes the kernel tests
+// share: zero, single-window, top bit, all-ones, an isolated middle
+// window, and random full-width draws.
+func fbTestTable(t *testing.T, maxBits int) (tab *fbTable, base, mod *big.Int, exps []*big.Int) {
+	t.Helper()
 	p, err := rand.Prime(rand.Reader, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -24,33 +26,39 @@ func TestFixedBaseExpMatchesBigExp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := new(big.Int).Mul(p, q)
-	base, err := rand.Int(rand.Reader, mod)
-	if err != nil {
+	mod = new(big.Int).Mul(p, q)
+	if base, err = rand.Int(rand.Reader, mod); err != nil {
 		t.Fatal(err)
 	}
-	const maxBits = 400
-	tab := newFBTable(base, mod, maxBits)
-
-	exps := []*big.Int{
+	exps = []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
 		big.NewInt(255),
 		big.NewInt(256),
-		new(big.Int).Lsh(big.NewInt(1), maxBits-1),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), maxBits), big.NewInt(1)),
+		new(big.Int).Lsh(big.NewInt(1), uint(maxBits-1)),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(maxBits)), big.NewInt(1)),
 		new(big.Int).Lsh(big.NewInt(0xa5), 128), // isolated middle window
 	}
 	for i := 0; i < 40; i++ {
-		e, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), maxBits))
+		e, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(maxBits)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		exps = append(exps, e)
 	}
+	return newFBTable(base, newMont(mod), maxBits), base, mod, exps
+}
+
+// TestFixedBaseExpMatchesBigExp holds the windowed kernel bit-identical
+// to math/big generic exponentiation across exponent shapes: zero,
+// single-window, zero-byte-riddled, and full-width.
+func TestFixedBaseExpMatchesBigExp(t *testing.T) {
+	const maxBits = 400
+	tab, base, mod, exps := fbTestTable(t, maxBits)
+	var sc Scratch
 	for _, e := range exps {
-		got := tab.Exp(e)
-		if got == nil {
+		got := big.NewInt(1)
+		if !tab.mulInto(got, e, &sc) {
 			t.Fatalf("table refused in-range exponent of %d bits", e.BitLen())
 		}
 		want := new(big.Int).Exp(base, e, mod)
@@ -60,11 +68,37 @@ func TestFixedBaseExpMatchesBigExp(t *testing.T) {
 	}
 	// Out-of-range exponents are refused (callers fall back), never
 	// silently truncated.
-	if tab.Exp(new(big.Int).Lsh(big.NewInt(1), maxBits)) != nil {
+	if tab.mulInto(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), maxBits), &sc) {
 		t.Fatal("table accepted an exponent wider than maxBits")
 	}
-	if tab.Exp(big.NewInt(-1)) != nil {
+	if tab.mulInto(big.NewInt(1), big.NewInt(-1), &sc) {
 		t.Fatal("table accepted a negative exponent")
+	}
+}
+
+// TestFixedBaseEntriesDecode: the per-key tables hold Montgomery-form
+// entries — REDC(ent * 1) is base^(d << 8i) mod n — for sampled rows
+// and digits of both tables of the conformance keys.
+func TestFixedBaseEntriesDecode(t *testing.T) {
+	for _, key := range conformanceKeys(t) {
+		fb := key.fb.ensure(key.DGKPublicKey)
+		var sc Scratch
+		for _, tc := range []struct {
+			tab  *fbTable
+			base *big.Int
+		}{{fb.gTab, key.g}, {fb.hTab, key.h}} {
+			rows := len(tc.tab.win)
+			for _, i := range []int{0, rows / 2, rows - 1} {
+				for _, d := range []int{1, 2, 128, 255} {
+					got := new(big.Int)
+					fb.m.mulRedc(got, tc.tab.win[i][d-1], bigOne, &sc)
+					e := new(big.Int).Lsh(big.NewInt(int64(d)), uint(fbWindowBits*i))
+					if want := new(big.Int).Exp(tc.base, e, key.n); got.Cmp(want) != 0 {
+						t.Fatalf("l=%d: entry (row %d, digit %d) does not decode to base^(d<<8i)", key.l, i, d)
+					}
+				}
+			}
+		}
 	}
 }
 

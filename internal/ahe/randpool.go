@@ -2,11 +2,15 @@ package ahe
 
 // Background randomizer pool. Even with the fixed-base tables, h^r is
 // the dominant term of Encrypt and Rerandomize (~50 of the ~58
-// multiplications). The pool moves that work off the critical path:
-// refiller goroutines precompute (r, h^r) pairs whenever the pool runs
-// low, and the hot path drains them with a lock-free Treiber-stack pop
-// — an Encrypt that hits the pool costs one table exponentiation of
-// g^m (at most 8 multiplications) plus one modular multiplication.
+// division-free multiplications). The pool moves that work off the
+// critical path: refiller goroutines precompute randomizers whenever
+// the pool runs low, and the hot path drains them with a lock-free
+// Treiber-stack pop. A pooled randomizer is h^r*R mod n — Montgomery
+// form, like a table entry — so a hit is one multiplication (mulRedc)
+// into the ciphertext, and an Encrypt that hits the pool costs that
+// plus the at most 8 multiplications of g^m. The exponent r is dropped
+// the moment h^r exists: nothing reads it again, and each one would
+// strip the blinding off the ciphertext it ends up in.
 //
 // Correctness is unaffected: r is drawn from crypto/rand exactly as the
 // inline path draws it, and none of the protocol conformance suites
@@ -30,7 +34,7 @@ import (
 // poolSizePerProc is the randomizer-pool capacity per consuming
 // goroutine — deep enough to absorb a burst of a few hundred
 // encryptions, small enough that a warm pool holds only a few hundred
-// kilobytes of pairs.
+// kilobytes of group elements.
 const poolSizePerProc = 256
 
 // maxPoolSize caps poolCapacity so a very wide host cannot ask for an
@@ -38,10 +42,10 @@ const poolSizePerProc = 256
 const maxPoolSize = 4096
 
 // poolCapacity returns the randomizer-pool capacity: poolSizePerProc
-// pairs per GOMAXPROCS (the PEOS call sites run that many concurrent
-// encrypt/rerandomize goroutines), capped at maxPoolSize, so parallel
-// rerandomize stays on the pooled fast path instead of draining into
-// inline exponentiation.
+// randomizers per GOMAXPROCS (the PEOS call sites run that many
+// concurrent encrypt/rerandomize goroutines), capped at maxPoolSize, so
+// parallel rerandomize stays on the pooled fast path instead of
+// draining into inline exponentiation.
 func poolCapacity() int {
 	size := poolSizePerProc * runtime.GOMAXPROCS(0)
 	if size > maxPoolSize {
@@ -66,17 +70,16 @@ func poolRefillers() int {
 	return r
 }
 
-// hrPair is one precomputed randomizer: r and h^r mod n.
-type hrPair struct {
-	r    *big.Int
+// hrNode is one precomputed randomizer, h^r*R mod n, on the stack.
+type hrNode struct {
 	hr   *big.Int
-	next *hrPair
+	next *hrNode
 }
 
-// randPool is a lock-free stack of precomputed randomizer pairs plus
-// the refiller goroutines that keep it near capacity.
+// randPool is a lock-free stack of precomputed randomizers plus the
+// refiller goroutines that keep it near capacity.
 type randPool struct {
-	head     atomic.Pointer[hrPair]
+	head     atomic.Pointer[hrNode]
 	size     atomic.Int64
 	capacity int64
 	wake     chan struct{}
@@ -84,11 +87,11 @@ type randPool struct {
 	wg       sync.WaitGroup
 }
 
-// newRandPool starts a pool of poolCapacity pairs refilled by
-// poolRefillers goroutines; fill computes one fresh (r, h^r) pair and
-// must be safe for concurrent calls (crypto/rand and the immutable
-// fixed-base tables are).
-func newRandPool(fill func() (r, hr *big.Int, err error)) *randPool {
+// newRandPool starts a pool of poolCapacity randomizers refilled by
+// poolRefillers goroutines; fill computes one fresh h^r*R mod n using
+// the calling refiller's scratch and must be safe for concurrent calls
+// (crypto/rand and the immutable fixed-base tables are).
+func newRandPool(fill func(sc *Scratch) (*big.Int, error)) *randPool {
 	refillers := poolRefillers()
 	p := &randPool{
 		capacity: int64(poolCapacity()),
@@ -105,10 +108,11 @@ func newRandPool(fill func() (r, hr *big.Int, err error)) *randPool {
 // refill tops the stack up to capacity, then sleeps until a drain
 // signals it (or the pool stops). With several refillers the
 // check-then-fill race can overshoot capacity by at most refillers-1
-// pairs — harmless. A fill error ends that refiller; the hot path
+// randomizers — harmless. A fill error ends that refiller; the hot path
 // simply keeps using its inline fallback.
-func (p *randPool) refill(fill func() (r, hr *big.Int, err error)) {
+func (p *randPool) refill(fill func(sc *Scratch) (*big.Int, error)) {
 	defer p.wg.Done()
+	var sc Scratch
 	for {
 		for p.size.Load() < p.capacity {
 			select {
@@ -116,11 +120,11 @@ func (p *randPool) refill(fill func() (r, hr *big.Int, err error)) {
 				return
 			default:
 			}
-			r, hr, err := fill()
+			hr, err := fill(&sc)
 			if err != nil {
 				return
 			}
-			p.push(&hrPair{r: r, hr: hr})
+			p.push(&hrNode{hr: hr})
 		}
 		select {
 		case <-p.done:
@@ -132,7 +136,7 @@ func (p *randPool) refill(fill func() (r, hr *big.Int, err error)) {
 
 // push CAS-loops so the stack stays consistent across concurrent
 // refillers and pops.
-func (p *randPool) push(n *hrPair) {
+func (p *randPool) push(n *hrNode) {
 	for {
 		old := p.head.Load()
 		n.next = old
@@ -143,14 +147,14 @@ func (p *randPool) push(n *hrPair) {
 	}
 }
 
-// get pops one precomputed pair, or returns nil when the pool is dry
-// (the caller computes inline). Lock-free: a CAS retry loop with no
+// get pops one precomputed randomizer, or returns nil when the pool is
+// dry (the caller computes inline). Lock-free: a CAS retry loop with no
 // mutex on the drain path. The Treiber ABA hazard does not apply —
 // popped nodes are never pushed back, so a head pointer can never
 // reappear. A popped node's next link is left as it is: a concurrent
 // popper that loaded the same head may still be reading it (its CAS
 // then fails), so clearing it here would be a data race.
-func (p *randPool) get() *hrPair {
+func (p *randPool) get() *big.Int {
 	for {
 		n := p.head.Load()
 		if n == nil {
@@ -161,7 +165,7 @@ func (p *randPool) get() *hrPair {
 			if p.size.Add(-1) < p.capacity/2 {
 				p.nudge()
 			}
-			return n
+			return n.hr
 		}
 	}
 }

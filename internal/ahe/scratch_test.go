@@ -2,9 +2,10 @@ package ahe
 
 // Tests for the worker-pool support layer (DESIGN.md §14): the
 // scratch-reusing in-place kernels (AddPlainInto, RerandomizeInto), the
-// fixed-base ExpInto variant, and the allocation regression pins of
-// the steady-state fold loops. CI runs this file under -race (the
-// allocation pins skip there: the race runtime inflates the counts).
+// fixed-base accumulate-into kernel under them, and the allocation
+// regression pins of the steady-state fold loops. CI runs this file
+// under -race (the allocation pins skip there: the race runtime
+// inflates the counts).
 
 import (
 	"crypto/rand"
@@ -14,60 +15,39 @@ import (
 	"shuffledp/internal/rng"
 )
 
-// TestExpIntoMatchesExp holds the scratch variant of the fixed-base
-// kernel bit-identical to Exp across the same exponent shapes, with the
-// destination reused (dirty) between calls.
+// TestExpIntoMatchesExp holds the accumulate-into form of the
+// fixed-base kernel — the only form there is — to its definition,
+// acc * base^e mod n, across the same exponent shapes, starting from a
+// random residue with the accumulator and the scratch reused (dirty)
+// between calls; a refused exponent must leave the accumulator alone.
 func TestExpIntoMatchesExp(t *testing.T) {
-	p, err := rand.Prime(rand.Reader, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := rand.Prime(rand.Reader, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := new(big.Int).Mul(p, q)
-	base, err := rand.Int(rand.Reader, mod)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const maxBits = 400
-	tab := newFBTable(base, mod, maxBits)
-
-	exps := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(255),
-		big.NewInt(256),
-		new(big.Int).Lsh(big.NewInt(1), maxBits-1),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), maxBits), big.NewInt(1)),
-		new(big.Int).Lsh(big.NewInt(0xa5), 128),
-	}
-	for i := 0; i < 40; i++ {
-		e, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), maxBits))
+	tab, base, mod, exps := fbTestTable(t, maxBits)
+	var acc big.Int // deliberately reused dirty across iterations
+	var sc Scratch
+	for _, e := range exps {
+		start, err := rand.Int(rand.Reader, mod)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps = append(exps, e)
-	}
-	var dst, tmp big.Int // deliberately reused dirty across iterations
-	for _, e := range exps {
-		got := tab.ExpInto(&dst, &tmp, e)
-		if got == nil {
-			t.Fatalf("ExpInto refused in-range exponent of %d bits", e.BitLen())
+		acc.Set(start)
+		if !tab.mulInto(&acc, e, &sc) {
+			t.Fatalf("mulInto refused in-range exponent of %d bits", e.BitLen())
 		}
-		if got != &dst {
-			t.Fatal("ExpInto returned a value other than dst")
-		}
-		if want := tab.Exp(e); got.Cmp(want) != 0 {
-			t.Fatalf("ExpInto mismatch at e=%v", e)
+		want := new(big.Int).Exp(base, e, mod)
+		if want.Mul(want, start).Mod(want, mod); acc.Cmp(want) != 0 {
+			t.Fatalf("mulInto mismatch at e=%v", e)
 		}
 	}
-	if tab.ExpInto(&dst, &tmp, new(big.Int).Lsh(big.NewInt(1), maxBits)) != nil {
-		t.Fatal("ExpInto accepted an exponent wider than maxBits")
+	before := new(big.Int).Set(&acc)
+	if tab.mulInto(&acc, new(big.Int).Lsh(big.NewInt(1), maxBits), &sc) {
+		t.Fatal("mulInto accepted an exponent wider than maxBits")
 	}
-	if tab.ExpInto(&dst, &tmp, big.NewInt(-1)) != nil {
-		t.Fatal("ExpInto accepted a negative exponent")
+	if tab.mulInto(&acc, big.NewInt(-1), &sc) {
+		t.Fatal("mulInto accepted a negative exponent")
+	}
+	if acc.Cmp(before) != 0 {
+		t.Fatal("a refused exponent modified the accumulator")
 	}
 }
 
@@ -174,15 +154,15 @@ func TestCiphertextClone(t *testing.T) {
 // AllocsPerRun counts every goroutine's allocations). Two pins:
 //
 //   - AddPlainInto, the fold-loop kernel (addPlainAll, splitEncrypted
-//     stage B): measured at 1 alloc/op — math/big Mod's internal
-//     quotient — with zero per-op ciphertext or scratch garbage.
-//     Pinned at <= 3 (the allocating AddPlain costs ~3x more and any
-//     reintroduced per-op object trips it).
+//     stage B): 0 allocs/op. The fixed-base chain multiplies into the
+//     ciphertext's own big.Int and every temporary of a mulRedc lives
+//     in the warm Scratch, so any reintroduced per-op object — a
+//     ciphertext, a quotient, a fresh accumulator — trips it.
 //   - RerandomizeInto on its inline fixed-base fallback, the worst
-//     case: crypto/rand's randomizer draw plus one Mod temporary per
-//     8-bit window of the 160-bit exponent, ~55 measured. Pinned at
-//     <= 80; the pooled path the cluster actually runs (pool hit →
-//     one Mul + one Mod) costs ~2.
+//     case: what crypto/rand's randomizer draw allocates (the bound,
+//     the byte buffer, the result — 5 measured) and nothing for the
+//     ~50 multiplications behind it. Pinned at <= 8; the pooled path
+//     the cluster actually runs (pool hit -> one mulRedc) costs 0.
 func TestScratchKernelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates allocation counts; the pins are exact only without -race")
@@ -207,15 +187,15 @@ func TestScratchKernelAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if addAllocs > 3 {
-		t.Fatalf("AddPlainInto allocates %.1f/op, want <= 3", addAllocs)
+	if addAllocs != 0 {
+		t.Fatalf("AddPlainInto allocates %.1f/op, want 0", addAllocs)
 	}
 	rerAllocs := testing.AllocsPerRun(50, func() {
 		if err := key.RerandomizeInto(c, c, sc); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if rerAllocs > 80 {
-		t.Fatalf("RerandomizeInto fallback allocates %.1f/op, want <= 80", rerAllocs)
+	if rerAllocs > 8 {
+		t.Fatalf("RerandomizeInto fallback allocates %.1f/op, want <= 8", rerAllocs)
 	}
 }

@@ -108,7 +108,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		queued: make([][][]byte, cfg.Topology.R()),
 		nonce:  binary.LittleEndian.Uint64(seed[:]),
 	}
-	// Every report encrypts one share; keep (r, h^r) pairs precomputed
+	// Every report encrypts one share; keep randomizers h^r precomputed
 	// in the background for the lifetime of the client. The pool draws
 	// from crypto/rand only, never cfg.Source, so shares stay
 	// bit-identical to the in-process reference run.

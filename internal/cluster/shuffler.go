@@ -30,11 +30,11 @@ type ShufflerConfig struct {
 	// one share of each (Algorithm 1, "Shuffler j").
 	NR int
 	// Pub is the analyzer's AHE public key. Every shuffler needs it:
-	// any party can become the ciphertext holder during the shuffle.
+	// the ciphertext vector moves between parties during the shuffle.
 	Pub ahe.PublicKey
 	// Source is this node's own protocol randomness (share splits,
-	// permutation seeds, holder choices). Use secretshare.Crypto in
-	// production; a seeded rng in tests.
+	// permutation seeds). Use secretshare.Crypto in production; a
+	// seeded rng in tests.
 	Source secretshare.Source
 	// FakeSource, when non-nil, draws the node's fake shares instead
 	// of Source — the hook the conformance tests use to align fakes

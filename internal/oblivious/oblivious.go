@@ -48,12 +48,15 @@ type Config struct {
 	// bytes, at the sender) and ciphertext computation per shuffler
 	// ("shuffler-0", "shuffler-1", ...).
 	Meter *transport.Meter
-	// SkipRerandomize omits the per-element ciphertext refresh after
-	// each permutation and split. The paper's prototype accounts only
-	// homomorphic additions for the shufflers (Table III); this knob
-	// reproduces that cost model. It weakens unlinkability: a party
-	// seeing the same ciphertext before and after a round can track
-	// that position, so leave it off outside benchmarks.
+	// SkipRerandomize omits the per-element ciphertext refresh inside
+	// each encrypted split — the only refresh there is: the split that
+	// follows a permutation is what unlinks positions across it. The
+	// paper's prototype accounts only homomorphic additions for the
+	// shufflers (Table III); this knob reproduces that cost model. It
+	// weakens unlinkability: with the refresh off, a split's output is
+	// a deterministic AddPlain image of its input, so a party seeing a
+	// ciphertext before and after a round (with the analyzer's help)
+	// can track that position. Leave it off outside benchmarks.
 	SkipRerandomize bool
 }
 
@@ -352,21 +355,6 @@ func addPlainAll(enc []*ahe.Ciphertext, plain []uint64, mod secretshare.Modulus,
 		sc := pub.NewScratch()
 		for i := lo; i < hi; i++ {
 			if err := pub.AddPlainInto(enc[i], enc[i], mod.Reduce(plain[i]), sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// rerandomizeAll refreshes every ciphertext in place. Its randomness is
-// all crypto/rand (pool or inline), so chunk order across workers
-// cannot influence any plaintext.
-func rerandomizeAll(enc []*ahe.Ciphertext, pub ahe.PublicKey) error {
-	return parFor(len(enc), fanOut(), func(_, lo, hi int) error {
-		sc := pub.NewScratch()
-		for i := lo; i < hi; i++ {
-			if err := pub.RerandomizeInto(enc[i], enc[i], sc); err != nil {
 				return err
 			}
 		}

@@ -257,8 +257,10 @@ func TestMeterAccountsCommunication(t *testing.T) {
 	}
 
 	// EOS: the same hops, except that the ones carrying the ciphertext
-	// vector (between 0 and 2 a round, by the holder draws) bill
-	// CiphertextBytes an element instead of 8.
+	// vector bill CiphertextBytes an element instead of 8 — two of them,
+	// whatever the seed: the seated holder 2 seeks in round 0 and hides
+	// the vector with party 0, who keeps it through round 1 ({0, 2}) and
+	// reshares it to party 1 for round 2 ({1, 2}).
 	key := dgk(t)
 	meter.Reset()
 	est := buildEncState(t, values, 3, mod, key, rng.New(8))
@@ -270,8 +272,8 @@ func TestMeterAccountsCommunication(t *testing.T) {
 		total += meter.Stats(p).SentBytes
 	}
 	perHop := int64(key.CiphertextBytes()-8) * 100
-	if extra := total - plainWant; extra < 0 || extra > 6*perHop || extra%perHop != 0 {
-		t.Fatalf("metered %d bytes: not the plain total %d plus 0..6 ciphertext hops of %d extra bytes", total, plainWant, perHop)
+	if extra := total - plainWant; extra != 2*perHop {
+		t.Fatalf("metered %d bytes: not the plain total %d plus 2 ciphertext hops of %d extra bytes", total, plainWant, perHop)
 	}
 }
 

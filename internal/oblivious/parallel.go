@@ -1,10 +1,10 @@
 package oblivious
 
 // Worker-pool layer for the per-element hot loops (DESIGN.md §14).
-// The three ciphertext passes of a hide-and-seek round —
-// rerandomizeAll, addPlainAll, and stage B of splitEncrypted — and the
-// server's decrypt phase (RevealParallel) fan out over fanOut()
-// goroutines in contiguous, order-preserving chunks. Determinism is
+// The two ciphertext passes of a hide-and-seek round — addPlainAll and
+// stage B of splitEncrypted — and the server's decrypt phase
+// (RevealParallel) fan out over fanOut() goroutines in contiguous,
+// order-preserving chunks. Determinism is
 // preserved by construction: every draw from the deterministic Source
 // happens on the caller's goroutine in serial element order before any
 // worker starts, so the only randomness inside a worker is crypto/rand

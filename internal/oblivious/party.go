@@ -15,12 +15,17 @@ package oblivious
 //	         (the encrypted seeker: t-1 plaintext parts plus the
 //	         ciphertext remainder to one hider). Hiders accumulate.
 //	shuffle  hiders[0] samples a permutation seed and sends it to the
-//	         other hiders; every hider applies the permutation (the
-//	         ciphertext hider also rerandomizes).
+//	         other hiders; every hider applies the permutation.
 //	reshare  each hider splits its vector into r parts, one per party
 //	         (the ciphertext hider: r-1 plaintext parts plus the
-//	         remainder to one party, who becomes the next holder).
-//	         Every party sums what it received into its new vector.
+//	         rerandomized remainder to one party, who becomes the next
+//	         holder). Every party sums what it received into its new
+//	         vector.
+//
+// The ciphertext follows the hiders (DESIGN.md §14): a reshare deals
+// the remainder to a party that hides in the next round, so only the
+// seated holder can seek, in round 0, and a shuffle's ciphertext work
+// is a function of r alone — who holds the vector was never a secret.
 //
 // Every vector travels as one message. Message counts per phase are
 // structural — a hider hears from every seeker, a non-lead hider hears
@@ -33,6 +38,7 @@ package oblivious
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/rng"
@@ -123,10 +129,10 @@ func announce(tr Transport, round int, phase Phase) {
 // PartyConfig parameterizes one shuffler's engine: the shuffle's
 // Config, read from this party's seat. Source is the party's OWN
 // randomness (its share splits, its permutation seeds when it leads a
-// round, its holder choices); Pub may be nil for a plain shuffle, but
-// any party can become the ciphertext holder through resharing, so
-// every party of an encrypted shuffle needs it; Meter accounts this
-// party's sends and its ciphertext work.
+// round); Pub may be nil for a plain shuffle, but the ciphertext vector
+// moves between parties through resharing, so every party of an
+// encrypted shuffle needs it; Meter accounts this party's sends and its
+// ciphertext work.
 type PartyConfig struct {
 	Config
 	// Index is this party's id in [0, Parties).
@@ -170,8 +176,12 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 	// number the security argument needs.
 	partitions := Combinations(cfg.Parties, Hiders(cfg.Parties))
 	for round, hiders := range partitions {
+		next := hiders // after the last round the holder keeps the vector
+		if round+1 < len(partitions) {
+			next = partitions[round+1]
+		}
 		var err error
-		plain, enc, err = runPartyRound(cfg, tr, round, hiders, plain, enc)
+		plain, enc, err = runPartyRound(cfg, tr, round, hiders, next, plain, enc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("oblivious: party %d round %d: %w", cfg.Index, round, err)
 		}
@@ -226,20 +236,21 @@ func expectMsg(tr Transport, from, round int) (Msg, error) {
 	return m, nil
 }
 
-// The two holder draws of a round are domain-separated by a salt on
-// the word drawn from the party's Source.
-const (
-	hideSalt    uint64 = 0
-	reshareSalt uint64 = 0x5bd1e995
-)
+// heir names the next ciphertext holder among the candidates — a rule,
+// not a draw: the current holder when it is one of them, else the first.
+func heir(me int, among []int) int {
+	if slices.Contains(among, me) {
+		return me
+	}
+	return among[0]
+}
 
 // splitFor splits this party's vector into one message per party in
 // dests (the returned slice is indexed by party; the rest stay zero).
 // A plaintext vector becomes len(dests) additive parts. The ciphertext
 // vector becomes len(dests)-1 plaintext parts, walking dests in order,
-// plus the encrypted remainder for one destination drawn from the
-// party's Source — the next ciphertext holder.
-func splitFor(cfg PartyConfig, round int, dests []int, salt uint64, plain []uint64, enc []*ahe.Ciphertext) ([]Msg, error) {
+// plus the encrypted remainder for target — the next ciphertext holder.
+func splitFor(cfg PartyConfig, round int, dests []int, target int, plain []uint64, enc []*ahe.Ciphertext) ([]Msg, error) {
 	out := make([]Msg, cfg.Parties)
 	if enc == nil {
 		for i, part := range splitPlain(plain, len(dests), cfg.Config) {
@@ -247,8 +258,16 @@ func splitFor(cfg PartyConfig, round int, dests []int, salt uint64, plain []uint
 		}
 		return out, nil
 	}
-	target := dests[rng.New(cfg.Source.Uint64()^salt).Intn(len(dests))]
-	parts, rem, err := splitEncrypted(enc, len(dests), cfg.Config)
+	var (
+		parts [][]uint64
+		rem   []*ahe.Ciphertext
+		err   error
+	)
+	// The split carries the round's ciphertext refresh, so it is billed
+	// as this shuffler's computation like the folds are.
+	cfg.Meter.Track(shufflerName(cfg.Index), func() {
+		parts, rem, err = splitEncrypted(enc, len(dests), cfg.Config)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -315,23 +334,21 @@ func (in *inbox) fold(cfg PartyConfig) (plain []uint64, enc []*ahe.Ciphertext, e
 }
 
 // runPartyRound performs one hide-and-seek round with the given hider
-// set and returns the party's vector after it.
-func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders []int, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
+// set and returns the party's vector after it; next is the hider set
+// the round's reshare picks the ciphertext holder from.
+func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
 	r, me := cfg.Parties, cfg.Index
 	n := len(plain) + len(enc)
 	everyone := make([]int, r)
-	isHider := make([]bool, r)
 	for j := range everyone {
 		everyone[j] = j
 	}
-	for _, h := range hiders {
-		isHider[h] = true
-	}
+	hides := slices.Contains(hiders, me)
 
 	// --- Hide phase: seekers split their vectors among the hiders. ---
 	announce(tr, round, PhaseHide)
-	if !isHider[me] {
-		out, err := splitFor(cfg, round, hiders, hideSalt, plain, enc)
+	if !hides {
+		out, err := splitFor(cfg, round, hiders, heir(me, hiders), plain, enc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -343,7 +360,7 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders []int, plain
 		in := inbox{words: make([]uint64, n), enc: enc}
 		copy(in.words, plain)
 		for s := 0; s < r; s++ {
-			if isHider[s] {
+			if slices.Contains(hiders, s) {
 				continue
 			}
 			m, err := expectMsg(tr, s, round)
@@ -364,7 +381,7 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders []int, plain
 	// The lead hider samples it and the others learn it via a shared
 	// seed.
 	announce(tr, round, PhaseShuffle)
-	if isHider[me] {
+	if hides {
 		var seed uint64
 		if me == hiders[0] {
 			seed = cfg.Source.Uint64()
@@ -385,31 +402,26 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders []int, plain
 			}
 			seed = m.Seed
 		}
+		// Permuting moves pointers and refreshes nothing: the reshare
+		// split below multiplies every ciphertext by a fresh h^r before
+		// any leaves this party (or is dealt back to it) — the one
+		// refresh that unlinks positions across the permutation.
 		perm := rng.New(seed).Perm(n)
-		var err error
 		cfg.Meter.Track(shufflerName(me), func() {
 			if enc == nil {
 				plain = applyPermUint64(plain, perm)
-				return
-			}
-			enc = applyPermCipher(enc, perm)
-			// Refresh ciphertexts so positions are unlinkable across
-			// the permutation.
-			if !cfg.SkipRerandomize {
-				err = rerandomizeAll(enc, cfg.Pub)
+			} else {
+				enc = applyPermCipher(enc, perm)
 			}
 		})
-		if err != nil {
-			return nil, nil, err
-		}
 	}
 
 	// --- Reshare phase: each hider splits its vector to all parties. ---
 	announce(tr, round, PhaseReshare)
 	in := inbox{words: make([]uint64, n)}
 	var sendErr <-chan error
-	if isHider[me] {
-		out, err := splitFor(cfg, round, everyone, reshareSalt, plain, enc)
+	if hides {
+		out, err := splitFor(cfg, round, everyone, heir(me, next), plain, enc)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,6 +3,7 @@ package oblivious
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -319,6 +320,211 @@ func TestRunPartyAnnouncesPhases(t *testing.T) {
 		for i := range want {
 			if tr.calls[i] != want[i] {
 				t.Fatalf("party %d call %d = %v, want %v", j, i, tr.calls[i], want[i])
+			}
+		}
+	}
+}
+
+// encSend is one MsgEnc a party put on the transport: the elements by
+// value at the moment they left (the engine mutates ciphertexts in
+// place afterwards), the phase they left in, and how many ciphertexts
+// the sender had been seated with or had received by then.
+type encSend struct {
+	phase Phase
+	elems []*ahe.Ciphertext
+	heldN int
+}
+
+// recordingTransport wraps a party's seat on the in-memory mesh and
+// records every ciphertext vector that crosses it, in either direction.
+type recordingTransport struct {
+	memTransport
+	mu    sync.Mutex // Send runs on the engine's sendAll goroutine
+	phase Phase
+	held  []*ahe.Ciphertext
+	sends []encSend
+}
+
+func cloneAll(enc []*ahe.Ciphertext) []*ahe.Ciphertext {
+	out := make([]*ahe.Ciphertext, len(enc))
+	for i, c := range enc {
+		out[i] = c.Clone()
+	}
+	return out
+}
+
+func (t *recordingTransport) Phase(_ int, phase Phase) {
+	t.mu.Lock()
+	t.phase = phase
+	t.mu.Unlock()
+}
+
+func (t *recordingTransport) Send(to int, m Msg) error {
+	if m.Kind == MsgEnc {
+		t.mu.Lock()
+		t.sends = append(t.sends, encSend{t.phase, cloneAll(m.Enc), len(t.held)})
+		t.mu.Unlock()
+	}
+	return t.memTransport.Send(to, m)
+}
+
+func (t *recordingTransport) Recv(from int) (Msg, error) {
+	m, err := t.memTransport.Recv(from)
+	if err == nil && m.Kind == MsgEnc {
+		t.mu.Lock()
+		t.held = append(t.held, cloneAll(m.Enc)...)
+		t.mu.Unlock()
+	}
+	return m, err
+}
+
+// runRecorded runs one encrypted shuffle of n values over r RunParty
+// engines on recording transports (party r-1 seated with the ciphertext
+// vector, as in PEOS) and returns the recordings plus the number of
+// randomizers the key drew during the shuffle alone — the users'
+// Encrypt calls happen before the count starts.
+func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) ([]*recordingTransport, uint64) {
+	t.Helper()
+	priv := dgk(t)
+	mod := secretshare.NewModulus(priv.PlaintextBits())
+	src := rng.New(uint64(1000*r + n))
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = mod.Random(src)
+	}
+	vectors := secretshare.SplitVector(values, r, mod, src)
+	enc := make([]*ahe.Ciphertext, n)
+	for i, w := range vectors[r-1] {
+		c, err := priv.Encrypt(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc[i] = c
+	}
+	mesh := newMemMesh(r)
+	trs := make([]*recordingTransport, r)
+	for j := range trs {
+		trs[j] = &recordingTransport{memTransport: memTransport{mesh, j}}
+	}
+	trs[r-1].held = cloneAll(enc)
+
+	hits0, misses0 := priv.RandomizerPoolStats()
+	errs := make([]error, r)
+	var wg sync.WaitGroup
+	for j := 0; j < r; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			cfg := partyCfg(j, r, priv, seed)
+			cfg.Mod, cfg.SkipRerandomize = mod, skipRerandomize
+			if j == r-1 {
+				_, _, errs[j] = RunParty(cfg, trs[j], nil, enc)
+			} else {
+				_, _, errs[j] = RunParty(cfg, trs[j], vectors[j], nil)
+			}
+		}(j)
+	}
+	wg.Wait()
+	for j, err := range errs {
+		if err != nil {
+			t.Fatalf("party %d: %v", j, err)
+		}
+	}
+	hits1, misses1 := priv.RandomizerPoolStats()
+	return trs, (hits1 - hits0) + (misses1 - misses0)
+}
+
+// countLinks runs, for every party, the linking test a colluding
+// previous holder and analyzer would: it counts the sent elements s
+// that equal h * g^(Dec(s)-Dec(h)) for some element h the sender held
+// before the send, i.e. that are a deterministic AddPlain image of it.
+func countLinks(t *testing.T, trs []*recordingTransport) (links, sent int) {
+	t.Helper()
+	priv := dgk(t)
+	mod := secretshare.NewModulus(priv.PlaintextBits())
+	dec := func(c *ahe.Ciphertext) uint64 {
+		m, err := priv.Decrypt(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tr := range trs {
+		for _, send := range tr.sends {
+			for _, s := range send.elems {
+				sent++
+				for _, h := range tr.held[:send.heldN] {
+					image, err := priv.AddPlain(h, mod.Sub(dec(s), dec(h)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if image.Value().Cmp(s.Value()) == 0 {
+						links++
+					}
+				}
+			}
+		}
+	}
+	return links, sent
+}
+
+// TestForwardedCiphertextsAreUnlinkable: nothing a party forwards is a
+// deterministic AddPlain image of something it was seated with or had
+// received — the property the one ciphertext refresh of a round (the
+// split's, drawn after the permutation) is there for. With the refresh
+// switched off the same check must link every element of the seated
+// holder's first forward, so a pass above is not a blind check.
+func TestForwardedCiphertextsAreUnlinkable(t *testing.T) {
+	const n = 5
+	for _, r := range []int{2, 3, 4} {
+		trs, _ := runRecorded(t, r, n, 77, false)
+		links, sent := countLinks(t, trs)
+		if links != 0 {
+			t.Fatalf("r=%d: %d of %d forwarded ciphertexts are AddPlain images of one the sender held", r, links, sent)
+		}
+		if r > 2 && sent == 0 {
+			t.Fatalf("r=%d: no ciphertext vector crossed the transport", r)
+		}
+	}
+	// r = 3: the seated holder is round 0's seeker, so its first forward
+	// is one AddPlain away from what it was seated with.
+	trs, _ := runRecorded(t, 3, n, 77, true)
+	if links, _ := countLinks(t, trs); links < n {
+		t.Fatalf("SkipRerandomize: the linking test found %d links, want >= %d", links, n)
+	}
+}
+
+// TestOneRerandomizePerEncryptedSplit pins the round's refresh count:
+// the shuffle draws exactly one randomizer per element per encrypted
+// split — one split per round (the ciphertext hider's reshare) plus
+// the seated holder's hide split when it seeks in round 0 — and none
+// anywhere else. A second pass after the permutation, or a dropped
+// refresh, moves the count; so does a holder that enters a later round
+// as a seeker, which the reshare's choice of heir rules out for every
+// seed (the count is a function of r alone).
+func TestOneRerandomizePerEncryptedSplit(t *testing.T) {
+	const n = 6
+	for _, r := range []int{2, 3, 4, 5} {
+		partitions := Combinations(r, Hiders(r))
+		splits := len(partitions)
+		if !slices.Contains(partitions[0], r-1) {
+			splits++
+		}
+		for _, seed := range []uint64{77, 78} {
+			trs, draws := runRecorded(t, r, n, seed, false)
+			hides := 0
+			for _, tr := range trs {
+				for _, send := range tr.sends {
+					if send.phase == PhaseHide {
+						hides++
+					}
+				}
+			}
+			if want := splits - len(partitions); hides != want {
+				t.Fatalf("r=%d seed %d: %d hide-phase ciphertext vectors, want %d", r, seed, hides, want)
+			}
+			if want := uint64(n * splits); draws != want {
+				t.Fatalf("r=%d seed %d: the shuffle drew %d randomizers, want %d (n=%d x %d encrypted splits)", r, seed, draws, want, n, splits)
 			}
 		}
 	}

@@ -42,8 +42,9 @@ type PEOS struct {
 	// runs' fake reports — and therefore their estimates —
 	// bit-identical. MaliciousFakes, when set, still takes precedence.
 	FakeSource func(j int) secretshare.Source
-	// FastShuffle runs the oblivious shuffle with ciphertext
-	// rerandomization disabled — the paper's Table III cost model.
+	// FastShuffle runs the oblivious shuffle with the ciphertext
+	// refresh of every encrypted split disabled, leaving the shufflers
+	// homomorphic additions only — the paper's Table III cost model.
 	// See oblivious.Config.SkipRerandomize for the security caveat.
 	FastShuffle bool
 
@@ -97,8 +98,8 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 	total := n + p.NR
 
 	// Pre-generate encryption randomizers off the measured path: every
-	// user share, fake share, and rerandomization below draws (r, h^r)
-	// pairs, and the pool keeps refilling while the protocol computes.
+	// user share, fake share, and rerandomization below draws one h^r,
+	// and the pool keeps refilling while the protocol computes.
 	// Pool randomness is crypto/rand, never p.Source, so estimates stay
 	// bit-identical with or without it.
 	defer pub.StartRandomizerPool()()
