@@ -181,8 +181,9 @@ func main() {
 
 	// Randomize on the users' side of the ledger. The shard substreams
 	// make the report multiset a pure function of -seed, so the all-time
-	// histogram is bit-identical to netproto.RunPipeline at this seed, no
-	// matter how the gateways interleave or the epochs cut (DESIGN.md §6).
+	// histogram is bit-identical to the sequential aggregate of the same
+	// reports (RandomizeParallel, Add, Estimates) at this seed, no matter
+	// how the gateways interleave or the epochs cut (DESIGN.md §6).
 	var reports []ldp.Report
 	meter.Track(service.PartyUsers, func() {
 		reports = ldp.RandomizeParallel(fo, values, *seed, 0)
@@ -221,10 +222,10 @@ func main() {
 		defer tick.Stop()
 		for range tick.C {
 			snap := svc.Snapshot()
-			fmt.Printf("  snapshot: epoch %d, %6d frames received, %d batches shuffled, est[0]=%.4f\n",
+			fmt.Printf("  snapshot: epoch %d, %6d reports received, %d batches shuffled, est[0]=%.4f\n",
 				snap.Epoch, snap.Received, snap.Batches, snap.Estimates[0])
 			// Received/Late/Rejected are disjoint, so their sum is every
-			// frame the readers have seen.
+			// report the readers have seen.
 			if snap.Received+snap.Late+snap.Rejected >= int64(*n) {
 				return
 			}
@@ -235,7 +236,7 @@ func main() {
 	// The gateways have written and closed, but a batched session client
 	// finishes so fast its connection may still sit in the listener
 	// backlog, not yet accepted. Drain's cutoff would discard it, so wait
-	// until the service accounts for every frame (the watcher's exit
+	// until the service accounts for every report (the watcher's exit
 	// condition) before draining.
 	<-watchDone
 	snap, err := svc.Drain()

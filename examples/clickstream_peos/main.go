@@ -40,7 +40,8 @@ func main() {
 
 	// At this demo scale the users' own randomness contributes little
 	// blanket, so the planner compensates with fake reports; production
-	// n ~ 10^6 needs far fewer fakes per user (see cmd/table3).
+	// n ~ 10^6 needs far fewer fakes per user (see `reproduce -only
+	// table3 [-fast]`).
 	plan, err := shuffledp.PlanPEOS(1.5, 3, 6, n, d, 1e-9)
 	if err != nil {
 		log.Fatal(err)

@@ -806,15 +806,11 @@ func (a *Analyzer) shutdown(crash bool) {
 // --- durable state blob ---
 
 // stateMagic/stateVersion frame the cumulative-counts blob stored in
-// the checkpoint's aggregate slot. Version 2 is read, never written: a
-// sharded coordinator used to append its own window's tally
-// ([words u64][support counts u64 × d]) to the version-1 layout;
-// nothing reads that tally any more, so it is length-checked and
-// dropped and the next checkpoint is version 1.
+// the checkpoint's aggregate slot. There is one version; a blob that
+// names any other is refused by number.
 const (
-	stateMagic          = "PEOA"
-	stateVersion        = 1
-	stateVersionTallied = 2
+	stateMagic   = "PEOA"
+	stateVersion = 1
 )
 
 // marshalState encodes (NR, reals, fakes, collections, counts). NR is
@@ -840,9 +836,8 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 	if len(data) < hdr || string(data[:4]) != stateMagic {
 		return errors.New("cluster: malformed analyzer state blob")
 	}
-	version := data[4]
-	if version != stateVersion && version != stateVersionTallied {
-		return fmt.Errorf("cluster: analyzer state version %d (this build reads %d and %d)", version, stateVersion, stateVersionTallied)
+	if version := data[4]; version != stateVersion {
+		return fmt.Errorf("cluster: analyzer state version %d (this build reads %d)", version, stateVersion)
 	}
 	nr := int(binary.LittleEndian.Uint32(data[5:]))
 	if nr != a.cfg.NR {
@@ -855,11 +850,7 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 	if d != a.cfg.FO.Domain() {
 		return fmt.Errorf("cluster: state blob covers domain %d, oracle has %d", d, a.cfg.FO.Domain())
 	}
-	want := hdr + 8*d
-	if version == stateVersionTallied {
-		want += 8 + 8*d
-	}
-	if len(data) != want {
+	if len(data) != hdr+8*d {
 		return errors.New("cluster: truncated analyzer state blob")
 	}
 	a.reals = int(reals)

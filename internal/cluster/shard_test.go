@@ -184,11 +184,12 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 	})
 }
 
-// TestStateBlobVersion2ReadNeverWritten: a sharded coordinator's
-// checkpoint from before shards went stateless carries a window tally
-// behind the counts. It must still restore — tally length-checked, then
-// dropped — and the node's next checkpoint is version 1.
-func TestStateBlobVersion2ReadNeverWritten(t *testing.T) {
+// TestStateBlobRefusesOtherVersions: the analyzer's state blob has one
+// version. A version-1 blob round-trips; every other version — the
+// retired version 2 (well-formed, with its documented window-tally
+// tail, or without one) and a later one — is refused by number, and a
+// version-1 blob of the wrong length is refused too.
+func TestStateBlobRefusesOtherVersions(t *testing.T) {
 	const d, nr = 8, 2
 	fo := ldp.NewGRR(d, 2)
 	old := &Analyzer{
@@ -202,41 +203,46 @@ func TestStateBlobVersion2ReadNeverWritten(t *testing.T) {
 	if v1[4] != 1 {
 		t.Fatalf("marshalState wrote version %d", v1[4])
 	}
-	// The documented v2 tail: [words u64][support counts u64 × d].
-	v2 := append([]byte(nil), v1...)
-	v2[4] = 2
-	v2 = binary.LittleEndian.AppendUint64(v2, 20)
-	for v := 0; v < d; v++ {
-		v2 = binary.LittleEndian.AppendUint64(v2, uint64(v))
-	}
-
 	a := &Analyzer{cfg: AnalyzerConfig{FO: fo, NR: nr}, counts: make([]int, d)}
-	if err := a.unmarshalState(v2); err != nil {
-		t.Fatalf("version-2 blob: %v", err)
+	if err := a.unmarshalState(v1); err != nil {
+		t.Fatalf("version-1 blob: %v", err)
 	}
 	if !slices.Equal(a.counts, old.counts) || a.reals != old.reals || a.fakes != old.fakes || a.collections != old.collections {
 		t.Fatalf("restored (%v, %d reals, %d fakes, %d collections), want (%v, %d, %d, %d)",
 			a.counts, a.reals, a.fakes, a.collections, old.counts, old.reals, old.fakes, old.collections)
 	}
 	if got := a.marshalState(); !bytes.Equal(got, v1) {
-		t.Fatalf("a node restored from version 2 wrote\n%x, want the version-1 blob\n%x", got, v1)
+		t.Fatalf("round trip wrote\n%x, want\n%x", got, v1)
 	}
+
 	// relabel returns blob with its version byte replaced.
 	relabel := func(blob []byte, version byte) []byte {
 		out := append([]byte(nil), blob...)
 		out[4] = version
 		return out
 	}
-	for name, blob := range map[string][]byte{
-		"version 2 without a tally": relabel(v1, 2),
-		"short tally":               v2[:len(v2)-1],
-		"long tally":                append(relabel(v2, 2), 0),
-		"version 1 with a tally":    relabel(v2, 1),
-		"later version":             relabel(v1, 3),
+	// The retired v2 tail: [words u64][support counts u64 × d].
+	v2 := binary.LittleEndian.AppendUint64(relabel(v1, 2), 20)
+	for v := 0; v < d; v++ {
+		v2 = binary.LittleEndian.AppendUint64(v2, uint64(v))
+	}
+	for _, tc := range []struct {
+		name    string
+		blob    []byte
+		version string // the number the error must name, "" for a length error
+	}{
+		{"well-formed version 2", v2, "version 2"},
+		{"version 2 without a tail", relabel(v1, 2), "version 2"},
+		{"version 3", relabel(v1, 3), "version 3"},
+		{"version 1 one byte short", v1[:len(v1)-1], ""},
+		{"version 1 one byte long", append(relabel(v1, 1), 0), ""},
 	} {
 		b := &Analyzer{cfg: AnalyzerConfig{FO: fo, NR: nr}, counts: make([]int, d)}
-		if err := b.unmarshalState(blob); err == nil {
-			t.Errorf("%s: blob accepted", name)
+		err := b.unmarshalState(tc.blob)
+		if err == nil {
+			t.Errorf("%s: blob accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.version) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.version)
 		}
 	}
 }

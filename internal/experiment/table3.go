@@ -91,12 +91,10 @@ func Table3(cfg Table3Config) ([]CostRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		ssRes, err := ss.Run(values, rng.New(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
-		_ = time.Since(start)
 		rows = append(rows, costRow("SS", r, cfg.N, ssRes.Meter))
 
 		peos, err := protocol.NewPEOS(fo, r, cfg.NR, key, rng.New(cfg.Seed+1))

@@ -213,21 +213,6 @@ func (n *Network) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return n.adopt(raw, addr, f, r), nil
 }
 
-// Wrap places an existing connection under the next schedule. A
-// refused schedule closes the connection immediately; its operations
-// fail with ErrRefused.
-func (n *Network) Wrap(raw net.Conn) net.Conn {
-	f, r := n.next()
-	if f.Refuse {
-		n.countRefusal()
-		raw.Close()
-		c := n.adopt(raw, "", Fault{}, r)
-		c.(*Conn).refused.Store(true)
-		return c
-	}
-	return n.adopt(raw, "", f, r)
-}
-
 // Listener wraps ln so every accepted connection comes under the next
 // schedule; accepted connections the schedule refuses are closed and
 // skipped.
@@ -323,11 +308,10 @@ func (l *listener) Accept() (net.Conn, error) {
 // underlying net.Conn, so deadlines and addresses pass through.
 type Conn struct {
 	net.Conn
-	net     *Network
-	fault   Fault
-	budget  atomic.Int64 // remaining bytes before the scheduled reset
-	reset   atomic.Bool
-	refused atomic.Bool
+	net    *Network
+	fault  Fault
+	budget atomic.Int64 // remaining bytes before the scheduled reset
+	reset  atomic.Bool
 
 	schedMu sync.Mutex
 	sched   *rng.Rand
@@ -379,12 +363,9 @@ func (c *Conn) Close() error {
 	return c.Conn.Close()
 }
 
-// gate fails the operation when the connection was refused, already
-// reset, or its budget is spent (triggering the reset now).
+// gate fails the operation when the connection was already reset or
+// its budget is spent (triggering the reset now).
 func (c *Conn) gate() error {
-	if c.refused.Load() {
-		return ErrRefused
-	}
 	if c.reset.Load() {
 		return ErrInjected
 	}

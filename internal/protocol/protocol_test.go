@@ -248,6 +248,56 @@ func TestSSEndToEnd(t *testing.T) {
 	}
 }
 
+// The shufflers' fake reports must follow the caller's seed: a constant
+// fake stream is a fixed offset on every estimate that never averages
+// out over trials (Equation 6 subtracts the fakes' expected mass, not
+// their realised one), and it makes runs at different seeds share their
+// shuffler randomness. GRR at eps = 20 reports the true value with
+// overwhelming probability, so the shuffled reports minus the known
+// values is exactly the multiset of fakes.
+func TestSSFakesFollowTheSeed(t *testing.T) {
+	const n, d, r, nr = 40, 16, 3, 64
+	values := make([]int, n)
+	for i := range values {
+		values[i] = i % d
+	}
+	fo := ldp.NewGRR(d, 20)
+	fakes := func(seed uint64) [d]int {
+		s, err := NewSS(fo, r, nr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(values, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hist [d]int
+		for _, rep := range res.Reports {
+			hist[rep.Value]++
+		}
+		total := 0
+		for _, v := range values {
+			hist[v]--
+		}
+		for v, c := range hist {
+			if c < 0 {
+				t.Fatalf("seed %d: value %d reported fewer times than users hold it", seed, v)
+			}
+			total += c
+		}
+		if total != (nr/r)*r {
+			t.Fatalf("seed %d: %d fakes, want %d", seed, total, (nr/r)*r)
+		}
+		return hist
+	}
+	if a, b := fakes(1), fakes(1); a != b {
+		t.Fatalf("same seed, different fakes:\n%v\n%v", a, b)
+	}
+	if a, b := fakes(1), fakes(2); a == b {
+		t.Fatalf("seeds 1 and 2 injected the same fake multiset %v", a)
+	}
+}
+
 func TestSSWithSOLH(t *testing.T) {
 	const n, d, r, nr = 3000, 20, 2, 200
 	values, truth := skewedValues(n, d)

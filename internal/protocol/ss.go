@@ -139,7 +139,11 @@ func (s *SS) runWithExtraReports(values []int, extra []ldp.Report, ldpRand *rng.
 	if s.R > 0 {
 		perShuffler = s.NR / s.R
 	}
-	shufRand := rng.New(0x55D1)
+	// The shufflers' fakes and permutations derive from the caller's
+	// stream, drawn after the users' loop so a seed's user reports are
+	// what they would be without shufflers: runs at different seeds
+	// share no shuffler randomness.
+	shufRand := rng.New(ldpRand.Uint64())
 	totalFakes := 0
 	for j := 0; j < s.R; j++ {
 		sname := ShufflerName(j)

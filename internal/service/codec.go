@@ -9,11 +9,10 @@ import (
 )
 
 // Codec maps ldp.Reports to and from wire payloads. It extends the
-// 8-byte word encoding of ldp.WordEncoder (GRR, OLH/SOLH, Hadamard —
-// the format netproto has always used) with a packed-bitmap encoding
-// for the unary oracles (RAP, RAP_R, OUE) and a byte-per-location
-// count encoding for AUE, so every frequency oracle in the repo can
-// report through the streaming service.
+// 8-byte word encoding of ldp.WordEncoder (GRR, OLH/SOLH, Hadamard)
+// with a packed-bitmap encoding for the unary oracles (RAP, RAP_R, OUE)
+// and a byte-per-location count encoding for AUE, so every frequency
+// oracle in the repo can report through the streaming service.
 //
 // Unmarshal is strict: a payload either decodes to exactly one valid
 // report of the oracle — one that Aggregator.Add accepts — or errors,

@@ -313,12 +313,7 @@ func TestRaceIngestDuringRotate(t *testing.T) {
 	for i := range values {
 		values[i] = (i * 5) % d
 	}
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	seq := fo.NewAggregator()
-	for _, rep := range reports {
-		seq.Add(rep)
-	}
-	want := seq.Estimates()
+	reports, want := sequentialEstimates(fo, values, seed)
 
 	key, err := ecies.GenerateKey()
 	if err != nil {
@@ -552,12 +547,7 @@ func TestAutoRotationFiresOnCrossing(t *testing.T) {
 	for i := range values {
 		values[i] = (i * 11) % d
 	}
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	seq := fo.NewAggregator()
-	for _, rep := range reports {
-		seq.Add(rep)
-	}
-	want := seq.Estimates()
+	reports, want := sequentialEstimates(fo, values, seed)
 
 	for _, frame := range []int{100, 7, 256, 1000} {
 		t.Run(fmt.Sprintf("frame%d", frame), func(t *testing.T) {
@@ -660,10 +650,10 @@ func TestAutoRotationFiresOnCrossing(t *testing.T) {
 }
 
 // A client needs a rand only for Send; epoch stamping and rotation
-// must not disturb netproto's single-epoch bit-identical contract —
-// covered by the PR 2 tests in service_test.go — so here only the
-// budget-at-New path: a ledger that cannot afford epoch 0 refuses
-// construction.
+// must not disturb the single-epoch bit-identity to the sequential
+// aggregate — covered by the PR 2 tests in service_test.go — so here
+// only the budget-at-New path: a ledger that cannot afford epoch 0
+// refuses construction.
 func TestNewRefusedByEmptyLedger(t *testing.T) {
 	ledger, err := budget.NewLedger(
 		composition.Guarantee{Eps: 0.1, Delta: 1e-6},

@@ -33,7 +33,8 @@
 // The shuffler stage permutes every fixed-size batch before any worker
 // sees it, so the linkage between an arrival (which connection, which
 // position) and a decrypted report is broken batch by batch — the
-// streaming analogue of netproto.Shuffler's collect-all-then-permute.
+// streaming analogue of the basic model's collect-all-then-permute
+// (protocol.PlainShuffle).
 // Note the privacy unit is the batch: an adversarial server observing
 // worker order learns which batch (of BatchSize reports) a report came
 // from, the anonymity-set granularity the deployment chooses with

@@ -13,7 +13,6 @@ import (
 
 	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/netproto"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/service"
 	"shuffledp/internal/transport"
@@ -105,12 +104,27 @@ func runConcurrent(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Report, c
 	return snap
 }
 
+// sequentialEstimates is the oracle this package's bit-identity tests
+// are held to: the values randomized under the engine's determinism
+// contract (ldp.RandomizeParallel), folded one by one into a fresh
+// aggregator. It shares no code with what it checks — no service, no
+// codec, no crypto — so a defect in any of those cannot cancel out of
+// the comparison. The reports are returned for the test to push
+// through the service.
+func sequentialEstimates(fo ldp.FrequencyOracle, values []int, seed uint64) ([]ldp.Report, []float64) {
+	reports := ldp.RandomizeParallel(fo, values, seed, 0)
+	agg := fo.NewAggregator()
+	for _, rep := range reports {
+		agg.Add(rep)
+	}
+	return reports, agg.Estimates()
+}
+
 // TestRaceConcurrentClientsBitIdentical is the acceptance test of the
 // streaming tier (run it under -race): ten concurrent clients stream
 // interleaved reports through small shuffle batches and many workers,
 // and the final merged histogram must be bit-identical — every float64
-// exactly equal — to the sequential netproto.RunPipeline reference for
-// the same seed.
+// exactly equal — to the sequential aggregate of the same reports.
 func TestRaceConcurrentClientsBitIdentical(t *testing.T) {
 	const (
 		d       = 64
@@ -123,29 +137,7 @@ func TestRaceConcurrentClientsBitIdentical(t *testing.T) {
 		values[i] = (i * i) % d
 	}
 	fo := ldp.NewSOLH(d, 16, 3)
-
-	want, err := netproto.RunPipeline(fo, values, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// RunPipeline itself runs on the service, so it cannot be the only
-	// reference (a defect shared by every client count would cancel
-	// out). Anchor to the independent sequential path: a plain
-	// aggregator fed the same report multiset directly, no service, no
-	// codec, no crypto.
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	seqAgg := fo.NewAggregator()
-	for _, rep := range reports {
-		seqAgg.Add(rep)
-	}
-	seq := seqAgg.Estimates()
-	for v := range want {
-		if want[v] != seq[v] {
-			t.Fatalf("RunPipeline estimate[%d] = %v, direct sequential aggregation = %v",
-				v, want[v], seq[v])
-		}
-	}
+	reports, want := sequentialEstimates(fo, values, seed)
 
 	// The same report multiset, split across concurrent clients;
 	// estimates depend only on the multiset, so the result must match
@@ -163,7 +155,7 @@ func TestRaceConcurrentClientsBitIdentical(t *testing.T) {
 	}
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, sequential pipeline = %v (not bit-identical)",
+			t.Fatalf("estimate[%d] = %v, sequential aggregate = %v (not bit-identical)",
 				v, snap.Estimates[v], want[v])
 		}
 	}
@@ -177,11 +169,7 @@ func TestRaceConcurrentClientsBitIdenticalGRR(t *testing.T) {
 		values[i] = i % 5
 	}
 	fo := ldp.NewGRR(d, 2)
-	want, err := netproto.RunPipeline(fo, values, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
+	reports, want := sequentialEstimates(fo, values, seed)
 	snap := runConcurrent(t, fo, reports, clients, service.Config{
 		BatchSize:   64,
 		ShuffleSeed: seed + 1,
@@ -193,8 +181,8 @@ func TestRaceConcurrentClientsBitIdenticalGRR(t *testing.T) {
 	}
 }
 
-// Unary oracles (here OUE) have no word encoding and could never ride
-// netproto; through the service codec they stream end-to-end.
+// Unary oracles (here OUE) have no word encoding; through the service
+// codec they stream end-to-end all the same.
 func TestServiceStreamsUnaryOracle(t *testing.T) {
 	const d, n, clients = 12, 1500, 4
 	values := make([]int, n)
@@ -202,17 +190,12 @@ func TestServiceStreamsUnaryOracle(t *testing.T) {
 		values[i] = i % 3
 	}
 	fo := ldp.NewOUE(d, 3)
-	reports := ldp.RandomizeParallel(fo, values, 7, 0)
+	reports, want := sequentialEstimates(fo, values, 7)
 	snap := runConcurrent(t, fo, reports, clients, service.Config{BatchSize: 100, ShuffleSeed: 8})
 	if snap.Reports != n {
 		t.Fatalf("aggregated %d, want %d", snap.Reports, n)
 	}
 	// Must equal the sequential aggregate of the same reports exactly.
-	agg := fo.NewAggregator()
-	for _, rep := range reports {
-		agg.Add(rep)
-	}
-	want := agg.Estimates()
 	for v := range want {
 		if snap.Estimates[v] != want[v] {
 			t.Fatalf("estimate[%d] = %v, want %v", v, snap.Estimates[v], want[v])

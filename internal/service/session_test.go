@@ -12,7 +12,6 @@ import (
 
 	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/netproto"
 	"shuffledp/internal/service"
 	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
@@ -81,9 +80,9 @@ func runSessionClients(t *testing.T, fo ldp.FrequencyOracle, reports []ldp.Repor
 // session wire protocol (run it under -race): concurrent session
 // clients with wildly different batch sizes — including batch 1, so
 // single-report frames and ragged final flushes are all exercised —
-// must produce a histogram bit-identical to both the sequential
-// netproto reference (one connection, default batch) and a direct
-// in-process aggregation of the same report multiset. Batching may
+// and a lone connection at every default (client batch, service
+// BatchSize) must each produce a histogram bit-identical to the
+// sequential aggregate of the same report multiset. Batching may
 // change how bytes move, never what the estimates are.
 func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 	const (
@@ -96,37 +95,30 @@ func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 		values[i] = (i * i) % d
 	}
 	fo := ldp.NewSOLH(d, 16, 3)
+	reports, want := sequentialEstimates(fo, values, seed)
 
-	want, err := netproto.RunPipeline(fo, values, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := ldp.RandomizeParallel(fo, values, seed, 0)
-	seqAgg := fo.NewAggregator()
-	for _, rep := range reports {
-		seqAgg.Add(rep)
-	}
-	seq := seqAgg.Estimates()
-	for v := range want {
-		if want[v] != seq[v] {
-			t.Fatalf("RunPipeline estimate[%d] = %v, direct sequential aggregation = %v", v, want[v], seq[v])
-		}
-	}
-
-	snap := runSessionClients(t, fo, reports, []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{
-		BatchSize:   128,
-		ShuffleSeed: seed + 1,
-	})
-	if snap.Reports != n {
-		t.Fatalf("aggregated %d reports, want %d", snap.Reports, n)
-	}
-	if snap.Kicked != 0 {
-		t.Fatalf("conforming session clients were kicked: %d", snap.Kicked)
-	}
-	for v := range want {
-		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, sequential pipeline = %v (not bit-identical)", v, snap.Estimates[v], want[v])
-		}
+	for _, tc := range []struct {
+		name       string
+		batchSizes []int
+		cfg        service.Config
+	}{
+		{"mixed", []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{BatchSize: 128, ShuffleSeed: seed + 1}},
+		{"single-default", []int{0}, service.Config{ShuffleSeed: seed + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := runSessionClients(t, fo, reports, tc.batchSizes, tc.cfg)
+			if snap.Reports != n {
+				t.Fatalf("aggregated %d reports, want %d", snap.Reports, n)
+			}
+			if snap.Kicked != 0 {
+				t.Fatalf("conforming session clients were kicked: %d", snap.Kicked)
+			}
+			for v := range want {
+				if snap.Estimates[v] != want[v] {
+					t.Fatalf("estimate[%d] = %v, sequential aggregate = %v (not bit-identical)", v, snap.Estimates[v], want[v])
+				}
+			}
+		})
 	}
 }
 
