@@ -79,6 +79,12 @@ type PublicKey interface {
 	// bytes; Deserialize reverses it.
 	Serialize(a *Ciphertext) []byte
 	Deserialize(data []byte) (*Ciphertext, error)
+	// DeserializeVector decodes the concatenation of any number of
+	// serializations. It accepts exactly the vectors whose every element
+	// Deserialize accepts — an error names the first offending index —
+	// and is how a whole vector should be decoded: checks that batch
+	// (DGK's unit test) are paid once per vector, not once per element.
+	DeserializeVector(data []byte) ([]*Ciphertext, error)
 }
 
 // PrivateKey adds decryption.

@@ -79,6 +79,30 @@ func BenchmarkDGKRerandomize(b *testing.B) {
 	}
 }
 
+// BenchmarkDGKDeserializeVector decodes a 1024-element vector per
+// iteration and reports the cost per element — the number to hold
+// against the benchmark's ahe.deserialize_us, which times the
+// single-ciphertext Deserialize (one GCD each); per-element is that
+// loop, through the table-less key.
+func BenchmarkDGKDeserializeVector(b *testing.B) {
+	const n = 1024
+	key := benchKey(b)
+	data := honestVector(b, key, n)
+	for _, c := range []struct {
+		name string
+		key  *DGKPrivateKey
+	}{{"product", key}, {"per-element", naiveCopy(key)}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.key.DeserializeVector(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n/1e3, "us/elem")
+		})
+	}
+}
+
 // The *Naive benchmarks run the retained math/big reference through a
 // key copy without fast-path state — the ablation counterpart of the
 // fast-path benchmarks above.

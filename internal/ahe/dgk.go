@@ -598,6 +598,52 @@ func (k DGKPublicKey) Deserialize(data []byte) (*Ciphertext, error) {
 	return &Ciphertext{v: v}, nil
 }
 
+// DeserializeVector implements PublicKey: it accepts exactly the
+// vectors every element of which Deserialize accepts, with the unit
+// check batched. Length, range and zero stay per element (they are
+// comparisons). Units of Z_n are a group and a non-unit shares p or q
+// with n, so the elements are all units iff their product is: one
+// mulRedc per element into a running product — the stray R^-k it
+// collects is itself a unit — and one GCD per vector where Deserialize
+// pays one per element.
+func (k DGKPublicKey) DeserializeVector(data []byte) ([]*Ciphertext, error) {
+	size := k.CiphertextBytes()
+	if len(data)%size != 0 {
+		return nil, fmt.Errorf("ahe: DGK ciphertext vector of %d bytes is not a multiple of %d", len(data), size)
+	}
+	out := make([]*Ciphertext, len(data)/size)
+	if k.fb != nil && k.unitProduct(out, data) {
+		return out, nil
+	}
+	// A key without tables — or a vector with a bad element, walked
+	// again only to name the culprit.
+	for i := range out {
+		c, err := k.Deserialize(data[i*size : (i+1)*size])
+		if err != nil {
+			return nil, fmt.Errorf("ahe: ciphertext %d: %w", i, err)
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// unitProduct parses the len(out) fixed-size elements of data into out
+// and reports whether every one is a unit in [1, n).
+func (k DGKPublicKey) unitProduct(out []*Ciphertext, data []byte) bool {
+	m, size := k.fb.ensure(k).m, k.CiphertextBytes()
+	prod := big.NewInt(1)
+	var sc Scratch
+	for i := range out {
+		v := new(big.Int).SetBytes(data[i*size : (i+1)*size])
+		if v.Sign() == 0 || v.Cmp(k.n) >= 0 {
+			return false
+		}
+		m.mulRedc(prod, prod, v, &sc)
+		out[i] = &Ciphertext{v: v}
+	}
+	return prod.GCD(nil, nil, prod, k.n).Cmp(bigOne) == 0
+}
+
 // bigOne is the shared unit constant for the Deserialize gcd checks.
 var bigOne = big.NewInt(1)
 

@@ -515,3 +515,79 @@ func TestClusterShufflerCapsFloodingClient(t *testing.T) {
 	}
 	_ = wrote
 }
+
+// TestMalformedClientCiphertextIsConnectionScoped: nothing a client
+// sends can fail the node. A ciphertext frame of the wrong length, the
+// zero element and a value past the modulus each cost their sender the
+// connection — at ingest, before anything is buffered, so the index they
+// aimed at stays free — and the collection then seals bit-identical to
+// protocol.PEOS.Run from an honest client. (Buffered unvalidated, any
+// one of them failed every attempt at seal time, and the honest
+// resubmit was dropped as a conflicting share.)
+func TestMalformedClientCiphertextIsConnectionScoped(t *testing.T) {
+	const (
+		r        = 3
+		n        = 20
+		d        = 8
+		nr       = 4
+		fakeSeed = 81
+		ldpSeed  = 82
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	values := synthValues(n, d, 83)
+	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, nil)
+
+	size := priv.CiphertextBytes()
+	bad := map[string][]byte{
+		"short":        {1, 2, 3},
+		"zero":         make([]byte, size),
+		"out of range": priv.Modulus().FillBytes(make([]byte, size)),
+	}
+	for name, ct := range bad {
+		conn, err := net.DialTimeout("tcp", h.topo.Shufflers[r-1], testTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.WriteClientHello(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.WriteEncReportFrame(conn, 0, 0, 666, ct); err != nil {
+			t.Fatal(err)
+		}
+		// The node's only answer is to hang up.
+		conn.SetReadDeadline(time.Now().Add(testTimeout))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s ciphertext: the shuffler kept the connection (read: %v)", name, err)
+		}
+		conn.Close()
+	}
+
+	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendValues(0, values, rng.New(ldpSeed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	col, err := h.analyzer.Collect(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FakeSource = refFakeSource(fakeSeed, r)
+	ref, err := p.Run(values, rng.New(ldpSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !estimatesEqual(col.Estimates, ref.Estimates) {
+		t.Fatalf("estimates diverged from PEOS.Run after the hostile frames:\n net %v\n ref %v", col.Estimates, ref.Estimates)
+	}
+}

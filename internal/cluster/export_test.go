@@ -34,3 +34,13 @@ func WriteShufflerHello(w io.Writer, j int) error {
 func WriteChunkFrame(w io.Writer, col, att uint32, words []uint64) error {
 	return transport.WriteTaggedFrame(w, tagVector, prefixed(gen{col: col, att: att}, transport.EncodeUint64s(words)))
 }
+
+// WriteClientHello opens a connection to a shuffler the way a client's
+// ingest link does.
+func WriteClientHello(w io.Writer) error { return writeHello(w, tagClientHello, 0) }
+
+// WriteEncReportFrame writes one encReport frame carrying ct verbatim —
+// a hostile client's way to hand the encrypted holder arbitrary bytes.
+func WriteEncReportFrame(w io.Writer, col, index uint32, nonce uint64, ct []byte) error {
+	return writeEncReportFrame(w, col, index, nonce, ct)
+}

@@ -78,12 +78,13 @@ type ShufflerConfig struct {
 }
 
 // collectionBuf buffers one collection's share column as it streams in
-// from clients. The nonce map keys resubmit deduplication: a
-// reconnecting client replays its whole collection, and a frame whose
-// (index, nonce) is already stored is the retransmit it claims to be.
+// from clients — ciphertexts decoded and validated, at ingest. The
+// nonce map keys resubmit deduplication: a reconnecting client replays
+// its whole collection, and a frame whose (index, nonce) is already
+// stored is the retransmit it claims to be.
 type collectionBuf struct {
 	plain  map[uint32]uint64
-	encCt  map[uint32][]byte
+	encCt  map[uint32]*ahe.Ciphertext
 	nonce  map[uint32]uint64
 	notify chan struct{}
 }
@@ -91,7 +92,7 @@ type collectionBuf struct {
 func newCollectionBuf() *collectionBuf {
 	return &collectionBuf{
 		plain:  make(map[uint32]uint64),
-		encCt:  make(map[uint32][]byte),
+		encCt:  make(map[uint32]*ahe.Ciphertext),
 		nonce:  make(map[uint32]uint64),
 		notify: make(chan struct{}, 1),
 	}
@@ -533,19 +534,16 @@ func (s *Shuffler) collect(a *attempt) error {
 	var plain []uint64
 	var enc []*ahe.Ciphertext
 	if s.encHolder() {
-		enc = make([]*ahe.Ciphertext, total)
-		for i, raw := range cts {
-			c, err := s.cfg.Pub.Deserialize(raw)
-			if err != nil {
-				return fmt.Errorf("cluster: client ciphertext %d: %w", i, err)
-			}
-			enc[i] = c
+		// Clones, not the buffered and cached objects: the shuffle's
+		// in-place ciphertext kernels consume their input vector, and the
+		// column and the fake cache must survive an aborted attempt intact
+		// for the retry.
+		enc = make([]*ahe.Ciphertext, 0, total)
+		for _, c := range cts {
+			enc = append(enc, c.Clone())
 		}
-		// Clones, not the cached objects: the shuffle's in-place
-		// ciphertext kernels consume their input vector, and the cache
-		// must survive an aborted attempt intact for the retry.
-		for i, c := range fakes.enc {
-			enc[a.n+i] = c.Clone()
+		for _, c := range fakes.enc {
+			enc = append(enc, c.Clone())
 		}
 	} else {
 		plain = make([]uint64, total)
@@ -774,7 +772,7 @@ func (s *Shuffler) fakesFor(a *attempt) (*fakeSet, error) {
 // reads the same column again. An index at or past n is a protocol
 // violation: the analyzer sealed a smaller round than some client
 // reported into.
-func (s *Shuffler) awaitColumn(a *attempt) ([]uint64, [][]byte, error) {
+func (s *Shuffler) awaitColumn(a *attempt) ([]uint64, []*ahe.Ciphertext, error) {
 	var deadline <-chan time.Time
 	if s.cfg.SealTimeout > 0 {
 		t := time.NewTimer(s.cfg.SealTimeout)
@@ -821,7 +819,7 @@ func (s *Shuffler) awaitColumn(a *attempt) ([]uint64, [][]byte, error) {
 		return nil, nil, fmt.Errorf("cluster: collection %d has %d shares for %d sealed users", a.g.col, col.size(), a.n)
 	}
 	if s.encHolder() {
-		cts := make([][]byte, a.n)
+		cts := make([]*ahe.Ciphertext, a.n)
 		for i := range cts {
 			ct, ok := col.encCt[uint32(i)]
 			if !ok {
@@ -962,7 +960,11 @@ func (s *Shuffler) readClient(conn net.Conn) {
 }
 
 // storeShare buffers one client share. The encrypted holder accepts
-// only ciphertext frames and vice versa. Nonce dedup makes resubmits
+// only ciphertext frames and vice versa, and decodes them here, before
+// anything is buffered: a wrong-length, zero, out-of-range or non-unit
+// "ciphertext" costs its sender this connection and leaves the index
+// free for the honest resubmit — where validating at seal time would
+// fail every attempt of the collection. Nonce dedup makes resubmits
 // idempotent: a frame for a taken index with the stored nonce is the
 // retransmit it claims to be (dropped silently, before the buffer cap
 // so replays never trip it); a different nonce is a conflicting report
@@ -970,6 +972,13 @@ func (s *Shuffler) readClient(conn net.Conn) {
 func (s *Shuffler) storeShare(enc bool, rf reportFrame) error {
 	if enc != s.encHolder() {
 		return fmt.Errorf("%w: share kind does not match shuffler role %d", errBadFrame, s.cfg.Index)
+	}
+	var ct *ahe.Ciphertext
+	if enc {
+		var err error
+		if ct, err = s.cfg.Pub.Deserialize(rf.ct); err != nil {
+			return fmt.Errorf("%w: ciphertext for collection %d index %d: %v", errBadFrame, rf.collection, rf.index, err)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -997,7 +1006,7 @@ func (s *Shuffler) storeShare(enc bool, rf reportFrame) error {
 		return errBufferFull
 	}
 	if enc {
-		col.encCt[rf.index] = rf.ct
+		col.encCt[rf.index] = ct
 	} else {
 		col.plain[rf.index] = rf.share
 	}

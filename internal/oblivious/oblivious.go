@@ -48,15 +48,17 @@ type Config struct {
 	// bytes, at the sender) and ciphertext computation per shuffler
 	// ("shuffler-0", "shuffler-1", ...).
 	Meter *transport.Meter
-	// SkipRerandomize omits the per-element ciphertext refresh inside
-	// each encrypted split — the only refresh there is: the split that
-	// follows a permutation is what unlinks positions across it. The
-	// paper's prototype accounts only homomorphic additions for the
-	// shufflers (Table III); this knob reproduces that cost model. It
-	// weakens unlinkability: with the refresh off, a split's output is
-	// a deterministic AddPlain image of its input, so a party seeing a
-	// ciphertext before and after a round (with the analyzer's help)
-	// can track that position. Leave it off outside benchmarks.
+	// SkipRerandomize omits the per-element ciphertext refresh on every
+	// departure — the only refresh there is: the split that sends the
+	// vector off a party (or, after the last round, towards the
+	// analyzer) is what unlinks positions across the permutations that
+	// party applied. The paper's prototype accounts only homomorphic
+	// additions for the shufflers (Table III); this knob reproduces that
+	// cost model. It weakens unlinkability: with the refresh off, what a
+	// party forwards is a deterministic AddPlain image of what it
+	// received, so a party seeing a ciphertext before and after (with
+	// the analyzer's help) can track that position. Leave it off outside
+	// benchmarks.
 	SkipRerandomize bool
 }
 
@@ -290,16 +292,19 @@ func splitPlain(vec []uint64, k int, cfg Config) [][]uint64 {
 	return secretshare.SplitVector(vec, k, cfg.Mod, cfg.Source)
 }
 
-// splitEncrypted splits an encrypted vector into k-1 uniform plaintext
-// vectors and one ciphertext remainder: rem_i = enc_i - sum(parts_i),
-// computed homomorphically and rerandomized. Stage A (the
-// deterministic Source draws) runs serially in element order no
-// matter how wide the fan-out is — the bit-identity invariant — and
-// stage B (the AHE bill, whose only randomness is crypto/rand) fans
-// out over the cores. The remainder reuses the input ciphertext
-// objects as its buffers, so the engine-owned vector is transformed
-// in place and allocates no fresh ciphertexts.
-func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64, rem []*ahe.Ciphertext, err error) {
+// splitEncrypted splits the holder's share — the ciphertext vector enc
+// plus the pending plaintext mass owed to it (nil = none) — into k-1
+// uniform plaintext vectors and one ciphertext remainder:
+// rem_i = enc_i + pending_i - sum(parts_i), one homomorphic addition
+// per element, refreshed with a fresh randomizer when the remainder is
+// about to leave the party (departs). Stage A (the deterministic Source
+// draws) runs serially in element order no matter how wide the fan-out
+// is — the bit-identity invariant — and stage B (the AHE bill, whose
+// only randomness is crypto/rand) fans out over the cores. The
+// remainder reuses the input ciphertext objects as its buffers, so the
+// engine-owned vector is transformed in place and allocates no fresh
+// ciphertexts.
+func splitEncrypted(enc []*ahe.Ciphertext, pending []uint64, k int, departs bool, cfg Config) (parts [][]uint64, rem []*ahe.Ciphertext, err error) {
 	n := len(enc)
 	parts = make([][]uint64, k-1)
 	for i := range parts {
@@ -307,7 +312,7 @@ func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64,
 	}
 	// Stage A: draw all shares and the per-element correction, in
 	// element order.
-	negSum := make([]uint64, n)
+	delta := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		var sum uint64
 		for j := range parts {
@@ -315,18 +320,23 @@ func splitEncrypted(enc []*ahe.Ciphertext, k int, cfg Config) (parts [][]uint64,
 			parts[j][i] = s
 			sum = cfg.Mod.Add(sum, s)
 		}
-		negSum[i] = cfg.Mod.Neg(sum)
+		var owed uint64
+		if pending != nil {
+			owed = pending[i]
+		}
+		delta[i] = cfg.Mod.Sub(owed, sum)
 	}
-	// Stage B: subtract and rerandomize, chunked across the cores.
+	// Stage B: fold, subtract and refresh, chunked across the cores.
+	refresh := departs && !cfg.SkipRerandomize
 	rem = make([]*ahe.Ciphertext, n)
 	copy(rem, enc)
 	err = parFor(n, fanOut(), func(_, lo, hi int) error {
 		sc := cfg.Pub.NewScratch()
 		for i := lo; i < hi; i++ {
-			if err := cfg.Pub.AddPlainInto(rem[i], rem[i], negSum[i], sc); err != nil {
+			if err := cfg.Pub.AddPlainInto(rem[i], rem[i], delta[i], sc); err != nil {
 				return err
 			}
-			if !cfg.SkipRerandomize {
+			if refresh {
 				if err := cfg.Pub.RerandomizeInto(rem[i], rem[i], sc); err != nil {
 					return err
 				}
@@ -347,9 +357,10 @@ func addInto(dst, src []uint64, mod secretshare.Modulus) {
 }
 
 // addPlainAll folds a plaintext vector into a ciphertext vector,
-// reducing each addend into the share ring first. The fold is
-// deterministic given its inputs, so the fan-out is a pure latency
-// win; the ciphertexts are updated in place through per-worker scratch.
+// reducing each addend into the share ring first — the materialisation
+// of the final holder's pending mass. The fold is deterministic given
+// its inputs, so the fan-out is a pure latency win; the ciphertexts are
+// updated in place through per-worker scratch.
 func addPlainAll(enc []*ahe.Ciphertext, plain []uint64, mod secretshare.Modulus, pub ahe.PublicKey) error {
 	return parFor(len(enc), fanOut(), func(_, lo, hi int) error {
 		sc := pub.NewScratch()

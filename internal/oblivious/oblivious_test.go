@@ -256,11 +256,11 @@ func TestMeterAccountsCommunication(t *testing.T) {
 		t.Fatalf("metered %d bytes, want %d", total, plainWant)
 	}
 
-	// EOS: the same hops, except that the ones carrying the ciphertext
-	// vector bill CiphertextBytes an element instead of 8 — two of them,
-	// whatever the seed: the seated holder 2 seeks in round 0 and hides
-	// the vector with party 0, who keeps it through round 1 ({0, 2}) and
-	// reshares it to party 1 for round 2 ({1, 2}).
+	// EOS: the same hops, except that the one carrying the ciphertext
+	// vector bills CiphertextBytes an element instead of 8 — one,
+	// whatever the seed: the seated holder 2 hides in rounds 0 ({1, 2})
+	// and 1 ({0, 2}) and reshares the vector to party 0 for round 2
+	// ({0, 1}), who keeps it.
 	key := dgk(t)
 	meter.Reset()
 	est := buildEncState(t, values, 3, mod, key, rng.New(8))
@@ -272,8 +272,8 @@ func TestMeterAccountsCommunication(t *testing.T) {
 		total += meter.Stats(p).SentBytes
 	}
 	perHop := int64(key.CiphertextBytes()-8) * 100
-	if extra := total - plainWant; extra != 2*perHop {
-		t.Fatalf("metered %d bytes: not the plain total %d plus 2 ciphertext hops of %d extra bytes", total, plainWant, perHop)
+	if extra := total - plainWant; extra != perHop {
+		t.Fatalf("metered %d bytes: not the plain total %d plus 1 ciphertext hop of %d extra bytes", total, plainWant, perHop)
 	}
 }
 

@@ -18,14 +18,27 @@ package oblivious
 //	         other hiders; every hider applies the permutation.
 //	reshare  each hider splits its vector into r parts, one per party
 //	         (the ciphertext hider: r-1 plaintext parts plus the
-//	         rerandomized remainder to one party, who becomes the next
-//	         holder). Every party sums what it received into its new
-//	         vector.
+//	         remainder to one party, who becomes the next holder).
+//	         Every party sums what it received into its new vector.
 //
-// The ciphertext follows the hiders (DESIGN.md §14): a reshare deals
-// the remainder to a party that hides in the next round, so only the
-// seated holder can seek, in round 0, and a shuffle's ciphertext work
-// is a function of r alone — who holds the vector was never a secret.
+// The ciphertext follows the hiders (DESIGN.md §14): the rounds walk
+// the t-subsets in reverse lexicographic order, so the seated holder
+// (shuffler r-1 in PEOS) hides in round 0, and a reshare deals the
+// remainder to a party that hides in the next round — the PEOS holder
+// never seeks, a holder seated elsewhere seeks in round 0 only, and a
+// shuffle's ciphertext work is a function of r alone (who holds the
+// vector was never a secret).
+//
+// The ciphertext vector pays for its departures, nothing else. The
+// holder's share is enc_i + pending_i: the plaintext mass it takes in
+// rides beside the ciphertexts as a pending vector (permuted with
+// them) and enters the exponent of the next split's one AddPlainInto;
+// the last pending vector is materialised once, after the final round.
+// A remainder is refreshed (multiplied by a fresh h^r) when it leaves
+// the party — sent to a peer, or on its way to the analyzer after the
+// last round — and not when the party deals it back to itself between
+// two of its own permutations, where nobody it does not already
+// collude with can see it.
 //
 // Every vector travels as one message. Message counts per phase are
 // structural — a hider hears from every seeker, a non-lead hider hears
@@ -173,10 +186,14 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 		return nil, nil, err
 	}
 	// One round per way of choosing the hiders: all C(r, t) of them, the
-	// number the security argument needs.
+	// number the security argument needs — last subset first, so that
+	// round 0's hiders {r-t, ..., r-1} seat the PEOS holder r-1.
 	partitions := Combinations(cfg.Parties, Hiders(cfg.Parties))
+	slices.Reverse(partitions)
+	// Between rounds the holder's share is enc + plain: plain is the
+	// plaintext mass still owed to the ciphertexts.
 	for round, hiders := range partitions {
-		next := hiders // after the last round the holder keeps the vector
+		var next []int // none after the last round: the holder's vector exits
 		if round+1 < len(partitions) {
 			next = partitions[round+1]
 		}
@@ -185,6 +202,18 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 		if err != nil {
 			return nil, nil, fmt.Errorf("oblivious: party %d round %d: %w", cfg.Index, round, err)
 		}
+	}
+	if enc != nil {
+		// The one fold of the shuffle (Figure 2, "Hide"): the mass taken
+		// in since the last split. Billed like the splits are.
+		var err error
+		cfg.Meter.Track(shufflerName(cfg.Index), func() {
+			err = addPlainAll(enc, plain, cfg.Mod, cfg.Pub)
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("oblivious: party %d final fold: %w", cfg.Index, err)
+		}
+		plain = nil
 	}
 	announce(tr, len(partitions), PhaseDone)
 	return plain, enc, nil
@@ -245,12 +274,14 @@ func heir(me int, among []int) int {
 	return among[0]
 }
 
-// splitFor splits this party's vector into one message per party in
+// splitFor splits this party's share into one message per party in
 // dests (the returned slice is indexed by party; the rest stay zero).
-// A plaintext vector becomes len(dests) additive parts. The ciphertext
-// vector becomes len(dests)-1 plaintext parts, walking dests in order,
-// plus the encrypted remainder for target — the next ciphertext holder.
-func splitFor(cfg PartyConfig, round int, dests []int, target int, plain []uint64, enc []*ahe.Ciphertext) ([]Msg, error) {
+// A plaintext vector becomes len(dests) additive parts. The holder's
+// share — the ciphertext vector plus its pending plaintext mass —
+// becomes len(dests)-1 plaintext parts, walking dests in order, plus
+// the encrypted remainder for target, the next ciphertext holder;
+// departs says the remainder leaves this party and so must be refreshed.
+func splitFor(cfg PartyConfig, round int, dests []int, target int, departs bool, plain []uint64, enc []*ahe.Ciphertext) ([]Msg, error) {
 	out := make([]Msg, cfg.Parties)
 	if enc == nil {
 		for i, part := range splitPlain(plain, len(dests), cfg.Config) {
@@ -263,10 +294,10 @@ func splitFor(cfg PartyConfig, round int, dests []int, target int, plain []uint6
 		rem   []*ahe.Ciphertext
 		err   error
 	)
-	// The split carries the round's ciphertext refresh, so it is billed
-	// as this shuffler's computation like the folds are.
+	// The split carries the shuffle's ciphertext work — the fold and the
+	// refresh — so it is billed as this shuffler's computation.
 	cfg.Meter.Track(shufflerName(cfg.Index), func() {
-		parts, rem, err = splitEncrypted(enc, len(dests), cfg.Config)
+		parts, rem, err = splitEncrypted(enc, plain, len(dests), departs, cfg.Config)
 	})
 	if err != nil {
 		return nil, err
@@ -285,7 +316,8 @@ func splitFor(cfg PartyConfig, round int, dests []int, target int, plain []uint6
 
 // inbox accumulates the vectors a party takes in during one phase:
 // plaintext parts sum into words, and at most one ciphertext vector
-// may arrive.
+// may arrive. A party that ends a phase with enc set is the holder and
+// words is its pending mass — nothing is folded here.
 type inbox struct {
 	words []uint64
 	enc   []*ahe.Ciphertext
@@ -317,28 +349,14 @@ func (in *inbox) add(cfg PartyConfig, from int, m Msg) error {
 	return nil
 }
 
-// fold returns the one vector the party holds after the phase: when a
-// ciphertext vector arrived, the accumulated plaintext mass is added
-// into it homomorphically (Figure 2, "Hide").
-func (in *inbox) fold(cfg PartyConfig) (plain []uint64, enc []*ahe.Ciphertext, err error) {
-	if in.enc == nil {
-		return in.words, nil, nil
-	}
-	cfg.Meter.Track(shufflerName(cfg.Index), func() {
-		err = addPlainAll(in.enc, in.words, cfg.Mod, cfg.Pub)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, in.enc, nil
-}
-
 // runPartyRound performs one hide-and-seek round with the given hider
-// set and returns the party's vector after it; next is the hider set
-// the round's reshare picks the ciphertext holder from.
+// set and returns the party's share after it (for the holder: the
+// ciphertext vector and its pending mass); next is the hider set the
+// round's reshare picks the ciphertext holder from, nil after the last
+// round.
 func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
 	r, me := cfg.Parties, cfg.Index
-	n := len(plain) + len(enc)
+	n := max(len(plain), len(enc))
 	everyone := make([]int, r)
 	for j := range everyone {
 		everyone[j] = j
@@ -348,7 +366,8 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 	// --- Hide phase: seekers split their vectors among the hiders. ---
 	announce(tr, round, PhaseHide)
 	if !hides {
-		out, err := splitFor(cfg, round, hiders, heir(me, hiders), plain, enc)
+		// A seeking holder's remainder always crosses a link.
+		out, err := splitFor(cfg, round, hiders, heir(me, hiders), true, plain, enc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -371,10 +390,7 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 				return nil, nil, err
 			}
 		}
-		var err error
-		if plain, enc, err = in.fold(cfg); err != nil {
-			return nil, nil, err
-		}
+		plain, enc = in.words, in.enc
 	}
 
 	// --- Shuffle phase: hiders apply an agreed permutation. ---
@@ -402,15 +418,15 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 			}
 			seed = m.Seed
 		}
-		// Permuting moves pointers and refreshes nothing: the reshare
-		// split below multiplies every ciphertext by a fresh h^r before
-		// any leaves this party (or is dealt back to it) — the one
-		// refresh that unlinks positions across the permutation.
+		// Permuting moves pointers (and the holder's pending mass with
+		// them) and refreshes nothing: the next split that sends the
+		// ciphertexts off this party multiplies each by a fresh h^r — the
+		// refresh that unlinks positions across every permutation applied
+		// here since they arrived.
 		perm := rng.New(seed).Perm(n)
 		cfg.Meter.Track(shufflerName(me), func() {
-			if enc == nil {
-				plain = applyPermUint64(plain, perm)
-			} else {
+			plain = applyPermUint64(plain, perm)
+			if enc != nil {
 				enc = applyPermCipher(enc, perm)
 			}
 		})
@@ -421,7 +437,14 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 	in := inbox{words: make([]uint64, n)}
 	var sendErr <-chan error
 	if hides {
-		out, err := splitFor(cfg, round, everyone, heir(me, next), plain, enc)
+		// After the last round the holder keeps the vector, which then
+		// leaves for the analyzer.
+		target, departs := me, true
+		if next != nil {
+			target = heir(me, next)
+			departs = target != me
+		}
+		out, err := splitFor(cfg, round, everyone, target, departs, plain, enc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -449,8 +472,5 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 			return nil, nil, err
 		}
 	}
-	// The new ciphertext holder folds its plaintext reshare mass into
-	// the ciphertext vector so every party exits the round holding
-	// exactly one vector.
-	return in.fold(cfg)
+	return in.words, in.enc, nil
 }

@@ -3,10 +3,10 @@ package oblivious
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shuffledp/internal/ahe"
@@ -116,6 +116,11 @@ func TestRunPartyPlainPreservesMultiset(t *testing.T) {
 	}
 }
 
+// TestRunPartyEncryptedPreservesMultisetAndSingleHolder seats the
+// ciphertext vector at every index, not just PEOS's r-1: a holder
+// outside round 0's hiders takes the encrypted-seeker path (hide split,
+// refresh, hop to the lead hider), and whoever holds the vector carries
+// the mass it takes in as a pending vector until the next split.
 func TestRunPartyEncryptedPreservesMultisetAndSingleHolder(t *testing.T) {
 	mod := secretshare.NewModulus(64)
 	priv, err := ahe.GenerateDGK(512, 64)
@@ -123,7 +128,7 @@ func TestRunPartyEncryptedPreservesMultisetAndSingleHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := ahe.PublicKey(priv)
-	for _, r := range []int{2, 3} {
+	for _, r := range []int{2, 3, 4} {
 		r := r
 		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
 			t.Parallel()
@@ -134,41 +139,41 @@ func TestRunPartyEncryptedPreservesMultisetAndSingleHolder(t *testing.T) {
 				values[i] = src.Uint64()
 			}
 			vectors := secretshare.SplitVector(values, r, mod, src)
-			// The last party holds its share vector encrypted, as in PEOS.
-			encHolder := r - 1
-			enc := make([]*ahe.Ciphertext, n)
-			for i, w := range vectors[encHolder] {
-				c, err := pub.Encrypt(w)
+			want := sortedWords(values)
+			for encHolder := 0; encHolder < r; encHolder++ {
+				enc := make([]*ahe.Ciphertext, n)
+				for i, w := range vectors[encHolder] {
+					c, err := pub.Encrypt(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					enc[i] = c
+				}
+				outPlain, outEnc, errs := runParties(t, r, vectors, enc, encHolder, pub, 9)
+				holders := 0
+				st := &State{Plain: make([][]uint64, r), EncHolder: -1}
+				for j, err := range errs {
+					if err != nil {
+						t.Fatalf("seat %d, party %d: %v", encHolder, j, err)
+					}
+					if outEnc[j] != nil {
+						holders++
+						st.Enc = outEnc[j]
+						st.EncHolder = j
+					} else {
+						st.Plain[j] = outPlain[j]
+					}
+				}
+				if holders != 1 {
+					t.Fatalf("seat %d: want exactly 1 ciphertext holder, got %d", encHolder, holders)
+				}
+				got, err := Reveal(st, mod, priv)
 				if err != nil {
 					t.Fatal(err)
 				}
-				enc[i] = c
-			}
-			outPlain, outEnc, errs := runParties(t, r, vectors, enc, encHolder, pub, 9)
-			holders := 0
-			st := &State{Plain: make([][]uint64, r), EncHolder: -1}
-			for j, err := range errs {
-				if err != nil {
-					t.Fatalf("party %d: %v", j, err)
+				if gotS := sortedWords(got); fmt.Sprint(gotS) != fmt.Sprint(want) {
+					t.Fatalf("seat %d: multiset changed:\n got %v\nwant %v", encHolder, gotS, want)
 				}
-				if outEnc[j] != nil {
-					holders++
-					st.Enc = outEnc[j]
-					st.EncHolder = j
-				} else {
-					st.Plain[j] = outPlain[j]
-				}
-			}
-			if holders != 1 {
-				t.Fatalf("want exactly 1 ciphertext holder, got %d", holders)
-			}
-			got, err := Reveal(st, mod, priv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sortedWords(values)
-			if gotS := sortedWords(got); fmt.Sprint(gotS) != fmt.Sprint(want) {
-				t.Fatalf("multiset changed:\n got %v\nwant %v", gotS, want)
 			}
 		})
 	}
@@ -378,12 +383,37 @@ func (t *recordingTransport) Recv(from int) (Msg, error) {
 	return m, err
 }
 
+// countingPub wraps the key and counts the engine's two ciphertext
+// kernels, call by call.
+type countingPub struct {
+	ahe.PublicKey
+	addPlains, rerandomizes atomic.Int64
+}
+
+func (k *countingPub) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scratch) error {
+	k.addPlains.Add(1)
+	return k.PublicKey.AddPlainInto(dst, a, m, sc)
+}
+
+func (k *countingPub) RerandomizeInto(dst, a *ahe.Ciphertext, sc *ahe.Scratch) error {
+	k.rerandomizes.Add(1)
+	return k.PublicKey.RerandomizeInto(dst, a, sc)
+}
+
+// recording is what runRecorded observed of one shuffle.
+type recording struct {
+	trs []*recordingTransport
+	// draws is the number of randomizers the key drew during the shuffle
+	// alone (pool hits + misses) — the users' Encrypt calls happen before
+	// the count starts — and addPlains / rerandomizes the engine's calls
+	// of the two in-place kernels.
+	draws, addPlains, rerandomizes uint64
+}
+
 // runRecorded runs one encrypted shuffle of n values over r RunParty
-// engines on recording transports (party r-1 seated with the ciphertext
-// vector, as in PEOS) and returns the recordings plus the number of
-// randomizers the key drew during the shuffle alone — the users'
-// Encrypt calls happen before the count starts.
-func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) ([]*recordingTransport, uint64) {
+// engines on recording transports, party r-1 seated with the ciphertext
+// vector, as in PEOS.
+func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) recording {
 	t.Helper()
 	priv := dgk(t)
 	mod := secretshare.NewModulus(priv.PlaintextBits())
@@ -408,6 +438,7 @@ func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) ([]*
 	}
 	trs[r-1].held = cloneAll(enc)
 
+	pub := &countingPub{PublicKey: priv}
 	hits0, misses0 := priv.RandomizerPoolStats()
 	errs := make([]error, r)
 	var wg sync.WaitGroup
@@ -415,7 +446,7 @@ func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) ([]*
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			cfg := partyCfg(j, r, priv, seed)
+			cfg := partyCfg(j, r, pub, seed)
 			cfg.Mod, cfg.SkipRerandomize = mod, skipRerandomize
 			if j == r-1 {
 				_, _, errs[j] = RunParty(cfg, trs[j], nil, enc)
@@ -431,14 +462,22 @@ func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) ([]*
 		}
 	}
 	hits1, misses1 := priv.RandomizerPoolStats()
-	return trs, (hits1 - hits0) + (misses1 - misses0)
+	return recording{
+		trs:          trs,
+		draws:        (hits1 - hits0) + (misses1 - misses0),
+		addPlains:    uint64(pub.addPlains.Load()),
+		rerandomizes: uint64(pub.rerandomizes.Load()),
+	}
 }
 
 // countLinks runs, for every party, the linking test a colluding
 // previous holder and analyzer would: it counts the sent elements s
-// that equal h * g^(Dec(s)-Dec(h)) for some element h the sender held
-// before the send, i.e. that are a deterministic AddPlain image of it.
-func countLinks(t *testing.T, trs []*recordingTransport) (links, sent int) {
+// that are a deterministic AddPlain image of some element h the sender
+// held before the send. A party applies up to `splits` un-refreshed
+// AddPlains between taking a vector in and forwarding it, each by an
+// exponent below 2^l, and g's order is a multiple of 2^l, not 2^l: the
+// images are h * g^(Dec(s)-Dec(h) + j*2^l) for j < splits.
+func countLinks(t *testing.T, trs []*recordingTransport, splits int) (links, sent int) {
 	t.Helper()
 	priv := dgk(t)
 	mod := secretshare.NewModulus(priv.PlaintextBits())
@@ -449,17 +488,25 @@ func countLinks(t *testing.T, trs []*recordingTransport) (links, sent int) {
 		}
 		return m
 	}
+	addPlain := func(c *ahe.Ciphertext, m uint64) *ahe.Ciphertext {
+		image, err := priv.AddPlain(c, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return image
+	}
 	for _, tr := range trs {
 		for _, send := range tr.sends {
 			for _, s := range send.elems {
 				sent++
 				for _, h := range tr.held[:send.heldN] {
-					image, err := priv.AddPlain(h, mod.Sub(dec(s), dec(h)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if image.Value().Cmp(s.Value()) == 0 {
-						links++
+					image := addPlain(h, mod.Sub(dec(s), dec(h)))
+					for j := 0; j < splits; j++ {
+						if image.Value().Cmp(s.Value()) == 0 {
+							links++
+						}
+						// * g^(2^l), as (2^l - 1) + 1.
+						image = addPlain(addPlain(image, mod.Neg(1)), 1)
 					}
 				}
 			}
@@ -470,15 +517,15 @@ func countLinks(t *testing.T, trs []*recordingTransport) (links, sent int) {
 
 // TestForwardedCiphertextsAreUnlinkable: nothing a party forwards is a
 // deterministic AddPlain image of something it was seated with or had
-// received — the property the one ciphertext refresh of a round (the
-// split's, drawn after the permutation) is there for. With the refresh
+// received — the property the departure refresh (drawn after the last
+// permutation the sender applied) is there for. With the refresh
 // switched off the same check must link every element of the seated
-// holder's first forward, so a pass above is not a blind check.
+// holder's one forward, so a pass above is not a blind check.
 func TestForwardedCiphertextsAreUnlinkable(t *testing.T) {
 	const n = 5
 	for _, r := range []int{2, 3, 4} {
-		trs, _ := runRecorded(t, r, n, 77, false)
-		links, sent := countLinks(t, trs)
+		splits := len(Combinations(r, Hiders(r)))
+		links, sent := countLinks(t, runRecorded(t, r, n, 77, false).trs, splits)
 		if links != 0 {
 			t.Fatalf("r=%d: %d of %d forwarded ciphertexts are AddPlain images of one the sender held", r, links, sent)
 		}
@@ -486,45 +533,55 @@ func TestForwardedCiphertextsAreUnlinkable(t *testing.T) {
 			t.Fatalf("r=%d: no ciphertext vector crossed the transport", r)
 		}
 	}
-	// r = 3: the seated holder is round 0's seeker, so its first forward
-	// is one AddPlain away from what it was seated with.
-	trs, _ := runRecorded(t, 3, n, 77, true)
-	if links, _ := countLinks(t, trs); links < n {
+	// r = 3: the seated holder hides in rounds 0 and 1, so its forward is
+	// two un-refreshed AddPlains away from what it was seated with.
+	if links, _ := countLinks(t, runRecorded(t, 3, n, 77, true).trs, 3); links < n {
 		t.Fatalf("SkipRerandomize: the linking test found %d links, want >= %d", links, n)
 	}
 }
 
-// TestOneRerandomizePerEncryptedSplit pins the round's refresh count:
-// the shuffle draws exactly one randomizer per element per encrypted
-// split — one split per round (the ciphertext hider's reshare) plus
-// the seated holder's hide split when it seeks in round 0 — and none
-// anywhere else. A second pass after the permutation, or a dropped
-// refresh, moves the count; so does a holder that enters a later round
-// as a seeker, which the reshare's choice of heir rules out for every
-// seed (the count is a function of r alone).
-func TestOneRerandomizePerEncryptedSplit(t *testing.T) {
+// TestOneRefreshPerDeparture pins the shuffle's ciphertext bill as a
+// function of r alone. The PEOS seat r-1 hides in round 0, so no
+// ciphertext vector ever moves in a hide phase and every round has
+// exactly one encrypted split, the holder's reshare. A randomizer is
+// drawn per element per departure — each MsgEnc put on the transport,
+// plus the final holder's exit towards the analyzer — and nowhere else:
+// not when a holder deals the remainder back to itself, not after the
+// permutation. An AddPlainInto runs per element per split, plus the one
+// fold that materialises the final holder's pending mass; the mass a
+// holder takes in costs nothing until then.
+func TestOneRefreshPerDeparture(t *testing.T) {
 	const n = 6
+	// Mesh hops of the ciphertext vector: the walk of heir over the
+	// reversed t-subsets from seat r-1.
+	hops := map[int]int{2: 0, 3: 1, 4: 1, 5: 2}
 	for _, r := range []int{2, 3, 4, 5} {
-		partitions := Combinations(r, Hiders(r))
-		splits := len(partitions)
-		if !slices.Contains(partitions[0], r-1) {
-			splits++
-		}
+		rounds := len(Combinations(r, Hiders(r)))
 		for _, seed := range []uint64{77, 78} {
-			trs, draws := runRecorded(t, r, n, seed, false)
-			hides := 0
-			for _, tr := range trs {
+			rec := runRecorded(t, r, n, seed, false)
+			sends, hides := 0, 0
+			for _, tr := range rec.trs {
+				sends += len(tr.sends)
 				for _, send := range tr.sends {
 					if send.phase == PhaseHide {
 						hides++
 					}
 				}
 			}
-			if want := splits - len(partitions); hides != want {
-				t.Fatalf("r=%d seed %d: %d hide-phase ciphertext vectors, want %d", r, seed, hides, want)
+			if hides != 0 {
+				t.Fatalf("r=%d seed %d: %d hide-phase ciphertext vectors, want 0 (the seat hides first)", r, seed, hides)
 			}
-			if want := uint64(n * splits); draws != want {
-				t.Fatalf("r=%d seed %d: the shuffle drew %d randomizers, want %d (n=%d x %d encrypted splits)", r, seed, draws, want, n, splits)
+			if sends != hops[r] {
+				t.Fatalf("r=%d seed %d: the ciphertext vector made %d hops, want %d", r, seed, sends, hops[r])
+			}
+			departures := uint64(sends + 1)
+			if want := n * departures; rec.draws != want || rec.rerandomizes != want {
+				t.Fatalf("r=%d seed %d: the shuffle drew %d randomizers in %d RerandomizeInto calls, want %d (n=%d x %d departures)",
+					r, seed, rec.draws, rec.rerandomizes, want, n, departures)
+			}
+			if want := uint64(n * (rounds + 1)); rec.addPlains != want {
+				t.Fatalf("r=%d seed %d: %d AddPlainInto calls, want %d (n=%d x (%d encrypted splits + 1 fold))",
+					r, seed, rec.addPlains, want, n, rounds)
 			}
 		}
 	}

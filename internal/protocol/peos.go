@@ -43,7 +43,7 @@ type PEOS struct {
 	// bit-identical. MaliciousFakes, when set, still takes precedence.
 	FakeSource func(j int) secretshare.Source
 	// FastShuffle runs the oblivious shuffle with the ciphertext
-	// refresh of every encrypted split disabled, leaving the shufflers
+	// refresh of every departure disabled, leaving the shufflers
 	// homomorphic additions only — the paper's Table III cost model.
 	// See oblivious.Config.SkipRerandomize for the security caveat.
 	FastShuffle bool
