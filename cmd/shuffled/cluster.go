@@ -286,7 +286,6 @@ func runShuffler(args []string) {
 	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file")
 	idle := fs.Duration("idle-timeout", 2*time.Minute, "drop client connections silent past this (0 = never)")
 	sealTimeout := fs.Duration("seal-timeout", 5*time.Minute, "per-collection wait and peer I/O bound (0 = none)")
-	phaseTimeout := fs.Duration("phase-timeout", 0, "bound on each oblivious-shuffle phase (0 = seal timeout only)")
 	hello := fs.Duration("hello-timeout", cluster.DefaultHelloTimeout, "drop inbound connections silent past this before their hello")
 	fs.Parse(args)
 
@@ -309,7 +308,6 @@ func runShuffler(args []string) {
 		Source:       secretshare.Crypto,
 		IdleTimeout:  *idle,
 		SealTimeout:  *sealTimeout,
-		PhaseTimeout: *phaseTimeout,
 		HelloTimeout: *hello,
 	})
 	if err != nil {

@@ -134,26 +134,28 @@ type Analyzer struct {
 	ln  net.Listener
 	st  *store.Store
 
-	mu         sync.Mutex
-	conns      []net.Conn            // by shuffler index (control links; data links on a shard)
-	shardConns []net.Conn            // coordinator only: by shard index, slot 0 unused
-	pending    map[net.Conn]struct{} // accepted, hello not yet read
-	connMore   chan struct{}
-	closed     bool
+	mu sync.Mutex
+	// peers is the node's one link table. Slots [0, R) are the shufflers
+	// by index — their control links on the coordinator, their chunk
+	// data links on a shard; the coordinator of a sharded tier appends
+	// shard s at slot R+s-1. A reconnecting peer replaces its slot.
+	peers    []*link
+	pending  map[*link]struct{} // accepted, hello not yet read
+	connMore chan struct{}
+	closed   bool
 
 	stateMu     sync.Mutex
 	counts      []int
 	reals       int
 	fakes       int
-	collections int    // sealed rounds; on a shard, the rounds it knows the coordinator sealed
+	collections int    // sealed rounds (coordinator)
 	attempts    uint32 // monotonic attempt counter; never reused, so a generation never repeats
 
-	// Shard-node state (cfg.Shard > 0; shard.go): the coordinator
-	// control link (under mu, like every link) and, under stateMu, the
-	// in-flight window attempt and each shuffler's newest chunk frame.
-	coord     net.Conn
-	coordWMu  sync.Mutex // serializes writes on the coordinator link
-	curShard  *shardAttempt
+	// Shard-node state (cfg.Shard > 0; shard.go): the follower — the
+	// coordinator link, the window attempt in flight and the done
+	// watermark — and each shuffler's newest chunk frame, all under
+	// stateMu.
+	f         *follower
 	chunks    []chunk // by shuffler index
 	chunkMore chan struct{}
 }
@@ -205,17 +207,15 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		enc:      enc,
 		mod:      secretshare.NewModulus(64),
 		ln:       ln,
-		conns:    make([]net.Conn, cfg.Topology.R()),
-		pending:  make(map[net.Conn]struct{}),
+		peers:    make([]*link, cfg.Topology.R()),
+		pending:  make(map[*link]struct{}),
 		connMore: make(chan struct{}, 1),
 		counts:   make([]int, cfg.FO.Domain()),
 	}
-	if cfg.Shard == 0 && cfg.Topology.A() > 1 {
-		a.shardConns = make([]net.Conn, cfg.Topology.A())
-	}
-	if cfg.Shard > 0 {
-		a.chunks = make([]chunk, cfg.Topology.R())
-		a.chunkMore = make(chan struct{}, 1)
+	if cfg.Shard == 0 {
+		a.peers = append(a.peers, make([]*link, cfg.Topology.A()-1)...)
+	} else {
+		a.prepareShard()
 	}
 	return a, nil
 }
@@ -227,134 +227,101 @@ func (a *Analyzer) storeMeta() store.Meta {
 // Addr returns the bound listen address.
 func (a *Analyzer) Addr() string { return a.ln.Addr().String() }
 
-// acceptLoop registers inbound connections by their hello. On every
-// node, shuffler hellos claim the per-shuffler link slot (a
-// reconnecting shuffler replaces its old link); the coordinator of a
-// sharded tier additionally accepts shard hellos, refusing a peer
-// configured for a different analyzer count. On a shard node the shuffler
-// links are chunk DATA links, each drained by its own reader into the
-// chunk buffer.
+// peerName names a peer-table slot in errors.
+func (a *Analyzer) peerName(p int) string {
+	if r := a.cfg.Topology.R(); p >= r {
+		return fmt.Sprintf("analyzer shard %d", p-r+1)
+	}
+	return fmt.Sprintf("shuffler %d", p)
+}
+
+// acceptLoop files inbound connections in the peer table by their
+// hello: a shuffler hello claims that shuffler's slot on every node, a
+// shard hello — coordinator only, refused from a peer configured for a
+// different analyzer count — the shard's. A reconnecting peer replaces
+// its old link. On a shard node the shuffler links are chunk DATA
+// links, each drained by its own reader into the chunk slots.
 func (a *Analyzer) acceptLoop() {
 	for {
 		conn, err := a.ln.Accept()
 		if err != nil {
 			return
 		}
-		go func(conn net.Conn) {
-			// Track the connection before the hello (so Close can
-			// unblock this read) and bound the hello wait itself.
-			a.mu.Lock()
-			if a.closed {
-				a.mu.Unlock()
-				conn.Close()
-				return
-			}
-			a.pending[conn] = struct{}{}
-			a.mu.Unlock()
-			drop := func() {
-				a.mu.Lock()
-				delete(a.pending, conn)
-				a.mu.Unlock()
-				conn.Close()
-			}
-			conn.SetReadDeadline(time.Now().Add(helloBound(a.cfg.HelloTimeout)))
-			tag, payload, err := transport.ReadTaggedFrame(conn)
-			if err != nil {
-				drop()
-				return
-			}
-			conn.SetReadDeadline(time.Time{})
-			switch tag {
-			case tagShufflerHello:
-				idx, err := parseHelloIndex(payload, a.cfg.Topology.R())
-				if err != nil {
-					drop()
-					return
-				}
-				a.mu.Lock()
-				delete(a.pending, conn)
-				if a.closed {
-					a.mu.Unlock()
-					conn.Close()
-					return
-				}
-				if old := a.conns[idx]; old != nil {
-					old.Close()
-				}
-				a.conns[idx] = conn
-				a.mu.Unlock()
-				if a.cfg.Shard > 0 {
-					go a.readChunks(idx, conn)
-				}
-			case tagShardHello:
-				shard, err := parseShardHello(payload, a.cfg.Topology.A())
-				if err != nil || a.shardConns == nil {
-					drop()
-					return
-				}
-				a.mu.Lock()
-				delete(a.pending, conn)
-				if a.closed {
-					a.mu.Unlock()
-					conn.Close()
-					return
-				}
-				if old := a.shardConns[shard]; old != nil {
-					old.Close()
-				}
-				a.shardConns[shard] = conn
-				a.mu.Unlock()
-			default:
-				drop()
-				return
-			}
-			select {
-			case a.connMore <- struct{}{}:
-			default:
-			}
-		}(conn)
+		go a.handshake(newLink(conn, a.cfg.CollectTimeout))
 	}
 }
 
-// awaitShufflers blocks until every shuffler control link — and, on a
-// sharded coordinator, every shard link — exists.
-func (a *Analyzer) awaitShufflers() (conns, shards []net.Conn, err error) {
-	var deadline <-chan time.Time
-	if a.cfg.CollectTimeout > 0 {
-		t := time.NewTimer(a.cfg.CollectTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for {
-		a.mu.Lock()
-		missing := 0
-		for _, c := range a.conns {
-			if c == nil {
-				missing++
-			}
-		}
-		for s := 1; s < len(a.shardConns); s++ {
-			if a.shardConns[s] == nil {
-				missing++
-			}
-		}
-		conns = append([]net.Conn(nil), a.conns...)
-		shards = append([]net.Conn(nil), a.shardConns...)
-		closed := a.closed
+func (a *Analyzer) handshake(l *link) {
+	// Track the connection before the hello (so Close can unblock this
+	// read) and bound the hello wait itself.
+	a.mu.Lock()
+	if a.closed {
 		a.mu.Unlock()
-		if closed {
-			return nil, nil, errors.New("cluster: analyzer closed")
-		}
-		if missing == 0 {
-			return conns, shards, nil
-		}
-		select {
-		case <-a.connMore:
-		case <-deadline:
-			return nil, nil, fmt.Errorf("cluster: %d cluster link(s) never connected", missing)
-		case <-time.After(50 * time.Millisecond):
+		l.close()
+		return
+	}
+	a.pending[l] = struct{}{}
+	a.mu.Unlock()
+	p := -1
+	tag, payload, err := l.recv(controlFrameLimit, helloBound(a.cfg.HelloTimeout))
+	switch {
+	case err != nil:
+	case tag == tagShufflerHello:
+		p, err = parseHelloIndex(payload, a.cfg.Topology.R())
+	case tag == tagShardHello && a.cfg.Shard == 0:
+		if p, err = parseShardHello(payload, a.cfg.Topology.A()); err == nil {
+			p += a.cfg.Topology.R() - 1
 		}
 	}
+	a.mu.Lock()
+	delete(a.pending, l)
+	if p < 0 || err != nil || a.closed {
+		a.mu.Unlock()
+		l.close()
+		return
+	}
+	if old := a.peers[p]; old != nil {
+		old.close()
+	}
+	a.peers[p] = l
+	a.mu.Unlock()
+	if a.cfg.Shard > 0 {
+		go a.readChunks(p, l)
+	}
+	select {
+	case a.connMore <- struct{}{}:
+	default:
+	}
+}
+
+// awaitPeers blocks until every slot of the peer table holds a link —
+// every shuffler and, on a sharded coordinator, every shard — and
+// returns a snapshot of it.
+func (a *Analyzer) awaitPeers() ([]*link, error) {
+	var peers []*link
+	missing := 0
+	err := await(func() (bool, error) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.closed {
+			return false, errNodeClosed
+		}
+		peers = append(peers[:0], a.peers...)
+		missing = 0
+		for _, l := range peers {
+			if l == nil {
+				missing++
+			}
+		}
+		return missing == 0, nil
+	}, a.connMore, nil, a.cfg.CollectTimeout)
+	if errors.Is(err, errAwaitTimeout) {
+		err = fmt.Errorf("cluster: %d cluster link(s) never connected", missing)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return peers, nil
 }
 
 // Collect drives one collection round over n user reports: broadcast
@@ -407,7 +374,7 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 				return Collection{}, errors.New("cluster: analyzer closed")
 			}
 		}
-		conns, shards, err := a.awaitShufflers()
+		peers, err := a.awaitPeers()
 		if err != nil {
 			if a.isClosed() {
 				return Collection{}, err
@@ -427,10 +394,10 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 		}
 		charged = true
 		g := gen{col: collection, att: a.nextAttempt()}
-		words, badConn, badShard, err := a.attemptRound(conns, shards, g, n)
+		words, bad, err := a.attemptRound(peers, g, n)
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: collection %d attempt %d: %w", g.col, g.att, err)
-			a.recoverConns(conns, shards, g, badConn, badShard)
+			a.recoverPeers(peers, g, bad)
 			continue
 		}
 		col, err := a.seal(collection, n, words)
@@ -442,7 +409,7 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 		col.Attempts = try + 1
 		// The durable seal above is the round's one commit point; what
 		// follows only lets shufflers and shards drop what they buffer.
-		a.broadcastDone(conns, shards, collection)
+		a.broadcastDone(peers, collection)
 		return col, nil
 	}
 	return Collection{}, fmt.Errorf("cluster: collection %d failed after %d attempt(s): %w", collection, policy.Attempts, lastErr)
@@ -464,51 +431,35 @@ func (a *Analyzer) nextAttempt() uint32 {
 // can arrive, then to the shufflers — the coordinator's own window vectors,
 // then each shard's revealed words — reassembled in cut order into the
 // full post-shuffle word vector, byte-identical to what a single
-// analyzer reveals. On failure it reports which shuffler or shard link
-// had the I/O fault (-1/-1 for protocol-level failures where every
-// link is still healthy), so the retry path drops exactly the dead
-// link.
-func (a *Analyzer) attemptRound(conns, shards []net.Conn, g gen, n int) ([]uint64, int, int, error) {
+// analyzer reveals. On failure it reports which peer's link had the
+// I/O fault (-1 for protocol-level failures where every link is still
+// healthy), so the retry path drops exactly the dead link.
+func (a *Analyzer) attemptRound(peers []*link, g gen, n int) ([]uint64, int, error) {
+	r := a.cfg.Topology.R()
 	total := n + a.cfg.NR
 	analyzers := a.cfg.Topology.A()
 	cuts := evenCuts(total, analyzers)
-	for s := 1; s < len(shards); s++ {
-		if a.cfg.CollectTimeout > 0 {
-			shards[s].SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
-		}
-		err := writeSealFrame(shards[s], g, n, analyzers)
-		shards[s].SetWriteDeadline(time.Time{})
-		if err != nil {
-			return nil, -1, s, fmt.Errorf("sealing with analyzer shard %d: %w", s, err)
+	seal := sealPayload(g, n, analyzers)
+	for i := range peers {
+		p := (r + i) % len(peers) // the table rotated: shards, then shufflers
+		if err := peers[p].send(tagSeal, seal); err != nil {
+			return nil, p, fmt.Errorf("sealing with %s: %w", a.peerName(p), err)
 		}
 	}
-	for j, conn := range conns {
-		if a.cfg.CollectTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
-		}
-		err := writeSealFrame(conn, g, n, analyzers)
-		conn.SetWriteDeadline(time.Time{})
-		if err != nil {
-			return nil, j, -1, fmt.Errorf("sealing with shuffler %d: %w", j, err)
-		}
-	}
-	words, badConn, err := a.awaitVectors(conns, g, cuts[1])
-	if err != nil {
-		return nil, badConn, -1, err
-	}
-	if len(shards) == 0 {
-		return words, -1, -1, nil
+	words, bad, err := a.awaitVectors(peers[:r], g, cuts[1])
+	if err != nil || analyzers == 1 {
+		return words, bad, err
 	}
 	full := make([]uint64, total)
 	copy(full, words)
-	for s := 1; s < len(shards); s++ {
-		ws, err := a.awaitShardWords(shards[s], s, g, cuts[s+1]-cuts[s])
+	for s := 1; s < analyzers; s++ {
+		ws, err := a.awaitShardWords(peers[r+s-1], s, g, cuts[s+1]-cuts[s])
 		if err != nil {
-			return nil, -1, s, err
+			return nil, r + s - 1, err
 		}
 		copy(full[cuts[s]:cuts[s+1]], ws)
 	}
-	return full, -1, -1, nil
+	return full, -1, nil
 }
 
 // awaitVectors reads one vector frame per shuffler — each carrying
@@ -518,18 +469,14 @@ func (a *Analyzer) attemptRound(conns, shards []net.Conn, g gen, n int) ([]uint6
 // leftovers of aborted attempts (a late vector or its fail notice) and
 // are skipped; the read deadline still bounds how long stale traffic
 // can stall the round.
-func (a *Analyzer) awaitVectors(conns []net.Conn, g gen, total int) ([]uint64, int, error) {
+func (a *Analyzer) awaitVectors(shufflers []*link, g gen, total int) ([]uint64, int, error) {
 	r := a.cfg.Topology.R()
+	limit := vectorFrameLimit(a.cfg.Priv, total)
 	st := &oblivious.State{Plain: make([][]uint64, r), EncHolder: -1}
-	for j, conn := range conns {
+	for j, l := range shufflers {
 	read:
 		for {
-			if a.cfg.CollectTimeout > 0 {
-				if err := conn.SetReadDeadline(time.Now().Add(a.cfg.CollectTimeout)); err != nil {
-					return nil, j, err
-				}
-			}
-			tag, payload, err := transport.ReadTaggedFrame(conn)
+			tag, payload, err := l.recv(limit, a.cfg.CollectTimeout)
 			if err != nil {
 				return nil, j, fmt.Errorf("reading shuffler %d vector: %w", j, err)
 			}
@@ -579,45 +526,15 @@ func (a *Analyzer) awaitVectors(conns []net.Conn, g gen, total int) ([]uint64, i
 	return words, -1, err
 }
 
-// recoverConns cleans up after a failed attempt: the connection whose
-// I/O failed is dropped (its shuffler — or shard — redials the control
+// recoverPeers cleans up after a failed attempt: the peer whose I/O
+// failed is dropped (the shuffler — or shard — redials its control
 // link), the others get an abort frame so their attempt goroutines
 // cancel promptly; a link that cannot even take the abort is dropped
 // too.
-func (a *Analyzer) recoverConns(conns, shards []net.Conn, g gen, badConn, badShard int) {
-	for j, conn := range conns {
-		if conn == nil {
-			continue
-		}
-		if j == badConn {
-			a.dropShuffler(j, conn)
-			continue
-		}
-		if a.cfg.CollectTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
-		}
-		err := writeAbortFrame(conn, g)
-		conn.SetWriteDeadline(time.Time{})
-		if err != nil {
-			a.dropShuffler(j, conn)
-		}
-	}
-	for s := 1; s < len(shards); s++ {
-		conn := shards[s]
-		if conn == nil {
-			continue
-		}
-		if s == badShard {
-			a.dropShard(s, conn)
-			continue
-		}
-		if a.cfg.CollectTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
-		}
-		err := writeAbortFrame(conn, g)
-		conn.SetWriteDeadline(time.Time{})
-		if err != nil {
-			a.dropShard(s, conn)
+func (a *Analyzer) recoverPeers(peers []*link, g gen, bad int) {
+	for p, l := range peers {
+		if p == bad || l.send(tagAbort, prefixed(g, nil)) != nil {
+			a.drop(p, l)
 		}
 	}
 }
@@ -626,46 +543,23 @@ func (a *Analyzer) recoverConns(conns, shards []net.Conn, g gen, badConn, badSha
 // durably, so shufflers can prune its buffered shares, cached fakes,
 // and parked mesh connections, and shards its chunk frames.
 // Best-effort: a node that misses it prunes on the next seal instead.
-func (a *Analyzer) broadcastDone(conns, shards []net.Conn, collection uint32) {
-	send := func(conn net.Conn) error {
-		if a.cfg.CollectTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout))
-		}
-		defer conn.SetWriteDeadline(time.Time{})
-		return writeDoneFrame(conn, collection)
-	}
-	for j, conn := range conns {
-		if conn != nil && send(conn) != nil {
-			a.dropShuffler(j, conn)
-		}
-	}
-	for s := 1; s < len(shards); s++ {
-		if send(shards[s]) != nil {
-			a.dropShard(s, shards[s])
+func (a *Analyzer) broadcastDone(peers []*link, collection uint32) {
+	for p, l := range peers {
+		if l.send(tagDone, donePayload(collection)) != nil {
+			a.drop(p, l)
 		}
 	}
 }
 
-// dropShuffler closes a dead shuffler link and clears its slot (if
-// still current) so awaitShufflers waits for the reconnect.
-func (a *Analyzer) dropShuffler(j int, conn net.Conn) {
+// drop closes a dead peer link and clears its slot (if still current)
+// so awaitPeers waits for the reconnect.
+func (a *Analyzer) drop(p int, l *link) {
 	a.mu.Lock()
-	if a.conns[j] == conn {
-		a.conns[j] = nil
+	if a.peers[p] == l {
+		a.peers[p] = nil
 	}
 	a.mu.Unlock()
-	conn.Close()
-}
-
-// dropShard closes a dead analyzer-shard link and clears its slot (if
-// still current) so awaitShufflers waits for the shard's redial.
-func (a *Analyzer) dropShard(s int, conn net.Conn) {
-	a.mu.Lock()
-	if a.shardConns[s] == conn {
-		a.shardConns[s] = nil
-	}
-	a.mu.Unlock()
-	conn.Close()
+	l.close()
 }
 
 func (a *Analyzer) isClosed() bool {
@@ -753,6 +647,9 @@ func (a *Analyzer) Totals() (reports, fakes int) {
 func (a *Analyzer) Collections() int {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
+	if a.f != nil {
+		return int(a.f.doneThrough) + 1
+	}
 	return a.collections
 }
 
@@ -777,20 +674,18 @@ func (a *Analyzer) shutdown(crash bool) {
 		return
 	}
 	a.closed = true
-	conns := append([]net.Conn(nil), a.conns...)
-	conns = append(conns, a.shardConns...)
-	if a.coord != nil {
-		conns = append(conns, a.coord)
-	}
-	for c := range a.pending {
-		conns = append(conns, c)
+	links := append([]*link(nil), a.peers...)
+	for l := range a.pending {
+		links = append(links, l)
 	}
 	a.mu.Unlock()
-	a.cancelShardAttempt()
+	if a.f != nil {
+		a.f.close()
+	}
 	a.ln.Close()
-	for _, c := range conns {
-		if c != nil {
-			c.Close()
+	for _, l := range links {
+		if l != nil {
+			l.close()
 		}
 	}
 	if a.st == nil {

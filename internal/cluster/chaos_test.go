@@ -13,6 +13,8 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -382,13 +384,13 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 		sh.Close()
 	}
 	ledger2 := testLedger(t)
-	topo2, lns2, aln2 := bindTopology(t, r)
+	topo2, lns2, alns2 := bindTopology(t, r, 1)
 	for _, ln := range lns2 {
 		ln.Close()
 	}
 	rec, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
 		Topology: topo2,
-		Listener: aln2,
+		Listener: alns2[0],
 		FO:       fo,
 		NR:       nr,
 		Priv:     priv,
@@ -556,5 +558,103 @@ func TestChaosResubmitsDoNotCountAgainstCap(t *testing.T) {
 	}
 	if _, err := h.analyzer.Collect(n); err != nil {
 		t.Fatalf("round failed under resubmit pressure: %v", err)
+	}
+}
+
+// muteAfterHello is a mesh connection whose peer hello (the 17 bytes of
+// one tagged frame) goes through, whose every later write is swallowed
+// and whose Close is held back: the peer it dialed sees a shuffler that
+// joined the attempt and then went silent mid-phase, with the
+// connection still up. The test closes the real connection.
+type muteAfterHello struct {
+	net.Conn
+	passed int
+}
+
+func (c *muteAfterHello) Close() error { return nil }
+
+func (c *muteAfterHello) Write(p []byte) (int, error) {
+	if c.passed >= 17 {
+		return len(p), nil
+	}
+	n, err := c.Conn.Write(p)
+	c.passed += n
+	return n, err
+}
+
+// A mesh peer that completes its hello and then says nothing must fail
+// the attempt at the shuffler waiting on it, with the cause, inside
+// SealTimeout: every message is one frame read under one absolute
+// deadline, and the engine receives at most one message per peer per
+// phase, so nothing needs a per-phase deadline on top. The collection
+// then seals on a healthy mesh, bit-identical to protocol.PEOS.Run.
+func TestChaosSilentMeshPeerFailsInsideSealTimeout(t *testing.T) {
+	const (
+		r           = 2
+		n           = 24
+		d           = 8
+		nr          = 4
+		fakeSeed    = 261
+		sealTimeout = 400 * time.Millisecond
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	var meshDials atomic.Int32
+	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, func(j int, cfg *cluster.ShufflerConfig) {
+		cfg.SealTimeout = sealTimeout
+		if j == 1 {
+			// Shuffler 1 dials shuffler 0's mesh; its first connection
+			// there goes mute after the hello.
+			mesh := cfg.Topology.Shufflers[0]
+			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+				conn, err := net.DialTimeout("tcp", addr, timeout)
+				if err == nil && addr == mesh && meshDials.Add(1) == 1 {
+					raw := conn
+					t.Cleanup(func() { raw.Close() })
+					conn = &muteAfterHello{Conn: raw}
+				}
+				return conn, err
+			}
+		}
+	})
+	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	values := synthValues(n, d, 262)
+	if err := cl.SendValues(0, values, rng.New(263)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Retry is off: the first Collect is the attempt on the mute mesh.
+	start := time.Now()
+	_, err = h.analyzer.Collect(n)
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "shuffler 0 failed") || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("Collect over a mute mesh peer: %v, want shuffler 0's read timeout as the cause", err)
+	}
+	if took < sealTimeout/2 || took > testTimeout/2 {
+		t.Fatalf("the attempt failed after %v; SealTimeout is %v and CollectTimeout %v", took, sealTimeout, testTimeout)
+	}
+
+	col, err := h.analyzer.Collect(n)
+	if err != nil {
+		t.Fatalf("the collection never sealed on the healthy mesh: %v", err)
+	}
+	p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FakeSource = refFakeSource(fakeSeed, r)
+	ref, err := p.Run(values, rng.New(263))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !estimatesEqual(col.Estimates, ref.Estimates) {
+		t.Fatalf("estimates diverged after the mute attempt:\n net %v\n ref %v", col.Estimates, ref.Estimates)
 	}
 }

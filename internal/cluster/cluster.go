@@ -269,14 +269,6 @@ func (g gen) less(o gen) bool {
 	return g.col < o.col || (g.col == o.col && g.att < o.att)
 }
 
-// maxDuration returns the larger of two durations.
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // listenOrUse binds the configured address unless the caller already
 // bound a listener (tests and examples bind first to learn the port).
 func listenOrUse(ln net.Listener, addr string) (net.Listener, error) {

@@ -37,89 +37,121 @@ func sharedKey(t *testing.T) *ahe.DGKPrivateKey {
 	return testKey
 }
 
-// harness spins up an R-shuffler + analyzer cluster on loopback
-// listeners.
+// harness is an R-shuffler cluster on loopback listeners with an
+// analyzer tier of one node or several: nodes[0] is the coordinator —
+// analyzer names the same node — and nodes[1:] the reveal-worker shards.
 type harness struct {
 	topo      cluster.Topology
+	nodes     []*cluster.Analyzer
 	analyzer  *cluster.Analyzer
 	shufflers []*cluster.Shuffler
 	runErr    []chan error
 }
 
-// bindTopology reserves loopback listeners for every role so the
-// topology carries real addresses before any node starts.
-func bindTopology(t *testing.T, r int) (cluster.Topology, []net.Listener, net.Listener) {
+// bindTopology reserves loopback listeners for r shufflers and
+// `analyzers` analyzer shards so the topology carries real addresses
+// before any node starts.
+func bindTopology(t *testing.T, r, analyzers int) (cluster.Topology, []net.Listener, []net.Listener) {
 	t.Helper()
-	lns := make([]net.Listener, r)
-	topo := cluster.Topology{Shufflers: make([]string, r)}
-	for j := range lns {
+	listen := func() net.Listener {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[j] = ln
-		topo.Shufflers[j] = ln.Addr().String()
+		return ln
 	}
-	aln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	topo := cluster.Topology{Shufflers: make([]string, r), Analyzers: make([]string, analyzers)}
+	slns := make([]net.Listener, r)
+	for j := range slns {
+		slns[j] = listen()
+		topo.Shufflers[j] = slns[j].Addr().String()
 	}
-	topo.Analyzers = []string{aln.Addr().String()}
-	return topo, lns, aln
+	alns := make([]net.Listener, analyzers)
+	for s := range alns {
+		alns[s] = listen()
+		topo.Analyzers[s] = alns[s].Addr().String()
+	}
+	return topo, slns, alns
 }
 
-// startCluster builds and runs the cluster. fakeSeed aligns each
-// shuffler's fake shares with an in-process reference; mutate tweaks
-// configs before the nodes start.
-func startCluster(t *testing.T, r, nr int, fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutateA func(*cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig)) *harness {
+// startShufflers builds and runs every shuffler of topo and closes them
+// with the test. lns may be nil: each node then binds its topology
+// address (a restarted tier). fakeSeed aligns each shuffler's fake
+// shares with an in-process reference; mutate tweaks a config before
+// its node starts.
+func startShufflers(t *testing.T, topo cluster.Topology, lns []net.Listener, nr int, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutate func(int, *cluster.ShufflerConfig)) ([]*cluster.Shuffler, []chan error) {
 	t.Helper()
-	topo, lns, aln := bindTopology(t, r)
-	acfg := cluster.AnalyzerConfig{
-		Topology:       topo,
-		Listener:       aln,
-		FO:             fo,
-		NR:             nr,
-		Priv:           priv,
-		CollectTimeout: testTimeout,
-	}
-	if mutateA != nil {
-		mutateA(&acfg)
-	}
-	analyzer, err := cluster.NewAnalyzer(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{topo: topo, analyzer: analyzer}
-	for j := 0; j < r; j++ {
+	var shufflers []*cluster.Shuffler
+	var runErr []chan error
+	for j := range topo.Shufflers {
 		scfg := cluster.ShufflerConfig{
 			Index:       j,
 			Topology:    topo,
-			Listener:    lns[j],
 			NR:          nr,
 			Pub:         ahe.PublicKey(priv),
 			Source:      rng.Substream(fakeSeed, 1000+uint64(j)),
 			FakeSource:  rng.Substream(fakeSeed, uint64(j)),
 			SealTimeout: testTimeout,
 		}
-		if mutateS != nil {
-			mutateS(j, &scfg)
+		if lns != nil {
+			scfg.Listener = lns[j]
+		}
+		if mutate != nil {
+			mutate(j, &scfg)
 		}
 		sh, err := cluster.NewShuffler(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.shufflers = append(h.shufflers, sh)
+		t.Cleanup(func() { sh.Close() })
+		shufflers = append(shufflers, sh)
 		errc := make(chan error, 1)
-		h.runErr = append(h.runErr, errc)
+		runErr = append(runErr, errc)
 		go func() { errc <- sh.Run() }()
 	}
-	t.Cleanup(func() {
-		h.analyzer.Close()
-		for _, sh := range h.shufflers {
-			sh.Close()
+	return shufflers, runErr
+}
+
+// startShardedCluster builds and runs the full cluster: `analyzers`
+// analyzer nodes (shard 0 coordinating) plus r shufflers.
+func startShardedCluster(t *testing.T, r, analyzers, nr int, fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutateA func(int, *cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig)) *harness {
+	t.Helper()
+	topo, slns, alns := bindTopology(t, r, analyzers)
+	h := &harness{topo: topo}
+	for s := 0; s < analyzers; s++ {
+		acfg := cluster.AnalyzerConfig{
+			Topology:       topo,
+			Listener:       alns[s],
+			FO:             fo,
+			NR:             nr,
+			Priv:           priv,
+			Shard:          s,
+			CollectTimeout: testTimeout,
 		}
-	})
+		if mutateA != nil {
+			mutateA(s, &acfg)
+		}
+		node, err := cluster.NewAnalyzer(acfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		h.nodes = append(h.nodes, node)
+	}
+	h.analyzer = h.nodes[0]
+	h.shufflers, h.runErr = startShufflers(t, topo, slns, nr, priv, fakeSeed, mutateS)
 	return h
+}
+
+// startCluster is the single-analyzer cluster: startShardedCluster at
+// analyzers = 1.
+func startCluster(t *testing.T, r, nr int, fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutateA func(*cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig)) *harness {
+	t.Helper()
+	return startShardedCluster(t, r, 1, nr, fo, priv, fakeSeed, func(_ int, cfg *cluster.AnalyzerConfig) {
+		if mutateA != nil {
+			mutateA(cfg)
+		}
+	}, mutateS)
 }
 
 // refFakeSource returns the FakeSource hook that mirrors the cluster
@@ -451,11 +483,11 @@ func TestAnalyzerRefusesExistingState(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(4, 1)
 	dir := t.TempDir()
-	topo, lns, aln := bindTopology(t, 2)
+	topo, lns, alns := bindTopology(t, 2, 1)
 	for _, ln := range lns {
 		ln.Close()
 	}
-	a, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: topo, Listener: aln, FO: fo, Priv: priv, DataDir: dir})
+	a, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: topo, Listener: alns[0], FO: fo, Priv: priv, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,11 +539,32 @@ func TestClusterShufflerCapsFloodingClient(t *testing.T) {
 	if _, err := flood.Read(make([]byte, 1)); err == nil {
 		t.Fatal("flooding connection was not dropped")
 	}
-	// The node itself must still be alive (its Run has not returned).
-	select {
-	case err := <-h.runErr[0]:
-		t.Fatalf("shuffler died on a flooding client: %v", err)
-	case <-time.After(200 * time.Millisecond):
+	// A client link states its frame bound too: the longest report frame
+	// is 16 bytes of index and nonce plus one ciphertext, so a header
+	// announcing a megabyte is refused unread and costs its sender the
+	// connection, whatever the buffer cap has left.
+	oversize, err := net.Dial("tcp", h.topo.Shufflers[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oversize.Close()
+	if err := cluster.WriteClientHello(oversize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oversize.Write([]byte{0, 0x10, 0, 0, 0, 0, 0, 5 /* encReport */}); err != nil {
+		t.Fatal(err)
+	}
+	oversize.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := oversize.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the shuffler kept a client that announced a 1 MiB report (read: %v)", err)
+	}
+	// The nodes themselves must still be alive (Run has not returned).
+	for j, errc := range h.runErr {
+		select {
+		case err := <-errc:
+			t.Fatalf("shuffler %d died on a hostile client: %v", j, err)
+		case <-time.After(100 * time.Millisecond):
+		}
 	}
 	_ = wrote
 }

@@ -148,31 +148,10 @@ func TestConformanceCrashRecoveredAnalyzer(t *testing.T) {
 	if !estimatesEqual(recovered.Estimates(), refPerRound[0]) {
 		t.Fatal("recovered cumulative estimate diverged from collection 0")
 	}
-	var restarted []*cluster.Shuffler
-	restartErr := make([]chan error, r)
-	for j := 0; j < r; j++ {
-		sh, err := cluster.NewShuffler(cluster.ShufflerConfig{
-			Index:       j,
-			Topology:    h.topo,
-			NR:          nr,
-			Pub:         ahe.PublicKey(priv),
-			Source:      rng.Substream(fakeSeed, 2000+uint64(j)),
-			FakeSource:  perCollectionFakeSource(fakeSeed, r, 1, j),
-			SealTimeout: testTimeout,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		restarted = append(restarted, sh)
-		errc := make(chan error, 1)
-		restartErr[j] = errc
-		go func() { errc <- sh.Run() }()
-	}
-	defer func() {
-		for _, sh := range restarted {
-			sh.Close()
-		}
-	}()
+	startShufflers(t, h.topo, nil, nr, priv, fakeSeed, func(j int, cfg *cluster.ShufflerConfig) {
+		cfg.Source = rng.Substream(fakeSeed, 2000+uint64(j))
+		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 1, j)
+	})
 
 	cl2, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(4), 0)
 	if err != nil {

@@ -1,0 +1,291 @@
+package cluster
+
+// The follower: the control plane of a node that takes the
+// coordinator's orders — a shuffler or an analyzer shard (DESIGN.md
+// §9). It keeps a live, hello-identified link to the coordinator, turns
+// its seal / abort / done frames into one attempt slot superseded by
+// generation, and reports a live attempt's failure with one fail
+// notice. What the attempt does (a shuffle, a window reveal), what a
+// superseded generation frees, and what a lost or misbehaving link
+// means for the node's lifetime are the role's: the follower never asks
+// which role it serves.
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"time"
+)
+
+// attempt is one collection attempt in flight on a follower node. The
+// coordinator's abort (or a newer seal, or a lost control link) cancels
+// it: the cancel channel closes and every connection it claimed is torn
+// down, which unblocks a shuffler's RunParty stuck mid-phase.
+type attempt struct {
+	g      gen
+	n      int
+	cancel chan struct{}
+
+	mu      sync.Mutex
+	aborted bool
+	conns   []net.Conn
+}
+
+// errAttemptAborted marks attempt-goroutine errors caused by the
+// attempt's own cancellation — not reported to the coordinator, which
+// moved on already.
+var errAttemptAborted = errors.New("cluster: collection attempt aborted")
+
+func (a *attempt) abort() {
+	a.mu.Lock()
+	if a.aborted {
+		a.mu.Unlock()
+		return
+	}
+	a.aborted = true
+	a.mu.Unlock()
+	close(a.cancel)
+	a.closeConns()
+}
+
+// addConn registers a mesh connection with the attempt so abort can
+// close it; a connection arriving after the abort is closed instead.
+func (a *attempt) addConn(c net.Conn) error {
+	a.mu.Lock()
+	if a.aborted {
+		a.mu.Unlock()
+		c.Close()
+		return errAttemptAborted
+	}
+	a.conns = append(a.conns, c)
+	a.mu.Unlock()
+	return nil
+}
+
+func (a *attempt) canceled() bool {
+	select {
+	case <-a.cancel:
+		return true
+	default:
+		return false
+	}
+}
+
+// closeConns closes every connection the attempt claimed (the
+// attempt's exchange is over; per-attempt connections are never
+// reused).
+func (a *attempt) closeConns() {
+	a.mu.Lock()
+	conns := append([]net.Conn(nil), a.conns...)
+	a.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// follower is one node's end of the coordinator's control plane.
+type follower struct {
+	// mu is the ROLE's state lock, shared: the role's per-collection
+	// state (parked mesh connections, chunk slots) is admitted against
+	// cur and doneThrough, and the check and the insert it licenses must
+	// be one critical section with start and advance.
+	mu *sync.Mutex
+
+	dial        DialFunc
+	coordinator string
+	dialTimeout time.Duration
+	timeout     time.Duration // bounds each write on the coordinator link
+	analyzers   int           // the tier size a seal must name
+	helloTag    uint32
+	hello       []byte
+	// prune drops the role's state for generations before floor (every
+	// collection before floor.col sealed; older attempts of floor.col
+	// are superseded). Called with mu held.
+	prune func(floor gen)
+	// work is one attempt's job, run in the attempt's own goroutine so an
+	// abort can cancel it mid-wait; it answers over send. A non-nil
+	// error from a live attempt becomes the fail notice.
+	work func(*attempt) error
+
+	// Under mu.
+	coord       *link
+	cur         *attempt
+	doneThrough int64 // highest collection known sealed; -1 initially
+	closed      bool
+}
+
+var errNodeClosed = errors.New("cluster: node closed")
+
+// connect dials the coordinator (retrying inside the dial budget),
+// identifies this node, and swaps the fresh link in, closing a dead
+// predecessor. The coordinator files the link by the hello's index.
+func (f *follower) connect() (*link, error) {
+	conn, err := dialRetry(f.dial, f.coordinator, f.dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	l := newLink(conn, f.timeout)
+	if err := l.send(f.helloTag, f.hello); err != nil {
+		l.close()
+		return nil, err
+	}
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		l.close()
+		return nil, errNodeClosed
+	}
+	old := f.coord
+	f.coord = l
+	f.mu.Unlock()
+	if old != nil {
+		old.close()
+	}
+	return l, nil
+}
+
+// serve dispatches the coordinator's frames off one link until the
+// link fails or a frame is refused — a seal cut for another analyzer
+// count included — and returns why. Attempts run in their own
+// goroutines, so serve is back at the link in time to read the abort
+// that cancels one. What the error means is the caller's policy.
+func (f *follower) serve(l *link) error {
+	for {
+		tag, payload, err := l.recv(controlFrameLimit, 0)
+		if err != nil {
+			return err
+		}
+		switch tag {
+		case tagSeal:
+			g, n, err := parseSealFrame(payload, f.analyzers)
+			if err != nil {
+				return err
+			}
+			f.start(g, n)
+		case tagAbort:
+			g, err := parseAbortFrame(payload)
+			if err != nil {
+				return err
+			}
+			f.abortGen(g)
+		case tagDone:
+			col, err := parseDoneFrame(payload)
+			if err != nil {
+				return err
+			}
+			f.mu.Lock()
+			f.advance(gen{col: col + 1})
+			f.mu.Unlock()
+		default:
+			return fmt.Errorf("%w: coordinator sent tag %d", errBadFrame, tag)
+		}
+	}
+}
+
+// behind reports whether generation g is stale for data arriving now:
+// its collection sealed, or an attempt newer than it is armed. Caller
+// holds mu.
+func (f *follower) behind(g gen) bool {
+	return int64(g.col) <= f.doneThrough || (f.cur != nil && g.less(f.cur.g))
+}
+
+// advance raises the done watermark to just under floor's collection
+// and prunes the role's state before floor. Caller holds mu.
+func (f *follower) advance(floor gen) {
+	f.doneThrough = max(f.doneThrough, int64(floor.col)-1)
+	f.prune(floor)
+}
+
+// start installs a new attempt — canceling its predecessor, a newer
+// seal supersedes whatever was running — and launches its goroutine. A
+// seal at or below the done watermark, or not newer than the current
+// generation, is stale control traffic and ignored. A seal for
+// collection c also proves every collection below c sealed, whether or
+// not their done frames arrived.
+func (f *follower) start(g gen, n int) {
+	f.mu.Lock()
+	prev := f.cur
+	if f.behind(g) || (prev != nil && prev.g == g) {
+		f.mu.Unlock()
+		return
+	}
+	cur := &attempt{g: g, n: n, cancel: make(chan struct{})}
+	f.cur = cur
+	f.advance(g)
+	f.mu.Unlock()
+	if prev != nil {
+		prev.abort()
+	}
+	go f.run(cur)
+}
+
+// run drives one attempt and reports the failure of a live one to the
+// coordinator, so its Collect fails (and retries) with the cause
+// instead of a bare timeout. A canceled attempt dies silently: the
+// coordinator moved on.
+func (f *follower) run(a *attempt) {
+	defer a.closeConns()
+	err := f.work(a)
+	if err == nil || a.canceled() || f.isClosed() {
+		return
+	}
+	msg := err.Error()
+	_ = f.send(tagFail, prefixed(a.g, []byte(msg[:min(len(msg), maxFailMessage)])))
+}
+
+// current returns the attempt slot's occupant, finished or not.
+func (f *follower) current() *attempt {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cur
+}
+
+// abortGen cancels the current attempt if it is g (an abort racing a
+// newer seal must not cancel the newer attempt).
+func (f *follower) abortGen(g gen) {
+	if cur := f.current(); cur != nil && cur.g == g {
+		cur.abort()
+	}
+}
+
+// cancelCurrent aborts whatever attempt is in flight — its seal may
+// have been lost with the link.
+func (f *follower) cancelCurrent() {
+	if cur := f.current(); cur != nil {
+		cur.abort()
+	}
+}
+
+// send writes one frame to the current coordinator link.
+func (f *follower) send(tag uint32, payload []byte) error {
+	f.mu.Lock()
+	l := f.coord
+	f.mu.Unlock()
+	if l == nil {
+		return errors.New("cluster: no coordinator link")
+	}
+	return l.send(tag, payload)
+}
+
+func (f *follower) isClosed() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.closed
+}
+
+// close marks the node closed (no link is swapped in and no fail notice
+// sent afterwards), drops the coordinator link and cancels the attempt
+// in flight. Idempotent.
+func (f *follower) close() {
+	f.mu.Lock()
+	f.closed = true
+	l, cur := f.coord, f.cur
+	f.mu.Unlock()
+	if l != nil {
+		l.close()
+	}
+	if cur != nil {
+		cur.abort()
+	}
+}

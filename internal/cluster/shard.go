@@ -18,16 +18,17 @@ package cluster
 //	done   best-effort: the coordinator sealed the collection durably,
 //	       so its chunks can go
 //
-// Nothing a shard holds outlives the attempt it serves: a crashed shard
-// is replaced by a blank NewAnalyzer at the same address, mid-round if
-// need be, and the coordinator's retry re-runs the attempt against it.
+// Taking those orders is the follower's job (follower.go), the same one
+// a shuffler runs; this file keeps what is a shard's own — the chunk
+// slots, the window reveal, and the policy that a shard outlives any
+// coordinator link. Nothing a shard holds outlives the attempt it
+// serves: a crashed shard is replaced by a blank NewAnalyzer at the same
+// address, mid-round if need be, and the coordinator's retry re-runs the
+// attempt against it.
 
 import (
 	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"shuffledp/internal/ahe"
 	"shuffledp/internal/oblivious"
@@ -47,32 +48,38 @@ type chunk struct {
 	enc   []*ahe.Ciphertext
 }
 
-// shardAttempt is one in-flight window attempt on a shard node.
-type shardAttempt struct {
-	g      gen
-	n      int
-	cancel chan struct{}
-	once   sync.Once
-}
-
-func (sa *shardAttempt) abort() { sa.once.Do(func() { close(sa.cancel) }) }
-
-func (sa *shardAttempt) canceled() bool {
-	select {
-	case <-sa.cancel:
-		return true
-	default:
-		return false
+// prepareShard gives a shard node its chunk slots and its follower.
+func (a *Analyzer) prepareShard() {
+	cfg := a.cfg
+	a.chunks = make([]chunk, cfg.Topology.R())
+	a.chunkMore = make(chan struct{}, 1)
+	a.f = &follower{
+		mu:          &a.stateMu,
+		dial:        cfg.Dial,
+		coordinator: cfg.Topology.Coordinator(),
+		dialTimeout: cfg.DialTimeout,
+		timeout:     cfg.CollectTimeout,
+		analyzers:   cfg.Topology.A(),
+		helloTag:    tagShardHello,
+		hello:       shardHelloPayload(cfg.Shard, cfg.Topology.A()),
+		prune:       a.pruneChunks,
+		work:        a.serveWindow,
+		doneThrough: -1,
 	}
 }
 
 // readChunks drains one shuffler data link into that shuffler's chunk
 // slot (shard nodes only). Any malformed frame drops the link; the
-// shuffler redials on its next forward.
-func (a *Analyzer) readChunks(j int, conn net.Conn) {
-	defer a.dropShuffler(j, conn)
+// shuffler redials on its next forward. A chunk may beat its own seal,
+// so the reader cannot wait to learn the round's n: it admits the
+// window of the largest round a shuffler buffers by default
+// (DefaultMaxBuffered reports) and refuses a longer prefix unread.
+func (a *Analyzer) readChunks(j int, l *link) {
+	defer a.drop(j, l)
+	cuts := evenCuts(DefaultMaxBuffered+a.cfg.NR, a.cfg.Topology.A())
+	limit := vectorFrameLimit(a.cfg.Priv, cuts[a.cfg.Shard+1]-cuts[a.cfg.Shard])
 	for {
-		tag, payload, err := transport.ReadTaggedFrame(conn)
+		tag, payload, err := l.recv(limit, 0)
 		if err != nil {
 			return
 		}
@@ -100,7 +107,7 @@ func (a *Analyzer) readChunks(j int, conn net.Conn) {
 		// must not displace its successor's). A chunk that beats its
 		// own seal is kept; junk is overwritten by the next honest one.
 		a.stateMu.Lock()
-		if int(fg.col) >= a.collections && (a.curShard == nil || !fg.less(a.curShard.g)) {
+		if !a.f.behind(fg) {
 			a.chunks[j] = c
 		}
 		a.stateMu.Unlock()
@@ -111,12 +118,9 @@ func (a *Analyzer) readChunks(j int, conn net.Conn) {
 	}
 }
 
-// supersede advances the shard's done watermark to floor's collection
-// and drops every chunk older than floor. Caller holds stateMu.
-func (a *Analyzer) supersede(floor gen) {
-	if int(floor.col) > a.collections {
-		a.collections = int(floor.col)
-	}
+// pruneChunks is the follower's hook: drop every chunk older than
+// floor. Caller holds stateMu.
+func (a *Analyzer) pruneChunks(floor gen) {
 	for j := range a.chunks {
 		if a.chunks[j].g.less(floor) {
 			a.chunks[j] = chunk{}
@@ -124,232 +128,91 @@ func (a *Analyzer) supersede(floor gen) {
 	}
 }
 
-// shardRun is a shard node's control loop: keep a live link to the
-// coordinator and serve its seal/abort/done frames until Close. Link
-// loss — including a coordinator restart — cancels the in-flight
-// attempt and redials.
+// shardRun is a shard node's policy loop. A shard holds nothing a
+// coordinator restart could orphan, so no link event ends it: EOF, a
+// reset, a refused frame and a coordinator that stays down past the
+// dial budget all mean "cancel the attempt in flight and redial", until
+// Close.
 func (a *Analyzer) shardRun() {
-	for {
-		conn, err := a.connectCoordinator()
-		if err != nil {
-			return
-		}
-		a.serveCoordinator(conn)
-		a.cancelShardAttempt()
-		if a.isClosed() {
-			return
+	for !a.f.isClosed() {
+		if l, err := a.f.connect(); err == nil {
+			_ = a.f.serve(l)
+			a.f.cancelCurrent()
 		}
 	}
 }
 
-// connectCoordinator dials shard 0, identifies this shard, and swaps
-// the fresh link in.
-func (a *Analyzer) connectCoordinator() (net.Conn, error) {
-	conn, err := dialRetry(a.cfg.Dial, a.cfg.Topology.Coordinator(), a.cfg.DialTimeout)
+// serveWindow is a shard's attempt: reveal the window and return the
+// words to the coordinator. A lost link fails the attempt at the
+// coordinator.
+func (a *Analyzer) serveWindow(at *attempt) error {
+	words, err := a.revealWindow(at)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := writeShardHello(conn, a.cfg.Shard, a.cfg.Topology.A()); err != nil {
-		conn.Close()
-		return nil, err
+	if at.canceled() {
+		return errAttemptAborted
 	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		conn.Close()
-		return nil, errors.New("cluster: analyzer closed")
-	}
-	old := a.coord
-	a.coord = conn
-	a.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return conn, nil
-}
-
-// serveCoordinator reads coordinator frames off one link until it
-// drops or a frame is refused — a seal cut for another analyzer count
-// included; either way the caller redials.
-func (a *Analyzer) serveCoordinator(conn net.Conn) {
-	for {
-		tag, payload, err := transport.ReadTaggedFrame(conn)
-		if err != nil {
-			return
-		}
-		switch tag {
-		case tagSeal:
-			g, n, err := parseSealFrame(payload, a.cfg.Topology.A())
-			if err != nil {
-				return
-			}
-			a.startShardAttempt(g, n)
-		case tagAbort:
-			g, err := parseAbortFrame(payload)
-			if err != nil {
-				return
-			}
-			a.abortShardGen(g)
-		case tagDone:
-			col, err := parseDoneFrame(payload)
-			if err != nil {
-				return
-			}
-			a.stateMu.Lock()
-			a.supersede(gen{col: col + 1})
-			a.stateMu.Unlock()
-		default:
-			return
-		}
-	}
-}
-
-// startShardAttempt installs a new window attempt, superseding an
-// older generation exactly like a shuffler's startAttempt. A seal for
-// collection c also proves the coordinator sealed every collection
-// below c, whether or not their done frames arrived.
-func (a *Analyzer) startShardAttempt(g gen, n int) {
-	a.stateMu.Lock()
-	prev := a.curShard
-	if int(g.col) < a.collections || (prev != nil && !prev.g.less(g)) {
-		a.stateMu.Unlock()
-		return // stale control traffic
-	}
-	cur := &shardAttempt{g: g, n: n, cancel: make(chan struct{})}
-	a.curShard = cur
-	a.supersede(g)
-	a.stateMu.Unlock()
-	if prev != nil {
-		prev.abort()
-	}
-	go a.runShardAttempt(cur)
-}
-
-// abortShardGen cancels the current window attempt if it matches g.
-func (a *Analyzer) abortShardGen(g gen) {
-	a.stateMu.Lock()
-	cur := a.curShard
-	a.stateMu.Unlock()
-	if cur != nil && cur.g == g {
-		cur.abort()
-	}
-}
-
-// cancelShardAttempt aborts whatever window attempt is in flight.
-func (a *Analyzer) cancelShardAttempt() {
-	a.stateMu.Lock()
-	cur := a.curShard
-	a.stateMu.Unlock()
-	if cur != nil {
-		cur.abort()
-	}
-}
-
-// runShardAttempt reveals the attempt's window and returns the words
-// to the coordinator. A live failure is reported with a fail frame so
-// the coordinator's Collect retries with the cause; a canceled attempt
-// dies silently.
-func (a *Analyzer) runShardAttempt(sa *shardAttempt) {
-	words, err := a.revealWindow(sa)
-	if sa.canceled() || a.isClosed() {
-		return
-	}
-	tag, body := tagShardWords, transport.EncodeUint64s(words)
-	if err != nil {
-		tag, body = tagFail, []byte(err.Error())
-	}
-	_ = a.writeCoord(tag, prefixed(sa.g, body)) // a lost link fails the attempt at the coordinator
+	return a.f.send(tagShardWords, prefixed(at.g, transport.EncodeUint64s(words)))
 }
 
 // revealWindow waits until every shuffler's slot carries the attempt's
 // chunk and reveals the window (share sum + parallel decryption).
-func (a *Analyzer) revealWindow(sa *shardAttempt) ([]uint64, error) {
+func (a *Analyzer) revealWindow(at *attempt) ([]uint64, error) {
 	r := a.cfg.Topology.R()
-	cuts := evenCuts(sa.n+a.cfg.NR, a.cfg.Topology.A())
+	cuts := evenCuts(at.n+a.cfg.NR, a.cfg.Topology.A())
 	want := cuts[a.cfg.Shard+1] - cuts[a.cfg.Shard]
-	var deadline <-chan time.Time
-	if a.cfg.CollectTimeout > 0 {
-		t := time.NewTimer(a.cfg.CollectTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for {
+	var mine []chunk
+	err := await(func() (bool, error) {
 		a.stateMu.Lock()
-		mine := make([]chunk, 0, r)
+		defer a.stateMu.Unlock()
+		if a.f.closed {
+			return false, errNodeClosed
+		}
+		mine = mine[:0]
 		for _, c := range a.chunks {
-			if c.tag != 0 && c.g == sa.g {
+			if c.tag != 0 && c.g == at.g {
 				mine = append(mine, c)
 			}
 		}
-		a.stateMu.Unlock()
-		if len(mine) == r { // every slot matched, so mine is indexed by shuffler
-			st := &oblivious.State{Plain: make([][]uint64, r), EncHolder: -1}
-			for j, c := range mine {
-				if c.tag == tagVector {
-					if len(c.plain) != want {
-						return nil, fmt.Errorf("%w: shuffler %d chunk has %d words, want %d", errBadFrame, j, len(c.plain), want)
-					}
-					st.Plain[j] = c.plain
-					continue
-				}
-				if st.EncHolder >= 0 {
-					return nil, fmt.Errorf("%w: conflicting chunk kinds for attempt %d/%d", errBadFrame, sa.g.col, sa.g.att)
-				}
-				if len(c.enc) != want {
-					return nil, fmt.Errorf("%w: shuffler %d ciphertext chunk has %d elements, want %d", errBadFrame, j, len(c.enc), want)
-				}
-				st.Enc, st.EncHolder = c.enc, j
+		return len(mine) == r, nil // every slot matched, so mine is indexed by shuffler
+	}, a.chunkMore, at.cancel, a.cfg.CollectTimeout)
+	if errors.Is(err, errAwaitTimeout) {
+		err = fmt.Errorf("cluster: shard %d received %d of %d chunks for collection %d", a.cfg.Shard, len(mine), r, at.g.col)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st := &oblivious.State{Plain: make([][]uint64, r), EncHolder: -1}
+	for j, c := range mine {
+		if c.tag == tagVector {
+			if len(c.plain) != want {
+				return nil, fmt.Errorf("%w: shuffler %d chunk has %d words, want %d", errBadFrame, j, len(c.plain), want)
 			}
-			if st.EncHolder < 0 {
-				return nil, errors.New("cluster: no shuffler delivered the encrypted chunk")
-			}
-			return oblivious.RevealParallel(st, a.mod, a.cfg.Priv, 0)
+			st.Plain[j] = c.plain
+			continue
 		}
-		if a.isClosed() {
-			return nil, errors.New("cluster: analyzer closed")
+		if st.EncHolder >= 0 {
+			return nil, fmt.Errorf("%w: conflicting chunk kinds for attempt %d/%d", errBadFrame, at.g.col, at.g.att)
 		}
-		select {
-		case <-a.chunkMore:
-		case <-sa.cancel:
-			return nil, errAttemptAborted
-		case <-deadline:
-			return nil, fmt.Errorf("cluster: shard %d received %d of %d chunks for collection %d", a.cfg.Shard, len(mine), r, sa.g.col)
-		case <-time.After(50 * time.Millisecond):
+		if len(c.enc) != want {
+			return nil, fmt.Errorf("%w: shuffler %d ciphertext chunk has %d elements, want %d", errBadFrame, j, len(c.enc), want)
 		}
+		st.Enc, st.EncHolder = c.enc, j
 	}
-}
-
-// writeCoord writes one frame to the coordinator link under the write
-// mutex and a deadline.
-func (a *Analyzer) writeCoord(tag uint32, payload []byte) error {
-	a.mu.Lock()
-	conn := a.coord
-	a.mu.Unlock()
-	if conn == nil {
-		return errors.New("cluster: no coordinator link")
+	if st.EncHolder < 0 {
+		return nil, errors.New("cluster: no shuffler delivered the encrypted chunk")
 	}
-	a.coordWMu.Lock()
-	defer a.coordWMu.Unlock()
-	if a.cfg.CollectTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(a.cfg.CollectTimeout)); err != nil {
-			return err
-		}
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	return transport.WriteTaggedFrame(conn, tag, payload)
+	return oblivious.RevealParallel(st, a.mod, a.cfg.Priv, 0)
 }
 
 // awaitShardWords reads shard s's revealed window for attempt g on the
 // coordinator's end of the link, skipping stale frames from aborted
 // attempts.
-func (a *Analyzer) awaitShardWords(conn net.Conn, s int, g gen, want int) ([]uint64, error) {
+func (a *Analyzer) awaitShardWords(l *link, s int, g gen, want int) ([]uint64, error) {
+	limit := vectorFrameLimit(a.cfg.Priv, want)
 	for {
-		if a.cfg.CollectTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(a.cfg.CollectTimeout)); err != nil {
-				return nil, err
-			}
-		}
-		tag, payload, err := transport.ReadTaggedFrame(conn)
+		tag, payload, err := l.recv(limit, a.cfg.CollectTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("reading shard %d words: %w", s, err)
 		}

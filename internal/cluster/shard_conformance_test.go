@@ -10,8 +10,10 @@ package cluster_test
 // under -race as a named gate.
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -22,102 +24,9 @@ import (
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/protocol"
 	"shuffledp/internal/rng"
+	"shuffledp/internal/secretshare"
+	"shuffledp/internal/store"
 )
-
-// shardHarness is an R-shuffler cluster with a sharded analyzer tier:
-// nodes[0] is the coordinator, nodes[1:] the reveal-worker shards.
-type shardHarness struct {
-	topo      cluster.Topology
-	nodes     []*cluster.Analyzer
-	shufflers []*cluster.Shuffler
-	runErr    []chan error
-}
-
-func (h *shardHarness) coordinator() *cluster.Analyzer { return h.nodes[0] }
-
-// bindShardTopology reserves loopback listeners for r shufflers and
-// `analyzers` analyzer shards, all carried in Topology.Analyzers.
-func bindShardTopology(t *testing.T, r, analyzers int) (cluster.Topology, []net.Listener, []net.Listener) {
-	t.Helper()
-	listen := func() net.Listener {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ln
-	}
-	topo := cluster.Topology{Shufflers: make([]string, r), Analyzers: make([]string, analyzers)}
-	slns := make([]net.Listener, r)
-	for j := range slns {
-		slns[j] = listen()
-		topo.Shufflers[j] = slns[j].Addr().String()
-	}
-	alns := make([]net.Listener, analyzers)
-	for s := range alns {
-		alns[s] = listen()
-		topo.Analyzers[s] = alns[s].Addr().String()
-	}
-	return topo, slns, alns
-}
-
-// startShardedCluster builds and runs the full sharded cluster:
-// `analyzers` analyzer nodes (shard 0 coordinating) plus r shufflers.
-func startShardedCluster(t *testing.T, r, analyzers, nr int, fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutateA func(int, *cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig)) *shardHarness {
-	t.Helper()
-	topo, slns, alns := bindShardTopology(t, r, analyzers)
-	h := &shardHarness{topo: topo}
-	for s := 0; s < analyzers; s++ {
-		acfg := cluster.AnalyzerConfig{
-			Topology:       topo,
-			Listener:       alns[s],
-			FO:             fo,
-			NR:             nr,
-			Priv:           priv,
-			Shard:          s,
-			CollectTimeout: testTimeout,
-		}
-		if mutateA != nil {
-			mutateA(s, &acfg)
-		}
-		node, err := cluster.NewAnalyzer(acfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.nodes = append(h.nodes, node)
-	}
-	for j := 0; j < r; j++ {
-		scfg := cluster.ShufflerConfig{
-			Index:       j,
-			Topology:    topo,
-			Listener:    slns[j],
-			NR:          nr,
-			Pub:         ahe.PublicKey(priv),
-			Source:      rng.Substream(fakeSeed, 1000+uint64(j)),
-			FakeSource:  rng.Substream(fakeSeed, uint64(j)),
-			SealTimeout: testTimeout,
-		}
-		if mutateS != nil {
-			mutateS(j, &scfg)
-		}
-		sh, err := cluster.NewShuffler(scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.shufflers = append(h.shufflers, sh)
-		errc := make(chan error, 1)
-		h.runErr = append(h.runErr, errc)
-		go func() { errc <- sh.Run() }()
-	}
-	t.Cleanup(func() {
-		for _, node := range h.nodes {
-			node.Close()
-		}
-		for _, sh := range h.shufflers {
-			sh.Close()
-		}
-	})
-	return h
-}
 
 // TestShardConformanceMatrix is the headline gate: at every analyzer
 // count the sharded cluster's per-round and cumulative estimates are
@@ -163,7 +72,7 @@ func TestShardConformanceMatrix(t *testing.T) {
 				if err := cl.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				col, err := h.coordinator().Collect(n)
+				col, err := h.analyzer.Collect(n)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
@@ -177,8 +86,8 @@ func TestShardConformanceMatrix(t *testing.T) {
 				allRef = append(allRef, ref.Reports...)
 			}
 			wantCum := protocol.Estimate(fo, allRef, rounds*n, rounds*nr)
-			if !estimatesEqual(h.coordinator().Estimates(), wantCum) {
-				t.Fatalf("cumulative estimate diverged:\n net %v\n ref %v", h.coordinator().Estimates(), wantCum)
+			if !estimatesEqual(h.analyzer.Estimates(), wantCum) {
+				t.Fatalf("cumulative estimate diverged:\n net %v\n ref %v", h.analyzer.Estimates(), wantCum)
 			}
 			// Shards are passive: Collect on one must refuse, pointing
 			// at the coordinator.
@@ -236,7 +145,7 @@ func TestShardConformanceCrashRecoveredShard(t *testing.T) {
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	col0, err := h.coordinator().Collect(n)
+	col0, err := h.analyzer.Collect(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +173,7 @@ func TestShardConformanceCrashRecoveredShard(t *testing.T) {
 	}
 	done := make(chan collectResult, 1)
 	go func() {
-		col, err := h.coordinator().Collect(n)
+		col, err := h.analyzer.Collect(n)
 		done <- collectResult{col, err}
 	}()
 
@@ -305,7 +214,7 @@ func TestShardConformanceCrashRecoveredShard(t *testing.T) {
 	}
 	refAll := append(append([]ldp.Report(nil), ref0.Reports...), ref1.Reports...)
 	wantCum := protocol.Estimate(fo, refAll, 2*n, 2*nr)
-	if !estimatesEqual(h.coordinator().Estimates(), wantCum) {
+	if !estimatesEqual(h.analyzer.Estimates(), wantCum) {
 		t.Fatal("cumulative estimate diverged across the shard replacement")
 	}
 	if got := ledger.Epochs(); got != 2 {
@@ -364,7 +273,7 @@ func TestShardConformanceChaosCoordinatorLink(t *testing.T) {
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	col, err := h.coordinator().Collect(n)
+	col, err := h.analyzer.Collect(n)
 	if err != nil {
 		t.Fatalf("round never healed from the shard-link reset: %v", err)
 	}
@@ -412,6 +321,27 @@ func TestShardConformanceHostileDataLinkBounded(t *testing.T) {
 	h := startShardedCluster(t, r, 2, nr, fo, priv, fakeSeed, nil, nil)
 	shard := h.nodes[1]
 
+	// A data link states its frame bound: a length prefix past the
+	// largest window a round can cut for this shard (here 512 MiB, inside
+	// the transport's 1 GiB ceiling) is refused on the 8-byte header —
+	// the link is dropped with nothing buffered, and the rest of this
+	// test shows the shard and the round unharmed.
+	oversize, err := net.Dial("tcp", h.topo.Analyzers[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oversize.Close()
+	if err := cluster.WriteShufflerHello(oversize, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oversize.Write([]byte{0x20, 0, 0, 0, 0, 0, 0, 7 /* vector */}); err != nil {
+		t.Fatal(err)
+	}
+	oversize.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := oversize.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the shard kept a data link that announced a 512 MiB chunk (read: %v)", err)
+	}
+
 	hostile, err := net.Dial("tcp", h.topo.Analyzers[1])
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +382,7 @@ func TestShardConformanceHostileDataLinkBounded(t *testing.T) {
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	col, err := h.coordinator().Collect(n)
+	col, err := h.analyzer.Collect(n)
 	if err != nil {
 		t.Fatalf("the round after the flood: %v", err)
 	}
@@ -475,5 +405,105 @@ func TestShardConformanceHostileDataLinkBounded(t *testing.T) {
 			t.Fatalf("after the sealed round the shard still holds %v (done watermark %d)", shard.HeldChunks(), shard.Collections())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShardConformanceOutlivesCoordinatorDowntime: a shard is stateless,
+// so no coordinator outage ends it. The coordinator is crashed and held
+// down for several of the shard's dial budgets, then recovered at the
+// same address with the shard left running: the shard must have kept
+// redialing, and the next round — through restarted shufflers — must be
+// bit-identical to protocol.PEOS.Run. (A shard that gave up after one
+// spent dial budget kept its listener open and surfaced nothing, and
+// the recovered coordinator waited for it forever.)
+func TestShardConformanceOutlivesCoordinatorDowntime(t *testing.T) {
+	const (
+		r           = 2
+		n           = 24
+		d           = 8
+		nr          = 4
+		fakeSeed    = 491
+		dialTimeout = 100 * time.Millisecond
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	dir := t.TempDir()
+	h := startShardedCluster(t, r, 2, nr, fo, priv, fakeSeed, func(s int, cfg *cluster.AnalyzerConfig) {
+		if s == 0 {
+			cfg.DataDir = dir
+			cfg.Sync = store.SyncAlways
+		} else {
+			cfg.DialTimeout = dialTimeout
+		}
+	}, func(j int, cfg *cluster.ShufflerConfig) {
+		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 0, j)
+	})
+	// round drives collection c through coordinator a and checks it
+	// against a fresh in-process reference with the collection's fakes.
+	round := func(a *cluster.Analyzer, c int) {
+		t.Helper()
+		values := synthValues(n, d, 492+uint64(c))
+		cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		cl.SetCollection(c)
+		if err := cl.SendValues(0, values, rng.New(494+uint64(c))); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		col, err := a.Collect(n)
+		if err != nil {
+			t.Fatalf("collection %d: %v", c, err)
+		}
+		p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.FakeSource = func(j int) secretshare.Source { return perCollectionFakeSource(fakeSeed, r, c, j) }
+		ref, err := p.Run(values, rng.New(494+uint64(c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !estimatesEqual(col.Estimates, ref.Estimates) {
+			t.Fatalf("collection %d diverged from PEOS.Run:\n net %v\n ref %v", c, col.Estimates, ref.Estimates)
+		}
+	}
+	round(h.analyzer, 0)
+
+	// Power cut at the coordinator. The shufflers follow one analyzer run
+	// and exit on its EOF; the shard stays up.
+	h.analyzer.Crash()
+	for j, errc := range h.runErr {
+		select {
+		case <-errc:
+		case <-time.After(testTimeout):
+			t.Fatalf("shuffler %d's Run survived the coordinator crash", j)
+		}
+	}
+	time.Sleep(5 * dialTimeout)
+
+	rec, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
+		Topology:       h.topo,
+		FO:             fo,
+		NR:             nr,
+		Priv:           priv,
+		DataDir:        dir,
+		Sync:           store.SyncAlways,
+		CollectTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	startShufflers(t, h.topo, nil, nr, priv, fakeSeed, func(j int, cfg *cluster.ShufflerConfig) {
+		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 1, j)
+	})
+	round(rec, 1)
+	if got := h.nodes[1].Collections(); got < 1 {
+		t.Fatalf("the shard's done watermark reads %d after two sealed collections", got)
 	}
 }

@@ -67,35 +67,11 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	fo := ldp.NewGRR(8, 2)
-	listen := func() net.Listener {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		return ln
-	}
-	// accept returns the peer's next inbound connection and the hello
-	// the node under test opened it with.
-	accept := func(ln net.Listener) (net.Conn, uint32, []byte) {
-		ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
-		conn, err := ln.Accept()
-		if err != nil {
-			t.Fatalf("the node never dialed: %v", err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		tag, payload, err := transport.ReadTaggedFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn, tag, payload
-	}
-
 	t.Run("shuffler refuses the seal", func(t *testing.T) {
-		coord := listen()
+		coord := newScriptedCoordinator(t)
 		sh, err := NewShuffler(ShufflerConfig{
 			Index:    0,
-			Topology: Topology{Shufflers: []string{"127.0.0.1:0", "127.0.0.1:0"}, Analyzers: []string{coord.Addr().String()}},
+			Topology: Topology{Shufflers: []string{"127.0.0.1:0", "127.0.0.1:0"}, Analyzers: []string{coord.addr()}},
 			Pub:      ahe.PublicKey(priv),
 			Source:   rng.New(1),
 		})
@@ -105,11 +81,11 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 		defer sh.Close()
 		runErr := make(chan error, 1)
 		go func() { runErr <- sh.Run() }()
-		conn, tag, _ := accept(coord)
+		conn, tag, _ := coord.accept()
 		if tag != tagShufflerHello {
 			t.Fatalf("shuffler opened its control link with tag %d", tag)
 		}
-		if err := writeSealFrame(conn, gen{}, 10, 2); err != nil {
+		if err := transport.WriteTaggedFrame(conn, tagSeal, sealPayload(gen{}, 10, 2)); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -123,9 +99,9 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 	})
 
 	t.Run("shard refuses the seal", func(t *testing.T) {
-		coord := listen()
+		coord := newScriptedCoordinator(t)
 		shard, err := NewAnalyzer(AnalyzerConfig{
-			Topology: Topology{Shufflers: []string{"s0", "s1"}, Analyzers: []string{coord.Addr().String(), "127.0.0.1:0"}},
+			Topology: Topology{Shufflers: []string{"s0", "s1"}, Analyzers: []string{coord.addr(), "127.0.0.1:0"}},
 			FO:       fo,
 			Priv:     priv,
 			Shard:    1,
@@ -134,19 +110,19 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer shard.Close()
-		conn, tag, hello := accept(coord)
+		conn, tag, hello := coord.accept()
 		if tag != tagShardHello || !bytes.Equal(hello, []byte{0, 1, 0, 2}) {
 			t.Fatalf("shard hello: tag %d payload %x, want [shard 1][analyzers 2]", tag, hello)
 		}
-		if err := writeSealFrame(conn, gen{}, 10, 3); err != nil {
+		if err := transport.WriteTaggedFrame(conn, tagSeal, sealPayload(gen{}, 10, 3)); err != nil {
 			t.Fatal(err)
 		}
 		// The refusal drops the link; the shard's control loop redials.
-		if _, tag, _ := accept(coord); tag != tagShardHello {
+		if _, tag, _ := coord.accept(); tag != tagShardHello {
 			t.Fatalf("after the refused seal the shard sent tag %d, want a fresh hello", tag)
 		}
 		shard.stateMu.Lock()
-		armed := shard.curShard != nil
+		armed := shard.f.cur != nil
 		shard.stateMu.Unlock()
 		if armed {
 			t.Fatal("the shard armed an attempt from a seal cut for another tier")
@@ -168,7 +144,7 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := writeShardHello(conn, 1, 3); err != nil {
+		if err := transport.WriteTaggedFrame(conn, tagShardHello, shardHelloPayload(1, 3)); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -176,7 +152,7 @@ func TestAnalyzerCountMismatchRefused(t *testing.T) {
 			t.Fatalf("read on a refused shard link: %v, want EOF", err)
 		}
 		coord.mu.Lock()
-		registered := coord.shardConns[1] != nil
+		registered := coord.peers[2] != nil // R = 2, so shard 1's slot
 		coord.mu.Unlock()
 		if registered {
 			t.Fatal("the coordinator registered a shard configured for another tier")

@@ -50,12 +50,6 @@ type ShufflerConfig struct {
 	// set to complete and (b) each peer message exchange during the
 	// shuffle. 0 means no bound.
 	SealTimeout time.Duration
-	// PhaseTimeout additionally bounds each whole phase of the
-	// oblivious shuffle (hide, shuffle, reshare — re-armed at every
-	// phase boundary), so a peer that keeps trickling individual
-	// messages under SealTimeout but never completes a phase is still
-	// cut off. 0 means only SealTimeout applies.
-	PhaseTimeout time.Duration
 	// HelloTimeout bounds the wait for an inbound connection's hello
 	// frame (0 = DefaultHelloTimeout). A silent connection is dropped
 	// and can never pin the node's teardown.
@@ -109,75 +103,6 @@ type fakeSet struct {
 	enc   []*ahe.Ciphertext
 }
 
-// attempt is one collection attempt in flight on this node. The
-// analyzer's abort (or a newer seal, or a lost control link) cancels
-// it: the cancel channel closes and every mesh connection it claimed
-// is torn down, which unblocks a RunParty stuck mid-phase.
-type attempt struct {
-	g      gen
-	n      int
-	cancel chan struct{}
-
-	mu      sync.Mutex
-	aborted bool
-	conns   []net.Conn
-}
-
-// errAttemptAborted marks attempt-goroutine errors caused by the
-// attempt's own cancellation — not reported to the analyzer, which
-// moved on already.
-var errAttemptAborted = errors.New("cluster: collection attempt aborted")
-
-func (a *attempt) abort() {
-	a.mu.Lock()
-	if a.aborted {
-		a.mu.Unlock()
-		return
-	}
-	a.aborted = true
-	conns := append([]net.Conn(nil), a.conns...)
-	a.mu.Unlock()
-	close(a.cancel)
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// addConn registers a mesh connection with the attempt so abort can
-// close it; a connection arriving after the abort is closed instead.
-func (a *attempt) addConn(c net.Conn) error {
-	a.mu.Lock()
-	if a.aborted {
-		a.mu.Unlock()
-		c.Close()
-		return errAttemptAborted
-	}
-	a.conns = append(a.conns, c)
-	a.mu.Unlock()
-	return nil
-}
-
-func (a *attempt) canceled() bool {
-	select {
-	case <-a.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// closeConns closes every mesh connection the attempt claimed (the
-// attempt's exchange is over; per-attempt connections are never
-// reused).
-func (a *attempt) closeConns() {
-	a.mu.Lock()
-	conns := append([]net.Conn(nil), a.conns...)
-	a.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
 // peerKey addresses a parked inbound mesh connection: which peer, for
 // which collection attempt.
 type peerKey struct {
@@ -205,26 +130,22 @@ type Shuffler struct {
 	// goroutines (one aborted, one fresh) can never interleave their
 	// FakeSource consumption; see fakesFor.
 	fakeMu sync.Mutex
-	// anMu serializes writes to the analyzer control link (an aborted
-	// attempt's fail notice must not interleave with its successor's
-	// vector).
-	anMu sync.Mutex
 	// shardMu guards the persistent data links to analyzer shards >= 1
 	// (and serializes their writes, including the lazy dial).
 	shardMu    sync.Mutex
-	shardConns map[string]net.Conn
+	shardLinks map[string]*link
 
-	mu          sync.Mutex
-	analyzer    net.Conn
-	parked      map[peerKey]net.Conn // inbound mesh conns awaiting their attempt
-	parkedMore  chan struct{}
-	conns       map[net.Conn]struct{} // client (and handshaking) connections
-	cols        map[uint32]*collectionBuf
-	fakes       map[uint32]*fakeSet
-	cur         *attempt
-	doneThrough int64 // highest collection known sealed/pruned; -1 initially
-	buffered    int   // total shares across s.cols, bounded by MaxBuffered
-	closed      bool
+	mu sync.Mutex
+	// f is the node's end of the control plane: the analyzer link, the
+	// attempt in flight, the done watermark and the closed flag, all
+	// under mu (follower.go).
+	f          *follower
+	parked     map[peerKey]net.Conn // inbound mesh conns awaiting their attempt
+	parkedMore chan struct{}
+	conns      map[net.Conn]struct{} // client (and handshaking) connections
+	cols       map[uint32]*collectionBuf
+	fakes      map[uint32]*fakeSet
+	buffered   int // total shares across s.cols, bounded by MaxBuffered
 
 	// stopPool releases the key's background randomizer pool. The
 	// enc-holder's fake-share encryptions and every node's rerandomize
@@ -269,14 +190,26 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 		return nil, err
 	}
 	s := &Shuffler{
-		cfg:         cfg,
-		ln:          ln,
-		mod:         secretshare.NewModulus(64),
-		parked:      make(map[peerKey]net.Conn),
-		parkedMore:  make(chan struct{}, 1),
-		conns:       make(map[net.Conn]struct{}),
-		cols:        make(map[uint32]*collectionBuf),
-		fakes:       make(map[uint32]*fakeSet),
+		cfg:        cfg,
+		ln:         ln,
+		mod:        secretshare.NewModulus(64),
+		parked:     make(map[peerKey]net.Conn),
+		parkedMore: make(chan struct{}, 1),
+		conns:      make(map[net.Conn]struct{}),
+		cols:       make(map[uint32]*collectionBuf),
+		fakes:      make(map[uint32]*fakeSet),
+	}
+	s.f = &follower{
+		mu:          &s.mu,
+		dial:        cfg.Dial,
+		coordinator: cfg.Topology.Coordinator(),
+		dialTimeout: cfg.DialTimeout,
+		timeout:     cfg.SealTimeout,
+		analyzers:   cfg.Topology.A(),
+		helloTag:    tagShufflerHello,
+		hello:       helloPayload(cfg.Index),
+		prune:       s.prune,
+		work:        s.collect,
 		doneThrough: -1,
 	}
 	// Precompute encryption randomizers in the background for the
@@ -306,213 +239,51 @@ func (s *Shuffler) encHolder() bool { return s.cfg.Index == s.cfg.Topology.R()-1
 func (s *Shuffler) Run() error {
 	defer s.teardown()
 	go s.acceptLoop()
-	if err := s.connectAnalyzer(); err != nil {
-		return err
-	}
-
-	// Control loop: the analyzer drives collection attempts with seal
-	// frames, cancels them with aborts, and confirms durable rounds
-	// with done frames. Attempts run in their own goroutines so an
-	// abort can cancel one that is blocked mid-shuffle.
+	// The follower serves the analyzer's seal / abort / done frames; what
+	// the end of a link means is this role's policy. A shuffler holds
+	// client shares no other node has, so it only ever follows ONE
+	// analyzer run: an orderly close (EOF) ends the cluster, and a
+	// malformed frame is a deployment fault to surface, not to retry. A
+	// reset mid-stream is a network fault: the in-flight attempt is
+	// canceled — its seal may have been lost — and the link redialed.
 	for {
-		s.mu.Lock()
-		analyzer := s.analyzer
-		s.mu.Unlock()
-		tag, payload, err := transport.ReadTaggedFrame(analyzer)
+		l, err := s.f.connect()
 		if err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			if errors.Is(err, io.EOF) {
-				// Orderly analyzer shutdown: the cluster is done.
-				s.cancelCurrent()
-				return nil
-			}
-			if pipeline.Disconnected(err) {
-				// The control link died mid-stream (reset, not FIN):
-				// cancel the in-flight attempt — its seal may have been
-				// lost — and redial. The analyzer's accept loop swaps
-				// the fresh link in by our hello index.
-				s.cancelCurrent()
-				if err := s.connectAnalyzer(); err != nil {
-					return err
-				}
-				continue
-			}
+			return err
+		}
+		err = s.f.serve(l)
+		s.f.cancelCurrent()
+		switch {
+		case s.f.isClosed(), errors.Is(err, io.EOF):
+			return nil
+		case !pipeline.Disconnected(err):
 			return fmt.Errorf("cluster: shuffler %d analyzer link: %w", s.cfg.Index, err)
 		}
-		switch tag {
-		case tagSeal:
-			g, n, err := parseSealFrame(payload, s.cfg.Topology.A())
-			if err != nil {
-				return err
-			}
-			s.startAttempt(g, n)
-		case tagAbort:
-			g, err := parseAbortFrame(payload)
-			if err != nil {
-				return err
-			}
-			s.abortGen(g)
-		case tagDone:
-			col, err := parseDoneFrame(payload)
-			if err != nil {
-				return err
-			}
-			s.pruneThrough(col)
-		default:
-			return fmt.Errorf("%w: analyzer sent tag %d", errBadFrame, tag)
-		}
 	}
 }
 
-// connectAnalyzer dials the analyzer, identifies this node, and swaps
-// the fresh link in (closing a dead predecessor).
-func (s *Shuffler) connectAnalyzer() error {
-	conn, err := dialRetry(s.cfg.Dial, s.cfg.Topology.Coordinator(), s.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	if err := writeHello(conn, tagShufflerHello, s.cfg.Index); err != nil {
-		conn.Close()
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return errors.New("cluster: shuffler closed")
-	}
-	old := s.analyzer
-	s.analyzer = conn
-	s.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// startAttempt installs a new collection attempt (canceling its
-// predecessor — a newer seal supersedes whatever was running) and
-// launches its goroutine. A seal for a generation not newer than the
-// current one is stale control traffic and ignored.
-func (s *Shuffler) startAttempt(g gen, n int) {
-	s.mu.Lock()
-	prev := s.cur
-	if prev != nil && !prev.g.less(g) {
-		s.mu.Unlock()
-		return
-	}
-	if int64(g.col) <= s.doneThrough {
-		s.mu.Unlock()
-		return
-	}
-	cur := &attempt{g: g, n: n, cancel: make(chan struct{})}
-	s.cur = cur
-	// Collections before this one can never seal again; parked mesh
-	// connections from older generations serve aborted attempts.
-	s.markDoneLocked(int64(g.col) - 1)
-	for k, conn := range s.parked {
-		if k.g.less(g) {
-			conn.Close()
-			delete(s.parked, k)
-		}
-	}
-	s.mu.Unlock()
-	if prev != nil {
-		prev.abort()
-	}
-	go s.runAttempt(cur)
-}
-
-// abortGen cancels the current attempt if it matches g (an abort
-// racing a newer seal must not cancel the newer attempt).
-func (s *Shuffler) abortGen(g gen) {
-	s.mu.Lock()
-	cur := s.cur
-	s.mu.Unlock()
-	if cur != nil && cur.g == g {
-		cur.abort()
-	}
-}
-
-// cancelCurrent aborts whatever attempt is in flight.
-func (s *Shuffler) cancelCurrent() {
-	s.mu.Lock()
-	cur := s.cur
-	s.mu.Unlock()
-	if cur != nil {
-		cur.abort()
-	}
-}
-
-// pruneThrough handles the analyzer's done frame: every collection
-// through col sealed durably, so its buffers, cached fakes, and parked
-// connections can go.
-func (s *Shuffler) pruneThrough(col uint32) {
-	s.mu.Lock()
-	s.markDoneLocked(int64(col))
-	s.mu.Unlock()
-}
-
-// markDoneLocked advances the done watermark and prunes state at or
-// below it. Caller holds s.mu.
-func (s *Shuffler) markDoneLocked(through int64) {
-	if through <= s.doneThrough {
-		return
-	}
-	s.doneThrough = through
+// prune is the follower's hook: every collection before floor.col
+// sealed durably and attempts older than floor are superseded, so their
+// buffers, cached fakes, and parked mesh connections can go. Caller
+// holds s.mu.
+func (s *Shuffler) prune(floor gen) {
 	for c, buf := range s.cols {
-		if int64(c) <= through {
+		if c < floor.col {
 			s.buffered -= buf.size()
 			delete(s.cols, c)
 		}
 	}
 	for c := range s.fakes {
-		if int64(c) <= through {
+		if c < floor.col {
 			delete(s.fakes, c)
 		}
 	}
 	for k, conn := range s.parked {
-		if int64(k.g.col) <= through {
+		if k.g.less(floor) {
 			conn.Close()
 			delete(s.parked, k)
 		}
 	}
-}
-
-// runAttempt drives one collection attempt and reports failures of
-// live attempts to the analyzer; a canceled attempt dies silently (the
-// analyzer moved on).
-func (s *Shuffler) runAttempt(a *attempt) {
-	defer a.closeConns()
-	err := s.collect(a)
-	if err == nil || a.canceled() || s.isClosed() {
-		return
-	}
-	// Tell the analyzer why, so Collect fails (and retries) with the
-	// cause instead of a bare timeout.
-	_ = s.writeAnalyzer(tagFail, prefixed(a.g, []byte(err.Error())))
-}
-
-// writeAnalyzer writes one frame to the control link under anMu and a
-// write deadline.
-func (s *Shuffler) writeAnalyzer(tag uint32, payload []byte) error {
-	s.mu.Lock()
-	conn := s.analyzer
-	s.mu.Unlock()
-	if conn == nil {
-		return errors.New("cluster: no analyzer link")
-	}
-	s.anMu.Lock()
-	defer s.anMu.Unlock()
-	if s.cfg.SealTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.SealTimeout)); err != nil {
-			return err
-		}
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	return transport.WriteTaggedFrame(conn, tag, payload)
 }
 
 // collect executes one collection attempt: wait for the column to
@@ -555,7 +326,7 @@ func (s *Shuffler) collect(a *attempt) error {
 	if err != nil {
 		return err
 	}
-	tr := newConnTransport(peers, s.cfg.Pub, total, s.cfg.SealTimeout, s.cfg.PhaseTimeout)
+	tr := newConnTransport(peers, s.cfg.Pub, total, s.cfg.SealTimeout)
 	outPlain, outEnc, err := oblivious.RunParty(oblivious.PartyConfig{
 		Config: oblivious.Config{
 			Mod:    s.mod,
@@ -606,7 +377,7 @@ func (s *Shuffler) collect(a *attempt) error {
 		return errAttemptAborted
 	}
 	tag, body := window(0)
-	if err := s.writeAnalyzer(tag, prefixed(a.g, body)); err != nil {
+	if err := s.f.send(tag, prefixed(a.g, body)); err != nil {
 		return fmt.Errorf("cluster: forwarding window 0: %w", err)
 	}
 	return nil
@@ -619,34 +390,28 @@ func (s *Shuffler) collect(a *attempt) error {
 func (s *Shuffler) writeShard(addr string, tag uint32, payload []byte) error {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
-	if s.isClosed() {
-		return errors.New("cluster: shuffler closed")
+	if s.f.isClosed() {
+		return errNodeClosed
 	}
-	conn := s.shardConns[addr]
-	if conn == nil {
-		var err error
-		conn, err = dialRetry(s.cfg.Dial, addr, s.cfg.DialTimeout)
+	l := s.shardLinks[addr]
+	if l == nil {
+		conn, err := dialRetry(s.cfg.Dial, addr, s.cfg.DialTimeout)
 		if err != nil {
 			return err
 		}
-		if err := writeHello(conn, tagShufflerHello, s.cfg.Index); err != nil {
-			conn.Close()
+		l = newLink(conn, s.cfg.SealTimeout)
+		if err := l.send(tagShufflerHello, helloPayload(s.cfg.Index)); err != nil {
+			l.close()
 			return err
 		}
-		if s.shardConns == nil {
-			s.shardConns = make(map[string]net.Conn)
+		if s.shardLinks == nil {
+			s.shardLinks = make(map[string]*link)
 		}
-		s.shardConns[addr] = conn
+		s.shardLinks[addr] = l
 	}
-	if s.cfg.SealTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.SealTimeout)); err != nil {
-			return err
-		}
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	if err := transport.WriteTaggedFrame(conn, tag, payload); err != nil {
-		conn.Close()
-		delete(s.shardConns, addr)
+	if err := l.send(tag, payload); err != nil {
+		l.close()
+		delete(s.shardLinks, addr)
 		return err
 	}
 	return nil
@@ -659,7 +424,7 @@ func (s *Shuffler) writeShard(addr string, tag uint32, payload []byte) error {
 func (s *Shuffler) mesh(a *attempt) ([]net.Conn, error) {
 	r := s.cfg.Topology.R()
 	peers := make([]net.Conn, r)
-	deadline := time.Now().Add(maxDuration(s.cfg.DialTimeout, DefaultDialTimeout))
+	deadline := time.Now().Add(max(s.cfg.DialTimeout, DefaultDialTimeout))
 	for j := 0; j < s.cfg.Index; j++ {
 		if a.canceled() {
 			return nil, errAttemptAborted
@@ -690,37 +455,30 @@ func (s *Shuffler) mesh(a *attempt) ([]net.Conn, error) {
 // peer for this attempt's generation.
 func (s *Shuffler) claimPeer(from int, a *attempt, deadline time.Time) (net.Conn, error) {
 	key := peerKey{from: from, g: a.g}
-	for {
+	var conn net.Conn
+	err := await(func() (bool, error) {
 		s.mu.Lock()
-		conn, ok := s.parked[key]
-		if ok {
+		defer s.mu.Unlock()
+		var ok bool
+		if conn, ok = s.parked[key]; ok {
 			delete(s.parked, key)
+			return true, nil
 		}
-		closed := s.closed
-		s.mu.Unlock()
-		if ok {
-			if err := a.addConn(conn); err != nil {
-				return nil, err
-			}
-			return conn, nil
+		if s.f.closed {
+			return false, errNodeClosed
 		}
-		if closed {
-			return nil, errors.New("cluster: shuffler closed")
-		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return nil, fmt.Errorf("cluster: shuffler %d never joined collection %d attempt %d", from, a.g.col, a.g.att)
-		}
-		if wait > 50*time.Millisecond {
-			wait = 50 * time.Millisecond
-		}
-		select {
-		case <-s.parkedMore:
-		case <-a.cancel:
-			return nil, errAttemptAborted
-		case <-time.After(wait):
-		}
+		return false, nil
+	}, s.parkedMore, a.cancel, max(time.Until(deadline), time.Nanosecond))
+	if errors.Is(err, errAwaitTimeout) {
+		err = fmt.Errorf("cluster: shuffler %d never joined collection %d attempt %d", from, a.g.col, a.g.att)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if err := a.addConn(conn); err != nil {
+		return nil, err
+	}
+	return conn, nil
 }
 
 // fakesFor returns the collection's fake shares, drawing them on first
@@ -773,14 +531,8 @@ func (s *Shuffler) fakesFor(a *attempt) (*fakeSet, error) {
 // violation: the analyzer sealed a smaller round than some client
 // reported into.
 func (s *Shuffler) awaitColumn(a *attempt) ([]uint64, []*ahe.Ciphertext, error) {
-	var deadline <-chan time.Time
-	if s.cfg.SealTimeout > 0 {
-		t := time.NewTimer(s.cfg.SealTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
 	s.mu.Lock()
-	if int64(a.g.col) <= s.doneThrough {
+	if int64(a.g.col) <= s.f.doneThrough {
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("cluster: collection %d already sealed", a.g.col)
 	}
@@ -790,26 +542,21 @@ func (s *Shuffler) awaitColumn(a *attempt) ([]uint64, []*ahe.Ciphertext, error) 
 		s.cols[a.g.col] = col
 	}
 	s.mu.Unlock()
-	for {
+	size := 0
+	err := await(func() (bool, error) {
 		s.mu.Lock()
-		size := col.size()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, nil, errors.New("cluster: shuffler closed")
+		defer s.mu.Unlock()
+		if s.f.closed {
+			return false, errNodeClosed
 		}
-		if size >= a.n {
-			break
-		}
-		select {
-		case <-col.notify:
-		case <-a.cancel:
-			return nil, nil, errAttemptAborted
-		case <-deadline:
-			return nil, nil, fmt.Errorf("cluster: collection %d sealed at %d users but only %d shares arrived", a.g.col, a.n, size)
-		case <-time.After(50 * time.Millisecond):
-			// Re-check closed even with no traffic.
-		}
+		size = col.size()
+		return size >= a.n, nil
+	}, col.notify, a.cancel, s.cfg.SealTimeout)
+	if errors.Is(err, errAwaitTimeout) {
+		err = fmt.Errorf("cluster: collection %d sealed at %d users but only %d shares arrived", a.g.col, a.n, size)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	// Snapshot under the lock: clients may still be resubmitting into
 	// this buffer while the shuffle reads the snapshot.
@@ -858,21 +605,20 @@ func (s *Shuffler) handleConn(conn net.Conn) {
 	// to close it (unblocking this goroutine) even before the hello
 	// identifies it — and bound the hello wait itself.
 	s.mu.Lock()
-	if s.closed {
+	if s.f.closed {
 		s.mu.Unlock()
 		conn.Close()
 		return
 	}
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
-	conn.SetReadDeadline(time.Now().Add(helloBound(s.cfg.HelloTimeout)))
-	tag, payload, err := transport.ReadTaggedFrame(conn)
+	// recv disarms the hello deadline again: the role loops below manage
+	// their own.
+	tag, payload, err := newLink(conn, 0).recv(controlFrameLimit, helloBound(s.cfg.HelloTimeout))
 	if err != nil {
 		s.dropConn(conn)
 		return
 	}
-	// The role loops below manage their own deadlines.
-	conn.SetReadDeadline(time.Time{})
 	switch tag {
 	case tagPeerHello:
 		from, g, err := parsePeerHello(payload, s.cfg.Topology.R())
@@ -894,13 +640,12 @@ func (s *Shuffler) handleConn(conn net.Conn) {
 // leftovers of aborted rounds and are dropped at the door.
 func (s *Shuffler) parkPeer(conn net.Conn, from int, g gen) {
 	s.mu.Lock()
-	if s.closed {
+	if s.f.closed {
 		s.mu.Unlock()
 		conn.Close()
 		return
 	}
-	stale := int64(g.col) <= s.doneThrough || (s.cur != nil && g.less(s.cur.g))
-	if stale {
+	if s.f.behind(g) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
@@ -945,6 +690,9 @@ func (s *Shuffler) readClient(conn net.Conn) {
 	rd := &pipeline.Reader{
 		Conn:        conn,
 		IdleTimeout: s.cfg.IdleTimeout,
+		// The longest report frame: index, nonce and one share, as a
+		// word or as a ciphertext.
+		MaxFrame: 16 + max(8, s.cfg.Pub.CiphertextBytes()),
 		Handle: func(tag uint32, frame []byte) error {
 			if tag != tagReport && tag != tagEncReport {
 				return fmt.Errorf("%w: client sent tag %d", errBadFrame, tag)
@@ -982,7 +730,7 @@ func (s *Shuffler) storeShare(enc bool, rf reportFrame) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if int64(rf.collection) <= s.doneThrough {
+	if int64(rf.collection) <= s.f.doneThrough {
 		// The collection already sealed durably: a late or re-sent
 		// frame is simply late, and dropped.
 		return nil
@@ -1023,19 +771,18 @@ func (s *Shuffler) storeShare(enc bool, rf reportFrame) error {
 // listener drop, in-flight collections fail. This is the induced fault
 // of the kill-a-shuffler smoke test.
 func (s *Shuffler) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	s.teardown()
 	return nil
 }
 
+// teardown runs from both Run's exit and Close; every step is
+// idempotent. The follower goes first: once it is closed no attempt
+// reports a failure and no fresh link is swapped in.
 func (s *Shuffler) teardown() {
-	s.stopPool() // idempotent; teardown runs from both Run and Close
+	s.f.close()
+	s.stopPool()
 	s.ln.Close()
 	s.mu.Lock()
-	cur := s.cur
-	analyzer := s.analyzer
 	conns := make([]net.Conn, 0, len(s.conns)+len(s.parked))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -1045,25 +792,13 @@ func (s *Shuffler) teardown() {
 		delete(s.parked, k)
 	}
 	s.mu.Unlock()
-	if analyzer != nil {
-		analyzer.Close()
-	}
 	s.shardMu.Lock()
-	for addr, c := range s.shardConns {
-		c.Close()
-		delete(s.shardConns, addr)
+	for addr, l := range s.shardLinks {
+		l.close()
+		delete(s.shardLinks, addr)
 	}
 	s.shardMu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}
-	if cur != nil {
-		cur.abort()
-	}
-}
-
-func (s *Shuffler) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }

@@ -26,7 +26,9 @@ package cluster
 // The sharded analyzer tier (DESIGN.md §13) adds two frames: a shard's
 // hello to the coordinator and the shardWords frame that returns its
 // revealed window. Seal, abort and done are the shufflers' frames,
-// reused verbatim on shard links. Nobody ships a cut list: the seal
+// reused verbatim on shard links: the coordinator sends them down one
+// peer table and both roles serve them through the same follower
+// (follower.go; DESIGN.md §9). Nobody ships a cut list: the seal
 // names the analyzer count, every receiver checks it against its own
 // Topology (so a deployment whose roles disagree on the tier fails at
 // the first seal or hello), and each role derives the same even cuts
@@ -38,9 +40,13 @@ package cluster
 // Ciphertext vectors are the fixed-size ahe serialization
 // concatenated, so the element count is implied by the payload length.
 //
-// Every EOS vector travels as one frame, so a shuffler knows the
-// largest frame a peer may legitimately send before the shuffle starts
-// (connTransport.frameLimit) and refuses anything longer unread.
+// Who puts frames on which wire: control frames and the analyzer-tier
+// vectors cross a link (link.go), EOS peer traffic the attempt's mesh
+// connections (connTransport, below), client reports a pipeline.Reader.
+// Every reader states the longest frame its peer may legitimately send
+// and refuses a longer length prefix unread; DESIGN.md §9 has the table
+// (every EOS vector travels as one frame, which is what lets a shuffler
+// know the mesh bound before the shuffle starts).
 //
 // The self-healing fields: a peer hello names the exact collection
 // attempt its mesh connection serves, so a connection left over from
@@ -59,7 +65,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"shuffledp/internal/ahe"
@@ -91,8 +96,11 @@ const (
 // distinguish protocol violations from transport errors.
 var errBadFrame = errors.New("cluster: malformed frame")
 
+// helloPayload is a shuffler's (and, index ignored, a client's) hello.
+func helloPayload(index int) []byte { return []byte{byte(index)} }
+
 func writeHello(w io.Writer, tag uint32, index int) error {
-	return transport.WriteTaggedFrame(w, tag, []byte{byte(index)})
+	return transport.WriteTaggedFrame(w, tag, helloPayload(index))
 }
 
 func parseHelloIndex(payload []byte, limit int) (int, error) {
@@ -172,16 +180,16 @@ func parseReportFrame(tag uint32, payload []byte) (reportFrame, error) {
 	return rf, nil
 }
 
-// writeSealFrame opens a collection attempt at a shuffler or an
-// analyzer shard. Beyond the generation and the report count it names
-// the analyzer count the coordinator cut the n+NR output vector for.
-func writeSealFrame(w io.Writer, g gen, n, analyzers int) error {
-	var payload [14]byte
+// sealPayload opens a collection attempt at a shuffler or an analyzer
+// shard. Beyond the generation and the report count it names the
+// analyzer count the coordinator cut the n+NR output vector for.
+func sealPayload(g gen, n, analyzers int) []byte {
+	payload := make([]byte, 14)
 	binary.BigEndian.PutUint32(payload[0:], g.col)
 	binary.BigEndian.PutUint32(payload[4:], g.att)
 	binary.BigEndian.PutUint32(payload[8:], uint32(n))
 	binary.BigEndian.PutUint16(payload[12:], uint16(analyzers))
-	return transport.WriteTaggedFrame(w, tagSeal, payload[:])
+	return payload
 }
 
 // parseSealFrame refuses a seal cut for any analyzer count but the
@@ -199,13 +207,13 @@ func parseSealFrame(payload []byte, analyzers int) (g gen, n int, err error) {
 	}, int(binary.BigEndian.Uint32(payload[8:])), nil
 }
 
-// writeShardHello identifies an analyzer shard's control link to the
+// shardHelloPayload identifies an analyzer shard's control link to the
 // coordinator, naming the tier size the shard was configured with.
-func writeShardHello(w io.Writer, shard, analyzers int) error {
-	var payload [4]byte
+func shardHelloPayload(shard, analyzers int) []byte {
+	payload := make([]byte, 4)
 	binary.BigEndian.PutUint16(payload[0:], uint16(shard))
 	binary.BigEndian.PutUint16(payload[2:], uint16(analyzers))
-	return transport.WriteTaggedFrame(w, tagShardHello, payload[:])
+	return payload
 }
 
 // parseShardHello refuses a shard configured for any analyzer count but
@@ -225,15 +233,8 @@ func parseShardHello(payload []byte, analyzers int) (shard int, err error) {
 	return shard, nil
 }
 
-// writeAbortFrame tells a shuffler (or shard) to cancel one collection
-// attempt.
-func writeAbortFrame(w io.Writer, g gen) error {
-	var payload [8]byte
-	binary.BigEndian.PutUint32(payload[0:], g.col)
-	binary.BigEndian.PutUint32(payload[4:], g.att)
-	return transport.WriteTaggedFrame(w, tagAbort, payload[:])
-}
-
+// parseAbortFrame reads the frame that tells a shuffler (or shard) to
+// cancel one collection attempt; its payload is prefixed(g, nil).
 func parseAbortFrame(payload []byte) (gen, error) {
 	if len(payload) != 8 {
 		return gen{}, fmt.Errorf("%w: bad abort frame", errBadFrame)
@@ -244,12 +245,10 @@ func parseAbortFrame(payload []byte) (gen, error) {
 	}, nil
 }
 
-// writeDoneFrame tells a shuffler (or shard) a collection sealed
-// durably: whatever it still buffers through that collection can go.
-func writeDoneFrame(w io.Writer, collection uint32) error {
-	var payload [4]byte
-	binary.BigEndian.PutUint32(payload[0:], collection)
-	return transport.WriteTaggedFrame(w, tagDone, payload[:])
+// donePayload tells a shuffler (or shard) a collection sealed durably:
+// whatever it still buffers through that collection can go.
+func donePayload(collection uint32) []byte {
+	return binary.BigEndian.AppendUint32(nil, collection)
 }
 
 func parseDoneFrame(payload []byte) (uint32, error) {
@@ -306,61 +305,33 @@ func decodeCiphertexts(pub ahe.PublicKey, data []byte) ([]*ahe.Ciphertext, error
 // but a send goroutine and the receive loop run at once for DIFFERENT
 // peers, so each direction only needs per-connection serialization.
 //
-// Two deadline regimes compose: timeout bounds each individual
-// message exchange, and phaseTimeout (via the oblivious.Phaser hook)
-// bounds each whole EOS phase — so a peer that keeps trickling single
-// messages but never finishes a phase is still cut off. Every I/O op
-// uses the earlier of the two deadlines.
+// timeout bounds each individual message exchange. The engine receives
+// at most one message per peer per phase and a message is one frame
+// under one absolute deadline, so a phase is bounded by (r-1)·timeout
+// and needs no deadline of its own; the round is bounded by the
+// coordinator's CollectTimeout abort.
 //
 // Inbound frames are capped at frameLimit, the longest payload the
 // round can legitimately carry — the round prefix plus one whole
 // vector in its wider encoding — so a hostile peer's length prefix is
 // refused before any of its payload is buffered.
 type connTransport struct {
-	peers         []net.Conn
-	pub           ahe.PublicKey
-	frameLimit    int
-	timeout       time.Duration // per-message I/O deadline, 0 = none
-	phaseTimeout  time.Duration // per-EOS-phase deadline, 0 = none
-	phaseDeadline atomic.Int64  // current phase deadline, unix nanos (0 = unset)
-	sendMu        []sync.Mutex
+	peers      []net.Conn
+	pub        ahe.PublicKey
+	frameLimit int
+	timeout    time.Duration // per-message I/O deadline, 0 = none
+	sendMu     []sync.Mutex
 }
 
 // newConnTransport serves one shuffle of a total-element vector.
-func newConnTransport(peers []net.Conn, pub ahe.PublicKey, total int, timeout, phaseTimeout time.Duration) *connTransport {
+func newConnTransport(peers []net.Conn, pub ahe.PublicKey, total int, timeout time.Duration) *connTransport {
 	return &connTransport{
-		peers:        peers,
-		pub:          pub,
-		frameLimit:   4 + total*max(8, pub.CiphertextBytes()),
-		timeout:      timeout,
-		phaseTimeout: phaseTimeout,
-		sendMu:       make([]sync.Mutex, len(peers)),
+		peers:      peers,
+		pub:        pub,
+		frameLimit: 4 + total*max(8, pub.CiphertextBytes()),
+		timeout:    timeout,
+		sendMu:     make([]sync.Mutex, len(peers)),
 	}
-}
-
-// Phase implements oblivious.Phaser: each phase boundary re-arms the
-// phase deadline.
-func (t *connTransport) Phase(round int, phase oblivious.Phase) {
-	if t.phaseTimeout <= 0 {
-		return
-	}
-	t.phaseDeadline.Store(time.Now().Add(t.phaseTimeout).UnixNano())
-}
-
-// deadline returns the earlier of the per-message and phase deadlines
-// (zero time = none).
-func (t *connTransport) deadline() time.Time {
-	var d time.Time
-	if t.timeout > 0 {
-		d = time.Now().Add(t.timeout)
-	}
-	if pd := t.phaseDeadline.Load(); pd != 0 {
-		pdt := time.Unix(0, pd)
-		if d.IsZero() || pdt.Before(d) {
-			d = pdt
-		}
-	}
-	return d
 }
 
 func (t *connTransport) conn(p int) (net.Conn, error) {
@@ -378,8 +349,8 @@ func (t *connTransport) Send(to int, m oblivious.Msg) error {
 	}
 	t.sendMu[to].Lock()
 	defer t.sendMu[to].Unlock()
-	if d := t.deadline(); !d.IsZero() {
-		if err := conn.SetWriteDeadline(d); err != nil {
+	if t.timeout > 0 {
+		if err := conn.SetWriteDeadline(time.Now().Add(t.timeout)); err != nil {
 			return err
 		}
 	}
@@ -405,8 +376,8 @@ func (t *connTransport) Recv(from int) (oblivious.Msg, error) {
 	if err != nil {
 		return oblivious.Msg{}, err
 	}
-	if d := t.deadline(); !d.IsZero() {
-		if err := conn.SetReadDeadline(d); err != nil {
+	if t.timeout > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(t.timeout)); err != nil {
 			return oblivious.Msg{}, err
 		}
 	}

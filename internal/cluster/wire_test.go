@@ -52,7 +52,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	g := gen{col: 9, att: 0xdeadbeef}
 
 	var buf bytes.Buffer
-	if err := writeSealFrame(&buf, g, 123, 3); err != nil {
+	if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(g, 123, 3)); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err := transport.ReadTaggedFrame(&buf)
@@ -64,7 +64,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := writeShardHello(&buf, 2, 3); err != nil {
+	if err := transport.WriteTaggedFrame(&buf, tagShardHello, shardHelloPayload(2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err = transport.ReadTaggedFrame(&buf)
@@ -76,7 +76,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := writeAbortFrame(&buf, g); err != nil {
+	if err := transport.WriteTaggedFrame(&buf, tagAbort, prefixed(g, nil)); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err = transport.ReadTaggedFrame(&buf)
@@ -88,7 +88,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := writeDoneFrame(&buf, 42); err != nil {
+	if err := transport.WriteTaggedFrame(&buf, tagDone, donePayload(42)); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err = transport.ReadTaggedFrame(&buf)
@@ -228,13 +228,15 @@ func FuzzWireFrames(f *testing.F) {
 		return payload
 	}
 	f.Add(uint8(0), seed(func(w *bytes.Buffer) error { return writePeerHello(w, 2, g) }))
-	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return writeSealFrame(w, g, 100, 2) }))
-	f.Add(uint8(2), seed(func(w *bytes.Buffer) error { return writeAbortFrame(w, g) }))
-	f.Add(uint8(3), seed(func(w *bytes.Buffer) error { return writeDoneFrame(w, 7) }))
+	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagSeal, sealPayload(g, 100, 2)) }))
+	f.Add(uint8(2), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagAbort, prefixed(g, nil)) }))
+	f.Add(uint8(3), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagDone, donePayload(7)) }))
 	f.Add(uint8(4), seed(func(w *bytes.Buffer) error { return writeReportFrame(w, 7, 3, 99, 12345) }))
 	f.Add(uint8(5), seed(func(w *bytes.Buffer) error { return writeEncReportFrame(w, 7, 3, 99, []byte{1, 2, 3}) }))
 	f.Add(uint8(6), prefixed(g, []byte{8, 8, 8}))
-	f.Add(uint8(7), seed(func(w *bytes.Buffer) error { return writeShardHello(w, 1, 2) }))
+	f.Add(uint8(7), seed(func(w *bytes.Buffer) error {
+		return transport.WriteTaggedFrame(w, tagShardHello, shardHelloPayload(1, 2))
+	}))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		// The seal and the shard hello are refused unless they name the
 		// receiver's analyzer count; let the payload pick the receiver so
@@ -263,7 +265,7 @@ func FuzzWireFrames(f *testing.F) {
 				return
 			}
 			var buf bytes.Buffer
-			if err := writeSealFrame(&buf, sg, n, analyzers); err != nil {
+			if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(sg, n, analyzers)); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrame(&buf)
@@ -276,7 +278,7 @@ func FuzzWireFrames(f *testing.F) {
 				return
 			}
 			var buf bytes.Buffer
-			if err := writeAbortFrame(&buf, ag); err != nil {
+			if err := transport.WriteTaggedFrame(&buf, tagAbort, prefixed(ag, nil)); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrame(&buf)
@@ -289,7 +291,7 @@ func FuzzWireFrames(f *testing.F) {
 				return
 			}
 			var buf bytes.Buffer
-			if err := writeDoneFrame(&buf, col); err != nil {
+			if err := transport.WriteTaggedFrame(&buf, tagDone, donePayload(col)); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrame(&buf)
@@ -339,7 +341,7 @@ func FuzzWireFrames(f *testing.F) {
 				t.Fatalf("parseShardHello accepted shard %d of %d", shard, analyzers)
 			}
 			var buf bytes.Buffer
-			if err := writeShardHello(&buf, shard, analyzers); err != nil {
+			if err := transport.WriteTaggedFrame(&buf, tagShardHello, shardHelloPayload(shard, analyzers)); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrame(&buf)
@@ -376,7 +378,7 @@ func TestConnTransportFrameDiscipline(t *testing.T) {
 		defer peer.Close()
 		werr := make(chan error, 1)
 		go func() { werr <- write(peer) }()
-		m, err := newConnTransport([]net.Conn{nil, mine}, pub, total, time.Second, 0).Recv(1)
+		m, err := newConnTransport([]net.Conn{nil, mine}, pub, total, time.Second).Recv(1)
 		if e := <-werr; e != nil {
 			t.Fatalf("writer: %v", e)
 		}
@@ -384,7 +386,7 @@ func TestConnTransportFrameDiscipline(t *testing.T) {
 	}
 
 	m, err := recvAfter(func(peer net.Conn) error {
-		return newConnTransport([]net.Conn{peer, nil}, pub, total, time.Second, 0).
+		return newConnTransport([]net.Conn{peer, nil}, pub, total, time.Second).
 			Send(0, oblivious.Msg{Kind: oblivious.MsgEnc, Round: 2, Enc: cts})
 	})
 	if err != nil || m.Kind != oblivious.MsgEnc || m.Round != 2 || len(m.Enc) != total {

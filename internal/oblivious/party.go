@@ -120,10 +120,9 @@ const (
 )
 
 // Phaser is optionally implemented by a Transport that wants phase
-// boundaries — a networked transport arms per-phase I/O deadlines from
-// it, so a peer that keeps a connection alive but never completes a
-// phase is cut off. RunParty calls Phase at the start of every phase
-// of every round, from the engine goroutine, before any of that
+// boundaries — a recording transport checks the engine's message
+// discipline against them. RunParty calls Phase at the start of every
+// phase of every round, from the engine goroutine, before any of that
 // phase's Send/Recv calls; a phase's concurrent sends are joined
 // before the next phase is announced.
 type Phaser interface {

@@ -144,21 +144,7 @@ const MaxFrameSize = 1 << 30
 // MaxFrameSize.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds maximum size")
 
-// WriteFrame writes a length-prefixed payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readChunk bounds how much ReadFrame allocates ahead of the bytes
+// readChunk bounds how much a frame read allocates ahead of the bytes
 // actually arriving, so a corrupt or hostile length prefix cannot force
 // a huge up-front allocation.
 const readChunk = 64 << 10
@@ -206,21 +192,11 @@ func readPayloadLimit(r io.Reader, n32 uint32, limit int, buf []byte) ([]byte, e
 	return payload, nil
 }
 
-// ReadFrame reads one length-prefixed payload. A malformed prefix
-// makes it error, never panic (see readPayload).
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readPayload(r, binary.BigEndian.Uint32(hdr[:]))
-}
-
 // WriteTaggedFrame writes a length-prefixed payload with a 4-byte tag
 // between the length and the payload — the epoch-stamped report frame
 // of the continual-observation service (the tag is the epoch id the
 // sender is reporting into). The length prefix covers the payload
-// only, matching WriteFrame.
+// only.
 func WriteTaggedFrame(w io.Writer, tag uint32, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
@@ -236,8 +212,8 @@ func WriteTaggedFrame(w io.Writer, tag uint32, payload []byte) error {
 }
 
 // ReadTaggedFrame reads one frame written by WriteTaggedFrame and
-// returns its tag and payload. It shares ReadFrame's defenses through
-// readPayload.
+// returns its tag and payload. A malformed prefix makes it error,
+// never panic (see readPayload).
 func ReadTaggedFrame(r io.Reader) (uint32, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -292,8 +268,8 @@ var ErrChecksum = errors.New("transport: frame checksum mismatch")
 
 // WriteCheckedFrame writes a length-prefixed payload followed by a
 // CRC32C of the payload: the record framing of the durable store's
-// write-ahead log (internal/store). The layout is WriteFrame's with a
-// 4-byte Castagnoli trailer, so a record torn by a crash or flipped on
+// write-ahead log (internal/store). The layout is a bare length
+// prefix and payload with a 4-byte Castagnoli trailer, so a record torn by a crash or flipped on
 // disk is detected at read time instead of replaying garbage.
 func WriteCheckedFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {

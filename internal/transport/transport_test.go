@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -150,57 +149,6 @@ func TestMeterConcurrentNoLostCounts(t *testing.T) {
 	}
 	if s.CPU < goroutines*iters*7*time.Nanosecond {
 		t.Errorf("server CPU %v lost AddCPU increments", s.CPU)
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{{}, []byte("hello"), bytes.Repeat([]byte{7}, 100000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame mismatch: %d vs %d bytes", len(got), len(want))
-		}
-	}
-}
-
-func TestFrameOverNetPipe(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		_ = WriteFrame(a, []byte("over the wire"))
-	}()
-	got, err := ReadFrame(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "over the wire" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestReadFrameRejectsHugeLength(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 10, 1, 2}) // claims 10 bytes, has 2
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("truncated frame should error")
 	}
 }
 
