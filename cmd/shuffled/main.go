@@ -85,7 +85,7 @@ func main() {
 	accountant := flag.String("accountant", "naive", "budget composition: naive or advanced")
 	window := flag.Int("window", 2, "sliding-window width for the final window query")
 	dataDir := flag.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
-	fsync := flag.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
+	fsync := flag.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every shuffle batch), or none (epoch seals only)")
 	sessionBatch := flag.Int("session-batch", 0, "reports per session frame (0: the service default)")
 	maxFrame := flag.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
 	flag.Parse()

@@ -212,13 +212,15 @@ func (s *Session) Open(dst, frame []byte) ([]byte, error) {
 }
 
 // StorageSealer encrypts session reports at rest: the write-ahead log
-// stores every report encrypted, but a session report reaches the
+// stores every report encrypted, but a session frame reaches the
 // gateway under a connection-ephemeral key that cannot be re-derived
-// at recovery. The sealer wraps such reports under an AES-GCM key
-// deterministically derived from the service's long-term private key
-// — the same secret recovery already requires — so the WAL keeps its
-// "never holds plaintext reports" property at symmetric cost instead
-// of a per-report ECIES re-encryption. Nonces follow NIST SP 800-38D
+// at recovery. The sealer wraps what arrived — the service seals an
+// accepted frame's whole plaintext, all of its reports, under one nonce
+// and one tag — with an AES-GCM key deterministically derived from the
+// service's long-term private key — the same secret recovery already
+// requires — so the WAL keeps its "never holds plaintext reports"
+// property at the symmetric cost of one seal per frame instead of a
+// per-report ECIES re-encryption. Nonces follow NIST SP 800-38D
 // §8.2.2: a 4-byte random prefix drawn once per sealer (per process
 // run) plus a 64-bit counter, unique across restarts with the same
 // derived key. Seal is not safe for concurrent use; the service calls

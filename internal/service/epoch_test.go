@@ -20,10 +20,17 @@ import (
 // into the pipeline (not necessarily folded yet).
 func waitReceived(t *testing.T, svc *service.Service, n int64) {
 	t.Helper()
+	waitSnapshot(t, svc, "received reports", n, func(s service.Snapshot) int64 { return s.Received })
+}
+
+// waitSnapshot polls the service's snapshot until the counter read
+// from it reaches n.
+func waitSnapshot(t *testing.T, svc *service.Service, what string, n int64, read func(service.Snapshot) int64) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for svc.Snapshot().Received < n {
+	for read(svc.Snapshot()) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d received reports (have %d)", n, svc.Snapshot().Received)
+			t.Fatalf("timed out waiting for %d %s (have %d)", n, what, read(svc.Snapshot()))
 		}
 		time.Sleep(time.Millisecond)
 	}

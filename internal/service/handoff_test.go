@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
+	"shuffledp/internal/store"
 )
 
 // The tests in this file look inside the pipeline — the batches the
@@ -377,5 +380,157 @@ func TestIngestAllocsPerReport(t *testing.T) {
 	t.Logf("%.4f allocations per report", perReport)
 	if perReport > 0.05 {
 		t.Fatalf("%.4f heap allocations per report on the ingest path, want <= 0.05 (per-frame and per-batch only)", perReport)
+	}
+}
+
+// durableShell is prepare plus what New adds for a durable service — a
+// fresh store under a temp directory, the at-rest sealer, epoch 0 — with
+// no pipeline goroutine started, so a test can run the stages itself.
+func durableShell(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	cfg.DataDir = t.TempDir()
+	s, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.st, err = store.Create(cfg.DataDir, s.storeMeta(), cfg.Sync); err != nil {
+		t.Fatal(err)
+	}
+	if s.sealer, err = ecies.NewStorageSealer(cfg.Key); err != nil {
+		t.Fatal(err)
+	}
+	s.cur.Store(newEpochState(0, cfg.FO, s.workers))
+	return s
+}
+
+// TestLogFrameAllocsPerFrame pins the durable tier's unit of work: the
+// shuffler's seal + append step allocates a small constant per frame —
+// the record's encoding and the escaping nonce, length and CRC words —
+// whether the frame carries 1, 256 or 4096 reports. Per-report logging
+// would show up here as a count that grows with the frame.
+func TestLogFrameAllocsPerFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := durableShell(t, Config{FO: ldp.NewSOLH(1024, 16, 3), Key: key, Sync: store.SyncNone})
+	defer s.st.Close()
+	for _, reports := range []int{1, 256, 4096} {
+		frame := make([]byte, reports*s.codec.Size())
+		perFrame := testing.AllocsPerRun(50, func() {
+			if err := s.logFrame(0, frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d reports per frame: %.0f allocations per frame", reports, perFrame)
+		if perFrame > 6 {
+			t.Fatalf("logging a frame of %d reports took %.0f allocations, want a constant <= 6 per frame", reports, perFrame)
+		}
+	}
+	if want := int64(51 * (1 + 256 + 4096)); s.wal.received != want {
+		t.Fatalf("wal.received = %d after logging %d reports", s.wal.received, want)
+	}
+}
+
+// TestFrameLoggedBeforeFirstBatch holds the write-ahead order at the
+// frame's grain: a frame's record is appended before the first of its
+// reports is batched and committed before its first batch is sent. One
+// frame of 256 reports crosses four shuffle batches of 64; at the moment
+// a worker is handed any of them — the first included — the segment on
+// disk already holds the whole frame, sealed: every record of the batch
+// is in it, and so are the 192 reports still to be batched.
+func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
+	const (
+		frame     = 256
+		batchSize = 64
+	)
+	fo := ldp.NewSOLH(64, 16, 3)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := durableShell(t, Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: 4, Sync: store.SyncNone})
+	size := s.codec.Size()
+
+	// onDisk opens every sealed record of the live segment, as committed
+	// so far, into the set of report payloads it holds.
+	onDisk := func() map[string]int {
+		copyDir := t.TempDir()
+		segs, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "wal-*.log"))
+		if err != nil || len(segs) != 1 {
+			t.Errorf("WAL segments %v (%v), want the one open segment", segs, err)
+			return nil
+		}
+		data, err := os.ReadFile(segs[0])
+		if err == nil {
+			err = os.WriteFile(filepath.Join(copyDir, filepath.Base(segs[0])), data, 0o644)
+		}
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		st, rec, err := store.Open(copyDir, s.storeMeta(), store.SyncNone)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer st.Close()
+		held := map[string]int{}
+		for _, r := range rec.Tail {
+			pt, err := s.sealer.Open(nil, r.Payload)
+			if err != nil || r.Type != store.RecordSealedReport {
+				t.Errorf("WAL record of type %d does not open as a sealed frame: %v", r.Type, err)
+				return nil
+			}
+			for off := 0; off < len(pt); off += size {
+				held[string(pt[off:off+size])]++
+			}
+		}
+		return held
+	}
+
+	batches := 0
+	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
+	s.workerPool.Go(s.workers, func(i int) {
+		for eb := range s.batches {
+			held := onDisk()
+			logged := 0
+			for _, n := range held {
+				logged += n
+			}
+			if logged != frame {
+				t.Errorf("batch %d reached a worker with %d reports on disk, want the whole frame of %d", batches, logged, frame)
+			}
+			for _, rec := range eb.recs {
+				if held[string(rec)] == 0 {
+					t.Errorf("batch %d carries a report the committed WAL does not hold", batches)
+					break
+				}
+			}
+			batches++
+			s.foldBatch(i, eb)
+		}
+	})
+	defer s.Close()
+
+	cl := pipeClient(t, s, frame)
+	for i := 0; i < frame; i++ {
+		if err := cl.SendReport(ldp.Report{Seed: uint32(i), Value: i % 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Reports != frame || batches != frame/batchSize {
+		t.Fatalf("drained %d reports in %d batches, want %d in %d", snap.Reports, batches, frame, frame/batchSize)
 	}
 }

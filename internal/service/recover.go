@@ -23,9 +23,11 @@ package service
 // What recovery deliberately does NOT preserve: reports that were in
 // flight (client buffers, the intake queue, an unflushed WAL buffer)
 // are gone, exactly as the fsync policy allows — clients resume from
-// Snapshot().Received, the count of durably accepted reports. And
-// Snapshot().Batches counts only pre-crash forwarded batches; replayed
-// reports fold directly into the epoch root without re-batching.
+// Snapshot().Received, the count of durably accepted reports, which
+// recovers on a frame boundary because a WAL record is a whole frame.
+// And Snapshot().Batches counts only pre-crash forwarded batches;
+// replayed reports fold directly into the epoch root without
+// re-batching.
 
 import (
 	"errors"
@@ -147,6 +149,8 @@ func (s *Service) restore(rec *store.Recovered) error {
 		// Snapshot answers match the pre-crash service.
 		cur = s.sealedFinalEpoch(openEpoch - 1)
 	}
+	size := s.codec.Size()
+	var pt []byte // one record's plaintext; codec.Unmarshal copies out of it
 	for _, r := range rec.Tail {
 		switch r.Type {
 		case store.RecordReport:
@@ -157,24 +161,34 @@ func (s *Service) restore(rec *store.Recovered) error {
 			if exhausted || r.Epoch != uint32(cur.id) {
 				return fmt.Errorf("service: WAL report for epoch %d while epoch %d is open", r.Epoch, cur.id)
 			}
-			// Reports are logged re-sealed under the at-rest storage
-			// key (the connection key is gone with the connection).
-			pt, err := s.sealer.Open(nil, r.Payload)
-			if err != nil {
-				return fmt.Errorf("service: opening sealed WAL report: %w", err)
+			// A record is one accepted frame, re-sealed whole under the
+			// at-rest storage key (the connection key is gone with the
+			// connection): cut the plaintext at the report size, as the
+			// shuffler cut the frame. A plaintext that does not cut
+			// evenly was not written by accept and is refused, never
+			// skipped — dropping it would silently shrink the epoch.
+			var err error
+			if pt, err = s.sealer.Open(pt[:0], r.Payload); err != nil {
+				return fmt.Errorf("service: opening sealed WAL record: %w", err)
 			}
-			rep, err := s.codec.Unmarshal(pt)
-			if err != nil {
-				return fmt.Errorf("service: decoding WAL report: %w", err)
+			if len(pt) == 0 || len(pt)%size != 0 {
+				return fmt.Errorf("service: sealed WAL record for epoch %d holds %d plaintext bytes; a frame's record is one or more whole %d-byte reports", r.Epoch, len(pt), size)
 			}
-			cur.root.Add(rep)
-			cur.accepted.Add(1)
-			s.wal.received++
+			for off := 0; off < len(pt); off += size {
+				rep, err := s.codec.Unmarshal(pt[off : off+size])
+				if err != nil {
+					return fmt.Errorf("service: decoding WAL report: %w", err)
+				}
+				cur.root.Add(rep)
+			}
+			n := int64(len(pt) / size)
+			cur.accepted.Add(n)
+			s.wal.received += n
 		case store.RecordDrop:
 			if r.Reason == store.DropLate {
-				s.wal.late++
+				s.wal.late += int64(r.Count)
 			} else {
-				s.wal.rejected++
+				s.wal.rejected += int64(r.Count)
 			}
 		case store.RecordRotate:
 			if int64(cur.id) != int64(r.Epoch) {

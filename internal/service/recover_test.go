@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"shuffledp/internal/budget"
 	"shuffledp/internal/composition"
@@ -30,18 +29,27 @@ type recoveryWorld struct {
 	totalEps  float64
 	perEps    float64
 	batchSize int
+	frame     int // reports per client session frame
 }
 
+// newRecoveryWorld is the world most recovery tests share: 1800 reports
+// sent one per session frame — the record-per-report WAL every build
+// before frame records wrote.
 func newRecoveryWorld(t *testing.T) *recoveryWorld {
+	return newRecoveryWorldOf(t, 1800, 1, 128)
+}
+
+// newRecoveryWorldOf cuts n reports into three equal epochs, sent frame
+// reports per session frame through shuffle batches of batchSize.
+func newRecoveryWorldOf(t *testing.T, n, frame, batchSize int) *recoveryWorld {
 	t.Helper()
 	const (
-		d        = 32
-		n        = 1800
-		seed     = 99
-		perEps   = 1.5
-		epochs   = 3
-		perEpoch = n / epochs
+		d      = 32
+		seed   = 99
+		perEps = 1.5
+		epochs = 3
 	)
+	perEpoch := n / epochs
 	fo := ldp.NewSOLH(d, 8, 2)
 	values := make([]int, n)
 	for i := range values {
@@ -58,7 +66,8 @@ func newRecoveryWorld(t *testing.T) *recoveryWorld {
 		bounds:    []int{perEpoch, 2 * perEpoch},
 		totalEps:  perEps * epochs,
 		perEps:    perEps,
-		batchSize: 128,
+		batchSize: batchSize,
+		frame:     frame,
 	}
 }
 
@@ -90,7 +99,7 @@ func (w *recoveryWorld) send(t *testing.T, svc *service.Service, from, to int) {
 	if err := svc.Ingest(serverSide); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientSide, 1)
+	cl, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientSide, w.frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +153,68 @@ func sameEstimates(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// recoveryReference is what an uninterrupted in-memory run of the
+// world's workload ends with — the state every crashed-and-recovered
+// run must reproduce bit for bit.
+type recoveryReference struct {
+	snap   service.Snapshot
+	win    service.WindowSnapshot
+	hist   []service.EpochSnapshot
+	ledger *budget.Ledger
+}
+
+func (w *recoveryWorld) reference(t *testing.T) *recoveryReference {
+	t.Helper()
+	ref := &recoveryReference{ledger: w.ledger(t)}
+	svc, err := service.New(w.config(ref.ledger, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.snap = w.run(t, svc)
+	if ref.win, err = svc.EstimateWindow(0); err != nil {
+		t.Fatal(err)
+	}
+	ref.hist = svc.History()
+	return ref
+}
+
+// same requires a drained service — its drain snapshot, window, history
+// and ledger — to equal the reference exactly.
+func (ref *recoveryReference) same(t *testing.T, svc *service.Service, snap service.Snapshot, ledger *budget.Ledger) {
+	t.Helper()
+	sameEstimates(t, "all-time drain estimate", snap.Estimates, ref.snap.Estimates)
+	if snap.Reports != ref.snap.Reports || snap.Received != ref.snap.Received {
+		t.Fatalf("drain reports/received = %d/%d, want %d/%d",
+			snap.Reports, snap.Received, ref.snap.Reports, ref.snap.Received)
+	}
+	win, err := svc.EstimateWindow(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.Epochs != ref.win.Epochs || win.Reports != ref.win.Reports {
+		t.Fatalf("window covers %d epochs / %d reports, want %d / %d",
+			win.Epochs, win.Reports, ref.win.Epochs, ref.win.Reports)
+	}
+	sameEstimates(t, "window estimate", win.Estimates, ref.win.Estimates)
+	hist := svc.History()
+	if len(hist) != len(ref.hist) {
+		t.Fatalf("%d sealed epochs, want %d", len(hist), len(ref.hist))
+	}
+	for i := range ref.hist {
+		if hist[i].Epoch != ref.hist[i].Epoch || hist[i].Reports != ref.hist[i].Reports {
+			t.Fatalf("epoch %d sealed with %d reports, want epoch %d with %d",
+				hist[i].Epoch, hist[i].Reports, ref.hist[i].Epoch, ref.hist[i].Reports)
+		}
+		sameEstimates(t, "sealed epoch estimate", hist[i].Estimates, ref.hist[i].Estimates)
+	}
+	if got, want := ledger.Epochs(), ref.ledger.Epochs(); got != want {
+		t.Fatalf("recovered ledger charged %d epochs, reference charged %d", got, want)
+	}
+	if got, want := ledger.Remaining(), ref.ledger.Remaining(); got != want {
+		t.Fatalf("recovered remaining budget %+v, reference %+v (not bit-identical)", got, want)
+	}
+}
+
 // The crash-recovery conformance test: the same stream of reports cut
 // into three epochs, hard-stopped at one or more points mid-stream,
 // recovered, and finished — the final window estimate, per-epoch
@@ -151,19 +222,7 @@ func sameEstimates(t *testing.T, label string, got, want []float64) {
 // be bit-identical to an uninterrupted run. Runs under -race in CI.
 func TestCrashRecoveryConformance(t *testing.T) {
 	w := newRecoveryWorld(t)
-
-	// The uninterrupted reference: same workload, in-memory service.
-	refLedger := w.ledger(t)
-	ref, err := service.New(w.config(refLedger, "", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSnap := w.run(t, ref)
-	refWin, err := ref.EstimateWindow(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refHist := ref.History()
+	ref := w.reference(t)
 
 	cases := []struct {
 		name  string
@@ -216,37 +275,7 @@ func TestCrashRecoveryConformance(t *testing.T) {
 			}
 			snap := w.run(t, svc)
 
-			sameEstimates(t, "all-time drain estimate", snap.Estimates, refSnap.Estimates)
-			if snap.Reports != refSnap.Reports || snap.Received != refSnap.Received {
-				t.Fatalf("drain reports/received = %d/%d, want %d/%d",
-					snap.Reports, snap.Received, refSnap.Reports, refSnap.Received)
-			}
-			win, err := svc.EstimateWindow(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if win.Epochs != refWin.Epochs || win.Reports != refWin.Reports {
-				t.Fatalf("window covers %d epochs / %d reports, want %d / %d",
-					win.Epochs, win.Reports, refWin.Epochs, refWin.Reports)
-			}
-			sameEstimates(t, "window estimate", win.Estimates, refWin.Estimates)
-			hist := svc.History()
-			if len(hist) != len(refHist) {
-				t.Fatalf("%d sealed epochs, want %d", len(hist), len(refHist))
-			}
-			for i := range refHist {
-				if hist[i].Epoch != refHist[i].Epoch || hist[i].Reports != refHist[i].Reports {
-					t.Fatalf("epoch %d sealed with %d reports, want epoch %d with %d",
-						hist[i].Epoch, hist[i].Reports, refHist[i].Epoch, refHist[i].Reports)
-				}
-				sameEstimates(t, "sealed epoch estimate", hist[i].Estimates, refHist[i].Estimates)
-			}
-			if got, want := ledger.Epochs(), refLedger.Epochs(); got != want {
-				t.Fatalf("recovered ledger charged %d epochs, reference charged %d", got, want)
-			}
-			if got, want := ledger.Remaining(), refLedger.Remaining(); got != want {
-				t.Fatalf("recovered remaining budget %+v, reference %+v (not bit-identical)", got, want)
-			}
+			ref.same(t, svc, snap, ledger)
 		})
 	}
 }
@@ -453,13 +482,7 @@ func TestRecoverExhaustedLedgerStillRefuses(t *testing.T) {
 // reports.
 func waitRejected(t *testing.T, svc *service.Service, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Snapshot().Rejected < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d rejected reports (have %d)", n, svc.Snapshot().Rejected)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSnapshot(t, svc, "rejected reports", n, func(s service.Snapshot) int64 { return s.Rejected })
 }
 
 // A WAL whose final record was torn mid-write (the crash hit inside a

@@ -116,11 +116,12 @@ const DefaultClientBatch = 256
 // connection is impossible by construction.
 const SessionHelloTag = 0x53445031 // "SDP1"
 
-// rejectedLogCap bounds how many post-exhaustion rejected drops are
-// write-ahead logged (~14 bytes each, so about 2 MiB of WAL at the
-// cap). An exhausted service never checkpoints again, so these
-// records are never pruned; beyond the cap drops are still counted
-// in-memory but no longer durable.
+// rejectedLogCap bounds how many post-exhaustion rejected reports are
+// write-ahead logged. A rejected frame is one 18-byte counted drop, so
+// the cap holds the WAL to about 2 MiB even against one-report frames.
+// An exhausted service never checkpoints again, so these records are
+// never pruned; beyond the cap drops are still counted in-memory but no
+// longer durable.
 const rejectedLogCap = 1 << 17
 
 // Config parameterizes a Service.
@@ -171,16 +172,21 @@ type Config struct {
 	// remain in the all-time drain estimate). 0 retains every epoch.
 	WindowRetain int
 
-	// DataDir, when non-empty, makes the service durable: accepted
-	// report frames are write-ahead logged before any worker
-	// aggregates them, and every epoch seal writes a checkpoint, so a
-	// crashed service restarts with Recover to a state bit-identical
-	// to an uninterrupted run (DESIGN.md §8). New requires the
-	// directory to hold no prior state — recovering over it is
-	// Recover's job, never an accident.
+	// DataDir, when non-empty, makes the service durable: every
+	// accepted session frame is write-ahead logged — one at-rest seal,
+	// one record — before any of its reports is batched toward a
+	// worker, and every epoch seal writes a checkpoint, so a crashed
+	// service restarts with Recover to a state bit-identical to an
+	// uninterrupted run (DESIGN.md §8). New requires the directory to
+	// hold no prior state — recovering over it is Recover's job, never
+	// an accident.
 	DataDir string
-	// Sync is the WAL fsync policy (store.SyncBatch when zero).
-	// Rotation markers and checkpoints are always fsynced.
+	// Sync is the WAL fsync policy (store.SyncBatch when zero): always
+	// fsyncs every accepted frame before any of its reports is batched,
+	// batch fsyncs at every shuffle-batch boundary, none only between
+	// checkpoints. Whatever a crash tears away is whole frames, so the
+	// recovered Received count sits on a frame boundary. Rotation
+	// markers and checkpoints are always fsynced.
 	Sync store.SyncPolicy
 }
 
@@ -241,11 +247,14 @@ const intakeFrames = 2
 // queuedBatchesPerWorker sizes the batches queue: that many shuffled
 // batches per decode + aggregate worker (GOMAXPROCS of them, counted at
 // New or Recover) may wait before the shuffler — and transitively the
-// clients — block. The shuffler is a single goroutine that also
-// re-seals and write-ahead logs every report of a durable service, so
-// it needs enough buffered batches to keep running while every worker
-// is mid-batch: 2 per worker cost the durable benchmark workload
-// (svc_durable_query_d1024) about a tenth of its reports/s.
+// clients — block. The shuffler is a single goroutine feeding every
+// worker, so it needs enough buffered batches to keep them fed across
+// its own stalls (a rotation's fsync, a frame's seal and append). With
+// that work per frame, not per report, ten alternated 12 s pairs still
+// read 2 per worker behind 5 in nine on svc_durable_query_d1024
+// (median -3.3%) and in eight on svc_wire_d64, which has no WAL
+// (median -7.1%): EXPERIMENTS.md, "The frame is the unit of
+// durability".
 const queuedBatchesPerWorker = 5
 
 // frameBlock is one opened session frame on its way to the shuffler:
@@ -287,10 +296,12 @@ type Service struct {
 	shufflerPool pipeline.Pool  // the single batch-shuffler stage goroutine
 	workerPool   pipeline.Pool  // decode + aggregate stage workers
 
-	// sealer re-encrypts reports for the WAL (their wire
+	// sealer re-encrypts accepted frames for the WAL (their wire
 	// framing is under a connection-ephemeral key recovery could never
-	// re-derive). Nil for an in-memory service.
-	sealer *ecies.StorageSealer
+	// re-derive), sealBuf is its shuffler-owned output scratch. Nil for
+	// an in-memory service.
+	sealer  *ecies.StorageSealer
+	sealBuf []byte
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -637,20 +648,19 @@ func (s *Service) runShuffler() {
 	if cur != nil {
 		batcher.SetRand(s.shufflerEpochRNG(cur.id))
 	}
-	var sealBuf []byte
 	accept := func(b frameBlock) {
 		// What a frame asserts — and whether the budget still admits it —
-		// is constant per frame, so it is decided once here; only the
-		// logging and batching below are per record. Dropped records move
+		// is constant per frame, so it is decided, and logged, once here;
+		// only the batching below is per record. Dropped records move
 		// out of Received into exactly one of the drop counters, so
 		// Received / Late / Rejected stay disjoint and the Snapshot
 		// backlog arithmetic holds.
 		n := int64(len(b.recs) / size)
 		if cur == nil {
-			// The budget ran out: count the reports, log the drops (the
+			// The budget ran out: count the reports, log the drop (the
 			// service has stopped checkpointing, so the WAL is the only
 			// thing that carries Rejected across a restart), never
-			// aggregate them. Logging stops at rejectedLogCap: an
+			// aggregate them. Logging stops at rejectedLogCap reports: an
 			// exhausted service writes no more checkpoints, so nothing
 			// would ever prune these records, and a client flooding a
 			// still-open connection must not grow the WAL (or the next
@@ -659,14 +669,12 @@ func (s *Service) runShuffler() {
 			s.rejected.Add(n)
 			s.received.Add(-n)
 			if logged := min(n, rejectedLogCap-s.wal.rejected); s.st != nil && logged > 0 {
-				for i := int64(0); i < logged; i++ {
-					if err := s.st.AppendDrop(rejectEpoch, store.DropRejected); err != nil {
-						s.fail(err)
-					}
+				if err := s.st.AppendDrop(rejectEpoch, store.DropRejected, uint32(logged)); err != nil {
+					s.fail(err)
 				}
 				s.wal.rejected += logged
 				// No batch flush will ever run again (nothing
-				// aggregates), so commit the frame's drop records now —
+				// aggregates), so commit the frame's drop record now —
 				// the exhausted service has no other work to slow down.
 				if err := s.st.Commit(); err != nil {
 					s.fail(err)
@@ -675,34 +683,29 @@ func (s *Service) runShuffler() {
 			return
 		}
 		if b.epoch != EpochCurrent && b.epoch != uint32(cur.id) {
+			// One record for the frame, whatever it carried: what a stale
+			// epoch tag costs the WAL must not grow with the frame.
 			s.late.Add(n)
 			s.received.Add(-n)
 			if s.st != nil {
-				for i := int64(0); i < n; i++ {
-					if err := s.st.AppendDrop(uint32(cur.id), store.DropLate); err != nil {
-						s.fail(err)
-					}
+				if err := s.st.AppendDrop(uint32(cur.id), store.DropLate, uint32(n)); err != nil {
+					s.fail(err)
 				}
 				s.wal.late += n
 			}
 			return
 		}
-		for off := 0; off < len(b.recs); off += size {
-			rec := b.recs[off : off+size : off+size]
-			if s.st != nil {
-				// The report's wire frame was sealed under a
-				// connection-ephemeral key recovery could never re-derive,
-				// so re-seal the record under the at-rest storage key
-				// before logging — the WAL never holds plaintext reports.
-				// The scratch is safe to reuse: the store's record encoder
-				// copies the payload.
-				sealBuf = s.sealer.Seal(sealBuf[:0], rec)
-				if err := s.st.AppendSealedReport(uint32(cur.id), sealBuf); err != nil {
-					s.fail(err)
-				}
-				s.wal.received++
+		if s.st != nil {
+			// The frame is logged whole, ahead of the first of its reports
+			// the batcher sees: a flush fired by any of them — a frame
+			// larger than a batch fires several — commits a WAL that
+			// already holds every one.
+			if err := s.logFrame(uint32(cur.id), b.recs); err != nil {
+				s.fail(err)
 			}
-			batcher.Add(rec)
+		}
+		for off := 0; off < len(b.recs); off += size {
+			batcher.Add(b.recs[off : off+size : off+size])
 		}
 		// The count advances by a whole frame, so the hint fires on
 		// crossing the threshold, not on landing on it.
@@ -775,6 +778,25 @@ func (s *Service) runShuffler() {
 			return
 		}
 	}
+}
+
+// logFrame write-ahead logs one frame accepted into epoch: its
+// plaintext — a whole number of codec.Size() reports — is sealed once
+// under the at-rest key and appended as one record, so the durable
+// tier's cost per frame is one AEAD seal and one WAL append however
+// many reports the frame carries. The frame arrived under a
+// connection-ephemeral key recovery could never re-derive, hence the
+// re-seal: the WAL never holds plaintext reports. Only the shuffler
+// calls it, which is what makes the sealer's nonce counter, the scratch
+// (the store's record encoder copies the payload) and the counter
+// mirror safe to touch.
+func (s *Service) logFrame(epoch uint32, recs []byte) error {
+	s.sealBuf = s.sealer.Seal(s.sealBuf[:0], recs)
+	if err := s.st.AppendSealedReport(epoch, s.sealBuf); err != nil {
+		return err
+	}
+	s.wal.received += int64(len(recs) / s.codec.Size())
+	return nil
 }
 
 // runWorker is the decode + aggregate stage: worker i folds every

@@ -681,13 +681,7 @@ func TestRecoverSealedSessionReports(t *testing.T) {
 
 	// Three full shuffle batches forwarded means three WAL commits: all
 	// 24 reports are durable regardless of the crash below.
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Snapshot().Batches < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for 3 batches (have %d)", svc.Snapshot().Batches)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitBatches(t, svc, 3)
 	svc.Crash()
 
 	rec, err := service.Recover(cfg)

@@ -1,0 +1,454 @@
+package service_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"shuffledp/internal/ecies"
+	"shuffledp/internal/ldp"
+	"shuffledp/internal/service"
+	"shuffledp/internal/store"
+)
+
+// The tests in this file read the service's WAL as bytes: the durable
+// tier's unit is the accepted session frame — one at-rest seal, one
+// record — and what that promises (DESIGN.md §8, §11) is visible on
+// disk, not through the API.
+
+// WAL framing, as DESIGN.md §8 lays it out: a 13-byte segment header,
+// then records of 4-byte big-endian length, payload, 4-byte CRC32C. A
+// sealed-report payload is type(1) + epoch(4) + nonce(12) + plaintext +
+// tag(16).
+const (
+	walHeaderLen = 13
+	sealedExtra  = 5 + ecies.StorageOverhead
+)
+
+// walRecord is one record of a segment, located by its bytes.
+type walRecord struct {
+	off, end int // the record's first byte and the first byte after it
+	typ      byte
+	epoch    uint32
+	reports  int // for a sealed-report record, how many reports it holds
+}
+
+// walkSegment cuts a whole (untorn) segment into its records.
+func walkSegment(t *testing.T, seg []byte, reportSize int) []walRecord {
+	t.Helper()
+	if len(seg) < walHeaderLen || string(seg[:4]) != "SDPW" {
+		t.Fatalf("segment of %d bytes has no header", len(seg))
+	}
+	var recs []walRecord
+	for off := walHeaderLen; off < len(seg); {
+		if off+4 > len(seg) {
+			t.Fatalf("segment torn in a length prefix at %d", off)
+		}
+		n := int(binary.BigEndian.Uint32(seg[off:]))
+		end := off + 4 + n + 4
+		if n < 5 || end > len(seg) {
+			t.Fatalf("segment torn inside the record at %d", off)
+		}
+		payload := seg[off+4 : off+4+n]
+		r := walRecord{off: off, end: end, typ: payload[0], epoch: binary.LittleEndian.Uint32(payload[1:])}
+		if r.typ == store.RecordSealedReport {
+			r.reports = (n - sealedExtra) / reportSize
+		}
+		recs = append(recs, r)
+		off = end
+	}
+	return recs
+}
+
+// newestSegment returns the path of the highest-numbered WAL segment
+// under dir — the one the store is appending to.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment under %s: %v", dir, err)
+	}
+	sort.Strings(segs)
+	return segs[len(segs)-1]
+}
+
+// epochWAL is the durable state one epoch of an uninterrupted run left
+// behind while it was open: the checkpoint in force (nil for epoch 0)
+// and the epoch's whole segment, rotation marker included.
+type epochWAL struct {
+	ckptName, segName string
+	ckpt, seg         []byte
+}
+
+// captureWAL runs the world's workload uninterrupted on a durable
+// service and returns each epoch's WAL. A sealing checkpoint prunes the
+// epoch's segment the moment it is durable, so each segment is kept by
+// a hard link taken before the rotation that ends it.
+func (w *recoveryWorld) captureWAL(t *testing.T, ref *recoveryReference) []epochWAL {
+	t.Helper()
+	dir, keep := t.TempDir(), t.TempDir()
+	ledger := w.ledger(t)
+	svc, err := service.New(w.config(ledger, dir, store.SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := make([]epochWAL, len(w.bounds)+1)
+	hold := func(k int) {
+		seg := newestSegment(t, dir)
+		epochs[k].segName = filepath.Base(seg)
+		if err := os.Link(seg, filepath.Join(keep, epochs[k].segName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := 0
+	for k, b := range w.bounds {
+		w.send(t, svc, sent, b)
+		sent = b
+		hold(k)
+		if _, err := svc.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		cks, err := filepath.Glob(filepath.Join(dir, "ckpt-*.snap"))
+		if err != nil || len(cks) != 1 {
+			t.Fatalf("after sealing epoch %d the directory holds checkpoints %v (%v), want exactly one", k, cks, err)
+		}
+		epochs[k+1].ckptName = filepath.Base(cks[0])
+		if epochs[k+1].ckpt, err = os.ReadFile(cks[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.send(t, svc, sent, len(w.reports))
+	hold(len(w.bounds))
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.same(t, svc, snap, ledger)
+	for k := range epochs {
+		if epochs[k].seg, err = os.ReadFile(filepath.Join(keep, epochs[k].segName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return epochs
+}
+
+// stage writes the directory a crash would have left: the checkpoint in
+// force and the open epoch's segment as far as it got.
+func (e *epochWAL) stage(t *testing.T, seg []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if e.ckpt != nil {
+		if err := os.WriteFile(filepath.Join(dir, e.ckptName), e.ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, e.segName), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestRecoverEveryWALCut enumerates the crash points of a three-epoch
+// durable run instead of sampling them. With frames as records the WAL
+// is a dozen-odd records long, so every cut is affordable: at every
+// record boundary, inside every record's length prefix, payload and CRC
+// trailer, inside the segment header, and with a whole-length record
+// whose last byte rotted, the directory is staged as the crash would
+// have left it, recovered, and the stream resumed from the recovered
+// Received count. Named invariants, at every cut:
+//
+//   - Received recovers to exactly the reports of the whole records
+//     before the cut — a frame boundary, never inside a frame;
+//   - one record, one epoch: every record of an epoch's segment carries
+//     that epoch's id, the marker is its last record;
+//   - window, history, all-time estimate and ledger end bit-identical to
+//     the uninterrupted run, with exactly one charge per sealed epoch.
+//
+// The cases cover client frames of 1 (the record-per-report WAL older
+// builds wrote), 7, 50 and 256 reports, the last one larger than the
+// shuffle batch: one record, several batches.
+func TestRecoverEveryWALCut(t *testing.T) {
+	cases := []struct {
+		name                string
+		n, frame, batchSize int
+	}{
+		{"frame50", 600, 50, 128},
+		{"frame1", 36, 1, 8},
+		{"frame7", 150, 7, 16},
+		{"frame256-spans-batches", 1800, 256, 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			w := newRecoveryWorldOf(t, tc.n, tc.frame, tc.batchSize)
+			ref := w.reference(t)
+			codec, err := service.NewCodec(w.fo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, recoveries := 0, 0 // reports sealed into earlier epochs
+			for k, ep := range w.captureWAL(t, ref) {
+				recs := walkSegment(t, ep.seg, codec.Size())
+				frames := recs
+				if k < len(w.bounds) {
+					if last := recs[len(recs)-1]; last.typ != store.RecordRotate {
+						t.Fatalf("epoch %d's segment ends in a type-%d record, not its rotation marker", k, last.typ)
+					}
+					frames = recs[:len(recs)-1]
+				}
+				perEpoch := 0
+				for _, r := range frames {
+					if r.typ != store.RecordSealedReport || r.epoch != uint32(k) {
+						t.Fatalf("epoch %d's segment holds a type-%d record for epoch %d", k, r.typ, r.epoch)
+					}
+					if r.reports < 1 || r.reports > tc.frame {
+						t.Fatalf("a record of epoch %d holds %d reports, client frames carry at most %d", k, r.reports, tc.frame)
+					}
+					perEpoch += r.reports
+				}
+				if wantFrames := (perEpoch + tc.frame - 1) / tc.frame; len(frames) != wantFrames {
+					t.Fatalf("epoch %d logged its %d reports in %d records, want one per frame: %d", k, perEpoch, len(frames), wantFrames)
+				}
+
+				// A cut is a prefix of the segment, perhaps with its
+				// last byte rotted; whole counts the records that
+				// survive it.
+				type cut struct {
+					at, whole int
+					rot       bool
+				}
+				cuts := []cut{{at: 0}, {at: walHeaderLen / 2}, {at: walHeaderLen}}
+				for i, r := range recs {
+					cuts = append(cuts,
+						cut{at: r.off + 2, whole: i},
+						cut{at: (r.off + 4 + r.end - 4) / 2, whole: i},
+						cut{at: r.end - 2, whole: i},
+						cut{at: r.end, whole: i, rot: true},
+						cut{at: r.end, whole: i + 1})
+				}
+				for _, c := range cuts {
+					seg := append([]byte(nil), ep.seg[:c.at]...)
+					if c.rot {
+						seg[len(seg)-1] ^= 0x40
+					}
+					what := fmt.Sprintf("epoch %d cut at byte %d of %d (rot %v)", k, c.at, len(ep.seg), c.rot)
+					ledger := w.ledger(t)
+					svc, err := service.Recover(w.config(ledger, ep.stage(t, seg), store.SyncNone))
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					recoveries++
+					want, wantEpoch := before, k
+					for _, r := range recs[:c.whole] {
+						want += r.reports
+						if r.typ == store.RecordRotate {
+							wantEpoch = k + 1
+						}
+					}
+					snap := svc.Snapshot()
+					if snap.Received != int64(want) || snap.Late != 0 || snap.Rejected != 0 {
+						t.Fatalf("%s: recovered Received/Late/Rejected = %d/%d/%d, want %d/0/0 — the last whole frame",
+							what, snap.Received, snap.Late, snap.Rejected, want)
+					}
+					if svc.Epoch() != wantEpoch || len(svc.History()) != wantEpoch {
+						t.Fatalf("%s: recovered into epoch %d with %d sealed, want epoch %d", what, svc.Epoch(), len(svc.History()), wantEpoch)
+					}
+					// Epoch 0 at New plus one charge per epoch opened since.
+					if got := ledger.Epochs(); got != wantEpoch+1 {
+						t.Fatalf("%s: recovered ledger holds %d charges, want %d", what, got, wantEpoch+1)
+					}
+					ref.same(t, svc, w.run(t, svc), ledger)
+				}
+				before += perEpoch
+			}
+			t.Logf("%d recoveries", recoveries)
+		})
+	}
+}
+
+// A sealed record is a whole number of reports, at least one. Anything
+// else was not written by the shuffler; Recover refuses it with an
+// error that says so and never skips it — a skipped record would
+// silently shrink the epoch.
+func TestRecoverRefusesRaggedSealedRecord(t *testing.T) {
+	w := newRecoveryWorld(t)
+	sealer, err := ecies.NewStorageSealer(w.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cut  func(block []byte) []byte
+	}{
+		{"empty", func([]byte) []byte { return nil }},
+		{"ragged-tail", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"short-of-one-report", func(b []byte) []byte { return b[:5] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var block []byte
+			w.stageInterruptedRotation(t, dir, 4, func(st *store.Store, payload []byte) error {
+				// Three good one-report records, then the four reports'
+				// worth of bytes the case mangles.
+				if block = append(block, payload...); len(block) < 4*len(payload) {
+					return st.AppendSealedReport(0, sealer.Seal(nil, payload))
+				}
+				return st.AppendSealedReport(0, sealer.Seal(nil, tc.cut(block)))
+			})
+			svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+			if err == nil {
+				svc.Close()
+				t.Fatal("Recover accepted a sealed record that is not a whole number of reports")
+			}
+			if !strings.Contains(err.Error(), "whole 8-byte reports") {
+				t.Fatalf("Recover error %q does not name the malformed record", err)
+			}
+		})
+	}
+}
+
+// TestLateFrameIsOneWALRecord is the amplification bound: a frame that
+// asserts a closed epoch costs the WAL one counted drop record, however
+// many reports it carried — not one record per report — and the count
+// survives a crash.
+func TestLateFrameIsOneWALRecord(t *testing.T) {
+	const late = 4096
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	cfg := w.config(nil, dir, store.SyncBatch)
+	svc, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.send(t, svc, 0, 100)
+	if _, err := svc.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One authentic frame of 4096 reports, stamped with the epoch just
+	// sealed.
+	clientSide, serverSide := net.Pipe()
+	if err := svc.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := service.NewSessionClient(w.fo, w.key.Public(), nil, clientSide, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetEpoch(0)
+	for i := 0; i < late; i++ {
+		if err := cl.SendReport(w.reports[i%len(w.reports)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitSnapshot(t, svc, "late reports", late, func(s service.Snapshot) int64 { return s.Late })
+	// A full shuffle batch into the open epoch behind it: its flush
+	// commits the WAL, drop record included.
+	w.frame = w.batchSize
+	w.send(t, svc, 100, 100+w.batchSize)
+	waitBatches(t, svc, 2)
+	svc.Crash()
+
+	seg, err := os.ReadFile(newestSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := walkSegment(t, seg, 8)
+	if len(recs) != 2 || recs[0].typ != store.RecordDrop || recs[1].typ != store.RecordSealedReport {
+		t.Fatalf("the late frame and the batch behind it left %d records (%+v), want one drop and one sealed frame", len(recs), recs)
+	}
+	if grew := recs[0].end - recs[0].off; grew != 4+10+4 {
+		t.Fatalf("the late frame of %d reports grew the segment by %d bytes, want one 18-byte counted drop", late, grew)
+	}
+
+	rec, err := service.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if snap := rec.Snapshot(); snap.Late != late || snap.Received != int64(100+w.batchSize) {
+		t.Fatalf("recovered Late/Received = %d/%d, want %d/%d", snap.Late, snap.Received, late, 100+w.batchSize)
+	}
+}
+
+// waitBatches blocks until the service has forwarded n shuffled batches
+// — each preceded by a WAL commit.
+func waitBatches(t *testing.T, svc *service.Service, n int64) {
+	t.Helper()
+	waitSnapshot(t, svc, "forwarded batches", n, func(s service.Snapshot) int64 { return s.Batches })
+}
+
+// TestWALBytesPerReport pins what the durable tier writes: after 10 240
+// SOLH reports at the default client batch the segment holds one sealed
+// record per frame and at most 9 bytes per report — (2048 + 28 + 5 + 8)
+// / 256 = 8.16; a record per report is 49. A later change cannot
+// quietly go back to logging reports one by one. It also scans the
+// segment for every report's marshalled word: the WAL never holds a
+// plaintext report.
+func TestWALBytesPerReport(t *testing.T) {
+	const n = 40 * service.DefaultClientBatch
+	fo := ldp.NewSOLH(1024, 16, 3)
+	values := make([]int, n)
+	for i := range values {
+		values[i] = (i * 31) % 1024
+	}
+	reports := ldp.RandomizeParallel(fo, values, 7, 0)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	svc, err := service.New(service.Config{FO: fo, Key: key, ShuffleSeed: 3, DataDir: dir, Sync: store.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendSession(t, svc, fo, key, reports)
+	// The last full shuffle batch forwarded means the shuffler has
+	// logged every frame (Received counts frames still in the intake).
+	// An orderly stop then flushes the WAL without sealing, so the open
+	// epoch's segment is all there and nothing has pruned it.
+	waitBatches(t, svc, n/service.DefaultBatchSize)
+	svc.Close()
+
+	seg, err := os.ReadFile(newestSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := walkSegment(t, seg, 8)
+	if len(recs) != n/service.DefaultClientBatch {
+		t.Fatalf("%d reports in frames of %d left %d WAL records, want one per frame", n, service.DefaultClientBatch, len(recs))
+	}
+	for _, r := range recs {
+		if r.typ != store.RecordSealedReport || r.reports != service.DefaultClientBatch {
+			t.Fatalf("WAL record %+v is not one sealed frame of %d reports", r, service.DefaultClientBatch)
+		}
+	}
+	perReport := float64(len(seg)) / n
+	t.Logf("%.2f WAL bytes per report", perReport)
+	if perReport > 9 {
+		t.Fatalf("the segment holds %.2f bytes per report, want <= 9", perReport)
+	}
+
+	codec, err := service.NewCodec(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reports {
+		word, err := codec.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := bytes.Index(seg, word); at >= 0 {
+			t.Fatalf("report %d's marshalled word % x sits in the clear at segment byte %d", i, word, at)
+		}
+	}
+}

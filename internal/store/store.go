@@ -12,11 +12,16 @@
 //
 // Each WAL record is a transport.WriteCheckedFrame (length prefix +
 // payload + CRC32C trailer) whose payload starts with a record-type
-// byte: an accepted report ciphertext tagged with the epoch it was
-// routed to, a counted drop (late or rejected), or a rotation marker
-// sealing one epoch and naming the next. The service appends report
-// records before any worker aggregates them, so every report that can
-// influence an estimate is on its way to disk first.
+// byte: the reports of one accepted session frame, sealed once under
+// the at-rest key and tagged with the epoch they were routed to; a
+// counted drop (how many reports one late or rejected frame carried);
+// or a rotation marker sealing one epoch and naming the next. The unit
+// of the log is what arrived — a frame — not the report: the service
+// appends a frame's record before the first of its reports is batched
+// toward any worker, so every report that can influence an estimate is
+// on its way to disk first, and a torn tail loses whole frames (the
+// recovered Received count sits on a frame boundary, which is where a
+// client resumes).
 //
 // A checkpoint is written at every epoch seal and captures the whole
 // durable state: sealed-epoch history roots (ldp aggregator blobs),
@@ -45,16 +50,18 @@ import (
 
 // SyncPolicy selects when the WAL is fsynced. Checkpoints and rotation
 // markers are always fsynced regardless of policy — only per-record
-// durability is negotiable.
+// durability is negotiable, and a record is one accepted session frame
+// (or one counted drop), never one report.
 type SyncPolicy int
 
 const (
 	// SyncBatch (the default) fsyncs at Commit, which the service
 	// calls at every shuffle-batch boundary: a crash loses at most the
-	// partial batch since the last flush.
+	// frames logged since the last flush.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways fsyncs after every appended record: no acknowledged
-	// report is ever lost, at a large per-report cost.
+	// SyncAlways fsyncs after every appended record: every accepted
+	// frame is fsynced before any of its reports is batched, so no
+	// accepted report is ever lost, at one fsync per frame.
 	SyncAlways
 	// SyncNone flushes records to the OS at Commit but never fsyncs
 	// between checkpoints: a process crash loses nothing, a power cut
@@ -123,17 +130,24 @@ const (
 	// plus its ciphertext frame (reports are logged encrypted — the
 	// WAL never holds plaintext reports).
 	RecordReport byte = 1
-	// RecordDrop is one dropped report, counted but never aggregated.
+	// RecordDrop is the reports of one dropped frame, counted but never
+	// aggregated: epoch, reason, and an optional little-endian uint32
+	// count after the reason byte. A record without the count (the
+	// 6-byte shape every build before the count wrote) is one report,
+	// and a count of one is always written that way.
 	RecordDrop byte = 2
 	// RecordRotate seals one epoch and names the next (or none, when
 	// the budget ledger refused it).
 	RecordRotate byte = 3
-	// RecordSealedReport is one accepted session report: the report
+	// RecordSealedReport is one accepted session frame: its reports
 	// arrived under a connection-ephemeral session key (no re-derivable
-	// ciphertext exists), so the service re-seals the plaintext under
-	// its at-rest storage key (ecies.StorageSealer) before logging. The
+	// ciphertext exists), so the service re-seals the frame's plaintext —
+	// a whole number of fixed-size reports, one or many — once under its
+	// at-rest storage key (ecies.StorageSealer) before logging. The
 	// payload is the sealed storage record, keeping the WAL's
-	// never-holds-plaintext property for the session ingest path.
+	// never-holds-plaintext property for the session ingest path; the
+	// store does not look inside it, so how many reports a record holds
+	// is the service's business.
 	RecordSealedReport byte = 4
 )
 
@@ -159,8 +173,11 @@ type Record struct {
 	// Reason is the drop reason (DropLate, DropRejected). Meaningful
 	// only for RecordDrop.
 	Reason byte
-	// Payload is the report's ciphertext frame (RecordReport) or
-	// sealed storage record (RecordSealedReport).
+	// Count is how many reports the drop covers, at least 1.
+	// Meaningful only for RecordDrop.
+	Count uint32
+	// Payload is the report's ciphertext frame (RecordReport) or the
+	// frame's sealed storage record (RecordSealedReport).
 	Payload []byte
 }
 
@@ -248,10 +265,14 @@ func encodeRecord(rec Record) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, rec.Epoch)
 		return append(buf, rec.Payload...)
 	case RecordDrop:
-		buf := make([]byte, 0, 6)
+		buf := make([]byte, 0, 10)
 		buf = append(buf, RecordDrop)
 		buf = binary.LittleEndian.AppendUint32(buf, rec.Epoch)
-		return append(buf, rec.Reason)
+		buf = append(buf, rec.Reason)
+		if rec.Count == 1 {
+			return buf
+		}
+		return binary.LittleEndian.AppendUint32(buf, rec.Count)
 	case RecordRotate:
 		buf := make([]byte, 0, 13)
 		buf = append(buf, RecordRotate)
@@ -276,7 +297,16 @@ func decodeRecord(payload []byte) (Record, error) {
 			Payload: append([]byte(nil), payload[5:]...),
 		}, nil
 	case RecordDrop:
-		if len(payload) != 6 {
+		count := uint32(1)
+		switch len(payload) {
+		case 6:
+		case 10:
+			// One encoding per record: zero reports is no drop at all,
+			// and one report is the 6-byte shape.
+			if count = binary.LittleEndian.Uint32(payload[6:]); count < 2 {
+				return Record{}, fmt.Errorf("store: drop record with an explicit count of %d", count)
+			}
+		default:
 			return Record{}, errors.New("store: malformed drop record")
 		}
 		if r := payload[5]; r != DropLate && r != DropRejected {
@@ -286,6 +316,7 @@ func decodeRecord(payload []byte) (Record, error) {
 			Type:   RecordDrop,
 			Epoch:  binary.LittleEndian.Uint32(payload[1:]),
 			Reason: payload[5],
+			Count:  count,
 		}, nil
 	case RecordRotate:
 		if len(payload) != 13 {

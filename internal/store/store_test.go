@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,8 +30,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Type: RecordReport, Epoch: 3, Payload: []byte("ciphertext")},
 		{Type: RecordReport, Epoch: 0, Payload: nil},
 		{Type: RecordSealedReport, Epoch: 9, Payload: []byte("sealed storage record")},
-		{Type: RecordDrop, Epoch: 7, Reason: DropLate},
-		{Type: RecordDrop, Epoch: 7, Reason: DropRejected},
+		{Type: RecordDrop, Epoch: 7, Reason: DropLate, Count: 1},
+		{Type: RecordDrop, Epoch: 7, Reason: DropRejected, Count: 1},
+		{Type: RecordDrop, Epoch: 7, Reason: DropLate, Count: 4096},
+		{Type: RecordDrop, Epoch: 0, Reason: DropRejected, Count: math.MaxUint32},
 		{Type: RecordRotate, Epoch: 2, Next: 3},
 		{Type: RecordRotate, Epoch: 5, Next: -1},
 	}
@@ -40,7 +43,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("decode(%+v): %v", want, err)
 		}
 		if got.Type != want.Type || got.Epoch != want.Epoch || got.Next != want.Next ||
-			got.Reason != want.Reason || !bytes.Equal(got.Payload, want.Payload) {
+			got.Reason != want.Reason || got.Count != want.Count || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("round trip changed %+v -> %+v", want, got)
 		}
 	}
@@ -56,8 +59,11 @@ func TestAppendAndRecoverTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.AppendDrop(0, DropLate); err != nil {
+	if err := st.AppendDrop(0, DropLate, 4096); err != nil {
 		t.Fatal(err)
+	}
+	if err := st.AppendDrop(0, DropLate, 0); err == nil {
+		t.Fatal("a drop record counting no reports was appended")
 	}
 	if err := st.AppendSealedReport(0, []byte("sealed")); err != nil {
 		t.Fatal(err)
@@ -93,7 +99,7 @@ func TestAppendAndRecoverTail(t *testing.T) {
 			t.Fatalf("record %d replayed as %+v", i, r)
 		}
 	}
-	if r := rec.Tail[10]; r.Type != RecordDrop || r.Reason != DropLate {
+	if r := rec.Tail[10]; r.Type != RecordDrop || r.Reason != DropLate || r.Count != 4096 {
 		t.Fatalf("drop record replayed as %+v", r)
 	}
 	if r := rec.Tail[11]; r.Type != RecordSealedReport || !bytes.Equal(r.Payload, []byte("sealed")) {
@@ -477,11 +483,18 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		{},
-		{99},                        // unknown type
-		{RecordReport},              // truncated epoch
-		{RecordDrop, 0, 0, 0, 0, 9}, // unknown drop reason
-		{RecordDrop, 0, 0, 0, 0},    // short drop
-		{RecordRotate, 0, 0, 0, 0},  // short rotate
+		{99},                                     // unknown type
+		{RecordReport},                           // truncated epoch
+		{RecordDrop, 0, 0, 0, 0, 9},              // unknown drop reason
+		{RecordDrop, 0, 0, 0, 0},                 // short drop
+		{RecordDrop, 0, 0, 0, 0, DropLate, 2},    // 7 bytes: a count torn after one byte
+		{RecordDrop, 0, 0, 0, 0, DropLate, 2, 0}, // 8 bytes
+		{RecordDrop, 0, 0, 0, 0, DropLate, 2, 0, 0},                                                         // 9 bytes
+		{RecordDrop, 0, 0, 0, 0, DropLate, 2, 0, 0, 0, 0},                                                   // 11 bytes: past the count
+		{RecordDrop, 0, 0, 0, 0, DropLate, 0, 0, 0, 0},                                                      // a drop of zero reports
+		{RecordDrop, 0, 0, 0, 0, DropRejected, 1, 0, 0, 0},                                                  // one report has one encoding, the 6-byte one
+		{RecordDrop, 0, 0, 0, 0, 9, 2, 0, 0, 0},                                                             // counted drop, unknown reason
+		{RecordRotate, 0, 0, 0, 0},                                                                          // short rotate
 		append([]byte{RecordRotate, 1, 0, 0, 0}, []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}...), // next = -2
 	}
 	for _, payload := range bad {

@@ -202,19 +202,22 @@ func scanDir(dir string) ([]segmentInfo, []uint64, error) {
 // segmentHeaderLen is the byte length of a segment header.
 const segmentHeaderLen = len(segmentMagic) + 1 + segHeaderExtra
 
-// readSegment parses one WAL segment, tracking validOff — the byte
-// offset after the last whole record. In the final segment
-// (last=true) a torn trailing record — truncated mid-write by a
-// crash — ends the replay cleanly at validOff; in any earlier segment
-// it is corruption and errors.
+// readSegment parses the WAL segment at path; see parseSegment.
 func readSegment(path string, last bool) (records []Record, segEpoch uint64, validOff int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	return parseSegment(bufio.NewReader(f), last)
+}
 
+// parseSegment parses one WAL segment's bytes — whatever a crash left
+// on disk — tracking validOff, the byte offset after the last whole
+// record. In the final segment (last=true) a torn trailing record —
+// truncated mid-write by a crash — ends the replay cleanly at validOff;
+// in any earlier segment it is corruption and errors.
+func parseSegment(br io.Reader, last bool) (records []Record, segEpoch uint64, validOff int64, torn bool, err error) {
 	hdr := make([]byte, segmentHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		if last {
@@ -310,18 +313,24 @@ func (s *Store) AppendReport(epoch uint32, ct []byte) error {
 	return s.append(Record{Type: RecordReport, Epoch: epoch, Payload: ct})
 }
 
-// AppendSealedReport logs one accepted session report, already
-// re-sealed under the service's at-rest storage key (the connection's
-// session key cannot be re-derived at recovery, so the original wire
-// frame is useless to replay).
+// AppendSealedReport logs the reports of one accepted session frame,
+// already re-sealed — all of them under one seal — with the service's
+// at-rest storage key (the connection's session key cannot be
+// re-derived at recovery, so the original wire frame is useless to
+// replay). Under SyncAlways the record is on the platters when the
+// call returns.
 func (s *Store) AppendSealedReport(epoch uint32, sealed []byte) error {
 	return s.append(Record{Type: RecordSealedReport, Epoch: epoch, Payload: sealed})
 }
 
-// AppendDrop logs one dropped report so the durable counters replay to
-// the same values the live ones held.
-func (s *Store) AppendDrop(epoch uint32, reason byte) error {
-	return s.append(Record{Type: RecordDrop, Epoch: epoch, Reason: reason})
+// AppendDrop logs the count reports of one dropped frame as a single
+// record, so the durable counters replay to the same values the live
+// ones held at a cost that does not grow with the frame.
+func (s *Store) AppendDrop(epoch uint32, reason byte, count uint32) error {
+	if count == 0 {
+		return errors.New("store: drop record counting no reports")
+	}
+	return s.append(Record{Type: RecordDrop, Epoch: epoch, Reason: reason, Count: count})
 }
 
 // Commit flushes buffered records to the OS and, under SyncBatch,
