@@ -96,17 +96,16 @@ func SSFakePoisoning(fo *ldp.GRR, trueCounts []int, nr, target int, trials int, 
 		n += c
 	}
 	r := rng.New(seed)
-	p, q, _ := ldp.SupportProbabilities(fo)
-	_, beta := ldp.FakeSupport(fo)
+	sup, _ := ldp.SupportOf(fo)
 	truth := float64(trueCounts[target]) / float64(n)
 	var boost float64
 	for trial := 0; trial < trials; trial++ {
 		counts := make([]int, d)
 		for v, nv := range trueCounts {
-			counts[v] = r.Binomial(nv, p) + r.Binomial(n-nv, q)
+			counts[v] = r.Binomial(nv, sup.P) + r.Binomial(n-nv, sup.Q)
 		}
 		counts[target] += nr // all fakes pushed onto the target
-		est := ldp.CalibrateWithFakes(counts, n, nr, p, q, beta)
+		est := sup.Calibrate(counts, n, nr)
 		boost += est[target] - truth
 	}
 	return PoisonResult{TargetBoost: boost / float64(trials)}
@@ -130,8 +129,7 @@ func PEOSFakePoisoning(fo *ldp.GRR, trueCounts []int, nr, target, r, trials int,
 	}
 	mod := secretshare.NewModulus(64)
 	rr := rng.New(seed)
-	p, q, _ := ldp.SupportProbabilities(fo)
-	_, beta := ldp.FakeSupport(fo)
+	sup, _ := ldp.SupportOf(fo)
 	truth := float64(trueCounts[target]) / float64(n)
 
 	var boost float64
@@ -140,7 +138,7 @@ func PEOSFakePoisoning(fo *ldp.GRR, trueCounts []int, nr, target, r, trials int,
 	for trial := 0; trial < trials; trial++ {
 		counts := make([]int, d)
 		for v, nv := range trueCounts {
-			counts[v] = rr.Binomial(nv, p) + rr.Binomial(n-nv, q)
+			counts[v] = rr.Binomial(nv, sup.P) + rr.Binomial(n-nv, sup.Q)
 		}
 		for k := 0; k < nr; k++ {
 			// Malicious shuffler 0 fixes its share; 1..r-1 honest.
@@ -153,7 +151,7 @@ func PEOSFakePoisoning(fo *ldp.GRR, trueCounts []int, nr, target, r, trials int,
 			fakeHist[rep.Value]++
 			totalFakes++
 		}
-		est := ldp.CalibrateWithFakes(counts, n, nr, p, q, beta)
+		est := sup.Calibrate(counts, n, nr)
 		boost += est[target] - truth
 	}
 	// Chi-square of combined fakes vs uniform.

@@ -12,7 +12,6 @@ import (
 	"shuffledp/internal/budget"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/oblivious"
-	"shuffledp/internal/protocol"
 	"shuffledp/internal/secretshare"
 	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
@@ -130,6 +129,7 @@ type Collection struct {
 type Analyzer struct {
 	cfg AnalyzerConfig
 	enc *ldp.WordEncoder
+	sup ldp.Support // calibrates per-collection and cumulative counts alike
 	mod secretshare.Modulus
 	ln  net.Listener
 	st  *store.Store
@@ -198,6 +198,10 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	sup, ok := ldp.SupportOf(cfg.FO)
+	if !ok || sup.U == 0 {
+		return nil, fmt.Errorf("cluster: oracle %s has no fake-corrected estimator (Equation 6)", cfg.FO.Name())
+	}
 	ln, err := listenOrUse(cfg.Listener, cfg.Topology.Analyzers[cfg.Shard])
 	if err != nil {
 		return nil, err
@@ -205,6 +209,7 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	a := &Analyzer{
 		cfg:      cfg,
 		enc:      enc,
+		sup:      sup,
 		mod:      secretshare.NewModulus(64),
 		ln:       ln,
 		peers:    make([]*link, cfg.Topology.R()),
@@ -594,7 +599,7 @@ func (a *Analyzer) seal(collection uint32, n int, words []uint64) (Collection, e
 		Collection: int(collection),
 		Reports:    n,
 		Fakes:      a.cfg.NR,
-		Estimates:  protocol.EstimateCounts(a.cfg.FO, colCounts, n, a.cfg.NR),
+		Estimates:  a.sup.Calibrate(colCounts, n, a.cfg.NR),
 		Cumulative: a.Estimates(),
 	}, nil
 }
@@ -631,7 +636,7 @@ func (a *Analyzer) fold(collection uint32, n int, words []uint64) ([]int, error)
 func (a *Analyzer) Estimates() []float64 {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
-	return protocol.EstimateCounts(a.cfg.FO, a.counts, a.reals, a.fakes)
+	return a.sup.Calibrate(a.counts, a.reals, a.fakes)
 }
 
 // Totals returns the cumulative user-report and fake-report counts.

@@ -97,6 +97,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	if s, ok := ldp.SupportOf(cfg.FO); !ok || s.U == 0 {
+		return nil, fmt.Errorf("cluster: oracle %s has no fake-corrected estimator (Equation 6)", cfg.FO.Name())
+	}
 	var seed [8]byte
 	if _, err := crand.Read(seed[:]); err != nil {
 		return nil, fmt.Errorf("cluster: client nonce seed: %w", err)

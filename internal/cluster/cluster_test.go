@@ -14,6 +14,7 @@ import (
 	"shuffledp/internal/protocol"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/secretshare"
+	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
@@ -412,6 +413,97 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 	if _, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{Topology: goodTopo, FO: fo, Priv: priv}); err == nil {
 		t.Fatal("RecoverAnalyzer accepted an empty DataDir")
+	}
+}
+
+// The client and the analyzer refuse, by name, an oracle the analyzer
+// could not estimate for under uniform fakes — before anything is
+// dialed, bound, written or charged. Hadamard is the row that matters:
+// it has a word encoding, so it used to be accepted, and the analyzer
+// then panicked in fold after the round had run — on a durable node
+// with the ledger charged and the words sealed, so every RecoverAnalyzer
+// panicked again replaying them. The last step hand-writes that
+// directory and recovers over it.
+func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
+	priv := sharedKey(t)
+	for _, tc := range []struct {
+		fo ldp.FrequencyOracle
+		ok bool
+	}{
+		{ldp.NewHadamard(16, 2), false},
+		{ldp.NewRAP(16, 1), false},
+		{ldp.NewOUE(16, 1), false},
+		{ldp.NewAUE(16, 1, 1e-6, 1000), false},
+		{ldp.NewGRR(16, 2), true},
+		{ldp.NewOLH(16, 2), true},
+		{ldp.NewSOLH(16, 4, 2), true},
+	} {
+		t.Run(tc.fo.Name(), func(t *testing.T) {
+			topo, slns, alns := bindTopology(t, 2, 1)
+			for _, ln := range slns {
+				ln.Close()
+			}
+			dialed := false
+			_, errClient := cluster.NewClient(cluster.ClientConfig{
+				Topology: topo, FO: tc.fo, Pub: ahe.PublicKey(priv), Source: rng.New(1),
+				DialTimeout: time.Millisecond,
+				Dial: func(string, time.Duration) (net.Conn, error) {
+					dialed = true
+					return nil, errors.New("no shuffler here")
+				},
+			})
+			ledger, dir := testLedger(t), t.TempDir()
+			acfg := cluster.AnalyzerConfig{Topology: topo, FO: tc.fo, Priv: priv, NR: 2, Ledger: ledger, DataDir: dir}
+			if tc.ok {
+				acfg.Listener = alns[0]
+			} // else alns[0] keeps the address: a bind attempt would fail differently
+			a, errAnalyzer := cluster.NewAnalyzer(acfg)
+			if a != nil {
+				a.Close()
+			}
+			if tc.ok {
+				if !dialed {
+					t.Errorf("client: %v, want it to get as far as dialing", errClient)
+				}
+				if errAnalyzer != nil {
+					t.Errorf("analyzer: %v", errAnalyzer)
+				}
+				return
+			}
+			defer alns[0].Close()
+			refused := func(role string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "oracle "+tc.fo.Name()+" ") {
+					t.Errorf("%s: err = %v, want a refusal naming the oracle", role, err)
+				}
+			}
+			refused("client", errClient)
+			refused("analyzer", errAnalyzer)
+			if dialed {
+				t.Error("the refused client dialed a shuffler")
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Errorf("the refused analyzer left %d entries in its data directory (%v)", len(left), err)
+			}
+			// A sealed collection of this oracle, as the parent's analyzer
+			// left it on disk: words, commit, rotation marker.
+			st, err := store.Create(dir, store.Meta{Oracle: tc.fo.Name(), Domain: tc.fo.Domain()}, store.SyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(
+				st.AppendReport(0, transport.EncodeUint64s([]uint64{0, 1, 2, 3, 4})),
+				st.Commit(), st.Rotate(0, 1), st.Close(),
+			); err != nil {
+				t.Fatal(err)
+			}
+			acfg.Listener = alns[0] // nothing but the oracle stands between it and fold
+			_, err = cluster.RecoverAnalyzer(acfg)
+			refused("RecoverAnalyzer", err)
+			if ledger.Epochs() != 0 {
+				t.Errorf("refusals charged the ledger %d times", ledger.Epochs())
+			}
+		})
 	}
 }
 

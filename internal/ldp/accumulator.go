@@ -1,0 +1,247 @@
+package ldp
+
+import "shuffledp/internal/hash"
+
+// Support is what a count oracle's estimator needs to know about its
+// randomizer: the probability that one report "supports" a fixed value
+// v of the domain, by where the report came from.
+//
+//	         P                      Q             U
+//	GRR      e^eps/(e^eps+d-1)      1/(e^eps+d-1) 1/d
+//	OLH/SOLH e^eps/(e^eps+d'-1)     1/d'          1/d'
+//	RAP(_R)  1-flip                 flip          -
+//	OUE      1/2                    1/(e^eps+1)   -
+//	Had      p                      1/2           -
+//
+// Hadamard's row is the support-count view of its signed reports
+// ("support" = the sign matches H[a, v+1]), which is what the
+// simulators sample; its aggregator works on row sums instead. AUE has
+// no Support: its blanket adds increments, not a second probability
+// (see SimulateAUE).
+type Support struct {
+	// P is the probability that a user's report supports the user's
+	// own value.
+	P float64
+	// Q is the probability that it supports any other fixed value.
+	Q float64
+	// U is the probability that a fake report drawn uniformly from the
+	// oracle's report space (Algorithm 1) supports a fixed value. Zero
+	// means the oracle has no PEOS estimator.
+	U float64
+}
+
+// SupportOf returns the support probabilities of a count oracle, or
+// ok=false for an oracle without the (P, Q) structure.
+func SupportOf(fo FrequencyOracle) (s Support, ok bool) {
+	switch o := fo.(type) {
+	case *GRR:
+		// The report space is [d], so u = 1/d and — because
+		// p + (d-1)q = 1 — one fake adds exactly 1/d to every
+		// calibrated estimate: the nr/(n*d) term of Equation (6).
+		return Support{P: o.p, Q: o.q, U: 1 / float64(o.d)}, true
+	case *LocalHash:
+		// A fake is (seed, y) with y uniform on [d'], so u = q: the
+		// estimator's q subtraction already absorbs uniform fakes and
+		// Equation (6)'s correction vanishes (DESIGN.md §3).
+		q := 1 / float64(o.dPrime)
+		return Support{P: o.p, Q: q, U: q}, true
+	case *Hadamard:
+		return Support{P: o.p, Q: 0.5}, true
+	case *UnaryEncoding:
+		return Support{P: 1 - o.flip, Q: o.flip}, true
+	case *OUE:
+		return Support{P: o.p, Q: o.q}, true
+	}
+	return Support{}, false
+}
+
+// Calibrate converts support counts over n user reports plus nr uniform
+// fake reports into unbiased estimates of the users' frequencies — the
+// generalized Equation (6),
+//
+//	f'_v = (n+nr)/n * f~_v - (nr/n) * (U-Q)/(P-Q),
+//	f~_v = (C_v/(n+nr) - Q) / (P-Q),
+//
+// which at nr = 0 is Equations (2) and (3) bit for bit. Every
+// server-side estimate in the repository — the protocols', the
+// networked analyzer's, the simulators', and through calibrate the
+// accumulator's — is this one computation. It panics on a Support that has no estimator for
+// the reports: the zero Support, or fakes (nr > 0) with U = 0.
+func (s Support) Calibrate(counts []int, n, nr int) []float64 {
+	if s.P == s.Q || nr > 0 && s.U == 0 {
+		panic("ldp: Support has no estimator for these reports")
+	}
+	scale := s.P - s.Q
+	return calibrate(counts, n, nr, s.Q, scale, (s.U-s.Q)/scale)
+}
+
+// calibrate is Calibrate in the affine form the accumulator stores:
+// f~_v = (C_v/(n+nr) - shift) / scale, each fake worth beta.
+func calibrate(counts []int, n, nr int, shift, scale, beta float64) []float64 {
+	est := make([]float64, len(counts))
+	if n == 0 {
+		return est
+	}
+	tf := float64(n + nr)
+	nf := float64(n)
+	grow, fake := tf/nf, float64(nr)/nf*beta
+	for v, c := range counts {
+		fTilde := (float64(c)/tf - shift) / scale
+		est[v] = grow*fTilde - fake
+	}
+	return est
+}
+
+// lhBlock is how many staged local-hash reports the accumulator folds
+// per kernel call. The seed/target lanes of one block are
+// 2 * 8 B * lhBlock = 8 KiB, small enough to stay cache-resident while
+// CountSupport's candidate-value loop sweeps the domain.
+const lhBlock = 512
+
+// countSpec is the immutable half of an accumulator: what its oracle
+// told it. Two accumulators merge iff their specs are equal.
+type countSpec struct {
+	kind  byte    // state-header kind byte (marshal.go); selects how a report adds
+	d     int     // domain size = number of counts
+	aux   int     // header echo: local hashing's d', AUE's blanket rounds
+	param float64 // header echo: the oracle's defining probability
+	// Estimates are (C_v/n - shift) / scale: (q, p-q) for an oracle
+	// with a Support, (gamma, exactly 1) for AUE.
+	shift, scale float64
+}
+
+// accumulator is the Aggregator of every oracle whose sufficient
+// statistic is d integer support counts — all of them but Hadamard. The
+// only per-oracle code is how one report adds to the counts.
+type accumulator struct {
+	countSpec
+	n      int
+	counts []int // len d, allocated on first need
+	// Local hashing stages reports here and folds them a block at a
+	// time through the zero-allocation hash.Family.CountSupport kernel,
+	// so the memory footprint is O(d + block) instead of O(n).
+	seeds, ys []uint64
+}
+
+// newAccumulator returns fo's empty accumulator, calibrated by fo's
+// Support.
+func newAccumulator(fo FrequencyOracle, kind byte, aux int, param float64) *accumulator {
+	s, _ := SupportOf(fo)
+	return &accumulator{countSpec: countSpec{
+		kind: kind, d: fo.Domain(), aux: aux, param: param,
+		shift: s.Q, scale: s.P - s.Q,
+	}}
+}
+
+// Add implements Aggregator.
+func (a *accumulator) Add(rep Report) {
+	switch a.kind {
+	case kindLocalHash:
+		// Report (seed, y) supports v iff H_seed(v) = y.
+		if rep.Value < 0 || rep.Value >= a.aux {
+			panic("ldp: local hash report outside [0, d')")
+		}
+		a.seeds = append(a.seeds, uint64(rep.Seed))
+		a.ys = append(a.ys, uint64(rep.Value))
+		if len(a.seeds) >= lhBlock {
+			a.flush()
+		}
+	case kindGRR:
+		// A report supports its value.
+		validateValue(rep.Value, a.d)
+		a.tally()[rep.Value]++
+	default:
+		// One bit per location — for AUE, one increment count.
+		if len(rep.Bits) != a.d {
+			panic("ldp: report has the wrong number of locations")
+		}
+		counts := a.tally()
+		if a.kind == kindAUE {
+			for j, b := range rep.Bits {
+				counts[j] += int(b)
+			}
+		} else {
+			for j, b := range rep.Bits {
+				if b == 1 {
+					counts[j]++
+				}
+			}
+		}
+	}
+	a.n++
+}
+
+// tally returns the counts, allocating them on first need.
+func (a *accumulator) tally() []int {
+	if a.counts == nil {
+		a.counts = make([]int, a.d)
+	}
+	return a.counts
+}
+
+// flush folds the staged block into the counts.
+func (a *accumulator) flush() {
+	if len(a.seeds) == 0 {
+		return
+	}
+	hash.NewFamily(a.aux).CountSupport(a.seeds, a.ys, a.tally())
+	a.seeds = a.seeds[:0]
+	a.ys = a.ys[:0]
+}
+
+// Count implements Aggregator.
+func (a *accumulator) Count() int { return a.n }
+
+// Merge implements Aggregator.
+func (a *accumulator) Merge(other Aggregator) {
+	o, ok := other.(*accumulator)
+	if !ok || o.countSpec != a.countSpec {
+		panic("ldp: merging incompatible aggregators")
+	}
+	a.flush()
+	o.flush()
+	if o.counts != nil {
+		counts := a.tally()
+		for v, c := range o.counts {
+			counts[v] += c
+		}
+	}
+	a.n += o.n
+	o.counts, o.n = nil, 0
+}
+
+// Clone implements Aggregator. The staged block is flushed first so
+// the clone shares no mutable slice with the original.
+func (a *accumulator) Clone() Aggregator {
+	a.flush()
+	c := &accumulator{countSpec: a.countSpec, n: a.n}
+	if a.counts != nil {
+		c.counts = append([]int(nil), a.counts...)
+	}
+	return c
+}
+
+// Estimates implements Aggregator: Equations (2) and (3), and AUE's
+// C_v/n - gamma.
+func (a *accumulator) Estimates() []float64 {
+	a.flush()
+	return calibrate(a.tally(), a.n, 0, a.shift, a.scale, 0)
+}
+
+// SupportCounts computes, for every value v in [0, d), how many of the
+// given reports support v — the raw statistic behind Equations (2) and
+// (3). It is the server-side aggregation used when reports arrive
+// through a protocol (shuffled words) rather than an Aggregator, and
+// runs them through the same accumulator. Hadamard, whose statistic is
+// not a count, panics.
+func SupportCounts(fo FrequencyOracle, reports []Report) []int {
+	a, ok := fo.NewAggregator().(*accumulator)
+	if !ok {
+		panic("ldp: SupportCounts does not support oracle " + fo.Name())
+	}
+	for _, rep := range reports {
+		a.Add(rep)
+	}
+	a.flush()
+	return a.tally()
+}

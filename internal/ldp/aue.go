@@ -96,9 +96,15 @@ func (a *AUE) Randomize(v int, r *rng.Rand) Report {
 	return Report{Bits: bits}
 }
 
-// NewAggregator implements FrequencyOracle.
+// NewAggregator implements FrequencyOracle: Bits[j] increments are
+// added to location j's count, and Estimates subtracts the expected
+// blanket mass, f~_v = C_v/n - gamma. AUE has no Support, so the
+// calibration is set here; the scale is exactly 1, which
+// (1+gamma) - gamma is not.
 func (a *AUE) NewAggregator() Aggregator {
-	return &aueAggregator{a: a, counts: make([]int, a.d)}
+	acc := newAccumulator(a, kindAUE, a.rounds, a.gamma)
+	acc.shift, acc.scale = a.gamma, 1
+	return acc
 }
 
 // Variance implements FrequencyOracle: the blanket contributes
@@ -106,55 +112,4 @@ func (a *AUE) NewAggregator() Aggregator {
 // Var[f~_v] = rounds * prob * (1-prob) / n = gamma (1 - gamma/rounds)/n.
 func (a *AUE) Variance(n int) float64 {
 	return a.gamma * (1 - a.prob) / float64(n)
-}
-
-type aueAggregator struct {
-	a      *AUE
-	counts []int
-	n      int
-}
-
-// Add implements Aggregator.
-func (g *aueAggregator) Add(rep Report) {
-	if len(rep.Bits) != g.a.d {
-		panic("ldp: AUE report has wrong length")
-	}
-	for j, b := range rep.Bits {
-		g.counts[j] += int(b)
-	}
-	g.n++
-}
-
-// Count implements Aggregator.
-func (g *aueAggregator) Count() int { return g.n }
-
-// Merge implements Aggregator.
-func (g *aueAggregator) Merge(other Aggregator) {
-	o, ok := other.(*aueAggregator)
-	if !ok || o.a.d != g.a.d || o.a.gamma != g.a.gamma {
-		panic("ldp: merging incompatible AUE aggregators")
-	}
-	for v, c := range o.counts {
-		g.counts[v] += c
-	}
-	g.n += o.n
-	o.counts, o.n = nil, 0
-}
-
-// Clone implements Aggregator.
-func (g *aueAggregator) Clone() Aggregator {
-	return &aueAggregator{a: g.a, counts: append([]int(nil), g.counts...), n: g.n}
-}
-
-// Estimates subtracts the expected blanket mass: f~_v = C_v/n - gamma.
-func (g *aueAggregator) Estimates() []float64 {
-	est := make([]float64, g.a.d)
-	if g.n == 0 {
-		return est
-	}
-	nf := float64(g.n)
-	for v, c := range g.counts {
-		est[v] = float64(c)/nf - g.a.gamma
-	}
-	return est
 }

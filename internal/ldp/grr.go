@@ -59,73 +59,14 @@ func (g *GRR) Randomize(v int, r *rng.Rand) Report {
 	return Report{Value: y}
 }
 
-// NewAggregator implements FrequencyOracle.
+// NewAggregator implements FrequencyOracle: a report supports its
+// value, and Estimates is Equation (2), f~_v = (C_v/n - q) / (p - q).
 func (g *GRR) NewAggregator() Aggregator {
-	return &grrAggregator{g: g, counts: make([]int, g.d)}
+	return newAccumulator(g, kindGRR, 0, g.p)
 }
 
 // Variance implements FrequencyOracle: Var = q(1-q) / (n (p-q)^2),
 // the f_v-independent term of the variance in Proposition 4's proof.
 func (g *GRR) Variance(n int) float64 {
 	return g.q * (1 - g.q) / (float64(n) * (g.p - g.q) * (g.p - g.q))
-}
-
-type grrAggregator struct {
-	g      *GRR
-	counts []int
-	n      int
-}
-
-// Add implements Aggregator.
-func (a *grrAggregator) Add(rep Report) {
-	validateValue(rep.Value, a.g.d)
-	a.counts[rep.Value]++
-	a.n++
-}
-
-// Count implements Aggregator.
-func (a *grrAggregator) Count() int { return a.n }
-
-// Merge implements Aggregator.
-func (a *grrAggregator) Merge(other Aggregator) {
-	o, ok := other.(*grrAggregator)
-	if !ok || o.g.d != a.g.d || o.g.p != a.g.p {
-		panic("ldp: merging incompatible GRR aggregators")
-	}
-	for v, c := range o.counts {
-		a.counts[v] += c
-	}
-	a.n += o.n
-	o.counts, o.n = nil, 0
-}
-
-// Clone implements Aggregator.
-func (a *grrAggregator) Clone() Aggregator {
-	c := &grrAggregator{g: a.g, n: a.n}
-	if a.counts != nil {
-		c.counts = append([]int(nil), a.counts...)
-	}
-	return c
-}
-
-// Estimates implements Equation (2): f~_v = (C_v/n - q) / (p - q).
-func (a *grrAggregator) Estimates() []float64 {
-	return CalibrateCounts(a.counts, a.n, a.g.p, a.g.q)
-}
-
-// CalibrateCounts converts raw support counts into unbiased frequency
-// estimates given the per-report probabilities: p of supporting the true
-// value and q of supporting any other value. This is Equations (2) and
-// (3) of the paper in one place; GRR, OLH/SOLH and the unary oracles all
-// reduce to it.
-func CalibrateCounts(counts []int, n int, p, q float64) []float64 {
-	est := make([]float64, len(counts))
-	if n == 0 {
-		return est
-	}
-	nf := float64(n)
-	for v, c := range counts {
-		est[v] = (float64(c)/nf - q) / (p - q)
-	}
-	return est
 }

@@ -109,7 +109,7 @@ func TestGRRVarianceMatchesEmpirical(t *testing.T) {
 }
 
 func TestCalibrateCountsZeroReports(t *testing.T) {
-	est := CalibrateCounts([]int{0, 0, 0}, 0, 0.9, 0.1)
+	est := Support{P: 0.9, Q: 0.1}.Calibrate([]int{0, 0, 0}, 0, 0)
 	for _, e := range est {
 		if e != 0 {
 			t.Fatal("expected zeros for empty aggregation")

@@ -1,10 +1,12 @@
 package ldp
 
 // Binary state serialization for the aggregators, the foundation of
-// the durable epoch tier (internal/store): every Aggregator implements
-// encoding.BinaryMarshaler / encoding.BinaryUnmarshaler with one shared
-// versioned layout, so a sealed epoch root or the all-time aggregate
-// can be checkpointed to disk and restored bit-identically.
+// the durable epoch tier (internal/store): both Aggregator types — the
+// accumulator of accumulator.go, which serves every count oracle, and
+// hadamardAggregator — implement encoding.BinaryMarshaler /
+// encoding.BinaryUnmarshaler with one shared versioned layout, so a
+// sealed epoch root or the all-time aggregate can be checkpointed to
+// disk and restored bit-identically.
 //
 // Layout (little-endian), stable across builds:
 //
@@ -18,6 +20,10 @@ package ldp
 //	              AUE: gamma; OUE: q)
 //	26      8     report count n
 //	34      ...   payload: d int64 counts, or D float64 row sums
+//
+// The accumulator writes the kind byte and the echoes its oracle handed
+// it (countSpec). RAP and RAP_R share kindUnary; the flip probability
+// in the header is what keeps their state from cross-loading.
 //
 // The kind byte plus the echoed parameters make a blob self-describing
 // enough that UnmarshalBinary can refuse state from a different oracle
@@ -119,42 +125,50 @@ func parseAggHeader(data []byte, kind byte, d, aux uint64, param float64) (int, 
 	return int(n64), data[aggHeaderSize:], nil
 }
 
-// marshalCounts serializes a count-vector aggregator (everything but
-// Hadamard). counts may be nil (an empty local-hash aggregator); the
-// blob then carries d zeros so the encoding is canonical either way.
-func marshalCounts(kind byte, d, aux uint64, param float64, n int, counts []int) []byte {
-	buf := make([]byte, 0, aggHeaderSize+8*int(d))
-	buf = appendAggHeader(buf, kind, d, aux, param, n)
-	for i := 0; i < int(d); i++ {
+// MarshalBinary implements Aggregator for every count oracle. The
+// staged block is flushed first so the folded counts are the complete
+// state; counts not yet allocated (an empty aggregator) are written as
+// d zeros, so the encoding is canonical either way.
+func (a *accumulator) MarshalBinary() ([]byte, error) {
+	a.flush()
+	buf := make([]byte, 0, aggHeaderSize+8*a.d)
+	buf = appendAggHeader(buf, a.kind, uint64(a.d), uint64(a.aux), a.param, a.n)
+	for i := 0; i < a.d; i++ {
 		var c int
-		if counts != nil {
-			c = counts[i]
+		if a.counts != nil {
+			c = a.counts[i]
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c)))
 	}
-	return buf
+	return buf, nil
 }
 
-// unmarshalCounts reverses marshalCounts, validating the header and
-// rejecting payloads of the wrong length or with counts no aggregation
-// run can produce (negative).
-func unmarshalCounts(data []byte, kind byte, d, aux uint64, param float64) (int, []int, error) {
-	n, payload, err := parseAggHeader(data, kind, d, aux, param)
+// UnmarshalBinary implements Aggregator, replacing the receiver's
+// state (including any staged block). The header must echo the
+// receiver's kind and parameters, and a payload of the wrong length or
+// with counts no aggregation run can produce (negative) is refused.
+func (a *accumulator) UnmarshalBinary(data []byte) error {
+	if a.kind == kindLocalHash && len(data) >= aggHeaderSize && data[0] == aggStateVersion && data[1] == kindLocalHashXXH64 {
+		return fmt.Errorf("ldp: aggregator state kind %d holds local-hash counts under the retired xxHash64 family; they cannot be loaded under the current family (kind %d)", kindLocalHashXXH64, kindLocalHash)
+	}
+	n, payload, err := parseAggHeader(data, a.kind, uint64(a.d), uint64(a.aux), a.param)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	if len(payload) != 8*int(d) {
-		return 0, nil, fmt.Errorf("ldp: aggregator state payload is %d bytes, want %d", len(payload), 8*int(d))
+	if len(payload) != 8*a.d {
+		return fmt.Errorf("ldp: aggregator state payload is %d bytes, want %d", len(payload), 8*a.d)
 	}
-	counts := make([]int, d)
+	counts := make([]int, a.d)
 	for i := range counts {
 		c := int64(binary.LittleEndian.Uint64(payload[8*i:]))
 		if c < 0 {
-			return 0, nil, fmt.Errorf("ldp: aggregator state count[%d] = %d is negative", i, c)
+			return fmt.Errorf("ldp: aggregator state count[%d] = %d is negative", i, c)
 		}
 		counts[i] = int(c)
 	}
-	return n, counts, nil
+	a.n, a.counts = n, counts
+	a.seeds, a.ys = nil, nil
+	return nil
 }
 
 // marshalSums serializes the Hadamard row-sum vector. The sums are
@@ -189,45 +203,6 @@ func unmarshalSums(data []byte, kind byte, d, aux uint64, param float64) (int, [
 }
 
 // MarshalBinary implements Aggregator.
-func (a *grrAggregator) MarshalBinary() ([]byte, error) {
-	return marshalCounts(kindGRR, uint64(a.g.d), 0, a.g.p, a.n, a.counts), nil
-}
-
-// UnmarshalBinary implements Aggregator, replacing the receiver's
-// state. The receiver must come from a GRR oracle with the same
-// parameters the blob was written under.
-func (a *grrAggregator) UnmarshalBinary(data []byte) error {
-	n, counts, err := unmarshalCounts(data, kindGRR, uint64(a.g.d), 0, a.g.p)
-	if err != nil {
-		return err
-	}
-	a.n, a.counts = n, counts
-	return nil
-}
-
-// MarshalBinary implements Aggregator. The buffered block is flushed
-// first so the folded counts are the complete state.
-func (a *localHashAggregator) MarshalBinary() ([]byte, error) {
-	a.flush()
-	return marshalCounts(kindLocalHash, uint64(a.l.d), uint64(a.l.dPrime), a.l.p, a.n, a.counts), nil
-}
-
-// UnmarshalBinary implements Aggregator, replacing the receiver's
-// state (including any buffered block).
-func (a *localHashAggregator) UnmarshalBinary(data []byte) error {
-	if len(data) >= aggHeaderSize && data[0] == aggStateVersion && data[1] == kindLocalHashXXH64 {
-		return fmt.Errorf("ldp: aggregator state kind %d holds local-hash counts under the retired xxHash64 family; they cannot be loaded under the current family (kind %d)", kindLocalHashXXH64, kindLocalHash)
-	}
-	n, counts, err := unmarshalCounts(data, kindLocalHash, uint64(a.l.d), uint64(a.l.dPrime), a.l.p)
-	if err != nil {
-		return err
-	}
-	a.n, a.counts = n, counts
-	a.seeds, a.ys = nil, nil
-	return nil
-}
-
-// MarshalBinary implements Aggregator.
 func (a *hadamardAggregator) MarshalBinary() ([]byte, error) {
 	return marshalSums(kindHadamard, uint64(a.h.D), 0, a.h.p, a.n, a.rowSums), nil
 }
@@ -240,54 +215,5 @@ func (a *hadamardAggregator) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	a.n, a.rowSums = n, sums
-	return nil
-}
-
-// MarshalBinary implements Aggregator.
-func (a *unaryAggregator) MarshalBinary() ([]byte, error) {
-	return marshalCounts(kindUnary, uint64(a.u.d), 0, a.u.flip, a.n, a.counts), nil
-}
-
-// UnmarshalBinary implements Aggregator, replacing the receiver's
-// state. RAP and RAP_R share the aggregator type; the flip probability
-// in the header is what keeps their state from cross-loading.
-func (a *unaryAggregator) UnmarshalBinary(data []byte) error {
-	n, counts, err := unmarshalCounts(data, kindUnary, uint64(a.u.d), 0, a.u.flip)
-	if err != nil {
-		return err
-	}
-	a.n, a.counts = n, counts
-	return nil
-}
-
-// MarshalBinary implements Aggregator.
-func (g *aueAggregator) MarshalBinary() ([]byte, error) {
-	return marshalCounts(kindAUE, uint64(g.a.d), uint64(g.a.rounds), g.a.gamma, g.n, g.counts), nil
-}
-
-// UnmarshalBinary implements Aggregator, replacing the receiver's
-// state.
-func (g *aueAggregator) UnmarshalBinary(data []byte) error {
-	n, counts, err := unmarshalCounts(data, kindAUE, uint64(g.a.d), uint64(g.a.rounds), g.a.gamma)
-	if err != nil {
-		return err
-	}
-	g.n, g.counts = n, counts
-	return nil
-}
-
-// MarshalBinary implements Aggregator.
-func (a *oueAggregator) MarshalBinary() ([]byte, error) {
-	return marshalCounts(kindOUE, uint64(a.o.d), 0, a.o.q, a.n, a.counts), nil
-}
-
-// UnmarshalBinary implements Aggregator, replacing the receiver's
-// state.
-func (a *oueAggregator) UnmarshalBinary(data []byte) error {
-	n, counts, err := unmarshalCounts(data, kindOUE, uint64(a.o.d), 0, a.o.q)
-	if err != nil {
-		return err
-	}
-	a.n, a.counts = n, counts
 	return nil
 }

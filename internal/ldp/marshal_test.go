@@ -2,7 +2,11 @@ package ldp
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -226,4 +230,106 @@ func FuzzAggregatorState(f *testing.F) {
 			}
 		}
 	})
+}
+
+var updateState = flag.Bool("update", false, "rewrite the aggregator state fixtures in testdata/state")
+
+// stateGoldens is one small aggregation per state kind and
+// parameterisation. Every case has its own oracle, so each blob must
+// be refused by every other row's.
+var stateGoldens = []struct {
+	name string
+	fo   FrequencyOracle
+	n    int // reports aggregated; the local-hash rows end mid-block
+}{
+	{"grr", NewGRR(12, 1.5), 300},
+	{"olh", NewOLH(20, 2), lhBlock + 188},
+	{"solh", NewSOLH(20, 5, 1.2), lhBlock + 188},
+	{"solh_empty", NewSOLH(20, 6, 1.2), 0},
+	{"rap", NewRAP(10, 1), 300},
+	{"rap_r", NewRAPR(10, 0.8), 300},
+	{"oue", NewOUE(10, 1), 300},
+	{"aue", NewAUE(8, 1, 1e-6, 4000), 300},
+	{"aue_rounds", NewAUE(8, 1, 1e-6, 500), 300},
+	{"had", NewHadamard(10, 1), 300},
+}
+
+// stateRecord is what a .want fixture holds: the aggregator's Count,
+// then the bits of every estimate.
+func stateRecord(agg Aggregator) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d\n", agg.Count())
+	for _, e := range agg.Estimates() {
+		fmt.Fprintf(&b, "%016x\n", math.Float64bits(e))
+	}
+	return b.String()
+}
+
+// The durability contract across builds, not only within one: the
+// fixtures in testdata/state were written by the build before the
+// count aggregators became one accumulator (-update rewrites them from
+// the same seeded reports). Each must load into a fresh aggregator of
+// its oracle, report the recorded Count and Estimates bit for bit,
+// re-marshal byte-identically, and be refused by every other oracle in
+// the table; and this build must still write the same bytes.
+func TestAggregatorStateGolden(t *testing.T) {
+	for i, tc := range stateGoldens {
+		t.Run(tc.name, func(t *testing.T) {
+			agg := tc.fo.NewAggregator()
+			r := rng.New(uint64(1000 + i))
+			for j := 0; j < tc.n; j++ {
+				agg.Add(tc.fo.Randomize(j%tc.fo.Domain(), r))
+			}
+			fresh, err := agg.MarshalBinary()
+			if err != nil {
+				t.Fatalf("MarshalBinary: %v", err)
+			}
+			blobPath := filepath.Join("testdata", "state", tc.name+".bin")
+			wantPath := filepath.Join("testdata", "state", tc.name+".want")
+			if *updateState {
+				if err := os.MkdirAll(filepath.Dir(blobPath), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(blobPath, fresh, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(wantPath, []byte(stateRecord(agg)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blob, err := os.ReadFile(blobPath)
+			if err != nil {
+				t.Fatalf("missing fixture (run with -update to create): %v", err)
+			}
+			want, err := os.ReadFile(wantPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fresh, blob) {
+				t.Errorf("this build marshals the same reports to different bytes than %s", blobPath)
+			}
+			restored, err := UnmarshalAggregator(tc.fo, blob)
+			if err != nil {
+				t.Fatalf("UnmarshalAggregator: %v", err)
+			}
+			if got := stateRecord(restored); got != string(want) {
+				t.Errorf("restored count and estimate bits\n%swant\n%s", got, want)
+			}
+			again, err := restored.MarshalBinary()
+			if err != nil {
+				t.Fatalf("re-marshal: %v", err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Error("re-marshaling the restored aggregator changed the blob")
+			}
+			for _, other := range stateGoldens {
+				if other.name == tc.name {
+					continue
+				}
+				if _, err := UnmarshalAggregator(other.fo, blob); err == nil {
+					t.Errorf("%s state loaded into the %s row's aggregator", tc.name, other.name)
+				}
+			}
+		})
+	}
 }

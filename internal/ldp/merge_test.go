@@ -2,6 +2,7 @@ package ldp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"shuffledp/internal/rng"
@@ -41,6 +42,27 @@ func TestMergeMatchesSequential(t *testing.T) {
 				seq.Add(rep)
 			}
 			want := seq.Estimates()
+			// One estimator: what the accumulator reports is what
+			// Support.Calibrate makes of the same reports' support
+			// counts — and for AUE, which has no Support, exactly
+			// C_v/n - gamma (a scale of (1+gamma)-gamma would not be).
+			if _, counted := seq.(*accumulator); counted {
+				counts := SupportCounts(fo, reports)
+				var direct []float64
+				if sup, ok := SupportOf(fo); ok {
+					direct = sup.Calibrate(counts, n, 0)
+				} else {
+					direct = make([]float64, d)
+					for v, c := range counts {
+						direct[v] = float64(c)/float64(n) - fo.(*AUE).gamma
+					}
+				}
+				for v := range want {
+					if math.Float64bits(direct[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("estimate[%d]: calibrated support counts give %v, Estimates %v", v, direct[v], want[v])
+					}
+				}
+			}
 			for _, shards := range []int{1, 2, 3, 8, 64} {
 				aggs := make([]Aggregator, shards+1) // +1: an empty shard
 				for i := range aggs {
@@ -70,7 +92,9 @@ func TestMergeMatchesSequential(t *testing.T) {
 
 // Merging must drain the donor and stay usable afterwards: adding more
 // reports to the merged aggregator equals a sequential pass over the
-// concatenation.
+// concatenation — also when both sides hold a half-full staged block at
+// the merge, and a clone taken right after it is the sequential
+// aggregate of what had been added by then.
 func TestMergeThenAdd(t *testing.T) {
 	fo := NewSOLH(40, 5, 1)
 	r := rng.New(7)
@@ -78,30 +102,43 @@ func TestMergeThenAdd(t *testing.T) {
 	for i := range reports {
 		reports[i] = fo.Randomize(i%40, r)
 	}
-	a := fo.NewAggregator()
-	b := fo.NewAggregator()
-	for _, rep := range reports[:600] {
-		a.Add(rep)
+	sequential := func(reports []Report) []float64 {
+		seq := fo.NewAggregator()
+		for _, rep := range reports {
+			seq.Add(rep)
+		}
+		return seq.Estimates()
 	}
-	for _, rep := range reports[600:1000] {
-		b.Add(rep)
-	}
-	a.Merge(b)
-	if b.Count() != 0 {
-		t.Fatalf("donor not drained: count %d", b.Count())
-	}
-	for _, rep := range reports[1000:] {
-		a.Add(rep)
-	}
-	seq := fo.NewAggregator()
-	for _, rep := range reports {
-		seq.Add(rep)
-	}
-	want := seq.Estimates()
-	got := a.Estimates()
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, want %v", v, got[v], want[v])
+	for _, cut := range [][2]int{
+		{600, 1000},
+		{lhBlock + lhBlock/2, 2 * lhBlock}, // staged: half a block on each side
+	} {
+		a := fo.NewAggregator()
+		b := fo.NewAggregator()
+		for _, rep := range reports[:cut[0]] {
+			a.Add(rep)
+		}
+		for _, rep := range reports[cut[0]:cut[1]] {
+			b.Add(rep)
+		}
+		a.Merge(b)
+		if b.Count() != 0 {
+			t.Fatalf("cut %v: donor not drained: count %d", cut, b.Count())
+		}
+		want := sequential(reports[:cut[1]])
+		for v, got := range a.Clone().Estimates() {
+			if got != want[v] {
+				t.Fatalf("cut %v: clone after merge: estimate[%d] = %v, want %v", cut, v, got, want[v])
+			}
+		}
+		for _, rep := range reports[cut[1]:] {
+			a.Add(rep)
+		}
+		want = sequential(reports)
+		for v, got := range a.Estimates() {
+			if got != want[v] {
+				t.Fatalf("cut %v: estimate[%d] = %v, want %v", cut, v, got, want[v])
+			}
 		}
 	}
 }
@@ -286,7 +323,7 @@ func TestLocalHashAggregatorMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			want := CalibrateCounts(counts, n, fo.P(), 1/float64(fo.DPrime()))
+			want := Support{P: fo.P(), Q: 1 / float64(fo.DPrime())}.Calibrate(counts, n, 0)
 			got := agg.Estimates()
 			for v := range want {
 				if got[v] != want[v] {
@@ -301,5 +338,37 @@ func TestLocalHashAggregatorMatchesNaive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The accumulator's hot path stays allocation-free once its state
+// exists: local hashing after the first staged block, GRR after the
+// first report.
+func TestAggregatorAddDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		fo     FrequencyOracle
+		warmup int
+		n      int
+	}{
+		{NewSOLH(64, 7, 1.2), lhBlock, 10 * lhBlock},
+		{NewGRR(32, 1.5), 1, 10000},
+	} {
+		r := rng.New(23)
+		reports := make([]Report, tc.warmup+tc.n)
+		for i := range reports {
+			reports[i] = tc.fo.Randomize(i%tc.fo.Domain(), r)
+		}
+		agg := tc.fo.NewAggregator()
+		for _, rep := range reports[:tc.warmup] {
+			agg.Add(rep)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, rep := range reports[tc.warmup:] {
+				agg.Add(rep)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per %d Adds, want 0", tc.fo.Name(), allocs, tc.n)
+		}
 	}
 }

@@ -112,13 +112,14 @@ func (l *LocalHash) Randomize(v int, r *rng.Rand) Report {
 
 // NewAggregator implements FrequencyOracle. The total server-side cost
 // is still the O(n*d) hash evaluations of the paper's Table II
-// discussion, but the aggregator buffers reports into blocks and folds
+// discussion, but the accumulator stages reports into blocks and folds
 // each block into per-value support counts through the zero-allocation
 // hash.Family.CountSupport kernel, so the work parallelizes across
 // shard aggregators (see AggregateParallel) and the memory footprint is
-// O(d + block) instead of O(n).
+// O(d + block) instead of O(n). Estimates is Equation (3): the support
+// count of v is |{i : H_i(v) = y_i}|, calibrated with p and q = 1/d'.
 func (l *LocalHash) NewAggregator() Aggregator {
-	return &localHashAggregator{l: l}
+	return newAccumulator(l, kindLocalHash, l.dPrime, l.p)
 }
 
 // Variance implements FrequencyOracle: Equation (4),
@@ -128,90 +129,4 @@ func (l *LocalHash) Variance(n int) float64 {
 	dp := float64(l.dPrime)
 	return (e + dp - 1) * (e + dp - 1) /
 		(float64(n) * (e - 1) * (e - 1) * (dp - 1))
-}
-
-// lhBlock is how many buffered reports the aggregator folds per kernel
-// call. The staged seed/target lanes of one block are 2 * 8 B * lhBlock
-// = 8 KiB, small enough to stay cache-resident while CountSupport's
-// candidate-value loop sweeps the domain.
-const lhBlock = 512
-
-type localHashAggregator struct {
-	l      *LocalHash
-	n      int
-	counts []int // folded per-value support counts, len d
-	seeds  []uint64
-	ys     []uint64
-}
-
-// Add implements Aggregator, buffering the report into the staged
-// block and folding a full block through the CountSupport kernel.
-func (a *localHashAggregator) Add(rep Report) {
-	if rep.Value < 0 || rep.Value >= a.l.dPrime {
-		panic("ldp: local hash report outside [0, d')")
-	}
-	a.seeds = append(a.seeds, uint64(rep.Seed))
-	a.ys = append(a.ys, uint64(rep.Value))
-	a.n++
-	if len(a.seeds) >= lhBlock {
-		a.flush()
-	}
-}
-
-// flush folds the buffered block into the support counts.
-func (a *localHashAggregator) flush() {
-	if len(a.seeds) == 0 {
-		return
-	}
-	if a.counts == nil {
-		a.counts = make([]int, a.l.d)
-	}
-	a.l.family.CountSupport(a.seeds, a.ys, a.counts)
-	a.seeds = a.seeds[:0]
-	a.ys = a.ys[:0]
-}
-
-// Count implements Aggregator.
-func (a *localHashAggregator) Count() int { return a.n }
-
-// Merge implements Aggregator.
-func (a *localHashAggregator) Merge(other Aggregator) {
-	o, ok := other.(*localHashAggregator)
-	if !ok || o.l.d != a.l.d || o.l.dPrime != a.l.dPrime || o.l.p != a.l.p {
-		panic("ldp: merging incompatible local-hash aggregators")
-	}
-	a.flush()
-	o.flush()
-	if o.counts != nil {
-		if a.counts == nil {
-			a.counts = make([]int, a.l.d)
-		}
-		for v, c := range o.counts {
-			a.counts[v] += c
-		}
-	}
-	a.n += o.n
-	o.counts, o.n = nil, 0
-}
-
-// Clone implements Aggregator. The buffered block is flushed first so
-// the clone shares no mutable slice with the original.
-func (a *localHashAggregator) Clone() Aggregator {
-	a.flush()
-	c := &localHashAggregator{l: a.l, n: a.n}
-	if a.counts != nil {
-		c.counts = append([]int(nil), a.counts...)
-	}
-	return c
-}
-
-// Estimates implements Equation (3): the support count of v is
-// |{i : H_i(v) = y_i}|; calibration uses p and q = 1/d'.
-func (a *localHashAggregator) Estimates() []float64 {
-	a.flush()
-	counts := a.counts
-	if counts == nil {
-		counts = make([]int, a.l.d)
-	}
-	return CalibrateCounts(counts, a.n, a.l.p, 1/float64(a.l.dPrime))
 }

@@ -7,7 +7,13 @@
 //
 // Every oracle implements FrequencyOracle: users call Randomize, the
 // server feeds the reports into an Aggregator and reads unbiased
-// frequency estimates back. The package also provides the analytic
+// frequency estimates back. Server side there is one design: a report
+// adds to d integer support counts, by its oracle's kind, in the one
+// accumulator (accumulator.go); counts become estimates through the
+// oracle's Support{P, Q, U} and Support.Calibrate (Equations 2, 3, 6).
+// Hadamard is the exception — its statistic is a signed sum per sampled
+// row, read out by one fast Walsh–Hadamard transform instead of O(n*d)
+// counting — and keeps its own aggregator. The package also provides the analytic
 // variances of Wang et al. (USENIX Security 2017) that §IV-B3 builds on,
 // and exact fast-path simulators used by the experiment harness to
 // reproduce the paper's figures at n ~ 10^6 without materializing every

@@ -67,9 +67,11 @@ func (o *OUE) Randomize(v int, r *rng.Rand) Report {
 	return Report{Bits: bits}
 }
 
-// NewAggregator implements FrequencyOracle.
+// NewAggregator implements FrequencyOracle: a report supports every
+// location whose bit is set, calibrated with p = 1/2 and
+// q = 1/(e^eps + 1).
 func (o *OUE) NewAggregator() Aggregator {
-	return &oueAggregator{o: o, counts: make([]int, o.d)}
+	return newAccumulator(o, kindOUE, 0, o.q)
 }
 
 // Variance implements FrequencyOracle: 4 e^eps / (n (e^eps - 1)^2),
@@ -77,50 +79,4 @@ func (o *OUE) NewAggregator() Aggregator {
 func (o *OUE) Variance(n int) float64 {
 	e := math.Exp(o.eps)
 	return 4 * e / (float64(n) * (e - 1) * (e - 1))
-}
-
-type oueAggregator struct {
-	o      *OUE
-	counts []int
-	n      int
-}
-
-// Add implements Aggregator.
-func (a *oueAggregator) Add(rep Report) {
-	if len(rep.Bits) != a.o.d {
-		panic("ldp: OUE report has wrong length")
-	}
-	for j, b := range rep.Bits {
-		if b == 1 {
-			a.counts[j]++
-		}
-	}
-	a.n++
-}
-
-// Count implements Aggregator.
-func (a *oueAggregator) Count() int { return a.n }
-
-// Merge implements Aggregator.
-func (a *oueAggregator) Merge(other Aggregator) {
-	o, ok := other.(*oueAggregator)
-	if !ok || o.o.d != a.o.d || o.o.q != a.o.q {
-		panic("ldp: merging incompatible OUE aggregators")
-	}
-	for v, c := range o.counts {
-		a.counts[v] += c
-	}
-	a.n += o.n
-	o.counts, o.n = nil, 0
-}
-
-// Clone implements Aggregator.
-func (a *oueAggregator) Clone() Aggregator {
-	return &oueAggregator{o: a.o, counts: append([]int(nil), a.counts...), n: a.n}
-}
-
-// Estimates implements Aggregator: calibration with p = 1/2 and
-// q = 1/(e^eps + 1).
-func (a *oueAggregator) Estimates() []float64 {
-	return CalibrateCounts(a.counts, a.n, a.o.p, a.o.q)
 }

@@ -23,35 +23,9 @@ import (
 // the metric in every figure — depends only on the per-value marginals,
 // which are exact.
 //
-// Each oracle's (p, q) pair:
-//
-//	GRR      p = e^eps/(e^eps+d-1)        q = 1/(e^eps+d-1)
-//	OLH/SOLH p = e^eps/(e^eps+d'-1)       q = 1/d'
-//	Had      handled via signed counts (see SimulateHadamard)
-//	RAP(_R)  p = 1-flip                   q = flip
-//	AUE      handled additively (SimulateAUE)
-
-// SupportProbabilities returns (p, q) for a counts-based oracle, or
-// ok=false for oracles without the two-probability structure (AUE).
-func SupportProbabilities(fo FrequencyOracle) (p, q float64, ok bool) {
-	switch o := fo.(type) {
-	case *GRR:
-		return o.p, o.q, true
-	case *LocalHash:
-		return o.p, 1 / float64(o.dPrime), true
-	case *Hadamard:
-		// Signed reports; mapped to a support-count view where
-		// "support" means the report sign matches H[a, v+1]:
-		// own value p, other values 1/2 by row uniformity.
-		return o.p, 0.5, true
-	case *UnaryEncoding:
-		return 1 - o.flip, o.flip, true
-	case *OUE:
-		return o.p, o.q, true
-	default:
-		return 0, 0, false
-	}
-}
+// Support (accumulator.go) has each oracle's (p, q); Hadamard is
+// simulated through its support-count view, AUE additively
+// (SimulateAUE).
 
 // SimulateEstimates draws one sample of the frequency-estimate vector a
 // server would compute from n randomized reports whose true histogram is
@@ -61,24 +35,7 @@ func SimulateEstimates(fo FrequencyOracle, trueCounts []int, r *rng.Rand) []floa
 	if aue, isAUE := fo.(*AUE); isAUE {
 		return SimulateAUE(aue, trueCounts, r)
 	}
-	p, q, ok := SupportProbabilities(fo)
-	if !ok {
-		panic("ldp: no simulator for oracle " + fo.Name())
-	}
-	n := 0
-	for _, c := range trueCounts {
-		n += c
-	}
-	est := make([]float64, len(trueCounts))
-	if n == 0 {
-		return est
-	}
-	nf := float64(n)
-	for v, nv := range trueCounts {
-		support := r.Binomial(nv, p) + r.Binomial(n-nv, q)
-		est[v] = (float64(support)/nf - q) / (p - q)
-	}
-	return est
+	return SimulateWithFakes(fo, trueCounts, 0, r)
 }
 
 // SimulateAUE draws one estimate vector under the Balcer–Cheu mechanism:
@@ -149,68 +106,19 @@ func MSE(truth, est []float64) float64 {
 	return sum / float64(len(truth))
 }
 
-// FakeSupport returns, for a PEOS-compatible oracle (GRR or local
-// hashing), the probability u that one fake report drawn uniformly from
-// the oracle's *report space* (Algorithm 1) supports a fixed value v,
-// and the expected calibrated mass beta = (u-q)/(p-q) that one fake
-// contributes to f~_v:
-//
-//   - GRR: the report space is [d], so u = 1/d and — because
-//     p + (d-1)q = 1 — beta = 1/d exactly, which is the nr/(n*d)
-//     correction of Equation (6).
-//   - OLH/SOLH: the report space is (seed, y) with y uniform on [d'],
-//     so u = 1/d' = q and beta = 0: uniform fakes are already absorbed
-//     by the estimator's q subtraction and Equation (6)'s correction
-//     term vanishes. (The paper states Eq (6) for the GRR view where
-//     "n_r/d of the fakes have original value v"; for local hashing the
-//     same derivation with u = q yields the beta = 0 form. See
-//     DESIGN.md §3.)
-func FakeSupport(fo FrequencyOracle) (u, beta float64) {
-	p, q, ok := SupportProbabilities(fo)
-	if !ok {
-		panic("ldp: oracle " + fo.Name() + " is not PEOS-compatible")
-	}
-	switch o := fo.(type) {
-	case *GRR:
-		u = 1 / float64(o.Domain())
-	case *LocalHash:
-		u = q
-	default:
-		panic("ldp: oracle " + fo.Name() + " is not PEOS-compatible")
-	}
-	return u, (u - q) / (p - q)
-}
-
-// CalibrateWithFakes converts raw support counts over n user reports
-// plus nr uniform fake reports into unbiased estimates of the users'
-// frequencies (the generalized Equation (6)):
-//
-//	f'_v = (n+nr)/n * f~_v - (nr/n) * beta
-func CalibrateWithFakes(counts []int, n, nr int, p, q, beta float64) []float64 {
-	est := make([]float64, len(counts))
-	if n == 0 {
-		return est
-	}
-	tf := float64(n + nr)
-	nf := float64(n)
-	for v, c := range counts {
-		fTilde := (float64(c)/tf - q) / (p - q)
-		est[v] = tf/nf*fTilde - float64(nr)/nf*beta
-	}
-	return est
-}
-
-// SimulateWithFakes mirrors SimulateEstimates for the PEOS setting
-// (§VI-C): nr fake reports drawn uniformly from the report space are
-// mixed with the n user reports and the server post-processes with the
-// generalized Equation (6) (see FakeSupport). Only GRR and local
-// hashing are PEOS-compatible (Algorithm 1).
+// SimulateWithFakes is SimulateEstimates for the PEOS setting (§VI-C):
+// nr fake reports drawn uniformly from the report space are mixed with
+// the n user reports and the server post-processes with the generalized
+// Equation (6) (Support.Calibrate). With nr > 0 the oracle must have a
+// PEOS estimator — GRR or local hashing (Algorithm 1).
 func SimulateWithFakes(fo FrequencyOracle, trueCounts []int, nr int, r *rng.Rand) []float64 {
 	if nr < 0 {
 		panic("ldp: negative fake-report count")
 	}
-	p, q, _ := SupportProbabilities(fo)
-	u, beta := FakeSupport(fo)
+	s, ok := SupportOf(fo)
+	if !ok {
+		panic("ldp: no simulator for oracle " + fo.Name())
+	}
 	n := 0
 	for _, c := range trueCounts {
 		n += c
@@ -220,9 +128,9 @@ func SimulateWithFakes(fo FrequencyOracle, trueCounts []int, nr int, r *rng.Rand
 	}
 	counts := make([]int, len(trueCounts))
 	for v, nv := range trueCounts {
-		counts[v] = r.Binomial(nv, p) + r.Binomial(n-nv, q) + r.Binomial(nr, u)
+		counts[v] = r.Binomial(nv, s.P) + r.Binomial(n-nv, s.Q) + r.Binomial(nr, s.U)
 	}
-	return CalibrateWithFakes(counts, n, nr, p, q, beta)
+	return s.Calibrate(counts, n, nr)
 }
 
 // TopK returns the indices of the k largest entries of xs (ties broken

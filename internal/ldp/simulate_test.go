@@ -129,34 +129,46 @@ func TestMSEPanicsOnMismatch(t *testing.T) {
 }
 
 func TestFakeSupportGRR(t *testing.T) {
-	g := NewGRR(10, 1)
-	u, beta := FakeSupport(g)
-	if math.Abs(u-0.1) > 1e-12 {
-		t.Errorf("u = %v, want 0.1", u)
+	s, ok := SupportOf(NewGRR(10, 1))
+	if !ok {
+		t.Fatal("GRR has no Support")
 	}
-	if math.Abs(beta-0.1) > 1e-12 {
+	if math.Abs(s.U-0.1) > 1e-12 {
+		t.Errorf("u = %v, want 0.1", s.U)
+	}
+	if beta := (s.U - s.Q) / (s.P - s.Q); math.Abs(beta-0.1) > 1e-12 {
 		t.Errorf("beta = %v, want 0.1 (Equation 6)", beta)
 	}
 }
 
 func TestFakeSupportSOLH(t *testing.T) {
-	s := NewSOLH(100, 8, 1)
-	u, beta := FakeSupport(s)
-	if math.Abs(u-0.125) > 1e-12 {
-		t.Errorf("u = %v, want 1/8", u)
+	s, ok := SupportOf(NewSOLH(100, 8, 1))
+	if !ok {
+		t.Fatal("SOLH has no Support")
 	}
-	if math.Abs(beta) > 1e-12 {
+	if math.Abs(s.U-0.125) > 1e-12 {
+		t.Errorf("u = %v, want 1/8", s.U)
+	}
+	if beta := (s.U - s.Q) / (s.P - s.Q); math.Abs(beta) > 1e-12 {
 		t.Errorf("beta = %v, want 0 for uniform-report fakes", beta)
 	}
 }
 
+// A unary oracle calibrates its own reports but has no estimator under
+// fakes: U is zero and Calibrate with nr > 0 panics rather than
+// subtracting a made-up mass.
 func TestFakeSupportPanicsForUnary(t *testing.T) {
+	s, ok := SupportOf(NewRAP(10, 1))
+	if !ok || s.U != 0 {
+		t.Fatalf("SupportOf(RAP) = %+v, %v; want a Support with U = 0", s, ok)
+	}
+	s.Calibrate([]int{1, 0}, 2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	FakeSupport(NewRAP(10, 1))
+	s.Calibrate([]int{1, 0}, 2, 1)
 }
 
 // The PEOS estimator (generalized Equation 6) must stay unbiased with

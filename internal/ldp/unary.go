@@ -88,9 +88,10 @@ func (u *UnaryEncoding) Randomize(v int, r *rng.Rand) Report {
 	return Report{Bits: bits}
 }
 
-// NewAggregator implements FrequencyOracle.
+// NewAggregator implements FrequencyOracle: a report supports every
+// location whose bit is set, calibrated with p = 1 - flip and q = flip.
 func (u *UnaryEncoding) NewAggregator() Aggregator {
-	return &unaryAggregator{u: u, counts: make([]int, u.d)}
+	return newAccumulator(u, kindUnary, 0, u.flip)
 }
 
 // Variance implements FrequencyOracle. With p = 1-flip and q = flip the
@@ -100,50 +101,4 @@ func (u *UnaryEncoding) NewAggregator() Aggregator {
 func (u *UnaryEncoding) Variance(n int) float64 {
 	p, q := 1-u.flip, u.flip
 	return q * (1 - q) / (float64(n) * (p - q) * (p - q))
-}
-
-type unaryAggregator struct {
-	u      *UnaryEncoding
-	counts []int
-	n      int
-}
-
-// Add implements Aggregator.
-func (a *unaryAggregator) Add(rep Report) {
-	if len(rep.Bits) != a.u.d {
-		panic("ldp: unary report has wrong length")
-	}
-	for j, b := range rep.Bits {
-		if b == 1 {
-			a.counts[j]++
-		}
-	}
-	a.n++
-}
-
-// Count implements Aggregator.
-func (a *unaryAggregator) Count() int { return a.n }
-
-// Merge implements Aggregator.
-func (a *unaryAggregator) Merge(other Aggregator) {
-	o, ok := other.(*unaryAggregator)
-	if !ok || o.u.d != a.u.d || o.u.flip != a.u.flip {
-		panic("ldp: merging incompatible unary aggregators")
-	}
-	for v, c := range o.counts {
-		a.counts[v] += c
-	}
-	a.n += o.n
-	o.counts, o.n = nil, 0
-}
-
-// Clone implements Aggregator.
-func (a *unaryAggregator) Clone() Aggregator {
-	return &unaryAggregator{u: a.u, counts: append([]int(nil), a.counts...), n: a.n}
-}
-
-// Estimates implements Aggregator: calibration with p = 1 - flip and
-// q = flip.
-func (a *unaryAggregator) Estimates() []float64 {
-	return CalibrateCounts(a.counts, a.n, 1-a.u.flip, a.u.flip)
 }

@@ -47,24 +47,15 @@ type Result struct {
 
 // Estimate aggregates shuffled reports from n users plus nr uniform
 // fakes and calibrates, subtracting the fakes' expected mass
-// (generalized Equation 6; nr = 0 reduces to Equations (2)/(3)). It is
-// THE server-side estimator of every protocol here, exported so the
-// networked analyzer node (internal/cluster) computes bit-identical
-// estimates to the in-process runs.
+// (generalized Equation 6; nr = 0 reduces to Equations (2)/(3)). Every
+// protocol here estimates through it; the networked analyzer node
+// (internal/cluster) keeps integer support counts instead, which merge
+// exactly across collection rounds, and calibrates them with the same
+// ldp.Support.Calibrate — which is why its estimates are bit-identical
+// to the in-process runs.
 func Estimate(fo ldp.FrequencyOracle, reports []ldp.Report, n, nr int) []float64 {
-	return EstimateCounts(fo, ldp.SupportCounts(fo, reports), n, nr)
-}
-
-// EstimateCounts is Estimate over pre-computed support counts — the
-// form a continually-observing analyzer uses, since integer counts
-// (unlike float estimates) merge exactly across collection rounds.
-func EstimateCounts(fo ldp.FrequencyOracle, counts []int, n, nr int) []float64 {
-	p, q, _ := ldp.SupportProbabilities(fo)
-	if nr == 0 {
-		return ldp.CalibrateCounts(counts, n, p, q)
-	}
-	_, beta := ldp.FakeSupport(fo)
-	return ldp.CalibrateWithFakes(counts, n, nr, p, q, beta)
+	s, _ := ldp.SupportOf(fo)
+	return s.Calibrate(ldp.SupportCounts(fo, reports), n, nr)
 }
 
 // PlainShuffle runs the basic shuffle model: each user randomizes with

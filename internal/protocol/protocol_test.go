@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -207,6 +208,38 @@ func TestPEOSValidation(t *testing.T) {
 	}
 	if _, err := p.Run(nil, rng.New(2)); err == nil {
 		t.Error("empty user set accepted")
+	}
+}
+
+// A protocol that mixes in uniform fakes estimates with Equation (6),
+// so its constructor refuses, by name, an oracle without that
+// estimator. Hadamard is the row that matters: it has a word encoding,
+// so it used to be accepted and then panic in the estimator after the
+// whole shuffle and reveal had run.
+func TestConstructorsRefuseOraclesWithoutFakeEstimator(t *testing.T) {
+	key := dgk64(t)
+	for _, tc := range []struct {
+		fo ldp.FrequencyOracle
+		ok bool
+	}{
+		{ldp.NewHadamard(16, 2), false},
+		{ldp.NewRAP(16, 1), false},
+		{ldp.NewOUE(16, 1), false},
+		{ldp.NewAUE(16, 1, 1e-6, 1000), false},
+		{ldp.NewGRR(16, 2), true},
+		{ldp.NewOLH(16, 2), true},
+		{ldp.NewSOLH(16, 4, 2), true},
+	} {
+		_, errPEOS := NewPEOS(tc.fo, 2, 4, key, rng.New(1))
+		_, errSS := NewSS(tc.fo, 2, 4)
+		for name, err := range map[string]error{"NewPEOS": errPEOS, "NewSS": errSS} {
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s(%s): %v", name, tc.fo.Name(), err)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "oracle "+tc.fo.Name()+" ")):
+				t.Errorf("%s(%s): err = %v, want a refusal naming the oracle", name, tc.fo.Name(), err)
+			}
+		}
 	}
 }
 

@@ -53,6 +53,9 @@ func NewSS(fo ldp.FrequencyOracle, r, nr int) (*SS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
+	if sup, ok := ldp.SupportOf(fo); !ok || sup.U == 0 {
+		return nil, fmt.Errorf("protocol: oracle %s has no fake-corrected estimator (Equation 6)", fo.Name())
+	}
 	s := &SS{FO: fo, R: r, NR: nr, enc: enc}
 	s.shufflerKeys = make([]*ecies.PrivateKey, r)
 	for j := range s.shufflerKeys {

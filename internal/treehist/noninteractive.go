@@ -137,9 +137,11 @@ func RunNI(reports []NIReport, cfg NIConfig) ([]uint64, error) {
 		_ = i
 	}
 	fam := hash.NewFamily(cfg.DPrime)
-	p := math.Exp(cfg.EpsLocalPerLevel) /
-		(math.Exp(cfg.EpsLocalPerLevel) + float64(cfg.DPrime) - 1)
-	q := 1 / float64(cfg.DPrime)
+	sup := ldp.Support{
+		P: math.Exp(cfg.EpsLocalPerLevel) /
+			(math.Exp(cfg.EpsLocalPerLevel) + float64(cfg.DPrime) - 1),
+		Q: 1 / float64(cfg.DPrime),
+	}
 	n := len(reports)
 	branch := 1 << uint(cfg.RoundBits)
 
@@ -163,7 +165,7 @@ func RunNI(reports []NIReport, cfg NIConfig) ([]uint64, error) {
 				}
 			}
 		}
-		est := ldp.CalibrateCounts(counts, n, p, q)
+		est := sup.Calibrate(counts, n, 0)
 		top := ldp.TopK(est, cfg.K)
 		next := make([]uint64, 0, len(top))
 		for _, idx := range top {
