@@ -50,6 +50,19 @@ func chaosDialTo(n *faultnet.Network, addr string) cluster.DialFunc {
 	}
 }
 
+// tearsFirstFrame fails the test unless a client link reset after
+// budget bytes lands inside the payload of the link's first shares
+// frame to a plain holder — past the 9-byte hello and the frame's
+// 24-byte head, short of the last of its n words — so the replay must
+// resend a frame the shuffler saw part of.
+func tearsFirstFrame(t *testing.T, budget, n int) {
+	t.Helper()
+	const hello, head = 9, 24
+	if budget <= hello+head || budget >= hello+head+8*n {
+		t.Fatalf("a reset after %d bytes misses the first %d-user frame's payload (bytes %d..%d)", budget, n, hello+head, hello+head+8*n)
+	}
+}
+
 func testLedger(t *testing.T) *budget.Ledger {
 	t.Helper()
 	l, err := budget.NewLedger(
@@ -66,18 +79,19 @@ func testLedger(t *testing.T) *budget.Ledger {
 // The acceptance scenario: a seeded fault schedule resets the first
 // peer-mesh connection mid-EOS (the first oblivious-shuffle vector is
 // ~290 bytes; the reset tears it at byte 180) and resets the client's
-// first connection to shuffler 0 mid-stream (forcing a reconnect and a
-// full resubmit, deduplicated by nonce). The cluster must complete
-// both collections without intervention, bit-identical to
-// protocol.PEOS.Run, with the ledger charged exactly once per
+// first connection to shuffler 0 inside its first shares frame (forcing
+// a reconnect and a full resubmit, deduplicated by nonce). The cluster
+// must complete both collections without intervention, bit-identical
+// to protocol.PEOS.Run, with the ledger charged exactly once per
 // collection.
 func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 	const (
-		r        = 2
-		n        = 30
-		d        = 8
-		nr       = 4
-		fakeSeed = 201
+		r           = 2
+		n           = 30
+		d           = 8
+		nr          = 4
+		fakeSeed    = 201
+		clientReset = 150
 	)
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
@@ -90,9 +104,10 @@ func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 		}
 		return faultnet.Fault{}
 	}})
+	tearsFirstFrame(t, clientReset, n)
 	clientChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 		if conn == 0 {
-			return faultnet.Fault{ResetAfter: 500}
+			return faultnet.Fault{ResetAfter: clientReset}
 		}
 		return faultnet.Fault{}
 	}})
@@ -509,9 +524,10 @@ func TestChaosSoakSeeded(t *testing.T) {
 	}
 }
 
-// A flooding client replaying the SAME (index, nonce) frames over and
-// over must be absorbed by the dedup path without counting against the
-// buffer cap — resubmits are free — while the round still seals.
+// A flooding client replaying the SAME frame — the same users under the
+// same nonces — over and over must be absorbed by the dedup path without
+// counting against the buffer cap — resubmits are free — while the round
+// still seals.
 func TestChaosResubmitsDoNotCountAgainstCap(t *testing.T) {
 	const (
 		r        = 2
@@ -523,10 +539,10 @@ func TestChaosResubmitsDoNotCountAgainstCap(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, func(_ int, cfg *cluster.ShufflerConfig) {
-		cfg.MaxBuffered = n + 2 // barely roomier than one column
+		cfg.MaxBuffered = n + 2 // one column and the replayed frame, exactly
 	})
-	// A raw client that sends the same share 50 times: one stored
-	// share, 49 idempotent resubmits, zero cap pressure.
+	// A raw client that sends the same two-user frame 50 times: two
+	// stored shares, 49 idempotent resubmits, zero cap pressure.
 	raw, err := net.Dial("tcp", h.topo.Shufflers[0])
 	if err != nil {
 		t.Fatal(err)
@@ -535,12 +551,10 @@ func TestChaosResubmitsDoNotCountAgainstCap(t *testing.T) {
 	if err := transport.WriteTaggedFrame(raw, 3 /* clientHello */, []byte{0}); err != nil {
 		t.Fatal(err)
 	}
-	var payload [24]byte
-	payload[3] = 99 // collection 99 (never sealed; parks in the buffer)
-	payload[7] = 5  // index 5
-	payload[15] = 7 // nonce
 	for i := 0; i < 50; i++ {
-		if err := transport.WriteTaggedFrame(raw, 4 /* report */, payload[:]); err != nil {
+		// Collection 99 (never sealed; parks in the buffer), users 5 and 6
+		// under nonces 7 and 8.
+		if err := cluster.WriteSharesFrame(raw, cluster.TagShares, 99, 5, 7, make([]byte, 16)); err != nil {
 			t.Fatalf("resubmit %d refused: %v", i, err)
 		}
 	}

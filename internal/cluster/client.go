@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -38,7 +39,7 @@ type ClientConfig struct {
 	// Retry, when enabled (Attempts > 1), makes the client
 	// self-healing: a shuffler connection that fails is redialed with
 	// jittered backoff and the current collection's frames are replayed
-	// in full. The per-report nonces make the replay idempotent at the
+	// in full. The per-user nonces make the replay idempotent at the
 	// shufflers (a share that already arrived is recognized and
 	// dropped), so a disconnect-resubmit changes nothing about the
 	// sealed round. The zero policy reports each frame at most once,
@@ -60,7 +61,10 @@ func (cfg *ClientConfig) validate() error {
 // (Algorithm 1, "User i"): each randomized report is encoded to a
 // 64-bit word, additively split into R shares, and one share goes to
 // each shuffler — the last one AHE-encrypted so even all R shufflers
-// together cannot reconstruct it. A Client is not safe for concurrent
+// together cannot reconstruct it. Shares travel in frames: each link
+// carries one shares frame per run of up to sharesPerFrame consecutive
+// users, closed at that count, at a non-consecutive index, and at
+// SetCollection, Flush and Close. A Client is not safe for concurrent
 // use; run one per goroutine.
 type Client struct {
 	cfg   ClientConfig
@@ -69,20 +73,29 @@ type Client struct {
 	conns []net.Conn
 	w     []*bufio.Writer
 	col   uint32
-	// queued[j] holds the serialized report frames already produced for
-	// shuffler j in the current collection — exactly the bytes a healed
-	// connection replays. The share splits (and the encryption) were
-	// drawn when the frame was built, so a resubmit carries identical
-	// shares and the randomness stream position never depends on how
-	// many times the network failed.
+	// queued[j] holds the closed frames already produced for shuffler j
+	// in the current collection — exactly the bytes a healed connection
+	// replays. The share splits (and the encryption) were drawn when the
+	// report was added, so a resubmit carries identical shares and the
+	// randomness stream position never depends on how many times the
+	// network failed.
 	queued [][][]byte
-	// nonce is the next report nonce: a crypto/rand base plus a
+	// open[j] holds shuffler j's shares of the frame being filled: users
+	// first..first+k−1, under nonces nonce−k..nonce−1 (k = 0: no frame
+	// is open).
+	open  [][]byte
+	first uint32
+	k     int
+	// nonce is the next user's nonce: a crypto/rand base plus a
 	// sequence counter, unique per report across reconnects (and, with
 	// overwhelming probability, across clients). Deliberately not drawn
 	// from Source: that stream's position must match the in-process
 	// reference's split-for-split.
 	nonce      uint64
 	reconnects int
+	// err is a frame SetCollection could not deliver, returned by the
+	// next Flush or Close.
+	err error
 	// stopPool releases the key's background randomizer pool.
 	stopPool func()
 }
@@ -109,6 +122,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		enc:    enc,
 		mod:    secretshare.NewModulus(64),
 		queued: make([][][]byte, cfg.Topology.R()),
+		open:   make([][]byte, cfg.Topology.R()),
 		nonce:  binary.LittleEndian.Uint64(seed[:]),
 	}
 	// Every report encrypts one share; keep randomizers h^r precomputed
@@ -141,12 +155,15 @@ func DialClient(topo Topology, fo ldp.FrequencyOracle, pub ahe.PublicKey, src se
 }
 
 // SetCollection stamps subsequent reports with a collection round id
-// (new clients start at round 0). Moving to a new collection drops the
-// previous collection's replay queue — it sealed, resubmitting it is
-// pointless.
+// (new clients start at round 0). Moving to a new collection sends the
+// open frame and drops the previous collection's replay queue — it
+// sealed, resubmitting it is pointless.
 func (c *Client) SetCollection(id int) {
 	if uint32(id) == c.col {
 		return
+	}
+	if err := c.closeFrame(); err != nil && c.err == nil {
+		c.err = err
 	}
 	c.col = uint32(id)
 	for j := range c.queued {
@@ -160,32 +177,67 @@ func (c *Client) Reconnects() int { return c.reconnects }
 
 // SendReport shares an already-randomized report as user `index` of
 // the current collection. Every user index in [0, n) must be reported
-// exactly once before the analyzer seals the round at n.
+// exactly once before the analyzer seals the round at n; an index
+// outside [0, 2^32) is refused before any share is drawn. The shares
+// join the open frame, which goes out when it closes.
 func (c *Client) SendReport(index int, rep ldp.Report) error {
+	if index < 0 || int64(index) > math.MaxUint32 {
+		return fmt.Errorf("cluster: user index %d outside [0, 2^32)", index)
+	}
+	if c.k > 0 && int64(index) != int64(c.first)+int64(c.k) {
+		if err := c.closeFrame(); err != nil {
+			return err
+		}
+	}
 	word := c.enc.Encode(rep)
 	r := len(c.conns)
 	shares := secretshare.Split(word, r, c.mod, c.cfg.Source)
-	nonce := c.nonce
-	c.nonce++
+	ct, err := c.cfg.Pub.Encrypt(shares[r-1])
+	if err != nil {
+		return fmt.Errorf("cluster: client encrypt: %w", err)
+	}
+	if c.k == 0 {
+		c.first = uint32(index)
+		for j := range c.open {
+			c.open[j] = c.open[j][:0]
+		}
+	}
 	for j := 0; j < r-1; j++ {
+		c.open[j] = binary.LittleEndian.AppendUint64(c.open[j], shares[j])
+	}
+	c.open[r-1] = append(c.open[r-1], c.cfg.Pub.Serialize(ct)...)
+	c.k++
+	c.nonce++
+	if c.k == sharesPerFrame {
+		return c.closeFrame()
+	}
+	return nil
+}
+
+// closeFrame sends the open frame, if any, to every shuffler: plain
+// shares to shufflers 0..R−2, ciphertexts to R−1.
+func (c *Client) closeFrame() error {
+	if c.k == 0 {
+		return nil
+	}
+	sf := sharesFrame{collection: c.col, first: c.first, nonce: c.nonce - uint64(c.k)}
+	c.k = 0
+	last := len(c.open) - 1
+	for j, body := range c.open {
+		tag := tagShares
+		if j == last {
+			tag = tagEncShares
+		}
+		sf.body = body
 		var buf bytes.Buffer
-		if err := writeReportFrame(&buf, c.col, uint32(index), nonce, shares[j]); err != nil {
+		if err := writeSharesFrame(&buf, tag, sf); err != nil {
 			return fmt.Errorf("cluster: client to shuffler %d: %w", j, err)
 		}
 		if err := c.deliver(j, buf.Bytes()); err != nil {
 			return err
 		}
 	}
-	last := r - 1
-	ct, err := c.cfg.Pub.Encrypt(shares[last])
-	if err != nil {
-		return fmt.Errorf("cluster: client encrypt: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := writeEncReportFrame(&buf, c.col, uint32(index), nonce, c.cfg.Pub.Serialize(ct)); err != nil {
-		return fmt.Errorf("cluster: client to shuffler %d: %w", last, err)
-	}
-	return c.deliver(last, buf.Bytes())
+	return nil
 }
 
 // deliver queues one serialized frame for shuffler j and writes it,
@@ -272,11 +324,19 @@ func (c *Client) SendValues(base int, values []int, ldpRand *rng.Rand) error {
 	return nil
 }
 
-// Flush pushes buffered frames to every shuffler, healing connections
-// that fail mid-flush when retry is enabled (bufio surfaces a reset
-// lazily, so the flush is often where a mid-collection fault becomes
-// visible). Call it before the analyzer seals the round.
+// Flush closes the open frame and pushes buffered frames to every
+// shuffler, healing connections that fail mid-flush when retry is
+// enabled (bufio surfaces a reset lazily, so the flush is often where a
+// mid-collection fault becomes visible). Call it before the analyzer
+// seals the round.
 func (c *Client) Flush() error {
+	if err := c.err; err != nil {
+		c.err = nil
+		return err
+	}
+	if err := c.closeFrame(); err != nil {
+		return err
+	}
 	for j := range c.w {
 		if c.w[j] == nil {
 			if err := c.heal(j); err != nil {
@@ -293,12 +353,16 @@ func (c *Client) Flush() error {
 	return nil
 }
 
-// Close flushes and closes every shuffler connection (EOF is the
-// client's "done"). Safe on a partially-dialed client and safe to call
-// more than once.
+// Close sends the open frame, flushes and closes every shuffler
+// connection (EOF is the client's "done"). Safe on a partially-dialed
+// client and safe to call more than once.
 func (c *Client) Close() error {
 	c.stopPool() // idempotent
-	var first error
+	first := c.err
+	c.err = nil
+	if err := c.closeFrame(); err != nil && first == nil {
+		first = err
+	}
 	for j, w := range c.w {
 		if w == nil {
 			continue

@@ -1,7 +1,10 @@
 package cluster_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"strings"
@@ -590,65 +593,106 @@ func TestAnalyzerRefusesExistingState(t *testing.T) {
 	}
 }
 
+// hostileClient dials a shuffler and says the client hello; the test
+// then writes whatever frames it likes.
+func hostileClient(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := cluster.WriteClientHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// hangsUp fails the test unless the node's only answer on conn is to
+// close it.
+func hangsUp(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(testTimeout))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%s: the shuffler kept the connection (read: %v)", what, err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after testTimeout.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(testTimeout); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("never happened: %s", what)
+		}
+	}
+}
+
 // A client flooding shares past the node's buffer cap is disconnected
-// without taking the shuffler down.
+// without taking the shuffler down. The cap counts a frame's fresh
+// shares and takes the frame whole or not at all: one that would cross
+// it is refused with its connection and leaves the cap unconsumed, so
+// the shares that do fit still go in — and not one more.
 func TestClusterShufflerCapsFloodingClient(t *testing.T) {
 	const (
-		r  = 2
-		d  = 8
-		nr = 2
+		r     = 2
+		d     = 8
+		nr    = 2
+		limit = 25
 	)
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	h := startCluster(t, r, nr, fo, priv, 91, nil, func(_ int, cfg *cluster.ShufflerConfig) {
-		cfg.MaxBuffered = 25
+		cfg.MaxBuffered = limit
 	})
-	flood, err := net.Dial("tcp", h.topo.Shufflers[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flood.Close()
-	if err := transport.WriteTaggedFrame(flood, 3 /* clientHello */, []byte{0}); err != nil {
-		t.Fatal(err)
-	}
-	// 40 distinct shares for a collection that will never seal: the
-	// node must cut the connection once its buffer cap (25) is reached.
-	// Distinct indices and nonces — a repeated (index, nonce) pair would
-	// be deduplicated as a resubmit and never count against the cap.
-	var payload [24]byte
-	wrote := 0
-	for i := 0; i < 40; i++ {
-		payload[3] = 99 // collection 99 (big-endian u32)
-		payload[7] = byte(i)
-		payload[15] = byte(i + 1) // per-report nonce
-		if err := transport.WriteTaggedFrame(flood, 4 /* report */, payload[:]); err != nil {
-			break
+	plain := h.shufflers[0]
+	// Frames for a collection that will never seal, under distinct users
+	// and nonces — a repeated (index, nonce) pair would be deduplicated as
+	// a resubmit and never count against the cap.
+	send := func(conn net.Conn, first uint32, nonce uint64, users int) {
+		t.Helper()
+		if err := cluster.WriteSharesFrame(conn, cluster.TagShares, 99, first, nonce, make([]byte, 8*users)); err != nil {
+			t.Fatal(err)
 		}
-		wrote++
 	}
-	// The node drops the connection; observe it as a read error/EOF.
-	flood.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := flood.Read(make([]byte, 1)); err == nil {
-		t.Fatal("flooding connection was not dropped")
+	buffered := func(want int) func() bool {
+		return func() bool { return plain.BufferedShares() == want }
 	}
-	// A client link states its frame bound too: the longest report frame
-	// is 16 bytes of index and nonce plus one ciphertext, so a header
-	// announcing a megabyte is refused unread and costs its sender the
-	// connection, whatever the buffer cap has left.
-	oversize, err := net.Dial("tcp", h.topo.Shufflers[1])
-	if err != nil {
-		t.Fatal(err)
+	flood := hostileClient(t, h.topo.Shufflers[0])
+	send(flood, 0, 1000, 20)
+	waitFor(t, "20 shares buffered", buffered(20))
+	send(flood, 20, 2000, 10) // 20 + 10 > 25
+	hangsUp(t, flood, "a frame crossing the cap")
+	if got := plain.BufferedShares(); got != 20 {
+		t.Fatalf("the refused frame left %d shares buffered, want 20", got)
 	}
-	defer oversize.Close()
-	if err := cluster.WriteClientHello(oversize); err != nil {
-		t.Fatal(err)
+	more := hostileClient(t, h.topo.Shufflers[0])
+	send(more, 20, 3000, 5) // 20 + 5 = 25: fills the cap exactly
+	waitFor(t, "the cap filled exactly", buffered(limit))
+	send(more, 25, 4000, 1)
+	hangsUp(t, more, "a share past a full cap")
+	if got := plain.BufferedShares(); got != limit {
+		t.Fatalf("buffered %d shares past a cap of %d", got, limit)
 	}
-	if _, err := oversize.Write([]byte{0, 0x10, 0, 0, 0, 0, 0, 5 /* encReport */}); err != nil {
-		t.Fatal(err)
-	}
-	oversize.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := oversize.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("the shuffler kept a client that announced a 1 MiB report (read: %v)", err)
+
+	// A client link states its frame bound too: SharesPerFrame shares
+	// behind the 16-byte prefix, words at a plain holder and ciphertexts
+	// at the encrypted one. A header announcing one byte more is refused
+	// unread and costs its sender the connection, whatever the cap has
+	// left.
+	for j, elem := range []int{8, priv.CiphertextBytes()} {
+		tag := cluster.TagShares
+		if j == r-1 {
+			tag = cluster.TagEncShares
+		}
+		conn := hostileClient(t, h.topo.Shufflers[j])
+		var hdr [8]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(16+cluster.SharesPerFrame*elem+1))
+		binary.BigEndian.PutUint32(hdr[4:], tag)
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		hangsUp(t, conn, fmt.Sprintf("shuffler %d, a header one byte over its bound", j))
 	}
 	// The nodes themselves must still be alive (Run has not returned).
 	for j, errc := range h.runErr {
@@ -658,16 +702,19 @@ func TestClusterShufflerCapsFloodingClient(t *testing.T) {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-	_ = wrote
 }
 
 // TestMalformedClientCiphertextIsConnectionScoped: nothing a client
-// sends can fail the node. A ciphertext frame of the wrong length, the
-// zero element and a value past the modulus each cost their sender the
-// connection — at ingest, before anything is buffered, so the index they
-// aimed at stays free — and the collection then seals bit-identical to
-// protocol.PEOS.Run from an honest client. (Buffered unvalidated, any
-// one of them failed every attempt at seal time, and the honest
+// sends can fail the node. Each row is one hostile frame at the
+// encrypted holder, refused at ingest for its own reason before any of
+// it is buffered: five ciphertexts whose third is zero, ≥ n or a
+// non-unit, or with a ragged tail; a user range that wraps past index
+// 2^32−1; the retired per-report tags 4 and 5; a taken index under
+// another nonce. Each costs its sender the connection and nothing
+// else — the frames aimed at the honest collection's users 0..4 leave
+// them free — and the collection then seals bit-identical to
+// protocol.PEOS.Run from an honest client. (Buffered unvalidated, one
+// bad ciphertext failed every attempt at seal time, and the honest
 // resubmit was dropped as a conflicting share.)
 func TestMalformedClientCiphertextIsConnectionScoped(t *testing.T) {
 	const (
@@ -679,36 +726,64 @@ func TestMalformedClientCiphertextIsConnectionScoped(t *testing.T) {
 		ldpSeed  = 82
 	)
 	priv := sharedKey(t)
+	pub := ahe.PublicKey(priv)
 	fo := ldp.NewGRR(d, 2)
 	values := synthValues(n, d, 83)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, nil)
+	holder, addr := h.shufflers[r-1], h.topo.Shufflers[r-1]
 
 	size := priv.CiphertextBytes()
-	bad := map[string][]byte{
-		"short":        {1, 2, 3},
-		"zero":         make([]byte, size),
-		"out of range": priv.Modulus().FillBytes(make([]byte, size)),
-	}
-	for name, ct := range bad {
-		conn, err := net.DialTimeout("tcp", h.topo.Shufflers[r-1], testTimeout)
+	var five []byte
+	for i := 0; i < 5; i++ {
+		c, err := pub.Encrypt(uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cluster.WriteClientHello(conn); err != nil {
+		five = append(five, pub.Serialize(c)...)
+	}
+	type frame struct {
+		tag   uint32
+		first uint32
+		body  []byte
+	}
+	rows := map[string]frame{
+		"ragged tail":    {cluster.TagEncShares, 0, append(bytes.Clone(five), 1, 2, 3)},
+		"wrapping range": {cluster.TagEncShares, 1<<32 - 3, five},
+		"retired tag 4":  {cluster.TagRetiredReport, 0, make([]byte, 8)},
+		"retired tag 5":  {cluster.TagRetiredEncReport, 0, five[:size]},
+	}
+	for name, bad := range cluster.BadCiphertexts(priv) {
+		body := bytes.Clone(five)
+		copy(body[2*size:], bad)
+		rows["third element "+name] = frame{cluster.TagEncShares, 0, body}
+	}
+	for name, f := range rows {
+		conn := hostileClient(t, addr)
+		if err := cluster.WriteSharesFrame(conn, f.tag, 0, f.first, 666, f.body); err != nil {
 			t.Fatal(err)
 		}
-		if err := cluster.WriteEncReportFrame(conn, 0, 0, 666, ct); err != nil {
+		hangsUp(t, conn, name)
+		if got := holder.BufferedShares(); got != 0 {
+			t.Fatalf("%s: the holder buffered %d shares of a refused frame", name, got)
+		}
+	}
+	// A taken index under another nonce: five users of a collection that
+	// never seals go in, then a frame over users 3..7 is refused whole.
+	conn := hostileClient(t, addr)
+	for _, f := range []struct {
+		first uint32
+		nonce uint64
+	}{{0, 1000}, {3, 2000}} {
+		if err := cluster.WriteSharesFrame(conn, cluster.TagEncShares, 99, f.first, f.nonce, five); err != nil {
 			t.Fatal(err)
 		}
-		// The node's only answer is to hang up.
-		conn.SetReadDeadline(time.Now().Add(testTimeout))
-		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("%s ciphertext: the shuffler kept the connection (read: %v)", name, err)
-		}
-		conn.Close()
+	}
+	hangsUp(t, conn, "taken index, other nonce")
+	if got := holder.BufferedShares(); got != 5 {
+		t.Fatalf("taken index, other nonce: the holder buffered %d shares, want the first frame's 5", got)
 	}
 
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.DialClient(h.topo, fo, pub, rng.New(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

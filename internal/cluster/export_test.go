@@ -39,8 +39,32 @@ func WriteChunkFrame(w io.Writer, col, att uint32, words []uint64) error {
 // ingest link does.
 func WriteClientHello(w io.Writer) error { return writeHello(w, tagClientHello, 0) }
 
-// WriteEncReportFrame writes one encReport frame carrying ct verbatim —
-// a hostile client's way to hand the encrypted holder arbitrary bytes.
-func WriteEncReportFrame(w io.Writer, col, index uint32, nonce uint64, ct []byte) error {
-	return writeEncReportFrame(w, col, index, nonce, ct)
+// SharesPerFrame is the most users a client puts in one shares frame.
+const SharesPerFrame = sharesPerFrame
+
+// Client-link frame tags, for hostile clients that write frames by hand.
+const (
+	TagRetiredReport    = tagRetiredReport
+	TagRetiredEncReport = tagRetiredEncReport
+	TagShares           = tagShares
+	TagEncShares        = tagEncShares
+)
+
+// WriteSharesFrame writes one client frame for users first.. carrying
+// body verbatim — a hostile client's way to hand a shuffler arbitrary
+// bytes under any tag.
+func WriteSharesFrame(w io.Writer, tag, col, first uint32, nonce uint64, body []byte) error {
+	return writeSharesFrame(w, tag, sharesFrame{collection: col, first: first, nonce: nonce, body: body})
+}
+
+// BadCiphertexts returns ciphertext-sized elements the encrypted holder
+// must refuse: zero, ≥ n, and a non-unit.
+var BadCiphertexts = badCiphertexts
+
+// BufferedShares reports how many client shares the node holds against
+// its MaxBuffered cap.
+func (s *Shuffler) BufferedShares() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buffered
 }

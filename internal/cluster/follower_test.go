@@ -107,7 +107,8 @@ func startShufflerRole(t *testing.T, priv *ahe.DGKPrivateKey, coord string) foll
 	}
 	exited := make(chan error, 1)
 	go func() { exited <- sh.Run() }()
-	// client delivers `shares` plain shares of collection col.
+	// client delivers `shares` plain shares of collection col, users
+	// 0..shares-1 in one frame.
 	client := func(col uint32, shares int) {
 		conn, err := net.Dial("tcp", sh.Addr())
 		if err != nil {
@@ -117,10 +118,9 @@ func startShufflerRole(t *testing.T, priv *ahe.DGKPrivateKey, coord string) foll
 		if err := writeHello(conn, tagClientHello, 0); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < shares; i++ {
-			if err := writeReportFrame(conn, col, uint32(i), uint64(col)<<8|uint64(i), 7); err != nil {
-				t.Fatal(err)
-			}
+		sf := sharesFrame{collection: col, nonce: uint64(col) << 8, body: make([]byte, 8*shares)}
+		if err := writeSharesFrame(conn, tagShares, sf); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return followerRole{

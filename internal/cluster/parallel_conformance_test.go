@@ -137,14 +137,16 @@ func TestParallelEOSConformance(t *testing.T) {
 		}
 	})
 
-	// A client link torn mid-stream while the fleet runs parallel: the
-	// client reconnects and resubmits (nonce-deduplicated),
+	// A client link torn inside its shares frame while the fleet runs
+	// parallel: the client reconnects and resubmits (nonce-deduplicated),
 	// and the estimates still match.
 	t.Run("chaos-client-link", func(t *testing.T) {
 		setWidth(t, 4)
+		const clientReset = 150
+		tearsFirstFrame(t, clientReset, n)
 		clientChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 			if conn == 0 {
-				return faultnet.Fault{ResetAfter: 500}
+				return faultnet.Fault{ResetAfter: clientReset}
 			}
 			return faultnet.Fault{}
 		}})

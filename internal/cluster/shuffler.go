@@ -44,7 +44,7 @@ type ShufflerConfig struct {
 	// retried rounds stay bit-identical to the reference.
 	FakeSource secretshare.Source
 	// IdleTimeout bounds the silence tolerated on a client connection
-	// between report frames (0 = none); stalled clients are dropped.
+	// between shares frames (0 = none); stalled clients are dropped.
 	IdleTimeout time.Duration
 	// SealTimeout bounds (a) the wait for a sealed collection's report
 	// set to complete and (b) each peer message exchange during the
@@ -690,79 +690,110 @@ func (s *Shuffler) readClient(conn net.Conn) {
 	rd := &pipeline.Reader{
 		Conn:        conn,
 		IdleTimeout: s.cfg.IdleTimeout,
-		// The longest report frame: index, nonce and one share, as a
-		// word or as a ciphertext.
-		MaxFrame: 16 + max(8, s.cfg.Pub.CiphertextBytes()),
-		Handle: func(tag uint32, frame []byte) error {
-			if tag != tagReport && tag != tagEncReport {
-				return fmt.Errorf("%w: client sent tag %d", errBadFrame, tag)
-			}
-			rf, err := parseReportFrame(tag, frame)
-			if err != nil {
-				return err
-			}
-			return s.storeShare(tag == tagEncReport, rf)
-		},
+		// The longest frame this holder's clients send: sharesPerFrame
+		// words, or ciphertexts at the encrypted holder.
+		MaxFrame: sharesPrefix + sharesPerFrame*s.shareBytes(),
+		// ingest copies every share out of the frame (words decoded,
+		// ciphertexts SetBytes'd) before it returns.
+		Reuse:  true,
+		Handle: s.ingest,
 	}
 	_ = rd.Run()
 }
 
-// storeShare buffers one client share. The encrypted holder accepts
-// only ciphertext frames and vice versa, and decodes them here, before
-// anything is buffered: a wrong-length, zero, out-of-range or non-unit
-// "ciphertext" costs its sender this connection and leaves the index
-// free for the honest resubmit — where validating at seal time would
-// fail every attempt of the collection. Nonce dedup makes resubmits
-// idempotent: a frame for a taken index with the stored nonce is the
-// retransmit it claims to be (dropped silently, before the buffer cap
-// so replays never trip it); a different nonce is a conflicting report
-// and drops the connection, first write wins.
-func (s *Shuffler) storeShare(enc bool, rf reportFrame) error {
-	if enc != s.encHolder() {
+// shareBytes is the size of one client share at this node: a word, or
+// a ciphertext at the encrypted holder.
+func (s *Shuffler) shareBytes() int {
+	if s.encHolder() {
+		return s.cfg.Pub.CiphertextBytes()
+	}
+	return 8
+}
+
+// ingest buffers one client frame whole or not at all. The encrypted
+// holder accepts only encShares frames and the others only shares, and
+// the encrypted holder decodes its frame here, before anything is
+// buffered — length, range and zero per element, one unit check for the
+// frame (PublicKey.DeserializeVector): a malformed ciphertext costs its
+// sender this connection and leaves every index of the frame free for
+// the honest resubmit, where validating at seal time would fail every
+// attempt of the collection. Nonce dedup is per user: a taken index
+// whose stored nonce is the frame's nonce base + i is the retransmit it
+// claims to be (skipped, and never counted against the buffer cap); a
+// different nonce is a conflicting report and refuses the frame, first
+// write wins. The cap counts only the frame's fresh shares.
+func (s *Shuffler) ingest(tag uint32, payload []byte) error {
+	switch tag {
+	case tagShares, tagEncShares:
+	case tagRetiredReport, tagRetiredEncReport:
+		return fmt.Errorf("%w: client sent retired per-report tag %d (shares travel in shares / encShares frames)", errBadFrame, tag)
+	default:
+		return fmt.Errorf("%w: client sent tag %d", errBadFrame, tag)
+	}
+	enc := s.encHolder()
+	if (tag == tagEncShares) != enc {
 		return fmt.Errorf("%w: share kind does not match shuffler role %d", errBadFrame, s.cfg.Index)
 	}
-	var ct *ahe.Ciphertext
+	sf, k, err := parseSharesFrame(payload, s.shareBytes())
+	if err != nil {
+		return err
+	}
+	var words []uint64
+	var cts []*ahe.Ciphertext
 	if enc {
-		var err error
-		if ct, err = s.cfg.Pub.Deserialize(rf.ct); err != nil {
-			return fmt.Errorf("%w: ciphertext for collection %d index %d: %v", errBadFrame, rf.collection, rf.index, err)
+		if cts, err = s.cfg.Pub.DeserializeVector(sf.body); err != nil {
+			return fmt.Errorf("%w: ciphertexts for collection %d users %d..%d: %v", errBadFrame, sf.collection, sf.first, int64(sf.first)+int64(k)-1, err)
 		}
+	} else {
+		words, _ = transport.DecodeUint64s(sf.body) // whole words: parseSharesFrame checked
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if int64(rf.collection) <= s.f.doneThrough {
+	if int64(sf.collection) <= s.f.doneThrough {
 		// The collection already sealed durably: a late or re-sent
 		// frame is simply late, and dropped.
 		return nil
 	}
-	col := s.cols[rf.collection]
+	col := s.cols[sf.collection]
 	if col == nil {
 		col = newCollectionBuf()
-		s.cols[rf.collection] = col
+		s.cols[sf.collection] = col
 	}
-	if nonce, taken := col.nonce[rf.index]; taken {
-		if nonce == rf.nonce {
-			return nil // idempotent resubmit
+	fresh := 0
+	for i := 0; i < k; i++ {
+		idx := sf.first + uint32(i)
+		nonce, taken := col.nonce[idx]
+		if !taken {
+			fresh++
+		} else if nonce != sf.nonce+uint64(i) {
+			return fmt.Errorf("cluster: conflicting share for collection %d index %d", sf.collection, idx)
 		}
-		return fmt.Errorf("cluster: conflicting share for collection %d index %d", rf.collection, rf.index)
 	}
 	max := s.cfg.MaxBuffered
 	if max <= 0 {
 		max = DefaultMaxBuffered
 	}
-	if s.buffered >= max {
+	if s.buffered+fresh > max {
 		return errBufferFull
 	}
-	if enc {
-		col.encCt[rf.index] = ct
-	} else {
-		col.plain[rf.index] = rf.share
+	for i := 0; i < k; i++ {
+		idx := sf.first + uint32(i)
+		if _, taken := col.nonce[idx]; taken {
+			continue // idempotent resubmit
+		}
+		if enc {
+			col.encCt[idx] = cts[i]
+		} else {
+			col.plain[idx] = words[i]
+		}
+		col.nonce[idx] = sf.nonce + uint64(i)
 	}
-	col.nonce[rf.index] = rf.nonce
-	s.buffered++
-	select {
-	case col.notify <- struct{}{}:
-	default:
+	s.buffered += fresh
+	if fresh > 0 {
+		select {
+		case col.notify <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }

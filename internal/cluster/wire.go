@@ -8,8 +8,10 @@ package cluster
 //	peerHello      [from u8][collection u32][attempt u32]   shuffler -> shuffler
 //	shufflerHello  [index u8]                               shuffler -> analyzer
 //	clientHello    []                                       client   -> shuffler
-//	report         [collection u32][index u32][nonce u64][share u64le]
-//	encReport      [collection u32][index u32][nonce u64][ct ...]
+//	shares         [collection u32][first u32][nonce u64][shares u64le ...]
+//	                                                        client   -> shuffler
+//	encShares      [collection u32][first u32][nonce u64][cts ...]
+//	                                                        client   -> shuffler R-1
 //	seal           [collection u32][attempt u32][n u32]
 //	               [analyzers u16]                          analyzer -> shuffler, shard
 //	abort          [collection u32][attempt u32]            analyzer -> shuffler, shard
@@ -39,10 +41,14 @@ package cluster
 //
 // Ciphertext vectors are the fixed-size ahe serialization
 // concatenated, so the element count is implied by the payload length.
+// The same holds for a client's shares / encShares frame: it carries
+// the shares of k ≤ sharesPerFrame consecutive users first..first+k−1
+// of one collection, k words or k ciphertexts. Tags 4 and 5, the
+// retired one-share-per-frame report / encReport, are refused by name.
 //
 // Who puts frames on which wire: control frames and the analyzer-tier
 // vectors cross a link (link.go), EOS peer traffic the attempt's mesh
-// connections (connTransport, below), client reports a pipeline.Reader.
+// connections (connTransport, below), client shares a pipeline.Reader.
 // Every reader states the longest frame its peer may legitimately send
 // and refuses a longer length prefix unread; DESIGN.md §9 has the table
 // (every EOS vector travels as one frame, which is what lets a shuffler
@@ -52,11 +58,12 @@ package cluster
 // attempt its mesh connection serves, so a connection left over from
 // an aborted round can never be mistaken for a live one; seal, abort,
 // vector, and fail all carry the (collection, attempt) generation so
-// both ends skip stale frames; a report carries the client's
-// per-report nonce, which lets a reconnecting client resubmit its
-// whole collection and the shuffler deduplicate idempotently (same
-// nonce = the retransmit it is, different nonce at a taken index = a
-// conflicting report, dropped with its connection).
+// both ends skip stale frames; a shares frame carries the client's
+// nonce base — user first+i carries nonce+i — which lets a reconnecting
+// client resubmit its whole collection and the shuffler deduplicate
+// idempotently, user by user (same nonce = the retransmit it is,
+// different nonce at a taken index = a conflicting report, dropped with
+// its connection).
 
 import (
 	"encoding/binary"
@@ -77,8 +84,8 @@ const (
 	tagPeerHello uint32 = iota + 1
 	tagShufflerHello
 	tagClientHello
-	tagReport
-	tagEncReport
+	tagRetiredReport    // one share per frame, now tagShares; refused
+	tagRetiredEncReport // one ciphertext per frame, now tagEncShares; refused
 	tagSeal
 	tagVector
 	tagEncVector
@@ -90,7 +97,17 @@ const (
 	tagDone
 	tagShardHello
 	tagShardWords
+	tagShares
+	tagEncShares
 )
+
+// sharesPerFrame is the most users one shares / encShares frame
+// carries: a client closes a frame at this many users, so a client
+// reader's bound is sharesPrefix + sharesPerFrame·(8 or CiphertextBytes).
+const sharesPerFrame = 256
+
+// sharesPrefix is the [collection][first][nonce] head of a shares frame.
+const sharesPrefix = 16
 
 // errBadFrame wraps every malformed-payload failure so callers can
 // distinguish protocol violations from transport errors.
@@ -130,54 +147,46 @@ func parsePeerHello(payload []byte, limit int) (from int, g gen, err error) {
 	}, nil
 }
 
-func writeReportFrame(w io.Writer, collection, index uint32, nonce, share uint64) error {
-	var payload [24]byte
-	binary.BigEndian.PutUint32(payload[0:], collection)
-	binary.BigEndian.PutUint32(payload[4:], index)
-	binary.BigEndian.PutUint64(payload[8:], nonce)
-	binary.LittleEndian.PutUint64(payload[16:], share)
-	return transport.WriteTaggedFrame(w, tagReport, payload[:])
-}
-
-func writeEncReportFrame(w io.Writer, collection, index uint32, nonce uint64, ct []byte) error {
-	payload := make([]byte, 16+len(ct))
-	binary.BigEndian.PutUint32(payload[0:], collection)
-	binary.BigEndian.PutUint32(payload[4:], index)
-	binary.BigEndian.PutUint64(payload[8:], nonce)
-	copy(payload[16:], ct)
-	return transport.WriteTaggedFrame(w, tagEncReport, payload)
-}
-
-// reportFrame is one parsed client share frame.
-type reportFrame struct {
+// sharesFrame is one client frame: the shares of users first..first+k−1
+// of one collection, user first+i under nonce+i (its resubmit dedup key).
+type sharesFrame struct {
 	collection uint32
-	index      uint32
-	nonce      uint64 // per-report resubmit dedup key
-	share      uint64 // tagReport
-	ct         []byte // tagEncReport
+	first      uint32
+	nonce      uint64
+	body       []byte // k words or k ciphertexts, elem bytes each
 }
 
-func parseReportFrame(tag uint32, payload []byte) (reportFrame, error) {
-	if len(payload) < 16 {
-		return reportFrame{}, fmt.Errorf("%w: short report frame", errBadFrame)
+func writeSharesFrame(w io.Writer, tag uint32, sf sharesFrame) error {
+	payload := binary.BigEndian.AppendUint32(make([]byte, 0, sharesPrefix+len(sf.body)), sf.collection)
+	payload = binary.BigEndian.AppendUint32(payload, sf.first)
+	payload = binary.BigEndian.AppendUint64(payload, sf.nonce)
+	return transport.WriteTaggedFrame(w, tag, append(payload, sf.body...))
+}
+
+// parseSharesFrame splits a shares / encShares payload of elem-byte
+// elements and returns it with its user count k. It refuses an empty
+// or ragged body, more than sharesPerFrame users, and a user range that
+// would run past index 2^32−1. The body aliases the payload.
+func parseSharesFrame(payload []byte, elem int) (sharesFrame, int, error) {
+	if len(payload) < sharesPrefix {
+		return sharesFrame{}, 0, fmt.Errorf("%w: short shares frame", errBadFrame)
 	}
-	rf := reportFrame{
+	sf := sharesFrame{
 		collection: binary.BigEndian.Uint32(payload[0:]),
-		index:      binary.BigEndian.Uint32(payload[4:]),
+		first:      binary.BigEndian.Uint32(payload[4:]),
 		nonce:      binary.BigEndian.Uint64(payload[8:]),
+		body:       payload[sharesPrefix:],
 	}
-	if tag == tagReport {
-		if len(payload) != 24 {
-			return reportFrame{}, fmt.Errorf("%w: plain share frame has %d bytes", errBadFrame, len(payload))
-		}
-		rf.share = binary.LittleEndian.Uint64(payload[16:])
-		return rf, nil
+	k := len(sf.body) / elem
+	switch {
+	case k == 0 || len(sf.body)%elem != 0:
+		return sharesFrame{}, 0, fmt.Errorf("%w: shares frame body of %d bytes is not 1..%d elements of %d", errBadFrame, len(sf.body), sharesPerFrame, elem)
+	case k > sharesPerFrame:
+		return sharesFrame{}, 0, fmt.Errorf("%w: shares frame carries %d users, at most %d", errBadFrame, k, sharesPerFrame)
+	case uint64(sf.first)+uint64(k) > 1<<32:
+		return sharesFrame{}, 0, fmt.Errorf("%w: shares frame users %d+%d wrap past index 2^32-1", errBadFrame, sf.first, k)
 	}
-	if len(payload) == 16 {
-		return reportFrame{}, fmt.Errorf("%w: empty ciphertext frame", errBadFrame)
-	}
-	rf.ct = payload[16:] // aliases the frame: decoded before the handler returns
-	return rf, nil
+	return sf, k, nil
 }
 
 // sealPayload opens a collection attempt at a shuffler or an analyzer

@@ -14,37 +14,39 @@ import (
 	"shuffledp/internal/transport"
 )
 
+// A client's report frame is a shares frame: k users' elements behind
+// one [collection][first][nonce] prefix, k implied by the length.
 func TestReportFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeReportFrame(&buf, 3, 17, 0xa1b2c3d4e5f60718, 0xfeedface); err != nil {
-		t.Fatal(err)
-	}
-	tag, payload, err := transport.ReadTaggedFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag != tagReport {
-		t.Fatalf("tag %d", tag)
-	}
-	rf, err := parseReportFrame(tag, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.collection != 3 || rf.index != 17 || rf.nonce != 0xa1b2c3d4e5f60718 || rf.share != 0xfeedface {
-		t.Fatalf("parsed %+v", rf)
-	}
-
-	buf.Reset()
-	if err := writeEncReportFrame(&buf, 4, 18, 77, []byte{9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	tag, payload, _ = transport.ReadTaggedFrame(&buf)
-	rf, err = parseReportFrame(tag, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.collection != 4 || rf.index != 18 || rf.nonce != 77 || !bytes.Equal(rf.ct, []byte{9, 9, 9}) {
-		t.Fatalf("parsed %+v", rf)
+	words := []uint64{0xfeedface, 1, 2}
+	for _, c := range []struct {
+		tag  uint32
+		elem int
+		body []byte
+		k    int
+	}{
+		{tagShares, 8, transport.EncodeUint64s(words), 3},
+		{tagEncShares, 3, []byte{9, 9, 9, 8, 8, 8}, 2},
+		{tagShares, 8, make([]byte, 8*sharesPerFrame), sharesPerFrame},
+	} {
+		var buf bytes.Buffer
+		in := sharesFrame{collection: 3, first: 17, nonce: 0xa1b2c3d4e5f60718, body: c.body}
+		if err := writeSharesFrame(&buf, c.tag, in); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 8+sharesPrefix+len(c.body) {
+			t.Fatalf("frame of %d bytes for a %d-byte body", buf.Len(), len(c.body))
+		}
+		tag, payload, err := transport.ReadTaggedFrame(&buf)
+		if err != nil || tag != c.tag {
+			t.Fatalf("tag %d err %v", tag, err)
+		}
+		out, k, err := parseSharesFrame(payload, c.elem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != c.k || out.collection != 3 || out.first != 17 || out.nonce != in.nonce || !bytes.Equal(out.body, c.body) {
+			t.Fatalf("parsed %+v, k %d", out, k)
+		}
 	}
 }
 
@@ -123,14 +125,23 @@ func TestControlFrameRoundTrips(t *testing.T) {
 }
 
 func TestWireParseRejectsMalformedFrames(t *testing.T) {
-	if _, err := parseReportFrame(tagReport, []byte{1, 2}); !errors.Is(err, errBadFrame) {
-		t.Fatalf("short report: %v", err)
+	for name, c := range map[string]struct {
+		payload []byte
+		elem    int
+	}{
+		"short prefix":   {make([]byte, 12), 8},
+		"no users":       {make([]byte, sharesPrefix), 8},
+		"ragged tail":    {make([]byte, sharesPrefix+8*3+5), 8},
+		"257 users":      {make([]byte, sharesPrefix+8*(sharesPerFrame+1)), 8},
+		"wrapping range": {sharesPayload(1, 1<<32-2, 9, make([]byte, 3*5)), 5},
+	} {
+		if _, _, err := parseSharesFrame(c.payload, c.elem); !errors.Is(err, errBadFrame) {
+			t.Fatalf("shares frame, %s: %v", name, err)
+		}
 	}
-	if _, err := parseReportFrame(tagReport, make([]byte, 25)); !errors.Is(err, errBadFrame) {
-		t.Fatalf("long plain share: %v", err)
-	}
-	if _, err := parseReportFrame(tagEncReport, make([]byte, 16)); !errors.Is(err, errBadFrame) {
-		t.Fatalf("empty ciphertext: %v", err)
+	// The last user may sit at index 2^32−1, not one past it.
+	if _, k, err := parseSharesFrame(sharesPayload(1, 1<<32-2, 9, make([]byte, 2*5)), 5); err != nil || k != 2 {
+		t.Fatalf("shares frame ending at index 2^32-1: k %d, %v", k, err)
 	}
 	if _, _, err := parseSealFrame([]byte{1}, 1); !errors.Is(err, errBadFrame) {
 		t.Fatalf("short seal: %v", err)
@@ -210,10 +221,16 @@ func TestCiphertextVectorCodec(t *testing.T) {
 	}
 }
 
-// FuzzWireFrames throws arbitrary payloads at every control-plane
-// parser: none may panic, and whatever parses must re-encode to the
-// exact payload it parsed from (the parsers are the cluster's entire
-// input validation — wire.go's doc comment is the format contract).
+// fuzzCiphertextBytes is the element size FuzzWireFrames splits
+// encShares bodies at: the parser only cuts the body, so any size
+// exercises it, and a small one keeps 256-user seeds short.
+const fuzzCiphertextBytes = 16
+
+// FuzzWireFrames throws arbitrary payloads at every control-plane and
+// client-link parser: none may panic, and whatever parses must
+// re-encode to the exact payload it parsed from (the parsers are the
+// cluster's entire input validation — wire.go's doc comment is the
+// format contract).
 func FuzzWireFrames(f *testing.F) {
 	g := gen{col: 7, att: 0x01020304}
 	seed := func(frame func(w *bytes.Buffer) error) []byte {
@@ -231,8 +248,12 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagSeal, sealPayload(g, 100, 2)) }))
 	f.Add(uint8(2), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagAbort, prefixed(g, nil)) }))
 	f.Add(uint8(3), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagDone, donePayload(7)) }))
-	f.Add(uint8(4), seed(func(w *bytes.Buffer) error { return writeReportFrame(w, 7, 3, 99, 12345) }))
-	f.Add(uint8(5), seed(func(w *bytes.Buffer) error { return writeEncReportFrame(w, 7, 3, 99, []byte{1, 2, 3}) }))
+	f.Add(uint8(4), seed(func(w *bytes.Buffer) error {
+		return writeSharesFrame(w, tagShares, sharesFrame{collection: 7, first: 3, nonce: 99, body: transport.EncodeUint64s([]uint64{12345})})
+	}))
+	f.Add(uint8(5), seed(func(w *bytes.Buffer) error {
+		return writeSharesFrame(w, tagEncShares, sharesFrame{collection: 7, first: 3, nonce: 99, body: make([]byte, 3*fuzzCiphertextBytes)})
+	}))
 	f.Add(uint8(6), prefixed(g, []byte{8, 8, 8}))
 	f.Add(uint8(7), seed(func(w *bytes.Buffer) error {
 		return transport.WriteTaggedFrame(w, tagShardHello, shardHelloPayload(1, 2))
@@ -298,31 +319,25 @@ func FuzzWireFrames(f *testing.F) {
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("done re-encode mismatch: %x vs %x", re, payload)
 			}
-		case 4:
-			rf, err := parseReportFrame(tagReport, payload)
+		case 4, 5:
+			tag, elem := tagShares, 8
+			if kind%8 == 5 {
+				tag, elem = tagEncShares, fuzzCiphertextBytes
+			}
+			sf, k, err := parseSharesFrame(payload, elem)
 			if err != nil {
 				return
 			}
+			if k < 1 || k > sharesPerFrame || k*elem != len(sf.body) || uint64(sf.first)+uint64(k) > 1<<32 {
+				t.Fatalf("parseSharesFrame accepted %d users of %d bytes at %d from %d body bytes", k, elem, sf.first, len(sf.body))
+			}
 			var buf bytes.Buffer
-			if err := writeReportFrame(&buf, rf.collection, rf.index, rf.nonce, rf.share); err != nil {
+			if err := writeSharesFrame(&buf, tag, sf); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrame(&buf)
 			if !bytes.Equal(re, payload) {
-				t.Fatalf("report re-encode mismatch: %x vs %x", re, payload)
-			}
-		case 5:
-			rf, err := parseReportFrame(tagEncReport, payload)
-			if err != nil {
-				return
-			}
-			var buf bytes.Buffer
-			if err := writeEncReportFrame(&buf, rf.collection, rf.index, rf.nonce, rf.ct); err != nil {
-				t.Fatal(err)
-			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
-			if !bytes.Equal(re, payload) {
-				t.Fatalf("enc report re-encode mismatch: %x vs %x", re, payload)
+				t.Fatalf("shares re-encode mismatch: %x vs %x", re, payload)
 			}
 		case 6:
 			pg, body, err := splitPrefixed(payload)
