@@ -19,9 +19,6 @@ type Ciphertext struct {
 	v *big.Int
 }
 
-// Value exposes the raw group element (for serialization).
-func (c *Ciphertext) Value() *big.Int { return new(big.Int).Set(c.v) }
-
 // Clone returns an independent copy. The in-place kernels
 // (AddPlainInto, RerandomizeInto) mutate their operands, so any
 // ciphertext a caller retains across an evaluation pass (the cluster's
@@ -45,8 +42,6 @@ type PublicKey interface {
 	PlaintextBits() int
 	// Encrypt encrypts m (reduced mod 2^l).
 	Encrypt(m uint64) (*Ciphertext, error)
-	// Add returns a ciphertext of the sum of the two plaintexts.
-	Add(a, b *Ciphertext) *Ciphertext
 	// AddPlain returns a ciphertext of (plaintext of a) + m.
 	AddPlain(a *Ciphertext, m uint64) (*Ciphertext, error)
 	// Rerandomize refreshes the ciphertext so it is unlinkable to its

@@ -25,6 +25,13 @@ func testDGK(t *testing.T) *DGKPrivateKey {
 	return dgkKey
 }
 
+// mulCiphertexts multiplies two ciphertexts mod n: the group operation
+// that adds their plaintexts, which every homomorphic kernel builds on.
+func mulCiphertexts(n *big.Int, a, b *Ciphertext) *Ciphertext {
+	v := new(big.Int).Mul(a.v, b.v)
+	return &Ciphertext{v: v.Mod(v, n)}
+}
+
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	key := testDGK(t)
 	mask := uint64(1)<<uint(key.PlaintextBits()) - 1
@@ -56,7 +63,7 @@ func TestHomomorphicAddition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := key.Decrypt(key.Add(ca, cb))
+		sum, err := key.Decrypt(mulCiphertexts(key.n, ca, cb))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +103,7 @@ func TestRerandomizePreservesPlaintextChangesCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Value().Cmp(c2.Value()) == 0 {
+	if c.v.Cmp(c2.v) == 0 {
 		t.Fatal("rerandomize did not change the ciphertext")
 	}
 	got, err := key.Decrypt(c2)
@@ -118,7 +125,7 @@ func TestProbabilisticEncryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Value().Cmp(b.Value()) == 0 {
+	if a.v.Cmp(b.v) == 0 {
 		t.Fatal("two encryptions of the same value are equal")
 	}
 }
@@ -191,7 +198,7 @@ func TestGenerateDGKModulusWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := key.Modulus().BitLen(); got < keyBits-1 {
+		if got := key.n.BitLen(); got < keyBits-1 {
 			t.Fatalf("keygen %d: modulus is %d bits, want >= %d", i, got, keyBits-1)
 		}
 	}
@@ -217,7 +224,7 @@ func TestQuickShareAccumulation(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			acc = key.Add(acc, c)
+			acc = mulCiphertexts(key.n, acc, c)
 		}
 		got, err := key.Decrypt(acc)
 		return err == nil && got == want
@@ -231,7 +238,7 @@ func TestDGKStructure(t *testing.T) {
 	key := testDGK(t)
 	// g must have order u*vp*vq: g^(u*vp*vq) = 1 mod n but no proper
 	// divisor exponent gives 1 for the u component.
-	n := key.Modulus()
+	n := key.n
 	u := new(big.Int).Lsh(big.NewInt(1), uint(key.PlaintextBits()))
 	// gamma has order exactly 2^l mod p: gamma^(2^l) = 1, gamma^(2^(l-1)) != 1.
 	full := new(big.Int).Exp(key.gamma, u, key.p)
@@ -284,7 +291,7 @@ func TestDGK64BitPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := key.Decrypt(key.Add(c, c2))
+	sum, err := key.Decrypt(mulCiphertexts(key.n, c, c2))
 	if err != nil {
 		t.Fatal(err)
 	}

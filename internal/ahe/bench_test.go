@@ -46,17 +46,6 @@ func BenchmarkDGKDecrypt(b *testing.B) {
 	}
 }
 
-func BenchmarkDGKAdd(b *testing.B) {
-	key := benchKey(b)
-	c1, _ := key.Encrypt(1)
-	c2, _ := key.Encrypt(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key.Add(c1, c2)
-	}
-}
-
 func BenchmarkDGKAddPlain(b *testing.B) {
 	key := benchKey(b)
 	c, _ := key.Encrypt(1)

@@ -384,9 +384,6 @@ func crt(a, b, p, q *big.Int) (*big.Int, error) {
 // PlaintextBits implements PublicKey.
 func (k DGKPublicKey) PlaintextBits() int { return k.l }
 
-// Modulus returns n (for tests and serialization checks).
-func (k DGKPublicKey) Modulus() *big.Int { return new(big.Int).Set(k.n) }
-
 // StartRandomizerPool implements PublicKey: it starts (or joins) the
 // key's background refiller producing randomizers h^r off the critical
 // path, with capacity and refill concurrency derived from GOMAXPROCS
@@ -519,12 +516,6 @@ func (k DGKPublicKey) encryptNaive(m uint64) (*Ciphertext, error) {
 	gm := new(big.Int).Exp(k.g, k.reduce(m), k.n)
 	hr := new(big.Int).Exp(k.h, r, k.n)
 	return &Ciphertext{v: gm.Mul(gm, hr).Mod(gm, k.n)}, nil
-}
-
-// Add implements PublicKey: ciphertext multiplication adds plaintexts.
-func (k DGKPublicKey) Add(a, b *Ciphertext) *Ciphertext {
-	v := new(big.Int).Mul(a.v, b.v)
-	return &Ciphertext{v: v.Mod(v, k.n)}
 }
 
 // AddPlain implements PublicKey: multiply by g^m (no fresh randomness;

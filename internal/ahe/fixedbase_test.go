@@ -169,7 +169,7 @@ func TestFastPathConformance(t *testing.T) {
 			}
 
 			// A homomorphic chain touching every public-key op.
-			sum := key.Add(c1, c2)
+			sum := mulCiphertexts(key.n, c1, c2)
 			sum, err = key.AddPlain(sum, uint64(seed))
 			if err != nil {
 				return false

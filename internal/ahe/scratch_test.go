@@ -118,11 +118,11 @@ func TestRerandomizeIntoChangesCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.Value()
+	before := new(big.Int).Set(c.v)
 	if err := key.RerandomizeInto(c, c, key.NewScratch()); err != nil {
 		t.Fatal(err)
 	}
-	if before.Cmp(c.Value()) == 0 {
+	if before.Cmp(c.v) == 0 {
 		t.Fatal("RerandomizeInto left the group element unchanged")
 	}
 }

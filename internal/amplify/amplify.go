@@ -1,9 +1,10 @@
 // Package amplify implements the privacy-amplification analysis of the
-// shuffle model: the binomial mechanism (Theorem 1), the amplification
-// bounds for GRR ([9], Table I), unary encoding (Theorem 2) and SOLH
-// (Theorem 3), their inversions (given a target central epsilon, derive
-// the local budget), the variance expressions of §IV-B3 (Propositions
-// 4-6), the optimal hashed-domain size d' (Equation 5), the PEOS
+// shuffle model: the amplification bounds for GRR ([9], Table I), unary
+// encoding (Theorem 2) and SOLH (Theorem 3), which all rest on the
+// binomial mechanism (Theorem 1), their inversions (given a target
+// central epsilon, derive the local budget), the GRR and SOLH variance
+// expressions of §IV-B3 (Propositions 4 and 6), the optimal
+// hashed-domain size d' (Equation 5), the PEOS
 // guarantees (Corollaries 8 and 9), and the §VI-D parameter planner.
 //
 // Everything here is deterministic closed-form math, which keeps each
@@ -29,19 +30,6 @@ func validate(n int, delta float64) {
 	if delta <= 0 || delta >= 1 {
 		panic("amplify: delta must be in (0, 1)")
 	}
-}
-
-// BinomialMechanismEpsilon is Theorem 1: binomial noise Bin(n, p) on
-// each histogram component yields (eps, delta)-DP with
-// eps = sqrt(14 ln(2/delta) / (n p)).
-func BinomialMechanismEpsilon(np float64, delta float64) float64 {
-	if np <= 0 {
-		panic("amplify: binomial mechanism needs np > 0")
-	}
-	if delta <= 0 || delta >= 1 {
-		panic("amplify: delta must be in (0, 1)")
-	}
-	return math.Sqrt(14 * math.Log(2/delta) / np)
 }
 
 // CentralEpsilonGRR is the amplification bound of [9] (Table I, last
@@ -164,22 +152,11 @@ func LocalEpsilonUnary(epsC float64, n int, delta float64) (float64, error) {
 // is (m-1) / (n (m-d)^2). Only valid when m > d.
 func VarianceGRR(epsC float64, d, n int, delta float64) (float64, error) {
 	m := BlanketM(epsC, n, delta)
-	if m <= float64(d)+1 {
-		return 0, fmt.Errorf("%w: m=%.3f <= d+1", ErrNoAmplification, m)
+	if m <= float64(d) {
+		return 0, fmt.Errorf("%w: m=%.3f <= d=%d", ErrNoAmplification, m, d)
 	}
 	md := m - float64(d)
 	return (m - 1) / (float64(n) * md * md), nil
-}
-
-// VarianceUnary is Proposition 5: at fixed epsC, unary encoding's
-// variance is (M-1) / (n (M-2)^2) with M = epsC^2(n-1)/(56 ln(4/delta)).
-func VarianceUnary(epsC float64, n int, delta float64) (float64, error) {
-	validate(n, delta)
-	mm := epsC * epsC * float64(n-1) / (56 * math.Log(4/delta))
-	if mm <= 3 {
-		return 0, fmt.Errorf("%w: unary M=%.3f <= 3", ErrNoAmplification, mm)
-	}
-	return (mm - 1) / (float64(n) * (mm - 2) * (mm - 2)), nil
 }
 
 // VarianceSOLHAt is Proposition 6 at an explicit d':
@@ -203,17 +180,6 @@ func VarianceSOLH(epsC float64, d, n int, delta float64) (v float64, dPrime int,
 	dPrime = OptimalDPrime(m, d)
 	v, err = VarianceSOLHAt(m, dPrime, n)
 	return v, dPrime, err
-}
-
-// VarianceAUE is the Balcer–Cheu variance at fixed epsC:
-// gamma (1-gamma) / n with gamma = 200 ln(4/delta)/(epsC^2 n) (§IV-B4).
-func VarianceAUE(epsC float64, n int, delta float64) float64 {
-	validate(n, delta)
-	gamma := 200 * math.Log(4/delta) / (epsC * epsC * float64(n))
-	if gamma > 1 {
-		gamma = 1
-	}
-	return gamma * (1 - gamma) / float64(n)
 }
 
 // PreferGRR reports whether GRR beats SOLH at the given target (§IV-B3

@@ -12,27 +12,6 @@ const (
 	testDelta = 1e-9
 )
 
-func TestBinomialMechanismEpsilon(t *testing.T) {
-	// Theorem 1 at np = 14 ln(2/delta) gives eps = 1.
-	np := 14 * math.Log(2/testDelta)
-	if got := BinomialMechanismEpsilon(np, testDelta); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("eps = %v, want 1", got)
-	}
-	// eps scales as 1/sqrt(np).
-	if got := BinomialMechanismEpsilon(4*np, testDelta); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("eps = %v, want 0.5", got)
-	}
-}
-
-func TestBinomialMechanismPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BinomialMechanismEpsilon(0, testDelta)
-}
-
 func TestCentralEpsilonSOLHFormula(t *testing.T) {
 	// Direct formula check at a hand-computed point.
 	epsL, dPrime := 1.0, 10
@@ -185,6 +164,31 @@ func TestVarianceGRRGrowsWithDomain(t *testing.T) {
 	}
 }
 
+// Proposition 4 holds for every m > d, the same regime in which
+// LocalEpsilonGRR finds a positive local budget: at m = d + 1/2 both
+// succeed, and the variance is (m-1) / (n (m-d)^2).
+func TestVarianceGRRJustAboveDomain(t *testing.T) {
+	const d = 100
+	epsC := math.Sqrt((d + 0.5) * 14 * math.Log(2/testDelta) / float64(testN-1))
+	m := BlanketM(epsC, testN, testDelta)
+	if math.Abs(m-(d+0.5)) > 1e-9 {
+		t.Fatalf("m = %v, want d + 0.5", m)
+	}
+	if epsL, err := LocalEpsilonGRR(epsC, d, testN, testDelta); err != nil || epsL <= 0 {
+		t.Fatalf("LocalEpsilonGRR = %v, %v; want a positive budget", epsL, err)
+	}
+	v, err := VarianceGRR(epsC, d, testN, testDelta)
+	if err != nil {
+		t.Fatalf("VarianceGRR at m = d + 0.5: %v", err)
+	}
+	if want := (m - 1) / (float64(testN) * (m - d) * (m - d)); math.Abs(v-want) > 1e-12*want {
+		t.Fatalf("VarianceGRR = %v, want %v", v, want)
+	}
+	if _, err := VarianceGRR(epsC, d+1, testN, testDelta); !errors.Is(err, ErrNoAmplification) {
+		t.Fatalf("VarianceGRR at m < d: %v, want ErrNoAmplification", err)
+	}
+}
+
 func TestVarianceSOLHBeatsGRRLargeDomain(t *testing.T) {
 	// §IV-B3: for large d, SOLH wins; also exposed via PreferGRR.
 	vg, err := VarianceGRR(0.8, testD, testN, testDelta)
@@ -224,33 +228,6 @@ func TestVarianceSOLHMatchesPaperShape(t *testing.T) {
 	}
 	if v < 1e-9 || v > 1e-8 {
 		t.Errorf("SOLH variance at epsC=1: %v, expected ~5.6e-9", v)
-	}
-}
-
-func TestVarianceUnaryClose(t *testing.T) {
-	// §IV-B3: unary encoding is "slightly better" than SOLH — same
-	// order of magnitude.
-	vu, err := VarianceUnary(1, testN, testDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, _, err := VarianceSOLH(1, testD, testN, testDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := vs / vu
-	if ratio < 0.2 || ratio > 20 {
-		t.Fatalf("unary %v vs SOLH %v: ratio %v out of expected band", vu, vs, ratio)
-	}
-}
-
-func TestVarianceAUEComparable(t *testing.T) {
-	// §IV-B4: AUE differs from SOLH "by only a constant".
-	va := VarianceAUE(1, testN, testDelta)
-	vs, _, _ := VarianceSOLH(1, testD, testN, testDelta)
-	ratio := va / vs
-	if ratio < 0.05 || ratio > 50 {
-		t.Fatalf("AUE %v vs SOLH %v: ratio %v", va, vs, ratio)
 	}
 }
 

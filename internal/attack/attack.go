@@ -16,8 +16,6 @@
 package attack
 
 import (
-	"math"
-
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/secretshare"
@@ -166,13 +164,4 @@ func PEOSFakePoisoning(fo *ldp.GRR, trueCounts []int, nr, target, r, trials int,
 		ChiSquare:   chi2,
 		Dof:         d - 1,
 	}
-}
-
-// ShufflerCollusionFallback quantifies §V-B's "if the shuffler colludes
-// with the server, the model degrades to LDP": it returns the central
-// epsilon with an honest shuffler (amplified) and without one (the raw
-// local epsilon). Pure bookkeeping, kept here so examples/tests state
-// the claim in one place.
-func ShufflerCollusionFallback(epsL, epsC float64) (honest, colluded float64) {
-	return math.Min(epsL, epsC), epsL
 }

@@ -91,13 +91,6 @@ func TestPEOSvsSSPoisoningContrast(t *testing.T) {
 	}
 }
 
-func TestShufflerCollusionFallback(t *testing.T) {
-	honest, colluded := ShufflerCollusionFallback(4, 0.5)
-	if honest != 0.5 || colluded != 4 {
-		t.Fatalf("got %v, %v", honest, colluded)
-	}
-}
-
 func TestUserCollusionPanicsOnUnary(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -210,9 +210,6 @@ func (l *Ledger) Spent() composition.Guarantee {
 	return l.mustSpent()
 }
 
-// Total returns the ledger's total budget.
-func (l *Ledger) Total() composition.Guarantee { return l.total }
-
 // PerEpoch returns the per-epoch guarantee each charge spends.
 func (l *Ledger) PerEpoch() composition.Guarantee { return l.per }
 

@@ -140,7 +140,7 @@ func TestSpentAndRemaining(t *testing.T) {
 	if rem.Eps != 0.25 {
 		t.Fatalf("Remaining().Eps = %v, want 0.25", rem.Eps)
 	}
-	if l.Total() != total || l.PerEpoch() != per {
+	if l.total != total || l.PerEpoch() != per {
 		t.Fatal("Total/PerEpoch do not echo the construction parameters")
 	}
 }

@@ -666,12 +666,6 @@ func (a *Analyzer) Close() error {
 	return nil
 }
 
-// Crash hard-stops a durable analyzer the way a power cut would: the
-// WAL is closed without flushing, so only what the fsync policy made
-// durable survives for RecoverAnalyzer. On an in-memory analyzer it
-// behaves like Close.
-func (a *Analyzer) Crash() { a.shutdown(true) }
-
 func (a *Analyzer) shutdown(crash bool) {
 	a.mu.Lock()
 	if a.closed {

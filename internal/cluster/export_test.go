@@ -23,6 +23,12 @@ func (a *Analyzer) HeldChunks() map[int][2]uint32 {
 	return held
 }
 
+// Crash hard-stops a durable analyzer the way a power cut would: the
+// WAL is closed without flushing, so only what the fsync policy made
+// durable survives for RecoverAnalyzer. On an in-memory analyzer it
+// behaves like Close.
+func (a *Analyzer) Crash() { a.shutdown(true) }
+
 // WriteShufflerHello opens a connection to an analyzer node the way
 // shuffler j's control or data link does.
 func WriteShufflerHello(w io.Writer, j int) error {

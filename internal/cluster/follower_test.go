@@ -56,7 +56,7 @@ func (c *scriptedCoordinator) accept() (net.Conn, uint32, []byte) {
 		c.t.Fatalf("the node never dialed: %v", err)
 	}
 	c.t.Cleanup(func() { conn.Close() })
-	tag, payload, err := transport.ReadTaggedFrame(conn)
+	tag, payload, err := transport.ReadTaggedFrameLimit(conn, 0)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestFollowerConformance(t *testing.T) {
 					t.Helper()
 					conn.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
 					defer conn.SetReadDeadline(time.Time{})
-					if tag, payload, err := transport.ReadTaggedFrame(conn); !errors.Is(err, os.ErrDeadlineExceeded) {
+					if tag, payload, err := transport.ReadTaggedFrameLimit(conn, 0); !errors.Is(err, os.ErrDeadlineExceeded) {
 						t.Fatalf("%s: the node sent tag %d %q (%v), want silence", why, tag, payload, err)
 					}
 				}
@@ -352,7 +352,7 @@ func TestFollowerConformance(t *testing.T) {
 				role.spoil(g4)
 				send(conn, tagSeal, sealPayload(g4, 1, analyzers))
 				conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-				tag, payload, err := transport.ReadTaggedFrame(conn)
+				tag, payload, err := transport.ReadTaggedFrameLimit(conn, 0)
 				if err != nil {
 					t.Fatalf("waiting for the fail notice: %v", err)
 				}

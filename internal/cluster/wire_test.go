@@ -36,7 +36,7 @@ func TestReportFrameRoundTrip(t *testing.T) {
 		if buf.Len() != 8+sharesPrefix+len(c.body) {
 			t.Fatalf("frame of %d bytes for a %d-byte body", buf.Len(), len(c.body))
 		}
-		tag, payload, err := transport.ReadTaggedFrame(&buf)
+		tag, payload, err := transport.ReadTaggedFrameLimit(&buf, 0)
 		if err != nil || tag != c.tag {
 			t.Fatalf("tag %d err %v", tag, err)
 		}
@@ -57,7 +57,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(g, 123, 3)); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, err := transport.ReadTaggedFrame(&buf)
+	tag, payload, err := transport.ReadTaggedFrameLimit(&buf, 0)
 	if err != nil || tag != tagSeal {
 		t.Fatalf("seal frame: tag %d err %v", tag, err)
 	}
@@ -69,7 +69,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err := transport.WriteTaggedFrame(&buf, tagShardHello, shardHelloPayload(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, err = transport.ReadTaggedFrame(&buf)
+	tag, payload, err = transport.ReadTaggedFrameLimit(&buf, 0)
 	if err != nil || tag != tagShardHello {
 		t.Fatalf("shard hello: tag %d err %v", tag, err)
 	}
@@ -81,7 +81,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err := transport.WriteTaggedFrame(&buf, tagAbort, prefixed(g, nil)); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, err = transport.ReadTaggedFrame(&buf)
+	tag, payload, err = transport.ReadTaggedFrameLimit(&buf, 0)
 	if err != nil || tag != tagAbort {
 		t.Fatalf("abort frame: tag %d err %v", tag, err)
 	}
@@ -93,7 +93,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err := transport.WriteTaggedFrame(&buf, tagDone, donePayload(42)); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, err = transport.ReadTaggedFrame(&buf)
+	tag, payload, err = transport.ReadTaggedFrameLimit(&buf, 0)
 	if err != nil || tag != tagDone {
 		t.Fatalf("done frame: tag %d err %v", tag, err)
 	}
@@ -105,7 +105,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err := writePeerHello(&buf, 2, g); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, err = transport.ReadTaggedFrame(&buf)
+	tag, payload, err = transport.ReadTaggedFrameLimit(&buf, 0)
 	if err != nil || tag != tagPeerHello {
 		t.Fatalf("peer hello: tag %d err %v", tag, err)
 	}
@@ -238,7 +238,7 @@ func FuzzWireFrames(f *testing.F) {
 		if err := frame(&buf); err != nil {
 			f.Fatal(err)
 		}
-		_, payload, err := transport.ReadTaggedFrame(&buf)
+		_, payload, err := transport.ReadTaggedFrameLimit(&buf, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func FuzzWireFrames(f *testing.F) {
 			if err := writePeerHello(&buf, from, hg); err != nil {
 				t.Fatal(err)
 			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
+			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("peer hello re-encode mismatch: %x vs %x", re, payload)
 			}
@@ -289,7 +289,7 @@ func FuzzWireFrames(f *testing.F) {
 			if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(sg, n, analyzers)); err != nil {
 				t.Fatal(err)
 			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
+			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("seal re-encode mismatch: %x vs %x", re, payload)
 			}
@@ -302,7 +302,7 @@ func FuzzWireFrames(f *testing.F) {
 			if err := transport.WriteTaggedFrame(&buf, tagAbort, prefixed(ag, nil)); err != nil {
 				t.Fatal(err)
 			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
+			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("abort re-encode mismatch: %x vs %x", re, payload)
 			}
@@ -315,7 +315,7 @@ func FuzzWireFrames(f *testing.F) {
 			if err := transport.WriteTaggedFrame(&buf, tagDone, donePayload(col)); err != nil {
 				t.Fatal(err)
 			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
+			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("done re-encode mismatch: %x vs %x", re, payload)
 			}
@@ -335,7 +335,7 @@ func FuzzWireFrames(f *testing.F) {
 			if err := writeSharesFrame(&buf, tag, sf); err != nil {
 				t.Fatal(err)
 			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
+			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("shares re-encode mismatch: %x vs %x", re, payload)
 			}
@@ -359,7 +359,7 @@ func FuzzWireFrames(f *testing.F) {
 			if err := transport.WriteTaggedFrame(&buf, tagShardHello, shardHelloPayload(shard, analyzers)); err != nil {
 				t.Fatal(err)
 			}
-			_, re, _ := transport.ReadTaggedFrame(&buf)
+			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("shard hello re-encode mismatch: %x vs %x", re, payload)
 			}

@@ -5,7 +5,8 @@
 // users — and this package provides the calculators:
 //
 //   - Basic composition: k mechanisms of (eps_i, delta_i)-DP compose to
-//     (sum eps_i, sum delta_i)-DP.
+//     (sum eps_i, sum delta_i)-DP (budget.Naive charges it; SplitBasic
+//     inverts it).
 //   - Advanced composition (Dwork–Rothblum–Vadhan): k mechanisms of
 //     (eps, delta)-DP compose to
 //     (eps*sqrt(2k ln(1/delta')) + k*eps*(e^eps - 1), k*delta + delta')-DP
@@ -30,19 +31,6 @@ func validate(g Guarantee) error {
 		return errors.New("composition: need eps >= 0 and delta in [0, 1)")
 	}
 	return nil
-}
-
-// Basic returns the basic (sequential) composition of the guarantees.
-func Basic(gs ...Guarantee) (Guarantee, error) {
-	var total Guarantee
-	for _, g := range gs {
-		if err := validate(g); err != nil {
-			return Guarantee{}, err
-		}
-		total.Eps += g.Eps
-		total.Delta += g.Delta
-	}
-	return total, nil
 }
 
 // Advanced returns the advanced-composition guarantee of k runs of an

@@ -6,29 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestBasic(t *testing.T) {
-	g, err := Basic(
-		Guarantee{Eps: 0.1, Delta: 1e-9},
-		Guarantee{Eps: 0.2, Delta: 2e-9},
-		Guarantee{Eps: 0.3, Delta: 0},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g.Eps-0.6) > 1e-12 || math.Abs(g.Delta-3e-9) > 1e-21 {
-		t.Fatalf("Basic = %+v", g)
-	}
-}
-
-func TestBasicRejectsInvalid(t *testing.T) {
-	if _, err := Basic(Guarantee{Eps: -1}); err == nil {
-		t.Fatal("negative eps accepted")
-	}
-	if _, err := Basic(Guarantee{Delta: 1}); err == nil {
-		t.Fatal("delta = 1 accepted")
-	}
-}
-
 func TestAdvancedFormula(t *testing.T) {
 	// Hand check at eps=0.1, k=100, delta'=1e-6.
 	g, err := Advanced(Guarantee{Eps: 0.1, Delta: 1e-9}, 100, 1e-6)

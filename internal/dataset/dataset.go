@@ -108,12 +108,6 @@ type StringDataset struct {
 // N returns the number of users.
 func (ds *StringDataset) N() int { return len(ds.Values) }
 
-// AOL generates the query-log stand-in: nUnique distinct 48-bit strings
-// with Zipf(1.05) popularity, sampled n times.
-func AOL(seed uint64) *StringDataset {
-	return SyntheticStrings("AOL", AOLN, AOLUnique, AOLBits, 1.05, seed)
-}
-
 // SyntheticStrings draws n users over nUnique distinct `bits`-bit
 // strings with Zipf(s) popularity.
 func SyntheticStrings(name string, n, nUnique, bits int, s float64, seed uint64) *StringDataset {

@@ -52,18 +52,6 @@ func (k *PrivateKey) Public() *PublicKey {
 	return &PublicKey{key: k.key.PublicKey()}
 }
 
-// Bytes serializes the public key (uncompressed point).
-func (k *PublicKey) Bytes() []byte { return k.key.Bytes() }
-
-// ParsePublicKey reads an uncompressed P-256 point.
-func ParsePublicKey(data []byte) (*PublicKey, error) {
-	key, err := ecdh.P256().NewPublicKey(data)
-	if err != nil {
-		return nil, fmt.Errorf("ecies: bad public key: %w", err)
-	}
-	return &PublicKey{key: key}, nil
-}
-
 // deriveKeys expands the ECDH shared secret into an AES key and a MAC
 // key with HKDF-SHA256 (extract with a fixed salt, one expand round).
 func deriveKeys(secret, ephPub []byte) (encKey, macKey []byte) {
@@ -166,10 +154,4 @@ func OnionEncrypt(hops []*PublicKey, plaintext []byte) ([]byte, error) {
 		}
 	}
 	return data, nil
-}
-
-// OnionLayerSize returns the total ciphertext size of a `hops`-layer
-// onion over a payload of the given size (Table III user communication).
-func OnionLayerSize(hops, payload int) int {
-	return payload + hops*Overhead
 }

@@ -1,13 +1,13 @@
 // Package faultnet is a deterministic, seeded chaos layer for the
-// networked tiers: it wraps net.Conn / net.Listener pairs (and the
-// dial path) and injects latency, write-bandwidth caps, byte-offset
-// connection resets, refused connections, and address partitions from
-// a reproducible schedule. The cluster's self-healing machinery
-// (internal/cluster retry, reconnect, and resubmit paths) is developed
-// and regression-tested against this layer: the chaos conformance
-// suite proves that under a seeded fault schedule the cluster still
-// converges to estimates bit-identical to the in-process reference,
-// with the budget ledger charged exactly once per sealed collection.
+// networked tiers: it wraps the connections it dials and injects
+// latency, write-bandwidth caps, byte-offset connection resets and
+// refused connections from a reproducible schedule. The cluster's
+// self-healing machinery (internal/cluster retry, reconnect, and
+// resubmit paths) is developed and regression-tested against this layer:
+// the chaos conformance suite proves that under a seeded fault schedule
+// the cluster still converges to estimates bit-identical to the
+// in-process reference, with the budget ledger charged exactly once per
+// sealed collection.
 //
 // Determinism is the point. Every wrapped connection is numbered in
 // wrap order, and its fault schedule is either assigned explicitly
@@ -49,16 +49,11 @@ var ErrInjected = fmt.Errorf("faultnet: injected connection reset: %w", syscall.
 // ErrInjected wraps ECONNRESET.
 var ErrRefused = fmt.Errorf("faultnet: connection refused by schedule: %w", syscall.ECONNREFUSED)
 
-// ErrPartitioned is returned by Dial for an address currently under
-// Partition. It wraps syscall.ECONNREFUSED: from the dialer's point of
-// view a partitioned peer and a dead one are indistinguishable.
-var ErrPartitioned = fmt.Errorf("faultnet: address partitioned: %w", syscall.ECONNREFUSED)
-
 // Fault is the schedule for one connection. The zero Fault injects
 // nothing — the connection behaves exactly like the underlying one.
 type Fault struct {
 	// Refuse drops the connection at establishment: Dial returns
-	// ErrRefused, an accepted connection is closed before delivery.
+	// ErrRefused.
 	Refuse bool
 	// ResetAfter injects a hard reset once this many bytes have crossed
 	// the connection, reads and writes combined (0 = never). The
@@ -112,35 +107,26 @@ type Config struct {
 type Stats struct {
 	// Conns is the number of connections wrapped (schedules drawn).
 	Conns int
-	// Refused counts connections dropped at establishment (scheduled
-	// refusals and partitioned dials).
+	// Refused counts connections dropped at establishment.
 	Refused int
 	// Resets counts injected connection resets.
 	Resets int
-	// Severed counts live connections killed by Partition.
-	Severed int
 }
 
 // Network draws fault schedules and wraps connections. One Network is
-// one failure domain: its connection counter, partition set, and stats
-// are shared across everything it wraps. Safe for concurrent use.
+// one failure domain: its connection counter and stats are shared
+// across everything it wraps. Safe for concurrent use.
 type Network struct {
 	cfg Config
 
-	mu          sync.Mutex
-	seq         int
-	stats       Stats
-	partitioned map[string]bool
-	live        map[*Conn]string // wrapped conn -> dialed address ("" if accepted)
+	mu    sync.Mutex
+	seq   int
+	stats Stats
 }
 
 // New returns a Network drawing schedules from cfg.
 func New(cfg Config) *Network {
-	return &Network{
-		cfg:         cfg,
-		partitioned: make(map[string]bool),
-		live:        make(map[*Conn]string),
-	}
+	return &Network{cfg: cfg}
 }
 
 // Stats returns a snapshot of the injected-fault counters.
@@ -190,17 +176,9 @@ func (n *Network) next() (Fault, *rng.Rand) {
 
 // Dial establishes a TCP connection to addr within timeout and wraps
 // it under the next schedule. It matches the cluster's DialFunc shape,
-// so a node under test points its dial hook here. Partitioned
-// addresses and scheduled refusals fail with ErrPartitioned and
-// ErrRefused respectively.
+// so a node under test points its dial hook here. A scheduled refusal
+// fails with ErrRefused.
 func (n *Network) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	n.mu.Lock()
-	part := n.partitioned[addr]
-	n.mu.Unlock()
-	if part {
-		n.countRefusal()
-		return nil, fmt.Errorf("faultnet: dial %s: %w", addr, ErrPartitioned)
-	}
 	f, r := n.next()
 	if f.Refuse {
 		n.countRefusal()
@@ -210,44 +188,7 @@ func (n *Network) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.adopt(raw, addr, f, r), nil
-}
-
-// Listener wraps ln so every accepted connection comes under the next
-// schedule; accepted connections the schedule refuses are closed and
-// skipped.
-func (n *Network) Listener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, net: n}
-}
-
-// Partition cuts the given dial addresses off: live connections dialed
-// to them are severed (both ends observe the cut) and future Dials
-// fail with ErrPartitioned until Heal.
-func (n *Network) Partition(addrs ...string) {
-	n.mu.Lock()
-	var victims []*Conn
-	for _, a := range addrs {
-		n.partitioned[a] = true
-		for c, dialed := range n.live {
-			if dialed == a {
-				victims = append(victims, c)
-			}
-		}
-	}
-	n.stats.Severed += len(victims)
-	n.mu.Unlock()
-	for _, c := range victims {
-		c.sever()
-	}
-}
-
-// Heal lifts the partition for the given addresses.
-func (n *Network) Heal(addrs ...string) {
-	n.mu.Lock()
-	for _, a := range addrs {
-		delete(n.partitioned, a)
-	}
-	n.mu.Unlock()
+	return n.adopt(raw, f, r), nil
 }
 
 func (n *Network) countRefusal() {
@@ -262,46 +203,14 @@ func (n *Network) countReset() {
 	n.mu.Unlock()
 }
 
-func (n *Network) adopt(raw net.Conn, addr string, f Fault, r *rng.Rand) net.Conn {
+func (n *Network) adopt(raw net.Conn, f Fault, r *rng.Rand) net.Conn {
 	c := &Conn{Conn: raw, net: n, fault: f, sched: r}
 	if f.ResetAfter > 0 {
 		c.budget.Store(int64(f.ResetAfter))
 	} else {
 		c.budget.Store(int64(1) << 62)
 	}
-	n.mu.Lock()
-	n.live[c] = addr
-	n.mu.Unlock()
 	return c
-}
-
-func (n *Network) forget(c *Conn) {
-	n.mu.Lock()
-	delete(n.live, c)
-	n.mu.Unlock()
-}
-
-type listener struct {
-	net.Listener
-	net *Network
-}
-
-// Accept wraps the next inbound connection under its drawn schedule,
-// closing and skipping refused ones.
-func (l *listener) Accept() (net.Conn, error) {
-	for {
-		raw, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		f, r := l.net.next()
-		if f.Refuse {
-			l.net.countRefusal()
-			hardClose(raw)
-			continue
-		}
-		return l.net.adopt(raw, "", f, r), nil
-	}
 }
 
 // Conn is one connection under a fault schedule. It embeds the
@@ -356,13 +265,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close closes the underlying connection and drops it from the
-// Network's live set.
-func (c *Conn) Close() error {
-	c.net.forget(c)
-	return c.Conn.Close()
-}
-
 // gate fails the operation when the connection was already reset or
 // its budget is spent (triggering the reset now).
 func (c *Conn) gate() error {
@@ -380,18 +282,9 @@ func (c *Conn) gate() error {
 func (c *Conn) doReset() error {
 	if c.reset.CompareAndSwap(false, true) {
 		c.net.countReset()
-		c.net.forget(c)
 		hardClose(c.Conn)
 	}
 	return ErrInjected
-}
-
-// sever is the partition cut: like a reset, but counted by the caller.
-func (c *Conn) sever() {
-	if c.reset.CompareAndSwap(false, true) {
-		c.net.forget(c)
-		hardClose(c.Conn)
-	}
 }
 
 // shape sleeps out the schedule's latency, jitter, and bandwidth cost

@@ -13,14 +13,6 @@ func BenchmarkSum64Uint64(b *testing.B) {
 	}
 }
 
-func BenchmarkSum64Bytes64(b *testing.B) {
-	data := make([]byte, 64)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		Sum64(uint64(i), data)
-	}
-}
-
 func BenchmarkFamilyHash(b *testing.B) {
 	fam := NewFamily(705)
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,5 @@
 package hash
 
-import "math/bits"
-
 // Family is the seeded universal hash family H_seed : [2^32] -> [d'] used
 // by the local-hashing frequency oracles. A user's LDP report carries
 // the seed (the "chosen hash function"); the server re-evaluates H_seed
@@ -32,8 +30,6 @@ import "math/bits"
 // correlated. Scrambling the key first leaves pairwise uniformity
 // untouched (pi is a bijection) and breaks that structure for the
 // index-shaped domains the oracles use.
-//
-// Byte-string keys (HashBytes) hash through xxHash64 directly.
 //
 // Family is stateless and safe for concurrent use.
 type Family struct {
@@ -82,14 +78,6 @@ func (f Family) Hash(seed uint64, value uint64) int {
 	a, b := Sum64Uint64(seed, 0), Sum64Uint64(seed, 1)
 	h := a*scramble(uint32(value)) + b
 	return int((h >> 32) * uint64(f.OutputSize) >> 32)
-}
-
-// HashBytes is Hash for byte-string values (used by TreeHist, whose
-// domain is prefixes rather than integer indices): xxHash64 bucketed by
-// multiply-high range reduction over the full 64-bit hash.
-func (f Family) HashBytes(seed uint64, value []byte) int {
-	hi, _ := bits.Mul64(Sum64(seed, value), uint64(f.OutputSize))
-	return int(hi)
 }
 
 // supportChunk is how many reports CountSupport stages per pass. The

@@ -24,8 +24,8 @@ func TestSum64KnownVectors(t *testing.T) {
 		{20141025, "xxhash", 0xb559b98d844e0635},
 	}
 	for _, c := range cases {
-		if got := Sum64(c.seed, []byte(c.in)); got != c.want {
-			t.Errorf("Sum64(%d, %q) = %#x, want %#x", c.seed, c.in, got, c.want)
+		if got := sum64(c.seed, []byte(c.in)); got != c.want {
+			t.Errorf("sum64(%d, %q) = %#x, want %#x", c.seed, c.in, got, c.want)
 		}
 	}
 }
@@ -36,14 +36,14 @@ func TestSum64LongInput(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	got := Sum64(0, data)
+	got := sum64(0, data)
 	// Self-consistency: hashing the same bytes twice matches, and a
 	// one-byte change flips the result.
-	if got != Sum64(0, data) {
+	if got != sum64(0, data) {
 		t.Fatal("Sum64 not deterministic")
 	}
 	data[50]++
-	if got == Sum64(0, data) {
+	if got == sum64(0, data) {
 		t.Fatal("Sum64 ignored a byte change")
 	}
 }
@@ -54,7 +54,7 @@ func TestSum64Uint64MatchesBytes(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			buf[i] = byte(v >> (8 * i))
 		}
-		return Sum64Uint64(seed, v) == Sum64(seed, buf[:])
+		return Sum64Uint64(seed, v) == sum64(seed, buf[:])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -159,16 +159,6 @@ func TestFamilyBucketUniformity(t *testing.T) {
 	for b, c := range counts {
 		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
 			t.Errorf("bucket %d: %d, want ~%.0f", b, c, want)
-		}
-	}
-}
-
-func TestFamilyHashBytesRange(t *testing.T) {
-	fam := NewFamily(5)
-	for i := 0; i < 1000; i++ {
-		h := fam.HashBytes(uint64(i), []byte{byte(i), byte(i >> 8), 3})
-		if h < 0 || h >= 5 {
-			t.Fatalf("HashBytes out of range: %d", h)
 		}
 	}
 }

@@ -26,9 +26,6 @@ import (
 // budget: NewAUE(d, epsC, delta, n).
 type AUE struct {
 	d      int
-	epsC   float64
-	delta  float64
-	n      int
 	gamma  float64 // expected increments per location per user
 	rounds int     // independent Bernoulli rounds per location
 	prob   float64 // per-round probability (gamma / rounds)
@@ -51,7 +48,7 @@ func NewAUE(d int, epsC, delta float64, n int) *AUE {
 		rounds = int(math.Ceil(gamma))
 	}
 	return &AUE{
-		d: d, epsC: epsC, delta: delta, n: n,
+		d:      d,
 		gamma:  gamma,
 		rounds: rounds,
 		prob:   gamma / float64(rounds),
@@ -68,12 +65,6 @@ func (a *AUE) Domain() int { return a.d }
 // (§IV-B4), so the local budget is reported as 0 (infinite disclosure:
 // the true one-hot vector is always included).
 func (a *AUE) EpsilonLocal() float64 { return 0 }
-
-// EpsilonCentral returns the central budget the mechanism targets.
-func (a *AUE) EpsilonCentral() float64 { return a.epsC }
-
-// Gamma returns the expected blanket increments per location per user.
-func (a *AUE) Gamma() float64 { return a.gamma }
 
 // Rounds returns the number of independent increment rounds (1 unless
 // gamma > 1).

@@ -39,12 +39,6 @@ func (g *GRR) Domain() int { return g.d }
 // EpsilonLocal implements FrequencyOracle.
 func (g *GRR) EpsilonLocal() float64 { return g.eps }
 
-// P returns the truthful-report probability p.
-func (g *GRR) P() float64 { return g.p }
-
-// Q returns the per-other-value report probability q.
-func (g *GRR) Q() float64 { return g.q }
-
 // Randomize implements FrequencyOracle.
 func (g *GRR) Randomize(v int, r *rng.Rand) Report {
 	validateValue(v, g.d)

@@ -12,15 +12,15 @@ func TestGRRProbabilities(t *testing.T) {
 	e := math.E
 	wantP := e / (e + 9)
 	wantQ := 1 / (e + 9)
-	if math.Abs(g.P()-wantP) > 1e-12 || math.Abs(g.Q()-wantQ) > 1e-12 {
-		t.Fatalf("p=%v q=%v, want %v %v", g.P(), g.Q(), wantP, wantQ)
+	if math.Abs(g.p-wantP) > 1e-12 || math.Abs(g.q-wantQ) > 1e-12 {
+		t.Fatalf("p=%v q=%v, want %v %v", g.p, g.q, wantP, wantQ)
 	}
 	// LDP guarantee: p/q = e^eps.
-	if math.Abs(g.P()/g.Q()-e) > 1e-9 {
-		t.Fatalf("p/q = %v, want e", g.P()/g.Q())
+	if math.Abs(g.p/g.q-e) > 1e-9 {
+		t.Fatalf("p/q = %v, want e", g.p/g.q)
 	}
 	// Sanity of the output distribution: p + (d-1) q = 1.
-	if math.Abs(g.P()+9*g.Q()-1) > 1e-12 {
+	if math.Abs(g.p+9*g.q-1) > 1e-12 {
 		t.Fatal("GRR output distribution does not normalize")
 	}
 }
@@ -52,9 +52,9 @@ func TestGRRReportDistribution(t *testing.T) {
 		counts[g.Randomize(3, r).Value]++
 	}
 	for y := 0; y < d; y++ {
-		want := g.Q() * trials
+		want := g.q * trials
 		if y == 3 {
-			want = g.P() * trials
+			want = g.p * trials
 		}
 		if math.Abs(float64(counts[y])-want) > 6*math.Sqrt(want) {
 			t.Errorf("output %d: %d, want ~%.0f", y, counts[y], want)
@@ -79,7 +79,7 @@ func TestGRREstimatesUnbiased(t *testing.T) {
 		values = append(values, 2+i%(d-2))
 	}
 	truth := TrueFrequencies(values, d)
-	est := EstimateAll(g, values, r)
+	est := estimateAll(g, values, r)
 	for v := 0; v < d; v++ {
 		// Analytic sd per value is sqrt(Variance(n)) ~ 0.004; allow 5 sd.
 		if math.Abs(est[v]-truth[v]) > 5*math.Sqrt(g.Variance(len(values))) {
@@ -96,7 +96,7 @@ func TestGRRVarianceMatchesEmpirical(t *testing.T) {
 	values := make([]int, n) // all users hold value 0
 	var sumSq float64
 	for trial := 0; trial < trials; trial++ {
-		est := EstimateAll(g, values, r)
+		est := estimateAll(g, values, r)
 		// Measure variance on a value nobody holds (f_v = 0), matching
 		// the rare-value assumption of the analytic formula.
 		sumSq += est[3] * est[3]

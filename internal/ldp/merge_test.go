@@ -323,7 +323,7 @@ func TestLocalHashAggregatorMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			want := Support{P: fo.P(), Q: 1 / float64(fo.DPrime())}.Calibrate(counts, n, 0)
+			want := Support{P: fo.p, Q: 1 / float64(fo.DPrime())}.Calibrate(counts, n, 0)
 			got := agg.Estimates()
 			for v := range want {
 				if got[v] != want[v] {

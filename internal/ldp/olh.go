@@ -92,9 +92,6 @@ func (l *LocalHash) DPrime() int { return l.dPrime }
 // EpsilonLocal implements FrequencyOracle.
 func (l *LocalHash) EpsilonLocal() float64 { return l.eps }
 
-// P returns the GRR_{d'} truthful-report probability.
-func (l *LocalHash) P() float64 { return l.p }
-
 // Randomize implements FrequencyOracle: report <H, GRR_{d'}(H(v))>.
 func (l *LocalHash) Randomize(v int, r *rng.Rand) Report {
 	validateValue(v, l.d)

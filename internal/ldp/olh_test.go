@@ -118,8 +118,8 @@ func TestLocalHashTruthfulProbability(t *testing.T) {
 		}
 	}
 	got := float64(match) / trials
-	if math.Abs(got-s.P()) > 0.005 {
-		t.Errorf("truthful rate %v, want %v", got, s.P())
+	if math.Abs(got-s.p) > 0.005 {
+		t.Errorf("truthful rate %v, want %v", got, s.p)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestSeedSharingVarianceMatchesDerivation(t *testing.T) {
 	}
 	truth := TrueFrequencies(values, d)
 
-	p, qPrime := s.P(), (1-s.P())/float64(dPrime-1)
+	p, qPrime := s.p, (1-s.p)/float64(dPrime-1)
 	var sumF2 float64
 	for _, f := range truth {
 		sumF2 += f * f
@@ -201,7 +201,7 @@ func TestLocalHashEstimatesUnbiased(t *testing.T) {
 		values = append(values, 1+i%(d-1))
 	}
 	truth := TrueFrequencies(values, d)
-	est := EstimateAll(s, values, r)
+	est := estimateAll(s, values, r)
 	tol := 5 * math.Sqrt(s.Variance(len(values)))
 	for v := 0; v < d; v++ {
 		if math.Abs(est[v]-truth[v]) > tol {
@@ -243,7 +243,7 @@ func TestHadamardReportAggregation(t *testing.T) {
 		values = append(values, i%d)
 	}
 	truth := TrueFrequencies(values, d)
-	est := EstimateAll(h, values, r)
+	est := estimateAll(h, values, r)
 	tol := 5 * math.Sqrt(h.Variance(len(values)))
 	for v := 0; v < d; v++ {
 		if math.Abs(est[v]-truth[v]) > tol {

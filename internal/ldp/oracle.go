@@ -110,16 +110,6 @@ type Aggregator interface {
 	UnmarshalBinary(data []byte) error
 }
 
-// EstimateAll is a convenience that randomizes every value in values and
-// returns the resulting frequency estimates.
-func EstimateAll(fo FrequencyOracle, values []int, r *rng.Rand) []float64 {
-	agg := fo.NewAggregator()
-	for _, v := range values {
-		agg.Add(fo.Randomize(v, r))
-	}
-	return agg.Estimates()
-}
-
 // Histogram counts occurrences of each value in [0, d). It panics if a
 // value is out of range — user input must be validated upstream.
 func Histogram(values []int, d int) []int {

@@ -45,12 +45,6 @@ func (o *OUE) Domain() int { return o.d }
 // EpsilonLocal implements FrequencyOracle.
 func (o *OUE) EpsilonLocal() float64 { return o.eps }
 
-// P returns P(bit 1 stays 1).
-func (o *OUE) P() float64 { return o.p }
-
-// Q returns P(bit 0 flips to 1).
-func (o *OUE) Q() float64 { return o.q }
-
 // Randomize implements FrequencyOracle.
 func (o *OUE) Randomize(v int, r *rng.Rand) Report {
 	validateValue(v, o.d)

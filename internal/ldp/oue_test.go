@@ -9,15 +9,15 @@ import (
 
 func TestOUEProbabilities(t *testing.T) {
 	o := NewOUE(10, 1)
-	if o.P() != 0.5 {
-		t.Fatalf("p = %v", o.P())
+	if o.p != 0.5 {
+		t.Fatalf("p = %v", o.p)
 	}
 	want := 1 / (math.E + 1)
-	if math.Abs(o.Q()-want) > 1e-12 {
-		t.Fatalf("q = %v, want %v", o.Q(), want)
+	if math.Abs(o.q-want) > 1e-12 {
+		t.Fatalf("q = %v, want %v", o.q, want)
 	}
 	// The LDP ratio on a single bit: (p/(q)) * ((1-q)/(1-p)) = e^eps.
-	ratio := o.P() / o.Q() * (1 - o.Q()) / (1 - o.P())
+	ratio := o.p / o.q * (1 - o.q) / (1 - o.p)
 	if math.Abs(ratio-math.E) > 1e-9 {
 		t.Fatalf("LDP ratio = %v, want e", ratio)
 	}
@@ -43,7 +43,7 @@ func TestOUEEstimatesUnbiased(t *testing.T) {
 		values[i] = i % 3
 	}
 	truth := TrueFrequencies(values, d)
-	est := EstimateAll(o, values, r)
+	est := estimateAll(o, values, r)
 	tol := 5 * math.Sqrt(o.Variance(len(values)))
 	for v := 0; v < d; v++ {
 		if math.Abs(est[v]-truth[v]) > tol {

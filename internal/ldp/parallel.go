@@ -153,13 +153,12 @@ func AggregateParallel(fo FrequencyOracle, reports []Report, workers int) Aggreg
 	return root
 }
 
-// EstimateParallel is the parallel counterpart of EstimateAll: randomize
-// every value and aggregate, fanning both stages out over up to
-// `workers` goroutines. The estimates are identical for a fixed seed
-// regardless of the worker count. (No explicit shuffle is performed:
-// estimation is order-invariant, so the shuffler is a semantic no-op
-// here; callers that model the server's view materialize the reports
-// with RandomizeParallel and permute them.)
+// EstimateParallel randomizes every value and aggregates the reports,
+// fanning both stages out over up to `workers` goroutines. The estimates
+// are identical for a fixed seed regardless of the worker count. (No
+// explicit shuffle is performed: estimation is order-invariant, so the
+// shuffler is a semantic no-op here; callers that model the server's
+// view materialize the reports with RandomizeParallel and permute them.)
 func EstimateParallel(fo FrequencyOracle, values []int, seed uint64, workers int) []float64 {
 	reports := RandomizeParallel(fo, values, seed, workers)
 	return AggregateParallel(fo, reports, workers).Estimates()

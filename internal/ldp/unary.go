@@ -67,9 +67,6 @@ func (u *UnaryEncoding) EpsilonLocal() float64 {
 	return u.eps
 }
 
-// Flip returns the per-bit flip probability.
-func (u *UnaryEncoding) Flip() float64 { return u.flip }
-
 // Randomize implements FrequencyOracle: one perturbed bit per domain
 // element.
 func (u *UnaryEncoding) Randomize(v int, r *rng.Rand) Report {

@@ -389,15 +389,10 @@ func applyPermCipher(vec []*ahe.Ciphertext, perm []int) []*ahe.Ciphertext {
 	return out
 }
 
-// Reveal reconstructs the shuffled values: the server decrypts the
-// ciphertext vector (if any) and sums all share vectors mod 2^l.
-// It does not mutate st.
-func Reveal(st *State, mod secretshare.Modulus, priv ahe.PrivateKey) ([]uint64, error) {
-	return RevealParallel(st, mod, priv, 1)
-}
-
-// RevealParallel is Reveal with the AHE decryptions fanned out over
-// `workers` goroutines — the paper's server parallelizes exactly this
+// RevealParallel reconstructs the shuffled values: the server decrypts
+// the ciphertext vector (if any) and sums all share vectors mod 2^l.
+// It does not mutate st. The AHE decryptions fan out over `workers`
+// goroutines — the paper's server parallelizes exactly this
 // phase ("the decryptions is done in parallel ... we use 32 threads",
 // §VII-D). workers < 1 uses GOMAXPROCS, what every production caller
 // passes.

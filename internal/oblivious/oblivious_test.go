@@ -83,7 +83,7 @@ func TestPlainShufflePreservesMultiset(t *testing.T) {
 		if err := Run(st, Config{Mod: mod, Source: src}); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
-		out, err := Reveal(st, mod, nil)
+		out, err := RevealParallel(st, mod, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestPlainShuffleActuallyPermutes(t *testing.T) {
 	if err := Run(st, Config{Mod: mod, Source: src}); err != nil {
 		t.Fatal(err)
 	}
-	out, _ := Reveal(st, mod, nil)
+	out, _ := RevealParallel(st, mod, nil, 1)
 	same := 0
 	for i := range out {
 		if out[i] == values[i] {
@@ -150,7 +150,7 @@ func TestEOSPreservesMultisetAndHidesHolder(t *testing.T) {
 	if st.EncHolder < 0 || st.EncHolder >= r {
 		t.Fatalf("EncHolder = %d after EOS", st.EncHolder)
 	}
-	out, err := Reveal(st, mod, key)
+	out, err := RevealParallel(st, mod, key, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRevealRequiresKeyForEncrypted(t *testing.T) {
 		Enc:       []*ahe.Ciphertext{c},
 		EncHolder: 1,
 	}
-	if _, err := Reveal(st, mod, nil); err == nil {
+	if _, err := RevealParallel(st, mod, nil, 1); err == nil {
 		t.Fatal("Reveal without key should error")
 	}
 }
@@ -262,7 +262,7 @@ func TestMeterAccountsCommunication(t *testing.T) {
 	// and 1 ({0, 2}) and reshares the vector to party 0 for round 2
 	// ({0, 1}), who keeps it.
 	key := dgk(t)
-	meter.Reset()
+	meter = transport.Meter{}
 	est := buildEncState(t, values, 3, mod, key, rng.New(8))
 	if err := Run(est, Config{Mod: mod, Source: src, Pub: key.DGKPublicKey, Meter: &meter}); err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestEOSSkipRerandomizeStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Reveal(st, mod, key)
+	out, err := RevealParallel(st, mod, key, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestRevealParallelMatchesSequential(t *testing.T) {
 	}
 	shares[2] = nil
 	st := &State{Plain: shares, Enc: enc, EncHolder: 2}
-	seq, err := Reveal(st, mod, key)
+	seq, err := RevealParallel(st, mod, key, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		if err := Run(st, Config{Mod: mod, Source: rng.New(seed), Pub: ahe.PublicKey(priv)}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		out, err := Reveal(st, mod, priv)
+		out, err := RevealParallel(st, mod, priv, 1)
 		if err != nil {
 			t.Fatalf("workers=%d reveal: %v", workers, err)
 		}
@@ -199,7 +199,7 @@ func TestRunPartyMatchesSerial(t *testing.T) {
 				st.Plain[j] = outPlain[j]
 			}
 		}
-		out, err := Reveal(st, mod, priv)
+		out, err := RevealParallel(st, mod, priv, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,43 +101,6 @@ type Transport interface {
 	Recv(from int) (Msg, error)
 }
 
-// Phase identifies one phase of a hide-and-seek round, in protocol
-// order.
-type Phase int
-
-// The phases RunParty announces through the Phaser hook.
-const (
-	// PhaseHide is the split-and-send phase: seekers scatter their
-	// vectors to the round's hiders.
-	PhaseHide Phase = iota
-	// PhaseShuffle is the joint-permutation phase among the hiders.
-	PhaseShuffle
-	// PhaseReshare is the re-split phase: hiders scatter their
-	// accumulated vectors back to all parties.
-	PhaseReshare
-	// PhaseDone is announced once, after the last round completes.
-	PhaseDone
-)
-
-// Phaser is optionally implemented by a Transport that wants phase
-// boundaries — a recording transport checks the engine's message
-// discipline against them. RunParty calls Phase at the start of every
-// phase of every round, from the engine goroutine, before any of that
-// phase's Send/Recv calls; a phase's concurrent sends are joined
-// before the next phase is announced.
-type Phaser interface {
-	// Phase announces that the engine is entering the given phase of
-	// the given round (the round count and PhaseDone at the end).
-	Phase(round int, phase Phase)
-}
-
-// announce notifies tr of a phase boundary when it cares.
-func announce(tr Transport, round int, phase Phase) {
-	if p, ok := tr.(Phaser); ok {
-		p.Phase(round, phase)
-	}
-}
-
 // PartyConfig parameterizes one shuffler's engine: the shuffle's
 // Config, read from this party's seat. Source is the party's OWN
 // randomness (its share splits, its permutation seeds when it leads a
@@ -214,7 +177,6 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 		}
 		plain = nil
 	}
-	announce(tr, len(partitions), PhaseDone)
 	return plain, enc, nil
 }
 
@@ -363,7 +325,6 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 	hides := slices.Contains(hiders, me)
 
 	// --- Hide phase: seekers split their vectors among the hiders. ---
-	announce(tr, round, PhaseHide)
 	if !hides {
 		// A seeking holder's remainder always crosses a link.
 		out, err := splitFor(cfg, round, hiders, heir(me, hiders), true, plain, enc)
@@ -395,7 +356,6 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 	// --- Shuffle phase: hiders apply an agreed permutation. ---
 	// The lead hider samples it and the others learn it via a shared
 	// seed.
-	announce(tr, round, PhaseShuffle)
 	if hides {
 		var seed uint64
 		if me == hiders[0] {
@@ -432,7 +392,6 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 	}
 
 	// --- Reshare phase: each hider splits its vector to all parties. ---
-	announce(tr, round, PhaseReshare)
 	in := inbox{words: make([]uint64, n)}
 	var sendErr <-chan error
 	if hides {

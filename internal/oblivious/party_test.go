@@ -1,8 +1,10 @@
 package oblivious
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,7 +103,10 @@ func TestRunPartyPlainPreservesMultiset(t *testing.T) {
 					t.Fatalf("party %d ended with a ciphertext vector in a plain run", j)
 				}
 			}
-			got := secretshare.CombineVectors(outPlain, mod)
+			got, err := RevealParallel(&State{Plain: outPlain, EncHolder: -1}, mod, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := sortedWords(values)
 			if gotS := sortedWords(got); fmt.Sprint(gotS) != fmt.Sprint(want) {
 				t.Fatalf("multiset changed:\n got %v\nwant %v", gotS, want)
@@ -167,7 +172,7 @@ func TestRunPartyEncryptedPreservesMultisetAndSingleHolder(t *testing.T) {
 				if holders != 1 {
 					t.Fatalf("seat %d: want exactly 1 ciphertext holder, got %d", encHolder, holders)
 				}
-				got, err := Reveal(st, mod, priv)
+				got, err := RevealParallel(st, mod, priv, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,80 +269,15 @@ func TestRunPartyKeylessRejectsCiphertext(t *testing.T) {
 	}
 }
 
-// phaseCall records one Phaser announcement.
-type phaseCall struct {
-	round int
-	phase Phase
-}
-
-// phaserTransport wraps the in-memory transport and records the phase
-// boundaries RunParty announces — the hook internal/cluster uses to
-// re-arm its per-phase network deadlines.
-type phaserTransport struct {
-	memTransport
-	mu    sync.Mutex
-	calls []phaseCall
-}
-
-func (t *phaserTransport) Phase(round int, phase Phase) {
-	t.mu.Lock()
-	t.calls = append(t.calls, phaseCall{round, phase})
-	t.mu.Unlock()
-}
-
-func TestRunPartyAnnouncesPhases(t *testing.T) {
-	const (
-		r    = 3
-		seed = 31
-	)
-	rounds := len(Combinations(r, Hiders(r)))
-	mesh := newMemMesh(r)
-	trs := make([]*phaserTransport, r)
-	errs := make([]error, r)
-	var wg sync.WaitGroup
-	for j := 0; j < r; j++ {
-		trs[j] = &phaserTransport{memTransport: memTransport{mesh, j}}
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			_, _, errs[j] = RunParty(partyCfg(j, r, nil, seed), trs[j], []uint64{1, 2, 3}, nil)
-		}(j)
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d: %v", j, err)
-		}
-	}
-	var want []phaseCall
-	for round := 0; round < rounds; round++ {
-		want = append(want,
-			phaseCall{round, PhaseHide},
-			phaseCall{round, PhaseShuffle},
-			phaseCall{round, PhaseReshare},
-		)
-	}
-	want = append(want, phaseCall{rounds, PhaseDone})
-	for j, tr := range trs {
-		if len(tr.calls) != len(want) {
-			t.Fatalf("party %d announced %v, want %v", j, tr.calls, want)
-		}
-		for i := range want {
-			if tr.calls[i] != want[i] {
-				t.Fatalf("party %d call %d = %v, want %v", j, i, tr.calls[i], want[i])
-			}
-		}
-	}
-}
-
-// encSend is one MsgEnc a party put on the transport: the elements by
-// value at the moment they left (the engine mutates ciphertexts in
-// place afterwards), the phase they left in, and how many ciphertexts
-// the sender had been seated with or had received by then.
+// encSend is one MsgEnc a party put on the transport: whether the
+// sender was seeking in that round (a hide-phase send; a hider sends in
+// the reshare), the elements by value at the moment they left (the
+// engine mutates ciphertexts in place afterwards), and how many
+// ciphertexts the sender had been seated with or had received by then.
 type encSend struct {
-	phase Phase
-	elems []*ahe.Ciphertext
-	heldN int
+	seeking bool
+	elems   []*ahe.Ciphertext
+	heldN   int
 }
 
 // recordingTransport wraps a party's seat on the in-memory mesh and
@@ -345,7 +285,6 @@ type encSend struct {
 type recordingTransport struct {
 	memTransport
 	mu    sync.Mutex // Send runs on the engine's sendAll goroutine
-	phase Phase
 	held  []*ahe.Ciphertext
 	sends []encSend
 }
@@ -358,16 +297,13 @@ func cloneAll(enc []*ahe.Ciphertext) []*ahe.Ciphertext {
 	return out
 }
 
-func (t *recordingTransport) Phase(_ int, phase Phase) {
-	t.mu.Lock()
-	t.phase = phase
-	t.mu.Unlock()
-}
-
 func (t *recordingTransport) Send(to int, m Msg) error {
 	if m.Kind == MsgEnc {
+		// RunParty walks the hider sets last first.
+		rounds := Combinations(len(t.mesh.pipes), Hiders(len(t.mesh.pipes)))
+		seeking := !slices.Contains(rounds[len(rounds)-1-m.Round], t.me)
 		t.mu.Lock()
-		t.sends = append(t.sends, encSend{t.phase, cloneAll(m.Enc), len(t.held)})
+		t.sends = append(t.sends, encSend{seeking, cloneAll(m.Enc), len(t.held)})
 		t.mu.Unlock()
 	}
 	return t.memTransport.Send(to, m)
@@ -502,11 +438,11 @@ func countLinks(t *testing.T, trs []*recordingTransport, splits int) (links, sen
 				for _, h := range tr.held[:send.heldN] {
 					image := addPlain(h, mod.Sub(dec(s), dec(h)))
 					for j := 0; j < splits; j++ {
-						if image.Value().Cmp(s.Value()) == 0 {
+						if bytes.Equal(priv.Serialize(image), priv.Serialize(s)) {
 							links++
 						}
 						// * g^(2^l), as (2^l - 1) + 1.
-						image = addPlain(addPlain(image, mod.Neg(1)), 1)
+						image = addPlain(addPlain(image, mod.Sub(0, 1)), 1)
 					}
 				}
 			}
@@ -563,7 +499,7 @@ func TestOneRefreshPerDeparture(t *testing.T) {
 			for _, tr := range rec.trs {
 				sends += len(tr.sends)
 				for _, send := range tr.sends {
-					if send.phase == PhaseHide {
+					if send.seeking {
 						hides++
 					}
 				}

@@ -157,9 +157,6 @@ func (b *Batcher) Add(item []byte) {
 	}
 }
 
-// Len returns the number of buffered (unflushed) items.
-func (b *Batcher) Len() int { return len(b.buf) }
-
 // SetRand switches the permutation stream (the service does this at
 // every epoch rotation so each epoch shuffles from its own substream).
 func (b *Batcher) SetRand(r *rng.Rand) { b.Rand = r }
@@ -181,9 +178,6 @@ func (b *Batcher) FlushNow() {
 	b.buf = b.buf[:0]
 	b.Flush(batch)
 }
-
-// Reset drops any buffered items without flushing them (abort path).
-func (b *Batcher) Reset() { b.buf = b.buf[:0] }
 
 // Pool is the aggregate stage's worker fan-out: n copies of one loop,
 // joined by Wait. It exists so every tier counts its workers the same

@@ -4,9 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/rng"
 )
+
+// onionForHops wraps a report word for delivery starting at shuffler
+// `fromHop` (0 = the full user onion), as an attacker inside the chain
+// can: it knows exactly these public keys.
+func (s *SS) onionForHops(fromHop int, word uint64) ([]byte, error) {
+	return ecies.OnionEncrypt(s.hopKeys(fromHop), s.encodePayload(word))
+}
 
 // A malicious SS shuffler substitutes every report with its target;
 // the server's spot-check (§VI-A1) must notice the planted dummies

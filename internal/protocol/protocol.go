@@ -1,8 +1,6 @@
 // Package protocol implements the paper's data-collection protocols
 // end to end:
 //
-//   - PlainShuffle: the basic shuffler model (§III-B) — one trusted
-//     shuffler permutes the users' LDP reports.
 //   - SS: the sequential-shuffle first attempt (§VI-A1) — r shufflers
 //     chained with onion encryption, each injecting nr/r fake reports.
 //   - PEOS: the paper's proposal (§VI-A3, Algorithm 1) — secret-shared
@@ -16,11 +14,9 @@
 package protocol
 
 import (
-	"errors"
 	"fmt"
 
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/rng"
 	"shuffledp/internal/transport"
 )
 
@@ -56,34 +52,4 @@ type Result struct {
 func Estimate(fo ldp.FrequencyOracle, reports []ldp.Report, n, nr int) []float64 {
 	s, _ := ldp.SupportOf(fo)
 	return s.Calibrate(ldp.SupportCounts(fo, reports), n, nr)
-}
-
-// PlainShuffle runs the basic shuffle model: each user randomizes with
-// fo, a single shuffler permutes, the server estimates. This is the
-// "SH"/"SOLH" setting of §III-B/§IV evaluated end to end.
-func PlainShuffle(fo ldp.FrequencyOracle, values []int, r *rng.Rand) (*Result, error) {
-	if fo == nil {
-		return nil, errors.New("protocol: nil oracle")
-	}
-	meter := &transport.Meter{}
-	reports := make([]ldp.Report, len(values))
-	meter.Track(PartyUsers, func() {
-		for i, v := range values {
-			reports[i] = fo.Randomize(v, r)
-		}
-	})
-	shuffler := ShufflerName(0)
-	meter.Track(shuffler, func() {
-		r.Shuffle(len(reports), func(i, j int) {
-			reports[i], reports[j] = reports[j], reports[i]
-		})
-	})
-	// Report size: one 64-bit word for GRR/hashing oracles.
-	meter.Send(PartyUsers, shuffler, 8*len(reports))
-	meter.Send(shuffler, PartyServer, 8*len(reports))
-	var est []float64
-	meter.Track(PartyServer, func() {
-		est = Estimate(fo, reports, len(values), 0)
-	})
-	return &Result{Estimates: est, Reports: reports, Meter: meter}, nil
 }

@@ -54,49 +54,6 @@ func maxAbsError(truth, est []float64) float64 {
 	return worst
 }
 
-func TestPlainShuffleGRR(t *testing.T) {
-	const n, d = 20000, 8
-	values, truth := skewedValues(n, d)
-	fo := ldp.NewGRR(d, 3)
-	res, err := PlainShuffle(fo, values, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Reports) != n {
-		t.Fatalf("reports: %d", len(res.Reports))
-	}
-	tol := 6 * math.Sqrt(fo.Variance(n))
-	if e := maxAbsError(truth, res.Estimates); e > tol {
-		t.Fatalf("max error %v > tol %v", e, tol)
-	}
-	// Shuffling must not preserve the user order: the first report
-	// should rarely equal user 0's value deterministically — weak
-	// check: meter recorded shuffler activity.
-	if res.Meter.Stats(ShufflerName(0)).RecvBytes != int64(8*n) {
-		t.Fatal("shuffler communication not accounted")
-	}
-}
-
-func TestPlainShuffleSOLH(t *testing.T) {
-	const n, d = 20000, 32
-	values, truth := skewedValues(n, d)
-	fo := ldp.NewSOLH(d, 6, 2.5)
-	res, err := PlainShuffle(fo, values, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 6 * math.Sqrt(fo.Variance(n))
-	if e := maxAbsError(truth, res.Estimates); e > tol {
-		t.Fatalf("max error %v > tol %v", e, tol)
-	}
-}
-
-func TestPlainShuffleNilOracle(t *testing.T) {
-	if _, err := PlainShuffle(nil, []int{1}, rng.New(1)); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestPEOSEndToEndGRR(t *testing.T) {
 	key := dgk64(t)
 	const n, d, r, nr = 600, 6, 3, 120
@@ -380,9 +337,6 @@ func TestSpotCheckDetectsTampering(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rep := fo.Randomize(i%16, r)
 		planted = append(planted, sc.Plant(rep))
-	}
-	if sc.Count() != 20 {
-		t.Fatalf("Count = %d", sc.Count())
 	}
 	// Honest batch: planted + other reports.
 	batch := append([]ldp.Report(nil), planted...)

@@ -15,7 +15,6 @@ import (
 type SpotCheck struct {
 	enc     *ldp.WordEncoder
 	planted map[uint64]int
-	count   int
 }
 
 // NewSpotCheck prepares a checker for the oracle's report space.
@@ -31,12 +30,8 @@ func NewSpotCheck(fo ldp.FrequencyOracle) (*SpotCheck, error) {
 // account and returns the report to submit.
 func (sc *SpotCheck) Plant(rep ldp.Report) ldp.Report {
 	sc.planted[sc.enc.Encode(rep)]++
-	sc.count++
 	return rep
 }
-
-// Count returns the number of planted dummies.
-func (sc *SpotCheck) Count() int { return sc.count }
 
 // Verify checks the collected reports against the planted set. It
 // returns the number of missing planted reports (0 means the batch

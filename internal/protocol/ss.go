@@ -85,14 +85,6 @@ func (s *SS) encodePayload(word uint64) []byte {
 	return payload
 }
 
-// onionForHops wraps a report word for delivery starting at shuffler
-// `fromHop` (0 = the full user onion). Exposed to tests simulating
-// report substitution: an attacker inside the chain knows exactly
-// these public keys.
-func (s *SS) onionForHops(fromHop int, word uint64) ([]byte, error) {
-	return ecies.OnionEncrypt(s.hopKeys(fromHop), s.encodePayload(word))
-}
-
 // Run executes the protocol and returns the server's estimates.
 func (s *SS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 	return s.runWithExtraReports(values, nil, ldpRand)

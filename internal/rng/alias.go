@@ -69,9 +69,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// Len returns the support size of the distribution.
-func (a *Alias) Len() int { return len(a.prob) }
-
 // Sample draws one index from the distribution using r.
 func (a *Alias) Sample(r *Rand) int {
 	i := r.Intn(len(a.prob))

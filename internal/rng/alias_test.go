@@ -123,8 +123,8 @@ func TestZipfHeadHeavierThanTail(t *testing.T) {
 	if head <= tail {
 		t.Errorf("Zipf head (%d) not heavier than tail (%d)", head, tail)
 	}
-	if z.Len() != 1000 {
-		t.Errorf("Len = %d", z.Len())
+	if len(z.alias.prob) != 1000 {
+		t.Errorf("Len = %d", len(z.alias.prob))
 	}
 }
 

@@ -187,36 +187,3 @@ func (r *Rand) btpe(n int, p float64) int {
 		}
 	}
 }
-
-// Multinomial distributes n trials over the probability vector probs,
-// returning counts summing to n. The probabilities must be non-negative;
-// they are normalized internally.
-func (r *Rand) Multinomial(n int, probs []float64) []int {
-	counts := make([]int, len(probs))
-	total := 0.0
-	for _, p := range probs {
-		if p < 0 {
-			panic("rng: Multinomial with negative probability")
-		}
-		total += p
-	}
-	remainingMass := total
-	remaining := n
-	for i, p := range probs {
-		if remaining == 0 {
-			break
-		}
-		if i == len(probs)-1 {
-			counts[i] = remaining
-			break
-		}
-		if remainingMass <= 0 {
-			break
-		}
-		c := r.Binomial(remaining, p/remainingMass)
-		counts[i] = c
-		remaining -= c
-		remainingMass -= p
-	}
-	return counts
-}

@@ -131,46 +131,3 @@ func TestQuickBinomialRange(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMultinomialSumsToN(t *testing.T) {
-	r := New(31)
-	probs := []float64{0.1, 0.2, 0.3, 0.4}
-	for _, n := range []int{0, 1, 10, 1000, 100000} {
-		counts := r.Multinomial(n, probs)
-		sum := 0
-		for _, c := range counts {
-			sum += c
-		}
-		if sum != n {
-			t.Fatalf("Multinomial(%d) sums to %d", n, sum)
-		}
-	}
-}
-
-func TestMultinomialMeans(t *testing.T) {
-	r := New(32)
-	probs := []float64{0.5, 0.25, 0.125, 0.125}
-	const n, trials = 1000, 2000
-	sums := make([]float64, len(probs))
-	for i := 0; i < trials; i++ {
-		for j, c := range r.Multinomial(n, probs) {
-			sums[j] += float64(c)
-		}
-	}
-	for j, p := range probs {
-		got := sums[j] / trials
-		want := float64(n) * p
-		if math.Abs(got-want)/want > 0.03 {
-			t.Errorf("category %d mean %v, want %v", j, got, want)
-		}
-	}
-}
-
-func TestMultinomialPanicsNegativeProb(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).Multinomial(10, []float64{0.5, -0.1})
-}

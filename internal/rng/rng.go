@@ -44,20 +44,12 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Split derives an independent generator from r. The derived stream is
-// decorrelated from r's future output because the child is re-seeded
-// through splitmix64.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xa5a5a5a5deadbeef)
-}
-
 // Substream returns the generator for stream number `stream` of the
-// given user seed. Unlike Split, the derivation is a pure function of
-// (seed, stream): shard s of a computation always sees the same random
-// stream no matter how many workers run, which is what makes the
-// parallel estimation engine reproducible independent of concurrency.
-// Distinct (seed, stream) pairs are decorrelated by two rounds of
-// splitmix64 mixing.
+// given user seed. The derivation is a pure function of (seed, stream):
+// shard s of a computation always sees the same random stream no matter
+// how many workers run, which is what makes the parallel estimation
+// engine reproducible independent of concurrency. Distinct (seed,
+// stream) pairs are decorrelated by two rounds of splitmix64 mixing.
 func Substream(seed, stream uint64) *Rand {
 	x := seed
 	a := splitmix64(&x)
@@ -159,16 +151,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Exp returns an exponential variate with rate 1 (mean 1).
-func (r *Rand) Exp() float64 {
-	// Inverse CDF; guard against log(0).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // Laplace returns a Laplace(0, scale) variate.
 func (r *Rand) Laplace(scale float64) float64 {
 	// Difference of two exponentials has a Laplace distribution; the
@@ -178,33 +160,4 @@ func (r *Rand) Laplace(scale float64) float64 {
 		return -scale * math.Log(1-2*u)
 	}
 	return scale * math.Log(1+2*u)
-}
-
-// Normal returns a standard normal variate (polar Marsaglia method).
-func (r *Rand) Normal() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials, i.e. a Geometric(p) variate with support {0, 1, ...}.
-// It panics if p <= 0 or p > 1.
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric needs 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
 }

@@ -37,21 +37,6 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(7)
-	child := r.Split()
-	// The child stream should not simply replay the parent stream.
-	equal := 0
-	for i := 0; i < 64; i++ {
-		if r.Uint64() == child.Uint64() {
-			equal++
-		}
-	}
-	if equal > 1 {
-		t.Fatalf("split stream matches parent %d/64 times", equal)
-	}
-}
-
 func TestUint64nRange(t *testing.T) {
 	r := New(1)
 	for _, n := range []uint64{1, 2, 3, 7, 10, 1 << 20, 915, 42178} {
@@ -209,64 +194,6 @@ func TestLaplaceMoments(t *testing.T) {
 	if math.Abs(variance-want)/want > 0.05 {
 		t.Errorf("Laplace variance = %v, want ~%v", variance, want)
 	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := New(10)
-	const trials = 400000
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		x := r.Normal()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("Normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("Normal variance = %v", variance)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(11)
-	const trials = 400000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += r.Exp()
-	}
-	if mean := sum / trials; math.Abs(mean-1) > 0.01 {
-		t.Errorf("Exp mean = %v, want ~1", mean)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(12)
-	const trials = 200000
-	p := 0.25
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	mean := sum / trials
-	want := (1 - p) / p
-	if math.Abs(mean-want)/want > 0.03 {
-		t.Errorf("Geometric(%v) mean = %v, want ~%v", p, mean, want)
-	}
-	if r.Geometric(1) != 0 {
-		t.Error("Geometric(1) != 0")
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p == 0")
-		}
-	}()
-	New(1).Geometric(0)
 }
 
 // Property: Uint64n(n) < n for all n > 0.

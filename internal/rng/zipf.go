@@ -32,6 +32,3 @@ func NewZipf(k int, s float64) *Zipf {
 
 // Sample draws a value in [0, k) with P(i) proportional to 1/(i+1)^s.
 func (z *Zipf) Sample(r *Rand) int { return z.alias.Sample(r) }
-
-// Len returns the support size.
-func (z *Zipf) Len() int { return z.alias.Len() }

@@ -38,7 +38,6 @@ var Crypto Source = cryptoSource{}
 
 // Modulus is the ring Z_{2^l}, 1 <= l <= 64.
 type Modulus struct {
-	bits int
 	mask uint64 // 2^l - 1 (all ones for l = 64)
 }
 
@@ -49,13 +48,10 @@ func NewModulus(bits int) Modulus {
 		panic("secretshare: modulus bits must be in [1, 64]")
 	}
 	if bits == 64 {
-		return Modulus{bits: 64, mask: ^uint64(0)}
+		return Modulus{mask: ^uint64(0)}
 	}
-	return Modulus{bits: bits, mask: (1 << uint(bits)) - 1}
+	return Modulus{mask: (1 << uint(bits)) - 1}
 }
-
-// Bits returns l.
-func (m Modulus) Bits() int { return m.bits }
 
 // Reduce maps x into [0, 2^l).
 func (m Modulus) Reduce(x uint64) uint64 { return x & m.mask }
@@ -65,9 +61,6 @@ func (m Modulus) Add(a, b uint64) uint64 { return (a + b) & m.mask }
 
 // Sub returns (a - b) mod 2^l.
 func (m Modulus) Sub(a, b uint64) uint64 { return (a - b) & m.mask }
-
-// Neg returns (-a) mod 2^l.
-func (m Modulus) Neg(a uint64) uint64 { return (-a) & m.mask }
 
 // Random returns a uniform element of Z_{2^l} from src.
 func (m Modulus) Random(src Source) uint64 { return src.Uint64() & m.mask }
@@ -89,15 +82,6 @@ func Split(value uint64, r int, mod Modulus, src Source) []uint64 {
 	return shares
 }
 
-// Combine reconstructs the secret from all shares.
-func Combine(shares []uint64, mod Modulus) uint64 {
-	sum := uint64(0)
-	for _, s := range shares {
-		sum = mod.Add(sum, s)
-	}
-	return sum
-}
-
 // SplitVector shares each element of values independently, returning r
 // share vectors (the j-th vector goes to party j).
 func SplitVector(values []uint64, r int, mod Modulus, src Source) [][]uint64 {
@@ -113,42 +97,6 @@ func SplitVector(values []uint64, r int, mod Modulus, src Source) [][]uint64 {
 			sum = mod.Add(sum, s)
 		}
 		out[r-1][i] = mod.Sub(mod.Reduce(v), sum)
-	}
-	return out
-}
-
-// CombineVectors reconstructs the value vector from r share vectors of
-// equal length.
-func CombineVectors(shareVectors [][]uint64, mod Modulus) []uint64 {
-	if len(shareVectors) == 0 {
-		return nil
-	}
-	n := len(shareVectors[0])
-	for _, sv := range shareVectors {
-		if len(sv) != n {
-			panic("secretshare: share vectors have unequal lengths")
-		}
-	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		sum := uint64(0)
-		for _, sv := range shareVectors {
-			sum = mod.Add(sum, sv[i])
-		}
-		out[i] = sum
-	}
-	return out
-}
-
-// AddVectors returns the element-wise sum a + b mod 2^l (accumulating
-// shares during resharing).
-func AddVectors(a, b []uint64, mod Modulus) []uint64 {
-	if len(a) != len(b) {
-		panic("secretshare: vector length mismatch")
-	}
-	out := make([]uint64, len(a))
-	for i := range a {
-		out[i] = mod.Add(a[i], b[i])
 	}
 	return out
 }

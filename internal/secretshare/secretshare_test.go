@@ -8,10 +8,19 @@ import (
 	"shuffledp/internal/rng"
 )
 
+// combine reconstructs a secret from all of its shares.
+func combine(shares []uint64, mod Modulus) uint64 {
+	sum := uint64(0)
+	for _, s := range shares {
+		sum = mod.Add(sum, s)
+	}
+	return sum
+}
+
 func TestModulusBasics(t *testing.T) {
 	m := NewModulus(8)
-	if m.Bits() != 8 {
-		t.Fatal("Bits")
+	if m.mask != 255 {
+		t.Fatal("mask")
 	}
 	if m.Reduce(256) != 0 || m.Reduce(257) != 1 {
 		t.Fatal("Reduce")
@@ -21,9 +30,6 @@ func TestModulusBasics(t *testing.T) {
 	}
 	if m.Sub(1, 2) != 255 {
 		t.Fatal("Sub wrap")
-	}
-	if m.Neg(1) != 255 || m.Neg(0) != 0 {
-		t.Fatal("Neg")
 	}
 }
 
@@ -61,7 +67,7 @@ func TestSplitCombineRoundTrip(t *testing.T) {
 				if len(shares) != r {
 					t.Fatalf("wrong share count %d", len(shares))
 				}
-				if got := Combine(shares, mod); got != v {
+				if got := combine(shares, mod); got != v {
 					t.Fatalf("bits=%d r=%d: combine %d != %d", bits, r, got, v)
 				}
 			}
@@ -106,7 +112,7 @@ func TestQuickSplitCombine(t *testing.T) {
 		r := 2 + int(rRaw%8)
 		bits := 1 + int(bitsRaw%64)
 		mod := NewModulus(bits)
-		return Combine(Split(v, r, mod, src), mod) == mod.Reduce(v)
+		return combine(Split(v, r, mod, src), mod) == mod.Reduce(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -121,44 +127,15 @@ func TestSplitVectorCombineVectors(t *testing.T) {
 	if len(sv) != 5 {
 		t.Fatalf("want 5 share vectors, got %d", len(sv))
 	}
-	got := CombineVectors(sv, mod)
 	for i, v := range values {
-		if got[i] != v {
-			t.Fatalf("index %d: %d != %d", i, got[i], v)
+		shares := make([]uint64, len(sv))
+		for j := range sv {
+			shares[j] = sv[j][i]
+		}
+		if got := combine(shares, mod); got != v {
+			t.Fatalf("index %d: %d != %d", i, got, v)
 		}
 	}
-}
-
-func TestCombineVectorsEmpty(t *testing.T) {
-	if CombineVectors(nil, NewModulus(8)) != nil {
-		t.Fatal("empty input should give nil")
-	}
-}
-
-func TestCombineVectorsLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CombineVectors([][]uint64{{1, 2}, {3}}, NewModulus(8))
-}
-
-func TestAddVectors(t *testing.T) {
-	mod := NewModulus(8)
-	got := AddVectors([]uint64{250, 1}, []uint64{10, 2}, mod)
-	if got[0] != 4 || got[1] != 3 {
-		t.Fatalf("AddVectors = %v", got)
-	}
-}
-
-func TestAddVectorsPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AddVectors([]uint64{1}, []uint64{1, 2}, NewModulus(8))
 }
 
 // Resharing linearity: splitting each share of a sharing again and
@@ -173,7 +150,7 @@ func TestReshareLinearity(t *testing.T) {
 	for _, s := range first {
 		all = append(all, Split(s, 4, mod, src)...)
 	}
-	if got := Combine(all, mod); got != secret {
+	if got := combine(all, mod); got != secret {
 		t.Fatalf("reshare lost the secret: %x != %x", got, secret)
 	}
 }

@@ -83,20 +83,6 @@ func NewSessionClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *
 	}, nil
 }
 
-// SetEpoch stamps subsequent reports with a specific epoch id instead
-// of the default EpochCurrent ("whatever epoch the service has open").
-// A report asserting an epoch the service has already sealed is
-// dropped and counted as Late rather than folded into the wrong
-// collection round. A session batch asserts one epoch for all its
-// reports, so changing the epoch flushes the open batch first (any
-// flush error latches and surfaces on the next send or Flush).
-func (c *Client) SetEpoch(epoch uint32) {
-	if c.batchCount > 0 && epoch != c.batchEpoch {
-		_ = c.flushBatch()
-	}
-	c.epoch = epoch
-}
-
 // Send randomizes v with the oracle and submits the encrypted report.
 func (c *Client) Send(v int) error {
 	if c.rand == nil {

@@ -16,7 +16,7 @@ import (
 //
 // Unmarshal is strict: a payload either decodes to exactly one valid
 // report of the oracle — one that Aggregator.Add accepts — or errors,
-// and Marshal(Unmarshal(data)) reproduces data byte for byte. The
+// and AppendMarshal(nil, Unmarshal(data)) reproduces data byte for byte. The
 // canonical round-trip is what FuzzCodec locks in; a decrypted report
 // that parses ambiguously (wrapped words, set padding bits,
 // out-of-range Hadamard rows) flags the run instead of skewing the
@@ -70,15 +70,10 @@ func (c *Codec) Size() int {
 	}
 }
 
-// Marshal packs a report into its wire payload.
-func (c *Codec) Marshal(rep ldp.Report) ([]byte, error) {
-	return c.AppendMarshal(make([]byte, 0, c.Size()), rep)
-}
-
-// AppendMarshal is the append-style form of Marshal: the Size()-byte
-// payload is appended to dst and the extended slice returned, so the
-// session client can pack a whole batch of reports into one plaintext
-// buffer without a per-report allocation.
+// AppendMarshal packs a report into its Size()-byte wire payload,
+// appended to dst, and returns the extended slice, so the session
+// client can pack a whole batch of reports into one plaintext buffer
+// without a per-report allocation.
 func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
 	if c.word != nil {
 		if c.maxSeed > 0 && uint64(rep.Seed) >= c.maxSeed {

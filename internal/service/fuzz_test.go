@@ -41,7 +41,7 @@ func FuzzCodec(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, err := codec.Marshal(fo.Randomize(3, r))
+		payload, err := codec.AppendMarshal(nil, fo.Randomize(3, r))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func FuzzCodec(f *testing.F) {
 				fo.NewAggregator().Add(rep)
 			}()
 			// And canonical: re-marshal reproduces the exact payload.
-			out, err := codec.Marshal(rep)
+			out, err := codec.AppendMarshal(nil, rep)
 			if err != nil {
 				t.Fatalf("%s: Marshal of unmarshaled report failed: %v", fo.Name(), err)
 			}
@@ -195,7 +195,7 @@ func TestCodecFixedSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := 0; v < fo.Domain(); v++ {
-			payload, err := codec.Marshal(fo.Randomize(v, r))
+			payload, err := codec.AppendMarshal(nil, fo.Randomize(v, r))
 			if err != nil {
 				t.Fatalf("%s: %v", fo.Name(), err)
 			}

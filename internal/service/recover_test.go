@@ -295,7 +295,7 @@ func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int
 		t.Fatal(err)
 	}
 	for _, rep := range w.reports[:n] {
-		payload, err := codec.Marshal(rep)
+		payload, err := codec.AppendMarshal(nil, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

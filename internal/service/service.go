@@ -34,7 +34,7 @@
 // sees it, so the linkage between an arrival (which connection, which
 // position) and a decrypted report is broken batch by batch — the
 // streaming analogue of the basic model's collect-all-then-permute
-// (protocol.PlainShuffle).
+// (§III-B).
 // Note the privacy unit is the batch: an adversarial server observing
 // worker order learns which batch (of BatchSize reports) a report came
 // from, the anonymity-set granularity the deployment chooses with

@@ -151,7 +151,7 @@ func parseFrames(t *testing.T, call []byte) (tags []uint32, payloads [][]byte) {
 	t.Helper()
 	r := bytes.NewReader(call)
 	for r.Len() > 0 {
-		tag, payload, err := transport.ReadTaggedFrame(r)
+		tag, payload, err := transport.ReadTaggedFrameLimit(r, 0)
 		if err != nil {
 			t.Fatalf("recorded write is not whole frames: %v (%d bytes left)", err, r.Len())
 		}
@@ -376,7 +376,7 @@ func TestSessionHandshakeViolationsKick(t *testing.T) {
 	wrongVersion[0] = 99
 	badPoint := make([]byte, ecies.HelloSize)
 	badPoint[0] = ecies.SessionVersion // version ok, point bytes all zero
-	payload, err := codec.Marshal(reports[0])
+	payload, err := codec.AppendMarshal(nil, reports[0])
 	if err != nil {
 		t.Fatal(err)
 	}

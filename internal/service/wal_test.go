@@ -443,7 +443,7 @@ func TestWALBytesPerReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rep := range reports {
-		word, err := codec.Marshal(rep)
+		word, err := codec.AppendMarshal(nil, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

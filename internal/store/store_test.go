@@ -527,13 +527,13 @@ func TestCheckpointTruncationNeverPanics(t *testing.T) {
 	}
 }
 
-// Dir reports the directory the store was opened on, and appends after
+// The store keeps the directory it was opened on, and appends after
 // Close fail cleanly.
 func TestStoreClosedAndDir(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncAlways)
-	if st.Dir() != dir {
-		t.Fatalf("Dir() = %q, want %q", st.Dir(), dir)
+	if st.dir != dir {
+		t.Fatalf("dir = %q, want %q", st.dir, dir)
 	}
 	if err := st.AppendReport(0, []byte("x")); err != nil {
 		t.Fatal(err)

@@ -481,9 +481,6 @@ func (s *Store) Abort() {
 	s.seg.Close()
 }
 
-// Dir returns the data directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // syncDir fsyncs a directory so renames and creations inside it are
 // durable. Best-effort: some platforms refuse directory fsync, and the
 // tail-truncation replay rule tolerates the resulting windows.

@@ -11,8 +11,7 @@ import (
 // The two fuzz targets drive the frame reader every socket actually
 // runs — ReadTaggedFrameReuse, with a per-call limit and a reused
 // buffer (pipeline.Reader, the cluster's links and the mesh all end
-// there; ReadTaggedFrame and ReadTaggedFrameLimit are its nil-buffer
-// forms).
+// there; ReadTaggedFrameLimit is its nil-buffer form).
 
 // fuzzLimit is the frame cap FuzzReadFrame reads under: small, so the
 // fuzzer finds both sides of it.

@@ -112,17 +112,6 @@ func (m *Meter) Parties() []string {
 	return out
 }
 
-// Reset clears all accounts.
-func (m *Meter) Reset() {
-	if m == nil {
-		return
-	}
-	m.cells.Range(func(k, _ any) bool {
-		m.cells.Delete(k)
-		return true
-	})
-}
-
 // String renders the accounts as a small table.
 func (m *Meter) String() string {
 	if m == nil {
@@ -211,28 +200,13 @@ func WriteTaggedFrame(w io.Writer, tag uint32, payload []byte) error {
 	return err
 }
 
-// ReadTaggedFrame reads one frame written by WriteTaggedFrame and
-// returns its tag and payload. A malformed prefix makes it error,
-// never panic (see readPayload).
-func ReadTaggedFrame(r io.Reader) (uint32, []byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	tag := binary.BigEndian.Uint32(hdr[4:])
-	payload, err := readPayload(r, binary.BigEndian.Uint32(hdr[:4]))
-	if err != nil {
-		return 0, nil, err
-	}
-	return tag, payload, nil
-}
-
-// ReadTaggedFrameLimit is ReadTaggedFrame with a per-call frame cap:
-// a length prefix above limit returns an error wrapping
-// ErrFrameTooLarge before any payload byte is read, so an ingest
-// service can refuse oversized frames cheaply instead of honoring the
-// 1 GiB defensive ceiling for every connection. A limit of zero (or
-// one above MaxFrameSize) falls back to MaxFrameSize.
+// ReadTaggedFrameLimit reads one frame written by WriteTaggedFrame and
+// returns its tag and payload. A malformed prefix makes it error, never
+// panic (see readPayload). A length prefix above limit returns an error
+// wrapping ErrFrameTooLarge before any payload byte is read, so an
+// ingest service can refuse oversized frames cheaply instead of
+// honoring the 1 GiB defensive ceiling for every connection. A limit of
+// zero (or one above MaxFrameSize) falls back to MaxFrameSize.
 func ReadTaggedFrameLimit(r io.Reader, limit int) (uint32, []byte, error) {
 	return ReadTaggedFrameReuse(r, limit, nil)
 }
