@@ -34,8 +34,10 @@ import (
 
 // SessionVersion is the handshake version byte carried by the hello.
 // A server refuses hellos from a version it does not speak with
-// ErrSessionVersion instead of guessing at the key schedule.
-const SessionVersion = 1
+// ErrSessionVersion instead of guessing at the key schedule — or at the
+// record layout inside the frames: version 2 carries word reports in
+// their group's byte width, where version 1 padded them to 8 bytes.
+const SessionVersion = 2
 
 // HelloSize is the exact length of a session hello: the version byte
 // plus the client's uncompressed ephemeral P-256 point.

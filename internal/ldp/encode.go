@@ -13,7 +13,10 @@ import "fmt"
 // paper describes. Both fit a 64-bit word: the seed is 32 bits and a
 // hashed outputSize is at most 2^31 — newLocalHash rejects a larger d',
 // Hadamard's is 2 — so GroupOrder = 2^32 * outputSize <= 2^63. That
-// matches the paper's fixed 64-bit report size in Table III.
+// matches the paper's fixed 64-bit report size in Table III. The fixed
+// 64-bit word is PEOS's share ring, Z_{2^64}; the streaming service has
+// no shares and puts a report on the wire in only the bytes GroupOrder
+// needs (service.Codec).
 
 // WordEncoder maps reports of a given oracle to/from 64-bit words.
 type WordEncoder struct {
@@ -46,9 +49,16 @@ func (e *WordEncoder) GroupOrder() uint64 {
 	return e.outputSize
 }
 
-// Encode packs a report into a word in [0, GroupOrder()).
+// Valid reports whether rep's Value lies in the oracle's output range,
+// the precondition of Encode.
+func (e *WordEncoder) Valid(rep Report) bool {
+	return rep.Value >= 0 && uint64(rep.Value) < e.outputSize
+}
+
+// Encode packs a report into a word in [0, GroupOrder()). It panics on
+// a report that is not Valid.
 func (e *WordEncoder) Encode(rep Report) uint64 {
-	if uint64(rep.Value) >= e.outputSize {
+	if !e.Valid(rep) {
 		panic("ldp: report value out of range for encoder")
 	}
 	if !e.hashed {

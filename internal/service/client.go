@@ -111,10 +111,12 @@ func (c *Client) SendReport(rep ldp.Report) error {
 	if c.batchCount == 0 {
 		c.batchEpoch = c.epoch
 	}
-	var err error
-	if c.batch, err = c.codec.AppendMarshal(c.batch, rep); err != nil {
+	// A report the codec refuses leaves the open batch as it was.
+	batch, err := c.codec.AppendMarshal(c.batch, rep)
+	if err != nil {
 		return err
 	}
+	c.batch = batch
 	c.batchCount++
 	if c.batchCount >= c.batchSize {
 		return c.flushBatch()

@@ -1,18 +1,22 @@
 package service
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"shuffledp/internal/ldp"
 )
 
-// Codec maps ldp.Reports to and from wire payloads. It extends the
-// 8-byte word encoding of ldp.WordEncoder (GRR, OLH/SOLH, Hadamard)
-// with a packed-bitmap encoding for the unary oracles (RAP, RAP_R, OUE)
-// and a byte-per-location count encoding for AUE, so every frequency
-// oracle in the repo can report through the streaming service.
+// Codec maps ldp.Reports to and from wire payloads. It writes the
+// ordinal-group word of ldp.WordEncoder (GRR, OLH/SOLH, Hadamard) in
+// as few little-endian bytes as the group needs, max(1,
+// ⌈bitlen(GroupOrder−1)/8⌉): 5 for every hashed oracle in the repo, 1
+// for GRR with d ≤ 256. It adds a packed-bitmap encoding for the unary
+// oracles (RAP, RAP_R, OUE) and a byte-per-location count encoding for
+// AUE, so every frequency oracle in the repo can report through the
+// streaming service.
 //
 // Unmarshal is strict: a payload either decodes to exactly one valid
 // report of the oracle — one that Aggregator.Add accepts — or errors,
@@ -23,6 +27,7 @@ import (
 // histogram or panicking a worker.
 type Codec struct {
 	word     *ldp.WordEncoder
+	width    int    // word oracles: bytes per word report
 	maxSeed  uint64 // exclusive bound on Report.Seed for word oracles; 0 = no bound
 	d        int    // unary bitmap / AUE count length; 0 for word-encoded oracles
 	maxCount byte   // AUE: inclusive per-location count bound; 0 = bitmap encoding
@@ -32,7 +37,7 @@ type Codec struct {
 // has no report wire format.
 func NewCodec(fo ldp.FrequencyOracle) (*Codec, error) {
 	if word, err := ldp.NewWordEncoder(fo); err == nil {
-		c := &Codec{word: word}
+		c := &Codec{word: word, width: max(1, (bits.Len64(word.GroupOrder()-1)+7)/8)}
 		if h, ok := fo.(*ldp.Hadamard); ok {
 			// The word encoding admits any 32-bit row; the oracle only
 			// accepts rows below the Hadamard order.
@@ -62,7 +67,7 @@ func NewCodec(fo ldp.FrequencyOracle) (*Codec, error) {
 func (c *Codec) Size() int {
 	switch {
 	case c.word != nil:
-		return 8
+		return c.width
 	case c.maxCount > 0:
 		return c.d
 	default:
@@ -79,7 +84,15 @@ func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
 		if c.maxSeed > 0 && uint64(rep.Seed) >= c.maxSeed {
 			return nil, fmt.Errorf("service: report seed %d outside oracle range %d", rep.Seed, c.maxSeed)
 		}
-		return binary.LittleEndian.AppendUint64(dst, c.word.Encode(rep)), nil
+		if !c.word.Valid(rep) {
+			return nil, fmt.Errorf("service: report value %d outside the oracle's output range", rep.Value)
+		}
+		w, n := c.word.Encode(rep), len(dst)
+		dst = slices.Grow(dst, c.width)[:n+c.width]
+		for i := range dst[n:] {
+			dst[n+i] = byte(w >> (8 * i))
+		}
+		return dst, nil
 	}
 	if len(rep.Bits) != c.d {
 		return nil, fmt.Errorf("service: report has %d locations, oracle domain is %d", len(rep.Bits), c.d)
@@ -107,17 +120,21 @@ func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal reverses Marshal. Payloads of the wrong length, word
+// Unmarshal reverses AppendMarshal. Payloads of the wrong length, word
 // payloads outside the oracle's report group (which Decode would wrap
-// rather than reject), Hadamard rows past the matrix order, and bitmap
+// rather than reject, and which the byte width still admits up to
+// 256^width − 1), Hadamard rows past the matrix order, and bitmap
 // payloads with set padding bits are all rejected — a decrypted report
 // must parse unambiguously or the run is flagged.
 func (c *Codec) Unmarshal(data []byte) (ldp.Report, error) {
 	if c.word != nil {
-		if len(data) != 8 {
-			return ldp.Report{}, fmt.Errorf("service: word report payload is %d bytes, want 8", len(data))
+		if len(data) != c.width {
+			return ldp.Report{}, fmt.Errorf("service: word report payload is %d bytes, want %d", len(data), c.width)
 		}
-		w := binary.LittleEndian.Uint64(data)
+		var w uint64
+		for i := len(data) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(data[i])
+		}
 		if w >= c.word.GroupOrder() {
 			return ldp.Report{}, fmt.Errorf("service: word report %d outside group order %d", w, c.word.GroupOrder())
 		}

@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"shuffledp/internal/ecies"
@@ -214,18 +217,21 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := grr.Unmarshal([]byte{4, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := grr.Unmarshal([]byte{4}); err == nil {
 		t.Fatal("GRR word past the domain accepted")
+	}
+	if _, err := grr.Unmarshal([]byte{3, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("GRR word padded to 8 bytes accepted")
 	}
 	had, err := NewCodec(ldp.NewHadamard(13, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Order is 16; row 16, value 0 packs as 16*2 = 32.
-	if _, err := had.Unmarshal([]byte{32, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := had.Unmarshal([]byte{32, 0, 0, 0, 0}); err == nil {
 		t.Fatal("Hadamard row past the order accepted")
 	}
-	if _, err := had.Unmarshal([]byte{31, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+	if _, err := had.Unmarshal([]byte{31, 0, 0, 0, 0}); err != nil {
 		t.Fatalf("Hadamard row 15 rejected: %v", err)
 	}
 	// An AUE location can carry at most one increment per blanket round
@@ -240,5 +246,79 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 	}
 	if _, err := aue.Unmarshal([]byte{2, 1, 0, 0}); err != nil {
 		t.Fatalf("valid AUE counts rejected: %v", err)
+	}
+}
+
+// The word width contract: a word report takes max(1,
+// ⌈bitlen(GroupOrder−1)/8⌉) little-endian bytes, the largest valid
+// report round-trips byte for byte at that width, and the words the
+// width admits past the group — GroupOrder itself, and 256^width − 1 —
+// are refused, never wrapped.
+func TestCodecWordWidth(t *testing.T) {
+	cases := []struct {
+		fo    ldp.FrequencyOracle
+		width int
+	}{
+		{ldp.NewGRR(2, 1), 1},
+		{ldp.NewGRR(256, 1), 1},
+		{ldp.NewGRR(257, 1), 2},
+		{ldp.NewGRR(65536, 1), 2},
+		{ldp.NewSOLH(1024, 2, 1), 5},
+		{ldp.NewSOLH(1024, 16, 1), 5},
+		{ldp.NewSOLH(1024, 64, 1), 5},
+		{ldp.NewSOLH(42178, 111, 1), 5},
+		{ldp.NewSOLH(1<<31, 1<<31, 1), 8},
+		{ldp.NewOLH(13, 1.5), 5},
+		{ldp.NewHadamard(13, 1), 5},
+	}
+	for _, tc := range cases {
+		enc, err := ldp.NewWordEncoder(tc.fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := enc.GroupOrder()
+		name := fmt.Sprintf("%s(d=%d, group %d)", tc.fo.Name(), tc.fo.Domain(), order)
+		codec, err := NewCodec(tc.fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(1, (bits.Len64(order-1)+7)/8); codec.Size() != want || want != tc.width {
+			t.Fatalf("%s: Size() = %d, formula gives %d, want %d", name, codec.Size(), want, tc.width)
+		}
+		pack := func(w uint64) []byte {
+			return binary.LittleEndian.AppendUint64(nil, w)[:tc.width]
+		}
+
+		top := order - 1
+		if h, ok := tc.fo.(*ldp.Hadamard); ok {
+			top = uint64(2*h.Order() - 1) // the last row, value 1
+		}
+		rep := enc.Decode(top)
+		payload, err := codec.AppendMarshal(nil, rep)
+		if err != nil {
+			t.Fatalf("%s: largest report %+v: %v", name, rep, err)
+		}
+		if !bytes.Equal(payload, pack(top)) {
+			t.Fatalf("%s: largest report marshals to % x, want % x", name, payload, pack(top))
+		}
+		back, err := codec.Unmarshal(payload)
+		if err != nil || back.Seed != rep.Seed || back.Value != rep.Value {
+			t.Fatalf("%s: largest report round-trips to %+v (%v), want %+v", name, back, err, rep)
+		}
+
+		if tc.width == 8 || order < 1<<(8*tc.width) {
+			if _, err := codec.Unmarshal(pack(order)); err == nil {
+				t.Fatalf("%s: GroupOrder accepted", name)
+			}
+		}
+		if tc.width < 8 {
+			allOnes := uint64(1)<<(8*tc.width) - 1
+			if _, err := codec.Unmarshal(pack(allOnes)); (err == nil) != (allOnes == top) {
+				t.Fatalf("%s: 256^%d − 1 accepted = %v, want %v", name, tc.width, err == nil, allOnes == top)
+			}
+			if _, err := codec.Unmarshal(binary.LittleEndian.AppendUint64(nil, top)); err == nil {
+				t.Fatalf("%s: 8-byte padded report accepted", name)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -432,6 +433,126 @@ func TestSessionHandshakeViolationsKick(t *testing.T) {
 		agg.Add(rep)
 	}
 	sameEstimates(t, "drain estimate across the kicks", snap.Estimates, agg.Estimates())
+}
+
+// TestV1HelloIsRefused puts on the wire what a client that padded word
+// reports to 8 bytes sends first: a genuine hello with version byte 1,
+// and in the same write a sealed tail frame of five 8-byte reports —
+// 40 bytes, which would cut evenly into eight 5-byte records. The hello
+// must be refused with ecies.ErrSessionVersion, the connection kicked
+// and counted, and not one record received.
+func TestV1HelloIsRefused(t *testing.T) {
+	const parentSessionVersion = 1
+	fo := ldp.NewSOLH(64, 16, 2)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ldp.NewWordEncoder(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, hello, err := ecies.NewClientSession(key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello[0] = parentSessionVersion
+	if _, err := ecies.NewServerSession(key, hello); !errors.Is(err, ecies.ErrSessionVersion) {
+		t.Fatalf("version-%d hello: got %v, want ecies.ErrSessionVersion", parentSessionVersion, err)
+	}
+	var padded []byte
+	for _, rep := range ldp.RandomizeParallel(fo, []int{1, 2, 3, 5, 8}, 13, 0) {
+		padded = binary.LittleEndian.AppendUint64(padded, enc.Encode(rep))
+	}
+	frame, err := sess.Seal(nil, padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := transport.WriteTaggedFrame(&wire, service.SessionHelloTag, hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteTaggedFrame(&wire, service.EpochCurrent, frame); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := service.New(service.Config{FO: fo, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	clientSide, serverSide := net.Pipe()
+	defer clientSide.Close()
+	if err := svc.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	// The write fails part-way once the service kicks the connection.
+	go clientSide.Write(wire.Bytes())
+	waitKicked(t, svc, 1)
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Kicked != 1 || snap.Received != 0 || snap.Reports != 0 {
+		t.Fatalf("version-%d client: kicked %d, received %d, aggregated %d; want 1, 0, 0", parentSessionVersion, snap.Kicked, snap.Received, snap.Reports)
+	}
+}
+
+// TestSendReportRefusesOutOfRangeWord sends word reports whose Value
+// lies outside SOLH's hashed domain [0, d′) between good ones. Each
+// must be an error from SendReport — not a panic in the word encoder —
+// and must leave the open batch as it was: the drained histogram is
+// bit-identical to the good reports alone.
+func TestSendReportRefusesOutOfRangeWord(t *testing.T) {
+	fo := ldp.NewSOLH(64, 16, 2)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(service.Config{FO: fo, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	clientSide, serverSide := net.Pipe()
+	if err := svc.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := service.NewSessionClient(fo, key.Public(), nil, clientSide, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ldp.RandomizeParallel(fo, []int{3, 7, 11, 60}, 21, 0)
+	for _, rep := range good[:2] {
+		if err := cl.SendReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []int{-1, 16, 99} {
+		if err := cl.SendReport(ldp.Report{Seed: good[0].Seed, Value: v}); err == nil {
+			t.Fatalf("report value %d outside [0, 16) accepted", v)
+		}
+	}
+	for _, rep := range good[2:] {
+		if err := cl.SendReport(rep); err != nil {
+			t.Fatalf("good report after a refused one: %v", err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := fo.NewAggregator()
+	for _, rep := range good {
+		agg.Add(rep)
+	}
+	if snap.Reports != len(good) || snap.Kicked != 0 {
+		t.Fatalf("want %d reports and no kicks, got %+v", len(good), snap)
+	}
+	sameEstimates(t, "drain estimate around the refused reports", snap.Estimates, agg.Estimates())
 }
 
 // sessionConn hand-rolls the client side of a session — hello frame

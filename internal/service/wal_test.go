@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -282,13 +283,18 @@ func TestRecoverRefusesRaggedSealedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	codec, err := service.NewCodec(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := codec.Size()
 	for _, tc := range []struct {
 		name string
 		cut  func(block []byte) []byte
 	}{
 		{"empty", func([]byte) []byte { return nil }},
 		{"ragged-tail", func(b []byte) []byte { return b[:len(b)-3] }},
-		{"short-of-one-report", func(b []byte) []byte { return b[:5] }},
+		{"short-of-one-report", func(b []byte) []byte { return b[:size-1] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -306,10 +312,67 @@ func TestRecoverRefusesRaggedSealedRecord(t *testing.T) {
 				svc.Close()
 				t.Fatal("Recover accepted a sealed record that is not a whole number of reports")
 			}
-			if !strings.Contains(err.Error(), "whole 8-byte reports") {
+			if !strings.Contains(err.Error(), fmt.Sprintf("whole %d-byte reports", size)) {
 				t.Fatalf("Recover error %q does not name the malformed record", err)
 			}
 		})
+	}
+}
+
+// TestParentWALIsRefused stages the data directory a build that padded
+// word reports to 8 bytes would leave — format-1 segment header, one
+// sealed frame of five 8-byte reports — and recovers it. Forty bytes cut
+// evenly into eight 5-byte records, so the only thing standing between
+// the old layout and a misparsed epoch is the format version: Recover
+// must fail with store.ErrOldVersion, load nothing, and leave the
+// segment as it found it.
+func TestParentWALIsRefused(t *testing.T) {
+	const parentFormatVersion = 1
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	sealer, err := ecies.NewStorageSealer(w.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ldp.NewWordEncoder(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var padded []byte
+	for _, rep := range w.reports[:5] {
+		padded = binary.LittleEndian.AppendUint64(padded, enc.Encode(rep))
+	}
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSealedReport(0, sealer.Seal(nil, padded)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := newestSegment(t, dir)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[len("SDPW")] = parentFormatVersion
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err == nil {
+		snap := svc.Snapshot()
+		svc.Close()
+		t.Fatalf("Recover loaded a format-%d WAL: %d reports received", parentFormatVersion, snap.Received)
+	}
+	if !errors.Is(err, store.ErrOldVersion) {
+		t.Fatalf("Recover error %v, want store.ErrOldVersion", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, seg) {
+		t.Fatalf("the refused segment changed on disk (%v)", err)
 	}
 }
 
@@ -362,7 +425,11 @@ func TestLateFrameIsOneWALRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := walkSegment(t, seg, 8)
+	codec, err := service.NewCodec(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := walkSegment(t, seg, codec.Size())
 	if len(recs) != 2 || recs[0].typ != store.RecordDrop || recs[1].typ != store.RecordSealedReport {
 		t.Fatalf("the late frame and the batch behind it left %d records (%+v), want one drop and one sealed frame", len(recs), recs)
 	}
@@ -389,11 +456,12 @@ func waitBatches(t *testing.T, svc *service.Service, n int64) {
 
 // TestWALBytesPerReport pins what the durable tier writes: after 10 240
 // SOLH reports at the default client batch the segment holds one sealed
-// record per frame and at most 9 bytes per report — (2048 + 28 + 5 + 8)
-// / 256 = 8.16; a record per report is 49. A later change cannot
-// quietly go back to logging reports one by one. It also scans the
-// segment for every report's marshalled word: the WAL never holds a
-// plaintext report.
+// record per frame of 5-byte reports and at most 6 bytes per report —
+// (1280 + 28 + 5 + 8) / 256 = 5.16; 8-byte padded reports were 8.16
+// and a record per report 49. A later change cannot quietly go back to
+// padding reports or logging them one by one. It also scans the segment
+// for every report's marshalled word: the WAL never holds a plaintext
+// report.
 func TestWALBytesPerReport(t *testing.T) {
 	const n = 40 * service.DefaultClientBatch
 	fo := ldp.NewSOLH(1024, 16, 3)
@@ -423,7 +491,14 @@ func TestWALBytesPerReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := walkSegment(t, seg, 8)
+	codec, err := service.NewCodec(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec.Size() != 5 {
+		t.Fatalf("SOLH(1024, 16) reports are %d bytes, want 5", codec.Size())
+	}
+	recs := walkSegment(t, seg, codec.Size())
 	if len(recs) != n/service.DefaultClientBatch {
 		t.Fatalf("%d reports in frames of %d left %d WAL records, want one per frame", n, service.DefaultClientBatch, len(recs))
 	}
@@ -434,14 +509,10 @@ func TestWALBytesPerReport(t *testing.T) {
 	}
 	perReport := float64(len(seg)) / n
 	t.Logf("%.2f WAL bytes per report", perReport)
-	if perReport > 9 {
-		t.Fatalf("the segment holds %.2f bytes per report, want <= 9", perReport)
+	if perReport > 6 {
+		t.Fatalf("the segment holds %.2f bytes per report, want <= 6", perReport)
 	}
 
-	codec, err := service.NewCodec(fo)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, rep := range reports {
 		word, err := codec.AppendMarshal(nil, rep)
 		if err != nil {

@@ -4,8 +4,9 @@ package store
 // body, and a CRC32C trailer over everything before it. The version
 // byte sits outside nothing — it is covered by the CRC like the rest —
 // but it is checked FIRST, so a checkpoint from a newer format version
-// fails with ErrFutureVersion (clean, no partial load) rather than a
-// checksum complaint.
+// fails with ErrFutureVersion, and one from an older version with
+// ErrOldVersion (clean, no partial load), rather than a checksum
+// complaint.
 //
 //	magic "SDPC" | version u8 | body | crc32c u32 (over magic..body)
 //
@@ -182,7 +183,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if v > formatVersion {
 			return nil, fmt.Errorf("%w: checkpoint version %d, this build reads %d", ErrFutureVersion, v, formatVersion)
 		}
-		return nil, fmt.Errorf("store: unsupported checkpoint version %d", v)
+		return nil, fmt.Errorf("%w: checkpoint version %d, this build reads %d", ErrOldVersion, v, formatVersion)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if binary.LittleEndian.Uint32(trailer) != crc32.Checksum(body, ckptCRC) {

@@ -33,9 +33,9 @@ func segmentBytes(epoch uint64, recs ...Record) []byte {
 // same records, or they are an error.
 func FuzzReadSegment(f *testing.F) {
 	// The checked-in corpus (testdata/fuzz/FuzzReadSegment) holds the
-	// format-1 shapes by name: header only, one block record, block +
-	// rotate + counted drop, a torn length prefix, a bad CRC, a future
-	// version. These two are the shapes it lacks.
+	// format-2 shapes by name: header only, one block record, block +
+	// rotate + counted drop, a torn length prefix, a bad CRC, an old
+	// and a future version. These two are the shapes it lacks.
 	f.Add([]byte{})
 	f.Add(append(segmentBytes(1), 0, 0, 0, 6, RecordDrop, 1, 0, 0, 0)) // payload cut short
 

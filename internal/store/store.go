@@ -35,8 +35,9 @@
 // checkpoint and replays the WAL tail: records for epochs the
 // checkpoint already covers are skipped, a torn final record (a crash
 // mid-write) truncates the tail cleanly, and state written by a newer
-// format version is refused with ErrFutureVersion rather than loaded
-// partially. See DESIGN.md §8 for the recovery invariants.
+// format version is refused with ErrFutureVersion, and by an older one
+// with ErrOldVersion, rather than loaded partially. See DESIGN.md §8
+// for the recovery invariants.
 package store
 
 import (
@@ -97,13 +98,20 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // formatVersion is the on-disk format version stamped into every WAL
 // segment header and checkpoint. Readers refuse newer versions with
-// ErrFutureVersion.
-const formatVersion = 1
+// ErrFutureVersion and older ones with ErrOldVersion. Version 2 holds
+// the service's word reports in their group's byte width; version 1
+// padded them to 8 bytes.
+const formatVersion = 2
 
 // ErrFutureVersion is returned when a segment or checkpoint was
 // written by a newer format version than this build reads. The state
 // is intact — run it through the newer build — but nothing is loaded.
 var ErrFutureVersion = errors.New("store: state written by a newer format version")
+
+// ErrOldVersion is returned when a segment or checkpoint was written
+// by an older format version. Old state is refused, not migrated:
+// nothing is loaded, and the directory is left as it was.
+var ErrOldVersion = errors.New("store: state written by an older format version")
 
 // ErrExists is returned by Create when the directory already holds
 // durable state; a fresh service must not silently overwrite it (use

@@ -234,7 +234,7 @@ func parseSegment(br io.Reader, last bool) (records []Record, segEpoch uint64, v
 		if v > formatVersion {
 			return nil, 0, 0, false, fmt.Errorf("%w: segment version %d, this build reads %d", ErrFutureVersion, v, formatVersion)
 		}
-		return nil, 0, 0, false, fmt.Errorf("unsupported segment version %d", v)
+		return nil, 0, 0, false, fmt.Errorf("%w: segment version %d, this build reads %d", ErrOldVersion, v, formatVersion)
 	}
 	segEpoch = binary.LittleEndian.Uint64(hdr[len(segmentMagic)+1:])
 	validOff = int64(segmentHeaderLen)
