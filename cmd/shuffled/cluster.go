@@ -24,6 +24,9 @@ package main
 // restarted (recovered) analyzer keeps decrypting the cluster's
 // ciphertexts. Oracle parameters (-oracle/-d/-dprime/-epsl) and -nr
 // must match across all roles, like the protocol parameters they are.
+// Two bounds are constants, not flags: a role retries dialing a peer
+// that is not listening yet for 10 s, and drops an inbound connection
+// that sends no hello within 30 s.
 //
 // The analyzer tier's decrypt work can be spread over several nodes:
 // give every role the full shard list and each analyzer process its
@@ -167,7 +170,6 @@ func runAnalyzer(args []string) {
 	retries := fs.Int("retry-attempts", 1, "attempts per collection round (>1 enables abort-and-retry self-healing)")
 	backoff := fs.Duration("retry-backoff", 50*time.Millisecond, "base backoff between round retries (exponential, jittered)")
 	maxBackoff := fs.Duration("retry-max-backoff", 2*time.Second, "cap on a single round-retry backoff sleep")
-	hello := fs.Duration("hello-timeout", cluster.DefaultHelloTimeout, "drop inbound connections silent past this before their hello")
 	of := addOracleFlags(fs)
 	fs.Parse(args)
 
@@ -218,7 +220,6 @@ func runAnalyzer(args []string) {
 		DataDir:        *dataDir,
 		Sync:           syncPolicy,
 		CollectTimeout: *timeout,
-		HelloTimeout:   *hello,
 		Retry: cluster.RetryPolicy{
 			Attempts:    *retries,
 			BaseBackoff: *backoff,
@@ -286,7 +287,6 @@ func runShuffler(args []string) {
 	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file")
 	idle := fs.Duration("idle-timeout", 2*time.Minute, "drop client connections silent past this (0 = never)")
 	sealTimeout := fs.Duration("seal-timeout", 5*time.Minute, "per-collection wait and peer I/O bound (0 = none)")
-	hello := fs.Duration("hello-timeout", cluster.DefaultHelloTimeout, "drop inbound connections silent past this before their hello")
 	fs.Parse(args)
 
 	topo, err := parseTopology(*shufflers, *analyzer)
@@ -301,14 +301,13 @@ func runShuffler(args []string) {
 		log.Fatal(err)
 	}
 	sh, err := cluster.NewShuffler(cluster.ShufflerConfig{
-		Index:        *index,
-		Topology:     topo,
-		NR:           *nr,
-		Pub:          pub,
-		Source:       secretshare.Crypto,
-		IdleTimeout:  *idle,
-		SealTimeout:  *sealTimeout,
-		HelloTimeout: *hello,
+		Index:       *index,
+		Topology:    topo,
+		NR:          *nr,
+		Pub:         pub,
+		Source:      secretshare.Crypto,
+		IdleTimeout: *idle,
+		SealTimeout: *sealTimeout,
 	})
 	if err != nil {
 		log.Fatal(err)

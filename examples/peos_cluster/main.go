@@ -368,7 +368,7 @@ func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, victim string
 	if err != nil {
 		log.Fatal(err)
 	}
-	client, err := cluster.DialClient(ns.topo, fo, ahe.PublicKey(priv), rng.Substream(*seedFlag, 6000), 0)
+	client, err := cluster.NewClient(cluster.ClientConfig{Topology: ns.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.Substream(*seedFlag, 6000)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, victim string
 		log.Fatal(err)
 	}
 	defer ns.stop()
-	client, err = cluster.DialClient(ns.topo, fo, ahe.PublicKey(priv), rng.Substream(*seedFlag, 6001), 0)
+	client, err = cluster.NewClient(cluster.ClientConfig{Topology: ns.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.Substream(*seedFlag, 6001)})
 	if err != nil {
 		log.Fatal(err)
 	}

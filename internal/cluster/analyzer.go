@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,9 +59,6 @@ type AnalyzerConfig struct {
 	// collection regardless of the attempt count. The zero policy keeps
 	// the pre-existing single-shot semantics.
 	Retry RetryPolicy
-	// HelloTimeout bounds the wait for an inbound connection's hello
-	// frame (0 = DefaultHelloTimeout).
-	HelloTimeout time.Duration
 	// Shard is this node's analyzer-shard index in [0, Topology.A()).
 	// Shard 0 — the default, and the only shard of a single-analyzer
 	// topology — is the coordinator: it drives Collect, owns the
@@ -70,12 +68,15 @@ type AnalyzerConfig struct {
 	// coordinator. A crashed shard is replaced by a blank one at the
 	// same address.
 	Shard int
-	// DialTimeout bounds connection establishment to the coordinator
-	// (shard nodes only; 0 = DefaultDialTimeout).
-	DialTimeout time.Duration
 	// Dial, when non-nil, replaces net.DialTimeout for a shard node's
 	// coordinator link — the chaos-injection hook (faultnet fits).
 	Dial DialFunc
+
+	// Test seams (export_test.go): a shorter hello bound and a shorter
+	// dial budget for a shard's coordinator link. Zero means
+	// defaultHelloTimeout and defaultDialTimeout.
+	helloTimeout time.Duration
+	dialTimeout  time.Duration
 }
 
 func (cfg *AnalyzerConfig) validate() error {
@@ -268,7 +269,7 @@ func (a *Analyzer) handshake(l *link) {
 	a.pending[l] = struct{}{}
 	a.mu.Unlock()
 	p := -1
-	tag, payload, err := l.recv(controlFrameLimit, helloBound(a.cfg.HelloTimeout))
+	tag, payload, err := l.recv(controlFrameLimit, cmp.Or(a.cfg.helloTimeout, defaultHelloTimeout))
 	switch {
 	case err != nil:
 	case tag == tagShufflerHello:

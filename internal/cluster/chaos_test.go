@@ -219,7 +219,7 @@ func TestChaosControlLinkResetReconnects(t *testing.T) {
 			cfg.Dial = chaosDialTo(ctrlChaos, cfg.Topology.Coordinator())
 		}
 	})
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +257,8 @@ func TestChaosControlLinkResetReconnects(t *testing.T) {
 	}
 }
 
-// A connection that sends no hello must be dropped at the configured
-// HelloTimeout — it can neither hold a handshake goroutine nor pin the
+// A connection that sends no hello must be dropped at the node's hello
+// timeout — it can neither hold a handshake goroutine nor pin the
 // node's teardown — and the cluster must keep serving around it.
 func TestChaosSilentConnDroppedAtHelloTimeout(t *testing.T) {
 	const (
@@ -271,9 +271,9 @@ func TestChaosSilentConnDroppedAtHelloTimeout(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
-		cfg.HelloTimeout = 100 * time.Millisecond
+		cfg.SetHelloTimeout(100 * time.Millisecond)
 	}, func(_ int, cfg *cluster.ShufflerConfig) {
-		cfg.HelloTimeout = 100 * time.Millisecond
+		cfg.SetHelloTimeout(100 * time.Millisecond)
 	})
 
 	for name, addr := range map[string]string{"shuffler": h.topo.Shufflers[0], "analyzer": h.topo.Coordinator()} {
@@ -298,7 +298,7 @@ func TestChaosSilentConnDroppedAtHelloTimeout(t *testing.T) {
 
 	// The nodes shrugged the silent connections off: a real round still
 	// completes.
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 			cfg.Dial = chaosDialTo(meshChaos, cfg.Topology.Shufflers[0])
 		}
 	})
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestChaosResubmitsDoNotCountAgainstCap(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, func(_ int, cfg *cluster.ShufflerConfig) {
-		cfg.MaxBuffered = n + 2 // one column and the replayed frame, exactly
+		cfg.SetMaxBuffered(n + 2) // one column and the replayed frame, exactly
 	})
 	// A raw client that sends the same two-user frame 50 times: two
 	// stored shares, 49 idempotent resubmits, zero cap pressure.
@@ -559,7 +559,7 @@ func TestChaosResubmitsDoNotCountAgainstCap(t *testing.T) {
 		}
 	}
 
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +631,7 @@ func TestChaosSilentMeshPeerFailsInsideSealTimeout(t *testing.T) {
 			}
 		}
 	})
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

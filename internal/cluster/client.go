@@ -30,9 +30,6 @@ type ClientConfig struct {
 	// a seeded rng in tests — the split randomness never influences
 	// estimates, only hiding).
 	Source secretshare.Source
-	// DialTimeout bounds each connection establishment (0 =
-	// DefaultDialTimeout).
-	DialTimeout time.Duration
 	// Dial, when non-nil, replaces net.DialTimeout — the chaos-
 	// injection hook (faultnet.Network.Dial fits).
 	Dial DialFunc
@@ -131,7 +128,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	// bit-identical to the in-process reference run.
 	c.stopPool = cfg.Pub.StartRandomizerPool()
 	for _, addr := range cfg.Topology.Shufflers {
-		conn, err := dialRetry(cfg.Dial, addr, cfg.DialTimeout)
+		conn, err := dialRetry(cfg.Dial, addr, defaultDialTimeout)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -145,13 +142,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		}
 	}
 	return c, nil
-}
-
-// DialClient is the single-shot constructor: no reconnect, no default
-// chaos hooks — each frame is reported at most once and the first
-// network error is surfaced.
-func DialClient(topo Topology, fo ldp.FrequencyOracle, pub ahe.PublicKey, src secretshare.Source, dialTimeout time.Duration) (*Client, error) {
-	return NewClient(ClientConfig{Topology: topo, FO: fo, Pub: pub, Source: src, DialTimeout: dialTimeout})
 }
 
 // SetCollection stamps subsequent reports with a collection round id
@@ -269,7 +259,7 @@ func (c *Client) heal(j int) error {
 			c.conns[j] = nil
 			c.w[j] = nil
 		}
-		conn, err := dialRetry(c.cfg.Dial, c.cfg.Topology.Shufflers[j], c.cfg.DialTimeout)
+		conn, err := dialRetry(c.cfg.Dial, c.cfg.Topology.Shufflers[j], defaultDialTimeout)
 		if err != nil {
 			lastErr = err
 			continue

@@ -112,10 +112,10 @@ func evenCuts(total, analyzers int) []int {
 	return cuts
 }
 
-// DefaultDialTimeout bounds how long a role retries dialing a peer
+// defaultDialTimeout bounds how long a role retries dialing a peer
 // that has not started listening yet (cluster processes start in no
 // particular order).
-const DefaultDialTimeout = 10 * time.Second
+const defaultDialTimeout = 10 * time.Second
 
 // requireWordPlaintext rejects an AHE key whose plaintext space is not
 // Z_{2^64}, the ring every PEOS share lives in: a narrower key would
@@ -128,20 +128,11 @@ func requireWordPlaintext(pub ahe.PublicKey) error {
 	return nil
 }
 
-// DefaultHelloTimeout is the default bound on the wait for an inbound
-// connection's hello frame: a connection that sends nothing identifies
-// as nothing and is dropped, so it can neither pin its handshake
-// goroutine nor survive the node's teardown unnoticed. Nodes override
-// it with their config's HelloTimeout.
-const DefaultHelloTimeout = 30 * time.Second
-
-// helloBound resolves a config's hello timeout (0 = default).
-func helloBound(d time.Duration) time.Duration {
-	if d <= 0 {
-		return DefaultHelloTimeout
-	}
-	return d
-}
+// defaultHelloTimeout bounds the wait for an inbound connection's
+// hello frame: a connection that sends nothing identifies as nothing
+// and is dropped, so it can neither pin its handshake goroutine nor
+// survive the node's teardown unnoticed.
+const defaultHelloTimeout = 30 * time.Second
 
 // DialFunc establishes one connection attempt to addr within timeout.
 // Nodes and clients accept one as a hook so tests can interpose a
@@ -222,9 +213,6 @@ func jitter(d time.Duration) time.Duration {
 func dialRetry(dial DialFunc, addr string, timeout time.Duration) (net.Conn, error) {
 	if dial == nil {
 		dial = netDial
-	}
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
 	}
 	deadline := time.Now().Add(timeout)
 	backoff := 10 * time.Millisecond

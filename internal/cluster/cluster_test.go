@@ -208,7 +208,7 @@ func TestClusterMatchesInProcessPEOSThreeShufflers(t *testing.T) {
 	values := synthValues(n, d, 23)
 
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, nil)
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestClusterMultiCollectionAccumulates(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, nil)
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestClusterKilledShufflerFailsCleanly(t *testing.T) {
 	h := startCluster(t, r, nr, fo, priv, 61, nil, func(_ int, cfg *cluster.ShufflerConfig) {
 		cfg.SealTimeout = 2 * time.Second
 	})
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestClusterShufflerDropsIdleClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,15 +446,21 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 			for _, ln := range slns {
 				ln.Close()
 			}
+			// An accepted oracle gets as far as dialing: the dialer hands
+			// out a pipe whose far end is already closed.
 			dialed := false
-			_, errClient := cluster.NewClient(cluster.ClientConfig{
+			cl, errClient := cluster.NewClient(cluster.ClientConfig{
 				Topology: topo, FO: tc.fo, Pub: ahe.PublicKey(priv), Source: rng.New(1),
-				DialTimeout: time.Millisecond,
 				Dial: func(string, time.Duration) (net.Conn, error) {
 					dialed = true
-					return nil, errors.New("no shuffler here")
+					conn, peer := net.Pipe()
+					peer.Close()
+					return conn, nil
 				},
 			})
+			if cl != nil {
+				cl.Close()
+			}
 			ledger, dir := testLedger(t), t.TempDir()
 			acfg := cluster.AnalyzerConfig{Topology: topo, FO: tc.fo, Priv: priv, NR: 2, Ledger: ledger, DataDir: dir}
 			if tc.ok {
@@ -465,8 +471,8 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 				a.Close()
 			}
 			if tc.ok {
-				if !dialed {
-					t.Errorf("client: %v, want it to get as far as dialing", errClient)
+				if !dialed || errClient != nil {
+					t.Errorf("client: %v, want it to dial its shufflers", errClient)
 				}
 				if errAnalyzer != nil {
 					t.Errorf("analyzer: %v", errAnalyzer)
@@ -643,7 +649,7 @@ func TestClusterShufflerCapsFloodingClient(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	h := startCluster(t, r, nr, fo, priv, 91, nil, func(_ int, cfg *cluster.ShufflerConfig) {
-		cfg.MaxBuffered = limit
+		cfg.SetMaxBuffered(limit)
 	})
 	plain := h.shufflers[0]
 	// Frames for a collection that will never seal, under distinct users
@@ -783,7 +789,7 @@ func TestMalformedClientCiphertextIsConnectionScoped(t *testing.T) {
 		t.Fatalf("taken index, other nonce: the holder buffered %d shares, want the first frame's 5", got)
 	}
 
-	cl, err := cluster.DialClient(h.topo, fo, pub, rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: pub, Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

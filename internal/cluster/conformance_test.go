@@ -94,7 +94,7 @@ func TestConformanceCrashRecoveredAnalyzer(t *testing.T) {
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 0, j)
 	})
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestConformanceCrashRecoveredAnalyzer(t *testing.T) {
 		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 1, j)
 	})
 
-	cl2, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(4), 0)
+	cl2, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestConformanceNoFakesClusterPEOSAndRecoveredService(t *testing.T) {
 
 	// --- Networked cluster over the same reports.
 	h := startCluster(t, r, 0, fo, priv, 101, nil, nil)
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"io"
+	"time"
 
 	"shuffledp/internal/transport"
 )
@@ -68,9 +69,25 @@ func WriteSharesFrame(w io.Writer, tag, col, first uint32, nonce uint64, body []
 var BadCiphertexts = badCiphertexts
 
 // BufferedShares reports how many client shares the node holds against
-// its MaxBuffered cap.
+// its share-buffer cap.
 func (s *Shuffler) BufferedShares() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.buffered
 }
+
+// SetHelloTimeout shortens how long a shuffler built from cfg waits for
+// an inbound connection's hello.
+func (cfg *ShufflerConfig) SetHelloTimeout(d time.Duration) { cfg.helloTimeout = d }
+
+// SetMaxBuffered lowers the client share-buffer cap of a shuffler built
+// from cfg.
+func (cfg *ShufflerConfig) SetMaxBuffered(n int) { cfg.maxBuffered = n }
+
+// SetHelloTimeout shortens how long an analyzer built from cfg waits
+// for an inbound connection's hello.
+func (cfg *AnalyzerConfig) SetHelloTimeout(d time.Duration) { cfg.helloTimeout = d }
+
+// SetDialTimeout shortens the dial budget of a shard built from cfg for
+// its coordinator link.
+func (cfg *AnalyzerConfig) SetDialTimeout(d time.Duration) { cfg.dialTimeout = d }

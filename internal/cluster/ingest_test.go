@@ -96,7 +96,7 @@ func TestIngestTakesFrameWholeOrNothing(t *testing.T) {
 		Topology:    Topology{Shufflers: []string{"127.0.0.1:0", "127.0.0.1:0"}, Analyzers: []string{"127.0.0.1:1"}},
 		Pub:         pub,
 		Source:      rng.New(1),
-		MaxBuffered: limit,
+		maxBuffered: limit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestIngestTakesFrameWholeOrNothing(t *testing.T) {
 		{name: "ragged tail", tag: tagEncShares, load: sharesPayload(col, 10, 200, append(bytes.Clone(five), 1, 2, 3)), want: "not 1..256 elements"},
 		{name: "taken index, other nonce", tag: tagEncShares, load: sharesPayload(col, 3, 999, five), want: "conflicting share for collection 7 index 3"},
 		{name: "wrapping range", tag: tagEncShares, load: sharesPayload(col, 1<<32-3, 300, five), want: "wrap past index 2^32-1"},
-		{name: "crosses MaxBuffered", tag: tagEncShares, load: sharesPayload(col, 20, 400, honestCiphertexts(t, pub, limit-5+1)), full: true},
+		{name: "crosses the buffer cap", tag: tagEncShares, load: sharesPayload(col, 20, 400, honestCiphertexts(t, pub, limit-5+1)), full: true},
 		{name: "plain shares at the encrypted holder", tag: tagShares, load: sharesPayload(col, 10, 200, make([]byte, 40)), want: "does not match shuffler role 1"},
 		{name: "retired tag 4", tag: tagRetiredReport, load: sharesPayload(col, 10, 200, make([]byte, 8)), want: "retired per-report tag 4"},
 		{name: "retired tag 5", tag: tagRetiredEncReport, load: sharesPayload(col, 10, 200, five[:size]), want: "retired per-report tag 5"},

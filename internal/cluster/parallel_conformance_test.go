@@ -76,7 +76,7 @@ func TestParallelEOSConformance(t *testing.T) {
 				Retry:    chaosRetry(),
 			})
 		} else {
-			cl, err = cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+			cl, err = cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 		}
 		if err != nil {
 			t.Fatal(err)

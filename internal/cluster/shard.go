@@ -27,6 +27,7 @@ package cluster
 // attempt against it.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -57,7 +58,7 @@ func (a *Analyzer) prepareShard() {
 		mu:          &a.stateMu,
 		dial:        cfg.Dial,
 		coordinator: cfg.Topology.Coordinator(),
-		dialTimeout: cfg.DialTimeout,
+		dialTimeout: cmp.Or(cfg.dialTimeout, defaultDialTimeout),
 		timeout:     cfg.CollectTimeout,
 		analyzers:   cfg.Topology.A(),
 		helloTag:    tagShardHello,
@@ -72,11 +73,11 @@ func (a *Analyzer) prepareShard() {
 // slot (shard nodes only). Any malformed frame drops the link; the
 // shuffler redials on its next forward. A chunk may beat its own seal,
 // so the reader cannot wait to learn the round's n: it admits the
-// window of the largest round a shuffler buffers by default
-// (DefaultMaxBuffered reports) and refuses a longer prefix unread.
+// window of the largest round a shuffler buffers (defaultMaxBuffered
+// reports) and refuses a longer prefix unread.
 func (a *Analyzer) readChunks(j int, l *link) {
 	defer a.drop(j, l)
-	cuts := evenCuts(DefaultMaxBuffered+a.cfg.NR, a.cfg.Topology.A())
+	cuts := evenCuts(defaultMaxBuffered+a.cfg.NR, a.cfg.Topology.A())
 	limit := vectorFrameLimit(a.cfg.Priv, cuts[a.cfg.Shard+1]-cuts[a.cfg.Shard])
 	for {
 		tag, payload, err := l.recv(limit, 0)

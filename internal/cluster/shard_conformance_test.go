@@ -50,7 +50,7 @@ func TestShardConformanceMatrix(t *testing.T) {
 		analyzers := analyzers
 		t.Run(fmt.Sprintf("analyzers=%d", analyzers), func(t *testing.T) {
 			h := startShardedCluster(t, r, analyzers, nr, fo, priv, fakeSeed, nil, nil)
-			cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+			cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestShardConformanceCrashRecoveredShard(t *testing.T) {
 			cfg.Ledger = ledger
 		}
 	}, nil)
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestShardConformanceChaosCoordinatorLink(t *testing.T) {
 			cfg.Dial = chaosDialTo(linkChaos, cfg.Topology.Coordinator())
 		}
 	}, nil)
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestShardConformanceHostileDataLinkBounded(t *testing.T) {
 
 	// The real shuffler 1 dials its data link at its first forward,
 	// taking the slot's link back; its chunk overwrites the junk.
-	cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestShardConformanceOutlivesCoordinatorDowntime(t *testing.T) {
 			cfg.DataDir = dir
 			cfg.Sync = store.SyncAlways
 		} else {
-			cfg.DialTimeout = dialTimeout
+			cfg.SetDialTimeout(dialTimeout)
 		}
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 0, j)
@@ -443,7 +443,7 @@ func TestShardConformanceOutlivesCoordinatorDowntime(t *testing.T) {
 	round := func(a *cluster.Analyzer, c int) {
 		t.Helper()
 		values := synthValues(n, d, 492+uint64(c))
-		cl, err := cluster.DialClient(h.topo, fo, ahe.PublicKey(priv), rng.New(3), 0)
+		cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
 		if err != nil {
 			t.Fatal(err)
 		}

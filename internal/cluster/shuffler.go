@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -50,25 +51,16 @@ type ShufflerConfig struct {
 	// set to complete and (b) each peer message exchange during the
 	// shuffle. 0 means no bound.
 	SealTimeout time.Duration
-	// HelloTimeout bounds the wait for an inbound connection's hello
-	// frame (0 = DefaultHelloTimeout). A silent connection is dropped
-	// and can never pin the node's teardown.
-	HelloTimeout time.Duration
-	// MaxBuffered caps the total client shares held across all
-	// not-yet-sealed collections (0 = DefaultMaxBuffered). A client
-	// streaming shares for rounds that never seal must not grow the
-	// node without bound; past the cap its connection is dropped.
-	// Shares buffered for rounds that never seal stay held until the
-	// node restarts, so size the cap to cover the deployment's open
-	// rounds with headroom.
-	MaxBuffered int
-	// DialTimeout bounds connection establishment to peers and the
-	// analyzer (0 = DefaultDialTimeout).
-	DialTimeout time.Duration
 	// Dial, when non-nil, replaces net.DialTimeout for this node's
 	// outbound connections (peer mesh and analyzer link) — the
 	// chaos-injection hook (faultnet.Network.Dial fits).
 	Dial DialFunc
+
+	// Test seams (export_test.go): a shorter hello bound and a smaller
+	// share-buffer cap. Zero means defaultHelloTimeout and
+	// defaultMaxBuffered.
+	helloTimeout time.Duration
+	maxBuffered  int
 }
 
 // collectionBuf buffers one collection's share column as it streams in
@@ -145,7 +137,7 @@ type Shuffler struct {
 	conns      map[net.Conn]struct{} // client (and handshaking) connections
 	cols       map[uint32]*collectionBuf
 	fakes      map[uint32]*fakeSet
-	buffered   int // total shares across s.cols, bounded by MaxBuffered
+	buffered   int // total shares across s.cols, bounded by defaultMaxBuffered
 
 	// stopPool releases the key's background randomizer pool. The
 	// enc-holder's fake-share encryptions and every node's rerandomize
@@ -153,12 +145,16 @@ type Shuffler struct {
 	stopPool func()
 }
 
-// DefaultMaxBuffered is the ShufflerConfig.MaxBuffered default: at
-// ~16-130 bytes per buffered share (plain word vs. serialized
-// ciphertext) it bounds a node's client-driven memory to low hundreds
-// of megabytes in the worst case — the cluster analogue of the
-// service's rejectedLogCap hardening.
-const DefaultMaxBuffered = 1 << 20
+// defaultMaxBuffered caps the total client shares a shuffler holds
+// across all not-yet-sealed collections. A client streaming shares for
+// rounds that never seal must not grow the node without bound: past the
+// cap its connection is dropped, and what it buffered stays held until
+// the node restarts. At ~16-130 bytes per buffered share (plain word
+// vs. serialized ciphertext) the cap bounds a node's client-driven
+// memory to low hundreds of megabytes in the worst case — the cluster
+// analogue of the service's rejectedLogCap hardening. It is also the
+// largest round an analyzer shard's chunk reader admits.
+const defaultMaxBuffered = 1 << 20
 
 // errBufferFull marks a client that exceeded the node's share-buffer
 // cap; its connection is dropped without failing the node.
@@ -203,7 +199,7 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 		mu:          &s.mu,
 		dial:        cfg.Dial,
 		coordinator: cfg.Topology.Coordinator(),
-		dialTimeout: cfg.DialTimeout,
+		dialTimeout: defaultDialTimeout,
 		timeout:     cfg.SealTimeout,
 		analyzers:   cfg.Topology.A(),
 		helloTag:    tagShufflerHello,
@@ -395,7 +391,7 @@ func (s *Shuffler) writeShard(addr string, tag uint32, payload []byte) error {
 	}
 	l := s.shardLinks[addr]
 	if l == nil {
-		conn, err := dialRetry(s.cfg.Dial, addr, s.cfg.DialTimeout)
+		conn, err := dialRetry(s.cfg.Dial, addr, defaultDialTimeout)
 		if err != nil {
 			return err
 		}
@@ -424,12 +420,12 @@ func (s *Shuffler) writeShard(addr string, tag uint32, payload []byte) error {
 func (s *Shuffler) mesh(a *attempt) ([]net.Conn, error) {
 	r := s.cfg.Topology.R()
 	peers := make([]net.Conn, r)
-	deadline := time.Now().Add(max(s.cfg.DialTimeout, DefaultDialTimeout))
+	deadline := time.Now().Add(defaultDialTimeout)
 	for j := 0; j < s.cfg.Index; j++ {
 		if a.canceled() {
 			return nil, errAttemptAborted
 		}
-		conn, err := dialRetry(s.cfg.Dial, s.cfg.Topology.Shufflers[j], s.cfg.DialTimeout)
+		conn, err := dialRetry(s.cfg.Dial, s.cfg.Topology.Shufflers[j], defaultDialTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -614,7 +610,7 @@ func (s *Shuffler) handleConn(conn net.Conn) {
 	s.mu.Unlock()
 	// recv disarms the hello deadline again: the role loops below manage
 	// their own.
-	tag, payload, err := newLink(conn, 0).recv(controlFrameLimit, helloBound(s.cfg.HelloTimeout))
+	tag, payload, err := newLink(conn, 0).recv(controlFrameLimit, cmp.Or(s.cfg.helloTimeout, defaultHelloTimeout))
 	if err != nil {
 		s.dropConn(conn)
 		return
@@ -694,8 +690,7 @@ func (s *Shuffler) readClient(conn net.Conn) {
 		// words, or ciphertexts at the encrypted holder.
 		MaxFrame: sharesPrefix + sharesPerFrame*s.shareBytes(),
 		// ingest copies every share out of the frame (words decoded,
-		// ciphertexts SetBytes'd) before it returns.
-		Reuse:  true,
+		// ciphertexts SetBytes'd) before the reader reuses its buffer.
 		Handle: s.ingest,
 	}
 	_ = rd.Run()
@@ -769,11 +764,7 @@ func (s *Shuffler) ingest(tag uint32, payload []byte) error {
 			return fmt.Errorf("cluster: conflicting share for collection %d index %d", sf.collection, idx)
 		}
 	}
-	max := s.cfg.MaxBuffered
-	if max <= 0 {
-		max = DefaultMaxBuffered
-	}
-	if s.buffered+fresh > max {
+	if s.buffered+fresh > cmp.Or(s.cfg.maxBuffered, defaultMaxBuffered) {
 		return errBufferFull
 	}
 	for i := 0; i < k; i++ {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -33,10 +34,6 @@ type Figure3Config struct {
 	Methods []string
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Concurrency caps the worker fan-out over (budget, method) trial
-	// jobs; values < 1 use GOMAXPROCS. Results are identical for a
-	// fixed Seed regardless of Concurrency.
-	Concurrency int
 }
 
 // DefaultFigure3Config returns the paper's settings with a reduced
@@ -51,9 +48,9 @@ func DefaultFigure3Config() Figure3Config {
 }
 
 // Figure3 reproduces the MSE-vs-epsC comparison on a dataset. The
-// (budget, method) trial jobs run in parallel (cfg.Concurrency workers),
-// each on its own seed substream, so the curve is deterministic for a
-// fixed cfg.Seed at any concurrency.
+// (budget, method) trial jobs run in parallel (GOMAXPROCS workers), each
+// on its own seed substream, so the curve is deterministic for a fixed
+// cfg.Seed at any worker count.
 func Figure3(ds *dataset.Dataset, cfg Figure3Config) ([]CurvePoint, error) {
 	methods := cfg.Methods
 	if len(methods) == 0 {
@@ -67,7 +64,7 @@ func Figure3(ds *dataset.Dataset, cfg Figure3Config) ([]CurvePoint, error) {
 	mses := make([]float64, jobs)
 	analytic := make([]float64, jobs)
 	errs := make([]error, jobs)
-	ldp.RunSharded(jobs, ldp.Workers(cfg.Concurrency), func(_, job int) {
+	ldp.RunSharded(jobs, runtime.GOMAXPROCS(0), func(_, job int) {
 		pi, mi := job/len(methods), job%len(methods)
 		epsC, name := cfg.EpsCs[pi], methods[mi]
 		m, err := NewMethod(name, epsC, cfg.Delta, n, ds.D)

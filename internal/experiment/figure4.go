@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"shuffledp/internal/dataset"
@@ -21,10 +22,6 @@ type Figure4Config struct {
 	Delta   float64
 	Methods []string
 	Seed    uint64
-	// Concurrency caps the worker fan-out over (budget, method) jobs;
-	// values < 1 use GOMAXPROCS. Results are identical for a fixed
-	// Seed regardless of Concurrency.
-	Concurrency int
 }
 
 // DefaultFigure4Config returns the paper's settings (trials reduced for
@@ -63,7 +60,7 @@ func Figure4(ds *dataset.StringDataset, cfg Figure4Config) ([]Figure4Point, erro
 	jobs := len(cfg.EpsCs) * len(cfg.Methods)
 	precisions := make([]float64, jobs)
 	errs := make([]error, jobs)
-	ldp.RunSharded(jobs, ldp.Workers(cfg.Concurrency), func(_, job int) {
+	ldp.RunSharded(jobs, runtime.GOMAXPROCS(0), func(_, job int) {
 		pi, mi := job/len(cfg.Methods), job%len(cfg.Methods)
 		epsC, name := cfg.EpsCs[pi], cfg.Methods[mi]
 		r := jobStream(cfg.Seed, job)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,51 +68,72 @@ func TestGoldenTable1(t *testing.T) {
 	checkGolden(t, "table1", dumpRows(rows))
 }
 
-func TestGoldenFigure3(t *testing.T) {
+// goldenFigure3 and goldenTable2 run the golden Figure 3 and Table II
+// configurations and dump their results.
+func goldenFigure3(t *testing.T) string {
+	t.Helper()
 	ds := dataset.Scaled(dataset.IPUMS, 100, 1)
-	cfg := Figure3Config{
-		EpsCs:       []float64{0.3, 0.8},
-		Trials:      2,
-		Delta:       testDelta,
-		Seed:        21,
-		Concurrency: 2, // results are concurrency-independent; pinned anyway
-	}
-	points, err := Figure3(ds, cfg)
+	points, err := Figure3(ds, Figure3Config{
+		EpsCs:  []float64{0.3, 0.8},
+		Trials: 2,
+		Delta:  testDelta,
+		Seed:   21,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "figure3", dumpRows(points))
+	return dumpRows(points)
 }
 
-func TestGoldenTable2(t *testing.T) {
+func goldenTable2(t *testing.T) string {
+	t.Helper()
 	ds := dataset.Scaled(dataset.Kosarak, 200, 2)
-	cfg := Table2Config{
-		EpsCs:       []float64{0.4, 0.8},
-		FixedDs:     []int{10, 100},
-		Trials:      2,
-		Delta:       testDelta,
-		Seed:        22,
-		Concurrency: 2,
-	}
-	rows, err := Table2(ds, cfg)
+	rows, err := Table2(ds, Table2Config{
+		EpsCs:   []float64{0.4, 0.8},
+		FixedDs: []int{10, 100},
+		Trials:  2,
+		Delta:   testDelta,
+		Seed:    22,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "table2", dumpRows(rows))
+	return dumpRows(rows)
+}
+
+func TestGoldenFigure3(t *testing.T) { checkGolden(t, "figure3", goldenFigure3(t)) }
+
+func TestGoldenTable2(t *testing.T) { checkGolden(t, "table2", goldenTable2(t)) }
+
+// The runners fan out at GOMAXPROCS workers, and every trial job draws
+// from its own seed substream, so a run's artifact does not depend on
+// the worker count (DESIGN.md §4).
+func TestGoldenIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, run := range []struct {
+		name string
+		dump func(*testing.T) string
+	}{{"figure3", goldenFigure3}, {"table2", goldenTable2}} {
+		runtime.GOMAXPROCS(1)
+		serial := run.dump(t)
+		runtime.GOMAXPROCS(4)
+		if parallel := run.dump(t); parallel != serial {
+			t.Errorf("%s at GOMAXPROCS 4 differs from GOMAXPROCS 1:\n--- 1\n%s--- 4\n%s", run.name, serial, parallel)
+		}
+	}
 }
 
 func TestGoldenFigure4(t *testing.T) {
 	ds := dataset.SyntheticStrings("aol-golden", 8000, 120, 16, 1.3, 23)
 	cfg := Figure4Config{
-		EpsCs:       []float64{0.6},
-		K:           8,
-		Bits:        16,
-		Round:       8,
-		Trials:      1,
-		Delta:       testDelta,
-		Methods:     []string{"OLH", "Had", "Lap", "SH", "SOLH", "AUE", "RAP", "RAP_R"},
-		Seed:        24,
-		Concurrency: 2,
+		EpsCs:   []float64{0.6},
+		K:       8,
+		Bits:    16,
+		Round:   8,
+		Trials:  1,
+		Delta:   testDelta,
+		Methods: []string{"OLH", "Had", "Lap", "SH", "SOLH", "AUE", "RAP", "RAP_R"},
+		Seed:    24,
 	}
 	points, err := Figure4(ds, cfg)
 	if err != nil {

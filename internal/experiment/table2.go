@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 
 	"shuffledp/internal/dataset"
@@ -31,10 +32,6 @@ type Table2Config struct {
 	Trials  int
 	Delta   float64
 	Seed    uint64
-	// Concurrency caps the worker fan-out over (budget, variant) trial
-	// jobs; values < 1 use GOMAXPROCS. Results are identical for a
-	// fixed Seed regardless of Concurrency.
-	Concurrency int
 }
 
 // DefaultTable2Config returns the paper's settings.
@@ -49,9 +46,9 @@ func DefaultTable2Config() Table2Config {
 }
 
 // Table2 reproduces Table II on a (Kosarak-shaped) dataset. The
-// (budget, variant) trial jobs run in parallel (cfg.Concurrency
-// workers), each on its own seed substream, so the table is
-// deterministic for a fixed cfg.Seed at any concurrency.
+// (budget, variant) trial jobs run in parallel (GOMAXPROCS workers),
+// each on its own seed substream, so the table is deterministic for a
+// fixed cfg.Seed at any worker count.
 func Table2(ds *dataset.Dataset, cfg Table2Config) ([]Table2Row, error) {
 	trueCounts := ds.Histogram()
 	truth := ds.TrueFrequencies()
@@ -63,7 +60,7 @@ func Table2(ds *dataset.Dataset, cfg Table2Config) ([]Table2Row, error) {
 	mses := make([]float64, jobs)
 	dPrimes := make([]int, len(cfg.EpsCs))
 	errs := make([]error, jobs)
-	ldp.RunSharded(jobs, ldp.Workers(cfg.Concurrency), func(_, job int) {
+	ldp.RunSharded(jobs, runtime.GOMAXPROCS(0), func(_, job int) {
 		ri, vi := job/stride, job%stride
 		epsC := cfg.EpsCs[ri]
 		r := jobStream(cfg.Seed, job)

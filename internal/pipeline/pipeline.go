@@ -65,10 +65,6 @@ func Disconnected(err error) bool {
 type Reader struct {
 	// Conn is the connection to read. Reader never closes it.
 	Conn net.Conn
-	// R, when non-nil, is the stream frames are read from (Conn still
-	// carries the read deadlines). Callers that wrap Conn in a buffered
-	// reader set it; nil reads Conn directly.
-	R io.Reader
 	// IdleTimeout bounds the silence between frames; 0 means no bound.
 	// When the peer sends nothing for this long, Run returns
 	// ErrIdleTimeout instead of blocking forever.
@@ -78,25 +74,17 @@ type Reader struct {
 	// before any payload byte is read. Zero falls back to
 	// transport.MaxFrameSize (the 1 GiB defensive ceiling).
 	MaxFrame int
-	// Reuse, when true, reads every frame into one buffer owned by Run:
-	// the payload passed to Handle is only valid until Handle returns,
-	// so Handle must copy whatever it keeps. False (the default) hands
-	// Handle a fresh allocation per frame that it may retain.
-	Reuse bool
-	// Handle is called with each frame's tag and payload (see Reuse for
-	// the payload's lifetime). A non-nil return stops the loop and is
-	// returned by Run verbatim (use a sentinel to distinguish "stop
-	// wanted" from failure).
+	// Handle is called with each frame's tag and payload. Run reads
+	// every frame into one buffer it reuses, so the payload is valid
+	// only until Handle returns: Handle copies whatever it keeps. A
+	// non-nil return stops the loop and is returned by Run verbatim (use
+	// a sentinel to distinguish "stop wanted" from failure).
 	Handle func(tag uint32, frame []byte) error
 }
 
 // Run reads frames until EOF (returning nil), an idle timeout
 // (returning ErrIdleTimeout), a transport error, or a Handle error.
 func (r *Reader) Run() error {
-	src := r.R
-	if src == nil {
-		src = r.Conn
-	}
 	var buf []byte
 	for {
 		if r.IdleTimeout > 0 {
@@ -104,7 +92,7 @@ func (r *Reader) Run() error {
 				return err
 			}
 		}
-		tag, frame, err := transport.ReadTaggedFrameReuse(src, r.MaxFrame, buf)
+		tag, frame, err := transport.ReadTaggedFrameReuse(r.Conn, r.MaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -115,9 +103,7 @@ func (r *Reader) Run() error {
 			}
 			return err
 		}
-		if r.Reuse {
-			buf = frame
-		}
+		buf = frame
 		if err := r.Handle(tag, frame); err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -100,10 +99,9 @@ func TestReaderMaxFrame(t *testing.T) {
 	}
 }
 
-// With Reuse set, frames arrive in one recycled buffer (Handle must
-// copy); with R set, frames come off the wrapped reader while the
-// deadline still guards the Conn.
-func TestReaderReuseAndWrappedReader(t *testing.T) {
+// Frames arrive in one recycled buffer, so Handle must copy what it
+// keeps.
+func TestReaderReusesFrameBuffer(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
@@ -114,7 +112,7 @@ func TestReaderReuseAndWrappedReader(t *testing.T) {
 	}()
 	var copies []string
 	var raw [][]byte
-	r := &Reader{Conn: c2, R: bufio.NewReader(c2), Reuse: true, Handle: func(_ uint32, frame []byte) error {
+	r := &Reader{Conn: c2, Handle: func(_ uint32, frame []byte) error {
 		copies = append(copies, string(frame))
 		raw = append(raw, frame)
 		return nil

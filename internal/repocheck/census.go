@@ -28,13 +28,15 @@ type listedPackage struct {
 }
 
 // census is a module's non-test code, type-checked once: every
-// object each package declares, and every object some non-test file
-// refers to.
+// object each package declares, every object some non-test file refers
+// to, and every struct field some non-test file writes from outside the
+// field's package.
 type census struct {
-	fset   *token.FileSet
-	module string           // module path
-	pkgs   []*types.Package // module packages, dependencies first
-	used   map[types.Object]bool
+	fset    *token.FileSet
+	module  string           // module path
+	pkgs    []*types.Package // module packages, dependencies first
+	used    map[types.Object]bool
+	written map[*types.Var]bool
 	// ifaceMethods holds the interface methods a concrete method may be
 	// reached through without naming it: every method the module calls
 	// on an interface value, and every method of an interface the
@@ -62,7 +64,7 @@ func loadCensus(root string) (*census, error) {
 	}
 	fset := token.NewFileSet()
 	checked := map[string]*types.Package{"unsafe": types.Unsafe}
-	c := &census{fset: fset, used: map[types.Object]bool{}}
+	c := &census{fset: fset, used: map[types.Object]bool{}, written: map[*types.Var]bool{}}
 	info := &types.Info{
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
@@ -114,6 +116,7 @@ func loadCensus(root string) (*census, error) {
 		}
 		c.module = lp.Module.Path
 		c.pkgs = append(c.pkgs, pkg)
+		c.recordWrites(pkg, files, info)
 	}
 	if len(c.pkgs) == 0 {
 		return nil, errors.New("go list: no packages in the module")
@@ -127,6 +130,46 @@ func loadCensus(root string) (*census, error) {
 	errorType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	c.ifaceMethods = append(c.ifaceMethods, errorType.Method(0))
 	return c, nil
+}
+
+// recordWrites marks every struct field of another package that the
+// files of pkg write: as a composite-literal key, on the left of an
+// assignment or ++/--, or as the operand of &.
+func (c *census) recordWrites(pkg *types.Package, files []*ast.File, info *types.Info) {
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+			c.written[v.Origin()] = true
+		}
+	}
+	selected := func(e ast.Expr) types.Object {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return s.Obj()
+			}
+		}
+		return nil
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					mark(info.Uses[key])
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(selected(lhs))
+				}
+			case *ast.IncDecStmt:
+				mark(selected(n.X))
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(selected(n.X))
+				}
+			}
+			return true
+		})
+	}
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -235,49 +278,99 @@ func (c *census) exported() map[string]types.Object {
 
 // uncalled checks every exported identifier under internal/ against the
 // allow-list, which maps an identifier, or a whole package by its name
-// relative to internal/, to the reason it may lack a caller. It returns
-// one finding per list entry that names no identifier or whose
-// identifiers all have callers now, then one per identifier nothing
-// calls that the list does not excuse.
+// relative to internal/, to the reason it may lack a caller.
 func (c *census) uncalled(allow map[string]string) []string {
-	objs := c.exported()
-	known := map[string]bool{}
-	for name := range objs {
-		known[name] = true
-		known[name[:strings.Index(name, ".")]] = true
+	return c.audit(c.exported(), c.reachable, allow, wording{
+		kind: "exported identifier",
+		pass: "has a caller",
+		fail: "has no caller outside tests",
+	})
+}
+
+// options returns every exported field of every exported struct type
+// under internal/ named Config, …Config or …Policy, keyed by its name
+// relative to internal/: "service.Config.BatchSize". An embedded
+// config is no option of its own; its fields count on its type.
+func (c *census) options() map[string]types.Object {
+	fields := map[string]types.Object{}
+	for name, obj := range c.exported() {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || !(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Policy")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !f.Embedded() {
+				fields[name+"."+f.Name()] = f
+			}
+		}
 	}
+	return fields
+}
+
+// unset checks every option under internal/ against the allow-list,
+// which maps a field, or a whole type by its name relative to
+// internal/, to the reason no non-test code outside its package may
+// set it. An option only tests set is a knob no deployment turns.
+func (c *census) unset(allow map[string]string) []string {
+	return c.audit(c.options(), func(obj types.Object) bool { return c.written[obj.(*types.Var)] }, allow, wording{
+		kind: "option",
+		pass: "is set outside its package",
+		fail: "is set by no non-test code outside its package",
+	})
+}
+
+// wording names what an audit checks, in its findings.
+type wording struct {
+	kind string // what the audited objects are
+	pass string // what an object that passes does
+	fail string // what an object that fails lacks
+}
+
+// audit checks objs, keyed by name relative to internal/, against
+// pass and the allow-list. An entry excuses the object it names, or
+// every object whose name it prefixes at a dot: a package, a type.
+// audit returns one finding per entry that names nothing or whose
+// objects all pass now, then one per failing object no entry excuses.
+func (c *census) audit(objs map[string]types.Object, pass func(types.Object) bool, allow map[string]string, w wording) []string {
+	known := map[string]bool{}
 	stale := map[string]bool{}
 	for entry := range allow {
 		stale[entry] = true
 	}
 	var names []string
 	for name, obj := range objs {
-		pkgName := name[:strings.Index(name, ".")]
-		if _, ok := allow[pkgName]; ok {
-			if !c.reachable(obj) {
-				delete(stale, pkgName)
+		ok := pass(obj)
+		excused := false
+		// Every dotted prefix of name, name itself last: "a", "a.B", "a.B.C".
+		for i := 0; i <= len(name); i++ {
+			if i < len(name) && name[i] != '.' {
+				continue
 			}
-			continue
+			prefix := name[:i]
+			known[prefix] = true
+			if _, listed := allow[prefix]; listed && !ok {
+				delete(stale, prefix)
+				excused = true
+			}
 		}
-		if c.reachable(obj) {
-			continue
+		if !ok && !excused {
+			names = append(names, name)
 		}
-		if _, ok := allow[name]; ok {
-			delete(stale, name)
-			continue
-		}
-		names = append(names, name)
 	}
 	var findings []string
 	for entry := range stale {
 		if known[entry] {
-			findings = append(findings, fmt.Sprintf("allow-list entry %s has a caller now; drop it", entry))
+			findings = append(findings, fmt.Sprintf("allow-list entry %s %s now; drop it", entry, w.pass))
 		} else {
-			findings = append(findings, fmt.Sprintf("allow-list entry %s names no exported identifier", entry))
+			findings = append(findings, fmt.Sprintf("allow-list entry %s names no %s", entry, w.kind))
 		}
 	}
 	sort.Strings(findings)
-	// Uncalled identifiers in declaration order, file by file.
+	// Failing objects in declaration order, file by file.
 	sort.Slice(names, func(i, j int) bool {
 		pi, pj := c.fset.Position(objs[names[i]].Pos()), c.fset.Position(objs[names[j]].Pos())
 		if pi.Filename != pj.Filename {
@@ -286,7 +379,7 @@ func (c *census) uncalled(allow map[string]string) []string {
 		return pi.Line < pj.Line
 	})
 	for _, name := range names {
-		findings = append(findings, fmt.Sprintf("%s: %s has no caller outside tests", c.position(objs[name]), name))
+		findings = append(findings, fmt.Sprintf("%s: %s %s", c.position(objs[name]), name, w.fail))
 	}
 	return findings
 }

@@ -1,8 +1,10 @@
 // Package repocheck holds the repository's self-auditing CI gates: the
 // godoc audit (every package documented, every exported identifier
 // commented), the documentation link checker (no dead intra-repo paths
-// in the markdown front door) and the caller census (every exported
-// identifier in internal/ has a caller outside tests). All run as
+// in the markdown front door), the caller census (every exported
+// identifier in internal/ has a caller outside tests) and the setter
+// census (every option of an internal/ config struct is set outside
+// tests and its package). All run as
 // ordinary tests, so `go test ./...` — and therefore every CI job —
 // enforces them.
 package repocheck

@@ -162,7 +162,7 @@ func (e *epochState) freeze() ([]float64, int) {
 	return e.frozenEst, e.frozenN
 }
 
-// epochRecord is a sealed epoch in the retained history: the frozen
+// epochRecord is a sealed epoch in the history: the frozen
 // snapshot plus the root aggregator window queries clone-merge from.
 type epochRecord struct {
 	snap EpochSnapshot
@@ -239,7 +239,7 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 }
 
 // seal freezes a fully-folded epoch: fold the shards one last time,
-// record the snapshot in the retained history, fold a clone of the
+// record the snapshot in the history, fold a clone of the
 // epoch root into the all-time aggregate, and — when the service is
 // durable — write the checkpoint that makes the seal survive a crash.
 // openCharged says whether the ledger already holds a charge for the
@@ -273,12 +273,6 @@ func (s *Service) seal(e *epochState, openCharged bool) EpochSnapshot {
 
 	s.histMu.Lock()
 	s.history = append(s.history, epochRecord{snap: snap, agg: e.root})
-	if s.cfg.WindowRetain > 0 && len(s.history) > s.cfg.WindowRetain {
-		trim := len(s.history) - s.cfg.WindowRetain
-		// Drop the aggregator references too: retention is what bounds
-		// the tier's memory under sustained traffic.
-		s.history = append([]epochRecord(nil), s.history[trim:]...)
-	}
 	s.histMu.Unlock()
 
 	if s.st != nil {
@@ -373,7 +367,7 @@ func (s *Service) History() []EpochSnapshot {
 // the result is bit-identical to aggregating the window's report
 // multiset sequentially — and the sealed epochs themselves are
 // untouched and can be window-queried again. k <= 0 means every
-// retained epoch; k larger than the retained history is an error.
+// sealed epoch; k larger than the history is an error.
 func (s *Service) EstimateWindow(k int) (WindowSnapshot, error) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()

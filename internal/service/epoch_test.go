@@ -472,12 +472,13 @@ func TestLateEpochReportsDropped(t *testing.T) {
 	}
 }
 
-// WindowRetain bounds the sealed-epoch history; the all-time drain
-// estimate still covers the trimmed epochs.
-func TestWindowRetainTrims(t *testing.T) {
+// Every sealed epoch stays in the history, oldest first; a window
+// cannot reach past the first sealed epoch, and the all-time drain
+// estimate covers every epoch.
+func TestHistoryKeepsEverySealedEpoch(t *testing.T) {
 	fo := ldp.NewGRR(4, 1)
 	key, _ := ecies.GenerateKey()
-	svc, err := service.New(service.Config{FO: fo, Key: key, WindowRetain: 2, ShuffleSeed: 1})
+	svc, err := service.New(service.Config{FO: fo, Key: key, ShuffleSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,14 +514,16 @@ func TestWindowRetainTrims(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := svc.History()
-	if len(hist) != 2 {
-		t.Fatalf("retained %d epochs, want 2", len(hist))
+	if len(hist) != 4 {
+		t.Fatalf("history holds %d epochs, want 4", len(hist))
 	}
-	if hist[0].Epoch != 2 || hist[1].Epoch != 3 {
-		t.Fatalf("retained epochs [%d, %d], want [2, 3]", hist[0].Epoch, hist[1].Epoch)
+	for i, h := range hist {
+		if h.Epoch != i || h.Reports != 1 {
+			t.Fatalf("history[%d] = epoch %d with %d reports, want epoch %d with 1", i, h.Epoch, h.Reports, i)
+		}
 	}
-	if _, err := svc.EstimateWindow(3); err == nil {
-		t.Fatal("window past the retention succeeded")
+	if _, err := svc.EstimateWindow(5); err == nil {
+		t.Fatal("window past the first sealed epoch succeeded")
 	}
 	win, err := svc.EstimateWindow(2)
 	if err != nil {
@@ -530,7 +533,7 @@ func TestWindowRetainTrims(t *testing.T) {
 		t.Fatalf("2-epoch window covers %d reports, want 2", win.Reports)
 	}
 	if snap.Reports != 4 {
-		t.Fatalf("all-time drain covers %d reports, want 4 (trim must not touch it)", snap.Reports)
+		t.Fatalf("all-time drain covers %d reports, want 4", snap.Reports)
 	}
 }
 

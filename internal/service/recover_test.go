@@ -362,8 +362,8 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 }
 
 // The service logs only sealed reports. A tail holding an unsealed
-// store.RecordReport (the per-report ECIES shape cluster.Analyzer
-// logs) was not written by this tier: Recover must refuse it with an
+// store.RecordReport (the record cluster.Analyzer logs its revealed
+// words in) was not written by this tier: Recover must refuse it with an
 // error naming the record — never panic, never skip it silently.
 func TestRecoverRejectsUnsealedReportRecord(t *testing.T) {
 	w := newRecoveryWorld(t)

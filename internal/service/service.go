@@ -167,10 +167,6 @@ type Config struct {
 	// frame plus the frames that arrived while the rotation was on its
 	// way. 0 means epochs rotate only through explicit Rotate calls.
 	EpochReports int
-	// WindowRetain bounds how many sealed epochs are kept for
-	// History/EstimateWindow; older epochs are dropped (their reports
-	// remain in the all-time drain estimate). 0 retains every epoch.
-	WindowRetain int
 
 	// DataDir, when non-empty, makes the service durable: every
 	// accepted session frame is write-ahead logged — one at-rest seal,
@@ -543,7 +539,6 @@ func (s *Service) readConn(conn net.Conn) {
 		Conn:        conn,
 		IdleTimeout: s.cfg.IdleTimeout,
 		MaxFrame:    s.cfg.MaxFrame,
-		Reuse:       true,
 		Handle: func(tag uint32, frame []byte) error {
 			if sess == nil {
 				if tag != SessionHelloTag {

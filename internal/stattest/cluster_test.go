@@ -105,7 +105,7 @@ func clusterTrial(fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, values []int,
 			defer sh.Close()
 			go sh.Run()
 		}
-		cl, err := cluster.DialClient(topo, fo, ahe.PublicKey(priv), rng.Substream(seed, 1), 0)
+		cl, err := cluster.NewClient(cluster.ClientConfig{Topology: topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.Substream(seed, 1)})
 		if err != nil {
 			return nil, err
 		}

@@ -134,9 +134,12 @@ type Meta struct {
 
 // Record types. Append-only: a released type keeps its byte forever.
 const (
-	// RecordReport is one accepted report: the epoch it was routed to
-	// plus its ciphertext frame (reports are logged encrypted — the
-	// WAL never holds plaintext reports).
+	// RecordReport is one sealed PEOS collection as cluster.Analyzer
+	// logs it: the collection id in the epoch field plus the revealed
+	// word vector (transport.EncodeUint64s). The words are the
+	// analyzer's own view — decoded, post-shuffle reports that no longer
+	// link to a client — so this record holds plaintext. The streaming
+	// service never writes it and refuses it on recovery.
 	RecordReport byte = 1
 	// RecordDrop is the reports of one dropped frame, counted but never
 	// aggregated: epoch, reason, and an optional little-endian uint32
@@ -152,9 +155,8 @@ const (
 	// ciphertext exists), so the service re-seals the frame's plaintext —
 	// a whole number of fixed-size reports, one or many — once under its
 	// at-rest storage key (ecies.StorageSealer) before logging. The
-	// payload is the sealed storage record, keeping the WAL's
-	// never-holds-plaintext property for the session ingest path; the
-	// store does not look inside it, so how many reports a record holds
+	// payload is the sealed storage record, so the service's WAL never
+	// holds a plaintext report; the store does not look inside it, so how many reports a record holds
 	// is the service's business.
 	RecordSealedReport byte = 4
 )
@@ -184,8 +186,9 @@ type Record struct {
 	// Count is how many reports the drop covers, at least 1.
 	// Meaningful only for RecordDrop.
 	Count uint32
-	// Payload is the report's ciphertext frame (RecordReport) or the
-	// frame's sealed storage record (RecordSealedReport).
+	// Payload is a sealed collection's revealed word vector
+	// (RecordReport) or a session frame's sealed storage record
+	// (RecordSealedReport).
 	Payload []byte
 }
 

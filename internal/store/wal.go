@@ -307,10 +307,11 @@ func (s *Store) append(rec Record) error {
 	return nil
 }
 
-// AppendReport logs one accepted report ciphertext routed to epoch.
-// The service calls it before the report reaches any aggregator.
-func (s *Store) AppendReport(epoch uint32, ct []byte) error {
-	return s.append(Record{Type: RecordReport, Epoch: epoch, Payload: ct})
+// AppendReport logs a RecordReport: one sealed PEOS collection's
+// revealed words under epoch, the collection id. cluster.Analyzer is
+// its only writer, and logs the words before they reach any count.
+func (s *Store) AppendReport(epoch uint32, words []byte) error {
+	return s.append(Record{Type: RecordReport, Epoch: epoch, Payload: words})
 }
 
 // AppendSealedReport logs the reports of one accepted session frame,
