@@ -141,11 +141,7 @@ func (a *accumulator) Add(rep Report) {
 		if rep.Value < 0 || rep.Value >= a.aux {
 			panic("ldp: local hash report outside [0, d')")
 		}
-		a.seeds = append(a.seeds, uint64(rep.Seed))
-		a.ys = append(a.ys, uint64(rep.Value))
-		if len(a.seeds) >= lhBlock {
-			a.flush()
-		}
+		a.stage(uint64(rep.Seed), uint64(rep.Value))
 	case kindGRR:
 		// A report supports its value.
 		validateValue(rep.Value, a.d)
@@ -169,6 +165,17 @@ func (a *accumulator) Add(rep Report) {
 		}
 	}
 	a.n++
+}
+
+// stage queues one local-hash report (seed, y), y in [0, d'), folding
+// the block once it is full; the caller counts the report. Add and
+// WordEncoder.AddWords both stage through it.
+func (a *accumulator) stage(seed, y uint64) {
+	a.seeds = append(a.seeds, seed)
+	a.ys = append(a.ys, y)
+	if len(a.seeds) >= lhBlock {
+		a.flush()
+	}
 }
 
 // tally returns the counts, allocating them on first need.

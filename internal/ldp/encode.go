@@ -1,6 +1,9 @@
 package ldp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Report packing for the PEOS protocol (§VI-A2): "for both GRR and SOLH,
 // the domain of the report can be mapped to an ordinal group
@@ -71,13 +74,48 @@ func (e *WordEncoder) Encode(rep Report) uint64 {
 // (possible only through protocol corruption) are reduced modulo the
 // group order, mirroring the wrap-around semantics of Z_{2^l} shares.
 func (e *WordEncoder) Decode(word uint64) Report {
-	word %= e.GroupOrder()
+	if g := e.GroupOrder(); word >= g {
+		word %= g
+	}
 	if !e.hashed {
 		return Report{Value: int(word)}
 	}
-	return Report{
-		Seed:  uint32(word / e.outputSize),
-		Value: int(word % e.outputSize),
+	seed := word / e.outputSize
+	return Report{Seed: uint32(seed), Value: int(word - seed*e.outputSize)}
+}
+
+// AddWords folds words, each below GroupOrder(), into agg as if every
+// one were Decoded and Added, with no Report in between when agg is the
+// oracle's own count accumulator: a local-hash word splits into the
+// (seed, y) lanes the accumulator stages for CountSupport, and a GRR
+// word is its count's index. Any other aggregator takes Decode + Add.
+// It panics on a word outside the group, as Add panics on a report
+// outside the oracle's range.
+func (e *WordEncoder) AddWords(agg Aggregator, words []uint64) {
+	a, ok := agg.(*accumulator)
+	switch {
+	case ok && e.hashed && a.kind == kindLocalHash && uint64(a.aux) == e.outputSize:
+		for _, w := range words {
+			seed := w / e.outputSize
+			if seed > math.MaxUint32 {
+				panic("ldp: word outside the report group")
+			}
+			a.stage(seed, w-seed*e.outputSize)
+		}
+		a.n += len(words)
+	case ok && !e.hashed && a.kind == kindGRR && uint64(a.d) == e.outputSize:
+		counts := a.tally()
+		for _, w := range words {
+			counts[w]++
+		}
+		a.n += len(words)
+	default:
+		for _, w := range words {
+			if w >= e.GroupOrder() {
+				panic("ldp: word outside the report group")
+			}
+			agg.Add(e.Decode(w))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"encoding"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,78 @@ func TestUniformWordInRange(t *testing.T) {
 		rep := enc.Decode(w)
 		if rep.Value < 0 || rep.Value >= 7 {
 			t.Fatalf("decoded value %d out of range", rep.Value)
+		}
+	}
+}
+
+// wordOracles are the oracles with a word encoding, at group orders
+// from one byte to 33 bits.
+func wordOracles() []FrequencyOracle {
+	return []FrequencyOracle{NewGRR(10, 1), NewGRR(300, 1), NewSOLH(64, 16, 3), NewSOLH(42178, 45, 1), NewOLH(50, 1), NewHadamard(100, 1)}
+}
+
+// TestDecodeMatchesReference pins Decode to the reduce-then-divide form
+// it replaced, on random words and on words at or above the group
+// order.
+func TestDecodeMatchesReference(t *testing.T) {
+	r := rng.New(21)
+	for _, fo := range wordOracles() {
+		enc, err := NewWordEncoder(fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := enc.GroupOrder()
+		ref := func(w uint64) Report {
+			w %= g
+			if !enc.hashed {
+				return Report{Value: int(w)}
+			}
+			return Report{Seed: uint32(w / enc.outputSize), Value: int(w % enc.outputSize)}
+		}
+		words := []uint64{0, 1, g - 1, g, g + 1, 2*g - 1, 2 * g, 1 << 63, ^uint64(0)}
+		for i := 0; i < 5000; i++ {
+			words = append(words, r.Uint64n(g), g+r.Uint64n(g), r.Uint64())
+		}
+		for _, w := range words {
+			if got, want := enc.Decode(w), ref(w); got.Seed != want.Seed || got.Value != want.Value {
+				t.Fatalf("%s: Decode(%d) = %+v, reference %+v", fo.Name(), w, got, want)
+			}
+		}
+	}
+}
+
+// TestAddWordsMatchesDecodeAdd: folding words in bulk leaves every word
+// oracle's aggregator in the state Decode + Add leaves it in, staged
+// local-hash blocks included.
+func TestAddWordsMatchesDecodeAdd(t *testing.T) {
+	r := rng.New(22)
+	for _, fo := range wordOracles() {
+		enc, err := NewWordEncoder(fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := enc.GroupOrder()
+		if h, ok := fo.(*Hadamard); ok {
+			bound = 2 * uint64(h.Order()) // rows past the order are not reports
+		}
+		words := make([]uint64, 3*lhBlock+17)
+		for i := range words {
+			words[i] = r.Uint64n(bound)
+		}
+		got, want := fo.NewAggregator(), fo.NewAggregator()
+		for off := 0; off < len(words); off += 100 {
+			enc.AddWords(got, words[off:min(off+100, len(words))])
+		}
+		for _, w := range words {
+			want.Add(enc.Decode(w))
+		}
+		gb, err := got.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, _ := want.(encoding.BinaryMarshaler).MarshalBinary()
+		if string(gb) != string(wb) {
+			t.Fatalf("%s: AddWords state differs from Decode + Add", fo.Name())
 		}
 	}
 }

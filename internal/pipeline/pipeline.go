@@ -3,16 +3,21 @@
 // (internal/service) and the role-separated PEOS cluster nodes
 // (internal/cluster) share the same stage vocabulary:
 //
-//	ingest   — Reader: one framed-report loop per connection, with an
-//	           idle deadline so a stalled peer can never pin a
-//	           goroutine (and, transitively, a graceful drain) forever.
-//	batch    — Batcher: accumulate items to a size bound.
-//	shuffle  — Batcher again: each full batch is permuted before the
-//	           flush callback sees it, so downstream stages only ever
-//	           observe reports in shuffled order.
+//	ingest   — Reader: one framed-report loop per connection, behind
+//	           one read buffer, with an idle deadline so a stalled peer
+//	           can never pin a goroutine (and, transitively, a graceful
+//	           drain) forever.
+//	batch    — RunBatcher: copy fixed-size records into one flat,
+//	           pointer-free run up to a size bound, so the buffer they
+//	           came from is free as soon as they are copied.
+//	shuffle  — RunBatcher again: each full run is permuted record by
+//	           record before the flush callback sees it, so downstream
+//	           stages only ever observe reports in shuffled order.
 //	aggregate/forward — the stage behind the flush callback: the
-//	           service's decrypt/aggregate worker Pool, or a cluster
-//	           node forwarding share vectors to the next hop.
+//	           service's decode/aggregate worker Pool, which folds a
+//	           whole run through the one codec fold its WAL replay
+//	           shares, or a cluster node forwarding share vectors to
+//	           the next hop.
 //
 // The primitives deliberately carry no protocol knowledge: framing is
 // transport's, report semantics are the caller's. What they fix is the
@@ -21,6 +26,7 @@
 package pipeline
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -58,12 +64,22 @@ func Disconnected(err error) bool {
 	return false
 }
 
+// readBufferSize is the read buffer Reader.Run puts in front of its
+// connection: one Read fetches the headers and payloads of many small
+// frames (a 256-report SOLH frame is about 1.3 KB), where reading each
+// frame straight off the connection costs two. A frame larger than the
+// buffer streams through it. It is a constant, not a knob: it bounds
+// what one connection holds beyond its frame buffer.
+const readBufferSize = 16 << 10
+
 // Reader is the ingest stage: it reads tagged frames off one
 // connection until EOF and hands each to Handle. It is the shared
 // connection-reader of the service's readConn and the cluster nodes'
 // ingest loops.
 type Reader struct {
-	// Conn is the connection to read. Reader never closes it.
+	// Conn is the connection to read. Reader never closes it, but Run
+	// reads ahead into its buffer, so nothing else may read Conn once
+	// Run has started.
 	Conn net.Conn
 	// IdleTimeout bounds the silence between frames; 0 means no bound.
 	// When the peer sends nothing for this long, Run returns
@@ -71,7 +87,7 @@ type Reader struct {
 	IdleTimeout time.Duration
 	// MaxFrame caps the length prefix of a single frame; a frame
 	// claiming more returns an error wrapping transport.ErrFrameTooLarge
-	// before any payload byte is read. Zero falls back to
+	// without reading its payload. Zero falls back to
 	// transport.MaxFrameSize (the 1 GiB defensive ceiling).
 	MaxFrame int
 	// Handle is called with each frame's tag and payload. Run reads
@@ -86,13 +102,14 @@ type Reader struct {
 // (returning ErrIdleTimeout), a transport error, or a Handle error.
 func (r *Reader) Run() error {
 	var buf []byte
+	br := bufio.NewReaderSize(r.Conn, readBufferSize)
 	for {
 		if r.IdleTimeout > 0 {
 			if err := r.Conn.SetReadDeadline(time.Now().Add(r.IdleTimeout)); err != nil {
 				return err
 			}
 		}
-		tag, frame, err := transport.ReadTaggedFrameReuse(r.Conn, r.MaxFrame, buf)
+		tag, frame, err := transport.ReadTaggedFrameReuse(br, r.MaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -110,20 +127,82 @@ func (r *Reader) Run() error {
 	}
 }
 
-// Batcher is the batch + shuffle stage: it accumulates byte-slice
-// items and, once Size is reached (or FlushNow is called), permutes
-// the batch with Rand and hands a freshly-allocated copy to Flush.
-// Permute-before-flush is the stage's invariant: no downstream stage
-// ever sees arrival order inside a batch. A Batcher is not safe for
-// concurrent use — it belongs to the single shuffler goroutine of its
-// tier.
+// RunBatcher is the batch + shuffle stage over fixed-size records: it
+// copies whole RecordSize-byte records into one flat run and, once the
+// run holds Size records (or FlushNow is called), permutes it record by
+// record with Rand and hands it to Flush. Permute-before-flush is the
+// stage's invariant: no downstream stage ever sees arrival order inside
+// a batch. The run is one pointer-free allocation per batch and holds
+// copies, so a frame's buffer is free once Add returns; the draws are
+// those of Rand.Shuffle over the same records, so a run holds the
+// records Batcher would flush, in the same order. A RunBatcher is not
+// safe for concurrent use — it belongs to the single shuffler
+// goroutine of its tier.
+type RunBatcher struct {
+	// Size is the flush threshold in records. It must be > 0.
+	Size int
+	// RecordSize is the length of one record in bytes. It must be > 0.
+	RecordSize int
+	// Rand drives the permutations (one Fisher–Yates pass per flushed
+	// run); the caller switches it to start a new stream. It must be
+	// non-nil when a flush fires.
+	Rand *rng.Rand
+	// Flush receives each permuted run, a whole number of records. The
+	// slice is owned by the callee.
+	Flush func(run []byte)
+
+	run []byte
+}
+
+// Add appends recs, a whole number of records, flushing every time the
+// run reaches Size records — records of one call may span several
+// batches.
+func (b *RunBatcher) Add(recs []byte) {
+	full := b.Size * b.RecordSize
+	for len(recs) > 0 {
+		if b.run == nil {
+			b.run = make([]byte, 0, full)
+		}
+		n := min(len(recs), full-len(b.run))
+		b.run = append(b.run, recs[:n]...)
+		recs = recs[n:]
+		if len(b.run) == full {
+			b.FlushNow()
+		}
+	}
+}
+
+// FlushNow flushes the buffered partial run, if any: permute, hand off,
+// reset. The epoch cut and the graceful drain both end with one
+// FlushNow.
+func (b *RunBatcher) FlushNow() {
+	if len(b.run) == 0 {
+		return
+	}
+	run, size := b.run, b.RecordSize
+	for i := len(run)/size - 1; i > 0; i-- {
+		j := b.Rand.Intn(i + 1)
+		x, y := run[i*size:(i+1)*size], run[j*size:(j+1)*size]
+		for k := range x {
+			x[k], y[k] = y[k], x[k]
+		}
+	}
+	b.run = nil
+	b.Flush(run)
+}
+
+// Batcher is the batch + shuffle stage over byte-slice items: it
+// accumulates them and, once Size is reached (or FlushNow is called),
+// permutes the batch with Rand and hands a freshly-allocated copy to
+// Flush. The service batches with RunBatcher; Batcher is kept only
+// because benchmark/replay.go prices its pipeline.batch_shuffle layer
+// with it. A Batcher is not safe for concurrent use.
 type Batcher struct {
 	// Size is the flush threshold; Add flushes when the buffer reaches
 	// it. It must be > 0.
 	Size int
 	// Rand drives the batch permutations (one Shuffle call per flushed
-	// batch). A nil Rand flushes in arrival order — only tests and
-	// forward-only stages should do that.
+	// batch). A nil Rand flushes in arrival order.
 	Rand *rng.Rand
 	// Flush receives each permuted batch. The slice is owned by the
 	// callee.
@@ -143,13 +222,8 @@ func (b *Batcher) Add(item []byte) {
 	}
 }
 
-// SetRand switches the permutation stream (the service does this at
-// every epoch rotation so each epoch shuffles from its own substream).
-func (b *Batcher) SetRand(r *rng.Rand) { b.Rand = r }
-
 // FlushNow flushes the buffered partial batch, if any: permute, copy,
-// hand off, reset. The epoch cut and the graceful drain both end with
-// one FlushNow.
+// hand off, reset.
 func (b *Batcher) FlushNow() {
 	if len(b.buf) == 0 {
 		return

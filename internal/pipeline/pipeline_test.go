@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -127,6 +128,98 @@ func TestReaderReusesFrameBuffer(t *testing.T) {
 	// buffer, so the retained raw slice was clobbered by frame two.
 	if string(raw[0]) != "secon" {
 		t.Fatalf("expected frame 1's retained slice to be recycled, got %q", raw[0])
+	}
+}
+
+// countingConn is a net.Conn whose reads come from r, counted.
+type countingConn struct {
+	net.Conn
+	r     io.Reader
+	reads int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReaderBuffersFrames: small frames are read through one buffer,
+// so the conn sees about one Read per buffer of bytes, not two per
+// frame.
+func TestReaderBuffersFrames(t *testing.T) {
+	var wire bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		if err := transport.WriteTaggedFrame(&wire, uint32(i), bytes.Repeat([]byte{byte(i)}, 1+i%40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := wire.Len()
+	conn := &countingConn{r: &wire}
+	frames := 0
+	r := &Reader{Conn: conn, Handle: func(tag uint32, frame []byte) error {
+		if tag != uint32(frames) || len(frame) != 1+frames%40 || frame[0] != byte(frames) {
+			t.Fatalf("frame %d: tag %d, %d bytes", frames, tag, len(frame))
+		}
+		frames++
+		return nil
+	}}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if frames != 1000 {
+		t.Fatalf("delivered %d frames, want 1000", frames)
+	}
+	if limit := (total+readBufferSize-1)/readBufferSize + 2; conn.reads > limit {
+		t.Fatalf("%d Read calls for %d bytes, want at most %d", conn.reads, total, limit)
+	}
+}
+
+// TestRunBatcherMatchesBatcher: from one seed, the run batcher flushes
+// byte for byte the records, in the same order, that Batcher flushes —
+// over frames that straddle batch boundaries and a flush at a stream
+// switch, as an epoch rotation does it.
+func TestRunBatcherMatchesBatcher(t *testing.T) {
+	for _, size := range []int{1, 2, 5, 8, 13} {
+		var want, got [][]byte
+		old := &Batcher{Size: 64, Rand: rng.Substream(5, 0), Flush: func(batch [][]byte) {
+			want = append(want, bytes.Join(batch, nil))
+		}}
+		run := &RunBatcher{Size: 64, RecordSize: size, Rand: rng.Substream(5, 0), Flush: func(r []byte) {
+			got = append(got, r)
+		}}
+		src := rng.New(uint64(size))
+		frame := func(records int) []byte {
+			f := make([]byte, records*size)
+			for i := range f {
+				f[i] = byte(src.Uint64())
+			}
+			return f
+		}
+		for i, records := range []int{1, 7, 100, 256, 3, 64, 130, 0, 41} {
+			if i == 5 { // rotation: cut, then a fresh stream
+				old.FlushNow()
+				run.FlushNow()
+				old.Rand, run.Rand = rng.Substream(5, 1), rng.Substream(5, 1)
+			}
+			f := frame(records)
+			kept := bytes.Clone(f) // Batcher holds slices of its frames until they flush
+			for off := 0; off < len(f); off += size {
+				old.Add(kept[off : off+size])
+			}
+			run.Add(f)
+			// The run holds copies: the frame's buffer is free at once.
+			clear(f)
+		}
+		old.FlushNow()
+		run.FlushNow()
+		if len(got) != len(want) {
+			t.Fatalf("record size %d: %d runs, Batcher flushed %d batches", size, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record size %d: run %d differs from Batcher's batch", size, i)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,10 @@
 // any 64-bit seed (including 0) yields a well-mixed state.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random generator (xoshiro256**).
 // It is NOT safe for concurrent use; give each goroutine its own Rand
@@ -74,7 +77,12 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
-// Lemire's multiply-shift rejection method avoids modulo bias.
+// Lemire's multiply-shift rejection method avoids modulo bias, in its
+// nearly-divisionless form: the rejection threshold (2^64 - n) mod n is
+// below n, so a draw whose low word is at least n is accepted without
+// computing it, and the division runs only for the rare draw that
+// lands in [0, n). Outputs and stream consumption are those of the
+// plain form that computes the threshold first.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
@@ -83,29 +91,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Lemire multiply-shift with rejection of the biased low region.
-	threshold := (-n) % n // == (2^64 - n) mod n
-	for {
-		hi, lo := mul64(r.Uint64(), n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n // == (2^64 - n) mod n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
+	return hi
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

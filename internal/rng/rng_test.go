@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -210,8 +211,24 @@ func TestQuickUint64nInRange(t *testing.T) {
 	}
 }
 
-// Property: mul64 matches big-integer multiplication on the low 64 bits
-// and produces consistent hi words via the identity
+// mul64 returns the 128-bit product of x and y as (hi, lo): the
+// hand-rolled multiplier the reference Uint64n below was written with.
+func mul64(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += x0 * y1
+	hi = x1*y1 + w2 + w1>>32
+	lo = x * y
+	return
+}
+
+// Property: the reference's mul64 matches big-integer multiplication on
+// the low 64 bits and produces consistent hi words via the identity
 // (x*y) >> 64 == hi and (x*y) & mask == lo.
 func TestQuickMul64(t *testing.T) {
 	f := func(x, y uint64) bool {
@@ -228,6 +245,72 @@ func TestQuickMul64(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refUint64n is Uint64n as it was before the nearly-divisionless form:
+// the threshold division on every call, then the rejection loop.
+func refUint64n(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := (-n) % n
+	for {
+		hi, lo := mul64(r.Uint64(), n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+func refIntn(r *Rand, n int) int { return int(refUint64n(r, uint64(n))) }
+
+// TestUint64nMatchesReference pins Uint64n to the reference: the same
+// outputs from the same stream, and the same stream left behind, so
+// every consumer (batch shuffles, GRR draws, EOS permutations) sees
+// exactly the draws it saw before.
+func TestUint64nMatchesReference(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 15, 511, 111 << 32, 1<<63 + 1, math.MaxUint64} {
+		got, want := New(n), New(n)
+		for i := 0; i < 20000; i++ {
+			if g, w := got.Uint64n(n), refUint64n(want, n); g != w {
+				t.Fatalf("n=%d draw %d: Uint64n = %d, reference %d", n, i, g, w)
+			}
+		}
+		if got.s != want.s {
+			t.Fatalf("n=%d: Uint64n consumed the stream differently from the reference", n)
+		}
+	}
+
+	got, want := New(77), New(77)
+	for i := 0; i < 20000; i++ {
+		n := 1 + i%1000
+		if g, w := got.Intn(n), refIntn(want, n); g != w {
+			t.Fatalf("Intn(%d) draw %d: %d, reference %d", n, i, g, w)
+		}
+	}
+	for n := 0; n < 300; n++ {
+		p, q := got.Perm(n), make([]int, n)
+		for i := 1; i < n; i++ { // the reference Perm, on refIntn
+			j := refIntn(want, i+1)
+			q[i] = q[j]
+			q[j] = i
+		}
+		if !slices.Equal(p, q) {
+			t.Fatalf("Perm(%d) = %v, reference %v", n, p, q)
+		}
+		a, b := slices.Clone(p), slices.Clone(p)
+		got.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
+		for i := n - 1; i > 0; i-- { // the reference Shuffle
+			j := refIntn(want, i+1)
+			b[i], b[j] = b[j], b[i]
+		}
+		if !slices.Equal(a, b) {
+			t.Fatalf("Shuffle(%d) = %v, reference %v", n, a, b)
+		}
+	}
+	if got.s != want.s {
+		t.Fatal("Intn, Perm and Shuffle consumed the stream differently from the reference")
 	}
 }
 

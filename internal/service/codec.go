@@ -1,6 +1,8 @@
 package service
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -26,22 +28,27 @@ import (
 // out-of-range Hadamard rows) flags the run instead of skewing the
 // histogram or panicking a worker.
 type Codec struct {
-	word     *ldp.WordEncoder
-	width    int    // word oracles: bytes per word report
-	maxSeed  uint64 // exclusive bound on Report.Seed for word oracles; 0 = no bound
-	d        int    // unary bitmap / AUE count length; 0 for word-encoded oracles
-	maxCount byte   // AUE: inclusive per-location count bound; 0 = bitmap encoding
+	word    *ldp.WordEncoder
+	width   int    // word oracles: bytes per word report
+	maxSeed uint64 // exclusive bound on Report.Seed for word oracles; 0 = no bound
+	// limit is the exclusive bound on a word Unmarshal accepts: the
+	// group order, or for Hadamard the first word past its last row.
+	limit    uint64
+	d        int  // unary bitmap / AUE count length; 0 for word-encoded oracles
+	maxCount byte // AUE: inclusive per-location count bound; 0 = bitmap encoding
 }
 
 // NewCodec returns the codec for the oracle, or an error if the oracle
 // has no report wire format.
 func NewCodec(fo ldp.FrequencyOracle) (*Codec, error) {
 	if word, err := ldp.NewWordEncoder(fo); err == nil {
-		c := &Codec{word: word, width: max(1, (bits.Len64(word.GroupOrder()-1)+7)/8)}
+		c := &Codec{word: word, width: max(1, (bits.Len64(word.GroupOrder()-1)+7)/8), limit: word.GroupOrder()}
 		if h, ok := fo.(*ldp.Hadamard); ok {
 			// The word encoding admits any 32-bit row; the oracle only
-			// accepts rows below the Hadamard order.
+			// accepts rows below the Hadamard order. A Hadamard word is
+			// row*2 + bit, so those are the words below 2*Order.
 			c.maxSeed = uint64(h.Order())
+			c.limit = 2 * c.maxSeed
 		}
 		return c, nil
 	}
@@ -78,7 +85,9 @@ func (c *Codec) Size() int {
 // AppendMarshal packs a report into its Size()-byte wire payload,
 // appended to dst, and returns the extended slice, so the session
 // client can pack a whole batch of reports into one plaintext buffer
-// without a per-report allocation.
+// without a per-report allocation. A word report is stored as one
+// 8-byte little-endian word and cut to its width, so it may write up to
+// 8 bytes of dst's spare capacity.
 func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
 	if c.word != nil {
 		if c.maxSeed > 0 && uint64(rep.Seed) >= c.maxSeed {
@@ -87,12 +96,10 @@ func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
 		if !c.word.Valid(rep) {
 			return nil, fmt.Errorf("service: report value %d outside the oracle's output range", rep.Value)
 		}
-		w, n := c.word.Encode(rep), len(dst)
-		dst = slices.Grow(dst, c.width)[:n+c.width]
-		for i := range dst[n:] {
-			dst[n+i] = byte(w >> (8 * i))
-		}
-		return dst, nil
+		n := len(dst)
+		dst = slices.Grow(dst, 8)
+		binary.LittleEndian.PutUint64(dst[n:n+8], c.word.Encode(rep))
+		return dst[:n+c.width], nil
 	}
 	if len(rep.Bits) != c.d {
 		return nil, fmt.Errorf("service: report has %d locations, oracle domain is %d", len(rep.Bits), c.d)
@@ -170,4 +177,60 @@ func (c *Codec) Unmarshal(data []byte) (ldp.Report, error) {
 		}
 	}
 	return ldp.Report{Bits: bits}, nil
+}
+
+// foldChunk is how many words Fold stages on its stack before handing
+// them to ldp.WordEncoder.AddWords in one call.
+const foldChunk = 256
+
+// Fold decodes run — a whole number of Size()-byte records, a shuffled
+// batch or one WAL frame — into agg. It is the one fold both live
+// ingest and WAL replay use. Word records are read straight off the run
+// with Unmarshal's checks (the group order, Hadamard's row bound) and
+// reach agg in bulk through ldp.WordEncoder.AddWords, so no Report is
+// built on the way to CountSupport; unary and AUE records go through
+// Unmarshal and Add one at a time. A record Unmarshal refuses is
+// skipped, and the first such record's Unmarshal error is returned
+// once the rest are folded: live ingest fails the service and keeps
+// the valid reports, replay aborts.
+func (c *Codec) Fold(agg ldp.Aggregator, run []byte) error {
+	var first error
+	size := c.Size()
+	if c.word == nil {
+		for off := 0; off < len(run); off += size {
+			rep, err := c.Unmarshal(run[off : off+size])
+			if err != nil {
+				first = cmp.Or(first, err)
+				continue
+			}
+			agg.Add(rep)
+		}
+		return first
+	}
+	var words [foldChunk]uint64
+	n := 0
+	mask := ^uint64(0) >> (64 - 8*size)
+	for off := 0; off < len(run); off += size {
+		var w uint64
+		if off+8 <= len(run) {
+			w = binary.LittleEndian.Uint64(run[off:]) & mask
+		} else {
+			for i := size - 1; i >= 0; i-- {
+				w = w<<8 | uint64(run[off+i])
+			}
+		}
+		if w >= c.limit {
+			if first == nil {
+				_, first = c.Unmarshal(run[off : off+size])
+			}
+			continue
+		}
+		words[n] = w
+		if n++; n == len(words) {
+			c.word.AddWords(agg, words[:])
+			n = 0
+		}
+	}
+	c.word.AddWords(agg, words[:n])
+	return first
 }

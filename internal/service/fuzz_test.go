@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -318,6 +319,76 @@ func TestCodecWordWidth(t *testing.T) {
 			}
 			if _, err := codec.Unmarshal(binary.LittleEndian.AppendUint64(nil, top)); err == nil {
 				t.Fatalf("%s: 8-byte padded report accepted", name)
+			}
+		}
+	}
+}
+
+// TestFoldRunMatchesPerRecord pins Codec.Fold to the per-record path it
+// replaced: over random runs with refused records mixed in, for every
+// codec the service speaks, the folded aggregator marshals to the bytes
+// Unmarshal + Add over the valid records gives, and Fold returns the
+// first refused record's Unmarshal error.
+func TestFoldRunMatchesPerRecord(t *testing.T) {
+	oracles := []ldp.FrequencyOracle{
+		ldp.NewGRR(13, 1),      // 1-byte words, most random bytes refused
+		ldp.NewGRR(300, 1),     // 2-byte words
+		ldp.NewSOLH(64, 16, 3), // 5-byte words
+		ldp.NewSOLH(1000, 300, 3),
+		ldp.NewHadamard(13, 1),
+		ldp.NewOUE(13, 1),
+		ldp.NewRAP(13, 1),
+		ldp.NewAUE(13, 1, 1e-6, 50),
+	}
+	r := rng.New(36)
+	for _, fo := range oracles {
+		codec, err := NewCodec(fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := codec.Size()
+		for _, records := range []int{0, 1, 7, 255, 256, 257, 600} {
+			for _, badShare := range []float64{0, 0.05, 0.5} {
+				var run []byte
+				for i := 0; i < records; i++ {
+					if r.Bernoulli(badShare) {
+						for k := 0; k < size; k++ {
+							run = append(run, byte(r.Uint64()))
+						}
+						continue
+					}
+					if run, err = codec.AppendMarshal(run, fo.Randomize(r.Intn(fo.Domain()), r)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, got := fo.NewAggregator(), fo.NewAggregator()
+				var wantErr error
+				for off := 0; off < len(run); off += size {
+					rep, err := codec.Unmarshal(run[off : off+size])
+					if err != nil {
+						if wantErr == nil {
+							wantErr = err
+						}
+						continue
+					}
+					want.Add(rep)
+				}
+				gotErr := codec.Fold(got, run)
+				name := fmt.Sprintf("%s (%d-byte records), %d records, %.2f refused", fo.Name(), size, records, badShare)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: Fold returned %v, first Unmarshal error is %v", name, gotErr, wantErr)
+				}
+				wb, err := want.(encoding.BinaryMarshaler).MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gb, err := got.(encoding.BinaryMarshaler).MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("%s: folded state differs from per-record Unmarshal + Add", name)
+				}
 			}
 		}
 	}

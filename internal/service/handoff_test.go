@@ -93,8 +93,8 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
 	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
-			if len(eb.recs) > batchSize {
-				t.Errorf("worker %d received a batch of %d records, BatchSize is %d", i, len(eb.recs), batchSize)
+			if recs := len(eb.run) / s.codec.Size(); recs > batchSize {
+				t.Errorf("worker %d received a batch of %d records, BatchSize is %d", i, recs, batchSize)
 			}
 			s.foldBatch(i, eb)
 		}
@@ -505,8 +505,8 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 			if logged != frame {
 				t.Errorf("batch %d reached a worker with %d reports on disk, want the whole frame of %d", batches, logged, frame)
 			}
-			for _, rec := range eb.recs {
-				if held[string(rec)] == 0 {
+			for off := 0; off < len(eb.run); off += size {
+				if held[string(eb.run[off:off+size])] == 0 {
 					t.Errorf("batch %d carries a report the committed WAL does not hold", batches)
 					break
 				}

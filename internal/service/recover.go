@@ -150,7 +150,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 		cur = s.sealedFinalEpoch(openEpoch - 1)
 	}
 	size := s.codec.Size()
-	var pt []byte // one record's plaintext; codec.Unmarshal copies out of it
+	var pt []byte // one record's plaintext; codec.Fold copies out of it
 	for _, r := range rec.Tail {
 		switch r.Type {
 		case store.RecordReport:
@@ -163,10 +163,11 @@ func (s *Service) restore(rec *store.Recovered) error {
 			}
 			// A record is one accepted frame, re-sealed whole under the
 			// at-rest storage key (the connection key is gone with the
-			// connection): cut the plaintext at the report size, as the
-			// shuffler cut the frame. A plaintext that does not cut
-			// evenly was not written by accept and is refused, never
-			// skipped — dropping it would silently shrink the epoch.
+			// connection): fold its plaintext through the workers' fold.
+			// A plaintext that does not cut evenly at the report size,
+			// or holds a report the codec refuses, was not written by
+			// accept and is refused, never skipped — dropping it would
+			// silently shrink the epoch.
 			var err error
 			if pt, err = s.sealer.Open(pt[:0], r.Payload); err != nil {
 				return fmt.Errorf("service: opening sealed WAL record: %w", err)
@@ -174,12 +175,8 @@ func (s *Service) restore(rec *store.Recovered) error {
 			if len(pt) == 0 || len(pt)%size != 0 {
 				return fmt.Errorf("service: sealed WAL record for epoch %d holds %d plaintext bytes; a frame's record is one or more whole %d-byte reports", r.Epoch, len(pt), size)
 			}
-			for off := 0; off < len(pt); off += size {
-				rep, err := s.codec.Unmarshal(pt[off : off+size])
-				if err != nil {
-					return fmt.Errorf("service: decoding WAL report: %w", err)
-				}
-				cur.root.Add(rep)
+			if err := s.codec.Fold(cur.root, pt); err != nil {
+				return fmt.Errorf("service: decoding WAL report: %w", err)
 			}
 			n := int64(len(pt) / size)
 			cur.accepted.Add(n)

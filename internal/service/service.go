@@ -9,15 +9,19 @@
 // propagates from a slow stage back to the clients' writes):
 //
 //	conn readers  --intake-->  shuffler  --batches-->  aggregate
-//	(one per conn,  (frames)   (split, batch  (records)  (decode +
-//	 session open)              + permute)               shard Add)
+//	(one per conn,  (frames)   (copy into  (record runs) (one fold
+//	 session open)              run, permute)             per run)
 //
 // The unit of hand-off on the intake edge is the opened session frame,
 // not the report: a reader authenticates a frame and passes its whole
-// plaintext on in one channel send, and the shuffler — which must look
-// at every record anyway to batch it — cuts it into records. A
-// per-report hand-off cost more than everything else the tier does to
-// a report (EXPERIMENTS.md, "Spend the profile").
+// plaintext on in one channel send, and the shuffler copies its
+// records into the open batch — one flat run of Codec.Size() records,
+// permuted record by record when it is cut — so the frame's buffer
+// dies at the cut. A per-report hand-off cost more than everything
+// else the tier does to a report (EXPERIMENTS.md, "Spend the
+// profile"). A worker folds a whole run through Codec.Fold, the fold
+// WAL replay uses too: word reports reach the aggregator's counting
+// kernel as words, with no Report in between.
 //
 // # Wire protocol
 //
@@ -262,11 +266,11 @@ type frameBlock struct {
 	recs  []byte
 }
 
-// epochBatch is one shuffled batch of report records routed to the
-// epoch that was open when it was flushed.
+// epochBatch is one shuffled batch — a run of codec.Size() records —
+// routed to the epoch that was open when it was flushed.
 type epochBatch struct {
-	ep   *epochState
-	recs [][]byte
+	ep  *epochState
+	run []byte
 }
 
 // Service is a running ingestion pipeline. Create with New, feed it
@@ -554,8 +558,8 @@ func (s *Service) readConn(conn net.Conn) {
 			s.cfg.Meter.Send(PartyUsers, PartyShuffler, len(frame))
 			// Session batch frame: the tag is the epoch the whole
 			// batch asserts. The plaintext buffer is a fresh
-			// allocation per frame — its records are subslices that
-			// live until aggregation — amortized over the batch.
+			// allocation per frame, amortized over the batch; it lives
+			// only until the shuffler copies its records into a run.
 			if len(frame) < ecies.SessionOverhead+size {
 				return fmt.Errorf("%w: short session frame (%d bytes)", errKickConn, len(frame))
 			}
@@ -591,9 +595,9 @@ func (s *Service) readConn(conn net.Conn) {
 	}
 }
 
-// runShuffler is the batch + shuffle stage: it cuts each opened frame
-// into records, a pipeline.Batcher buffers them into BatchSize batches
-// (a frame larger than a batch simply spans several), permutes each,
+// runShuffler is the batch + shuffle stage: a pipeline.RunBatcher
+// copies each opened frame's records into BatchSize-record runs (a
+// frame larger than a batch simply spans several), permutes each,
 // and the flush callback forwards it to the worker queue tagged with
 // the open epoch. Rotation requests land here — between frames, never
 // inside one — so every frame and every batch belongs to exactly one
@@ -615,9 +619,10 @@ func (s *Service) runShuffler() {
 		// queries, and nothing may aggregate into it.
 		cur = nil
 	}
-	batcher := &pipeline.Batcher{
-		Size: s.cfg.BatchSize,
-		Flush: func(batch [][]byte) {
+	batcher := &pipeline.RunBatcher{
+		Size:       s.cfg.BatchSize,
+		RecordSize: size,
+		Flush: func(run []byte) {
 			// The WAL hits the platters (policy permitting) before the
 			// batch reaches any worker: a report can only influence an
 			// estimate once it is on its way to disk. The batcher only
@@ -630,23 +635,23 @@ func (s *Service) runShuffler() {
 			}
 			cur.pending.Add(1)
 			select {
-			case s.batches <- epochBatch{ep: cur, recs: batch}:
+			case s.batches <- epochBatch{ep: cur, run: run}:
 				s.shuffled.Add(1)
 				cur.batches.Add(1)
 				s.wal.batches++
-				s.cfg.Meter.Send(PartyShuffler, PartyServer, len(batch)*size)
+				s.cfg.Meter.Send(PartyShuffler, PartyServer, len(run))
 			case <-s.stop:
 				cur.pending.Done()
 			}
 		},
 	}
 	if cur != nil {
-		batcher.SetRand(s.shufflerEpochRNG(cur.id))
+		batcher.Rand = s.shufflerEpochRNG(cur.id)
 	}
 	accept := func(b frameBlock) {
 		// What a frame asserts — and whether the budget still admits it —
-		// is constant per frame, so it is decided, and logged, once here;
-		// only the batching below is per record. Dropped records move
+		// is constant per frame, so it is decided, and logged, once here,
+		// and the frame is batched whole. Dropped records move
 		// out of Received into exactly one of the drop counters, so
 		// Received / Late / Rejected stay disjoint and the Snapshot
 		// backlog arithmetic holds.
@@ -691,17 +696,15 @@ func (s *Service) runShuffler() {
 			return
 		}
 		if s.st != nil {
-			// The frame is logged whole, ahead of the first of its reports
-			// the batcher sees: a flush fired by any of them — a frame
-			// larger than a batch fires several — commits a WAL that
-			// already holds every one.
+			// The frame is logged whole before the batcher sees it: a
+			// flush fired by any of its reports — a frame larger than a
+			// batch fires several — commits a WAL that already holds
+			// every one.
 			if err := s.logFrame(uint32(cur.id), b.recs); err != nil {
 				s.fail(err)
 			}
 		}
-		for off := 0; off < len(b.recs); off += size {
-			batcher.Add(b.recs[off : off+size : off+size])
-		}
+		batcher.Add(b.recs)
 		// The count advances by a whole frame, so the hint fires on
 		// crossing the threshold, not on landing on it.
 		prev := cur.accepted.Add(n) - n
@@ -758,7 +761,7 @@ func (s *Service) runShuffler() {
 			cur = req.next
 			if cur != nil {
 				s.cur.Store(cur)
-				batcher.SetRand(s.shufflerEpochRNG(cur.id))
+				batcher.Rand = s.shufflerEpochRNG(cur.id)
 				rejectEpoch = uint32(cur.id + 1)
 			}
 			// A hint generated by the epoch that just closed is stale;
@@ -802,23 +805,18 @@ func (s *Service) runWorker(i int) {
 	}
 }
 
-// foldBatch decodes each record of a shuffled batch and folds it into
-// the batch's epoch shard owned by worker i. Corrupt records are
-// dropped and surfaced as the service error rather than silently
-// mis-estimating.
+// foldBatch folds a shuffled run into the batch's epoch shard owned by
+// worker i. Corrupt records are dropped and surfaced as the service
+// error rather than silently mis-estimating.
 func (s *Service) foldBatch(i int, eb epochBatch) {
 	start := time.Now()
 	sh := eb.ep.shards[i]
 	sh.mu.Lock()
-	for _, rec := range eb.recs {
-		rep, err := s.codec.Unmarshal(rec)
-		if err != nil {
-			s.fail(err)
-			continue
-		}
-		sh.agg.Add(rep)
-	}
+	err := s.codec.Fold(sh.agg, eb.run)
 	sh.mu.Unlock()
+	if err != nil {
+		s.fail(err)
+	}
 	eb.ep.pending.Done()
 	s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
 }
