@@ -68,6 +68,23 @@ func BenchmarkDGKRerandomize(b *testing.B) {
 	}
 }
 
+// BenchmarkDGKKeyPrepare prices what every PEOS role pays before its
+// first operation: restoring the 1024-bit private key (decryption
+// inverse rows included) and building the g and h fixed-base tables,
+// on GOMAXPROCS workers.
+func BenchmarkDGKKeyPrepare(b *testing.B) {
+	blob := MarshalDGKPrivateKey(benchKey(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, err := UnmarshalDGKPrivateKey(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k.fb.ensure(k.DGKPublicKey)
+	}
+}
+
 // BenchmarkDGKDeserializeVector decodes a 1024-element vector per
 // iteration and reports the cost per element — the number to hold
 // against the benchmark's ahe.deserialize_us, which times the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -47,6 +48,10 @@ import (
 
 const dgkSubgroupBits = 160 // t: size of vp, vq
 
+// dgkRndBits is the randomizer bit length, 2.5t. Every key uses it: the
+// key blob carries it, and the unmarshalers refuse any other value.
+const dgkRndBits = dgkSubgroupBits * 5 / 2
+
 // dgkDecDigitBits is the Pohlig–Hellman digit width of the fast
 // decryption path: 8 bits per round bounds every lookup table at 256
 // entries while keeping the round count at ceil(l/8).
@@ -72,7 +77,6 @@ type DGKPublicKey struct {
 	n    *big.Int
 	g, h *big.Int
 	l    int // plaintext bits
-	rnd  int // randomizer bit-length (2.5 t)
 	// fb is the shared fast-path state (fixed-base tables, randomizer
 	// pool). It is a pointer so every copy of the key struct —
 	// including the embedded copy inside DGKPrivateKey and interface
@@ -87,7 +91,7 @@ type dgkFast struct {
 	once sync.Once
 	m    *mont    // Montgomery context mod n, shared by both tables
 	gTab *fbTable // fixed-base windows for g, exponents < 2^l
-	hTab *fbTable // fixed-base windows for h, exponents < 2^rnd
+	hTab *fbTable // fixed-base windows for h, exponents < 2^dgkRndBits
 	// pool is the optional background randomizer pool; poolMu guards
 	// only start/stop bookkeeping — the hot path drains through the
 	// atomic pointer without taking any lock.
@@ -110,7 +114,7 @@ func (fb *dgkFast) ensure(k DGKPublicKey) *dgkFast {
 	fb.once.Do(func() {
 		fb.m = newMont(k.n)
 		fb.gTab = newFBTable(k.g, fb.m, k.l)
-		fb.hTab = newFBTable(k.h, fb.m, k.rnd)
+		fb.hTab = newFBTable(k.h, fb.m, dgkRndBits)
 	})
 	return fb
 }
@@ -177,12 +181,11 @@ func GenerateDGK(keyBits, plaintextBits int) (*DGKPrivateKey, error) {
 	}
 
 	pub := DGKPublicKey{
-		n:   n,
-		g:   g,
-		h:   h,
-		l:   plaintextBits,
-		rnd: dgkSubgroupBits * 5 / 2,
-		fb:  &dgkFast{},
+		n:  n,
+		g:  g,
+		h:  h,
+		l:  plaintextBits,
+		fb: &dgkFast{},
 	}
 	return finishDGKPrivateKey(pub, p, vp)
 }
@@ -287,16 +290,21 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 		df.look[i] = tab
 	}
 	// Correction rows: round i cancels digit j (< i) with
-	// gamma^(-d_j << (exps[i] + 8j)).
+	// gamma^(-d_j << (exps[i] + 8j)): for each distinct pos,
+	// gamma^(-2^pos) and its 255 multiples.
+	var pos []int
+	var bases []*big.Int
 	for i := 1; i < nd; i++ {
 		for j := 0; j < i; j++ {
-			pos := df.exps[i] + dgkDecDigitBits*j
-			if _, ok := df.inv[pos]; ok {
-				continue
+			p := df.exps[i] + dgkDecDigitBits*j
+			if !slices.Contains(pos, p) {
+				pos = append(pos, p)
+				bases = append(bases, df.m.toMont(k.gammaInvP[p], &sc))
 			}
-			// gamma^(-2^pos) and its 255 multiples.
-			df.inv[pos] = df.m.powerRow(df.m.toMont(k.gammaInvP[pos], &sc), &sc)
 		}
+	}
+	for i, row := range df.m.powerRows(bases) {
+		df.inv[pos[i]] = row
 	}
 	return df
 }
@@ -443,7 +451,7 @@ func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
 }
 
 func (k DGKPublicKey) randomizer() (*big.Int, error) {
-	bound := new(big.Int).Lsh(big.NewInt(1), uint(k.rnd))
+	bound := new(big.Int).Lsh(big.NewInt(1), dgkRndBits)
 	return rand.Int(rand.Reader, bound)
 }
 

@@ -30,7 +30,10 @@ import (
 
 // fbWindowBits is the window width. 8 keeps the row count at
 // maxBits/8 (50 rows for the 400-bit DGK randomizer — with g's 8
-// rows ~3.0 MB per 1024-bit key, built once in ~11 ms) while cutting
+// rows ~2.6 MB per 1024-bit key, built once by powerRows on every
+// core: BenchmarkDGKKeyPrepare reads ~11 ms on 2 vCPUs, ~16 ms on one,
+// where the serial chain read ~21 and ~26; at 3072 bits ~63 ms on 2
+// vCPUs against ~108) while cutting
 // a 400-bit exponentiation to at most 50 multiplications. Wider
 // windows grow the build cost 16x per +4 bits for <25% fewer
 // multiplications.
@@ -46,25 +49,26 @@ type fbTable struct {
 }
 
 // newFBTable precomputes the window rows for exponents in
-// [0, 2^maxBits). Build cost is one modular multiplication per table
-// entry: 255 * ceil(maxBits/8).
+// [0, 2^maxBits). Row i's unit base^(256^i) is row i-1's by eight
+// squarings — 8 multiplications per row more than reading it off the
+// previous row's last entry (b^255 * b), bought so the rows do not
+// depend on each other and powerRows can fill them on every core. The
+// rest is one modular multiplication per table entry.
 func newFBTable(base *big.Int, m *mont, maxBits int) *fbTable {
 	if maxBits < 1 {
 		maxBits = 1
 	}
-	nw := (maxBits + fbWindowBits - 1) / fbWindowBits
-	t := &fbTable{m: m, maxBits: maxBits, win: make([][]*big.Int, nw)}
 	var sc Scratch
-	b := m.toMont(new(big.Int).Mod(base, m.n), &sc)
-	for i := range t.win {
-		t.win[i] = m.powerRow(b, &sc)
-		// The next row's unit is base^(256^(i+1)) = b^255 * b — one
-		// multiplication instead of 8 squarings.
-		next := new(big.Int)
-		m.mulRedc(next, t.win[i][254], b, &sc)
-		b = next
+	bases := make([]*big.Int, (maxBits+fbWindowBits-1)/fbWindowBits)
+	bases[0] = m.toMont(new(big.Int).Mod(base, m.n), &sc)
+	for i := 1; i < len(bases); i++ {
+		b := new(big.Int).Set(bases[i-1])
+		for range fbWindowBits {
+			m.mulRedc(b, b, b, &sc)
+		}
+		bases[i] = b
 	}
-	return t
+	return &fbTable{m: m, maxBits: maxBits, win: m.powerRows(bases)}
 }
 
 // mulInto multiplies acc, a residue in [0, n), by base^e in place: one

@@ -3,7 +3,9 @@ package ahe
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -100,6 +102,99 @@ func TestFixedBaseEntriesDecode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// serialRow is the reference row build: b^1 .. b^255 for a
+// Montgomery-form b, each entry a fresh big.Int one multiplication
+// after the last.
+func serialRow(m *mont, b *big.Int, sc *Scratch) []*big.Int {
+	row := make([]*big.Int, 255)
+	row[0] = b
+	for d := 1; d < len(row); d++ {
+		row[d] = new(big.Int)
+		m.mulRedc(row[d], row[d-1], b, sc)
+	}
+	return row
+}
+
+// serialChain is the reference table build: every row in order, each
+// row's unit read off the previous row's last entry (b^255 * b).
+func serialChain(m *mont, base *big.Int, maxBits int) [][]*big.Int {
+	var sc Scratch
+	rows := make([][]*big.Int, (maxBits+fbWindowBits-1)/fbWindowBits)
+	b := m.toMont(new(big.Int).Mod(base, m.n), &sc)
+	for i := range rows {
+		rows[i] = serialRow(m, b, &sc)
+		next := new(big.Int)
+		m.mulRedc(next, rows[i][254], b, &sc)
+		b = next
+	}
+	return rows
+}
+
+// TestPowerRowsMatchSerialChain is part of the fast-vs-naive race gate:
+// the row-parallel build (independent row bases by squaring, rows taken
+// from a shared counter, entries in one slab) must yield exactly the
+// entries of the serial chain — g table, h table and every decryption
+// inverse row — at every worker count, the inline GOMAXPROCS=1 path
+// included.
+func TestPowerRowsMatchSerialChain(t *testing.T) {
+	keys := conformanceKeys(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sameRows := func(what string, got, want [][]*big.Int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			for d := range want[i] {
+				if got[i][d].Cmp(want[i][d]) != 0 {
+					t.Fatalf("%s: entry (row %d, digit %d) differs from the serial chain", what, i, d+1)
+				}
+			}
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, key := range keys {
+			fb := (&dgkFast{}).ensure(key.DGKPublicKey)
+			sameRows(fmt.Sprintf("procs=%d l=%d g", procs, key.l), fb.gTab.win, serialChain(fb.m, key.g, key.l))
+			sameRows(fmt.Sprintf("procs=%d l=%d h", procs, key.l), fb.hTab.win, serialChain(fb.m, key.h, dgkRndBits))
+
+			df := newDGKDecFast(key)
+			var sc Scratch
+			for i := 1; i < len(df.exps); i++ {
+				for j := 0; j < i; j++ {
+					pos := df.exps[i] + dgkDecDigitBits*j
+					want := serialRow(df.m, df.m.toMont(key.gammaInvP[pos], &sc), &sc)
+					sameRows(fmt.Sprintf("procs=%d l=%d inv[%d]", procs, key.l, pos), [][]*big.Int{df.inv[pos]}, [][]*big.Int{want})
+				}
+			}
+		}
+	}
+}
+
+// TestKeyPreparationAllocs pins what restoring a private key and
+// building its fast-path tables allocates. The ~15,000 table and
+// inverse-row entries live in a few slabs, so a 512-bit, l=64 key
+// costs about 1,400 objects; one allocation per entry would be about
+// 34,400.
+func TestKeyPreparationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation counts; the pins are exact only without -race")
+	}
+	blob := MarshalDGKPrivateKey(conformanceKeys(t)[0])
+	allocs := testing.AllocsPerRun(5, func() {
+		k, err := UnmarshalDGKPrivateKey(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.fb.ensure(k.DGKPublicKey)
+	})
+	if allocs > 2000 {
+		t.Fatalf("key preparation allocates %.0f objects, want <= 2000", allocs)
+	}
+	t.Logf("key preparation: %.0f allocations", allocs)
 }
 
 // conformance key shapes: the PEOS production shape (l=64) plus an

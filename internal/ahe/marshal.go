@@ -31,11 +31,6 @@ const (
 	// far past any sane key size) so a corrupt length prefix cannot
 	// force a huge allocation.
 	dgkMaxIntBytes = 1 << 13
-	// dgkMaxRndBits bounds the randomizer bit length a blob may claim.
-	// The scheme generates 2.5t = 400; a corrupt value in the billions
-	// would otherwise make every Encrypt allocate (and exponentiate
-	// over) a multi-hundred-megabyte exponent.
-	dgkMaxRndBits = 1 << 13
 )
 
 // ErrKeyFormat is returned when a key blob is malformed, truncated, or
@@ -84,7 +79,7 @@ func (r *keyReader) bigInt() *big.Int {
 func MarshalDGKPublicKey(pub *DGKPublicKey) []byte {
 	buf := append([]byte(nil), dgkPubMagic...)
 	buf = append(buf, dgkMarshalVersion, byte(pub.l))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(pub.rnd))
+	buf = binary.BigEndian.AppendUint32(buf, dgkRndBits)
 	buf = appendBigInt(buf, pub.n)
 	buf = appendBigInt(buf, pub.g)
 	return appendBigInt(buf, pub.h)
@@ -109,11 +104,15 @@ func unmarshalDGKPublicBody(r *keyReader) (*DGKPublicKey, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if l < 1 || l > 64 || rnd < 1 || n.Sign() <= 0 || g.Sign() <= 0 || h.Sign() <= 0 {
+	if l < 1 || l > 64 || n.Sign() <= 0 || g.Sign() <= 0 || h.Sign() <= 0 {
 		return nil, ErrKeyFormat
 	}
-	if rnd > dgkMaxRndBits {
-		return nil, fmt.Errorf("%w: absurd randomizer length %d bits", ErrKeyFormat, rnd)
+	// The scheme writes only dgkRndBits. A shorter randomizer leaves
+	// each plaintext few ciphertexts, so EOS's refreshes stop unlinking
+	// anything; a longer one sizes the h table (and every Encrypt's
+	// exponent) by whatever the blob claims.
+	if rnd != dgkRndBits {
+		return nil, fmt.Errorf("%w: randomizer length %d bits (the scheme uses %d)", ErrKeyFormat, rnd, dgkRndBits)
 	}
 	// n = pq is odd and must at least hold the plaintext and one
 	// subgroup per factor; a "valid-looking" even or tiny n makes the
@@ -130,7 +129,7 @@ func unmarshalDGKPublicBody(r *keyReader) (*DGKPublicKey, error) {
 	if g.Cmp(one) == 0 || h.Cmp(one) == 0 {
 		return nil, fmt.Errorf("%w: degenerate generator", ErrKeyFormat)
 	}
-	return &DGKPublicKey{n: n, g: g, h: h, l: l, rnd: rnd, fb: &dgkFast{}}, nil
+	return &DGKPublicKey{n: n, g: g, h: h, l: l, fb: &dgkFast{}}, nil
 }
 
 // UnmarshalDGKPublicKey reverses MarshalDGKPublicKey. Malformed input

@@ -147,17 +147,24 @@ func TestDGKKeyUnmarshalRejectsSemanticCorruption(t *testing.T) {
 	evenN := new(big.Int).Add(pub.n, one) // n is odd, so n+1 is even
 
 	cases := map[string][]byte{
-		"zero n":     buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), big.NewInt(0), pub.g, pub.h),
-		"even n":     buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), evenN, pub.g, pub.h),
-		"tiny n":     buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), big.NewInt(0xfff1), pub.g, pub.h),
-		"g = 1":      buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), pub.n, one, pub.h),
-		"h = 1":      buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), pub.n, pub.g, one),
-		"g >= n":     buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), pub.n, pub.n, pub.h),
-		"h >= n":     buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), pub.n, pub.g, pub.n),
+		"zero n":     buildDGKPubBlob(byte(pub.l), dgkRndBits, big.NewInt(0), pub.g, pub.h),
+		"even n":     buildDGKPubBlob(byte(pub.l), dgkRndBits, evenN, pub.g, pub.h),
+		"tiny n":     buildDGKPubBlob(byte(pub.l), dgkRndBits, big.NewInt(0xfff1), pub.g, pub.h),
+		"g = 1":      buildDGKPubBlob(byte(pub.l), dgkRndBits, pub.n, one, pub.h),
+		"h = 1":      buildDGKPubBlob(byte(pub.l), dgkRndBits, pub.n, pub.g, one),
+		"g >= n":     buildDGKPubBlob(byte(pub.l), dgkRndBits, pub.n, pub.n, pub.h),
+		"h >= n":     buildDGKPubBlob(byte(pub.l), dgkRndBits, pub.n, pub.g, pub.n),
 		"zero rnd":   buildDGKPubBlob(byte(pub.l), 0, pub.n, pub.g, pub.h),
 		"absurd rnd": buildDGKPubBlob(byte(pub.l), 1<<30, pub.n, pub.g, pub.h),
-		"l = 0":      buildDGKPubBlob(0, uint32(pub.rnd), pub.n, pub.g, pub.h),
-		"l = 65":     buildDGKPubBlob(65, uint32(pub.rnd), pub.n, pub.g, pub.h),
+		// Any other randomizer length than the scheme's: a short one
+		// leaves each plaintext a handful of ciphertexts, a long one
+		// sizes the h table by the blob's claim.
+		"short rnd 1":   buildDGKPubBlob(byte(pub.l), 1, pub.n, pub.g, pub.h),
+		"short rnd 399": buildDGKPubBlob(byte(pub.l), dgkRndBits-1, pub.n, pub.g, pub.h),
+		"long rnd 401":  buildDGKPubBlob(byte(pub.l), dgkRndBits+1, pub.n, pub.g, pub.h),
+		"long rnd 8192": buildDGKPubBlob(byte(pub.l), 8192, pub.n, pub.g, pub.h),
+		"l = 0":         buildDGKPubBlob(0, dgkRndBits, pub.n, pub.g, pub.h),
+		"l = 65":        buildDGKPubBlob(65, dgkRndBits, pub.n, pub.g, pub.h),
 	}
 	for name, blob := range cases {
 		if _, err := UnmarshalDGKPublicKey(blob); !errors.Is(err, ErrKeyFormat) {
@@ -183,7 +190,7 @@ func TestDGKKeyUnmarshalRejectsSemanticCorruption(t *testing.T) {
 	// order — the resulting key would mis-decrypt the top plaintext bit
 	// of every ciphertext.
 	g2 := new(big.Int).Exp(pub.g, big.NewInt(2), pub.n)
-	blob = append([]byte(dgkPrivMagic), buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), pub.n, g2, pub.h)[4:]...)
+	blob = append([]byte(dgkPrivMagic), buildDGKPubBlob(byte(pub.l), dgkRndBits, pub.n, g2, pub.h)[4:]...)
 	blob = appendBigInt(blob, priv.p)
 	blob = appendBigInt(blob, priv.vp)
 	if _, err := UnmarshalDGKPrivateKey(blob); !errors.Is(err, ErrKeyFormat) {
@@ -212,8 +219,8 @@ func FuzzUnmarshalDGKKeys(f *testing.F) {
 	f.Add(MarshalDGKPublicKey(&pub))
 	f.Add(MarshalDGKPrivateKey(priv))
 	f.Add(buildDGKPubBlob(byte(pub.l), 1<<30, pub.n, pub.g, pub.h))
-	f.Add(buildDGKPubBlob(0, uint32(pub.rnd), pub.n, pub.g, pub.h))
-	f.Add(buildDGKPubBlob(byte(pub.l), uint32(pub.rnd), new(big.Int).Add(pub.n, big.NewInt(1)), pub.g, pub.h))
+	f.Add(buildDGKPubBlob(0, dgkRndBits, pub.n, pub.g, pub.h))
+	f.Add(buildDGKPubBlob(byte(pub.l), dgkRndBits, new(big.Int).Add(pub.n, big.NewInt(1)), pub.g, pub.h))
 	f.Add([]byte(dgkPubMagic))
 	f.Add([]byte(dgkPrivMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,6 +19,9 @@ package ahe
 import (
 	"math/big"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // mont is the Montgomery context of one odd modulus. Immutable after
@@ -75,15 +78,52 @@ func (m *mont) toMont(x *big.Int, sc *Scratch) *big.Int {
 	return z
 }
 
-// powerRow returns b^1 .. b^255 for a Montgomery-form b, each entry in
-// Montgomery form: one 8-bit window's worth of multiples, the row shape
-// of the fixed-base tables and of the decryption correction rows.
-func (m *mont) powerRow(b *big.Int, sc *Scratch) []*big.Int {
-	row := make([]*big.Int, 255)
-	row[0] = b
-	for d := 1; d < len(row); d++ {
-		row[d] = new(big.Int)
-		m.mulRedc(row[d], row[d-1], b, sc)
+// powerRows returns, for each Montgomery-form base b, the row
+// b^1 .. b^255 in Montgomery form: one 8-bit window's worth of
+// multiples, the row shape of the fixed-base tables and of the
+// decryption correction rows. The rows are independent, so up to
+// GOMAXPROCS goroutines take them from a shared counter, each with its
+// own Scratch (inline, with no goroutine, at GOMAXPROCS=1). Every entry
+// is a big.Int view into one word slab with room for k+1 words — REDC's
+// value before its final subtraction can be that wide, and nat.sub
+// sizes its result by it — so no multiplication outgrows its slot and
+// a whole build allocates a handful of objects instead of one per
+// entry. Each entry is the same canonical residue a serial chain yields.
+func (m *mont) powerRows(bases []*big.Int) [][]*big.Int {
+	const width = 255
+	stride := m.k + 1
+	words := make([]big.Word, len(bases)*width*stride)
+	ents := make([]big.Int, len(bases)*width)
+	ptrs := make([]*big.Int, len(ents))
+	for i := range ents {
+		ents[i].SetBits(words[i*stride : i*stride : (i+1)*stride])
+		ptrs[i] = &ents[i]
 	}
-	return row
+	rows := make([][]*big.Int, len(bases))
+	for i := range rows {
+		rows[i] = ptrs[i*width : (i+1)*width : (i+1)*width]
+	}
+	var next atomic.Int64
+	fill := func() {
+		var sc Scratch
+		for i := int(next.Add(1) - 1); i < len(rows); i = int(next.Add(1) - 1) {
+			row := rows[i]
+			row[0].Set(bases[i])
+			for d := 1; d < width; d++ {
+				m.mulRedc(row[d], row[d-1], row[0], &sc)
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(rows))
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	fill()
+	wg.Wait()
+	return rows
 }
