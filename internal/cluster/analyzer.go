@@ -199,10 +199,7 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	sup, ok := ldp.SupportOf(cfg.FO)
-	if !ok || sup.U == 0 {
-		return nil, fmt.Errorf("cluster: oracle %s has no fake-corrected estimator (Equation 6)", cfg.FO.Name())
-	}
+	sup, _ := ldp.SupportOf(cfg.FO)
 	ln, err := listenOrUse(cfg.Listener, cfg.Topology.Analyzers[cfg.Shard])
 	if err != nil {
 		return nil, err

@@ -422,7 +422,7 @@ func TestClusterConfigValidation(t *testing.T) {
 // The client and the analyzer refuse, by name, an oracle the analyzer
 // could not estimate for under uniform fakes — before anything is
 // dialed, bound, written or charged. Hadamard is the row that matters:
-// it has a word encoding, so it used to be accepted, and the analyzer
+// it used to have a word encoding, so it was accepted, and the analyzer
 // then panicked in fold after the round had run — on a durable node
 // with the ledger charged and the words sealed, so every RecoverAnalyzer
 // panicked again replaying them. The last step hand-writes that
@@ -435,7 +435,6 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 	}{
 		{ldp.NewHadamard(16, 2), false},
 		{ldp.NewRAP(16, 1), false},
-		{ldp.NewOUE(16, 1), false},
 		{ldp.NewAUE(16, 1, 1e-6, 1000), false},
 		{ldp.NewGRR(16, 2), true},
 		{ldp.NewOLH(16, 2), true},

@@ -10,7 +10,6 @@ import "shuffledp/internal/hash"
 //	GRR      e^eps/(e^eps+d-1)      1/(e^eps+d-1) 1/d
 //	OLH/SOLH e^eps/(e^eps+d'-1)     1/d'          1/d'
 //	RAP(_R)  1-flip                 flip          -
-//	OUE      1/2                    1/(e^eps+1)   -
 //	Had      p                      1/2           -
 //
 // Hadamard's row is the support-count view of its signed reports
@@ -49,8 +48,6 @@ func SupportOf(fo FrequencyOracle) (s Support, ok bool) {
 		return Support{P: o.p, Q: 0.5}, true
 	case *UnaryEncoding:
 		return Support{P: 1 - o.flip, Q: o.flip}, true
-	case *OUE:
-		return Support{P: o.p, Q: o.q}, true
 	}
 	return Support{}, false
 }

@@ -66,10 +66,6 @@ func (a *AUE) Domain() int { return a.d }
 // the true one-hot vector is always included).
 func (a *AUE) EpsilonLocal() float64 { return 0 }
 
-// Rounds returns the number of independent increment rounds (1 unless
-// gamma > 1).
-func (a *AUE) Rounds() int { return a.rounds }
-
 // Randomize implements FrequencyOracle. Bits[j] holds the number of
 // increments the user contributes at location j: the true one-hot bit
 // plus the blanket increments.

@@ -11,11 +11,11 @@ import (
 // Thus the LDP reports can be treated as numbers and shared with
 // additive secret sharing."
 //
-// We pack a GRR report as the bare value, and a SOLH/OLH/Hadamard report
-// as seed*outputSize + value, exactly the ordinal-group mapping the
-// paper describes. Both fit a 64-bit word: the seed is 32 bits and a
-// hashed outputSize is at most 2^31 — newLocalHash rejects a larger d',
-// Hadamard's is 2 — so GroupOrder = 2^32 * outputSize <= 2^63. That
+// We pack a GRR report as the bare value, and a SOLH/OLH report as
+// seed*outputSize + value, exactly the ordinal-group mapping the paper
+// describes. Both fit a 64-bit word: the seed is 32 bits and a hashed
+// outputSize is at most 2^31 — newLocalHash rejects a larger d' — so
+// GroupOrder = 2^32 * outputSize <= 2^63. That
 // matches the paper's fixed 64-bit report size in Table III. The fixed
 // 64-bit word is PEOS's share ring, Z_{2^64}; the streaming service has
 // no shares and puts a report on the wire in only the bytes GroupOrder
@@ -27,17 +27,21 @@ type WordEncoder struct {
 	hashed     bool   // whether Seed participates
 }
 
-// NewWordEncoder returns the encoder for the given oracle. Only GRR and
-// the hashing oracles (OLH/SOLH/Hadamard) have word encodings; the
-// unary-encoding oracles report whole vectors and return an error.
+// NewWordEncoder returns the encoder for the given oracle. It is the one
+// answer to "can this oracle report": the service codec, PEOS, SS and
+// the cluster roles all ask it and nothing else. Only GRR and local
+// hashing (OLH/SOLH) — the two oracles §VI-A2 puts on a wire — have
+// word encodings, and each has a fake-corrected estimator (Support.U >
+// 0, Equation 6). Every other oracle gets an error that names it:
+// Hadamard's rows would need a bound of their own and it has no
+// Equation 6 estimator, and the unary-encoding oracles report whole
+// vectors.
 func NewWordEncoder(fo FrequencyOracle) (*WordEncoder, error) {
 	switch o := fo.(type) {
 	case *GRR:
 		return &WordEncoder{outputSize: uint64(o.Domain())}, nil
 	case *LocalHash:
 		return &WordEncoder{outputSize: uint64(o.DPrime()), hashed: true}, nil
-	case *Hadamard:
-		return &WordEncoder{outputSize: 2, hashed: true}, nil
 	default:
 		return nil, fmt.Errorf("ldp: oracle %s has no word encoding", fo.Name())
 	}

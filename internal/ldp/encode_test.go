@@ -2,6 +2,7 @@ package ldp
 
 import (
 	"encoding"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,15 +46,12 @@ func TestWordEncoderSOLHRoundTrip(t *testing.T) {
 	}
 }
 
+// Hadamard has no word encoding: its rows would need a bound of their
+// own, and it has no fake-corrected estimator. The refusal names it.
 func TestWordEncoderHadamard(t *testing.T) {
-	h := NewHadamard(100, 1)
-	enc, err := NewWordEncoder(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Report{Seed: 77, Value: 1}
-	if got := enc.Decode(enc.Encode(rep)); got.Seed != 77 || got.Value != 1 {
-		t.Fatalf("roundtrip failed: %+v", got)
+	_, err := NewWordEncoder(NewHadamard(100, 1))
+	if err == nil || !strings.Contains(err.Error(), "oracle Had ") {
+		t.Fatalf("NewWordEncoder(Had) = %v, want a refusal naming the oracle", err)
 	}
 }
 
@@ -103,9 +101,9 @@ func TestUniformWordInRange(t *testing.T) {
 }
 
 // wordOracles are the oracles with a word encoding, at group orders
-// from one byte to 33 bits.
+// from one byte to 38 bits.
 func wordOracles() []FrequencyOracle {
-	return []FrequencyOracle{NewGRR(10, 1), NewGRR(300, 1), NewSOLH(64, 16, 3), NewSOLH(42178, 45, 1), NewOLH(50, 1), NewHadamard(100, 1)}
+	return []FrequencyOracle{NewGRR(10, 1), NewGRR(300, 1), NewSOLH(64, 16, 3), NewSOLH(42178, 45, 1), NewOLH(50, 1)}
 }
 
 // TestDecodeMatchesReference pins Decode to the reduce-then-divide form
@@ -148,13 +146,9 @@ func TestAddWordsMatchesDecodeAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := enc.GroupOrder()
-		if h, ok := fo.(*Hadamard); ok {
-			bound = 2 * uint64(h.Order()) // rows past the order are not reports
-		}
 		words := make([]uint64, 3*lhBlock+17)
 		for i := range words {
-			words[i] = r.Uint64n(bound)
+			words[i] = r.Uint64n(enc.GroupOrder())
 		}
 		got, want := fo.NewAggregator(), fo.NewAggregator()
 		for off := 0; off < len(words); off += 100 {

@@ -47,9 +47,6 @@ func (h *Hadamard) Domain() int { return h.d }
 // EpsilonLocal implements FrequencyOracle.
 func (h *Hadamard) EpsilonLocal() float64 { return h.eps }
 
-// Order returns the Hadamard matrix order D (a power of two).
-func (h *Hadamard) Order() int { return h.D }
-
 // Randomize implements FrequencyOracle. Report.Seed is the sampled row
 // index; Report.Value is the (possibly flipped) sign bit encoded as
 // 1 for +1 and 0 for -1.

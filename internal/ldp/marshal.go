@@ -17,13 +17,14 @@ package ldp
 //	10      8     aux parameter (local hashing: d'; AUE: blanket rounds)
 //	18      8     float64 bits of the defining probability
 //	              (GRR/OLH/SOLH/Hadamard: p; RAP/RAP_R: flip;
-//	              AUE: gamma; OUE: q)
+//	              AUE: gamma)
 //	26      8     report count n
 //	34      ...   payload: d int64 counts, or D float64 row sums
 //
 // The accumulator writes the kind byte and the echoes its oracle handed
-// it (countSpec). RAP and RAP_R share kindUnary; the flip probability
-// in the header is what keeps their state from cross-loading.
+// it (countSpec). RAP and RAP_R (RAP at twice the budget) share
+// kindUnary; the flip probability in the header is what keeps their
+// state from cross-loading.
 //
 // The kind byte plus the echoed parameters make a blob self-describing
 // enough that UnmarshalBinary can refuse state from a different oracle
@@ -60,14 +61,16 @@ var ErrStateVersion = errors.New("ldp: unknown aggregator state version")
 // local hashing over xxHash64-per-pair; it is reserved, never written
 // again, and refused on load like any other kind mismatch — those
 // counts cannot be merged with, or calibrated as, counts under the
-// multiply-add-shift family (kindLocalHash).
+// multiply-add-shift family (kindLocalHash). Byte 6 was OUE, which no
+// deployment ran and which left the repository; it is reserved and
+// refused on load the same way.
 const (
 	kindGRR            = 1
 	kindLocalHashXXH64 = 2 // retired; refused on load
 	kindHadamard       = 3
 	kindUnary          = 4
 	kindAUE            = 5
-	kindOUE            = 6
+	kindOUE            = 6 // retired; refused on load
 	kindLocalHash      = 7
 )
 

@@ -199,7 +199,7 @@ func FuzzAggregatorState(f *testing.F) {
 		NewHadamard(6, 1),
 		NewRAP(8, 1),
 		NewAUE(8, 1, 1e-6, 1000),
-		NewOUE(8, 1),
+		NewOLH(8, 1),
 	}
 	for _, fo := range oracles {
 		agg := fo.NewAggregator()
@@ -236,23 +236,30 @@ var updateState = flag.Bool("update", false, "rewrite the aggregator state fixtu
 
 // stateGoldens is one small aggregation per state kind and
 // parameterisation. Every case has its own oracle, so each blob must
-// be refused by every other row's.
+// be refused by every other row's. A row's seed is fixed with the row,
+// not drawn from its position, so the blobs do not move when a row
+// leaves the table.
 var stateGoldens = []struct {
 	name string
 	fo   FrequencyOracle
-	n    int // reports aggregated; the local-hash rows end mid-block
+	n    int    // reports aggregated; the local-hash rows end mid-block
+	seed uint64 // seeds the reports: rng.New(1000 + seed)
 }{
-	{"grr", NewGRR(12, 1.5), 300},
-	{"olh", NewOLH(20, 2), lhBlock + 188},
-	{"solh", NewSOLH(20, 5, 1.2), lhBlock + 188},
-	{"solh_empty", NewSOLH(20, 6, 1.2), 0},
-	{"rap", NewRAP(10, 1), 300},
-	{"rap_r", NewRAPR(10, 0.8), 300},
-	{"oue", NewOUE(10, 1), 300},
-	{"aue", NewAUE(8, 1, 1e-6, 4000), 300},
-	{"aue_rounds", NewAUE(8, 1, 1e-6, 500), 300},
-	{"had", NewHadamard(10, 1), 300},
+	{"grr", NewGRR(12, 1.5), 300, 0},
+	{"olh", NewOLH(20, 2), lhBlock + 188, 1},
+	{"solh", NewSOLH(20, 5, 1.2), lhBlock + 188, 2},
+	{"solh_empty", NewSOLH(20, 6, 1.2), 0, 3},
+	{"rap", NewRAP(10, 1), 300, 4},
+	{"rap_r", NewRAP(10, 1.6), 300, 5}, // RAP_R at removal budget 0.8
+	{"aue", NewAUE(8, 1, 1e-6, 4000), 300, 7},
+	{"aue_rounds", NewAUE(8, 1, 1e-6, 500), 300, 8},
+	{"had", NewHadamard(10, 1), 300, 9},
 }
+
+// retiredStateGoldens are blobs of aggregator kinds this build no longer
+// has: oue.bin is an OUE aggregation (kind 6), written before the
+// oracle left the repository. Every oracle must refuse it.
+var retiredStateGoldens = []string{"oue"}
 
 // stateRecord is what a .want fixture holds: the aggregator's Count,
 // then the bits of every estimate.
@@ -271,12 +278,13 @@ func stateRecord(agg Aggregator) string {
 // the same seeded reports). Each must load into a fresh aggregator of
 // its oracle, report the recorded Count and Estimates bit for bit,
 // re-marshal byte-identically, and be refused by every other oracle in
-// the table; and this build must still write the same bytes.
+// the table; and this build must still write the same bytes. A retired
+// kind's blob must be refused by every oracle in the table.
 func TestAggregatorStateGolden(t *testing.T) {
-	for i, tc := range stateGoldens {
+	for _, tc := range stateGoldens {
 		t.Run(tc.name, func(t *testing.T) {
 			agg := tc.fo.NewAggregator()
-			r := rng.New(uint64(1000 + i))
+			r := rng.New(1000 + tc.seed)
 			for j := 0; j < tc.n; j++ {
 				agg.Add(tc.fo.Randomize(j%tc.fo.Domain(), r))
 			}
@@ -328,6 +336,19 @@ func TestAggregatorStateGolden(t *testing.T) {
 				}
 				if _, err := UnmarshalAggregator(other.fo, blob); err == nil {
 					t.Errorf("%s state loaded into the %s row's aggregator", tc.name, other.name)
+				}
+			}
+		})
+	}
+	for _, name := range retiredStateGoldens {
+		t.Run(name, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("testdata", "state", name+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, other := range stateGoldens {
+				if _, err := UnmarshalAggregator(other.fo, blob); err == nil {
+					t.Errorf("retired %s state loaded into the %s row's aggregator", name, other.name)
 				}
 			}
 		})

@@ -17,8 +17,7 @@ func mergeOracles() map[string]FrequencyOracle {
 		"SOLH":  NewSOLH(64, 7, 1.2),
 		"Had":   NewHadamard(30, 1),
 		"RAP":   NewRAP(24, 1),
-		"RAP_R": NewRAPR(24, 0.8),
-		"OUE":   NewOUE(24, 1),
+		"RAP_R": NewRAP(24, 1.6),
 		"AUE":   NewAUE(16, 1, 1e-6, 4000),
 	}
 }
@@ -212,7 +211,7 @@ func TestCloneEmpty(t *testing.T) {
 
 func TestMergeIncompatiblePanics(t *testing.T) {
 	cases := map[string][2]Aggregator{
-		"cross-oracle": {NewGRR(8, 1).NewAggregator(), NewOUE(8, 1).NewAggregator()},
+		"cross-oracle": {NewGRR(8, 1).NewAggregator(), NewRAP(8, 1).NewAggregator()},
 		"grr-domain":   {NewGRR(8, 1).NewAggregator(), NewGRR(9, 1).NewAggregator()},
 		"lh-dprime":    {NewSOLH(16, 4, 1).NewAggregator(), NewSOLH(16, 5, 1).NewAggregator()},
 		"had-order":    {NewHadamard(10, 1).NewAggregator(), NewHadamard(20, 1).NewAggregator()},

@@ -231,8 +231,8 @@ func TestOLHVarianceBeatsGRRLargeDomain(t *testing.T) {
 func TestHadamardReportAggregation(t *testing.T) {
 	const d = 10
 	h := NewHadamard(d, 2)
-	if h.Order() != 16 {
-		t.Fatalf("Order = %d, want 16", h.Order())
+	if h.D != 16 {
+		t.Fatalf("Order = %d, want 16", h.D)
 	}
 	r := rng.New(8)
 	values := make([]int, 0, 40000)

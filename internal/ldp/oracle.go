@@ -2,12 +2,17 @@
 // oracles the paper builds on (§II-B) and contributes (§IV): generalized
 // randomized response (GRR), optimized local hashing (OLH), the paper's
 // Shuffler-Optimal Local Hash (SOLH), Hadamard response, symmetric unary
-// encoding (basic RAPPOR, "RAP"), the removal-LDP variant (RAP_R), and
-// the appended-unary-encoding shuffle mechanism of Balcer–Cheu ("AUE").
+// encoding (basic RAPPOR, "RAP"; its removal-LDP variant RAP_R is RAP
+// at twice the budget), and the appended-unary-encoding shuffle
+// mechanism of Balcer–Cheu ("AUE").
 //
 // Every oracle implements FrequencyOracle: users call Randomize, the
 // server feeds the reports into an Aggregator and reads unbiased
-// frequency estimates back. Server side there is one design: a report
+// frequency estimates back. Only GRR and OLH/SOLH reports go on a wire:
+// NewWordEncoder is the one gate, and every deployment (the streaming
+// service, PEOS, the cluster roles) asks it; Hadamard, RAP and AUE are
+// the Figure 3 baselines, which the experiment harness simulates.
+// Server side there is one design: a report
 // adds to d integer support counts, by its oracle's kind, in the one
 // accumulator (accumulator.go); counts become estimates through the
 // oracle's Support{P, Q, U} and Support.Calibrate (Equations 2, 3, 6).
@@ -38,7 +43,7 @@ type Report struct {
 	// Seed selects the user's random hash function (OLH/SOLH) or
 	// Hadamard row index. The paper's prototype uses 4-byte seeds
 	// (§VII-D); we keep 32 bits so a GRR/SOLH report packs into one
-	// 64-bit word for secret sharing (see ReportWord).
+	// 64-bit word for secret sharing (see WordEncoder).
 	Seed uint32
 	// Value is the perturbed report in the oracle's output domain.
 	Value int

@@ -16,12 +16,11 @@ import (
 //     replacement definition (two values differ in two bit positions, so
 //     the budget is halved per bit). Use NewRAP.
 //   - RAP_R (Erlingsson et al. 2020): flip = 1/(e^eps + 1), satisfying
-//     eps-removal-LDP, which equals 2*eps replacement LDP (§IV-B4). Use
-//     NewRAPR.
+//     eps-removal-LDP, which equals 2*eps replacement LDP (§IV-B4). It
+//     is RAP at twice the budget, bit for bit: use NewRAP(d, 2*eps).
 type UnaryEncoding struct {
-	name string
 	d    int
-	eps  float64 // replacement-LDP budget the mechanism is labeled with
+	eps  float64 // replacement-LDP budget
 	flip float64 // per-bit flip probability
 }
 
@@ -31,41 +30,20 @@ func NewRAP(d int, eps float64) *UnaryEncoding {
 	validateDomain(d)
 	validateEpsilon(eps)
 	return &UnaryEncoding{
-		name: "RAP",
 		d:    d,
 		eps:  eps,
 		flip: 1 / (math.Exp(eps/2) + 1),
 	}
 }
 
-// NewRAPR returns the removal-LDP unary-encoding oracle with budget eps:
-// each bit keeps the full budget. As §IV-B4 notes, it is 2*eps
-// replacement-LDP, so it matches NewRAP(d, 2*eps) exactly.
-func NewRAPR(d int, eps float64) *UnaryEncoding {
-	validateDomain(d)
-	validateEpsilon(eps)
-	return &UnaryEncoding{
-		name: "RAP_R",
-		d:    d,
-		eps:  eps,
-		flip: 1 / (math.Exp(eps) + 1),
-	}
-}
-
 // Name implements FrequencyOracle.
-func (u *UnaryEncoding) Name() string { return u.name }
+func (u *UnaryEncoding) Name() string { return "RAP" }
 
 // Domain implements FrequencyOracle.
 func (u *UnaryEncoding) Domain() int { return u.d }
 
-// EpsilonLocal implements FrequencyOracle. For RAP_R this is the
-// equivalent replacement-LDP budget (2x the removal budget).
-func (u *UnaryEncoding) EpsilonLocal() float64 {
-	if u.name == "RAP_R" {
-		return 2 * u.eps
-	}
-	return u.eps
-}
+// EpsilonLocal implements FrequencyOracle.
+func (u *UnaryEncoding) EpsilonLocal() float64 { return u.eps }
 
 // Randomize implements FrequencyOracle: one perturbed bit per domain
 // element.

@@ -70,9 +70,6 @@ func NewPEOS(fo ldp.FrequencyOracle, r, nr int, priv ahe.PrivateKey, src secrets
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
-	if s, ok := ldp.SupportOf(fo); !ok || s.U == 0 {
-		return nil, fmt.Errorf("protocol: oracle %s has no fake-corrected estimator (Equation 6)", fo.Name())
-	}
 	if priv.PlaintextBits() != 64 {
 		return nil, fmt.Errorf("protocol: PEOS requires a Z_{2^64} AHE plaintext space, got 2^%d",
 			priv.PlaintextBits())

@@ -170,9 +170,9 @@ func TestPEOSValidation(t *testing.T) {
 
 // A protocol that mixes in uniform fakes estimates with Equation (6),
 // so its constructor refuses, by name, an oracle without that
-// estimator. Hadamard is the row that matters: it has a word encoding,
-// so it used to be accepted and then panic in the estimator after the
-// whole shuffle and reveal had run.
+// estimator. Hadamard is the row that matters: it used to have a word
+// encoding, so it was accepted and then panicked in the estimator after
+// the whole shuffle and reveal had run.
 func TestConstructorsRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 	key := dgk64(t)
 	for _, tc := range []struct {
@@ -181,7 +181,6 @@ func TestConstructorsRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 	}{
 		{ldp.NewHadamard(16, 2), false},
 		{ldp.NewRAP(16, 1), false},
-		{ldp.NewOUE(16, 1), false},
 		{ldp.NewAUE(16, 1, 1e-6, 1000), false},
 		{ldp.NewGRR(16, 2), true},
 		{ldp.NewOLH(16, 2), true},

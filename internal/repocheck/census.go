@@ -238,7 +238,7 @@ func (c *census) reachable(obj types.Object) bool {
 
 // exported returns every exported package-level identifier and method
 // the packages under the module's internal/ declare, keyed by its name
-// relative to internal/: "ldp.NewOUE", "protocol.SpotCheck.Plant".
+// relative to internal/: "ldp.NewGRR", "protocol.SpotCheck.Plant".
 func (c *census) exported() map[string]types.Object {
 	prefix := c.module + "/internal/"
 	objs := map[string]types.Object{}

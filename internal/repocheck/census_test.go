@@ -20,9 +20,7 @@ var callerAllowList = map[string]string{
 	"amplify.PlanContinual":     "ROADMAP item 2 makes cmd/shuffled analyzer plan through it",
 	"amplify.CentralEpsilonUnary": "ROADMAP item 1 (iii) and (v) check it against the oracle; " +
 		"it inverts the production LocalEpsilonUnary",
-	"ldp.NewOUE":  "the service codec and TestAggregatorStateGolden's oue.bin pin the oracle",
-	"ldp.NewRAPR": "the service codec and TestAggregatorStateGolden's rap_r.bin pin the oracle",
-	"stattest":    "the package exists to serve tests",
+	"stattest": "the package exists to serve tests",
 }
 
 // paperGrid is why an experiment config's grid field has no production

@@ -181,28 +181,6 @@ func TestRaceConcurrentClientsBitIdenticalGRR(t *testing.T) {
 	}
 }
 
-// Unary oracles (here OUE) have no word encoding; through the service
-// codec they stream end-to-end all the same.
-func TestServiceStreamsUnaryOracle(t *testing.T) {
-	const d, n, clients = 12, 1500, 4
-	values := make([]int, n)
-	for i := range values {
-		values[i] = i % 3
-	}
-	fo := ldp.NewOUE(d, 3)
-	reports, want := sequentialEstimates(fo, values, 7)
-	snap := runConcurrent(t, fo, reports, clients, service.Config{BatchSize: 100, ShuffleSeed: 8})
-	if snap.Reports != n {
-		t.Fatalf("aggregated %d, want %d", snap.Reports, n)
-	}
-	// Must equal the sequential aggregate of the same reports exactly.
-	for v := range want {
-		if snap.Estimates[v] != want[v] {
-			t.Fatalf("estimate[%d] = %v, want %v", v, snap.Estimates[v], want[v])
-		}
-	}
-}
-
 func TestServiceOverTCP(t *testing.T) {
 	const d, n, clients = 8, 600, 3
 	fo := ldp.NewGRR(d, 4)
@@ -422,13 +400,21 @@ func TestNewValidation(t *testing.T) {
 	if _, err := service.New(service.Config{FO: unknownOracle{ldp.NewGRR(4, 1)}, Key: key}); err == nil {
 		t.Error("codec-less oracle accepted")
 	}
-	// AUE reports carry per-location counts; since the count codec they
-	// stream like every other oracle.
-	svc, err := service.New(service.Config{FO: ldp.NewAUE(4, 1, 1e-9, 100), Key: key})
-	if err != nil {
-		t.Fatalf("AUE rejected: %v", err)
+	// Only word-encoded oracles report: the Figure 3 baselines are
+	// refused by name, before the service starts a goroutine.
+	for _, fo := range []ldp.FrequencyOracle{
+		ldp.NewHadamard(4, 1),
+		ldp.NewRAP(4, 1),
+		ldp.NewAUE(4, 1, 1e-9, 100),
+	} {
+		svc, err := service.New(service.Config{FO: fo, Key: key})
+		if svc != nil {
+			svc.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "oracle "+fo.Name()+" ") {
+			t.Errorf("service.New(%s): err = %v, want a refusal naming the oracle", fo.Name(), err)
+		}
 	}
-	svc.Close()
 }
 
 // Ingest racing Drain must never panic or hang: either the connection
