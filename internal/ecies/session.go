@@ -229,8 +229,11 @@ func (s *Session) Open(dst, frame []byte) ([]byte, error) {
 // it only from the single shuffler goroutine. Open is stateless.
 type StorageSealer struct {
 	aead    cipher.AEAD
-	prefix  [4]byte
 	counter uint64
+	// nonce is the scratch nonce: the run's random prefix in its first 4
+	// bytes, the counter filled in per Seal. Kept on the struct, as
+	// Session keeps its own, so Seal never heap-escapes a fresh array.
+	nonce [gcmNonceSize]byte
 }
 
 // NewStorageSealer derives the at-rest key from the service's private
@@ -252,7 +255,7 @@ func NewStorageSealer(priv *PrivateKey) (*StorageSealer, error) {
 		return nil, err
 	}
 	s := &StorageSealer{aead: aead}
-	if _, err := rand.Read(s.prefix[:]); err != nil {
+	if _, err := rand.Read(s.nonce[:4]); err != nil {
 		return nil, fmt.Errorf("ecies: storage nonce prefix: %w", err)
 	}
 	return s, nil
@@ -264,12 +267,10 @@ const StorageOverhead = gcmNonceSize + gcmTagSize
 
 // Seal appends nonce || ciphertext || tag for one record to dst.
 func (s *StorageSealer) Seal(dst, plaintext []byte) []byte {
-	var nonce [gcmNonceSize]byte
-	copy(nonce[:4], s.prefix[:])
-	binary.BigEndian.PutUint64(nonce[4:], s.counter)
+	binary.BigEndian.PutUint64(s.nonce[4:], s.counter)
 	s.counter++
-	dst = append(dst, nonce[:]...)
-	return s.aead.Seal(dst, nonce[:], plaintext, nil)
+	dst = append(dst, s.nonce[:]...)
+	return s.aead.Seal(dst, s.nonce[:], plaintext, nil)
 }
 
 // Open reverses Seal, appending the record plaintext to dst.

@@ -9,7 +9,8 @@
 //	           drain) forever.
 //	batch    — RunBatcher: copy fixed-size records into one flat,
 //	           pointer-free run up to a size bound, so the buffer they
-//	           came from is free as soon as they are copied.
+//	           came from is free as soon as they are copied; runs come
+//	           from a free list the consumer refills, when one is wired.
 //	shuffle  — RunBatcher again: each full run is permuted record by
 //	           record before the flush callback sees it, so downstream
 //	           stages only ever observe reports in shuffled order.
@@ -132,7 +133,8 @@ func (r *Reader) Run() error {
 // run holds Size records (or FlushNow is called), permutes it record by
 // record with Rand and hands it to Flush. Permute-before-flush is the
 // stage's invariant: no downstream stage ever sees arrival order inside
-// a batch. The run is one pointer-free allocation per batch and holds
+// a batch. The run is one pointer-free buffer, taken from Free when a
+// returned one is waiting there and allocated otherwise, and it holds
 // copies, so a frame's buffer is free once Add returns; the draws are
 // those of Rand.Shuffle over the same records, so a run holds the
 // records Batcher would flush, in the same order. A RunBatcher is not
@@ -150,6 +152,12 @@ type RunBatcher struct {
 	// Flush receives each permuted run, a whole number of records. The
 	// slice is owned by the callee.
 	Flush func(run []byte)
+	// Free, when non-nil, is the free list runs are taken from: a new
+	// run is a buffer received from Free, or a fresh allocation when
+	// none is waiting. Whoever ends a flushed run's life may send it
+	// back (a send to a full list should drop it instead of blocking).
+	// Nil allocates every run.
+	Free chan []byte
 
 	run []byte
 }
@@ -161,7 +169,12 @@ func (b *RunBatcher) Add(recs []byte) {
 	full := b.Size * b.RecordSize
 	for len(recs) > 0 {
 		if b.run == nil {
-			b.run = make([]byte, 0, full)
+			select {
+			case run := <-b.Free:
+				b.run = run[:0]
+			default:
+				b.run = make([]byte, 0, full)
+			}
 		}
 		n := min(len(recs), full-len(b.run))
 		b.run = append(b.run, recs[:n]...)

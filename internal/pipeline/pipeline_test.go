@@ -223,6 +223,56 @@ func TestRunBatcherMatchesBatcher(t *testing.T) {
 	}
 }
 
+// TestRunBatcherReusesFreeRuns: a run sent back on Free is the next
+// run's buffer, returned runs scrubbed to 0xFF still flush exactly the
+// records a batcher without a free list flushes, and once the list
+// holds a run per batch in flight the batcher allocates nothing.
+func TestRunBatcherReusesFreeRuns(t *testing.T) {
+	const size, batch = 5, 64
+	var want, got [][]byte
+	plain := &RunBatcher{Size: batch, RecordSize: size, Rand: rng.New(8), Flush: func(r []byte) {
+		want = append(want, r)
+	}}
+	free := make(chan []byte, 1)
+	var last *byte
+	pooled := &RunBatcher{Size: batch, RecordSize: size, Rand: rng.New(8), Free: free, Flush: func(r []byte) {
+		if last != nil && &r[0] != last {
+			t.Errorf("run %d did not reuse the run sent back on Free", len(got))
+		}
+		last = &r[0]
+		got = append(got, bytes.Clone(r))
+		for i := range r {
+			r[i] = 0xFF
+		}
+		free <- r
+	}}
+	src := rng.New(3)
+	f := make([]byte, 100*size)
+	for _, records := range []int{1, 7, 100, 64, 3, 41} {
+		for i := range f[:records*size] {
+			f[i] = byte(src.Uint64())
+		}
+		plain.Add(f[:records*size])
+		pooled.Add(f[:records*size])
+	}
+	plain.FlushNow()
+	pooled.FlushNow()
+	if len(got) != len(want) {
+		t.Fatalf("%d runs with a free list, %d without", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("run %d differs from the run a batcher without a free list flushed", i)
+		}
+	}
+
+	steady := &RunBatcher{Size: batch, RecordSize: size, Rand: rng.New(8), Free: free, Flush: func(r []byte) { free <- r }}
+	steady.Add(f[:batch*size])
+	if a := testing.AllocsPerRun(50, func() { steady.Add(f[:3*batch*size/2]) }); a != 0 {
+		t.Fatalf("%.1f allocations per Add with a free list, want 0", a)
+	}
+}
+
 func TestBatcherFlushesPermutedFullBatches(t *testing.T) {
 	var batches [][][]byte
 	b := &Batcher{Size: 4, Rand: rng.New(3), Flush: func(batch [][]byte) {

@@ -16,10 +16,11 @@
 // not the report: a reader authenticates a frame and passes its whole
 // plaintext on in one channel send, and the shuffler copies its
 // records into the open batch — one flat run of Codec.Size() records,
-// permuted record by record when it is cut — so the frame's buffer
-// dies at the cut. A per-report hand-off cost more than everything
-// else the tier does to a report (EXPERIMENTS.md, "Spend the
-// profile"). A worker folds a whole run through Codec.Fold, the fold
+// permuted record by record when it is cut — and gives the frame's
+// buffer back to a free list the readers open into; a worker gives a
+// run back once it is folded. A per-report hand-off cost more than
+// everything else the tier does to a report (EXPERIMENTS.md, "Spend
+// the profile"). A worker folds a whole run through Codec.Fold, the fold
 // WAL replay uses too: word reports reach the aggregator's counting
 // kernel as words, with no Report in between.
 //
@@ -260,10 +261,15 @@ const queuedBatchesPerWorker = 5
 // frameBlock is one opened session frame on its way to the shuffler:
 // the whole authenticated plaintext — a whole number of codec.Size()
 // records, checked by the reader — with the epoch id the frame
-// asserted.
+// asserted, and the free list of the connection that opened it.
 type frameBlock struct {
 	epoch uint32
 	recs  []byte
+	// home is the reader's own one-buffer free list. The shuffler gives
+	// recs back there first and to the service's list only when home is
+	// full, so the one opened frame each connection may hold on top of
+	// the intake and the shuffler's (DESIGN.md §6) comes back to it.
+	home chan []byte
 }
 
 // epochBatch is one shuffled batch — a run of codec.Size() records —
@@ -287,6 +293,18 @@ type Service struct {
 
 	intake  chan frameBlock // opened session frames, readers -> shuffler
 	batches chan epochBatch // shuffled batches, shuffler -> aggregate pool
+
+	// plains and runs are the free lists of the ingest path's two
+	// buffers: opened frame plaintexts (a reader takes one, the shuffler
+	// gives it back once the frame is logged and batched) and shuffle
+	// runs (the batcher takes one, a worker gives it back after its
+	// fold). Each is capped at its buffers' in-flight count past the
+	// readers (DESIGN.md §6) — the intake's frames plus the one the
+	// shuffler is accepting; the queue's runs plus one in each worker's
+	// hand and the one the batcher is filling — and a buffer given back
+	// to a full list is dropped.
+	plains chan []byte
+	runs   chan []byte
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -407,6 +425,8 @@ func prepare(cfg Config) (*Service, error) {
 		// feel backpressure through their connection writes.
 		intake:       make(chan frameBlock, intakeFrames),
 		batches:      make(chan epochBatch, queuedBatchesPerWorker*workers),
+		plains:       make(chan []byte, intakeFrames+1),
+		runs:         make(chan []byte, (queuedBatchesPerWorker+1)*workers+1),
 		stop:         make(chan struct{}),
 		rotateCh:     make(chan rotateReq),
 		rotateHint:   make(chan struct{}, 1),
@@ -539,6 +559,7 @@ func (s *Service) readConn(conn net.Conn) {
 	defer conn.Close()
 	var sess *ecies.Session
 	size := s.codec.Size()
+	home := make(chan []byte, 1)
 	rd := &pipeline.Reader{
 		Conn:        conn,
 		IdleTimeout: s.cfg.IdleTimeout,
@@ -557,13 +578,15 @@ func (s *Service) readConn(conn net.Conn) {
 			}
 			s.cfg.Meter.Send(PartyUsers, PartyShuffler, len(frame))
 			// Session batch frame: the tag is the epoch the whole
-			// batch asserts. The plaintext buffer is a fresh
-			// allocation per frame, amortized over the batch; it lives
-			// only until the shuffler copies its records into a run.
+			// batch asserts. The plaintext opens into a buffer given
+			// back to this connection or, failing that, one from the
+			// service's free list (a fresh one only when both are
+			// empty); the shuffler gives it back once it has logged the
+			// frame and copied its records into a run.
 			if len(frame) < ecies.SessionOverhead+size {
 				return fmt.Errorf("%w: short session frame (%d bytes)", errKickConn, len(frame))
 			}
-			pt, err := sess.Open(make([]byte, 0, len(frame)-ecies.SessionOverhead), frame)
+			pt, err := sess.Open(take(home, s.plains)[:0], frame)
 			if err != nil {
 				return fmt.Errorf("%w: %v", errKickConn, err)
 			}
@@ -575,7 +598,7 @@ func (s *Service) readConn(conn net.Conn) {
 			// drops, so the Rejected counter survives a crash like the
 			// others.
 			select {
-			case s.intake <- frameBlock{epoch: tag, recs: pt}:
+			case s.intake <- frameBlock{epoch: tag, recs: pt, home: home}:
 				s.received.Add(int64(len(pt) / size))
 				return nil
 			case <-s.stop:
@@ -622,6 +645,7 @@ func (s *Service) runShuffler() {
 	batcher := &pipeline.RunBatcher{
 		Size:       s.cfg.BatchSize,
 		RecordSize: size,
+		Free:       s.runs,
 		Flush: func(run []byte) {
 			// The WAL hits the platters (policy permitting) before the
 			// batch reaches any worker: a report can only influence an
@@ -649,6 +673,9 @@ func (s *Service) runShuffler() {
 		batcher.Rand = s.shufflerEpochRNG(cur.id)
 	}
 	accept := func(b frameBlock) {
+		// Every exit below is done with the plaintext: it is logged and
+		// copied into the batcher's run, or it is dropped.
+		defer giveBack(b.recs, b.home, s.plains)
 		// What a frame asserts — and whether the budget still admits it —
 		// is constant per frame, so it is decided, and logged, once here,
 		// and the frame is batched whole. Dropped records move
@@ -814,11 +841,49 @@ func (s *Service) foldBatch(i int, eb epochBatch) {
 	sh.mu.Lock()
 	err := s.codec.Fold(sh.agg, eb.run)
 	sh.mu.Unlock()
+	giveBack(eb.run, s.runs)
 	if err != nil {
 		s.fail(err)
 	}
 	eb.ep.pending.Done()
 	s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
+}
+
+// scrubFreed, set by the package's tests, overwrites every buffer with
+// 0xFF as it goes back onto a free list, so a stage still reading a
+// buffer it gave back reads garbage the bit-identity tests catch.
+var scrubFreed bool
+
+// take returns a buffer from the first of lists that holds one, nil
+// when every list is empty.
+func take(lists ...chan []byte) []byte {
+	for _, free := range lists {
+		select {
+		case buf := <-free:
+			return buf
+		default:
+		}
+	}
+	return nil
+}
+
+// giveBack returns buf to the first of lists with room, dropping it when
+// every list is full: the service never holds more spare buffers than
+// it has buffers in flight.
+func giveBack(buf []byte, lists ...chan []byte) {
+	if scrubFreed {
+		all := buf[:cap(buf)]
+		for i := range all {
+			all[i] = 0xFF
+		}
+	}
+	for _, free := range lists {
+		select {
+		case free <- buf:
+			return
+		default:
+		}
+	}
 }
 
 // Snapshot returns the open epoch's current estimate without stopping

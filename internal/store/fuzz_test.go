@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-
-	"shuffledp/internal/transport"
 )
 
 // segmentBytes is a WAL segment as the store writes it: the header for
@@ -16,7 +14,7 @@ func segmentBytes(epoch uint64, recs ...Record) []byte {
 	buf.WriteByte(formatVersion)
 	buf.Write(binary.LittleEndian.AppendUint64(nil, epoch))
 	for _, r := range recs {
-		transport.WriteCheckedFrame(&buf, encodeRecord(r))
+		buf.Write(appendFrame(nil, r))
 	}
 	return buf.Bytes()
 }

@@ -10,11 +10,11 @@
 //	wal-00000001.log    WAL segments: CRC32C-framed records
 //	ckpt-00000001.snap  checkpoint snapshots, highest index wins
 //
-// Each WAL record is a transport.WriteCheckedFrame (length prefix +
-// payload + CRC32C trailer) whose payload starts with a record-type
-// byte: the reports of one accepted session frame, sealed once under
-// the at-rest key and tagged with the epoch they were routed to; a
-// counted drop (how many reports one late or rejected frame carried);
+// Each WAL record is a checked frame (length prefix + payload + CRC32C
+// trailer, read back by transport.ReadCheckedFrame) whose payload
+// starts with a record-type byte: the reports of one accepted session
+// frame, sealed once under the at-rest key and tagged with the epoch
+// they were routed to; a counted drop (how many reports one late or rejected frame carried);
 // or a rotation marker sealing one epoch and naming the next. The unit
 // of the log is what arrived — a frame — not the report: the service
 // appends a frame's record before the first of its reports is batched
@@ -44,6 +44,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"shuffledp/internal/composition"
@@ -268,29 +269,38 @@ const (
 
 // --- record encoding ---
 
-func encodeRecord(rec Record) []byte {
+// appendRecord appends rec's encoding — type byte, epoch, then the
+// type's fields — to dst.
+func appendRecord(dst []byte, rec Record) []byte {
+	dst = append(dst, rec.Type)
+	dst = binary.LittleEndian.AppendUint32(dst, rec.Epoch)
 	switch rec.Type {
 	case RecordReport, RecordSealedReport:
-		buf := make([]byte, 0, 5+len(rec.Payload))
-		buf = append(buf, rec.Type)
-		buf = binary.LittleEndian.AppendUint32(buf, rec.Epoch)
-		return append(buf, rec.Payload...)
+		return append(dst, rec.Payload...)
 	case RecordDrop:
-		buf := make([]byte, 0, 10)
-		buf = append(buf, RecordDrop)
-		buf = binary.LittleEndian.AppendUint32(buf, rec.Epoch)
-		buf = append(buf, rec.Reason)
+		dst = append(dst, rec.Reason)
 		if rec.Count == 1 {
-			return buf
+			return dst
 		}
-		return binary.LittleEndian.AppendUint32(buf, rec.Count)
+		return binary.LittleEndian.AppendUint32(dst, rec.Count)
 	case RecordRotate:
-		buf := make([]byte, 0, 13)
-		buf = append(buf, RecordRotate)
-		buf = binary.LittleEndian.AppendUint32(buf, rec.Epoch)
-		return binary.LittleEndian.AppendUint64(buf, uint64(rec.Next))
+		return binary.LittleEndian.AppendUint64(dst, uint64(rec.Next))
 	}
 	panic(fmt.Sprintf("store: encoding unknown record type %d", rec.Type))
+}
+
+// crcTable is the CRC32C (Castagnoli) table of the record trailer.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// appendFrame appends rec as one WAL record to dst: a big-endian length
+// prefix, the record's encoding and a big-endian CRC32C of the
+// encoding — the checked frame transport.ReadCheckedFrame reads back.
+func appendFrame(dst []byte, rec Record) []byte {
+	base := len(dst)
+	dst = appendRecord(append(dst, 0, 0, 0, 0), rec)
+	enc := dst[base+4:]
+	binary.BigEndian.PutUint32(dst[base:], uint32(len(enc)))
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(enc, crcTable))
 }
 
 func decodeRecord(payload []byte) (Record, error) {

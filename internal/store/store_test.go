@@ -38,7 +38,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Type: RecordRotate, Epoch: 5, Next: -1},
 	}
 	for _, want := range recs {
-		got, err := decodeRecord(encodeRecord(want))
+		got, err := decodeRecord(appendRecord(nil, want))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", want, err)
 		}

@@ -32,6 +32,10 @@ type Store struct {
 	segIndex  uint64
 	segEpochs map[uint64]uint64 // on-disk segment index -> epoch open at creation
 	ckpts     []uint64          // on-disk checkpoint indexes, ascending
+	// frame is the scratch every record is framed in before its one
+	// write, so an append allocates nothing once it has grown to the
+	// largest record.
+	frame []byte
 
 	// ckptMu serializes checkpoint writers without blocking appends
 	// (WriteCheckpoint's disk I/O runs under it, outside mu).
@@ -288,6 +292,18 @@ func (s *Store) openSegment(index, epoch uint64) error {
 	return nil
 }
 
+// writeRecord frames rec in the store's scratch — length, encoding and
+// CRC32C in one buffer — and writes it onto the current segment in one
+// call. Callers hold mu.
+func (s *Store) writeRecord(rec Record) error {
+	s.frame = appendFrame(s.frame[:0], rec)
+	if len(s.frame)-8 > transport.MaxFrameSize {
+		return transport.ErrFrameTooLarge
+	}
+	_, err := s.segw.Write(s.frame)
+	return err
+}
+
 // append frames one record onto the current segment.
 func (s *Store) append(rec Record) error {
 	s.mu.Lock()
@@ -295,7 +311,7 @@ func (s *Store) append(rec Record) error {
 	if s.closed {
 		return errors.New("store: append after close")
 	}
-	if err := transport.WriteCheckedFrame(s.segw, encodeRecord(rec)); err != nil {
+	if err := s.writeRecord(rec); err != nil {
 		return fmt.Errorf("store: append WAL record: %w", err)
 	}
 	if s.sync == SyncAlways {
@@ -363,7 +379,7 @@ func (s *Store) Rotate(sealed uint32, next int64) error {
 	if s.closed {
 		return errors.New("store: rotate after close")
 	}
-	if err := transport.WriteCheckedFrame(s.segw, encodeRecord(Record{Type: RecordRotate, Epoch: sealed, Next: next})); err != nil {
+	if err := s.writeRecord(Record{Type: RecordRotate, Epoch: sealed, Next: next}); err != nil {
 		return fmt.Errorf("store: append rotate marker: %w", err)
 	}
 	if err := s.segw.Flush(); err != nil {

@@ -211,19 +211,25 @@ func ReadTaggedFrameLimit(r io.Reader, limit int) (uint32, []byte, error) {
 	return ReadTaggedFrameReuse(r, limit, nil)
 }
 
-// ReadTaggedFrameReuse is ReadTaggedFrameLimit with a reusable payload
-// buffer: the payload is appended into buf[:0], so a steady-state
-// reader that passes back the previously returned slice allocates
-// nothing per frame once the buffer has grown to the working frame
-// size. The returned slice aliases buf when capacity sufficed — the
-// caller owns exactly one of them.
+// ReadTaggedFrameReuse is ReadTaggedFrameLimit with a reusable buffer:
+// the 8-byte header is read into buf's first bytes (a buffer with less
+// capacity is replaced by a fresh one), and the payload is then
+// appended into buf[:0], so a steady-state reader that passes back the
+// previously returned slice allocates nothing per frame — not even the
+// header, which a stack array would make escape through r — once the
+// buffer has grown to the working frame size. The returned slice
+// aliases buf when capacity sufficed — the caller owns exactly one of
+// them — and buf's contents are overwritten even when the read fails.
 func ReadTaggedFrameReuse(r io.Reader, limit int, buf []byte) (uint32, []byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 8 {
+		buf = make([]byte, 8)
+	}
+	hdr := buf[:8]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	tag := binary.BigEndian.Uint32(hdr[4:])
-	payload, err := readPayloadLimit(r, binary.BigEndian.Uint32(hdr[:4]), limit, buf)
+	n, tag := binary.BigEndian.Uint32(hdr[:4]), binary.BigEndian.Uint32(hdr[4:])
+	payload, err := readPayloadLimit(r, n, limit, buf)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -240,34 +246,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // torn by a crash) after it was framed.
 var ErrChecksum = errors.New("transport: frame checksum mismatch")
 
-// WriteCheckedFrame writes a length-prefixed payload followed by a
-// CRC32C of the payload: the record framing of the durable store's
-// write-ahead log (internal/store). The layout is a bare length
-// prefix and payload with a 4-byte Castagnoli trailer, so a record torn by a crash or flipped on
-// disk is detected at read time instead of replaying garbage.
-func WriteCheckedFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, crcTable))
-	_, err := w.Write(sum[:])
-	return err
-}
-
-// ReadCheckedFrame reads one frame written by WriteCheckedFrame and
-// verifies its checksum. It returns io.EOF cleanly at a frame
-// boundary, io.ErrUnexpectedEOF when the stream ends inside a record
-// (a torn tail), and ErrChecksum when the record is complete but its
-// CRC32C does not match.
+// ReadCheckedFrame reads one checked frame — a 4-byte big-endian
+// length prefix, the payload, and a 4-byte big-endian CRC32C of the
+// payload, the record framing internal/store writes its write-ahead
+// log in — and verifies its checksum, so a record torn by a crash or
+// flipped on disk is detected at read time instead of replaying
+// garbage. It returns io.EOF cleanly at a frame boundary,
+// io.ErrUnexpectedEOF when the stream ends inside a record (a torn
+// tail), and ErrChecksum when the record is complete but its CRC32C
+// does not match.
 func ReadCheckedFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
