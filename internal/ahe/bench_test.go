@@ -89,18 +89,29 @@ func BenchmarkDGKKeyPrepare(b *testing.B) {
 // iteration and reports the cost per element — the number to hold
 // against the benchmark's ahe.deserialize_us, which times the
 // single-ciphertext Deserialize (one GCD each); per-element is that
-// loop, through the table-less key.
+// loop.
 func BenchmarkDGKDeserializeVector(b *testing.B) {
 	const n = 1024
 	key := benchKey(b)
 	data := honestVector(b, key, n)
+	size := key.CiphertextBytes()
 	for _, c := range []struct {
-		name string
-		key  *DGKPrivateKey
-	}{{"product", key}, {"per-element", naiveCopy(key)}} {
+		name   string
+		decode func() error
+	}{
+		{"product", func() error { _, err := key.DeserializeVector(data); return err }},
+		{"per-element", func() error {
+			for i := 0; i < n; i++ {
+				if _, err := key.Deserialize(data[i*size : (i+1)*size]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := c.key.DeserializeVector(data); err != nil {
+				if err := c.decode(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -109,42 +120,45 @@ func BenchmarkDGKDeserializeVector(b *testing.B) {
 	}
 }
 
-// The *Naive benchmarks run the retained math/big reference through a
-// key copy without fast-path state — the ablation counterpart of the
-// fast-path benchmarks above.
+// The *Naive benchmarks run the generic math/big reference
+// (fixedbase_test.go) and the bit-by-bit decryption — the ablation
+// counterpart of the kernel benchmarks above.
 
 func BenchmarkDGKEncryptNaive(b *testing.B) {
-	key := naiveCopy(benchKey(b))
+	key := benchKey(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := key.Encrypt(uint64(i)); err != nil {
+		if _, err := key.encryptNaive(uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkDGKDecryptNaive(b *testing.B) {
-	key := naiveCopy(benchKey(b))
+	key := benchKey(b)
 	c, err := key.Encrypt(0xdeadbeef)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := key.Decrypt(c); err != nil {
+		if _, err := key.decryptNaive(c); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkDGKRerandomizeNaive(b *testing.B) {
-	key := naiveCopy(benchKey(b))
+	key := benchKey(b)
 	c, _ := key.Encrypt(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := key.Rerandomize(c); err != nil {
+		r, err := key.randomizer()
+		if err != nil {
 			b.Fatal(err)
 		}
+		v := new(big.Int).Set(c.v)
+		key.mulExpNaive(v, key.h, r)
 	}
 }
 

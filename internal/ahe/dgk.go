@@ -31,20 +31,25 @@ import (
 // of shares wrap just like plaintext shares do, which is the property
 // PEOS needs so fake reports are indistinguishable after decryption.
 //
-// Fast path. Both bases of Enc are fixed per key, so every public-key
+// Kernels. Both bases of Enc are fixed per key, so every public-key
 // operation multiplies fixed-base window-table entries (fixedbase.go)
 // straight into the ciphertext — tables built once per key and shared
 // read-only, optionally fronted by the background randomizer pool
-// (randpool.go); decryption recovers the discrete log 8 bits per round
-// from one shared squaring chain and per-key digit tables — O(l)
+// (randpool.go). Every key has them: GenerateDGK and both unmarshalers
+// are the only constructors, and each sets fb, so there is one kernel
+// path and no generic-exponentiation fall-through. Its exponents fit
+// the tables by construction: a plaintext is reduced to l bits before
+// it meets g's table, and a randomizer is drawn below 2^dgkRndBits,
+// the width of h's. Decryption recovers the discrete log 8 bits per
+// round from one shared squaring chain and per-key digit tables — O(l)
 // modular multiplications per ciphertext instead of the naive O(l^2)
 // squaring triangle. Every one of those multiplications is the
 // division-free mulRedc of mont.go: table entries, pooled randomizers
 // and digit rows are stored in Montgomery form, ciphertexts never are.
-// The naive math/big path is retained verbatim as the fall-through the
-// fast kernels take (exponent beyond the table, value outside gamma's
-// subgroup) and as the correctness reference; the conformance tests in
-// fixedbase_test.go hold the two paths bit-identical.
+// The bit-by-bit decryption (decryptNaive) stays as the fall-through
+// for a unit outside gamma's subgroup, which a hostile peer can send.
+// The generic math/big encryption is the conformance reference in
+// fixedbase_test.go, which holds the kernels bit-identical to it.
 
 const dgkSubgroupBits = 160 // t: size of vp, vq
 
@@ -67,8 +72,9 @@ type DGKPrivateKey struct {
 	// precomputed so Pohlig–Hellman decryption needs no ModInverse.
 	gammaP    []*big.Int
 	gammaInvP []*big.Int
-	// dec holds the windowed-decryption digit tables (fast path); nil,
-	// like a nil fb, means naive-only.
+	// dec holds the windowed-decryption digit tables. Every private
+	// key has them: finishDGKPrivateKey, which both constructors end
+	// in, builds them.
 	dec *dgkDecFast
 }
 
@@ -77,15 +83,15 @@ type DGKPublicKey struct {
 	n    *big.Int
 	g, h *big.Int
 	l    int // plaintext bits
-	// fb is the shared fast-path state (fixed-base tables, randomizer
-	// pool). It is a pointer so every copy of the key struct —
-	// including the embedded copy inside DGKPrivateKey and interface
-	// values — shares one set of tables. nil (a key built by hand
-	// inside the package) means naive-only.
+	// fb is the shared kernel state (fixed-base tables, randomizer
+	// pool), set by both constructors and never nil. It is a pointer so
+	// every copy of the key struct — including the embedded copy inside
+	// DGKPrivateKey and interface values — shares one set of tables,
+	// built on first use.
 	fb *dgkFast
 }
 
-// dgkFast is the per-key fast-path state shared by all copies of a
+// dgkFast is the per-key kernel state shared by all copies of a
 // DGKPublicKey.
 type dgkFast struct {
 	once sync.Once
@@ -398,9 +404,6 @@ func (k DGKPublicKey) PlaintextBits() int { return k.l }
 // (randpool.go). The returned stop function is idempotent; the pool
 // shuts down when every starter has called stop.
 func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
-	if k.fb == nil {
-		return func() {}
-	}
 	fb := k.fb
 	fb.poolMu.Lock()
 	if fb.poolRefs == 0 {
@@ -414,9 +417,7 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 			// Starting the chain at R yields h^r*R, the form a pool
 			// hit multiplies in with one mulRedc.
 			hr := new(big.Int).Set(fb.m.one)
-			if !fb.hTab.mulInto(hr, r, sc) {
-				fb.m.mulRedc(hr, new(big.Int).Exp(key.h, r, key.n), fb.m.r2, sc)
-			}
+			fb.hTab.mulInto(hr, r, sc)
 			return hr, nil
 		}))
 	}
@@ -440,9 +441,7 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	}
 }
 
-func (k DGKPublicKey) reduce(m uint64) *big.Int { return k.reduceInto(new(big.Int), m) }
-
-// reduceInto sets dst to m mod 2^l.
+// reduceInto sets dst to m mod 2^l, an exponent g's table covers.
 func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
 	if k.l != 64 {
 		m &= (1 << uint(k.l)) - 1
@@ -450,15 +449,11 @@ func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
 	return dst.SetUint64(m)
 }
 
+// randomizer draws r uniform in [0, 2^dgkRndBits), an exponent h's
+// table covers.
 func (k DGKPublicKey) randomizer() (*big.Int, error) {
 	bound := new(big.Int).Lsh(big.NewInt(1), dgkRndBits)
 	return rand.Int(rand.Reader, bound)
-}
-
-// mulExpNaive sets v = v * base^e mod n by generic exponentiation: the
-// retained reference, and the fall-through where a table declines.
-func (k DGKPublicKey) mulExpNaive(v, base, e *big.Int) {
-	v.Mul(v, new(big.Int).Exp(base, e, k.n)).Mod(v, k.n)
 }
 
 // mulHPower multiplies v, a residue mod n, by h^r for a fresh
@@ -466,24 +461,20 @@ func (k DGKPublicKey) mulExpNaive(v, base, e *big.Int) {
 // pool has one ready, the fixed-base chain straight into v otherwise.
 // It feeds the hit/miss counters RandomizerPoolStats reports.
 func (k DGKPublicKey) mulHPower(v *big.Int, sc *Scratch) error {
-	if fb := k.fb; fb != nil {
-		fb.ensure(k)
-		if p := fb.pool.Load(); p != nil {
-			if hr := p.get(); hr != nil {
-				fb.poolHits.Add(1)
-				fb.m.mulRedc(v, v, hr, sc)
-				return nil
-			}
+	fb := k.fb.ensure(k)
+	if p := fb.pool.Load(); p != nil {
+		if hr := p.get(); hr != nil {
+			fb.poolHits.Add(1)
+			fb.m.mulRedc(v, v, hr, sc)
+			return nil
 		}
-		fb.poolMisses.Add(1)
 	}
+	fb.poolMisses.Add(1)
 	r, err := k.randomizer()
 	if err != nil {
 		return err
 	}
-	if k.fb == nil || !k.fb.hTab.mulInto(v, r, sc) {
-		k.mulExpNaive(v, k.h, r)
-	}
+	fb.hTab.mulInto(v, r, sc)
 	return nil
 }
 
@@ -493,18 +484,12 @@ func (k DGKPublicKey) mulHPower(v *big.Int, sc *Scratch) error {
 // never started). The scaling benches record them to prove a
 // multi-worker rerandomize sweep stayed on the pooled fast path.
 func (k DGKPublicKey) RandomizerPoolStats() (hits, misses uint64) {
-	if k.fb == nil {
-		return 0, 0
-	}
 	return k.fb.poolHits.Load(), k.fb.poolMisses.Load()
 }
 
 // Encrypt implements PublicKey: g^m h^r mod n, as 1 -> *g^m -> *h^r
 // through the in-place kernels.
 func (k DGKPublicKey) Encrypt(m uint64) (*Ciphertext, error) {
-	if k.fb == nil {
-		return k.encryptNaive(m)
-	}
 	c, sc := &Ciphertext{v: big.NewInt(1)}, k.NewScratch()
 	if err := k.AddPlainInto(c, c, m, sc); err != nil {
 		return nil, err
@@ -513,17 +498,6 @@ func (k DGKPublicKey) Encrypt(m uint64) (*Ciphertext, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// encryptNaive is the retained generic-exponentiation reference.
-func (k DGKPublicKey) encryptNaive(m uint64) (*Ciphertext, error) {
-	r, err := k.randomizer()
-	if err != nil {
-		return nil, err
-	}
-	gm := new(big.Int).Exp(k.g, k.reduce(m), k.n)
-	hr := new(big.Int).Exp(k.h, r, k.n)
-	return &Ciphertext{v: gm.Mul(gm, hr).Mod(gm, k.n)}, nil
 }
 
 // AddPlain implements PublicKey: multiply by g^m (no fresh randomness;
@@ -550,14 +524,9 @@ func (k DGKPublicKey) NewScratch() *Scratch { return &Scratch{} }
 
 // AddPlainInto implements PublicKey: AddPlain(a, m) into dst (which
 // may alias a). The fixed-base chain runs straight into dst's own
-// big.Int through sc, so a steady-state fold loop allocates nothing;
-// where the table declines (or the key has none) it takes the retained
-// generic exponentiation — same result, allocating profile.
+// big.Int through sc, so a steady-state fold loop allocates nothing.
 func (k DGKPublicKey) AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error {
-	v, e := dst.startAt(a), k.reduceInto(&sc.e, m)
-	if k.fb == nil || !k.fb.ensure(k).gTab.mulInto(v, e, sc) {
-		k.mulExpNaive(v, k.g, e)
-	}
+	k.fb.ensure(k).gTab.mulInto(dst.startAt(a), k.reduceInto(&sc.e, m), sc)
 	return nil
 }
 
@@ -611,11 +580,11 @@ func (k DGKPublicKey) DeserializeVector(data []byte) ([]*Ciphertext, error) {
 		return nil, fmt.Errorf("ahe: DGK ciphertext vector of %d bytes is not a multiple of %d", len(data), size)
 	}
 	out := make([]*Ciphertext, len(data)/size)
-	if k.fb != nil && k.unitProduct(out, data) {
+	if k.unitProduct(out, data) {
 		return out, nil
 	}
-	// A key without tables — or a vector with a bad element, walked
-	// again only to name the culprit.
+	// A vector with a bad element, walked again only to name the
+	// culprit.
 	for i := range out {
 		c, err := k.Deserialize(data[i*size : (i+1)*size])
 		if err != nil {
@@ -647,15 +616,12 @@ func (k DGKPublicKey) unitProduct(out []*Ciphertext, data []byte) bool {
 var bigOne = big.NewInt(1)
 
 // Decrypt implements PrivateKey via Pohlig–Hellman in the 2^l-order
-// subgroup: recover m from c^vp = gamma^m mod p, 8 bits per round on
-// the fast path (falling back to the naive bit-by-bit reference when
-// the value is outside gamma's subgroup, so the two paths are
-// bit-identical on every input).
+// subgroup: recover m from c^vp = gamma^m mod p, 8 bits per round
+// (falling back to the bit-by-bit decryption when the value is outside
+// gamma's subgroup, so Decrypt is defined the same way on every input).
 func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
-	if k.dec != nil {
-		if m, ok := k.decryptFast(c); ok {
-			return m, nil
-		}
+	if m, ok := k.decryptFast(c); ok {
+		return m, nil
 	}
 	return k.decryptNaive(c)
 }
@@ -678,7 +644,7 @@ func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
 //
 // ok = false means the value is not in gamma's 2^l-order subgroup
 // (impossible for anything produced by Encrypt/Add/AddPlain/
-// Rerandomize); the caller falls back to the naive path so junk
+// Rerandomize); the caller falls back to the bit-by-bit path so junk
 // inputs keep their reference behavior.
 func (k *DGKPrivateKey) decryptFast(c *Ciphertext) (uint64, bool) {
 	df := k.dec
@@ -718,9 +684,10 @@ func (k *DGKPrivateKey) decryptFast(c *Ciphertext) (uint64, bool) {
 	return m, true
 }
 
-// decryptNaive is the retained bit-by-bit reference: peel one bit per
-// round, re-squaring the accumulator down to the top of the group each
-// time (O(l^2) squarings).
+// decryptNaive is the bit-by-bit decryption: peel one bit per round,
+// re-squaring the accumulator down to the top of the group each time
+// (O(l^2) squarings). Decrypt falls through to it for a unit outside
+// gamma's subgroup, and the conformance tests hold decryptFast to it.
 func (k *DGKPrivateKey) decryptNaive(c *Ciphertext) (uint64, error) {
 	cm := new(big.Int).Exp(new(big.Int).Mod(c.v, k.p), k.vp, k.p) // gamma^m
 	var m uint64

@@ -40,10 +40,10 @@ import (
 const fbWindowBits = 8
 
 // fbTable holds the precomputed window rows for one (base, modulus)
-// pair.
+// pair, covering exponents in [0, 2^maxBits) for the maxBits it was
+// built with.
 type fbTable struct {
-	m       *mont
-	maxBits int
+	m *mont
 	// win[i][d-1] = base^(d << (8 i)) * R mod n for d in 1..255.
 	win [][]*big.Int
 }
@@ -68,19 +68,17 @@ func newFBTable(base *big.Int, m *mont, maxBits int) *fbTable {
 		}
 		bases[i] = b
 	}
-	return &fbTable{m: m, maxBits: maxBits, win: m.powerRows(bases)}
+	return &fbTable{m: m, win: m.powerRows(bases)}
 }
 
 // mulInto multiplies acc, a residue in [0, n), by base^e in place: one
-// table entry per nonzero byte of e. It reports false, leaving acc
-// untouched, when e is negative or too wide for the table (the caller
-// falls back to big.Int.Exp). The table is only read, so concurrent
-// calls with distinct acc and sc are safe.
-func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) bool {
-	if e.Sign() < 0 || e.BitLen() > t.maxBits {
-		return false
-	}
-	i := 0 // < len(t.win) at every nonzero byte, by the BitLen guard
+// table entry per nonzero byte of e. e must lie in [0, 2^maxBits) for
+// the table's maxBits (a wider one indexes past the last row); the
+// callers' exponents do by construction (dgk.go's reduceInto and
+// randomizer). The table is only read, so concurrent calls with
+// distinct acc and sc are safe.
+func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) {
+	i := 0 // < len(t.win) at every nonzero byte, as e < 2^maxBits
 	for _, w := range e.Bits() {
 		for s := 0; s < bits.UintSize; s += fbWindowBits {
 			if d := byte(w >> uint(s)); d != 0 {
@@ -89,5 +87,4 @@ func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) bool {
 			i++
 		}
 	}
-	return true
 }

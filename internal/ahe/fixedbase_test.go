@@ -60,21 +60,11 @@ func TestFixedBaseExpMatchesBigExp(t *testing.T) {
 	var sc Scratch
 	for _, e := range exps {
 		got := big.NewInt(1)
-		if !tab.mulInto(got, e, &sc) {
-			t.Fatalf("table refused in-range exponent of %d bits", e.BitLen())
-		}
+		tab.mulInto(got, e, &sc)
 		want := new(big.Int).Exp(base, e, mod)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("fixed-base mismatch at e=%v", e)
 		}
-	}
-	// Out-of-range exponents are refused (callers fall back), never
-	// silently truncated.
-	if tab.mulInto(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), maxBits), &sc) {
-		t.Fatal("table accepted an exponent wider than maxBits")
-	}
-	if tab.mulInto(big.NewInt(1), big.NewInt(-1), &sc) {
-		t.Fatal("table accepted a negative exponent")
 	}
 }
 
@@ -224,25 +214,36 @@ func conformanceKeys(t *testing.T) []*DGKPrivateKey {
 	return confKeys
 }
 
-// naiveCopy returns a copy of key without fast-path state (fb and dec
-// nil — the shape the key types document as naive-only), so every
-// operation on it runs the retained math/big reference code. It shares
-// the key material, so ciphertexts move freely between the two.
-func naiveCopy(key *DGKPrivateKey) *DGKPrivateKey {
-	ref := *key
-	ref.fb = nil
-	ref.dec = nil
-	return &ref
+// The generic math/big reference the kernels are held to: the scheme's
+// definition, Enc(m; r) = g^m h^r mod n, computed by big.Int.Exp.
+
+// reduce returns m mod 2^l as a fresh big.Int.
+func (k DGKPublicKey) reduce(m uint64) *big.Int { return k.reduceInto(new(big.Int), m) }
+
+// mulExpNaive sets v = v * base^e mod n by generic exponentiation.
+func (k DGKPublicKey) mulExpNaive(v, base, e *big.Int) {
+	v.Mul(v, new(big.Int).Exp(base, e, k.n)).Mod(v, k.n)
+}
+
+// encryptNaive is Encrypt by generic exponentiation.
+func (k DGKPublicKey) encryptNaive(m uint64) (*Ciphertext, error) {
+	r, err := k.randomizer()
+	if err != nil {
+		return nil, err
+	}
+	gm := new(big.Int).Exp(k.g, k.reduce(m), k.n)
+	hr := new(big.Int).Exp(k.h, r, k.n)
+	return &Ciphertext{v: gm.Mul(gm, hr).Mod(gm, k.n)}, nil
 }
 
 // TestFastPathConformance is the named CI gate: the fixed-base /
-// windowed fast path must be bit-identical to the retained naive
-// reference — same decryptions for ciphertexts produced by either
-// path, through homomorphic chains, rerandomization, and the
-// randomizer pool, across random keys and plaintexts.
+// windowed kernels must be bit-identical to the generic math/big
+// reference — same decryptions for ciphertexts produced by either,
+// the same group element from AddPlain, through homomorphic chains,
+// rerandomization, and the randomizer pool, across random keys and
+// plaintexts.
 func TestFastPathConformance(t *testing.T) {
 	for _, key := range conformanceKeys(t) {
-		ref := naiveCopy(key)
 		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
 		if key.PlaintextBits() == 64 {
 			mask = ^uint64(0)
@@ -258,15 +259,19 @@ func TestFastPathConformance(t *testing.T) {
 				return false
 			}
 			// ...and a naive-encrypted one.
-			c2, err := ref.Encrypt(m2)
+			c2, err := key.encryptNaive(m2)
 			if err != nil {
 				return false
 			}
 
-			// A homomorphic chain touching every public-key op.
+			// A homomorphic chain touching every public-key op; the
+			// deterministic one, AddPlain, is the reference's group
+			// element exactly.
 			sum := mulCiphertexts(key.n, c1, c2)
+			ref := new(big.Int).Set(sum.v)
+			key.mulExpNaive(ref, key.g, key.reduce(uint64(seed)))
 			sum, err = key.AddPlain(sum, uint64(seed))
-			if err != nil {
+			if err != nil || sum.v.Cmp(ref) != 0 {
 				return false
 			}
 			sum, err = key.Rerandomize(sum)
@@ -320,6 +325,36 @@ func TestFastPathConformanceJunkInput(t *testing.T) {
 		}
 		if fast != naive {
 			t.Fatalf("junk input diverged: fast %x naive %x", fast, naive)
+		}
+	}
+}
+
+// TestFastPathConformanceWidestExponents pins the precondition that
+// replaced the generic-exponentiation fall-through: the widest exponent
+// each kernel is handed fits its table. g's table takes reduceInto's
+// output, at most 2^l - 1; h's takes a randomizer, at most
+// 2^dgkRndBits - 1. At both, mulInto equals big.Int.Exp on every
+// conformance key.
+func TestFastPathConformanceWidestExponents(t *testing.T) {
+	for _, key := range conformanceKeys(t) {
+		fb := key.fb.ensure(key.DGKPublicKey)
+		var sc Scratch
+		gMax := key.reduceInto(new(big.Int), ^uint64(0))
+		if want := new(big.Int).Sub(new(big.Int).Lsh(bigOne, uint(key.l)), bigOne); gMax.Cmp(want) != 0 {
+			t.Fatalf("l=%d: reduceInto(2^64-1) = %v, want 2^l-1", key.l, gMax)
+		}
+		hMax := new(big.Int).Sub(new(big.Int).Lsh(bigOne, dgkRndBits), bigOne)
+		for _, tc := range []struct {
+			name string
+			tab  *fbTable
+			base *big.Int
+			e    *big.Int
+		}{{"g", fb.gTab, key.g, gMax}, {"h", fb.hTab, key.h, hMax}} {
+			got := big.NewInt(1)
+			tc.tab.mulInto(got, tc.e, &sc)
+			if want := new(big.Int).Exp(tc.base, tc.e, key.n); got.Cmp(want) != 0 {
+				t.Fatalf("l=%d: %s table at its widest exponent differs from big.Int.Exp", key.l, tc.name)
+			}
 		}
 	}
 }

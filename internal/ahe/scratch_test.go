@@ -19,7 +19,7 @@ import (
 // fixed-base kernel — the only form there is — to its definition,
 // acc * base^e mod n, across the same exponent shapes, starting from a
 // random residue with the accumulator and the scratch reused (dirty)
-// between calls; a refused exponent must leave the accumulator alone.
+// between calls.
 func TestExpIntoMatchesExp(t *testing.T) {
 	const maxBits = 400
 	tab, base, mod, exps := fbTestTable(t, maxBits)
@@ -31,31 +31,19 @@ func TestExpIntoMatchesExp(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc.Set(start)
-		if !tab.mulInto(&acc, e, &sc) {
-			t.Fatalf("mulInto refused in-range exponent of %d bits", e.BitLen())
-		}
+		tab.mulInto(&acc, e, &sc)
 		want := new(big.Int).Exp(base, e, mod)
 		if want.Mul(want, start).Mod(want, mod); acc.Cmp(want) != 0 {
 			t.Fatalf("mulInto mismatch at e=%v", e)
 		}
 	}
-	before := new(big.Int).Set(&acc)
-	if tab.mulInto(&acc, new(big.Int).Lsh(big.NewInt(1), maxBits), &sc) {
-		t.Fatal("mulInto accepted an exponent wider than maxBits")
-	}
-	if tab.mulInto(&acc, big.NewInt(-1), &sc) {
-		t.Fatal("mulInto accepted a negative exponent")
-	}
-	if acc.Cmp(before) != 0 {
-		t.Fatal("a refused exponent modified the accumulator")
-	}
 }
 
 // TestScratchOpsMatchAllocatingOps: AddPlainInto / RerandomizeInto —
 // including the dst == a in-place form the shuffle loops use — must
-// decrypt identically to the allocating AddPlain / Rerandomize, on the
-// fast path and through the naive fallback (a key copy without
-// fast-path state), with one Scratch reused across every call.
+// decrypt identically to the allocating AddPlain / Rerandomize, and
+// AddPlainInto must give the generic-exponentiation reference's group
+// element bit for bit, with one Scratch reused across every call.
 func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 	for _, key := range conformanceKeys(t) {
 		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
@@ -64,46 +52,51 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 		}
 		r := rng.New(0x5c7a7c4)
 		sc := key.NewScratch()
-		for _, fast := range []bool{true, false} {
-			k := key
-			if !fast {
-				k = naiveCopy(key)
+		for i := 0; i < 16; i++ {
+			m := r.Uint64() & mask
+			add := r.Uint64() & mask
+			c, err := key.Encrypt(m)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 8; i++ {
-				m := r.Uint64() & mask
-				add := r.Uint64() & mask
-				c, err := k.Encrypt(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// In-place chain: add, then rerandomize, dst aliasing a.
-				if err := k.AddPlainInto(c, c, add, sc); err != nil {
-					t.Fatal(err)
-				}
-				if err := k.RerandomizeInto(c, c, sc); err != nil {
-					t.Fatal(err)
-				}
-				got, err := k.Decrypt(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := (m + add) & mask; got != want {
-					t.Fatalf("fast=%v l=%d: in-place chain decrypts %d, want %d",
-						fast, key.PlaintextBits(), got, want)
-				}
-				// Distinct-destination form, dst starting zero-valued.
-				var out Ciphertext
-				if err := k.AddPlainInto(&out, c, add, sc); err != nil {
-					t.Fatal(err)
-				}
-				got, err = k.Decrypt(&out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := (m + 2*add) & mask; got != want {
-					t.Fatalf("fast=%v l=%d: fresh-dst add decrypts %d, want %d",
-						fast, key.PlaintextBits(), got, want)
-				}
+			// In-place chain: add, then rerandomize, dst aliasing a.
+			ref := new(big.Int).Set(c.v)
+			key.mulExpNaive(ref, key.g, key.reduce(add))
+			if err := key.AddPlainInto(c, c, add, sc); err != nil {
+				t.Fatal(err)
+			}
+			if c.v.Cmp(ref) != 0 {
+				t.Fatalf("l=%d: in-place AddPlainInto differs from the reference", key.PlaintextBits())
+			}
+			if err := key.RerandomizeInto(c, c, sc); err != nil {
+				t.Fatal(err)
+			}
+			got, err := key.Decrypt(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (m + add) & mask; got != want {
+				t.Fatalf("l=%d: in-place chain decrypts %d, want %d", key.PlaintextBits(), got, want)
+			}
+			// Distinct-destination form, dst starting zero-valued,
+			// against the allocating AddPlain.
+			var out Ciphertext
+			if err := key.AddPlainInto(&out, c, add, sc); err != nil {
+				t.Fatal(err)
+			}
+			alloc, err := key.AddPlain(c, add)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.v.Cmp(alloc.v) != 0 {
+				t.Fatalf("l=%d: fresh-dst AddPlainInto differs from AddPlain", key.PlaintextBits())
+			}
+			got, err = key.Decrypt(&out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (m + 2*add) & mask; got != want {
+				t.Fatalf("l=%d: fresh-dst add decrypts %d, want %d", key.PlaintextBits(), got, want)
 			}
 		}
 	}

@@ -26,33 +26,30 @@ func elementVerdicts(key *DGKPrivateKey, data []byte) (first int, ragged bool) {
 }
 
 // checkVectorMatchesElements asserts the conformance claim on one
-// input, for the batched decoder and for the table-less key (which
-// loops over Deserialize): accept iff every element is accepted, decode
-// to the same group elements, and name the first culprit otherwise.
+// input: accept iff every element is accepted, decode to the same group
+// elements, and name the first culprit otherwise.
 func checkVectorMatchesElements(t *testing.T, key *DGKPrivateKey, data []byte) {
 	t.Helper()
 	size := key.CiphertextBytes()
 	first, ragged := elementVerdicts(key, data)
-	for name, k := range map[string]*DGKPrivateKey{"product": key, "per-element": naiveCopy(key)} {
-		got, err := k.DeserializeVector(data)
-		switch {
-		case ragged || first >= 0:
-			if err == nil {
-				t.Fatalf("%s: accepted a vector Deserialize refuses (ragged=%v, first bad element %d)", name, ragged, first)
-			}
-			if !ragged && !strings.Contains(err.Error(), fmt.Sprintf("ciphertext %d:", first)) {
-				t.Fatalf("%s: error %q does not name the culprit index %d", name, err, first)
-			}
-		case err != nil:
-			t.Fatalf("%s: refused a vector every element of which Deserialize accepts: %v", name, err)
-		default:
-			if len(got) != len(data)/size {
-				t.Fatalf("%s: decoded %d elements, want %d", name, len(got), len(data)/size)
-			}
-			for i, c := range got {
-				if !bytes.Equal(k.Serialize(c), data[i*size:(i+1)*size]) {
-					t.Fatalf("%s: element %d decoded to a different group element", name, i)
-				}
+	got, err := key.DeserializeVector(data)
+	switch {
+	case ragged || first >= 0:
+		if err == nil {
+			t.Fatalf("accepted a vector Deserialize refuses (ragged=%v, first bad element %d)", ragged, first)
+		}
+		if !ragged && !strings.Contains(err.Error(), fmt.Sprintf("ciphertext %d:", first)) {
+			t.Fatalf("error %q does not name the culprit index %d", err, first)
+		}
+	case err != nil:
+		t.Fatalf("refused a vector every element of which Deserialize accepts: %v", err)
+	default:
+		if len(got) != len(data)/size {
+			t.Fatalf("decoded %d elements, want %d", len(got), len(data)/size)
+		}
+		for i, c := range got {
+			if !bytes.Equal(key.Serialize(c), data[i*size:(i+1)*size]) {
+				t.Fatalf("element %d decoded to a different group element", i)
 			}
 		}
 	}

@@ -90,12 +90,3 @@ func TestPEOSvsSSPoisoningContrast(t *testing.T) {
 			ss.TargetBoost, peos.TargetBoost)
 	}
 }
-
-func TestUserCollusionPanicsOnUnary(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UserCollusion(ldp.NewRAP(4, 1), 10, 10, 1)
-}

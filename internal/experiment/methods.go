@@ -67,8 +67,7 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 		return simMethod("OLH", fo, n), nil
 
 	case "Had":
-		fo := ldp.NewHadamard(d, epsC)
-		return simMethod("Had", fo, n), nil
+		return simMethod("Had", ldp.NewHadamard(epsC), n), nil
 
 	case "SH":
 		// GRR + shuffling [9]; no amplification below the threshold.
@@ -102,8 +101,7 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 		return Method{}, errors.New("experiment: use NewSOLHFixed for fixed-d' SOLH")
 
 	case "AUE":
-		fo := ldp.NewAUE(d, epsC, delta, n)
-		return simMethod("AUE", fo, n), nil
+		return simMethod("AUE", ldp.NewAUE(epsC, delta, n), n), nil
 
 	case "RAP":
 		epsL, err := amplify.LocalEpsilonUnary(epsC, n, delta)
@@ -113,8 +111,7 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 			}
 			epsL = epsC
 		}
-		fo := ldp.NewRAP(d, epsL)
-		return simMethod("RAP", fo, n), nil
+		return simMethod("RAP", ldp.NewRAP(epsL), n), nil
 
 	case "RAP_R":
 		// Removal-LDP variant: equivalent to RAP at 2*epsC (§IV-B4).
@@ -126,9 +123,7 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 			}
 			epsL = eq
 		}
-		fo := ldp.NewRAP(d, epsL)
-		m := simMethod("RAP_R", fo, n)
-		return m, nil
+		return simMethod("RAP_R", ldp.NewRAP(epsL), n), nil
 
 	default:
 		return Method{}, fmt.Errorf("experiment: unknown method %q", name)
@@ -147,17 +142,17 @@ func NewSOLHFixed(epsC, delta float64, n, d, dPrime int) (Method, error) {
 	return m, nil
 }
 
-// simMethod wraps a concrete oracle as a Method.
-func simMethod(name string, fo ldp.FrequencyOracle, n int) Method {
+// simMethod wraps a concrete mechanism as a Method.
+func simMethod(name string, mech ldp.Mechanism, n int) Method {
 	m := Method{
 		Name: name,
 		Simulate: func(tc []int, r *rng.Rand) []float64 {
-			return ldp.SimulateEstimates(fo, tc, r)
+			return ldp.SimulateEstimates(mech, tc, r)
 		},
-		AnalyticMSE: fo.Variance(n),
-		EpsL:        fo.EpsilonLocal(),
+		AnalyticMSE: mech.Variance(n),
+		EpsL:        mech.EpsilonLocal(),
 	}
-	if lh, ok := fo.(*ldp.LocalHash); ok {
+	if lh, ok := mech.(*ldp.LocalHash); ok {
 		m.DPrime = lh.DPrime()
 	}
 	return m

@@ -41,14 +41,3 @@ func BenchmarkCountSupport(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(block*d), "ns/hash")
 }
-
-func BenchmarkFWHT64K(b *testing.B) {
-	data := make([]float64, 1<<16)
-	for i := range data {
-		data[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FWHT(data)
-	}
-}

@@ -162,89 +162,3 @@ func TestFamilyBucketUniformity(t *testing.T) {
 		}
 	}
 }
-
-func TestFWHTInvolution(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	orig := append([]float64(nil), data...)
-	FWHT(data)
-	FWHT(data)
-	for i := range data {
-		if math.Abs(data[i]/8-orig[i]) > 1e-12 {
-			t.Fatalf("FWHT(FWHT(x))/n != x at %d: %v vs %v", i, data[i]/8, orig[i])
-		}
-	}
-}
-
-func TestFWHTMatchesMatrix(t *testing.T) {
-	// FWHT(x)[i] must equal sum_j H[i,j] x[j].
-	const n = 16
-	x := make([]float64, n)
-	r := rng.New(5)
-	for i := range x {
-		x[i] = r.Float64()*2 - 1
-	}
-	got := append([]float64(nil), x...)
-	FWHT(got)
-	for i := 0; i < n; i++ {
-		want := 0.0
-		for j := 0; j < n; j++ {
-			want += float64(HadamardEntry(uint64(i), uint64(j))) * x[j]
-		}
-		if math.Abs(got[i]-want) > 1e-9 {
-			t.Fatalf("FWHT[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-func TestFWHTPanics(t *testing.T) {
-	for _, bad := range [][]float64{{}, {1, 2, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for len %d", len(bad))
-				}
-			}()
-			FWHT(bad)
-		}()
-	}
-}
-
-func TestHadamardEntryProperties(t *testing.T) {
-	// Row 0 and column 0 are all +1; H is symmetric; rows are
-	// orthogonal.
-	for i := uint64(0); i < 32; i++ {
-		if HadamardEntry(0, i) != 1 || HadamardEntry(i, 0) != 1 {
-			t.Fatalf("border entry not +1 at %d", i)
-		}
-		for j := uint64(0); j < 32; j++ {
-			if HadamardEntry(i, j) != HadamardEntry(j, i) {
-				t.Fatalf("asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	const n = 32
-	for a := uint64(0); a < n; a++ {
-		for b := uint64(0); b < n; b++ {
-			dot := 0
-			for k := uint64(0); k < n; k++ {
-				dot += HadamardEntry(a, k) * HadamardEntry(b, k)
-			}
-			want := 0
-			if a == b {
-				want = n
-			}
-			if dot != want {
-				t.Fatalf("rows %d,%d dot = %d, want %d", a, b, dot, want)
-			}
-		}
-	}
-}
-
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 915: 1024, 42178: 65536}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}

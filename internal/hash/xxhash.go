@@ -1,7 +1,6 @@
 // Package hash provides the hashing substrate of the repository: a
-// from-scratch xxHash64 of one 64-bit word, the seeded universal hash family
-// used by the local-hashing frequency oracles (OLH, SOLH), and a fast
-// Walsh–Hadamard transform for the Hadamard response oracle.
+// from-scratch xxHash64 of one 64-bit word and the seeded universal hash
+// family used by the local-hashing frequency oracles (OLH, SOLH).
 //
 // The paper's prototype uses python-xxhash with 32-bit seeds as the
 // "randomly chosen hash function from a universal family" (§VII-B,

@@ -2,7 +2,7 @@ package ldp
 
 import "shuffledp/internal/hash"
 
-// Support is what a count oracle's estimator needs to know about its
+// Support is what a count estimator needs to know about its
 // randomizer: the probability that one report "supports" a fixed value
 // v of the domain, by where the report came from.
 //
@@ -12,11 +12,12 @@ import "shuffledp/internal/hash"
 //	RAP(_R)  1-flip                 flip          -
 //	Had      p                      1/2           -
 //
-// Hadamard's row is the support-count view of its signed reports
-// ("support" = the sign matches H[a, v+1]), which is what the
-// simulators sample; its aggregator works on row sums instead. AUE has
-// no Support: its blanket adds increments, not a second probability
-// (see SimulateAUE).
+// GRR and OLH/SOLH are the deployed oracles; the accumulator calibrates
+// their counts. RAP(_R) and Had are Figure 3 baselines, which only the
+// simulators sample: Hadamard's row is the support-count view of its
+// signed reports ("support" = the sign matches H[a, v+1]). AUE has no
+// Support: its blanket adds increments, not a second probability (see
+// SimulateAUE).
 type Support struct {
 	// P is the probability that a user's report supports the user's
 	// own value.
@@ -29,10 +30,10 @@ type Support struct {
 	U float64
 }
 
-// SupportOf returns the support probabilities of a count oracle, or
-// ok=false for an oracle without the (P, Q) structure.
-func SupportOf(fo FrequencyOracle) (s Support, ok bool) {
-	switch o := fo.(type) {
+// SupportOf returns the support probabilities of a mechanism, or
+// ok=false for one without the (P, Q) structure.
+func SupportOf(m Mechanism) (s Support, ok bool) {
+	switch o := m.(type) {
 	case *GRR:
 		// The report space is [d], so u = 1/d and — because
 		// p + (d-1)q = 1 — one fake adds exactly 1/d to every
@@ -100,16 +101,15 @@ const lhBlock = 512
 type countSpec struct {
 	kind  byte    // state-header kind byte (marshal.go); selects how a report adds
 	d     int     // domain size = number of counts
-	aux   int     // header echo: local hashing's d', AUE's blanket rounds
+	aux   int     // header echo: local hashing's d'
 	param float64 // header echo: the oracle's defining probability
-	// Estimates are (C_v/n - shift) / scale: (q, p-q) for an oracle
-	// with a Support, (gamma, exactly 1) for AUE.
+	// Estimates are (C_v/n - shift) / scale, i.e. (q, p-q).
 	shift, scale float64
 }
 
-// accumulator is the Aggregator of every oracle whose sufficient
-// statistic is d integer support counts — all of them but Hadamard. The
-// only per-oracle code is how one report adds to the counts.
+// accumulator is the Aggregator of every FrequencyOracle: its
+// sufficient statistic is d integer support counts. The only per-oracle
+// code is how one report adds to the counts.
 type accumulator struct {
 	countSpec
 	n      int
@@ -132,34 +132,16 @@ func newAccumulator(fo FrequencyOracle, kind byte, aux int, param float64) *accu
 
 // Add implements Aggregator.
 func (a *accumulator) Add(rep Report) {
-	switch a.kind {
-	case kindLocalHash:
+	if a.kind == kindLocalHash {
 		// Report (seed, y) supports v iff H_seed(v) = y.
 		if rep.Value < 0 || rep.Value >= a.aux {
 			panic("ldp: local hash report outside [0, d')")
 		}
 		a.stage(uint64(rep.Seed), uint64(rep.Value))
-	case kindGRR:
-		// A report supports its value.
+	} else {
+		// GRR: a report supports its value.
 		validateValue(rep.Value, a.d)
 		a.tally()[rep.Value]++
-	default:
-		// One bit per location — for AUE, one increment count.
-		if len(rep.Bits) != a.d {
-			panic("ldp: report has the wrong number of locations")
-		}
-		counts := a.tally()
-		if a.kind == kindAUE {
-			for j, b := range rep.Bits {
-				counts[j] += int(b)
-			}
-		} else {
-			for j, b := range rep.Bits {
-				if b == 1 {
-					counts[j]++
-				}
-			}
-		}
 	}
 	a.n++
 }
@@ -225,8 +207,7 @@ func (a *accumulator) Clone() Aggregator {
 	return c
 }
 
-// Estimates implements Aggregator: Equations (2) and (3), and AUE's
-// C_v/n - gamma.
+// Estimates implements Aggregator: Equations (2) and (3).
 func (a *accumulator) Estimates() []float64 {
 	a.flush()
 	return calibrate(a.tally(), a.n, 0, a.shift, a.scale, 0)
@@ -236,13 +217,9 @@ func (a *accumulator) Estimates() []float64 {
 // given reports support v — the raw statistic behind Equations (2) and
 // (3). It is the server-side aggregation used when reports arrive
 // through a protocol (shuffled words) rather than an Aggregator, and
-// runs them through the same accumulator. Hadamard, whose statistic is
-// not a count, panics.
+// runs them through the same accumulator.
 func SupportCounts(fo FrequencyOracle, reports []Report) []int {
-	a, ok := fo.NewAggregator().(*accumulator)
-	if !ok {
-		panic("ldp: SupportCounts does not support oracle " + fo.Name())
-	}
+	a := fo.NewAggregator().(*accumulator)
 	for _, rep := range reports {
 		a.Add(rep)
 	}

@@ -24,24 +24,6 @@ func BenchmarkSOLHRandomize(b *testing.B) {
 	}
 }
 
-func BenchmarkHadamardRandomize(b *testing.B) {
-	h := NewHadamard(42178, 1)
-	r := rng.New(3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Randomize(i%42178, r)
-	}
-}
-
-func BenchmarkRAPRandomize(b *testing.B) {
-	u := NewRAP(915, 1)
-	r := rng.New(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		u.Randomize(i%915, r)
-	}
-}
-
 // The server-side cost the paper quotes under Table II: "our machine
 // can evaluate the hash function 1 million times within 0.1 second".
 func BenchmarkSOLHServerSupportCount(b *testing.B) {

@@ -29,13 +29,10 @@ type WordEncoder struct {
 
 // NewWordEncoder returns the encoder for the given oracle. It is the one
 // answer to "can this oracle report": the service codec, PEOS, SS and
-// the cluster roles all ask it and nothing else. Only GRR and local
-// hashing (OLH/SOLH) — the two oracles §VI-A2 puts on a wire — have
-// word encodings, and each has a fake-corrected estimator (Support.U >
-// 0, Equation 6). Every other oracle gets an error that names it:
-// Hadamard's rows would need a bound of their own and it has no
-// Equation 6 estimator, and the unary-encoding oracles report whole
-// vectors.
+// the cluster roles all ask it and nothing else. GRR and local hashing
+// (OLH/SOLH) — the two oracles §VI-A2 puts on a wire — have word
+// encodings, and each has a fake-corrected estimator (Support.U > 0,
+// Equation 6). Any other FrequencyOracle gets an error that names it.
 func NewWordEncoder(fo FrequencyOracle) (*WordEncoder, error) {
 	switch o := fo.(type) {
 	case *GRR:

@@ -46,21 +46,18 @@ func TestWordEncoderSOLHRoundTrip(t *testing.T) {
 	}
 }
 
-// Hadamard has no word encoding: its rows would need a bound of their
-// own, and it has no fake-corrected estimator. The refusal names it.
-func TestWordEncoderHadamard(t *testing.T) {
-	_, err := NewWordEncoder(NewHadamard(100, 1))
-	if err == nil || !strings.Contains(err.Error(), "oracle Had ") {
-		t.Fatalf("NewWordEncoder(Had) = %v, want a refusal naming the oracle", err)
-	}
-}
+// otherOracle is a FrequencyOracle that is neither GRR nor local
+// hashing: the shape of any oracle added later without a word encoding.
+type otherOracle struct{ *GRR }
 
-func TestWordEncoderRejectsUnary(t *testing.T) {
-	if _, err := NewWordEncoder(NewRAP(10, 1)); err == nil {
-		t.Fatal("expected error for unary oracle")
-	}
-	if _, err := NewWordEncoder(NewAUE(10, 1, 1e-9, 100)); err == nil {
-		t.Fatal("expected error for AUE")
+func (otherOracle) Name() string { return "Other" }
+
+// Only GRR and local hashing have word encodings; any other oracle is
+// refused by name, so no deployment can put its reports on a wire.
+func TestWordEncoderRefusesOtherOracles(t *testing.T) {
+	_, err := NewWordEncoder(otherOracle{NewGRR(10, 1)})
+	if err == nil || !strings.Contains(err.Error(), "oracle Other ") {
+		t.Fatalf("NewWordEncoder(Other) = %v, want a refusal naming the oracle", err)
 	}
 }
 

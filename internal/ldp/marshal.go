@@ -1,30 +1,25 @@
 package ldp
 
-// Binary state serialization for the aggregators, the foundation of
-// the durable epoch tier (internal/store): both Aggregator types — the
-// accumulator of accumulator.go, which serves every count oracle, and
-// hadamardAggregator — implement encoding.BinaryMarshaler /
-// encoding.BinaryUnmarshaler with one shared versioned layout, so a
-// sealed epoch root or the all-time aggregate can be checkpointed to
-// disk and restored bit-identically.
+// Binary state serialization for the aggregator, the foundation of
+// the durable epoch tier (internal/store): the accumulator of
+// accumulator.go, which serves every FrequencyOracle, implements
+// encoding.BinaryMarshaler / encoding.BinaryUnmarshaler with one
+// versioned layout, so a sealed epoch root or the all-time aggregate
+// can be checkpointed to disk and restored bit-identically.
 //
 // Layout (little-endian), stable across builds:
 //
 //	offset  size  field
 //	0       1     format version (aggStateVersion)
-//	1       1     aggregator kind (kindGRR..kindLocalHash)
-//	2       8     domain size d (Hadamard: matrix order D)
-//	10      8     aux parameter (local hashing: d'; AUE: blanket rounds)
-//	18      8     float64 bits of the defining probability
-//	              (GRR/OLH/SOLH/Hadamard: p; RAP/RAP_R: flip;
-//	              AUE: gamma)
+//	1       1     aggregator kind (kindGRR or kindLocalHash)
+//	2       8     domain size d
+//	10      8     aux parameter (local hashing: d'; GRR: 0)
+//	18      8     float64 bits of the defining probability p
 //	26      8     report count n
-//	34      ...   payload: d int64 counts, or D float64 row sums
+//	34      ...   payload: d int64 counts
 //
 // The accumulator writes the kind byte and the echoes its oracle handed
-// it (countSpec). RAP and RAP_R (RAP at twice the budget) share
-// kindUnary; the flip probability in the header is what keeps their
-// state from cross-loading.
+// it (countSpec).
 //
 // The kind byte plus the echoed parameters make a blob self-describing
 // enough that UnmarshalBinary can refuse state from a different oracle
@@ -61,15 +56,15 @@ var ErrStateVersion = errors.New("ldp: unknown aggregator state version")
 // local hashing over xxHash64-per-pair; it is reserved, never written
 // again, and refused on load like any other kind mismatch — those
 // counts cannot be merged with, or calibrated as, counts under the
-// multiply-add-shift family (kindLocalHash). Byte 6 was OUE, which no
-// deployment ran and which left the repository; it is reserved and
-// refused on load the same way.
+// multiply-add-shift family (kindLocalHash). Bytes 3 to 6 were the
+// aggregators of Hadamard, RAP/RAP_R, AUE and OUE, which no deployment
+// ran; they are reserved and refused on load the same way.
 const (
 	kindGRR            = 1
 	kindLocalHashXXH64 = 2 // retired; refused on load
-	kindHadamard       = 3
-	kindUnary          = 4
-	kindAUE            = 5
+	kindHadamard       = 3 // retired; refused on load
+	kindUnary          = 4 // retired; refused on load
+	kindAUE            = 5 // retired; refused on load
 	kindOUE            = 6 // retired; refused on load
 	kindLocalHash      = 7
 )
@@ -171,52 +166,5 @@ func (a *accumulator) UnmarshalBinary(data []byte) error {
 	}
 	a.n, a.counts = n, counts
 	a.seeds, a.ys = nil, nil
-	return nil
-}
-
-// marshalSums serializes the Hadamard row-sum vector. The sums are
-// exact integers stored in float64, so writing the raw bits is both
-// stable and bit-exact.
-func marshalSums(kind byte, d, aux uint64, param float64, n int, sums []float64) []byte {
-	buf := make([]byte, 0, aggHeaderSize+8*len(sums))
-	buf = appendAggHeader(buf, kind, d, aux, param, n)
-	for _, s := range sums {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-	}
-	return buf
-}
-
-func unmarshalSums(data []byte, kind byte, d, aux uint64, param float64) (int, []float64, error) {
-	n, payload, err := parseAggHeader(data, kind, d, aux, param)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(payload) != 8*int(d) {
-		return 0, nil, fmt.Errorf("ldp: aggregator state payload is %d bytes, want %d", len(payload), 8*int(d))
-	}
-	sums := make([]float64, d)
-	for i := range sums {
-		s := math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return 0, nil, fmt.Errorf("ldp: aggregator state row sum[%d] is not finite", i)
-		}
-		sums[i] = s
-	}
-	return n, sums, nil
-}
-
-// MarshalBinary implements Aggregator.
-func (a *hadamardAggregator) MarshalBinary() ([]byte, error) {
-	return marshalSums(kindHadamard, uint64(a.h.D), 0, a.h.p, a.n, a.rowSums), nil
-}
-
-// UnmarshalBinary implements Aggregator, replacing the receiver's
-// state.
-func (a *hadamardAggregator) UnmarshalBinary(data []byte) error {
-	n, sums, err := unmarshalSums(data, kindHadamard, uint64(a.h.D), 0, a.h.p)
-	if err != nil {
-		return err
-	}
-	a.n, a.rowSums = n, sums
 	return nil
 }

@@ -191,14 +191,12 @@ func TestAggregatorStateRefusesRetiredHashFamily(t *testing.T) {
 
 // FuzzAggregatorState: decoding arbitrary bytes into any oracle's
 // aggregator never panics, and whenever it succeeds the accepted blob
-// is canonical (re-marshaling reproduces it).
+// is canonical (re-marshaling reproduces it). The retired kinds' blobs
+// seed it beside the live ones.
 func FuzzAggregatorState(f *testing.F) {
 	oracles := []FrequencyOracle{
 		NewGRR(8, 1),
 		NewSOLH(8, 4, 1),
-		NewHadamard(6, 1),
-		NewRAP(8, 1),
-		NewAUE(8, 1, 1e-6, 1000),
 		NewOLH(8, 1),
 	}
 	for _, fo := range oracles {
@@ -208,6 +206,13 @@ func FuzzAggregatorState(f *testing.F) {
 			agg.Add(fo.Randomize(i%fo.Domain(), r))
 		}
 		blob, err := agg.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	for _, name := range retiredStateGoldens {
+		blob, err := os.ReadFile(filepath.Join("testdata", "state", name+".bin"))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -249,17 +254,15 @@ var stateGoldens = []struct {
 	{"olh", NewOLH(20, 2), lhBlock + 188, 1},
 	{"solh", NewSOLH(20, 5, 1.2), lhBlock + 188, 2},
 	{"solh_empty", NewSOLH(20, 6, 1.2), 0, 3},
-	{"rap", NewRAP(10, 1), 300, 4},
-	{"rap_r", NewRAP(10, 1.6), 300, 5}, // RAP_R at removal budget 0.8
-	{"aue", NewAUE(8, 1, 1e-6, 4000), 300, 7},
-	{"aue_rounds", NewAUE(8, 1, 1e-6, 500), 300, 8},
-	{"had", NewHadamard(10, 1), 300, 9},
 }
 
 // retiredStateGoldens are blobs of aggregator kinds this build no longer
-// has: oue.bin is an OUE aggregation (kind 6), written before the
-// oracle left the repository. Every oracle must refuse it.
-var retiredStateGoldens = []string{"oue"}
+// has, each written before its aggregator left the repository: oue.bin
+// is an OUE aggregation (kind 6); had.bin a Hadamard one (kind 3);
+// rap.bin and rap_r.bin unary-encoding ones (kind 4, RAP_R at removal
+// budget 0.8); aue.bin and aue_rounds.bin AUE ones (kind 5, the latter
+// with gamma > 1). Every oracle must refuse them.
+var retiredStateGoldens = []string{"oue", "had", "rap", "rap_r", "aue", "aue_rounds"}
 
 // stateRecord is what a .want fixture holds: the aggregator's Count,
 // then the bits of every estimate.

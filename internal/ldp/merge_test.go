@@ -12,13 +12,9 @@ import (
 // for.
 func mergeOracles() map[string]FrequencyOracle {
 	return map[string]FrequencyOracle{
-		"GRR":   NewGRR(32, 1.5),
-		"OLH":   NewOLH(64, 2),
-		"SOLH":  NewSOLH(64, 7, 1.2),
-		"Had":   NewHadamard(30, 1),
-		"RAP":   NewRAP(24, 1),
-		"RAP_R": NewRAP(24, 1.6),
-		"AUE":   NewAUE(16, 1, 1e-6, 4000),
+		"GRR":  NewGRR(32, 1.5),
+		"OLH":  NewOLH(64, 2),
+		"SOLH": NewSOLH(64, 7, 1.2),
 	}
 }
 
@@ -43,23 +39,12 @@ func TestMergeMatchesSequential(t *testing.T) {
 			want := seq.Estimates()
 			// One estimator: what the accumulator reports is what
 			// Support.Calibrate makes of the same reports' support
-			// counts — and for AUE, which has no Support, exactly
-			// C_v/n - gamma (a scale of (1+gamma)-gamma would not be).
-			if _, counted := seq.(*accumulator); counted {
-				counts := SupportCounts(fo, reports)
-				var direct []float64
-				if sup, ok := SupportOf(fo); ok {
-					direct = sup.Calibrate(counts, n, 0)
-				} else {
-					direct = make([]float64, d)
-					for v, c := range counts {
-						direct[v] = float64(c)/float64(n) - fo.(*AUE).gamma
-					}
-				}
-				for v := range want {
-					if math.Float64bits(direct[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("estimate[%d]: calibrated support counts give %v, Estimates %v", v, direct[v], want[v])
-					}
+			// counts.
+			sup, _ := SupportOf(fo)
+			direct := sup.Calibrate(SupportCounts(fo, reports), n, 0)
+			for v := range want {
+				if math.Float64bits(direct[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("estimate[%d]: calibrated support counts give %v, Estimates %v", v, direct[v], want[v])
 				}
 			}
 			for _, shards := range []int{1, 2, 3, 8, 64} {
@@ -211,12 +196,9 @@ func TestCloneEmpty(t *testing.T) {
 
 func TestMergeIncompatiblePanics(t *testing.T) {
 	cases := map[string][2]Aggregator{
-		"cross-oracle": {NewGRR(8, 1).NewAggregator(), NewRAP(8, 1).NewAggregator()},
+		"cross-oracle": {NewGRR(8, 1).NewAggregator(), NewSOLH(8, 4, 1).NewAggregator()},
 		"grr-domain":   {NewGRR(8, 1).NewAggregator(), NewGRR(9, 1).NewAggregator()},
 		"lh-dprime":    {NewSOLH(16, 4, 1).NewAggregator(), NewSOLH(16, 5, 1).NewAggregator()},
-		"had-order":    {NewHadamard(10, 1).NewAggregator(), NewHadamard(20, 1).NewAggregator()},
-		"unary-flip":   {NewRAP(8, 1).NewAggregator(), NewRAP(8, 2).NewAggregator()},
-		"aue-gamma":    {NewAUE(8, 1, 1e-6, 100).NewAggregator(), NewAUE(8, 2, 1e-6, 100).NewAggregator()},
 	}
 	for name, pair := range cases {
 		t.Run(name, func(t *testing.T) {

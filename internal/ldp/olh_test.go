@@ -230,10 +230,10 @@ func TestOLHVarianceBeatsGRRLargeDomain(t *testing.T) {
 
 func TestHadamardReportAggregation(t *testing.T) {
 	const d = 10
-	h := NewHadamard(d, 2)
-	if h.D != 16 {
-		t.Fatalf("Order = %d, want 16", h.D)
+	if order := nextPow2(d + 1); order != 16 {
+		t.Fatalf("Order = %d, want 16", order)
 	}
+	h := NewHadamard(2)
 	r := rng.New(8)
 	values := make([]int, 0, 40000)
 	for i := 0; i < 20000; i++ {
@@ -243,7 +243,7 @@ func TestHadamardReportAggregation(t *testing.T) {
 		values = append(values, i%d)
 	}
 	truth := TrueFrequencies(values, d)
-	est := estimateAll(h, values, r)
+	est := hadamardEstimate(h, d, values, r)
 	tol := 5 * math.Sqrt(h.Variance(len(values)))
 	for v := 0; v < d; v++ {
 		if math.Abs(est[v]-truth[v]) > tol {
@@ -254,21 +254,9 @@ func TestHadamardReportAggregation(t *testing.T) {
 
 func TestHadamardVarianceMatchesLocalHashD2(t *testing.T) {
 	// Had is local hashing with d' = 2 (§VII-A): variances must agree.
-	h := NewHadamard(100, 1.3)
+	h := NewHadamard(1.3)
 	lh := NewSOLH(100, 2, 1.3)
 	if math.Abs(h.Variance(5000)-lh.Variance(5000)) > 1e-12 {
 		t.Errorf("Had %v vs LH(d'=2) %v", h.Variance(5000), lh.Variance(5000))
-	}
-}
-
-func TestHadamardEmptyAggregator(t *testing.T) {
-	agg := NewHadamard(4, 1).NewAggregator()
-	for _, e := range agg.Estimates() {
-		if e != 0 {
-			t.Fatal("empty aggregator should estimate zeros")
-		}
-	}
-	if agg.Count() != 0 {
-		t.Fatal("empty aggregator count != 0")
 	}
 }

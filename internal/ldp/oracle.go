@@ -1,28 +1,29 @@
 // Package ldp implements the locally-differentially-private frequency
 // oracles the paper builds on (§II-B) and contributes (§IV): generalized
-// randomized response (GRR), optimized local hashing (OLH), the paper's
-// Shuffler-Optimal Local Hash (SOLH), Hadamard response, symmetric unary
-// encoding (basic RAPPOR, "RAP"; its removal-LDP variant RAP_R is RAP
-// at twice the budget), and the appended-unary-encoding shuffle
-// mechanism of Balcer–Cheu ("AUE").
+// randomized response (GRR), optimized local hashing (OLH) and the
+// paper's Shuffler-Optimal Local Hash (SOLH); and the parameters of the
+// Figure 3 baselines — Hadamard response, symmetric unary encoding
+// (basic RAPPOR, "RAP"; its removal-LDP variant RAP_R is RAP at twice
+// the budget), and the appended-unary-encoding shuffle mechanism of
+// Balcer–Cheu ("AUE").
 //
-// Every oracle implements FrequencyOracle: users call Randomize, the
-// server feeds the reports into an Aggregator and reads unbiased
-// frequency estimates back. Only GRR and OLH/SOLH reports go on a wire:
-// NewWordEncoder is the one gate, and every deployment (the streaming
-// service, PEOS, the cluster roles) asks it; Hadamard, RAP and AUE are
-// the Figure 3 baselines, which the experiment harness simulates.
-// Server side there is one design: a report
+// Two interfaces split what is deployed from what is only simulated.
+// Every mechanism is a Mechanism: its local budget and analytic
+// variance, what the experiment harness reads. GRR and OLH/SOLH are
+// also FrequencyOracles, the only oracles a deployment runs: users call
+// Randomize, the server feeds the reports into an Aggregator and reads
+// unbiased frequency estimates back. Their reports go on a wire through
+// NewWordEncoder, and every deployment (the streaming service, PEOS,
+// the cluster roles) asks it. Server side there is one design: a report
 // adds to d integer support counts, by its oracle's kind, in the one
 // accumulator (accumulator.go); counts become estimates through the
 // oracle's Support{P, Q, U} and Support.Calibrate (Equations 2, 3, 6).
-// Hadamard is the exception — its statistic is a signed sum per sampled
-// row, read out by one fast Walsh–Hadamard transform instead of O(n*d)
-// counting — and keeps its own aggregator. The package also provides the analytic
-// variances of Wang et al. (USENIX Security 2017) that §IV-B3 builds on,
-// and exact fast-path simulators used by the experiment harness to
-// reproduce the paper's figures at n ~ 10^6 without materializing every
-// report.
+// The baselines are never randomized outside tests: the exact fast-path
+// simulators (simulate.go) draw their estimates from the per-value
+// sampling distribution, which is how the experiment harness reproduces
+// the paper's figures at n ~ 10^6 without materializing every report.
+// The package also provides the analytic variances of Wang et al.
+// (USENIX Security 2017) that §IV-B3 builds on.
 package ldp
 
 import (
@@ -31,47 +32,48 @@ import (
 	"shuffledp/internal/rng"
 )
 
-// Report is one randomized user report. Which fields are meaningful
-// depends on the oracle:
+// Report is one randomized user report of a FrequencyOracle:
 //
 //   - GRR: Value (a member of the value domain [0, d)).
 //   - OLH / SOLH: Seed (the sampled hash function) and Value in [0, d').
-//   - Hadamard: Seed (the sampled Hadamard row) and Value in {0, 1}.
-//   - RAP / RAP_R / AUE: Bits (one bit — or increment count for AUE —
-//     per domain element).
 type Report struct {
-	// Seed selects the user's random hash function (OLH/SOLH) or
-	// Hadamard row index. The paper's prototype uses 4-byte seeds
-	// (§VII-D); we keep 32 bits so a GRR/SOLH report packs into one
-	// 64-bit word for secret sharing (see WordEncoder).
+	// Seed selects the user's random hash function (OLH/SOLH). The
+	// paper's prototype uses 4-byte seeds (§VII-D); we keep 32 bits so
+	// a GRR/SOLH report packs into one 64-bit word for secret sharing
+	// (see WordEncoder).
 	Seed uint32
 	// Value is the perturbed report in the oracle's output domain.
 	Value int
-	// Bits is the perturbed vector for unary-encoding oracles.
-	Bits []byte
 }
 
-// FrequencyOracle is the common interface of all mechanisms. A
-// FrequencyOracle is immutable and safe for concurrent use; all
-// randomness comes from the *rng.Rand passed in.
-type FrequencyOracle interface {
-	// Name returns the short method name used in the paper's figures
-	// (e.g. "GRR", "SOLH", "RAP").
-	Name() string
-	// Domain returns d, the size of the users' value domain.
-	Domain() int
+// Mechanism is what the experiment harness knows of every mechanism,
+// deployed or simulated: its privacy parameter and its analytic
+// estimation variance. A Mechanism is immutable and safe for
+// concurrent use.
+type Mechanism interface {
 	// EpsilonLocal returns the local privacy parameter epsilon_l the
 	// mechanism satisfies (0 for AUE, which is not an LDP protocol —
 	// see §IV-B4).
 	EpsilonLocal() float64
-	// Randomize perturbs a user's true value v in [0, Domain()).
-	Randomize(v int, r *rng.Rand) Report
-	// NewAggregator returns an empty server-side aggregator.
-	NewAggregator() Aggregator
 	// Variance returns the analytic per-value estimation variance for n
 	// users with the mechanism's parameters, assuming rare values
 	// (f_v ~ 0), as in §IV-B3.
 	Variance(n int) float64
+}
+
+// FrequencyOracle is a Mechanism a deployment runs: GRR and local
+// hashing. All randomness comes from the *rng.Rand passed in.
+type FrequencyOracle interface {
+	Mechanism
+	// Name returns the short method name used in the paper's figures
+	// ("GRR", "OLH", "SOLH").
+	Name() string
+	// Domain returns d, the size of the users' value domain.
+	Domain() int
+	// Randomize perturbs a user's true value v in [0, Domain()).
+	Randomize(v int, r *rng.Rand) Report
+	// NewAggregator returns an empty server-side aggregator.
+	NewAggregator() Aggregator
 }
 
 // Aggregator accumulates reports and produces unbiased frequency

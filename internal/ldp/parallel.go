@@ -19,9 +19,9 @@ import (
 //     randomness from rng.Substream(seed, s). A report therefore depends
 //     only on (seed, its position), never on scheduling.
 //   - Aggregation accumulates exactly representable integer statistics
-//     in every oracle (support counts, bit counts, ±1 row sums), so
-//     merging worker aggregators is associative and commutative and the
-//     merged Estimates are bit-identical to a sequential pass.
+//     (support counts), so merging worker aggregators is associative
+//     and commutative and the merged Estimates are bit-identical to a
+//     sequential pass.
 //
 // Worker panics (e.g. an out-of-range value inside Randomize) are
 // captured and re-raised on the calling goroutine, preserving the

@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"fmt"
 	"math"
 
 	"shuffledp/internal/rng"
@@ -23,19 +24,21 @@ import (
 // the metric in every figure — depends only on the per-value marginals,
 // which are exact.
 //
-// Support (accumulator.go) has each oracle's (p, q); Hadamard is
+// Support (accumulator.go) has each mechanism's (p, q); Hadamard is
 // simulated through its support-count view, AUE additively
-// (SimulateAUE).
+// (SimulateAUE). For the Figure 3 baselines these simulators are the
+// only estimator in the program; their randomizers live in the tests as
+// the reference the simulators are checked against.
 
 // SimulateEstimates draws one sample of the frequency-estimate vector a
 // server would compute from n randomized reports whose true histogram is
 // trueCounts (length d, summing to n). It is exact in each per-value
-// marginal. Works for every oracle in this package.
-func SimulateEstimates(fo FrequencyOracle, trueCounts []int, r *rng.Rand) []float64 {
-	if aue, isAUE := fo.(*AUE); isAUE {
+// marginal. Works for every mechanism in this package.
+func SimulateEstimates(m Mechanism, trueCounts []int, r *rng.Rand) []float64 {
+	if aue, isAUE := m.(*AUE); isAUE {
 		return SimulateAUE(aue, trueCounts, r)
 	}
-	return SimulateWithFakes(fo, trueCounts, 0, r)
+	return SimulateWithFakes(m, trueCounts, 0, r)
 }
 
 // SimulateAUE draws one estimate vector under the Balcer–Cheu mechanism:
@@ -109,15 +112,15 @@ func MSE(truth, est []float64) float64 {
 // SimulateWithFakes is SimulateEstimates for the PEOS setting (§VI-C):
 // nr fake reports drawn uniformly from the report space are mixed with
 // the n user reports and the server post-processes with the generalized
-// Equation (6) (Support.Calibrate). With nr > 0 the oracle must have a
-// PEOS estimator — GRR or local hashing (Algorithm 1).
-func SimulateWithFakes(fo FrequencyOracle, trueCounts []int, nr int, r *rng.Rand) []float64 {
+// Equation (6) (Support.Calibrate). With nr > 0 the mechanism must have
+// a PEOS estimator — GRR or local hashing (Algorithm 1).
+func SimulateWithFakes(m Mechanism, trueCounts []int, nr int, r *rng.Rand) []float64 {
 	if nr < 0 {
 		panic("ldp: negative fake-report count")
 	}
-	s, ok := SupportOf(fo)
+	s, ok := SupportOf(m)
 	if !ok {
-		panic("ldp: no simulator for oracle " + fo.Name())
+		panic(fmt.Sprintf("ldp: no simulator for %T", m))
 	}
 	n := 0
 	for _, c := range trueCounts {
@@ -162,8 +165,8 @@ func TopK(xs []float64, k int) []int {
 // ExpectedMSE returns the analytic expected MSE of a mechanism at n
 // users assuming rare values: simply Variance(n) (bias is zero). Kept
 // as a named helper so harness code reads like the paper.
-func ExpectedMSE(fo FrequencyOracle, n int) float64 {
-	v := fo.Variance(n)
+func ExpectedMSE(m Mechanism, n int) float64 {
+	v := m.Variance(n)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic("ldp: non-finite analytic variance")
 	}

@@ -17,27 +17,28 @@ func estimateAll(fo FrequencyOracle, values []int, r *rng.Rand) []float64 {
 	return agg.Estimates()
 }
 
-// simulatorMatchesMechanism verifies, for one oracle, that the fast-path
-// simulator produces estimates whose mean and per-value variance agree
-// with the real mechanism's.
-func simulatorMatchesMechanism(t *testing.T, fo FrequencyOracle, seed uint64) {
+// simulatorMatchesMechanism verifies, for one mechanism over domain
+// size d, that the fast-path simulator produces estimates whose mean and
+// per-value variance agree with the real mechanism's, which estimate
+// runs: the oracle's own randomizer and aggregator, or a baseline's
+// reference (baseline_test.go).
+func simulatorMatchesMechanism(t *testing.T, m Mechanism, d int, estimate func(values []int, r *rng.Rand) []float64, seed uint64) {
 	t.Helper()
-	const n, d = 4000, 0 // d taken from oracle
-	dd := fo.Domain()
+	const n = 4000
 	values := make([]int, n)
 	for i := range values {
 		values[i] = i % 3 // mass on values 0..2
 	}
-	counts := Histogram(values, dd)
-	truth := TrueFrequencies(values, dd)
+	counts := Histogram(values, d)
+	truth := TrueFrequencies(values, d)
 
 	r := rng.New(seed)
 	const trials = 120
 	var mechVar, simVar, mechMean, simMean float64
-	probe := dd - 1 // a zero-frequency value
+	probe := d - 1 // a zero-frequency value
 	for i := 0; i < trials; i++ {
-		me := estimateAll(fo, values, r)
-		se := SimulateEstimates(fo, counts, r)
+		me := estimate(values, r)
+		se := SimulateEstimates(m, counts, r)
 		mechMean += me[probe]
 		simMean += se[probe]
 		mechVar += me[probe] * me[probe]
@@ -48,41 +49,56 @@ func simulatorMatchesMechanism(t *testing.T, fo FrequencyOracle, seed uint64) {
 	mechVar = mechVar/trials - mechMean*mechMean
 	simVar = simVar/trials - simMean*simMean
 
-	sd := math.Sqrt(fo.Variance(n) / trials)
+	sd := math.Sqrt(m.Variance(n) / trials)
 	if math.Abs(mechMean-truth[probe]) > 6*sd {
-		t.Errorf("%s mechanism biased: mean %v", fo.Name(), mechMean)
+		t.Errorf("%T mechanism biased: mean %v", m, mechMean)
 	}
 	if math.Abs(simMean-truth[probe]) > 6*sd {
-		t.Errorf("%s simulator biased: mean %v", fo.Name(), simMean)
+		t.Errorf("%T simulator biased: mean %v", m, simMean)
 	}
 	// Variances should agree with each other and the analytic value
 	// within sampling noise (chi-square spread ~ sqrt(2/trials) ~ 13%).
-	want := fo.Variance(n)
+	want := m.Variance(n)
 	for label, got := range map[string]float64{"mechanism": mechVar, "simulator": simVar} {
 		if math.Abs(got-want)/want > 0.6 {
-			t.Errorf("%s %s variance %v, analytic %v", fo.Name(), label, got, want)
+			t.Errorf("%T %s variance %v, analytic %v", m, label, got, want)
 		}
 	}
 }
 
 func TestSimulatorMatchesGRR(t *testing.T) {
-	simulatorMatchesMechanism(t, NewGRR(8, 1.5), 100)
+	fo := NewGRR(8, 1.5)
+	simulatorMatchesMechanism(t, fo, 8, func(values []int, r *rng.Rand) []float64 {
+		return estimateAll(fo, values, r)
+	}, 100)
 }
 
 func TestSimulatorMatchesSOLH(t *testing.T) {
-	simulatorMatchesMechanism(t, NewSOLH(16, 5, 1.5), 101)
+	fo := NewSOLH(16, 5, 1.5)
+	simulatorMatchesMechanism(t, fo, 16, func(values []int, r *rng.Rand) []float64 {
+		return estimateAll(fo, values, r)
+	}, 101)
 }
 
 func TestSimulatorMatchesRAP(t *testing.T) {
-	simulatorMatchesMechanism(t, NewRAP(8, 2), 102)
+	u := NewRAP(2)
+	simulatorMatchesMechanism(t, u, 8, func(values []int, r *rng.Rand) []float64 {
+		return rapEstimate(u, 8, values, r)
+	}, 102)
 }
 
 func TestSimulatorMatchesHadamard(t *testing.T) {
-	simulatorMatchesMechanism(t, NewHadamard(8, 1.5), 103)
+	h := NewHadamard(1.5)
+	simulatorMatchesMechanism(t, h, 8, func(values []int, r *rng.Rand) []float64 {
+		return hadamardEstimate(h, 8, values, r)
+	}, 103)
 }
 
 func TestSimulatorMatchesAUE(t *testing.T) {
-	simulatorMatchesMechanism(t, NewAUE(8, 1, 1e-6, 4000), 104)
+	a := NewAUE(1, 1e-6, 4000)
+	simulatorMatchesMechanism(t, a, 8, func(values []int, r *rng.Rand) []float64 {
+		return aueEstimate(a, 8, values, r)
+	}, 104)
 }
 
 func TestSimulateLaplaceUnbiasedAndScaled(t *testing.T) {
@@ -164,11 +180,11 @@ func TestFakeSupportSOLH(t *testing.T) {
 	}
 }
 
-// A unary oracle calibrates its own reports but has no estimator under
+// Unary encoding calibrates its own reports but has no estimator under
 // fakes: U is zero and Calibrate with nr > 0 panics rather than
 // subtracting a made-up mass.
 func TestFakeSupportPanicsForUnary(t *testing.T) {
-	s, ok := SupportOf(NewRAP(10, 1))
+	s, ok := SupportOf(NewRAP(1))
 	if !ok || s.U != 0 {
 		t.Fatalf("SupportOf(RAP) = %+v, %v; want a Support with U = 0", s, ok)
 	}

@@ -156,9 +156,6 @@ func TestPEOSValidation(t *testing.T) {
 	if _, err := NewPEOS(fo, 3, 10, key, nil); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := NewPEOS(ldp.NewRAP(4, 1), 3, 10, key, src); err == nil {
-		t.Error("unary oracle accepted")
-	}
 	p, err := NewPEOS(fo, 3, 10, key, src)
 	if err != nil {
 		t.Fatal(err)
@@ -168,20 +165,24 @@ func TestPEOSValidation(t *testing.T) {
 	}
 }
 
+// otherOracle is a FrequencyOracle without a word encoding: neither
+// GRR nor local hashing.
+type otherOracle struct{ ldp.FrequencyOracle }
+
+func (otherOracle) Name() string { return "Other" }
+
 // A protocol that mixes in uniform fakes estimates with Equation (6),
 // so its constructor refuses, by name, an oracle without that
-// estimator. Hadamard is the row that matters: it used to have a word
-// encoding, so it was accepted and then panicked in the estimator after
-// the whole shuffle and reveal had run.
+// estimator. The Figure 3 baselines are not FrequencyOracles, so they
+// cannot be passed at all; the refused row is an oracle the word
+// encoder does not know.
 func TestConstructorsRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 	key := dgk64(t)
 	for _, tc := range []struct {
 		fo ldp.FrequencyOracle
 		ok bool
 	}{
-		{ldp.NewHadamard(16, 2), false},
-		{ldp.NewRAP(16, 1), false},
-		{ldp.NewAUE(16, 1, 1e-6, 1000), false},
+		{otherOracle{ldp.NewGRR(16, 2)}, false},
 		{ldp.NewGRR(16, 2), true},
 		{ldp.NewOLH(16, 2), true},
 		{ldp.NewSOLH(16, 4, 2), true},
@@ -312,9 +313,6 @@ func TestSSValidation(t *testing.T) {
 	}
 	if _, err := NewSS(fo, 3, -5); err == nil {
 		t.Error("negative nr accepted")
-	}
-	if _, err := NewSS(ldp.NewAUE(4, 1, 1e-9, 100), 3, 0); err == nil {
-		t.Error("AUE accepted")
 	}
 	s, err := NewSS(fo, 2, 0)
 	if err != nil {

@@ -27,15 +27,6 @@ var runAllowList = map[string]string{
 	"stattest":  "the package exists to serve tests",
 	"repocheck": "the repository's CI gates, which run as tests",
 
-	"ldp.AUE":                "a Figure 3 baseline: the harness simulates it; stattest runs its randomizer and aggregator",
-	"ldp.Hadamard":           "a Figure 3 baseline: the harness simulates it; stattest runs its randomizer and aggregator",
-	"ldp.hadamardAggregator": "a Figure 3 baseline's aggregator; stattest and the state goldens run it",
-	"ldp.marshalSums":        "the Hadamard aggregator's state format, pinned by testdata/state/had.bin",
-	"ldp.unmarshalSums":      "the Hadamard aggregator's state format, pinned by testdata/state/had.bin",
-	"ldp.UnaryEncoding":      "a Figure 3 baseline (RAP, RAP_R): the harness simulates it; stattest runs its randomizer and aggregator",
-	"hash.FWHT":              "the Hadamard aggregator's transform",
-	"hash.HadamardEntry":     "the Hadamard randomizer's matrix entry",
-
 	"amplify.CentralEpsilonSOLH":  "ROADMAP item 2(a) makes cmd/shuffled report through it",
 	"amplify.CentralEpsilonUnary": "ROADMAP item 1 checks it against the exact oracle",
 	"amplify.PlanContinual":       "ROADMAP item 2 makes cmd/shuffled analyzer plan through it",
@@ -44,12 +35,9 @@ var runAllowList = map[string]string{
 	"protocol.SpotCheck.Plant":    "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Verify":   "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 
-	"ahe.DGKPublicKey.reduce":       "the allocating form of reduceInto; the naive reference paths use it",
-	"ahe.DGKPublicKey.mulExpNaive":  "the fast kernels' fall-through for an exponent past the fixed-base table",
-	"ahe.DGKPublicKey.encryptNaive": "the fast kernels' fall-through for a key without tables",
-	"ahe.DGKPublicKey.AddPlain":     "the allocating PublicKey method; deployments run AddPlainInto",
-	"ahe.DGKPublicKey.Rerandomize":  "the allocating PublicKey method; deployments run RerandomizeInto",
-	"ahe.DGKPublicKey.Deserialize":  "the per-element decoder; deployments decode whole vectors",
+	"ahe.DGKPublicKey.AddPlain":    "the allocating PublicKey method; deployments run AddPlainInto",
+	"ahe.DGKPublicKey.Rerandomize": "the allocating PublicKey method; deployments run RerandomizeInto",
+	"ahe.DGKPublicKey.Deserialize": "the per-element decoder; deployments decode whole vectors",
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
 

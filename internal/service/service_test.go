@@ -397,23 +397,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := service.New(service.Config{FO: ldp.NewGRR(4, 1)}); err == nil {
 		t.Error("nil key accepted")
 	}
-	if _, err := service.New(service.Config{FO: unknownOracle{ldp.NewGRR(4, 1)}, Key: key}); err == nil {
-		t.Error("codec-less oracle accepted")
+	// Only word-encoded oracles report: any other is refused by name,
+	// before the service starts a goroutine.
+	svc, err := service.New(service.Config{FO: unknownOracle{ldp.NewGRR(4, 1)}, Key: key})
+	if svc != nil {
+		svc.Close()
 	}
-	// Only word-encoded oracles report: the Figure 3 baselines are
-	// refused by name, before the service starts a goroutine.
-	for _, fo := range []ldp.FrequencyOracle{
-		ldp.NewHadamard(4, 1),
-		ldp.NewRAP(4, 1),
-		ldp.NewAUE(4, 1, 1e-9, 100),
-	} {
-		svc, err := service.New(service.Config{FO: fo, Key: key})
-		if svc != nil {
-			svc.Close()
-		}
-		if err == nil || !strings.Contains(err.Error(), "oracle "+fo.Name()+" ") {
-			t.Errorf("service.New(%s): err = %v, want a refusal naming the oracle", fo.Name(), err)
-		}
+	if err == nil || !strings.Contains(err.Error(), "oracle GRR ") {
+		t.Errorf("service.New(codec-less oracle): err = %v, want a refusal naming the oracle", err)
 	}
 }
 

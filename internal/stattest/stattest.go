@@ -2,7 +2,7 @@
 // repository's estimators: it turns "the histogram looks right" into a
 // checkable bound by comparing the empirical error of an estimator
 // against the oracle's analytic LDP variance (Equation (4) and friends,
-// exposed as ldp.FrequencyOracle.Variance).
+// exposed as ldp.Mechanism.Variance).
 //
 // The core check runs a fixed number of fixed-seed trials of an
 // arbitrary estimator (typically a full pipeline: randomize, encrypt,
@@ -69,7 +69,7 @@ func MSE(truth, est []float64) float64 {
 
 // CheckMSE runs trials fixed-seed estimates (trial t uses baseSeed+t),
 // averages their MSE against truth, and fails tb unless the mean lands
-// within a factor k of the analytic variance fo.Variance(n). n is the
+// within a factor k of the analytic variance m.Variance(n). n is the
 // number of reports each trial aggregates (the n the variance formula
 // is evaluated at). The passing Result is returned and logged so test
 // output records how much slack the bound had.
@@ -81,7 +81,7 @@ func MSE(truth, est []float64) float64 {
 // d >= 16 and trials >= 3 while still failing hard on real defects,
 // which are never within 3x (a lost batch of reports or a mis-scaled
 // calibration moves the MSE by orders of magnitude).
-func CheckMSE(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int, baseSeed uint64, k float64, run Trial) Result {
+func CheckMSE(tb TB, m ldp.Mechanism, truth []float64, n, trials int, baseSeed uint64, k float64, run Trial) Result {
 	tb.Helper()
 	if trials < 1 {
 		tb.Fatalf("stattest: CheckMSE needs at least 1 trial")
@@ -91,13 +91,12 @@ func CheckMSE(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int, bas
 		tb.Fatalf("stattest: CheckMSE tolerance factor k must be > 1, got %v", k)
 		return Result{}
 	}
-	if len(truth) != fo.Domain() {
-		tb.Fatalf("stattest: truth has %d values, oracle domain is %d", len(truth), fo.Domain())
+	if !truthFitsDomain(tb, m, truth) {
 		return Result{}
 	}
-	variance := fo.Variance(n)
+	variance := m.Variance(n)
 	if !(variance > 0) || math.IsInf(variance, 0) {
-		tb.Fatalf("stattest: oracle %s has non-positive analytic variance %v at n=%d", fo.Name(), variance, n)
+		tb.Fatalf("stattest: %T has non-positive analytic variance %v at n=%d", m, variance, n)
 		return Result{}
 	}
 	sum := 0.0
@@ -129,17 +128,17 @@ func CheckMSE(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int, bas
 	}
 	res.Ratio = res.MeanMSE / variance
 	if res.Ratio > k {
-		tb.Fatalf("stattest: %s mean MSE %.3e is %.2fx the analytic variance %.3e (limit %vx): estimator is broken or mis-calibrated",
-			fo.Name(), res.MeanMSE, res.Ratio, variance, k)
+		tb.Fatalf("stattest: %T mean MSE %.3e is %.2fx the analytic variance %.3e (limit %vx): estimator is broken or mis-calibrated",
+			m, res.MeanMSE, res.Ratio, variance, k)
 		return res
 	}
 	if res.Ratio < 1/k {
-		tb.Fatalf("stattest: %s mean MSE %.3e is only %.3fx the analytic variance %.3e (floor %.3fx): estimate is implausibly accurate — is the randomizer actually running?",
-			fo.Name(), res.MeanMSE, res.Ratio, variance, 1/k)
+		tb.Fatalf("stattest: %T mean MSE %.3e is only %.3fx the analytic variance %.3e (floor %.3fx): estimate is implausibly accurate — is the randomizer actually running?",
+			m, res.MeanMSE, res.Ratio, variance, 1/k)
 		return res
 	}
-	tb.Logf("stattest: %s mean MSE %.3e over %d trials, analytic variance %.3e, ratio %.2f (allowed [%.2f, %.2f])",
-		fo.Name(), res.MeanMSE, trials, variance, res.Ratio, 1/k, k)
+	tb.Logf("stattest: %T mean MSE %.3e over %d trials, analytic variance %.3e, ratio %.2f (allowed [%.2f, %.2f])",
+		m, res.MeanMSE, trials, variance, res.Ratio, 1/k, k)
 	return res
 }
 
@@ -149,14 +148,13 @@ func CheckMSE(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int, bas
 // of CheckMSE: CheckMSE bounds the noise magnitude, CheckUnbiased
 // catches systematic bias that hides inside an acceptable MSE (for
 // example a calibration using a slightly wrong p).
-func CheckUnbiased(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int, baseSeed uint64, k float64, run Trial) {
+func CheckUnbiased(tb TB, m ldp.Mechanism, truth []float64, n, trials int, baseSeed uint64, k float64, run Trial) {
 	tb.Helper()
 	if trials < 2 {
 		tb.Fatalf("stattest: CheckUnbiased needs at least 2 trials")
 		return
 	}
-	if len(truth) != fo.Domain() {
-		tb.Fatalf("stattest: truth has %d values, oracle domain is %d", len(truth), fo.Domain())
+	if !truthFitsDomain(tb, m, truth) {
 		return
 	}
 	mean := make([]float64, len(truth))
@@ -174,7 +172,7 @@ func CheckUnbiased(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int
 			mean[v] += e / float64(trials)
 		}
 	}
-	tol := k * math.Sqrt(fo.Variance(n)/float64(trials))
+	tol := k * math.Sqrt(m.Variance(n)/float64(trials))
 	worstV, worstDev := -1, 0.0
 	for v := range mean {
 		if dev := math.Abs(mean[v] - truth[v]); dev > worstDev {
@@ -182,8 +180,20 @@ func CheckUnbiased(tb TB, fo ldp.FrequencyOracle, truth []float64, n, trials int
 		}
 	}
 	if worstDev > tol {
-		tb.Fatalf("stattest: %s mean estimate of value %d is %.4f, truth %.4f: bias %.2e exceeds %v standard errors (%.2e)",
-			fo.Name(), worstV, mean[worstV], truth[worstV], worstDev, k, tol)
+		tb.Fatalf("stattest: %T mean estimate of value %d is %.4f, truth %.4f: bias %.2e exceeds %v standard errors (%.2e)",
+			m, worstV, mean[worstV], truth[worstV], worstDev, k, tol)
 	}
-	tb.Logf("stattest: %s worst bias %.2e over %d trials (allowed %.2e)", fo.Name(), worstDev, trials, tol)
+	tb.Logf("stattest: %T worst bias %.2e over %d trials (allowed %.2e)", m, worstDev, trials, tol)
+}
+
+// truthFitsDomain fails tb unless truth covers m's value domain. Only a
+// FrequencyOracle knows its domain; a simulated baseline's is whatever
+// its reference randomizer was given, which the per-trial length check
+// holds to truth.
+func truthFitsDomain(tb TB, m ldp.Mechanism, truth []float64) bool {
+	if fo, ok := m.(ldp.FrequencyOracle); ok && len(truth) != fo.Domain() {
+		tb.Fatalf("stattest: truth has %d values, oracle domain is %d", len(truth), fo.Domain())
+		return false
+	}
+	return true
 }
