@@ -5,7 +5,8 @@
 # deployment actually execute? It builds every main under cmd/ and
 # examples/, plus ./benchmark, with integration coverage of internal/
 # (go build -cover), runs them under GOCOVERDIR — CI's smoke commands,
-# the other examples, the contract benchmark's smoke, and a
+# the other examples, a `shuffled` restart over a directory whose
+# budget ran out, the contract benchmark's smoke, and a
 # `shuffled analyzer|shuffler|client` drill whose coordinator restarts
 # on its -data-dir — and merges the counters into one text profile.
 # The repocheck test TestEveryInternalFunctionRuns reads that profile
@@ -60,6 +61,13 @@ run "$bin/histogram" -top 5 -seed 9 "$work/values.txt"
 for ex in attacks census clickstream_peos continual_monitor frequent_queries quickstart; do
   run "$bin/$ex"
 done
+
+# A default run whose one-epoch budget runs out, then a restart over its
+# -data-dir: the recovered service is exhausted, prints what it sealed
+# and stops. One epoch, not recovery-smoke's three: the budget then runs
+# out only after the last report is in, so no run drops a frame.
+run "$bin/shuffled" -n 3000 -epochs 1 -data-dir "$work/exhausted"
+run "$bin/shuffled" -n 3000 -epochs 1 -data-dir "$work/exhausted"
 
 # The contract benchmark's smoke (bench-smoke). It re-executes itself
 # per workload; the children inherit GOCOVERDIR.

@@ -154,9 +154,7 @@ func main() {
 	svc, err := service.New(cfg)
 	if *dataDir != "" && errors.Is(err, store.ErrExists) {
 		// The directory holds a previous run: recover it instead of
-		// starting over (Recover restores the ledger to its recorded
-		// charge count, so the New attempt's epoch-0 charge above is
-		// not double-spent).
+		// starting over.
 		svc, err = service.Recover(cfg)
 		if err == nil {
 			snap := svc.Snapshot()
@@ -169,6 +167,14 @@ func main() {
 	}
 	if *dataDir != "" {
 		fmt.Printf("durable: WAL + checkpoints under %s (fsync=%s)\n", *dataDir, syncPolicy)
+	}
+	if svc.Exhausted() {
+		// A recovered run whose budget ran out refuses every gateway:
+		// report what it sealed and stop.
+		fmt.Println("budget exhausted: the recovered service admits no more reports")
+		printLedger(svc, ledger, *totalEps, totalDelta)
+		svc.Close()
+		return
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -247,19 +253,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\nsealed epochs:")
-	hist := svc.History()
-	for _, es := range hist {
-		fmt.Printf("  epoch %d: %6d reports, %4d batches, est[0]=%.4f (charged eps=%.2f)\n",
-			es.Epoch, es.Reports, es.Batches, es.Estimates[0], es.Guarantee.Eps)
-	}
+	hist := printLedger(svc, ledger, *totalEps, totalDelta)
 	if svc.Exhausted() {
 		fmt.Printf("budget exhausted: %d reports rejected after the ledger refused epoch %d\n",
 			snap.Rejected, svc.Epoch()+1)
 	}
-	spent := ledger.Spent()
-	fmt.Printf("ledger: spent (%.2f, %.0e) of (%.2f, %.0e)\n",
-		spent.Eps, spent.Delta, *totalEps, totalDelta)
 
 	k := *window
 	if k > len(hist) {
@@ -278,4 +276,19 @@ func main() {
 		fmt.Printf("window query: %v\n", err)
 	}
 	fmt.Printf("\nper-party costs:\n%s", meter.String())
+}
+
+// printLedger prints the sealed epochs and the budget the ledger has
+// spent, and returns the history it printed.
+func printLedger(svc *service.Service, ledger *budget.Ledger, totalEps, totalDelta float64) []service.EpochSnapshot {
+	fmt.Println("\nsealed epochs:")
+	hist := svc.History()
+	for _, es := range hist {
+		fmt.Printf("  epoch %d: %6d reports, %4d batches, est[0]=%.4f (charged eps=%.2f)\n",
+			es.Epoch, es.Reports, es.Batches, es.Estimates[0], es.Guarantee.Eps)
+	}
+	spent := ledger.Spent()
+	fmt.Printf("ledger: spent (%.2f, %.0e) of (%.2f, %.0e)\n",
+		spent.Eps, spent.Delta, totalEps, totalDelta)
+	return hist
 }

@@ -2,10 +2,11 @@
 // continual-observation tier. The paper analyzes one collection round;
 // a deployed service re-collects the same population every epoch, so
 // the privacy loss composes over time. The ledger holds a total
-// (eps, delta) budget, charges one per-epoch guarantee each time the
-// service opens a new epoch, and refuses the charge — which the
-// service turns into refusing ingestion — once the composed loss would
-// exceed the total.
+// (eps, delta) budget and is paid per collection id: a tier pays
+// through the id of each collection it opens, which charges one
+// per-epoch guarantee for every collection up to that id not paid yet,
+// and the ledger refuses the payment — which the service turns into
+// refusing ingestion — once the composed loss would exceed the total.
 //
 // Two accountants compose the per-epoch guarantees through
 // internal/composition:
@@ -25,8 +26,8 @@ import (
 	"shuffledp/internal/composition"
 )
 
-// ErrExhausted is returned by Charge when opening one more epoch would
-// push the composed privacy loss past the ledger's total budget.
+// ErrExhausted is returned by PayThrough when paying for the collection
+// would push the composed privacy loss past the ledger's total budget.
 var ErrExhausted = errors.New("budget: total privacy budget exhausted")
 
 // maxEpochsCap bounds the MaxEpochs search; a ledger that admits a
@@ -98,14 +99,16 @@ func (a Advanced) Compose(per composition.Guarantee, k int) (composition.Guarant
 	return basic, nil
 }
 
-// Ledger tracks how many epochs have been opened against a total
-// budget. It is safe for concurrent use.
+// Ledger tracks which collections are paid for against a total
+// budget. Collections are numbered from 0 and paid for in order, so the
+// ledger's whole state is how many of them are paid. It is safe for
+// concurrent use.
 type Ledger struct {
-	mu      sync.Mutex
-	total   composition.Guarantee
-	per     composition.Guarantee
-	acct    Accountant
-	charged int
+	mu    sync.Mutex
+	total composition.Guarantee
+	per   composition.Guarantee
+	acct  Accountant
+	paid  int
 }
 
 // NewLedger returns a ledger that admits epochs of guarantee per until
@@ -121,7 +124,7 @@ func NewLedger(total, per composition.Guarantee, acct Accountant) (*Ledger, erro
 		acct = Naive{}
 	}
 	// Surface accountant misconfiguration (e.g. an out-of-range slack)
-	// at construction rather than at the first Charge.
+	// at construction rather than at the first payment.
 	if _, err := acct.Compose(per, 1); err != nil {
 		return nil, fmt.Errorf("budget: accountant rejects a single epoch: %w", err)
 	}
@@ -140,77 +143,51 @@ func (l *Ledger) fits(k int) (bool, error) {
 	return g.Eps <= l.total.Eps*tol && g.Delta <= l.total.Delta*tol, nil
 }
 
-// Charge opens one more epoch. It returns ErrExhausted — and leaves
-// the ledger unchanged — if the composed loss of the extra epoch would
-// exceed the total budget.
-func (l *Ledger) Charge() error {
+// PayThrough makes collections 0..id paid for, charging one per-epoch
+// guarantee for each of them not paid yet. An id already paid costs
+// nothing, so a tier may pay for the collection it is about to run on
+// every attempt, and recovery may pay for everything a data directory
+// shows sealed in one call. It returns ErrExhausted — and leaves the
+// ledger unchanged — if id+1 collections would compose past the total
+// budget.
+func (l *Ledger) PayThrough(id int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ok, err := l.fits(l.charged + 1)
+	if id < l.paid {
+		return nil
+	}
+	ok, err := l.fits(id + 1)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("%w: %d epochs of (%.4g, %.3g) under %s accounting spend (%.4g, %.3g) of the total (%.4g, %.3g)",
-			ErrExhausted, l.charged, l.per.Eps, l.per.Delta, l.acct.Name(),
+			ErrExhausted, l.paid, l.per.Eps, l.per.Delta, l.acct.Name(),
 			l.mustSpent().Eps, l.mustSpent().Delta, l.total.Eps, l.total.Delta)
 	}
-	l.charged++
+	l.paid = id + 1
 	return nil
 }
 
 // mustSpent is Spent without locking; callers hold l.mu.
 func (l *Ledger) mustSpent() composition.Guarantee {
-	g, err := l.acct.Compose(l.per, l.charged)
+	g, err := l.acct.Compose(l.per, l.paid)
 	if err != nil {
 		// The constructor verified Compose(per, 1); monotone accountants
 		// cannot start failing later.
-		panic(fmt.Sprintf("budget: accountant failed at charged=%d: %v", l.charged, err))
+		panic(fmt.Sprintf("budget: accountant failed at %d paid epochs: %v", l.paid, err))
 	}
 	return g
 }
 
-// Restore sets the charged-epoch count to k, the recovery path of the
-// durable service (internal/store): a restarted analyzer must resume
-// the ledger where the crashed one left it rather than re-spending the
-// budget from zero. k epochs must fit the total budget — a recorded
-// count the accountant cannot prove means the ledger was restored with
-// the wrong parameters, and loading it would fabricate guarantees.
-// Restoring an exactly-exhausted count (k fits, k+1 does not) is valid:
-// the recovered ledger then refuses the next Charge just as the
-// original did.
-func (l *Ledger) Restore(k int) error {
-	if k < 0 {
-		return errors.New("budget: negative restored epoch count")
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ok, err := l.fits(k)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("budget: restored count of %d epochs exceeds the total budget (wrong ledger parameters?)", k)
-	}
-	l.charged = k
-	return nil
-}
-
-// Epochs returns how many epochs have been charged so far.
-func (l *Ledger) Epochs() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.charged
-}
-
-// Spent returns the composed privacy loss of the charged epochs.
+// Spent returns the composed privacy loss of the paid epochs.
 func (l *Ledger) Spent() composition.Guarantee {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.mustSpent()
 }
 
-// PerEpoch returns the per-epoch guarantee each charge spends.
+// PerEpoch returns the per-epoch guarantee each paid epoch spends.
 func (l *Ledger) PerEpoch() composition.Guarantee { return l.per }
 
 // AccountantName returns the composing accountant's name.
@@ -218,7 +195,7 @@ func (l *Ledger) AccountantName() string { return l.acct.Name() }
 
 // Remaining returns the budget left before the ledger exhausts:
 // total minus spent, floored at zero component-wise. It is a progress
-// indicator, not a charging rule — Charge composes from scratch.
+// indicator, not a charging rule — PayThrough composes from scratch.
 func (l *Ledger) Remaining() composition.Guarantee {
 	spent := l.Spent()
 	rem := composition.Guarantee{Eps: l.total.Eps - spent.Eps, Delta: l.total.Delta - spent.Delta}
@@ -232,7 +209,7 @@ func (l *Ledger) Remaining() composition.Guarantee {
 }
 
 // MaxEpochs returns the largest epoch count the total budget admits
-// under this accountant (independent of how many are already charged),
+// under this accountant (independent of how many are already paid),
 // capped at 2^30. Compose is monotone in k, so the bound is found by
 // doubling then bisecting.
 func (l *Ledger) MaxEpochs() int {

@@ -35,11 +35,11 @@ func TestNaiveFloorEpochs(t *testing.T) {
 			t.Fatalf("B=%v eps=%v: MaxEpochs = %d, want floor(B/eps) = %d", c.totalEps, c.perEps, got, c.want)
 		}
 		for i := 0; i < c.want; i++ {
-			if err := l.Charge(); err != nil {
+			if err := l.PayThrough(i); err != nil {
 				t.Fatalf("B=%v eps=%v: charge %d failed: %v", c.totalEps, c.perEps, i+1, err)
 			}
 		}
-		if err := l.Charge(); !errors.Is(err, ErrExhausted) {
+		if err := l.PayThrough(c.want); !errors.Is(err, ErrExhausted) {
 			t.Fatalf("B=%v eps=%v: charge %d returned %v, want ErrExhausted", c.totalEps, c.perEps, c.want+1, err)
 		}
 		if got := l.Epochs(); got != c.want {
@@ -128,7 +128,7 @@ func TestSpentAndRemaining(t *testing.T) {
 		t.Fatalf("default accountant %q, want naive", l.AccountantName())
 	}
 	for i := 1; i <= 3; i++ {
-		if err := l.Charge(); err != nil {
+		if err := l.PayThrough(i - 1); err != nil {
 			t.Fatal(err)
 		}
 		spent := l.Spent()
@@ -164,8 +164,9 @@ func TestNewLedgerValidation(t *testing.T) {
 	}
 }
 
-// Concurrent charges must account exactly: no matter how the charges
-// race, precisely MaxEpochs succeed.
+// Concurrent payments must account exactly: however 64 goroutines
+// paying through ids 0..63 race, precisely the MaxEpochs ids the budget
+// affords succeed, and the ledger ends paid through the last of them.
 func TestConcurrentCharges(t *testing.T) {
 	l, err := NewLedger(
 		composition.Guarantee{Eps: 1, Delta: 1e-6},
@@ -182,7 +183,7 @@ func TestConcurrentCharges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			oks <- l.Charge() == nil
+			oks <- l.PayThrough(i) == nil
 		}()
 	}
 	wg.Wait()
@@ -194,57 +195,160 @@ func TestConcurrentCharges(t *testing.T) {
 		}
 	}
 	if got != want || l.Epochs() != want {
-		t.Fatalf("%d concurrent charges succeeded (ledger at %d), want exactly %d", got, l.Epochs(), want)
+		t.Fatalf("%d concurrent payments succeeded (ledger at %d), want exactly %d", got, l.Epochs(), want)
 	}
 }
 
-// Restore is the recovery path: it must accept any provable count —
-// including an exactly-exhausted one — and refuse counts the
-// accountant cannot prove (wrong ledger parameters).
-func TestLedgerRestore(t *testing.T) {
-	newLedger := func() *Ledger {
-		l, err := NewLedger(
-			composition.Guarantee{Eps: 3, Delta: 3e-9},
-			composition.Guarantee{Eps: 1, Delta: 1e-9},
-			Naive{},
-		)
+// threeEpochs is a naive ledger that affords exactly three collections.
+func threeEpochs(t *testing.T) *Ledger {
+	t.Helper()
+	l, err := NewLedger(
+		composition.Guarantee{Eps: 3, Delta: 3e-9},
+		composition.Guarantee{Eps: 1, Delta: 1e-9},
+		Naive{},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// Paying for a collection already paid for costs nothing: a retried
+// round, or a recovery paying for what a crashed process paid, spends
+// no budget twice.
+func TestPayThroughIsIdempotent(t *testing.T) {
+	l := threeEpochs(t)
+	for i := 0; i < 3; i++ {
+		if err := l.PayThrough(1); err != nil {
+			t.Fatalf("paying through 1, time %d: %v", i+1, err)
+		}
+	}
+	if err := l.PayThrough(0); err != nil {
+		t.Fatalf("paying through 0 after 1: %v", err)
+	}
+	if err := l.PayThrough(-1); err != nil {
+		t.Fatalf("paying for no collection: %v", err)
+	}
+	if got := l.Epochs(); got != 2 {
+		t.Fatalf("ledger paid %d epochs, want 2", got)
+	}
+	if got := l.Spent(); got.Eps != 2 {
+		t.Fatalf("Spent().Eps = %v, want 2", got.Eps)
+	}
+}
+
+// A gap pays through: recovery pays for every collection a directory
+// shows sealed in one call, including an exactly-exhausted count, after
+// which the ledger refuses the next collection as the original did.
+func TestPayThroughPaysGaps(t *testing.T) {
+	l := threeEpochs(t)
+	if err := l.PayThrough(1); err != nil {
+		t.Fatalf("PayThrough(1) on a fresh ledger: %v", err)
+	}
+	if got := l.Epochs(); got != 2 {
+		t.Fatalf("PayThrough(1) paid %d epochs, want 2", got)
+	}
+	if err := l.PayThrough(2); err != nil {
+		t.Fatalf("PayThrough(2): %v", err)
+	}
+	if err := l.PayThrough(3); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("a fourth epoch was paid: %v", err)
+	}
+
+	l = threeEpochs(t)
+	if err := l.PayThrough(2); err != nil {
+		t.Fatalf("PayThrough(2) on a fresh ledger: %v", err)
+	}
+	if err := l.PayThrough(3); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("paying past an exactly-exhausted gap: %v", err)
+	}
+}
+
+// A refusal leaves the ledger as it was: a gap the budget cannot cover
+// pays for none of it.
+func TestPayThroughRefusalLeavesLedgerUnchanged(t *testing.T) {
+	l := threeEpochs(t)
+	if err := l.PayThrough(0); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Spent()
+	if err := l.PayThrough(3); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("PayThrough(3) on a three-epoch ledger returned %v, want ErrExhausted", err)
+	}
+	if got := l.Epochs(); got != 1 {
+		t.Fatalf("refused payment moved the ledger to %d epochs", got)
+	}
+	if got := l.Spent(); got != before {
+		t.Fatalf("refused payment moved Spent from %+v to %+v", before, got)
+	}
+	if err := l.PayThrough(2); err != nil {
+		t.Fatalf("PayThrough(2) after the refusal: %v", err)
+	}
+}
+
+// Many goroutines paying for the same collection pay for it once.
+func TestPayThroughSameIDConcurrently(t *testing.T) {
+	l := threeEpochs(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- l.PayThrough(1)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l
-	}
-	l := newLedger()
-	if err := l.Restore(2); err != nil {
-		t.Fatalf("Restore(2): %v", err)
 	}
 	if got := l.Epochs(); got != 2 {
-		t.Fatalf("Epochs() = %d after Restore(2)", got)
+		t.Fatalf("64 payments through collection 1 paid %d epochs, want 2", got)
 	}
-	if err := l.Charge(); err != nil {
-		t.Fatalf("charge after restore: %v", err)
-	}
-	if err := l.Charge(); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("4th epoch charged: %v", err)
-	}
+}
 
-	// Exactly exhausted restores fine and still refuses the next.
-	l = newLedger()
-	if err := l.Restore(3); err != nil {
-		t.Fatalf("Restore(3): %v", err)
+// An advanced ledger admits exactly the K collections the tighter of
+// basic and advanced composition proves, and refuses collection K+1.
+// K is worked out here from composition.Advanced and basic composition
+// directly, not through MaxEpochs or the accountant's Compose, so an
+// accountant that stopped proving a bound (say, one that dropped the
+// advanced bound's error) fails here instead of admitting every epoch.
+func TestAdvancedLedgerAdmitsExactlyK(t *testing.T) {
+	total := composition.Guarantee{Eps: 2, Delta: 1e-4}
+	per := composition.Guarantee{Eps: 0.01, Delta: 1e-8}
+	const slack = 5e-5
+	fits := func(k int) bool {
+		kf := float64(k)
+		g := composition.Guarantee{Eps: kf * per.Eps, Delta: kf * per.Delta}
+		adv, err := composition.Advanced(per, k, slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adv.Eps < g.Eps {
+			g = adv
+		}
+		return g.Eps <= total.Eps && g.Delta <= total.Delta
 	}
-	if err := l.Charge(); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("charge after exhausted restore: %v", err)
+	k := 0
+	for fits(k + 1) {
+		k++
 	}
-
-	// Counts the budget cannot prove are refused.
-	l = newLedger()
-	if err := l.Restore(4); err == nil {
-		t.Fatal("Restore(4) accepted a count past the total budget")
+	if naive := int(total.Eps / per.Eps); k <= naive {
+		t.Fatalf("advanced composition proves %d epochs, no more than naive's %d: the test would not reach the advanced bound", k, naive)
 	}
-	if err := l.Restore(-1); err == nil {
-		t.Fatal("Restore(-1) accepted a negative count")
+	l, err := NewLedger(total, per, Advanced{Slack: slack})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := l.Epochs(); got != 0 {
-		t.Fatalf("failed Restore mutated the ledger to %d epochs", got)
+	for id := 0; id < k; id++ {
+		if err := l.PayThrough(id); err != nil {
+			t.Fatalf("collection %d of the %d the budget affords refused: %v", id, k, err)
+		}
+	}
+	if err := l.PayThrough(k); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("collection %d paid past the %d the budget affords: %v", k, k, err)
 	}
 }

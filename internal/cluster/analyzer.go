@@ -33,10 +33,11 @@ type AnalyzerConfig struct {
 	// Priv is the AHE key pair; only the analyzer ever holds the
 	// private half.
 	Priv ahe.PrivateKey
-	// Ledger, when non-nil, is charged one per-collection guarantee at
-	// every Collect; once it refuses, Collect returns an error wrapping
-	// budget.ErrExhausted and the analyzer stays queryable. Coordinator
-	// only: a shard charges nothing.
+	// Ledger, when non-nil, pays one per-collection guarantee for every
+	// collection id Collect runs, once per id however many attempts or
+	// Collect calls the round takes; once it refuses, Collect returns an
+	// error wrapping budget.ErrExhausted and the analyzer stays
+	// queryable. Coordinator only: a shard pays nothing.
 	Ledger *budget.Ledger
 	// DataDir, when non-empty, makes the analyzer durable: each sealed
 	// collection's decoded words are write-ahead logged and the
@@ -341,14 +342,15 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 // generation after a jittered backoff: the dead link is dropped so its
 // shuffler can re-dial, the survivors get an abort frame, and buffered
 // client shares plus cached fake shares make the re-run bit-identical
-// to a round that never failed. The privacy ledger is charged exactly
-// once per collection (on the first attempt that reaches the seal
-// broadcast), and the WAL seal happens only for the attempt that
+// to a round that never failed. The privacy ledger pays for the
+// collection id exactly once (on the first attempt that reaches the
+// seal broadcast), and the WAL seal happens only for the attempt that
 // succeeds.
 //
 // A Collect error means the round is lost across all attempts: nothing
-// was aggregated or charged durably (the in-memory ledger charge, the
-// bound on what the seal broadcasts disclosed, stands), and the clean
+// was aggregated or charged durably (the in-memory payment, the bound
+// on what the seal broadcasts disclosed, stands — and a later Collect
+// of the same collection id does not pay for it again), and the clean
 // way out is to Close the analyzer — the control-link EOF unblocks
 // every surviving shuffler's Run — and start a fresh cluster, a
 // durable analyzer recovering its sealed history. The kill-one-
@@ -368,7 +370,6 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 	a.stateMu.Lock()
 	collection := uint32(a.collections)
 	a.stateMu.Unlock()
-	charged := false
 	var lastErr error
 	for try := 0; try < policy.Attempts; try++ {
 		if try > 0 {
@@ -385,17 +386,17 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 			lastErr = err
 			continue
 		}
-		// Charge only once every shuffler is reachable, and only once
-		// per collection no matter how many attempts it takes: the
-		// charge bounds disclosure, and every attempt seals the same
-		// report multiset (the charge still precedes the first seal
-		// broadcast, the first actual disclosure).
-		if !charged && a.cfg.Ledger != nil {
-			if err := a.cfg.Ledger.Charge(); err != nil {
+		// Pay only once every shuffler is reachable. Paying through the
+		// collection id costs nothing once it is paid, so the round
+		// pays once however many attempts it takes: the payment bounds
+		// disclosure, and every attempt seals the same report multiset
+		// (the payment still precedes the first seal broadcast, the
+		// first actual disclosure).
+		if a.cfg.Ledger != nil {
+			if err := a.cfg.Ledger.PayThrough(int(collection)); err != nil {
 				return Collection{}, fmt.Errorf("cluster: charging collection %d: %w", collection, err)
 			}
 		}
-		charged = true
 		g := gen{col: collection, att: a.nextAttempt()}
 		words, bad, err := a.attemptRound(peers, g, n)
 		if err != nil {
@@ -755,9 +756,9 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 }
 
 // writeCheckpoint snapshots the cumulative state. Only OpenEpoch (the
-// next collection id, which also drives WAL segment pruning), the
-// ledger's charged count, and the state blob are meaningful for the
-// analyzer; the service-specific counter slots stay zero.
+// next collection id, which also drives WAL segment pruning) and the
+// state blob are meaningful for the analyzer; the service-specific
+// slots stay zero.
 func (a *Analyzer) writeCheckpoint() error {
 	a.stateMu.Lock()
 	cp := &store.Checkpoint{
@@ -765,9 +766,6 @@ func (a *Analyzer) writeCheckpoint() error {
 		AllTime:   a.marshalState(),
 	}
 	a.stateMu.Unlock()
-	if a.cfg.Ledger != nil {
-		cp.LedgerCharged = a.cfg.Ledger.Epochs()
-	}
 	return a.st.WriteCheckpoint(cp)
 }
 
@@ -807,20 +805,27 @@ func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	return a, nil
 }
 
-// restore applies the checkpoint and replays the WAL tail. It runs
-// before the accept loop exists, so it mutates state freely.
+// restore applies the checkpoint, replays the WAL tail, and pays the
+// ledger once through the last sealed collection: the payment is worked
+// out from what was sealed, never by replaying charges. A sealed count
+// the ledger cannot pay for means it runs under other parameters than
+// the ones the directory was written under. It runs before the accept
+// loop exists, so it mutates state freely.
 func (a *Analyzer) restore(rec *store.Recovered) error {
 	if cp := rec.Checkpoint; cp != nil {
 		if err := a.unmarshalState(cp.AllTime); err != nil {
 			return err
 		}
-		if a.cfg.Ledger != nil {
-			if err := a.cfg.Ledger.Restore(cp.LedgerCharged); err != nil {
-				return fmt.Errorf("cluster: restoring ledger: %w", err)
-			}
+	}
+	if err := a.replayTail(rec.Tail); err != nil {
+		return err
+	}
+	if a.cfg.Ledger != nil {
+		if err := a.cfg.Ledger.PayThrough(a.collections - 1); err != nil {
+			return fmt.Errorf("cluster: restoring ledger: %d sealed collections exceed the total budget (wrong ledger parameters?): %w", a.collections, err)
 		}
 	}
-	return a.replayTail(rec.Tail)
+	return nil
 }
 
 // replayTail walks a recovered WAL tail. It holds, per interrupted
@@ -832,10 +837,8 @@ func (a *Analyzer) restore(rec *store.Recovered) error {
 // behind it — only a marker turns pending words into state, so keeping
 // the last record is always correct. A rotation marker must find its
 // collection's words and must name the next unsealed collection; the
-// words are then folded as the seal did, charging the ledger exactly as
-// the live Collect did before the crash lost its in-memory charge.
-// Words no marker followed are dropped: their collection never
-// completed.
+// words are then folded as the seal did. Words no marker followed are
+// dropped: their collection never completed.
 func (a *Analyzer) replayTail(tail []store.Record) error {
 	pending := map[uint32][]uint64{}
 	for _, r := range tail {
@@ -858,11 +861,6 @@ func (a *Analyzer) replayTail(tail []store.Record) error {
 			n := len(words) - a.cfg.NR
 			if n <= 0 {
 				return fmt.Errorf("cluster: WAL collection %d has %d words for %d fakes", r.Epoch, len(words), a.cfg.NR)
-			}
-			if a.cfg.Ledger != nil {
-				if err := a.cfg.Ledger.Charge(); err != nil {
-					return fmt.Errorf("cluster: recharging collection %d: %w", r.Epoch, err)
-				}
 			}
 			if _, err := a.fold(r.Epoch, n, words); err != nil {
 				return err

@@ -183,7 +183,7 @@ func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 	if cl.Reconnects() < 1 {
 		t.Fatal("client never reconnected; the planned reset should have forced a resubmit")
 	}
-	if got := ledger.Epochs(); got != 2 {
+	if got := cluster.EpochsPaid(ledger); got != 2 {
 		t.Fatalf("ledger charged %d epochs for 2 sealed collections (retries must not double-charge)", got)
 	}
 }
@@ -385,7 +385,7 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 	if col.Attempts < 2 {
 		t.Fatalf("round took %d attempt(s); the planned mesh reset should have forced a retry", col.Attempts)
 	}
-	if got := ledger.Epochs(); got != 1 {
+	if got := cluster.EpochsPaid(ledger); got != 1 {
 		t.Fatalf("retried collection charged the ledger %d times, want exactly 1", got)
 	}
 	live := h.analyzer.Estimates()
@@ -420,11 +420,68 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 	if rec.Collections() != 1 {
 		t.Fatalf("recovered %d collections, want 1", rec.Collections())
 	}
-	if got := ledger2.Epochs(); got != 1 {
+	if got := cluster.EpochsPaid(ledger2); got != 1 {
 		t.Fatalf("recovered ledger shows %d charges, want exactly 1", got)
 	}
 	if !estimatesEqual(rec.Estimates(), live) {
 		t.Fatal("recovered estimates diverged from the live run")
+	}
+}
+
+// A Collect that fails after paying, then runs again for the same
+// collection id, pays once: the payment is per collection id, not per
+// Collect call. The first call runs single-shot into the planned mesh
+// reset; the second, like a retry, completes the round.
+func TestFailedCollectRepeatedPaysOnce(t *testing.T) {
+	const (
+		r        = 2
+		n        = 24
+		d        = 8
+		nr       = 4
+		fakeSeed = 251
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	meshChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
+		if conn == 0 {
+			return faultnet.Fault{ResetAfter: 180}
+		}
+		return faultnet.Fault{}
+	}})
+	ledger := testLedger(t)
+	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
+		cfg.Ledger = ledger
+	}, func(j int, cfg *cluster.ShufflerConfig) {
+		if j == 1 {
+			cfg.Dial = chaosDialTo(meshChaos, cfg.Topology.Shufflers[0])
+		}
+	})
+	defer h.analyzer.Close()
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendValues(0, synthValues(n, d, 252), rng.New(253)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.analyzer.Collect(n); err == nil {
+		t.Fatal("the single-shot round survived the planned mesh reset")
+	}
+	if got := cluster.EpochsPaid(ledger); got != 1 {
+		t.Fatalf("the failed round paid for %d collections, want 1", got)
+	}
+	if _, err := h.analyzer.Collect(n); err != nil {
+		t.Fatalf("the repeated round failed: %v", err)
+	}
+	if h.analyzer.Collections() != 1 {
+		t.Fatalf("%d collections sealed, want 1", h.analyzer.Collections())
+	}
+	if got := cluster.EpochsPaid(ledger); got != 1 {
+		t.Fatalf("a failed and a repeated Collect of collection 0 paid for %d collections, want 1", got)
 	}
 }
 
@@ -508,7 +565,7 @@ func TestChaosSoakSeeded(t *testing.T) {
 			}
 			allRef = append(allRef, ref.Reports...)
 		}
-		if got := ledger.Epochs(); got != 2 {
+		if got := cluster.EpochsPaid(ledger); got != 2 {
 			t.Fatalf("seed %d: ledger charged %d epochs for 2 collections", seed, got)
 		}
 		wantCum := protocol.Estimate(fo, allRef, 2*n, 2*nr)

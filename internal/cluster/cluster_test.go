@@ -509,8 +509,8 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 			acfg.Listener = alns[0] // nothing but the oracle stands between it and fold
 			_, err = cluster.RecoverAnalyzer(acfg)
 			refused("RecoverAnalyzer", err)
-			if ledger.Epochs() != 0 {
-				t.Errorf("refusals charged the ledger %d times", ledger.Epochs())
+			if cluster.EpochsPaid(ledger) != 0 {
+				t.Errorf("refusals charged the ledger %d times", cluster.EpochsPaid(ledger))
 			}
 		})
 	}

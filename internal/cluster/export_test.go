@@ -2,13 +2,21 @@ package cluster
 
 import (
 	"io"
+	"math"
 	"time"
 
+	"shuffledp/internal/budget"
 	"shuffledp/internal/transport"
 )
 
 // Hooks for the external test package (cluster_test), which owns the
 // multi-node harness but cannot see unexported state or frame tags.
+
+// EpochsPaid is how many collections a naive ledger has paid for, read
+// off what it has spent.
+func EpochsPaid(l *budget.Ledger) int {
+	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
+}
 
 // HeldChunks lists the chunk frames a shard holds: shuffler index ->
 // the (collection, attempt) its slot's frame is stamped with.

@@ -4,12 +4,13 @@ package cluster_test
 // into from the outside is "rotation marker durable, checkpoint lost".
 // These tests build that exact on-disk state through the store layer
 // and assert RecoverAnalyzer replays the seal — merging the logged
-// words, re-charging the ledger, and re-writing the checkpoint — and
-// that a words record without its marker (the collection never
-// completed) is dropped.
+// words, paying the ledger for the sealed count, and re-writing the
+// checkpoint — and that a words record without its marker (the
+// collection never completed) is dropped.
 
 import (
 	"net"
+	"strings"
 	"testing"
 
 	"shuffledp/internal/budget"
@@ -98,8 +99,8 @@ func TestRecoverAnalyzerReplaysWALTail(t *testing.T) {
 	if reals != n || fakes != nr {
 		t.Fatalf("replayed totals (%d, %d), want (%d, %d)", reals, fakes, n, nr)
 	}
-	if ledger.Epochs() != 1 {
-		t.Fatalf("ledger recharged %d collections, want 1", ledger.Epochs())
+	if cluster.EpochsPaid(ledger) != 1 {
+		t.Fatalf("ledger recharged %d collections, want 1", cluster.EpochsPaid(ledger))
 	}
 	enc, err := ldp.NewWordEncoder(fo)
 	if err != nil {
@@ -136,11 +137,76 @@ func TestRecoverAnalyzerReplaysWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a2.Close()
-	if a2.Collections() != 1 || ledger2.Epochs() != 1 {
-		t.Fatalf("second recovery: %d collections, %d charges", a2.Collections(), ledger2.Epochs())
+	if a2.Collections() != 1 || cluster.EpochsPaid(ledger2) != 1 {
+		t.Fatalf("second recovery: %d collections, %d charges", a2.Collections(), cluster.EpochsPaid(ledger2))
 	}
 	if !estimatesEqual(a2.Estimates(), want) {
 		t.Fatal("second recovery diverged")
+	}
+}
+
+// A directory holding two sealed collections recovered under a ledger
+// that affords one is refused: the ledger runs under other parameters
+// than the collections were paid for under, and admitting it would
+// fabricate a guarantee.
+func TestRecoverAnalyzerRefusesUnpayableSealedCount(t *testing.T) {
+	const (
+		d  = 8
+		n  = 10
+		nr = 3
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	dir := t.TempDir()
+	words := make([]uint64, 0, n+nr)
+	for i := 0; i < n+nr; i++ {
+		words = append(words, uint64(i%d))
+	}
+	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col := uint32(0); col < 2; col++ {
+		if err := st.AppendReport(col, transport.EncodeUint64s(words)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Rotate(col, int64(col)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ledger, err := budget.NewLedger(
+		composition.Guarantee{Eps: 1, Delta: 1e-9},
+		composition.Guarantee{Eps: 1, Delta: 1e-9},
+		budget.Naive{},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
+		Topology: analyzerTopo(t),
+		FO:       fo,
+		NR:       nr,
+		Priv:     priv,
+		DataDir:  dir,
+		Sync:     store.SyncAlways,
+		Ledger:   ledger,
+	})
+	if err == nil {
+		a.Close()
+		t.Fatal("RecoverAnalyzer paid for 2 sealed collections on a one-collection ledger")
+	}
+	if !strings.Contains(err.Error(), "2 sealed collections exceed the total budget") {
+		t.Fatalf("RecoverAnalyzer error %q does not name the sealed count", err)
+	}
+	if spent := ledger.Spent(); spent != (composition.Guarantee{}) {
+		t.Fatalf("the refused recovery spent %+v of the ledger", spent)
 	}
 }
 
@@ -349,9 +415,8 @@ func TestRecoverAnalyzerReplaysInterruptedRetry(t *testing.T) {
 		return l
 	}
 
-	// First recovery seals collection 0 and writes the checkpoint
-	// (LedgerCharged = 1) — the durable baseline the retried round
-	// builds on.
+	// First recovery seals collection 0 and writes the checkpoint —
+	// the durable baseline the retried round builds on.
 	ledger := newLedger()
 	a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
 		Topology: analyzerTopo(t),
@@ -365,8 +430,8 @@ func TestRecoverAnalyzerReplaysInterruptedRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Collections() != 1 || ledger.Epochs() != 1 {
-		t.Fatalf("baseline recovery: %d collections, %d charges", a.Collections(), ledger.Epochs())
+	if a.Collections() != 1 || cluster.EpochsPaid(ledger) != 1 {
+		t.Fatalf("baseline recovery: %d collections, %d charges", a.Collections(), cluster.EpochsPaid(ledger))
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -409,8 +474,8 @@ func TestRecoverAnalyzerReplaysInterruptedRetry(t *testing.T) {
 	if a2.Collections() != 2 {
 		t.Fatalf("recovered %d collections, want 2", a2.Collections())
 	}
-	if ledger2.Epochs() != 2 {
-		t.Fatalf("ledger charged %d epochs, want exactly 2 (checkpoint restore + one tail re-charge)", ledger2.Epochs())
+	if cluster.EpochsPaid(ledger2) != 2 {
+		t.Fatalf("ledger charged %d epochs, want exactly 2 (the checkpoint's collection and the tail's)", cluster.EpochsPaid(ledger2))
 	}
 	reals, fakes := a2.Totals()
 	if reals != 2*n || fakes != 2*nr {

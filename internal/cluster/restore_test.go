@@ -87,9 +87,9 @@ func TestRestoreTailBothRoles(t *testing.T) {
 			if tc.committed {
 				wantCollections, wantReals, wantFakes, wantCounts = 1, len(fresh)-nr, nr, freshCounts
 			}
-			if a.collections != wantCollections || a.reals != wantReals || a.fakes != wantFakes || ledger.Epochs() != wantCollections {
+			if a.collections != wantCollections || a.reals != wantReals || a.fakes != wantFakes || EpochsPaid(ledger) != wantCollections {
 				t.Fatalf("replayed %d collections (%d reals, %d fakes, %d ledger charges), want %d (%d, %d, %d)",
-					a.collections, a.reals, a.fakes, ledger.Epochs(), wantCollections, wantReals, wantFakes, wantCollections)
+					a.collections, a.reals, a.fakes, EpochsPaid(ledger), wantCollections, wantReals, wantFakes, wantCollections)
 			}
 			if !slices.Equal(a.counts, wantCounts) {
 				t.Fatalf("counts = %v, want %v", a.counts, wantCounts)

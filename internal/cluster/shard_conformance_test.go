@@ -217,7 +217,7 @@ func TestShardConformanceCrashRecoveredShard(t *testing.T) {
 	if !estimatesEqual(h.analyzer.Estimates(), wantCum) {
 		t.Fatal("cumulative estimate diverged across the shard replacement")
 	}
-	if got := ledger.Epochs(); got != 2 {
+	if got := cluster.EpochsPaid(ledger); got != 2 {
 		t.Fatalf("two rounds charged the coordinator ledger %d times, want 2", got)
 	}
 }
@@ -295,7 +295,7 @@ func TestShardConformanceChaosCoordinatorLink(t *testing.T) {
 	if !estimatesEqual(col.Estimates, ref.Estimates) {
 		t.Fatal("estimates diverged across the shard-link reset")
 	}
-	if got := ledger.Epochs(); got != 1 {
+	if got := cluster.EpochsPaid(ledger); got != 1 {
 		t.Fatalf("retried round charged the coordinator ledger %d times, want 1", got)
 	}
 }

@@ -41,16 +41,15 @@ var runAllowList = map[string]string{
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
 
-	"cluster.Analyzer.peerName":        "names the peer a failed seal lost; only the kill drills fail a seal",
-	"cluster.Shuffler.dropConn":        "drops a connection that fails its handshake; only the kill drills tear one",
-	"oblivious.memMesh.abort":          "the in-process mesh fails only when a party errors",
-	"pipeline.Disconnected":            "classifies a shuffler's broken coordinator link; no census run breaks one",
-	"pipeline.Batcher":                 "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches record runs",
-	"service.Codec.Unmarshal":          "names the record Fold refuses, and benchmark's per-layer replay (--trace) times it",
-	"service.Service.fail":             "a worker fails the service only on a refused record or a store error",
-	"service.Service.sealedFinalEpoch": "recovery of a service whose budget ran out",
-	"store.ckptReader.fail":            "a checkpoint that does not parse",
-	"store.Store.AppendDrop":           "logs a dropped frame; the census runs drop none",
+	"cluster.Analyzer.peerName": "names the peer a failed seal lost; only the kill drills fail a seal",
+	"cluster.Shuffler.dropConn": "drops a connection that fails its handshake; only the kill drills tear one",
+	"oblivious.memMesh.abort":   "the in-process mesh fails only when a party errors",
+	"pipeline.Disconnected":     "classifies a shuffler's broken coordinator link; no census run breaks one",
+	"pipeline.Batcher":          "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches record runs",
+	"service.Codec.Unmarshal":   "names the record Fold refuses, and benchmark's per-layer replay (--trace) times it",
+	"service.Service.fail":      "a worker fails the service only on a refused record or a store error",
+	"store.ckptReader.fail":     "a checkpoint that does not parse",
+	"store.Store.AppendDrop":    "logs a dropped frame; the census runs drop none",
 }
 
 // Every function under internal/ is run by a deployment, or it carries

@@ -200,15 +200,12 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 	}
 	cur := s.cur.Load()
 
-	// Charge the next epoch before swapping so an exhausted ledger
+	// Pay for the next epoch before swapping so an exhausted ledger
 	// never opens an epoch it cannot pay for.
 	var next *epochState
-	var chargeErr error
-	if s.cfg.Ledger != nil {
-		chargeErr = s.cfg.Ledger.Charge()
-		if chargeErr != nil && !errors.Is(chargeErr, budget.ErrExhausted) {
-			return EpochSnapshot{}, fmt.Errorf("service: charging epoch %d: %w", cur.id+1, chargeErr)
-		}
+	chargeErr := s.pay(cur.id + 1)
+	if chargeErr != nil && !errors.Is(chargeErr, budget.ErrExhausted) {
+		return EpochSnapshot{}, fmt.Errorf("service: charging epoch %d: %w", cur.id+1, chargeErr)
 	}
 	if chargeErr == nil {
 		next = newEpochState(cur.id+1, s.cfg.FO, s.workers)
@@ -228,8 +225,8 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 	}
 
 	// Wait for every batch routed to the sealed epoch to be folded,
-	// then freeze it. The charge for the opened epoch (if any) is
-	// already in the ledger, which the seal's checkpoint records.
+	// then freeze it. The opened epoch (if any) is already paid for,
+	// which the seal's checkpoint records as OpenCharged.
 	old.pending.Wait()
 	snap := s.seal(old, next != nil)
 	if chargeErr != nil {
@@ -242,11 +239,11 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 // record the snapshot in the history, fold a clone of the
 // epoch root into the all-time aggregate, and — when the service is
 // durable — write the checkpoint that makes the seal survive a crash.
-// openCharged says whether the ledger already holds a charge for the
-// epoch the seal leaves open (true after a successful rotation charge,
-// false for a drain seal and an exhausting rotation); the checkpoint
-// records it so recovery knows whether opening that epoch still costs
-// a guarantee. Callers hold rotateMu. The freeze happens before the
+// openCharged says whether the epoch the seal leaves open is already
+// paid for (true after a successful rotation, false for a drain seal
+// and an exhausting rotation); the checkpoint records it so recovery
+// knows whether a ledger refusing that epoch is an error or the budget
+// running out. Callers hold rotateMu. The freeze happens before the
 // root is cloned or shared, so a Snapshot still holding this epoch's
 // pointer can only read the frozen cache, never mutate a sealed root
 // (the Snapshot/Rotate race TestSnapshotDuringRotate locks in).
@@ -284,10 +281,11 @@ func (s *Service) seal(e *epochState, openCharged bool) EpochSnapshot {
 }
 
 // writeCheckpoint snapshots the whole durable state after sealing e:
-// the retained history roots, the all-time aggregate, the ledger's
-// charged count, and the boundary counters the shuffler stamped into
-// e at the rotation marker. Callers hold rotateMu, which orders
-// checkpoints with rotations and Drain's final seal.
+// the retained history roots, the all-time aggregate, whether the
+// epoch the seal leaves open is paid for, and the boundary counters
+// the shuffler stamped into e at the rotation marker. Callers hold
+// rotateMu, which orders checkpoints with rotations and Drain's final
+// seal.
 func (s *Service) writeCheckpoint(e *epochState, openCharged bool) error {
 	cp := &store.Checkpoint{
 		OpenEpoch:   e.id + 1,
@@ -297,9 +295,6 @@ func (s *Service) writeCheckpoint(e *epochState, openCharged bool) error {
 		Late:        e.bnd.late,
 		Rejected:    e.bnd.rejected,
 		Batches:     e.bnd.batches,
-	}
-	if s.cfg.Ledger != nil {
-		cp.LedgerCharged = s.cfg.Ledger.Epochs()
 	}
 	s.allMu.Lock()
 	allTime, err := s.allTime.MarshalBinary()

@@ -640,8 +640,8 @@ func TestAutoRotationFiresOnCrossing(t *testing.T) {
 			if last := hist[len(hist)-1].Reports; last != open {
 				t.Fatalf("drain-sealed epoch holds %d reports, want %d", last, open)
 			}
-			if ledger.Epochs() != len(hist) {
-				t.Fatalf("ledger charged %d epochs, %d were opened", ledger.Epochs(), len(hist))
+			if epochsPaid(ledger) != len(hist) {
+				t.Fatalf("ledger charged %d epochs, %d were opened", epochsPaid(ledger), len(hist))
 			}
 			win, err := svc.EstimateWindow(0)
 			if err != nil {

@@ -5,20 +5,22 @@ package service
 // to a state bit-identical to an uninterrupted run over the same
 // durable reports (DESIGN.md §8). The recovery invariants:
 //
-//   - Sealed epochs come from the checkpoint: history roots, the
-//     all-time aggregate, and the ledger's charged count load exactly
-//     as written (aggregator blobs restore bit-identical estimates).
+//   - Sealed epochs come from the checkpoint: history roots and the
+//     all-time aggregate load exactly as written (aggregator blobs
+//     restore bit-identical estimates).
 //   - The open epoch is rebuilt entirely from the WAL tail: every
 //     checkpoint is taken at a rotation boundary, so the tail's report
 //     records are precisely the open epoch's reports.
 //   - A rotation marker in the tail (the crash hit between the marker
 //     and its checkpoint) replays the seal: the rebuilt epoch freezes
-//     into history, the ledger is charged exactly once, and the seal's
-//     checkpoint is re-written — re-durabilizing the rotation the
-//     crash interrupted.
-//   - Privacy budget is never re-spent: the ledger restores to the
-//     recorded charged count, and an exhausted ledger recovers
-//     exhausted — the service keeps refusing ingestion.
+//     into history and the seal's checkpoint is re-written —
+//     re-durabilizing the rotation the crash interrupted.
+//   - Privacy budget is never re-spent: the ledger is paid once, after
+//     the tail is walked, through the epoch the directory shows open
+//     (or, once the budget ran out, the last sealed one). The payment
+//     is worked out from what was sealed, not by replaying charges,
+//     and an exhausted ledger recovers exhausted — the service keeps
+//     refusing ingestion.
 //
 // What recovery deliberately does NOT preserve: reports that were in
 // flight (client buffers, the intake queue, an unflushed WAL buffer)
@@ -43,9 +45,9 @@ import (
 // and starts it. cfg must carry the same oracle parameters, key, and
 // ledger parameters the original service ran with — the oracle and
 // domain are validated against the checkpoint, the rest is the
-// caller's contract (a fresh budget.Ledger is restored to the
-// recorded charged count via Ledger.Restore). The returned service is
-// running and ready to Serve/Ingest the rest of the stream.
+// caller's contract (a fresh budget.Ledger pays for every epoch the
+// directory shows opened). The returned service is running and ready
+// to Serve/Ingest the rest of the stream.
 func Recover(cfg Config) (*Service, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("service: Recover needs Config.DataDir")
@@ -82,20 +84,17 @@ func Recover(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// restore applies the checkpoint and replays the WAL tail. It runs
-// before any pipeline goroutine exists, so it mutates state freely.
+// restore applies the checkpoint, replays the WAL tail, and pays the
+// ledger for what they show opened. It runs before any pipeline
+// goroutine exists, so it mutates state freely.
 func (s *Service) restore(rec *store.Recovered) error {
+	cp := rec.Checkpoint
 	openEpoch := 0
 	exhausted := false
-	if cp := rec.Checkpoint; cp != nil {
+	if cp != nil {
 		openEpoch = cp.OpenEpoch
 		exhausted = cp.Exhausted
 		s.wal = walCounters{received: cp.Received, late: cp.Late, rejected: cp.Rejected, batches: cp.Batches}
-		if s.cfg.Ledger != nil {
-			if err := s.cfg.Ledger.Restore(cp.LedgerCharged); err != nil {
-				return fmt.Errorf("service: restoring ledger: %w", err)
-			}
-		}
 		if len(cp.AllTime) > 0 {
 			allTime, err := ldp.UnmarshalAggregator(s.cfg.FO, cp.AllTime)
 			if err != nil {
@@ -118,27 +117,6 @@ func (s *Service) restore(rec *store.Recovered) error {
 				},
 				agg: root,
 			})
-		}
-	} else if s.cfg.Ledger != nil {
-		// No checkpoint was ever written, but New charged epoch 0
-		// before the crash.
-		if err := s.cfg.Ledger.Restore(1); err != nil {
-			return fmt.Errorf("service: restoring ledger: %w", err)
-		}
-	}
-	if cp := rec.Checkpoint; cp != nil && !exhausted && !cp.OpenCharged && s.cfg.Ledger != nil {
-		// A drain seal wrote this checkpoint: the epoch it left open
-		// was never charged, because in the original process it never
-		// opened. Recovering opens it, so it is charged now — exactly
-		// as New charges epoch 0 — and never re-charged on a later
-		// recovery (the ledger restarts from cp.LedgerCharged each
-		// time). If the budget is already spent, the service recovers
-		// exhausted: queryable, refusing ingestion.
-		if err := s.cfg.Ledger.Charge(); err != nil {
-			if !errors.Is(err, budget.ErrExhausted) {
-				return fmt.Errorf("service: charging recovered epoch %d: %w", cp.OpenEpoch, err)
-			}
-			exhausted = true
 		}
 	}
 
@@ -191,24 +169,11 @@ func (s *Service) restore(rec *store.Recovered) error {
 			if int64(cur.id) != int64(r.Epoch) {
 				return fmt.Errorf("service: WAL rotate marker seals epoch %d while epoch %d is open", r.Epoch, cur.id)
 			}
-			// Replay the interrupted rotation: charge, seal (which
-			// re-writes the checkpoint the crash lost), and open the
-			// next epoch — or latch exhaustion, exactly as the live
-			// Rotate would have.
-			var chargeErr error
-			if s.cfg.Ledger != nil {
-				chargeErr = s.cfg.Ledger.Charge()
-				if chargeErr != nil && !errors.Is(chargeErr, budget.ErrExhausted) {
-					return fmt.Errorf("service: recharging epoch %d: %w", r.Epoch+1, chargeErr)
-				}
-			}
-			if r.Next >= 0 && chargeErr != nil {
-				return fmt.Errorf("service: WAL opened epoch %d but the restored ledger refuses it: %w", r.Next, chargeErr)
-			}
+			// Replay the interrupted rotation: seal (which re-writes
+			// the checkpoint the crash lost) and open the next epoch —
+			// or latch exhaustion, exactly as the live Rotate did. What
+			// the rotation paid is settled below, with the rest.
 			if r.Next < 0 {
-				if s.cfg.Ledger != nil && chargeErr == nil {
-					return fmt.Errorf("service: WAL records budget exhaustion at epoch %d but the restored ledger still admits epochs", r.Epoch)
-				}
 				exhausted = true
 				s.exhausted.Store(true)
 			}
@@ -217,6 +182,33 @@ func (s *Service) restore(rec *store.Recovered) error {
 			if r.Next >= 0 {
 				cur = newEpochState(int(r.Next), s.cfg.FO, s.workers)
 			}
+		}
+	}
+	// Pay once for what the directory shows opened: through the open
+	// epoch or, once the budget ran out, through the last sealed one.
+	// An epoch a drain left open was never opened, so never paid for;
+	// while nothing has been logged in it, it is the one payment the
+	// ledger may refuse, and the service then recovers exhausted. Every
+	// other refusal means the ledger's parameters are not the ones the
+	// directory was written under.
+	if s.cfg.Ledger != nil && !exhausted {
+		drainLeft := cp != nil && !cp.OpenCharged && cur.id == openEpoch && cur.accepted.Load() == 0
+		err := s.pay(cur.id)
+		switch {
+		case err == nil:
+		case drainLeft && errors.Is(err, budget.ErrExhausted):
+			exhausted = true
+			cur = s.sealedFinalEpoch(cur.id - 1)
+		default:
+			return fmt.Errorf("service: WAL opened epoch %d but the restored ledger refuses it (wrong ledger parameters?): %w", cur.id, err)
+		}
+	}
+	if s.cfg.Ledger != nil && exhausted {
+		if err := s.pay(cur.id); err != nil {
+			return fmt.Errorf("service: restoring ledger: %d sealed epochs exceed the total budget (wrong ledger parameters?): %w", cur.id+1, err)
+		}
+		if s.cfg.Ledger.MaxEpochs() > cur.id+1 {
+			return fmt.Errorf("service: WAL records budget exhaustion at epoch %d but the restored ledger still admits epochs", cur.id)
 		}
 	}
 	if exhausted {

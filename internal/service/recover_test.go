@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"errors"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -82,6 +83,12 @@ func (w *recoveryWorld) ledger(t *testing.T) *budget.Ledger {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// epochsPaid is how many epochs a naive ledger has paid for, read off
+// what it has spent.
+func epochsPaid(l *budget.Ledger) int {
+	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
 }
 
 func (w *recoveryWorld) config(ledger *budget.Ledger, dir string, sync store.SyncPolicy) service.Config {
@@ -207,7 +214,7 @@ func (ref *recoveryReference) same(t *testing.T, svc *service.Service, snap serv
 		}
 		sameEstimates(t, "sealed epoch estimate", hist[i].Estimates, ref.hist[i].Estimates)
 	}
-	if got, want := ledger.Epochs(), ref.ledger.Epochs(); got != want {
+	if got, want := epochsPaid(ledger), epochsPaid(ref.ledger); got != want {
 		t.Fatalf("recovered ledger charged %d epochs, reference charged %d", got, want)
 	}
 	if got, want := ledger.Remaining(), ref.ledger.Remaining(); got != want {
@@ -283,8 +290,9 @@ func TestCrashRecoveryConformance(t *testing.T) {
 // stageInterruptedRotation hand-writes dir exactly as a service that
 // crashed right after the shuffler wrote the rotation marker would
 // leave it: reports[:n] logged for epoch 0 (each marshalled payload
-// handed to appendRec), the marker opening epoch 1, no checkpoint.
-func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int, appendRec func(st *store.Store, payload []byte) error) {
+// handed to appendRec), the marker opening epoch next (-1: the ledger
+// refused epoch 1), no checkpoint.
+func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int, next int64, appendRec func(st *store.Store, payload []byte) error) {
 	t.Helper()
 	codec, err := service.NewCodec(w.fo)
 	if err != nil {
@@ -303,7 +311,7 @@ func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int
 			t.Fatal(err)
 		}
 	}
-	if err := st.Rotate(0, 1); err != nil {
+	if err := st.Rotate(0, next); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -324,7 +332,7 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 300
-	w.stageInterruptedRotation(t, dir, n, func(st *store.Store, payload []byte) error {
+	w.stageInterruptedRotation(t, dir, n, 1, func(st *store.Store, payload []byte) error {
 		return st.AppendSealedReport(0, sealer.Seal(nil, payload))
 	})
 	agg := w.fo.NewAggregator()
@@ -342,7 +350,7 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 		t.Fatalf("recovered open epoch %d, want 1", got)
 	}
 	// Epoch 0 charged at New plus the replayed rotation's charge.
-	if got := ledger.Epochs(); got != 2 {
+	if got := epochsPaid(ledger); got != 2 {
 		t.Fatalf("recovered ledger charged %d epochs, want 2", got)
 	}
 	hist := svc.History()
@@ -361,6 +369,75 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 	}
 }
 
+// stageSealedRotation is stageInterruptedRotation with sealed report
+// records, as the service writes them.
+func (w *recoveryWorld) stageSealedRotation(t *testing.T, dir string, n int, next int64) {
+	t.Helper()
+	sealer, err := ecies.NewStorageSealer(w.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.stageInterruptedRotation(t, dir, n, next, func(st *store.Store, payload []byte) error {
+		return st.AppendSealedReport(0, sealer.Seal(nil, payload))
+	})
+}
+
+// oneEpoch is a ledger that affords exactly one epoch of the world's
+// per-epoch budget.
+func (w *recoveryWorld) oneEpoch(t *testing.T) *budget.Ledger {
+	t.Helper()
+	l, err := budget.NewLedger(
+		composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
+		composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
+		budget.Naive{},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// A WAL whose rotation marker opened epoch 1 shows two epochs paid for.
+// Recovered under a ledger that affords one, it is refused: the ledger
+// runs under other parameters than the directory was written under. The
+// refused attempt has already re-written the rotation's checkpoint, so
+// a second attempt must be refused just the same.
+func TestRecoverRefusesLedgerTighterThanWAL(t *testing.T) {
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	w.stageSealedRotation(t, dir, 100, 1)
+	for attempt := 1; attempt <= 2; attempt++ {
+		svc, err := service.Recover(w.config(w.oneEpoch(t), dir, store.SyncBatch))
+		if err == nil {
+			svc.Close()
+			t.Fatalf("attempt %d: Recover paid for fewer epochs than the WAL opened", attempt)
+		}
+		if !strings.Contains(err.Error(), "WAL opened epoch 1 but the restored ledger refuses it") {
+			t.Fatalf("attempt %d: Recover error %q does not name the refused epoch", attempt, err)
+		}
+	}
+}
+
+// A WAL whose rotation marker records the ledger refusing epoch 1,
+// recovered under a ledger that would still admit it, is refused too —
+// on the second attempt as well, when the exhaustion is read from the
+// checkpoint the first one re-wrote.
+func TestRecoverRefusesLedgerLooserThanWAL(t *testing.T) {
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	w.stageSealedRotation(t, dir, 100, -1)
+	for attempt := 1; attempt <= 2; attempt++ {
+		svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+		if err == nil {
+			svc.Close()
+			t.Fatalf("attempt %d: Recover admitted epochs the WAL records the ledger refusing", attempt)
+		}
+		if !strings.Contains(err.Error(), "WAL records budget exhaustion at epoch 0 but the restored ledger still admits epochs") {
+			t.Fatalf("attempt %d: Recover error %q does not name the recorded exhaustion", attempt, err)
+		}
+	}
+}
+
 // The service logs only sealed reports. A tail holding an unsealed
 // store.RecordReport (the record cluster.Analyzer logs its revealed
 // words in) was not written by this tier: Recover must refuse it with an
@@ -368,7 +445,7 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 func TestRecoverRejectsUnsealedReportRecord(t *testing.T) {
 	w := newRecoveryWorld(t)
 	dir := t.TempDir()
-	w.stageInterruptedRotation(t, dir, 3, func(st *store.Store, payload []byte) error {
+	w.stageInterruptedRotation(t, dir, 3, 1, func(st *store.Store, payload []byte) error {
 		ct, err := ecies.Encrypt(w.key.Public(), payload)
 		if err != nil {
 			return err
@@ -590,7 +667,7 @@ func TestRecoverRefusesRetiredHashFamilyCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = st.WriteCheckpoint(&store.Checkpoint{
-		OpenEpoch: 1, OpenCharged: true, LedgerCharged: 2,
+		OpenEpoch: 1, OpenCharged: true,
 		Received: 200, Batches: 2,
 		AllTime: blob,
 		History: []store.EpochCheckpoint{{
@@ -627,6 +704,26 @@ func TestNewRefusesExistingState(t *testing.T) {
 	svc.Close()
 	if _, err := service.New(w.config(nil, dir, store.SyncBatch)); !errors.Is(err, store.ErrExists) {
 		t.Fatalf("New over existing state: err = %v, want store.ErrExists", err)
+	}
+}
+
+// New over a directory that already holds state is refused before the
+// ledger pays for anything: the caller goes on to Recover, which pays
+// for what the directory shows, with the same ledger.
+func TestNewOverUsedDirectoryPaysNothing(t *testing.T) {
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	svc, err := service.New(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	ledger := w.ledger(t)
+	if _, err := service.New(w.config(ledger, dir, store.SyncBatch)); !errors.Is(err, store.ErrExists) {
+		t.Fatalf("New over existing state: err = %v, want store.ErrExists", err)
+	}
+	if spent := ledger.Spent(); spent != (composition.Guarantee{}) {
+		t.Fatalf("the refused New spent %+v of the ledger", spent)
 	}
 }
 
@@ -721,7 +818,7 @@ func TestRecoverAfterDrainChargesOpenEpoch(t *testing.T) {
 	if got := svc.Epoch(); got != 1 {
 		t.Fatalf("recovered open epoch %d, want 1", got)
 	}
-	if got := ledger.Epochs(); got != 2 {
+	if got := epochsPaid(ledger); got != 2 {
 		t.Fatalf("ledger charged %d epochs after drain+recover, want 2 (epoch 0 and the newly opened epoch 1)", got)
 	}
 	w.send(t, svc, 200, 400)
@@ -736,7 +833,7 @@ func TestRecoverAfterDrainChargesOpenEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ledger.Epochs(); got != 3 {
+	if got := epochsPaid(ledger); got != 3 {
 		t.Fatalf("ledger charged %d epochs after second recover, want 3", got)
 	}
 	w.send(t, svc, 400, 600)

@@ -160,10 +160,10 @@ type Config struct {
 	// balloon its memory. 0 means DefaultMaxFrame.
 	MaxFrame int
 
-	// Ledger, when non-nil, is charged one per-epoch guarantee every
-	// time an epoch opens (including epoch 0 at New). Once it refuses,
-	// the service seals the open epoch at the next Rotate and rejects
-	// ingestion from then on.
+	// Ledger, when non-nil, pays one per-epoch guarantee for each epoch
+	// id the service opens (epoch 0 at New), never twice for one id.
+	// Once it refuses, the service seals the open epoch at the next
+	// Rotate and rejects ingestion from then on.
 	Ledger *budget.Ledger
 	// EpochReports, when > 0, auto-rotates once the open epoch has
 	// accepted at least this many reports. The count advances a whole
@@ -362,19 +362,15 @@ type Service struct {
 	drainErr  error
 }
 
-// New validates cfg, charges the ledger for epoch 0, opens the data
-// directory when the service is durable, starts the shuffler and
-// worker stages, and returns the running (but not yet listening)
-// service.
+// New validates cfg, opens the data directory when the service is
+// durable, pays the ledger for epoch 0, starts the shuffler and worker
+// stages, and returns the running (but not yet listening) service. A
+// directory that already holds state is refused before anything is
+// paid.
 func New(cfg Config) (*Service, error) {
 	s, err := prepare(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.Ledger != nil {
-		if err := s.cfg.Ledger.Charge(); err != nil {
-			return nil, fmt.Errorf("service: charging epoch 0: %w", err)
-		}
 	}
 	if s.cfg.DataDir != "" {
 		st, err := store.Create(s.cfg.DataDir, s.storeMeta(), s.cfg.Sync)
@@ -390,9 +386,25 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
+	if err := s.pay(0); err != nil {
+		if s.st != nil {
+			s.st.Close()
+		}
+		return nil, fmt.Errorf("service: charging epoch 0: %w", err)
+	}
 	s.cur.Store(newEpochState(0, s.cfg.FO, s.workers))
 	s.start()
 	return s, nil
+}
+
+// pay pays the ledger through epoch id, the one place the service
+// spends budget: New pays for epoch 0, Rotate for the epoch it opens,
+// and Recover for every epoch the data directory shows opened.
+func (s *Service) pay(id int) error {
+	if s.cfg.Ledger == nil {
+		return nil
+	}
+	return s.cfg.Ledger.PayThrough(id)
 }
 
 // prepare validates and normalizes cfg and builds the service shell:
@@ -936,7 +948,7 @@ func (s *Service) Drain() (Snapshot, error) {
 			// The shuffler has exited, so its counter mirror is final:
 			// the drain seal's checkpoint covers the whole stream. The
 			// epoch the checkpoint leaves "open" only ever opens if the
-			// directory is recovered — and is charged then, not now.
+			// directory is recovered — and is paid for then, not now.
 			e.bnd = s.wal
 		}
 		s.seal(e, false)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -261,7 +262,7 @@ func TestRecoverEveryWALCut(t *testing.T) {
 						t.Fatalf("%s: recovered into epoch %d with %d sealed, want epoch %d", what, svc.Epoch(), len(svc.History()), wantEpoch)
 					}
 					// Epoch 0 at New plus one charge per epoch opened since.
-					if got := ledger.Epochs(); got != wantEpoch+1 {
+					if got := epochsPaid(ledger); got != wantEpoch+1 {
 						t.Fatalf("%s: recovered ledger holds %d charges, want %d", what, got, wantEpoch+1)
 					}
 					ref.same(t, svc, w.run(t, svc), ledger)
@@ -299,7 +300,7 @@ func TestRecoverRefusesRaggedSealedRecord(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var block []byte
-			w.stageInterruptedRotation(t, dir, 4, func(st *store.Store, payload []byte) error {
+			w.stageInterruptedRotation(t, dir, 4, 1, func(st *store.Store, payload []byte) error {
 				// Three good one-report records, then the four reports'
 				// worth of bytes the case mangles.
 				if block = append(block, payload...); len(block) < 4*len(payload) {
@@ -373,6 +374,59 @@ func TestParentWALIsRefused(t *testing.T) {
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, seg) {
 		t.Fatalf("the refused segment changed on disk (%v)", err)
+	}
+}
+
+// TestParentCheckpointIsRefused stages the checkpoint a build that
+// stored the ledger's charge count would leave — format 2, the count's
+// 8 bytes after the two flags, a valid checksum — and recovers it. The
+// count is gone from the format because recovery now works out what was
+// paid from what was sealed; reading the old layout would shift every
+// later field by 8 bytes, so Recover must fail with store.ErrOldVersion,
+// load nothing, and leave the checkpoint as it found it.
+func TestParentCheckpointIsRefused(t *testing.T) {
+	const parentFormatVersion = 2
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	svc, err := service.New(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.send(t, svc, 0, 100)
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	cks, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(cks) != 1 {
+		t.Fatalf("want the drain's one checkpoint, found %v (%v)", cks, err)
+	}
+	cur, err := os.ReadFile(cks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic(4) version(1) name(2 + len) domain(8) open epoch(8)
+	// exhausted(1) open charged(1), then the parent's ledger count.
+	flagsEnd := 5 + 2 + int(binary.LittleEndian.Uint16(cur[5:])) + 8 + 8 + 2
+	old := append([]byte(nil), cur[:flagsEnd]...)
+	old[4] = parentFormatVersion
+	old = binary.LittleEndian.AppendUint64(old, 1)
+	old = append(old, cur[flagsEnd:len(cur)-4]...)
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(cks[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err = service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err == nil {
+		snap := svc.Snapshot()
+		svc.Close()
+		t.Fatalf("Recover loaded a format-%d checkpoint: %d reports received", parentFormatVersion, snap.Received)
+	}
+	if !errors.Is(err, store.ErrOldVersion) {
+		t.Fatalf("Recover error %v, want store.ErrOldVersion", err)
+	}
+	if after, err := os.ReadFile(cks[0]); err != nil || !bytes.Equal(after, old) {
+		t.Fatalf("the refused checkpoint changed on disk (%v)", err)
 	}
 }
 

@@ -17,7 +17,6 @@ package store
 //	open epoch    u64
 //	exhausted     u8
 //	open charged  u8
-//	ledger epochs u64
 //	received, late, rejected, batches   i64 each
 //	all-time blob u32 len + bytes
 //	history count u32, then per epoch:
@@ -66,7 +65,6 @@ func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 			buf = append(buf, 0)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(cp.LedgerCharged))
 	for _, c := range []int64{cp.Received, cp.Late, cp.Rejected, cp.Batches} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
 	}
@@ -201,7 +199,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	cp.OpenEpoch = r.intField("open epoch")
 	cp.Exhausted = r.u8() == 1
 	cp.OpenCharged = r.u8() == 1
-	cp.LedgerCharged = r.intField("ledger epochs")
 	cp.Received = r.i64()
 	cp.Late = r.i64()
 	cp.Rejected = r.i64()

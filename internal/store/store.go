@@ -99,10 +99,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // formatVersion is the on-disk format version stamped into every WAL
 // segment header and checkpoint. Readers refuse newer versions with
-// ErrFutureVersion and older ones with ErrOldVersion. Version 2 holds
-// the service's word reports in their group's byte width; version 1
-// padded them to 8 bytes.
-const formatVersion = 2
+// ErrFutureVersion and older ones with ErrOldVersion. Version 3's
+// checkpoint stores no ledger count — recovery works out what was paid
+// from what was sealed; version 2 stored one, and version 1 padded the
+// service's word reports to 8 bytes instead of their group's width.
+const formatVersion = 3
 
 // ErrFutureVersion is returned when a segment or checkpoint was
 // written by a newer format version than this build reads. The state
@@ -222,15 +223,14 @@ type Checkpoint struct {
 	// Exhausted records that the budget ledger refused to open another
 	// epoch: a recovered service must keep refusing ingestion.
 	Exhausted bool
-	// OpenCharged records whether the ledger already holds a charge
-	// for OpenEpoch. True for checkpoints written by a rotation (the
-	// charge precedes the marker); false for a drain seal, whose
-	// "next" epoch only ever opens — and must then be charged — if
-	// the directory is recovered.
+	// OpenCharged records whether OpenEpoch was already opened, and so
+	// paid for, when the checkpoint was written. True for checkpoints
+	// written by a rotation (the payment precedes the marker); false
+	// for a drain seal, whose "next" epoch only ever opens if the
+	// directory is recovered. Recovery pays through OpenEpoch either
+	// way; only an epoch a drain left may be refused, and the service
+	// then recovers exhausted.
 	OpenCharged bool
-	// LedgerCharged is how many epochs the budget ledger had charged
-	// (0 when the service runs without a ledger).
-	LedgerCharged int
 	// Received, Late, Rejected, and Batches are the durable service
 	// counters at the rotation boundary.
 	Received, Late, Rejected, Batches int64

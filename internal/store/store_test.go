@@ -120,11 +120,10 @@ func TestOpenNoState(t *testing.T) {
 
 func testCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Meta:          testMeta,
-		OpenEpoch:     2,
-		OpenCharged:   true,
-		LedgerCharged: 2,
-		Received:      1000, Late: 3, Rejected: 0, Batches: 8,
+		Meta:        testMeta,
+		OpenEpoch:   2,
+		OpenCharged: true,
+		Received:    1000, Late: 3, Rejected: 0, Batches: 8,
 		AllTime: []byte("alltime-blob"),
 		History: []EpochCheckpoint{
 			{Epoch: 0, Reports: 500, Batches: 4, Guarantee: composition.Guarantee{Eps: 1, Delta: 1e-9}, Root: []byte("root0")},
@@ -145,8 +144,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Meta != want.Meta || got.OpenEpoch != want.OpenEpoch || got.Exhausted != want.Exhausted ||
-		got.OpenCharged != want.OpenCharged ||
-		got.LedgerCharged != want.LedgerCharged || got.Received != want.Received ||
+		got.OpenCharged != want.OpenCharged || got.Received != want.Received ||
 		got.Late != want.Late || got.Rejected != want.Rejected || got.Batches != want.Batches ||
 		!bytes.Equal(got.AllTime, want.AllTime) || len(got.History) != len(want.History) {
 		t.Fatalf("round trip changed checkpoint:\n got %+v\nwant %+v", got, want)
