@@ -19,10 +19,10 @@ type Ciphertext struct {
 	v *big.Int
 }
 
-// Clone returns an independent copy. The in-place kernels
-// (AddPlainInto, RerandomizeInto) mutate their operands, so any
-// ciphertext a caller retains across an evaluation pass (the cluster's
-// per-collection fake cache) must hand the pass a clone.
+// Clone returns an independent copy, for a caller that keeps a
+// ciphertext across an in-place kernel call (AddPlainInto or
+// RerandomizeInto with dst aliasing it). No role needs one: the
+// oblivious shuffle writes into fresh ciphertexts.
 func (c *Ciphertext) Clone() *Ciphertext { return &Ciphertext{v: new(big.Int).Set(c.v)} }
 
 // startAt makes dst (which may be a) hold a's group element in a
@@ -50,8 +50,9 @@ type PublicKey interface {
 	// NewScratch returns a fresh scratch area for one worker goroutine
 	// of the in-place kernels below.
 	NewScratch() *Scratch
-	// AddPlainInto stores AddPlain(a, m) into dst. dst may alias a —
-	// the in-place form the oblivious-shuffle loops use.
+	// AddPlainInto stores AddPlain(a, m) into dst. dst may alias a, or
+	// be a zero Ciphertext that the call gives a value of its own — the
+	// form the oblivious shuffle uses, so its input vector stays intact.
 	AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error
 	// RerandomizeInto stores Rerandomize(a) into dst. dst may alias a.
 	RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error

@@ -121,8 +121,7 @@ func TestRerandomizeIntoChangesCiphertext(t *testing.T) {
 }
 
 // TestCiphertextClone: a clone decrypts identically and is unaffected
-// by in-place mutation of the original — the property the cluster's
-// fake cache depends on across retried attempts.
+// by in-place mutation of the original.
 func TestCiphertextClone(t *testing.T) {
 	key := conformanceKeys(t)[0]
 	c, err := key.Encrypt(9)
@@ -146,11 +145,12 @@ func TestCiphertextClone(t *testing.T) {
 // steady-state parallel loops (no background pool runs here —
 // AllocsPerRun counts every goroutine's allocations). Two pins:
 //
-//   - AddPlainInto, the fold-loop kernel (addPlainAll, splitEncrypted
-//     stage B): 0 allocs/op. The fixed-base chain multiplies into the
-//     ciphertext's own big.Int and every temporary of a mulRedc lives
-//     in the warm Scratch, so any reintroduced per-op object — a
-//     ciphertext, a quotient, a fresh accumulator — trips it.
+//   - AddPlainInto into a warm ciphertext: 0 allocs/op. The fixed-base
+//     chain multiplies into the ciphertext's own big.Int and every
+//     temporary of a mulRedc lives in the warm Scratch, so any
+//     reintroduced per-op object — a ciphertext, a quotient, a fresh
+//     accumulator — trips it. (The shuffle's departure folds into a
+//     fresh ciphertext, whose one big.Int is the vector it hands on.)
 //   - RerandomizeInto on its inline fixed-base fallback, the worst
 //     case: what crypto/rand's randomizer draw allocates (the bound,
 //     the byte buffer, the result — 5 measured) and nothing for the

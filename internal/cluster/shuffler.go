@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -301,21 +302,12 @@ func (s *Shuffler) collect(a *attempt) error {
 	var plain []uint64
 	var enc []*ahe.Ciphertext
 	if s.encHolder() {
-		// Clones, not the buffered and cached objects: the shuffle's
-		// in-place ciphertext kernels consume their input vector, and the
-		// column and the fake cache must survive an aborted attempt intact
-		// for the retry.
-		enc = make([]*ahe.Ciphertext, 0, total)
-		for _, c := range cts {
-			enc = append(enc, c.Clone())
-		}
-		for _, c := range fakes.enc {
-			enc = append(enc, c.Clone())
-		}
+		// The buffered and cached ciphertexts themselves: the engine
+		// writes into no vector it is given, so the column and the fake
+		// cache survive an aborted attempt intact for the retry.
+		enc = slices.Concat(cts, fakes.enc)
 	} else {
-		plain = make([]uint64, total)
-		copy(plain, words)
-		copy(plain[a.n:], fakes.plain)
+		plain = slices.Concat(words, fakes.plain)
 	}
 
 	peers, err := s.mesh(a)

@@ -1,0 +1,123 @@
+package cluster_test
+
+import (
+	"os"
+	"sync/atomic"
+	"testing"
+
+	"shuffledp/internal/ahe"
+	"shuffledp/internal/cluster"
+	"shuffledp/internal/ldp"
+	"shuffledp/internal/protocol"
+	"shuffledp/internal/rng"
+)
+
+// countingKey wraps the server's key pair and counts the four DGK
+// operations a PEOS round pays for. Every role takes its key as an
+// ahe.PublicKey or ahe.PrivateKey, so each one runs on the wrapper as
+// it would on the key.
+type countingKey struct {
+	ahe.PrivateKey
+	encrypts, addPlains, rerandomizes, decrypts atomic.Int64
+}
+
+func (k *countingKey) Encrypt(m uint64) (*ahe.Ciphertext, error) {
+	k.encrypts.Add(1)
+	return k.PrivateKey.Encrypt(m)
+}
+
+func (k *countingKey) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scratch) error {
+	k.addPlains.Add(1)
+	return k.PrivateKey.AddPlainInto(dst, a, m, sc)
+}
+
+func (k *countingKey) RerandomizeInto(dst, a *ahe.Ciphertext, sc *ahe.Scratch) error {
+	k.rerandomizes.Add(1)
+	return k.PrivateKey.RerandomizeInto(dst, a, sc)
+}
+
+func (k *countingKey) Decrypt(c *ahe.Ciphertext) (uint64, error) {
+	k.decrypts.Add(1)
+	return k.PrivateKey.Decrypt(c)
+}
+
+// work is the count of Encrypt, AddPlainInto, RerandomizeInto and
+// Decrypt calls.
+type work [4]int64
+
+func (k *countingKey) work() work {
+	return work{k.encrypts.Load(), k.addPlains.Load(), k.rerandomizes.Load(), k.decrypts.Load()}
+}
+
+// peosWork is Table III's computation column as a formula: each of the
+// n + n_r reports is encrypted once (by its user, or by the holder for
+// a fake) and decrypted once, and the shuffle's ciphertext vector pays
+// one fold and one refresh per element per departure.
+func peosWork(n, nr, departures int) work {
+	total := int64(n + nr)
+	return work{total, total * int64(departures), total * int64(departures), total}
+}
+
+// TestPEOSWorkCounts pins the DGK work of one PEOS round to that
+// formula, in process and through the deployed roles. The ciphertext
+// vector departs once per hop and once more on its exit to the
+// analyzer: at r = 2 it only exits; at r = 3 the seat 2 deals it to
+// itself after round 0, hands it to party 0 after round 1, and party 0
+// sends it out.
+func TestPEOSWorkCounts(t *testing.T) {
+	blob, err := os.ReadFile("../../benchmark/testdata/dgk512.key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := ahe.UnmarshalDGKPrivateKey(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		n  = 40
+		nr = 6
+		d  = 8
+	)
+	fo := ldp.NewGRR(d, 2)
+	values := synthValues(n, d, 61)
+	departures := map[int]int{2: 1, 3: 2}
+
+	for _, r := range []int{2, 3} {
+		key := &countingKey{PrivateKey: priv}
+		p, err := protocol.NewPEOS(fo, r, nr, key, rng.New(62))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(values, rng.New(63)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := key.work(), peosWork(n, nr, departures[r]); got != want {
+			t.Fatalf("PEOS.Run r=%d: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", r, got, want)
+		}
+	}
+
+	// One collection at r = 3: the client encrypts the users' last
+	// shares, the holder shuffler its fakes, the analyzer decrypts.
+	const r = 3
+	key := &countingKey{PrivateKey: priv}
+	h := startCluster(t, r, nr, fo, priv, 64,
+		func(cfg *cluster.AnalyzerConfig) { cfg.Priv = key },
+		func(_ int, cfg *cluster.ShufflerConfig) { cfg.Pub = key })
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: key, Source: rng.New(65)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendValues(0, values, rng.New(66)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.analyzer.Collect(n); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := key.work(), peosWork(n, nr, departures[r]); got != want {
+		t.Fatalf("cluster r=%d: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", r, got, want)
+	}
+}

@@ -13,7 +13,12 @@
 // EOS strengthens this: one of the r share vectors is encrypted under
 // the server's additively homomorphic key, so even all r shufflers
 // colluding cannot reconstruct the values — yet the shares can still be
-// split, accumulated and permuted, processed under AHE (Figure 2).
+// split, accumulated and permuted, processed under AHE (Figure 2). The
+// encrypted share is a pair, the ciphertexts and the plaintext mass
+// owed to them: splits and sums touch only the owed mass, a permutation
+// moves pointers, and the ciphertexts are worked on only when they
+// leave a party — one homomorphic addition of the owed mass and one
+// rerandomization per element.
 //
 // There is one engine. RunParty (party.go) is a single shuffler
 // exchanging messages with its peers over a Transport; Run seats r of
@@ -49,7 +54,7 @@ type Config struct {
 	// ("shuffler-0", "shuffler-1", ...).
 	Meter *transport.Meter
 	// SkipRerandomize omits the per-element ciphertext refresh on every
-	// departure — the only refresh there is: the split that sends the
+	// departure — the only refresh there is: the step that sends the
 	// vector off a party (or, after the last round, towards the
 	// analyzer) is what unlinks positions across the permutations that
 	// party applied. The paper's prototype accounts only homomorphic
@@ -161,9 +166,10 @@ func Combinations(r, t int) [][]int {
 func shufflerName(j int) string { return fmt.Sprintf("shuffler-%d", j) }
 
 // Run executes the oblivious shuffle (EOS when the state carries an
-// encrypted vector) in process, mutating st in place: it seats one
-// RunParty engine per shuffler on an in-memory transport and joins
-// them. Each party's randomness is its own stream, seeded from
+// encrypted vector) in process: it seats one RunParty engine per
+// shuffler on an in-memory transport, joins them, and replaces st's
+// vectors with theirs. The vectors and ciphertexts st held on entry are
+// not written. Each party's randomness is its own stream, seeded from
 // cfg.Source serially in index order, so a seeded Source reproduces
 // the run whatever the goroutine schedule. On return the share vectors
 // represent the same multiset of values in a permuted order, and (for
@@ -292,85 +298,10 @@ func splitPlain(vec []uint64, k int, cfg Config) [][]uint64 {
 	return secretshare.SplitVector(vec, k, cfg.Mod, cfg.Source)
 }
 
-// splitEncrypted splits the holder's share — the ciphertext vector enc
-// plus the pending plaintext mass owed to it (nil = none) — into k-1
-// uniform plaintext vectors and one ciphertext remainder:
-// rem_i = enc_i + pending_i - sum(parts_i), one homomorphic addition
-// per element, refreshed with a fresh randomizer when the remainder is
-// about to leave the party (departs). Stage A (the deterministic Source
-// draws) runs serially in element order no matter how wide the fan-out
-// is — the bit-identity invariant — and stage B (the AHE bill, whose
-// only randomness is crypto/rand) fans out over the cores. The
-// remainder reuses the input ciphertext objects as its buffers, so the
-// engine-owned vector is transformed in place and allocates no fresh
-// ciphertexts.
-func splitEncrypted(enc []*ahe.Ciphertext, pending []uint64, k int, departs bool, cfg Config) (parts [][]uint64, rem []*ahe.Ciphertext, err error) {
-	n := len(enc)
-	parts = make([][]uint64, k-1)
-	for i := range parts {
-		parts[i] = make([]uint64, n)
-	}
-	// Stage A: draw all shares and the per-element correction, in
-	// element order.
-	delta := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		var sum uint64
-		for j := range parts {
-			s := cfg.Mod.Random(cfg.Source)
-			parts[j][i] = s
-			sum = cfg.Mod.Add(sum, s)
-		}
-		var owed uint64
-		if pending != nil {
-			owed = pending[i]
-		}
-		delta[i] = cfg.Mod.Sub(owed, sum)
-	}
-	// Stage B: fold, subtract and refresh, chunked across the cores.
-	refresh := departs && !cfg.SkipRerandomize
-	rem = make([]*ahe.Ciphertext, n)
-	copy(rem, enc)
-	err = parFor(n, fanOut(), func(_, lo, hi int) error {
-		sc := cfg.Pub.NewScratch()
-		for i := lo; i < hi; i++ {
-			if err := cfg.Pub.AddPlainInto(rem[i], rem[i], delta[i], sc); err != nil {
-				return err
-			}
-			if refresh {
-				if err := cfg.Pub.RerandomizeInto(rem[i], rem[i], sc); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return parts, rem, nil
-}
-
 func addInto(dst, src []uint64, mod secretshare.Modulus) {
 	for i := range dst {
 		dst[i] = mod.Add(dst[i], src[i])
 	}
-}
-
-// addPlainAll folds a plaintext vector into a ciphertext vector,
-// reducing each addend into the share ring first — the materialisation
-// of the final holder's pending mass. The fold is deterministic given
-// its inputs, so the fan-out is a pure latency win; the ciphertexts are
-// updated in place through per-worker scratch.
-func addPlainAll(enc []*ahe.Ciphertext, plain []uint64, mod secretshare.Modulus, pub ahe.PublicKey) error {
-	return parFor(len(enc), fanOut(), func(_, lo, hi int) error {
-		sc := pub.NewScratch()
-		for i := lo; i < hi; i++ {
-			if err := pub.AddPlainInto(enc[i], enc[i], mod.Reduce(plain[i]), sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 func applyPermUint64(vec []uint64, perm []int) []uint64 {

@@ -1,8 +1,10 @@
 package oblivious
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -298,7 +300,9 @@ func (k *failingPub) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scra
 // TestRunAbortsAllPartiesOnError: when one party fails mid-shuffle, Run
 // must return that party's error — not the abort its peers observe —
 // and every goroutine it started (parties and their senders) must
-// exit, whether the fault is in the first split or rounds later.
+// exit, whether the fault is in the first departure or the last. At
+// r = 3 there are two, n AddPlainInto each: the hop 2 → 0 while its
+// peers wait on the reshare, then party 0's exit.
 func TestRunAbortsAllPartiesOnError(t *testing.T) {
 	key := dgk(t)
 	mod := secretshare.NewModulus(32)
@@ -308,7 +312,7 @@ func TestRunAbortsAllPartiesOnError(t *testing.T) {
 		values[i] = uint64(i)
 	}
 	before := runtime.NumGoroutine()
-	for _, failAt := range []int64{0, n / 2, 3 * n} {
+	for _, failAt := range []int64{0, n / 2, n + n/2} {
 		st := buildEncState(t, values, r, mod, key, rng.New(61))
 		pub := &failingPub{PublicKey: key.DGKPublicKey, failAt: failAt}
 		err := Run(st, Config{Mod: mod, Source: rng.New(62), Pub: pub})
@@ -321,6 +325,61 @@ func TestRunAbortsAllPartiesOnError(t *testing.T) {
 				t.Fatalf("failAt=%d: %d goroutines before Run, %d after", failAt, before, runtime.NumGoroutine())
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestRunLeavesItsInputUnchanged: the shuffle writes into no vector it
+// is given — not a plaintext word, not a ciphertext — whether it
+// succeeds or a party faults in the middle of it. Run hands each
+// RunParty engine the state's own vectors, so this is RunParty's
+// contract too; the cluster shuffler relies on it when it passes its
+// buffered column and cached fakes to the engine as they are and
+// retries an aborted attempt from them. Both seats run: r-1 (PEOS's,
+// two departures) and 0 (a seeking holder, three).
+func TestRunLeavesItsInputUnchanged(t *testing.T) {
+	key := dgk(t)
+	mod := secretshare.NewModulus(32)
+	const r, n = 3, 12
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = uint64(7 * i)
+	}
+	for _, seat := range []int{r - 1, 0} {
+		for _, failAt := range []int64{-1, n / 2, n + n/2} { // -1: no fault
+			st := buildEncState(t, values, r, mod, key, rng.New(63))
+			st.Plain[r-1], st.Plain[seat] = st.Plain[seat], nil
+			st.EncHolder = seat
+			plain, enc := slices.Clone(st.Plain), slices.Clone(st.Enc)
+			words := make([][]uint64, r)
+			for j, p := range plain {
+				words[j] = slices.Clone(p)
+			}
+			blobs := make([][]byte, n)
+			for i, c := range enc {
+				blobs[i] = key.Serialize(c)
+			}
+			var pub ahe.PublicKey = key.DGKPublicKey
+			if failAt >= 0 {
+				pub = &failingPub{PublicKey: pub, failAt: failAt}
+			}
+			err := Run(st, Config{Mod: mod, Source: rng.New(64), Pub: pub})
+			if failAt < 0 && err != nil {
+				t.Fatalf("seat %d: %v", seat, err)
+			}
+			if failAt >= 0 && !errors.Is(err, errInjectedAddPlain) {
+				t.Fatalf("seat %d failAt=%d: got %v, want the injected error", seat, failAt, err)
+			}
+			for j := range plain {
+				if !slices.Equal(plain[j], words[j]) {
+					t.Fatalf("seat %d failAt=%d: party %d's input words changed", seat, failAt, j)
+				}
+			}
+			for i, c := range enc {
+				if !bytes.Equal(key.Serialize(c), blobs[i]) {
+					t.Fatalf("seat %d failAt=%d: input ciphertext %d changed", seat, failAt, i)
+				}
+			}
 		}
 	}
 }

@@ -1,15 +1,14 @@
 package oblivious
 
 // Worker-pool layer for the per-element hot loops (DESIGN.md §14).
-// The two ciphertext passes of a hide-and-seek round — addPlainAll and
-// stage B of splitEncrypted — and the server's decrypt phase
-// (RevealParallel) fan out over fanOut() goroutines in contiguous,
-// order-preserving chunks. Determinism is
+// The shuffle's one ciphertext pass — depart's fold and refresh — and
+// the server's decrypt phase (RevealParallel) fan out over fanOut()
+// goroutines in contiguous, order-preserving chunks. Determinism is
 // preserved by construction: every draw from the deterministic Source
-// happens on the caller's goroutine in serial element order before any
-// worker starts, so the only randomness inside a worker is crypto/rand
-// (rerandomizer nonces), which never reaches a plaintext or an
-// estimate — the share plaintexts, and therefore the estimates, are
+// happens on the party's engine goroutine in serial element order,
+// outside any worker, so the only randomness inside a worker is
+// crypto/rand (rerandomizer nonces), which never reaches a plaintext or
+// an estimate — the share plaintexts, and therefore the estimates, are
 // bit-identical at every width for a fixed seed.
 
 import (

@@ -12,33 +12,35 @@ package oblivious
 // Per round (hider set H, |H| = t, seekers S = [r] \ H):
 //
 //	hide     seeker s splits its vector into t parts, one per hider
-//	         (the encrypted seeker: t-1 plaintext parts plus the
-//	         ciphertext remainder to one hider). Hiders accumulate.
+//	         (the encrypted seeker: its ciphertexts go to one hider
+//	         with the last part). Hiders accumulate.
 //	shuffle  hiders[0] samples a permutation seed and sends it to the
 //	         other hiders; every hider applies the permutation.
 //	reshare  each hider splits its vector into r parts, one per party
-//	         (the ciphertext hider: r-1 plaintext parts plus the
-//	         remainder to one party, who becomes the next holder).
+//	         (the ciphertext hider: its ciphertexts go with the last
+//	         part to one party, who becomes the next holder).
 //	         Every party sums what it received into its new vector.
 //
 // The ciphertext follows the hiders (DESIGN.md §14): the rounds walk
 // the t-subsets in reverse lexicographic order, so the seated holder
 // (shuffler r-1 in PEOS) hides in round 0, and a reshare deals the
-// remainder to a party that hides in the next round — the PEOS holder
+// ciphertexts to a party that hides in the next round — the PEOS holder
 // never seeks, a holder seated elsewhere seeks in round 0 only, and a
 // shuffle's ciphertext work is a function of r alone (who holds the
 // vector was never a secret).
 //
 // The ciphertext vector pays for its departures, nothing else. The
-// holder's share is enc_i + pending_i: the plaintext mass it takes in
-// rides beside the ciphertexts as a pending vector (permuted with
-// them) and enters the exponent of the next split's one AddPlainInto;
-// the last pending vector is materialised once, after the final round.
-// A remainder is refreshed (multiplied by a fresh h^r) when it leaves
-// the party — sent to a peer, or on its way to the analyzer after the
-// last round — and not when the party deals it back to itself between
-// two of its own permutations, where nobody it does not already
-// collude with can see it.
+// holder's share is a pair: its ciphertexts and the plaintext mass it
+// owes them (value_i = Dec(enc_i) + owed_i). It is split like every
+// other share — the owed vector into additive parts, the last of which
+// goes with the ciphertexts — so a split never touches a ciphertext.
+// The one ciphertext step is a departure: when the vector leaves the
+// party — sent to a peer, or on its way to the analyzer after the last
+// round — the owed mass is folded in and every element refreshed
+// (multiplied by a fresh h^r), once each, into fresh ciphertexts. A
+// holder that deals the vector back to itself, between two of its own
+// permutations where nobody it does not already collude with can see
+// it, pays nothing.
 //
 // Every vector travels as one message. Message counts per phase are
 // structural — a hider hears from every seeker, a non-lead hider hears
@@ -80,7 +82,9 @@ type Msg struct {
 	// ends validate it so a desynchronized peer is an error, not a
 	// corrupted shuffle.
 	Round int
-	// Words is the plaintext share vector (MsgPlain).
+	// Words is the plaintext share vector (MsgPlain). Beside Enc it is
+	// the mass owed to the ciphertexts; only the part a holder deals
+	// itself carries one, since a departure folds it in.
 	Words []uint64
 	// Enc is the ciphertext vector (MsgEnc).
 	Enc []*ahe.Ciphertext
@@ -142,7 +146,9 @@ func (cfg PartyConfig) validate(plain []uint64, enc []*ahe.Ciphertext) error {
 // plain is this party's share vector, or nil when it enters holding
 // the ciphertext vector enc (at most one party of the run does). It
 // returns the party's post-shuffle vector: plain shares for most
-// parties, the ciphertext vector for the final holder.
+// parties, the ciphertext vector for the final holder. It writes into
+// neither input: a vector that leaves a party is made of fresh
+// ciphertexts.
 func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
 	if err := cfg.validate(plain, enc); err != nil {
 		return nil, nil, err
@@ -152,32 +158,64 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 	// round 0's hiders {r-t, ..., r-1} seat the PEOS holder r-1.
 	partitions := Combinations(cfg.Parties, Hiders(cfg.Parties))
 	slices.Reverse(partitions)
-	// Between rounds the holder's share is enc + plain: plain is the
-	// plaintext mass still owed to the ciphertexts.
+	sh := share{words: plain, enc: enc}
+	if enc != nil {
+		sh.words = make([]uint64, len(enc)) // the seated holder owes nothing
+	}
 	for round, hiders := range partitions {
 		var next []int // none after the last round: the holder's vector exits
 		if round+1 < len(partitions) {
 			next = partitions[round+1]
 		}
 		var err error
-		plain, enc, err = runPartyRound(cfg, tr, round, hiders, next, plain, enc)
-		if err != nil {
+		if sh, err = runPartyRound(cfg, tr, round, hiders, next, sh); err != nil {
 			return nil, nil, fmt.Errorf("oblivious: party %d round %d: %w", cfg.Index, round, err)
 		}
 	}
-	if enc != nil {
-		// The one fold of the shuffle (Figure 2, "Hide"): the mass taken
-		// in since the last split. Billed like the splits are.
-		var err error
-		cfg.Meter.Track(shufflerName(cfg.Index), func() {
-			err = addPlainAll(enc, plain, cfg.Mod, cfg.Pub)
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("oblivious: party %d final fold: %w", cfg.Index, err)
-		}
-		plain = nil
+	if sh.enc == nil {
+		return sh.words, nil, nil
 	}
-	return plain, enc, nil
+	// The final holder's exit towards the analyzer is a departure too.
+	out, err := depart(cfg, sh)
+	if err != nil {
+		return nil, nil, fmt.Errorf("oblivious: party %d exit: %w", cfg.Index, err)
+	}
+	return nil, out, nil
+}
+
+// depart is the shuffle's one ciphertext step, taken when the holder's
+// vector leaves the party: one AddPlainInto folds the owed mass into
+// each element and one RerandomizeInto multiplies it by a fresh h^r —
+// the refresh that unlinks positions across every permutation this
+// party applied since the vector arrived. It writes fresh ciphertexts,
+// so the vector it was given stays as it was. There is no Source draw
+// here (the refresh's randomness is crypto/rand), so the work fans out
+// over the cores; it is billed as this shuffler's computation.
+func depart(cfg PartyConfig, sh share) ([]*ahe.Ciphertext, error) {
+	out := make([]*ahe.Ciphertext, len(sh.enc))
+	var err error
+	cfg.Meter.Track(shufflerName(cfg.Index), func() {
+		err = parFor(len(out), fanOut(), func(_, lo, hi int) error {
+			sc := cfg.Pub.NewScratch()
+			for i := lo; i < hi; i++ {
+				c := new(ahe.Ciphertext)
+				if err := cfg.Pub.AddPlainInto(c, sh.enc[i], sh.words[i], sc); err != nil {
+					return err
+				}
+				if !cfg.SkipRerandomize {
+					if err := cfg.Pub.RerandomizeInto(c, c, sc); err != nil {
+						return err
+					}
+				}
+				out[i] = c
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // sendAll sends out[j] to every party j it holds a message for (the
@@ -212,9 +250,9 @@ func sendAll(cfg PartyConfig, tr Transport, out []Msg) <-chan error {
 }
 
 // expectMsg receives the next message from a peer and validates the
-// round; inbox.add validates the kind, since a receiver cannot know in
+// round; share.add validates the kind, since a receiver cannot know in
 // advance whether a peer forwards plaintext or the ciphertext
-// remainder.
+// vector.
 func expectMsg(tr Transport, from, round int) (Msg, error) {
 	m, err := tr.Recv(from)
 	if err != nil {
@@ -236,63 +274,56 @@ func heir(me int, among []int) int {
 }
 
 // splitFor splits this party's share into one message per party in
-// dests (the returned slice is indexed by party; the rest stay zero).
-// A plaintext vector becomes len(dests) additive parts. The holder's
-// share — the ciphertext vector plus its pending plaintext mass —
-// becomes len(dests)-1 plaintext parts, walking dests in order, plus
-// the encrypted remainder for target, the next ciphertext holder;
-// departs says the remainder leaves this party and so must be refreshed.
-func splitFor(cfg PartyConfig, round int, dests []int, target int, departs bool, plain []uint64, enc []*ahe.Ciphertext) ([]Msg, error) {
+// dests (the returned slice is indexed by party; the rest stay zero):
+// len(dests) additive parts of its plaintext vector, walking dests in
+// order. The holder's owed vector splits the same way, but its last
+// part goes with the ciphertexts to target, the next holder — kept as
+// it is when that is this party, folded in by a departure otherwise.
+func splitFor(cfg PartyConfig, round int, dests []int, target int, sh share) ([]Msg, error) {
 	out := make([]Msg, cfg.Parties)
-	if enc == nil {
-		for i, part := range splitPlain(plain, len(dests), cfg.Config) {
+	parts := splitPlain(sh.words, len(dests), cfg.Config)
+	if sh.enc == nil {
+		for i, part := range parts {
 			out[dests[i]] = Msg{Kind: MsgPlain, Round: round, Words: part}
 		}
 		return out, nil
 	}
-	var (
-		parts [][]uint64
-		rem   []*ahe.Ciphertext
-		err   error
-	)
-	// The split carries the shuffle's ciphertext work — the fold and the
-	// refresh — so it is billed as this shuffler's computation.
-	cfg.Meter.Track(shufflerName(cfg.Index), func() {
-		parts, rem, err = splitEncrypted(enc, plain, len(dests), departs, cfg.Config)
-	})
+	rem := share{words: parts[len(parts)-1], enc: sh.enc}
+	pi := 0
+	for _, d := range dests {
+		if d != target {
+			out[d] = Msg{Kind: MsgPlain, Round: round, Words: parts[pi]}
+			pi++
+		}
+	}
+	if target == cfg.Index {
+		out[target] = Msg{Kind: MsgEnc, Round: round, Enc: rem.enc, Words: rem.words}
+		return out, nil
+	}
+	enc, err := depart(cfg, rem)
 	if err != nil {
 		return nil, err
 	}
-	pi := 0
-	for _, d := range dests {
-		if d == target {
-			out[d] = Msg{Kind: MsgEnc, Round: round, Enc: rem}
-			continue
-		}
-		out[d] = Msg{Kind: MsgPlain, Round: round, Words: parts[pi]}
-		pi++
-	}
+	out[target] = Msg{Kind: MsgEnc, Round: round, Enc: enc}
 	return out, nil
 }
 
-// inbox accumulates the vectors a party takes in during one phase:
-// plaintext parts sum into words, and at most one ciphertext vector
-// may arrive. A party that ends a phase with enc set is the holder and
-// words is its pending mass — nothing is folded here.
-type inbox struct {
+// share is one party's additive share of the vector: plaintext words,
+// or for the holder the ciphertexts plus the mass words owed to them.
+// During a phase it accumulates what the party takes in: plaintext
+// parts sum into words, and at most one ciphertext vector may arrive.
+type share struct {
 	words []uint64
 	enc   []*ahe.Ciphertext
 }
 
-// add validates one vector message from a peer and absorbs it.
-func (in *inbox) add(cfg PartyConfig, from int, m Msg) error {
+// add validates one vector message and absorbs it: a plaintext part,
+// or the ciphertext vector — with the owed part beside it when a holder
+// deals the vector to itself; a vector that departed carries none.
+func (in *share) add(cfg PartyConfig, from int, m Msg) error {
 	n := len(in.words)
 	switch m.Kind {
 	case MsgPlain:
-		if len(m.Words) != n {
-			return fmt.Errorf("party %d sent a part of length %d, want %d", from, len(m.Words), n)
-		}
-		addInto(in.words, m.Words, cfg.Mod)
 	case MsgEnc:
 		if cfg.Pub == nil {
 			return fmt.Errorf("party %d sent a ciphertext vector to a party without the AHE key", from)
@@ -304,20 +335,26 @@ func (in *inbox) add(cfg PartyConfig, from int, m Msg) error {
 			return fmt.Errorf("party %d ciphertext vector has length %d, want %d", from, len(m.Enc), n)
 		}
 		in.enc = m.Enc
+		if m.Words == nil {
+			return nil
+		}
 	default:
 		return fmt.Errorf("party %d sent kind %d, want a share vector", from, m.Kind)
 	}
+	if len(m.Words) != n {
+		return fmt.Errorf("party %d sent a part of length %d, want %d", from, len(m.Words), n)
+	}
+	addInto(in.words, m.Words, cfg.Mod)
 	return nil
 }
 
 // runPartyRound performs one hide-and-seek round with the given hider
-// set and returns the party's share after it (for the holder: the
-// ciphertext vector and its pending mass); next is the hider set the
+// set and returns the party's share after it; next is the hider set the
 // round's reshare picks the ciphertext holder from, nil after the last
 // round.
-func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int, plain []uint64, enc []*ahe.Ciphertext) ([]uint64, []*ahe.Ciphertext, error) {
+func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int, sh share) (share, error) {
 	r, me := cfg.Parties, cfg.Index
-	n := max(len(plain), len(enc))
+	n := len(sh.words)
 	everyone := make([]int, r)
 	for j := range everyone {
 		everyone[j] = j
@@ -326,31 +363,31 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 
 	// --- Hide phase: seekers split their vectors among the hiders. ---
 	if !hides {
-		// A seeking holder's remainder always crosses a link.
-		out, err := splitFor(cfg, round, hiders, heir(me, hiders), true, plain, enc)
+		// A seeking holder's vector always departs: its heir is a hider.
+		out, err := splitFor(cfg, round, hiders, heir(me, hiders), sh)
 		if err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 		if err := <-sendAll(cfg, tr, out); err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 	} else {
 		// A copy: the input vector belongs to the caller.
-		in := inbox{words: make([]uint64, n), enc: enc}
-		copy(in.words, plain)
+		in := share{words: make([]uint64, n), enc: sh.enc}
+		copy(in.words, sh.words)
 		for s := 0; s < r; s++ {
 			if slices.Contains(hiders, s) {
 				continue
 			}
 			m, err := expectMsg(tr, s, round)
 			if err != nil {
-				return nil, nil, err
+				return share{}, err
 			}
 			if err := in.add(cfg, s, m); err != nil {
-				return nil, nil, err
+				return share{}, err
 			}
 		}
-		plain, enc = in.words, in.enc
+		sh = in
 	}
 
 	// --- Shuffle phase: hiders apply an agreed permutation. ---
@@ -365,50 +402,49 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 				out[h] = Msg{Kind: MsgSeed, Round: round, Seed: seed}
 			}
 			if err := <-sendAll(cfg, tr, out); err != nil {
-				return nil, nil, err
+				return share{}, err
 			}
 		} else {
 			m, err := expectMsg(tr, hiders[0], round)
 			if err != nil {
-				return nil, nil, err
+				return share{}, err
 			}
 			if m.Kind != MsgSeed {
-				return nil, nil, fmt.Errorf("lead hider %d sent kind %d, want the permutation seed", hiders[0], m.Kind)
+				return share{}, fmt.Errorf("lead hider %d sent kind %d, want the permutation seed", hiders[0], m.Kind)
 			}
 			seed = m.Seed
 		}
-		// Permuting moves pointers (and the holder's pending mass with
-		// them) and refreshes nothing: the next split that sends the
-		// ciphertexts off this party multiplies each by a fresh h^r — the
-		// refresh that unlinks positions across every permutation applied
-		// here since they arrived.
+		// Permuting moves pointers (and the holder's owed mass with them)
+		// and refreshes nothing: the departure that sends the ciphertexts
+		// off this party multiplies each by a fresh h^r — the refresh that
+		// unlinks positions across every permutation applied here since
+		// they arrived.
 		perm := rng.New(seed).Perm(n)
 		cfg.Meter.Track(shufflerName(me), func() {
-			plain = applyPermUint64(plain, perm)
-			if enc != nil {
-				enc = applyPermCipher(enc, perm)
+			sh.words = applyPermUint64(sh.words, perm)
+			if sh.enc != nil {
+				sh.enc = applyPermCipher(sh.enc, perm)
 			}
 		})
 	}
 
 	// --- Reshare phase: each hider splits its vector to all parties. ---
-	in := inbox{words: make([]uint64, n)}
+	in := share{words: make([]uint64, n)}
 	var sendErr <-chan error
 	if hides {
-		// After the last round the holder keeps the vector, which then
-		// leaves for the analyzer.
-		target, departs := me, true
+		// After the last round the holder keeps the vector; RunParty
+		// sends it on its way to the analyzer.
+		target := me
 		if next != nil {
 			target = heir(me, next)
-			departs = target != me
 		}
-		out, err := splitFor(cfg, round, everyone, target, departs, plain, enc)
+		out, err := splitFor(cfg, round, everyone, target, sh)
 		if err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 		// The part a hider deals itself never touches the transport.
 		if err := in.add(cfg, me, out[me]); err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 		out[me] = Msg{}
 		sendErr = sendAll(cfg, tr, out)
@@ -419,16 +455,16 @@ func runPartyRound(cfg PartyConfig, tr Transport, round int, hiders, next []int,
 		}
 		m, err := expectMsg(tr, h, round)
 		if err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 		if err := in.add(cfg, h, m); err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 	}
 	if sendErr != nil {
 		if err := <-sendErr; err != nil {
-			return nil, nil, err
+			return share{}, err
 		}
 	}
-	return in.words, in.enc, nil
+	return in, nil
 }

@@ -271,9 +271,9 @@ func TestRunPartyKeylessRejectsCiphertext(t *testing.T) {
 
 // encSend is one MsgEnc a party put on the transport: whether the
 // sender was seeking in that round (a hide-phase send; a hider sends in
-// the reshare), the elements by value at the moment they left (the
-// engine mutates ciphertexts in place afterwards), and how many
-// ciphertexts the sender had been seated with or had received by then.
+// the reshare), the elements as they left (the engine writes into no
+// ciphertext it was given, so they stay so), and how many ciphertexts
+// the sender had been seated with or had received by then.
 type encSend struct {
 	seeking bool
 	elems   []*ahe.Ciphertext
@@ -289,21 +289,13 @@ type recordingTransport struct {
 	sends []encSend
 }
 
-func cloneAll(enc []*ahe.Ciphertext) []*ahe.Ciphertext {
-	out := make([]*ahe.Ciphertext, len(enc))
-	for i, c := range enc {
-		out[i] = c.Clone()
-	}
-	return out
-}
-
 func (t *recordingTransport) Send(to int, m Msg) error {
 	if m.Kind == MsgEnc {
 		// RunParty walks the hider sets last first.
 		rounds := Combinations(len(t.mesh.pipes), Hiders(len(t.mesh.pipes)))
 		seeking := !slices.Contains(rounds[len(rounds)-1-m.Round], t.me)
 		t.mu.Lock()
-		t.sends = append(t.sends, encSend{seeking, cloneAll(m.Enc), len(t.held)})
+		t.sends = append(t.sends, encSend{seeking, m.Enc, len(t.held)})
 		t.mu.Unlock()
 	}
 	return t.memTransport.Send(to, m)
@@ -313,7 +305,7 @@ func (t *recordingTransport) Recv(from int) (Msg, error) {
 	m, err := t.memTransport.Recv(from)
 	if err == nil && m.Kind == MsgEnc {
 		t.mu.Lock()
-		t.held = append(t.held, cloneAll(m.Enc)...)
+		t.held = append(t.held, m.Enc...)
 		t.mu.Unlock()
 	}
 	return m, err
@@ -372,7 +364,7 @@ func runRecorded(t *testing.T, r, n int, seed uint64, skipRerandomize bool) reco
 	for j := range trs {
 		trs[j] = &recordingTransport{memTransport: memTransport{mesh, j}}
 	}
-	trs[r-1].held = cloneAll(enc)
+	trs[r-1].held = slices.Clone(enc)
 
 	pub := &countingPub{PublicKey: priv}
 	hits0, misses0 := priv.RandomizerPoolStats()
@@ -478,21 +470,18 @@ func TestForwardedCiphertextsAreUnlinkable(t *testing.T) {
 
 // TestOneRefreshPerDeparture pins the shuffle's ciphertext bill as a
 // function of r alone. The PEOS seat r-1 hides in round 0, so no
-// ciphertext vector ever moves in a hide phase and every round has
-// exactly one encrypted split, the holder's reshare. A randomizer is
-// drawn per element per departure — each MsgEnc put on the transport,
-// plus the final holder's exit towards the analyzer — and nowhere else:
-// not when a holder deals the remainder back to itself, not after the
-// permutation. An AddPlainInto runs per element per split, plus the one
-// fold that materialises the final holder's pending mass; the mass a
-// holder takes in costs nothing until then.
+// ciphertext vector ever moves in a hide phase. The vector's one
+// ciphertext step is a departure — each MsgEnc put on the transport,
+// plus the final holder's exit towards the analyzer — and it takes one
+// AddPlainInto (the owed mass) and one randomizer per element, and
+// nothing else does: not a split, not a holder dealing the vector back
+// to itself, not a permutation, not the mass a holder takes in.
 func TestOneRefreshPerDeparture(t *testing.T) {
 	const n = 6
 	// Mesh hops of the ciphertext vector: the walk of heir over the
 	// reversed t-subsets from seat r-1.
 	hops := map[int]int{2: 0, 3: 1, 4: 1, 5: 2}
 	for _, r := range []int{2, 3, 4, 5} {
-		rounds := len(Combinations(r, Hiders(r)))
 		for _, seed := range []uint64{77, 78} {
 			rec := runRecorded(t, r, n, seed, false)
 			sends, hides := 0, 0
@@ -511,13 +500,14 @@ func TestOneRefreshPerDeparture(t *testing.T) {
 				t.Fatalf("r=%d seed %d: the ciphertext vector made %d hops, want %d", r, seed, sends, hops[r])
 			}
 			departures := uint64(sends + 1)
-			if want := n * departures; rec.draws != want || rec.rerandomizes != want {
+			want := n * departures
+			if rec.draws != want || rec.rerandomizes != want {
 				t.Fatalf("r=%d seed %d: the shuffle drew %d randomizers in %d RerandomizeInto calls, want %d (n=%d x %d departures)",
 					r, seed, rec.draws, rec.rerandomizes, want, n, departures)
 			}
-			if want := uint64(n * (rounds + 1)); rec.addPlains != want {
-				t.Fatalf("r=%d seed %d: %d AddPlainInto calls, want %d (n=%d x (%d encrypted splits + 1 fold))",
-					r, seed, rec.addPlains, want, n, rounds)
+			if rec.addPlains != want {
+				t.Fatalf("r=%d seed %d: %d AddPlainInto calls, want %d (n=%d x %d departures)",
+					r, seed, rec.addPlains, want, n, departures)
 			}
 		}
 	}

@@ -99,10 +99,14 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 
 	// Pre-generate encryption randomizers off the measured path: every
 	// user share, fake share, and rerandomization below draws one h^r,
-	// and the pool keeps refilling while the protocol computes.
+	// and the pool keeps refilling while the protocol computes. It stops
+	// when the shuffle returns — reveal and estimate draw none, and a
+	// refill then would only take a core from the decryptions; the
+	// deferred stop (idempotent) covers the error returns.
 	// Pool randomness is crypto/rand, never p.Source, so estimates stay
 	// bit-identical with or without it.
-	defer pub.StartRandomizerPool()()
+	stopPool := pub.StartRandomizerPool()
+	defer stopPool()
 
 	// --- Users (Algorithm 1, "User i"). ---
 	// plainShares[j][i] is user i's j-th share; encShares[i] is the
@@ -180,6 +184,7 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 		Meter:           meter,
 		SkipRerandomize: p.FastShuffle,
 	})
+	stopPool()
 	if err != nil {
 		return nil, err
 	}

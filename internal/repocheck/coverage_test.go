@@ -38,6 +38,7 @@ var runAllowList = map[string]string{
 	"ahe.DGKPublicKey.AddPlain":    "the allocating PublicKey method; deployments run AddPlainInto",
 	"ahe.DGKPublicKey.Rerandomize": "the allocating PublicKey method; deployments run RerandomizeInto",
 	"ahe.DGKPublicKey.Deserialize": "the per-element decoder; deployments decode whole vectors",
+	"ahe.Ciphertext.Clone":         "benchmark's per-layer replay (--trace) copies its sample through it; the shuffle writes into fresh ciphertexts",
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
 
