@@ -84,7 +84,7 @@ for round in 0 1; do
   rm -f "$drill/analyzer.done"
   "$bin/shuffled" analyzer -listen "$analyzer" -shufflers "$shufflers" \
     -key "$drill/peos.key" -oracle grr -d 8 -nr 6 -n 80 \
-    -collections $((round + 1)) -data-dir "$drill/state" -fsync always \
+    -collections $((round + 1)) -data-dir "$drill/state" \
     -timeout 30s >/dev/null &
   apid=$!
   pids+=("$apid")

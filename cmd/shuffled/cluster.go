@@ -22,8 +22,12 @@ package main
 // The analyzer writes the private key to -key (0600) and the public
 // half to -key.pub on first run and reloads them afterwards, so a
 // restarted (recovered) analyzer keeps decrypting the cluster's
-// ciphertexts. Oracle parameters (-oracle/-d/-dprime/-epsl) and -nr
-// must match across all roles, like the protocol parameters they are.
+// ciphertexts. With -data-dir it seals each collection by writing one
+// fsynced checkpoint of its cumulative counts — the decoded reports
+// never reach the disk, so there is no fsync policy to choose — and a
+// restart over the same directory resumes from the newest one. Oracle
+// parameters (-oracle/-d/-dprime/-epsl) and -nr must match across all
+// roles, like the protocol parameters they are.
 // Two bounds are constants, not flags: a role retries dialing a peer
 // that is not listening yet for 10 s, and drops an inbound connection
 // that sends no hello within 30 s.
@@ -164,8 +168,7 @@ func runAnalyzer(args []string) {
 	keyBits := fs.Int("keybits", 1024, "DGK modulus bits when generating (paper deploys 3072)")
 	n := fs.Int("n", 400, "users per collection round")
 	collections := fs.Int("collections", 1, "collection rounds to drive")
-	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory (coordinator only)")
-	fsync := fs.String("fsync", "batch", "WAL fsync policy: always, batch, or none")
+	dataDir := fs.String("data-dir", "", "durable state directory (one checkpoint per sealed collection); empty runs in-memory (coordinator only)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-phase collect timeout")
 	retries := fs.Int("retry-attempts", 1, "attempts per collection round (>1 enables abort-and-retry self-healing)")
 	backoff := fs.Duration("retry-backoff", 50*time.Millisecond, "base backoff between round retries (exponential, jittered)")
@@ -207,10 +210,6 @@ func runAnalyzer(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	syncPolicy, err := store.ParseSyncPolicy(*fsync)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := cluster.AnalyzerConfig{
 		Topology:       topo,
 		FO:             fo,
@@ -218,7 +217,6 @@ func runAnalyzer(args []string) {
 		Priv:           priv,
 		Shard:          *shard,
 		DataDir:        *dataDir,
-		Sync:           syncPolicy,
 		CollectTimeout: *timeout,
 		Retry: cluster.RetryPolicy{
 			Attempts:    *retries,

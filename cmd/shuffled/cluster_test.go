@@ -71,7 +71,7 @@ func TestRoleSubcommandsEndToEnd(t *testing.T) {
 				"-key", keyPath, "-keybits", "512",
 				"-oracle", "grr", "-d", "8", "-nr", "6",
 				"-n", "80", "-collections", strconv.Itoa(collections),
-				"-data-dir", dataDir, "-fsync", "always",
+				"-data-dir", dataDir,
 				"-timeout", "30s",
 			})
 		}()

@@ -39,17 +39,14 @@ type AnalyzerConfig struct {
 	// error wrapping budget.ErrExhausted and the analyzer stays
 	// queryable. Coordinator only: a shard pays nothing.
 	Ledger *budget.Ledger
-	// DataDir, when non-empty, makes the analyzer durable: each sealed
-	// collection's decoded words are write-ahead logged and the
-	// cumulative counts checkpointed, so RecoverAnalyzer restores a
-	// crashed analyzer bit-identically. (The log holds post-shuffle
-	// DECODED reports — exactly what the analyzer role legitimately
-	// sees; it never holds anything linkable to a client.) Coordinator
-	// only: a shard keeps no state a restart needs.
+	// DataDir, when non-empty, makes the analyzer durable: each
+	// collection seals by writing one checkpoint of the cumulative
+	// counts it produces (fsynced, then renamed into place), so
+	// RecoverAnalyzer restores a crashed analyzer bit-identically. The
+	// collection's decoded words never reach the disk; its WAL segment
+	// stays header-only. Coordinator only: a shard keeps no state a
+	// restart needs.
 	DataDir string
-	// Sync is the WAL fsync policy (store.SyncBatch when zero);
-	// rotation markers and checkpoints are always fsynced.
-	Sync store.SyncPolicy
 	// CollectTimeout bounds each phase of a Collect: the wait for all
 	// shufflers to be connected and each vector read. 0 means no bound.
 	CollectTimeout time.Duration
@@ -172,7 +169,7 @@ func NewAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		return nil, err
 	}
 	if cfg.DataDir != "" {
-		st, err := store.Create(cfg.DataDir, a.storeMeta(), cfg.Sync)
+		st, err := store.Create(cfg.DataDir, a.storeMeta(), store.SyncBatch)
 		if err != nil {
 			a.ln.Close()
 			if errors.Is(err, store.ErrExists) {
@@ -344,8 +341,8 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 // client shares plus cached fake shares make the re-run bit-identical
 // to a round that never failed. The privacy ledger pays for the
 // collection id exactly once (on the first attempt that reaches the
-// seal broadcast), and the WAL seal happens only for the attempt that
-// succeeds.
+// seal broadcast), and the durable seal happens only for the attempt
+// that succeeds.
 //
 // A Collect error means the round is lost across all attempts: nothing
 // was aggregated or charged durably (the in-memory payment, the bound
@@ -572,48 +569,24 @@ func (a *Analyzer) isClosed() bool {
 	return a.closed
 }
 
-// seal makes one collection's decoded words durable (WAL + rotation
-// marker + checkpoint when configured) and folds them into the
-// cumulative counts.
+// seal makes one collection's revealed words (n user reports + NR
+// fakes) state: decode them, and add their support counts to the
+// cumulative counts. On a durable node it first writes the checkpoint
+// of the state the collection produces; that rename is the
+// collection's one commit point, and only once it returns is the state
+// installed in memory, so a failed write leaves the analyzer as it
+// was.
 func (a *Analyzer) seal(collection uint32, n int, words []uint64) (Collection, error) {
-	if a.st != nil {
-		// The round's words reach the platters before they can
-		// influence any served estimate, mirroring the service's
-		// WAL-before-aggregate invariant.
-		if err := a.st.AppendReport(collection, transport.EncodeUint64s(words)); err != nil {
-			return Collection{}, err
-		}
-		if err := a.st.Commit(); err != nil {
-			return Collection{}, err
-		}
-		if err := a.st.Rotate(collection, int64(collection)+1); err != nil {
-			return Collection{}, err
-		}
-	}
-	colCounts, err := a.fold(collection, n, words)
-	if err != nil {
-		return Collection{}, err
-	}
-	return Collection{
-		Collection: int(collection),
-		Reports:    n,
-		Fakes:      a.cfg.NR,
-		Estimates:  a.sup.Calibrate(colCounts, n, a.cfg.NR),
-		Cumulative: a.Estimates(),
-	}, nil
-}
-
-// fold is the one place a collection's revealed words (n user reports
-// + NR fakes) become state, live and on replay alike: decode them, add
-// their support counts to the cumulative counts, advance the sealed
-// watermark, and — on a durable node — checkpoint. It returns the
-// collection's own support counts.
-func (a *Analyzer) fold(collection uint32, n int, words []uint64) ([]int, error) {
 	reports := make([]ldp.Report, len(words))
 	for i, w := range words {
 		reports[i] = a.enc.Decode(w)
 	}
 	colCounts := ldp.SupportCounts(a.cfg.FO, reports)
+	if a.st != nil {
+		if err := a.writeCheckpoint(collection, n, colCounts); err != nil {
+			return Collection{}, err
+		}
+	}
 	a.stateMu.Lock()
 	for v, c := range colCounts {
 		a.counts[v] += c
@@ -622,12 +595,13 @@ func (a *Analyzer) fold(collection uint32, n int, words []uint64) ([]int, error)
 	a.fakes += a.cfg.NR
 	a.collections = int(collection) + 1
 	a.stateMu.Unlock()
-	if a.st != nil {
-		if err := a.writeCheckpoint(); err != nil {
-			return nil, err
-		}
-	}
-	return colCounts, nil
+	return Collection{
+		Collection: int(collection),
+		Reports:    n,
+		Fakes:      a.cfg.NR,
+		Estimates:  a.sup.Calibrate(colCounts, n, a.cfg.NR),
+		Cumulative: a.Estimates(),
+	}, nil
 }
 
 // Estimates returns the cumulative calibrated estimate over every
@@ -706,20 +680,23 @@ const (
 	stateVersion = 1
 )
 
-// marshalState encodes (NR, reals, fakes, collections, counts). NR is
-// recorded so a recovery with a mismatched fake-report count is
-// refused (it would silently mis-calibrate every estimate) instead of
-// loaded. Callers hold stateMu.
-func (a *Analyzer) marshalState() []byte {
+// marshalState encodes (NR, reals, fakes, collections, counts), the
+// counts being the cumulative ones plus colCounts — a collection's
+// support counts not yet installed — so a seal can write the state it
+// produces without changing the state it reads. NR is recorded so a
+// recovery with a mismatched fake-report count is refused (it would
+// silently mis-calibrate every estimate) instead of loaded. Callers
+// hold stateMu.
+func (a *Analyzer) marshalState(collections, reals, fakes int, colCounts []int) []byte {
 	buf := append([]byte(nil), stateMagic...)
 	buf = append(buf, stateVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.cfg.NR))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.reals))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.fakes))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.collections))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(reals))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(fakes))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(collections))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.counts)))
-	for _, c := range a.counts {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
+	for v, c := range a.counts {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c+colCounts[v]))
 	}
 	return buf
 }
@@ -755,30 +732,35 @@ func (a *Analyzer) unmarshalState(data []byte) error {
 	return nil
 }
 
-// writeCheckpoint snapshots the cumulative state. Only OpenEpoch (the
-// next collection id, which also drives WAL segment pruning) and the
-// state blob are meaningful for the analyzer; the service-specific
-// slots stay zero.
-func (a *Analyzer) writeCheckpoint() error {
+// writeCheckpoint makes durable the cumulative state sealing
+// collection — n user reports, NR fakes, support counts colCounts —
+// produces: the collection's commit point. It installs nothing. Only
+// OpenEpoch (the next collection id, which also prunes the segments of
+// earlier ones) and the state blob are meaningful for the analyzer;
+// the service-specific slots stay zero.
+func (a *Analyzer) writeCheckpoint(collection uint32, n int, colCounts []int) error {
 	a.stateMu.Lock()
 	cp := &store.Checkpoint{
-		OpenEpoch: a.collections,
-		AllTime:   a.marshalState(),
+		OpenEpoch: int(collection) + 1,
+		AllTime:   a.marshalState(int(collection)+1, a.reals+n, a.fakes+a.cfg.NR, colCounts),
 	}
 	a.stateMu.Unlock()
 	return a.st.WriteCheckpoint(cp)
 }
 
-// RecoverAnalyzer rebuilds a durable analyzer from cfg.DataDir — the
-// newest checkpoint plus a replay of the WAL tail — to a state
-// bit-identical to an uninterrupted run over the same sealed
-// collections, without re-spending privacy budget. cfg must carry the
-// same oracle, NR, and key material as the original run (the oracle,
-// domain, and NR are validated against the checkpoint; the AHE key
-// must be the persisted one — see ahe.MarshalDGKPrivateKey — or
-// future ciphertext columns will not decrypt). A collection whose words were
-// logged but whose rotation marker never became durable is dropped:
-// its Collect never returned success.
+// RecoverAnalyzer rebuilds a durable analyzer from cfg.DataDir — its
+// newest checkpoint — to a state bit-identical to an uninterrupted run
+// over the same sealed collections, without re-spending privacy
+// budget. cfg must carry the same oracle, NR, and key material as the
+// original run (the oracle, domain, and NR are validated against the
+// checkpoint; the AHE key must be the persisted one — see
+// ahe.MarshalDGKPrivateKey — or future ciphertext columns will not
+// decrypt). A collection whose checkpoint never became durable is
+// gone: its Collect never returned success. The analyzer writes no WAL
+// record, so a directory holding any record past its checkpoint (an
+// older build logged each collection's words and a rotation marker
+// before checkpointing) is refused by name, not replayed, and its
+// records are left as they are.
 func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	if cfg.Shard > 0 {
 		return nil, fmt.Errorf("cluster: RecoverAnalyzer: analyzer shard %d keeps no durable state; replace it with a blank NewAnalyzer", cfg.Shard)
@@ -790,7 +772,7 @@ func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, rec, err := store.Open(cfg.DataDir, a.storeMeta(), cfg.Sync)
+	st, rec, err := store.Open(cfg.DataDir, a.storeMeta(), store.SyncBatch)
 	if err != nil {
 		a.ln.Close()
 		return nil, err
@@ -805,68 +787,26 @@ func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 	return a, nil
 }
 
-// restore applies the checkpoint, replays the WAL tail, and pays the
-// ledger once through the last sealed collection: the payment is worked
-// out from what was sealed, never by replaying charges. A sealed count
-// the ledger cannot pay for means it runs under other parameters than
-// the ones the directory was written under. It runs before the accept
-// loop exists, so it mutates state freely.
+// restore applies the checkpoint and pays the ledger once through the
+// last sealed collection: the payment is worked out from what was
+// sealed, never by replaying charges. A sealed count the ledger cannot
+// pay for means it runs under other parameters than the ones the
+// directory was written under. A WAL record past the checkpoint is
+// refused before anything is applied or paid. It runs before the
+// accept loop exists, so it mutates state freely.
 func (a *Analyzer) restore(rec *store.Recovered) error {
+	if len(rec.Tail) > 0 {
+		return fmt.Errorf("cluster: %s holds %d WAL record(s) past its checkpoint; this analyzer writes none (older builds logged a collection's words and rotation marker before checkpointing it): recover the directory with the build that wrote it",
+			a.cfg.DataDir, len(rec.Tail))
+	}
 	if cp := rec.Checkpoint; cp != nil {
 		if err := a.unmarshalState(cp.AllTime); err != nil {
 			return err
 		}
 	}
-	if err := a.replayTail(rec.Tail); err != nil {
-		return err
-	}
 	if a.cfg.Ledger != nil {
 		if err := a.cfg.Ledger.PayThrough(a.collections - 1); err != nil {
 			return fmt.Errorf("cluster: restoring ledger: %d sealed collections exceed the total budget (wrong ledger parameters?): %w", a.collections, err)
-		}
-	}
-	return nil
-}
-
-// replayTail walks a recovered WAL tail. It holds, per interrupted
-// collection, a words record and — if the seal got as far as the
-// marker — the rotation marker. A words record pends under its
-// collection, and a later one for the same collection supersedes it: a
-// crash between a words record's Commit and its marker leaves an orphan
-// in the log, and the re-run round writes the authoritative record
-// behind it — only a marker turns pending words into state, so keeping
-// the last record is always correct. A rotation marker must find its
-// collection's words and must name the next unsealed collection; the
-// words are then folded as the seal did. Words no marker followed are
-// dropped: their collection never completed.
-func (a *Analyzer) replayTail(tail []store.Record) error {
-	pending := map[uint32][]uint64{}
-	for _, r := range tail {
-		switch r.Type {
-		case store.RecordReport:
-			words, err := transport.DecodeUint64s(r.Payload)
-			if err != nil {
-				return fmt.Errorf("cluster: WAL words for collection %d: %w", r.Epoch, err)
-			}
-			pending[r.Epoch] = words
-		case store.RecordRotate:
-			words, ok := pending[r.Epoch]
-			if !ok {
-				return fmt.Errorf("cluster: WAL seals collection %d without its words", r.Epoch)
-			}
-			delete(pending, r.Epoch)
-			if int(r.Epoch) != a.collections {
-				return fmt.Errorf("cluster: WAL seals collection %d while %d collections are sealed", r.Epoch, a.collections)
-			}
-			n := len(words) - a.cfg.NR
-			if n <= 0 {
-				return fmt.Errorf("cluster: WAL collection %d has %d words for %d fakes", r.Epoch, len(words), a.cfg.NR)
-			}
-			if _, err := a.fold(r.Epoch, n, words); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("cluster: unexpected WAL record type %d in an analyzer log", r.Type)
 		}
 	}
 	return nil

@@ -26,7 +26,6 @@ import (
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/protocol"
 	"shuffledp/internal/rng"
-	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
@@ -361,7 +360,6 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 		cfg.Retry = chaosRetry()
 		cfg.Ledger = ledger
 		cfg.DataDir = dir
-		cfg.Sync = store.SyncAlways
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		if j == 1 {
 			cfg.Dial = chaosDialTo(meshChaos, cfg.Topology.Shufflers[0])
@@ -411,7 +409,6 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 		Priv:     priv,
 		Ledger:   ledger2,
 		DataDir:  dir,
-		Sync:     store.SyncAlways,
 	})
 	if err != nil {
 		t.Fatal(err)

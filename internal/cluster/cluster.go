@@ -13,9 +13,10 @@
 //	          forward the resulting vector to the analyzer
 //	analyzer  combine the R vectors, decrypt the ciphertext column with
 //	          the AHE private key, decode, aggregate, estimate — and,
-//	          when durable, write-ahead log and checkpoint each sealed
-//	          collection so a crashed analyzer recovers bit-identically
-//	          (store reuse from the streaming service, DESIGN.md §8/§9)
+//	          when durable, seal each collection with one checkpoint of
+//	          the cumulative counts, so a crashed analyzer recovers
+//	          bit-identically (the streaming service's store, DESIGN.md
+//	          §8/§9); the decoded words never reach the disk
 //
 // Trust boundaries are real process boundaries: a shuffler only ever
 // holds one share column (its own fakes included), so no coalition of

@@ -17,7 +17,6 @@ import (
 	"shuffledp/internal/protocol"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/secretshare"
-	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
@@ -424,12 +423,11 @@ func (otherOracle) Name() string { return "Other" }
 // The client and the analyzer refuse, by name, an oracle the analyzer
 // could not estimate for under uniform fakes — before anything is
 // dialed, bound, written or charged. An oracle that got that far would
-// panic in fold after the round had run — on a durable node with the
-// ledger charged and the words sealed, so every RecoverAnalyzer would
-// panic again replaying them. The last step hand-writes that directory
-// and recovers over it. The Figure 3 baselines are not FrequencyOracles,
-// so they cannot be configured at all; the refused row is an oracle the
-// word encoder does not know.
+// panic in seal after the round had run, on a durable node with the
+// ledger charged. The last step stages a sealed directory of that
+// oracle and recovers over it. The Figure 3 baselines are not
+// FrequencyOracles, so they cannot be configured at all; the refused
+// row is an oracle the word encoder does not know.
 func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 	priv := sharedKey(t)
 	for _, tc := range []struct {
@@ -494,20 +492,13 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 				t.Errorf("the refused analyzer left %d entries in its data directory (%v)", len(left), err)
 			}
-			// A sealed collection of this oracle, as the parent's analyzer
-			// left it on disk: words, commit, rotation marker.
-			st, err := store.Create(dir, store.Meta{Oracle: tc.fo.Name(), Domain: tc.fo.Domain()}, store.SyncNone)
-			if err != nil {
+			// A sealed collection of this oracle, as its checkpoint
+			// records it.
+			if err := cluster.StageCheckpoint(dir, tc.fo, 2, 1, 3, make([]int, tc.fo.Domain())); err != nil {
 				t.Fatal(err)
 			}
-			if err := errors.Join(
-				st.AppendReport(0, transport.EncodeUint64s([]uint64{0, 1, 2, 3, 4})),
-				st.Commit(), st.Rotate(0, 1), st.Close(),
-			); err != nil {
-				t.Fatal(err)
-			}
-			acfg.Listener = alns[0] // nothing but the oracle stands between it and fold
-			_, err = cluster.RecoverAnalyzer(acfg)
+			acfg.Listener = alns[0] // nothing but the oracle stands between it and the checkpoint
+			_, err := cluster.RecoverAnalyzer(acfg)
 			refused("RecoverAnalyzer", err)
 			if cluster.EpochsPaid(ledger) != 0 {
 				t.Errorf("refusals charged the ledger %d times", cluster.EpochsPaid(ledger))

@@ -89,7 +89,6 @@ func TestConformanceCrashRecoveredAnalyzer(t *testing.T) {
 	// --- Collection 0 through a durable cluster.
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
 		cfg.DataDir = dir
-		cfg.Sync = store.SyncAlways
 		cfg.Ledger = newLedger()
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		cfg.FakeSource = perCollectionFakeSource(fakeSeed, r, 0, j)
@@ -134,7 +133,6 @@ func TestConformanceCrashRecoveredAnalyzer(t *testing.T) {
 		NR:             nr,
 		Priv:           priv,
 		DataDir:        dir,
-		Sync:           store.SyncAlways,
 		Ledger:         newLedger(),
 		CollectTimeout: testTimeout,
 	})

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"io"
 	"math"
 	"time"
 
 	"shuffledp/internal/budget"
+	"shuffledp/internal/ldp"
+	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
@@ -33,10 +36,28 @@ func (a *Analyzer) HeldChunks() map[int][2]uint32 {
 }
 
 // Crash hard-stops a durable analyzer the way a power cut would: the
-// WAL is closed without flushing, so only what the fsync policy made
-// durable survives for RecoverAnalyzer. On an in-memory analyzer it
-// behaves like Close.
+// store is closed without flushing, and RecoverAnalyzer finds the
+// newest checkpoint — the last collection whose seal returned. On an
+// in-memory analyzer it behaves like Close.
 func (a *Analyzer) Crash() { a.shutdown(true) }
+
+// StageCheckpoint creates dir holding what a durable coordinator under
+// fo and nr leaves once it has sealed collections rounds: one
+// header-only WAL segment and the checkpoint of reals user reports,
+// collections×nr fakes and the support counts of all of them.
+func StageCheckpoint(dir string, fo ldp.FrequencyOracle, nr, collections, reals int, counts []int) error {
+	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		return err
+	}
+	a := &Analyzer{
+		cfg:    AnalyzerConfig{FO: fo, NR: nr},
+		st:     st,
+		counts: make([]int, fo.Domain()),
+		fakes:  (collections - 1) * nr,
+	}
+	return errors.Join(a.writeCheckpoint(uint32(collections-1), reals, counts), st.Close())
+}
 
 // WriteShufflerHello opens a connection to an analyzer node the way
 // shuffler j's control or data link does.

@@ -202,7 +202,10 @@ func (f *follower) advance(floor gen) {
 // seal at or below the done watermark, or not newer than the current
 // generation, is stale control traffic and ignored. A seal for
 // collection c also proves every collection below c sealed, whether or
-// not their done frames arrived.
+// not their done frames arrived. The predecessor is aborted inside the
+// critical section that publishes its successor, so no one sees the
+// new attempt armed beside a live old one; abort takes only the
+// attempt's own mutex, which is never held while taking mu.
 func (f *follower) start(g gen, n int) {
 	f.mu.Lock()
 	prev := f.cur
@@ -213,10 +216,10 @@ func (f *follower) start(g gen, n int) {
 	cur := &attempt{g: g, n: n, cancel: make(chan struct{})}
 	f.cur = cur
 	f.advance(g)
-	f.mu.Unlock()
 	if prev != nil {
 		prev.abort()
 	}
+	f.mu.Unlock()
 	go f.run(cur)
 }
 

@@ -1,23 +1,30 @@
 package cluster_test
 
-// WAL-tail recovery: the crash window the analyzer cannot be driven
-// into from the outside is "rotation marker durable, checkpoint lost".
-// These tests build that exact on-disk state through the store layer
-// and assert RecoverAnalyzer replays the seal — merging the logged
-// words, paying the ledger for the sealed count, and re-writing the
-// checkpoint — and that a words record without its marker (the
-// collection never completed) is dropped.
+// Durable sealing: the checkpoint rename is a collection's one commit
+// point. These tests stage directories through the store layer and
+// assert that RecoverAnalyzer loads the newest checkpoint, refuses one
+// it cannot honour (a ledger that cannot pay for it, a different NR),
+// and refuses — without touching them — records an older build left
+// past it; and that a Collect whose checkpoint cannot be written seals
+// nothing.
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"shuffledp/internal/ahe"
 	"shuffledp/internal/budget"
 	"shuffledp/internal/cluster"
 	"shuffledp/internal/composition"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/protocol"
+	"shuffledp/internal/rng"
 	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
@@ -35,116 +42,6 @@ func analyzerTopo(t *testing.T) cluster.Topology {
 	return cluster.Topology{Shufflers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Analyzers: []string{addr}}
 }
 
-func TestRecoverAnalyzerReplaysWALTail(t *testing.T) {
-	const (
-		d  = 8
-		n  = 10
-		nr = 3
-	)
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(d, 2)
-	dir := t.TempDir()
-
-	// The sealed collection's decoded words: n user reports (GRR words
-	// are the bare values) plus nr fake words, which decode modulo the
-	// group order like any protocol word.
-	words := make([]uint64, 0, n+nr)
-	for i := 0; i < n; i++ {
-		words = append(words, uint64(i%d))
-	}
-	words = append(words, 1, 0xdeadbeef, 1<<40)
-
-	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendReport(0, transport.EncodeUint64s(words)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Marker durable, checkpoint never written — the mid-seal crash.
-	if err := st.Rotate(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ledger, err := budget.NewLedger(
-		composition.Guarantee{Eps: 3, Delta: 3e-9},
-		composition.Guarantee{Eps: 1, Delta: 1e-9},
-		budget.Naive{},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
-		Topology: analyzerTopo(t),
-		FO:       fo,
-		NR:       nr,
-		Priv:     priv,
-		DataDir:  dir,
-		Sync:     store.SyncAlways,
-		Ledger:   ledger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Collections() != 1 {
-		t.Fatalf("replayed %d collections, want 1", a.Collections())
-	}
-	reals, fakes := a.Totals()
-	if reals != n || fakes != nr {
-		t.Fatalf("replayed totals (%d, %d), want (%d, %d)", reals, fakes, n, nr)
-	}
-	if cluster.EpochsPaid(ledger) != 1 {
-		t.Fatalf("ledger recharged %d collections, want 1", cluster.EpochsPaid(ledger))
-	}
-	enc, err := ldp.NewWordEncoder(fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := make([]ldp.Report, len(words))
-	for i, w := range words {
-		reports[i] = enc.Decode(w)
-	}
-	want := protocol.Estimate(fo, reports, n, nr)
-	if !estimatesEqual(a.Estimates(), want) {
-		t.Fatalf("replayed estimate diverged:\n got %v\nwant %v", a.Estimates(), want)
-	}
-	a.Close()
-
-	// The replay re-wrote the checkpoint: a second recovery sees a
-	// clean directory (empty tail) and the same state, charging
-	// nothing further.
-	ledger2, _ := budget.NewLedger(
-		composition.Guarantee{Eps: 3, Delta: 3e-9},
-		composition.Guarantee{Eps: 1, Delta: 1e-9},
-		budget.Naive{},
-	)
-	a2, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
-		Topology: analyzerTopo(t),
-		FO:       fo,
-		NR:       nr,
-		Priv:     priv,
-		DataDir:  dir,
-		Sync:     store.SyncAlways,
-		Ledger:   ledger2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a2.Close()
-	if a2.Collections() != 1 || cluster.EpochsPaid(ledger2) != 1 {
-		t.Fatalf("second recovery: %d collections, %d charges", a2.Collections(), cluster.EpochsPaid(ledger2))
-	}
-	if !estimatesEqual(a2.Estimates(), want) {
-		t.Fatal("second recovery diverged")
-	}
-}
-
 // A directory holding two sealed collections recovered under a ledger
 // that affords one is refused: the ledger runs under other parameters
 // than the collections were paid for under, and admitting it would
@@ -158,26 +55,11 @@ func TestRecoverAnalyzerRefusesUnpayableSealedCount(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	dir := t.TempDir()
-	words := make([]uint64, 0, n+nr)
-	for i := 0; i < n+nr; i++ {
-		words = append(words, uint64(i%d))
+	counts := make([]int, d)
+	for i := 0; i < 2*(n+nr); i++ {
+		counts[i%d]++
 	}
-	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for col := uint32(0); col < 2; col++ {
-		if err := st.AppendReport(col, transport.EncodeUint64s(words)); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Rotate(col, int64(col)+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
+	if err := cluster.StageCheckpoint(dir, fo, nr, 2, 2*n, counts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,7 +77,6 @@ func TestRecoverAnalyzerRefusesUnpayableSealedCount(t *testing.T) {
 		NR:       nr,
 		Priv:     priv,
 		DataDir:  dir,
-		Sync:     store.SyncAlways,
 		Ledger:   ledger,
 	})
 	if err == nil {
@@ -218,26 +99,16 @@ func TestRecoverAnalyzerRefusesNRMismatch(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	dir := t.TempDir()
-	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncAlways)
-	if err != nil {
+	// One collection of 30 words, sealed under NR=24.
+	counts := make([]int, d)
+	counts[0] = 30
+	if err := cluster.StageCheckpoint(dir, fo, 24, 1, 6, counts); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(0, transport.EncodeUint64s(make([]uint64, 30))); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rotate(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// First recovery seals the round under NR=24 and checkpoints it.
+	// A recovery under NR=24 loads the state.
 	a1, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
 		Topology: analyzerTopo(t), FO: fo, NR: 24, Priv: priv,
-		DataDir: dir, Sync: store.SyncAlways,
+		DataDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,252 +117,243 @@ func TestRecoverAnalyzerRefusesNRMismatch(t *testing.T) {
 	// A second recovery under a different NR must refuse the state.
 	if _, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
 		Topology: analyzerTopo(t), FO: fo, NR: 12, Priv: priv,
-		DataDir: dir, Sync: store.SyncAlways,
+		DataDir: dir,
 	}); err == nil {
 		t.Fatal("recovery under a mismatched NR was accepted")
 	}
 }
 
-// Crash-recover-crash: a words record orphaned by one crash stays in
-// the WAL behind the re-run round's authoritative record. Recovery
-// must let the later record supersede the orphan — not fail — and
-// seal the later one's contents.
-func TestRecoverAnalyzerSupersedesOrphanWords(t *testing.T) {
-	const (
-		d  = 8
-		n  = 27
-		nr = 3
-	)
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(d, 2)
-	dir := t.TempDir()
-	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncAlways)
+// appendWordsRecord appends to dir's newest WAL segment the
+// store.RecordReport an older analyzer build logged a collection's
+// revealed words in. Nothing writes one through the store any more, so
+// it is framed by hand, as the store frames every record: big-endian
+// length, the encoding (type, little-endian collection id, words), and
+// a big-endian CRC32C of the encoding.
+func appendWordsRecord(t *testing.T, dir string, col uint32, words []uint64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment in %s (%v)", dir, err)
+	}
+	rec := binary.LittleEndian.AppendUint32([]byte{store.RecordReport}, col)
+	rec = append(rec, transport.EncodeUint64s(words)...)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
+	frame = binary.BigEndian.AppendUint32(append(frame, rec...), crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphan := make([]uint64, n+nr) // all value 0
-	authoritative := make([]uint64, n+nr)
-	for i := range authoritative {
-		authoritative[i] = 2
-	}
-	if err := st.AppendReport(0, transport.EncodeUint64s(orphan)); err != nil {
+	if _, err := f.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(0, transport.EncodeUint64s(authoritative)); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rotate(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
-		Topology: analyzerTopo(t), FO: fo, NR: nr, Priv: priv,
-		DataDir: dir, Sync: store.SyncAlways,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.Collections() != 1 {
-		t.Fatalf("replayed %d collections, want 1", a.Collections())
-	}
-	// All authoritative words were value 2; the orphan's zeros must
-	// have left no trace in the estimate.
-	enc, err := ldp.NewWordEncoder(fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := make([]ldp.Report, len(authoritative))
-	for i, w := range authoritative {
-		reports[i] = enc.Decode(w)
-	}
-	if want := protocol.Estimate(fo, reports, n, nr); !estimatesEqual(a.Estimates(), want) {
-		t.Fatalf("recovery did not seal the authoritative record:\n got %v\nwant %v", a.Estimates(), want)
 	}
 }
 
-func TestRecoverAnalyzerDropsUnsealedWords(t *testing.T) {
-	const nr = 2
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(8, 2)
-	dir := t.TempDir()
-	st, err := store.Create(dir, store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}, store.SyncAlways)
+// readFiles maps every file in dir to its bytes.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Words logged, no rotation marker: the collection never sealed,
-	// so its Collect never returned success and recovery must drop it.
-	if err := st.AppendReport(0, transport.EncodeUint64s([]uint64{1, 2, 3, 4, 5})); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
-		Topology: analyzerTopo(t),
-		FO:       fo,
-		NR:       nr,
-		Priv:     priv,
-		DataDir:  dir,
-		Sync:     store.SyncAlways,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.Collections() != 0 {
-		t.Fatalf("unsealed words produced %d collections", a.Collections())
-	}
-	if reals, fakes := a.Totals(); reals != 0 || fakes != 0 {
-		t.Fatalf("unsealed words merged: (%d, %d)", reals, fakes)
-	}
-}
-
-// TestRecoverAnalyzerReplaysInterruptedRetry covers the ledger
-// idempotence of a retried round end to end: a collection whose first
-// attempts were aborted by faults still seals exactly once, so its WAL
-// footprint is one words record plus one rotation marker — identical
-// to a clean round, because aborted attempts write nothing durable.
-// The test builds a checkpointed first collection, then appends a
-// second collection's seal through the store layer and "crashes"
-// before its checkpoint (the retried round's worst-case window), and
-// asserts recovery charges the ledger exactly once for the tail:
-// Restore(1) from the checkpoint plus a single re-charge, never one
-// charge per attempt.
-func TestRecoverAnalyzerReplaysInterruptedRetry(t *testing.T) {
-	const (
-		d  = 8
-		n  = 10
-		nr = 3
-	)
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(d, 2)
-	dir := t.TempDir()
-	meta := store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}
-
-	words := func(base uint64) []uint64 {
-		ws := make([]uint64, 0, n+nr)
-		for i := 0; i < n; i++ {
-			ws = append(ws, (base+uint64(i))%d)
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
 		}
-		return append(ws, 2, 0xfeedface, 1<<41)
-	}
-	col0, col1 := words(0), words(5)
-
-	st, err := store.Create(dir, meta, store.SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendReport(0, transport.EncodeUint64s(col0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Rotate(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	newLedger := func() *budget.Ledger {
-		l, err := budget.NewLedger(
-			composition.Guarantee{Eps: 3, Delta: 3e-9},
-			composition.Guarantee{Eps: 1, Delta: 1e-9},
-			budget.Naive{},
-		)
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l
+		files[e.Name()] = b
+	}
+	return files
+}
+
+// The analyzer writes no WAL record, so a directory holding any record
+// past its checkpoint was not left by this build: an older one logged a
+// collection's words and then its rotation marker before checkpointing,
+// so a crash could leave either or both. Recovery refuses it by name,
+// with the record count, before it loads or pays anything — and every
+// file the directory held is left byte-for-byte as it was (Open starts
+// a fresh, empty segment, as it does for every recovery), so a second
+// attempt refuses the same records again.
+func TestRecoverAnalyzerRefusesWALTail(t *testing.T) {
+	const (
+		d  = 8
+		nr = 2
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	meta := store.Meta{Oracle: fo.Name(), Domain: fo.Domain()}
+	words := []uint64{1, 2, 3, 4, 5}
+	// reopen appends through the store, past the checkpoint.
+	reopen := func(t *testing.T, dir string, write func(*store.Store) error) {
+		t.Helper()
+		st, _, err := store.Open(dir, meta, store.SyncBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	marker := func(st *store.Store) error { return st.Rotate(1, 2) }
+	for _, tc := range []struct {
+		name    string
+		records int
+		stage   func(t *testing.T, dir string)
+	}{
+		{"rotation marker", 1, func(t *testing.T, dir string) { reopen(t, dir, marker) }},
+		{"drop", 1, func(t *testing.T, dir string) {
+			reopen(t, dir, func(st *store.Store) error { return st.AppendDrop(1, store.DropLate, 3) })
+		}},
+		{"words", 1, func(t *testing.T, dir string) { appendWordsRecord(t, dir, 1, words) }},
+		{"words and marker", 2, func(t *testing.T, dir string) {
+			appendWordsRecord(t, dir, 1, words)
+			reopen(t, dir, marker)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			counts := make([]int, d)
+			counts[3] = 7
+			if err := cluster.StageCheckpoint(dir, fo, nr, 1, 5, counts); err != nil {
+				t.Fatal(err)
+			}
+			tc.stage(t, dir)
+			before := readFiles(t, dir)
+			want := fmt.Sprintf("%s holds %d WAL record(s) past its checkpoint", dir, tc.records)
+			for attempt := 1; attempt <= 2; attempt++ {
+				ledger := testLedger(t)
+				a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
+					Topology: analyzerTopo(t), FO: fo, NR: nr, Priv: priv,
+					DataDir: dir, Ledger: ledger,
+				})
+				if err == nil {
+					a.Close()
+					t.Fatalf("attempt %d: RecoverAnalyzer accepted a directory with a WAL tail", attempt)
+				}
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("attempt %d: RecoverAnalyzer error %q, want one containing %q", attempt, err, want)
+				}
+				if spent := ledger.Spent(); spent != (composition.Guarantee{}) {
+					t.Fatalf("attempt %d: the refused recovery spent %+v of the ledger", attempt, spent)
+				}
+				after := readFiles(t, dir)
+				for name, b := range before {
+					if got, ok := after[name]; !ok || string(got) != string(b) {
+						t.Fatalf("attempt %d: the refused recovery changed %s", attempt, name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// The checkpoint rename is the seal. A directory squatting on the
+// checkpoint's temp path makes the write fail (EISDIR, which holds even
+// for root, unlike a permission bit): Collect must return the error
+// with nothing installed — collections, totals and estimates as before
+// it ran, a copy of the directory recovering 0 collections — and once
+// the obstacle is gone a second Collect of the same collection id seals
+// bit-identical to protocol.PEOS.Run, the ledger having paid once.
+func TestCollectFailedCheckpointSealsNothing(t *testing.T) {
+	const (
+		r        = 2
+		n        = 24
+		d        = 8
+		nr       = 4
+		fakeSeed = 81
+		ldpSeed  = 90
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	values := synthValues(n, d, 82)
+	p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FakeSource = refFakeSource(fakeSeed, r)
+	ref, err := p.Run(values, rng.New(ldpSeed))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// First recovery seals collection 0 and writes the checkpoint —
-	// the durable baseline the retried round builds on.
-	ledger := newLedger()
-	a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
-		Topology: analyzerTopo(t),
-		FO:       fo,
-		NR:       nr,
-		Priv:     priv,
-		DataDir:  dir,
-		Sync:     store.SyncAlways,
-		Ledger:   ledger,
+	dir := t.TempDir()
+	ledger := testLedger(t)
+	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
+		cfg.DataDir = dir
+		cfg.Ledger = ledger
+	}, nil)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendValues(0, values, rng.New(ldpSeed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	obstacle := filepath.Join(dir, "ckpt-00000001.snap.tmp")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	estimates := h.analyzer.Estimates()
+	if _, err := h.analyzer.Collect(n); err == nil {
+		t.Fatal("Collect sealed although its checkpoint could not be written")
+	}
+	if c := h.analyzer.Collections(); c != 0 {
+		t.Fatalf("after the failed seal Collections() = %d, want 0", c)
+	}
+	if reals, fakes := h.analyzer.Totals(); reals != 0 || fakes != 0 {
+		t.Fatalf("after the failed seal Totals() = (%d, %d), want (0, 0)", reals, fakes)
+	}
+	if !estimatesEqual(h.analyzer.Estimates(), estimates) {
+		t.Fatalf("after the failed seal Estimates() = %v, want %v", h.analyzer.Estimates(), estimates)
+	}
+
+	// What a crash now would leave: a copy of the directory recovers no
+	// collection.
+	crashed := t.TempDir()
+	for name, b := range readFiles(t, dir) {
+		if err := os.WriteFile(filepath.Join(crashed, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
+		Topology: analyzerTopo(t), FO: fo, NR: nr, Priv: priv, DataDir: crashed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Collections() != 1 || cluster.EpochsPaid(ledger) != 1 {
-		t.Fatalf("baseline recovery: %d collections, %d charges", a.Collections(), cluster.EpochsPaid(ledger))
+	if c := rec.Collections(); c != 0 {
+		t.Fatalf("a copy of the directory recovered %d collections, want 0", c)
 	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
+	rec.Close()
 
-	// Collection 1 retries, eventually seals, and the process dies
-	// after the rotation marker but before the checkpoint. However many
-	// attempts the round took, the WAL carries the seal once.
-	st, _, err = store.Open(dir, meta, store.SyncAlways)
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	col, err := h.analyzer.Collect(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(1, transport.EncodeUint64s(col1)); err != nil {
-		t.Fatal(err)
+	if col.Collection != 0 || !estimatesEqual(col.Estimates, ref.Estimates) {
+		t.Fatalf("collection %d after the retry diverged from PEOS.Run:\n net %v\n ref %v", col.Collection, col.Estimates, ref.Estimates)
 	}
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
+	if !estimatesEqual(h.analyzer.Estimates(), ref.Estimates) {
+		t.Fatal("cumulative estimate diverged after the retried seal")
 	}
-	if err := st.Rotate(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ledger2 := newLedger()
-	a2, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
-		Topology: analyzerTopo(t),
-		FO:       fo,
-		NR:       nr,
-		Priv:     priv,
-		DataDir:  dir,
-		Sync:     store.SyncAlways,
-		Ledger:   ledger2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a2.Close()
-	if a2.Collections() != 2 {
-		t.Fatalf("recovered %d collections, want 2", a2.Collections())
-	}
-	if cluster.EpochsPaid(ledger2) != 2 {
-		t.Fatalf("ledger charged %d epochs, want exactly 2 (the checkpoint's collection and the tail's)", cluster.EpochsPaid(ledger2))
-	}
-	reals, fakes := a2.Totals()
-	if reals != 2*n || fakes != 2*nr {
-		t.Fatalf("recovered totals (%d, %d), want (%d, %d)", reals, fakes, 2*n, 2*nr)
-	}
-	enc, err := ldp.NewWordEncoder(fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]uint64{}, col0...), col1...)
-	reports := make([]ldp.Report, len(all))
-	for i, w := range all {
-		reports[i] = enc.Decode(w)
-	}
-	want := protocol.Estimate(fo, reports, 2*n, 2*nr)
-	if !estimatesEqual(a2.Estimates(), want) {
-		t.Fatalf("recovered estimate diverged:\n got %v\nwant %v", a2.Estimates(), want)
+	if paid := cluster.EpochsPaid(ledger); paid != 1 {
+		t.Fatalf("the ledger paid for %d collections, want 1", paid)
 	}
 }

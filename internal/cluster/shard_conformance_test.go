@@ -25,7 +25,6 @@ import (
 	"shuffledp/internal/protocol"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/secretshare"
-	"shuffledp/internal/store"
 )
 
 // TestShardConformanceMatrix is the headline gate: at every analyzer
@@ -431,7 +430,6 @@ func TestShardConformanceOutlivesCoordinatorDowntime(t *testing.T) {
 	h := startShardedCluster(t, r, 2, nr, fo, priv, fakeSeed, func(s int, cfg *cluster.AnalyzerConfig) {
 		if s == 0 {
 			cfg.DataDir = dir
-			cfg.Sync = store.SyncAlways
 		} else {
 			cfg.SetDialTimeout(dialTimeout)
 		}
@@ -492,7 +490,6 @@ func TestShardConformanceOutlivesCoordinatorDowntime(t *testing.T) {
 		NR:             nr,
 		Priv:           priv,
 		DataDir:        dir,
-		Sync:           store.SyncAlways,
 		CollectTimeout: 10 * time.Second,
 	})
 	if err != nil {

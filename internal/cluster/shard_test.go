@@ -175,7 +175,7 @@ func TestStateBlobRefusesOtherVersions(t *testing.T) {
 		fakes:       4,
 		collections: 2,
 	}
-	v1 := old.marshalState()
+	v1 := old.marshalState(old.collections, old.reals, old.fakes, make([]int, d))
 	if v1[4] != 1 {
 		t.Fatalf("marshalState wrote version %d", v1[4])
 	}
@@ -187,7 +187,7 @@ func TestStateBlobRefusesOtherVersions(t *testing.T) {
 		t.Fatalf("restored (%v, %d reals, %d fakes, %d collections), want (%v, %d, %d, %d)",
 			a.counts, a.reals, a.fakes, a.collections, old.counts, old.reals, old.fakes, old.collections)
 	}
-	if got := a.marshalState(); !bytes.Equal(got, v1) {
+	if got := a.marshalState(a.collections, a.reals, a.fakes, make([]int, d)); !bytes.Equal(got, v1) {
 		t.Fatalf("round trip wrote\n%x, want\n%x", got, v1)
 	}
 

@@ -133,7 +133,8 @@ func (s *Service) restore(rec *store.Recovered) error {
 		switch r.Type {
 		case store.RecordReport:
 			// The service only ever logs sealed reports; an unsealed
-			// one means the directory was not written by this tier.
+			// one (the words record older cluster.Analyzer builds
+			// logged) means the directory was not written by this tier.
 			return fmt.Errorf("service: WAL holds an unsealed report record (epoch %d, %d bytes); the service logs only sealed reports", r.Epoch, len(r.Payload))
 		case store.RecordSealedReport:
 			if exhausted || r.Epoch != uint32(cur.id) {

@@ -1,7 +1,9 @@
 package service_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"net"
 	"os"
@@ -439,19 +441,41 @@ func TestRecoverRefusesLedgerLooserThanWAL(t *testing.T) {
 }
 
 // The service logs only sealed reports. A tail holding an unsealed
-// store.RecordReport (the record cluster.Analyzer logs its revealed
-// words in) was not written by this tier: Recover must refuse it with an
-// error naming the record — never panic, never skip it silently.
+// store.RecordReport (the record older cluster.Analyzer builds logged
+// their revealed words in; nothing writes one through the store now,
+// so the test frames it by hand) was not written by this tier: Recover
+// must refuse it with an error naming the record — never panic, never
+// skip it silently.
 func TestRecoverRejectsUnsealedReportRecord(t *testing.T) {
 	w := newRecoveryWorld(t)
 	dir := t.TempDir()
-	w.stageInterruptedRotation(t, dir, 3, 1, func(st *store.Store, payload []byte) error {
-		ct, err := ecies.Encrypt(w.key.Public(), payload)
-		if err != nil {
-			return err
-		}
-		return st.AppendReport(0, ct)
-	})
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one WAL segment, found %v (%v)", segs, err)
+	}
+	// Type, epoch and words, framed as the store frames every record:
+	// big-endian length, the encoding, big-endian CRC32C.
+	rec := binary.LittleEndian.AppendUint32([]byte{store.RecordReport}, 0)
+	rec = binary.LittleEndian.AppendUint64(rec, 5)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
+	frame = binary.BigEndian.AppendUint32(append(frame, rec...), crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
 	if err == nil {
 		svc.Close()

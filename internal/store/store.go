@@ -136,12 +136,13 @@ type Meta struct {
 
 // Record types. Append-only: a released type keeps its byte forever.
 const (
-	// RecordReport is one sealed PEOS collection as cluster.Analyzer
-	// logs it: the collection id in the epoch field plus the revealed
-	// word vector (transport.EncodeUint64s). The words are the
-	// analyzer's own view — decoded, post-shuffle reports that no longer
-	// link to a client — so this record holds plaintext. The streaming
-	// service never writes it and refuses it on recovery.
+	// RecordReport is one sealed PEOS collection as older builds of
+	// cluster.Analyzer logged it: the collection id in the epoch field
+	// plus the revealed word vector (transport.EncodeUint64s), the
+	// decoded post-shuffle reports in plaintext. Nothing writes it any
+	// more — the analyzer seals with a checkpoint alone — but it is
+	// still decoded, so that both tiers refuse a directory holding one
+	// by name instead of truncating it as a torn tail.
 	RecordReport byte = 1
 	// RecordDrop is the reports of one dropped frame, counted but never
 	// aggregated: epoch, reason, and an optional little-endian uint32
@@ -188,7 +189,7 @@ type Record struct {
 	// Count is how many reports the drop covers, at least 1.
 	// Meaningful only for RecordDrop.
 	Count uint32
-	// Payload is a sealed collection's revealed word vector
+	// Payload is an older analyzer build's revealed word vector
 	// (RecordReport) or a session frame's sealed storage record
 	// (RecordSealedReport).
 	Payload []byte

@@ -55,7 +55,7 @@ func TestAppendAndRecoverTail(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncBatch)
 	for i := 0; i < 10; i++ {
-		if err := st.AppendReport(0, []byte{byte(i)}); err != nil {
+		if err := st.AppendSealedReport(0, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestAppendAndRecoverTail(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		r := rec.Tail[i]
-		if r.Type != RecordReport || r.Epoch != 0 || !bytes.Equal(r.Payload, []byte{byte(i)}) {
+		if r.Type != RecordSealedReport || r.Epoch != 0 || !bytes.Equal(r.Payload, []byte{byte(i)}) {
 			t.Fatalf("record %d replayed as %+v", i, r)
 		}
 	}
@@ -163,14 +163,14 @@ func TestCheckpointPrunesSegments(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncBatch)
 	for i := 0; i < 5; i++ {
-		if err := st.AppendReport(0, []byte{byte(i)}); err != nil {
+		if err := st.AppendSealedReport(0, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := st.Rotate(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(1, []byte("ep1")); err != nil {
+	if err := st.AppendSealedReport(1, []byte("ep1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Commit(); err != nil {
@@ -222,7 +222,7 @@ func TestTornFinalRecord(t *testing.T) {
 		dir := t.TempDir()
 		st := mustCreate(t, dir, SyncBatch)
 		for i := 0; i < 4; i++ {
-			if err := st.AppendReport(0, []byte{byte(i), byte(i), byte(i)}); err != nil {
+			if err := st.AppendSealedReport(0, []byte{byte(i), byte(i), byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func TestTornFinalRecord(t *testing.T) {
 			t.Fatalf("cut=%d: recovered %d records, want 3", cut, len(rec.Tail))
 		}
 		// The store stays appendable after recovering a torn tail.
-		if err := st2.AppendReport(0, []byte("after")); err != nil {
+		if err := st2.AppendSealedReport(0, []byte("after")); err != nil {
 			t.Fatal(err)
 		}
 		if err := st2.Close(); err != nil {
@@ -275,13 +275,13 @@ func TestTornFinalRecord(t *testing.T) {
 func TestMidSegmentCorruptionFails(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncBatch)
-	if err := st.AppendReport(0, []byte("first")); err != nil {
+	if err := st.AppendSealedReport(0, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Rotate(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(1, []byte("second")); err != nil {
+	if err := st.AppendSealedReport(1, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -342,7 +342,7 @@ func TestFutureCheckpointVersion(t *testing.T) {
 func TestFutureSegmentVersion(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncBatch)
-	if err := st.AppendReport(0, []byte("x")); err != nil {
+	if err := st.AppendSealedReport(0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Rotate(0, 1); err != nil {
@@ -393,13 +393,13 @@ func TestMetaMismatch(t *testing.T) {
 func TestAbortLosesUncommitted(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncNone)
-	if err := st.AppendReport(0, []byte("durable")); err != nil {
+	if err := st.AppendSealedReport(0, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(0, []byte("buffered")); err != nil {
+	if err := st.AppendSealedReport(0, []byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
 	st.Abort()
@@ -418,13 +418,13 @@ func TestAbortLosesUncommitted(t *testing.T) {
 func TestRotateMarkersReplay(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncBatch)
-	if err := st.AppendReport(0, []byte("a")); err != nil {
+	if err := st.AppendSealedReport(0, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Rotate(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(1, []byte("b")); err != nil {
+	if err := st.AppendSealedReport(1, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Rotate(1, -1); err != nil {
@@ -442,9 +442,9 @@ func TestRotateMarkersReplay(t *testing.T) {
 		epoch uint32
 		next  int64
 	}{
-		{RecordReport, 0, 0},
+		{RecordSealedReport, 0, 0},
 		{RecordRotate, 0, 1},
-		{RecordReport, 1, 0},
+		{RecordSealedReport, 1, 0},
 		{RecordRotate, 1, -1},
 	}
 	if len(rec.Tail) != len(want) {
@@ -533,13 +533,13 @@ func TestStoreClosedAndDir(t *testing.T) {
 	if st.dir != dir {
 		t.Fatalf("dir = %q, want %q", st.dir, dir)
 	}
-	if err := st.AppendReport(0, []byte("x")); err != nil {
+	if err := st.AppendSealedReport(0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReport(0, []byte("y")); err == nil {
+	if err := st.AppendSealedReport(0, []byte("y")); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 	if err := st.Commit(); err == nil {
@@ -564,7 +564,7 @@ func TestTornFinalRecordCorruptLength(t *testing.T) {
 	dir := t.TempDir()
 	st := mustCreate(t, dir, SyncBatch)
 	for i := 0; i < 3; i++ {
-		if err := st.AppendReport(0, []byte{byte(i), byte(i), byte(i)}); err != nil {
+		if err := st.AppendSealedReport(0, []byte{byte(i), byte(i), byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -323,13 +323,6 @@ func (s *Store) append(rec Record) error {
 	return nil
 }
 
-// AppendReport logs a RecordReport: one sealed PEOS collection's
-// revealed words under epoch, the collection id. cluster.Analyzer is
-// its only writer, and logs the words before they reach any count.
-func (s *Store) AppendReport(epoch uint32, words []byte) error {
-	return s.append(Record{Type: RecordReport, Epoch: epoch, Payload: words})
-}
-
 // AppendSealedReport logs the reports of one accepted session frame,
 // already re-sealed — all of them under one seal — with the service's
 // at-rest storage key (the connection's session key cannot be
