@@ -50,7 +50,6 @@ run() {
 run "$bin/reproduce" -quick
 run "$bin/shuffled"
 run "$bin/peos_cluster" -n 300 -collections 2 -timeout 90s
-run "$bin/peos_cluster" -n 300 -analyzers 2 -collections 2 -timeout 90s
 run "$bin/peos_cluster" -n 300 -chaos -timeout 90s
 run "$bin/durable_monitor" -n 400 -epochs 3 -kill 0.55 -fsync batch
 run "$bin/durable_monitor" -n 400 -epochs 3 -kill 0.2 -fsync none

@@ -30,21 +30,12 @@ package main
 // roles, like the protocol parameters they are.
 // Two bounds are constants, not flags: a role retries dialing a peer
 // that is not listening yet for 10 s, and drops an inbound connection
-// that sends no hello within 30 s.
-//
-// The analyzer tier's decrypt work can be spread over several nodes:
-// give every role the full shard list and each analyzer process its
-// index —
-//
-//	shuffled analyzer -analyzers :7900,:7910 -shard 0 ... # coordinator
-//	shuffled analyzer -analyzers :7900,:7910 -shard 1 ... # reveal worker
-//	shuffled shuffler -analyzer :7900,:7910 ...
-//
-// Shard 0 coordinates rounds exactly like the single analyzer and is
-// the only node with a -data-dir. Higher shards are stateless: each
-// decrypts its even cut of every round's shuffled vector and exits once
-// the coordinator has told it -collections rounds sealed; a crashed one
-// is simply started again (DESIGN.md §13).
+// that sends no hello within 30 s. The analyzer is one node: it
+// decrypts each round across all of its cores, so a bigger analyzer
+// host is the way to decrypt faster. Retries — of a round at the
+// analyzer, of a shuffler connection at the client — back off from
+// 50 ms up to 2 s, jittered; -retry-attempts sets how many tries each
+// gets.
 
 import (
 	"errors"
@@ -91,27 +82,23 @@ func (of oracleFlags) build() (ldp.FrequencyOracle, error) {
 	return nil, fmt.Errorf("unknown -oracle %q (PEOS runs grr or solh)", *of.oracle)
 }
 
-// parseTopology builds the cluster topology from the address flags.
-// analyzers is a comma-separated list in shard order; a single address
-// is the classic one-analyzer deployment.
-func parseTopology(shufflers, analyzers string) (cluster.Topology, error) {
+// parseTopology builds the cluster topology from the address flags:
+// a comma-separated shuffler list in role order and the analyzer's one
+// address.
+func parseTopology(shufflers, analyzer string) (cluster.Topology, error) {
 	var topo cluster.Topology
 	for _, a := range strings.Split(shufflers, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			topo.Shufflers = append(topo.Shufflers, a)
 		}
 	}
-	for _, a := range strings.Split(analyzers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			topo.Analyzers = append(topo.Analyzers, a)
-		}
-	}
 	if len(topo.Shufflers) < 2 {
 		return topo, errors.New("-shufflers needs at least 2 comma-separated addresses")
 	}
-	if len(topo.Analyzers) == 0 {
-		return topo, errors.New("at least one analyzer address is required")
+	if analyzer = strings.TrimSpace(analyzer); analyzer == "" {
+		return topo, errors.New("the analyzer address is required")
 	}
+	topo.Analyzers = []string{analyzer}
 	return topo, nil
 }
 
@@ -160,19 +147,15 @@ func loadPublicKey(path string) (ahe.PublicKey, error) {
 func runAnalyzer(args []string) {
 	fs := flag.NewFlagSet("shuffled analyzer", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7900", "analyzer listen address")
-	analyzers := fs.String("analyzers", "", "comma-separated analyzer shard addresses, in shard order (empty = single analyzer at -listen)")
-	shard := fs.Int("shard", 0, "this analyzer's shard index into -analyzers (0 = coordinator)")
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
 	nr := fs.Int("nr", 24, "joint fake reports per collection")
 	keyPath := fs.String("key", "peos.key", "DGK private-key file (created on first run)")
 	keyBits := fs.Int("keybits", 1024, "DGK modulus bits when generating (paper deploys 3072)")
 	n := fs.Int("n", 400, "users per collection round")
 	collections := fs.Int("collections", 1, "collection rounds to drive")
-	dataDir := fs.String("data-dir", "", "durable state directory (one checkpoint per sealed collection); empty runs in-memory (coordinator only)")
+	dataDir := fs.String("data-dir", "", "durable state directory (one checkpoint per sealed collection); empty runs in-memory")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-phase collect timeout")
 	retries := fs.Int("retry-attempts", 1, "attempts per collection round (>1 enables abort-and-retry self-healing)")
-	backoff := fs.Duration("retry-backoff", 50*time.Millisecond, "base backoff between round retries (exponential, jittered)")
-	maxBackoff := fs.Duration("retry-max-backoff", 2*time.Second, "cap on a single round-retry backoff sleep")
 	of := addOracleFlags(fs)
 	fs.Parse(args)
 
@@ -180,31 +163,9 @@ func runAnalyzer(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// With -analyzers the node serves one shard of the list; -listen,
-	// when given explicitly, overrides this shard's entry (mirroring the
-	// shuffler's -listen). Without -analyzers it is the classic single
-	// analyzer at -listen.
-	analyzerList := *analyzers
-	if analyzerList == "" {
-		analyzerList = *listen
-	}
-	topo, err := parseTopology(*shufflers, analyzerList)
+	topo, err := parseTopology(*shufflers, *listen)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *shard < 0 || *shard >= topo.A() {
-		log.Fatalf("-shard %d out of range: -analyzers lists %d shard(s)", *shard, topo.A())
-	}
-	if *analyzers != "" {
-		listenSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "listen" {
-				listenSet = true
-			}
-		})
-		if listenSet {
-			topo.Analyzers[*shard] = *listen
-		}
 	}
 	priv, err := loadOrCreateKey(*keyPath, *keyBits)
 	if err != nil {
@@ -215,14 +176,9 @@ func runAnalyzer(args []string) {
 		FO:             fo,
 		NR:             *nr,
 		Priv:           priv,
-		Shard:          *shard,
 		DataDir:        *dataDir,
 		CollectTimeout: *timeout,
-		Retry: cluster.RetryPolicy{
-			Attempts:    *retries,
-			BaseBackoff: *backoff,
-			MaxBackoff:  *maxBackoff,
-		},
+		Retry:          cluster.RetryPolicy{Attempts: *retries},
 	}
 	a, err := cluster.NewAnalyzer(cfg)
 	if *dataDir != "" && errors.Is(err, store.ErrExists) {
@@ -237,22 +193,6 @@ func runAnalyzer(args []string) {
 		log.Fatal(err)
 	}
 	defer a.Close()
-
-	// A shard is passive: the coordinator drives the rounds. It serves
-	// until the coordinator's done frames say the target number of
-	// rounds sealed, then exits — symmetric with the coordinator's loop
-	// below, so a sharded deployment winds down cleanly when the rounds
-	// are done. (If the final done frame is lost the shard keeps
-	// polling; it holds no state, so stopping it by hand loses nothing.)
-	if *shard != 0 {
-		fmt.Printf("analyzer shard %d/%d listening on %s (coordinator %s)\n",
-			*shard, topo.A(), a.Addr(), topo.Coordinator())
-		for a.Collections() < *collections {
-			time.Sleep(100 * time.Millisecond)
-		}
-		fmt.Printf("shard %d done: the coordinator sealed %d collections\n", *shard, a.Collections())
-		return
-	}
 	fmt.Printf("analyzer listening on %s, waiting for %d shufflers\n", a.Addr(), topo.R())
 
 	for a.Collections() < *collections {
@@ -280,7 +220,7 @@ func runShuffler(args []string) {
 	index := fs.Int("index", 0, "this shuffler's role id in [0, R)")
 	listen := fs.String("listen", "", "listen address (defaults to the -shufflers entry for -index)")
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
-	analyzer := fs.String("analyzer", "127.0.0.1:7900", "analyzer address, or comma-separated shard addresses in shard order")
+	analyzer := fs.String("analyzer", "127.0.0.1:7900", "analyzer address")
 	nr := fs.Int("nr", 24, "joint fake reports per collection")
 	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file")
 	idle := fs.Duration("idle-timeout", 2*time.Minute, "drop client connections silent past this (0 = never)")
@@ -310,8 +250,8 @@ func runShuffler(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("shuffler %d listening on %s (%d analyzer shard(s), coordinator %s, %d fakes/round)\n",
-		*index, sh.Addr(), topo.A(), topo.Coordinator(), *nr)
+	fmt.Printf("shuffler %d listening on %s (analyzer %s, %d fakes/round)\n",
+		*index, sh.Addr(), topo.Analyzers[0], *nr)
 	if err := sh.Run(); err != nil {
 		log.Fatal(err)
 	}
@@ -323,14 +263,13 @@ func runShuffler(args []string) {
 func runClient(args []string) {
 	fs := flag.NewFlagSet("shuffled client", flag.ExitOnError)
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
-	analyzer := fs.String("analyzer", "127.0.0.1:7900", "analyzer address(es), comma-separated (topology completeness only)")
+	analyzer := fs.String("analyzer", "127.0.0.1:7900", "analyzer address (topology completeness only)")
 	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file")
 	n := fs.Int("n", 400, "users to report (indices base..base+n-1)")
 	base := fs.Int("base", 0, "first user index this client covers")
 	collection := fs.Int("collection", 0, "collection round to report into")
 	seed := fs.Uint64("seed", 1, "seed for the synthetic population and LDP randomness")
 	retries := fs.Int("retry-attempts", 1, "attempts per shuffler connection (>1 enables reconnect-and-resubmit)")
-	backoff := fs.Duration("retry-backoff", 50*time.Millisecond, "base backoff between reconnects (exponential, jittered)")
 	of := addOracleFlags(fs)
 	fs.Parse(args)
 
@@ -352,7 +291,7 @@ func runClient(args []string) {
 		FO:       fo,
 		Pub:      pub,
 		Source:   secretshare.Crypto,
-		Retry:    cluster.RetryPolicy{Attempts: *retries, BaseBackoff: *backoff},
+		Retry:    cluster.RetryPolicy{Attempts: *retries},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -15,16 +15,10 @@
 // cumulative estimate must equal the protocol estimator over all
 // rounds' reports. Any drift exits non-zero.
 //
-// With -analyzers > 1 the analyzer's decrypt work is spread over
-// several nodes: shard 0 coordinates rounds, higher shards are stateless
-// workers that each reveal an even cut of the shuffled vector, and the
-// same bit-identity must hold.
-//
 // With -kill, the demo instead rehearses the failure drill the CI
-// smoke job runs: one shuffler (or, when sharded, one analyzer shard)
-// is hard-killed mid-stream, the round must fail with a clean protocol
-// error (no hang, no partial estimate), and a rerun on a fresh cluster
-// must complete and match the reference.
+// smoke job runs: shuffler 0 is hard-killed mid-stream, the round must
+// fail with a clean protocol error (no hang, no partial estimate), and
+// a rerun on a fresh cluster must complete and match the reference.
 //
 // With -chaos, the same run happens through a deterministic fault
 // layer (internal/faultnet): the shuffler mesh takes a hard connection
@@ -34,9 +28,9 @@
 // STILL end bit-identical to the in-process reference with every
 // fault healed automatically — the self-healing demo.
 //
-//	go run ./examples/peos_cluster [-n 400] [-d 16] [-shufflers 2] [-analyzers 1]
-//	                               [-fakes 24] [-collections 2] [-keybits 512]
-//	                               [-seed 1] [-kill|-chaos]
+//	go run ./examples/peos_cluster [-n 400] [-d 16] [-shufflers 2] [-fakes 24]
+//	                               [-collections 2] [-keybits 512] [-seed 1]
+//	                               [-kill|-chaos]
 package main
 
 import (
@@ -59,12 +53,11 @@ var (
 	nFlag       = flag.Int("n", 400, "users per collection round")
 	dFlag       = flag.Int("d", 16, "value domain size")
 	rFlag       = flag.Int("shufflers", 2, "shuffler nodes (R >= 2)")
-	aFlag       = flag.Int("analyzers", 1, "analyzer shard nodes (1 = the classic single analyzer)")
 	nrFlag      = flag.Int("fakes", 24, "joint fake reports per round")
 	colFlag     = flag.Int("collections", 2, "collection rounds")
 	keyBits     = flag.Int("keybits", 512, "DGK modulus bits (paper deploys 3072)")
 	seedFlag    = flag.Uint64("seed", 1, "base seed for all deterministic streams")
-	killFlag    = flag.Bool("kill", false, "kill shuffler 0 (analyzer shard 1 with -analyzers > 1) mid-round, expect a clean error, rerun to completion")
+	killFlag    = flag.Bool("kill", false, "kill shuffler 0 mid-round, expect a clean error, rerun to completion")
 	chaosFlag   = flag.Bool("chaos", false, "inject deterministic faults (mesh reset + client disconnect) and self-heal")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-phase safety timeout")
 )
@@ -90,24 +83,21 @@ func retryPolicy() cluster.RetryPolicy {
 }
 
 // nodes is one running cluster: listeners bound first so the topology
-// carries real ports, then one goroutine per role. analyzers[0] is the
-// coordinator; any further entries are stateless reveal workers.
+// carries real ports, then one goroutine per role.
 type nodes struct {
 	topo      cluster.Topology
-	analyzers []*cluster.Analyzer
+	analyzer  *cluster.Analyzer
 	shufflers []*cluster.Shuffler
 	runErr    []chan error
 }
 
-func (ns *nodes) analyzer() *cluster.Analyzer { return ns.analyzers[0] }
-
-// startNodes boots the analyzer tier and R shufflers on loopback.
+// startNodes boots the analyzer and R shufflers on loopback.
 // Collection c of shuffler j draws its fake shares from substream
 // c*R+j of seed, the convention the in-process reference mirrors.
 func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, collection int) (*nodes, error) {
-	r, a := *rFlag, *aFlag
+	r := *rFlag
 	lns := make([]net.Listener, r)
-	topo := cluster.Topology{Shufflers: make([]string, r), Analyzers: make([]string, a)}
+	topo := cluster.Topology{Shufflers: make([]string, r)}
 	for j := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -116,36 +106,28 @@ func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, collection int)
 		lns[j] = ln
 		topo.Shufflers[j] = ln.Addr().String()
 	}
-	alns := make([]net.Listener, a)
-	for s := range alns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		alns[s] = ln
-		topo.Analyzers[s] = ln.Addr().String()
+	aln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
+	topo.Analyzers = []string{aln.Addr().String()}
 
-	ns := &nodes{topo: topo}
-	for s := 0; s < a; s++ {
-		acfg := cluster.AnalyzerConfig{
-			Topology:       topo,
-			Listener:       alns[s],
-			FO:             fo,
-			NR:             *nrFlag,
-			Priv:           priv,
-			Shard:          s,
-			CollectTimeout: *timeoutFlag,
-		}
-		if *chaosFlag {
-			acfg.Retry = retryPolicy()
-		}
-		an, err := cluster.NewAnalyzer(acfg)
-		if err != nil {
-			return nil, err
-		}
-		ns.analyzers = append(ns.analyzers, an)
+	acfg := cluster.AnalyzerConfig{
+		Topology:       topo,
+		Listener:       aln,
+		FO:             fo,
+		NR:             *nrFlag,
+		Priv:           priv,
+		CollectTimeout: *timeoutFlag,
 	}
+	if *chaosFlag {
+		acfg.Retry = retryPolicy()
+	}
+	an, err := cluster.NewAnalyzer(acfg)
+	if err != nil {
+		return nil, err
+	}
+	ns := &nodes{topo: topo, analyzer: an}
 	for j := 0; j < r; j++ {
 		scfg := cluster.ShufflerConfig{
 			Index:       j,
@@ -175,9 +157,7 @@ func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, collection int)
 }
 
 func (ns *nodes) stop() {
-	for _, a := range ns.analyzers {
-		a.Close()
-	}
+	ns.analyzer.Close()
 	for _, sh := range ns.shufflers {
 		sh.Close()
 	}
@@ -241,14 +221,7 @@ func main() {
 	}
 
 	if *killFlag {
-		// Kill a reveal-worker shard with the whole round in flight when
-		// the tier is sharded, shuffler 0 halfway through the reports
-		// otherwise.
-		if *aFlag > 1 {
-			runKillDrill(priv, fo, "analyzer shard 1", *nFlag, func(ns *nodes) { ns.analyzers[1].Close() })
-		} else {
-			runKillDrill(priv, fo, "shuffler 0", *nFlag/2, func(ns *nodes) { ns.shufflers[0].Close() })
-		}
+		runKillDrill(priv, fo)
 		return
 	}
 
@@ -273,8 +246,8 @@ func main() {
 		fmt.Println("chaos: mesh resets on connections 0 and 2 after 200 B, client reset on connection 0 after 600 B")
 	}
 
-	fmt.Printf("cluster: %d shufflers + %d analyzer shard(s) on loopback TCP, %d fakes/round, %d users/round\n",
-		*rFlag, *aFlag, *nrFlag, *nFlag)
+	fmt.Printf("cluster: %d shufflers + analyzer on loopback TCP, %d fakes/round, %d users/round\n",
+		*rFlag, *nrFlag, *nFlag)
 	ns, err := startNodes(priv, fo, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -315,7 +288,7 @@ func main() {
 		if err := client.Flush(); err != nil {
 			log.Fatal(err)
 		}
-		col, err := ns.analyzer().Collect(*nFlag)
+		col, err := ns.analyzer.Collect(*nFlag)
 		if err != nil {
 			log.Fatalf("collection %d: %v", c, err)
 		}
@@ -336,7 +309,7 @@ func main() {
 			c, col.Reports, col.Fakes, col.Attempts, top, col.Estimates[:top])
 	}
 	wantCum := protocol.Estimate(fo, refAll, *colFlag**nFlag, *colFlag**nrFlag)
-	if !equal(ns.analyzer().Estimates(), wantCum) {
+	if !equal(ns.analyzer.Estimates(), wantCum) {
 		log.Fatal("FAIL: cumulative estimate diverged from the protocol estimator")
 	}
 	fmt.Printf("cumulative over %d rounds bit-identical to the in-process reference ✓\n", *colFlag)
@@ -358,12 +331,12 @@ func main() {
 	}
 }
 
-// runKillDrill is the CI failure rehearsal: send the first `sent`
-// reports of the round, kill one node, demand a clean protocol error
-// from Collect — never a hang, never a partially sealed round — then
-// rerun to completion on a fresh cluster and demand bit-identity.
-func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, victim string, sent int, kill func(*nodes)) {
-	fmt.Printf("kill drill: %s dies mid-round\n", victim)
+// runKillDrill is the CI failure rehearsal: send the first half of the
+// round's reports, kill shuffler 0, demand a clean protocol error from
+// Collect — never a hang, never a partially sealed round — then rerun
+// to completion on a fresh cluster and demand bit-identity.
+func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) {
+	fmt.Println("kill drill: shuffler 0 dies mid-round")
 	ns, err := startNodes(priv, fo, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -373,29 +346,29 @@ func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, victim string
 		log.Fatal(err)
 	}
 	values := synthValues(0)
-	if err := client.SendValues(0, values[:sent], rng.Substream(*seedFlag, 8000)); err != nil {
+	if err := client.SendValues(0, values[:*nFlag/2], rng.Substream(*seedFlag, 8000)); err != nil {
 		log.Fatal(err)
 	}
 	if err := client.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	kill(ns)
+	ns.shufflers[0].Close()
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := ns.analyzer().Collect(*nFlag)
+		_, err := ns.analyzer.Collect(*nFlag)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			log.Fatalf("FAIL: Collect succeeded with a dead %s", victim)
+			log.Fatal("FAIL: Collect succeeded with a dead shuffler")
 		}
 		fmt.Printf("  round failed cleanly: %v\n", err)
 	case <-time.After(*timeoutFlag):
-		log.Fatalf("FAIL: Collect hung on a dead %s", victim)
+		log.Fatal("FAIL: Collect hung on a dead shuffler")
 	}
-	if ns.analyzer().Collections() != 0 {
+	if ns.analyzer.Collections() != 0 {
 		log.Fatal("FAIL: a failed round left a sealed collection behind")
 	}
 	client.Close()
@@ -418,7 +391,7 @@ func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, victim string
 	if err := client.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	col, err := ns.analyzer().Collect(*nFlag)
+	col, err := ns.analyzer.Collect(*nFlag)
 	if err != nil {
 		log.Fatalf("rerun failed: %v", err)
 	}

@@ -23,7 +23,7 @@ type AnalyzerConfig struct {
 	// Topology names every role's address.
 	Topology Topology
 	// Listener optionally supplies a pre-bound listener (overriding
-	// the Topology address of this shard); the node closes it.
+	// the Topology's analyzer address); the node closes it.
 	Listener net.Listener
 	// FO is the frequency oracle the clients report through (GRR or a
 	// hashing oracle — the word-encodable PEOS set).
@@ -37,15 +37,14 @@ type AnalyzerConfig struct {
 	// collection id Collect runs, once per id however many attempts or
 	// Collect calls the round takes; once it refuses, Collect returns an
 	// error wrapping budget.ErrExhausted and the analyzer stays
-	// queryable. Coordinator only: a shard pays nothing.
+	// queryable.
 	Ledger *budget.Ledger
 	// DataDir, when non-empty, makes the analyzer durable: each
 	// collection seals by writing one checkpoint of the cumulative
 	// counts it produces (fsynced, then renamed into place), so
 	// RecoverAnalyzer restores a crashed analyzer bit-identically. The
 	// collection's decoded words never reach the disk; its WAL segment
-	// stays header-only. Coordinator only: a shard keeps no state a
-	// restart needs.
+	// stays header-only.
 	DataDir string
 	// CollectTimeout bounds each phase of a Collect: the wait for all
 	// shufflers to be connected and each vector read. 0 means no bound.
@@ -57,24 +56,10 @@ type AnalyzerConfig struct {
 	// collection regardless of the attempt count. The zero policy keeps
 	// the pre-existing single-shot semantics.
 	Retry RetryPolicy
-	// Shard is this node's analyzer-shard index in [0, Topology.A()).
-	// Shard 0 — the default, and the only shard of a single-analyzer
-	// topology — is the coordinator: it drives Collect, owns the
-	// durable history, and serves estimates. Shards >= 1 are stateless
-	// reveal workers (DESIGN.md §13): they decrypt their even cut of
-	// each round's post-shuffle vector and hand the words to the
-	// coordinator. A crashed shard is replaced by a blank one at the
-	// same address.
-	Shard int
-	// Dial, when non-nil, replaces net.DialTimeout for a shard node's
-	// coordinator link — the chaos-injection hook (faultnet fits).
-	Dial DialFunc
 
-	// Test seams (export_test.go): a shorter hello bound and a shorter
-	// dial budget for a shard's coordinator link. Zero means
-	// defaultHelloTimeout and defaultDialTimeout.
+	// Test seam (export_test.go): a shorter hello bound. Zero means
+	// defaultHelloTimeout.
 	helloTimeout time.Duration
-	dialTimeout  time.Duration
 }
 
 func (cfg *AnalyzerConfig) validate() error {
@@ -90,16 +75,7 @@ func (cfg *AnalyzerConfig) validate() error {
 	if cfg.Priv == nil {
 		return errors.New("cluster: analyzer needs the AHE private key")
 	}
-	if err := requireWordPlaintext(cfg.Priv); err != nil {
-		return err
-	}
-	if cfg.Shard < 0 || cfg.Shard >= cfg.Topology.A() {
-		return fmt.Errorf("cluster: analyzer shard %d out of range [0, %d)", cfg.Shard, cfg.Topology.A())
-	}
-	if cfg.Shard > 0 && (cfg.DataDir != "" || cfg.Ledger != nil) {
-		return fmt.Errorf("cluster: analyzer shard %d is a stateless reveal worker: DataDir and Ledger belong to the coordinator (shard 0)", cfg.Shard)
-	}
-	return nil
+	return requireWordPlaintext(cfg.Priv)
 }
 
 // Collection is one sealed collection round's outcome.
@@ -134,10 +110,8 @@ type Analyzer struct {
 	st  *store.Store
 
 	mu sync.Mutex
-	// peers is the node's one link table. Slots [0, R) are the shufflers
-	// by index — their control links on the coordinator, their chunk
-	// data links on a shard; the coordinator of a sharded tier appends
-	// shard s at slot R+s-1. A reconnecting peer replaces its slot.
+	// peers holds the shufflers' control links by index. A reconnecting
+	// shuffler replaces its slot.
 	peers    []*link
 	pending  map[*link]struct{} // accepted, hello not yet read
 	connMore chan struct{}
@@ -147,16 +121,8 @@ type Analyzer struct {
 	counts      []int
 	reals       int
 	fakes       int
-	collections int    // sealed rounds (coordinator)
+	collections int    // sealed rounds
 	attempts    uint32 // monotonic attempt counter; never reused, so a generation never repeats
-
-	// Shard-node state (cfg.Shard > 0; shard.go): the follower — the
-	// coordinator link, the window attempt in flight and the done
-	// watermark — and each shuffler's newest chunk frame, all under
-	// stateMu.
-	f         *follower
-	chunks    []chunk // by shuffler index
-	chunkMore chan struct{}
 }
 
 // NewAnalyzer validates cfg, binds the listener, creates the durable
@@ -180,9 +146,6 @@ func NewAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		a.st = st
 	}
 	go a.acceptLoop()
-	if a.cfg.Shard > 0 {
-		go a.shardRun()
-	}
 	return a, nil
 }
 
@@ -198,7 +161,7 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	sup, _ := ldp.SupportOf(cfg.FO)
-	ln, err := listenOrUse(cfg.Listener, cfg.Topology.Analyzers[cfg.Shard])
+	ln, err := listenOrUse(cfg.Listener, cfg.Topology.Analyzers[0])
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +176,6 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		connMore: make(chan struct{}, 1),
 		counts:   make([]int, cfg.FO.Domain()),
 	}
-	if cfg.Shard == 0 {
-		a.peers = append(a.peers, make([]*link, cfg.Topology.A()-1)...)
-	} else {
-		a.prepareShard()
-	}
 	return a, nil
 }
 
@@ -228,20 +186,9 @@ func (a *Analyzer) storeMeta() store.Meta {
 // Addr returns the bound listen address.
 func (a *Analyzer) Addr() string { return a.ln.Addr().String() }
 
-// peerName names a peer-table slot in errors.
-func (a *Analyzer) peerName(p int) string {
-	if r := a.cfg.Topology.R(); p >= r {
-		return fmt.Sprintf("analyzer shard %d", p-r+1)
-	}
-	return fmt.Sprintf("shuffler %d", p)
-}
-
 // acceptLoop files inbound connections in the peer table by their
-// hello: a shuffler hello claims that shuffler's slot on every node, a
-// shard hello — coordinator only, refused from a peer configured for a
-// different analyzer count — the shard's. A reconnecting peer replaces
-// its old link. On a shard node the shuffler links are chunk DATA
-// links, each drained by its own reader into the chunk slots.
+// hello: a shuffler hello claims that shuffler's slot, replacing its
+// old link; any other hello is refused.
 func (a *Analyzer) acceptLoop() {
 	for {
 		conn, err := a.ln.Accept()
@@ -265,14 +212,8 @@ func (a *Analyzer) handshake(l *link) {
 	a.mu.Unlock()
 	p := -1
 	tag, payload, err := l.recv(controlFrameLimit, cmp.Or(a.cfg.helloTimeout, defaultHelloTimeout))
-	switch {
-	case err != nil:
-	case tag == tagShufflerHello:
+	if err == nil && tag == tagShufflerHello {
 		p, err = parseHelloIndex(payload, a.cfg.Topology.R())
-	case tag == tagShardHello && a.cfg.Shard == 0:
-		if p, err = parseShardHello(payload, a.cfg.Topology.A()); err == nil {
-			p += a.cfg.Topology.R() - 1
-		}
 	}
 	a.mu.Lock()
 	delete(a.pending, l)
@@ -286,18 +227,14 @@ func (a *Analyzer) handshake(l *link) {
 	}
 	a.peers[p] = l
 	a.mu.Unlock()
-	if a.cfg.Shard > 0 {
-		go a.readChunks(p, l)
-	}
 	select {
 	case a.connMore <- struct{}{}:
 	default:
 	}
 }
 
-// awaitPeers blocks until every slot of the peer table holds a link —
-// every shuffler and, on a sharded coordinator, every shard — and
-// returns a snapshot of it.
+// awaitPeers blocks until every shuffler's slot of the peer table
+// holds a link and returns a snapshot of it.
 func (a *Analyzer) awaitPeers() ([]*link, error) {
 	var peers []*link
 	missing := 0
@@ -317,7 +254,7 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 		return missing == 0, nil
 	}, a.connMore, nil, a.cfg.CollectTimeout)
 	if errors.Is(err, errAwaitTimeout) {
-		err = fmt.Errorf("cluster: %d cluster link(s) never connected", missing)
+		err = fmt.Errorf("cluster: %d shuffler link(s) never connected", missing)
 	}
 	if err != nil {
 		return nil, err
@@ -357,9 +294,6 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 	if n <= 0 {
 		return Collection{}, errors.New("cluster: Collect needs n > 0")
 	}
-	if a.cfg.Shard != 0 {
-		return Collection{}, errShardPassive
-	}
 	if a.isClosed() {
 		return Collection{}, errors.New("cluster: analyzer closed")
 	}
@@ -398,7 +332,10 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 		words, bad, err := a.attemptRound(peers, g, n)
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: collection %d attempt %d: %w", g.col, g.att, err)
-			a.recoverPeers(peers, g, bad)
+			// Abort the attempt at every shuffler so its goroutines cancel
+			// promptly; the one whose I/O failed is dropped instead and
+			// redials its control link.
+			a.broadcast(peers, bad, tagAbort, prefixed(g, nil))
 			continue
 		}
 		col, err := a.seal(collection, n, words)
@@ -408,9 +345,11 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 			return Collection{}, err
 		}
 		col.Attempts = try + 1
-		// The durable seal above is the round's one commit point; what
-		// follows only lets shufflers and shards drop what they buffer.
-		a.broadcastDone(peers, collection)
+		// The durable seal above is the round's one commit point; the done
+		// frame only lets shufflers prune the collection's buffered
+		// shares, cached fakes and parked mesh connections. Best-effort:
+		// a shuffler that misses it prunes on the next seal instead.
+		a.broadcast(peers, -1, tagDone, donePayload(collection))
 		return col, nil
 	}
 	return Collection{}, fmt.Errorf("cluster: collection %d failed after %d attempt(s): %w", collection, policy.Attempts, lastErr)
@@ -427,46 +366,24 @@ func (a *Analyzer) nextAttempt() uint32 {
 	return att
 }
 
-// attemptRound runs one generation of a collection: the seal broadcast
-// — one frame, to the shards first so they are armed before any chunk
-// can arrive, then to the shufflers — the coordinator's own window vectors,
-// then each shard's revealed words — reassembled in cut order into the
-// full post-shuffle word vector, byte-identical to what a single
-// analyzer reveals. On failure it reports which peer's link had the
-// I/O fault (-1 for protocol-level failures where every link is still
+// attemptRound runs one generation of a collection: the seal broadcast,
+// then every shuffler's post-shuffle vector, revealed into the round's
+// word vector. On failure it reports which shuffler's link had the I/O
+// fault (-1 for protocol-level failures where every link is still
 // healthy), so the retry path drops exactly the dead link.
 func (a *Analyzer) attemptRound(peers []*link, g gen, n int) ([]uint64, int, error) {
-	r := a.cfg.Topology.R()
-	total := n + a.cfg.NR
-	analyzers := a.cfg.Topology.A()
-	cuts := evenCuts(total, analyzers)
-	seal := sealPayload(g, n, analyzers)
-	for i := range peers {
-		p := (r + i) % len(peers) // the table rotated: shards, then shufflers
-		if err := peers[p].send(tagSeal, seal); err != nil {
-			return nil, p, fmt.Errorf("sealing with %s: %w", a.peerName(p), err)
+	seal := sealPayload(g, n)
+	for j, l := range peers {
+		if err := l.send(tagSeal, seal); err != nil {
+			return nil, j, fmt.Errorf("sealing with shuffler %d: %w", j, err)
 		}
 	}
-	words, bad, err := a.awaitVectors(peers[:r], g, cuts[1])
-	if err != nil || analyzers == 1 {
-		return words, bad, err
-	}
-	full := make([]uint64, total)
-	copy(full, words)
-	for s := 1; s < analyzers; s++ {
-		ws, err := a.awaitShardWords(peers[r+s-1], s, g, cuts[s+1]-cuts[s])
-		if err != nil {
-			return nil, r + s - 1, err
-		}
-		copy(full[cuts[s]:cuts[s+1]], ws)
-	}
-	return full, -1, nil
+	return a.awaitVectors(peers, g, n+a.cfg.NR)
 }
 
-// awaitVectors reads one vector frame per shuffler — each carrying
-// this node's cut window of the post-shuffle vector (the whole vector
-// on a single analyzer) — reconstructs the share sum, and decrypts the
-// encrypted column. Frames stamped with an older generation are
+// awaitVectors reads one vector frame of total words per shuffler,
+// reconstructs the share sum, and decrypts the encrypted column in
+// parallel. Frames stamped with an older generation are
 // leftovers of aborted attempts (a late vector or its fail notice) and
 // are skipped; the read deadline still bounds how long stale traffic
 // can stall the round.
@@ -527,40 +444,22 @@ func (a *Analyzer) awaitVectors(shufflers []*link, g gen, total int) ([]uint64, 
 	return words, -1, err
 }
 
-// recoverPeers cleans up after a failed attempt: the peer whose I/O
-// failed is dropped (the shuffler — or shard — redials its control
-// link), the others get an abort frame so their attempt goroutines
-// cancel promptly; a link that cannot even take the abort is dropped
-// too.
-func (a *Analyzer) recoverPeers(peers []*link, g gen, bad int) {
+// broadcast sends one frame to every shuffler but bad (-1 = none).
+// Shuffler bad's link, and any link that cannot take the frame, is
+// dead: it is closed and its slot cleared (if still current), so
+// awaitPeers waits for the shuffler to redial.
+func (a *Analyzer) broadcast(peers []*link, bad int, tag uint32, payload []byte) {
 	for p, l := range peers {
-		if p == bad || l.send(tagAbort, prefixed(g, nil)) != nil {
-			a.drop(p, l)
+		if p != bad && l.send(tag, payload) == nil {
+			continue
 		}
-	}
-}
-
-// broadcastDone tells every shuffler and shard the collection sealed
-// durably, so shufflers can prune its buffered shares, cached fakes,
-// and parked mesh connections, and shards its chunk frames.
-// Best-effort: a node that misses it prunes on the next seal instead.
-func (a *Analyzer) broadcastDone(peers []*link, collection uint32) {
-	for p, l := range peers {
-		if l.send(tagDone, donePayload(collection)) != nil {
-			a.drop(p, l)
+		a.mu.Lock()
+		if a.peers[p] == l {
+			a.peers[p] = nil
 		}
+		a.mu.Unlock()
+		l.close()
 	}
-}
-
-// drop closes a dead peer link and clears its slot (if still current)
-// so awaitPeers waits for the reconnect.
-func (a *Analyzer) drop(p int, l *link) {
-	a.mu.Lock()
-	if a.peers[p] == l {
-		a.peers[p] = nil
-	}
-	a.mu.Unlock()
-	l.close()
 }
 
 func (a *Analyzer) isClosed() bool {
@@ -619,15 +518,10 @@ func (a *Analyzer) Totals() (reports, fakes int) {
 	return a.reals, a.fakes
 }
 
-// Collections returns how many collection rounds have sealed. On a
-// shard it is the done watermark: the rounds the coordinator's done
-// frames — or a later round's seal — have told it sealed.
+// Collections returns how many collection rounds have sealed.
 func (a *Analyzer) Collections() int {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
-	if a.f != nil {
-		return int(a.f.doneThrough) + 1
-	}
 	return a.collections
 }
 
@@ -651,9 +545,6 @@ func (a *Analyzer) shutdown(crash bool) {
 		links = append(links, l)
 	}
 	a.mu.Unlock()
-	if a.f != nil {
-		a.f.close()
-	}
 	a.ln.Close()
 	for _, l := range links {
 		if l != nil {
@@ -762,9 +653,6 @@ func (a *Analyzer) writeCheckpoint(collection uint32, n int, colCounts []int) er
 // before checkpointing) is refused by name, not replayed, and its
 // records are left as they are.
 func RecoverAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
-	if cfg.Shard > 0 {
-		return nil, fmt.Errorf("cluster: RecoverAnalyzer: analyzer shard %d keeps no durable state; replace it with a blank NewAnalyzer", cfg.Shard)
-	}
 	if cfg.DataDir == "" {
 		return nil, errors.New("cluster: RecoverAnalyzer needs AnalyzerConfig.DataDir")
 	}

@@ -215,7 +215,7 @@ func TestChaosControlLinkResetReconnects(t *testing.T) {
 		cfg.Retry = chaosRetry()
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		if j == 0 {
-			cfg.Dial = chaosDialTo(ctrlChaos, cfg.Topology.Coordinator())
+			cfg.Dial = chaosDialTo(ctrlChaos, cfg.Topology.Analyzers[0])
 		}
 	})
 	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
@@ -275,7 +275,7 @@ func TestChaosSilentConnDroppedAtHelloTimeout(t *testing.T) {
 		cfg.SetHelloTimeout(100 * time.Millisecond)
 	})
 
-	for name, addr := range map[string]string{"shuffler": h.topo.Shufflers[0], "analyzer": h.topo.Coordinator()} {
+	for name, addr := range map[string]string{"shuffler": h.topo.Shufflers[0], "analyzer": h.topo.Analyzers[0]} {
 		silent, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -397,13 +397,13 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 		sh.Close()
 	}
 	ledger2 := testLedger(t)
-	topo2, lns2, alns2 := bindTopology(t, r, 1)
+	topo2, lns2, aln2 := bindTopology(t, r)
 	for _, ln := range lns2 {
 		ln.Close()
 	}
 	rec, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{
 		Topology: topo2,
-		Listener: alns2[0],
+		Listener: aln2,
 		FO:       fo,
 		NR:       nr,
 		Priv:     priv,

@@ -125,8 +125,8 @@ func TestClientLinkBytesPerReport(t *testing.T) {
 func TestClientRefusesIndexOutsideWord(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(8, 2)
-	topo, slns, alns := bindTopology(t, 2, 1)
-	alns[0].Close()
+	topo, slns, aln := bindTopology(t, 2)
+	aln.Close()
 	for _, ln := range slns {
 		go func() {
 			for {

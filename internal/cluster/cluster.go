@@ -12,11 +12,13 @@
 //	          with its peers (oblivious.RunParty over the TCP mesh),
 //	          forward the resulting vector to the analyzer
 //	analyzer  combine the R vectors, decrypt the ciphertext column with
-//	          the AHE private key, decode, aggregate, estimate — and,
-//	          when durable, seal each collection with one checkpoint of
-//	          the cumulative counts, so a crashed analyzer recovers
-//	          bit-identically (the streaming service's store, DESIGN.md
-//	          §8/§9); the decoded words never reach the disk
+//	          the AHE private key across every core of its one node
+//	          (§VII-D's parallel decryption), decode, aggregate,
+//	          estimate — and, when durable, seal each collection with
+//	          one checkpoint of the cumulative counts, so a crashed
+//	          analyzer recovers bit-identically (the streaming
+//	          service's store, DESIGN.md §8/§9); the decoded words
+//	          never reach the disk
 //
 // Trust boundaries are real process boundaries: a shuffler only ever
 // holds one share column (its own fakes included), so no coalition of
@@ -45,72 +47,38 @@ import (
 )
 
 // Topology names the cluster's listen addresses: Shufflers[j] is
-// shuffler j's address (R = len(Shufflers)); the analyzer tier is the
-// Analyzers list (shard order; index 0 is the coordinator — DESIGN.md
-// §13), one element for the unsharded deployment.
-// Every role is configured with the same Topology, agreed out of band
-// like the protocol parameters themselves.
+// shuffler j's address (R = len(Shufflers)) and Analyzers[0] the
+// analyzer's. Every role is configured with the same Topology, agreed
+// out of band like the protocol parameters themselves.
 type Topology struct {
 	// Shufflers holds the shuffler listen addresses, indexed by role.
 	Shufflers []string
-	// Analyzers holds the analyzer shard listen addresses in shard
-	// order; shard 0 is the coordinator the shufflers treat as "the"
-	// analyzer for control traffic.
+	// Analyzers holds the analyzer's listen address, its one element.
 	Analyzers []string
 }
 
 // R returns the shuffler count.
 func (t Topology) R() int { return len(t.Shufflers) }
 
-// A returns the analyzer shard count.
-func (t Topology) A() int { return len(t.Analyzers) }
-
-// Coordinator returns the address of analyzer shard 0, the node that
-// drives rounds and serves estimates.
-func (t Topology) Coordinator() string {
-	if len(t.Analyzers) == 0 {
-		return ""
-	}
-	return t.Analyzers[0]
-}
-
+// validate refuses a topology that does not name at least 2 shufflers
+// and exactly one analyzer, or that leaves any address empty: an empty
+// address would bind every interface on a port no peer can dial.
 func (t Topology) validate() error {
 	if len(t.Shufflers) < 2 {
 		return errors.New("cluster: PEOS needs at least 2 shufflers")
 	}
-	if len(t.Analyzers) == 0 {
-		return errors.New("cluster: topology needs the analyzer address")
+	if len(t.Analyzers) != 1 {
+		return fmt.Errorf("cluster: topology lists %d analyzer addresses, want exactly 1", len(t.Analyzers))
 	}
-	if len(t.Analyzers) > maxAnalyzers {
-		return fmt.Errorf("cluster: topology lists %d analyzer shards, at most %d are supported", len(t.Analyzers), maxAnalyzers)
-	}
-	for a, addr := range t.Analyzers {
+	for j, addr := range t.Shufflers {
 		if addr == "" {
-			return fmt.Errorf("cluster: analyzer shard %d has an empty address", a)
+			return fmt.Errorf("cluster: shuffler %d has an empty address", j)
 		}
 	}
-	return nil
-}
-
-// maxAnalyzers bounds the analyzer tier: seal and shard-hello frames
-// carry the shard count as a u16, and a count this small keeps
-// total*A far inside int64 in evenCuts.
-const maxAnalyzers = 1 << 12
-
-// evenCuts splits a round's post-shuffle vector of total words (n
-// reports + NR fakes) evenly across the analyzer tier: shard s reveals
-// the window [cuts[s], cuts[s+1]). The windows tile [0, total) exactly,
-// differ by at most one word, and are empty for some shards when there
-// are more analyzers than words. Coordinator, shards and shufflers each
-// evaluate it from the Topology they already hold, so no cut list ever
-// crosses the wire (DESIGN.md §13).
-func evenCuts(total, analyzers int) []int {
-	cuts := make([]int, analyzers+1)
-	for s := range cuts {
-		// int64: total is u32-sized, so the product can pass 32 bits.
-		cuts[s] = int(int64(total) * int64(s) / int64(analyzers))
+	if t.Analyzers[0] == "" {
+		return errors.New("cluster: the analyzer has an empty address")
 	}
-	return cuts
+	return nil
 }
 
 // defaultDialTimeout bounds how long a role retries dialing a peer

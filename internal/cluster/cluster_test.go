@@ -40,21 +40,19 @@ func sharedKey(t *testing.T) *ahe.DGKPrivateKey {
 	return testKey
 }
 
-// harness is an R-shuffler cluster on loopback listeners with an
-// analyzer tier of one node or several: nodes[0] is the coordinator —
-// analyzer names the same node — and nodes[1:] the reveal-worker shards.
+// harness is an R-shuffler cluster and its analyzer on loopback
+// listeners.
 type harness struct {
 	topo      cluster.Topology
-	nodes     []*cluster.Analyzer
 	analyzer  *cluster.Analyzer
 	shufflers []*cluster.Shuffler
 	runErr    []chan error
 }
 
-// bindTopology reserves loopback listeners for r shufflers and
-// `analyzers` analyzer shards so the topology carries real addresses
-// before any node starts.
-func bindTopology(t *testing.T, r, analyzers int) (cluster.Topology, []net.Listener, []net.Listener) {
+// bindTopology reserves loopback listeners for r shufflers and the
+// analyzer so the topology carries real addresses before any node
+// starts.
+func bindTopology(t *testing.T, r int) (cluster.Topology, []net.Listener, net.Listener) {
 	t.Helper()
 	listen := func() net.Listener {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -63,18 +61,15 @@ func bindTopology(t *testing.T, r, analyzers int) (cluster.Topology, []net.Liste
 		}
 		return ln
 	}
-	topo := cluster.Topology{Shufflers: make([]string, r), Analyzers: make([]string, analyzers)}
+	topo := cluster.Topology{Shufflers: make([]string, r)}
 	slns := make([]net.Listener, r)
 	for j := range slns {
 		slns[j] = listen()
 		topo.Shufflers[j] = slns[j].Addr().String()
 	}
-	alns := make([]net.Listener, analyzers)
-	for s := range alns {
-		alns[s] = listen()
-		topo.Analyzers[s] = alns[s].Addr().String()
-	}
-	return topo, slns, alns
+	aln := listen()
+	topo.Analyzers = []string{aln.Addr().String()}
+	return topo, slns, aln
 }
 
 // startShufflers builds and runs every shuffler of topo and closes them
@@ -115,46 +110,30 @@ func startShufflers(t *testing.T, topo cluster.Topology, lns []net.Listener, nr 
 	return shufflers, runErr
 }
 
-// startShardedCluster builds and runs the full cluster: `analyzers`
-// analyzer nodes (shard 0 coordinating) plus r shufflers.
-func startShardedCluster(t *testing.T, r, analyzers, nr int, fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutateA func(int, *cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig)) *harness {
-	t.Helper()
-	topo, slns, alns := bindTopology(t, r, analyzers)
-	h := &harness{topo: topo}
-	for s := 0; s < analyzers; s++ {
-		acfg := cluster.AnalyzerConfig{
-			Topology:       topo,
-			Listener:       alns[s],
-			FO:             fo,
-			NR:             nr,
-			Priv:           priv,
-			Shard:          s,
-			CollectTimeout: testTimeout,
-		}
-		if mutateA != nil {
-			mutateA(s, &acfg)
-		}
-		node, err := cluster.NewAnalyzer(acfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		h.nodes = append(h.nodes, node)
-	}
-	h.analyzer = h.nodes[0]
-	h.shufflers, h.runErr = startShufflers(t, topo, slns, nr, priv, fakeSeed, mutateS)
-	return h
-}
-
-// startCluster is the single-analyzer cluster: startShardedCluster at
-// analyzers = 1.
+// startCluster builds and runs the full cluster: the analyzer plus r
+// shufflers.
 func startCluster(t *testing.T, r, nr int, fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, fakeSeed uint64, mutateA func(*cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig)) *harness {
 	t.Helper()
-	return startShardedCluster(t, r, 1, nr, fo, priv, fakeSeed, func(_ int, cfg *cluster.AnalyzerConfig) {
-		if mutateA != nil {
-			mutateA(cfg)
-		}
-	}, mutateS)
+	topo, slns, aln := bindTopology(t, r)
+	acfg := cluster.AnalyzerConfig{
+		Topology:       topo,
+		Listener:       aln,
+		FO:             fo,
+		NR:             nr,
+		Priv:           priv,
+		CollectTimeout: testTimeout,
+	}
+	if mutateA != nil {
+		mutateA(&acfg)
+	}
+	a, err := cluster.NewAnalyzer(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	h := &harness{topo: topo, analyzer: a}
+	h.shufflers, h.runErr = startShufflers(t, topo, slns, nr, priv, fakeSeed, mutateS)
+	return h
 }
 
 // refFakeSource returns the FakeSource hook that mirrors the cluster
@@ -406,6 +385,22 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := cluster.NewShuffler(cluster.ShufflerConfig{Index: 0, Topology: cluster.Topology{Shufflers: []string{"a"}, Analyzers: []string{"c"}}, Pub: ahe.PublicKey(priv), Source: rng.New(1)}); err == nil {
 		t.Fatal("accepted a 1-shuffler cluster")
 	}
+	// An empty address would bind every interface on a port no peer can
+	// dial; a second analyzer address names a node that no longer exists.
+	for want, topo := range map[string]cluster.Topology{
+		"shuffler 0 has an empty address":            {Shufflers: []string{"", "127.0.0.1:0"}, Analyzers: []string{"c"}},
+		"shuffler 1 has an empty address":            {Shufflers: []string{"127.0.0.1:0", ""}, Analyzers: []string{"c"}},
+		"the analyzer has an empty address":          {Shufflers: []string{"127.0.0.1:0", "b"}, Analyzers: []string{""}},
+		"lists 2 analyzer addresses, want exactly 1": {Shufflers: []string{"127.0.0.1:0", "b"}, Analyzers: []string{"c", "d"}},
+	} {
+		sh, err := cluster.NewShuffler(cluster.ShufflerConfig{Index: 0, Topology: topo, Pub: ahe.PublicKey(priv), Source: rng.New(1)})
+		if err == nil {
+			sh.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("NewShuffler over %+v: %v, want %q", topo, err, want)
+		}
+	}
 	if _, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: goodTopo, FO: fo, Priv: priv, NR: -1}); err == nil {
 		t.Fatal("accepted negative fakes")
 	}
@@ -440,7 +435,7 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 		{ldp.NewSOLH(16, 4, 2), true},
 	} {
 		t.Run(tc.fo.Name(), func(t *testing.T) {
-			topo, slns, alns := bindTopology(t, 2, 1)
+			topo, slns, aln := bindTopology(t, 2)
 			for _, ln := range slns {
 				ln.Close()
 			}
@@ -462,8 +457,8 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 			ledger, dir := testLedger(t), t.TempDir()
 			acfg := cluster.AnalyzerConfig{Topology: topo, FO: tc.fo, Priv: priv, NR: 2, Ledger: ledger, DataDir: dir}
 			if tc.ok {
-				acfg.Listener = alns[0]
-			} // else alns[0] keeps the address: a bind attempt would fail differently
+				acfg.Listener = aln
+			} // else aln keeps the address: a bind attempt would fail differently
 			a, errAnalyzer := cluster.NewAnalyzer(acfg)
 			if a != nil {
 				a.Close()
@@ -477,7 +472,7 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 				}
 				return
 			}
-			defer alns[0].Close()
+			defer aln.Close()
 			refused := func(role string, err error) {
 				t.Helper()
 				if err == nil || !strings.Contains(err.Error(), "oracle "+tc.fo.Name()+" ") {
@@ -497,43 +492,13 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 			if err := cluster.StageCheckpoint(dir, tc.fo, 2, 1, 3, make([]int, tc.fo.Domain())); err != nil {
 				t.Fatal(err)
 			}
-			acfg.Listener = alns[0] // nothing but the oracle stands between it and the checkpoint
+			acfg.Listener = aln // nothing but the oracle stands between it and the checkpoint
 			_, err := cluster.RecoverAnalyzer(acfg)
 			refused("RecoverAnalyzer", err)
 			if cluster.EpochsPaid(ledger) != 0 {
 				t.Errorf("refusals charged the ledger %d times", cluster.EpochsPaid(ledger))
 			}
 		})
-	}
-}
-
-// A shard is a stateless reveal worker: asking one to be durable, to
-// charge a ledger, or to recover is refused with the reason, before it
-// binds a port or opens a file.
-func TestShardRefusesDurabilityByName(t *testing.T) {
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(4, 1)
-	topo := cluster.Topology{Shufflers: []string{"a", "b"}, Analyzers: []string{"c", "127.0.0.1:0"}}
-	dir := t.TempDir()
-	const want = "analyzer shard 1 is a stateless reveal worker"
-	for name, cfg := range map[string]cluster.AnalyzerConfig{
-		"DataDir": {Topology: topo, FO: fo, Priv: priv, Shard: 1, DataDir: dir},
-		"Ledger":  {Topology: topo, FO: fo, Priv: priv, Shard: 1, Ledger: testLedger(t)},
-	} {
-		a, err := cluster.NewAnalyzer(cfg)
-		if err == nil {
-			a.Close()
-		}
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("NewAnalyzer on a shard with a %s: %v, want %q", name, err, want)
-		}
-	}
-	_, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{Topology: topo, FO: fo, Priv: priv, Shard: 1, DataDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "analyzer shard 1 keeps no durable state") {
-		t.Fatalf("RecoverAnalyzer on a shard: %v", err)
-	}
-	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
-		t.Fatalf("a refused shard left %d entries in its data directory (%v)", len(left), err)
 	}
 }
 
@@ -575,11 +540,11 @@ func TestAnalyzerRefusesExistingState(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(4, 1)
 	dir := t.TempDir()
-	topo, lns, alns := bindTopology(t, 2, 1)
+	topo, lns, aln := bindTopology(t, 2)
 	for _, ln := range lns {
 		ln.Close()
 	}
-	a, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: topo, Listener: alns[0], FO: fo, Priv: priv, DataDir: dir})
+	a, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{Topology: topo, Listener: aln, FO: fo, Priv: priv, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

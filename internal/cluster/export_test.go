@@ -9,7 +9,6 @@ import (
 	"shuffledp/internal/budget"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/store"
-	"shuffledp/internal/transport"
 )
 
 // Hooks for the external test package (cluster_test), which owns the
@@ -21,27 +20,13 @@ func EpochsPaid(l *budget.Ledger) int {
 	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
 }
 
-// HeldChunks lists the chunk frames a shard holds: shuffler index ->
-// the (collection, attempt) its slot's frame is stamped with.
-func (a *Analyzer) HeldChunks() map[int][2]uint32 {
-	a.stateMu.Lock()
-	defer a.stateMu.Unlock()
-	held := map[int][2]uint32{}
-	for j, c := range a.chunks {
-		if c.tag != 0 {
-			held[j] = [2]uint32{c.g.col, c.g.att}
-		}
-	}
-	return held
-}
-
 // Crash hard-stops a durable analyzer the way a power cut would: the
 // store is closed without flushing, and RecoverAnalyzer finds the
 // newest checkpoint — the last collection whose seal returned. On an
 // in-memory analyzer it behaves like Close.
 func (a *Analyzer) Crash() { a.shutdown(true) }
 
-// StageCheckpoint creates dir holding what a durable coordinator under
+// StageCheckpoint creates dir holding what a durable analyzer under
 // fo and nr leaves once it has sealed collections rounds: one
 // header-only WAL segment and the checkpoint of reals user reports,
 // collections×nr fakes and the support counts of all of them.
@@ -57,18 +42,6 @@ func StageCheckpoint(dir string, fo ldp.FrequencyOracle, nr, collections, reals 
 		fakes:  (collections - 1) * nr,
 	}
 	return errors.Join(a.writeCheckpoint(uint32(collections-1), reals, counts), st.Close())
-}
-
-// WriteShufflerHello opens a connection to an analyzer node the way
-// shuffler j's control or data link does.
-func WriteShufflerHello(w io.Writer, j int) error {
-	return writeHello(w, tagShufflerHello, j)
-}
-
-// WriteChunkFrame writes one plain post-shuffle chunk frame for
-// collection attempt (col, att), as a shuffler's data link would.
-func WriteChunkFrame(w io.Writer, col, att uint32, words []uint64) error {
-	return transport.WriteTaggedFrame(w, tagVector, prefixed(gen{col: col, att: att}, transport.EncodeUint64s(words)))
 }
 
 // WriteClientHello opens a connection to a shuffler the way a client's
@@ -116,7 +89,3 @@ func (cfg *ShufflerConfig) SetMaxBuffered(n int) { cfg.maxBuffered = n }
 // SetHelloTimeout shortens how long an analyzer built from cfg waits
 // for an inbound connection's hello.
 func (cfg *AnalyzerConfig) SetHelloTimeout(d time.Duration) { cfg.helloTimeout = d }
-
-// SetDialTimeout shortens the dial budget of a shard built from cfg for
-// its coordinator link.
-func (cfg *AnalyzerConfig) SetDialTimeout(d time.Duration) { cfg.dialTimeout = d }

@@ -1,14 +1,12 @@
 package cluster
 
-// The follower: the control plane of a node that takes the
-// coordinator's orders — a shuffler or an analyzer shard (DESIGN.md
-// §9). It keeps a live, hello-identified link to the coordinator, turns
-// its seal / abort / done frames into one attempt slot superseded by
-// generation, and reports a live attempt's failure with one fail
-// notice. What the attempt does (a shuffle, a window reveal), what a
-// superseded generation frees, and what a lost or misbehaving link
-// means for the node's lifetime are the role's: the follower never asks
-// which role it serves.
+// The follower: a shuffler's end of the analyzer's control plane
+// (DESIGN.md §9). It keeps a live, hello-identified link to the
+// analyzer, turns its seal / abort / done frames into one attempt slot
+// superseded by generation, and reports a live attempt's failure with
+// one fail notice. What the attempt does (a shuffle), what a superseded
+// generation frees, and what a lost or misbehaving link means for the
+// node's lifetime are the shuffler's.
 
 import (
 	"errors"
@@ -19,7 +17,7 @@ import (
 )
 
 // attempt is one collection attempt in flight on a follower node. The
-// coordinator's abort (or a newer seal, or a lost control link) cancels
+// analyzer's abort (or a newer seal, or a lost control link) cancels
 // it: the cancel channel closes and every connection it claimed is torn
 // down, which unblocks a shuffler's RunParty stuck mid-phase.
 type attempt struct {
@@ -33,7 +31,7 @@ type attempt struct {
 }
 
 // errAttemptAborted marks attempt-goroutine errors caused by the
-// attempt's own cancellation — not reported to the coordinator, which
+// attempt's own cancellation — not reported to the analyzer, which
 // moved on already.
 var errAttemptAborted = errors.New("cluster: collection attempt aborted")
 
@@ -84,22 +82,19 @@ func (a *attempt) closeConns() {
 	}
 }
 
-// follower is one node's end of the coordinator's control plane.
+// follower is a shuffler's end of the analyzer's control plane.
 type follower struct {
-	// mu is the ROLE's state lock, shared: the role's per-collection
-	// state (parked mesh connections, chunk slots) is admitted against
-	// cur and doneThrough, and the check and the insert it licenses must
-	// be one critical section with start and advance.
+	// mu is the shuffler's state lock, shared: its per-collection state
+	// (parked mesh connections) is admitted against cur and doneThrough,
+	// and the check and the insert it licenses must be one critical
+	// section with start and advance.
 	mu *sync.Mutex
 
-	dial        DialFunc
-	coordinator string
-	dialTimeout time.Duration
-	timeout     time.Duration // bounds each write on the coordinator link
-	analyzers   int           // the tier size a seal must name
-	helloTag    uint32
-	hello       []byte
-	// prune drops the role's state for generations before floor (every
+	dial     DialFunc
+	analyzer string
+	timeout  time.Duration // bounds each write on the analyzer link
+	hello    []byte        // the shuffler hello's payload
+	// prune drops the shuffler's state for generations before floor (every
 	// collection before floor.col sealed; older attempts of floor.col
 	// are superseded). Called with mu held.
 	prune func(floor gen)
@@ -109,7 +104,7 @@ type follower struct {
 	work func(*attempt) error
 
 	// Under mu.
-	coord       *link
+	ctrl        *link
 	cur         *attempt
 	doneThrough int64 // highest collection known sealed; -1 initially
 	closed      bool
@@ -117,16 +112,16 @@ type follower struct {
 
 var errNodeClosed = errors.New("cluster: node closed")
 
-// connect dials the coordinator (retrying inside the dial budget),
+// connect dials the analyzer (retrying inside the dial budget),
 // identifies this node, and swaps the fresh link in, closing a dead
-// predecessor. The coordinator files the link by the hello's index.
+// predecessor. The analyzer files the link by the hello's index.
 func (f *follower) connect() (*link, error) {
-	conn, err := dialRetry(f.dial, f.coordinator, f.dialTimeout)
+	conn, err := dialRetry(f.dial, f.analyzer, defaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	l := newLink(conn, f.timeout)
-	if err := l.send(f.helloTag, f.hello); err != nil {
+	if err := l.send(tagShufflerHello, f.hello); err != nil {
 		l.close()
 		return nil, err
 	}
@@ -136,8 +131,8 @@ func (f *follower) connect() (*link, error) {
 		l.close()
 		return nil, errNodeClosed
 	}
-	old := f.coord
-	f.coord = l
+	old := f.ctrl
+	f.ctrl = l
 	f.mu.Unlock()
 	if old != nil {
 		old.close()
@@ -145,11 +140,11 @@ func (f *follower) connect() (*link, error) {
 	return l, nil
 }
 
-// serve dispatches the coordinator's frames off one link until the
-// link fails or a frame is refused — a seal cut for another analyzer
-// count included — and returns why. Attempts run in their own
-// goroutines, so serve is back at the link in time to read the abort
-// that cancels one. What the error means is the caller's policy.
+// serve dispatches the analyzer's frames off one link until the link
+// fails or a frame is refused — a retired tag included — and returns
+// why. Attempts run in their own goroutines, so serve is back at the
+// link in time to read the abort that cancels one. What the error
+// means is the caller's policy.
 func (f *follower) serve(l *link) error {
 	for {
 		tag, payload, err := l.recv(controlFrameLimit, 0)
@@ -158,7 +153,7 @@ func (f *follower) serve(l *link) error {
 		}
 		switch tag {
 		case tagSeal:
-			g, n, err := parseSealFrame(payload, f.analyzers)
+			g, n, err := parseSealFrame(payload)
 			if err != nil {
 				return err
 			}
@@ -178,7 +173,7 @@ func (f *follower) serve(l *link) error {
 			f.advance(gen{col: col + 1})
 			f.mu.Unlock()
 		default:
-			return fmt.Errorf("%w: coordinator sent tag %d", errBadFrame, tag)
+			return fmt.Errorf("%w: analyzer sent tag %d", errBadFrame, tag)
 		}
 	}
 }
@@ -224,9 +219,9 @@ func (f *follower) start(g gen, n int) {
 }
 
 // run drives one attempt and reports the failure of a live one to the
-// coordinator, so its Collect fails (and retries) with the cause
+// analyzer, so its Collect fails (and retries) with the cause
 // instead of a bare timeout. A canceled attempt dies silently: the
-// coordinator moved on.
+// analyzer moved on.
 func (f *follower) run(a *attempt) {
 	defer a.closeConns()
 	err := f.work(a)
@@ -260,13 +255,13 @@ func (f *follower) cancelCurrent() {
 	}
 }
 
-// send writes one frame to the current coordinator link.
+// send writes one frame to the current analyzer link.
 func (f *follower) send(tag uint32, payload []byte) error {
 	f.mu.Lock()
-	l := f.coord
+	l := f.ctrl
 	f.mu.Unlock()
 	if l == nil {
-		return errors.New("cluster: no coordinator link")
+		return errors.New("cluster: no analyzer link")
 	}
 	return l.send(tag, payload)
 }
@@ -278,12 +273,12 @@ func (f *follower) isClosed() bool {
 }
 
 // close marks the node closed (no link is swapped in and no fail notice
-// sent afterwards), drops the coordinator link and cancels the attempt
+// sent afterwards), drops the analyzer link and cancels the attempt
 // in flight. Idempotent.
 func (f *follower) close() {
 	f.mu.Lock()
 	f.closed = true
-	l, cur := f.coord, f.cur
+	l, cur := f.ctrl, f.cur
 	f.mu.Unlock()
 	if l != nil {
 		l.close()

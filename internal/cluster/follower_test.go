@@ -1,15 +1,13 @@
 package cluster
 
-// Follower conformance: one coordinator script, both roles. A shuffler
-// and an analyzer shard take the coordinator's orders through the same
-// follower (follower.go), so a hand-driven coordinator over loopback
-// must be able to walk both through the same table — supersede by
-// generation, stale aborts and seals ignored, done pruning, a reset
-// link canceling and redialing, one fail notice per failing attempt —
-// and see the same thing at every row. The only rows allowed to differ
-// are the two policy points each role keeps for itself: what an orderly
-// close (EOF) and a malformed coordinator frame mean for the node's
-// lifetime. CI runs this file under -race as a named gate.
+// Follower conformance: one scripted analyzer walks a shuffler's
+// follower (follower.go) over loopback through the control-plane table
+// — supersede by generation, stale aborts and seals ignored, done
+// pruning, a reset link canceling and redialing, one fail notice per
+// failing attempt — and then through the two policy points the
+// shuffler keeps for itself: what an orderly close (EOF) and a
+// malformed analyzer frame mean for the node's lifetime. CI runs this
+// file under -race as a named gate.
 
 import (
 	"bytes"
@@ -21,12 +19,11 @@ import (
 	"time"
 
 	"shuffledp/internal/ahe"
-	"shuffledp/internal/ldp"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/transport"
 )
 
-// scriptedCoordinator is a hand-driven coordinator: a loopback listener
+// scriptedCoordinator is a hand-driven analyzer: a loopback listener
 // the node under test dials, handing the test each inbound link and the
 // hello that opened it.
 type scriptedCoordinator struct {
@@ -89,7 +86,7 @@ type followerRole struct {
 	// fail on its own, at once.
 	spoil func(g gen)
 	// exited reports whether the node's control loop has ended, and with
-	// what; a role that never exits leaves it nil.
+	// what.
 	exited <-chan error
 	close  func()
 }
@@ -97,7 +94,7 @@ type followerRole struct {
 func startShufflerRole(t *testing.T, priv *ahe.DGKPrivateKey, coord string) followerRole {
 	sh, err := NewShuffler(ShufflerConfig{
 		Index:       0,
-		Topology:    Topology{Shufflers: []string{"127.0.0.1:0", "127.0.0.1:1"}, Analyzers: []string{coord, "127.0.0.1:1"}},
+		Topology:    Topology{Shufflers: []string{"127.0.0.1:0", "127.0.0.1:1"}, Analyzers: []string{coord}},
 		Pub:         ahe.PublicKey(priv),
 		Source:      rng.New(1),
 		SealTimeout: time.Minute,
@@ -147,57 +144,6 @@ func startShufflerRole(t *testing.T, priv *ahe.DGKPrivateKey, coord string) foll
 	}
 }
 
-func startShardRole(t *testing.T, priv *ahe.DGKPrivateKey, coord string) followerRole {
-	shard, err := NewAnalyzer(AnalyzerConfig{
-		Topology:       Topology{Shufflers: []string{"s0", "s1"}, Analyzers: []string{coord, "127.0.0.1:0"}},
-		FO:             ldp.NewGRR(8, 2),
-		Priv:           priv,
-		Shard:          1,
-		CollectTimeout: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// chunks delivers a two-word plain chunk for g from shufflers [0, k).
-	chunks := func(g gen, k int) {
-		for j := 0; j < k; j++ {
-			conn, err := net.Dial("tcp", shard.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { conn.Close() })
-			if err := writeHello(conn, tagShufflerHello, j); err != nil {
-				t.Fatal(err)
-			}
-			if err := transport.WriteTaggedFrame(conn, tagVector, prefixed(g, transport.EncodeUint64s([]uint64{1, 2}))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eventually(t, "chunks filed", func() bool {
-			held := shard.HeldChunks()
-			return len(held) == k && held[k-1] == [2]uint32{g.col, g.att}
-		})
-	}
-	return followerRole{
-		f:        shard.f,
-		helloTag: tagShardHello,
-		hello:    []byte{0, 1, 0, 2},
-		plant:    func(g gen) { chunks(g, 1) },
-		holds: func(col uint32) bool {
-			for _, held := range shard.HeldChunks() {
-				if held[0] == col {
-					return true
-				}
-			}
-			return false
-		},
-		// Both shufflers deliver: two words for a one-word window, and
-		// neither of them the encrypted chunk.
-		spoil: func(g gen) { chunks(g, 2) },
-		close: func() { shard.Close() },
-	}
-}
-
 func TestFollowerConformance(t *testing.T) {
 	priv, err := ahe.GenerateDGK(512, 64)
 	if err != nil {
@@ -205,36 +151,23 @@ func TestFollowerConformance(t *testing.T) {
 	}
 	roles := map[string]func(*testing.T, *ahe.DGKPrivateKey, string) followerRole{
 		"shuffler": startShufflerRole,
-		"shard":    startShardRole,
 	}
-	// The two policy rows, by role: does the node outlive the event
-	// (redialing with a fresh hello), and if not, what does its control
-	// loop return.
-	type policy struct {
-		redials bool
-		exitErr error // errors.Is target; nil = clean exit
-	}
+	// The two policy rows: the node's control loop ends, and returns
+	// exitErr.
 	endings := map[string]struct {
-		do   func(t *testing.T, conn net.Conn)
-		want map[string]policy
+		do      func(t *testing.T, conn net.Conn)
+		exitErr error // errors.Is target; nil = clean exit
 	}{
-		"orderly close": {
+		"orderly close": { // the cluster is over
 			do: func(_ *testing.T, conn net.Conn) { conn.Close() },
-			want: map[string]policy{
-				"shuffler": {redials: false}, // the cluster is over
-				"shard":    {redials: true},  // a coordinator restart
-			},
 		},
-		"malformed frame": {
+		"malformed frame": { // a deployment fault, surfaced
 			do: func(t *testing.T, conn net.Conn) {
 				if err := transport.WriteTaggedFrame(conn, tagVector, nil); err != nil {
 					t.Fatal(err)
 				}
 			},
-			want: map[string]policy{
-				"shuffler": {redials: false, exitErr: errBadFrame}, // a deployment fault, surfaced
-				"shard":    {redials: true},
-			},
+			exitErr: errBadFrame,
 		},
 	}
 	for roleName, start := range roles {
@@ -244,7 +177,6 @@ func TestFollowerConformance(t *testing.T) {
 				coord := newScriptedCoordinator(t)
 				role := start(t, priv, coord.addr())
 				f := role.f
-				const analyzers = 2
 
 				// cur returns the follower's attempt slot once it holds g.
 				cur := func(g gen) *attempt {
@@ -298,9 +230,9 @@ func TestFollowerConformance(t *testing.T) {
 
 				// seal g1; seal g2 supersedes it: g1 canceled, no fail notice.
 				g1, g2 := gen{col: 10, att: 1}, gen{col: 10, att: 2}
-				send(conn, tagSeal, sealPayload(g1, 4, analyzers))
+				send(conn, tagSeal, sealPayload(g1, 4))
 				a1 := cur(g1)
-				send(conn, tagSeal, sealPayload(g2, 4, analyzers))
+				send(conn, tagSeal, sealPayload(g2, 4))
 				a2 := cur(g2)
 				if !a1.canceled() || a2.canceled() {
 					t.Fatalf("after g2 superseded g1: g1 canceled = %v, g2 canceled = %v", a1.canceled(), a2.canceled())
@@ -311,8 +243,8 @@ func TestFollowerConformance(t *testing.T) {
 				// An abort for a stale generation and a seal not newer than the
 				// current one are ignored.
 				send(conn, tagAbort, prefixed(g1, nil))
-				send(conn, tagSeal, sealPayload(g1, 4, analyzers))
-				doneThrough(conn, 9) // nothing either role holds
+				send(conn, tagSeal, sealPayload(g1, 4))
+				doneThrough(conn, 9) // nothing the node holds
 				if cur(g2) != a2 || a2.canceled() {
 					t.Fatal("a stale abort or seal disturbed the current attempt")
 				}
@@ -330,7 +262,7 @@ func TestFollowerConformance(t *testing.T) {
 				if role.holds(10) {
 					t.Fatal("done(10) left collection 10's state behind")
 				}
-				send(conn, tagSeal, sealPayload(gen{col: 10, att: 3}, 4, analyzers))
+				send(conn, tagSeal, sealPayload(gen{col: 10, att: 3}, 4))
 				doneThrough(conn, 11)
 				if cur(g2) != a2 {
 					t.Fatal("a seal at the done watermark armed an attempt")
@@ -339,7 +271,7 @@ func TestFollowerConformance(t *testing.T) {
 				// A link reset mid-attempt cancels the attempt and the node
 				// redials with a fresh hello.
 				g3 := gen{col: 20, att: 4}
-				send(conn, tagSeal, sealPayload(g3, 4, analyzers))
+				send(conn, tagSeal, sealPayload(g3, 4))
 				a3 := cur(g3)
 				conn.(*net.TCPConn).SetLinger(0)
 				conn.Close()
@@ -350,7 +282,7 @@ func TestFollowerConformance(t *testing.T) {
 				// with its generation.
 				g4 := gen{col: 21, att: 5}
 				role.spoil(g4)
-				send(conn, tagSeal, sealPayload(g4, 1, analyzers))
+				send(conn, tagSeal, sealPayload(g4, 1))
 				conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 				tag, payload, err := transport.ReadTaggedFrameLimit(conn, 0)
 				if err != nil {
@@ -363,19 +295,14 @@ func TestFollowerConformance(t *testing.T) {
 				quiet(conn, "after the fail notice")
 
 				// The role's policy point.
-				want := ending.want[roleName]
 				ending.do(t, conn)
-				if want.redials {
-					acceptHello("after " + endingName)
-				} else {
-					select {
-					case err := <-role.exited:
-						if (want.exitErr == nil) != (err == nil) || !errors.Is(err, want.exitErr) {
-							t.Fatalf("control loop returned %v, want %v", err, want.exitErr)
-						}
-					case <-time.After(10 * time.Second):
-						t.Fatalf("the node kept running after %s", endingName)
+				select {
+				case err := <-role.exited:
+					if (ending.exitErr == nil) != (err == nil) || !errors.Is(err, ending.exitErr) {
+						t.Fatalf("control loop returned %v, want %v", err, ending.exitErr)
 					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("the node kept running after %s", endingName)
 				}
 
 				// Close leaves no goroutine behind.

@@ -21,22 +21,22 @@ import (
 // longer on the 8-byte header alone.
 const (
 	// controlFrameLimit bounds hello, seal, abort and done frames — the
-	// longest is the 14-byte seal.
+	// longest is the 12-byte seal.
 	controlFrameLimit = 32
 	// maxFailMessage caps a fail notice's text at the writer: the notice
-	// rides the vector links, whose readers must admit it even when
-	// their own window is empty.
+	// rides the vector link, whose reader must admit it even when the
+	// round's vector is shorter.
 	maxFailMessage = 256
 )
 
-// vectorFrameLimit bounds a vector, chunk or shardWords frame carrying
-// a window of the post-shuffle vector: the generation prefix plus the
-// window in its wider encoding — or a fail notice in its place.
-func vectorFrameLimit(pub ahe.PublicKey, window int) int {
-	return 8 + max(window*max(8, pub.CiphertextBytes()), maxFailMessage)
+// vectorFrameLimit bounds a vector frame carrying a post-shuffle vector
+// of total elements: the generation prefix plus the vector in its
+// wider encoding — or a fail notice in its place.
+func vectorFrameLimit(pub ahe.PublicKey, total int) int {
+	return 8 + max(total*max(8, pub.CiphertextBytes()), maxFailMessage)
 }
 
-// link is one control or data connection: the connection, the mutex
+// link is one control connection: the connection, the mutex
 // that keeps two writers' frames from interleaving on it (an aborted
 // attempt's fail notice and its successor's vector), and the timeout
 // that bounds each write.

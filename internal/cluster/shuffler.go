@@ -123,10 +123,6 @@ type Shuffler struct {
 	// goroutines (one aborted, one fresh) can never interleave their
 	// FakeSource consumption; see fakesFor.
 	fakeMu sync.Mutex
-	// shardMu guards the persistent data links to analyzer shards >= 1
-	// (and serializes their writes, including the lazy dial).
-	shardMu    sync.Mutex
-	shardLinks map[string]*link
 
 	mu sync.Mutex
 	// f is the node's end of the control plane: the analyzer link, the
@@ -153,8 +149,7 @@ type Shuffler struct {
 // the node restarts. At ~16-130 bytes per buffered share (plain word
 // vs. serialized ciphertext) the cap bounds a node's client-driven
 // memory to low hundreds of megabytes in the worst case — the cluster
-// analogue of the service's rejectedLogCap hardening. It is also the
-// largest round an analyzer shard's chunk reader admits.
+// analogue of the service's rejectedLogCap hardening.
 const defaultMaxBuffered = 1 << 20
 
 // errBufferFull marks a client that exceeded the node's share-buffer
@@ -199,11 +194,8 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 	s.f = &follower{
 		mu:          &s.mu,
 		dial:        cfg.Dial,
-		coordinator: cfg.Topology.Coordinator(),
-		dialTimeout: defaultDialTimeout,
+		analyzer:    cfg.Topology.Analyzers[0],
 		timeout:     cfg.SealTimeout,
-		analyzers:   cfg.Topology.A(),
-		helloTag:    tagShufflerHello,
 		hello:       helloPayload(cfg.Index),
 		prune:       s.prune,
 		work:        s.collect,
@@ -328,79 +320,18 @@ func (s *Shuffler) collect(a *attempt) error {
 		return err
 	}
 
-	// Forward stage: the post-shuffle vector goes to the analyzer tier,
-	// stamped with the attempt's generation so a stale vector from an
-	// aborted attempt is recognizable. The tier's even cuts slice the
-	// vector into per-shard windows: window 0 rides the coordinator
-	// control link (with one analyzer, that is the whole vector), the
-	// rest go to their shards' data links. Empty windows are still sent,
-	// so every shard sees every attempt.
-	//
-	// Shard windows go out FIRST: once window 0 lands, the coordinator
-	// stops reading this shuffler's control link (it moves on to
-	// awaiting the shards' words), so a shard-link failure detected
-	// after window 0 would tagFail into an unread socket and deadlock
-	// the attempt until a timeout. Failing before window 0 keeps every
-	// failure inside the coordinator's awaitVectors stage, where it
-	// aborts and retries promptly.
-	addrs := s.cfg.Topology.Analyzers
-	cuts := evenCuts(total, len(addrs))
-	window := func(sh int) (uint32, []byte) {
-		lo, hi := cuts[sh], cuts[sh+1]
-		if outEnc != nil {
-			return tagEncVector, encodeCiphertexts(s.cfg.Pub, outEnc[lo:hi])
-		}
-		return tagVector, transport.EncodeUint64s(outPlain[lo:hi])
-	}
-	for sh := 1; sh < len(addrs); sh++ {
-		if a.canceled() {
-			return errAttemptAborted
-		}
-		tag, body := window(sh)
-		if err := s.writeShard(addrs[sh], tag, prefixed(a.g, body)); err != nil {
-			return fmt.Errorf("cluster: forwarding window %d: %w", sh, err)
-		}
-	}
+	// Forward stage: the post-shuffle vector goes to the analyzer on the
+	// control link, stamped with the attempt's generation so a stale
+	// vector from an aborted attempt is recognizable.
 	if a.canceled() {
 		return errAttemptAborted
 	}
-	tag, body := window(0)
+	tag, body := tagVector, transport.EncodeUint64s(outPlain)
+	if outEnc != nil {
+		tag, body = tagEncVector, encodeCiphertexts(s.cfg.Pub, outEnc)
+	}
 	if err := s.f.send(tag, prefixed(a.g, body)); err != nil {
-		return fmt.Errorf("cluster: forwarding window 0: %w", err)
-	}
-	return nil
-}
-
-// writeShard forwards one chunk frame to an analyzer shard over a
-// lazily-dialed persistent data link. A write failure drops the link
-// (the next attempt redials) and fails this attempt — the coordinator
-// retries the round.
-func (s *Shuffler) writeShard(addr string, tag uint32, payload []byte) error {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if s.f.isClosed() {
-		return errNodeClosed
-	}
-	l := s.shardLinks[addr]
-	if l == nil {
-		conn, err := dialRetry(s.cfg.Dial, addr, defaultDialTimeout)
-		if err != nil {
-			return err
-		}
-		l = newLink(conn, s.cfg.SealTimeout)
-		if err := l.send(tagShufflerHello, helloPayload(s.cfg.Index)); err != nil {
-			l.close()
-			return err
-		}
-		if s.shardLinks == nil {
-			s.shardLinks = make(map[string]*link)
-		}
-		s.shardLinks[addr] = l
-	}
-	if err := l.send(tag, payload); err != nil {
-		l.close()
-		delete(s.shardLinks, addr)
-		return err
+		return fmt.Errorf("cluster: forwarding the vector: %w", err)
 	}
 	return nil
 }
@@ -806,12 +737,6 @@ func (s *Shuffler) teardown() {
 		delete(s.parked, k)
 	}
 	s.mu.Unlock()
-	s.shardMu.Lock()
-	for addr, l := range s.shardLinks {
-		l.close()
-		delete(s.shardLinks, addr)
-	}
-	s.shardMu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}

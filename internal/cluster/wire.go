@@ -12,32 +12,15 @@ package cluster
 //	                                                        client   -> shuffler
 //	encShares      [collection u32][first u32][nonce u64][cts ...]
 //	                                                        client   -> shuffler R-1
-//	seal           [collection u32][attempt u32][n u32]
-//	               [analyzers u16]                          analyzer -> shuffler, shard
-//	abort          [collection u32][attempt u32]            analyzer -> shuffler, shard
-//	done           [collection u32]                         analyzer -> shuffler, shard
+//	seal           [collection u32][attempt u32][n u32]     analyzer -> shuffler
+//	abort          [collection u32][attempt u32]            analyzer -> shuffler
+//	done           [collection u32]                         analyzer -> shuffler
 //	vector         [collection u32][attempt u32][words ...] shuffler -> analyzer
 //	encVector      [collection u32][attempt u32][cts ...]   shuffler -> analyzer
-//	fail           [collection u32][attempt u32][utf8 msg]  shuffler, shard -> analyzer
+//	fail           [collection u32][attempt u32][utf8 msg]  shuffler -> analyzer
 //	roundPlain     [round u32][words ...]                   EOS peer traffic
 //	roundEnc       [round u32][cts ...]                     EOS peer traffic
 //	roundSeed      [round u32][seed u64be]                  EOS peer traffic
-//	shardHello     [shard u16][analyzers u16]               shard -> coordinator
-//	shardWords     [collection u32][attempt u32][words ...] shard -> coordinator
-//
-// The sharded analyzer tier (DESIGN.md §13) adds two frames: a shard's
-// hello to the coordinator and the shardWords frame that returns its
-// revealed window. Seal, abort and done are the shufflers' frames,
-// reused verbatim on shard links: the coordinator sends them down one
-// peer table and both roles serve them through the same follower
-// (follower.go; DESIGN.md §9). Nobody ships a cut list: the seal
-// names the analyzer count, every receiver checks it against its own
-// Topology (so a deployment whose roles disagree on the tier fails at
-// the first seal or hello), and each role derives the same even cuts
-// (evenCuts). Shufflers route post-shuffle vector chunks to the owning
-// shard over data links opened with the ordinary shuffler hello; the
-// chunk frames are ordinary vector/encVector frames whose length is
-// the shard's cut window.
 //
 // Ciphertext vectors are the fixed-size ahe serialization
 // concatenated, so the element count is implied by the payload length.
@@ -45,8 +28,10 @@ package cluster
 // the shares of k ≤ sharesPerFrame consecutive users first..first+k−1
 // of one collection, k words or k ciphertexts. Tags 4 and 5, the
 // retired one-share-per-frame report / encReport, are refused by name.
+// Tags 15 and 16, the retired analyzer-shard hello and words frames,
+// are refused like any tag the reader does not expect.
 //
-// Who puts frames on which wire: control frames and the analyzer-tier
+// Who puts frames on which wire: control frames and the post-shuffle
 // vectors cross a link (link.go), EOS peer traffic the attempt's mesh
 // connections (connTransport, below), client shares a pipeline.Reader.
 // Every reader states the longest frame its peer may legitimately send
@@ -79,7 +64,8 @@ import (
 	"shuffledp/internal/transport"
 )
 
-// Message kinds (frame tags).
+// Message kinds (frame tags). The numbers are wire format:
+// TestFrameTagsArePinned holds every one, retired slots included.
 const (
 	tagPeerHello uint32 = iota + 1
 	tagShufflerHello
@@ -95,8 +81,8 @@ const (
 	tagRoundSeed
 	tagAbort
 	tagDone
-	tagShardHello
-	tagShardWords
+	tagRetiredShardHello // an analyzer shard's hello; refused
+	tagRetiredShardWords // an analyzer shard's revealed window; refused
 	tagShares
 	tagEncShares
 )
@@ -189,26 +175,18 @@ func parseSharesFrame(payload []byte, elem int) (sharesFrame, int, error) {
 	return sf, k, nil
 }
 
-// sealPayload opens a collection attempt at a shuffler or an analyzer
-// shard. Beyond the generation and the report count it names the
-// analyzer count the coordinator cut the n+NR output vector for.
-func sealPayload(g gen, n, analyzers int) []byte {
-	payload := make([]byte, 14)
+// sealPayload opens collection attempt g over n users at a shuffler.
+func sealPayload(g gen, n int) []byte {
+	payload := make([]byte, 12)
 	binary.BigEndian.PutUint32(payload[0:], g.col)
 	binary.BigEndian.PutUint32(payload[4:], g.att)
 	binary.BigEndian.PutUint32(payload[8:], uint32(n))
-	binary.BigEndian.PutUint16(payload[12:], uint16(analyzers))
 	return payload
 }
 
-// parseSealFrame refuses a seal cut for any analyzer count but the
-// receiver's own: the two sides would slice the vector differently.
-func parseSealFrame(payload []byte, analyzers int) (g gen, n int, err error) {
-	if len(payload) != 14 {
+func parseSealFrame(payload []byte) (g gen, n int, err error) {
+	if len(payload) != 12 {
 		return gen{}, 0, fmt.Errorf("%w: bad seal frame", errBadFrame)
-	}
-	if named := int(binary.BigEndian.Uint16(payload[12:])); named != analyzers {
-		return gen{}, 0, fmt.Errorf("%w: seal names %d analyzer windows, topology has %d analyzers", errBadFrame, named, analyzers)
 	}
 	return gen{
 		col: binary.BigEndian.Uint32(payload[0:]),
@@ -216,33 +194,7 @@ func parseSealFrame(payload []byte, analyzers int) (g gen, n int, err error) {
 	}, int(binary.BigEndian.Uint32(payload[8:])), nil
 }
 
-// shardHelloPayload identifies an analyzer shard's control link to the
-// coordinator, naming the tier size the shard was configured with.
-func shardHelloPayload(shard, analyzers int) []byte {
-	payload := make([]byte, 4)
-	binary.BigEndian.PutUint16(payload[0:], uint16(shard))
-	binary.BigEndian.PutUint16(payload[2:], uint16(analyzers))
-	return payload
-}
-
-// parseShardHello refuses a shard configured for any analyzer count but
-// the coordinator's own, and an index outside the worker shards
-// [1, analyzers).
-func parseShardHello(payload []byte, analyzers int) (shard int, err error) {
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("%w: bad shard hello", errBadFrame)
-	}
-	if named := int(binary.BigEndian.Uint16(payload[2:])); named != analyzers {
-		return 0, fmt.Errorf("%w: shard hello names %d analyzers, topology has %d", errBadFrame, named, analyzers)
-	}
-	shard = int(binary.BigEndian.Uint16(payload[0:]))
-	if shard < 1 || shard >= analyzers {
-		return 0, fmt.Errorf("%w: shard hello index %d out of range", errBadFrame, shard)
-	}
-	return shard, nil
-}
-
-// parseAbortFrame reads the frame that tells a shuffler (or shard) to
+// parseAbortFrame reads the frame that tells a shuffler to
 // cancel one collection attempt; its payload is prefixed(g, nil).
 func parseAbortFrame(payload []byte) (gen, error) {
 	if len(payload) != 8 {
@@ -254,7 +206,7 @@ func parseAbortFrame(payload []byte) (gen, error) {
 	}, nil
 }
 
-// donePayload tells a shuffler (or shard) a collection sealed durably:
+// donePayload tells a shuffler a collection sealed durably:
 // whatever it still buffers through that collection can go.
 func donePayload(collection uint32) []byte {
 	return binary.BigEndian.AppendUint32(nil, collection)
@@ -318,7 +270,7 @@ func decodeCiphertexts(pub ahe.PublicKey, data []byte) ([]*ahe.Ciphertext, error
 // at most one message per peer per phase and a message is one frame
 // under one absolute deadline, so a phase is bounded by (r-1)·timeout
 // and needs no deadline of its own; the round is bounded by the
-// coordinator's CollectTimeout abort.
+// analyzer's CollectTimeout abort.
 //
 // Inbound frames are capped at frameLimit, the longest payload the
 // round can legitimately carry — the round prefix plus one whole

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"shuffledp/internal/ahe"
+	"shuffledp/internal/ldp"
 	"shuffledp/internal/oblivious"
+	"shuffledp/internal/rng"
 	"shuffledp/internal/transport"
 )
 
@@ -54,27 +59,15 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	g := gen{col: 9, att: 0xdeadbeef}
 
 	var buf bytes.Buffer
-	if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(g, 123, 3)); err != nil {
+	if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(g, 123)); err != nil {
 		t.Fatal(err)
 	}
 	tag, payload, err := transport.ReadTaggedFrameLimit(&buf, 0)
-	if err != nil || tag != tagSeal {
-		t.Fatalf("seal frame: tag %d err %v", tag, err)
+	if err != nil || tag != tagSeal || len(payload) != 12 {
+		t.Fatalf("seal frame: tag %d, %d bytes, err %v", tag, len(payload), err)
 	}
-	if sg, n, err := parseSealFrame(payload, 3); err != nil || sg != g || n != 123 {
+	if sg, n, err := parseSealFrame(payload); err != nil || sg != g || n != 123 {
 		t.Fatalf("seal parsed (%v, %d, %v)", sg, n, err)
-	}
-
-	buf.Reset()
-	if err := transport.WriteTaggedFrame(&buf, tagShardHello, shardHelloPayload(2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	tag, payload, err = transport.ReadTaggedFrameLimit(&buf, 0)
-	if err != nil || tag != tagShardHello {
-		t.Fatalf("shard hello: tag %d err %v", tag, err)
-	}
-	if shard, err := parseShardHello(payload, 3); err != nil || shard != 2 {
-		t.Fatalf("shard hello parsed (%d, %v)", shard, err)
 	}
 
 	buf.Reset()
@@ -143,29 +136,14 @@ func TestWireParseRejectsMalformedFrames(t *testing.T) {
 	if _, k, err := parseSharesFrame(sharesPayload(1, 1<<32-2, 9, make([]byte, 2*5)), 5); err != nil || k != 2 {
 		t.Fatalf("shares frame ending at index 2^32-1: k %d, %v", k, err)
 	}
-	if _, _, err := parseSealFrame([]byte{1}, 1); !errors.Is(err, errBadFrame) {
+	if _, _, err := parseSealFrame([]byte{1}); !errors.Is(err, errBadFrame) {
 		t.Fatalf("short seal: %v", err)
 	}
-	// The retired layout — a cut list behind the count — is a long seal.
-	if _, _, err := parseSealFrame(make([]byte, 22), 0); !errors.Is(err, errBadFrame) {
-		t.Fatalf("seal with a cut list: %v", err)
-	}
-	// A seal or shard hello cut for another tier size names both counts.
-	seal := []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 9, 0, 3}
-	if _, _, err := parseSealFrame(seal, 2); !errors.Is(err, errBadFrame) ||
-		!strings.Contains(err.Error(), "seal names 3 analyzer windows, topology has 2") {
-		t.Fatalf("seal for the wrong analyzer count: %v", err)
-	}
-	if _, err := parseShardHello([]byte{0, 1, 0, 3}, 2); !errors.Is(err, errBadFrame) ||
-		!strings.Contains(err.Error(), "names 3 analyzers, topology has 2") {
-		t.Fatalf("shard hello for the wrong analyzer count: %v", err)
-	}
-	if _, err := parseShardHello([]byte{0, 1}, 2); !errors.Is(err, errBadFrame) {
-		t.Fatalf("short shard hello: %v", err)
-	}
-	for _, shard := range []byte{0, 3} { // the coordinator's own index; one past the tier
-		if _, err := parseShardHello([]byte{0, shard, 0, 3}, 3); !errors.Is(err, errBadFrame) {
-			t.Fatalf("shard hello index %d of 3: %v", shard, err)
+	// The retired layouts are long seals: one with the analyzer count
+	// behind n, one with a cut list behind the count.
+	for _, size := range []int{14, 22} {
+		if _, _, err := parseSealFrame(make([]byte, size)); !errors.Is(err, errBadFrame) {
+			t.Fatalf("%d-byte seal: %v", size, err)
 		}
 	}
 	if _, err := parseAbortFrame([]byte{1, 2, 3}); !errors.Is(err, errBadFrame) {
@@ -185,6 +163,117 @@ func TestWireParseRejectsMalformedFrames(t *testing.T) {
 	}
 	if _, err := parseHelloIndex(nil, 3); err == nil {
 		t.Fatal("empty hello accepted")
+	}
+}
+
+// TestFrameTagsArePinned holds every frame tag to its number. Tags are
+// wire format, and deleting a constant from the iota block would
+// renumber every tag after it; retired slots keep their numbers.
+func TestFrameTagsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		tag, want uint32
+	}{
+		{"peerHello", tagPeerHello, 1},
+		{"shufflerHello", tagShufflerHello, 2},
+		{"clientHello", tagClientHello, 3},
+		{"retired report", tagRetiredReport, 4},
+		{"retired encReport", tagRetiredEncReport, 5},
+		{"seal", tagSeal, 6},
+		{"vector", tagVector, 7},
+		{"encVector", tagEncVector, 8},
+		{"fail", tagFail, 9},
+		{"roundPlain", tagRoundPlain, 10},
+		{"roundEnc", tagRoundEnc, 11},
+		{"roundSeed", tagRoundSeed, 12},
+		{"abort", tagAbort, 13},
+		{"done", tagDone, 14},
+		{"retired shardHello", tagRetiredShardHello, 15},
+		{"retired shardWords", tagRetiredShardWords, 16},
+		{"shares", tagShares, 17},
+		{"encShares", tagEncShares, 18},
+	} {
+		if tc.tag != tc.want {
+			t.Errorf("tag %s = %d, want %d", tc.name, tc.tag, tc.want)
+		}
+	}
+}
+
+// TestRetiredShardTagsRefused: the analyzer-shard frames are retired.
+// The analyzer's accept path drops a connection that opens with either
+// one and files nothing, and a shuffler's control link refuses either
+// one as a malformed analyzer frame, which ends its Run.
+func TestRetiredShardTagsRefused(t *testing.T) {
+	priv, err := ahe.GenerateDGK(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range map[string]struct {
+		tag     uint32
+		payload []byte
+	}{
+		"shardHello": {tagRetiredShardHello, []byte{0, 1, 0, 2}}, // [shard 1][analyzers 2]
+		"shardWords": {tagRetiredShardWords, prefixed(gen{}, transport.EncodeUint64s([]uint64{1, 2}))},
+	} {
+		t.Run(name+"/analyzer accept path", func(t *testing.T) {
+			a, err := NewAnalyzer(AnalyzerConfig{
+				Topology: Topology{Shufflers: []string{"s0", "s1"}, Analyzers: []string{"127.0.0.1:0"}},
+				FO:       ldp.NewGRR(8, 2),
+				Priv:     priv,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			conn, err := net.Dial("tcp", a.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := transport.WriteTaggedFrame(conn, frame.tag, frame.payload); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+				t.Fatalf("read on a refused link: %v, want EOF", err)
+			}
+			a.mu.Lock()
+			filed := slices.ContainsFunc(a.peers, func(l *link) bool { return l != nil })
+			a.mu.Unlock()
+			if filed {
+				t.Fatal("the analyzer filed a link opened with a retired tag")
+			}
+		})
+		t.Run(name+"/shuffler control link", func(t *testing.T) {
+			coord := newScriptedCoordinator(t)
+			sh, err := NewShuffler(ShufflerConfig{
+				Index:    0,
+				Topology: Topology{Shufflers: []string{"127.0.0.1:0", "127.0.0.1:0"}, Analyzers: []string{coord.addr()}},
+				Pub:      ahe.PublicKey(priv),
+				Source:   rng.New(1),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sh.Close()
+			runErr := make(chan error, 1)
+			go func() { runErr <- sh.Run() }()
+			conn, tag, _ := coord.accept()
+			if tag != tagShufflerHello {
+				t.Fatalf("shuffler opened its control link with tag %d", tag)
+			}
+			if err := transport.WriteTaggedFrame(conn, frame.tag, frame.payload); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-runErr:
+				if want := fmt.Sprintf("analyzer sent tag %d", frame.tag); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Run returned %v, want a malformed-frame error naming %q", err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the shuffler kept running after a retired tag")
+			}
+		})
 	}
 }
 
@@ -245,7 +334,7 @@ func FuzzWireFrames(f *testing.F) {
 		return payload
 	}
 	f.Add(uint8(0), seed(func(w *bytes.Buffer) error { return writePeerHello(w, 2, g) }))
-	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagSeal, sealPayload(g, 100, 2)) }))
+	f.Add(uint8(1), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagSeal, sealPayload(g, 100)) }))
 	f.Add(uint8(2), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagAbort, prefixed(g, nil)) }))
 	f.Add(uint8(3), seed(func(w *bytes.Buffer) error { return transport.WriteTaggedFrame(w, tagDone, donePayload(7)) }))
 	f.Add(uint8(4), seed(func(w *bytes.Buffer) error {
@@ -255,17 +344,12 @@ func FuzzWireFrames(f *testing.F) {
 		return writeSharesFrame(w, tagEncShares, sharesFrame{collection: 7, first: 3, nonce: 99, body: make([]byte, 3*fuzzCiphertextBytes)})
 	}))
 	f.Add(uint8(6), prefixed(g, []byte{8, 8, 8}))
-	f.Add(uint8(7), seed(func(w *bytes.Buffer) error {
-		return transport.WriteTaggedFrame(w, tagShardHello, shardHelloPayload(1, 2))
-	}))
+	// The retired seal layout, with its u16 analyzer count: refused.
+	f.Add(uint8(1), append(sealPayload(g, 100), 0, 1))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		// The seal and the shard hello are refused unless they name the
-		// receiver's analyzer count; let the payload pick the receiver so
-		// the fuzzer can reach past that check.
-		analyzers := 0
-		if len(payload) >= 2 {
-			analyzers = int(binary.BigEndian.Uint16(payload[len(payload)-2:]))
-		}
+		// Kind 7 was the retired analyzer-shard hello; it stays a slot of
+		// its own so every checked-in corpus file still reaches the parser
+		// it was found for.
 		switch kind % 8 {
 		case 0:
 			from, hg, err := parsePeerHello(payload, 8)
@@ -281,12 +365,12 @@ func FuzzWireFrames(f *testing.F) {
 				t.Fatalf("peer hello re-encode mismatch: %x vs %x", re, payload)
 			}
 		case 1:
-			sg, n, err := parseSealFrame(payload, analyzers)
+			sg, n, err := parseSealFrame(payload)
 			if err != nil {
 				return
 			}
 			var buf bytes.Buffer
-			if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(sg, n, analyzers)); err != nil {
+			if err := transport.WriteTaggedFrame(&buf, tagSeal, sealPayload(sg, n)); err != nil {
 				t.Fatal(err)
 			}
 			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
@@ -346,22 +430,6 @@ func FuzzWireFrames(f *testing.F) {
 			}
 			if !bytes.Equal(prefixed(pg, body), payload) {
 				t.Fatal("prefixed re-encode mismatch")
-			}
-		case 7:
-			shard, err := parseShardHello(payload, analyzers)
-			if err != nil {
-				return
-			}
-			if shard < 1 || shard >= analyzers {
-				t.Fatalf("parseShardHello accepted shard %d of %d", shard, analyzers)
-			}
-			var buf bytes.Buffer
-			if err := transport.WriteTaggedFrame(&buf, tagShardHello, shardHelloPayload(shard, analyzers)); err != nil {
-				t.Fatal(err)
-			}
-			_, re, _ := transport.ReadTaggedFrameLimit(&buf, 0)
-			if !bytes.Equal(re, payload) {
-				t.Fatalf("shard hello re-encode mismatch: %x vs %x", re, payload)
 			}
 		}
 	})

@@ -35,7 +35,6 @@ const paperGrid = "a paper grid: cmd/reproduce runs the paper's values, tests sh
 // or whose fields have all gained a setter, fails the gate.
 var optionAllowList = map[string]string{
 	"cluster.AnalyzerConfig.Ledger": "ROADMAP item 2 builds the analyzer's ledger from its plan",
-	"cluster.AnalyzerConfig.Dial":   "the chaos tests' seam for a shard's coordinator link",
 	"faultnet.Config":               "the fault-injection harness: chaos tests draw their schedules from these fields",
 	"service.Config.IdleTimeout":    "ROADMAP item 4(d) decides the service's bound on silent connections",
 

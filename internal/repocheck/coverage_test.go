@@ -42,10 +42,9 @@ var runAllowList = map[string]string{
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
 
-	"cluster.Analyzer.peerName": "names the peer a failed seal lost; only the kill drills fail a seal",
 	"cluster.Shuffler.dropConn": "drops a connection that fails its handshake; only the kill drills tear one",
 	"oblivious.memMesh.abort":   "the in-process mesh fails only when a party errors",
-	"pipeline.Disconnected":     "classifies a shuffler's broken coordinator link; no census run breaks one",
+	"pipeline.Disconnected":     "classifies a shuffler's broken analyzer link; no census run breaks one",
 	"pipeline.Batcher":          "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches record runs",
 	"service.Codec.Unmarshal":   "names the record Fold refuses, and benchmark's per-layer replay (--trace) times it",
 	"service.Service.fail":      "a worker fails the service only on a refused record or a store error",

@@ -1,14 +1,13 @@
 package stattest_test
 
-// Statistical acceptance of the SHARDED cluster deployment: the same
-// stattest band the streaming service passes, applied to a 2-shard
-// PEOS cluster round over loopback TCP on the clickstream workload
-// (the Zipf dataset of examples/clickstream_peos). The conformance
-// suite in internal/cluster proves the sharded tier bit-identical to
-// the single-analyzer protocol; this test closes the remaining gap —
-// that the protocol those shards jointly compute is itself a correctly
-// calibrated, unbiased estimator. A cut that dropped a window or
-// counted a boundary word twice would blow the MSE band by orders of
+// Statistical acceptance of the cluster deployment: the same stattest
+// band the streaming service passes, applied to a PEOS cluster round
+// over loopback TCP on the clickstream workload (the Zipf dataset of
+// examples/clickstream_peos). The conformance suite in internal/cluster
+// proves the cluster bit-identical to the in-process protocol; this
+// test closes the remaining gap — that the protocol is itself a
+// correctly calibrated, unbiased estimator. A round that dropped or
+// double-counted reports would blow the MSE band by orders of
 // magnitude.
 
 import (
@@ -47,17 +46,13 @@ func clusterStatKey(t *testing.T) *ahe.DGKPrivateKey {
 }
 
 // clusterTrial returns a stattest.Trial that stands up a fresh
-// loopback cluster — r shuffler nodes, the analyzer tier sharded
-// `analyzers` ways by the even cuts of the shuffled vector — runs one full
-// collection round of the values, and returns the coordinator's served
+// loopback cluster — r shuffler nodes and the analyzer — runs one full
+// collection round of the values, and returns the analyzer's served
 // estimates. All client and shuffler randomness derives from the trial
 // seed, so each estimate is a pure function of it.
-func clusterTrial(fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, values []int, r, nr, analyzers int) stattest.Trial {
+func clusterTrial(fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, values []int, r, nr int) stattest.Trial {
 	return func(seed uint64) (est []float64, err error) {
-		topo := cluster.Topology{
-			Shufflers: make([]string, r),
-			Analyzers: make([]string, analyzers),
-		}
+		topo := cluster.Topology{Shufflers: make([]string, r)}
 		listen := func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 		lns := make([]net.Listener, r)
 		for j := range lns {
@@ -66,29 +61,23 @@ func clusterTrial(fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, values []int,
 			}
 			topo.Shufflers[j] = lns[j].Addr().String()
 		}
-		alns := make([]net.Listener, analyzers)
-		for s := range alns {
-			if alns[s], err = listen(); err != nil {
-				return nil, err
-			}
-			topo.Analyzers[s] = alns[s].Addr().String()
+		aln, err := listen()
+		if err != nil {
+			return nil, err
 		}
-		nodes := make([]*cluster.Analyzer, analyzers)
-		for s := range nodes {
-			nodes[s], err = cluster.NewAnalyzer(cluster.AnalyzerConfig{
-				Topology:       topo,
-				Listener:       alns[s],
-				FO:             fo,
-				NR:             nr,
-				Priv:           priv,
-				Shard:          s,
-				CollectTimeout: 30 * time.Second,
-			})
-			if err != nil {
-				return nil, err
-			}
-			defer nodes[s].Close()
+		topo.Analyzers = []string{aln.Addr().String()}
+		a, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{
+			Topology:       topo,
+			Listener:       aln,
+			FO:             fo,
+			NR:             nr,
+			Priv:           priv,
+			CollectTimeout: 30 * time.Second,
+		})
+		if err != nil {
+			return nil, err
 		}
+		defer a.Close()
 		for j := 0; j < r; j++ {
 			sh, err := cluster.NewShuffler(cluster.ShufflerConfig{
 				Index:       j,
@@ -116,7 +105,7 @@ func clusterTrial(fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, values []int,
 		if err := cl.Flush(); err != nil {
 			return nil, err
 		}
-		col, err := nodes[0].Collect(len(values))
+		col, err := a.Collect(len(values))
 		if err != nil {
 			return nil, err
 		}
@@ -124,28 +113,26 @@ func clusterTrial(fo ldp.FrequencyOracle, priv *ahe.DGKPrivateKey, values []int,
 	}
 }
 
-// TestClusterTwoShardStatisticalAcceptance is the satellite acceptance
-// gate of the sharded analyzer tier: the clickstream workload (same
-// Zipf shape and seed as examples/clickstream_peos), GRR, r=2
-// shufflers, the analyzer tier split across 2 shards. The served
-// estimates must land in the standard MSE band around the analytic
-// LDP variance and show no systematic bias.
-func TestClusterTwoShardStatisticalAcceptance(t *testing.T) {
+// TestClusterStatisticalAcceptance is the statistical acceptance gate
+// of the cluster deployment: the clickstream workload (same Zipf shape
+// and seed as examples/clickstream_peos), GRR, r=2 shufflers and the
+// analyzer. The served estimates must land in the standard MSE band
+// around the analytic LDP variance and show no systematic bias.
+func TestClusterStatisticalAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real cryptography over TCP; skipped in -short")
 	}
 	const (
-		n, d      = 1200, 16
-		r, nr     = 2, 12
-		analyzers = 2
-		trials    = 3
+		n, d   = 1200, 16
+		r, nr  = 2, 12
+		trials = 3
 	)
 	values := shuffledp.SyntheticDataset(n, d, 1.4, 11)
 	truth := ldp.TrueFrequencies(values, d)
 	fo := ldp.NewGRR(d, 2)
 	priv := clusterStatKey(t)
 	stattest.CheckMSE(t, fo, truth, n, trials, 2100, 3,
-		clusterTrial(fo, priv, values, r, nr, analyzers))
+		clusterTrial(fo, priv, values, r, nr))
 	stattest.CheckUnbiased(t, fo, truth, n, trials, 2200, 6,
-		clusterTrial(fo, priv, values, r, nr, analyzers))
+		clusterTrial(fo, priv, values, r, nr))
 }

@@ -25,8 +25,10 @@
 //
 // A checkpoint is written at every epoch seal and captures the whole
 // durable state: sealed-epoch history roots (ldp aggregator blobs),
-// the all-time aggregate, the budget ledger's charged-epoch count, and
-// the service counters at the rotation boundary. Segments are cut at
+// the all-time aggregate, the open epoch id with whether it was already
+// paid for or the budget ran out — recovery re-derives the ledger's
+// spending from these rather than storing it — and the service
+// counters at the rotation boundary. Segments are cut at
 // rotation markers, so once a checkpoint with open epoch E is durable
 // every segment holding only records of epochs before E is deleted —
 // the WAL never grows past roughly one epoch of traffic.
