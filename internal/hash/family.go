@@ -87,20 +87,39 @@ func (f Family) Hash(seed uint64, value uint64) int {
 // hash work.
 const supportChunk = 128
 
+// sweepMinOutputSize is the d' from which CountSupport sweeps key
+// blocks under report pairs instead of counting each candidate in
+// registers. A pair is a hit with probability about 1/d', and the
+// sweep pays a mispredicted branch per hit: at d' = 16 that costs more
+// than the sweep saves, near d' = 32 the two loops tie, and above it
+// the sweep wins (DESIGN.md §5).
+const sweepMinOutputSize = 32
+
+// sweepBlock is how many scrambled keys the sweep holds on the stack
+// per pass over the domain: 8 KiB, which stays in L1 while every
+// report pair of a chunk walks it.
+const sweepBlock = 1024
+
 // CountSupport is the batch kernel behind local-hashing estimation: for
 // every candidate value v in [0, len(counts)) it adds to counts[v] the
 // number of reports i with Hash(seeds[i], v) == ys[i]. It is exactly
 // equivalent to calling Hash once per (report, value) pair, but
 // structured for throughput:
 //
-//   - each report's (a, b) is expanded once per chunk, the scrambled key
-//     pi(v) is hoisted out of the report loop, and four candidates share
-//     each report load;
+//   - reports are staged supportChunk at a time and each report's
+//     (a, b) is expanded once per chunk;
 //   - "bucket == y" is tested as a range check on the raw 64-bit h —
 //     bucket(h) equals y iff h >> 32 lies in
 //     [ceil(y*2^32/d'), ceil((y+1)*2^32/d')) — with the lower bound
 //     folded into the additive term per chunk, so the per-pair work is
-//     one multiply, one add and one compare: a*k + (b - lo) <= width-1.
+//     one multiply, one add and one compare: a*k + (b - lo) <= width-1;
+//   - the loop order follows the hit rate, about 1/d'. Below
+//     sweepMinOutputSize, four candidates share each report load and
+//     count their hits in registers without a branch. At or above it,
+//     the scrambled keys pi(v) of a block of the domain are computed once
+//     per chunk and swept under two reports at a time; a hit is rare
+//     enough that a predicted branch around counts[v]++ is cheaper than
+//     counting every pair.
 //
 // The kernel performs zero heap allocations. Every ys[i] must lie in
 // [0, OutputSize), and len(counts) must not exceed MaxKeys.
@@ -138,6 +157,26 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 			mc[i] = Sum64Uint64(s, 1) - lo
 			wm1[i] = hi - lo - 1
 		}
+		if m >= sweepMinOutputSize {
+			var keys [sweepBlock]uint64
+			for vb := 0; vb < len(counts); vb += sweepBlock {
+				ks := keys[:min(sweepBlock, len(counts)-vb)]
+				for j := range ks {
+					ks[j] = scramble(uint32(vb + j))
+				}
+				cs := counts[vb : vb+len(ks)]
+				for i := 0; i < cn; i += 2 {
+					// An odd chunk's last report sweeps beside a=0, c=1,
+					// w=0, which no key hits: 0*k + 1 > 0.
+					a1, c1, w1 := uint64(0), uint64(1), uint64(0)
+					if i+1 < cn {
+						a1, c1, w1 = ma[i+1], mc[i+1], wm1[i+1]
+					}
+					sweepPair(ks, cs, ma[i], mc[i], wm1[i], a1, c1, w1)
+				}
+			}
+			continue
+		}
 		v := 0
 		for ; v+4 <= len(counts); v += 4 {
 			k0 := scramble(uint32(v))
@@ -174,6 +213,25 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 				}
 			}
 			counts[v] += c
+		}
+	}
+}
+
+// sweepPair adds to counts[j], for each of two staged reports (a, c,
+// w), one if its bucket test a*k + c <= w holds at k = keys[j]. It must
+// not be inlined: inside CountSupport the compiler runs out of
+// registers and keeps the key and the loop index on the stack, which
+// costs more than the loop order gains (DESIGN.md §5).
+//
+//go:noinline
+func sweepPair(keys []uint64, counts []int, a0, c0, w0, a1, c1, w1 uint64) {
+	counts = counts[:len(keys)]
+	for j, k := range keys {
+		if a0*k+c0 <= w0 {
+			counts[j]++
+		}
+		if a1*k+c1 <= w1 {
+			counts[j]++
 		}
 	}
 }

@@ -28,11 +28,15 @@ func naiveCounts(fam Family, seeds, ys []uint64, d int) []int {
 }
 
 // FuzzCountSupport is the differential test the kernel rests on: for
-// an arbitrary d', block length (so chunks end off the 128-report
-// boundary), domain size (so the 4-candidate lanes end in a tail) and
-// target placement (random, all in the first bucket, all in the last —
-// the bucket whose upper bound wraps at 2^64), CountSupport equals the
-// per-pair Hash loop, and adds into counts rather than overwriting.
+// an arbitrary d' (so both loop orders run, the register-counted one
+// below sweepMinOutputSize and the key-block sweep from it on), block
+// length (so chunks end off the 128-report boundary, and odd chunks
+// leave the sweep a report without a pair), domain size (so the
+// 4-candidate lanes end in a tail and the key blocks end on and off
+// their sweepBlock edges) and target placement (random, all in the
+// first bucket, all in the last — the bucket whose upper bound wraps at
+// 2^64), CountSupport equals the per-pair Hash loop, and adds into
+// counts rather than overwriting.
 func FuzzCountSupport(f *testing.F) {
 	f.Add(uint32(111), uint16(512), uint16(97), uint64(1), byte(0))
 	f.Add(uint32(2), uint16(129), uint16(5), uint64(2), byte(1))
@@ -42,13 +46,19 @@ func FuzzCountSupport(f *testing.F) {
 	f.Add(uint32(MaxOutputSize-1), uint16(256), uint16(4), uint64(6), byte(1))
 	f.Add(uint32(3), uint16(0), uint16(7), uint64(7), byte(0))
 	f.Add(uint32(1<<20+1), uint16(300), uint16(0), uint64(8), byte(0))
+	f.Add(uint32(sweepMinOutputSize-1), uint16(131), uint16(sweepBlock+1), uint64(9), byte(0))
+	f.Add(uint32(sweepMinOutputSize), uint16(131), uint16(sweepBlock+1), uint64(10), byte(0))
+	f.Add(uint32(sweepMinOutputSize), uint16(257), uint16(sweepBlock), uint64(11), byte(2))
+	f.Add(uint32(64), uint16(3), uint16(2*sweepBlock), uint64(12), byte(1))
+	f.Add(uint32(111), uint16(129), uint16(sweepBlock-1), uint64(13), byte(0))
+	f.Add(uint32(705), uint16(1), uint16(2*sweepBlock+1), uint64(14), byte(0))
 	f.Fuzz(func(t *testing.T, dPrime uint32, reports, domain uint16, stream uint64, targets byte) {
 		m := uint64(dPrime)
 		if m < 2 || m > MaxOutputSize {
 			m = 2 + m%(MaxOutputSize-1)
 		}
 		fam := NewFamily(int(m))
-		n, d := int(reports%700), int(domain%300)
+		n, d := int(reports%700), int(domain)%(2*sweepBlock+100)
 		r := rng.New(stream)
 		seeds := make([]uint64, n)
 		ys := make([]uint64, n)
@@ -223,15 +233,19 @@ func TestScrambleIsABijectionOnSampledKeys(t *testing.T) {
 }
 
 // Hash runs once per report on every client and CountSupport is the
-// server's whole aggregation cost: neither may allocate.
+// server's whole aggregation cost: neither may allocate, in either of
+// the kernel's loop orders.
 func TestFamilyKernelsDoNotAllocate(t *testing.T) {
-	fam := NewFamily(111)
-	seeds := make([]uint64, 300)
-	ys := make([]uint64, 300) // zero targets are valid buckets
-	counts := make([]int, 1001)
-	if a := testing.AllocsPerRun(10, func() { fam.CountSupport(seeds, ys, counts) }); a != 0 {
-		t.Errorf("CountSupport allocates %v times per call", a)
+	for _, dPrime := range []int{16, 111} {
+		fam := NewFamily(dPrime)
+		seeds := make([]uint64, 301) // an odd chunk: the sweep's lone report
+		ys := make([]uint64, 301)    // zero targets are valid buckets
+		counts := make([]int, sweepBlock+1001)
+		if a := testing.AllocsPerRun(10, func() { fam.CountSupport(seeds, ys, counts) }); a != 0 {
+			t.Errorf("d'=%d: CountSupport allocates %v times per call", dPrime, a)
+		}
 	}
+	fam := NewFamily(111)
 	sink := 0
 	if a := testing.AllocsPerRun(100, func() { sink += fam.Hash(uint64(sink), 77) }); a != 0 {
 		t.Errorf("Hash allocates %v times per call", a)

@@ -91,10 +91,17 @@ func calibrate(counts []int, n, nr int, shift, scale, beta float64) []float64 {
 }
 
 // lhBlock is how many staged local-hash reports the accumulator folds
-// per kernel call. The seed/target lanes of one block are
-// 2 * 8 B * lhBlock = 8 KiB, small enough to stay cache-resident while
-// CountSupport's candidate-value loop sweeps the domain.
+// per kernel call: the seed/target lanes of one block are
+// 2 * 8 B * lhBlock = 8 KiB, which bounds the staged memory. The kernel
+// reads each lane once; what stays cache-resident while it walks the
+// domain is its own 128-report chunk and, from d' = 32 on, its block of
+// scrambled keys (DESIGN.md §5).
 const lhBlock = 512
+
+// countSupport is the kernel flush folds each staged block through. It
+// is a variable only so the package's tests can count the (report,
+// value) pairs it is handed (export_test.go); nothing else assigns it.
+var countSupport = hash.Family.CountSupport
 
 // countSpec is the immutable half of an accumulator: what its oracle
 // told it. Two accumulators merge iff their specs are equal.
@@ -170,7 +177,7 @@ func (a *accumulator) flush() {
 	if len(a.seeds) == 0 {
 		return
 	}
-	hash.NewFamily(a.aux).CountSupport(a.seeds, a.ys, a.tally())
+	countSupport(hash.NewFamily(a.aux), a.seeds, a.ys, a.tally())
 	a.seeds = a.seeds[:0]
 	a.ys = a.ys[:0]
 }
