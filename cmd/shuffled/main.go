@@ -3,17 +3,20 @@
 // analysis server hosts the internal/service ingestion tier — batch
 // shuffler plus a decode/aggregate worker pool — and several
 // concurrent collector gateways stream the users' reports into it in
-// session-sealed batches. The live estimate is printed from mid-stream
-// Snapshots while ingestion is still running; Drain prints the final
+// session-sealed batches. While ingestion runs, mid-stream Snapshots
+// print counters only (epoch, reports received, batches shuffled): an
+// open epoch's estimate is no planned release. Drain prints the final
 // histogram and the per-party cost account (transport.Meter).
 //
 // The run is continual: the stream is cut into -epochs collection
-// rounds (auto-rotated every n/epochs reports), a budget ledger
+// rounds (auto-rotated every ⌈n/epochs⌉ reports), a budget ledger
 // charges each epoch's (eps, delta) against -total-eps under the
 // chosen -accountant, and the sealed epochs answer sliding-window
-// queries. With -total-eps too small for the epoch count the service
-// demonstrates budget exhaustion: it seals what the ledger affords and
-// rejects the rest of the stream.
+// queries. -eps is the central target of one epoch, so SOLH is planned
+// (amplify.PlanShuffle) at the ⌈n/epochs⌉ reports an epoch seals, not
+// at all n users. With -total-eps too small for the epoch count the
+// service demonstrates budget exhaustion: it seals what the ledger
+// affords and rejects the rest of the stream.
 //
 // With -data-dir the run is durable: accepted reports are write-ahead
 // logged and every rotation writes a checkpoint (fsync cadence chosen
@@ -42,7 +45,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -73,22 +78,30 @@ func main() {
 			return
 		}
 	}
-	n := flag.Int("n", 20000, "number of users")
-	d := flag.Int("d", 64, "domain size")
-	epsC := flag.Float64("eps", 1, "per-epoch central privacy budget")
-	delta := flag.Float64("delta", 1e-9, "DP failure probability")
-	seed := flag.Uint64("seed", 1, "random seed")
-	clients := flag.Int("clients", 8, "concurrent collector connections")
-	batch := flag.Int("batch", 512, "shuffle-batch size (the anonymity granularity)")
-	epochs := flag.Int("epochs", 3, "collection rounds to cut the stream into")
-	totalEps := flag.Float64("total-eps", 0, "total privacy budget across epochs (0: exactly -epochs rounds of -eps)")
-	accountant := flag.String("accountant", "naive", "budget composition: naive or advanced")
-	window := flag.Int("window", 2, "sliding-window width for the final window query")
-	dataDir := flag.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
-	fsync := flag.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every shuffle batch), or none (epoch seals only)")
-	sessionBatch := flag.Int("session-batch", 0, "reports per session frame (0: the service default)")
-	maxFrame := flag.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
-	flag.Parse()
+	runService(os.Args[1:], os.Stdout)
+}
+
+// runService is the single-node streaming service, the binary's mode
+// without a subcommand. It returns the plan it ran and the epochs it
+// sealed.
+func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnapshot) {
+	fs := flag.NewFlagSet("shuffled", flag.ExitOnError)
+	n := fs.Int("n", 20000, "number of users")
+	d := fs.Int("d", 64, "domain size")
+	epsC := fs.Float64("eps", 1, "per-epoch central privacy budget")
+	delta := fs.Float64("delta", 1e-9, "DP failure probability")
+	seed := fs.Uint64("seed", 1, "random seed")
+	clients := fs.Int("clients", 8, "concurrent collector connections")
+	batch := fs.Int("batch", 512, "shuffle-batch size (the anonymity granularity)")
+	epochs := fs.Int("epochs", 3, "collection rounds to cut the stream into")
+	totalEps := fs.Float64("total-eps", 0, "total privacy budget across epochs (0: exactly -epochs rounds of -eps)")
+	accountant := fs.String("accountant", "naive", "budget composition: naive or advanced")
+	window := fs.Int("window", 2, "sliding-window width for the final window query")
+	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
+	fsync := fs.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every shuffle batch), or none (epoch seals only)")
+	sessionBatch := fs.Int("session-batch", 0, "reports per session frame (0: the service default)")
+	maxFrame := fs.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
+	fs.Parse(args)
 	if *clients < 1 {
 		*clients = 1
 	}
@@ -98,16 +111,22 @@ func main() {
 
 	values := dataset.Synthetic("demo", *n, *d, 1.3, *seed).Values
 
-	// Parameterize SOLH for the per-epoch central budget.
-	m := amplify.BlanketM(*epsC, *n, *delta)
-	dPrime := amplify.OptimalDPrime(m, *d)
-	epsL, err := amplify.LocalEpsilonSOLH(*epsC, dPrime, *n, *delta)
+	// Plan SOLH for the per-epoch central budget at the reports one
+	// epoch seals: the shuffle hides a report among its epoch, not
+	// among all -n users.
+	epochReports := (*n + *epochs - 1) / *epochs
+	plan, err := amplify.PlanShuffle(*epsC, *d, epochReports, *delta, amplify.SOLH)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("planning -eps %g at %d reports per epoch: %v", *epsC, epochReports, err)
 	}
-	fo := ldp.NewSOLH(*d, dPrime, epsL)
-	fmt.Printf("SOLH(epsL=%.3f, d'=%d) -> (%.2f, %.0e)-DP per epoch after shuffling\n",
-		epsL, dPrime, *epsC, *delta)
+	// The ledger charges the target the plan was solved for. The forward
+	// bound lands a few ulps either side of it, and charging one a few
+	// ulps above -eps would make -total-eps = k·eps admit k-1 epochs.
+	if math.Abs(plan.Achieved.EpsC-*epsC) > 1e-12 {
+		log.Fatalf("plan %s misses -eps %g", plan, *epsC)
+	}
+	fo := ldp.NewSOLH(*d, plan.DPrime, plan.EpsL)
+	fmt.Fprintf(out, "plan at %d reports per epoch (delta=%.0e): %s\n", epochReports, *delta, plan)
 
 	// The cross-epoch ledger: by default budget exactly -epochs rounds.
 	if *totalEps <= 0 {
@@ -126,7 +145,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("budget ledger: total eps=%.2f, per-epoch eps=%.2f, %s accounting admits %d epochs\n",
+	fmt.Fprintf(out, "budget ledger: total eps=%.2f, per-epoch eps=%.2f, %s accounting admits %d epochs\n",
 		*totalEps, *epsC, ledger.AccountantName(), ledger.MaxEpochs())
 
 	key, err := ecies.GenerateKey()
@@ -146,7 +165,7 @@ func main() {
 		ShuffleSeed:  *seed + 1,
 		Meter:        &meter,
 		Ledger:       ledger,
-		EpochReports: (*n + *epochs - 1) / *epochs,
+		EpochReports: epochReports,
 		DataDir:      *dataDir,
 		Sync:         syncPolicy,
 		MaxFrame:     *maxFrame,
@@ -158,7 +177,7 @@ func main() {
 		svc, err = service.Recover(cfg)
 		if err == nil {
 			snap := svc.Snapshot()
-			fmt.Printf("recovered durable state from %s: epoch %d open, %d reports durable, %d epochs sealed\n",
+			fmt.Fprintf(out, "recovered durable state from %s: epoch %d open, %d reports durable, %d epochs sealed\n",
 				*dataDir, snap.Epoch, snap.Received, len(svc.History()))
 		}
 	}
@@ -166,22 +185,22 @@ func main() {
 		log.Fatal(err)
 	}
 	if *dataDir != "" {
-		fmt.Printf("durable: WAL + checkpoints under %s (fsync=%s)\n", *dataDir, syncPolicy)
+		fmt.Fprintf(out, "durable: WAL + checkpoints under %s (fsync=%s)\n", *dataDir, syncPolicy)
 	}
 	if svc.Exhausted() {
 		// A recovered run whose budget ran out refuses every gateway:
 		// report what it sealed and stop.
-		fmt.Println("budget exhausted: the recovered service admits no more reports")
-		printLedger(svc, ledger, *totalEps, totalDelta)
+		fmt.Fprintln(out, "budget exhausted: the recovered service admits no more reports")
+		hist := printLedger(out, svc, ledger, *totalEps, totalDelta)
 		svc.Close()
-		return
+		return plan, hist
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ingestion service listening on %s (%d gateways, batch=%d, rotate every %d reports)\n",
-		ln.Addr(), *clients, *batch, (*n+*epochs-1)/(*epochs))
+	fmt.Fprintf(out, "ingestion service listening on %s (%d gateways, batch=%d, rotate every %d reports)\n",
+		ln.Addr(), *clients, *batch, epochReports)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- svc.Serve(ln) }()
 
@@ -219,8 +238,9 @@ func main() {
 		}(c)
 	}
 
-	// Watch the stream: the histogram is live long before the last
-	// report arrives, and the open epoch advances as the rotator cuts.
+	// Watch the stream: the open epoch advances as the rotator cuts.
+	// Counters only — an open epoch's estimate is not a release the
+	// ledger planned.
 	watchDone := make(chan struct{})
 	go func() {
 		defer close(watchDone)
@@ -228,8 +248,8 @@ func main() {
 		defer tick.Stop()
 		for range tick.C {
 			snap := svc.Snapshot()
-			fmt.Printf("  snapshot: epoch %d, %6d reports received, %d batches shuffled, est[0]=%.4f\n",
-				snap.Epoch, snap.Received, snap.Batches, snap.Estimates[0])
+			fmt.Fprintf(out, "  snapshot: epoch %d, %6d reports received, %d batches shuffled\n",
+				snap.Epoch, snap.Received, snap.Batches)
 			// Received/Late/Rejected are disjoint, so their sum is every
 			// report the readers have seen.
 			if snap.Received+snap.Late+snap.Rejected >= int64(*n) {
@@ -253,9 +273,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	hist := printLedger(svc, ledger, *totalEps, totalDelta)
+	hist := printLedger(out, svc, ledger, *totalEps, totalDelta)
 	if svc.Exhausted() {
-		fmt.Printf("budget exhausted: %d reports rejected after the ledger refused epoch %d\n",
+		fmt.Fprintf(out, "budget exhausted: %d reports rejected after the ledger refused epoch %d\n",
 			snap.Rejected, svc.Epoch()+1)
 	}
 
@@ -264,31 +284,32 @@ func main() {
 		k = len(hist)
 	}
 	if win, err := svc.EstimateWindow(k); err == nil {
-		fmt.Printf("\nwindow over epochs [%d, %d] (%d reports):\n", win.FromEpoch, win.ToEpoch, win.Reports)
+		fmt.Fprintf(out, "\nwindow over epochs [%d, %d] (%d reports):\n", win.FromEpoch, win.ToEpoch, win.Reports)
 		truth := ldp.TrueFrequencies(values, *d)
-		fmt.Println("value   true-freq   window-est   all-time-est")
+		fmt.Fprintln(out, "value   true-freq   window-est   all-time-est")
 		for v := 0; v < 8 && v < *d; v++ {
-			fmt.Printf("%5d   %9.4f   %10.4f   %12.4f\n", v, truth[v], win.Estimates[v], snap.Estimates[v])
+			fmt.Fprintf(out, "%5d   %9.4f   %10.4f   %12.4f\n", v, truth[v], win.Estimates[v], snap.Estimates[v])
 		}
-		fmt.Printf("\nall-time MSE over the full domain: %.3e (analytic at n=%d: %.3e)\n",
+		fmt.Fprintf(out, "\nall-time MSE over the full domain: %.3e (analytic at n=%d: %.3e)\n",
 			ldp.MSE(truth, snap.Estimates), snap.Reports, fo.Variance(snap.Reports))
 	} else {
-		fmt.Printf("window query: %v\n", err)
+		fmt.Fprintf(out, "window query: %v\n", err)
 	}
-	fmt.Printf("\nper-party costs:\n%s", meter.String())
+	fmt.Fprintf(out, "\nper-party costs:\n%s", meter.String())
+	return plan, hist
 }
 
 // printLedger prints the sealed epochs and the budget the ledger has
 // spent, and returns the history it printed.
-func printLedger(svc *service.Service, ledger *budget.Ledger, totalEps, totalDelta float64) []service.EpochSnapshot {
-	fmt.Println("\nsealed epochs:")
+func printLedger(out io.Writer, svc *service.Service, ledger *budget.Ledger, totalEps, totalDelta float64) []service.EpochSnapshot {
+	fmt.Fprintln(out, "\nsealed epochs:")
 	hist := svc.History()
 	for _, es := range hist {
-		fmt.Printf("  epoch %d: %6d reports, %4d batches, est[0]=%.4f (charged eps=%.2f)\n",
+		fmt.Fprintf(out, "  epoch %d: %6d reports, %4d batches, est[0]=%.4f (charged eps=%.2f)\n",
 			es.Epoch, es.Reports, es.Batches, es.Estimates[0], es.Guarantee.Eps)
 	}
 	spent := ledger.Spent()
-	fmt.Printf("ledger: spent (%.2f, %.0e) of (%.2f, %.0e)\n",
+	fmt.Fprintf(out, "ledger: spent (%.2f, %.0e) of (%.2f, %.0e)\n",
 		spent.Eps, spent.Delta, totalEps, totalDelta)
 	return hist
 }

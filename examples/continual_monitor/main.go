@@ -2,7 +2,9 @@
 // tier: a population whose value distribution drifts is re-collected
 // every epoch through the streaming service, a budget ledger composes
 // the per-epoch privacy loss (advanced composition), and sliding-
-// window queries smooth the per-epoch estimates into a trend. The
+// window queries smooth the per-epoch estimates into a trend. -eps is
+// the central target of one epoch: SOLH is planned for it at the -n
+// reports each epoch collects (amplify.PlanShuffle). The
 // monitor keeps collecting until the ledger refuses the next epoch —
 // at which point the service rejects ingestion and the run shows
 // exactly how many rounds the total budget bought.
@@ -21,6 +23,7 @@ import (
 	"net"
 	"time"
 
+	"shuffledp/internal/amplify"
 	"shuffledp/internal/budget"
 	"shuffledp/internal/composition"
 	"shuffledp/internal/dataset"
@@ -51,10 +54,15 @@ func main() {
 	fmt.Printf("ledger: total eps=%.1f, per-epoch eps=%.1f, %s accounting -> %d epochs\n",
 		*total, *eps, ledger.AccountantName(), ledger.MaxEpochs())
 
-	// OLH at the per-epoch budget; every epoch re-collects the same
-	// population, so the budget ledger is what keeps the drift watch
-	// honest over time.
-	fo := ldp.NewOLH(*d, *eps)
+	// SOLH planned for the per-epoch budget at one epoch's reports;
+	// every epoch re-collects the same population, so the budget ledger
+	// is what keeps the drift watch honest over time.
+	plan, err := amplify.PlanShuffle(*eps, *d, *n, delta, amplify.SOLH)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("plan at %d reports per epoch: %s\n", *n, plan)
+	fo := ldp.NewSOLH(*d, plan.DPrime, plan.EpsL)
 	key, err := ecies.GenerateKey()
 	if err != nil {
 		log.Fatal(err)

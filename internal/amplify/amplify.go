@@ -5,7 +5,8 @@
 // central epsilon, derive the local budget), the GRR and SOLH variance
 // expressions of §IV-B3 (Propositions 4 and 6), the optimal
 // hashed-domain size d' (Equation 5), the PEOS
-// guarantees (Corollaries 8 and 9), and the §VI-D parameter planner.
+// guarantees (Corollaries 8 and 9), and the planners: PlanShuffle for
+// one shuffle of the basic model, PlanPEOS for §VI-D.
 //
 // Everything here is deterministic closed-form math, which keeps each
 // theorem independently unit-testable.

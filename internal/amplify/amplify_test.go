@@ -2,7 +2,9 @@ package amplify
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -281,5 +283,78 @@ func TestValidatePanics(t *testing.T) {
 			}()
 			fn()
 		})
+	}
+}
+
+// handCalibration is the ε_l derivation PlanShuffle replaced, written
+// out the way its four callers wrote it: GRR inverts its bound at d;
+// SOLH takes d' from Equation (5) at m and inverts Theorem 3 at d'.
+func handCalibration(epsC float64, d, n int, delta float64, oracle Oracle) (useGRR bool, dPrime int, epsL float64, err error) {
+	useGRR = oracle == GRR || oracle == Auto && PreferGRR(epsC, d, n, delta)
+	if useGRR {
+		epsL, err = LocalEpsilonGRR(epsC, d, n, delta)
+		return true, d, epsL, err
+	}
+	m := BlanketM(epsC, n, delta)
+	dPrime = OptimalDPrime(m, d)
+	epsL, err = LocalEpsilonSOLH(epsC, dPrime, n, delta)
+	return false, dPrime, epsL, err
+}
+
+func TestPlanShuffleMatchesHandCalibration(t *testing.T) {
+	planned := 0
+	for _, epsC := range []float64{0.25, 0.5, 1, 2} {
+		for _, d := range []int{2, 8, 64, 42178} {
+			for _, n := range []int{1000, 6667, 100000} {
+				for _, delta := range []float64{1e-6, 1e-9} {
+					for _, oracle := range []Oracle{GRR, SOLH, Auto} {
+						useGRR, dPrime, epsL, wantErr := handCalibration(epsC, d, n, delta, oracle)
+						p, err := PlanShuffle(epsC, d, n, delta, oracle)
+						at := fmt.Sprintf("epsC=%v d=%d n=%d delta=%v oracle=%d", epsC, d, n, delta, oracle)
+						if wantErr != nil {
+							if !errors.Is(err, ErrNoAmplification) {
+								t.Errorf("%s: err = %v, want ErrNoAmplification like %v", at, err, wantErr)
+							}
+							continue
+						}
+						if err != nil {
+							t.Errorf("%s: %v", at, err)
+							continue
+						}
+						planned++
+						if p.UseGRR != useGRR || p.DPrime != dPrime || math.Float64bits(p.EpsL) != math.Float64bits(epsL) {
+							t.Errorf("%s: planned (GRR=%v, d'=%d, epsL=%v), hand chain (GRR=%v, d'=%d, epsL=%v)",
+								at, p.UseGRR, p.DPrime, p.EpsL, useGRR, dPrime, epsL)
+						}
+						if p.NR != 0 || p.Achieved.EpsL != p.EpsL || math.Abs(p.Achieved.EpsC-epsC) > 1e-12 {
+							t.Errorf("%s: plan %+v does not meet the target", at, p)
+						}
+					}
+				}
+			}
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no grid point was feasible")
+	}
+
+	// Too few reports to amplify: every oracle says so, matchably.
+	for _, oracle := range []Oracle{GRR, SOLH, Auto} {
+		if _, err := PlanShuffle(0.5, 64, 10, 1e-9, oracle); !errors.Is(err, ErrNoAmplification) {
+			t.Errorf("oracle %d at n=10: err = %v, want ErrNoAmplification", oracle, err)
+		}
+	}
+
+	// A basic-model plan renders without the fake count or epsS.
+	p, err := PlanShuffle(1, 64, 6667, 1e-9, SOLH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.String()
+	if want := "SOLH(d'=8, epsL=2.7234) -> epsC=1.0000 var="; !strings.HasPrefix(s, want) {
+		t.Errorf("String() = %q, want prefix %q", s, want)
+	}
+	if strings.Contains(s, "nr=") || strings.Contains(s, "epsS") {
+		t.Errorf("String() = %q renders fakes for an NR = 0 plan", s)
 	}
 }

@@ -44,7 +44,9 @@ func (rq Requirements) validate() error {
 	return nil
 }
 
-// Plan is a concrete PEOS configuration.
+// Plan is a concrete configuration: a PEOS deployment (PlanPEOS,
+// PlanContinual) or, with NR = 0, one shuffle of the basic model
+// (PlanShuffle).
 type Plan struct {
 	// UseGRR selects the frequency oracle: GRR when true, SOLH when
 	// false.
@@ -64,13 +66,79 @@ type Plan struct {
 }
 
 // String renders the plan the way the paper discusses configurations.
+// A basic-model plan (NR = 0) has no fakes and so no separate epsS.
 func (p Plan) String() string {
 	fo := "SOLH"
 	if p.UseGRR {
 		fo = "GRR"
 	}
+	if p.NR == 0 {
+		return fmt.Sprintf("%s(d'=%d, epsL=%.4f) -> epsC=%.4f var=%.3e",
+			fo, p.DPrime, p.EpsL, p.Achieved.EpsC, p.Variance)
+	}
 	return fmt.Sprintf("%s(d'=%d, epsL=%.4f) + nr=%d fakes -> epsC=%.4f epsS=%.4f var=%.3e",
 		fo, p.DPrime, p.EpsL, p.NR, p.Achieved.EpsC, p.Achieved.EpsS, p.Variance)
+}
+
+// Oracle selects the frequency oracle PlanShuffle calibrates.
+type Oracle int
+
+const (
+	// Auto picks GRR or SOLH by PreferGRR, whichever has the lower
+	// variance at the target (§IV-B3 "Comparison of the Methods").
+	Auto Oracle = iota
+	// GRR forces generalized randomized response.
+	GRR
+	// SOLH forces SOLH with the optimal d' of Equation (5).
+	SOLH
+)
+
+// PlanShuffle plans one shuffle of the basic model (§III, §IV-B3): the
+// oracle, its d' and the local budget epsL at which n shuffled reports
+// meet the central target (epsC, delta). n is the report count the
+// guarantee is claimed at — the reports one release aggregates, not
+// the whole population when the population is split into collections.
+//
+// The plan has NR = 0. Achieved.EpsC is the forward bound
+// (CentralEpsilonGRR or CentralEpsilonSOLH) of the planned epsL at n,
+// which meets epsC up to rounding; Achieved.EpsS is epsL, since
+// without fakes only the local randomizer protects a user whose peers
+// collude with the server. It returns ErrNoAmplification (wrapped)
+// when no positive epsL meets epsC at n.
+func PlanShuffle(epsC float64, d, n int, delta float64, oracle Oracle) (Plan, error) {
+	useGRR := false
+	switch oracle {
+	case GRR:
+		useGRR = true
+	case SOLH:
+	case Auto:
+		useGRR = PreferGRR(epsC, d, n, delta)
+	default:
+		return Plan{}, fmt.Errorf("amplify: unknown oracle %d", int(oracle))
+	}
+	p := Plan{UseGRR: useGRR, DPrime: d}
+	var err error
+	if useGRR {
+		if p.EpsL, err = LocalEpsilonGRR(epsC, d, n, delta); err != nil {
+			return Plan{}, err
+		}
+		p.Achieved.EpsC = CentralEpsilonGRR(p.EpsL, d, n, delta)
+		p.Variance, err = VarianceGRR(epsC, d, n, delta)
+	} else {
+		m := BlanketM(epsC, n, delta)
+		p.DPrime = OptimalDPrime(m, d)
+		if p.EpsL, err = LocalEpsilonSOLH(epsC, p.DPrime, n, delta); err != nil {
+			return Plan{}, err
+		}
+		p.Achieved.EpsC = CentralEpsilonSOLH(p.EpsL, p.DPrime, n, delta)
+		p.Variance, err = VarianceSOLHAt(m, p.DPrime, n)
+	}
+	if err != nil {
+		return Plan{}, err
+	}
+	p.Achieved.EpsS = p.EpsL
+	p.Achieved.EpsL = p.EpsL
+	return p, nil
 }
 
 // PlanPEOS searches nr, epsL, the oracle choice and (for SOLH) d' to

@@ -71,20 +71,18 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 
 	case "SH":
 		// GRR + shuffling [9]; no amplification below the threshold.
-		epsL, err := amplify.LocalEpsilonGRR(epsC, d, n, delta)
+		plan, err := amplify.PlanShuffle(epsC, d, n, delta, amplify.GRR)
 		if err != nil {
 			if !errors.Is(err, amplify.ErrNoAmplification) {
 				return Method{}, err
 			}
-			epsL = epsC
+			plan.EpsL = epsC
 		}
-		fo := ldp.NewGRR(d, epsL)
+		fo := ldp.NewGRR(d, plan.EpsL)
 		return simMethod("SH", fo, n), nil
 
 	case "SOLH":
-		m := amplify.BlanketM(epsC, n, delta)
-		dPrime := amplify.OptimalDPrime(m, d)
-		epsL, err := amplify.LocalEpsilonSOLH(epsC, dPrime, n, delta)
+		plan, err := amplify.PlanShuffle(epsC, d, n, delta, amplify.SOLH)
 		if err != nil {
 			if !errors.Is(err, amplify.ErrNoAmplification) {
 				return Method{}, err
@@ -94,7 +92,7 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 			fo := ldp.NewOLH(d, epsC)
 			return simMethod("SOLH", fo, n), nil
 		}
-		fo := ldp.NewSOLH(d, dPrime, epsL)
+		fo := ldp.NewSOLH(d, plan.DPrime, plan.EpsL)
 		return simMethod("SOLH", fo, n), nil
 
 	case "SOLHFixed": // used by Table II's fixed-d' ablation via NewSOLHFixed

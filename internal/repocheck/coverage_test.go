@@ -27,10 +27,8 @@ var runAllowList = map[string]string{
 	"stattest":  "the package exists to serve tests",
 	"repocheck": "the repository's CI gates, which run as tests",
 
-	"amplify.CentralEpsilonSOLH":  "ROADMAP item 2(a) makes cmd/shuffled report through it",
 	"amplify.CentralEpsilonUnary": "ROADMAP item 1 checks it against the exact oracle",
 	"amplify.PlanContinual":       "ROADMAP item 2 makes cmd/shuffled analyzer plan through it",
-	"amplify.Plan.String":         "a Stringer for operators; no shipped binary prints a plan",
 	"protocol.NewSpotCheck":       "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Plant":    "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Verify":   "ROADMAP item 4a wires the spot check into cluster.Analyzer",

@@ -177,30 +177,25 @@ func chooseOracle(kind MechanismKind, epsC, delta float64, n, d int) (ldp.Freque
 	if epsC <= 0 {
 		return nil, errors.New("shuffledp: EpsilonCentral must be > 0")
 	}
-	useGRR := false
+	var oracle amplify.Oracle
 	switch kind {
-	case GRR:
-		useGRR = true
-	case SOLH:
 	case Auto:
-		useGRR = amplify.PreferGRR(epsC, d, n, delta)
+		oracle = amplify.Auto
+	case GRR:
+		oracle = amplify.GRR
+	case SOLH:
+		oracle = amplify.SOLH
 	default:
 		return nil, fmt.Errorf("shuffledp: unknown mechanism kind %v", kind)
 	}
-	if useGRR {
-		epsL, err := amplify.LocalEpsilonGRR(epsC, d, n, delta)
-		if err != nil {
-			return nil, fmt.Errorf("shuffledp: %w", err)
-		}
-		return ldp.NewGRR(d, epsL), nil
-	}
-	m := amplify.BlanketM(epsC, n, delta)
-	dPrime := amplify.OptimalDPrime(m, d)
-	epsL, err := amplify.LocalEpsilonSOLH(epsC, dPrime, n, delta)
+	plan, err := amplify.PlanShuffle(epsC, d, n, delta, oracle)
 	if err != nil {
 		return nil, fmt.Errorf("shuffledp: %w", err)
 	}
-	return ldp.NewSOLH(d, dPrime, epsL), nil
+	if plan.UseGRR {
+		return ldp.NewGRR(d, plan.EpsL), nil
+	}
+	return ldp.NewSOLH(d, plan.DPrime, plan.EpsL), nil
 }
 
 // AmplifiedEpsilon returns the central (epsC, delta)-DP guarantee that
@@ -213,10 +208,8 @@ func AmplifiedEpsilon(epsL float64, dPrime, n int, delta float64) float64 {
 // LocalEpsilonFor inverts Theorem 3: the local budget that achieves the
 // target central budget, with the variance-optimal d'.
 func LocalEpsilonFor(epsC float64, d, n int, delta float64) (epsL float64, dPrime int, err error) {
-	m := amplify.BlanketM(epsC, n, delta)
-	dPrime = amplify.OptimalDPrime(m, d)
-	epsL, err = amplify.LocalEpsilonSOLH(epsC, dPrime, n, delta)
-	return epsL, dPrime, err
+	plan, err := amplify.PlanShuffle(epsC, d, n, delta, amplify.SOLH)
+	return plan.EpsL, plan.DPrime, err
 }
 
 // FrequentStringsOptions configures FrequentStrings.
