@@ -287,8 +287,8 @@ func BenchmarkAblationEOS(b *testing.B) {
 
 // BenchmarkServiceThroughput measures the streaming ingestion tier end
 // to end: concurrent client connections encrypt and frame
-// pre-randomized SOLH reports over net.Pipe, the service batches,
-// shuffles, decrypts, and aggregates, and the run drains to a final
+// pre-randomized SOLH reports over net.Pipe, the service decrypts,
+// batches and aggregates, and the run drains to a final
 // histogram. Reported as reports/s. The tracked number is reports_per_s
 // on the svc_* workloads of `go run ./benchmark`; this benchmark is the
 // service tier's pprof entry point:
@@ -311,7 +311,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				svc, err := service.New(service.Config{
-					FO: fo, Key: key, BatchSize: batch, ShuffleSeed: uint64(i + 2),
+					FO: fo, Key: key, BatchSize: batch,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -1,12 +1,13 @@
 // Command shuffled runs the shuffle model as a real streaming
 // deployment over TCP loopback (Figure 1 of the paper, §III): the
-// analysis server hosts the internal/service ingestion tier — batch
-// shuffler plus a decode/aggregate worker pool — and several
-// concurrent collector gateways stream the users' reports into it in
-// session-sealed batches. While ingestion runs, mid-stream Snapshots
-// print counters only (epoch, reports received, batches shuffled): an
-// open epoch's estimate is no planned release. Drain prints the final
-// histogram and the per-party cost account (transport.Meter).
+// analysis server hosts the internal/service ingestion tier — the
+// shuffler and the server in one trusted process, a batch stage plus a
+// decode/aggregate worker pool — and several concurrent collector
+// gateways stream the users' reports into it in session-sealed
+// batches. While ingestion runs, mid-stream Snapshots print counters
+// only (epoch, reports received, batches): an open epoch's estimate is
+// no planned release. Drain prints the final histogram and the
+// per-party cost account (transport.Meter).
 //
 // The run is continual: the stream is cut into -epochs collection
 // rounds (auto-rotated every ⌈n/epochs⌉ reports), a budget ledger
@@ -34,7 +35,7 @@
 //
 // Usage:
 //
-//	shuffled [-n users] [-d domain] [-eps epsC] [-seed s] [-clients c] [-batch b]
+//	shuffled [-n users] [-d domain] [-eps epsC] [-seed s] [-clients c]
 //	         [-epochs e] [-total-eps B] [-accountant naive|advanced] [-window k]
 //	         [-data-dir dir] [-fsync always|batch|none]
 //	         [-session-batch r] [-max-frame bytes]
@@ -92,13 +93,12 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	delta := fs.Float64("delta", 1e-9, "DP failure probability")
 	seed := fs.Uint64("seed", 1, "random seed")
 	clients := fs.Int("clients", 8, "concurrent collector connections")
-	batch := fs.Int("batch", 512, "shuffle-batch size (the anonymity granularity)")
 	epochs := fs.Int("epochs", 3, "collection rounds to cut the stream into")
 	totalEps := fs.Float64("total-eps", 0, "total privacy budget across epochs (0: exactly -epochs rounds of -eps)")
 	accountant := fs.String("accountant", "naive", "budget composition: naive or advanced")
 	window := fs.Int("window", 2, "sliding-window width for the final window query")
 	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
-	fsync := fs.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every shuffle batch), or none (epoch seals only)")
+	fsync := fs.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every run handed to the workers), or none (epoch seals only)")
 	sessionBatch := fs.Int("session-batch", 0, "reports per session frame (0: the service default)")
 	maxFrame := fs.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
 	fs.Parse(args)
@@ -112,8 +112,8 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	values := dataset.Synthetic("demo", *n, *d, 1.3, *seed).Values
 
 	// Plan SOLH for the per-epoch central budget at the reports one
-	// epoch seals: the shuffle hides a report among its epoch, not
-	// among all -n users.
+	// epoch seals: a release aggregates its epoch's reports, not all
+	// -n users.
 	epochReports := (*n + *epochs - 1) / *epochs
 	plan, err := amplify.PlanShuffle(*epsC, *d, epochReports, *delta, amplify.SOLH)
 	if err != nil {
@@ -161,8 +161,6 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	cfg := service.Config{
 		FO:           fo,
 		Key:          key,
-		BatchSize:    *batch,
-		ShuffleSeed:  *seed + 1,
 		Meter:        &meter,
 		Ledger:       ledger,
 		EpochReports: epochReports,
@@ -199,8 +197,8 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(out, "ingestion service listening on %s (%d gateways, batch=%d, rotate every %d reports)\n",
-		ln.Addr(), *clients, *batch, epochReports)
+	fmt.Fprintf(out, "ingestion service listening on %s (%d gateways, rotate every %d reports)\n",
+		ln.Addr(), *clients, epochReports)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- svc.Serve(ln) }()
 
@@ -248,7 +246,7 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 		defer tick.Stop()
 		for range tick.C {
 			snap := svc.Snapshot()
-			fmt.Fprintf(out, "  snapshot: epoch %d, %6d reports received, %d batches shuffled\n",
+			fmt.Fprintf(out, "  snapshot: epoch %d, %6d reports received, %d batches\n",
 				snap.Epoch, snap.Received, snap.Batches)
 			// Received/Late/Rejected are disjoint, so their sum is every
 			// report the readers have seen.

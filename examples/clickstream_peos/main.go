@@ -8,9 +8,11 @@
 //
 //  1. The live collection tier — the planned mechanism streamed
 //     through the concurrent ingestion service (internal/service):
-//     encrypted reports over real connections, batch shuffling, and a
-//     mid-stream Snapshot while clicks are still arriving. This is the
-//     single-shuffler trust model of §III, the everyday dashboard.
+//     encrypted reports over real connections, batched into runs, and
+//     a mid-stream Snapshot of the counters while clicks are still
+//     arriving. The service is the shuffler and the server in one
+//     trusted process (§III): the everyday dashboard, whose estimate
+//     is released once the day is drained.
 //
 //  2. The hardened PEOS protocol (§VI) over the same clicks — secret
 //     shares, DGK encryption, encrypted oblivious shuffle — whose
@@ -79,8 +81,9 @@ func main() {
 }
 
 // streamClicks pushes the clicks through the concurrent ingestion
-// service with the plan's local mechanism: the estimate any analyst
-// can watch live, protected by the basic shuffle model.
+// service with the plan's local mechanism. Only the drained estimate
+// is released: a live Snapshot shows counters, because an open
+// collection's estimate is no release the plan accounts for.
 func streamClicks(plan *shuffledp.PEOSPlan, values []int, d int) ([]float64, *transport.Meter, error) {
 	var fo ldp.FrequencyOracle
 	if plan.Mechanism == "GRR" {
@@ -94,11 +97,10 @@ func streamClicks(plan *shuffledp.PEOSPlan, values []int, d int) ([]float64, *tr
 	}
 	var meter transport.Meter
 	svc, err := service.New(service.Config{
-		FO:          fo,
-		Key:         key,
-		BatchSize:   200,
-		ShuffleSeed: 42,
-		Meter:       &meter,
+		FO:        fo,
+		Key:       key,
+		BatchSize: 200,
+		Meter:     &meter,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -127,10 +129,11 @@ func streamClicks(plan *shuffledp.PEOSPlan, values []int, d int) ([]float64, *tr
 	if err := cl.Flush(); err != nil {
 		return nil, nil, err
 	}
-	// ...and the dashboard refreshes without stopping ingestion.
+	// ...and the dashboard refreshes its counters without stopping
+	// ingestion.
 	snap := svc.Snapshot()
-	fmt.Printf("\nmid-stream snapshot: %d reports in, %d aggregated, est[0]=%.4f\n",
-		snap.Received, snap.Reports, snap.Estimates[0])
+	fmt.Printf("\nmid-stream snapshot: %d reports in, %d aggregated, %d batches\n",
+		snap.Received, snap.Reports, snap.Batches)
 
 	for _, rep := range reports[half:] {
 		if err := cl.SendReport(rep); err != nil {
@@ -144,6 +147,6 @@ func streamClicks(plan *shuffledp.PEOSPlan, values []int, d int) ([]float64, *tr
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Printf("drained: %d reports over %d shuffled batches\n", final.Reports, final.Batches)
+	fmt.Printf("drained: %d reports over %d batches\n", final.Reports, final.Batches)
 	return final.Estimates, &meter, nil
 }

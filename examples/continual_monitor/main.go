@@ -68,11 +68,10 @@ func main() {
 		log.Fatal(err)
 	}
 	svc, err := service.New(service.Config{
-		FO:          fo,
-		Key:         key,
-		BatchSize:   128,
-		ShuffleSeed: *seed,
-		Ledger:      ledger,
+		FO:        fo,
+		Key:       key,
+		BatchSize: 128,
+		Ledger:    ledger,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -82,7 +82,7 @@ func main() {
 	}
 	config := func(ledger *budget.Ledger, dir string) service.Config {
 		return service.Config{
-			FO: fo, Key: key, BatchSize: 64, ShuffleSeed: *seed + 1,
+			FO: fo, Key: key, BatchSize: 64,
 			Ledger: ledger, DataDir: dir, Sync: sync,
 		}
 	}

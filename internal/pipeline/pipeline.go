@@ -8,12 +8,10 @@
 //	           can never pin a goroutine (and, transitively, a graceful
 //	           drain) forever.
 //	batch    — RunBatcher: copy fixed-size records into one flat,
-//	           pointer-free run up to a size bound, so the buffer they
-//	           came from is free as soon as they are copied; runs come
-//	           from a free list the consumer refills, when one is wired.
-//	shuffle  — RunBatcher again: each full run is permuted record by
-//	           record before the flush callback sees it, so downstream
-//	           stages only ever observe reports in shuffled order.
+//	           pointer-free run up to a size bound, in arrival order,
+//	           so the buffer they came from is free as soon as they are
+//	           copied; runs come from a free list the consumer refills,
+//	           when one is wired.
 //	aggregate/forward — the stage behind the flush callback: the
 //	           service's decode/aggregate worker Pool, which folds a
 //	           whole run through the one codec fold its WAL replay
@@ -22,7 +20,7 @@
 //
 // The primitives deliberately carry no protocol knowledge: framing is
 // transport's, report semantics are the caller's. What they fix is the
-// concurrency shape — deadline-guarded reads, permute-before-flush,
+// concurrency shape — deadline-guarded reads, bounded record runs,
 // counted worker fan-out — so every tier gets the same hardening.
 package pipeline
 
@@ -128,29 +126,22 @@ func (r *Reader) Run() error {
 	}
 }
 
-// RunBatcher is the batch + shuffle stage over fixed-size records: it
-// copies whole RecordSize-byte records into one flat run and, once the
-// run holds Size records (or FlushNow is called), permutes it record by
-// record with Rand and hands it to Flush. Permute-before-flush is the
-// stage's invariant: no downstream stage ever sees arrival order inside
-// a batch. The run is one pointer-free buffer, taken from Free when a
-// returned one is waiting there and allocated otherwise, and it holds
-// copies, so a frame's buffer is free once Add returns; the draws are
-// those of Rand.Shuffle over the same records, so a run holds the
-// records Batcher would flush, in the same order. A RunBatcher is not
-// safe for concurrent use — it belongs to the single shuffler
-// goroutine of its tier.
+// RunBatcher is the batch stage over fixed-size records: it copies
+// whole RecordSize-byte records into one flat run and, once the run
+// holds Size records (or FlushNow is called), hands it to Flush in
+// arrival order. The run is one pointer-free buffer, taken from Free
+// when a returned one is waiting there and allocated otherwise, and it
+// holds copies, so a frame's buffer is free once Add returns; a run
+// holds the records an unpermuted Batcher would flush, in the same
+// order. A RunBatcher is not safe for concurrent use — it belongs to
+// the single goroutine that cuts its tier's runs.
 type RunBatcher struct {
 	// Size is the flush threshold in records. It must be > 0.
 	Size int
 	// RecordSize is the length of one record in bytes. It must be > 0.
 	RecordSize int
-	// Rand drives the permutations (one Fisher–Yates pass per flushed
-	// run); the caller switches it to start a new stream. It must be
-	// non-nil when a flush fires.
-	Rand *rng.Rand
-	// Flush receives each permuted run, a whole number of records. The
-	// slice is owned by the callee.
+	// Flush receives each run, a whole number of records. The slice is
+	// owned by the callee.
 	Flush func(run []byte)
 	// Free, when non-nil, is the free list runs are taken from: a new
 	// run is a buffer received from Free, or a fresh allocation when
@@ -185,21 +176,13 @@ func (b *RunBatcher) Add(recs []byte) {
 	}
 }
 
-// FlushNow flushes the buffered partial run, if any: permute, hand off,
-// reset. The epoch cut and the graceful drain both end with one
-// FlushNow.
+// FlushNow flushes the buffered partial run, if any: hand off, reset.
+// The epoch cut and the graceful drain both end with one FlushNow.
 func (b *RunBatcher) FlushNow() {
 	if len(b.run) == 0 {
 		return
 	}
-	run, size := b.run, b.RecordSize
-	for i := len(run)/size - 1; i > 0; i-- {
-		j := b.Rand.Intn(i + 1)
-		x, y := run[i*size:(i+1)*size], run[j*size:(j+1)*size]
-		for k := range x {
-			x[k], y[k] = y[k], x[k]
-		}
-	}
+	run := b.run
 	b.run = nil
 	b.Flush(run)
 }
@@ -207,9 +190,10 @@ func (b *RunBatcher) FlushNow() {
 // Batcher is the batch + shuffle stage over byte-slice items: it
 // accumulates them and, once Size is reached (or FlushNow is called),
 // permutes the batch with Rand and hands a freshly-allocated copy to
-// Flush. The service batches with RunBatcher; Batcher is kept only
-// because benchmark/replay.go prices its pipeline.batch_shuffle layer
-// with it. A Batcher is not safe for concurrent use.
+// Flush. The service batches with RunBatcher and permutes nothing;
+// Batcher is kept only because benchmark/replay.go prices its
+// pipeline.batch_shuffle layer with it (ROADMAP item 6(e)). A Batcher
+// is not safe for concurrent use.
 type Batcher struct {
 	// Size is the flush threshold; Add flushes when the buffer reaches
 	// it. It must be > 0.

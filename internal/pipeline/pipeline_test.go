@@ -174,17 +174,17 @@ func TestReaderBuffersFrames(t *testing.T) {
 	}
 }
 
-// TestRunBatcherMatchesBatcher: from one seed, the run batcher flushes
-// byte for byte the records, in the same order, that Batcher flushes —
-// over frames that straddle batch boundaries and a flush at a stream
-// switch, as an epoch rotation does it.
+// TestRunBatcherMatchesBatcher: the run batcher flushes byte for byte
+// the records, in arrival order, that an unpermuted Batcher flushes —
+// over frames that straddle batch boundaries and a cut mid-batch, as
+// an epoch rotation makes it.
 func TestRunBatcherMatchesBatcher(t *testing.T) {
 	for _, size := range []int{1, 2, 5, 8, 13} {
 		var want, got [][]byte
-		old := &Batcher{Size: 64, Rand: rng.Substream(5, 0), Flush: func(batch [][]byte) {
+		old := &Batcher{Size: 64, Flush: func(batch [][]byte) {
 			want = append(want, bytes.Join(batch, nil))
 		}}
-		run := &RunBatcher{Size: 64, RecordSize: size, Rand: rng.Substream(5, 0), Flush: func(r []byte) {
+		run := &RunBatcher{Size: 64, RecordSize: size, Flush: func(r []byte) {
 			got = append(got, r)
 		}}
 		src := rng.New(uint64(size))
@@ -196,10 +196,9 @@ func TestRunBatcherMatchesBatcher(t *testing.T) {
 			return f
 		}
 		for i, records := range []int{1, 7, 100, 256, 3, 64, 130, 0, 41} {
-			if i == 5 { // rotation: cut, then a fresh stream
+			if i == 5 { // rotation: cut mid-batch
 				old.FlushNow()
 				run.FlushNow()
-				old.Rand, run.Rand = rng.Substream(5, 1), rng.Substream(5, 1)
 			}
 			f := frame(records)
 			kept := bytes.Clone(f) // Batcher holds slices of its frames until they flush
@@ -230,12 +229,12 @@ func TestRunBatcherMatchesBatcher(t *testing.T) {
 func TestRunBatcherReusesFreeRuns(t *testing.T) {
 	const size, batch = 5, 64
 	var want, got [][]byte
-	plain := &RunBatcher{Size: batch, RecordSize: size, Rand: rng.New(8), Flush: func(r []byte) {
+	plain := &RunBatcher{Size: batch, RecordSize: size, Flush: func(r []byte) {
 		want = append(want, r)
 	}}
 	free := make(chan []byte, 1)
 	var last *byte
-	pooled := &RunBatcher{Size: batch, RecordSize: size, Rand: rng.New(8), Free: free, Flush: func(r []byte) {
+	pooled := &RunBatcher{Size: batch, RecordSize: size, Free: free, Flush: func(r []byte) {
 		if last != nil && &r[0] != last {
 			t.Errorf("run %d did not reuse the run sent back on Free", len(got))
 		}
@@ -266,7 +265,7 @@ func TestRunBatcherReusesFreeRuns(t *testing.T) {
 		}
 	}
 
-	steady := &RunBatcher{Size: batch, RecordSize: size, Rand: rng.New(8), Free: free, Flush: func(r []byte) { free <- r }}
+	steady := &RunBatcher{Size: batch, RecordSize: size, Free: free, Flush: func(r []byte) { free <- r }}
 	steady.Add(f[:batch*size])
 	if a := testing.AllocsPerRun(50, func() { steady.Add(f[:3*batch*size/2]) }); a != 0 {
 		t.Fatalf("%.1f allocations per Add with a free list, want 0", a)

@@ -84,8 +84,8 @@ func (c *Codec) Unmarshal(data []byte) (ldp.Report, error) {
 // them to ldp.WordEncoder.AddWords in one call.
 const foldChunk = 256
 
-// Fold decodes run — a whole number of Size()-byte records, a shuffled
-// batch or one WAL frame — into agg. It is the one fold both live
+// Fold decodes run — a whole number of Size()-byte records, a batch or
+// one WAL frame — into agg. It is the one fold both live
 // ingest and WAL replay use. Records are read straight off the run with
 // Unmarshal's group-order check and reach agg in bulk through
 // ldp.WordEncoder.AddWords, so no Report is built on the way to

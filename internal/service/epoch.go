@@ -9,7 +9,6 @@ import (
 	"shuffledp/internal/budget"
 	"shuffledp/internal/composition"
 	"shuffledp/internal/ldp"
-	"shuffledp/internal/rng"
 	"shuffledp/internal/store"
 )
 
@@ -30,7 +29,7 @@ type EpochSnapshot struct {
 	Estimates []float64
 	// Reports is how many reports the epoch aggregated.
 	Reports int
-	// Batches is how many shuffled batches the epoch received.
+	// Batches is how many batches the epoch received.
 	Batches int64
 	// Guarantee is the per-epoch privacy guarantee the budget ledger
 	// charged for this epoch (zero without a ledger).
@@ -413,12 +412,4 @@ func (s *Service) runRotator() {
 			return
 		}
 	}
-}
-
-// shufflerEpochRNG returns the shuffle permutation stream for one
-// epoch: a fresh substream per epoch id, so an epoch's batch
-// permutations are a pure function of (ShuffleSeed, epoch) no matter
-// how much shuffling earlier epochs consumed.
-func (s *Service) shufflerEpochRNG(epoch int) *rng.Rand {
-	return rng.Substream(s.cfg.ShuffleSeed, uint64(epoch))
 }

@@ -60,7 +60,7 @@ func TestEpochWindowBitIdenticalToOfflineMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, err := service.New(service.Config{
-		FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: seed,
+		FO: fo, Key: key, BatchSize: batchSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestRaceIngestDuringRotate(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // four workers
 	svc, err := service.New(service.Config{
-		FO: fo, Key: key, BatchSize: 32, ShuffleSeed: seed + 1,
+		FO: fo, Key: key, BatchSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func TestRaceIngestDuringRotate(t *testing.T) {
 func TestLateEpochReportsDropped(t *testing.T) {
 	fo := ldp.NewGRR(8, 2)
 	key, _ := ecies.GenerateKey()
-	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 4, ShuffleSeed: 3})
+	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestLateEpochReportsDropped(t *testing.T) {
 func TestHistoryKeepsEverySealedEpoch(t *testing.T) {
 	fo := ldp.NewGRR(4, 1)
 	key, _ := ecies.GenerateKey()
-	svc, err := service.New(service.Config{FO: fo, Key: key, ShuffleSeed: 1})
+	svc, err := service.New(service.Config{FO: fo, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestAutoRotationFiresOnCrossing(t *testing.T) {
 			}
 			key, _ := ecies.GenerateKey()
 			svc, err := service.New(service.Config{
-				FO: fo, Key: key, BatchSize: 64, ShuffleSeed: seed + 1,
+				FO: fo, Key: key, BatchSize: 64,
 				EpochReports: perEpoch, Ledger: ledger,
 			})
 			if err != nil {

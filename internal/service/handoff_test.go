@@ -85,7 +85,7 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 	// New's pipeline at three workers, with the worker loop opened up so
 	// the test sees each batch at the moment a worker receives it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	s, err := prepare(Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: seed + 1})
+	s, err := prepare(Config{FO: fo, Key: key, BatchSize: batchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestIngestBackpressureBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: 5})
+	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestRaceSessionScrubbedBuffersBitIdentical(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	for _, dir := range []string{"", t.TempDir()} {
-		cfg := Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: seed + 1, DataDir: dir, Sync: store.SyncNone}
+		cfg := Config{FO: fo, Key: key, BatchSize: batchSize, DataDir: dir, Sync: store.SyncNone}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -437,7 +437,7 @@ func TestFreeListsStayBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, MaxFrame: maxFrame, ShuffleSeed: 3})
+	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, MaxFrame: maxFrame})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func ingestAllocsPerReport(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.FO, cfg.Key, cfg.ShuffleSeed = ldp.NewSOLH(64, 16, 3), key, 9
+	cfg.FO, cfg.Key = ldp.NewSOLH(64, 16, 3), key
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -667,7 +667,7 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := durableShell(t, Config{FO: fo, Key: key, BatchSize: batchSize, ShuffleSeed: 4, Sync: store.SyncNone})
+	s := durableShell(t, Config{FO: fo, Key: key, BatchSize: batchSize, Sync: store.SyncNone})
 	size := s.codec.Size()
 
 	// onDisk opens every sealed record of the live segment, as committed

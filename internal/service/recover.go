@@ -219,7 +219,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 	s.received.Store(s.wal.received)
 	s.late.Store(s.wal.late)
 	s.rejected.Store(s.wal.rejected)
-	s.shuffled.Store(s.wal.batches)
+	s.forwarded.Store(s.wal.batches)
 	return nil
 }
 

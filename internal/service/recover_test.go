@@ -95,7 +95,7 @@ func epochsPaid(l *budget.Ledger) int {
 
 func (w *recoveryWorld) config(ledger *budget.Ledger, dir string, sync store.SyncPolicy) service.Config {
 	return service.Config{
-		FO: w.fo, Key: w.key, BatchSize: w.batchSize, ShuffleSeed: 5,
+		FO: w.fo, Key: w.key, BatchSize: w.batchSize,
 		Ledger: ledger, DataDir: dir, Sync: sync,
 	}
 }
@@ -758,7 +758,7 @@ func TestNewOverUsedDirectoryPaysNothing(t *testing.T) {
 func TestSnapshotDuringRotate(t *testing.T) {
 	w := newRecoveryWorld(t)
 	svc, err := service.New(service.Config{
-		FO: w.fo, Key: w.key, BatchSize: 32, ShuffleSeed: 9,
+		FO: w.fo, Key: w.key, BatchSize: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,24 +1,24 @@
 // Package service is the concurrent streaming face of the basic
 // shuffle model (Figure 1): a long-running ingestion tier that accepts
 // framed, end-to-end encrypted reports from many client connections at
-// once, batches and shuffles them, and folds the decrypted reports
-// into mergeable per-worker aggregators so the running histogram is
-// available at any point mid-stream.
+// once, batches them, and folds the decrypted reports into mergeable
+// per-worker aggregators so the running histogram is available at any
+// point mid-stream.
 //
 // Pipeline stages, each a bounded queue ahead of it (backpressure
 // propagates from a slow stage back to the clients' writes):
 //
 //	conn readers  --intake-->  shuffler  --batches-->  aggregate
 //	(one per conn,  (frames)   (copy into  (record runs) (one fold
-//	 session open)              run, permute)             per run)
+//	 session open)              a run)                    per run)
 //
 // The unit of hand-off on the intake edge is the opened session frame,
 // not the report: a reader authenticates a frame and passes its whole
 // plaintext on in one channel send, and the shuffler copies its
 // records into the open batch — one flat run of Codec.Size() records,
-// permuted record by record when it is cut — and gives the frame's
-// buffer back to a free list the readers open into; a worker gives a
-// run back once it is folded. A per-report hand-off cost more than
+// in arrival order — and gives the frame's buffer back to a free list
+// the readers open into; a worker gives a run back once it is
+// folded. A per-report hand-off cost more than
 // everything else the tier does to a report (EXPERIMENTS.md, "Spend
 // the profile"). A worker folds a whole run through Codec.Fold, the fold
 // WAL replay uses too: word reports reach the aggregator's counting
@@ -35,25 +35,29 @@
 // (see readConn). DESIGN.md ("Session wire protocol") specifies the
 // handshake transcript and nonce discipline.
 //
-// The shuffler stage permutes every fixed-size batch before any worker
-// sees it, so the linkage between an arrival (which connection, which
-// position) and a decrypted report is broken batch by batch — the
-// streaming analogue of the basic model's collect-all-then-permute
-// (§III-B).
-// Note the privacy unit is the batch: an adversarial server observing
-// worker order learns which batch (of BatchSize reports) a report came
-// from, the anonymity-set granularity the deployment chooses with
-// Config.BatchSize.
+// # Trust model
+//
+// The tier is the paper's shuffler and server in one trusted process
+// (§III): it opens every session frame, so it knows which connection
+// sent each report, and a permutation inside it would hide nothing
+// from it. Nothing outside can observe the order — folds, snapshots
+// and releases are integer counts over whole runs, and the WAL keeps
+// arrival order — so the shuffler stage permutes nothing: it cuts
+// runs, the workers' hand-off unit. The ε the ledger charges holds
+// against readers of what the service releases, amplified over the
+// reports each release aggregates; against the service's own operator
+// only the oracle's ε_l holds. The deployment for an untrusted server
+// is the PEOS cluster (internal/cluster).
 //
 // # Epochs
 //
 // The paper analyzes one collection round; a deployed service
 // re-collects the same population every epoch, so the tier is epochal:
 // the stream is cut into epochs, each owning its own shard-aggregator
-// set and a fresh shuffle-RNG substream. Rotate seals the open epoch —
-// freezing its estimate into History — and opens the next; sealed
-// epochs answer sliding-window queries through EstimateWindow, which
-// clone-merges their aggregators. A budget.Ledger composes the
+// set. Rotate seals the open epoch — freezing its estimate into
+// History — and opens the next; sealed epochs answer sliding-window
+// queries through EstimateWindow, which clone-merges their
+// aggregators. A budget.Ledger composes the
 // per-epoch (eps, delta) loss across rotations (naive or advanced
 // composition) and, once the configured total budget is exhausted, the
 // service refuses further ingestion while staying queryable. Report
@@ -95,9 +99,9 @@ const (
 	PartyServer   = "server"
 )
 
-// DefaultBatchSize is the shuffle-batch size when Config.BatchSize is
-// zero: large enough that a batch is a meaningful anonymity set, small
-// enough that snapshots stay fresh under light traffic.
+// DefaultBatchSize is the run size when Config.BatchSize is zero:
+// large enough to amortize a worker hand-off, small enough that
+// snapshots stay fresh under light traffic.
 const DefaultBatchSize = 512
 
 // DefaultMaxFrame is the per-connection frame cap when Config.MaxFrame
@@ -136,11 +140,13 @@ type Config struct {
 	// Key decrypts the end-to-end encrypted reports (the analysis
 	// server's role).
 	Key *ecies.PrivateKey
-	// BatchSize is the number of reports shuffled together before any
-	// worker may decode them. 0 means DefaultBatchSize.
+	// BatchSize is the number of reports in one run, the unit the
+	// workers take. 0 means DefaultBatchSize.
 	BatchSize int
-	// ShuffleSeed drives the batch permutations; each epoch shuffles
-	// from its own substream of it.
+	// ShuffleSeed is ignored: the service cuts runs in arrival order
+	// and permutes nothing (DESIGN.md §6, "Trust model"). It stays
+	// only because the frozen benchmark harness sets it, and goes with
+	// ROADMAP item 6(e).
 	ShuffleSeed uint64
 	// Meter, when non-nil, accounts bytes and CPU to users/shuffler/
 	// server.
@@ -184,7 +190,7 @@ type Config struct {
 	DataDir string
 	// Sync is the WAL fsync policy (store.SyncBatch when zero): always
 	// fsyncs every accepted frame before any of its reports is batched,
-	// batch fsyncs at every shuffle-batch boundary, none only between
+	// batch fsyncs at every batch boundary, none only between
 	// checkpoints. Whatever a crash tears away is whole frames, so the
 	// recovered Received count sits on a frame boundary. Rotation
 	// markers and checkpoints are always fsynced.
@@ -210,7 +216,7 @@ type Snapshot struct {
 	// already sealed into History; in a Drain snapshot (all epochs
 	// merged) it is simply Received - Reports.
 	Received int64
-	// Batches is how many shuffled batches have been forwarded to the
+	// Batches is how many batches have been forwarded to the
 	// workers (across all epochs).
 	Batches int64
 	// Epoch is the open epoch's id (the last epoch's id once the
@@ -245,7 +251,7 @@ type Snapshot struct {
 // it small.
 const intakeFrames = 2
 
-// queuedBatchesPerWorker sizes the batches queue: that many shuffled
+// queuedBatchesPerWorker sizes the batches queue: that many
 // batches per decode + aggregate worker (GOMAXPROCS of them, counted at
 // New or Recover) may wait before the shuffler — and transitively the
 // clients — block. The shuffler is a single goroutine feeding every
@@ -272,7 +278,7 @@ type frameBlock struct {
 	home chan []byte
 }
 
-// epochBatch is one shuffled batch — a run of codec.Size() records —
+// epochBatch is one batch — a run of codec.Size() records —
 // routed to the epoch that was open when it was flushed.
 type epochBatch struct {
 	ep  *epochState
@@ -292,11 +298,11 @@ type Service struct {
 	workers int
 
 	intake  chan frameBlock // opened session frames, readers -> shuffler
-	batches chan epochBatch // shuffled batches, shuffler -> aggregate pool
+	batches chan epochBatch // record runs, shuffler -> aggregate pool
 
 	// plains and runs are the free lists of the ingest path's two
 	// buffers: opened frame plaintexts (a reader takes one, the shuffler
-	// gives it back once the frame is logged and batched) and shuffle
+	// gives it back once the frame is logged and batched) and record
 	// runs (the batcher takes one, a worker gives it back after its
 	// fold). Each is capped at its buffers' in-flight count past the
 	// readers (DESIGN.md §6) — the intake's frames plus the one the
@@ -351,7 +357,7 @@ type Service struct {
 	wal walCounters
 
 	received   atomic.Int64
-	shuffled   atomic.Int64
+	forwarded  atomic.Int64
 	late       atomic.Int64
 	rejected   atomic.Int64
 	idleClosed atomic.Int64
@@ -630,13 +636,12 @@ func (s *Service) readConn(conn net.Conn) {
 	}
 }
 
-// runShuffler is the batch + shuffle stage: a pipeline.RunBatcher
-// copies each opened frame's records into BatchSize-record runs (a
-// frame larger than a batch simply spans several), permutes each,
-// and the flush callback forwards it to the worker queue tagged with
-// the open epoch. Rotation requests land here — between frames, never
-// inside one — so every frame and every batch belongs to exactly one
-// epoch and each epoch's permutations come from its own RNG substream.
+// runShuffler is the batch stage: a pipeline.RunBatcher copies each
+// opened frame's records into BatchSize-record runs, in arrival order
+// (a frame larger than a batch simply spans several), and the flush
+// callback forwards each run to the worker queue tagged with the open
+// epoch. Rotation requests land here — between frames, never inside
+// one — so every frame and every batch belongs to exactly one epoch.
 // The partial final batch is flushed when the intake closes (graceful
 // drain).
 func (s *Service) runShuffler() {
@@ -672,7 +677,7 @@ func (s *Service) runShuffler() {
 			cur.pending.Add(1)
 			select {
 			case s.batches <- epochBatch{ep: cur, run: run}:
-				s.shuffled.Add(1)
+				s.forwarded.Add(1)
 				cur.batches.Add(1)
 				s.wal.batches++
 				s.cfg.Meter.Send(PartyShuffler, PartyServer, len(run))
@@ -680,9 +685,6 @@ func (s *Service) runShuffler() {
 				cur.pending.Done()
 			}
 		},
-	}
-	if cur != nil {
-		batcher.Rand = s.shufflerEpochRNG(cur.id)
 	}
 	accept := func(b frameBlock) {
 		// Every exit below is done with the plaintext: it is logged and
@@ -800,7 +802,6 @@ func (s *Service) runShuffler() {
 			cur = req.next
 			if cur != nil {
 				s.cur.Store(cur)
-				batcher.Rand = s.shufflerEpochRNG(cur.id)
 				rejectEpoch = uint32(cur.id + 1)
 			}
 			// A hint generated by the epoch that just closed is stale;
@@ -844,7 +845,7 @@ func (s *Service) runWorker(i int) {
 	}
 }
 
-// foldBatch folds a shuffled run into the batch's epoch shard owned by
+// foldBatch folds a run into the batch's epoch shard owned by
 // worker i. Corrupt records are dropped and surfaced as the service
 // error rather than silently mis-estimating.
 func (s *Service) foldBatch(i int, eb epochBatch) {
@@ -910,7 +911,7 @@ func (s *Service) Snapshot() Snapshot {
 		Estimates:  est,
 		Reports:    n,
 		Received:   s.received.Load(),
-		Batches:    s.shuffled.Load(),
+		Batches:    s.forwarded.Load(),
 		Epoch:      e.id,
 		Late:       s.late.Load(),
 		Rejected:   s.rejected.Load(),
@@ -963,7 +964,7 @@ func (s *Service) Drain() (Snapshot, error) {
 			Estimates:  s.allTime.Estimates(),
 			Reports:    s.allTime.Count(),
 			Received:   s.received.Load(),
-			Batches:    s.shuffled.Load(),
+			Batches:    s.forwarded.Load(),
 			Epoch:      e.id,
 			Late:       s.late.Load(),
 			Rejected:   s.rejected.Load(),

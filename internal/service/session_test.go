@@ -103,8 +103,8 @@ func TestRaceSessionBatchedBitIdentical(t *testing.T) {
 		batchSizes []int
 		cfg        service.Config
 	}{
-		{"mixed", []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{BatchSize: 128, ShuffleSeed: seed + 1}},
-		{"single-default", []int{0}, service.Config{ShuffleSeed: seed + 1}},
+		{"mixed", []int{1, 3, 16, 64, 256, 500, 7, 32, 128, 2}, service.Config{BatchSize: 128}},
+		{"single-default", []int{0}, service.Config{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := runSessionClients(t, fo, reports, tc.batchSizes, tc.cfg)
@@ -790,7 +790,7 @@ func TestRecoverSealedSessionReports(t *testing.T) {
 	}
 	reports := ldp.RandomizeParallel(fo, values, 31, 0)
 	cfg := service.Config{
-		FO: fo, Key: key, BatchSize: 8, ShuffleSeed: 3,
+		FO: fo, Key: key, BatchSize: 8,
 		DataDir: t.TempDir(), Sync: store.SyncBatch,
 	}
 	svc, err := service.New(cfg)

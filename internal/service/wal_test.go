@@ -529,7 +529,7 @@ func TestWALBytesPerReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	svc, err := service.New(service.Config{FO: fo, Key: key, ShuffleSeed: 3, DataDir: dir, Sync: store.SyncNone})
+	svc, err := service.New(service.Config{FO: fo, Key: key, DataDir: dir, Sync: store.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,9 @@ func serviceTrial(fo ldp.FrequencyOracle, values []int, clients, batch int) stat
 			return nil, err
 		}
 		svc, err := service.New(service.Config{
-			FO:          fo,
-			Key:         key,
-			BatchSize:   batch,
-			ShuffleSeed: seed + 7777,
+			FO:        fo,
+			Key:       key,
+			BatchSize: batch,
 		})
 		if err != nil {
 			return nil, err

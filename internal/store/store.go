@@ -60,7 +60,7 @@ type SyncPolicy int
 
 const (
 	// SyncBatch (the default) fsyncs at Commit, which the service
-	// calls at every shuffle-batch boundary: a crash loses at most the
+	// calls at every batch boundary: a crash loses at most the
 	// frames logged since the last flush.
 	SyncBatch SyncPolicy = iota
 	// SyncAlways fsyncs after every appended record: every accepted

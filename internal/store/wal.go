@@ -344,7 +344,7 @@ func (s *Store) AppendDrop(epoch uint32, reason byte, count uint32) error {
 }
 
 // Commit flushes buffered records to the OS and, under SyncBatch,
-// fsyncs them. The service calls it at every shuffle-batch boundary.
+// fsyncs them. The service calls it at every batch boundary.
 func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
