@@ -8,7 +8,8 @@
 # the other examples, a `shuffled` restart over a directory whose
 # budget ran out, the contract benchmark's smoke, and a
 # `shuffled analyzer|shuffler|client` drill whose coordinator restarts
-# on its -data-dir — and merges the counters into one text profile.
+# on its -data-dir, then is refused a restart at other targets — and
+# merges the counters into one text profile.
 # The repocheck test TestEveryInternalFunctionRuns reads that profile
 # (-census-profile) and fails on any internal/ function no run reached
 # that its allow-list does not name.
@@ -73,8 +74,11 @@ run "$bin/shuffled" -n 3000 -epochs 1 -data-dir "$work/exhausted"
 run "$bin/benchmark" -smoke --seconds 2
 
 # The role subcommands as four processes, twice over one -data-dir: the
-# second analyzer reloads the key and recovers collection 0 before it
-# drives collection 1.
+# analyzer plans from the targets (GRR, eps_l = 4, 416 fakes) and writes
+# the plan beside the key, which the shufflers and the client read. The
+# second analyzer passes the same -epochs, so it replans identically,
+# reloads the key and recovers collection 0 before it drives
+# collection 1.
 drill=$work/drill
 mkdir -p "$drill"
 analyzer=127.0.0.1:17900
@@ -82,8 +86,8 @@ shufflers=127.0.0.1:17901,127.0.0.1:17902
 for round in 0 1; do
   rm -f "$drill/analyzer.done"
   "$bin/shuffled" analyzer -listen "$analyzer" -shufflers "$shufflers" \
-    -key "$drill/peos.key" -oracle grr -d 8 -nr 6 -n 80 \
-    -collections $((round + 1)) -data-dir "$drill/state" \
+    -key "$drill/peos.key" -d 8 -n 80 -eps1 4 -eps2 8 -eps3 8 -delta 1e-6 \
+    -epochs 2 -collections $((round + 1)) -data-dir "$drill/state" \
     -timeout 30s >/dev/null &
   apid=$!
   pids+=("$apid")
@@ -94,15 +98,23 @@ for round in 0 1; do
   spids=()
   for index in 0 1; do
     "$bin/shuffled" shuffler -index "$index" -shufflers "$shufflers" \
-      -analyzer "$analyzer" -key "$drill/peos.key.pub" -nr 6 \
+      -analyzer "$analyzer" -key "$drill/peos.key.pub" \
       -seal-timeout 30s >/dev/null &
     spids+=($!)
     pids+=($!)
   done
   run "$bin/shuffled" client -shufflers "$shufflers" -analyzer "$analyzer" \
-    -key "$drill/peos.key.pub" -oracle grr -d 8 -n 80 -collection "$round" -seed 5
+    -key "$drill/peos.key.pub" -n 80 -collection "$round" -seed 5
   wait "$apid" "${spids[@]}"
 done
+# A restart over the drill's key at the default targets plans
+# differently (the fakes its epsS needs come from the exact fakes-only
+# sum, not the closed form), so it must refuse before it listens.
+if "$bin/shuffled" analyzer -listen "$analyzer" -shufflers "$shufflers" \
+  -key "$drill/peos.key" -d 8 -n 80 >/dev/null 2>&1; then
+  echo "an analyzer with other targets started over the drill's key" >&2
+  exit 1
+fi
 
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$out"
 echo "coverage census profile: $out" >&2

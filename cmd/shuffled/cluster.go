@@ -5,19 +5,39 @@ package main
 // process, so the paper's trust model — distinct machines per role —
 // can be stood up for real:
 //
-//	# terminal 1: the analyzer generates the key pair and drives rounds
+//	# terminal 1: the analyzer plans, generates the key pair and drives rounds
 //	shuffled analyzer -listen :7900 -shufflers :7901,:7902 -key peos.key \
-//	         -d 16 -nr 24 -n 400 -collections 2 -data-dir ./analyzer-state
+//	         -d 16 -n 400 -eps1 4 -eps2 8 -eps3 8 -epochs 2 -collections 2 \
+//	         -data-dir ./analyzer-state
 //
-//	# terminals 2, 3: one shuffler each (they only ever see the public key)
+//	# terminals 2, 3: one shuffler each (they only ever see the public
+//	# key and the plan)
 //	shuffled shuffler -index 0 -listen :7901 -shufflers :7901,:7902 \
-//	         -analyzer :7900 -key peos.key.pub -nr 24
+//	         -analyzer :7900 -key peos.key.pub
 //	shuffled shuffler -index 1 -listen :7902 -shufflers :7901,:7902 \
-//	         -analyzer :7900 -key peos.key.pub -nr 24
+//	         -analyzer :7900 -key peos.key.pub
 //
 //	# terminal 4: a reporting client per collection round
 //	shuffled client -shufflers :7901,:7902 -analyzer :7900 -key peos.key.pub \
-//	         -d 16 -n 400 -collection 0
+//	         -n 400 -collection 0
+//
+// The analyzer takes the §VI-D targets, not mechanism parameters:
+// -eps1 against the server, -eps2 against the server plus every other
+// user, -eps3 against the server plus a majority of shufflers, each a
+// total over the -epochs collections of the same -n users, at -delta.
+// It plans once (amplify.PlanContinual), which fixes the oracle, d′,
+// ε_l and the fake count n_r, and writes the plan to -key with its
+// extension .plan beside the public key. Shufflers and clients read
+// the plan beside the -key they load, so they take no protocol flag
+// and cannot pair a fake count or an ε_l with the wrong plan;
+// distribute peos.key.plan with peos.key.pub. An analyzer restarted
+// over the same key refuses targets that plan differently.
+//
+// The analyzer's ledger charges every collection the per-collection
+// guarantee the plan was solved for, composed (advanced composition,
+// slack delta/2) against the total (eps1, delta), so it admits exactly
+// -epochs collections; -collections, the rounds this run drives the
+// analyzer to, may not exceed -epochs.
 //
 // The analyzer writes the private key to -key (0600) and the public
 // half to -key.pub on first run and reloads them afterwards, so a
@@ -25,9 +45,8 @@ package main
 // ciphertexts. With -data-dir it seals each collection by writing one
 // fsynced checkpoint of its cumulative counts — the decoded reports
 // never reach the disk, so there is no fsync policy to choose — and a
-// restart over the same directory resumes from the newest one. Oracle
-// parameters (-oracle/-d/-dprime/-epsl) and -nr must match across all
-// roles, like the protocol parameters they are.
+// restart over the same directory resumes from the newest one, its
+// ledger paid for what the directory holds sealed.
 // Two bounds are constants, not flags: a role retries dialing a peer
 // that is not listening yet for 10 s, and drops an inbound connection
 // that sends no hello within 30 s. The analyzer is one node: it
@@ -38,16 +57,20 @@ package main
 // gets.
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"shuffledp/internal/ahe"
+	"shuffledp/internal/amplify"
+	"shuffledp/internal/budget"
 	"shuffledp/internal/cluster"
+	"shuffledp/internal/composition"
 	"shuffledp/internal/dataset"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/rng"
@@ -55,31 +78,75 @@ import (
 	"shuffledp/internal/store"
 )
 
-// oracleFlags are the mechanism parameters every role must agree on.
-type oracleFlags struct {
-	oracle *string
-	d      *int
-	dPrime *int
-	epsL   *float64
+// planFile is what the analyzer writes beside its public key: the value
+// domain and the plan made for it. Every role takes its protocol values
+// from it.
+type planFile struct {
+	D    int
+	Plan amplify.Plan
 }
 
-func addOracleFlags(fs *flag.FlagSet) oracleFlags {
-	return oracleFlags{
-		oracle: fs.String("oracle", "grr", "frequency oracle: grr or solh"),
-		d:      fs.Int("d", 16, "value domain size"),
-		dPrime: fs.Int("dprime", 4, "hashed-domain size (solh only)"),
-		epsL:   fs.Float64("epsl", 2, "local epsilon of the oracle"),
+// oracle instantiates the planned frequency oracle.
+func (pf planFile) oracle() ldp.FrequencyOracle {
+	if pf.Plan.UseGRR {
+		return ldp.NewGRR(pf.D, pf.Plan.EpsL)
 	}
+	return ldp.NewSOLH(pf.D, pf.Plan.DPrime, pf.Plan.EpsL)
 }
 
-func (of oracleFlags) build() (ldp.FrequencyOracle, error) {
-	switch *of.oracle {
-	case "grr":
-		return ldp.NewGRR(*of.d, *of.epsL), nil
-	case "solh":
-		return ldp.NewSOLH(*of.d, *of.dPrime, *of.epsL), nil
+// planPath names the plan file of a key pair: peos.key and
+// peos.key.pub both have theirs at peos.key.plan.
+func planPath(key string) string {
+	return strings.TrimSuffix(key, ".pub") + ".plan"
+}
+
+// readPlan loads the plan beside key.
+func readPlan(key string) (planFile, error) {
+	path := planPath(key)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return planFile{}, fmt.Errorf("reading the plan beside %s (the analyzer writes it with the key pair): %w", key, err)
 	}
-	return nil, fmt.Errorf("unknown -oracle %q (PEOS runs grr or solh)", *of.oracle)
+	var pf planFile
+	if err := json.Unmarshal(blob, &pf); err != nil {
+		return planFile{}, fmt.Errorf("loading %s: %w", path, err)
+	}
+	if p := pf.Plan; pf.D < 2 || p.DPrime < 2 || !(p.EpsL > 0) || p.NR < 0 {
+		return planFile{}, fmt.Errorf("loading %s: not a plan (d=%d, %s)", path, pf.D, p)
+	}
+	return pf, nil
+}
+
+// writePlan puts pf beside key. The plan of a key that already exists
+// is the one its shufflers and clients run, so there pf must equal it.
+func writePlan(key string, pf planFile) error {
+	if _, err := os.Stat(key); err == nil {
+		old, err := readPlan(key)
+		if err == nil {
+			if old != pf {
+				return fmt.Errorf("%s holds d=%d, %s, but these targets plan d=%d, %s: rerun with the targets that planned it, or start over with a new -key",
+					planPath(key), old.D, old.Plan, pf.D, pf.Plan)
+			}
+			return nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	blob, err := json.MarshalIndent(pf, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeFile(planPath(key), append(blob, '\n'), 0o644)
+}
+
+// writeFile writes path by renaming a finished temporary file onto it,
+// so a role that sees path never reads it half written.
+func writeFile(path string, data []byte, perm os.FileMode) error {
+	if err := os.WriteFile(path+".tmp", data, perm); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
 }
 
 // parseTopology builds the cluster topology from the address flags:
@@ -105,77 +172,125 @@ func parseTopology(shufflers, analyzer string) (cluster.Topology, error) {
 // loadOrCreateKey returns the analyzer's DGK key pair: loaded from
 // path when the file exists, freshly generated (and persisted, with
 // the public half next to it as path+".pub") otherwise.
-func loadOrCreateKey(path string, keyBits int) (*ahe.DGKPrivateKey, error) {
+func loadOrCreateKey(path string, keyBits int, out io.Writer) (*ahe.DGKPrivateKey, error) {
 	if blob, err := os.ReadFile(path); err == nil {
 		priv, err := ahe.UnmarshalDGKPrivateKey(blob)
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", path, err)
 		}
-		fmt.Printf("loaded DGK key pair from %s\n", path)
+		fmt.Fprintf(out, "loaded DGK key pair from %s\n", path)
 		return priv, nil
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	fmt.Printf("generating DGK-%d key pair...\n", keyBits)
+	fmt.Fprintf(out, "generating DGK-%d key pair...\n", keyBits)
 	priv, err := ahe.GenerateDGK(keyBits, 64)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(path, ahe.MarshalDGKPrivateKey(priv), 0o600); err != nil {
+	if err := writeFile(path, ahe.MarshalDGKPrivateKey(priv), 0o600); err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(path+".pub", ahe.MarshalDGKPublicKey(&priv.DGKPublicKey), 0o644); err != nil {
+	if err := writeFile(path+".pub", ahe.MarshalDGKPublicKey(&priv.DGKPublicKey), 0o644); err != nil {
 		return nil, err
 	}
-	fmt.Printf("wrote %s (private, 0600) and %s.pub (distribute to shufflers and clients)\n", path, path)
+	fmt.Fprintf(out, "wrote %s (private, 0600) and %s.pub and %s (distribute both to shufflers and clients)\n",
+		path, path, planPath(path))
 	return priv, nil
 }
 
-func loadPublicKey(path string) (ahe.PublicKey, error) {
+// loadPublicKey returns the public key at path and the plan beside it.
+func loadPublicKey(path string) (ahe.PublicKey, planFile, error) {
+	pf, err := readPlan(path)
+	if err != nil {
+		return nil, planFile{}, err
+	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, planFile{}, err
 	}
 	pub, err := ahe.UnmarshalDGKPublicKey(blob)
 	if err != nil {
-		return nil, fmt.Errorf("loading %s: %w", path, err)
+		return nil, planFile{}, fmt.Errorf("loading %s: %w", path, err)
 	}
-	return pub, nil
+	return pub, pf, nil
 }
 
-// runAnalyzer is the `shuffled analyzer` subcommand.
-func runAnalyzer(args []string) {
-	fs := flag.NewFlagSet("shuffled analyzer", flag.ExitOnError)
+// runAnalyzer is the `shuffled analyzer` subcommand. It returns the
+// plan it ran, its ledger and the collections this run sealed.
+func runAnalyzer(args []string, out io.Writer) (amplify.Plan, *budget.Ledger, []cluster.Collection, error) {
+	fs := flag.NewFlagSet("shuffled analyzer", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7900", "analyzer listen address")
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
-	nr := fs.Int("nr", 24, "joint fake reports per collection")
-	keyPath := fs.String("key", "peos.key", "DGK private-key file (created on first run)")
+	keyPath := fs.String("key", "peos.key", "DGK private-key file (created on first run; the plan is written beside it)")
 	keyBits := fs.Int("keybits", 1024, "DGK modulus bits when generating (paper deploys 3072)")
+	d := fs.Int("d", 16, "value domain size")
 	n := fs.Int("n", 400, "users per collection round")
-	collections := fs.Int("collections", 1, "collection rounds to drive")
+	eps1 := fs.Float64("eps1", 4, "total epsilon against the server, over all -epochs collections")
+	eps2 := fs.Float64("eps2", 8, "total epsilon against the server plus every other user")
+	eps3 := fs.Float64("eps3", 8, "total epsilon against the server plus a majority of shufflers")
+	delta := fs.Float64("delta", 1e-9, "total DP failure probability")
+	epochs := fs.Int("epochs", 1, "collections the budget covers")
+	collections := fs.Int("collections", 1, "collection rounds to drive the analyzer to (at most -epochs)")
 	dataDir := fs.String("data-dir", "", "durable state directory (one checkpoint per sealed collection); empty runs in-memory")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-phase collect timeout")
 	retries := fs.Int("retry-attempts", 1, "attempts per collection round (>1 enables abort-and-retry self-healing)")
-	of := addOracleFlags(fs)
-	fs.Parse(args)
-
-	fo, err := of.build()
-	if err != nil {
-		log.Fatal(err)
+	fail := func(err error) (amplify.Plan, *budget.Ledger, []cluster.Collection, error) {
+		return amplify.Plan{}, nil, nil, err
 	}
+	if err := fs.Parse(args); err != nil {
+		return fail(err)
+	}
+	if *collections > *epochs {
+		return fail(fmt.Errorf("-collections %d exceeds -epochs %d: the budget covers only -epochs collections", *collections, *epochs))
+	}
+
 	topo, err := parseTopology(*shufflers, *listen)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	priv, err := loadOrCreateKey(*keyPath, *keyBits)
+
+	plan, per, err := amplify.PlanContinual(amplify.Requirements{
+		Eps1: *eps1, Eps2: *eps2, Eps3: *eps3, D: *d, N: *n, Delta: *delta,
+	}, *epochs)
 	if err != nil {
-		log.Fatal(err)
+		return fail(fmt.Errorf("planning -eps1 %g -eps2 %g -eps3 %g over %d epochs: %w", *eps1, *eps2, *eps3, *epochs, err))
+	}
+	// The ledger charges the target the plan was solved for; refuse a
+	// plan whose bound lands above it.
+	if plan.Achieved.EpsC > per.Eps+1e-12 {
+		return fail(fmt.Errorf("plan %s misses the per-collection eps %g", plan, per.Eps))
+	}
+	// MaxSplit gives each collection the larger of the even and the
+	// advanced split of (eps1, delta); advanced accounting with slack
+	// delta/2 composes either back to at most the total, at -epochs.
+	ledger, err := budget.NewLedger(composition.Guarantee{Eps: *eps1, Delta: *delta}, per, budget.Advanced{Slack: *delta / 2})
+	if err != nil {
+		return fail(err)
+	}
+	if ledger.MaxEpochs() != *epochs {
+		return fail(fmt.Errorf("the ledger admits %d collections of %v, not -epochs %d", ledger.MaxEpochs(), per, *epochs))
+	}
+	pf := planFile{D: *d, Plan: plan}
+	fmt.Fprintf(out, "plan at n=%d, d=%d over %d epochs (delta=%.0e): %s\n", *n, *d, *epochs, *delta, plan)
+	fmt.Fprintf(out, "budget ledger: total (%.4g, %.0e), per collection (%.6g, %.3g), %s accounting admits %d collections\n",
+		*eps1, *delta, per.Eps, per.Delta, ledger.AccountantName(), ledger.MaxEpochs())
+
+	// The plan goes down before a fresh key, so a shuffler that sees the
+	// public key finds the plan beside it.
+	if err := writePlan(*keyPath, pf); err != nil {
+		return fail(err)
+	}
+	priv, err := loadOrCreateKey(*keyPath, *keyBits, out)
+	if err != nil {
+		return fail(err)
 	}
 	cfg := cluster.AnalyzerConfig{
 		Topology:       topo,
-		FO:             fo,
-		NR:             *nr,
+		FO:             pf.oracle(),
+		NR:             plan.NR,
 		Priv:           priv,
+		Ledger:         ledger,
 		DataDir:        *dataDir,
 		CollectTimeout: *timeout,
 		Retry:          cluster.RetryPolicy{Attempts: *retries},
@@ -185,106 +300,108 @@ func runAnalyzer(args []string) {
 		a, err = cluster.RecoverAnalyzer(cfg)
 		if err == nil {
 			reals, fakes := a.Totals()
-			fmt.Printf("recovered durable state from %s: %d collections sealed (%d reports, %d fakes)\n",
+			fmt.Fprintf(out, "recovered durable state from %s: %d collections sealed (%d reports, %d fakes)\n",
 				*dataDir, a.Collections(), reals, fakes)
 		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	defer a.Close()
-	fmt.Printf("analyzer listening on %s, waiting for %d shufflers\n", a.Addr(), topo.R())
+	fmt.Fprintf(out, "analyzer listening on %s, waiting for %d shufflers\n", a.Addr(), topo.R())
 
+	var sealed []cluster.Collection
 	for a.Collections() < *collections {
 		c := a.Collections()
-		fmt.Printf("collection %d: sealing at n=%d (flush your client first)\n", c, *n)
+		fmt.Fprintf(out, "collection %d: sealing at n=%d (flush your client first)\n", c, *n)
 		col, err := a.Collect(*n)
 		if err != nil {
-			log.Fatalf("collection %d: %v", c, err)
+			return fail(fmt.Errorf("collection %d: %w", c, err))
 		}
-		top := 8
-		if top > len(col.Estimates) {
-			top = len(col.Estimates)
-		}
-		fmt.Printf("collection %d sealed: %d users + %d fakes, est[:%d] = %.4f\n",
-			col.Collection, col.Reports, col.Fakes, top, col.Estimates[:top])
+		sealed = append(sealed, col)
+		top := min(8, len(col.Estimates))
+		fmt.Fprintf(out, "collection %d sealed: %d users + %d fakes, est[:%d] = %.4f (charged eps=%.6g, delta=%.3g)\n",
+			col.Collection, col.Reports, col.Fakes, top, col.Estimates[:top], per.Eps, per.Delta)
 	}
 	reals, fakes := a.Totals()
-	fmt.Printf("done: %d collections, %d reports, %d fakes; cumulative est[0] = %.4f\n",
+	spent := ledger.Spent()
+	fmt.Fprintf(out, "ledger: spent (%.4g, %.3g) of (%.4g, %.0e)\n", spent.Eps, spent.Delta, *eps1, *delta)
+	fmt.Fprintf(out, "done: %d collections, %d reports, %d fakes; cumulative est[0] = %.4f\n",
 		a.Collections(), reals, fakes, a.Estimates()[0])
+	return plan, ledger, sealed, nil
 }
 
 // runShuffler is the `shuffled shuffler` subcommand.
-func runShuffler(args []string) {
-	fs := flag.NewFlagSet("shuffled shuffler", flag.ExitOnError)
+func runShuffler(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("shuffled shuffler", flag.ContinueOnError)
 	index := fs.Int("index", 0, "this shuffler's role id in [0, R)")
 	listen := fs.String("listen", "", "listen address (defaults to the -shufflers entry for -index)")
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
 	analyzer := fs.String("analyzer", "127.0.0.1:7900", "analyzer address")
-	nr := fs.Int("nr", 24, "joint fake reports per collection")
-	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file")
+	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file (its plan sits beside it)")
 	idle := fs.Duration("idle-timeout", 2*time.Minute, "drop client connections silent past this (0 = never)")
 	sealTimeout := fs.Duration("seal-timeout", 5*time.Minute, "per-collection wait and peer I/O bound (0 = none)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	topo, err := parseTopology(*shufflers, *analyzer)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *listen != "" && *index >= 0 && *index < len(topo.Shufflers) {
 		topo.Shufflers[*index] = *listen
 	}
-	pub, err := loadPublicKey(*keyPath)
+	pub, pf, err := loadPublicKey(*keyPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sh, err := cluster.NewShuffler(cluster.ShufflerConfig{
 		Index:       *index,
 		Topology:    topo,
-		NR:          *nr,
+		NR:          pf.Plan.NR,
 		Pub:         pub,
 		Source:      secretshare.Crypto,
 		IdleTimeout: *idle,
 		SealTimeout: *sealTimeout,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("shuffler %d listening on %s (analyzer %s, %d fakes/round)\n",
-		*index, sh.Addr(), topo.Analyzers[0], *nr)
+	fmt.Fprintf(out, "shuffler %d listening on %s (analyzer %s, %d fakes/round)\n",
+		*index, sh.Addr(), topo.Analyzers[0], pf.Plan.NR)
 	if err := sh.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("analyzer closed the control link; shuffler exiting")
+	fmt.Fprintln(out, "analyzer closed the control link; shuffler exiting")
+	return nil
 }
 
 // runClient is the `shuffled client` subcommand: a collector gateway
 // reporting one synthetic population into one collection round.
-func runClient(args []string) {
-	fs := flag.NewFlagSet("shuffled client", flag.ExitOnError)
+func runClient(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("shuffled client", flag.ContinueOnError)
 	shufflers := fs.String("shufflers", "", "comma-separated shuffler addresses, in role order")
 	analyzer := fs.String("analyzer", "127.0.0.1:7900", "analyzer address (topology completeness only)")
-	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file")
+	keyPath := fs.String("key", "peos.key.pub", "analyzer's DGK public-key file (its plan sits beside it)")
 	n := fs.Int("n", 400, "users to report (indices base..base+n-1)")
 	base := fs.Int("base", 0, "first user index this client covers")
 	collection := fs.Int("collection", 0, "collection round to report into")
 	seed := fs.Uint64("seed", 1, "seed for the synthetic population and LDP randomness")
 	retries := fs.Int("retry-attempts", 1, "attempts per shuffler connection (>1 enables reconnect-and-resubmit)")
-	of := addOracleFlags(fs)
-	fs.Parse(args)
-
-	fo, err := of.build()
-	if err != nil {
-		log.Fatal(err)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+
 	topo, err := parseTopology(*shufflers, *analyzer)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	pub, err := loadPublicKey(*keyPath)
+	pub, pf, err := loadPublicKey(*keyPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	fo := pf.oracle()
 	values := dataset.Synthetic("demo", *n, fo.Domain(), 1.3, *seed).Values
 	cl, err := cluster.NewClient(cluster.ClientConfig{
 		Topology: topo,
@@ -294,17 +411,18 @@ func runClient(args []string) {
 		Retry:    cluster.RetryPolicy{Attempts: *retries},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cl.SetCollection(*collection)
 	// One seeded stream for the demo population; real deployments give
 	// every user device its own generator.
 	if err := cl.SendValues(*base, values, rng.New(*seed+uint64(*collection))); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := cl.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("reported %d users (indices %d..%d) into collection %d across %d shufflers\n",
+	fmt.Fprintf(out, "reported %d users (indices %d..%d) into collection %d across %d shufflers\n",
 		*n, *base, *base+*n-1, *collection, topo.R())
+	return nil
 }

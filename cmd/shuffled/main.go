@@ -30,7 +30,9 @@
 // (§VI-A3): `shuffled analyzer`, `shuffled shuffler`, and
 // `shuffled client` each run one party of the role-separated cluster
 // (internal/cluster) as its own process — see cluster.go in this
-// directory for the multi-terminal walkthrough. Without a subcommand
+// directory for the multi-terminal walkthrough: the analyzer plans from
+// the §VI-D targets and writes the plan beside its public key, and
+// shufflers and clients read it there. Without a subcommand
 // the binary keeps its original single-node streaming behavior below.
 //
 // Usage:
@@ -66,20 +68,24 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "analyzer":
-			runAnalyzer(os.Args[2:])
-			return
-		case "shuffler":
-			runShuffler(os.Args[2:])
-			return
-		case "client":
-			runClient(os.Args[2:])
-			return
-		}
+	if len(os.Args) < 2 {
+		runService(nil, os.Stdout)
+		return
 	}
-	runService(os.Args[1:], os.Stdout)
+	var err error
+	switch os.Args[1] {
+	case "analyzer":
+		_, _, _, err = runAnalyzer(os.Args[2:], os.Stdout)
+	case "shuffler":
+		err = runShuffler(os.Args[2:], os.Stdout)
+	case "client":
+		err = runClient(os.Args[2:], os.Stdout)
+	default:
+		runService(os.Args[1:], os.Stdout)
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
 }
 
 // runService is the single-node streaming service, the binary's mode

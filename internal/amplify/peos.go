@@ -27,6 +27,9 @@ type PEOSGuarantees struct {
 //
 //	epsS = sqrt(14 ln(2/delta) * outputSpace / nr)
 //	epsC = sqrt(14 ln(2/delta) / ((n-1)/(e^epsL+outputSpace-1) + nr/outputSpace))
+//
+// Near epsS = 4 the epsS constant bounds nothing (fakesonly.go); the
+// planners only plan an nr at which the exact fakes-only view holds it.
 func PEOSEpsilons(epsL float64, outputSpace, n, nr int, delta float64) PEOSGuarantees {
 	validate(n, delta)
 	if outputSpace < 2 {

@@ -145,8 +145,9 @@ func PlanShuffle(epsC float64, d, n int, delta float64, oracle Oracle) (Plan, er
 // minimize estimation variance subject to the three adversary budgets.
 // The search is the numeric optimization §VI-D prescribes: for each
 // candidate output-space size the minimal feasible nr is derived in
-// closed form, epsL is capped at Eps3, and the variance is evaluated
-// exactly.
+// closed form (and raised where the exact fakes-only view does not hold
+// the closed form's epsS, fakesonly.go), epsL is capped at Eps3, and the
+// variance is evaluated exactly.
 func PlanPEOS(rq Requirements) (Plan, error) {
 	if err := rq.validate(); err != nil {
 		return Plan{}, err
@@ -258,6 +259,13 @@ func planAt(rq Requirements, outputSpace int, grr bool, L float64) (Plan, error)
 	nr := nrUsers
 	if nrServer > nr {
 		nr = nrServer
+	}
+	// Near epsS = 4 the Chernoff constant of Corollaries 8 and 9 is no
+	// bound on the fakes-only view; take fakes until the exact view
+	// holds the epsS claimed (fakesonly.go).
+	nr, err := fakesForEpsS(nr, outputSpace, grr, L, rq.Delta)
+	if err != nil {
+		return Plan{}, err
 	}
 	// With nr fixed, spend as much local budget as epsC allows (utility
 	// increases with epsL), capped at Eps3. When the inversion fails

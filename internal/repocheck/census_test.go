@@ -17,7 +17,6 @@ var callerAllowList = map[string]string{
 	"protocol.NewSpotCheck":     "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Plant":  "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Verify": "ROADMAP item 4a wires the spot check into cluster.Analyzer",
-	"amplify.PlanContinual":     "ROADMAP item 2 makes cmd/shuffled analyzer plan through it",
 	"amplify.CentralEpsilonUnary": "ROADMAP item 1 (iii) and (v) check it against the oracle; " +
 		"it inverts the production LocalEpsilonUnary",
 	"stattest": "the package exists to serve tests",
@@ -34,9 +33,8 @@ const paperGrid = "a paper grid: cmd/reproduce runs the paper's values, tests sh
 // named by its name relative to internal/. An entry that names nothing,
 // or whose fields have all gained a setter, fails the gate.
 var optionAllowList = map[string]string{
-	"cluster.AnalyzerConfig.Ledger": "ROADMAP item 2 builds the analyzer's ledger from its plan",
-	"faultnet.Config":               "the fault-injection harness: chaos tests draw their schedules from these fields",
-	"service.Config.IdleTimeout":    "ROADMAP item 4(d) decides the service's bound on silent connections",
+	"faultnet.Config":            "the fault-injection harness: chaos tests draw their schedules from these fields",
+	"service.Config.IdleTimeout": "ROADMAP item 4(d) decides the service's bound on silent connections",
 
 	"experiment.Figure3Config.EpsCs":   paperGrid,
 	"experiment.Figure3Config.Methods": paperGrid,

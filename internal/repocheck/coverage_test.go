@@ -28,7 +28,6 @@ var runAllowList = map[string]string{
 	"repocheck": "the repository's CI gates, which run as tests",
 
 	"amplify.CentralEpsilonUnary": "ROADMAP item 1 checks it against the exact oracle",
-	"amplify.PlanContinual":       "ROADMAP item 2 makes cmd/shuffled analyzer plan through it",
 	"protocol.NewSpotCheck":       "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Plant":    "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Verify":   "ROADMAP item 4a wires the spot check into cluster.Analyzer",
