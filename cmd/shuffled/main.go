@@ -4,20 +4,24 @@
 // shuffler and the server in one trusted process, a batch stage plus a
 // decode/aggregate worker pool — and several concurrent collector
 // gateways stream the users' reports into it in session-sealed
-// batches. While ingestion runs, mid-stream Snapshots print counters
-// only (epoch, reports received, batches): an open epoch's estimate is
-// no planned release. Drain prints the final histogram and the
-// per-party cost account (transport.Meter).
+// batches. At each epoch cut the driver prints counters only (epoch,
+// reports received, batches): an open epoch's estimate is no planned
+// release. Drain prints the final histogram and the per-party cost
+// account (transport.Meter).
 //
 // The run is continual: the stream is cut into -epochs collection
-// rounds (auto-rotated every ⌈n/epochs⌉ reports), a budget ledger
-// charges each epoch's (eps, delta) against -total-eps under the
-// chosen -accountant, and the sealed epochs answer sliding-window
-// queries. -eps is the central target of one epoch, so SOLH is planned
-// (amplify.PlanShuffle) at the ⌈n/epochs⌉ reports an epoch seals, not
-// at all n users. With -total-eps too small for the epoch count the
-// service demonstrates budget exhaustion: it seals what the ledger
-// affords and rejects the rest of the stream.
+// rounds, a budget ledger charges each epoch's (eps, delta) against
+// -total-eps under the chosen -accountant, and the sealed epochs
+// answer sliding-window queries. The driver cuts every epoch itself:
+// the gateways connect once and send each epoch's share, and once the
+// service accounts for all of it the driver calls Rotate (Drain after
+// the last), so each epoch holds ⌊n/epochs⌋ reports, plus one for the
+// first n mod epochs epochs. -eps is the central target of one epoch,
+// so SOLH is planned (amplify.PlanShuffle) at the ⌊n/epochs⌋ reports
+// the smallest epoch seals, not at all n users. With -total-eps too
+// small for the epoch count the service demonstrates budget
+// exhaustion: it seals what the ledger affords and rejects the rest of
+// the stream.
 //
 // With -data-dir the run is durable: accepted reports are write-ahead
 // logged and every rotation writes a checkpoint (fsync cadence chosen
@@ -40,7 +44,6 @@
 //	shuffled [-n users] [-d domain] [-eps epsC] [-seed s] [-clients c]
 //	         [-epochs e] [-total-eps B] [-accountant naive|advanced] [-window k]
 //	         [-data-dir dir] [-fsync always|batch|none]
-//	         [-session-batch r] [-max-frame bytes]
 //	shuffled analyzer|shuffler|client [role flags; -h lists them]
 package main
 
@@ -105,8 +108,6 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	window := fs.Int("window", 2, "sliding-window width for the final window query")
 	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
 	fsync := fs.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every run handed to the workers), or none (epoch seals only)")
-	sessionBatch := fs.Int("session-batch", 0, "reports per session frame (0: the service default)")
-	maxFrame := fs.Int("max-frame", 0, "per-connection frame cap in bytes; oversized frames kick the connection (0: the service default)")
 	fs.Parse(args)
 	if *clients < 1 {
 		*clients = 1
@@ -117,10 +118,10 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 
 	values := dataset.Synthetic("demo", *n, *d, 1.3, *seed).Values
 
-	// Plan SOLH for the per-epoch central budget at the reports one
-	// epoch seals: a release aggregates its epoch's reports, not all
-	// -n users.
-	epochReports := (*n + *epochs - 1) / *epochs
+	// Plan SOLH for the per-epoch central budget at the reports the
+	// smallest epoch seals: a release aggregates its epoch's reports,
+	// not all -n users.
+	epochReports := *n / *epochs
 	plan, err := amplify.PlanShuffle(*epsC, *d, epochReports, *delta, amplify.SOLH)
 	if err != nil {
 		log.Fatalf("planning -eps %g at %d reports per epoch: %v", *epsC, epochReports, err)
@@ -165,14 +166,12 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	}
 	var meter transport.Meter
 	cfg := service.Config{
-		FO:           fo,
-		Key:          key,
-		Meter:        &meter,
-		Ledger:       ledger,
-		EpochReports: epochReports,
-		DataDir:      *dataDir,
-		Sync:         syncPolicy,
-		MaxFrame:     *maxFrame,
+		FO:      fo,
+		Key:     key,
+		Meter:   &meter,
+		Ledger:  ledger,
+		DataDir: *dataDir,
+		Sync:    syncPolicy,
 	}
 	svc, err := service.New(cfg)
 	if *dataDir != "" && errors.Is(err, store.ErrExists) {
@@ -203,8 +202,8 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(out, "ingestion service listening on %s (%d gateways, rotate every %d reports)\n",
-		ln.Addr(), *clients, epochReports)
+	fmt.Fprintf(out, "ingestion service listening on %s (%d gateways, %d epochs of at least %d reports)\n",
+		ln.Addr(), *clients, *epochs, epochReports)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- svc.Serve(ln) }()
 
@@ -218,57 +217,65 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 		reports = ldp.RandomizeParallel(fo, values, *seed, 0)
 	})
 
-	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				log.Fatal(err)
-			}
-			cl, err := service.NewSessionClient(fo, key.Public(), nil, conn, *sessionBatch)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for i := c; i < len(reports); i += *clients {
-				if err := cl.SendReport(reports[i]); err != nil {
+	// Each gateway connects once and, for every epoch, sends its share
+	// of the epoch's reports and flushes; the driver cuts the epoch once
+	// the service accounts for every report sent so far. Received, Late
+	// and Rejected are disjoint, so their sum is every report the
+	// readers have handed on, and a Rotate cuts after all of them.
+	gateways := make([]*service.Client, *clients)
+	for c := range gateways {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			log.Fatal(err)
+		}
+		if gateways[c], err = service.NewSessionClient(fo, key.Public(), nil, conn, 0); err != nil {
+			log.Fatal(err)
+		}
+	}
+	start := svc.Snapshot()
+	accounted := start.Received + start.Late + start.Rejected
+	end := 0
+	for e := 0; e < *epochs; e++ {
+		from := end
+		end += epochReports
+		if e < *n%*epochs {
+			end++
+		}
+		var wg sync.WaitGroup
+		for c, cl := range gateways {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := from + c; i < end; i += *clients {
+					if err := cl.SendReport(reports[i]); err != nil {
+						log.Fatalf("gateway %d: %v", c, err)
+					}
+				}
+				if err := cl.Flush(); err != nil {
 					log.Fatalf("gateway %d: %v", c, err)
 				}
-			}
-			if err := cl.Close(); err != nil {
-				log.Fatalf("gateway %d close: %v", c, err)
-			}
-		}(c)
-	}
-
-	// Watch the stream: the open epoch advances as the rotator cuts.
-	// Counters only — an open epoch's estimate is not a release the
-	// ledger planned.
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for range tick.C {
-			snap := svc.Snapshot()
-			fmt.Fprintf(out, "  snapshot: epoch %d, %6d reports received, %d batches\n",
-				snap.Epoch, snap.Received, snap.Batches)
-			// Received/Late/Rejected are disjoint, so their sum is every
-			// report the readers have seen.
-			if snap.Received+snap.Late+snap.Rejected >= int64(*n) {
-				return
+			}()
+		}
+		wg.Wait()
+		snap := svc.Snapshot()
+		for ; snap.Received+snap.Late+snap.Rejected < accounted+int64(end); snap = svc.Snapshot() {
+			time.Sleep(time.Millisecond)
+		}
+		fmt.Fprintf(out, "  snapshot: epoch %d, %6d reports received, %d batches\n",
+			snap.Epoch, snap.Received, snap.Batches)
+		// An exhausting rotation still seals the epoch; from then on
+		// the service rejects, and counts, the rest of the stream.
+		if e < *epochs-1 {
+			if _, err := svc.Rotate(); err != nil && !errors.Is(err, budget.ErrExhausted) {
+				log.Fatal(err)
 			}
 		}
-	}()
-
-	wg.Wait()
-	// The gateways have written and closed, but a batched session client
-	// finishes so fast its connection may still sit in the listener
-	// backlog, not yet accepted. Drain's cutoff would discard it, so wait
-	// until the service accounts for every report (the watcher's exit
-	// condition) before draining.
-	<-watchDone
+	}
+	for c, cl := range gateways {
+		if err := cl.Close(); err != nil {
+			log.Fatalf("gateway %d close: %v", c, err)
+		}
+	}
 	snap, err := svc.Drain()
 	if err != nil {
 		log.Fatal(err)

@@ -11,60 +11,64 @@ import (
 	"shuffledp/internal/amplify"
 )
 
-// The service mode plans SOLH at the reports one epoch seals, prints
-// the plan and the ε it charges, and charges exactly that ε for every
-// sealed epoch.
+// The service mode plans SOLH at the reports the smallest epoch seals,
+// prints the plan and the ε it charges, charges exactly that ε for
+// every sealed epoch, and seals exactly -epochs epochs, each holding at
+// least the planned count. It runs with the default 8 gateways, whose
+// interleaving differs from run to run, several times, and once at an
+// n the epochs do not divide.
 func TestServicePlansAtEpochSize(t *testing.T) {
 	const (
-		n            = 3000
-		epochs       = 3
-		epochReports = (n + epochs - 1) / epochs
-		delta        = 1e-9 // the -delta default
+		epochs = 3
+		delta  = 1e-9 // the -delta default
 	)
-	var out bytes.Buffer
-	plan, hist := runService([]string{
-		"-n", fmt.Sprint(n), "-epochs", fmt.Sprint(epochs), "-clients", "1",
-	}, &out)
-	text := out.String()
-	if plan.UseGRR || plan.NR != 0 {
-		t.Fatalf("service mode planned %s, want a basic-model SOLH plan", plan)
-	}
-	if want := fmt.Sprintf("plan at %d reports per epoch (delta=1e-09): %s\n", epochReports, plan); !strings.Contains(text, want) {
-		t.Errorf("output lacks the plan line %q:\n%s", want, text)
-	}
-	if len(hist) == 0 {
-		t.Fatalf("no epoch sealed:\n%s", text)
-	}
+	for run, n := range []int{3000, 3000, 3000, 3002} {
+		epochReports := n / epochs
+		var out bytes.Buffer
+		plan, hist := runService([]string{"-n", fmt.Sprint(n), "-epochs", fmt.Sprint(epochs)}, &out)
+		text := out.String()
+		if plan.UseGRR || plan.NR != 0 {
+			t.Fatalf("run %d: service mode planned %s, want a basic-model SOLH plan", run, plan)
+		}
+		if want := fmt.Sprintf("plan at %d reports per epoch (delta=1e-09): %s\n", epochReports, plan); !strings.Contains(text, want) {
+			t.Errorf("run %d: output lacks the plan line %q:\n%s", run, want, text)
+		}
+		if len(hist) != epochs {
+			t.Fatalf("run %d: sealed %d epochs, want %d:\n%s", run, len(hist), epochs, text)
+		}
 
-	// (a) The ε printed for each sealed epoch is the one charged.
-	printed := regexp.MustCompile(`(?m)^  epoch (\d+): .*\(charged eps=([0-9.]+)\)$`).FindAllStringSubmatch(text, -1)
-	if len(printed) != len(hist) {
-		t.Fatalf("printed %d sealed epochs, sealed %d:\n%s", len(printed), len(hist), text)
-	}
-	for i, es := range hist {
-		if want := fmt.Sprintf("%.2f", es.Guarantee.Eps); printed[i][1] != fmt.Sprint(es.Epoch) || printed[i][2] != want {
-			t.Errorf("epoch %d printed as epoch %s charged %s, charged %s", es.Epoch, printed[i][1], printed[i][2], want)
+		// (a) The ε printed for each sealed epoch is the one charged.
+		printed := regexp.MustCompile(`(?m)^  epoch (\d+): .*\(charged eps=([0-9.]+)\)$`).FindAllStringSubmatch(text, -1)
+		if len(printed) != len(hist) {
+			t.Fatalf("run %d: printed %d sealed epochs, sealed %d:\n%s", run, len(printed), len(hist), text)
 		}
-	}
+		for i, es := range hist {
+			if want := fmt.Sprintf("%.2f", es.Guarantee.Eps); printed[i][1] != fmt.Sprint(es.Epoch) || printed[i][2] != want {
+				t.Errorf("run %d: epoch %d printed as epoch %s charged %s, charged %s", run, es.Epoch, printed[i][1], printed[i][2], want)
+			}
+		}
 
-	for i, es := range hist {
-		// (b) The plan's forward bound at the planned report count is
-		// the charge.
-		if got := amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, epochReports, delta); math.Abs(got-es.Guarantee.Eps) > 1e-12 {
-			t.Errorf("epoch %d: plan gives eps=%v at %d reports, charged %v", es.Epoch, got, epochReports, es.Guarantee.Eps)
+		sealed := 0
+		for _, es := range hist {
+			sealed += es.Reports
+			// (b) The plan's forward bound at the planned report count
+			// is the charge.
+			if got := amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, epochReports, delta); math.Abs(got-es.Guarantee.Eps) > 1e-12 {
+				t.Errorf("run %d: epoch %d: plan gives eps=%v at %d reports, charged %v", run, es.Epoch, got, epochReports, es.Guarantee.Eps)
+			}
+			// (c) Every epoch, the last one too, holds at least the
+			// planned count, so its own forward bound is within the
+			// charge.
+			if es.Reports < epochReports {
+				t.Errorf("run %d: epoch %d sealed %d reports, under the planned %d", run, es.Epoch, es.Reports, epochReports)
+				continue
+			}
+			if got := amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, es.Reports, delta); got > es.Guarantee.Eps+1e-12 {
+				t.Errorf("run %d: epoch %d: %d reports give eps=%v, above the charge %v", run, es.Epoch, es.Reports, got, es.Guarantee.Eps)
+			}
 		}
-		// (c) An epoch a rotation sealed holds at least the planned
-		// count, so its own forward bound is within the charge. The
-		// last epoch is Drain's and may be short.
-		if i == len(hist)-1 {
-			continue
-		}
-		if es.Reports < epochReports {
-			t.Errorf("epoch %d: rotation sealed %d reports, under the planned %d", es.Epoch, es.Reports, epochReports)
-			continue
-		}
-		if got := amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, es.Reports, delta); got > es.Guarantee.Eps+1e-12 {
-			t.Errorf("epoch %d: %d reports give eps=%v, above the charge %v", es.Epoch, es.Reports, got, es.Guarantee.Eps)
+		if sealed != n {
+			t.Errorf("run %d: the epochs sealed %d reports, want all %d", run, sealed, n)
 		}
 	}
 }

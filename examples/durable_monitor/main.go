@@ -10,6 +10,11 @@
 // bit-identical to the run that never crashed, and exits non-zero if
 // any of them drifted (the CI recovery smoke job runs it).
 //
+// Each epoch releases one estimate over its -n reports, so SOLH is
+// planned (amplify.PlanShuffle) for a per-epoch central ε of 2 at -n
+// reports, and the ledger charges that target per epoch. A target of 1
+// buys no amplification at the few hundred reports the demo runs.
+//
 // Usage:
 //
 //	durable_monitor [-n per-epoch users] [-d domain] [-epochs e]
@@ -25,6 +30,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"shuffledp/internal/amplify"
 	"shuffledp/internal/budget"
 	"shuffledp/internal/composition"
 	"shuffledp/internal/ecies"
@@ -45,8 +51,15 @@ func main() {
 		*epochs = 2
 	}
 
-	const perEps = 1.0
-	fo := ldp.NewOLH(*d, 2)
+	const (
+		perEps   = 2.0
+		perDelta = 1e-9
+	)
+	plan, err := amplify.PlanShuffle(perEps, *d, *n, perDelta, amplify.SOLH)
+	if err != nil {
+		log.Fatalf("planning eps %g at %d reports per epoch: %v", perEps, *n, err)
+	}
+	fo := ldp.NewSOLH(*d, plan.DPrime, plan.EpsL)
 	key, err := ecies.GenerateKey()
 	if err != nil {
 		log.Fatal(err)
@@ -72,7 +85,7 @@ func main() {
 	newLedger := func() *budget.Ledger {
 		l, err := budget.NewLedger(
 			composition.Guarantee{Eps: perEps * float64(*epochs), Delta: 1e-6},
-			composition.Guarantee{Eps: perEps, Delta: 1e-9},
+			composition.Guarantee{Eps: perEps, Delta: perDelta},
 			budget.Naive{},
 		)
 		if err != nil {
@@ -87,6 +100,7 @@ func main() {
 		}
 	}
 
+	fmt.Printf("plan at %d reports per epoch: %s\n", *n, plan)
 	fmt.Printf("durable monitor: %d reports over %d epochs, kill at report %d, fsync=%s\n\n",
 		total, *epochs, killAt, sync)
 

@@ -123,20 +123,27 @@ func TestRecoverAnalyzerRefusesNRMismatch(t *testing.T) {
 	}
 }
 
-// appendWordsRecord appends to dir's newest WAL segment the
-// store.RecordReport an older analyzer build logged a collection's
-// revealed words in. Nothing writes one through the store any more, so
-// it is framed by hand, as the store frames every record: big-endian
-// length, the encoding (type, little-endian collection id, words), and
-// a big-endian CRC32C of the encoding.
+// appendWordsRecord appends to dir's newest WAL segment the words
+// record (type byte 1, now reserved) an older analyzer build logged a
+// collection's revealed words in: the type, the little-endian
+// collection id, the words.
 func appendWordsRecord(t *testing.T, dir string, col uint32, words []uint64) {
+	t.Helper()
+	rec := binary.LittleEndian.AppendUint32([]byte{1}, col)
+	appendRawRecord(t, dir, append(rec, transport.EncodeUint64s(words)...))
+}
+
+// appendRawRecord appends the record encoding rec to dir's newest WAL
+// segment without going through the store, which refuses a segment
+// holding a record it does not decode. It is framed as the store
+// frames every record: big-endian length, the encoding, and a
+// big-endian CRC32C of the encoding.
+func appendRawRecord(t *testing.T, dir string, rec []byte) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segment in %s (%v)", dir, err)
 	}
-	rec := binary.LittleEndian.AppendUint32([]byte{store.RecordReport}, col)
-	rec = append(rec, transport.EncodeUint64s(words)...)
 	frame := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
 	frame = binary.BigEndian.AppendUint32(append(frame, rec...), crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
 	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
@@ -176,7 +183,8 @@ func readFiles(t *testing.T, dir string) map[string][]byte {
 // past its checkpoint was not left by this build: an older one logged a
 // collection's words and then its rotation marker before checkpointing,
 // so a crash could leave either or both. Recovery refuses it by name,
-// with the record count, before it loads or pays anything — and every
+// with the record count — or, for the retired words record, the store
+// refuses it by its type — before it loads or pays anything — and every
 // file the directory held is left byte-for-byte as it was (Open starts
 // a fresh, empty segment, as it does for every recovery), so a second
 // attempt refuses the same records again.
@@ -204,19 +212,23 @@ func TestRecoverAnalyzerRefusesWALTail(t *testing.T) {
 		}
 	}
 	marker := func(st *store.Store) error { return st.Rotate(1, 2) }
+	const wordsRefused = "unknown WAL record type 1"
 	for _, tc := range []struct {
 		name    string
 		records int
+		refused string // the error's text when the store refuses a record
 		stage   func(t *testing.T, dir string)
 	}{
-		{"rotation marker", 1, func(t *testing.T, dir string) { reopen(t, dir, marker) }},
-		{"drop", 1, func(t *testing.T, dir string) {
+		{"rotation marker", 1, "", func(t *testing.T, dir string) { reopen(t, dir, marker) }},
+		{"drop", 1, "", func(t *testing.T, dir string) {
 			reopen(t, dir, func(st *store.Store) error { return st.AppendDrop(1, store.DropLate, 3) })
 		}},
-		{"words", 1, func(t *testing.T, dir string) { appendWordsRecord(t, dir, 1, words) }},
-		{"words and marker", 2, func(t *testing.T, dir string) {
+		{"words", 1, wordsRefused, func(t *testing.T, dir string) { appendWordsRecord(t, dir, 1, words) }},
+		{"words and marker", 2, wordsRefused, func(t *testing.T, dir string) {
 			appendWordsRecord(t, dir, 1, words)
-			reopen(t, dir, marker)
+			// The marker sealing collection 1 and opening 2.
+			rec := binary.LittleEndian.AppendUint32([]byte{store.RecordRotate}, 1)
+			appendRawRecord(t, dir, binary.LittleEndian.AppendUint64(rec, 2))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,6 +241,9 @@ func TestRecoverAnalyzerRefusesWALTail(t *testing.T) {
 			tc.stage(t, dir)
 			before := readFiles(t, dir)
 			want := fmt.Sprintf("%s holds %d WAL record(s) past its checkpoint", dir, tc.records)
+			if tc.refused != "" {
+				want = tc.refused
+			}
 			for attempt := 1; attempt <= 2; attempt++ {
 				ledger := testLedger(t)
 				a, err := cluster.RecoverAnalyzer(cluster.AnalyzerConfig{

@@ -4,8 +4,8 @@ package ldp
 // the durable epoch tier (internal/store): the accumulator of
 // accumulator.go, which serves every FrequencyOracle, implements
 // encoding.BinaryMarshaler / encoding.BinaryUnmarshaler with one
-// versioned layout, so a sealed epoch root or the all-time aggregate
-// can be checkpointed to disk and restored bit-identically.
+// versioned layout, so a sealed epoch root can be checkpointed to disk
+// and restored bit-identically.
 //
 // Layout (little-endian), stable across builds:
 //

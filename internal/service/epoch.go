@@ -50,22 +50,27 @@ type WindowSnapshot struct {
 	Reports int
 }
 
-// walCounters is a consistent view of the durable service counters:
-// reports write-ahead logged (received), drops logged (late,
-// rejected), and batches forwarded. The shuffler goroutine owns the
-// live copy and snapshots it into the sealing epoch at each rotation
-// boundary, so checkpoints never mix counts from two epochs.
+// walCounters is the shuffler's mirror of the two durable counts the
+// live atomics cannot give: reports write-ahead logged (received; the
+// live count also holds frames still on their way to the shuffler) and
+// rejected drops logged (rejected; logging stops at rejectedLogCap).
+// Late drops and forwarded batches need no mirror: the shuffler is the
+// only writer of their atomics, so those are exact at every cut.
 type walCounters struct {
-	received, late, rejected, batches int64
+	received, rejected int64
 }
 
-// epochState is one epoch's aggregation state: a shard aggregator per
-// worker plus the root they gather into. The pending WaitGroup counts
-// batches forwarded to the workers but not yet folded; sealing waits
-// on it so a sealed epoch provably covers every report routed to it.
+// epochState is one epoch: while open, a shard aggregator per worker
+// plus the root they gather into; once sealed, the frozen root and
+// estimate History and the window queries read. The pending WaitGroup
+// counts batches forwarded to the workers but not yet folded; sealing
+// waits on it so a sealed epoch provably covers every report routed to
+// it.
 type epochState struct {
-	id     int
-	fo     ldp.FrequencyOracle
+	id int
+	fo ldp.FrequencyOracle
+	// shards are the workers' aggregators, nil once the epoch is
+	// sealed.
 	shards []*shard
 	// pending counts forwarded-but-unfolded batches.
 	pending sync.WaitGroup
@@ -73,19 +78,21 @@ type epochState struct {
 	// accepted counts reports the shuffler routed to this epoch
 	// (batched or still buffered) — the auto-rotation trigger.
 	accepted atomic.Int64
-	sealed   bool // guarded by Service.rotateMu
+	// guarantee is what the ledger charged for the epoch, set at seal.
+	guarantee composition.Guarantee
 
-	// bnd is the durable-counter snapshot at this epoch's rotation
-	// boundary; written by the shuffler at the marker (or by Drain
-	// after the shuffler exits), read by seal for the checkpoint.
-	bnd walCounters
+	// cut holds the durable counters at this epoch's rotation boundary;
+	// written by the shuffler at the marker (or by Drain after the
+	// shuffler exits), read by seal for the checkpoint.
+	cut store.Checkpoint
 
 	rootMu sync.Mutex
 	root   ldp.Aggregator
 	// frozen flips at seal: from then on gather returns the cached
-	// estimate and never touches root again, so window queries and the
-	// all-time merge can read sealed roots without racing a stale
-	// Snapshot that still holds this epoch's pointer.
+	// estimate and never touches root again, so window queries and
+	// checkpoints can read sealed roots without racing a stale
+	// Snapshot that still holds this epoch's pointer. It is written
+	// under both rootMu and Service.rotateMu, so either guards a read.
 	frozen    bool
 	frozenEst []float64
 	frozenN   int
@@ -144,28 +151,30 @@ func (e *epochState) fold() {
 	}
 }
 
-// freeze folds the shards one final time, caches the estimate, and
-// marks the epoch sealed: from here on the root is immutable (gather
-// no-ops into the cache), which is what makes cloning it for the
-// all-time merge and the window queries race-free. Idempotent; called
-// by seal with every batch already folded (pending waited out).
-func (e *epochState) freeze() ([]float64, int) {
+// freeze folds the shards one final time, drops them, caches the
+// estimate, and marks the epoch frozen: from here on the root is
+// immutable (gather no-ops into the cache), which is what makes
+// cloning it for the window queries race-free. Called by seal with
+// every batch already folded (pending waited out).
+func (e *epochState) freeze() {
 	e.rootMu.Lock()
 	defer e.rootMu.Unlock()
-	if !e.frozen {
-		e.fold()
-		e.frozenEst = e.root.Estimates()
-		e.frozenN = e.root.Count()
-		e.frozen = true
-	}
-	return e.frozenEst, e.frozenN
+	e.fold()
+	e.shards = nil
+	e.frozenEst = e.root.Estimates()
+	e.frozenN = e.root.Count()
+	e.frozen = true
 }
 
-// epochRecord is a sealed epoch in the history: the frozen
-// snapshot plus the root aggregator window queries clone-merge from.
-type epochRecord struct {
-	snap EpochSnapshot
-	agg  ldp.Aggregator
+// snapshot is a sealed epoch's History entry.
+func (e *epochState) snapshot() EpochSnapshot {
+	return EpochSnapshot{
+		Epoch:     e.id,
+		Estimates: e.frozenEst,
+		Reports:   e.frozenN,
+		Batches:   e.batches.Load(),
+		Guarantee: e.guarantee,
+	}
 }
 
 // rotateReq asks the shuffler to swap epochs at a batch boundary.
@@ -179,7 +188,7 @@ type rotateReq struct {
 // Rotate seals the current epoch and opens the next one: the shuffler
 // flushes the epoch's partial batch and switches, every batch already
 // routed to the sealed epoch is waited for, the epoch's estimate is
-// frozen into History, and its reports join the all-time aggregate.
+// frozen into History.
 //
 // When a budget ledger is configured, opening the next epoch charges
 // it one per-epoch guarantee. If the ledger refuses, the current epoch
@@ -234,41 +243,31 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 	return snap, nil
 }
 
-// seal freezes a fully-folded epoch: fold the shards one last time,
-// record the snapshot in the history, fold a clone of the
-// epoch root into the all-time aggregate, and — when the service is
-// durable — write the checkpoint that makes the seal survive a crash.
-// openCharged says whether the epoch the seal leaves open is already
-// paid for (true after a successful rotation, false for a drain seal
-// and an exhausting rotation); the checkpoint records it so recovery
-// knows whether a ledger refusing that epoch is an error or the budget
-// running out. Callers hold rotateMu. The freeze happens before the
-// root is cloned or shared, so a Snapshot still holding this epoch's
-// pointer can only read the frozen cache, never mutate a sealed root
-// (the Snapshot/Rotate race TestSnapshotDuringRotate locks in).
+// seal freezes a fully-folded epoch — one last fold of its shards,
+// which it then drops — records it in the history, and, when the
+// service is durable, writes the checkpoint that makes the seal
+// survive a crash. openCharged says whether the epoch the seal leaves
+// open is already paid for (true after a successful rotation, false
+// for a drain seal and an exhausting rotation); the checkpoint records
+// it so recovery knows whether a ledger refusing that epoch is an
+// error or the budget running out. Callers hold rotateMu. The freeze
+// happens before the root is shared, so a Snapshot still holding this
+// epoch's pointer can only read the frozen cache, never mutate a
+// sealed root (the Snapshot/Rotate race TestSnapshotDuringRotate
+// locks in).
 func (s *Service) seal(e *epochState, openCharged bool) EpochSnapshot {
-	if e.sealed {
+	if e.frozen {
 		// Drain after an exhausting Rotate: the final epoch is already
 		// in the history.
 		return s.lastSealed()
 	}
-	e.sealed = true
-	est, n := e.freeze()
-	snap := EpochSnapshot{
-		Epoch:     e.id,
-		Estimates: est,
-		Reports:   n,
-		Batches:   e.batches.Load(),
-	}
 	if s.cfg.Ledger != nil {
-		snap.Guarantee = s.cfg.Ledger.PerEpoch()
+		e.guarantee = s.cfg.Ledger.PerEpoch()
 	}
-	s.allMu.Lock()
-	s.allTime.Merge(e.root.Clone())
-	s.allMu.Unlock()
+	e.freeze()
 
 	s.histMu.Lock()
-	s.history = append(s.history, epochRecord{snap: snap, agg: e.root})
+	s.history = append(s.history, e)
 	s.histMu.Unlock()
 
 	if s.st != nil {
@@ -276,53 +275,53 @@ func (s *Service) seal(e *epochState, openCharged bool) EpochSnapshot {
 			s.fail(fmt.Errorf("service: checkpointing epoch %d seal: %w", e.id, err))
 		}
 	}
-	return snap
+	return e.snapshot()
 }
 
 // writeCheckpoint snapshots the whole durable state after sealing e:
-// the retained history roots, the all-time aggregate, whether the
-// epoch the seal leaves open is paid for, and the boundary counters
-// the shuffler stamped into e at the rotation marker. Callers hold
-// rotateMu, which orders checkpoints with rotations and Drain's final
-// seal.
+// the history's frozen roots, whether the epoch the seal leaves open
+// is paid for, and the counters stamped into e at its cut. Callers
+// hold rotateMu, which orders checkpoints with rotations and Drain's
+// final seal.
 func (s *Service) writeCheckpoint(e *epochState, openCharged bool) error {
-	cp := &store.Checkpoint{
-		OpenEpoch:   e.id + 1,
-		Exhausted:   s.exhausted.Load(),
-		OpenCharged: openCharged,
-		Received:    e.bnd.received,
-		Late:        e.bnd.late,
-		Rejected:    e.bnd.rejected,
-		Batches:     e.bnd.batches,
-	}
-	s.allMu.Lock()
-	allTime, err := s.allTime.MarshalBinary()
-	s.allMu.Unlock()
-	if err != nil {
-		return err
-	}
-	cp.AllTime = allTime
+	cp := e.cut
+	cp.OpenEpoch = e.id + 1
+	cp.Exhausted = s.exhausted.Load()
+	cp.OpenCharged = openCharged
 	// Marshal the history under histMu, but run the checkpoint's disk
 	// writes (fsync, rename, fsync) outside it: History, EstimateWindow,
 	// and Snapshot must not stall behind a slow disk. rotateMu — which
 	// every seal holds — is what serializes checkpoint writers.
 	s.histMu.Lock()
-	for _, rec := range s.history {
-		root, err := rec.agg.MarshalBinary()
+	for _, h := range s.history {
+		root, err := h.root.MarshalBinary()
 		if err != nil {
 			s.histMu.Unlock()
 			return err
 		}
 		cp.History = append(cp.History, store.EpochCheckpoint{
-			Epoch:     rec.snap.Epoch,
-			Reports:   rec.snap.Reports,
-			Batches:   rec.snap.Batches,
-			Guarantee: rec.snap.Guarantee,
+			Epoch:     h.id,
+			Reports:   h.frozenN,
+			Batches:   h.batches.Load(),
+			Guarantee: h.guarantee,
 			Root:      root,
 		})
 	}
 	s.histMu.Unlock()
-	return s.st.WriteCheckpoint(cp)
+	return s.st.WriteCheckpoint(&cp)
+}
+
+// counters stamps the durable counters into a checkpoint: received
+// and rejected from the shuffler's WAL mirror, late and batches from
+// the atomics only the shuffler writes. Only the shuffler calls it, or
+// restore and Drain while no shuffler runs.
+func (s *Service) counters() store.Checkpoint {
+	return store.Checkpoint{
+		Received: s.wal.received,
+		Late:     s.late.Load(),
+		Rejected: s.wal.rejected,
+		Batches:  s.forwarded.Load(),
+	}
 }
 
 // lastSealed returns the most recent history snapshot (zero value if
@@ -333,7 +332,7 @@ func (s *Service) lastSealed() EpochSnapshot {
 	if len(s.history) == 0 {
 		return EpochSnapshot{}
 	}
-	return s.history[len(s.history)-1].snap
+	return s.history[len(s.history)-1].snapshot()
 }
 
 // Epoch returns the id of the epoch currently open (the id of the last
@@ -350,8 +349,8 @@ func (s *Service) History() []EpochSnapshot {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	out := make([]EpochSnapshot, len(s.history))
-	for i, r := range s.history {
-		out[i] = r.snap
+	for i, e := range s.history {
+		out[i] = e.snapshot()
 	}
 	return out
 }
@@ -375,13 +374,13 @@ func (s *Service) EstimateWindow(k int) (WindowSnapshot, error) {
 		k = len(s.history)
 	}
 	recs := s.history[len(s.history)-k:]
-	agg := recs[0].agg.Clone()
-	for _, r := range recs[1:] {
-		agg.Merge(r.agg.Clone())
+	agg := recs[0].root.Clone()
+	for _, e := range recs[1:] {
+		agg.Merge(e.root.Clone())
 	}
 	return WindowSnapshot{
-		FromEpoch: recs[0].snap.Epoch,
-		ToEpoch:   recs[len(recs)-1].snap.Epoch,
+		FromEpoch: recs[0].id,
+		ToEpoch:   recs[len(recs)-1].id,
 		Epochs:    k,
 		Estimates: agg.Estimates(),
 		Reports:   agg.Count(),

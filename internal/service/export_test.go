@@ -17,6 +17,10 @@ func (c *Client) SetEpoch(epoch uint32) {
 	c.epoch = epoch
 }
 
+// SetMaxFrame lowers the frame cap of a service built from cfg below
+// DefaultMaxFrame.
+func (cfg *Config) SetMaxFrame(n int) { cfg.maxFrame = n }
+
 // Every test of the package runs with given-back buffers scrubbed to
 // 0xFF, so a stage that reads a plaintext or run after handing it back
 // corrupts the bit-identity and fold tests instead of passing by luck.

@@ -437,7 +437,7 @@ func TestFreeListsStayBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, MaxFrame: maxFrame})
+	s, err := New(Config{FO: fo, Key: key, BatchSize: batchSize, maxFrame: maxFrame})
 	if err != nil {
 		t.Fatal(err)
 	}

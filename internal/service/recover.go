@@ -5,9 +5,10 @@ package service
 // to a state bit-identical to an uninterrupted run over the same
 // durable reports (DESIGN.md §8). The recovery invariants:
 //
-//   - Sealed epochs come from the checkpoint: history roots and the
-//     all-time aggregate load exactly as written (aggregator blobs
-//     restore bit-identical estimates).
+//   - Sealed epochs come from the checkpoint: history roots load
+//     exactly as written (aggregator blobs restore bit-identical
+//     estimates), and Drain's all-time estimate is their merge, as it
+//     was before the crash.
 //   - The open epoch is rebuilt entirely from the WAL tail: every
 //     checkpoint is taken at a rotation boundary, so the tail's report
 //     records are precisely the open epoch's reports.
@@ -94,48 +95,36 @@ func (s *Service) restore(rec *store.Recovered) error {
 	if cp != nil {
 		openEpoch = cp.OpenEpoch
 		exhausted = cp.Exhausted
-		s.wal = walCounters{received: cp.Received, late: cp.Late, rejected: cp.Rejected, batches: cp.Batches}
-		if len(cp.AllTime) > 0 {
-			allTime, err := ldp.UnmarshalAggregator(s.cfg.FO, cp.AllTime)
-			if err != nil {
-				return fmt.Errorf("service: restoring all-time aggregate: %w", err)
-			}
-			s.allTime = allTime
-		}
+		s.wal = walCounters{received: cp.Received, rejected: cp.Rejected}
+		s.late.Store(cp.Late)
+		s.forwarded.Store(cp.Batches)
 		for _, h := range cp.History {
 			root, err := ldp.UnmarshalAggregator(s.cfg.FO, h.Root)
 			if err != nil {
 				return fmt.Errorf("service: restoring epoch %d root: %w", h.Epoch, err)
 			}
-			s.history = append(s.history, epochRecord{
-				snap: EpochSnapshot{
-					Epoch:     h.Epoch,
-					Estimates: root.Estimates(),
-					Reports:   h.Reports,
-					Batches:   h.Batches,
-					Guarantee: h.Guarantee,
-				},
-				agg: root,
-			})
+			e := &epochState{
+				id: h.Epoch, fo: s.cfg.FO, root: root, guarantee: h.Guarantee,
+				frozen: true, frozenEst: root.Estimates(), frozenN: h.Reports,
+			}
+			e.batches.Store(h.Batches)
+			s.history = append(s.history, e)
 		}
 	}
 
 	cur := newEpochState(openEpoch, s.cfg.FO, s.workers)
 	if exhausted {
-		// The stored pointer is only the sealed final epoch kept for
-		// queries; recover its frozen state from the history so
-		// Snapshot answers match the pre-crash service.
-		cur = s.sealedFinalEpoch(openEpoch - 1)
+		// No epoch is open: the current epoch is the last sealed one,
+		// kept so Snapshot answers as the pre-crash service did.
+		if len(s.history) == 0 {
+			return errors.New("service: checkpoint records budget exhaustion but no sealed epoch")
+		}
+		cur = s.history[len(s.history)-1]
 	}
 	size := s.codec.Size()
 	var pt []byte // one record's plaintext; codec.Fold copies out of it
 	for _, r := range rec.Tail {
 		switch r.Type {
-		case store.RecordReport:
-			// The service only ever logs sealed reports; an unsealed
-			// one (the words record older cluster.Analyzer builds
-			// logged) means the directory was not written by this tier.
-			return fmt.Errorf("service: WAL holds an unsealed report record (epoch %d, %d bytes); the service logs only sealed reports", r.Epoch, len(r.Payload))
 		case store.RecordSealedReport:
 			if exhausted || r.Epoch != uint32(cur.id) {
 				return fmt.Errorf("service: WAL report for epoch %d while epoch %d is open", r.Epoch, cur.id)
@@ -162,7 +151,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 			s.wal.received += n
 		case store.RecordDrop:
 			if r.Reason == store.DropLate {
-				s.wal.late += int64(r.Count)
+				s.late.Add(int64(r.Count))
 			} else {
 				s.wal.rejected += int64(r.Count)
 			}
@@ -178,7 +167,7 @@ func (s *Service) restore(rec *store.Recovered) error {
 				exhausted = true
 				s.exhausted.Store(true)
 			}
-			cur.bnd = s.wal
+			cur.cut = s.counters()
 			s.seal(cur, r.Next >= 0)
 			if r.Next >= 0 {
 				cur = newEpochState(int(r.Next), s.cfg.FO, s.workers)
@@ -193,13 +182,13 @@ func (s *Service) restore(rec *store.Recovered) error {
 	// other refusal means the ledger's parameters are not the ones the
 	// directory was written under.
 	if s.cfg.Ledger != nil && !exhausted {
-		drainLeft := cp != nil && !cp.OpenCharged && cur.id == openEpoch && cur.accepted.Load() == 0
+		drainLeft := cp != nil && !cp.OpenCharged && len(s.history) > 0 && cur.id == openEpoch && cur.accepted.Load() == 0
 		err := s.pay(cur.id)
 		switch {
 		case err == nil:
 		case drainLeft && errors.Is(err, budget.ErrExhausted):
 			exhausted = true
-			cur = s.sealedFinalEpoch(cur.id - 1)
+			cur = s.history[len(s.history)-1]
 		default:
 			return fmt.Errorf("service: WAL opened epoch %d but the restored ledger refuses it (wrong ledger parameters?): %w", cur.id, err)
 		}
@@ -217,26 +206,6 @@ func (s *Service) restore(rec *store.Recovered) error {
 	}
 	s.cur.Store(cur)
 	s.received.Store(s.wal.received)
-	s.late.Store(s.wal.late)
 	s.rejected.Store(s.wal.rejected)
-	s.forwarded.Store(s.wal.batches)
 	return nil
-}
-
-// sealedFinalEpoch rebuilds the frozen shell of the last sealed epoch
-// for a service recovered in the exhausted state, so queries against
-// the current epoch keep answering with its frozen estimate.
-func (s *Service) sealedFinalEpoch(id int) *epochState {
-	e := newEpochState(id, s.cfg.FO, s.workers)
-	e.sealed = true
-	e.frozen = true
-	e.frozenEst = make([]float64, s.cfg.FO.Domain())
-	if n := len(s.history); n > 0 && s.history[n-1].snap.Epoch == id {
-		last := s.history[n-1]
-		e.root = last.agg
-		e.frozenEst = last.snap.Estimates
-		e.frozenN = last.snap.Reports
-		e.batches.Store(last.snap.Batches)
-	}
-	return e
 }

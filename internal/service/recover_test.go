@@ -1,8 +1,10 @@
 package service_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net"
@@ -440,50 +442,127 @@ func TestRecoverRefusesLedgerLooserThanWAL(t *testing.T) {
 	}
 }
 
-// The service logs only sealed reports. A tail holding an unsealed
-// store.RecordReport (the record older cluster.Analyzer builds logged
-// their revealed words in; nothing writes one through the store now,
-// so the test frames it by hand) was not written by this tier: Recover
-// must refuse it with an error naming the record — never panic, never
-// skip it silently.
-func TestRecoverRejectsUnsealedReportRecord(t *testing.T) {
+// A whole WAL record — its checksum holds — of a type this build does
+// not decode was written by something else: the words record older
+// cluster.Analyzer builds logged (byte 1, now reserved) or a type no
+// build wrote. Even as the final segment's last record it is no torn
+// tail, so Recover must refuse the directory by the record's type and
+// leave the segment on disk exactly as it was — never truncate it
+// away with the sealed frame before it recovered.
+func TestRecoverRefusesUnknownWALRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"retired words record", binary.LittleEndian.AppendUint64([]byte{1, 0, 0, 0, 0}, 5)},
+		{"unknown type", []byte{99, 0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newRecoveryWorld(t)
+			dir := t.TempDir()
+			codec, err := service.NewCodec(w.fo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealer, err := ecies.NewStorageSealer(w.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frame []byte
+			for _, rep := range w.reports[:10] {
+				if frame, err = codec.AppendMarshal(frame, rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendSealedReport(0, sealer.Seal(nil, frame)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Framed as the store frames every record: big-endian
+			// length, the encoding, big-endian CRC32C.
+			path := newestSegment(t, dir)
+			rec := binary.BigEndian.AppendUint32(nil, uint32(len(tc.payload)))
+			rec = binary.BigEndian.AppendUint32(append(rec, tc.payload...), crc32.Checksum(tc.payload, crc32.MakeTable(crc32.Castagnoli)))
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("unknown WAL record type %d", tc.payload[0])
+			for attempt := 1; attempt <= 2; attempt++ {
+				svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+				if err == nil {
+					snap := svc.Snapshot()
+					svc.Close()
+					t.Fatalf("attempt %d: Recover accepted a WAL holding a record of type %d (%d reports received)", attempt, tc.payload[0], snap.Received)
+				}
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("attempt %d: Recover error %q does not name the record (%q)", attempt, err, want)
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, seg) {
+					t.Fatalf("attempt %d: the refused segment changed on disk (%v)", attempt, err)
+				}
+			}
+		})
+	}
+}
+
+// Drain's all-time estimate is the merge of the sealed history, so it
+// equals EstimateWindow(0) bit for bit — on an uninterrupted service,
+// and on one crashed mid-epoch and recovered, whose history came back
+// from the checkpoint.
+func TestDrainIsTheMergedHistory(t *testing.T) {
 	w := newRecoveryWorld(t)
-	dir := t.TempDir()
-	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
-	if err != nil {
-		t.Fatal(err)
+	check := func(t *testing.T, svc *service.Service, snap service.Snapshot) {
+		t.Helper()
+		win, err := svc.EstimateWindow(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Reports != win.Reports || snap.Reports != len(w.reports) {
+			t.Fatalf("drain covers %d reports, the merged history %d, the stream %d", snap.Reports, win.Reports, len(w.reports))
+		}
+		sameEstimates(t, "drain against EstimateWindow(0)", snap.Estimates, win.Estimates)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want one WAL segment, found %v (%v)", segs, err)
-	}
-	// Type, epoch and words, framed as the store frames every record:
-	// big-endian length, the encoding, big-endian CRC32C.
-	rec := binary.LittleEndian.AppendUint32([]byte{store.RecordReport}, 0)
-	rec = binary.LittleEndian.AppendUint64(rec, 5)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
-	frame = binary.BigEndian.AppendUint32(append(frame, rec...), crc32.Checksum(rec, crc32.MakeTable(crc32.Castagnoli)))
-	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
-	if err == nil {
-		svc.Close()
-		t.Fatal("Recover accepted a WAL tail holding an unsealed report record")
-	}
-	if !strings.Contains(err.Error(), "unsealed report record") {
-		t.Fatalf("Recover error %q does not name the offending record", err)
-	}
+	t.Run("uninterrupted", func(t *testing.T) {
+		svc, err := service.New(w.config(w.ledger(t), t.TempDir(), store.SyncBatch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, svc, w.run(t, svc))
+	})
+	t.Run("crashed and recovered", func(t *testing.T) {
+		dir := t.TempDir()
+		svc, err := service.New(w.config(w.ledger(t), dir, store.SyncAlways))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.send(t, svc, 0, w.bounds[0])
+		if _, err := svc.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		w.send(t, svc, w.bounds[0], w.bounds[0]+100)
+		svc.Crash()
+		if svc, err = service.Recover(w.config(w.ledger(t), dir, store.SyncAlways)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, svc, w.run(t, svc))
+	})
 }
 
 // Budget exhaustion must survive a restart: a recovered service whose

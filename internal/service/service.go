@@ -104,10 +104,12 @@ const (
 // snapshots stay fresh under light traffic.
 const DefaultBatchSize = 512
 
-// DefaultMaxFrame is the per-connection frame cap when Config.MaxFrame
-// is zero: comfortably above any real hello, report, or batch frame,
-// far below transport.MaxFrameSize's 1 GiB defensive ceiling — a
-// client claiming more is kicked, not honored.
+// DefaultMaxFrame caps a single report frame's length prefix:
+// comfortably above any real hello, report, or batch frame, far below
+// transport.MaxFrameSize's 1 GiB defensive ceiling. A connection
+// claiming a larger frame is kicked — closed and counted in
+// Snapshot.Kicked — before any payload byte is read, so one hostile
+// length prefix can neither fail the service nor balloon its memory.
 const DefaultMaxFrame = 4 << 20
 
 // DefaultClientBatch is the session client's reports-per-frame when
@@ -159,12 +161,9 @@ type Config struct {
 	// forever. 0 means no bound, the pre-PR-5 behavior.
 	IdleTimeout time.Duration
 
-	// MaxFrame caps a single report frame's length prefix. A
-	// connection claiming a larger frame is kicked — closed and
-	// counted in Snapshot.Kicked — before any payload byte is read,
-	// so one hostile length prefix can neither fail the service nor
-	// balloon its memory. 0 means DefaultMaxFrame.
-	MaxFrame int
+	// maxFrame, set only by the package's tests, lowers the frame cap
+	// below DefaultMaxFrame. 0 means DefaultMaxFrame.
+	maxFrame int
 
 	// Ledger, when non-nil, pays one per-epoch guarantee for each epoch
 	// id the service opens (epoch 0 at New), never twice for one id.
@@ -234,7 +233,7 @@ type Snapshot struct {
 	// (an operator signal, not part of the durable stream accounting).
 	IdleClosed int64
 	// Kicked counts connections dropped for a protocol violation: a
-	// frame past Config.MaxFrame, a malformed session hello, or a
+	// frame past DefaultMaxFrame, a malformed session hello, or a
 	// session frame that failed authentication or arrived out of
 	// sequence. Reports the connection delivered before violating
 	// were accepted normally; like IdleClosed the counter is
@@ -247,8 +246,8 @@ type Snapshot struct {
 // shuffler splits the previous one. It is a constant, not a knob:
 // capacities 1, 4 and 16 measured no better than 2 on either service
 // benchmark workload (EXPERIMENTS.md, "Spend the profile"), and each
-// slot can pin a MaxFrame-sized plaintext, which is the reason to keep
-// it small.
+// slot can pin a DefaultMaxFrame-sized plaintext, which is the reason
+// to keep it small.
 const intakeFrames = 2
 
 // queuedBatchesPerWorker sizes the batches queue: that many
@@ -344,11 +343,10 @@ type Service struct {
 	shufflerDone chan struct{}
 	drainStart   chan struct{}
 
+	// history is every sealed epoch, oldest first: the only record of
+	// what the service sealed. Drain's all-time estimate is its merge.
 	histMu  sync.Mutex
-	history []epochRecord
-
-	allMu   sync.Mutex
-	allTime ldp.Aggregator
+	history []*epochState
 
 	// st is the durability layer, nil for an in-memory service. wal is
 	// the shuffler-owned durable-counter mirror (Recover seeds it
@@ -414,9 +412,9 @@ func (s *Service) pay(id int) error {
 }
 
 // prepare validates and normalizes cfg and builds the service shell:
-// channels and the all-time aggregate, but no epoch, no ledger charge,
-// no store, and no goroutines. New and Recover share it and differ
-// only in how they produce the initial state.
+// channels, but no epoch, no ledger charge, no store, and no
+// goroutines. New and Recover share it and differ only in how they
+// produce the initial state.
 func prepare(cfg Config) (*Service, error) {
 	if cfg.FO == nil {
 		return nil, errors.New("service: config needs a frequency oracle")
@@ -431,8 +429,8 @@ func prepare(cfg Config) (*Service, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
+	if cfg.maxFrame <= 0 {
+		cfg.maxFrame = DefaultMaxFrame
 	}
 	workers := runtime.GOMAXPROCS(0)
 	s := &Service{
@@ -450,7 +448,6 @@ func prepare(cfg Config) (*Service, error) {
 		rotateHint:   make(chan struct{}, 1),
 		shufflerDone: make(chan struct{}),
 		drainStart:   make(chan struct{}),
-		allTime:      cfg.FO.NewAggregator(),
 	}
 	return s, nil
 }
@@ -581,7 +578,7 @@ func (s *Service) readConn(conn net.Conn) {
 	rd := &pipeline.Reader{
 		Conn:        conn,
 		IdleTimeout: s.cfg.IdleTimeout,
-		MaxFrame:    s.cfg.MaxFrame,
+		MaxFrame:    s.cfg.maxFrame,
 		Handle: func(tag uint32, frame []byte) error {
 			if sess == nil {
 				if tag != SessionHelloTag {
@@ -655,7 +652,7 @@ func (s *Service) runShuffler() {
 	rejectEpoch := uint32(cur.id + 1)
 	if s.exhausted.Load() {
 		// A service recovered into the exhausted state has no open
-		// epoch: the stored pointer is the sealed final epoch kept for
+		// epoch: the stored pointer is the last sealed epoch, kept for
 		// queries, and nothing may aggregate into it.
 		cur = nil
 	}
@@ -679,7 +676,6 @@ func (s *Service) runShuffler() {
 			case s.batches <- epochBatch{ep: cur, run: run}:
 				s.forwarded.Add(1)
 				cur.batches.Add(1)
-				s.wal.batches++
 				s.cfg.Meter.Send(PartyShuffler, PartyServer, len(run))
 			case <-s.stop:
 				cur.pending.Done()
@@ -732,7 +728,6 @@ func (s *Service) runShuffler() {
 				if err := s.st.AppendDrop(uint32(cur.id), store.DropLate, uint32(n)); err != nil {
 					s.fail(err)
 				}
-				s.wal.late += n
 			}
 			return
 		}
@@ -797,7 +792,7 @@ func (s *Service) runShuffler() {
 				if err := s.st.Rotate(uint32(old.id), next); err != nil {
 					s.fail(fmt.Errorf("service: WAL rotate marker: %w", err))
 				}
-				old.bnd = s.wal
+				old.cut = s.counters()
 			}
 			cur = req.next
 			if cur != nil {
@@ -923,8 +918,9 @@ func (s *Service) Snapshot() Snapshot {
 // Drain gracefully shuts the pipeline down: stop accepting, wait for
 // every ingested connection to close, flush the partial batch, wait
 // for the workers, seal the final epoch into History, and return the
-// all-time snapshot — every epoch's reports merged, bit-identical to
-// a sequential pass over the full stream. The returned error is the
+// all-time snapshot — every sealed epoch merged, as EstimateWindow(0)
+// merges them, bit-identical to a sequential pass over the full
+// stream. The returned error is the
 // first failure observed anywhere in the pipeline (a run with a
 // corrupt report is not silently trusted).
 func (s *Service) Drain() (Snapshot, error) {
@@ -946,11 +942,11 @@ func (s *Service) Drain() (Snapshot, error) {
 		s.rotateMu.Lock()
 		e := s.cur.Load()
 		if s.st != nil {
-			// The shuffler has exited, so its counter mirror is final:
-			// the drain seal's checkpoint covers the whole stream. The
-			// epoch the checkpoint leaves "open" only ever opens if the
+			// The shuffler has exited, so the counters are final: the
+			// drain seal's checkpoint covers the whole stream. The epoch
+			// the checkpoint leaves "open" only ever opens if the
 			// directory is recovered — and is paid for then, not now.
-			e.bnd = s.wal
+			e.cut = s.counters()
 		}
 		s.seal(e, false)
 		if s.st != nil {
@@ -959,10 +955,12 @@ func (s *Service) Drain() (Snapshot, error) {
 			}
 		}
 		s.rotateMu.Unlock()
-		s.allMu.Lock()
+		// The drain seal leaves the history non-empty, so the merge
+		// cannot fail.
+		all, _ := s.EstimateWindow(0)
 		s.drainSnap = Snapshot{
-			Estimates:  s.allTime.Estimates(),
-			Reports:    s.allTime.Count(),
+			Estimates:  all.Estimates,
+			Reports:    all.Reports,
 			Received:   s.received.Load(),
 			Batches:    s.forwarded.Load(),
 			Epoch:      e.id,
@@ -971,7 +969,6 @@ func (s *Service) Drain() (Snapshot, error) {
 			IdleClosed: s.idleClosed.Load(),
 			Kicked:     s.kicked.Load(),
 		}
-		s.allMu.Unlock()
 		s.drainErr = s.Err()
 	})
 	return s.drainSnap, s.drainErr

@@ -298,7 +298,7 @@ func sendSession(t *testing.T, svc *service.Service, fo ldp.FrequencyOracle, key
 	}
 }
 
-// A frame whose length prefix exceeds Config.MaxFrame must drop that
+// A frame whose length prefix exceeds the frame cap must drop that
 // connection — counted in Snapshot.Kicked, before any payload byte is
 // read — while the service and every other connection carry on.
 func TestServiceKicksOversizedFrame(t *testing.T) {
@@ -307,7 +307,9 @@ func TestServiceKicksOversizedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New(service.Config{FO: fo, Key: key, MaxFrame: 1024, BatchSize: 4})
+	cfg := service.Config{FO: fo, Key: key, BatchSize: 4}
+	cfg.SetMaxFrame(1024)
+	svc, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

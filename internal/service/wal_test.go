@@ -430,6 +430,110 @@ func TestParentCheckpointIsRefused(t *testing.T) {
 	}
 }
 
+// TestFormat3DirectoryIsRefused stages the data directory the build
+// before format 4 left after one sealed epoch: a format-3 checkpoint
+// holding epoch 0's root beside an all-time aggregate of the same
+// reports, and a format-3 segment holding one sealed frame of epoch 1.
+// The layout reads the same in both formats; only the version tells a
+// reader whether the all-time blob is the service's estimate. So
+// Recover must fail with store.ErrOldVersion, load nothing, and leave
+// every file as it found it.
+func TestFormat3DirectoryIsRefused(t *testing.T) {
+	const parentFormatVersion = 3
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	codec, err := service.NewCodec(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer, err := ecies.NewStorageSealer(w.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := w.fo.NewAggregator()
+	for _, rep := range w.reports[:100] {
+		agg.Add(rep)
+	}
+	root, err := agg.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	for _, rep := range w.reports[100:110] {
+		if frame, err = codec.AppendMarshal(frame, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rotate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteCheckpoint(&store.Checkpoint{
+		OpenEpoch: 1, OpenCharged: true, Received: 100, Batches: 1,
+		AllTime: root,
+		History: []store.EpochCheckpoint{{
+			Epoch: 0, Reports: 100, Batches: 1,
+			Guarantee: w.ledger(t).PerEpoch(),
+			Root:      root,
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSealedReport(1, sealer.Seal(nil, frame)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stamp every file with the parent's version: a segment's version
+	// byte is outside its records' checksums, a checkpoint's is inside
+	// its trailer's.
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(names) != 2 {
+		t.Fatalf("want one checkpoint and one segment, found %v (%v)", names, err)
+	}
+	before := map[string][]byte{}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[4] = parentFormatVersion
+		if strings.HasSuffix(name, ".snap") {
+			body := b[:len(b)-4]
+			binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		}
+		if err := os.WriteFile(name, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before[name] = b
+	}
+
+	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err == nil {
+		snap := svc.Snapshot()
+		hist := len(svc.History())
+		svc.Close()
+		t.Fatalf("Recover loaded a format-%d directory: %d epochs sealed, %d reports received", parentFormatVersion, hist, snap.Received)
+	}
+	if !errors.Is(err, store.ErrOldVersion) {
+		t.Fatalf("Recover error %v, want store.ErrOldVersion", err)
+	}
+	after, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(after) != len(names) {
+		t.Fatalf("the refused directory holds %v, want %v (%v)", after, names, err)
+	}
+	for name, b := range before {
+		if got, err := os.ReadFile(name); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("the refused directory's %s changed on disk (%v)", filepath.Base(name), err)
+		}
+	}
+}
+
 // TestLateFrameIsOneWALRecord is the amplification bound: a frame that
 // asserts a closed epoch costs the WAL one counted drop record, however
 // many reports it carried — not one record per report — and the count

@@ -31,7 +31,7 @@ func segmentBytes(epoch uint64, recs ...Record) []byte {
 // same records, or they are an error.
 func FuzzReadSegment(f *testing.F) {
 	// The checked-in corpus (testdata/fuzz/FuzzReadSegment) holds the
-	// format-3 shapes by name: header only, one block record, block +
+	// format-4 shapes by name: header only, one block record, block +
 	// rotate + counted drop, a torn length prefix, a bad CRC, an old
 	// and a future version. These two are the shapes it lacks.
 	f.Add([]byte{})

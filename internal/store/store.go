@@ -24,8 +24,9 @@
 // client resumes).
 //
 // A checkpoint is written at every epoch seal and captures the whole
-// durable state: sealed-epoch history roots (ldp aggregator blobs),
-// the all-time aggregate, the open epoch id with whether it was already
+// durable state: sealed-epoch history roots (ldp aggregator blobs) —
+// the service's only record of what it sealed, whose merge is its
+// all-time estimate — the open epoch id with whether it was already
 // paid for or the budget ran out — recovery re-derives the ledger's
 // spending from these rather than storing it — and the service
 // counters at the rotation boundary. Segments are cut at
@@ -36,9 +37,11 @@
 // Recovery (Open on a non-empty directory) loads the newest valid
 // checkpoint and replays the WAL tail: records for epochs the
 // checkpoint already covers are skipped, a torn final record (a crash
-// mid-write) truncates the tail cleanly, and state written by a newer
-// format version is refused with ErrFutureVersion, and by an older one
-// with ErrOldVersion, rather than loaded partially. See DESIGN.md §8
+// mid-write) truncates the tail cleanly, a whole record — its checksum
+// holds — that does not decode is refused wherever it sits, and state
+// written by a newer format version is refused with ErrFutureVersion,
+// and by an older one with ErrOldVersion, rather than loaded
+// partially. See DESIGN.md §8
 // for the recovery invariants.
 package store
 
@@ -101,11 +104,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // formatVersion is the on-disk format version stamped into every WAL
 // segment header and checkpoint. Readers refuse newer versions with
-// ErrFutureVersion and older ones with ErrOldVersion. Version 3's
-// checkpoint stores no ledger count — recovery works out what was paid
-// from what was sealed; version 2 stored one, and version 1 padded the
-// service's word reports to 8 bytes instead of their group's width.
-const formatVersion = 3
+// ErrFutureVersion and older ones with ErrOldVersion. Version 4's
+// service checkpoint holds no all-time aggregate — the merge of its
+// history is the all-time estimate — so a version-3 reader, which
+// would restore an empty one, refuses it; version 3's checkpoint
+// stores no ledger count — recovery works out what was paid from what
+// was sealed; version 2 stored one, and version 1 padded the service's
+// word reports to 8 bytes instead of their group's width.
+const formatVersion = 4
 
 // ErrFutureVersion is returned when a segment or checkpoint was
 // written by a newer format version than this build reads. The state
@@ -137,15 +143,9 @@ type Meta struct {
 }
 
 // Record types. Append-only: a released type keeps its byte forever.
+// Byte 1 stays reserved: it was the words record older cluster.Analyzer
+// builds logged, which no reader decodes any more.
 const (
-	// RecordReport is one sealed PEOS collection as older builds of
-	// cluster.Analyzer logged it: the collection id in the epoch field
-	// plus the revealed word vector (transport.EncodeUint64s), the
-	// decoded post-shuffle reports in plaintext. Nothing writes it any
-	// more — the analyzer seals with a checkpoint alone — but it is
-	// still decoded, so that both tiers refuse a directory holding one
-	// by name instead of truncating it as a torn tail.
-	RecordReport byte = 1
 	// RecordDrop is the reports of one dropped frame, counted but never
 	// aggregated: epoch, reason, and an optional little-endian uint32
 	// count after the reason byte. A record without the count (the
@@ -176,8 +176,7 @@ const (
 
 // Record is one WAL entry.
 type Record struct {
-	// Type is one of RecordReport, RecordDrop, RecordRotate,
-	// RecordSealedReport.
+	// Type is one of RecordDrop, RecordRotate, RecordSealedReport.
 	Type byte
 	// Epoch is the epoch a report or drop was accounted to, or the
 	// epoch a rotation sealed.
@@ -191,9 +190,8 @@ type Record struct {
 	// Count is how many reports the drop covers, at least 1.
 	// Meaningful only for RecordDrop.
 	Count uint32
-	// Payload is an older analyzer build's revealed word vector
-	// (RecordReport) or a session frame's sealed storage record
-	// (RecordSealedReport).
+	// Payload is a session frame's sealed storage record. Meaningful
+	// only for RecordSealedReport.
 	Payload []byte
 }
 
@@ -237,7 +235,10 @@ type Checkpoint struct {
 	// Received, Late, Rejected, and Batches are the durable service
 	// counters at the rotation boundary.
 	Received, Late, Rejected, Batches int64
-	// AllTime is the all-time aggregate's MarshalBinary blob.
+	// AllTime is an opaque state blob the writer may carry alongside
+	// its history: cluster.Analyzer keeps its running totals here. The
+	// service writes none — its all-time estimate is the merge of
+	// History.
 	AllTime []byte
 	// History is the retained sealed-epoch records, oldest first.
 	History []EpochCheckpoint
@@ -278,7 +279,7 @@ func appendRecord(dst []byte, rec Record) []byte {
 	dst = append(dst, rec.Type)
 	dst = binary.LittleEndian.AppendUint32(dst, rec.Epoch)
 	switch rec.Type {
-	case RecordReport, RecordSealedReport:
+	case RecordSealedReport:
 		return append(dst, rec.Payload...)
 	case RecordDrop:
 		dst = append(dst, rec.Reason)
@@ -311,12 +312,12 @@ func decodeRecord(payload []byte) (Record, error) {
 		return Record{}, errors.New("store: empty WAL record")
 	}
 	switch payload[0] {
-	case RecordReport, RecordSealedReport:
+	case RecordSealedReport:
 		if len(payload) < 5 {
 			return Record{}, errors.New("store: truncated report record")
 		}
 		return Record{
-			Type:    payload[0],
+			Type:    RecordSealedReport,
 			Epoch:   binary.LittleEndian.Uint32(payload[1:]),
 			Payload: append([]byte(nil), payload[5:]...),
 		}, nil

@@ -27,9 +27,8 @@ func mustCreate(t *testing.T, dir string, sync SyncPolicy) *Store {
 // type.
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
-		{Type: RecordReport, Epoch: 3, Payload: []byte("ciphertext")},
-		{Type: RecordReport, Epoch: 0, Payload: nil},
 		{Type: RecordSealedReport, Epoch: 9, Payload: []byte("sealed storage record")},
+		{Type: RecordSealedReport, Epoch: 0, Payload: nil},
 		{Type: RecordDrop, Epoch: 7, Reason: DropLate, Count: 1},
 		{Type: RecordDrop, Epoch: 7, Reason: DropRejected, Count: 1},
 		{Type: RecordDrop, Epoch: 7, Reason: DropLate, Count: 4096},
@@ -482,7 +481,8 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 		nil,
 		{},
 		{99},                                     // unknown type
-		{RecordReport},                           // truncated epoch
+		{1, 0, 0, 0, 0, 5},                       // the retired words record
+		{RecordSealedReport},                     // truncated epoch
 		{RecordDrop, 0, 0, 0, 0, 9},              // unknown drop reason
 		{RecordDrop, 0, 0, 0, 0},                 // short drop
 		{RecordDrop, 0, 0, 0, 0, DropLate, 2},    // 7 bytes: a count torn after one byte

@@ -220,7 +220,9 @@ func readSegment(path string, last bool) (records []Record, segEpoch uint64, val
 // on disk — tracking validOff, the byte offset after the last whole
 // record. In the final segment (last=true) a torn trailing record —
 // truncated mid-write by a crash — ends the replay cleanly at validOff;
-// in any earlier segment it is corruption and errors.
+// in any earlier segment it is corruption and errors. A whole record
+// whose checksum holds but which does not decode is no tear in any
+// segment: it was written by something else, and is refused.
 func parseSegment(br io.Reader, last bool) (records []Record, segEpoch uint64, validOff int64, torn bool, err error) {
 	hdr := make([]byte, segmentHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -260,9 +262,6 @@ func parseSegment(br io.Reader, last bool) (records []Record, segEpoch uint64, v
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			if last {
-				return records, segEpoch, validOff, true, nil
-			}
 			return nil, 0, 0, false, err
 		}
 		records = append(records, rec)
