@@ -180,8 +180,13 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 		svc, err = service.Recover(cfg)
 		if err == nil {
 			snap := svc.Snapshot()
-			fmt.Fprintf(out, "recovered durable state from %s: epoch %d open, %d reports durable, %d epochs sealed\n",
-				*dataDir, snap.Epoch, snap.Received, len(svc.History()))
+			open := fmt.Sprintf("epoch %d open", snap.Epoch)
+			if svc.Exhausted() {
+				// Its last epoch is sealed and the budget admits no next one.
+				open = "no epoch open"
+			}
+			fmt.Fprintf(out, "recovered durable state from %s: %s, %d reports durable, %d epochs sealed\n",
+				*dataDir, open, snap.Received, len(svc.History()))
 		}
 	}
 	if err != nil {

@@ -72,3 +72,25 @@ func TestServicePlansAtEpochSize(t *testing.T) {
 		}
 	}
 }
+
+// A service mode restarted over a -data-dir whose budget a previous run
+// spent recovers exhausted: every epoch is sealed and none is open, and
+// the recovery line must say so rather than name the last sealed epoch
+// as open.
+func TestRecoverDrainedDataDirOpensNoEpoch(t *testing.T) {
+	args := []string{"-n", "3000", "-epochs", "3", "-data-dir", t.TempDir()}
+	_, first := runService(args, new(bytes.Buffer))
+	if len(first) != 3 {
+		t.Fatalf("first run sealed %d epochs, want 3", len(first))
+	}
+	var out bytes.Buffer
+	_, hist := runService(args, &out)
+	text := out.String()
+	want := fmt.Sprintf(": no epoch open, 3000 reports durable, %d epochs sealed\n", len(first))
+	if !strings.Contains(text, want) {
+		t.Errorf("recovery line lacks %q:\n%s", want, text)
+	}
+	if !strings.Contains(text, "budget exhausted") || len(hist) != len(first) {
+		t.Errorf("restart sealed %d epochs (want the first run's %d) or did not report the exhausted budget:\n%s", len(hist), len(first), text)
+	}
+}

@@ -1,7 +1,6 @@
 package hash
 
 import (
-	"fmt"
 	"testing"
 
 	"shuffledp/internal/rng"
@@ -21,30 +20,42 @@ func BenchmarkFamilyHash(b *testing.B) {
 	}
 }
 
-// BenchmarkCountSupport measures the SOLH aggregation kernel: one block
-// of reports swept over a 64Ki-value domain, in each loop order — the
-// register-counted loop at d' = 16 and the key-block sweep at d' = 705.
-// allocs/op must stay 0 — the kernel is the hash hot path the perf
-// trajectory tracks.
+// BenchmarkCountSupport measures the SOLH aggregation kernel: one
+// 512-report block (ldp's lhBlock) swept over the domain, in each loop
+// order — the register-counted loop at d' = 16 and the key-block sweep
+// at d' = 705 over a 64Ki-value domain — and at the three service
+// shapes the benchmark contract runs (svc_wire_d64, svc_durable_query_d1024
+// and svc_agg_kosarak). allocs/op must stay 0 — the kernel is the hash
+// hot path the perf trajectory tracks.
 func BenchmarkCountSupport(b *testing.B) {
-	for _, dPrime := range []int{16, 705} {
-		b.Run(fmt.Sprintf("dprime=%d", dPrime), func(b *testing.B) {
-			fam := NewFamily(dPrime)
-			const block, d = 512, 1 << 16
+	shapes := []struct {
+		name      string
+		d, dPrime int
+	}{
+		{"dprime=16", 1 << 16, 16},
+		{"dprime=705", 1 << 16, 705},
+		{"svc_wire_d64", 64, 16},
+		{"svc_durable_query_d1024", 1024, 64},
+		{"svc_agg_kosarak", 42178, 111},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			fam := NewFamily(sh.dPrime)
+			const block = 512
 			seeds := make([]uint64, block)
 			ys := make([]uint64, block)
 			r := rng.New(1)
 			for i := range seeds {
 				seeds[i] = uint64(uint32(r.Uint64()))
-				ys[i] = r.Uint64n(uint64(dPrime))
+				ys[i] = r.Uint64n(uint64(sh.dPrime))
 			}
-			counts := make([]int, d)
+			counts := make([]int, sh.d)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fam.CountSupport(seeds, ys, counts)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(block*d), "ns/hash")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(block*sh.d), "ns/hash")
 		})
 	}
 }

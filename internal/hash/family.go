@@ -1,5 +1,7 @@
 package hash
 
+import "math/bits"
+
 // Family is the seeded universal hash family H_seed : [2^32] -> [d'] used
 // by the local-hashing frequency oracles. A user's LDP report carries
 // the seed (the "chosen hash function"); the server re-evaluates H_seed
@@ -80,9 +82,32 @@ func (f Family) Hash(seed uint64, value uint64) int {
 	return int((h >> 32) * uint64(f.OutputSize) >> 32)
 }
 
+// sweepPair adds to counts[j], for each of two staged reports (a, c,
+// w), one if its bucket test a*k + c <= w holds at k = keys[j]. It must
+// not be inlined: inside CountSupport the compiler runs out of
+// registers and keeps the key and the loop index on the stack, which
+// costs more than the loop order gains (DESIGN.md §5). Its loop also
+// runs about 12% faster when the function starts 32 bytes past a
+// 64-byte line than on one; the linker places functions in source
+// order, 32-byte aligned, so where it lands depends on everything
+// linked before it (DESIGN.md §5).
+//
+//go:noinline
+func sweepPair(keys []uint64, counts []int, a0, c0, w0, a1, c1, w1 uint64) {
+	counts = counts[:len(keys)]
+	for j, k := range keys {
+		if a0*k+c0 <= w0 {
+			counts[j]++
+		}
+		if a1*k+c1 <= w1 {
+			counts[j]++
+		}
+	}
+}
+
 // supportChunk is how many reports CountSupport stages per pass. The
-// three staged lanes live on the kernel's stack (3 KiB), so the kernel
-// never allocates; the candidate loop streams the counts slice once per
+// staged lanes live on the kernel's stack (3 KiB), so the kernel never
+// allocates; the candidate loop streams the counts slice once per
 // chunk, which at a few hundred reports per pass is noise next to the
 // hash work.
 const supportChunk = 128
@@ -100,6 +125,11 @@ const sweepMinOutputSize = 32
 // report pair of a chunk walks it.
 const sweepBlock = 1024
 
+// lane is one staged report: h = a*k + b lands in the report's bucket
+// iff a*k + c <= w, with c = b - lo and w = width - 1 (see
+// CountSupport). Both loop orders read a lane's three words together.
+type lane struct{ a, c, w uint64 }
+
 // CountSupport is the batch kernel behind local-hashing estimation: for
 // every candidate value v in [0, len(counts)) it adds to counts[v] the
 // number of reports i with Hash(seeds[i], v) == ys[i]. It is exactly
@@ -112,14 +142,16 @@ const sweepBlock = 1024
 //     bucket(h) equals y iff h >> 32 lies in
 //     [ceil(y*2^32/d'), ceil((y+1)*2^32/d')) — with the lower bound
 //     folded into the additive term per chunk, so the per-pair work is
-//     one multiply, one add and one compare: a*k + (b - lo) <= width-1;
+//     one multiply, one add and one compare: a*k + (b - lo) <= width-1.
+//     The bounds divide by d' through a Divisor built once per call, so
+//     staging a report costs no hardware division;
 //   - the loop order follows the hit rate, about 1/d'. Below
-//     sweepMinOutputSize, four candidates share each report load and
-//     count their hits in registers without a branch. At or above it,
-//     the scrambled keys pi(v) of a block of the domain are computed once
-//     per chunk and swept under two reports at a time; a hit is rare
-//     enough that a predicted branch around counts[v]++ is cheaper than
-//     counting every pair.
+//     sweepMinOutputSize, countCandidates runs three candidates under
+//     each report load and counts their misses without a branch. At or
+//     above it, the scrambled keys pi(v) of a block of the domain are
+//     computed once per chunk and swept under two reports at a time; a
+//     hit is rare enough that a predicted branch around counts[v]++ is
+//     cheaper than counting every pair.
 //
 // The kernel performs zero heap allocations. Every ys[i] must lie in
 // [0, OutputSize), and len(counts) must not exceed MaxKeys.
@@ -134,104 +166,92 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 	if uint64(len(counts)) > MaxKeys {
 		panic("hash: CountSupport domain exceeds the 32-bit key space")
 	}
-	// Fixed-size stack arrays indexed by i < cn <= supportChunk let the
-	// compiler drop every bounds check from the inner loop.
-	var ma, mc, wm1 [supportChunk]uint64
+	div := NewDivisor(m)
+	var lanes [supportChunk]lane
 	for base := 0; base < len(seeds); base += supportChunk {
-		cn := len(seeds) - base
-		if cn > supportChunk {
-			cn = supportChunk
-		}
-		for i := 0; i < cn; i++ {
+		ls := lanes[:min(supportChunk, len(seeds)-base)]
+		for i := range ls {
 			y := ys[base+i]
 			if y >= m {
 				panic("hash: CountSupport target outside [0, OutputSize)")
 			}
 			// Bucket y is h in [lo, hi) with lo = ceil(y*2^32/m) << 32 and
 			// hi likewise for y+1 (2^64, wrapped to 0, for the last
-			// bucket); wm1 = width-1 keeps that last bound representable.
-			lo := (y<<32 + m - 1) / m << 32
-			hi := ((y+1)<<32 + m - 1) / m << 32
+			// bucket); w = width-1 keeps that last bound representable.
+			lo, _ := div.DivMod(y<<32 + m - 1)
+			hi, _ := div.DivMod((y+1)<<32 + m - 1)
+			lo, hi = lo<<32, hi<<32
 			s := seeds[base+i]
-			ma[i] = Sum64Uint64(s, 0)
-			mc[i] = Sum64Uint64(s, 1) - lo
-			wm1[i] = hi - lo - 1
+			ls[i] = lane{a: Sum64Uint64(s, 0), c: Sum64Uint64(s, 1) - lo, w: hi - lo - 1}
 		}
-		if m >= sweepMinOutputSize {
-			var keys [sweepBlock]uint64
-			for vb := 0; vb < len(counts); vb += sweepBlock {
-				ks := keys[:min(sweepBlock, len(counts)-vb)]
-				for j := range ks {
-					ks[j] = scramble(uint32(vb + j))
-				}
-				cs := counts[vb : vb+len(ks)]
-				for i := 0; i < cn; i += 2 {
-					// An odd chunk's last report sweeps beside a=0, c=1,
-					// w=0, which no key hits: 0*k + 1 > 0.
-					a1, c1, w1 := uint64(0), uint64(1), uint64(0)
-					if i+1 < cn {
-						a1, c1, w1 = ma[i+1], mc[i+1], wm1[i+1]
-					}
-					sweepPair(ks, cs, ma[i], mc[i], wm1[i], a1, c1, w1)
-				}
-			}
+		if m < sweepMinOutputSize {
+			countCandidates(ls, counts)
 			continue
 		}
-		v := 0
-		for ; v+4 <= len(counts); v += 4 {
-			k0 := scramble(uint32(v))
-			k1 := scramble(uint32(v + 1))
-			k2 := scramble(uint32(v + 2))
-			k3 := scramble(uint32(v + 3))
-			var c0, c1, c2, c3 int
-			for i := 0; i < cn; i++ {
-				a, c, w := ma[i], mc[i], wm1[i]
-				if a*k0+c <= w {
-					c0++
-				}
-				if a*k1+c <= w {
-					c1++
-				}
-				if a*k2+c <= w {
-					c2++
-				}
-				if a*k3+c <= w {
-					c3++
-				}
+		var keys [sweepBlock]uint64
+		for vb := 0; vb < len(counts); vb += sweepBlock {
+			ks := keys[:min(sweepBlock, len(counts)-vb)]
+			for j := range ks {
+				ks[j] = scramble(uint32(vb + j))
 			}
-			counts[v] += c0
-			counts[v+1] += c1
-			counts[v+2] += c2
-			counts[v+3] += c3
-		}
-		for ; v < len(counts); v++ {
-			k := scramble(uint32(v))
-			c := 0
-			for i := 0; i < cn; i++ {
-				if ma[i]*k+mc[i] <= wm1[i] {
-					c++
+			cs := counts[vb : vb+len(ks)]
+			for i := 0; i < len(ls); i += 2 {
+				// An odd chunk's last report sweeps beside a=0, c=1,
+				// w=0, which no key hits: 0*k + 1 > 0.
+				l0, l1 := ls[i], lane{c: 1}
+				if i+1 < len(ls) {
+					l1 = ls[i+1]
 				}
+				sweepPair(ks, cs, l0.a, l0.c, l0.w, l1.a, l1.c, l1.w)
 			}
-			counts[v] += c
 		}
 	}
 }
 
-// sweepPair adds to counts[j], for each of two staged reports (a, c,
-// w), one if its bucket test a*k + c <= w holds at k = keys[j]. It must
-// not be inlined: inside CountSupport the compiler runs out of
-// registers and keeps the key and the loop index on the stack, which
-// costs more than the loop order gains (DESIGN.md §5).
+// countCandidates adds to each counts[v] the number of staged reports
+// whose bucket test holds at k = pi(v): candidates outer, reports
+// inner, three candidates at a time sharing each lane load (misses3).
+func countCandidates(lanes []lane, counts []int) {
+	n := uint64(len(lanes))
+	v := 0
+	for ; v+3 <= len(counts); v += 3 {
+		m0, m1, m2 := misses3(lanes, scramble(uint32(v)), scramble(uint32(v+1)), scramble(uint32(v+2)))
+		cs := counts[v : v+3]
+		cs[0] += int(n - m0)
+		cs[1] += int(n - m1)
+		cs[2] += int(n - m2)
+	}
+	for ; v < len(counts); v++ {
+		k := scramble(uint32(v))
+		var m uint64
+		for _, l := range lanes {
+			_, b := bits.Add64(l.a*k+l.c, ^l.w, 0)
+			m += b
+		}
+		counts[v] += int(n - m)
+	}
+}
+
+// misses3 returns, for each of three keys, how many lanes' bucket
+// tests fail there. A test a*k + c <= w fails iff a*k + c + ^w carries
+// out of 64 bits, and the carry adds into the count without a branch.
+// The three keys, three counts, the loop's pointer and count, ^w and
+// the products fill the 13 registers amd64 code has free, so the loop
+// touches the stack not once. It must not be inlined, and it takes no
+// fourth key: either way the compiler spills a key or a count inside
+// the loop (DESIGN.md §5).
 //
 //go:noinline
-func sweepPair(keys []uint64, counts []int, a0, c0, w0, a1, c1, w1 uint64) {
-	counts = counts[:len(keys)]
-	for j, k := range keys {
-		if a0*k+c0 <= w0 {
-			counts[j]++
-		}
-		if a1*k+c1 <= w1 {
-			counts[j]++
-		}
+func misses3(lanes []lane, k0, k1, k2 uint64) (m0, m1, m2 uint64) {
+	for _, l := range lanes {
+		nw := ^l.w
+		var b uint64
+		_, b = bits.Add64(l.a*k0+l.c, nw, 0)
+		m0, _ = bits.Add64(m0, 0, b)
+		_, b = bits.Add64(l.a*k1+l.c, nw, 0)
+		m1, _ = bits.Add64(m1, 0, b)
+		_, b = bits.Add64(l.a*k2+l.c, nw, 0)
+		m2, _ = bits.Add64(m2, 0, b)
 	}
+	return m0, m1, m2
 }

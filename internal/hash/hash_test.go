@@ -63,25 +63,56 @@ func TestSum64Uint64MatchesBytes(t *testing.T) {
 
 // CountSupport must agree with the naive per-pair Hash loop for every
 // output size, including powers of two and sizes adjacent to them
-// (where the per-bucket bounds ceil(y*2^32/d') are and are not exact).
+// (where the per-bucket bounds ceil(y*2^32/d') are and are not exact),
+// and for domains that end at every remainder of the register loop's
+// three-key group and on and off the sweep's 1,024-key block.
 func TestCountSupportMatchesNaive(t *testing.T) {
 	r := rng.New(321)
-	for _, dPrime := range []int{2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65, 705, 1024} {
-		fam := NewFamily(dPrime)
-		const d, reports = 97, 200
-		seeds := make([]uint64, reports)
-		ys := make([]uint64, reports)
-		for i := range seeds {
-			seeds[i] = uint64(uint32(r.Uint64())) // 32-bit seeds, as in Report.Seed
-			ys[i] = r.Uint64n(uint64(dPrime))
-		}
-		got := make([]int, d)
-		fam.CountSupport(seeds, ys, got)
-		want := naiveCounts(fam, seeds, ys, d)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("d'=%d: counts[%d] = %d, want %d", dPrime, v, got[v], want[v])
+	for _, d := range []int{1, 2, 3, 4, 5, 64, 97, 1024, 1025} {
+		for _, dPrime := range []int{2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65, 705, 1024} {
+			fam := NewFamily(dPrime)
+			const reports = 200
+			seeds := make([]uint64, reports)
+			ys := make([]uint64, reports)
+			for i := range seeds {
+				seeds[i] = uint64(uint32(r.Uint64())) // 32-bit seeds, as in Report.Seed
+				ys[i] = r.Uint64n(uint64(dPrime))
 			}
+			got := make([]int, d)
+			fam.CountSupport(seeds, ys, got)
+			want := naiveCounts(fam, seeds, ys, d)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("d=%d d'=%d: counts[%d] = %d, want %d", d, dPrime, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// Divisor must give exactly what the hardware division gives: at the
+// bucket and report-group divisors the kernels use (d' from 2 to 2^31),
+// at the edges of a quotient step, at the top of the word, and on a
+// million seeded words under every divisor.
+func TestDivisorMatchesDivision(t *testing.T) {
+	check := func(d Divisor, m, x uint64) {
+		if q, rem := d.DivMod(x); q != x/m || rem != x%m {
+			t.Fatalf("m=%d x=%d: DivMod = (%d, %d), want (%d, %d)", m, x, q, rem, x/m, x%m)
+		}
+	}
+	divisors := []uint64{2, 3, 16, 111, 705, 1<<31 - 1, 1 << 31}
+	for _, m := range divisors {
+		d := NewDivisor(m)
+		top := math.MaxUint64 / m // the largest k with k*m in the word
+		for _, x := range []uint64{0, m - 1, m, 2*m - 1, 1<<32*m - 1, top*m - 1, top * m, 1<<63 - 1, math.MaxUint64} {
+			check(d, m, x)
+		}
+	}
+	r := rng.New(64)
+	for i := 0; i < 1_000_000; i++ {
+		x := r.Uint64()
+		for _, m := range divisors {
+			check(NewDivisor(m), m, x)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package ldp
 import (
 	"fmt"
 	"math"
+
+	"shuffledp/internal/hash"
 )
 
 // Report packing for the PEOS protocol (§VI-A2): "for both GRR and SOLH,
@@ -25,6 +27,9 @@ import (
 type WordEncoder struct {
 	outputSize uint64 // size of the Value component's domain
 	hashed     bool   // whether Seed participates
+	// split divides a local-hash word by outputSize into its seed and
+	// value without a hardware division (Decode, AddWords).
+	split hash.Divisor
 }
 
 // NewWordEncoder returns the encoder for the given oracle. It is the one
@@ -38,7 +43,8 @@ func NewWordEncoder(fo FrequencyOracle) (*WordEncoder, error) {
 	case *GRR:
 		return &WordEncoder{outputSize: uint64(o.Domain())}, nil
 	case *LocalHash:
-		return &WordEncoder{outputSize: uint64(o.DPrime()), hashed: true}, nil
+		m := uint64(o.DPrime())
+		return &WordEncoder{outputSize: m, hashed: true, split: hash.NewDivisor(m)}, nil
 	default:
 		return nil, fmt.Errorf("ldp: oracle %s has no word encoding", fo.Name())
 	}
@@ -81,8 +87,8 @@ func (e *WordEncoder) Decode(word uint64) Report {
 	if !e.hashed {
 		return Report{Value: int(word)}
 	}
-	seed := word / e.outputSize
-	return Report{Seed: uint32(seed), Value: int(word - seed*e.outputSize)}
+	seed, value := e.split.DivMod(word)
+	return Report{Seed: uint32(seed), Value: int(value)}
 }
 
 // AddWords folds words, each below GroupOrder(), into agg as if every
@@ -97,11 +103,11 @@ func (e *WordEncoder) AddWords(agg Aggregator, words []uint64) {
 	switch {
 	case ok && e.hashed && a.kind == kindLocalHash && uint64(a.aux) == e.outputSize:
 		for _, w := range words {
-			seed := w / e.outputSize
+			seed, y := e.split.DivMod(w)
 			if seed > math.MaxUint32 {
 				panic("ldp: word outside the report group")
 			}
-			a.stage(seed, w-seed*e.outputSize)
+			a.stage(seed, y)
 		}
 		a.n += len(words)
 	case ok && !e.hashed && a.kind == kindGRR && uint64(a.d) == e.outputSize:
