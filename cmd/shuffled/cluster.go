@@ -23,7 +23,7 @@ package main
 //
 // The analyzer takes the §VI-D targets, not mechanism parameters:
 // -eps1 against the server, -eps2 against the server plus every other
-// user, -eps3 against the server plus a majority of shufflers, each a
+// user, -eps3 against the server plus ⌈r/2⌉ or more shufflers, each a
 // total over the -epochs collections of the same -n users, at -delta.
 // It plans once (amplify.PlanContinual), which fixes the oracle, d′,
 // ε_l and the fake count n_r, and writes the plan to -key with its
@@ -228,7 +228,7 @@ func runAnalyzer(args []string, out io.Writer) (amplify.Plan, *budget.Ledger, []
 	n := fs.Int("n", 400, "users per collection round")
 	eps1 := fs.Float64("eps1", 4, "total epsilon against the server, over all -epochs collections")
 	eps2 := fs.Float64("eps2", 8, "total epsilon against the server plus every other user")
-	eps3 := fs.Float64("eps3", 8, "total epsilon against the server plus a majority of shufflers")
+	eps3 := fs.Float64("eps3", 8, "total epsilon against the server plus ceil(r/2) or more shufflers")
 	delta := fs.Float64("delta", 1e-9, "total DP failure probability")
 	epochs := fs.Int("epochs", 1, "collections the budget covers")
 	collections := fs.Int("collections", 1, "collection rounds to drive the analyzer to (at most -epochs)")

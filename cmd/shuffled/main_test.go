@@ -15,14 +15,15 @@ import (
 // prints the plan and the ε it charges, charges exactly that ε for
 // every sealed epoch, and seals exactly -epochs epochs, each holding at
 // least the planned count. It runs with the default 8 gateways, whose
-// interleaving differs from run to run, several times, and once at an
-// n the epochs do not divide.
+// interleaving differs from run to run, several times, once at an n
+// the epochs do not divide, and once at the default n, where the plan
+// is amplified (at 1,000 reports per epoch ε_l = ε has less variance).
 func TestServicePlansAtEpochSize(t *testing.T) {
 	const (
 		epochs = 3
 		delta  = 1e-9 // the -delta default
 	)
-	for run, n := range []int{3000, 3000, 3000, 3002} {
+	for run, n := range []int{3000, 3000, 3000, 3002, 20000} {
 		epochReports := n / epochs
 		var out bytes.Buffer
 		plan, hist := runService([]string{"-n", fmt.Sprint(n), "-epochs", fmt.Sprint(epochs)}, &out)
@@ -48,12 +49,21 @@ func TestServicePlansAtEpochSize(t *testing.T) {
 			}
 		}
 
+		// central is the plan's guarantee over a release of m reports: the
+		// forward shuffle bound, or ε_l itself for an unamplified plan,
+		// whose oracle is ε_l-DP at any count.
+		central := func(m int) float64 {
+			if plan.EpsL == plan.Achieved.EpsC {
+				return plan.EpsL
+			}
+			return amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, m, delta)
+		}
 		sealed := 0
 		for _, es := range hist {
 			sealed += es.Reports
 			// (b) The plan's forward bound at the planned report count
 			// is the charge.
-			if got := amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, epochReports, delta); math.Abs(got-es.Guarantee.Eps) > 1e-12 {
+			if got := central(epochReports); math.Abs(got-es.Guarantee.Eps) > 1e-12 {
 				t.Errorf("run %d: epoch %d: plan gives eps=%v at %d reports, charged %v", run, es.Epoch, got, epochReports, es.Guarantee.Eps)
 			}
 			// (c) Every epoch, the last one too, holds at least the
@@ -63,7 +73,7 @@ func TestServicePlansAtEpochSize(t *testing.T) {
 				t.Errorf("run %d: epoch %d sealed %d reports, under the planned %d", run, es.Epoch, es.Reports, epochReports)
 				continue
 			}
-			if got := amplify.CentralEpsilonSOLH(plan.EpsL, plan.DPrime, es.Reports, delta); got > es.Guarantee.Eps+1e-12 {
+			if got := central(es.Reports); got > es.Guarantee.Eps+1e-12 {
 				t.Errorf("run %d: epoch %d: %d reports give eps=%v, above the charge %v", run, es.Epoch, es.Reports, got, es.Guarantee.Eps)
 			}
 		}

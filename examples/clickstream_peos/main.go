@@ -2,7 +2,7 @@
 // the frequency of clicked items without trusting any single party:
 // the server alone must learn within eps=1.5; even if every OTHER user
 // colludes with the server the victim keeps eps=3; even if the server
-// corrupts a majority of the shufflers each report stays eps=6-LDP.
+// corrupts ⌈r/2⌉ or more shufflers each report stays eps=6-LDP.
 //
 // The example runs the deployment's two tiers:
 //

@@ -11,9 +11,8 @@
 // any of them drifted (the CI recovery smoke job runs it).
 //
 // Each epoch releases one estimate over its -n reports, so SOLH is
-// planned (amplify.PlanShuffle) for a per-epoch central ε of 2 at -n
-// reports, and the ledger charges that target per epoch. A target of 1
-// buys no amplification at the few hundred reports the demo runs.
+// planned (amplify.PlanShuffle) for a per-epoch central ε of 1 at -n
+// reports, and the ledger charges that target per epoch.
 //
 // Usage:
 //
@@ -52,7 +51,7 @@ func main() {
 	}
 
 	const (
-		perEps   = 2.0
+		perEps   = 1.0
 		perDelta = 1e-9
 	)
 	plan, err := amplify.PlanShuffle(perEps, *d, *n, perDelta, amplify.SOLH)

@@ -301,8 +301,13 @@ func handCalibration(epsC float64, d, n int, delta float64, oracle Oracle) (useG
 	return false, dPrime, epsL, err
 }
 
+// TestPlanShuffleMatchesHandCalibration pins PlanShuffle's amplified
+// candidate to the hand chain at every grid point. Where PlanShuffle
+// returns that candidate the plan itself is compared; where it returns
+// the unamplified plan (epsL = epsC, less variance) the candidate is
+// read through planAmplified.
 func TestPlanShuffleMatchesHandCalibration(t *testing.T) {
-	planned := 0
+	planned, amplified := 0, 0
 	for _, epsC := range []float64{0.25, 0.5, 1, 2} {
 		for _, d := range []int{2, 8, 64, 42178} {
 			for _, n := range []int{1000, 6667, 100000} {
@@ -311,9 +316,23 @@ func TestPlanShuffleMatchesHandCalibration(t *testing.T) {
 						useGRR, dPrime, epsL, wantErr := handCalibration(epsC, d, n, delta, oracle)
 						p, err := PlanShuffle(epsC, d, n, delta, oracle)
 						at := fmt.Sprintf("epsC=%v d=%d n=%d delta=%v oracle=%d", epsC, d, n, delta, oracle)
+						if err != nil {
+							t.Errorf("%s: %v", at, err)
+							continue
+						}
+						planned++
+						if p.NR != 0 || p.Achieved.EpsL != p.EpsL || p.Achieved.EpsS != p.EpsL || math.Abs(p.Achieved.EpsC-epsC) > 1e-12 {
+							t.Errorf("%s: plan %+v does not meet the target", at, p)
+						}
+						amp := p
+						if p.EpsL == epsC && p.Achieved.EpsC == epsC {
+							amp, err = planAmplified(epsC, d, n, delta, oracle)
+						} else {
+							amplified++
+						}
 						if wantErr != nil {
 							if !errors.Is(err, ErrNoAmplification) {
-								t.Errorf("%s: err = %v, want ErrNoAmplification like %v", at, err, wantErr)
+								t.Errorf("%s: amplified candidate err = %v, want ErrNoAmplification like %v", at, err, wantErr)
 							}
 							continue
 						}
@@ -321,27 +340,28 @@ func TestPlanShuffleMatchesHandCalibration(t *testing.T) {
 							t.Errorf("%s: %v", at, err)
 							continue
 						}
-						planned++
-						if p.UseGRR != useGRR || p.DPrime != dPrime || math.Float64bits(p.EpsL) != math.Float64bits(epsL) {
-							t.Errorf("%s: planned (GRR=%v, d'=%d, epsL=%v), hand chain (GRR=%v, d'=%d, epsL=%v)",
-								at, p.UseGRR, p.DPrime, p.EpsL, useGRR, dPrime, epsL)
-						}
-						if p.NR != 0 || p.Achieved.EpsL != p.EpsL || math.Abs(p.Achieved.EpsC-epsC) > 1e-12 {
-							t.Errorf("%s: plan %+v does not meet the target", at, p)
+						if amp.UseGRR != useGRR || amp.DPrime != dPrime || math.Float64bits(amp.EpsL) != math.Float64bits(epsL) {
+							t.Errorf("%s: amplified (GRR=%v, d'=%d, epsL=%v), hand chain (GRR=%v, d'=%d, epsL=%v)",
+								at, amp.UseGRR, amp.DPrime, amp.EpsL, useGRR, dPrime, epsL)
 						}
 					}
 				}
 			}
 		}
 	}
-	if planned == 0 {
-		t.Fatal("no grid point was feasible")
+	if planned != 288 || amplified == 0 {
+		t.Fatalf("planned %d of 288 grid points, %d of them amplified", planned, amplified)
 	}
 
-	// Too few reports to amplify: every oracle says so, matchably.
+	// Too few reports to amplify: every oracle plans epsL = epsC, whose
+	// guarantee is epsC exactly.
 	for _, oracle := range []Oracle{GRR, SOLH, Auto} {
-		if _, err := PlanShuffle(0.5, 64, 10, 1e-9, oracle); !errors.Is(err, ErrNoAmplification) {
-			t.Errorf("oracle %d at n=10: err = %v, want ErrNoAmplification", oracle, err)
+		p, err := PlanShuffle(0.5, 64, 10, 1e-9, oracle)
+		if err != nil || p.EpsL != 0.5 || p.Achieved.EpsC != 0.5 {
+			t.Errorf("oracle %d at n=10: plan %v, err %v; want epsL = epsC = 0.5", oracle, p, err)
+		}
+		if _, err := planAmplified(0.5, 64, 10, 1e-9, oracle); !errors.Is(err, ErrNoAmplification) {
+			t.Errorf("oracle %d at n=10: amplified candidate err = %v, want ErrNoAmplification", oracle, err)
 		}
 	}
 
@@ -356,5 +376,74 @@ func TestPlanShuffleMatchesHandCalibration(t *testing.T) {
 	}
 	if strings.Contains(s, "nr=") || strings.Contains(s, "epsS") {
 		t.Errorf("String() = %q renders fakes for an NR = 0 plan", s)
+	}
+}
+
+// candidateVariances prices PlanShuffle's two candidates from the
+// closed forms alone: the oracle at epsL = epsC with d' found by brute
+// force, and the hand-calibrated amplified chain (+Inf where it has no
+// positive epsL).
+func candidateVariances(epsC float64, d, n int, delta float64, oracle Oracle) (plain, amplified float64) {
+	e := math.Exp(epsC)
+	plain, amplified = math.Inf(1), math.Inf(1)
+	if oracle != SOLH {
+		plain = (e + float64(d) - 2) / (float64(n) * (e - 1) * (e - 1))
+		if v, err := VarianceGRR(epsC, d, n, delta); err == nil {
+			amplified = v
+		}
+	}
+	if oracle != GRR {
+		for dp := 2; dp <= min(d, 4096); dp++ {
+			if v, err := VarianceSOLHAt(e+float64(dp)-1, dp, n); err == nil && v < plain {
+				plain = v
+			}
+		}
+		if v, _, err := VarianceSOLH(epsC, d, n, delta); err == nil && v < amplified {
+			amplified = v
+		}
+	}
+	return plain, amplified
+}
+
+// TestPlanShuffleNeverPlansBelowTarget: an epsC-LDP oracle is already
+// (epsC, 0)-DP after any shuffle, so no plan spends less local budget
+// than its central target, and none has more variance than either
+// candidate.
+func TestPlanShuffleNeverPlansBelowTarget(t *testing.T) {
+	for _, epsC := range []float64{0.25, 0.5, 1, 2, 4} {
+		for _, d := range []int{2, 8, 32, 64, 1024, 42178} {
+			for _, n := range []int{10, 100, 800, 1000, 6667, 100000} {
+				for _, delta := range []float64{1e-6, 1e-9} {
+					for _, oracle := range []Oracle{GRR, SOLH, Auto} {
+						at := fmt.Sprintf("epsC=%v d=%d n=%d delta=%v oracle=%d", epsC, d, n, delta, oracle)
+						p, err := PlanShuffle(epsC, d, n, delta, oracle)
+						if err != nil {
+							t.Errorf("%s: %v", at, err)
+							continue
+						}
+						if p.EpsL < epsC {
+							t.Errorf("%s: planned epsL = %v below the target", at, p.EpsL)
+						}
+						plain, amplified := candidateVariances(epsC, d, n, delta, oracle)
+						if p.Variance > plain*(1+1e-12) || p.Variance > amplified*(1+1e-12) {
+							t.Errorf("%s: plan variance %.6e, candidates %.6e (epsL = epsC) and %.6e (amplified)", at, p.Variance, plain, amplified)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// examples/continual_monitor plans its defaults (eps 1, 800 reports,
+// d = 32) at the variance of plain SOLH at epsL = 1, about 4.6e-3; the
+// amplified plan alone read 2.0e-2 there.
+func TestPlanShuffleContinualMonitorDefaults(t *testing.T) {
+	p, err := PlanShuffle(1, 32, 800, 1e-9, SOLH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Variance > 4.7e-3 || p.EpsL != 1 {
+		t.Errorf("continual_monitor's default plan %s, want epsL = 1 at variance <= 4.7e-3", p)
 	}
 }

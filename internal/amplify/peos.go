@@ -17,7 +17,10 @@ type PEOSGuarantees struct {
 	// users (Adv_u); only the n_r fake reports protect the victim.
 	EpsS float64
 	// EpsL is the local randomizer's budget, the only protection left
-	// against the server colluding with > floor(r/2) shufflers (Adv_a).
+	// against the server colluding with ceil(r/2) or more shufflers
+	// (Adv_a): a coalition that size holds a hider of every EOS round,
+	// so it knows the composite permutation. At r = 2 that is one
+	// shuffler.
 	EpsL float64
 }
 

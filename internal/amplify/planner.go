@@ -19,8 +19,9 @@ type Requirements struct {
 	Eps1 float64
 	// Eps2 bounds the server + colluding-users view (Adv_u).
 	Eps2 float64
-	// Eps3 bounds the server + majority-of-shufflers view (Adv_a);
-	// this is the pure LDP fallback, so EpsL <= Eps3.
+	// Eps3 bounds the view of the server with ceil(r/2) or more
+	// shufflers (Adv_a; one shuffler at r = 2); this is the pure LDP
+	// fallback, so EpsL <= Eps3.
 	Eps3 float64
 	// D is the value-domain size, N the number of users.
 	D, N int
@@ -99,23 +100,64 @@ const (
 // guarantee is claimed at — the reports one release aggregates, not
 // the whole population when the population is split into collections.
 //
-// The plan has NR = 0. Achieved.EpsC is the forward bound
-// (CentralEpsilonGRR or CentralEpsilonSOLH) of the planned epsL at n,
-// which meets epsC up to rounding; Achieved.EpsS is epsL, since
-// without fakes only the local randomizer protects a user whose peers
-// collude with the server. It returns ErrNoAmplification (wrapped)
-// when no positive epsL meets epsC at n.
+// It prices two candidates and returns the one with less variance. The
+// amplified plan inverts the shuffle bound (Theorem 3, or the GRR
+// bound) at n, so its Achieved.EpsC is that bound's forward value,
+// which meets epsC up to rounding. The unamplified plan runs the oracle
+// at epsL = epsC, which is already (epsC, 0)-DP after any shuffle, so
+// its Achieved.EpsC is epsC exactly; it is the only candidate below the
+// amplification threshold, and just above it often the better one. The
+// plan has NR = 0, and Achieved.EpsS is epsL, since without fakes only
+// the local randomizer protects a user whose peers collude with the
+// server.
 func PlanShuffle(epsC float64, d, n int, delta float64, oracle Oracle) (Plan, error) {
-	useGRR := false
-	switch oracle {
-	case GRR:
-		useGRR = true
-	case SOLH:
-	case Auto:
-		useGRR = PreferGRR(epsC, d, n, delta)
-	default:
+	if oracle != Auto && oracle != GRR && oracle != SOLH {
 		return Plan{}, fmt.Errorf("amplify: unknown oracle %d", int(oracle))
 	}
+	if epsC <= 0 || d < 2 || n < 2 || delta <= 0 || delta >= 1 {
+		return Plan{}, errors.New("amplify: PlanShuffle needs epsC > 0, d >= 2, n >= 2 and delta in (0, 1)")
+	}
+	p := planUnamplified(epsC, d, n, oracle)
+	if amp, err := planAmplified(epsC, d, n, delta, oracle); err == nil && amp.Variance < p.Variance {
+		p = amp
+	}
+	p.Achieved.EpsS = p.EpsL
+	p.Achieved.EpsL = p.EpsL
+	return p, nil
+}
+
+// planUnamplified is PlanShuffle's candidate at epsL = epsC: GRR over
+// d, or SOLH at the d' that minimizes VarianceSOLHAt at
+// m = e^epsC + d' - 1 (Auto takes the smaller variance of the two).
+// With k = d' - 1 that variance is (k + e^epsC)^2 / k up to a constant,
+// convex in k with its minimum at k = e^epsC, so the best d' is one of
+// the two integers around e^epsC + 1, clamped to [2, d].
+func planUnamplified(epsC float64, d, n int, oracle Oracle) Plan {
+	eL := math.Exp(epsC)
+	best := Plan{EpsL: epsC, Variance: math.Inf(1)}
+	best.Achieved.EpsC = epsC
+	if oracle != SOLH {
+		md := eL - 1
+		best.UseGRR, best.DPrime, best.Variance = true, d, (eL+float64(d)-2)/(float64(n)*md*md)
+	}
+	if oracle != GRR {
+		k := int(math.Min(math.Floor(eL), float64(d)))
+		for _, dPrime := range []int{k + 1, k + 2} {
+			dPrime = min(dPrime, d)
+			if v, _ := VarianceSOLHAt(eL+float64(dPrime)-1, dPrime, n); v < best.Variance {
+				best.UseGRR, best.DPrime, best.Variance = false, dPrime, v
+			}
+		}
+	}
+	return best
+}
+
+// planAmplified is PlanShuffle's candidate that inverts the shuffle
+// bound at n: the oracle by PreferGRR under Auto, d' by Equation (5)
+// and epsL by Theorem 3 (or the GRR bound). It returns
+// ErrNoAmplification (wrapped) when no positive epsL meets epsC at n.
+func planAmplified(epsC float64, d, n int, delta float64, oracle Oracle) (Plan, error) {
+	useGRR := oracle == GRR || oracle == Auto && PreferGRR(epsC, d, n, delta)
 	p := Plan{UseGRR: useGRR, DPrime: d}
 	var err error
 	if useGRR {
@@ -133,12 +175,7 @@ func PlanShuffle(epsC float64, d, n int, delta float64, oracle Oracle) (Plan, er
 		p.Achieved.EpsC = CentralEpsilonSOLH(p.EpsL, p.DPrime, n, delta)
 		p.Variance, err = VarianceSOLHAt(m, p.DPrime, n)
 	}
-	if err != nil {
-		return Plan{}, err
-	}
-	p.Achieved.EpsS = p.EpsL
-	p.Achieved.EpsL = p.EpsL
-	return p, nil
+	return p, err
 }
 
 // PlanPEOS searches nr, epsL, the oracle choice and (for SOLH) d' to

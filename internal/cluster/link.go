@@ -83,6 +83,18 @@ func (l *link) recv(limit int, wait time.Duration) (uint32, []byte, error) {
 
 func (l *link) close() { l.conn.Close() }
 
+// acceptEach hands every connection ln accepts to handle, each on its
+// own goroutine, until ln closes.
+func acceptEach(ln net.Listener, handle func(net.Conn)) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go handle(conn)
+	}
+}
+
 // errAwaitTimeout is await's timeout verdict; callers word the failure
 // from what their condition last saw.
 var errAwaitTimeout = errors.New("cluster: wait timed out")

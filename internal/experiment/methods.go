@@ -69,20 +69,25 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 	case "Had":
 		return simMethod("Had", ldp.NewHadamard(epsC), n), nil
 
+	// SH and SOLH invert the shuffle bound directly rather than through
+	// amplify.PlanShuffle: the paper runs the amplified oracle wherever
+	// the bound allows it, even where epsL = epsC has less variance, and
+	// the Figure 3 and Table II goldens are that choice.
 	case "SH":
 		// GRR + shuffling [9]; no amplification below the threshold.
-		plan, err := amplify.PlanShuffle(epsC, d, n, delta, amplify.GRR)
+		epsL, err := amplify.LocalEpsilonGRR(epsC, d, n, delta)
 		if err != nil {
 			if !errors.Is(err, amplify.ErrNoAmplification) {
 				return Method{}, err
 			}
-			plan.EpsL = epsC
+			epsL = epsC
 		}
-		fo := ldp.NewGRR(d, plan.EpsL)
+		fo := ldp.NewGRR(d, epsL)
 		return simMethod("SH", fo, n), nil
 
 	case "SOLH":
-		plan, err := amplify.PlanShuffle(epsC, d, n, delta, amplify.SOLH)
+		dPrime := amplify.OptimalDPrime(amplify.BlanketM(epsC, n, delta), d)
+		epsL, err := amplify.LocalEpsilonSOLH(epsC, dPrime, n, delta)
 		if err != nil {
 			if !errors.Is(err, amplify.ErrNoAmplification) {
 				return Method{}, err
@@ -92,7 +97,7 @@ func NewMethod(name string, epsC, delta float64, n, d int) (Method, error) {
 			fo := ldp.NewOLH(d, epsC)
 			return simMethod("SOLH", fo, n), nil
 		}
-		fo := ldp.NewSOLH(d, plan.DPrime, plan.EpsL)
+		fo := ldp.NewSOLH(d, dPrime, epsL)
 		return simMethod("SOLH", fo, n), nil
 
 	case "SOLHFixed": // used by Table II's fixed-d' ablation via NewSOLHFixed

@@ -14,8 +14,10 @@ import (
 // service shape (the d and d' of the service workloads) and two report
 // counts — one client batch, and several lhBlock blocks plus a ragged
 // tail. Reports take the service's fold path: word batches of 256
-// folded into two worker aggregators, merged into an epoch root, the
-// root cloned into an all-time aggregate, and both estimated. Every
+// folded into two worker aggregators per epoch over two epochs, each
+// epoch's workers merged into its root and the root's estimate frozen
+// at the seal, and the sealed roots clone-merged and estimated as
+// EstimateWindow does. Every
 // report must be swept against every value exactly once, so the count
 // is d per report; a change that counts a staged block twice, or skips
 // one, shows up as a diff of testdata/support_pairs.golden.
@@ -44,17 +46,25 @@ func TestSupportPairsPerReportGolden(t *testing.T) {
 				words[i] = r.Uint64n(enc.GroupOrder())
 			}
 			pairs := SupportPairs(func() {
-				workers := []Aggregator{fo.NewAggregator(), fo.NewAggregator()}
-				for off := 0; off < n; off += batch {
-					enc.AddWords(workers[off/batch%2], words[off:min(off+batch, n)])
+				// Epoch 0 takes the first half of the batches, epoch 1
+				// the rest.
+				batches := (n + batch - 1) / batch
+				var sealed []Aggregator
+				for e := range 2 {
+					workers := []Aggregator{fo.NewAggregator(), fo.NewAggregator()}
+					for b := e * batches / 2; b < (e+1)*batches/2; b++ {
+						enc.AddWords(workers[b%2], words[b*batch:min((b+1)*batch, n)])
+					}
+					root := fo.NewAggregator()
+					for _, w := range workers {
+						root.Merge(w)
+					}
+					root.Estimates()
+					sealed = append(sealed, root)
 				}
-				root, allTime := fo.NewAggregator(), fo.NewAggregator()
-				for _, w := range workers {
-					root.Merge(w)
-				}
-				allTime.Merge(root.Clone())
-				root.Estimates()
-				allTime.Estimates()
+				window := sealed[0].Clone()
+				window.Merge(sealed[1].Clone())
+				window.Estimates()
 			})
 			fmt.Fprintf(&got, "%s %d %d %d %d %g\n", sh.name, sh.d, sh.dPrime, n, pairs, float64(pairs)/float64(n))
 		}

@@ -15,7 +15,7 @@ import (
 // EpochCurrent is the frame tag a client stamps when it reports into
 // whatever epoch the service currently has open (the common case: the
 // client does not track the server's rotation schedule). Any other tag
-// asserts a specific epoch id; the shuffler drops reports whose
+// asserts a specific epoch id; the batch stage drops reports whose
 // asserted epoch is not the open one and counts them as Late.
 const EpochCurrent = ^uint32(0)
 
@@ -50,11 +50,11 @@ type WindowSnapshot struct {
 	Reports int
 }
 
-// walCounters is the shuffler's mirror of the two durable counts the
+// walCounters is the batch stage's mirror of the two durable counts the
 // live atomics cannot give: reports write-ahead logged (received; the
-// live count also holds frames still on their way to the shuffler) and
+// live count also holds frames still on their way to the batch stage) and
 // rejected drops logged (rejected; logging stops at rejectedLogCap).
-// Late drops and forwarded batches need no mirror: the shuffler is the
+// Late drops and forwarded batches need no mirror: the batch stage is the
 // only writer of their atomics, so those are exact at every cut.
 type walCounters struct {
 	received, rejected int64
@@ -75,15 +75,15 @@ type epochState struct {
 	// pending counts forwarded-but-unfolded batches.
 	pending sync.WaitGroup
 	batches atomic.Int64
-	// accepted counts reports the shuffler routed to this epoch
+	// accepted counts reports the batch stage routed to this epoch
 	// (batched or still buffered) — the auto-rotation trigger.
 	accepted atomic.Int64
 	// guarantee is what the ledger charged for the epoch, set at seal.
 	guarantee composition.Guarantee
 
 	// cut holds the durable counters at this epoch's rotation boundary;
-	// written by the shuffler at the marker (or by Drain after the
-	// shuffler exits), read by seal for the checkpoint.
+	// written by the batch stage at the marker (or by Drain after the
+	// batch stage exits), read by seal for the checkpoint.
 	cut store.Checkpoint
 
 	rootMu sync.Mutex
@@ -177,15 +177,15 @@ func (e *epochState) snapshot() EpochSnapshot {
 	}
 }
 
-// rotateReq asks the shuffler to swap epochs at a batch boundary.
+// rotateReq asks the batch stage to swap epochs at a batch boundary.
 // next == nil closes the epoch sequence (budget exhausted): the
-// shuffler then rejects further reports instead of aggregating them.
+// batch stage then rejects further reports instead of aggregating them.
 type rotateReq struct {
 	next *epochState
 	done chan *epochState // receives the epoch being sealed
 }
 
-// Rotate seals the current epoch and opens the next one: the shuffler
+// Rotate seals the current epoch and opens the next one: the batch stage
 // flushes the epoch's partial batch and switches, every batch already
 // routed to the sealed epoch is waited for, the epoch's estimate is
 // frozen into History.
@@ -222,7 +222,7 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 	req := rotateReq{next: next, done: make(chan *epochState, 1)}
 	select {
 	case s.rotateCh <- req:
-	case <-s.shufflerDone:
+	case <-s.batchDone:
 		return EpochSnapshot{}, errors.New("service: draining")
 	case <-s.stop:
 		return EpochSnapshot{}, errors.New("service: closed")
@@ -312,9 +312,9 @@ func (s *Service) writeCheckpoint(e *epochState, openCharged bool) error {
 }
 
 // counters stamps the durable counters into a checkpoint: received
-// and rejected from the shuffler's WAL mirror, late and batches from
-// the atomics only the shuffler writes. Only the shuffler calls it, or
-// restore and Drain while no shuffler runs.
+// and rejected from the batch stage's WAL mirror, late and batches from
+// the atomics only the batch stage writes. Only the batch stage calls it, or
+// restore and Drain while no batch stage runs.
 func (s *Service) counters() store.Checkpoint {
 	return store.Checkpoint{
 		Received: s.wal.received,
@@ -387,7 +387,82 @@ func (s *Service) EstimateWindow(k int) (WindowSnapshot, error) {
 	}, nil
 }
 
-// runRotator turns the shuffler's report-count hints into rotations
+// Snapshot returns the open epoch's current estimate without stopping
+// ingestion: each shard aggregator is swapped for a fresh one and
+// merged into the epoch root, so the snapshot is a consistent prefix
+// of the epoch's stream and costs the workers only the swap, never a
+// full recompute.
+func (s *Service) Snapshot() Snapshot {
+	e := s.cur.Load()
+	est, n := e.gather()
+	return s.snapshotOf(e.id, est, n)
+}
+
+// snapshotOf stamps the live counters beside an estimate over reports.
+func (s *Service) snapshotOf(epoch int, est []float64, reports int) Snapshot {
+	return Snapshot{
+		Estimates:  est,
+		Reports:    reports,
+		Received:   s.received.Load(),
+		Batches:    s.forwarded.Load(),
+		Epoch:      epoch,
+		Late:       s.late.Load(),
+		Rejected:   s.rejected.Load(),
+		IdleClosed: s.idleClosed.Load(),
+		Kicked:     s.kicked.Load(),
+	}
+}
+
+// Drain gracefully shuts the pipeline down: stop accepting, wait for
+// every ingested connection to close, flush the partial batch, wait
+// for the workers, seal the final epoch into History, and return the
+// all-time snapshot — every sealed epoch merged, as EstimateWindow(0)
+// merges them, bit-identical to a sequential pass over the full
+// stream. The returned error is the
+// first failure observed anywhere in the pipeline (a run with a
+// corrupt report is not silently trusted).
+func (s *Service) Drain() (Snapshot, error) {
+	s.drainOnce.Do(func() {
+		// Under mu so the flip is atomic with Ingest's check-and-register:
+		// after this section, every registered reader is counted in conns.
+		s.mu.Lock()
+		s.draining.Store(true)
+		s.mu.Unlock()
+		close(s.drainStart)
+		s.rotatorWG.Wait()
+		s.closeListeners()
+		s.conns.Wait()
+		close(s.intake)
+		<-s.batchDone
+		s.workerPool.Wait()
+		// Every batch is folded; seal the final epoch (a no-op if an
+		// exhausting Rotate already did).
+		s.rotateMu.Lock()
+		e := s.cur.Load()
+		if s.st != nil {
+			// The batch stage has exited, so the counters are final: the
+			// drain seal's checkpoint covers the whole stream. The epoch
+			// the checkpoint leaves "open" only ever opens if the
+			// directory is recovered — and is paid for then, not now.
+			e.cut = s.counters()
+		}
+		s.seal(e, false)
+		if s.st != nil {
+			if err := s.st.Close(); err != nil {
+				s.fail(fmt.Errorf("service: closing WAL: %w", err))
+			}
+		}
+		s.rotateMu.Unlock()
+		// The drain seal leaves the history non-empty, so the merge
+		// cannot fail.
+		all, _ := s.EstimateWindow(0)
+		s.drainSnap = s.snapshotOf(e.id, all.Estimates, all.Reports)
+		s.drainErr = s.Err()
+	})
+	return s.drainSnap, s.drainErr
+}
+
+// runRotator turns the batch stage's report-count hints into rotations
 // when Config.EpochReports is set. A hint can outlive the epoch that
 // generated it (a manual Rotate may land in between), so the rotator
 // re-checks the open epoch's accepted count before cutting — a stale

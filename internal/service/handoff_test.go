@@ -90,7 +90,7 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cur.Store(newEpochState(0, fo, s.workers))
-	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
+	go s.cutRuns()
 	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
 			if recs := len(eb.run) / s.codec.Size(); recs > batchSize {
@@ -708,7 +708,7 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 	}
 
 	batches := 0
-	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
+	go s.cutRuns()
 	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
 			held := onDisk()

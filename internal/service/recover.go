@@ -37,7 +37,6 @@ import (
 	"fmt"
 
 	"shuffledp/internal/budget"
-	"shuffledp/internal/ecies"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/store"
 )
@@ -62,10 +61,6 @@ func Recover(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s.st = st
-	if s.sealer, err = ecies.NewStorageSealer(s.cfg.Key); err != nil {
-		st.Close()
-		return nil, err
-	}
 	if err := s.restore(rec); err != nil {
 		st.Close()
 		return nil, err
@@ -73,7 +68,7 @@ func Recover(cfg Config) (*Service, error) {
 	s.start()
 	// A recovered open epoch may already be past the auto-rotation
 	// threshold (the crash hit after the hint was generated but before
-	// the rotator acted on it); re-arm the hint, since the shuffler
+	// the rotator acted on it); re-arm the hint, since the batch stage
 	// hints only when a frame carries the count across the threshold,
 	// and this epoch is already past it.
 	if s.cfg.EpochReports > 0 && s.cur.Load().accepted.Load() >= int64(s.cfg.EpochReports) {

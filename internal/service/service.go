@@ -6,19 +6,26 @@
 // point mid-stream.
 //
 // Pipeline stages, each a bounded queue ahead of it (backpressure
-// propagates from a slow stage back to the clients' writes):
+// propagates from a slow stage back to the clients' writes), one file
+// each:
 //
-//	conn readers  --intake-->  shuffler  --batches-->  aggregate
-//	(one per conn,  (frames)   (copy into  (record runs) (one fold
-//	 session open)              a run)                    per run)
+//	read.go         --intake-->  batch.go      --batches-->  fold.go
+//	(one reader per   (frames)   (log a frame,  (record runs) (one fold
+//	 conn: session               copy it into                 per run)
+//	 open)                       runs)
+//
+// and epoch.go seals and releases what the workers folded (Snapshot,
+// Rotate, History, EstimateWindow, Drain). This file holds the wiring
+// and the state the stages share.
 //
 // The unit of hand-off on the intake edge is the opened session frame,
 // not the report: a reader authenticates a frame and passes its whole
-// plaintext on in one channel send, and the shuffler copies its
+// plaintext on in one channel send, and the batch stage copies its
 // records into the open batch — one flat run of Codec.Size() records,
 // in arrival order — and gives the frame's buffer back to a free list
 // the readers open into; a worker gives a run back once it is
-// folded. A per-report hand-off cost more than
+// folded. Each buffer changes owner in one function: handOffFrame,
+// returnFrame, handOffRun and returnRun. A per-report hand-off cost more than
 // everything else the tier does to a report (EXPERIMENTS.md, "Spend
 // the profile"). A worker folds a whole run through Codec.Fold, the fold
 // WAL replay uses too: word reports reach the aggregator's counting
@@ -42,7 +49,7 @@
 // sent each report, and a permutation inside it would hide nothing
 // from it. Nothing outside can observe the order — folds, snapshots
 // and releases are integer counts over whole runs, and the WAL keeps
-// arrival order — so the shuffler stage permutes nothing: it cuts
+// arrival order — so the batch stage permutes nothing: it cuts
 // runs, the workers' hand-off unit. The ε the ledger charges holds
 // against readers of what the service releases, amplified over the
 // reports each release aggregates; against the service's own operator
@@ -126,14 +133,6 @@ const DefaultClientBatch = 256
 // magic), so a hello tag mid-stream is not special — re-keying a
 // connection is impossible by construction.
 const SessionHelloTag = 0x53445031 // "SDP1"
-
-// rejectedLogCap bounds how many post-exhaustion rejected reports are
-// write-ahead logged. A rejected frame is one 18-byte counted drop, so
-// the cap holds the WAL to about 2 MiB even against one-report frames.
-// An exhausted service never checkpoints again, so these records are
-// never pruned; beyond the cap drops are still counted in-memory but no
-// longer durable.
-const rejectedLogCap = 1 << 17
 
 // Config parameterizes a Service.
 type Config struct {
@@ -241,49 +240,6 @@ type Snapshot struct {
 	Kicked int64
 }
 
-// intakeFrames is the intake queue's capacity in opened session
-// frames: enough that a reader can open its next frame while the
-// shuffler splits the previous one. It is a constant, not a knob:
-// capacities 1, 4 and 16 measured no better than 2 on either service
-// benchmark workload (EXPERIMENTS.md, "Spend the profile"), and each
-// slot can pin a DefaultMaxFrame-sized plaintext, which is the reason
-// to keep it small.
-const intakeFrames = 2
-
-// queuedBatchesPerWorker sizes the batches queue: that many
-// batches per decode + aggregate worker (GOMAXPROCS of them, counted at
-// New or Recover) may wait before the shuffler — and transitively the
-// clients — block. The shuffler is a single goroutine feeding every
-// worker, so it needs enough buffered batches to keep them fed across
-// its own stalls (a rotation's fsync, a frame's seal and append). With
-// that work per frame, not per report, ten alternated 12 s pairs still
-// read 2 per worker behind 5 in nine on svc_durable_query_d1024
-// (median -3.3%) and in eight on svc_wire_d64, which has no WAL
-// (median -7.1%): EXPERIMENTS.md, "The frame is the unit of
-// durability".
-const queuedBatchesPerWorker = 5
-
-// frameBlock is one opened session frame on its way to the shuffler:
-// the whole authenticated plaintext — a whole number of codec.Size()
-// records, checked by the reader — with the epoch id the frame
-// asserted, and the free list of the connection that opened it.
-type frameBlock struct {
-	epoch uint32
-	recs  []byte
-	// home is the reader's own one-buffer free list. The shuffler gives
-	// recs back there first and to the service's list only when home is
-	// full, so the one opened frame each connection may hold on top of
-	// the intake and the shuffler's (DESIGN.md §6) comes back to it.
-	home chan []byte
-}
-
-// epochBatch is one batch — a run of codec.Size() records —
-// routed to the epoch that was open when it was flushed.
-type epochBatch struct {
-	ep  *epochState
-	run []byte
-}
-
 // Service is a running ingestion pipeline. Create with New, feed it
 // connections with Serve or Ingest, read the live estimate with
 // Snapshot, cut the stream into collection rounds with Rotate (or
@@ -296,16 +252,16 @@ type Service struct {
 	// shard count: GOMAXPROCS when the service was built.
 	workers int
 
-	intake  chan frameBlock // opened session frames, readers -> shuffler
-	batches chan epochBatch // record runs, shuffler -> aggregate pool
+	intake  chan frameBlock // opened session frames, read stage -> batch stage
+	batches chan epochBatch // record runs, batch stage -> fold workers
 
 	// plains and runs are the free lists of the ingest path's two
-	// buffers: opened frame plaintexts (a reader takes one, the shuffler
+	// buffers: opened frame plaintexts (a reader takes one, the batch stage
 	// gives it back once the frame is logged and batched) and record
 	// runs (the batcher takes one, a worker gives it back after its
 	// fold). Each is capped at its buffers' in-flight count past the
 	// readers (DESIGN.md §6) — the intake's frames plus the one the
-	// shuffler is accepting; the queue's runs plus one in each worker's
+	// batch stage is accepting; the queue's runs plus one in each worker's
 	// hand and the one the batcher is filling — and a buffer given back
 	// to a full list is dropped.
 	plains chan []byte
@@ -315,13 +271,12 @@ type Service struct {
 	stopOnce sync.Once
 	draining atomic.Bool
 
-	conns        sync.WaitGroup // active connection readers
-	shufflerPool pipeline.Pool  // the single batch-shuffler stage goroutine
-	workerPool   pipeline.Pool  // decode + aggregate stage workers
+	conns      sync.WaitGroup // active connection readers
+	workerPool pipeline.Pool  // decode + aggregate stage workers
 
 	// sealer re-encrypts accepted frames for the WAL (their wire
 	// framing is under a connection-ephemeral key recovery could never
-	// re-derive), sealBuf is its shuffler-owned output scratch. Nil for
+	// re-derive), sealBuf is its batch-stage-owned output scratch. Nil for
 	// an in-memory service.
 	sealer  *ecies.StorageSealer
 	sealBuf []byte
@@ -336,12 +291,12 @@ type Service struct {
 	exhausted atomic.Bool
 
 	// rotateMu serializes Rotate and Drain's final seal.
-	rotateMu     sync.Mutex
-	rotateCh     chan rotateReq
-	rotateHint   chan struct{}
-	rotatorWG    sync.WaitGroup
-	shufflerDone chan struct{}
-	drainStart   chan struct{}
+	rotateMu   sync.Mutex
+	rotateCh   chan rotateReq
+	rotateHint chan struct{}
+	rotatorWG  sync.WaitGroup
+	batchDone  chan struct{} // closed when the batch stage exits
+	drainStart chan struct{}
 
 	// history is every sealed epoch, oldest first: the only record of
 	// what the service sealed. Drain's all-time estimate is its merge.
@@ -349,8 +304,8 @@ type Service struct {
 	history []*epochState
 
 	// st is the durability layer, nil for an in-memory service. wal is
-	// the shuffler-owned durable-counter mirror (Recover seeds it
-	// before the shuffler starts).
+	// the batch-stage-owned durable-counter mirror (Recover seeds it
+	// before the batch stage starts).
 	st  *store.Store
 	wal walCounters
 
@@ -367,7 +322,7 @@ type Service struct {
 }
 
 // New validates cfg, opens the data directory when the service is
-// durable, pays the ledger for epoch 0, starts the shuffler and worker
+// durable, pays the ledger for epoch 0, starts the batch stage and worker
 // stages, and returns the running (but not yet listening) service. A
 // directory that already holds state is refused before anything is
 // paid.
@@ -385,10 +340,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.st = st
-		if s.sealer, err = ecies.NewStorageSealer(s.cfg.Key); err != nil {
-			st.Close()
-			return nil, err
-		}
 	}
 	if err := s.pay(0); err != nil {
 		if s.st != nil {
@@ -412,8 +363,8 @@ func (s *Service) pay(id int) error {
 }
 
 // prepare validates and normalizes cfg and builds the service shell:
-// channels, but no epoch, no ledger charge, no store, and no
-// goroutines. New and Recover share it and differ only in how they
+// channels and, for a durable service, the at-rest sealer, but no
+// epoch, no ledger charge, no store, and no goroutines. New and Recover share it and differ only in how they
 // produce the initial state.
 func prepare(cfg Config) (*Service, error) {
 	if cfg.FO == nil {
@@ -439,15 +390,20 @@ func prepare(cfg Config) (*Service, error) {
 		workers: workers,
 		// Past intakeFrames of slack the readers block and the clients
 		// feel backpressure through their connection writes.
-		intake:       make(chan frameBlock, intakeFrames),
-		batches:      make(chan epochBatch, queuedBatchesPerWorker*workers),
-		plains:       make(chan []byte, intakeFrames+1),
-		runs:         make(chan []byte, (queuedBatchesPerWorker+1)*workers+1),
-		stop:         make(chan struct{}),
-		rotateCh:     make(chan rotateReq),
-		rotateHint:   make(chan struct{}, 1),
-		shufflerDone: make(chan struct{}),
-		drainStart:   make(chan struct{}),
+		intake:     make(chan frameBlock, intakeFrames),
+		batches:    make(chan epochBatch, queuedBatchesPerWorker*workers),
+		plains:     make(chan []byte, intakeFrames+1),
+		runs:       make(chan []byte, (queuedBatchesPerWorker+1)*workers+1),
+		stop:       make(chan struct{}),
+		rotateCh:   make(chan rotateReq),
+		rotateHint: make(chan struct{}, 1),
+		batchDone:  make(chan struct{}),
+		drainStart: make(chan struct{}),
+	}
+	if cfg.DataDir != "" {
+		if s.sealer, err = ecies.NewStorageSealer(cfg.Key); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -460,7 +416,7 @@ func (s *Service) storeMeta() store.Meta {
 // start launches the pipeline goroutines over the already-installed
 // current epoch.
 func (s *Service) start() {
-	s.shufflerPool.Go(1, func(int) { s.runShuffler() })
+	go s.cutRuns()
 	s.workerPool.Go(s.workers, s.runWorker)
 	if s.cfg.EpochReports > 0 {
 		s.rotatorWG.Add(1)
@@ -544,440 +500,10 @@ func (s *Service) forget(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// errStopIngest is the reader sentinel for "the service is stopping":
-// the loop ends, but the connection did not fail.
-var errStopIngest = errors.New("service: stopping")
-
-// errKickConn wraps connection-scoped protocol violations — a bad
-// session hello, a session frame failing authentication or sequence,
-// a misaligned batch. The connection is dropped and counted in
-// Snapshot.Kicked; the service (and every other connection) carries
-// on.
-var errKickConn = errors.New("service: kicking connection")
-
-// readConn is the ingest stage for one connection: a pipeline.Reader
-// feeding the intake queue, deadline-guarded so a stalled client is
-// disconnected (Snapshot.IdleClosed) instead of pinning this goroutine
-// — and Drain's conns.Wait — forever.
-//
-// The first frame must be a SessionHelloTag frame, which performs the
-// session handshake: every later frame is then one AEAD-sealed batch
-// of codec-marshalled reports, opened and checked here and handed to
-// the shuffler whole — one intake send per frame — so the rest of the
-// pipeline sees only authenticated, record-aligned plaintext. Protocol
-// violations (oversized frame, missing or bad hello, failed AEAD,
-// replayed or reordered counter, misaligned batch) kick only this
-// connection.
-func (s *Service) readConn(conn net.Conn) {
-	defer s.conns.Done()
-	defer s.forget(conn)
-	defer conn.Close()
-	var sess *ecies.Session
-	size := s.codec.Size()
-	home := make(chan []byte, 1)
-	rd := &pipeline.Reader{
-		Conn:        conn,
-		IdleTimeout: s.cfg.IdleTimeout,
-		MaxFrame:    s.cfg.maxFrame,
-		Handle: func(tag uint32, frame []byte) error {
-			if sess == nil {
-				if tag != SessionHelloTag {
-					return fmt.Errorf("%w: first frame has tag %#x, not the session hello", errKickConn, tag)
-				}
-				ns, err := ecies.NewServerSession(s.cfg.Key, frame)
-				if err != nil {
-					return fmt.Errorf("%w: %v", errKickConn, err)
-				}
-				sess = ns
-				return nil
-			}
-			s.cfg.Meter.Send(PartyUsers, PartyShuffler, len(frame))
-			// Session batch frame: the tag is the epoch the whole
-			// batch asserts. The plaintext opens into a buffer given
-			// back to this connection or, failing that, one from the
-			// service's free list (a fresh one only when both are
-			// empty); the shuffler gives it back once it has logged the
-			// frame and copied its records into a run.
-			if len(frame) < ecies.SessionOverhead+size {
-				return fmt.Errorf("%w: short session frame (%d bytes)", errKickConn, len(frame))
-			}
-			pt, err := sess.Open(take(home, s.plains)[:0], frame)
-			if err != nil {
-				return fmt.Errorf("%w: %v", errKickConn, err)
-			}
-			if len(pt)%size != 0 {
-				return fmt.Errorf("%w: session batch of %d bytes is not a whole number of %d-byte reports", errKickConn, len(pt), size)
-			}
-			// Post-exhaustion frames flow to the shuffler too: it is the
-			// single goroutine that counts AND write-ahead logs rejected
-			// drops, so the Rejected counter survives a crash like the
-			// others.
-			select {
-			case s.intake <- frameBlock{epoch: tag, recs: pt, home: home}:
-				s.received.Add(int64(len(pt) / size))
-				return nil
-			case <-s.stop:
-				return errStopIngest
-			}
-		},
-	}
-	switch err := rd.Run(); {
-	case err == nil || errors.Is(err, errStopIngest):
-	case errors.Is(err, pipeline.ErrIdleTimeout):
-		s.idleClosed.Add(1)
-	case errors.Is(err, errKickConn), errors.Is(err, transport.ErrFrameTooLarge):
-		s.kicked.Add(1)
-	case s.stopped():
-	default:
-		s.fail(fmt.Errorf("service: read report frame: %w", err))
-	}
-}
-
-// runShuffler is the batch stage: a pipeline.RunBatcher copies each
-// opened frame's records into BatchSize-record runs, in arrival order
-// (a frame larger than a batch simply spans several), and the flush
-// callback forwards each run to the worker queue tagged with the open
-// epoch. Rotation requests land here — between frames, never inside
-// one — so every frame and every batch belongs to exactly one epoch.
-// The partial final batch is flushed when the intake closes (graceful
-// drain).
-func (s *Service) runShuffler() {
-	defer close(s.shufflerDone)
-	defer close(s.batches)
-	size := s.codec.Size()
-	cur := s.cur.Load()
-	// rejectEpoch is the id the next epoch would have had — the tag
-	// rejected-drop records carry so replay filters them correctly
-	// (they always sort at or past the latest checkpoint's open epoch).
-	rejectEpoch := uint32(cur.id + 1)
-	if s.exhausted.Load() {
-		// A service recovered into the exhausted state has no open
-		// epoch: the stored pointer is the last sealed epoch, kept for
-		// queries, and nothing may aggregate into it.
-		cur = nil
-	}
-	batcher := &pipeline.RunBatcher{
-		Size:       s.cfg.BatchSize,
-		RecordSize: size,
-		Free:       s.runs,
-		Flush: func(run []byte) {
-			// The WAL hits the platters (policy permitting) before the
-			// batch reaches any worker: a report can only influence an
-			// estimate once it is on its way to disk. The batcher only
-			// ever holds reports accepted into the open epoch, so cur is
-			// non-nil whenever a flush fires.
-			if s.st != nil {
-				if err := s.st.Commit(); err != nil {
-					s.fail(fmt.Errorf("service: committing WAL batch: %w", err))
-				}
-			}
-			cur.pending.Add(1)
-			select {
-			case s.batches <- epochBatch{ep: cur, run: run}:
-				s.forwarded.Add(1)
-				cur.batches.Add(1)
-				s.cfg.Meter.Send(PartyShuffler, PartyServer, len(run))
-			case <-s.stop:
-				cur.pending.Done()
-			}
-		},
-	}
-	accept := func(b frameBlock) {
-		// Every exit below is done with the plaintext: it is logged and
-		// copied into the batcher's run, or it is dropped.
-		defer giveBack(b.recs, b.home, s.plains)
-		// What a frame asserts — and whether the budget still admits it —
-		// is constant per frame, so it is decided, and logged, once here,
-		// and the frame is batched whole. Dropped records move
-		// out of Received into exactly one of the drop counters, so
-		// Received / Late / Rejected stay disjoint and the Snapshot
-		// backlog arithmetic holds.
-		n := int64(len(b.recs) / size)
-		if cur == nil {
-			// The budget ran out: count the reports, log the drop (the
-			// service has stopped checkpointing, so the WAL is the only
-			// thing that carries Rejected across a restart), never
-			// aggregate them. Logging stops at rejectedLogCap reports: an
-			// exhausted service writes no more checkpoints, so nothing
-			// would ever prune these records, and a client flooding a
-			// still-open connection must not grow the WAL (or the next
-			// recovery's replay) without bound. Past the cap the
-			// recovered Rejected count is a lower bound.
-			s.rejected.Add(n)
-			s.received.Add(-n)
-			if logged := min(n, rejectedLogCap-s.wal.rejected); s.st != nil && logged > 0 {
-				if err := s.st.AppendDrop(rejectEpoch, store.DropRejected, uint32(logged)); err != nil {
-					s.fail(err)
-				}
-				s.wal.rejected += logged
-				// No batch flush will ever run again (nothing
-				// aggregates), so commit the frame's drop record now —
-				// the exhausted service has no other work to slow down.
-				if err := s.st.Commit(); err != nil {
-					s.fail(err)
-				}
-			}
-			return
-		}
-		if b.epoch != EpochCurrent && b.epoch != uint32(cur.id) {
-			// One record for the frame, whatever it carried: what a stale
-			// epoch tag costs the WAL must not grow with the frame.
-			s.late.Add(n)
-			s.received.Add(-n)
-			if s.st != nil {
-				if err := s.st.AppendDrop(uint32(cur.id), store.DropLate, uint32(n)); err != nil {
-					s.fail(err)
-				}
-			}
-			return
-		}
-		if s.st != nil {
-			// The frame is logged whole before the batcher sees it: a
-			// flush fired by any of its reports — a frame larger than a
-			// batch fires several — commits a WAL that already holds
-			// every one.
-			if err := s.logFrame(uint32(cur.id), b.recs); err != nil {
-				s.fail(err)
-			}
-		}
-		batcher.Add(b.recs)
-		// The count advances by a whole frame, so the hint fires on
-		// crossing the threshold, not on landing on it.
-		prev := cur.accepted.Add(n) - n
-		if e := int64(s.cfg.EpochReports); e > 0 && prev < e && prev+n >= e {
-			select {
-			case s.rotateHint <- struct{}{}:
-			default:
-			}
-		}
-	}
-	for {
-		select {
-		case b, ok := <-s.intake:
-			if !ok {
-				batcher.FlushNow()
-				return
-			}
-			accept(b)
-		case req := <-s.rotateCh:
-			// A rotation cuts the stream *after* everything already
-			// received: drain the intake's frames into the closing epoch
-			// first, so a caller that saw Received == n before rotating
-			// knows all n reports belong to the sealed epoch.
-			closed := false
-			for !closed {
-				select {
-				case b, ok := <-s.intake:
-					if !ok {
-						closed = true
-						break
-					}
-					accept(b)
-				default:
-					closed = true
-				}
-			}
-			batcher.FlushNow()
-			old := cur
-			if s.st != nil && old != nil {
-				// The marker and everything before it go durable now:
-				// no record of the next epoch can reach disk ahead of
-				// the boundary that separates the epochs, and the
-				// sealing checkpoint gets a counter snapshot taken
-				// exactly at the cut.
-				next := int64(-1)
-				if req.next != nil {
-					next = int64(req.next.id)
-				}
-				if err := s.st.Rotate(uint32(old.id), next); err != nil {
-					s.fail(fmt.Errorf("service: WAL rotate marker: %w", err))
-				}
-				old.cut = s.counters()
-			}
-			cur = req.next
-			if cur != nil {
-				s.cur.Store(cur)
-				rejectEpoch = uint32(cur.id + 1)
-			}
-			// A hint generated by the epoch that just closed is stale;
-			// dropping it here (the rotator re-checks anyway) keeps the
-			// fresh epoch from being cut near-empty.
-			select {
-			case <-s.rotateHint:
-			default:
-			}
-			req.done <- old
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// logFrame write-ahead logs one frame accepted into epoch: its
-// plaintext — a whole number of codec.Size() reports — is sealed once
-// under the at-rest key and appended as one record, so the durable
-// tier's cost per frame is one AEAD seal and one WAL append however
-// many reports the frame carries. The frame arrived under a
-// connection-ephemeral key recovery could never re-derive, hence the
-// re-seal: the WAL never holds plaintext reports. Only the shuffler
-// calls it, which is what makes the sealer's nonce counter, the scratch
-// (the store's record encoder copies the payload) and the counter
-// mirror safe to touch.
-func (s *Service) logFrame(epoch uint32, recs []byte) error {
-	s.sealBuf = s.sealer.Seal(s.sealBuf[:0], recs)
-	if err := s.st.AppendSealedReport(epoch, s.sealBuf); err != nil {
-		return err
-	}
-	s.wal.received += int64(len(recs) / s.codec.Size())
-	return nil
-}
-
-// runWorker is the decode + aggregate stage: worker i folds every
-// shuffled batch it receives until the shuffler closes the queue.
-func (s *Service) runWorker(i int) {
-	for eb := range s.batches {
-		s.foldBatch(i, eb)
-	}
-}
-
-// foldBatch folds a run into the batch's epoch shard owned by
-// worker i. Corrupt records are dropped and surfaced as the service
-// error rather than silently mis-estimating.
-func (s *Service) foldBatch(i int, eb epochBatch) {
-	start := time.Now()
-	sh := eb.ep.shards[i]
-	sh.mu.Lock()
-	err := s.codec.Fold(sh.agg, eb.run)
-	sh.mu.Unlock()
-	giveBack(eb.run, s.runs)
-	if err != nil {
-		s.fail(err)
-	}
-	eb.ep.pending.Done()
-	s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
-}
-
-// scrubFreed, set by the package's tests, overwrites every buffer with
-// 0xFF as it goes back onto a free list, so a stage still reading a
-// buffer it gave back reads garbage the bit-identity tests catch.
-var scrubFreed bool
-
-// take returns a buffer from the first of lists that holds one, nil
-// when every list is empty.
-func take(lists ...chan []byte) []byte {
-	for _, free := range lists {
-		select {
-		case buf := <-free:
-			return buf
-		default:
-		}
-	}
-	return nil
-}
-
-// giveBack returns buf to the first of lists with room, dropping it when
-// every list is full: the service never holds more spare buffers than
-// it has buffers in flight.
-func giveBack(buf []byte, lists ...chan []byte) {
-	if scrubFreed {
-		all := buf[:cap(buf)]
-		for i := range all {
-			all[i] = 0xFF
-		}
-	}
-	for _, free := range lists {
-		select {
-		case free <- buf:
-			return
-		default:
-		}
-	}
-}
-
-// Snapshot returns the open epoch's current estimate without stopping
-// ingestion: each shard aggregator is swapped for a fresh one and
-// merged into the epoch root, so the snapshot is a consistent prefix
-// of the epoch's stream and costs the workers only the swap, never a
-// full recompute.
-func (s *Service) Snapshot() Snapshot {
-	e := s.cur.Load()
-	est, n := e.gather()
-	return Snapshot{
-		Estimates:  est,
-		Reports:    n,
-		Received:   s.received.Load(),
-		Batches:    s.forwarded.Load(),
-		Epoch:      e.id,
-		Late:       s.late.Load(),
-		Rejected:   s.rejected.Load(),
-		IdleClosed: s.idleClosed.Load(),
-		Kicked:     s.kicked.Load(),
-	}
-}
-
-// Drain gracefully shuts the pipeline down: stop accepting, wait for
-// every ingested connection to close, flush the partial batch, wait
-// for the workers, seal the final epoch into History, and return the
-// all-time snapshot — every sealed epoch merged, as EstimateWindow(0)
-// merges them, bit-identical to a sequential pass over the full
-// stream. The returned error is the
-// first failure observed anywhere in the pipeline (a run with a
-// corrupt report is not silently trusted).
-func (s *Service) Drain() (Snapshot, error) {
-	s.drainOnce.Do(func() {
-		// Under mu so the flip is atomic with Ingest's check-and-register:
-		// after this section, every registered reader is counted in conns.
-		s.mu.Lock()
-		s.draining.Store(true)
-		s.mu.Unlock()
-		close(s.drainStart)
-		s.rotatorWG.Wait()
-		s.closeListeners()
-		s.conns.Wait()
-		close(s.intake)
-		s.shufflerPool.Wait()
-		s.workerPool.Wait()
-		// Every batch is folded; seal the final epoch (a no-op if an
-		// exhausting Rotate already did).
-		s.rotateMu.Lock()
-		e := s.cur.Load()
-		if s.st != nil {
-			// The shuffler has exited, so the counters are final: the
-			// drain seal's checkpoint covers the whole stream. The epoch
-			// the checkpoint leaves "open" only ever opens if the
-			// directory is recovered — and is paid for then, not now.
-			e.cut = s.counters()
-		}
-		s.seal(e, false)
-		if s.st != nil {
-			if err := s.st.Close(); err != nil {
-				s.fail(fmt.Errorf("service: closing WAL: %w", err))
-			}
-		}
-		s.rotateMu.Unlock()
-		// The drain seal leaves the history non-empty, so the merge
-		// cannot fail.
-		all, _ := s.EstimateWindow(0)
-		s.drainSnap = Snapshot{
-			Estimates:  all.Estimates,
-			Reports:    all.Reports,
-			Received:   s.received.Load(),
-			Batches:    s.forwarded.Load(),
-			Epoch:      e.id,
-			Late:       s.late.Load(),
-			Rejected:   s.rejected.Load(),
-			IdleClosed: s.idleClosed.Load(),
-			Kicked:     s.kicked.Load(),
-		}
-		s.drainErr = s.Err()
-	})
-	return s.drainSnap, s.drainErr
-}
-
 // Close aborts the pipeline: listeners and active connections close,
-// readers, shuffler, and workers exit at the next opportunity,
+// readers, batch stage, and workers exit at the next opportunity,
 // in-flight reports may be dropped. A durable service flushes and
-// closes its WAL (after the shuffler exits), so Close is an orderly
+// closes its WAL (after the batch stage exits), so Close is an orderly
 // stop — for the simulated power cut, use Crash. Safe to call after
 // Drain (it is then a no-op).
 func (s *Service) Close() error {
@@ -1009,10 +535,10 @@ func (s *Service) shutdown(crash bool) {
 	if s.st == nil {
 		return
 	}
-	// Wait out the shuffler (it exits promptly on the stop signal) so
+	// Wait out the batch stage (it exits promptly on the stop signal) so
 	// the WAL teardown below cannot interleave with its appends, then
 	// serialize with any in-flight checkpoint through rotateMu.
-	s.shufflerPool.Wait()
+	<-s.batchDone
 	s.rotateMu.Lock()
 	defer s.rotateMu.Unlock()
 	if crash {

@@ -19,8 +19,8 @@ type PEOSPlan struct {
 	// Mechanism is "GRR" or "SOLH".
 	Mechanism string
 	// EpsilonLocal is the users' local budget — the guarantee that
-	// survives even if the server corrupts a majority of shufflers
-	// (adversary Adv_a).
+	// survives even if the server corrupts ceil(r/2) or more shufflers
+	// (adversary Adv_a; at r = 2, either one of them).
 	EpsilonLocal float64
 	// DPrime is the hashed-domain size (the domain size itself for
 	// GRR).
@@ -45,7 +45,7 @@ type PEOSPlan struct {
 //
 //	eps1 — against the server (Adv),
 //	eps2 — against the server + all other users (Adv_u),
-//	eps3 — against the server + a majority of shufflers (Adv_a).
+//	eps3 — against the server + ceil(r/2) or more shufflers (Adv_a).
 func PlanPEOS(eps1, eps2, eps3 float64, n, d int, delta float64) (*PEOSPlan, error) {
 	if delta == 0 {
 		delta = 1e-9

@@ -123,7 +123,9 @@ type HistogramResult struct {
 
 // EstimateHistogram runs the complete shuffle-model pipeline in
 // process: parameterize the mechanism for the target central budget
-// (inverting Theorem 3 / the GRR bound), randomize every user's value,
+// (amplify.PlanShuffle: the inverted Theorem 3 / GRR bound, or the
+// oracle at the target itself where that has less variance), randomize
+// every user's value,
 // shuffle, and estimate. values must lie in [0, d).
 //
 // This is the single-shuffler trust model of §III; use RunPEOS for the
@@ -174,9 +176,6 @@ func EstimateHistogram(values []int, d int, opt Options) (*HistogramResult, erro
 // chooseOracle implements the §IV-B3 mechanism choice at a target
 // central budget.
 func chooseOracle(kind MechanismKind, epsC, delta float64, n, d int) (ldp.FrequencyOracle, error) {
-	if epsC <= 0 {
-		return nil, errors.New("shuffledp: EpsilonCentral must be > 0")
-	}
 	var oracle amplify.Oracle
 	switch kind {
 	case Auto:
@@ -206,10 +205,11 @@ func AmplifiedEpsilon(epsL float64, dPrime, n int, delta float64) float64 {
 }
 
 // LocalEpsilonFor inverts Theorem 3: the local budget that achieves the
-// target central budget, with the variance-optimal d'.
+// target central budget, with the variance-optimal d' of Equation (5).
 func LocalEpsilonFor(epsC float64, d, n int, delta float64) (epsL float64, dPrime int, err error) {
-	plan, err := amplify.PlanShuffle(epsC, d, n, delta, amplify.SOLH)
-	return plan.EpsL, plan.DPrime, err
+	dPrime = amplify.OptimalDPrime(amplify.BlanketM(epsC, n, delta), d)
+	epsL, err = amplify.LocalEpsilonSOLH(epsC, dPrime, n, delta)
+	return epsL, dPrime, err
 }
 
 // FrequentStringsOptions configures FrequentStrings.
@@ -255,6 +255,10 @@ func FrequentStrings(values []uint64, bits int, opt FrequentStringsOptions) ([]u
 	if bits%opt.RoundBits != 0 {
 		return nil, errors.New("shuffledp: RoundBits must divide bits")
 	}
+	n := len(values)
+	if n < 2 {
+		return nil, errors.New("shuffledp: need at least 2 users")
+	}
 	rounds := bits / opt.RoundBits
 	per, err := composition.MaxSplit(composition.Guarantee{
 		Eps:   opt.EpsilonCentral,
@@ -265,7 +269,6 @@ func FrequentStrings(values []uint64, bits int, opt FrequentStringsOptions) ([]u
 	}
 	roundEps := per.Eps
 	roundDelta := per.Delta
-	n := len(values)
 	// Each round draws a fresh sub-seed from a master stream (rounds run
 	// sequentially, so the derivation order is fixed); within a round the
 	// randomization and aggregation fan out over Concurrency workers with
@@ -276,8 +279,9 @@ func FrequentStrings(values []uint64, bits int, opt FrequentStringsOptions) ([]u
 		roundSeed := master.Uint64()
 		fo, err := chooseOracle(SOLH, roundEps, roundDelta, n, d)
 		if err != nil {
-			// Infeasible round budget: no information this round.
-			return ldp.BaseEstimates(d)
+			// Unreachable: PlanShuffle refuses only n < 2, d < 2 or a
+			// budget MaxSplit would not have split.
+			panic(err)
 		}
 		return ldp.EstimateParallel(fo, vals, roundSeed, opt.Concurrency)
 	}
