@@ -15,9 +15,10 @@
 # that its allow-list does not name.
 #
 # Only runs whose reach does not depend on timing belong here: the
-# census must name the same unreached set on every run. The two kill
-# drills stay in cluster-smoke alone: whether a surviving shuffler sees
-# a connection fail its handshake depends on when the kill lands.
+# census must name the same unreached set on every run. A killed
+# shuffler is a test (TestClusterKilledShufflerFailsCleanly), not a
+# run: whether a surviving shuffler sees a connection fail its
+# handshake depends on when the kill lands.
 set -euo pipefail
 out=$(realpath -m "${1:?usage: coverage-census.sh <profile-out>}")
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -47,7 +48,7 @@ run() {
 }
 
 # CI's smoke commands (reproduce-smoke, the default service run,
-# cluster-smoke's demos, chaos-smoke's drill, recovery-smoke).
+# cluster-smoke's demo, chaos-smoke's drill, recovery-smoke).
 run "$bin/reproduce" -quick
 run "$bin/shuffled"
 run "$bin/peos_cluster" -n 300 -collections 2 -timeout 90s

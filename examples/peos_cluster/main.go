@@ -15,11 +15,6 @@
 // cumulative estimate must equal the protocol estimator over all
 // rounds' reports. Any drift exits non-zero.
 //
-// With -kill, the demo instead rehearses the failure drill the CI
-// smoke job runs: shuffler 0 is hard-killed mid-stream, the round must
-// fail with a clean protocol error (no hang, no partial estimate), and
-// a rerun on a fresh cluster must complete and match the reference.
-//
 // With -chaos, the same run happens through a deterministic fault
 // layer (internal/faultnet): the shuffler mesh takes a hard connection
 // reset mid-shuffle and the client link to shuffler 0 is torn while it
@@ -30,7 +25,7 @@
 //
 //	go run ./examples/peos_cluster [-n 400] [-d 16] [-shufflers 2] [-fakes 24]
 //	                               [-collections 2] [-keybits 512] [-seed 1]
-//	                               [-kill|-chaos]
+//	                               [-chaos]
 package main
 
 import (
@@ -57,7 +52,6 @@ var (
 	colFlag     = flag.Int("collections", 2, "collection rounds")
 	keyBits     = flag.Int("keybits", 512, "DGK modulus bits (paper deploys 3072)")
 	seedFlag    = flag.Uint64("seed", 1, "base seed for all deterministic streams")
-	killFlag    = flag.Bool("kill", false, "kill shuffler 0 mid-round, expect a clean error, rerun to completion")
 	chaosFlag   = flag.Bool("chaos", false, "inject deterministic faults (mesh reset + client disconnect) and self-heal")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-phase safety timeout")
 )
@@ -91,10 +85,10 @@ type nodes struct {
 	runErr    []chan error
 }
 
-// startNodes boots the analyzer and R shufflers on loopback.
-// Collection c of shuffler j draws its fake shares from substream
-// c*R+j of seed, the convention the in-process reference mirrors.
-func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, collection int) (*nodes, error) {
+// startNodes boots the analyzer and R shufflers on loopback. Shuffler
+// j draws its fake shares from substream j of seed, the convention the
+// in-process reference mirrors.
+func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) (*nodes, error) {
 	r := *rFlag
 	lns := make([]net.Listener, r)
 	topo := cluster.Topology{Shufflers: make([]string, r)}
@@ -136,7 +130,7 @@ func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle, collection int)
 			NR:          *nrFlag,
 			Pub:         ahe.PublicKey(priv),
 			Source:      rng.Substream(*seedFlag, 5000+uint64(j)),
-			FakeSource:  fakeSource(collection, j),
+			FakeSource:  fakeSource(j),
 			SealTimeout: *timeoutFlag,
 		}
 		if meshNet != nil && j > 0 {
@@ -170,9 +164,9 @@ func (ns *nodes) stop() {
 	}
 }
 
-// fakeSource is the per-(collection, shuffler) fake-share stream.
-func fakeSource(collection, j int) *rng.Rand {
-	return rng.Substream(*seedFlag, uint64(collection*(*rFlag)+j))
+// fakeSource is shuffler j's fake-share stream.
+func fakeSource(j int) *rng.Rand {
+	return rng.Substream(*seedFlag, uint64(j))
 }
 
 // refRun is the in-process Algorithm 1 with fakes drawn from the
@@ -220,24 +214,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *killFlag {
-		runKillDrill(priv, fo)
-		return
-	}
-
 	var clientNet *faultnet.Network
 	if *chaosFlag {
 		// Deterministic plans: the first mesh leg of each of the first
 		// two collections takes a hard reset mid-shuffle, and the
 		// client's first link to shuffler 0 is torn while it streams
 		// reports. Everything else is clean.
-		meshNet = faultnet.New(faultnet.Config{Seed: *seedFlag, Plan: func(conn int) faultnet.Fault {
+		meshNet = faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 			if conn == 0 || conn == 2 {
 				return faultnet.Fault{ResetAfter: 200}
 			}
 			return faultnet.Fault{}
 		}})
-		clientNet = faultnet.New(faultnet.Config{Seed: *seedFlag + 1, Plan: func(conn int) faultnet.Fault {
+		clientNet = faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 			if conn == 0 {
 				return faultnet.Fault{ResetAfter: 600}
 			}
@@ -248,7 +237,7 @@ func main() {
 
 	fmt.Printf("cluster: %d shufflers + analyzer on loopback TCP, %d fakes/round, %d users/round\n",
 		*rFlag, *nrFlag, *nFlag)
-	ns, err := startNodes(priv, fo, 0)
+	ns, err := startNodes(priv, fo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -274,7 +263,7 @@ func main() {
 	// one persistent source per shuffler, handed to every refRun.
 	refSrcs := make([]secretshare.Source, *rFlag)
 	for j := range refSrcs {
-		refSrcs[j] = fakeSource(0, j)
+		refSrcs[j] = fakeSource(j)
 	}
 	refFS := func(j int) secretshare.Source { return refSrcs[j] }
 	var refAll []ldp.Report
@@ -329,78 +318,4 @@ func main() {
 		}
 		fmt.Println("every injected fault healed without intervention ✓")
 	}
-}
-
-// runKillDrill is the CI failure rehearsal: send the first half of the
-// round's reports, kill shuffler 0, demand a clean protocol error from
-// Collect — never a hang, never a partially sealed round — then rerun
-// to completion on a fresh cluster and demand bit-identity.
-func runKillDrill(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) {
-	fmt.Println("kill drill: shuffler 0 dies mid-round")
-	ns, err := startNodes(priv, fo, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	client, err := cluster.NewClient(cluster.ClientConfig{Topology: ns.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.Substream(*seedFlag, 6000)})
-	if err != nil {
-		log.Fatal(err)
-	}
-	values := synthValues(0)
-	if err := client.SendValues(0, values[:*nFlag/2], rng.Substream(*seedFlag, 8000)); err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	ns.shufflers[0].Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := ns.analyzer.Collect(*nFlag)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			log.Fatal("FAIL: Collect succeeded with a dead shuffler")
-		}
-		fmt.Printf("  round failed cleanly: %v\n", err)
-	case <-time.After(*timeoutFlag):
-		log.Fatal("FAIL: Collect hung on a dead shuffler")
-	}
-	if ns.analyzer.Collections() != 0 {
-		log.Fatal("FAIL: a failed round left a sealed collection behind")
-	}
-	client.Close()
-	ns.stop()
-
-	fmt.Println("rerun on a fresh cluster:")
-	ns, err = startNodes(priv, fo, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ns.stop()
-	client, err = cluster.NewClient(cluster.ClientConfig{Topology: ns.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.Substream(*seedFlag, 6001)})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.SendValues(0, values, rng.Substream(*seedFlag, 8000)); err != nil {
-		log.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	col, err := ns.analyzer.Collect(*nFlag)
-	if err != nil {
-		log.Fatalf("rerun failed: %v", err)
-	}
-	ref, err := refRun(priv, fo, values, func(j int) secretshare.Source { return fakeSource(0, j) }, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !equal(col.Estimates, ref.Estimates) {
-		log.Fatal("FAIL: rerun estimates diverged from protocol.PEOS.Run")
-	}
-	fmt.Println("  rerun completed, estimates bit-identical to the in-process reference ✓")
 }

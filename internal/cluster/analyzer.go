@@ -43,7 +43,8 @@ type AnalyzerConfig struct {
 	// stays header-only.
 	DataDir string
 	// CollectTimeout bounds each phase of a Collect: the wait for all
-	// shufflers to be connected and each vector read. 0 means no bound.
+	// shufflers to be connected and the wait for their vectors. 0 means
+	// no bound.
 	CollectTimeout time.Duration
 	// Retry, when enabled (Attempts > 1), makes Collect self-healing: a
 	// failed collection attempt is aborted at every shuffler and re-run
@@ -111,12 +112,17 @@ type Analyzer struct {
 	st  *store.Store
 
 	mu sync.Mutex
-	// peers holds the shufflers' control links by index. A reconnecting
-	// shuffler replaces its slot.
-	peers    []*link
-	pending  map[*link]struct{} // accepted, hello not yet read
-	connMore chan struct{}
-	closed   bool
+	// peers holds the shufflers' control links by index, and inbox the
+	// newest frame each link delivered (or the error that ended it). A
+	// reconnecting shuffler replaces its slot; a link that ended stays
+	// in its slot until a broadcast fails on it.
+	peers   []*link
+	inbox   []inFrame
+	order   []uint64           // accept order of the link last filed in each slot
+	pending map[*link]struct{} // accepted, hello not yet read
+	changed chan struct{}      // a link was filed or delivered a frame or ended
+	words   int                // the longest vector any seal asked for
+	closed  bool
 
 	stateMu     sync.Mutex
 	counts      []int
@@ -167,15 +173,17 @@ func prepareAnalyzer(cfg AnalyzerConfig) (*Analyzer, error) {
 		return nil, err
 	}
 	a := &Analyzer{
-		cfg:      cfg,
-		enc:      enc,
-		sup:      sup,
-		mod:      secretshare.NewModulus(64),
-		ln:       ln,
-		peers:    make([]*link, cfg.Topology.R()),
-		pending:  make(map[*link]struct{}),
-		connMore: make(chan struct{}, 1),
-		counts:   make([]int, cfg.FO.Domain()),
+		cfg:     cfg,
+		enc:     enc,
+		sup:     sup,
+		mod:     secretshare.NewModulus(64),
+		ln:      ln,
+		peers:   make([]*link, cfg.Topology.R()),
+		inbox:   make([]inFrame, cfg.Topology.R()),
+		order:   make([]uint64, cfg.Topology.R()),
+		pending: make(map[*link]struct{}),
+		changed: make(chan struct{}, 1),
+		counts:  make([]int, cfg.FO.Domain()),
 	}
 	return a, nil
 }

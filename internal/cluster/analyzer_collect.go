@@ -25,7 +25,7 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 			}
 		}
 		return missing == 0, nil
-	}, a.connMore, nil, a.cfg.CollectTimeout)
+	}, a.changed, nil, a.cfg.CollectTimeout)
 	if errors.Is(err, errAwaitTimeout) {
 		err = fmt.Errorf("cluster: %d shuffler link(s) never connected", missing)
 	}
@@ -44,10 +44,10 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 // but a share that was never sent fails the round at their
 // SealTimeout.
 //
-// With Retry enabled, a failed attempt (a shuffler died, reset, timed
-// out) is aborted everywhere and the round re-runs under a fresh
-// generation after a jittered backoff: the dead link is dropped so its
-// shuffler can re-dial, the survivors get an abort frame, and buffered
+// With Retry enabled, a failed attempt (a shuffler died, reset, failed,
+// timed out) is aborted everywhere and the round re-runs under a fresh
+// generation after a jittered backoff: a dead link is dropped so its
+// shuffler can re-dial, the live ones get an abort frame, and buffered
 // client shares plus cached fake shares make the re-run bit-identical
 // to a round that never failed. The privacy ledger pays for the
 // collection id exactly once (on the first attempt that reaches the
@@ -60,9 +60,9 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 // of the same collection id does not pay for it again), and the clean
 // way out is to Close the analyzer — the control-link EOF unblocks
 // every surviving shuffler's Run — and start a fresh cluster, a
-// durable analyzer recovering its sealed history. The kill-one-
-// shuffler smoke test (examples/peos_cluster -kill) exercises exactly
-// this path with retry disabled.
+// durable analyzer recovering its sealed history.
+// TestClusterKilledShufflerFailsCleanly exercises exactly this path
+// with retry disabled.
 func (a *Analyzer) Collect(n int) (Collection, error) {
 	if n <= 0 {
 		return Collection{}, errors.New("cluster: Collect needs n > 0")
@@ -102,13 +102,13 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 			}
 		}
 		g := gen{col: collection, att: a.nextAttempt()}
-		words, bad, err := a.attemptRound(peers, g, n)
+		words, err := a.attemptRound(peers, g, n)
 		if err != nil {
 			lastErr = fmt.Errorf("cluster: collection %d attempt %d: %w", g.col, g.att, err)
 			// Abort the attempt at every shuffler so its goroutines cancel
-			// promptly; the one whose I/O failed is dropped instead and
-			// redials its control link.
-			a.broadcast(peers, bad, tagAbort, prefixed(g, nil))
+			// promptly; a link that cannot take the abort is dropped, and
+			// its shuffler redials.
+			a.broadcast(peers, tagAbort, prefixed(g, nil))
 			continue
 		}
 		col, err := a.seal(collection, n, words)
@@ -122,7 +122,7 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 		// frame only lets shufflers prune the collection's buffered
 		// shares, cached fakes and parked mesh connections. Best-effort:
 		// a shuffler that misses it prunes on the next seal instead.
-		a.broadcast(peers, -1, tagDone, donePayload(collection))
+		a.broadcast(peers, tagDone, donePayload(collection))
 		return col, nil
 	}
 	return Collection{}, fmt.Errorf("cluster: collection %d failed after %d attempt(s): %w", collection, policy.Attempts, lastErr)
@@ -141,26 +141,28 @@ func (a *Analyzer) nextAttempt() uint32 {
 
 // attemptRound runs one generation of a collection: the seal broadcast,
 // then every shuffler's post-shuffle vector, revealed into the round's
-// word vector. On failure it reports which shuffler's link had the I/O
-// fault (-1 for protocol-level failures where every link is still
-// healthy), so the retry path drops exactly the dead link.
-func (a *Analyzer) attemptRound(peers []*link, g gen, n int) ([]uint64, int, error) {
+// word vector. A link the seal cannot be written to is closed.
+func (a *Analyzer) attemptRound(peers []*link, g gen, n int) ([]uint64, error) {
+	total := n + a.cfg.NR
+	a.mu.Lock()
+	a.words = max(a.words, total)
+	a.mu.Unlock()
 	seal := sealPayload(g, n)
 	for j, l := range peers {
 		if err := l.send(tagSeal, seal); err != nil {
-			return nil, j, fmt.Errorf("sealing with shuffler %d: %w", j, err)
+			l.close()
+			return nil, fmt.Errorf("sealing with shuffler %d: %w", j, err)
 		}
 	}
-	return a.awaitVectors(peers, g, n+a.cfg.NR)
+	return a.awaitVectors(peers, g, total)
 }
 
-// broadcast sends one frame to every shuffler but bad (-1 = none).
-// Shuffler bad's link, and any link that cannot take the frame, is
-// dead: it is closed and its slot cleared (if still current), so
-// awaitPeers waits for the shuffler to redial.
-func (a *Analyzer) broadcast(peers []*link, bad int, tag uint32, payload []byte) {
+// broadcast sends one frame to every shuffler. A link that cannot take
+// the frame is dead: it is closed and its slot cleared (if still
+// current), so awaitPeers waits for the shuffler to redial.
+func (a *Analyzer) broadcast(peers []*link, tag uint32, payload []byte) {
 	for p, l := range peers {
-		if p != bad && l.send(tag, payload) == nil {
+		if l.send(tag, payload) == nil {
 			continue
 		}
 		a.mu.Lock()

@@ -75,7 +75,7 @@ func testLedger(t *testing.T) *budget.Ledger {
 	return l
 }
 
-// The acceptance scenario: a seeded fault schedule resets the first
+// The acceptance scenario: a fault plan resets the first
 // peer-mesh connection mid-EOS (the first oblivious-shuffle vector is
 // ~290 bytes; the reset tears it at byte 180) and resets the client's
 // first connection to shuffler 0 inside its first shares frame (forcing
@@ -95,7 +95,7 @@ func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 
-	// Conn 0 of each schedule is the first dial through that network:
+	// Conn 0 of each plan is the first dial through that network:
 	// the mesh's attempt-0 connection, the client's initial connection.
 	meshChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
 		if conn == 0 {
@@ -479,102 +479,6 @@ func TestFailedCollectRepeatedPaysOnce(t *testing.T) {
 	}
 	if got := cluster.EpochsPaid(ledger); got != 1 {
 		t.Fatalf("a failed and a repeated Collect of collection 0 paid for %d collections, want 1", got)
-	}
-}
-
-// A short randomized soak: seeded probabilistic resets on the peer
-// mesh and the client links, several seeds, two collections each. The
-// cluster must converge to the bit-identical reference every time; the
-// seeds make any failure replayable.
-func TestChaosSoakSeeded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak skipped with -short")
-	}
-	const (
-		r  = 2
-		n  = 20
-		d  = 8
-		nr = 2
-	)
-	priv := sharedKey(t)
-	fo := ldp.NewGRR(d, 2)
-	for _, seed := range []uint64{1, 2, 3} {
-		seed := seed
-		fakeSeed := 300 + seed
-		meshChaos := faultnet.New(faultnet.Config{
-			Seed:          seed,
-			ResetProb:     0.4,
-			ResetAfterMin: 60,
-			ResetAfterMax: 400,
-		})
-		clientChaos := faultnet.New(faultnet.Config{
-			Seed:          seed + 1000,
-			ResetProb:     0.4,
-			ResetAfterMin: 60,
-			ResetAfterMax: 700,
-		})
-		retry := cluster.RetryPolicy{Attempts: 10, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-		ledger := testLedger(t)
-		h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
-			cfg.Retry = retry
-			cfg.Ledger = ledger
-		}, func(j int, cfg *cluster.ShufflerConfig) {
-			if j == 1 {
-				cfg.Dial = chaosDialTo(meshChaos, cfg.Topology.Shufflers[0])
-			}
-		})
-		cl, err := cluster.NewClient(cluster.ClientConfig{
-			Topology: h.topo,
-			FO:       fo,
-			Pub:      ahe.PublicKey(priv),
-			Source:   rng.New(3),
-			Dial:     chaosDialTo(clientChaos, h.topo.Shufflers[0]),
-			Retry:    retry,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.FakeSource = refFakeSource(fakeSeed, r)
-		var allRef []ldp.Report
-		for round := 0; round < 2; round++ {
-			values := synthValues(n, d, fakeSeed+10+uint64(round))
-			cl.SetCollection(round)
-			if err := cl.SendValues(0, values, rng.New(fakeSeed+20+uint64(round))); err != nil {
-				t.Fatalf("seed %d round %d send: %v", seed, round, err)
-			}
-			if err := cl.Flush(); err != nil {
-				t.Fatalf("seed %d round %d flush: %v", seed, round, err)
-			}
-			col, err := h.analyzer.Collect(n)
-			if err != nil {
-				t.Fatalf("seed %d round %d never healed: %v", seed, round, err)
-			}
-			ref, err := p.Run(values, rng.New(fakeSeed+20+uint64(round)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !estimatesEqual(col.Estimates, ref.Estimates) {
-				t.Fatalf("seed %d round %d diverged (mesh %+v client %+v)", seed, round, meshChaos.Stats(), clientChaos.Stats())
-			}
-			allRef = append(allRef, ref.Reports...)
-		}
-		if got := cluster.EpochsPaid(ledger); got != 2 {
-			t.Fatalf("seed %d: ledger charged %d epochs for 2 collections", seed, got)
-		}
-		wantCum := protocol.Estimate(fo, allRef, 2*n, 2*nr)
-		if !estimatesEqual(h.analyzer.Estimates(), wantCum) {
-			t.Fatalf("seed %d cumulative diverged", seed)
-		}
-		t.Logf("seed %d healed: mesh %+v client %+v reconnects %d", seed, meshChaos.Stats(), clientChaos.Stats(), cl.Reconnects())
-		cl.Close()
-		h.analyzer.Close()
-		for _, sh := range h.shufflers {
-			sh.Close()
-		}
 	}
 }
 

@@ -282,8 +282,7 @@ func TestClusterMultiCollectionAccumulates(t *testing.T) {
 
 // Killing a shuffler mid-stream must fail the round with a clean
 // protocol error at the analyzer and at the surviving shufflers —
-// never a hang (the CI smoke job drives the same scenario through
-// examples/peos_cluster).
+// never a hang.
 func TestClusterKilledShufflerFailsCleanly(t *testing.T) {
 	const (
 		r  = 2

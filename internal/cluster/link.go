@@ -6,8 +6,10 @@ package cluster
 // in the package arms a deadline, reads a frame or polls.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -74,7 +76,18 @@ func (l *link) recv(limit int, wait time.Duration) (uint32, []byte, error) {
 		}
 		defer l.conn.SetReadDeadline(time.Time{})
 	}
-	tag, payload, err := transport.ReadTaggedFrameLimit(l.conn, limit)
+	return l.recvBounded(func() int { return limit })
+}
+
+// recvBounded is recv for a reader that waits across rounds, so learns
+// the longest legitimate payload only once a frame starts: limit is
+// asked after the 8-byte header is in. No deadline.
+func (l *link) recvBounded(limit func() int) (uint32, []byte, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(l.conn, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	tag, payload, err := transport.ReadTaggedFrameLimit(io.MultiReader(bytes.NewReader(hdr[:]), l.conn), limit())
 	if errors.Is(err, transport.ErrFrameTooLarge) {
 		err = fmt.Errorf("%w: %w", errBadFrame, err)
 	}
@@ -84,14 +97,14 @@ func (l *link) recv(limit int, wait time.Duration) (uint32, []byte, error) {
 func (l *link) close() { l.conn.Close() }
 
 // acceptEach hands every connection ln accepts to handle, each on its
-// own goroutine, until ln closes.
-func acceptEach(ln net.Listener, handle func(net.Conn)) {
-	for {
+// own goroutine and numbered from 1 in accept order, until ln closes.
+func acceptEach(ln net.Listener, handle func(conn net.Conn, seq uint64)) {
+	for seq := uint64(1); ; seq++ {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		go handle(conn)
+		go handle(conn, seq)
 	}
 }
 

@@ -62,8 +62,8 @@ type ShufflerConfig struct {
 
 // Shuffler is one running shuffler node. Create it with NewShuffler,
 // drive it with Run (which blocks for the node's lifetime), and stop
-// it with Close — ungracefully, which is exactly what the
-// kill-a-shuffler smoke test does.
+// it with Close — ungracefully, which is exactly what
+// TestClusterKilledShufflerFailsCleanly does.
 //
 // The node is self-healing by construction: client errors only ever
 // drop that client's connection (delivered shares stay buffered for
@@ -188,21 +188,21 @@ func (s *Shuffler) encHolder() bool { return s.cfg.Index == s.cfg.Topology.R()-1
 // streams from clients.
 func (s *Shuffler) Run() error {
 	defer s.teardown()
-	go acceptEach(s.ln, s.handleConn)
+	go acceptEach(s.ln, func(conn net.Conn, _ uint64) { s.handleConn(conn) })
 	// The follower serves the analyzer's seal / abort / done frames; what
 	// the end of a link means is this role's policy. A shuffler holds
 	// client shares no other node has, so it only ever follows ONE
 	// analyzer run: an orderly close (EOF) ends the cluster, and a
 	// malformed frame is a deployment fault to surface, not to retry. A
 	// reset mid-stream is a network fault: the in-flight attempt is
-	// canceled — its seal may have been lost — and the link redialed.
+	// canceled — its seal may have been lost — and the link redialed,
+	// as it is when the reset tears the hello itself.
 	for {
 		l, err := s.f.connect()
-		if err != nil {
-			return err
+		if err == nil {
+			err = s.f.serve(l)
+			s.f.cancelCurrent()
 		}
-		err = s.f.serve(l)
-		s.f.cancelCurrent()
 		switch {
 		case s.f.isClosed(), errors.Is(err, io.EOF):
 			return nil
@@ -238,7 +238,7 @@ func (s *Shuffler) prune(floor gen) {
 
 // Close tears the node down ungracefully: every connection and the
 // listener drop, in-flight collections fail. This is the induced fault
-// of the kill-a-shuffler smoke test.
+// of TestClusterKilledShufflerFailsCleanly.
 func (s *Shuffler) Close() error {
 	s.teardown()
 	return nil

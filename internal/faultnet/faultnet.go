@@ -1,21 +1,18 @@
-// Package faultnet is a deterministic, seeded chaos layer for the
-// networked tiers: it wraps the connections it dials and injects
-// latency, write-bandwidth caps, byte-offset connection resets and
-// refused connections from a reproducible schedule. The cluster's
-// self-healing machinery (internal/cluster retry, reconnect, and
-// resubmit paths) is developed and regression-tested against this layer:
-// the chaos conformance suite proves that under a seeded fault schedule
-// the cluster still converges to estimates bit-identical to the
-// in-process reference, with the budget ledger charged exactly once per
-// sealed collection.
+// Package faultnet is a deterministic fault layer for the networked
+// tiers: it wraps the connections it dials and injects byte-offset
+// connection resets and refused connections from a fault plan. The
+// cluster's self-healing machinery (internal/cluster retry, reconnect,
+// and resubmit paths) is regression-tested against this layer: the
+// cluster's enumerated fault test plans one fault per row — a reset at
+// every operation boundary of a clean round, a refused dial per
+// connection — and proves that every row still converges to estimates
+// bit-identical to the in-process reference, with the budget ledger
+// charged exactly once per sealed collection.
 //
 // Determinism is the point. Every wrapped connection is numbered in
-// wrap order, and its fault schedule is either assigned explicitly
-// (Config.Plan) or drawn from rng.Substream(Config.Seed, connNumber) —
-// a pure function, so the k-th connection of a run always draws the
-// same faults for the same seed. What stays nondeterministic is only
-// the interleaving of goroutines, which is exactly the space a chaos
-// test wants to explore while its fault schedule stays pinned.
+// wrap order, and Config.Plan assigns its fault from that number alone,
+// so the k-th connection of a run always takes the same fault. What
+// stays nondeterministic is only the interleaving of goroutines.
 //
 // An injected reset is a real reset where the platform allows: the
 // wrapper arms SO_LINGER with a zero timeout on TCP connections before
@@ -23,8 +20,9 @@
 // the difference between "the client finished" and "the client
 // vanished mid-frame" that the cluster's readers must classify
 // correctly. Both directions of a connection count against one byte
-// budget, and an operation that would cross the budget is truncated to
-// it first, so resets land mid-frame by construction.
+// budget, an operation that would cross the budget is truncated to it
+// first, and the reset fires as soon as the budget is spent, so resets
+// land mid-frame by construction.
 package faultnet
 
 import (
@@ -34,23 +32,21 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"shuffledp/internal/rng"
 )
 
 // ErrInjected is the error surfaced on the injecting side of a
-// scheduled connection reset. It wraps syscall.ECONNRESET so the
+// planned connection reset. It wraps syscall.ECONNRESET so the
 // classification helpers that recognize genuine peer resets (for
 // example pipeline.Disconnected) treat an injected one identically.
 var ErrInjected = fmt.Errorf("faultnet: injected connection reset: %w", syscall.ECONNRESET)
 
-// ErrRefused is returned by Dial when the schedule refuses the
-// connection. It wraps syscall.ECONNREFUSED for the same reason
-// ErrInjected wraps ECONNRESET.
-var ErrRefused = fmt.Errorf("faultnet: connection refused by schedule: %w", syscall.ECONNREFUSED)
+// ErrRefused is returned by Dial when the plan refuses the connection.
+// It wraps syscall.ECONNREFUSED for the same reason ErrInjected wraps
+// ECONNRESET.
+var ErrRefused = fmt.Errorf("faultnet: connection refused by plan: %w", syscall.ECONNREFUSED)
 
-// Fault is the schedule for one connection. The zero Fault injects
-// nothing — the connection behaves exactly like the underlying one.
+// Fault is the plan for one connection. The zero Fault injects nothing
+// — the connection behaves exactly like the underlying one.
 type Fault struct {
 	// Refuse drops the connection at establishment: Dial returns
 	// ErrRefused.
@@ -60,52 +56,21 @@ type Fault struct {
 	// operation that reaches the budget is truncated to it, so the
 	// reset tears a frame mid-byte-stream.
 	ResetAfter int
-	// Latency is added before every Write, plus a uniform draw in
-	// [0, Jitter) from the connection's schedule stream.
-	Latency time.Duration
-	// Jitter bounds the per-write random latency added on top of
-	// Latency.
-	Jitter time.Duration
-	// BandwidthBps caps write throughput in bytes per second by
-	// sleeping len/BandwidthBps per write (0 = unlimited).
-	BandwidthBps int
 }
 
-// Config parameterizes a Network. When Plan is nil, each connection's
-// Fault is drawn from rng.Substream(Seed, connNumber) using the
-// probability and range fields below.
+// Config parameterizes a Network.
 type Config struct {
-	// Seed keys the per-connection schedule streams.
-	Seed uint64
-	// Plan, when non-nil, overrides the drawn schedule: it is called
-	// once per wrapped connection with the connection's number (0, 1,
-	// ... in wrap order) and returns its Fault verbatim. Deterministic
-	// tests pin exact faults this way.
+	// Plan is called once per wrapped connection with the connection's
+	// number (0, 1, ... in wrap order) and returns its Fault verbatim.
+	// Nil plans no fault.
 	Plan func(conn int) Fault
-	// RefuseProb is the probability a connection is refused outright.
-	RefuseProb float64
-	// ResetProb is the probability a connection gets a reset budget.
-	ResetProb float64
-	// ResetAfterMin and ResetAfterMax bound the reset byte budget drawn
-	// for a connection that the ResetProb coin selected (the draw is
-	// uniform in [Min, Max]; Max <= Min pins the budget to Min).
-	ResetAfterMin int
-	// ResetAfterMax is the inclusive upper bound for the reset budget.
-	ResetAfterMax int
-	// Latency, Jitter, and BandwidthBps apply to every connection the
-	// drawn schedule does not refuse, verbatim.
-	Latency time.Duration
-	// Jitter bounds the per-write random latency (see Fault.Jitter).
-	Jitter time.Duration
-	// BandwidthBps caps write throughput (see Fault.BandwidthBps).
-	BandwidthBps int
 }
 
-// Stats counts the faults a Network actually injected — chaos tests
-// assert on these so a schedule that silently stopped firing fails the
+// Stats counts the faults a Network actually injected — fault tests
+// assert on these so a plan that silently stopped firing fails the
 // test instead of quietly testing nothing.
 type Stats struct {
-	// Conns is the number of connections wrapped (schedules drawn).
+	// Conns is the number of connections dialed (faults planned).
 	Conns int
 	// Refused counts connections dropped at establishment.
 	Refused int
@@ -113,18 +78,17 @@ type Stats struct {
 	Resets int
 }
 
-// Network draws fault schedules and wraps connections. One Network is
-// one failure domain: its connection counter and stats are shared
-// across everything it wraps. Safe for concurrent use.
+// Network plans faults and wraps connections. One Network is one
+// failure domain: its connection counter and stats are shared across
+// everything it wraps. Safe for concurrent use.
 type Network struct {
 	cfg Config
 
 	mu    sync.Mutex
-	seq   int
 	stats Stats
 }
 
-// New returns a Network drawing schedules from cfg.
+// New returns a Network injecting the faults cfg plans.
 func New(cfg Config) *Network {
 	return &Network{cfg: cfg}
 }
@@ -136,172 +100,97 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
-// next draws the schedule for the next connection and returns it with
-// the stream that continues to drive that connection's jitter.
-func (n *Network) next() (Fault, *rng.Rand) {
+// Dial establishes a TCP connection to addr within timeout and wraps
+// it under the next connection's fault. It matches the cluster's
+// DialFunc shape, so a node under test points its dial hook here. A
+// planned refusal fails with ErrRefused.
+func (n *Network) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	n.mu.Lock()
-	k := n.seq
-	n.seq++
+	k := n.stats.Conns
 	n.stats.Conns++
 	n.mu.Unlock()
-	r := rng.Substream(n.cfg.Seed, uint64(k))
-	if n.cfg.Plan != nil {
-		return n.cfg.Plan(k), r
-	}
 	var f Fault
-	// Fixed draw order keeps the stream stable across config changes
-	// that only zero probabilities out.
-	refuse := r.Float64()
-	reset := r.Float64()
-	span := 0
-	if n.cfg.ResetAfterMax > n.cfg.ResetAfterMin {
-		span = n.cfg.ResetAfterMax - n.cfg.ResetAfterMin
+	if n.cfg.Plan != nil {
+		f = n.cfg.Plan(k)
 	}
-	budget := n.cfg.ResetAfterMin
-	if span > 0 {
-		budget += r.Intn(span + 1)
-	}
-	if refuse < n.cfg.RefuseProb {
-		f.Refuse = true
-		return f, r
-	}
-	if reset < n.cfg.ResetProb {
-		f.ResetAfter = budget
-	}
-	f.Latency = n.cfg.Latency
-	f.Jitter = n.cfg.Jitter
-	f.BandwidthBps = n.cfg.BandwidthBps
-	return f, r
-}
-
-// Dial establishes a TCP connection to addr within timeout and wraps
-// it under the next schedule. It matches the cluster's DialFunc shape,
-// so a node under test points its dial hook here. A scheduled refusal
-// fails with ErrRefused.
-func (n *Network) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	f, r := n.next()
 	if f.Refuse {
-		n.countRefusal()
+		n.mu.Lock()
+		n.stats.Refused++
+		n.mu.Unlock()
 		return nil, fmt.Errorf("faultnet: dial %s: %w", addr, ErrRefused)
 	}
 	raw, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return n.adopt(raw, f, r), nil
-}
-
-func (n *Network) countRefusal() {
-	n.mu.Lock()
-	n.stats.Refused++
-	n.mu.Unlock()
-}
-
-func (n *Network) countReset() {
-	n.mu.Lock()
-	n.stats.Resets++
-	n.mu.Unlock()
-}
-
-func (n *Network) adopt(raw net.Conn, f Fault, r *rng.Rand) net.Conn {
-	c := &Conn{Conn: raw, net: n, fault: f, sched: r}
-	if f.ResetAfter > 0 {
-		c.budget.Store(int64(f.ResetAfter))
-	} else {
-		c.budget.Store(int64(1) << 62)
+	c := &Conn{Conn: raw, net: n}
+	budget := int64(f.ResetAfter)
+	if budget <= 0 {
+		budget = 1 << 62
 	}
-	return c
+	c.budget.Store(budget)
+	return c, nil
 }
 
-// Conn is one connection under a fault schedule. It embeds the
+// Conn is one connection under a planned fault. It embeds the
 // underlying net.Conn, so deadlines and addresses pass through.
 type Conn struct {
 	net.Conn
 	net    *Network
-	fault  Fault
-	budget atomic.Int64 // remaining bytes before the scheduled reset
+	budget atomic.Int64 // remaining bytes before the planned reset
 	reset  atomic.Bool
-
-	schedMu sync.Mutex
-	sched   *rng.Rand
 }
 
-// Read reads from the underlying connection, counting the bytes
-// against the reset budget; a read that reaches the budget triggers
-// the scheduled reset.
+// Read reads from the underlying connection, at most the bytes the
+// reset budget has left; the read that spends the budget resets the
+// connection.
 func (c *Conn) Read(p []byte) (int, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
-	}
-	if rem := c.budget.Load(); rem < int64(len(p)) {
-		p = p[:rem]
-	}
-	n, err := c.Conn.Read(p)
-	c.budget.Add(int64(-n))
-	return n, err
-}
-
-// Write applies the schedule's latency and bandwidth shaping, then
-// writes, counting bytes against the reset budget; a write that
-// reaches the budget delivers the bytes up to it and then resets.
-func (c *Conn) Write(p []byte) (int, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
-	}
-	c.shape(len(p))
-	torn := false
-	if rem := c.budget.Load(); rem < int64(len(p)) {
-		p = p[:rem]
-		torn = true
-	}
-	n, err := c.Conn.Write(p)
-	c.budget.Add(int64(-n))
-	if err != nil {
-		return n, err
-	}
-	if torn {
-		return n, c.doReset()
-	}
-	return n, nil
-}
-
-// gate fails the operation when the connection was already reset or
-// its budget is spent (triggering the reset now).
-func (c *Conn) gate() error {
 	if c.reset.Load() {
-		return ErrInjected
+		return 0, ErrInjected
 	}
-	if c.budget.Load() <= 0 {
+	n, err := c.Conn.Read(c.clip(p))
+	return n, c.spend(n, err)
+}
+
+// Write writes at most the bytes the reset budget has left; the write
+// that spends the budget delivers the bytes up to it and then resets
+// the connection.
+func (c *Conn) Write(p []byte) (int, error) {
+	if c.reset.Load() {
+		return 0, ErrInjected
+	}
+	n, err := c.Conn.Write(c.clip(p))
+	if err == nil && n < len(p) {
+		err = ErrInjected
+	}
+	return n, c.spend(n, err)
+}
+
+// clip truncates p to the bytes the reset budget has left.
+func (c *Conn) clip(p []byte) []byte {
+	return p[:max(0, min(int64(len(p)), c.budget.Load()))]
+}
+
+// spend counts n bytes against the reset budget and resets the
+// connection the moment the budget is spent — even while an operation
+// in the other direction is still waiting on it.
+func (c *Conn) spend(n int, err error) error {
+	if c.budget.Add(int64(-n)) <= 0 {
 		return c.doReset()
 	}
-	return nil
+	return err
 }
 
-// doReset performs the scheduled reset exactly once: linger zero (so
+// doReset performs the planned reset exactly once: linger zero (so
 // TCP peers observe an RST, not a FIN), close, count.
 func (c *Conn) doReset() error {
 	if c.reset.CompareAndSwap(false, true) {
-		c.net.countReset()
+		c.net.mu.Lock()
+		c.net.stats.Resets++
+		c.net.mu.Unlock()
 		hardClose(c.Conn)
 	}
 	return ErrInjected
-}
-
-// shape sleeps out the schedule's latency, jitter, and bandwidth cost
-// for an n-byte write.
-func (c *Conn) shape(n int) {
-	d := c.fault.Latency
-	if c.fault.Jitter > 0 {
-		c.schedMu.Lock()
-		d += time.Duration(c.sched.Uint64n(uint64(c.fault.Jitter)))
-		c.schedMu.Unlock()
-	}
-	if c.fault.BandwidthBps > 0 {
-		d += time.Duration(int64(n) * int64(time.Second) / int64(c.fault.BandwidthBps))
-	}
-	if d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // hardClose closes a connection so a TCP peer sees an RST: linger is

@@ -142,42 +142,6 @@ func TestPeerObservesInjectedReset(t *testing.T) {
 	}
 }
 
-func TestScheduleReproducibleAcrossNetworks(t *testing.T) {
-	draw := func() []Fault {
-		nw := New(Config{
-			Seed:          42,
-			RefuseProb:    0.3,
-			ResetProb:     0.5,
-			ResetAfterMin: 100,
-			ResetAfterMax: 5000,
-		})
-		var out []Fault
-		for i := 0; i < 32; i++ {
-			f, _ := nw.next()
-			out = append(out, f)
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("conn %d drew %+v then %+v from the same seed", i, a[i], b[i])
-		}
-	}
-	// A different seed must disagree somewhere.
-	nw := New(Config{Seed: 43, RefuseProb: 0.3, ResetProb: 0.5, ResetAfterMin: 100, ResetAfterMax: 5000})
-	same := true
-	for i := range a {
-		f, _ := nw.next()
-		if f != a[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("seeds 42 and 43 drew identical 32-connection schedules")
-	}
-}
-
 func TestScheduledRefusal(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()
@@ -194,26 +158,5 @@ func TestScheduledRefusal(t *testing.T) {
 	conn.Close()
 	if st := nw.Stats(); st.Refused != 1 || st.Conns != 2 {
 		t.Fatalf("stats = %+v, want 2 connections and 1 refusal", st)
-	}
-}
-
-func TestLatencyAndBandwidthShaping(t *testing.T) {
-	addr, stop := echoServer(t)
-	defer stop()
-	nw := New(Config{Plan: func(conn int) Fault {
-		return Fault{Latency: 30 * time.Millisecond, BandwidthBps: 10000}
-	}})
-	conn, err := nw.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// 30ms latency + 1000B / 10000Bps = 100ms pacing: >= 130ms total.
-	start := time.Now()
-	if _, err := conn.Write(make([]byte, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 120*time.Millisecond {
-		t.Fatalf("shaped write took %v, want >= ~130ms", d)
 	}
 }

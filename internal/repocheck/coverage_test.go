@@ -23,7 +23,6 @@ var censusProfile = flag.String("census-profile", "",
 // internal/. An entry that names nothing, or whose functions all run
 // now, fails the gate.
 var runAllowList = map[string]string{
-	"faultnet":  "the fault-injection harness: only the chaos tests and examples/peos_cluster -chaos build a faulty network",
 	"stattest":  "the package exists to serve tests",
 	"repocheck": "the repository's CI gates, which run as tests",
 
@@ -39,14 +38,13 @@ var runAllowList = map[string]string{
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
 
-	"cluster.Shuffler.dropConn": "drops a connection that fails its handshake; only the kill drills tear one",
-	"oblivious.memMesh.abort":   "the in-process mesh fails only when a party errors",
-	"pipeline.Disconnected":     "classifies a shuffler's broken analyzer link; no census run breaks one",
-	"pipeline.Batcher":          "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches record runs",
-	"service.Codec.Unmarshal":   "names the record Fold refuses, and benchmark's per-layer replay (--trace) times it",
-	"service.Service.fail":      "a worker fails the service only on a refused record or a store error",
-	"store.ckptReader.fail":     "a checkpoint that does not parse",
-	"store.Store.AppendDrop":    "logs a dropped frame; the census runs drop none",
+	"oblivious.memMesh.abort": "the in-process mesh fails only when a party errors",
+	"pipeline.Disconnected":   "classifies a shuffler's broken analyzer link; no census run breaks one",
+	"pipeline.Batcher":        "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches record runs",
+	"service.Codec.Unmarshal": "names the record Fold refuses, and benchmark's per-layer replay (--trace) times it",
+	"service.Service.fail":    "a worker fails the service only on a refused record or a store error",
+	"store.ckptReader.fail":   "a checkpoint that does not parse",
+	"store.Store.AppendDrop":  "logs a dropped frame; the census runs drop none",
 }
 
 // Every function under internal/ is run by a deployment, or it carries
