@@ -51,10 +51,12 @@ package main
 // that is not listening yet for 10 s, and drops an inbound connection
 // that sends no hello within 30 s. The analyzer is one node: it
 // decrypts each round across all of its cores, so a bigger analyzer
-// host is the way to decrypt faster. Retries — of a round at the
-// analyzer, of a shuffler connection at the client — back off from
-// 50 ms up to 2 s, jittered; -retry-attempts sets how many tries each
-// gets.
+// host is the way to decrypt faster. The cluster always heals, on one
+// schedule that is not a flag either: the analyzer runs a failed round
+// up to 6 times and a client redials a failed shuffler connection up to
+// 5 times, backing off from 25 ms up to 250 ms, jittered. The
+// analyzer's orderly exit sends each shuffler a goodbye, which ends its
+// process; a shuffler that loses its link any other way redials.
 
 import (
 	"encoding/json"
@@ -234,7 +236,6 @@ func runAnalyzer(args []string, out io.Writer) (amplify.Plan, *budget.Ledger, []
 	collections := fs.Int("collections", 1, "collection rounds to drive the analyzer to (at most -epochs)")
 	dataDir := fs.String("data-dir", "", "durable state directory (one checkpoint per sealed collection); empty runs in-memory")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-phase collect timeout")
-	retries := fs.Int("retry-attempts", 1, "attempts per collection round (>1 enables abort-and-retry self-healing)")
 	fail := func(err error) (amplify.Plan, *budget.Ledger, []cluster.Collection, error) {
 		return amplify.Plan{}, nil, nil, err
 	}
@@ -293,7 +294,6 @@ func runAnalyzer(args []string, out io.Writer) (amplify.Plan, *budget.Ledger, []
 		Ledger:         ledger,
 		DataDir:        *dataDir,
 		CollectTimeout: *timeout,
-		Retry:          cluster.RetryPolicy{Attempts: *retries},
 	}
 	a, err := cluster.NewAnalyzer(cfg)
 	if *dataDir != "" && errors.Is(err, store.ErrExists) {
@@ -373,7 +373,7 @@ func runShuffler(args []string, out io.Writer) error {
 	if err := sh.Run(); err != nil {
 		return err
 	}
-	fmt.Fprintln(out, "analyzer closed the control link; shuffler exiting")
+	fmt.Fprintln(out, "the analyzer said goodbye; shuffler exiting")
 	return nil
 }
 
@@ -388,7 +388,6 @@ func runClient(args []string, out io.Writer) error {
 	base := fs.Int("base", 0, "first user index this client covers")
 	collection := fs.Int("collection", 0, "collection round to report into")
 	seed := fs.Uint64("seed", 1, "seed for the synthetic population and LDP randomness")
-	retries := fs.Int("retry-attempts", 1, "attempts per shuffler connection (>1 enables reconnect-and-resubmit)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -408,7 +407,6 @@ func runClient(args []string, out io.Writer) error {
 		FO:       fo,
 		Pub:      pub,
 		Source:   secretshare.Crypto,
-		Retry:    cluster.RetryPolicy{Attempts: *retries},
 	})
 	if err != nil {
 		return err

@@ -18,10 +18,11 @@
 // With -chaos, the same run happens through a deterministic fault
 // layer (internal/faultnet): the shuffler mesh takes a hard connection
 // reset mid-shuffle and the client link to shuffler 0 is torn while it
-// streams reports. Retry is enabled on the analyzer (round abort +
-// re-seal) and the client (reconnect + resubmit), and the run must
-// STILL end bit-identical to the in-process reference with every
-// fault healed automatically — the self-healing demo.
+// streams reports. The analyzer heals a round by abort + re-seal and
+// the client a link by reconnect + resubmit — the cluster's one
+// policy, in every run — and the run must STILL end bit-identical to
+// the in-process reference with every fault healed automatically — the
+// self-healing demo.
 //
 //	go run ./examples/peos_cluster [-n 400] [-d 16] [-shufflers 2] [-fakes 24]
 //	                               [-collections 2] [-keybits 512] [-seed 1]
@@ -71,11 +72,6 @@ func chaosDialTo(n *faultnet.Network, target string) cluster.DialFunc {
 	}
 }
 
-// retryPolicy is the self-healing budget chaos mode runs under.
-func retryPolicy() cluster.RetryPolicy {
-	return cluster.RetryPolicy{Attempts: 6, BaseBackoff: 25 * time.Millisecond, MaxBackoff: 250 * time.Millisecond}
-}
-
 // nodes is one running cluster: listeners bound first so the topology
 // carries real ports, then one goroutine per role.
 type nodes struct {
@@ -106,18 +102,14 @@ func startNodes(priv *ahe.DGKPrivateKey, fo ldp.FrequencyOracle) (*nodes, error)
 	}
 	topo.Analyzers = []string{aln.Addr().String()}
 
-	acfg := cluster.AnalyzerConfig{
+	an, err := cluster.NewAnalyzer(cluster.AnalyzerConfig{
 		Topology:       topo,
 		Listener:       aln,
 		FO:             fo,
 		NR:             *nrFlag,
 		Priv:           priv,
 		CollectTimeout: *timeoutFlag,
-	}
-	if *chaosFlag {
-		acfg.Retry = retryPolicy()
-	}
-	an, err := cluster.NewAnalyzer(acfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +242,6 @@ func main() {
 	}
 	if *chaosFlag {
 		ccfg.Dial = clientNet.Dial
-		ccfg.Retry = retryPolicy()
 	}
 	client, err := cluster.NewClient(ccfg)
 	if err != nil {

@@ -46,13 +46,6 @@ type AnalyzerConfig struct {
 	// shufflers to be connected and the wait for their vectors. 0 means
 	// no bound.
 	CollectTimeout time.Duration
-	// Retry, when enabled (Attempts > 1), makes Collect self-healing: a
-	// failed collection attempt is aborted at every shuffler and re-run
-	// after a jittered exponential backoff, up to Attempts tries. The
-	// privacy charge and the durable seal stay exactly-once per
-	// collection regardless of the attempt count. The zero policy keeps
-	// the pre-existing single-shot semantics.
-	Retry RetryPolicy
 
 	// Test seam (export_test.go): a shorter hello bound. Zero means
 	// defaultHelloTimeout.
@@ -90,7 +83,7 @@ type Collection struct {
 	// Cumulative is the all-collections estimate after this round.
 	Cumulative []float64
 	// Attempts is how many attempts the round took (1 = first try; more
-	// only when AnalyzerConfig.Retry re-ran the round after a fault).
+	// only when Collect re-ran the round after a fault).
 	Attempts int
 }
 
@@ -201,14 +194,17 @@ func (a *Analyzer) isClosed() bool {
 	return a.closed
 }
 
-// Close shuts the node down in an orderly way: the listener and every
-// shuffler link drop (shufflers read EOF and exit their Run cleanly),
-// and the durable store is flushed and closed.
+// Close shuts the node down in an orderly way: every shuffler link
+// gets a goodbye frame and drops (the shufflers' Run returns nil on
+// it), the listener closes, and the durable store is flushed and
+// closed.
 func (a *Analyzer) Close() error {
 	a.shutdown(false)
 	return nil
 }
 
+// shutdown closes the node; a crash says no goodbye, so its shufflers
+// redial as they do after any other lost link.
 func (a *Analyzer) shutdown(crash bool) {
 	a.mu.Lock()
 	if a.closed {
@@ -223,9 +219,13 @@ func (a *Analyzer) shutdown(crash bool) {
 	a.mu.Unlock()
 	a.ln.Close()
 	for _, l := range links {
-		if l != nil {
-			l.close()
+		if l == nil {
+			continue
 		}
+		if !crash {
+			_ = l.send(tagGoodbye, nil)
+		}
+		l.close()
 	}
 	if a.st == nil {
 		return

@@ -44,25 +44,24 @@ func (a *Analyzer) awaitPeers() ([]*link, error) {
 // but a share that was never sent fails the round at their
 // SealTimeout.
 //
-// With Retry enabled, a failed attempt (a shuffler died, reset, failed,
-// timed out) is aborted everywhere and the round re-runs under a fresh
-// generation after a jittered backoff: a dead link is dropped so its
-// shuffler can re-dial, the live ones get an abort frame, and buffered
-// client shares plus cached fake shares make the re-run bit-identical
-// to a round that never failed. The privacy ledger pays for the
-// collection id exactly once (on the first attempt that reaches the
-// seal broadcast), and the durable seal happens only for the attempt
-// that succeeds.
+// A failed attempt (a shuffler died, reset, failed, timed out) is
+// aborted everywhere and the round re-runs under a fresh generation
+// after a jittered backoff, up to retryAttempts attempts: a dead link is
+// dropped so its shuffler can re-dial, the live ones get an abort
+// frame, and buffered client shares plus cached fake shares make the
+// re-run bit-identical to a round that never failed. The privacy ledger
+// pays for the collection id exactly once (on the first attempt that
+// reaches the seal broadcast), and the durable seal happens only for
+// the attempt that succeeds.
 //
 // A Collect error means the round is lost across all attempts: nothing
 // was aggregated or charged durably (the in-memory payment, the bound
 // on what the seal broadcasts disclosed, stands — and a later Collect
 // of the same collection id does not pay for it again), and the clean
-// way out is to Close the analyzer — the control-link EOF unblocks
-// every surviving shuffler's Run — and start a fresh cluster, a
-// durable analyzer recovering its sealed history.
-// TestClusterKilledShufflerFailsCleanly exercises exactly this path
-// with retry disabled.
+// way out is to Close the analyzer — its goodbye frame ends every
+// surviving shuffler's Run — and start a fresh cluster, a durable
+// analyzer recovering its sealed history.
+// TestClusterKilledShufflerFailsCleanly exercises exactly this path.
 func (a *Analyzer) Collect(n int) (Collection, error) {
 	if n <= 0 {
 		return Collection{}, errors.New("cluster: Collect needs n > 0")
@@ -70,14 +69,13 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 	if a.isClosed() {
 		return Collection{}, errors.New("cluster: analyzer closed")
 	}
-	policy := a.cfg.Retry.withDefaults()
 	a.stateMu.Lock()
 	collection := uint32(a.collections)
 	a.stateMu.Unlock()
 	var lastErr error
-	for try := 0; try < policy.Attempts; try++ {
+	for try := 0; try < retryAttempts; try++ {
 		if try > 0 {
-			time.Sleep(policy.backoff(try - 1))
+			time.Sleep(backoff(try - 1))
 			if a.isClosed() {
 				return Collection{}, errors.New("cluster: analyzer closed")
 			}
@@ -125,7 +123,7 @@ func (a *Analyzer) Collect(n int) (Collection, error) {
 		a.broadcast(peers, tagDone, donePayload(collection))
 		return col, nil
 	}
-	return Collection{}, fmt.Errorf("cluster: collection %d failed after %d attempt(s): %w", collection, policy.Attempts, lastErr)
+	return Collection{}, fmt.Errorf("cluster: collection %d failed after %d attempt(s): %w", collection, retryAttempts, lastErr)
 }
 
 // nextAttempt allocates a generation's attempt number. Monotonic

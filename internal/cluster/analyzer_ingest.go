@@ -42,7 +42,11 @@ func (a *Analyzer) handshake(conn net.Conn, seq uint64) {
 	}
 	a.mu.Lock()
 	delete(a.pending, l)
-	if p < 0 || err != nil || a.closed || seq < a.order[p] {
+	if a.closed { // shutdown took l from pending: it says goodbye and closes it
+		a.mu.Unlock()
+		return
+	}
+	if p < 0 || err != nil || seq < a.order[p] {
 		a.mu.Unlock()
 		l.close()
 		return

@@ -10,6 +10,7 @@ package cluster_test
 // exactly. CI runs this file under -race.
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -28,13 +29,6 @@ import (
 	"shuffledp/internal/rng"
 	"shuffledp/internal/transport"
 )
-
-// chaosRetry is the retry policy the chaos tests run under: enough
-// attempts to outlast the planned faults, short backoffs to keep the
-// suite fast.
-func chaosRetry() cluster.RetryPolicy {
-	return cluster.RetryPolicy{Attempts: 6, BaseBackoff: 25 * time.Millisecond, MaxBackoff: 250 * time.Millisecond}
-}
 
 // chaosDialTo routes dials to one address through a faultnet network
 // and everything else over plain TCP, so a test can break exactly one
@@ -113,7 +107,6 @@ func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 
 	ledger := testLedger(t)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
-		cfg.Retry = chaosRetry()
 		cfg.Ledger = ledger
 	}, func(j int, cfg *cluster.ShufflerConfig) {
 		if j == 1 {
@@ -127,7 +120,6 @@ func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 		Pub:      ahe.PublicKey(priv),
 		Source:   rng.New(3),
 		Dial:     chaosDialTo(clientChaos, h.topo.Shufflers[0]),
-		Retry:    chaosRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +203,7 @@ func TestChaosControlLinkResetReconnects(t *testing.T) {
 		return faultnet.Fault{}
 	}})
 
-	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
-		cfg.Retry = chaosRetry()
-	}, func(j int, cfg *cluster.ShufflerConfig) {
+	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, func(j int, cfg *cluster.ShufflerConfig) {
 		if j == 0 {
 			cfg.Dial = chaosDialTo(ctrlChaos, cfg.Topology.Analyzers[0])
 		}
@@ -253,6 +243,109 @@ func TestChaosControlLinkResetReconnects(t *testing.T) {
 	}
 	if !estimatesEqual(col.Estimates, ref.Estimates) {
 		t.Fatal("estimates diverged across the control-link reset")
+	}
+}
+
+// retagFirstVector is a shuffler's analyzer link whose first vector
+// frame goes out under tag 99: the analyzer reads a frame no vector
+// link carries and closes the link.
+type retagFirstVector struct {
+	net.Conn
+	done *atomic.Bool
+}
+
+func (c retagFirstVector) Write(p []byte) (int, error) {
+	// A frame header is one 8-byte write: [length u32][tag u32].
+	if len(p) == 8 {
+		if tag := binary.BigEndian.Uint32(p[4:]); (tag == 7 /* vector */ || tag == 8 /* encVector */) && c.done.CompareAndSwap(false, true) {
+			q := append([]byte(nil), p...)
+			binary.BigEndian.PutUint32(q[4:], 99)
+			return c.Conn.Write(q)
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// An analyzer that closes a healthy shuffler's link — here because the
+// link brought a frame that is not a vector — says no goodbye on it, so
+// the shuffler redials instead of leaving the cluster, and the round
+// heals on its second attempt: bit-identical to protocol.PEOS.Run,
+// charged once, and every Run returns nil once the analyzer closes.
+func TestChaosLinkClosedWithoutGoodbyeHeals(t *testing.T) {
+	const (
+		r        = 2
+		n        = 24
+		d        = 8
+		nr       = 4
+		fakeSeed = 271
+	)
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(d, 2)
+	var retagged atomic.Bool
+	ledger := testLedger(t)
+	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
+		cfg.Ledger = ledger
+		// A shuffler that never comes back fails the round in seconds.
+		cfg.CollectTimeout = 2 * time.Second
+	}, func(j int, cfg *cluster.ShufflerConfig) {
+		if j == 0 {
+			analyzer := cfg.Topology.Analyzers[0]
+			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+				conn, err := net.DialTimeout("tcp", addr, timeout)
+				if err == nil && addr == analyzer {
+					conn = retagFirstVector{Conn: conn, done: &retagged}
+				}
+				return conn, err
+			}
+		}
+	})
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	values := synthValues(n, d, 272)
+	if err := cl.SendValues(0, values, rng.New(273)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	col, err := h.analyzer.Collect(n)
+	if err != nil {
+		t.Fatalf("the round never healed from the closed link: %v", err)
+	}
+	if !retagged.Load() {
+		t.Fatal("shuffler 0 never sent a vector to retag")
+	}
+	if col.Attempts != 2 {
+		t.Fatalf("round took %d attempt(s), want 2: the retagged vector fails the first", col.Attempts)
+	}
+	p, err := protocol.NewPEOS(fo, r, nr, priv, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FakeSource = refFakeSource(fakeSeed, r)
+	ref, err := p.Run(values, rng.New(273))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !estimatesEqual(col.Estimates, ref.Estimates) {
+		t.Fatalf("estimates diverged across the closed link:\n net %v\n ref %v", col.Estimates, ref.Estimates)
+	}
+	if got := cluster.EpochsPaid(ledger); got != 1 {
+		t.Fatalf("the healed round charged the ledger %d times, want exactly 1", got)
+	}
+	h.analyzer.Close()
+	for j, errc := range h.runErr {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("shuffler %d's Run returned %v after the analyzer closed", j, err)
+			}
+		case <-time.After(testTimeout):
+			t.Fatalf("shuffler %d's Run outlived the analyzer", j)
+		}
 	}
 }
 
@@ -357,7 +450,6 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 
 	ledger := testLedger(t)
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, func(cfg *cluster.AnalyzerConfig) {
-		cfg.Retry = chaosRetry()
 		cfg.Ledger = ledger
 		cfg.DataDir = dir
 	}, func(j int, cfg *cluster.ShufflerConfig) {
@@ -427,8 +519,9 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 
 // A Collect that fails after paying, then runs again for the same
 // collection id, pays once: the payment is per collection id, not per
-// Collect call. The first call runs single-shot into the planned mesh
-// reset; the second, like a retry, completes the round.
+// Collect call. The first call uses up its six attempts on the planned
+// resets of the first six mesh connections; the second completes the
+// round.
 func TestFailedCollectRepeatedPaysOnce(t *testing.T) {
 	const (
 		r        = 2
@@ -440,7 +533,7 @@ func TestFailedCollectRepeatedPaysOnce(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
 	meshChaos := faultnet.New(faultnet.Config{Plan: func(conn int) faultnet.Fault {
-		if conn == 0 {
+		if conn < 6 {
 			return faultnet.Fault{ResetAfter: 180}
 		}
 		return faultnet.Fault{}
@@ -575,12 +668,12 @@ func TestChaosSilentMeshPeerFailsInsideSealTimeout(t *testing.T) {
 	h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, func(j int, cfg *cluster.ShufflerConfig) {
 		cfg.SealTimeout = sealTimeout
 		if j == 1 {
-			// Shuffler 1 dials shuffler 0's mesh; its first connection
-			// there goes mute after the hello.
+			// Shuffler 1 dials shuffler 0's mesh; its first six
+			// connections there go mute after the hello.
 			mesh := cfg.Topology.Shufflers[0]
 			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 				conn, err := net.DialTimeout("tcp", addr, timeout)
-				if err == nil && addr == mesh && meshDials.Add(1) == 1 {
+				if err == nil && addr == mesh && meshDials.Add(1) <= 6 {
 					raw := conn
 					t.Cleanup(func() { raw.Close() })
 					conn = &muteAfterHello{Conn: raw}
@@ -602,7 +695,7 @@ func TestChaosSilentMeshPeerFailsInsideSealTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Retry is off: the first Collect is the attempt on the mute mesh.
+	// The first Collect runs all six of its attempts on mute meshes.
 	start := time.Now()
 	_, err = h.analyzer.Collect(n)
 	took := time.Since(start)

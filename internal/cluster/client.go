@@ -33,15 +33,6 @@ type ClientConfig struct {
 	// Dial, when non-nil, replaces net.DialTimeout — the chaos-
 	// injection hook (faultnet.Network.Dial fits).
 	Dial DialFunc
-	// Retry, when enabled (Attempts > 1), makes the client
-	// self-healing: a shuffler connection that fails is redialed with
-	// jittered backoff and the current collection's frames are replayed
-	// in full. The per-user nonces make the replay idempotent at the
-	// shufflers (a share that already arrived is recognized and
-	// dropped), so a disconnect-resubmit changes nothing about the
-	// sealed round. The zero policy reports each frame at most once,
-	// surfacing the first write error — the pre-existing behavior.
-	Retry RetryPolicy
 }
 
 func (cfg *ClientConfig) validate() error {
@@ -62,7 +53,8 @@ func (cfg *ClientConfig) validate() error {
 // carries one shares frame per run of up to sharesPerFrame consecutive
 // users, closed at that count, at a non-consecutive index, and at
 // SetCollection, Flush and Close. A Client is not safe for concurrent
-// use; run one per goroutine.
+// use; run one per goroutine. A shuffler connection that fails heals:
+// the client redials it and replays the collection's frames (heal).
 type Client struct {
 	cfg   ClientConfig
 	enc   *ldp.WordEncoder
@@ -125,7 +117,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	// bit-identical to the in-process reference run.
 	c.stopPool = cfg.Pub.StartRandomizerPool()
 	for _, addr := range cfg.Topology.Shufflers {
-		conn, err := dialRetry(cfg.Dial, addr, defaultDialTimeout)
+		conn, err := dialRetry(cfg.Dial, addr, defaultDialTimeout, nil)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -159,7 +151,7 @@ func (c *Client) SetCollection(id int) {
 }
 
 // Reconnects returns how many shuffler connections the client has
-// healed (always 0 with retry disabled).
+// healed.
 func (c *Client) Reconnects() int { return c.reconnects }
 
 // SendReport shares an already-randomized report as user `index` of
@@ -228,7 +220,7 @@ func (c *Client) closeFrame() error {
 }
 
 // deliver queues one serialized frame for shuffler j and writes it,
-// healing the connection on failure when retry is enabled. Queue
+// healing the connection on failure. Queue
 // before write: a frame that dies in the kernel buffer mid-reset is
 // still replayed.
 func (c *Client) deliver(j int, frame []byte) error {
@@ -241,22 +233,18 @@ func (c *Client) deliver(j int, frame []byte) error {
 	return c.heal(j)
 }
 
-// heal redials shuffler j and replays the current collection's queue
-// under the retry policy.
+// heal redials shuffler j and replays the current collection's queue,
+// up to retryAttempts−1 times.
 func (c *Client) heal(j int) error {
-	if !c.cfg.Retry.enabled() {
-		return fmt.Errorf("cluster: client to shuffler %d: connection failed", j)
-	}
-	policy := c.cfg.Retry.withDefaults()
 	lastErr := errors.New("connection failed")
-	for k := 1; k < policy.Attempts; k++ {
-		time.Sleep(policy.backoff(k - 1))
+	for k := 1; k < retryAttempts; k++ {
+		time.Sleep(backoff(k - 1))
 		if c.conns[j] != nil {
 			c.conns[j].Close()
 			c.conns[j] = nil
 			c.w[j] = nil
 		}
-		conn, err := dialRetry(c.cfg.Dial, c.cfg.Topology.Shufflers[j], defaultDialTimeout)
+		conn, err := dialRetry(c.cfg.Dial, c.cfg.Topology.Shufflers[j], defaultDialTimeout, nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -312,9 +300,9 @@ func (c *Client) SendValues(base int, values []int, ldpRand *rng.Rand) error {
 }
 
 // Flush closes the open frame and pushes buffered frames to every
-// shuffler, healing connections that fail mid-flush when retry is
-// enabled (bufio surfaces a reset lazily, so the flush is often where a
-// mid-collection fault becomes visible). Call it before the analyzer
+// shuffler, healing connections that fail mid-flush (bufio surfaces a
+// reset lazily, so the flush is often where a mid-collection fault
+// becomes visible). Call it before the analyzer
 // seals the round.
 func (c *Client) Flush() error {
 	if err := c.err; err != nil {
@@ -324,16 +312,10 @@ func (c *Client) Flush() error {
 	if err := c.closeFrame(); err != nil {
 		return err
 	}
-	for j := range c.w {
-		if c.w[j] == nil {
+	for j, w := range c.w {
+		if w == nil || w.Flush() != nil {
 			if err := c.heal(j); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.w[j].Flush(); err != nil {
-			if healErr := c.heal(j); healErr != nil {
-				return fmt.Errorf("cluster: client flush to shuffler %d: %w", j, healErr)
+				return fmt.Errorf("cluster: client flush to shuffler %d: %w", j, err)
 			}
 		}
 	}

@@ -114,79 +114,43 @@ func netDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
-// RetryPolicy shapes an automatic retry loop: the analyzer's
-// collection-round retries and the client's reconnect/resubmit both
-// take one. The zero policy means "no retry" (a single attempt), which
-// keeps every pre-existing single-shot behavior intact unless a
-// deployment opts in.
-type RetryPolicy struct {
-	// Attempts caps the tries per operation; values <= 1 disable
-	// retrying.
-	Attempts int
-	// BaseBackoff seeds the exponential backoff between attempts
-	// (default 50ms). The sleep before retry k is
-	// min(BaseBackoff<<k, MaxBackoff), jittered to a uniform draw in
-	// [d/2, d) so simultaneous retriers decorrelate.
-	BaseBackoff time.Duration
-	// MaxBackoff caps a single backoff sleep (default 2s).
-	MaxBackoff time.Duration
-}
+// The one retry schedule. Collect runs a round at most retryAttempts
+// times, a client heals a shuffler connection in at most
+// retryAttempts−1 redials, and every dial retries until its timeout;
+// each sleeps backoff(k) before retry k.
+const (
+	retryAttempts = 6
+	baseBackoff   = 25 * time.Millisecond
+	maxBackoff    = 250 * time.Millisecond
+)
 
-// enabled reports whether the policy retries at all.
-func (p RetryPolicy) enabled() bool { return p.Attempts > 1 }
-
-// withDefaults fills the zero fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts < 1 {
-		p.Attempts = 1
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 50 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	return p
-}
-
-// backoff returns the jittered sleep before retry attempt k (0-based).
-func (p RetryPolicy) backoff(k int) time.Duration {
-	d := p.BaseBackoff
-	for i := 0; i < k && d < p.MaxBackoff; i++ {
+// backoff returns the sleep before retry k (0-based): baseBackoff
+// doubled k times, capped at maxBackoff, and jittered to a uniform draw
+// in [d/2, d) so simultaneous retriers decorrelate. The draw is
+// math/rand/v2 (not the repo's seeded rng): backoff spacing never needs
+// reproducibility — nothing statistical consumes it.
+func backoff(k int) time.Duration {
+	d := baseBackoff
+	for ; k > 0 && d < maxBackoff; k-- {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return jitter(d)
-}
-
-// jitter maps d to a uniform draw in [d/2, d). The draw is
-// math/rand/v2 (not the repo's seeded rng): backoff spacing must
-// decorrelate concurrent retriers and never needs reproducibility —
-// nothing statistical consumes it.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int64N(int64(half)))
+	d = min(d, maxBackoff)
+	return d/2 + rand.N(d/2)
 }
 
 // dialRetry dials addr through dial (nil = TCP), retrying failed
-// attempts with jittered exponential backoff until the overall timeout
-// budget is spent — roles of one cluster start concurrently and must
-// tolerate peers that are not listening yet. Each attempt gets the
-// remaining budget as its own timeout, so a blackholed peer cannot
-// stall the loop past the deadline the way an untimed net.Dial could.
-func dialRetry(dial DialFunc, addr string, timeout time.Duration) (net.Conn, error) {
+// attempts on the backoff schedule until the overall timeout budget is
+// spent or stop closes (nil = never) — roles of one cluster start
+// concurrently and must tolerate peers that are not listening yet.
+// Each attempt gets the remaining budget as its own timeout, so a
+// blackholed peer cannot stall the loop past the deadline the way an
+// untimed net.Dial could.
+func dialRetry(dial DialFunc, addr string, timeout time.Duration, stop <-chan struct{}) (net.Conn, error) {
 	if dial == nil {
 		dial = netDial
 	}
 	deadline := time.Now().Add(timeout)
-	backoff := 10 * time.Millisecond
-	const maxBackoff = 500 * time.Millisecond
-	for {
+	for k := 0; ; k++ {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return nil, fmt.Errorf("cluster: dialing %s: timed out after %v", addr, timeout)
@@ -199,13 +163,10 @@ func dialRetry(dial DialFunc, addr string, timeout time.Duration) (net.Conn, err
 		if remaining <= 0 {
 			return nil, fmt.Errorf("cluster: dialing %s: %w", addr, err)
 		}
-		sleep := jitter(backoff)
-		if sleep > remaining {
-			sleep = remaining
-		}
-		time.Sleep(sleep)
-		if backoff < maxBackoff {
-			backoff *= 2
+		select {
+		case <-time.After(min(backoff(k), remaining)):
+		case <-stop:
+			return nil, fmt.Errorf("cluster: dialing %s: canceled", addr)
 		}
 	}
 }

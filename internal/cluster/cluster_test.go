@@ -292,7 +292,12 @@ func TestClusterKilledShufflerFailsCleanly(t *testing.T) {
 	)
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(d, 2)
-	h := startCluster(t, r, nr, fo, priv, 61, nil, func(_ int, cfg *cluster.ShufflerConfig) {
+	// Every attempt after the first waits out CollectTimeout for the
+	// killed shuffler 0 to redial, so six attempts end well inside
+	// testTimeout.
+	h := startCluster(t, r, nr, fo, priv, 61, func(cfg *cluster.AnalyzerConfig) {
+		cfg.CollectTimeout = 250 * time.Millisecond
+	}, func(_ int, cfg *cluster.ShufflerConfig) {
 		cfg.SealTimeout = 2 * time.Second
 	})
 	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
@@ -323,7 +328,7 @@ func TestClusterKilledShufflerFailsCleanly(t *testing.T) {
 		t.Fatal("Collect hung on a dead shuffler")
 	}
 	// A failed round ends the run: tearing the analyzer down unblocks
-	// every surviving shuffler (control-link EOF), so no Run hangs.
+	// every surviving shuffler (its goodbye), so no Run hangs.
 	h.analyzer.Close()
 	for j, errcj := range h.runErr {
 		select {

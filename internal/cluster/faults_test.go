@@ -42,12 +42,6 @@ const (
 	faultTimeout  = 2 * time.Second
 )
 
-// faultRetry heals every row: the analyzer re-runs a failed attempt,
-// the client redials and replays.
-func faultRetry() cluster.RetryPolicy {
-	return cluster.RetryPolicy{Attempts: 6, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-}
-
 // pair names one dial stream: the dialing role and the role it dials.
 // The k-th connection of a stream is the k-th dial, refused or not.
 type pair struct{ from, to string }
@@ -62,19 +56,20 @@ type connRef struct {
 
 func (c connRef) String() string { return fmt.Sprintf("%s.%d", c.pair, c.conn) }
 
-// tapConn logs the byte count of every I/O operation that moved bytes:
-// a write when it starts, a read when it returns, so an operation
-// waiting on the connection across a write in the other direction — a
-// shuffler's control reader across its vector write — is logged after
-// the write that caused its bytes.
+// tapConn logs the byte count of every I/O operation that moved bytes,
+// until its run freezes the log: a write when it starts, a read when
+// it returns, so an operation waiting on the connection across a write
+// in the other direction — a shuffler's control reader across its
+// vector write — is logged after the write that caused its bytes.
 type tapConn struct {
 	net.Conn
-	mu  sync.Mutex
-	ops []int
+	frozen *atomic.Bool
+	mu     sync.Mutex
+	ops    []int
 }
 
 func (c *tapConn) log(n int) {
-	if n > 0 {
+	if n > 0 && !c.frozen.Load() {
 		c.mu.Lock()
 		c.ops = append(c.ops, n)
 		c.mu.Unlock()
@@ -156,9 +151,10 @@ func (r faultRow) planned() (resets, refusals int) {
 // faultRun is one run of the round: every dial goes through it, tapped,
 // and through the row's fault network for the faulted stream.
 type faultRun struct {
-	roles map[string]string // address -> role
-	row   *faultRow
-	net   *faultnet.Network
+	roles  map[string]string // address -> role
+	row    *faultRow
+	net    *faultnet.Network
+	frozen atomic.Bool // the taps stop logging
 
 	mu    sync.Mutex
 	conns map[pair][]*tapConn // nil entries are refused dials
@@ -176,7 +172,7 @@ func (fr *faultRun) dialer(from string) cluster.DialFunc {
 		}
 		var tc *tapConn
 		if err == nil {
-			tc = &tapConn{Conn: conn}
+			tc = &tapConn{Conn: conn, frozen: &fr.frozen}
 			conn = tc
 		}
 		fr.mu.Lock()
@@ -280,7 +276,6 @@ func (env *faultEnv) run(t *testing.T, row *faultRow) map[pair][]*tapConn {
 		Priv:           env.priv,
 		Ledger:         ledger,
 		CollectTimeout: faultTimeout,
-		Retry:          faultRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +291,6 @@ func (env *faultEnv) run(t *testing.T, row *faultRow) map[pair][]*tapConn {
 		Pub:      ahe.PublicKey(env.priv),
 		Source:   rng.New(3),
 		Dial:     fr.dialer("client"),
-		Retry:    faultRetry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,6 +349,21 @@ func (env *faultEnv) run(t *testing.T, row *faultRow) map[pair][]*tapConn {
 			t.Fatalf("runUntilClose: shuffler %d's Run returned %v before the analyzer closed", j, err)
 		default:
 		}
+	}
+	if row == nil {
+		// The recording is the round's traffic: it ends once every
+		// shuffler has read the last done frame (and so pruned its
+		// buffers). The goodbye Close sends is teardown: a fault in it
+		// could only fire after the faultFired check.
+		waitFor(t, "doneRead", func() bool {
+			for _, sh := range shufflers {
+				if sh.BufferedShares() != 0 {
+					return false
+				}
+			}
+			return true
+		})
+		fr.frozen.Store(true)
 	}
 	analyzer.Close()
 	for j, errc := range runErr {

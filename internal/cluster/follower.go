@@ -108,15 +108,20 @@ type follower struct {
 	cur         *attempt
 	doneThrough int64 // highest collection known sealed; -1 initially
 	closed      bool
+	quit        chan struct{} // closed with closed: stops a redial
 }
 
 var errNodeClosed = errors.New("cluster: node closed")
+
+// errGoodbye is serve's verdict on the analyzer's goodbye frame: the
+// analyzer closed in order, and the cluster is over.
+var errGoodbye = errors.New("cluster: the analyzer said goodbye")
 
 // connect dials the analyzer (retrying inside the dial budget),
 // identifies this node, and swaps the fresh link in, closing a dead
 // predecessor. The analyzer files the link by the hello's index.
 func (f *follower) connect() (*link, error) {
-	conn, err := dialRetry(f.dial, f.analyzer, defaultDialTimeout)
+	conn, err := dialRetry(f.dial, f.analyzer, defaultDialTimeout, f.quit)
 	if err != nil {
 		return nil, err
 	}
@@ -141,10 +146,10 @@ func (f *follower) connect() (*link, error) {
 }
 
 // serve dispatches the analyzer's frames off one link until the link
-// fails or a frame is refused — a retired tag included — and returns
-// why. Attempts run in their own goroutines, so serve is back at the
-// link in time to read the abort that cancels one. What the error
-// means is the caller's policy.
+// fails, the analyzer says goodbye (errGoodbye) or a frame is refused —
+// a retired tag included — and returns why. Attempts run in their own
+// goroutines, so serve is back at the link in time to read the abort
+// that cancels one. What the error means is the caller's policy.
 func (f *follower) serve(l *link) error {
 	for {
 		tag, payload, err := l.recv(controlFrameLimit, 0)
@@ -172,6 +177,8 @@ func (f *follower) serve(l *link) error {
 			f.mu.Lock()
 			f.advance(gen{col: col + 1})
 			f.mu.Unlock()
+		case tagGoodbye:
+			return errGoodbye
 		default:
 			return fmt.Errorf("%w: analyzer sent tag %d", errBadFrame, tag)
 		}
@@ -277,6 +284,9 @@ func (f *follower) isClosed() bool {
 // in flight. Idempotent.
 func (f *follower) close() {
 	f.mu.Lock()
+	if !f.closed {
+		close(f.quit)
+	}
 	f.closed = true
 	l, cur := f.ctrl, f.cur
 	f.mu.Unlock()

@@ -4,10 +4,10 @@ package cluster
 // follower (follower.go) over loopback through the control-plane table
 // — supersede by generation, stale aborts and seals ignored, done
 // pruning, a reset link canceling and redialing, one fail notice per
-// failing attempt — and then through the two policy points the
-// shuffler keeps for itself: what an orderly close (EOF) and a
-// malformed analyzer frame mean for the node's lifetime. CI runs this
-// file under -race as a named gate.
+// failing attempt — and then through the policy points the shuffler
+// keeps for itself: what the analyzer's goodbye, a close without one
+// and a malformed analyzer frame mean for the node's lifetime. CI runs
+// this file under -race as a named gate.
 
 import (
 	"bytes"
@@ -152,14 +152,24 @@ func TestFollowerConformance(t *testing.T) {
 	roles := map[string]func(*testing.T, *ahe.DGKPrivateKey, string) followerRole{
 		"shuffler": startShufflerRole,
 	}
-	// The two policy rows: the node's control loop ends, and returns
-	// exitErr.
+	// The policy rows: the node's control loop ends, and returns
+	// exitErr — or, in a redial row, the node redials and runs until
+	// Close.
 	endings := map[string]struct {
 		do      func(t *testing.T, conn net.Conn)
 		exitErr error // errors.Is target; nil = clean exit
+		redials bool
 	}{
-		"orderly close": { // the cluster is over
-			do: func(_ *testing.T, conn net.Conn) { conn.Close() },
+		"goodbye": { // the cluster is over
+			do: func(t *testing.T, conn net.Conn) {
+				if err := transport.WriteTaggedFrame(conn, tagGoodbye, nil); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		"close without goodbye": { // the analyzer dropped a link it could not use
+			do:      func(_ *testing.T, conn net.Conn) { conn.Close() },
+			redials: true,
 		},
 		"malformed frame": { // a deployment fault, surfaced
 			do: func(t *testing.T, conn net.Conn) {
@@ -296,6 +306,10 @@ func TestFollowerConformance(t *testing.T) {
 
 				// The role's policy point.
 				ending.do(t, conn)
+				if ending.redials {
+					acceptHello("after " + endingName)
+					role.close()
+				}
 				select {
 				case err := <-role.exited:
 					if (ending.exitErr == nil) != (err == nil) || !errors.Is(err, ending.exitErr) {

@@ -22,8 +22,8 @@ import (
 // legitimately send, from what it already knows, and refuses anything
 // longer on the 8-byte header alone.
 const (
-	// controlFrameLimit bounds hello, seal, abort and done frames — the
-	// longest is the 12-byte seal.
+	// controlFrameLimit bounds hello, seal, abort, done and goodbye
+	// frames — the longest is the 12-byte seal.
 	controlFrameLimit = 32
 	// maxFailMessage caps a fail notice's text at the writer: the notice
 	// rides the vector link, whose reader must admit it even when the

@@ -61,23 +61,10 @@ func TestParallelEOSConformance(t *testing.T) {
 	// runOnce drives one collection through a fresh cluster and returns
 	// the estimates, the attempt count, and the client (for reconnect
 	// assertions). A nil dial uses the plain TCP client.
-	runOnce := func(t *testing.T, mutateA func(*cluster.AnalyzerConfig), mutateS func(int, *cluster.ShufflerConfig), dial cluster.DialFunc) ([]float64, int, *cluster.Client) {
+	runOnce := func(t *testing.T, mutateS func(int, *cluster.ShufflerConfig), dial cluster.DialFunc) ([]float64, int, *cluster.Client) {
 		t.Helper()
-		h := startCluster(t, r, nr, fo, priv, fakeSeed, mutateA, mutateS)
-		var cl *cluster.Client
-		var err error
-		if dial != nil {
-			cl, err = cluster.NewClient(cluster.ClientConfig{
-				Topology: h.topo,
-				FO:       fo,
-				Pub:      ahe.PublicKey(priv),
-				Source:   rng.New(3),
-				Dial:     dial,
-				Retry:    chaosRetry(),
-			})
-		} else {
-			cl, err = cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3)})
-		}
+		h := startCluster(t, r, nr, fo, priv, fakeSeed, nil, mutateS)
+		cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: ahe.PublicKey(priv), Source: rng.New(3), Dial: dial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +86,7 @@ func TestParallelEOSConformance(t *testing.T) {
 	t.Run("grid", func(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			setWidth(t, workers)
-			got, _, _ := runOnce(t, nil, nil, nil)
+			got, _, _ := runOnce(t, nil, nil)
 			if !estimatesEqual(got, want) {
 				t.Fatalf("workers=%d diverged from the serial reference:\n net %v\n ref %v", workers, got, want)
 			}
@@ -118,9 +105,7 @@ func TestParallelEOSConformance(t *testing.T) {
 			return faultnet.Fault{}
 		}})
 		var meshAddr string
-		got, attempts, _ := runOnce(t, func(cfg *cluster.AnalyzerConfig) {
-			cfg.Retry = chaosRetry()
-		}, func(j int, cfg *cluster.ShufflerConfig) {
+		got, attempts, _ := runOnce(t, func(j int, cfg *cluster.ShufflerConfig) {
 			if j == 1 {
 				meshAddr = cfg.Topology.Shufflers[0]
 				cfg.Dial = chaosDialTo(meshChaos, meshAddr)
@@ -165,9 +150,7 @@ func TestParallelEOSConformance(t *testing.T) {
 			}
 			return net.DialTimeout("tcp", target, timeout)
 		}
-		got, _, cl := runOnce(t, func(cfg *cluster.AnalyzerConfig) {
-			cfg.Retry = chaosRetry()
-		}, mutateS, dial)
+		got, _, cl := runOnce(t, mutateS, dial)
 		if got := clientChaos.Stats().Resets; got < 1 {
 			t.Fatalf("client chaos injected %d resets, want >= 1", got)
 		}

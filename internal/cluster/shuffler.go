@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -68,9 +67,10 @@ type ShufflerConfig struct {
 // The node is self-healing by construction: client errors only ever
 // drop that client's connection (delivered shares stay buffered for
 // the resubmit), a failed collection attempt only fails that attempt
-// (the analyzer aborts and retries under its RetryPolicy), and a lost
-// analyzer control link is redialed. The only fatal conditions are
-// Close, a malformed analyzer frame, and an unreachable analyzer.
+// (the analyzer aborts it and runs the round again), and a lost
+// analyzer control link is redialed. The node's Run ends on Close, the
+// analyzer's goodbye, a malformed analyzer frame, and an unreachable
+// analyzer.
 //
 // Each stage of the node is one file: accept (shuffler_accept.go), the
 // EOS round (shuffler_round.go) and forward (shuffler_forward.go). This
@@ -161,6 +161,7 @@ func NewShuffler(cfg ShufflerConfig) (*Shuffler, error) {
 		prune:       s.prune,
 		work:        s.collect,
 		doneThrough: -1,
+		quit:        make(chan struct{}),
 	}
 	// Precompute encryption randomizers in the background for the
 	// node's lifetime: fake-share encryptions (enc holder) and the
@@ -179,24 +180,26 @@ func (s *Shuffler) Addr() string { return s.ln.Addr().String() }
 func (s *Shuffler) encHolder() bool { return s.cfg.Index == s.cfg.Topology.R()-1 }
 
 // Run connects the node into the cluster and serves collections until
-// the analyzer closes its connection (clean shutdown, returns nil),
-// Close is called, or the analyzer becomes unreachable or speaks a
-// malformed protocol. The connection plan is deterministic: this node
-// dials the analyzer (redialing if the link resets) and, per
+// the analyzer says goodbye or Close is called (clean shutdown, returns
+// nil), or the analyzer becomes unreachable or speaks a malformed
+// protocol. The connection plan is deterministic: this node dials the
+// analyzer (redialing if the link ends without a goodbye) and, per
 // collection attempt, every lower-index shuffler; it accepts
 // per-attempt connections from higher-index shufflers and report
 // streams from clients.
 func (s *Shuffler) Run() error {
 	defer s.teardown()
 	go acceptEach(s.ln, func(conn net.Conn, _ uint64) { s.handleConn(conn) })
-	// The follower serves the analyzer's seal / abort / done frames; what
-	// the end of a link means is this role's policy. A shuffler holds
-	// client shares no other node has, so it only ever follows ONE
-	// analyzer run: an orderly close (EOF) ends the cluster, and a
-	// malformed frame is a deployment fault to surface, not to retry. A
-	// reset mid-stream is a network fault: the in-flight attempt is
-	// canceled — its seal may have been lost — and the link redialed,
-	// as it is when the reset tears the hello itself.
+	// The follower serves the analyzer's seal / abort / done / goodbye
+	// frames; what the end of a link means is this role's policy. A
+	// shuffler holds client shares no other node has, so it only ever
+	// follows ONE analyzer run: the analyzer's goodbye ends the cluster,
+	// and a malformed frame is a deployment fault to surface, not to
+	// retry. Any other end of the link — a reset, or EOF without a
+	// goodbye (the analyzer dropped a link it could not use) — is a
+	// network fault: the in-flight attempt is canceled — its seal may
+	// have been lost — and the link redialed, as it is when the fault
+	// tears the hello itself.
 	for {
 		l, err := s.f.connect()
 		if err == nil {
@@ -204,7 +207,7 @@ func (s *Shuffler) Run() error {
 			s.f.cancelCurrent()
 		}
 		switch {
-		case s.f.isClosed(), errors.Is(err, io.EOF):
+		case s.f.isClosed(), errors.Is(err, errGoodbye):
 			return nil
 		case !pipeline.Disconnected(err):
 			return fmt.Errorf("cluster: shuffler %d analyzer link: %w", s.cfg.Index, err)

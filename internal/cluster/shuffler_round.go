@@ -86,7 +86,7 @@ func (s *Shuffler) mesh(a *attempt) ([]net.Conn, error) {
 		if a.canceled() {
 			return nil, errAttemptAborted
 		}
-		conn, err := dialRetry(s.cfg.Dial, s.cfg.Topology.Shufflers[j], defaultDialTimeout)
+		conn, err := dialRetry(s.cfg.Dial, s.cfg.Topology.Shufflers[j], defaultDialTimeout, a.cancel)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ package cluster
 //	seal           [collection u32][attempt u32][n u32]     analyzer -> shuffler
 //	abort          [collection u32][attempt u32]            analyzer -> shuffler
 //	done           [collection u32]                         analyzer -> shuffler
+//	goodbye        []                                       analyzer -> shuffler
 //	vector         [collection u32][attempt u32][words ...] shuffler -> analyzer
 //	encVector      [collection u32][attempt u32][cts ...]   shuffler -> analyzer
 //	fail           [collection u32][attempt u32][utf8 msg]  shuffler -> analyzer
@@ -85,6 +86,7 @@ const (
 	tagRetiredShardWords // an analyzer shard's revealed window; refused
 	tagShares
 	tagEncShares
+	tagGoodbye
 )
 
 // sharesPerFrame is the most users one shares / encShares frame

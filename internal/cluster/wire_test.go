@@ -192,6 +192,7 @@ func TestFrameTagsArePinned(t *testing.T) {
 		{"retired shardWords", tagRetiredShardWords, 16},
 		{"shares", tagShares, 17},
 		{"encShares", tagEncShares, 18},
+		{"goodbye", tagGoodbye, 19},
 	} {
 		if tc.tag != tc.want {
 			t.Errorf("tag %s = %d, want %d", tc.name, tc.tag, tc.want)
