@@ -9,6 +9,7 @@
 # deleted would otherwise stay green forever.
 set -euo pipefail
 log=$(mktemp)
+trap 'rm -f "$log"' EXIT
 go test "$1" -race -run "$2" -count=1 -v | tee "$log"
 IFS='|' read -ra names <<<"$2"
 for name in "${names[@]}"; do

@@ -7,7 +7,7 @@
 //	           one read buffer, with an idle deadline so a stalled peer
 //	           can never pin a goroutine (and, transitively, a graceful
 //	           drain) forever.
-//	batch    — RunBatcher: copy fixed-size records into one flat,
+//	batch    — RunBatcher: copy 8-byte words into one flat,
 //	           pointer-free run up to a size bound, in arrival order,
 //	           so the buffer they came from is free as soon as they are
 //	           copied; runs come from a free list the consumer refills,
@@ -20,7 +20,7 @@
 //
 // The primitives deliberately carry no protocol knowledge: framing is
 // transport's, report semantics are the caller's. What they fix is the
-// concurrency shape — deadline-guarded reads, bounded record runs,
+// concurrency shape — deadline-guarded reads, bounded word runs,
 // counted worker fan-out — so every tier gets the same hardening.
 package pipeline
 
@@ -126,51 +126,47 @@ func (r *Reader) Run() error {
 	}
 }
 
-// RunBatcher is the batch stage over fixed-size records: it copies
-// whole RecordSize-byte records into one flat run and, once the run
-// holds Size records (or FlushNow is called), hands it to Flush in
-// arrival order. The run is one pointer-free buffer, taken from Free
-// when a returned one is waiting there and allocated otherwise, and it
-// holds copies, so a frame's buffer is free once Add returns; a run
-// holds the records an unpermuted Batcher would flush, in the same
-// order. A RunBatcher is not safe for concurrent use — it belongs to
-// the single goroutine that cuts its tier's runs.
+// RunBatcher is the batch stage over words: it copies them into one
+// flat run and, once the run holds Size words (or FlushNow is called),
+// hands it to Flush in arrival order. The run is one pointer-free
+// buffer, taken from Free when a returned one is waiting there and
+// allocated otherwise, and it holds copies, so a frame's words are
+// free once Add returns; a run holds the records an unpermuted Batcher
+// would flush, in the same order. What a word means is the caller's
+// (the service's reports, unpacked by its codec). A RunBatcher is not
+// safe for concurrent use — it belongs to the single goroutine that
+// cuts its tier's runs.
 type RunBatcher struct {
-	// Size is the flush threshold in records. It must be > 0.
+	// Size is the flush threshold in words. It must be > 0.
 	Size int
-	// RecordSize is the length of one record in bytes. It must be > 0.
-	RecordSize int
-	// Flush receives each run, a whole number of records. The slice is
-	// owned by the callee.
-	Flush func(run []byte)
+	// Flush receives each run. The slice is owned by the callee.
+	Flush func(run []uint64)
 	// Free, when non-nil, is the free list runs are taken from: a new
 	// run is a buffer received from Free, or a fresh allocation when
 	// none is waiting. Whoever ends a flushed run's life may send it
 	// back (a send to a full list should drop it instead of blocking).
 	// Nil allocates every run.
-	Free chan []byte
+	Free chan []uint64
 
-	run []byte
+	run []uint64
 }
 
-// Add appends recs, a whole number of records, flushing every time the
-// run reaches Size records — records of one call may span several
-// batches.
-func (b *RunBatcher) Add(recs []byte) {
-	full := b.Size * b.RecordSize
-	for len(recs) > 0 {
+// Add appends words, flushing every time the run reaches Size words —
+// the words of one call may span several batches.
+func (b *RunBatcher) Add(words []uint64) {
+	for len(words) > 0 {
 		if b.run == nil {
 			select {
 			case run := <-b.Free:
 				b.run = run[:0]
 			default:
-				b.run = make([]byte, 0, full)
+				b.run = make([]uint64, 0, b.Size)
 			}
 		}
-		n := min(len(recs), full-len(b.run))
-		b.run = append(b.run, recs[:n]...)
-		recs = recs[n:]
-		if len(b.run) == full {
+		n := min(len(words), b.Size-len(b.run))
+		b.run = append(b.run, words[:n]...)
+		words = words[n:]
+		if len(b.run) == b.Size {
 			b.FlushNow()
 		}
 	}

@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -174,85 +176,80 @@ func TestReaderBuffersFrames(t *testing.T) {
 	}
 }
 
-// TestRunBatcherMatchesBatcher: the run batcher flushes byte for byte
-// the records, in arrival order, that an unpermuted Batcher flushes —
-// over frames that straddle batch boundaries and a cut mid-batch, as
-// an epoch rotation makes it.
+// TestRunBatcherMatchesBatcher: the run batcher flushes the words, in
+// arrival order, that an unpermuted Batcher flushes — over frames that
+// straddle batch boundaries and a cut mid-batch, as an epoch rotation
+// makes it.
 func TestRunBatcherMatchesBatcher(t *testing.T) {
-	for _, size := range []int{1, 2, 5, 8, 13} {
-		var want, got [][]byte
-		old := &Batcher{Size: 64, Flush: func(batch [][]byte) {
-			want = append(want, bytes.Join(batch, nil))
-		}}
-		run := &RunBatcher{Size: 64, RecordSize: size, Flush: func(r []byte) {
-			got = append(got, r)
-		}}
-		src := rng.New(uint64(size))
-		frame := func(records int) []byte {
-			f := make([]byte, records*size)
-			for i := range f {
-				f[i] = byte(src.Uint64())
-			}
-			return f
+	var want, got [][]uint64
+	old := &Batcher{Size: 64, Flush: func(batch [][]byte) {
+		words := make([]uint64, len(batch))
+		for i, item := range batch {
+			words[i] = binary.LittleEndian.Uint64(item)
 		}
-		for i, records := range []int{1, 7, 100, 256, 3, 64, 130, 0, 41} {
-			if i == 5 { // rotation: cut mid-batch
-				old.FlushNow()
-				run.FlushNow()
-			}
-			f := frame(records)
-			kept := bytes.Clone(f) // Batcher holds slices of its frames until they flush
-			for off := 0; off < len(f); off += size {
-				old.Add(kept[off : off+size])
-			}
-			run.Add(f)
-			// The run holds copies: the frame's buffer is free at once.
-			clear(f)
+		want = append(want, words)
+	}}
+	run := &RunBatcher{Size: 64, Flush: func(r []uint64) {
+		got = append(got, r)
+	}}
+	src := rng.New(5)
+	for i, words := range []int{1, 7, 100, 256, 3, 64, 130, 0, 41} {
+		if i == 5 { // rotation: cut mid-batch
+			old.FlushNow()
+			run.FlushNow()
 		}
-		old.FlushNow()
-		run.FlushNow()
-		if len(got) != len(want) {
-			t.Fatalf("record size %d: %d runs, Batcher flushed %d batches", size, len(got), len(want))
+		f := make([]uint64, words)
+		for k := range f {
+			f[k] = src.Uint64()
+			old.Add(binary.LittleEndian.AppendUint64(nil, f[k]))
 		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("record size %d: run %d differs from Batcher's batch", size, i)
-			}
+		run.Add(f)
+		// The run holds copies: the frame's buffer is free at once.
+		clear(f)
+	}
+	old.FlushNow()
+	run.FlushNow()
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, Batcher flushed %d batches", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("run %d differs from Batcher's batch", i)
 		}
 	}
 }
 
 // TestRunBatcherReusesFreeRuns: a run sent back on Free is the next
-// run's buffer, returned runs scrubbed to 0xFF still flush exactly the
-// records a batcher without a free list flushes, and once the list
+// run's buffer, returned runs scrubbed to all-ones still flush exactly
+// the words a batcher without a free list flushes, and once the list
 // holds a run per batch in flight the batcher allocates nothing.
 func TestRunBatcherReusesFreeRuns(t *testing.T) {
-	const size, batch = 5, 64
-	var want, got [][]byte
-	plain := &RunBatcher{Size: batch, RecordSize: size, Flush: func(r []byte) {
+	const batch = 64
+	var want, got [][]uint64
+	plain := &RunBatcher{Size: batch, Flush: func(r []uint64) {
 		want = append(want, r)
 	}}
-	free := make(chan []byte, 1)
-	var last *byte
-	pooled := &RunBatcher{Size: batch, RecordSize: size, Free: free, Flush: func(r []byte) {
+	free := make(chan []uint64, 1)
+	var last *uint64
+	pooled := &RunBatcher{Size: batch, Free: free, Flush: func(r []uint64) {
 		if last != nil && &r[0] != last {
 			t.Errorf("run %d did not reuse the run sent back on Free", len(got))
 		}
 		last = &r[0]
-		got = append(got, bytes.Clone(r))
+		got = append(got, slices.Clone(r))
 		for i := range r {
-			r[i] = 0xFF
+			r[i] = ^uint64(0)
 		}
 		free <- r
 	}}
 	src := rng.New(3)
-	f := make([]byte, 100*size)
-	for _, records := range []int{1, 7, 100, 64, 3, 41} {
-		for i := range f[:records*size] {
-			f[i] = byte(src.Uint64())
+	f := make([]uint64, 2*batch)
+	for _, words := range []int{1, 7, 100, 64, 3, 41} {
+		for i := range f[:words] {
+			f[i] = src.Uint64()
 		}
-		plain.Add(f[:records*size])
-		pooled.Add(f[:records*size])
+		plain.Add(f[:words])
+		pooled.Add(f[:words])
 	}
 	plain.FlushNow()
 	pooled.FlushNow()
@@ -260,14 +257,14 @@ func TestRunBatcherReusesFreeRuns(t *testing.T) {
 		t.Fatalf("%d runs with a free list, %d without", len(got), len(want))
 	}
 	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("run %d differs from the run a batcher without a free list flushed", i)
 		}
 	}
 
-	steady := &RunBatcher{Size: batch, RecordSize: size, Free: free, Flush: func(r []byte) { free <- r }}
-	steady.Add(f[:batch*size])
-	if a := testing.AllocsPerRun(50, func() { steady.Add(f[:3*batch*size/2]) }); a != 0 {
+	steady := &RunBatcher{Size: batch, Free: free, Flush: func(r []uint64) { free <- r }}
+	steady.Add(f[:batch])
+	if a := testing.AllocsPerRun(50, func() { steady.Add(f[:3*batch/2]) }); a != 0 {
 		t.Fatalf("%.1f allocations per Add with a free list, want 0", a)
 	}
 }

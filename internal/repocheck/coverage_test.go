@@ -40,11 +40,15 @@ var runAllowList = map[string]string{
 
 	"oblivious.memMesh.abort": "the in-process mesh fails only when a party errors",
 	"pipeline.Disconnected":   "classifies a shuffler's broken analyzer link; no census run breaks one",
-	"pipeline.Batcher":        "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches record runs",
-	"service.Codec.Unmarshal": "names the record Fold refuses, and benchmark's per-layer replay (--trace) times it",
-	"service.Service.fail":    "a worker fails the service only on a refused record or a store error",
-	"store.ckptReader.fail":   "a checkpoint that does not parse",
-	"store.Store.AppendDrop":  "logs a dropped frame; the census runs drop none",
+	"pipeline.Batcher":        "the per-record batcher benchmark's per-layer replay (--trace) times; the service batches word runs",
+	"service.Codec.Size":      "benchmark's per-layer replay (--trace) cuts its one-report payloads with it; the service packs whole frames (ROADMAP item 6(e))",
+	"service.Codec.AppendMarshal": "benchmark's per-layer replay (--trace) times it one report at a time; the service packs whole frames " +
+		"(ROADMAP item 6(e))",
+	"service.Codec.Unmarshal": "benchmark's per-layer replay (--trace) times it one report at a time; the service unpacks whole frames " +
+		"(ROADMAP item 6(e))",
+	"service.Service.fail":   "fails the service only on a store error or an unclassified read error",
+	"store.ckptReader.fail":  "a checkpoint that does not parse",
+	"store.Store.AppendDrop": "logs a dropped frame; the census runs drop none",
 }
 
 // Every function under internal/ is run by a deployment, or it carries

@@ -28,25 +28,25 @@ const rejectedLogCap = 1 << 17
 // durability".
 const queuedBatchesPerWorker = 5
 
-// epochBatch is one batch — a run of codec.Size() records —
-// routed to the epoch that was open when it was flushed.
+// epochBatch is one batch — a run of words — routed to the epoch that
+// was open when it was flushed.
 type epochBatch struct {
 	ep  *epochState
-	run []byte
+	run []uint64
 }
 
 // cutRuns is the batch stage: a pipeline.RunBatcher copies each
-// opened frame's records into BatchSize-record runs, in arrival order
-// (a frame larger than a batch simply spans several), and the flush
+// opened frame's words into BatchSize-word runs, in arrival order (a
+// frame larger than a batch simply spans several), and the flush
 // callback forwards each run to the worker queue tagged with the open
 // epoch. Rotation requests land here — between frames, never inside
 // one — so every frame and every batch belongs to exactly one epoch.
 // The partial final batch is flushed when the intake closes (graceful
-// drain).
+// drain). The readers have unpacked every frame, so the stage does no
+// bit work: its single goroutine feeds every worker.
 func (s *Service) cutRuns() {
 	defer close(s.batchDone)
 	defer close(s.batches)
-	size := s.codec.Size()
 	cur := s.cur.Load()
 	// rejectEpoch is the id the next epoch would have had — the tag
 	// rejected-drop records carry so replay filters them correctly
@@ -59,10 +59,9 @@ func (s *Service) cutRuns() {
 		cur = nil
 	}
 	batcher := &pipeline.RunBatcher{
-		Size:       s.cfg.BatchSize,
-		RecordSize: size,
-		Free:       s.runs,
-		Flush: func(run []byte) {
+		Size: s.cfg.BatchSize,
+		Free: s.runs,
+		Flush: func(run []uint64) {
 			// The WAL hits the platters (policy permitting) before the
 			// batch reaches any worker: a report can only influence an
 			// estimate once it is on its way to disk. The batcher only
@@ -77,8 +76,8 @@ func (s *Service) cutRuns() {
 		},
 	}
 	accept := func(b frameBlock) {
-		// Every exit below is done with the plaintext: it is logged and
-		// copied into the batcher's run, or it is dropped.
+		// Every exit below is done with the frame: it is logged and its
+		// words copied into the batcher's run, or it is dropped.
 		defer s.returnFrame(b)
 		// What a frame asserts — and whether the budget still admits it —
 		// is constant per frame, so it is decided, and logged, once here,
@@ -86,7 +85,7 @@ func (s *Service) cutRuns() {
 		// out of Received into exactly one of the drop counters, so
 		// Received / Late / Rejected stay disjoint and the Snapshot
 		// backlog arithmetic holds.
-		n := int64(len(b.recs) / size)
+		n := int64(len(b.words))
 		if cur == nil {
 			// The budget ran out: count the reports, log the drop (the
 			// service has stopped checkpointing, so the WAL is the only
@@ -130,11 +129,11 @@ func (s *Service) cutRuns() {
 			// flush fired by any of its reports — a frame larger than a
 			// batch fires several — commits a WAL that already holds
 			// every one.
-			if err := s.logFrame(uint32(cur.id), b.recs); err != nil {
+			if err := s.logFrame(uint32(cur.id), b.plain, len(b.words)); err != nil {
 				s.fail(err)
 			}
 		}
-		batcher.Add(b.recs)
+		batcher.Add(b.words)
 		// The count advances by a whole frame, so the hint fires on
 		// crossing the threshold, not on landing on it.
 		prev := cur.accepted.Add(n) - n
@@ -207,9 +206,9 @@ func (s *Service) cutRuns() {
 	}
 }
 
-// logFrame write-ahead logs one frame accepted into epoch: its
-// plaintext — a whole number of codec.Size() reports — is sealed once
-// under the at-rest key and appended as one record, so the durable
+// logFrame write-ahead logs one frame of reports accepted into epoch:
+// its packed plaintext, as the client sealed it, is sealed once under
+// the at-rest key and appended as one record, so the durable
 // tier's cost per frame is one AEAD seal and one WAL append however
 // many reports the frame carries. The frame arrived under a
 // connection-ephemeral key recovery could never re-derive, hence the
@@ -217,12 +216,12 @@ func (s *Service) cutRuns() {
 // calls it, which is what makes the sealer's nonce counter, the scratch
 // (the store's record encoder copies the payload) and the counter
 // mirror safe to touch.
-func (s *Service) logFrame(epoch uint32, recs []byte) error {
-	s.sealBuf = s.sealer.Seal(s.sealBuf[:0], recs)
+func (s *Service) logFrame(epoch uint32, plain []byte, reports int) error {
+	s.sealBuf = s.sealer.Seal(s.sealBuf[:0], plain)
 	if err := s.st.AppendSealedReport(epoch, s.sealBuf); err != nil {
 		return err
 	}
-	s.wal.received += int64(len(recs) / s.codec.Size())
+	s.wal.received += int64(reports)
 	return nil
 }
 
@@ -230,19 +229,19 @@ func (s *Service) logFrame(epoch uint32, recs []byte) error {
 // pending batches, the only batches send: from here on the run is the
 // worker's until returnRun. When the service stops first the run is
 // dropped with its pending count.
-func (s *Service) handOffRun(cur *epochState, run []byte) {
+func (s *Service) handOffRun(cur *epochState, run []uint64) {
 	cur.pending.Add(1)
 	select {
 	case s.batches <- epochBatch{ep: cur, run: run}:
 		s.forwarded.Add(1)
 		cur.batches.Add(1)
-		s.cfg.Meter.Send(PartyShuffler, PartyServer, len(run))
+		s.cfg.Meter.Send(PartyShuffler, PartyServer, 8*len(run))
 	case <-s.stop:
 		cur.pending.Done()
 	}
 }
 
-// returnFrame gives a frame's plaintext back to the read stage once the
-// batch stage is done with it — to the connection's own slot first,
+// returnFrame gives a frame's buffers back to the read stage once the
+// batch stage is done with them — to the connection's own slot first,
 // the service's list when that is full.
-func (s *Service) returnFrame(b frameBlock) { giveBack(b.recs, b.home, s.plains) }
+func (s *Service) returnFrame(b frameBlock) { giveBack(b.frameBuf, b.home, s.plains) }

@@ -44,8 +44,7 @@ type Client struct {
 	hello      []byte // handshake frame payload, pending until first write
 	helloSent  bool
 	batchSize  int
-	batch      []byte // marshalled reports pending in the open batch
-	batchCount int
+	batch      packer // the open batch's reports, packed as the codec lays them out
 	batchEpoch uint32 // epoch the open batch asserts
 }
 
@@ -79,7 +78,7 @@ func NewSessionClient(fo ldp.FrequencyOracle, serverKey *ecies.PublicKey, rand *
 	return &Client{
 		fo: fo, codec: codec, rand: rand, conn: conn, epoch: EpochCurrent,
 		sess: sess, hello: hello, batchSize: batchSize,
-		batch: make([]byte, 0, batchSize*codec.Size()),
+		batch: codec.newPacker(batchSize),
 	}, nil
 }
 
@@ -108,17 +107,16 @@ func (c *Client) SendReport(rep ldp.Report) error {
 	if c.broken != nil {
 		return c.broken
 	}
-	if c.batchCount == 0 {
-		c.batchEpoch = c.epoch
-	}
 	// A report the codec refuses leaves the open batch as it was.
-	batch, err := c.codec.AppendMarshal(c.batch, rep)
+	w, err := c.codec.encode(rep)
 	if err != nil {
 		return err
 	}
-	c.batch = batch
-	c.batchCount++
-	if c.batchCount >= c.batchSize {
+	if c.batch.n == 0 {
+		c.batchEpoch = c.epoch
+	}
+	c.batch.add(w)
+	if c.batch.n >= c.batchSize {
 		return c.flushBatch()
 	}
 	return nil
@@ -129,17 +127,16 @@ func (c *Client) flushBatch() error {
 	if c.broken != nil {
 		return c.broken
 	}
-	if c.batchCount == 0 {
+	if c.batch.n == 0 {
 		return nil
 	}
 	wire := c.beginFrame()
-	wire, err := c.sess.Seal(wire, c.batch)
+	wire, err := c.sess.Seal(wire, c.batch.bytes())
 	if err != nil {
 		c.broken = fmt.Errorf("service: client seal batch: %w", err)
 		return c.broken
 	}
-	c.batch = c.batch[:0]
-	c.batchCount = 0
+	c.batch.reset()
 	return c.finishFrame(wire, c.batchEpoch)
 }
 

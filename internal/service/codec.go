@@ -9,24 +9,32 @@ import (
 	"shuffledp/internal/ldp"
 )
 
-// Codec maps ldp.Reports to and from wire payloads. It writes the
-// ordinal-group word of ldp.WordEncoder (GRR, OLH/SOLH) in as few
-// little-endian bytes as the group needs, max(1,
-// ⌈bitlen(GroupOrder−1)/8⌉): 5 for every hashed oracle in the repo, 1
-// for GRR with d ≤ 256. An oracle without a word encoding has no
+// Codec owns the service's report format. A report travels as the
+// ordinal-group word of ldp.WordEncoder (GRR, OLH/SOLH) in B =
+// max(8, bitlen(GroupOrder−1)) bits, and a session frame's plaintext —
+// which the WAL logs as it arrived — is its words packed little-endian
+// bit after bit: word i occupies bits [iB, (i+1)B) of the frame, and
+// the frame is L = ⌈nB/8⌉ bytes with zero pad bits. That is 36, 38 and
+// 39 bits for SOLH at d′ = 16, 64 and 111, 8 for GRR with d ≤ 256 and
+// 9 for GRR at d = 300. An oracle without a word encoding has no
 // report wire format: NewCodec refuses it with the encoder's error.
 //
-// Unmarshal is strict: a payload either decodes to exactly one valid
-// report of the oracle — one that Aggregator.Add accepts — or errors,
-// and AppendMarshal(nil, Unmarshal(data)) reproduces data byte for byte. The
-// canonical round-trip is what FuzzCodec locks in; a decrypted report
-// that parses ambiguously (a wrapped word) flags the run instead of
-// skewing the histogram or panicking a worker.
+// The client packs with a packer; every reader runs unpack, the one
+// canonical parse, on each opened frame, and from the reader on the
+// pipeline carries 8-byte words. unpack is strict: a plaintext either
+// parses to n = ⌊8L/B⌋ ≥ 1 words, each below GroupOrder, with L =
+// ⌈nB/8⌉ and zero pad bits, or errors, so packing the words again
+// reproduces it byte for byte. That canonical round-trip is what
+// FuzzCodec locks in; a frame that parses ambiguously is refused whole.
 type Codec struct {
-	word  *ldp.WordEncoder
-	width int // bytes per word report
-	// limit is the exclusive bound on a word Unmarshal accepts, the
-	// group order, hoisted out of Fold's loop.
+	word *ldp.WordEncoder
+	// bits is B, the bits one word report takes in a frame.
+	bits uint
+	// width is the byte width of AppendMarshal and Unmarshal's
+	// one-report payloads, ⌈B/8⌉.
+	width int
+	// limit is the exclusive bound on a word unpack accepts, the group
+	// order.
 	limit uint64
 }
 
@@ -37,89 +45,149 @@ func NewCodec(fo ldp.FrequencyOracle) (*Codec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	return &Codec{word: word, width: max(1, (bits.Len64(word.GroupOrder()-1)+7)/8), limit: word.GroupOrder()}, nil
+	b := uint(max(8, bits.Len64(word.GroupOrder()-1)))
+	return &Codec{word: word, bits: b, width: int(b+7) / 8, limit: word.GroupOrder()}, nil
 }
 
-// Size returns the fixed payload size in bytes: every report of one
-// oracle marshals to the same length, so frames leak nothing about the
-// content through their size.
+// Size returns the byte width of one report's AppendMarshal payload,
+// ⌈B/8⌉. The service neither sends nor logs such payloads; Size,
+// AppendMarshal and Unmarshal stay because the benchmark's replay
+// prices its service.codec_marshal and service.codec_unmarshal layers
+// with them, one report at a time (ROADMAP item 6(e)).
 func (c *Codec) Size() int { return c.width }
 
-// AppendMarshal packs a report into its Size()-byte wire payload,
-// appended to dst, and returns the extended slice, so the session
-// client can pack a whole batch of reports into one plaintext buffer
-// without a per-report allocation. A word report is stored as one
-// 8-byte little-endian word and cut to its width, so it may write up to
-// 8 bytes of dst's spare capacity.
+// AppendMarshal appends a report's word to dst in Size() little-endian
+// bytes: the payload of a frame that holds that one report. Only the
+// benchmark's replay calls it (see Size).
 func (c *Codec) AppendMarshal(dst []byte, rep ldp.Report) ([]byte, error) {
-	if !c.word.Valid(rep) {
-		return nil, fmt.Errorf("service: report value %d outside the oracle's output range", rep.Value)
+	w, err := c.encode(rep)
+	if err != nil {
+		return nil, err
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, 8)
-	binary.LittleEndian.PutUint64(dst[n:n+8], c.word.Encode(rep))
+	binary.LittleEndian.PutUint64(dst[n:n+8], w)
 	return dst[:n+c.width], nil
 }
 
-// Unmarshal reverses AppendMarshal. Payloads of the wrong length and
-// words outside the oracle's report group (which Decode would wrap
-// rather than reject, and which the byte width still admits up to
-// 256^width − 1) are rejected — a decrypted report must parse
-// unambiguously or the run is flagged.
+// Unmarshal reverses AppendMarshal: it parses a Size()-byte payload
+// as a one-report frame, with unpack's checks. Only the benchmark's
+// replay calls it (see Size).
 func (c *Codec) Unmarshal(data []byte) (ldp.Report, error) {
 	if len(data) != c.width {
 		return ldp.Report{}, fmt.Errorf("service: word report payload is %d bytes, want %d", len(data), c.width)
 	}
-	var w uint64
-	for i := len(data) - 1; i >= 0; i-- {
-		w = w<<8 | uint64(data[i])
+	var w [1]uint64
+	if _, err := c.unpack(w[:0], data); err != nil {
+		return ldp.Report{}, err
 	}
-	if w >= c.limit {
-		return ldp.Report{}, fmt.Errorf("service: word report %d outside group order %d", w, c.limit)
-	}
-	return c.word.Decode(w), nil
+	return c.word.Decode(w[0]), nil
 }
 
-// foldChunk is how many words Fold stages on its stack before handing
-// them to ldp.WordEncoder.AddWords in one call.
-const foldChunk = 256
+// encode returns a report's word, refusing a report outside the
+// oracle's output range.
+func (c *Codec) encode(rep ldp.Report) (uint64, error) {
+	if !c.word.Valid(rep) {
+		return 0, fmt.Errorf("service: report value %d outside the oracle's output range", rep.Value)
+	}
+	return c.word.Encode(rep), nil
+}
 
-// Fold decodes run — a whole number of Size()-byte records, a batch or
-// one WAL frame — into agg. It is the one fold both live
-// ingest and WAL replay use. Records are read straight off the run with
-// Unmarshal's group-order check and reach agg in bulk through
-// ldp.WordEncoder.AddWords, so no Report is built on the way to
-// CountSupport. A record Unmarshal refuses is skipped, and the first
-// such record's Unmarshal error is returned once the rest are folded:
-// live ingest fails the service and keeps the valid reports, replay
-// aborts.
-func (c *Codec) Fold(agg ldp.Aggregator, run []byte) error {
-	var first error
-	size := c.width
-	var words [foldChunk]uint64
-	n := 0
-	mask := ^uint64(0) >> (64 - 8*size)
-	for off := 0; off < len(run); off += size {
-		var w uint64
-		if off+8 <= len(run) {
-			w = binary.LittleEndian.Uint64(run[off:]) & mask
-		} else {
-			for i := size - 1; i >= 0; i-- {
-				w = w<<8 | uint64(run[off+i])
-			}
+// packer accumulates one frame's words, B bits each, little-endian bit
+// after bit. Whole 64-bit groups go to buf as they fill; the bits past
+// the last whole group wait in acc until bytes completes the frame.
+type packer struct {
+	bits    uint   // B
+	buf     []byte // the whole 64-bit groups packed so far
+	acc     uint64 // the pending bits, lowest first
+	pending uint   // how many of acc's bits are pending, < 64
+	n       int    // words packed
+}
+
+// newPacker returns an empty packer sized for a frame of reports words.
+func (c *Codec) newPacker(reports int) packer {
+	return packer{bits: c.bits, buf: make([]byte, 0, (reports*int(c.bits)+63)/64*8)}
+}
+
+// add packs w, which must be below 2^B.
+func (p *packer) add(w uint64) {
+	p.acc |= w << p.pending
+	p.n++
+	if p.pending += p.bits; p.pending < 64 {
+		return
+	}
+	p.buf = binary.LittleEndian.AppendUint64(p.buf, p.acc)
+	p.pending -= 64
+	// The low 64 − (old pending) bits of w went out with the group; a
+	// shift by B when none are left clears acc.
+	p.acc = w >> (p.bits - p.pending)
+}
+
+// bytes completes the frame — the pending bits in ⌈pending/8⌉ bytes,
+// the pad bits zero — and returns it, ⌈nB/8⌉ bytes. The packer must be
+// reset before the next add.
+func (p *packer) bytes() []byte {
+	for k := uint(0); k < p.pending; k += 8 {
+		p.buf = append(p.buf, byte(p.acc>>k))
+	}
+	p.acc, p.pending = 0, 0
+	return p.buf
+}
+
+// reset empties the packer, keeping its buffer.
+func (p *packer) reset() { p.buf, p.acc, p.pending, p.n = p.buf[:0], 0, 0, 0 }
+
+// unpack appends the words of pt, one opened frame or WAL record, to
+// dst and returns the extended slice. It is the one canonical parse:
+// pt must hold n = ⌊8L/B⌋ ≥ 1 words in exactly L = ⌈nB/8⌉ bytes, with
+// zero pad bits and every word below GroupOrder, or unpack errors and
+// dst's length is unchanged. A reader kicks the connection whose frame
+// fails; WAL replay aborts.
+func (c *Codec) unpack(dst []uint64, pt []byte) ([]uint64, error) {
+	b := int(c.bits)
+	n := 8 * len(pt) / b
+	if n == 0 || (n*b+7)/8 != len(pt) {
+		return dst, fmt.Errorf("service: %d-byte frame is not a whole number of %d-bit reports", len(pt), b)
+	}
+	if r := n * b % 8; r != 0 && pt[len(pt)-1]>>r != 0 {
+		return dst, fmt.Errorf("service: %d-byte frame of %d-bit reports has nonzero pad bits", len(pt), b)
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
+	mask := ^uint64(0) >> (64 - c.bits)
+	i, bit := 0, 0
+	if b <= 56 {
+		// A word at any bit offset lies inside the eight bytes from its
+		// first: one load per word while eight remain.
+		for ; i < n && bit>>3+8 <= len(pt); i, bit = i+1, bit+b {
+			out[i] = binary.LittleEndian.Uint64(pt[bit>>3:]) >> (bit & 7) & mask
 		}
+	}
+	var tail [16]byte
+	for ; i < n; i, bit = i+1, bit+b {
+		// Nine bytes cover a word at any bit offset: B + 7 ≤ 71 bits. The
+		// last words load through a zeroed copy; a shift by 64 when the
+		// offset is byte-aligned drops the ninth byte.
+		src := pt[bit>>3:]
+		if len(src) < 9 {
+			tail = [16]byte{}
+			copy(tail[:], src)
+			src = tail[:]
+		}
+		sh := uint(bit & 7)
+		out[i] = (binary.LittleEndian.Uint64(src)>>sh | uint64(src[8])<<(64-sh)) & mask
+	}
+	for _, w := range out {
 		if w >= c.limit {
-			if first == nil {
-				_, first = c.Unmarshal(run[off : off+size])
-			}
-			continue
-		}
-		words[n] = w
-		if n++; n == len(words) {
-			c.word.AddWords(agg, words[:])
-			n = 0
+			return dst[:start], fmt.Errorf("service: word report %d outside group order %d", w, c.limit)
 		}
 	}
-	c.word.AddWords(agg, words[:n])
-	return first
+	return dst, nil
 }
+
+// Fold adds words, which unpack has checked, into agg. It is the one
+// fold both live ingest and WAL replay use: the words reach agg's
+// counting kernel through ldp.WordEncoder.AddWords, with no Report in
+// between.
+func (c *Codec) Fold(agg ldp.Aggregator, words []uint64) { c.word.AddWords(agg, words) }

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 
 	"shuffledp/internal/ecies"
@@ -14,86 +16,106 @@ import (
 )
 
 // fuzzOracles is the cross-oracle lineup the codec must be safe for:
-// every oracle the service speaks — GRR in 1-byte words, SOLH and OLH
-// in 5-byte words.
+// every oracle the service speaks, at word widths of 8 bits (GRR, d ≤
+// 256), 9 bits (GRR, d = 300) and 35 bits (SOLH and OLH at d′ = 5).
 func fuzzOracles() []ldp.FrequencyOracle {
 	return []ldp.FrequencyOracle{
 		ldp.NewGRR(13, 1),
+		ldp.NewGRR(300, 1),
 		ldp.NewSOLH(13, 5, 1),
 		ldp.NewOLH(13, 1.5),
 	}
 }
 
-// FuzzCodec locks in the codec's safety contract across every oracle the
-// service speaks: an arbitrary payload either fails Unmarshal or yields
-// a report that (a) the oracle's aggregator accepts without panicking — a corrupt
-// report must flag the run, never crash a worker — and (b) marshals
-// back to the identical bytes (the encoding is canonical: no two
-// payloads decode to the same report, no report re-encodes
-// differently than it arrived).
+// FuzzCodec locks in the frame format's safety contract across every
+// oracle the service speaks: an arbitrary plaintext either fails
+// unpack, with nothing appended, or yields ⌊8L/B⌋ words that (a) the
+// oracle's aggregator accepts without panicking — a malformed frame
+// must kick its connection, never crash a worker — and (b) pack back to
+// the identical bytes (the format is canonical: no two plaintexts
+// unpack to the same words, no words re-pack differently than they
+// arrived).
 func FuzzCodec(f *testing.F) {
-	// Seed with one valid report per oracle, each oracle's largest word
-	// and first word past its group, plus structural edge cases.
-	r := rng.New(7)
-	for _, fo := range fuzzOracles() {
+	// The lineup plus the widest word, 63 bits (SOLH at d′ = 2³¹).
+	oracles := append(fuzzOracles(), ldp.NewSOLH(1<<31, 1<<31, 1))
+	codecs := make([]*Codec, len(oracles))
+	for i, fo := range oracles {
 		codec, err := NewCodec(fo)
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, err := codec.AppendMarshal(nil, fo.Randomize(3, r))
-		if err != nil {
+		codecs[i] = codec
+	}
+	grr300, solh, wide := codecs[1], codecs[2], codecs[4]
+	// Seed with a valid three-report frame per oracle, the shapes each
+	// check refuses, and structural edge cases.
+	r := rng.New(7)
+	for i, fo := range oracles {
+		var words []uint64
+		for v := 0; v < 3; v++ {
+			words = append(words, codecs[i].word.Encode(fo.Randomize(v%fo.Domain(), r)))
+		}
+		f.Add(codecs[i].PackWords(words...))
+	}
+	one := solh.PackWords(solh.limit - 1) // one 35-bit word in 5 bytes
+	padded := bytes.Clone(one)
+	padded[len(padded)-1] |= 0x80 // a nonzero pad bit
+	f.Add(padded)
+	f.Add(append(bytes.Clone(one), 0)) // one spare trailing byte
+	f.Add(solh.PackWords(1, solh.limit, 2))
+	f.Add(grr300.PackWords(299, grr300.limit))
+	// A version-2 frame: three reports in 5-byte records.
+	var v2 []byte
+	for v := 0; v < 3; v++ {
+		var err error
+		if v2, err = solh.AppendMarshal(v2, oracles[2].Randomize(v, r)); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(payload)
 	}
-	for _, fo := range fuzzOracles() {
-		enc, err := ldp.NewWordEncoder(fo)
-		if err != nil {
-			f.Fatal(err)
-		}
-		width := max(1, (bits.Len64(enc.GroupOrder()-1)+7)/8)
-		for _, w := range []uint64{enc.GroupOrder() - 1, enc.GroupOrder()} {
-			f.Add(binary.LittleEndian.AppendUint64(nil, w)[:width])
-		}
-	}
+	f.Add(v2)
+	// The second 63-bit word starts at bit 63, so its bits straddle two
+	// 64-bit loads.
+	f.Add(wide.PackWords(wide.limit-1, 0x5555_5555_5555_5555, wide.limit-1))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0x80}, 13))
 
-	oracles := fuzzOracles()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, fo := range oracles {
-			codec, err := NewCodec(fo)
+		for i, fo := range oracles {
+			codec := codecs[i]
+			words, err := codec.unpack([]uint64{42}, data)
 			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := codec.Unmarshal(data)
-			if err != nil {
+				if len(words) != 1 || words[0] != 42 {
+					t.Fatalf("%s: a refused frame changed dst to %v", fo.Name(), words)
+				}
 				continue // rejected is always fine
 			}
-			// Accepted reports must be aggregator-safe.
+			words = words[1:]
+			if want := 8 * len(data) / int(codec.bits); len(words) != want {
+				t.Fatalf("%s: %d-byte frame unpacked to %d words, want %d", fo.Name(), len(data), len(words), want)
+			}
+			// Accepted words must be aggregator-safe. The 2³¹-value
+			// domain's aggregator would allocate its counts on a large
+			// frame, so its words are checked as the reports Add takes.
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
-						t.Fatalf("%s: Add panicked on unmarshaled report %+v: %v", fo.Name(), rep, p)
+						t.Fatalf("%s: the fold panicked on unpacked words %v: %v", fo.Name(), words, p)
 					}
 				}()
-				fo.NewAggregator().Add(rep)
+				if fo.Domain() > 1<<16 {
+					for _, w := range words {
+						if rep := codec.word.Decode(w); !codec.word.Valid(rep) || codec.word.Encode(rep) != w {
+							t.Fatalf("%s: word %d decodes to invalid report %+v", fo.Name(), w, rep)
+						}
+					}
+					return
+				}
+				codec.Fold(fo.NewAggregator(), words)
 			}()
-			// And canonical: re-marshal reproduces the exact payload.
-			out, err := codec.AppendMarshal(nil, rep)
-			if err != nil {
-				t.Fatalf("%s: Marshal of unmarshaled report failed: %v", fo.Name(), err)
-			}
-			if !bytes.Equal(out, data) {
+			// And canonical: re-packing reproduces the exact frame.
+			if out := codec.PackWords(words...); !bytes.Equal(out, data) {
 				t.Fatalf("%s: round trip not canonical: in %x, out %x", fo.Name(), data, out)
-			}
-			again, err := codec.Unmarshal(out)
-			if err != nil {
-				t.Fatalf("%s: re-unmarshal failed: %v", fo.Name(), err)
-			}
-			if again.Seed != rep.Seed || again.Value != rep.Value {
-				t.Fatalf("%s: reports differ across round trips: %+v vs %+v", fo.Name(), rep, again)
 			}
 		}
 	})
@@ -109,7 +131,7 @@ func FuzzCodec(f *testing.F) {
 //     byte-identical to the genuine frame (no forgery, no malleability).
 //   - A rejected frame must not advance the replay counter: after any
 //     number of garbage frames, the genuine next frame still opens and
-//     its batch still splits into valid codec records.
+//     its batch still unpacks to the words the client packed.
 func FuzzSessionFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, ecies.HelloSize))
@@ -158,12 +180,11 @@ func FuzzSessionFrame(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := rng.New(5)
-		var batch []byte
+		var words []uint64
 		for v := 0; v < 3; v++ {
-			if batch, err = codec.AppendMarshal(batch, fo.Randomize(v, r)); err != nil {
-				t.Fatal(err)
-			}
+			words = append(words, codec.word.Encode(fo.Randomize(v, r)))
 		}
+		batch := codec.PackWords(words...)
 		frame, err := client.Seal(nil, batch)
 		if err != nil {
 			t.Fatal(err)
@@ -183,13 +204,12 @@ func FuzzSessionFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("genuine frame refused after rejected garbage: %v", err)
 		}
-		if len(pt)%codec.Size() != 0 {
-			t.Fatalf("batch of %d bytes is not whole %d-byte records", len(pt), codec.Size())
+		got, err := codec.unpack(nil, pt)
+		if err != nil {
+			t.Fatalf("the genuine frame does not unpack: %v", err)
 		}
-		for off := 0; off < len(pt); off += codec.Size() {
-			if _, err := codec.Unmarshal(pt[off : off+codec.Size()]); err != nil {
-				t.Fatalf("batch record %d does not decode: %v", off/codec.Size(), err)
-			}
+		if !slices.Equal(got, words) {
+			t.Fatalf("the genuine frame unpacked to %v, want %v", got, words)
 		}
 	})
 }
@@ -230,26 +250,28 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// The word width contract: a word report takes max(1,
-// ⌈bitlen(GroupOrder−1)/8⌉) little-endian bytes, the largest valid
-// report round-trips byte for byte at that width, and the words the
-// width admits past the group — GroupOrder itself, and 256^width − 1 —
-// are refused, never wrapped.
+// The word width contract: a word report takes B = max(8,
+// bitlen(GroupOrder−1)) bits in a frame, and its one-report payload
+// ⌈B/8⌉ little-endian bytes; the largest valid report round-trips at
+// that width, alone and between other words; and the words B admits
+// past the group — GroupOrder itself, and 2^B − 1 — are refused, never
+// wrapped.
 func TestCodecWordWidth(t *testing.T) {
 	cases := []struct {
 		fo    ldp.FrequencyOracle
+		bits  uint
 		width int
 	}{
-		{ldp.NewGRR(2, 1), 1},
-		{ldp.NewGRR(256, 1), 1},
-		{ldp.NewGRR(257, 1), 2},
-		{ldp.NewGRR(65536, 1), 2},
-		{ldp.NewSOLH(1024, 2, 1), 5},
-		{ldp.NewSOLH(1024, 16, 1), 5},
-		{ldp.NewSOLH(1024, 64, 1), 5},
-		{ldp.NewSOLH(42178, 111, 1), 5},
-		{ldp.NewSOLH(1<<31, 1<<31, 1), 8},
-		{ldp.NewOLH(13, 1.5), 5},
+		{ldp.NewGRR(2, 1), 8, 1},
+		{ldp.NewGRR(256, 1), 8, 1},
+		{ldp.NewGRR(257, 1), 9, 2},
+		{ldp.NewGRR(65536, 1), 16, 2},
+		{ldp.NewSOLH(1024, 2, 1), 33, 5},
+		{ldp.NewSOLH(1024, 16, 1), 36, 5},
+		{ldp.NewSOLH(1024, 64, 1), 38, 5},
+		{ldp.NewSOLH(42178, 111, 1), 39, 5},
+		{ldp.NewSOLH(1<<31, 1<<31, 1), 63, 8},
+		{ldp.NewOLH(13, 1.5), 35, 5},
 	}
 	for _, tc := range cases {
 		enc, err := ldp.NewWordEncoder(tc.fo)
@@ -261,6 +283,9 @@ func TestCodecWordWidth(t *testing.T) {
 		codec, err := NewCodec(tc.fo)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := uint(max(8, bits.Len64(order-1))); codec.bits != want || want != tc.bits {
+			t.Fatalf("%s: B = %d, formula gives %d, want %d", name, codec.bits, want, tc.bits)
 		}
 		if want := max(1, (bits.Len64(order-1)+7)/8); codec.Size() != want || want != tc.width {
 			t.Fatalf("%s: Size() = %d, formula gives %d, want %d", name, codec.Size(), want, tc.width)
@@ -275,41 +300,49 @@ func TestCodecWordWidth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: largest report %+v: %v", name, rep, err)
 		}
-		if !bytes.Equal(payload, pack(top)) {
-			t.Fatalf("%s: largest report marshals to % x, want % x", name, payload, pack(top))
+		if !bytes.Equal(payload, pack(top)) || !bytes.Equal(codec.PackWords(top), payload) {
+			t.Fatalf("%s: largest report marshals to % x and packs to % x, want % x", name, payload, codec.PackWords(top), pack(top))
 		}
 		back, err := codec.Unmarshal(payload)
 		if err != nil || back.Seed != rep.Seed || back.Value != rep.Value {
 			t.Fatalf("%s: largest report round-trips to %+v (%v), want %+v", name, back, err, rep)
 		}
+		frame := codec.PackWords(top, 0, top, 1, top)
+		if want := (5*int(tc.bits) + 7) / 8; len(frame) != want {
+			t.Fatalf("%s: five reports pack to %d bytes, want %d", name, len(frame), want)
+		}
+		if words, err := codec.unpack(nil, frame); err != nil || !slices.Equal(words, []uint64{top, 0, top, 1, top}) {
+			t.Fatalf("%s: five reports unpack to %v (%v)", name, words, err)
+		}
 
-		if tc.width == 8 || order < 1<<(8*tc.width) {
-			if _, err := codec.Unmarshal(pack(order)); err == nil {
+		if tc.bits == 64 || order < 1<<tc.bits {
+			if _, err := codec.unpack(nil, codec.PackWords(0, order)); err == nil {
 				t.Fatalf("%s: GroupOrder accepted", name)
 			}
 		}
-		if tc.width < 8 {
-			allOnes := uint64(1)<<(8*tc.width) - 1
-			if _, err := codec.Unmarshal(pack(allOnes)); (err == nil) != (allOnes == top) {
-				t.Fatalf("%s: 256^%d − 1 accepted = %v, want %v", name, tc.width, err == nil, allOnes == top)
+		if tc.bits < 64 {
+			allOnes := uint64(1)<<tc.bits - 1
+			if _, err := codec.unpack(nil, codec.PackWords(allOnes, 0)); (err == nil) != (allOnes == top) {
+				t.Fatalf("%s: 2^%d − 1 accepted = %v, want %v", name, tc.bits, err == nil, allOnes == top)
 			}
-			if _, err := codec.Unmarshal(binary.LittleEndian.AppendUint64(nil, top)); err == nil {
+			if _, err := codec.Unmarshal(binary.LittleEndian.AppendUint64(nil, top)); err == nil && tc.width < 8 {
 				t.Fatalf("%s: 8-byte padded report accepted", name)
 			}
 		}
 	}
 }
 
-// TestFoldRunMatchesPerRecord pins Codec.Fold to the per-record path it
-// replaced: over random runs with refused records mixed in, for every
-// codec the service speaks, the folded aggregator marshals to the bytes
-// Unmarshal + Add over the valid records gives, and Fold returns the
-// first refused record's Unmarshal error.
+// TestFoldRunMatchesPerRecord pins unpack + Codec.Fold to the
+// per-report path: over random frames of every codec the service
+// speaks, unpacking the packed frame gives back its words and folding
+// them leaves the aggregator marshalling to the bytes Add over the
+// reports gives. A frame with a word the group refuses mixed in is
+// refused whole, naming the word, and nothing of it is appended.
 func TestFoldRunMatchesPerRecord(t *testing.T) {
 	oracles := []ldp.FrequencyOracle{
-		ldp.NewGRR(13, 1),      // 1-byte words, most random bytes refused
-		ldp.NewGRR(300, 1),     // 2-byte words
-		ldp.NewSOLH(64, 16, 3), // 5-byte words
+		ldp.NewGRR(13, 1),      // 8-bit words, most random words refused
+		ldp.NewGRR(300, 1),     // 9-bit words
+		ldp.NewSOLH(64, 16, 3), // 36-bit words, the whole 2^36 group valid
 		ldp.NewSOLH(1000, 300, 3),
 	}
 	r := rng.New(36)
@@ -318,38 +351,37 @@ func TestFoldRunMatchesPerRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := codec.Size()
-		for _, records := range []int{0, 1, 7, 255, 256, 257, 600} {
+		for _, records := range []int{1, 7, 255, 256, 257, 600} {
 			for _, badShare := range []float64{0, 0.05, 0.5} {
-				var run []byte
-				for i := 0; i < records; i++ {
-					if r.Bernoulli(badShare) {
-						for k := 0; k < size; k++ {
-							run = append(run, byte(r.Uint64()))
-						}
-						continue
-					}
-					if run, err = codec.AppendMarshal(run, fo.Randomize(r.Intn(fo.Domain()), r)); err != nil {
-						t.Fatal(err)
-					}
-				}
 				want, got := fo.NewAggregator(), fo.NewAggregator()
-				var wantErr error
-				for off := 0; off < len(run); off += size {
-					rep, err := codec.Unmarshal(run[off : off+size])
-					if err != nil {
-						if wantErr == nil {
-							wantErr = err
+				words := make([]uint64, records)
+				var wantErr string
+				for i := range words {
+					if r.Bernoulli(badShare) {
+						words[i] = r.Uint64() >> (64 - codec.bits)
+					} else {
+						words[i] = codec.word.Encode(fo.Randomize(r.Intn(fo.Domain()), r))
+					}
+					if words[i] >= codec.limit {
+						if wantErr == "" {
+							wantErr = fmt.Sprintf("word report %d outside group order", words[i])
 						}
 						continue
 					}
-					want.Add(rep)
+					want.Add(codec.word.Decode(words[i]))
 				}
-				gotErr := codec.Fold(got, run)
-				name := fmt.Sprintf("%s (%d-byte records), %d records, %.2f refused", fo.Name(), size, records, badShare)
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Fatalf("%s: Fold returned %v, first Unmarshal error is %v", name, gotErr, wantErr)
+				name := fmt.Sprintf("%s (%d-bit words), %d records, %.2f random", fo.Name(), codec.bits, records, badShare)
+				back, err := codec.unpack(nil, codec.PackWords(words...))
+				if wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), wantErr) || len(back) != 0 {
+						t.Fatalf("%s: unpack returned %d words and %v, want the first refused word's error: %s", name, len(back), err, wantErr)
+					}
+					continue
 				}
+				if err != nil || !slices.Equal(back, words) {
+					t.Fatalf("%s: the packed frame unpacks to %d words (%v)", name, len(back), err)
+				}
+				codec.Fold(got, back)
 				wb, err := want.(encoding.BinaryMarshaler).MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
@@ -359,7 +391,7 @@ func TestFoldRunMatchesPerRecord(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(gb, wb) {
-					t.Fatalf("%s: folded state differs from per-record Unmarshal + Add", name)
+					t.Fatalf("%s: folded state differs from per-report Add", name)
 				}
 			}
 		}

@@ -93,7 +93,7 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 	go s.cutRuns()
 	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
-			if recs := len(eb.run) / s.codec.Size(); recs > batchSize {
+			if recs := len(eb.run); recs > batchSize {
 				t.Errorf("worker %d received a batch of %d records, BatchSize is %d", i, recs, batchSize)
 			}
 			s.foldBatch(i, eb)
@@ -306,10 +306,11 @@ func TestIngestBackpressureBound(t *testing.T) {
 
 // TestRaceSessionScrubbedBuffersBitIdentical is the ownership test of
 // the ingest free lists (run it under -race). Every buffer given back to
-// a free list is scrubbed to 0xFF first (the package's test seam), so a
-// stage that gave back an opened plaintext before it was logged and
-// batched, or a run before its fold finished, would fold scrubbed bytes
-// — words past the group order, refused, or the wrong counts. Four
+// a free list is scrubbed to all-ones first (the package's test seam),
+// so a stage that gave back an opened frame before it was logged and
+// batched, or a run before its fold finished, would log scrubbed bytes
+// or fold scrubbed words — past the group order, a panic in the
+// counting kernel, or the wrong counts. Four
 // connections whose frames straddle the shuffle batch stream across a
 // rotation, in memory and durable; the drained estimate, and the
 // estimate a recovery replays from the WAL, must be bit-identical to
@@ -418,11 +419,12 @@ func TestRaceSessionScrubbedBuffersBitIdentical(t *testing.T) {
 // TestFreeListsStayBounded: connections each push a burst of
 // MaxFrame-sized frames into a stalled pipeline and hang up. Once the
 // stream has drained, the spare buffers the service keeps — opened
-// plaintexts and shuffle runs on its two free lists — stay inside the
+// frames and word runs on its two free lists — stay inside the
 // in-flight bound past the readers (DESIGN.md §6): intakeFrames + 1
-// frames of at most MaxFrame bytes and (queuedBatchesPerWorker + 1) *
-// workers + 1 runs of BatchSize records, however many buffers the burst
-// had in flight.
+// frames of at most MaxFrame plaintext bytes and the ⌊8·MaxFrame/B⌋
+// words they unpack to, and (queuedBatchesPerWorker + 1) * workers + 1
+// runs of BatchSize words, however many buffers the burst had in
+// flight.
 func TestFreeListsStayBounded(t *testing.T) {
 	const (
 		conns     = 6
@@ -442,8 +444,7 @@ func TestFreeListsStayBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	size := s.codec.Size()
-	frame := (maxFrame - ecies.SessionOverhead) / size
+	frame := (maxFrame - ecies.SessionOverhead) * 8 / int(s.codec.bits)
 	shards := s.cur.Load().shards
 	for _, sh := range shards {
 		sh.mu.Lock()
@@ -486,19 +487,24 @@ func TestFreeListsStayBounded(t *testing.T) {
 	if snap.Reports != conns*burst*frame {
 		t.Fatalf("drained %d reports, want %d", snap.Reports, conns*burst*frame)
 	}
-	held := func(free chan []byte) (n int) {
-		for len(free) > 0 {
-			n += cap(<-free)
-		}
-		return n
+	plains, words, runs := 0, 0, 0
+	for len(s.plains) > 0 {
+		buf := <-s.plains
+		plains += cap(buf.plain)
+		words += cap(buf.words)
 	}
-	plains, runs := held(s.plains), held(s.runs)
-	t.Logf("free lists hold %d plaintext bytes and %d run bytes", plains, runs)
+	for len(s.runs) > 0 {
+		runs += cap(<-s.runs)
+	}
+	t.Logf("free lists hold %d plaintext bytes, %d frame words and %d run words", plains, words, runs)
 	if bound := (intakeFrames + 1) * maxFrame; plains > bound {
-		t.Fatalf("the plaintext free list holds %d bytes, in-flight bound %d", plains, bound)
+		t.Fatalf("the frame free list holds %d plaintext bytes, in-flight bound %d", plains, bound)
 	}
-	if bound := ((queuedBatchesPerWorker+1)*workers + 1) * batchSize * size; runs > bound {
-		t.Fatalf("the run free list holds %d bytes, in-flight bound %d", runs, bound)
+	if bound := (intakeFrames + 1) * maxFrame * 8 / int(s.codec.bits); words > bound {
+		t.Fatalf("the frame free list holds %d words, in-flight bound %d", words, bound)
+	}
+	if bound := ((queuedBatchesPerWorker+1)*workers + 1) * batchSize; runs > bound {
+		t.Fatalf("the run free list holds %d words, in-flight bound %d", runs, bound)
 	}
 }
 
@@ -633,9 +639,9 @@ func TestLogFrameAllocsPerFrame(t *testing.T) {
 	s := durableShell(t, Config{FO: ldp.NewSOLH(1024, 16, 3), Key: key, Sync: store.SyncNone})
 	defer s.st.Close()
 	for _, reports := range []int{1, 256, 4096} {
-		frame := make([]byte, reports*s.codec.Size())
+		frame := make([]byte, (reports*int(s.codec.bits)+7)/8)
 		perFrame := testing.AllocsPerRun(50, func() {
-			if err := s.logFrame(0, frame); err != nil {
+			if err := s.logFrame(0, frame, reports); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -668,11 +674,10 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := durableShell(t, Config{FO: fo, Key: key, BatchSize: batchSize, Sync: store.SyncNone})
-	size := s.codec.Size()
 
 	// onDisk opens every sealed record of the live segment, as committed
-	// so far, into the set of report payloads it holds.
-	onDisk := func() map[string]int {
+	// so far, into the set of report words it holds.
+	onDisk := func() map[uint64]int {
 		copyDir := t.TempDir()
 		segs, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "wal-*.log"))
 		if err != nil || len(segs) != 1 {
@@ -693,15 +698,20 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 			return nil
 		}
 		defer st.Close()
-		held := map[string]int{}
+		held := map[uint64]int{}
 		for _, r := range rec.Tail {
 			pt, err := s.sealer.Open(nil, r.Payload)
 			if err != nil || r.Type != store.RecordSealedReport {
 				t.Errorf("WAL record of type %d does not open as a sealed frame: %v", r.Type, err)
 				return nil
 			}
-			for off := 0; off < len(pt); off += size {
-				held[string(pt[off:off+size])]++
+			words, err := s.codec.unpack(nil, pt)
+			if err != nil {
+				t.Errorf("WAL record does not unpack: %v", err)
+				return nil
+			}
+			for _, w := range words {
+				held[w]++
 			}
 		}
 		return held
@@ -719,8 +729,8 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 			if logged != frame {
 				t.Errorf("batch %d reached a worker with %d reports on disk, want the whole frame of %d", batches, logged, frame)
 			}
-			for off := 0; off < len(eb.run); off += size {
-				if held[string(eb.run[off:off+size])] == 0 {
+			for _, w := range eb.run {
+				if held[w] == 0 {
 					t.Errorf("batch %d carries a report the committed WAL does not hold", batches)
 					break
 				}

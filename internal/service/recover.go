@@ -116,8 +116,8 @@ func (s *Service) restore(rec *store.Recovered) error {
 		}
 		cur = s.history[len(s.history)-1]
 	}
-	size := s.codec.Size()
-	var pt []byte // one record's plaintext; codec.Fold copies out of it
+	var pt []byte      // one record's plaintext
+	var words []uint64 // its reports; codec.Fold copies out of them
 	for _, r := range rec.Tail {
 		switch r.Type {
 		case store.RecordSealedReport:
@@ -126,22 +126,20 @@ func (s *Service) restore(rec *store.Recovered) error {
 			}
 			// A record is one accepted frame, re-sealed whole under the
 			// at-rest storage key (the connection key is gone with the
-			// connection): fold its plaintext through the workers' fold.
-			// A plaintext that does not cut evenly at the report size,
-			// or holds a report the codec refuses, was not written by
-			// accept and is refused, never skipped — dropping it would
-			// silently shrink the epoch.
+			// connection): unpack its plaintext with the readers' parse
+			// and fold the words through the workers' fold. A plaintext
+			// the parse refuses was not written by accept and is
+			// refused, never skipped — dropping it would silently
+			// shrink the epoch.
 			var err error
 			if pt, err = s.sealer.Open(pt[:0], r.Payload); err != nil {
 				return fmt.Errorf("service: opening sealed WAL record: %w", err)
 			}
-			if len(pt) == 0 || len(pt)%size != 0 {
-				return fmt.Errorf("service: sealed WAL record for epoch %d holds %d plaintext bytes; a frame's record is one or more whole %d-byte reports", r.Epoch, len(pt), size)
+			if words, err = s.codec.unpack(words[:0], pt); err != nil {
+				return fmt.Errorf("service: sealed WAL record for epoch %d: %w", r.Epoch, err)
 			}
-			if err := s.codec.Fold(cur.root, pt); err != nil {
-				return fmt.Errorf("service: decoding WAL report: %w", err)
-			}
-			n := int64(len(pt) / size)
+			s.codec.Fold(cur.root, words)
+			n := int64(len(words))
 			cur.accepted.Add(n)
 			s.wal.received += n
 		case store.RecordDrop:

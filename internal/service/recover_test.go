@@ -293,7 +293,7 @@ func TestCrashRecoveryConformance(t *testing.T) {
 
 // stageInterruptedRotation hand-writes dir exactly as a service that
 // crashed right after the shuffler wrote the rotation marker would
-// leave it: reports[:n] logged for epoch 0 (each marshalled payload
+// leave it: reports[:n] logged for epoch 0 (each one-report frame
 // handed to appendRec), the marker opening epoch next (-1: the ledger
 // refused epoch 1), no checkpoint.
 func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int, next int64, appendRec func(st *store.Store, payload []byte) error) {
@@ -307,7 +307,7 @@ func (w *recoveryWorld) stageInterruptedRotation(t *testing.T, dir string, n int
 		t.Fatal(err)
 	}
 	for _, rep := range w.reports[:n] {
-		payload, err := codec.AppendMarshal(nil, rep)
+		payload, err := codec.PackFrame([]ldp.Report{rep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,11 +468,9 @@ func TestRecoverRefusesUnknownWALRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var frame []byte
-			for _, rep := range w.reports[:10] {
-				if frame, err = codec.AppendMarshal(frame, rep); err != nil {
-					t.Fatal(err)
-				}
+			frame, err := codec.PackFrame(w.reports[:10])
+			if err != nil {
+				t.Fatal(err)
 			}
 			st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
 			if err != nil {

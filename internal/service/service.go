@@ -10,21 +10,24 @@
 // each:
 //
 //	read.go         --intake-->  batch.go      --batches-->  fold.go
-//	(one reader per   (frames)   (log a frame,  (record runs) (one fold
-//	 conn: session               copy it into                 per run)
-//	 open)                       runs)
+//	(one reader per   (frames:   (log a frame,  (word runs)   (one fold
+//	 conn: session     packed +   copy its                     per run)
+//	 open, unpack)     words)     words into
+//	                              runs)
 //
 // and epoch.go seals and releases what the workers folded (Snapshot,
 // Rotate, History, EstimateWindow, Drain). This file holds the wiring
 // and the state the stages share.
 //
 // The unit of hand-off on the intake edge is the opened session frame,
-// not the report: a reader authenticates a frame and passes its whole
-// plaintext on in one channel send, and the batch stage copies its
-// records into the open batch — one flat run of Codec.Size() records,
-// in arrival order — and gives the frame's buffer back to a free list
-// the readers open into; a worker gives a run back once it is
-// folded. Each buffer changes owner in one function: handOffFrame,
+// not the report: a reader authenticates a frame, unpacks its reports
+// into 8-byte words (Codec's one canonical parse; a frame that fails it
+// kicks the connection) and passes the packed plaintext and the words
+// on in one channel send. The batch stage logs the packed plaintext
+// when the service is durable, copies the words into the open batch —
+// one flat run of words, in arrival order — and gives the frame's
+// buffers back to a free list the readers open into; a worker gives a
+// run back once it is folded. Each buffer changes owner in one function: handOffFrame,
 // returnFrame, handOffRun and returnRun. A per-report hand-off cost more than
 // everything else the tier does to a report (EXPERIMENTS.md, "Spend
 // the profile"). A worker folds a whole run through Codec.Fold, the fold
@@ -232,9 +235,10 @@ type Snapshot struct {
 	// (an operator signal, not part of the durable stream accounting).
 	IdleClosed int64
 	// Kicked counts connections dropped for a protocol violation: a
-	// frame past DefaultMaxFrame, a malformed session hello, or a
+	// frame past DefaultMaxFrame, a malformed session hello, a
 	// session frame that failed authentication or arrived out of
-	// sequence. Reports the connection delivered before violating
+	// sequence, or one whose plaintext is not a canonical packing of
+	// valid reports (Codec). Reports the connection delivered before violating
 	// were accepted normally; like IdleClosed the counter is
 	// in-memory only.
 	Kicked int64
@@ -253,19 +257,19 @@ type Service struct {
 	workers int
 
 	intake  chan frameBlock // opened session frames, read stage -> batch stage
-	batches chan epochBatch // record runs, batch stage -> fold workers
+	batches chan epochBatch // word runs, batch stage -> fold workers
 
 	// plains and runs are the free lists of the ingest path's two
-	// buffers: opened frame plaintexts (a reader takes one, the batch stage
-	// gives it back once the frame is logged and batched) and record
-	// runs (the batcher takes one, a worker gives it back after its
-	// fold). Each is capped at its buffers' in-flight count past the
+	// buffers: opened frames, plaintext and words (a reader takes one,
+	// the batch stage gives it back once the frame is logged and
+	// batched), and word runs (the batcher takes one, a worker gives it
+	// back after its fold). Each is capped at its buffers' in-flight count past the
 	// readers (DESIGN.md §6) — the intake's frames plus the one the
 	// batch stage is accepting; the queue's runs plus one in each worker's
 	// hand and the one the batcher is filling — and a buffer given back
 	// to a full list is dropped.
-	plains chan []byte
-	runs   chan []byte
+	plains chan frameBuf
+	runs   chan []uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -392,8 +396,8 @@ func prepare(cfg Config) (*Service, error) {
 		// feel backpressure through their connection writes.
 		intake:     make(chan frameBlock, intakeFrames),
 		batches:    make(chan epochBatch, queuedBatchesPerWorker*workers),
-		plains:     make(chan []byte, intakeFrames+1),
-		runs:       make(chan []byte, (queuedBatchesPerWorker+1)*workers+1),
+		plains:     make(chan frameBuf, intakeFrames+1),
+		runs:       make(chan []uint64, (queuedBatchesPerWorker+1)*workers+1),
 		stop:       make(chan struct{}),
 		rotateCh:   make(chan rotateReq),
 		rotateHint: make(chan struct{}, 1),

@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -15,6 +14,7 @@ import (
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/rng"
 	"shuffledp/internal/service"
+	"shuffledp/internal/store"
 	"shuffledp/internal/transport"
 )
 
@@ -320,13 +320,15 @@ func TestWrongKeyReportSurfacesError(t *testing.T) {
 	}
 }
 
-// An authentic session batch can still carry a record the codec
-// rejects (here a word past the SOLH report group). The worker that
-// decodes it must drop that record and fail the run — Drain returns the
-// codec error — while the batch's valid records are aggregated and the
-// counters account for the drop.
-func TestCorruptRecordInAuthenticBatchFailsDrain(t *testing.T) {
-	fo := ldp.NewSOLH(16, 4, 2)
+// An authentic session frame can still carry a word the codec refuses
+// (here the first word past the SOLH report group), and any client
+// holding the public key can send one. The reader's unpack refuses the
+// frame whole and kicks its connection: nothing of it is logged or
+// aggregated — its valid reports included — while an honest client's
+// reports land, Drain returns nil, and a recovery of the WAL holds the
+// honest reports alone.
+func TestCorruptRecordInAuthenticBatchIsKicked(t *testing.T) {
+	fo := ldp.NewSOLH(16, 5, 2)
 	key, err := ecies.GenerateKey()
 	if err != nil {
 		t.Fatal(err)
@@ -335,52 +337,60 @@ func TestCorruptRecordInAuthenticBatchFailsDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	enc, err := ldp.NewWordEncoder(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reports := ldp.RandomizeParallel(fo, []int{3, 5, 7}, 19, 0)
-	corrupt := bytes.Repeat([]byte{0xff}, codec.Size())
-	if _, err := codec.Unmarshal(corrupt); err == nil {
-		t.Fatal("the all-ones word decodes; pick another corrupt record")
+	words := []uint64{enc.Encode(reports[0]), enc.GroupOrder(), enc.Encode(reports[1]), enc.Encode(reports[2])}
+	if codec.Bits() != 35 || enc.GroupOrder() >= 1<<35 {
+		t.Fatalf("SOLH(16, 5) packs %d-bit words for a group of %d; the test needs the group order to fit", codec.Bits(), enc.GroupOrder())
 	}
-	var batch []byte
-	for i, rep := range reports {
-		if i == 1 {
-			batch = append(batch, corrupt...)
-		}
-		if batch, err = codec.AppendMarshal(batch, rep); err != nil {
-			t.Fatal(err)
-		}
-	}
+	honest := ldp.RandomizeParallel(fo, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}, 23, 0)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two workers
-	svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 2})
+	cfg := service.Config{FO: fo, Key: key, BatchSize: 2, DataDir: t.TempDir(), Sync: store.SyncBatch}
+	svc, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	conn, sess := sessionConn(t, svc, key)
-	frame, err := sess.Seal(nil, batch)
+	frame, err := sess.Seal(nil, codec.PackWords(words...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := transport.WriteTaggedFrame(conn, service.EpochCurrent, frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
+	// The kick may close the pipe before the write completes.
+	go func() {
+		transport.WriteTaggedFrame(conn, service.EpochCurrent, frame)
+		conn.Close()
+	}()
+	waitKicked(t, svc, 1)
+	sendSession(t, svc, fo, key, honest)
+	waitReceived(t, svc, int64(len(honest)))
 
 	snap, err := svc.Drain()
-	if err == nil || !strings.Contains(err.Error(), "outside group order") {
-		t.Fatalf("Drain error = %v, want the codec's group-order rejection", err)
+	if err != nil {
+		t.Fatalf("a malformed word failed the service: %v", err)
 	}
-	if snap.Kicked != 0 {
-		t.Fatalf("an authentic frame kicked its connection: %+v", snap)
-	}
-	if snap.Reports != len(reports) || snap.Received-int64(snap.Reports) != 1 {
-		t.Fatalf("want %d reports aggregated and 1 received-but-dropped, got %+v", len(reports), snap)
+	if snap.Kicked != 1 || snap.Reports != len(honest) || snap.Received != int64(len(honest)) {
+		t.Fatalf("want 1 kick and exactly the %d honest reports received and aggregated, got %+v", len(honest), snap)
 	}
 	agg := fo.NewAggregator()
-	for _, rep := range reports {
+	for _, rep := range honest {
 		agg.Add(rep)
 	}
-	sameEstimates(t, "drain estimate of the valid records", snap.Estimates, agg.Estimates())
+	sameEstimates(t, "drain estimate of the honest reports", snap.Estimates, agg.Estimates())
+	svc.Close()
+
+	rec, err := service.Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := rec.Snapshot().Received; got != int64(len(honest)) {
+		t.Fatalf("the WAL recovers %d reports, want the %d honest ones", got, len(honest))
+	}
 }
 
 // unknownOracle hides the concrete oracle type from the codec's type

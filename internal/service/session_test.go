@@ -255,11 +255,80 @@ func TestSessionClientFrameLayout(t *testing.T) {
 			}
 			tags, payloads = tags[1:], payloads[1:]
 		}
-		if want := batch*codec.Size() + ecies.SessionOverhead; len(payloads[0]) != want {
+		if want := (batch*codec.Bits()+7)/8 + ecies.SessionOverhead; len(payloads[0]) != want {
 			t.Fatalf("write %d batch frame is %d bytes, want %d", i, len(payloads[0]), want)
 		}
 		if tags[0] != service.EpochCurrent {
 			t.Fatalf("write %d batch frame tag %#x, want EpochCurrent", i, tags[0])
+		}
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestClientWireBytesPerReport is the work count of the service's wire
+// (ROADMAP's perf gate): a session client at the default batch, driven
+// into a counting writer at the benchmark's three service shapes and
+// per-connection sizes, writes exactly 74 + full·(⌈256B/8⌉ + 32) +
+// tail bytes — the 74-byte hello frame, then per frame an 8-byte
+// header and 24 bytes of session overhead around its B-bit reports
+// packed bit after bit, the last frame carrying the remainder. Per
+// report that is 4.625098, 4.875352 and 5.0104 bytes, which is what
+// wire_bytes_per_report reads on svc_wire_d64, svc_durable_query_d1024
+// and svc_agg_kosarak; reports rounded up to whole bytes read
+// 5.125098, 5.125352 and 5.1354.
+func TestClientWireBytesPerReport(t *testing.T) {
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frame = service.DefaultClientBatch
+	for _, tc := range []struct {
+		d, dPrime, n, bits int
+		perReport          float64
+	}{
+		{64, 16, 1_000_000, 36, 4.625098},
+		{1024, 64, 250_000, 38, 4.875352},
+		{42178, 111, 10_000, 39, 5.0104},
+	} {
+		fo := ldp.NewSOLH(tc.d, tc.dPrime, 1)
+		codec, err := service.NewCodec(fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec.Bits() != tc.bits {
+			t.Fatalf("SOLH(%d, %d): %d-bit reports, want %d", tc.d, tc.dPrime, codec.Bits(), tc.bits)
+		}
+		var w countingWriter
+		cl, err := service.NewSessionClient(fo, key.Public(), nil, &w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.n; i++ {
+			if err := cl.SendReport(ldp.Report{Seed: uint32(i) * 2654435761, Value: i % tc.dPrime}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		framed := func(reports int) int64 {
+			return int64((reports*tc.bits+7)/8 + 8 + ecies.SessionOverhead)
+		}
+		want := 8 + ecies.HelloSize + int64(tc.n/frame)*framed(frame)
+		if tail := tc.n % frame; tail > 0 {
+			want += framed(tail)
+		}
+		got := float64(w.n) / float64(tc.n)
+		t.Logf("SOLH(%d, %d) × %d: %d bytes, %.6f per report", tc.d, tc.dPrime, tc.n, w.n, got)
+		if w.n != want || got != tc.perReport {
+			t.Fatalf("SOLH(%d, %d) × %d: %d wire bytes (%.6f per report), want %d (%.6f)", tc.d, tc.dPrime, tc.n, w.n, got, want, tc.perReport)
 		}
 	}
 }
@@ -500,6 +569,75 @@ func TestV1HelloIsRefused(t *testing.T) {
 	}
 }
 
+// TestV2HelloIsRefused puts on the wire what a client that rounded
+// word reports up to whole bytes sends first: a genuine hello with
+// version byte 2, and in the same write a sealed frame of nine 5-byte
+// reports — 45 bytes, which would unpack as a canonical frame of ten
+// 36-bit reports, every one inside SOLH(64, 16)'s 2^36 group. The hello
+// must be refused with ecies.ErrSessionVersion, the connection kicked
+// and counted, and not one report received.
+func TestV2HelloIsRefused(t *testing.T) {
+	const parentSessionVersion = 2
+	fo := ldp.NewSOLH(64, 16, 2)
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := service.NewCodec(fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec.Bits() != 36 || codec.Size() != 5 {
+		t.Fatalf("SOLH(64, 16) reports take %d bits and %d bytes, want 36 and 5", codec.Bits(), codec.Size())
+	}
+	sess, hello, err := ecies.NewClientSession(key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello[0] = parentSessionVersion
+	if _, err := ecies.NewServerSession(key, hello); !errors.Is(err, ecies.ErrSessionVersion) {
+		t.Fatalf("version-%d hello: got %v, want ecies.ErrSessionVersion", parentSessionVersion, err)
+	}
+	var records []byte
+	for _, rep := range ldp.RandomizeParallel(fo, []int{1, 2, 3, 5, 8, 13, 21, 34, 55}, 13, 0) {
+		if records, err = codec.AppendMarshal(records, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame, err := sess.Seal(nil, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := transport.WriteTaggedFrame(&wire, service.SessionHelloTag, hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.WriteTaggedFrame(&wire, service.EpochCurrent, frame); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := service.New(service.Config{FO: fo, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	clientSide, serverSide := net.Pipe()
+	defer clientSide.Close()
+	if err := svc.Ingest(serverSide); err != nil {
+		t.Fatal(err)
+	}
+	// The write fails part-way once the service kicks the connection.
+	go clientSide.Write(wire.Bytes())
+	waitKicked(t, svc, 1)
+	snap, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Kicked != 1 || snap.Received != 0 || snap.Reports != 0 {
+		t.Fatalf("version-%d client: kicked %d, received %d, aggregated %d; want 1, 0, 0", parentSessionVersion, snap.Kicked, snap.Received, snap.Reports)
+	}
+}
+
 // TestSendReportRefusesOutOfRangeWord sends word reports whose Value
 // lies outside SOLH's hashed domain [0, d′) between good ones. Each
 // must be an error from SendReport — not a panic in the word encoder —
@@ -590,11 +728,9 @@ func TestSessionFrameViolationsKick(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports := ldp.RandomizeParallel(fo, []int{3, 5}, 17, 0)
-	var batch []byte
-	for _, rep := range reports {
-		if batch, err = codec.AppendMarshal(batch, rep); err != nil {
-			t.Fatal(err)
-		}
+	batch, err := codec.PackFrame(reports)
+	if err != nil {
+		t.Fatal(err)
 	}
 	newSvc := func() *service.Service {
 		svc, err := service.New(service.Config{FO: fo, Key: key, BatchSize: 4})
@@ -658,8 +794,9 @@ func TestSessionFrameViolationsKick(t *testing.T) {
 		defer svc.Close()
 		conn, sess := sessionConn(t, svc, key)
 		defer conn.Close()
-		// Authentic frame, but the plaintext is not a whole number of
-		// reports — a protocol violation past the AEAD layer.
+		// Authentic frame, but the plaintext holds a spare trailing
+		// byte past its reports — a protocol violation past the AEAD
+		// layer.
 		frame, err := sess.Seal(nil, append(append([]byte(nil), batch...), 0x7f))
 		if err != nil {
 			t.Fatal(err)

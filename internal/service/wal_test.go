@@ -27,7 +27,7 @@ import (
 // WAL framing, as DESIGN.md §8 lays it out: a 13-byte segment header,
 // then records of 4-byte big-endian length, payload, 4-byte CRC32C. A
 // sealed-report payload is type(1) + epoch(4) + nonce(12) + plaintext +
-// tag(16).
+// tag(16), the plaintext a frame's B-bit reports packed bit after bit.
 const (
 	walHeaderLen = 13
 	sealedExtra  = 5 + ecies.StorageOverhead
@@ -41,8 +41,9 @@ type walRecord struct {
 	reports  int // for a sealed-report record, how many reports it holds
 }
 
-// walkSegment cuts a whole (untorn) segment into its records.
-func walkSegment(t *testing.T, seg []byte, reportSize int) []walRecord {
+// walkSegment cuts a whole (untorn) segment into its records, of
+// reports packed reportBits bits each.
+func walkSegment(t *testing.T, seg []byte, reportBits int) []walRecord {
 	t.Helper()
 	if len(seg) < walHeaderLen || string(seg[:4]) != "SDPW" {
 		t.Fatalf("segment of %d bytes has no header", len(seg))
@@ -60,7 +61,7 @@ func walkSegment(t *testing.T, seg []byte, reportSize int) []walRecord {
 		payload := seg[off+4 : off+4+n]
 		r := walRecord{off: off, end: end, typ: payload[0], epoch: binary.LittleEndian.Uint32(payload[1:])}
 		if r.typ == store.RecordSealedReport {
-			r.reports = (n - sealedExtra) / reportSize
+			r.reports = 8 * (n - sealedExtra) / reportBits
 		}
 		recs = append(recs, r)
 		off = end
@@ -196,7 +197,7 @@ func TestRecoverEveryWALCut(t *testing.T) {
 			}
 			before, recoveries := 0, 0 // reports sealed into earlier epochs
 			for k, ep := range w.captureWAL(t, ref) {
-				recs := walkSegment(t, ep.seg, codec.Size())
+				recs := walkSegment(t, ep.seg, codec.Bits())
 				frames := recs
 				if k < len(w.bounds) {
 					if last := recs[len(recs)-1]; last.typ != store.RecordRotate {
@@ -274,10 +275,10 @@ func TestRecoverEveryWALCut(t *testing.T) {
 	}
 }
 
-// A sealed record is a whole number of reports, at least one. Anything
-// else was not written by the shuffler; Recover refuses it with an
-// error that says so and never skips it — a skipped record would
-// silently shrink the epoch.
+// A sealed record is one canonically packed frame of at least one
+// report: ⌈nB/8⌉ bytes, zero pad bits. Anything else was not written
+// by the batch stage; Recover refuses it with an error that says so and
+// never skips it — a skipped record would silently shrink the epoch.
 func TestRecoverRefusesRaggedSealedRecord(t *testing.T) {
 	w := newRecoveryWorld(t)
 	sealer, err := ecies.NewStorageSealer(w.key)
@@ -288,32 +289,40 @@ func TestRecoverRefusesRaggedSealedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := codec.Size()
+	frame, err := codec.PackFrame(w.reports[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 4*codec.Bits()%8 == 0 {
+		t.Fatalf("%d-bit reports leave no pad bits in a frame of 4", codec.Bits())
+	}
 	for _, tc := range []struct {
 		name string
-		cut  func(block []byte) []byte
+		cut  func(frame []byte) []byte
 	}{
 		{"empty", func([]byte) []byte { return nil }},
 		{"ragged-tail", func(b []byte) []byte { return b[:len(b)-3] }},
-		{"short-of-one-report", func(b []byte) []byte { return b[:size-1] }},
+		{"short-of-one-report", func(b []byte) []byte { return b[:(codec.Bits()+7)/8-1] }},
+		{"spare-trailing-byte", func(b []byte) []byte { return append(b, 0) }},
+		{"nonzero-pad-bit", func(b []byte) []byte { b[len(b)-1] |= 0x80; return b }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			var block []byte
+			logged := 0
 			w.stageInterruptedRotation(t, dir, 4, 1, func(st *store.Store, payload []byte) error {
 				// Three good one-report records, then the four reports'
-				// worth of bytes the case mangles.
-				if block = append(block, payload...); len(block) < 4*len(payload) {
+				// frame the case mangles.
+				if logged++; logged < 4 {
 					return st.AppendSealedReport(0, sealer.Seal(nil, payload))
 				}
-				return st.AppendSealedReport(0, sealer.Seal(nil, tc.cut(block)))
+				return st.AppendSealedReport(0, sealer.Seal(nil, tc.cut(bytes.Clone(frame))))
 			})
 			svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
 			if err == nil {
 				svc.Close()
-				t.Fatal("Recover accepted a sealed record that is not a whole number of reports")
+				t.Fatal("Recover accepted a sealed record that is not a packed frame of reports")
 			}
-			if !strings.Contains(err.Error(), fmt.Sprintf("whole %d-byte reports", size)) {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%d-bit reports", codec.Bits())) {
 				t.Fatalf("Recover error %q does not name the malformed record", err)
 			}
 		})
@@ -534,6 +543,68 @@ func TestFormat3DirectoryIsRefused(t *testing.T) {
 	}
 }
 
+// TestFormat4DirectoryIsRefused stages the data directory the build
+// before format 5 left: a format-4 segment holding one sealed frame of
+// seven reports in 5-byte records — 35 bytes, which would unpack as a
+// canonical frame of eight 35-bit reports, every one inside SOLH(32,
+// 8)'s 2^35 group. Only the version tells a reader which layout a
+// record holds, so Recover must fail with store.ErrOldVersion, load
+// nothing, and leave the segment as it found it.
+func TestFormat4DirectoryIsRefused(t *testing.T) {
+	const parentFormatVersion = 4
+	w := newRecoveryWorld(t)
+	dir := t.TempDir()
+	codec, err := service.NewCodec(w.fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec.Bits() != 35 || codec.Size() != 5 {
+		t.Fatalf("SOLH(32, 8) reports take %d bits and %d bytes, want 35 and 5", codec.Bits(), codec.Size())
+	}
+	sealer, err := ecies.NewStorageSealer(w.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []byte
+	for _, rep := range w.reports[:7] {
+		if records, err = codec.AppendMarshal(records, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.Create(dir, store.Meta{Oracle: w.fo.Name(), Domain: w.fo.Domain()}, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSealedReport(0, sealer.Seal(nil, records)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := newestSegment(t, dir)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[len("SDPW")] = parentFormatVersion
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := service.Recover(w.config(w.ledger(t), dir, store.SyncBatch))
+	if err == nil {
+		snap := svc.Snapshot()
+		svc.Close()
+		t.Fatalf("Recover loaded a format-%d WAL: %d reports received", parentFormatVersion, snap.Received)
+	}
+	if !errors.Is(err, store.ErrOldVersion) {
+		t.Fatalf("Recover error %v, want store.ErrOldVersion", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, seg) {
+		t.Fatalf("the refused segment changed on disk (%v)", err)
+	}
+}
+
 // TestLateFrameIsOneWALRecord is the amplification bound: a frame that
 // asserts a closed epoch costs the WAL one counted drop record, however
 // many reports it carried — not one record per report — and the count
@@ -587,7 +658,7 @@ func TestLateFrameIsOneWALRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := walkSegment(t, seg, codec.Size())
+	recs := walkSegment(t, seg, codec.Bits())
 	if len(recs) != 2 || recs[0].typ != store.RecordDrop || recs[1].typ != store.RecordSealedReport {
 		t.Fatalf("the late frame and the batch behind it left %d records (%+v), want one drop and one sealed frame", len(recs), recs)
 	}
@@ -613,15 +684,21 @@ func waitBatches(t *testing.T, svc *service.Service, n int64) {
 }
 
 // TestWALBytesPerReport pins what the durable tier writes: after 10 240
-// SOLH reports at the default client batch the segment holds one sealed
-// record per frame of 5-byte reports and at most 6 bytes per report —
-// (1280 + 28 + 5 + 8) / 256 = 5.16; 8-byte padded reports were 8.16
-// and a record per report 49. A later change cannot quietly go back to
-// padding reports or logging them one by one. It also scans the segment
-// for every report's marshalled word: the WAL never holds a plaintext
-// report.
+// SOLH(1024, 16) reports at the default client batch the segment holds
+// its 13-byte header and one sealed record per frame of 256 36-bit
+// reports packed bit after bit — ⌈256·36/8⌉ = 1152 plaintext bytes, 28
+// of at-rest seal, 5 of record header, 8 of framing — so (1152 + 28 + 5
+// + 8) / 256 = 4.66 bytes per report; reports rounded up to 5 bytes
+// were 5.16, 8-byte padded reports 8.16 and a record per report 49. A
+// later change cannot quietly go back to padding reports or logging
+// them one by one. It also scans the segment for every frame's packed
+// plaintext: the WAL never holds a plaintext report.
 func TestWALBytesPerReport(t *testing.T) {
-	const n = 40 * service.DefaultClientBatch
+	const (
+		frame  = service.DefaultClientBatch
+		n      = 40 * frame
+		record = frame*36/8 + ecies.StorageOverhead + 5 + 8
+	)
 	fo := ldp.NewSOLH(1024, 16, 3)
 	values := make([]int, n)
 	for i := range values {
@@ -653,31 +730,33 @@ func TestWALBytesPerReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if codec.Size() != 5 {
-		t.Fatalf("SOLH(1024, 16) reports are %d bytes, want 5", codec.Size())
+	if codec.Bits() != 36 {
+		t.Fatalf("SOLH(1024, 16) reports are %d bits, want 36", codec.Bits())
 	}
-	recs := walkSegment(t, seg, codec.Size())
-	if len(recs) != n/service.DefaultClientBatch {
-		t.Fatalf("%d reports in frames of %d left %d WAL records, want one per frame", n, service.DefaultClientBatch, len(recs))
+	recs := walkSegment(t, seg, codec.Bits())
+	if len(recs) != n/frame {
+		t.Fatalf("%d reports in frames of %d left %d WAL records, want one per frame", n, frame, len(recs))
 	}
 	for _, r := range recs {
-		if r.typ != store.RecordSealedReport || r.reports != service.DefaultClientBatch {
-			t.Fatalf("WAL record %+v is not one sealed frame of %d reports", r, service.DefaultClientBatch)
+		if r.typ != store.RecordSealedReport || r.reports != frame || r.end-r.off != record {
+			t.Fatalf("WAL record %+v is not one sealed frame of %d reports in %d bytes", r, frame, record)
 		}
 	}
 	perReport := float64(len(seg)) / n
-	t.Logf("%.2f WAL bytes per report", perReport)
-	if perReport > 6 {
-		t.Fatalf("the segment holds %.2f bytes per report, want <= 6", perReport)
+	t.Logf("%.4f WAL bytes per report", perReport)
+	if len(seg) != walHeaderLen+n/frame*record {
+		t.Fatalf("the segment holds %d bytes, want %d + %d records of %d", len(seg), walHeaderLen, n/frame, record)
 	}
 
-	for i, rep := range reports {
-		word, err := codec.AppendMarshal(nil, rep)
+	for f := 0; f < n/frame; f++ {
+		pt, err := codec.PackFrame(reports[f*frame : (f+1)*frame])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if at := bytes.Index(seg, word); at >= 0 {
-			t.Fatalf("report %d's marshalled word % x sits in the clear at segment byte %d", i, word, at)
+		for off := 0; off+16 <= len(pt); off += 16 {
+			if at := bytes.Index(seg, pt[off:off+16]); at >= 0 {
+				t.Fatalf("frame %d's plaintext bytes %d–%d sit in the clear at segment byte %d", f, off, off+16, at)
+			}
 		}
 	}
 }

@@ -104,14 +104,17 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // formatVersion is the on-disk format version stamped into every WAL
 // segment header and checkpoint. Readers refuse newer versions with
-// ErrFutureVersion and older ones with ErrOldVersion. Version 4's
-// service checkpoint holds no all-time aggregate — the merge of its
-// history is the all-time estimate — so a version-3 reader, which
-// would restore an empty one, refuses it; version 3's checkpoint
-// stores no ledger count — recovery works out what was paid from what
-// was sealed; version 2 stored one, and version 1 padded the service's
-// word reports to 8 bytes instead of their group's width.
-const formatVersion = 4
+// ErrFutureVersion and older ones with ErrOldVersion. Version 5's
+// sealed frames hold the service's word reports packed bit after bit at
+// their group's bit width; version 4 rounded each up to whole bytes,
+// and the two layouts can cut the same plaintext into different
+// reports. Version 4's service checkpoint holds no all-time aggregate —
+// the merge of its history is the all-time estimate — so a version-3
+// reader, which would restore an empty one, refuses it; version 3's
+// checkpoint stores no ledger count — recovery works out what was paid
+// from what was sealed; version 2 stored one, and version 1 padded the
+// service's word reports to 8 bytes instead of their group's width.
+const formatVersion = 5
 
 // ErrFutureVersion is returned when a segment or checkpoint was
 // written by a newer format version than this build reads. The state
@@ -158,8 +161,9 @@ const (
 	// RecordSealedReport is one accepted session frame: its reports
 	// arrived under a connection-ephemeral session key (no re-derivable
 	// ciphertext exists), so the service re-seals the frame's plaintext —
-	// a whole number of fixed-size reports, one or many — once under its
-	// at-rest storage key (ecies.StorageSealer) before logging. The
+	// one or many reports, packed as the service's codec lays them out —
+	// once under its at-rest storage key (ecies.StorageSealer) before
+	// logging. The
 	// payload is the sealed storage record, so the service's WAL never
 	// holds a plaintext report; the store does not look inside it, so how many reports a record holds
 	// is the service's business.
