@@ -95,21 +95,32 @@ func PEOSLocalEpsilon(epsC float64, outputSpace, n, nr int, delta float64) (epsL
 	return math.Log(eL), m, nil
 }
 
-// PEOSVariance is the §VI-C utility: Var[f'] = (n+nr) m^2 /
-// (n^2 (m-d')^2 (d'-1)) for SOLH (outputSpace = d'), and the GRR
-// analogue (n+nr)(m-1)/(n^2 (m-d)^2) via Proposition 4's form.
+// PEOSVariance is the §VI-C utility, the variance of the estimator
+// protocol.Estimate computes, (C_v - n q - nr U)/(n (p - q)), for a
+// value no user holds (f_v -> 0, the paper's form):
+//
+//	Var[f'] = (n q(1-q) + nr U(1-U)) / (n^2 (p-q)^2)
+//
+// with m = e^epsL + outputSpace - 1. A real report that does not hold
+// the value supports it with probability q, a fake — uniform over the
+// report space — with U (ldp.Support), the dummy-point accounting of
+// Li et al. (DUMP). For SOLH (outputSpace = d') q = U = 1/d', so a
+// fake costs what a real report does: (n+nr) m^2 / (n^2 (m-d')^2
+// (d'-1)). For GRR q = 1/m but U = 1/d, so one fake costs about
+// m(d-1)/d^2 real reports: (n(m-1) + nr m^2 (d-1)/d^2) / (n^2 (m-d)^2).
 // grr selects which estimator's variance shape to use.
 func PEOSVariance(m float64, outputSpace, n, nr int, grr bool) (float64, error) {
 	if outputSpace < 2 {
 		return 0, errors.New("amplify: output space must be >= 2")
 	}
-	md := m - float64(outputSpace)
+	os := float64(outputSpace)
+	md := m - os
 	if md <= 0 {
 		return 0, fmt.Errorf("%w: m=%.3f <= outputSpace=%d", ErrNoAmplification, m, outputSpace)
 	}
-	scale := float64(n+nr) / (float64(n) * float64(n))
+	nn := float64(n) * float64(n)
 	if grr {
-		return scale * (m - 1) / (md * md), nil
+		return (float64(n)*(m-1) + float64(nr)*m*m*(os-1)/(os*os)) / (nn * md * md), nil
 	}
-	return scale * m * m / (md * md * float64(outputSpace-1)), nil
+	return float64(n+nr) / nn * m * m / (md * md * (os - 1)), nil
 }

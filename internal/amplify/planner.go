@@ -62,7 +62,8 @@ type Plan struct {
 	// Achieved are the resulting guarantees against the three
 	// adversaries.
 	Achieved PEOSGuarantees
-	// Variance is the predicted per-value estimation variance.
+	// Variance is the predicted per-value estimation variance, at
+	// f_v -> 0 (for a PEOS plan PEOSVariance, fakes included).
 	Variance float64
 }
 

@@ -13,10 +13,10 @@
 //	           copied; runs come from a free list the consumer refills,
 //	           when one is wired.
 //	aggregate/forward — the stage behind the flush callback: the
-//	           service's decode/aggregate worker Pool, which folds a
-//	           whole run through the one codec fold its WAL replay
-//	           shares, or a cluster node forwarding share vectors to
-//	           the next hop.
+//	           service's fold worker Pool (or, when every worker is
+//	           busy, the reader that cut the run), which folds a whole
+//	           run through the one codec fold its WAL replay shares, or
+//	           a cluster node forwarding share vectors to the next hop.
 //
 // The primitives deliberately carry no protocol knowledge: framing is
 // transport's, report semantics are the caller's. What they fix is the
@@ -134,8 +134,8 @@ func (r *Reader) Run() error {
 // free once Add returns; a run holds the records an unpermuted Batcher
 // would flush, in the same order. What a word means is the caller's
 // (the service's reports, unpacked by its codec). A RunBatcher is not
-// safe for concurrent use — it belongs to the single goroutine that
-// cuts its tier's runs.
+// safe for concurrent use — its tier serializes the calls that cut its
+// runs (the service under its batch mutex).
 type RunBatcher struct {
 	// Size is the flush threshold in words. It must be > 0.
 	Size int

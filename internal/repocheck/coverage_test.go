@@ -47,6 +47,7 @@ var runAllowList = map[string]string{
 	"service.Codec.Unmarshal": "benchmark's per-layer replay (--trace) times it one report at a time; the service unpacks whole frames " +
 		"(ROADMAP item 6(e))",
 	"service.Service.fail":   "fails the service only on a store error or an unclassified read error",
+	"service.Service.drop":   "ends a run the service stopped before folding; no census run closes a service with runs in flight",
 	"store.ckptReader.fail":  "a checkpoint that does not parse",
 	"store.Store.AppendDrop": "logs a dropped frame; the census runs drop none",
 }

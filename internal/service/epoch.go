@@ -52,10 +52,10 @@ type WindowSnapshot struct {
 
 // walCounters is the batch stage's mirror of the two durable counts the
 // live atomics cannot give: reports write-ahead logged (received; the
-// live count also holds frames still on their way to the batch stage) and
+// live count also holds frames an in-memory service never logs) and
 // rejected drops logged (rejected; logging stops at rejectedLogCap).
-// Late drops and forwarded batches need no mirror: the batch stage is the
-// only writer of their atomics, so those are exact at every cut.
+// Late drops and forwarded batches need no mirror: their atomics are
+// written only under batchMu, so those are exact at every cut.
 type walCounters struct {
 	received, rejected int64
 }
@@ -82,8 +82,8 @@ type epochState struct {
 	guarantee composition.Guarantee
 
 	// cut holds the durable counters at this epoch's rotation boundary;
-	// written by the batch stage at the marker (or by Drain after the
-	// batch stage exits), read by seal for the checkpoint.
+	// written under batchMu at the marker (or by Drain after every
+	// reader exits), read by seal for the checkpoint.
 	cut store.Checkpoint
 
 	rootMu sync.Mutex
@@ -177,18 +177,10 @@ func (e *epochState) snapshot() EpochSnapshot {
 	}
 }
 
-// rotateReq asks the batch stage to swap epochs at a batch boundary.
-// next == nil closes the epoch sequence (budget exhausted): the
-// batch stage then rejects further reports instead of aggregating them.
-type rotateReq struct {
-	next *epochState
-	done chan *epochState // receives the epoch being sealed
-}
-
-// Rotate seals the current epoch and opens the next one: the batch stage
-// flushes the epoch's partial batch and switches, every batch already
-// routed to the sealed epoch is waited for, the epoch's estimate is
-// frozen into History.
+// Rotate seals the current epoch and opens the next one: under batchMu,
+// between two frames, the epoch's partial batch is flushed and the open
+// epoch switched; every batch already routed to the sealed epoch is
+// waited for, and the epoch's estimate is frozen into History.
 //
 // When a budget ledger is configured, opening the next epoch charges
 // it one per-epoch guarantee. If the ledger refuses, the current epoch
@@ -202,6 +194,9 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 	defer s.rotateMu.Unlock()
 	if s.stopped() {
 		return EpochSnapshot{}, errors.New("service: closed")
+	}
+	if s.drained {
+		return EpochSnapshot{}, errors.New("service: draining")
 	}
 	if s.exhausted.Load() {
 		return EpochSnapshot{}, fmt.Errorf("service: no epoch open: %w", budget.ErrExhausted)
@@ -219,26 +214,50 @@ func (s *Service) Rotate() (EpochSnapshot, error) {
 		next = newEpochState(cur.id+1, s.cfg.FO, s.workers)
 	}
 
-	req := rotateReq{next: next, done: make(chan *epochState, 1)}
-	select {
-	case s.rotateCh <- req:
-	case <-s.batchDone:
-		return EpochSnapshot{}, errors.New("service: draining")
-	case <-s.stop:
-		return EpochSnapshot{}, errors.New("service: closed")
+	// The cut lands after every frame already accepted, so a caller
+	// that saw Received == n before rotating knows all n reports belong
+	// to the sealed epoch.
+	s.batchMu.Lock()
+	partial := s.flushPartial()
+	if s.st != nil {
+		// The marker and everything before it go durable now: no record
+		// of the next epoch can reach disk ahead of the boundary that
+		// separates the epochs, and the sealing checkpoint gets a
+		// counter snapshot taken exactly at the cut.
+		n := int64(-1)
+		if next != nil {
+			n = int64(next.id)
+		}
+		if err := s.st.Rotate(uint32(cur.id), n); err != nil {
+			s.fail(fmt.Errorf("service: WAL rotate marker: %w", err))
+		}
+		cur.cut = s.counters()
 	}
-	old := <-req.done
-	if next == nil {
+	if next != nil {
+		s.cur.Store(next)
+	} else {
+		// No epoch opens: from here on accept rejects every frame.
 		s.exhausted.Store(true)
+	}
+	// A hint generated by the epoch that just closed is stale; dropping
+	// it here (the rotator re-checks anyway) keeps the fresh epoch from
+	// being cut near-empty.
+	select {
+	case <-s.rotateHint:
+	default:
+	}
+	s.batchMu.Unlock()
+	for _, eb := range partial {
+		s.foldBatch(0, eb)
 	}
 
 	// Wait for every batch routed to the sealed epoch to be folded,
 	// then freeze it. The opened epoch (if any) is already paid for,
 	// which the seal's checkpoint records as OpenCharged.
-	old.pending.Wait()
-	snap := s.seal(old, next != nil)
+	cur.pending.Wait()
+	snap := s.seal(cur, next != nil)
 	if chargeErr != nil {
-		return snap, fmt.Errorf("service: epoch %d sealed, next refused: %w", old.id, chargeErr)
+		return snap, fmt.Errorf("service: epoch %d sealed, next refused: %w", cur.id, chargeErr)
 	}
 	return snap, nil
 }
@@ -312,9 +331,9 @@ func (s *Service) writeCheckpoint(e *epochState, openCharged bool) error {
 }
 
 // counters stamps the durable counters into a checkpoint: received
-// and rejected from the batch stage's WAL mirror, late and batches from
-// the atomics only the batch stage writes. Only the batch stage calls it, or
-// restore and Drain while no batch stage runs.
+// and rejected from the WAL mirror, late and batches from the atomics
+// written only under batchMu. Callers hold batchMu, or are restore and
+// Drain while no reader runs.
 func (s *Service) counters() store.Checkpoint {
 	return store.Checkpoint{
 		Received: s.wal.received,
@@ -432,18 +451,26 @@ func (s *Service) Drain() (Snapshot, error) {
 		s.rotatorWG.Wait()
 		s.closeListeners()
 		s.conns.Wait()
-		close(s.intake)
-		<-s.batchDone
+		// Every reader has exited: flush the partial batch, then let the
+		// workers finish the queue.
+		s.rotateMu.Lock()
+		s.drained = true
+		s.batchMu.Lock()
+		partial := s.flushPartial()
+		s.batchMu.Unlock()
+		for _, eb := range partial {
+			s.foldBatch(0, eb)
+		}
+		close(s.batches)
 		s.workerPool.Wait()
 		// Every batch is folded; seal the final epoch (a no-op if an
 		// exhausting Rotate already did).
-		s.rotateMu.Lock()
 		e := s.cur.Load()
 		if s.st != nil {
-			// The batch stage has exited, so the counters are final: the
-			// drain seal's checkpoint covers the whole stream. The epoch
-			// the checkpoint leaves "open" only ever opens if the
-			// directory is recovered — and is paid for then, not now.
+			// No reader is left, so the counters are final: the drain
+			// seal's checkpoint covers the whole stream. The epoch the
+			// checkpoint leaves "open" only ever opens if the directory
+			// is recovered — and is paid for then, not now.
 			e.cut = s.counters()
 		}
 		s.seal(e, false)

@@ -76,8 +76,8 @@ func TestEpochWindowBitIdenticalToOfflineMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Send epoch by epoch; Rotate drains the intake into the closing
-	// epoch, so waiting on Received pins each report's epoch exactly.
+	// Send epoch by epoch; Rotate cuts after every frame already
+	// received, so waiting on Received pins each report's epoch exactly.
 	rotated := make(chan struct{})
 	sendErr := make(chan error, 1)
 	go func() {

@@ -2,21 +2,63 @@ package service
 
 import "time"
 
-// runWorker is the decode + aggregate stage: worker i folds every
-// shuffled batch it receives until the batch stage closes the queue.
+// runWorker is the fold stage: worker i folds every run it receives
+// into its epoch's shard i, until Drain closes the queue or the service
+// stops.
 func (s *Service) runWorker(i int) {
-	for eb := range s.batches {
-		s.foldBatch(i, eb)
+	for {
+		select {
+		case eb, ok := <-s.batches:
+			if !ok {
+				return
+			}
+			s.foldBatch(i, eb)
+		case <-s.stop:
+			return
+		}
 	}
 }
 
-// foldBatch folds a run into the batch's epoch shard owned by
-// worker i. Its words were checked by the reader that unpacked them,
-// so the fold cannot fail.
+// dispatch hands a run a reader cut to the workers when the queue has
+// room, and otherwise folds it in the reader, into a shard no worker
+// holds. Only when every shard is held does it wait for room in the
+// queue, so a reader never idles while it holds work; a run still
+// waiting when the service stops is dropped with its pending count.
+// Readers are the only senders on the queue.
+func (s *Service) dispatch(eb epochBatch) {
+	select {
+	case s.batches <- eb:
+		return
+	default:
+	}
+	for _, sh := range eb.ep.shards {
+		if sh.mu.TryLock() {
+			s.fold(sh, eb)
+			return
+		}
+	}
+	select {
+	case s.batches <- eb:
+	case <-s.stop:
+		s.drop(eb)
+	}
+}
+
+// foldBatch folds a run into shard i of its epoch, waiting for the
+// shard when it is held. Rotate and Drain fold the partial run they cut
+// themselves, into shard 0, since they wait for the epoch's folds
+// anyway.
 func (s *Service) foldBatch(i int, eb epochBatch) {
-	start := time.Now()
 	sh := eb.ep.shards[i]
 	sh.mu.Lock()
+	s.fold(sh, eb)
+}
+
+// fold folds a run into sh, whose lock the caller took and fold
+// releases. Its words were checked by the reader that unpacked them, so
+// the fold cannot fail.
+func (s *Service) fold(sh *shard, eb epochBatch) {
+	start := time.Now()
 	s.codec.Fold(sh.agg, eb.run)
 	sh.mu.Unlock()
 	s.returnRun(eb.run)
@@ -24,57 +66,48 @@ func (s *Service) foldBatch(i int, eb epochBatch) {
 	s.cfg.Meter.AddCPU(PartyServer, time.Since(start))
 }
 
-// scrubFreed, set by the package's tests, overwrites every buffer with
-// all-ones bytes as it goes back onto a free list, so a stage still
-// reading a buffer it gave back reads garbage the bit-identity tests
+// drop ends a run the service stopped before folding.
+func (s *Service) drop(eb epochBatch) {
+	s.returnRun(eb.run)
+	eb.ep.pending.Done()
+}
+
+// dropQueued drops every run left in the queue. Close calls it once
+// every reader has exited, so nothing sends on the queue any more and a
+// Rotate waiting on its epoch's pending runs returns although the
+// workers have stopped.
+func (s *Service) dropQueued() {
+	for {
+		select {
+		case eb, ok := <-s.batches:
+			if !ok {
+				return
+			}
+			s.drop(eb)
+		default:
+			return
+		}
+	}
+}
+
+// scrubFreed, set by the package's tests, overwrites every run with
+// all-ones words as it goes back onto the free list, so a stage still
+// reading a run it gave back reads garbage the bit-identity tests
 // catch: a scrubbed word lies outside every report group.
 var scrubFreed bool
 
-// take returns a buffer from the first of lists that holds one, the
-// zero value (nil buffers) when every list is empty.
-func take[T any](lists ...chan T) T {
-	for _, free := range lists {
-		select {
-		case buf := <-free:
-			return buf
-		default:
-		}
-	}
-	var none T
-	return none
-}
-
-// giveBack returns buf to the first of lists with room, dropping it when
-// every list is full: the service never holds more spare buffers than
-// it has buffers in flight.
-func giveBack[T any](buf T, lists ...chan T) {
+// returnRun gives a folded run back to the batcher's free list,
+// dropping it when the list is full: the service never holds more
+// spare runs than it has runs in flight.
+func (s *Service) returnRun(run []uint64) {
 	if scrubFreed {
-		var plain []byte
-		var words []uint64
-		switch buf := any(buf).(type) {
-		case []byte:
-			plain = buf
-		case []uint64:
-			words = buf
-		case frameBuf:
-			plain, words = buf.plain, buf.words
-		}
-		plain, words = plain[:cap(plain)], words[:cap(words)]
-		for i := range plain {
-			plain[i] = 0xFF
-		}
-		for i := range words {
-			words[i] = ^uint64(0)
+		run = run[:cap(run)]
+		for i := range run {
+			run[i] = ^uint64(0)
 		}
 	}
-	for _, free := range lists {
-		select {
-		case free <- buf:
-			return
-		default:
-		}
+	select {
+	case s.runs <- run:
+	default:
 	}
 }
-
-// returnRun gives a folded run back to the batch stage's free list.
-func (s *Service) returnRun(run []uint64) { giveBack(run, s.runs) }

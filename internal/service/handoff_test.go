@@ -47,7 +47,7 @@ func waitCounter(t *testing.T, what string, load func() int64, want int64) {
 }
 
 // TestRaceSessionFrameHandoffBitIdentical is the conformance test of
-// the frame-sized intake hand-off (run it under -race): connections
+// the frame-sized batch stage (run it under -race): connections
 // whose frames are smaller than, equal to and far larger than the
 // shuffle batch stream at once across a manual rotation, while one
 // more connection keeps asserting epoch 0 after it was sealed. Moving
@@ -90,7 +90,6 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cur.Store(newEpochState(0, fo, s.workers))
-	go s.cutRuns()
 	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
 			if recs := len(eb.run); recs > batchSize {
@@ -206,22 +205,23 @@ func TestRaceSessionFrameHandoffBitIdentical(t *testing.T) {
 }
 
 // TestIngestBackpressureBound states the tier's memory bound in
-// reports. With every worker stalled, connections pushing as fast as
-// they can fill the pipeline's queues and then block: what the service
-// has accepted but not aggregated stops at the frames the intake and
-// the blocked readers hold plus the records the shuffler and the worker
-// queue hold — (intakeFrames + connections) frames and BatchSize *
-// ((queuedBatchesPerWorker + 1) * workers + 1) records, workers being
-// GOMAXPROCS. Close must still return at once, and every goroutine New
-// started must exit.
+// reports. With every worker stalled on its shard, connections pushing
+// as fast as they can fill the worker queue, find no free shard to fold
+// into, and block: what the service has accepted but not aggregated
+// stops at the runs the blocked readers hold — at most one frame each,
+// plus what was left of the run before it — and the runs in the queue,
+// in the workers' hands and in the batcher — connections frames and
+// BatchSize * ((queuedBatchesPerWorker + 1) * workers + 1) records,
+// workers being GOMAXPROCS. Close must still return at once, and every
+// goroutine New started must exit.
 func TestIngestBackpressureBound(t *testing.T) {
 	const (
 		conns     = 4
 		frame     = 256
 		batchSize = 64
 		workers   = 2
-		floor     = batchSize * ((queuedBatchesPerWorker+1)*workers + 1) // held past the intake once everything is stuck
-		bound     = (intakeFrames+conns)*frame + floor
+		floor     = batchSize * ((queuedBatchesPerWorker+1)*workers + 1) // held past the readers once everything is stuck
+		bound     = conns*frame + floor
 	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	before := runtime.NumGoroutine()
@@ -265,7 +265,7 @@ func TestIngestBackpressureBound(t *testing.T) {
 	}
 
 	// The backlog climbs to at least the floor, never passes the bound,
-	// and then stands still: every reader is blocked on the intake.
+	// and then stands still: every reader is blocked on the queue.
 	waitCounter(t, "Received", s.received.Load, floor)
 	level, steady := s.received.Load(), 0
 	for deadline := time.Now().Add(10 * time.Second); steady < 50; {
@@ -301,6 +301,98 @@ func TestIngestBackpressureBound(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReadersFoldWhenWorkersStall is the conformance test of the
+// readers' fold (run it under -race): with the worker loop opened up and
+// every worker holding the first run it took, the queue fills, and a
+// reader that cuts a run finds no room and folds it itself, into a
+// shard no worker holds. Every frame beyond what the queue and the
+// workers' hands hold is aggregated before the workers resume; once
+// they do, the drained estimate is bit-identical to a sequential pass.
+func TestReadersFoldWhenWorkersStall(t *testing.T) {
+	const (
+		d         = 64
+		seed      = 29
+		batchSize = 64
+		workers   = 2
+		held      = (queuedBatchesPerWorker + 1) * workers * batchSize // the queue's runs and one in each worker's hand
+		n         = held + 40*batchSize + 17
+	)
+	fo := ldp.NewSOLH(d, 16, 3)
+	values := make([]int, n)
+	for i := range values {
+		values[i] = (i * 5) % d
+	}
+	reports := ldp.RandomizeParallel(fo, values, seed, 0)
+	seq := fo.NewAggregator()
+	for _, rep := range reports {
+		seq.Add(rep)
+	}
+	want := seq.Estimates()
+	key, err := ecies.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	s, err := prepare(Config{FO: fo, Key: key, BatchSize: batchSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cur.Store(newEpochState(0, fo, s.workers))
+	resume := make(chan struct{})
+	var inHand sync.WaitGroup
+	inHand.Add(s.workers)
+	s.workerPool.Go(s.workers, func(i int) {
+		first := true
+		for eb := range s.batches {
+			if first {
+				inHand.Done()
+				<-resume
+				first = false
+			}
+			s.foldBatch(i, eb)
+		}
+	})
+	defer s.Close()
+
+	// One run per frame: the reader dispatches each frame's run before
+	// it reads the next.
+	cl := pipeClient(t, s, batchSize)
+	for _, rep := range reports {
+		if err := cl.SendReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, "Received", s.received.Load, n)
+	inHand.Wait()
+	// The last n mod batchSize reports wait in the batcher's partial run.
+	folded := int64(n - held - n%batchSize)
+	waitCounter(t, "aggregated reports", func() int64 { return int64(s.Snapshot().Reports) }, folded)
+	if got := s.Snapshot().Reports; int64(got) != folded || len(s.batches) != cap(s.batches) {
+		t.Fatalf("with the workers stalled: %d reports aggregated and %d of %d runs queued, want %d and a full queue",
+			got, len(s.batches), cap(s.batches), folded)
+	}
+
+	close(resume)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Reports != n || snap.Batches != (n+batchSize-1)/batchSize {
+		t.Fatalf("drained %d reports in %d batches, want %d in %d", snap.Reports, snap.Batches, n, (n+batchSize-1)/batchSize)
+	}
+	for v := range want {
+		if snap.Estimates[v] != want[v] {
+			t.Fatalf("estimate[%d] = %v, sequential %v (not bit-identical)", v, snap.Estimates[v], want[v])
+		}
 	}
 }
 
@@ -418,13 +510,11 @@ func TestRaceSessionScrubbedBuffersBitIdentical(t *testing.T) {
 
 // TestFreeListsStayBounded: connections each push a burst of
 // MaxFrame-sized frames into a stalled pipeline and hang up. Once the
-// stream has drained, the spare buffers the service keeps — opened
-// frames and word runs on its two free lists — stay inside the
-// in-flight bound past the readers (DESIGN.md §6): intakeFrames + 1
-// frames of at most MaxFrame plaintext bytes and the ⌊8·MaxFrame/B⌋
-// words they unpack to, and (queuedBatchesPerWorker + 1) * workers + 1
-// runs of BatchSize words, however many buffers the burst had in
-// flight.
+// stream has drained, the spare buffers the service keeps — word runs
+// on its one free list; an opened frame is its reader's own and dies
+// with the connection — stay inside the in-flight bound past the
+// readers (DESIGN.md §6): (queuedBatchesPerWorker + 1) * workers + 1
+// runs of BatchSize words, however many runs the burst had in flight.
 func TestFreeListsStayBounded(t *testing.T) {
 	const (
 		conns     = 6
@@ -465,10 +555,10 @@ func TestFreeListsStayBounded(t *testing.T) {
 			errc <- cl.Close()
 		}()
 	}
-	// Let the stalled pipeline fill — the intake and the shuffler full,
-	// then every reader opening a frame it cannot hand over — before the
+	// Let the stalled pipeline fill — the queue full, then every reader
+	// holding the runs of a frame it cannot hand over — before the
 	// workers resume.
-	waitCounter(t, "Received", s.received.Load, int64(intakeFrames+1)*int64(frame))
+	waitCounter(t, "Received", s.received.Load, int64(conns)*int64(frame))
 	time.Sleep(50 * time.Millisecond)
 	for _, sh := range shards {
 		sh.mu.Unlock()
@@ -487,22 +577,11 @@ func TestFreeListsStayBounded(t *testing.T) {
 	if snap.Reports != conns*burst*frame {
 		t.Fatalf("drained %d reports, want %d", snap.Reports, conns*burst*frame)
 	}
-	plains, words, runs := 0, 0, 0
-	for len(s.plains) > 0 {
-		buf := <-s.plains
-		plains += cap(buf.plain)
-		words += cap(buf.words)
-	}
+	runs := 0
 	for len(s.runs) > 0 {
 		runs += cap(<-s.runs)
 	}
-	t.Logf("free lists hold %d plaintext bytes, %d frame words and %d run words", plains, words, runs)
-	if bound := (intakeFrames + 1) * maxFrame; plains > bound {
-		t.Fatalf("the frame free list holds %d plaintext bytes, in-flight bound %d", plains, bound)
-	}
-	if bound := (intakeFrames + 1) * maxFrame * 8 / int(s.codec.bits); words > bound {
-		t.Fatalf("the frame free list holds %d words, in-flight bound %d", words, bound)
-	}
+	t.Logf("the free list holds %d run words", runs)
 	if bound := ((queuedBatchesPerWorker+1)*workers + 1) * batchSize; runs > bound {
 		t.Fatalf("the run free list holds %d words, in-flight bound %d", runs, bound)
 	}
@@ -541,11 +620,11 @@ func TestWorkersAndQueueFollowGOMAXPROCS(t *testing.T) {
 }
 
 // TestIngestAllocsPerReport pins the steady-state allocation cost of
-// the session ingest path at (almost) nothing: opened plaintexts and
-// shuffle runs come back through free lists, so neither a frame nor a
-// batch allocates once the lists have warmed. The figure covers the
-// whole process — client, in-memory connection, reader, shuffler,
-// workers — so it is an upper bound on the service's share; what is
+// the session ingest path at (almost) nothing: a reader reuses its
+// opened frame's buffers and runs come back through a free list, so
+// neither a frame nor a batch allocates once the list has warmed. The
+// figure covers the whole process — client, in-memory connection,
+// reader, workers — so it is an upper bound on the service's share; what is
 // left is the run free list growing to the backlog's high-water mark, a
 // bounded number of runs per service, not per report.
 func TestIngestAllocsPerReport(t *testing.T) {
@@ -623,7 +702,7 @@ func durableShell(t *testing.T, cfg Config) *Service {
 }
 
 // TestLogFrameAllocsPerFrame pins the durable tier's unit of work: the
-// shuffler's seal + append step allocates nothing per frame once its
+// batch stage's seal + append step allocates nothing per frame once its
 // buffers have grown, whether the frame carries 1, 256 or 4096 reports —
 // the sealer keeps its nonce and the store frames the record in its own
 // scratch. Per-report logging would show up here as a count that grows
@@ -718,7 +797,6 @@ func TestFrameLoggedBeforeFirstBatch(t *testing.T) {
 	}
 
 	batches := 0
-	go s.cutRuns()
 	s.workerPool.Go(s.workers, func(i int) {
 		for eb := range s.batches {
 			held := onDisk()

@@ -10,40 +10,6 @@ import (
 	"shuffledp/internal/transport"
 )
 
-// intakeFrames is the intake queue's capacity in opened session
-// frames: enough that a reader can open its next frame while the
-// batch stage splits the previous one. It is a constant, not a knob:
-// capacities 1, 4 and 16 measured no better than 2 on either service
-// benchmark workload (EXPERIMENTS.md, "Spend the profile"), and each
-// slot can pin a DefaultMaxFrame-sized plaintext and its words, up to
-// eight times as many bytes again, which is the reason to keep it
-// small.
-const intakeFrames = 2
-
-// frameBuf is one opened session frame's two buffers, which travel
-// and come back to a free list together: plain, the authenticated
-// plaintext as the client packed it, and words, its reports as the
-// reader unpacked them.
-type frameBuf struct {
-	plain []byte
-	words []uint64
-}
-
-// frameBlock is one opened session frame on its way to the batch
-// stage, with the epoch id the frame asserted and the free list of the
-// connection that opened it. The reader has checked the plaintext with
-// Codec.unpack, so words holds at least one valid report.
-type frameBlock struct {
-	frameBuf
-	epoch uint32
-	// home is the reader's own one-frame free list. The batch stage gives
-	// the buffers back there first and to the service's list only when
-	// home is full, so the one opened frame each connection may hold on
-	// top of the intake and the batch stage's (DESIGN.md §6) comes back
-	// to it.
-	home chan frameBuf
-}
-
 // errStopIngest is the reader sentinel for "the service is stopping":
 // the loop ends, but the connection did not fail.
 var errStopIngest = errors.New("service: stopping")
@@ -55,26 +21,34 @@ var errStopIngest = errors.New("service: stopping")
 // carries on.
 var errKickConn = errors.New("service: kicking connection")
 
-// readConn is the read stage for one connection: a pipeline.Reader
-// feeding the intake queue, deadline-guarded so a stalled client is
-// disconnected (Snapshot.IdleClosed) instead of pinning this goroutine
-// — and Drain's conns.Wait — forever.
+// readConn is the read stage for one connection, and the batch stage
+// for each frame it opens: a pipeline.Reader, deadline-guarded so a
+// stalled client is disconnected (Snapshot.IdleClosed) instead of
+// pinning this goroutine — and Drain's conns.Wait — forever.
 //
 // The first frame must be a SessionHelloTag frame, which performs the
 // session handshake: every later frame is then one AEAD-sealed batch
-// of codec-packed reports, opened and unpacked here and handed to the
-// batch stage whole — one intake send per frame — so the rest of the
-// pipeline sees only authenticated plaintext and valid words. Protocol
-// violations (oversized frame, missing or bad hello, failed AEAD,
-// replayed or reordered counter, a plaintext that does not unpack)
-// kick only this connection: a hostile client holding the public key
-// can end its own connection, never the service.
+// of codec-packed reports, opened and unpacked here into the reader's
+// own two buffers, accepted whole under batchMu, and its completed runs
+// dispatched — so the rest of the pipeline sees only authenticated
+// plaintext and valid words. Protocol violations (oversized frame,
+// missing or bad hello, failed AEAD, replayed or reordered counter, a
+// plaintext that does not unpack) kick only this connection: a hostile
+// client holding the public key can end its own connection, never the
+// service.
 func (s *Service) readConn(conn net.Conn) {
 	defer s.conns.Done()
 	defer s.forget(conn)
 	defer conn.Close()
 	var sess *ecies.Session
-	home := make(chan frameBuf, 1)
+	// The frame's plaintext and words, and the runs it completed: each
+	// is done with before the next frame opens, so the reader reuses
+	// them, and they die with the connection.
+	var (
+		plain []byte
+		words []uint64
+		runs  []epochBatch
+	)
 	rd := &pipeline.Reader{
 		Conn:        conn,
 		IdleTimeout: s.cfg.IdleTimeout,
@@ -93,28 +67,27 @@ func (s *Service) readConn(conn net.Conn) {
 			}
 			s.cfg.Meter.Send(PartyUsers, PartyShuffler, len(frame))
 			// Session batch frame: the tag is the epoch the whole
-			// batch asserts. The plaintext opens, and its words unpack,
-			// into buffers given back to this connection or, failing
-			// that, from the service's free list (fresh ones only when
-			// both are empty); the batch stage gives them back once it
-			// has logged the frame and copied its words into a run.
+			// batch asserts.
 			if len(frame) <= ecies.SessionOverhead {
 				return fmt.Errorf("%w: short session frame (%d bytes)", errKickConn, len(frame))
 			}
-			buf := take(home, s.plains)
-			pt, err := sess.Open(buf.plain[:0], frame)
-			if err != nil {
+			var err error
+			if plain, err = openFrame(sess, plain[:0], frame); err != nil {
 				return fmt.Errorf("%w: %v", errKickConn, err)
 			}
-			words, err := s.codec.unpack(buf.words[:0], pt)
-			if err != nil {
+			if words, err = s.codec.unpack(words[:0], plain); err != nil {
 				return fmt.Errorf("%w: %v", errKickConn, err)
 			}
-			// Post-exhaustion frames flow to the batch stage too: it is the
-			// single goroutine that counts AND write-ahead logs rejected
-			// drops, so the Rejected counter survives a crash like the
-			// others.
-			return s.handOffFrame(frameBlock{frameBuf: frameBuf{plain: pt, words: words}, epoch: tag, home: home})
+			// Post-exhaustion frames are accepted too: the batch stage
+			// counts AND write-ahead logs rejected drops, so the Rejected
+			// counter survives a crash like the others.
+			if runs, err = s.accept(tag, plain, words, runs[:0]); err != nil {
+				return err
+			}
+			for _, eb := range runs {
+				s.dispatch(eb)
+			}
+			return nil
 		},
 	}
 	switch err := rd.Run(); {
@@ -129,17 +102,6 @@ func (s *Service) readConn(conn net.Conn) {
 	}
 }
 
-// handOffFrame passes an opened frame from its reader to the batch
-// stage, the only intake send: from here on its buffers are the batch
-// stage's until returnFrame, and its reports count as Received. It
-// returns errStopIngest, with the buffers still the reader's, when the
-// service stops first.
-func (s *Service) handOffFrame(b frameBlock) error {
-	select {
-	case s.intake <- b:
-		s.received.Add(int64(len(b.words)))
-		return nil
-	case <-s.stop:
-		return errStopIngest
-	}
-}
+// openFrame opens one session frame; the package's tests count the
+// calls through it.
+var openFrame = (*ecies.Session).Open

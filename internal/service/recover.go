@@ -24,7 +24,7 @@ package service
 //     refusing ingestion.
 //
 // What recovery deliberately does NOT preserve: reports that were in
-// flight (client buffers, the intake queue, an unflushed WAL buffer)
+// flight (client buffers, a reader's hands, an unflushed WAL buffer)
 // are gone, exactly as the fsync policy allows — clients resume from
 // Snapshot().Received, the count of durably accepted reports, which
 // recovers on a frame boundary because a WAL record is a whole frame.

@@ -292,7 +292,7 @@ func TestCrashRecoveryConformance(t *testing.T) {
 }
 
 // stageInterruptedRotation hand-writes dir exactly as a service that
-// crashed right after the shuffler wrote the rotation marker would
+// crashed right after the service wrote the rotation marker would
 // leave it: reports[:n] logged for epoch 0 (each one-report frame
 // handed to appendRec), the marker opening epoch next (-1: the ledger
 // refused epoch 1), no checkpoint.

@@ -5,34 +5,35 @@
 // per-worker aggregators so the running histogram is available at any
 // point mid-stream.
 //
-// Pipeline stages, each a bounded queue ahead of it (backpressure
-// propagates from a slow stage back to the clients' writes), one file
-// each:
+// Pipeline stages, one file each, with one bounded queue between the
+// readers and the workers (backpressure propagates from a slow fold
+// back to the clients' writes):
 //
-//	read.go         --intake-->  batch.go      --batches-->  fold.go
-//	(one reader per   (frames:   (log a frame,  (word runs)   (one fold
-//	 conn: session     packed +   copy its                     per run)
-//	 open, unpack)     words)     words into
-//	                              runs)
+//	read.go + batch.go                      --batches-->  fold.go
+//	(one reader per conn: session open,     (word runs)   (one fold
+//	 unpack; under batchMu, log the frame                  per run)
+//	 and copy its words into runs; then
+//	 dispatch each run cut, folding it
+//	 when the queue is full)
 //
-// and epoch.go seals and releases what the workers folded (Snapshot,
-// Rotate, History, EstimateWindow, Drain). This file holds the wiring
-// and the state the stages share.
+// and epoch.go seals and releases what was folded (Snapshot, Rotate,
+// History, EstimateWindow, Drain). This file holds the wiring and the
+// state the stages share.
 //
-// The unit of hand-off on the intake edge is the opened session frame,
-// not the report: a reader authenticates a frame, unpacks its reports
-// into 8-byte words (Codec's one canonical parse; a frame that fails it
-// kicks the connection) and passes the packed plaintext and the words
-// on in one channel send. The batch stage logs the packed plaintext
-// when the service is durable, copies the words into the open batch —
-// one flat run of words, in arrival order — and gives the frame's
-// buffers back to a free list the readers open into; a worker gives a
-// run back once it is folded. Each buffer changes owner in one function: handOffFrame,
-// returnFrame, handOffRun and returnRun. A per-report hand-off cost more than
+// The unit the batch stage takes is the opened session frame, not the
+// report: a reader authenticates a frame into its own buffers, unpacks
+// its reports into 8-byte words (Codec's one canonical parse; a frame
+// that fails it kicks the connection), and accepts it under batchMu in
+// one section: the packed plaintext is logged when the service is
+// durable, and the words are copied into the open batch — one flat run
+// of words, in arrival order. Each run the frame completed then goes to
+// a worker through the queue or, when the queue is full, is folded by
+// the reader into a shard no worker holds; whoever folds a run gives it
+// back to the run free list. A per-report hand-off cost more than
 // everything else the tier does to a report (EXPERIMENTS.md, "Spend
-// the profile"). A worker folds a whole run through Codec.Fold, the fold
-// WAL replay uses too: word reports reach the aggregator's counting
-// kernel as words, with no Report in between.
+// the profile"). A run is folded whole through Codec.Fold, the fold WAL
+// replay uses too: word reports reach the aggregator's counting kernel
+// as words, with no Report in between.
 //
 // # Wire protocol
 //
@@ -53,7 +54,7 @@
 // from it. Nothing outside can observe the order — folds, snapshots
 // and releases are integer counts over whole runs, and the WAL keeps
 // arrival order — so the batch stage permutes nothing: it cuts
-// runs, the workers' hand-off unit. The ε the ledger charges holds
+// runs, the fold's unit. The ε the ledger charges holds
 // against readers of what the service releases, amplified over the
 // reports each release aggregates; against the service's own operator
 // only the oracle's ε_l holds. The deployment for an untrusted server
@@ -174,10 +175,10 @@ type Config struct {
 	Ledger *budget.Ledger
 	// EpochReports, when > 0, auto-rotates once the open epoch has
 	// accepted at least this many reports. The count advances a whole
-	// session frame at a time and the cut lands between frames, after
-	// whatever the intake already held, so epochs run long by up to one
-	// frame plus the frames that arrived while the rotation was on its
-	// way. 0 means epochs rotate only through explicit Rotate calls.
+	// session frame at a time and the cut lands between frames, so
+	// epochs run long by up to one frame plus the frames accepted while
+	// the rotation was on its way. 0 means epochs rotate only through
+	// explicit Rotate calls.
 	EpochReports int
 
 	// DataDir, when non-empty, makes the service durable: every
@@ -217,8 +218,8 @@ type Snapshot struct {
 	// already sealed into History; in a Drain snapshot (all epochs
 	// merged) it is simply Received - Reports.
 	Received int64
-	// Batches is how many batches have been forwarded to the
-	// workers (across all epochs).
+	// Batches is how many batches have been cut for the fold (across
+	// all epochs).
 	Batches int64
 	// Epoch is the open epoch's id (the last epoch's id once the
 	// budget is exhausted).
@@ -256,20 +257,27 @@ type Service struct {
 	// shard count: GOMAXPROCS when the service was built.
 	workers int
 
-	intake  chan frameBlock // opened session frames, read stage -> batch stage
-	batches chan epochBatch // word runs, batch stage -> fold workers
+	// batches is the worker queue: word runs, readers -> fold workers.
+	// Readers are its only senders, and Drain closes it once every
+	// reader has exited.
+	batches chan epochBatch
 
-	// plains and runs are the free lists of the ingest path's two
-	// buffers: opened frames, plaintext and words (a reader takes one,
-	// the batch stage gives it back once the frame is logged and
-	// batched), and word runs (the batcher takes one, a worker gives it
-	// back after its fold). Each is capped at its buffers' in-flight count past the
-	// readers (DESIGN.md §6) — the intake's frames plus the one the
-	// batch stage is accepting; the queue's runs plus one in each worker's
-	// hand and the one the batcher is filling — and a buffer given back
-	// to a full list is dropped.
-	plains chan frameBuf
-	runs   chan []uint64
+	// runs is the free list of word runs: the batcher takes one, whoever
+	// folds it gives it back. It is capped at the runs in flight past
+	// the batcher that no reader holds (DESIGN.md §6) — the queue's,
+	// one in each worker's hand and the one the batcher is filling — and
+	// a run given back to a full list is dropped.
+	runs chan []uint64
+
+	// batchMu is the batch stage: the reader that opened a frame holds
+	// it to route, log and batch the frame (accept), and Rotate and
+	// Drain hold it to cut the stream. It guards batcher, cut, the
+	// sealer and sealBuf, wal, and the swap of cur.
+	batchMu sync.Mutex
+	batcher pipeline.RunBatcher
+	// cut holds the runs the batcher flushed until the goroutine
+	// holding batchMu takes them (takeCut).
+	cut []epochBatch
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -280,8 +288,8 @@ type Service struct {
 
 	// sealer re-encrypts accepted frames for the WAL (their wire
 	// framing is under a connection-ephemeral key recovery could never
-	// re-derive), sealBuf is its batch-stage-owned output scratch. Nil for
-	// an in-memory service.
+	// re-derive), sealBuf is its output scratch. Nil for an in-memory
+	// service.
 	sealer  *ecies.StorageSealer
 	sealBuf []byte
 
@@ -294,12 +302,12 @@ type Service struct {
 	cur       atomic.Pointer[epochState]
 	exhausted atomic.Bool
 
-	// rotateMu serializes Rotate and Drain's final seal.
+	// rotateMu serializes Rotate and Drain's final seal; drained,
+	// under it, says Drain has cut the stream for the last time.
 	rotateMu   sync.Mutex
-	rotateCh   chan rotateReq
+	drained    bool
 	rotateHint chan struct{}
 	rotatorWG  sync.WaitGroup
-	batchDone  chan struct{} // closed when the batch stage exits
 	drainStart chan struct{}
 
 	// history is every sealed epoch, oldest first: the only record of
@@ -308,8 +316,8 @@ type Service struct {
 	history []*epochState
 
 	// st is the durability layer, nil for an in-memory service. wal is
-	// the batch-stage-owned durable-counter mirror (Recover seeds it
-	// before the batch stage starts).
+	// the durable-counter mirror, under batchMu (Recover seeds it
+	// before any reader starts).
 	st  *store.Store
 	wal walCounters
 
@@ -326,8 +334,8 @@ type Service struct {
 }
 
 // New validates cfg, opens the data directory when the service is
-// durable, pays the ledger for epoch 0, starts the batch stage and worker
-// stages, and returns the running (but not yet listening) service. A
+// durable, pays the ledger for epoch 0, starts the fold workers, and
+// returns the running (but not yet listening) service. A
 // directory that already holds state is refused before anything is
 // paid.
 func New(cfg Config) (*Service, error) {
@@ -389,21 +397,16 @@ func prepare(cfg Config) (*Service, error) {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	s := &Service{
-		cfg:     cfg,
-		codec:   codec,
-		workers: workers,
-		// Past intakeFrames of slack the readers block and the clients
-		// feel backpressure through their connection writes.
-		intake:     make(chan frameBlock, intakeFrames),
+		cfg:        cfg,
+		codec:      codec,
+		workers:    workers,
 		batches:    make(chan epochBatch, queuedBatchesPerWorker*workers),
-		plains:     make(chan frameBuf, intakeFrames+1),
 		runs:       make(chan []uint64, (queuedBatchesPerWorker+1)*workers+1),
 		stop:       make(chan struct{}),
-		rotateCh:   make(chan rotateReq),
 		rotateHint: make(chan struct{}, 1),
-		batchDone:  make(chan struct{}),
 		drainStart: make(chan struct{}),
 	}
+	s.batcher = pipeline.RunBatcher{Size: cfg.BatchSize, Free: s.runs, Flush: s.flushRun}
 	if cfg.DataDir != "" {
 		if s.sealer, err = ecies.NewStorageSealer(cfg.Key); err != nil {
 			return nil, err
@@ -420,7 +423,6 @@ func (s *Service) storeMeta() store.Meta {
 // start launches the pipeline goroutines over the already-installed
 // current epoch.
 func (s *Service) start() {
-	go s.cutRuns()
 	s.workerPool.Go(s.workers, s.runWorker)
 	if s.cfg.EpochReports > 0 {
 		s.rotatorWG.Add(1)
@@ -468,7 +470,7 @@ func (s *Service) Serve(ln net.Listener) error {
 // The draining check and the registration are one critical section:
 // Drain flips draining under the same mutex, so once Drain proceeds to
 // conns.Wait no connection can slip in behind it (whose reader would
-// outlive the wait and write to the closed intake channel).
+// outlive the wait and send on the closed worker queue).
 func (s *Service) Ingest(conn net.Conn) error {
 	if s.exhausted.Load() {
 		conn.Close()
@@ -505,9 +507,9 @@ func (s *Service) forget(conn net.Conn) {
 }
 
 // Close aborts the pipeline: listeners and active connections close,
-// readers, batch stage, and workers exit at the next opportunity,
-// in-flight reports may be dropped. A durable service flushes and
-// closes its WAL (after the batch stage exits), so Close is an orderly
+// readers and workers exit at the next opportunity, in-flight reports
+// may be dropped. A durable service flushes and closes its WAL (after
+// every reader exits), so Close is an orderly
 // stop — for the simulated power cut, use Crash. Safe to call after
 // Drain (it is then a no-op).
 func (s *Service) Close() error {
@@ -536,13 +538,15 @@ func (s *Service) shutdown(crash bool) {
 		conn.Close()
 	}
 	s.mu.Unlock()
+	// Wait out the readers (each exits promptly on the stop signal) so
+	// the WAL teardown below cannot interleave with their appends and no
+	// run reaches the queue after dropQueued, then serialize with any
+	// in-flight rotation or checkpoint through rotateMu.
+	s.conns.Wait()
+	s.dropQueued()
 	if s.st == nil {
 		return
 	}
-	// Wait out the batch stage (it exits promptly on the stop signal) so
-	// the WAL teardown below cannot interleave with its appends, then
-	// serialize with any in-flight checkpoint through rotateMu.
-	<-s.batchDone
 	s.rotateMu.Lock()
 	defer s.rotateMu.Unlock()
 	if crash {

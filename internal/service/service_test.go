@@ -418,8 +418,8 @@ func TestNewValidation(t *testing.T) {
 
 // Ingest racing Drain must never panic or hang: either the connection
 // is registered before Drain's cutoff (and Drain waits for its EOF) or
-// it is rejected — no reader may outlive Drain and write into the
-// closed intake. Run under -race.
+// it is rejected — no reader may outlive Drain and send on the closed
+// worker queue. Run under -race.
 func TestIngestDrainRace(t *testing.T) {
 	fo := ldp.NewGRR(4, 1)
 	key, _ := ecies.GenerateKey()

@@ -715,8 +715,8 @@ func TestWALBytesPerReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendSession(t, svc, fo, key, reports)
-	// The last full shuffle batch forwarded means the shuffler has
-	// logged every frame (Received counts frames still in the intake).
+	// n fills whole batches, and a frame is logged before its words
+	// are batched, so the last batch cut means every frame is logged.
 	// An orderly stop then flushes the WAL without sealing, so the open
 	// epoch's segment is all there and nothing has pruned it.
 	waitBatches(t, svc, n/service.DefaultBatchSize)

@@ -31,11 +31,30 @@ func segmentBytes(epoch uint64, recs ...Record) []byte {
 // same records, or they are an error.
 func FuzzReadSegment(f *testing.F) {
 	// The checked-in corpus (testdata/fuzz/FuzzReadSegment) holds the
-	// format-5 shapes by name: header only, one block record, block +
-	// rotate + counted drop, a torn length prefix, a bad CRC, an old
-	// and a future version. These two are the shapes it lacks.
+	// format-5 shapes by name: header only, one sealed-report record,
+	// that record + rotate + counted drop, a torn length prefix and a
+	// bad CRC. A format bump leaves them as old-version inputs, which
+	// the reader must refuse; the seeds below are built from
+	// formatVersion, so the current version's shapes and the versions
+	// either side of it move with the bump.
+	block := Record{Type: RecordSealedReport, Epoch: 2, Payload: bytes.Repeat([]byte{0xa5}, 60)}
+	rotate := Record{Type: RecordRotate, Epoch: 2, Next: 3}
+	drop := Record{Type: RecordDrop, Epoch: 3, Reason: DropLate, Count: 4096}
+	stamped := func(version byte, seg []byte) []byte {
+		seg[len(segmentMagic)] = version
+		return seg
+	}
+	badCRC := segmentBytes(1, block)
+	badCRC[len(badCRC)-1] ^= 1
 	f.Add([]byte{})
 	f.Add(append(segmentBytes(1), 0, 0, 0, 6, RecordDrop, 1, 0, 0, 0)) // payload cut short
+	f.Add(segmentBytes(0))
+	f.Add(segmentBytes(2, block))
+	f.Add(segmentBytes(2, block, rotate, drop))
+	f.Add(append(segmentBytes(2, block, rotate), 0, 0)) // torn length prefix
+	f.Add(badCRC)
+	f.Add(stamped(formatVersion-1, segmentBytes(2, block)))
+	f.Add(stamped(formatVersion+1, segmentBytes(0, block)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, epoch, validOff, torn, err := parseSegment(bytes.NewReader(data), true)

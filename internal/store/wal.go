@@ -18,8 +18,9 @@ import (
 
 // Store is an open data directory: the current WAL segment being
 // appended to plus the checkpoint series. All methods are safe for
-// concurrent use — the service appends records from its shuffler
-// goroutine while rotations write checkpoints from the caller's.
+// concurrent use — the service appends records from its connection
+// readers while rotations write checkpoints from the caller's
+// goroutine.
 type Store struct {
 	dir  string
 	meta Meta
@@ -394,7 +395,7 @@ func (s *Store) Rotate(sealed uint32, next int64) error {
 // rename, fsync directory) and then prunes: older checkpoints are
 // deleted, and every WAL segment created before cp.OpenEpoch opened is
 // covered by the checkpoint and deleted too. The disk writes run
-// outside the append mutex — the shuffler's WAL appends (the ingest
+// outside the append mutex — the readers' WAL appends (the ingest
 // hot path) must not stall behind a checkpoint fsync — and ckptMu
 // serializes concurrent checkpoint writers (the service additionally
 // orders them under its rotation lock).
