@@ -96,7 +96,20 @@ type PrivateKey interface {
 // parallel loop each allocate their own via NewScratch.
 type Scratch struct {
 	e       big.Int // AddPlainInto's reduced plaintext exponent
-	t, q, u big.Int // mulRedc's product, quotient and quotient*modulus
+	t, q, u big.Int // mulRedcBig's product, quotient and quotient*modulus
+	// w holds the fused kernel's accumulator and padded operands
+	// (mont.go); redcs counts the Montgomery multiplications run on
+	// this Scratch, which the work-count tests read.
+	w     []big.Word
+	redcs uint64
+}
+
+// words returns sc.w grown to at least n words.
+func (sc *Scratch) words(n int) []big.Word {
+	if len(sc.w) < n {
+		sc.w = make([]big.Word, n)
+	}
+	return sc.w
 }
 
 // serializeFixed left-pads v to size bytes.

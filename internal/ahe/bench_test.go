@@ -179,30 +179,43 @@ func BenchmarkDGKEncryptPooled(b *testing.B) {
 }
 
 // BenchmarkModMul prices one modular multiplication at the bench key's
-// modulus both ways: math/big's Mul followed by Mod (the long division
-// the fast path no longer runs) and the division-free mulRedc every
-// table, pool and decryption multiplication now is.
+// modulus n, its factor p and a 3072-bit modulus: math/big's Mul
+// followed by Mod (the long division the fast path no longer runs),
+// mulRedc's portable three-Mul REDC, and mulRedc itself — the fused
+// kernel where the CPU has ADX and BMI2.
 func BenchmarkModMul(b *testing.B) {
 	key := benchKey(b)
-	m := newMont(key.n)
-	x := new(big.Int).Sub(key.n, big.NewInt(12345))
-	y := new(big.Int).Rsh(key.n, 1)
-	b.Run("MulMod", func(b *testing.B) {
-		b.ReportAllocs()
-		var acc, tmp big.Int
-		acc.Set(x)
-		for i := 0; i < b.N; i++ {
-			tmp.Mul(&acc, y)
-			acc.Mod(&tmp, key.n)
+	n3072 := new(big.Int).Lsh(bigOne, 3071)
+	n3072.Add(n3072, big.NewInt(12345))
+	for _, c := range []struct {
+		name string
+		n    *big.Int
+	}{{"1024", key.n}, {"512", key.p}, {"3072", n3072}} {
+		m := newMont(c.n)
+		x := new(big.Int).Sub(c.n, big.NewInt(12345))
+		y := new(big.Int).Rsh(c.n, 1)
+		b.Run(c.name+"/MulMod", func(b *testing.B) {
+			b.ReportAllocs()
+			var acc, tmp big.Int
+			acc.Set(x)
+			for i := 0; i < b.N; i++ {
+				tmp.Mul(&acc, y)
+				acc.Mod(&tmp, c.n)
+			}
+		})
+		for _, redc := range []struct {
+			name string
+			mul  func(z, x, y *big.Int, sc *Scratch)
+		}{{"portable", m.mulRedcBig}, {"mulRedc", m.mulRedc}} {
+			b.Run(c.name+"/"+redc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var acc big.Int
+				var sc Scratch
+				acc.Set(x)
+				for i := 0; i < b.N; i++ {
+					redc.mul(&acc, &acc, y, &sc)
+				}
+			})
 		}
-	})
-	b.Run("mulRedc", func(b *testing.B) {
-		b.ReportAllocs()
-		var acc big.Int
-		var sc Scratch
-		acc.Set(x)
-		for i := 0; i < b.N; i++ {
-			m.mulRedc(&acc, &acc, y, &sc)
-		}
-	})
+	}
 }

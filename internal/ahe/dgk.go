@@ -236,6 +236,8 @@ func finishDGKPrivateKey(pub DGKPublicKey, p, vp *big.Int) (*DGKPrivateKey, erro
 // Immutable after construction.
 type dgkDecFast struct {
 	m *mont // Montgomery context mod p
+	// vpWin is vp's windows for mont.exp's c^vp (expWindows).
+	vpWin []byte
 	// exps[i] = l - 8i - widths[i]: the power of two that maps round
 	// i's digit into the top window, strictly decreasing to 0.
 	exps []int
@@ -262,6 +264,7 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 	nd := (l + dgkDecDigitBits - 1) / dgkDecDigitBits
 	df := &dgkDecFast{
 		m:      newMont(k.p),
+		vpWin:  expWindows(k.vp),
 		exps:   make([]int, nd),
 		widths: make([]int, nd),
 		look:   make([]map[string]byte, nd),
@@ -620,7 +623,7 @@ var bigOne = big.NewInt(1)
 // (falling back to the bit-by-bit decryption when the value is outside
 // gamma's subgroup, so Decrypt is defined the same way on every input).
 func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
-	if m, ok := k.decryptFast(c); ok {
+	if m, ok := k.decryptFast(c, new(Scratch)); ok {
 		return m, nil
 	}
 	return k.decryptNaive(c)
@@ -638,7 +641,7 @@ func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
 // from scratch every bit — the O(l^2) inner loop this replaces), and
 // the correction factors gamma^(-d_j << (exps[i]+8j)) are table rows.
 // Total: ~l squarings + O((l/8)^2) multiplications mod p, every one a
-// mulRedc: cm enters the Montgomery domain once, squares and
+// mulRedc: cm leaves mont.exp in the Montgomery domain, squares and
 // corrections keep it there, and the lookup is keyed by the
 // Montgomery-form bytes, so nothing is converted back.
 //
@@ -646,12 +649,11 @@ func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
 // (impossible for anything produced by Encrypt/Add/AddPlain/
 // Rerandomize); the caller falls back to the bit-by-bit path so junk
 // inputs keep their reference behavior.
-func (k *DGKPrivateKey) decryptFast(c *Ciphertext) (uint64, bool) {
+func (k *DGKPrivateKey) decryptFast(c *Ciphertext, sc *Scratch) (uint64, bool) {
 	df := k.dec
 	nd := len(df.exps)
-	var sc Scratch
-	cur := new(big.Int).Exp(new(big.Int).Mod(c.v, k.p), k.vp, k.p)
-	df.m.mulRedc(cur, cur, df.m.r2, &sc)
+	cur := new(big.Int).Mod(c.v, k.p)
+	df.m.exp(cur, cur, k.vp, df.vpWin, sc)
 
 	// One squaring chain, snapshotted at each round's exponent
 	// (exps is strictly decreasing; exps[nd-1] == 0).
@@ -659,7 +661,7 @@ func (k *DGKPrivateKey) decryptFast(c *Ciphertext) (uint64, bool) {
 	e := 0
 	for i := nd - 1; i >= 0; i-- {
 		for ; e < df.exps[i]; e++ {
-			df.m.mulRedc(cur, cur, cur, &sc)
+			df.m.mulRedc(cur, cur, cur, sc)
 		}
 		snaps[i].Set(cur)
 	}
@@ -673,7 +675,7 @@ func (k *DGKPrivateKey) decryptFast(c *Ciphertext) (uint64, bool) {
 			if d == 0 {
 				continue
 			}
-			df.m.mulRedc(z, z, df.inv[df.exps[i]+dgkDecDigitBits*j][d-1], &sc)
+			df.m.mulRedc(z, z, df.inv[df.exps[i]+dgkDecDigitBits*j][d-1], sc)
 		}
 		d, ok := df.look[i][string(z.FillBytes(key))]
 		if !ok {

@@ -282,7 +282,7 @@ func TestFastPathConformance(t *testing.T) {
 
 			// Both decryption paths agree on every ciphertext.
 			for _, c := range []*Ciphertext{c1, c2, sum} {
-				fast, ok := key.decryptFast(c)
+				fast, ok := key.decryptFast(c, new(Scratch))
 				if !ok {
 					return false
 				}

@@ -1,0 +1,105 @@
+package ahe
+
+import (
+	"os"
+	"testing"
+	"time"
+)
+
+// TestMontMulsPerOpGolden bounds what each DGK operation costs in
+// Montgomery multiplications at the contract benchmark's 1024-bit key
+// fixture, counted on the caller's Scratch (mont.go bumps its redcs
+// once per multiplication on either branch, the seam's whole cost): at
+// most 8 for g^m, one per nonzero byte of a 64-bit plaintext; at most
+// 50 for an inline h^r, one per nonzero byte of a 400-bit randomizer;
+// 1 for a pooled h^r; and for decryption, c^vp's conversion and the
+// 56 squarings of the digit chain plus one correction per nonzero
+// digit below each round, and on the fused kernel the windowed c^vp
+// (14 powers, 156 squarings, one multiplication per nonzero window of
+// vp after the first) where the portable branch calls big.Int.Exp.
+// With cluster's TestPEOSWorkCountsGolden — how many operations a
+// benchmark round runs — it is the AHE layer's work count.
+func TestMontMulsPerOpGolden(t *testing.T) {
+	blob, err := os.ReadFile("../../benchmark/testdata/dgk1024.key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := UnmarshalDGKPrivateKey(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	count := func(op func() error) uint64 {
+		t.Helper()
+		before := sc.redcs
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return sc.redcs - before
+	}
+	c, err := key.Encrypt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, m := range []uint64{0, 1, 0x0100_0000_0000_0001, 0x8000_0000_0000_0000, 1<<64 - 1, 0x0123_4567_89ab_cdef} {
+		want := uint64(0)
+		for v := m; v != 0; v >>= 8 {
+			if v&0xff != 0 {
+				want++
+			}
+		}
+		if got := count(func() error { return key.AddPlainInto(c, c, m, &sc) }); got != want || got > 8 {
+			t.Errorf("g^m for m = %#x: %d multiplications, want %d", m, got, want)
+		}
+	}
+
+	for range 20 {
+		if got := count(func() error { return key.RerandomizeInto(c, c, &sc) }); got > 50 {
+			t.Errorf("inline h^r: %d multiplications, want at most 50", got)
+		}
+	}
+
+	stop := key.StartRandomizerPool()
+	for deadline := time.Now().Add(5 * time.Second); key.fb.pool.Load().size.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("a started pool stayed empty for 5 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hits, _ := key.RandomizerPoolStats()
+	got := count(func() error { return key.RerandomizeInto(c, c, &sc) })
+	stop()
+	if after, _ := key.RandomizerPoolStats(); after != hits+1 || got != 1 {
+		t.Errorf("pooled h^r: %d multiplications (pool hits %d -> %d), want 1 from the pool", got, hits, after)
+	}
+
+	// Decryption, on each branch: m's eight digits all nonzero, so
+	// round i corrects i digits (28 in all), and m = 0, which corrects
+	// none. The fixture's vp has 36 nonzero windows of 40.
+	for _, tc := range []struct {
+		m                uint64
+		portable, kernel uint64
+	}{{0x0101_0101_0101_0101, 85, 290}, {0, 57, 262}} {
+		c, err := key.Encrypt(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range redcBranches(key.dec.m) {
+			dec := *key.dec
+			dec.m = b.m
+			onBranch := *key
+			onBranch.dec = &dec
+			want := map[string]uint64{"portable": tc.portable, "kernel": tc.kernel}[b.name]
+			got := count(func() error {
+				if m, ok := onBranch.decryptFast(c, &sc); !ok || m != tc.m {
+					t.Fatalf("%s: decryptFast = %#x, %v; want %#x", b.name, m, ok, tc.m)
+				}
+				return nil
+			})
+			if got != want {
+				t.Errorf("%s: Decrypt of %#x: %d multiplications, want %d", b.name, tc.m, got, want)
+			}
+		}
+	}
+}

@@ -121,3 +121,59 @@ func TestPEOSWorkCounts(t *testing.T) {
 		t.Fatalf("cluster r=%d: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", r, got, want)
 	}
 }
+
+// TestPEOSWorkCountsGolden pins, as literal numbers, the DGK work of
+// two seeded runs at the contract benchmark's PEOS shapes on its
+// 1024-bit key fixture: one protocol.PEOS.Run at peos_inproc_r2's
+// (GRR, d = 64, n = 4,000, n_r = 200, r = 2) and one cluster collection
+// at peos_cluster_r3's (SOLH, d = 1,024, d' = 16, n = 3,000, n_r = 150,
+// r = 3). These counts are the AHE layer's work count: a speedup
+// claimed on that layer must leave them where they are, and
+// internal/ahe's TestMontMulsPerOpGolden bounds what each operation
+// costs in Montgomery multiplications.
+func TestPEOSWorkCountsGolden(t *testing.T) {
+	blob, err := os.ReadFile("../../benchmark/testdata/dgk1024.key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := ahe.UnmarshalDGKPrivateKey(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	key := &countingKey{PrivateKey: priv}
+	p, err := protocol.NewPEOS(ldp.NewGRR(64, 2), 2, 200, key, rng.New(71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(synthValues(4000, 64, 72), rng.New(73)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := key.work(), (work{4200, 4200, 4200, 4200}); got != want {
+		t.Errorf("PEOS.Run at peos_inproc_r2's shape: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", got, want)
+	}
+
+	const n, nr = 3000, 150
+	fo := ldp.NewSOLH(1024, 16, 2)
+	key = &countingKey{PrivateKey: priv}
+	h := startCluster(t, 3, nr, fo, priv, 74,
+		func(cfg *cluster.AnalyzerConfig) { cfg.Priv = key },
+		func(_ int, cfg *cluster.ShufflerConfig) { cfg.Pub = key })
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: h.topo, FO: fo, Pub: key, Source: rng.New(75)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendValues(0, synthValues(n, 1024, 76), rng.New(77)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.analyzer.Collect(n); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := key.work(), (work{3150, 6300, 6300, 3150}); got != want {
+		t.Errorf("cluster collection at peos_cluster_r3's shape: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", got, want)
+	}
+}

@@ -37,6 +37,10 @@ var runAllowList = map[string]string{
 	"ahe.Ciphertext.Clone":         "benchmark's per-layer replay (--trace) copies its sample through it; the shuffle writes into fresh ciphertexts",
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
+	"ahe.mont.mulRedcBig": "mulRedc's portable branch, which hosts without ADX and BMI2 and every other GOARCH run; " +
+		"the census host runs the fused kernel (TestPortableBranchMatchesKernel drives it everywhere)",
+	"ahe.montMulADX": "assembly (mont_amd64.s), which coverage does not count; mont.mulWords, its one caller, runs",
+	"ahe.cpuid":      "assembly (mont_amd64.s), which coverage does not count; hasMontKernel's initializer calls it",
 
 	"oblivious.memMesh.abort": "the in-process mesh fails only when a party errors",
 	"pipeline.Disconnected":   "classifies a shuffler's broken analyzer link; no census run breaks one",

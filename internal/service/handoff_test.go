@@ -358,18 +358,25 @@ func TestReadersFoldWhenWorkersStall(t *testing.T) {
 	defer s.Close()
 
 	// One run per frame: the reader dispatches each frame's run before
-	// it reads the next.
+	// it reads the next. The first frames are one per worker, and the
+	// rest follow once every worker holds its run: streamed at once, the
+	// queue could fill before a worker took its first run, and the
+	// reader would fold runs the queue was meant to hold.
 	cl := pipeClient(t, s, batchSize)
-	for _, rep := range reports {
-		if err := cl.SendReport(rep); err != nil {
+	send := func(reports []ldp.Report) {
+		for _, rep := range reports {
+			if err := cl.SendReport(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, "Received", s.received.Load, n)
+	send(reports[:workers*batchSize])
 	inHand.Wait()
+	send(reports[workers*batchSize:])
+	waitCounter(t, "Received", s.received.Load, n)
 	// The last n mod batchSize reports wait in the batcher's partial run.
 	folded := int64(n - held - n%batchSize)
 	waitCounter(t, "aggregated reports", func() int64 { return int64(s.Snapshot().Reports) }, folded)

@@ -265,8 +265,8 @@ type Service struct {
 	// runs is the free list of word runs: the batcher takes one, whoever
 	// folds it gives it back. It is capped at the runs in flight past
 	// the batcher that no reader holds (DESIGN.md §6) — the queue's,
-	// one in each worker's hand and the one the batcher is filling — and
-	// a run given back to a full list is dropped.
+	// one in each worker's hand and the one the batcher is filling —
+	// and starts full; a run given back to a full list is dropped.
 	runs chan []uint64
 
 	// batchMu is the batch stage: the reader that opened a frame holds
@@ -405,6 +405,13 @@ func prepare(cfg Config) (*Service, error) {
 		stop:       make(chan struct{}),
 		rotateHint: make(chan struct{}, 1),
 		drainStart: make(chan struct{}),
+	}
+	// The free list starts full, one slab cut into runs: the first time
+	// the queue fills and a reader folds, mid-stream, the batcher takes
+	// runs from it instead of allocating them.
+	slab := make([]uint64, cap(s.runs)*cfg.BatchSize)
+	for i := range cap(s.runs) {
+		s.runs <- slab[i*cfg.BatchSize : i*cfg.BatchSize : (i+1)*cfg.BatchSize]
 	}
 	s.batcher = pipeline.RunBatcher{Size: cfg.BatchSize, Free: s.runs, Flush: s.flushRun}
 	if cfg.DataDir != "" {
