@@ -7,7 +7,11 @@
 // should support a plaintext space of Z_{2^l} ... so that the decrypted
 // result modulo 2^l looks like other reports."
 //
-// All arithmetic uses math/big; randomness is crypto/rand. Key
+// Keys, ciphertexts and the reference paths use math/big; every hot
+// modular multiplication runs on one of mont.go's Montgomery kernels,
+// chosen per modulus by what the CPU has: the radix-2^52 IFMA kernel
+// (ifma_amd64.s), the fused ADX kernel (mont_amd64.s), or REDC over
+// big.Int.Mul everywhere else. Randomness is crypto/rand. Key
 // generation is probabilistic-prime based, so use small key sizes in
 // tests (512/1024 bits) and 3072 bits to match the paper's Table III.
 package ahe
@@ -86,8 +90,11 @@ type PublicKey interface {
 // PrivateKey adds decryption.
 type PrivateKey interface {
 	PublicKey
-	// Decrypt returns the plaintext in [0, 2^l).
-	Decrypt(c *Ciphertext) (uint64, error)
+	// DecryptChunk sets dst[i] to the plaintext of cs[i], in [0, 2^l),
+	// for every i (len(dst) == len(cs)), on the calling worker's
+	// Scratch. A chunk is how decryption fans out: DGK decrypts its
+	// ciphertexts two at a time.
+	DecryptChunk(dst []uint64, cs []*Ciphertext, sc *Scratch) error
 }
 
 // Scratch holds the per-worker big.Int temporaries the in-place
@@ -97,19 +104,15 @@ type PrivateKey interface {
 type Scratch struct {
 	e       big.Int // AddPlainInto's reduced plaintext exponent
 	t, q, u big.Int // mulRedcBig's product, quotient and quotient*modulus
-	// w holds the fused kernel's accumulator and padded operands
-	// (mont.go); redcs counts the Montgomery multiplications run on
-	// this Scratch, which the work-count tests read.
-	w     []big.Word
-	redcs uint64
-}
-
-// words returns sc.w grown to at least n words.
-func (sc *Scratch) words(n int) []big.Word {
-	if len(sc.w) < n {
-		sc.w = make([]big.Word, n)
-	}
-	return sc.w
+	x       big.Int // a ciphertext mod p; the portable exp's power
+	// w is the ADX kernel's accumulator, acc a chain's accumulator
+	// elem, pows exp2's window powers, dec decryptPair's chains and
+	// snapshots and key its lookup key (mont.go, dgk.go); redcs counts
+	// the Montgomery multiplications run on this Scratch, which the
+	// work-count tests read.
+	w, acc, pows, dec []big.Word
+	key               []byte
+	redcs             uint64
 }
 
 // serializeFixed left-pads v to size bytes.

@@ -46,6 +46,31 @@ func BenchmarkDGKDecrypt(b *testing.B) {
 	}
 }
 
+// BenchmarkDGKDecryptChunk decrypts a 64-ciphertext chunk per
+// iteration on one warm Scratch, as a RevealParallel worker does, and
+// reports the cost per ciphertext: the pairs on mont.mul2 that
+// BenchmarkDGKDecrypt's one-ciphertext wrapper cannot form.
+func BenchmarkDGKDecryptChunk(b *testing.B) {
+	key := benchKey(b)
+	cs := make([]*Ciphertext, 64)
+	for i := range cs {
+		var err error
+		if cs[i], err = key.Encrypt(uint64(i) * 0x9e3779b97f4a7c15); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ms := make([]uint64, len(cs))
+	sc := key.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := key.DecryptChunk(ms, cs, sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cs))/1e3, "us/ct")
+}
+
 func BenchmarkDGKAddPlain(b *testing.B) {
 	key := benchKey(b)
 	c, _ := key.Encrypt(1)
@@ -180,9 +205,11 @@ func BenchmarkDGKEncryptPooled(b *testing.B) {
 
 // BenchmarkModMul prices one modular multiplication at the bench key's
 // modulus n, its factor p and a 3072-bit modulus: math/big's Mul
-// followed by Mod (the long division the fast path no longer runs),
-// mulRedc's portable three-Mul REDC, and mulRedc itself — the fused
-// kernel where the CPU has ADX and BMI2.
+// followed by Mod (the long division the fast path no longer runs), and
+// mont.mul on every kernel this CPU runs — the portable three-Mul REDC,
+// the fused ADX kernel and the IFMA kernel, the last also as mul2's
+// interleaved pair (ns/mul is per product). The IFMA rows stop at its
+// ifmaMaxRows limbs.
 func BenchmarkModMul(b *testing.B) {
 	key := benchKey(b)
 	n3072 := new(big.Int).Lsh(bigOne, 3071)
@@ -191,7 +218,6 @@ func BenchmarkModMul(b *testing.B) {
 		name string
 		n    *big.Int
 	}{{"1024", key.n}, {"512", key.p}, {"3072", n3072}} {
-		m := newMont(c.n)
 		x := new(big.Int).Sub(c.n, big.NewInt(12345))
 		y := new(big.Int).Rsh(c.n, 1)
 		b.Run(c.name+"/MulMod", func(b *testing.B) {
@@ -203,18 +229,30 @@ func BenchmarkModMul(b *testing.B) {
 				acc.Mod(&tmp, c.n)
 			}
 		})
-		for _, redc := range []struct {
-			name string
-			mul  func(z, x, y *big.Int, sc *Scratch)
-		}{{"portable", m.mulRedcBig}, {"mulRedc", m.mulRedc}} {
-			b.Run(c.name+"/"+redc.name, func(b *testing.B) {
+		for _, br := range redcBranchList {
+			if missingFeature(br.kern) != "" || !br.covers(c.n) || (br.pair && br.kern != kernelIFMA) {
+				continue
+			}
+			b.Run(c.name+"/"+br.name, func(b *testing.B) {
 				b.ReportAllocs()
-				var acc big.Int
+				m := newMontOn(c.n, br.kern)
+				e := m.elems(3)
+				m.set(e[0], x)
+				m.set(e[1], x)
+				m.set(e[2], y)
 				var sc Scratch
-				acc.Set(x)
 				for i := 0; i < b.N; i++ {
-					redc.mul(&acc, &acc, y, &sc)
+					if br.pair {
+						m.mul2(e[0], e[0], e[2], e[1], e[1], e[2], &sc)
+					} else {
+						m.mul(e[0], e[0], e[2], &sc)
+					}
 				}
+				muls := b.N
+				if br.pair {
+					muls *= 2
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(muls), "ns/mul")
 			})
 		}
 	}

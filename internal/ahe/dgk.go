@@ -44,8 +44,11 @@ import (
 // round from one shared squaring chain and per-key digit tables — O(l)
 // modular multiplications per ciphertext instead of the naive O(l^2)
 // squaring triangle. Every one of those multiplications is the
-// division-free mulRedc of mont.go: table entries, pooled randomizers
-// and digit rows are stored in Montgomery form, ciphertexts never are.
+// division-free mont.mul of mont.go: table entries, pooled randomizers
+// and digit rows are stored as Montgomery-form elems, ciphertexts never
+// are. Decryption runs two ciphertexts at a time (DecryptChunk): c^vp's
+// windows are the key's, so both chains take the same steps on
+// mont.mul2.
 // The bit-by-bit decryption (decryptNaive) stays as the fall-through
 // for a unit outside gamma's subgroup, which a hostile peer can send.
 // The generic math/big encryption is the conformance reference in
@@ -226,13 +229,13 @@ func finishDGKPrivateKey(pub DGKPublicKey, p, vp *big.Int) (*DGKPrivateKey, erro
 		cur = new(big.Int).Mod(new(big.Int).Mul(cur, cur), p)
 		curInv = new(big.Int).Mod(new(big.Int).Mul(curInv, curInv), p)
 	}
-	priv.dec = newDGKDecFast(priv)
+	priv.dec = newDGKDecFast(priv, newMont(p))
 	return priv, nil
 }
 
 // dgkDecFast holds the per-key digit tables of the windowed
-// Pohlig–Hellman decryption, every group element in Montgomery form
-// mod p (decryptFast converts c^vp once and never converts back).
+// Pohlig–Hellman decryption, every group element a Montgomery-form elem
+// mod p (decryptPair converts c^vp once and never converts back).
 // Immutable after construction.
 type dgkDecFast struct {
 	m *mont // Montgomery context mod p
@@ -245,31 +248,29 @@ type dgkDecFast struct {
 	// final round (l mod 8, when l is not a multiple of 8).
 	widths []int
 	// look[i] maps gamma^(d << (l - widths[i])) * R mod p — as
-	// keyLen fixed-width bytes — back to the digit d. All full-width
-	// rounds share one map.
-	look   []map[string]byte
-	keyLen int
+	// mont.putKey bytes — back to the digit d. All full-width rounds
+	// share one map.
+	look []map[string]byte
 	// inv[pos][d-1] = gamma^(-d << pos) * R mod p for the correction
 	// factors that cancel already-recovered digits out of the shared
 	// squaring chain.
-	inv map[int][]*big.Int
+	inv map[int][]elem
 }
 
-// newDGKDecFast precomputes the digit tables: one 2^8-entry lookup
-// (plus a smaller one when l is not a multiple of 8) and at most
-// ceil(l/8)-1 inverse rows of 255 entries — a few thousand modular
-// multiplications mod p, once per private key.
-func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
+// newDGKDecFast precomputes the digit tables on m, a context mod p:
+// one 2^8-entry lookup (plus a smaller one when l is not a multiple of
+// 8) and at most ceil(l/8)-1 inverse rows of 255 entries — a few
+// thousand modular multiplications mod p, once per private key.
+func newDGKDecFast(k *DGKPrivateKey, m *mont) *dgkDecFast {
 	l := k.l
 	nd := (l + dgkDecDigitBits - 1) / dgkDecDigitBits
 	df := &dgkDecFast{
-		m:      newMont(k.p),
+		m:      m,
 		vpWin:  expWindows(k.vp),
 		exps:   make([]int, nd),
 		widths: make([]int, nd),
 		look:   make([]map[string]byte, nd),
-		keyLen: (k.p.BitLen() + 7) / 8,
-		inv:    make(map[int][]*big.Int),
+		inv:    make(map[int][]elem),
 	}
 	var sc Scratch
 	for i := 0; i < nd; i++ {
@@ -287,12 +288,13 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 		tab := byWidth[w]
 		if tab == nil {
 			tab = make(map[string]byte, 1<<uint(w))
-			base := df.m.toMont(k.gammaP[l-w], &sc) // gamma^(2^(l-w))
-			cur := new(big.Int).Set(df.m.one)
-			key := make([]byte, df.keyLen)
+			base := m.toMont(k.gammaP[l-w], &sc) // gamma^(2^(l-w))
+			cur := slices.Clone(m.one)
+			key := make([]byte, 8*m.width)
 			for d := 0; d < 1<<uint(w); d++ {
-				tab[string(cur.FillBytes(key))] = byte(d)
-				df.m.mulRedc(cur, cur, base, &sc)
+				m.putKey(key, cur)
+				tab[string(key)] = byte(d)
+				m.mul(cur, cur, base, &sc)
 			}
 			byWidth[w] = tab
 		}
@@ -302,17 +304,17 @@ func newDGKDecFast(k *DGKPrivateKey) *dgkDecFast {
 	// gamma^(-d_j << (exps[i] + 8j)): for each distinct pos,
 	// gamma^(-2^pos) and its 255 multiples.
 	var pos []int
-	var bases []*big.Int
+	var bases []elem
 	for i := 1; i < nd; i++ {
 		for j := 0; j < i; j++ {
 			p := df.exps[i] + dgkDecDigitBits*j
 			if !slices.Contains(pos, p) {
 				pos = append(pos, p)
-				bases = append(bases, df.m.toMont(k.gammaInvP[p], &sc))
+				bases = append(bases, m.toMont(k.gammaInvP[p], &sc))
 			}
 		}
 	}
-	for i, row := range df.m.powerRows(bases) {
+	for i, row := range m.powerRows(bases) {
 		df.inv[pos[i]] = row
 	}
 	return df
@@ -412,15 +414,19 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	if fb.poolRefs == 0 {
 		fb.ensure(k)
 		key := k // the fill closure's stable copy
-		fb.pool.Store(newRandPool(func(sc *Scratch) (*big.Int, error) {
-			r, err := key.randomizer()
-			if err != nil {
-				return nil, err
+		fb.pool.Store(newRandPool(func(sc *Scratch) (hr [2]elem, err error) {
+			var r [2]*big.Int
+			for i := range r {
+				if r[i], err = key.randomizer(); err != nil {
+					return hr, err
+				}
 			}
-			// Starting the chain at R yields h^r*R, the form a pool
-			// hit multiplies in with one mulRedc.
-			hr := new(big.Int).Set(fb.m.one)
-			fb.hTab.mulInto(hr, r, sc)
+			// Starting the chains at R yields h^r*R, the form a pool
+			// hit multiplies in with one mont.mul.
+			copy(hr[:], fb.m.elems(2))
+			copy(hr[0], fb.m.one)
+			copy(hr[1], fb.m.one)
+			fb.hTab.mul2(hr[0], hr[1], r[0], r[1], sc)
 			return hr, nil
 		}))
 	}
@@ -468,7 +474,10 @@ func (k DGKPublicKey) mulHPower(v *big.Int, sc *Scratch) error {
 	if p := fb.pool.Load(); p != nil {
 		if hr := p.get(); hr != nil {
 			fb.poolHits.Add(1)
-			fb.m.mulRedc(v, v, hr, sc)
+			a := fb.m.scratchElem(sc)
+			fb.m.set(a, v)
+			fb.m.mul(a, a, hr, sc)
+			fb.m.get(v, a)
 			return nil
 		}
 	}
@@ -574,7 +583,7 @@ func (k DGKPublicKey) Deserialize(data []byte) (*Ciphertext, error) {
 // check batched. Length, range and zero stay per element (they are
 // comparisons). Units of Z_n are a group and a non-unit shares p or q
 // with n, so the elements are all units iff their product is: one
-// mulRedc per element into a running product — the stray R^-k it
+// mont.mul per element into a running product — the stray R^-1 it
 // collects is itself a unit — and one GCD per vector where Deserialize
 // pays one per element.
 func (k DGKPublicKey) DeserializeVector(data []byte) ([]*Ciphertext, error) {
@@ -602,35 +611,62 @@ func (k DGKPublicKey) DeserializeVector(data []byte) ([]*Ciphertext, error) {
 // and reports whether every one is a unit in [1, n).
 func (k DGKPublicKey) unitProduct(out []*Ciphertext, data []byte) bool {
 	m, size := k.fb.ensure(k).m, k.CiphertextBytes()
-	prod := big.NewInt(1)
+	e := m.elems(2)
+	prod, x := e[0], e[1]
+	m.set(prod, bigOne)
 	var sc Scratch
 	for i := range out {
 		v := new(big.Int).SetBytes(data[i*size : (i+1)*size])
 		if v.Sign() == 0 || v.Cmp(k.n) >= 0 {
 			return false
 		}
-		m.mulRedc(prod, prod, v, &sc)
+		m.set(x, v)
+		m.mul(prod, prod, x, &sc)
 		out[i] = &Ciphertext{v: v}
 	}
-	return prod.GCD(nil, nil, prod, k.n).Cmp(bigOne) == 0
+	p := new(big.Int)
+	m.get(p, prod)
+	return p.GCD(nil, nil, p, k.n).Cmp(bigOne) == 0
 }
 
 // bigOne is the shared unit constant for the Deserialize gcd checks.
 var bigOne = big.NewInt(1)
 
-// Decrypt implements PrivateKey via Pohlig–Hellman in the 2^l-order
-// subgroup: recover m from c^vp = gamma^m mod p, 8 bits per round
-// (falling back to the bit-by-bit decryption when the value is outside
-// gamma's subgroup, so Decrypt is defined the same way on every input).
+// Decrypt returns c's plaintext in [0, 2^l): DecryptChunk of one.
 func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
-	if m, ok := k.decryptFast(c, new(Scratch)); ok {
-		return m, nil
-	}
-	return k.decryptNaive(c)
+	var m [1]uint64
+	err := k.DecryptChunk(m[:], []*Ciphertext{c}, k.NewScratch())
+	return m[0], err
 }
 
-// decryptFast recovers the plaintext with one shared squaring chain
-// and the per-key digit tables:
+// DecryptChunk implements PrivateKey via Pohlig–Hellman in the
+// 2^l-order subgroup: recover m from c^vp = gamma^m mod p, 8 bits per
+// round, two ciphertexts at a time (falling back to the bit-by-bit
+// decryption for a value outside gamma's subgroup, so decryption is
+// defined the same way on every input). Once sc is warm a chunk
+// allocates nothing per ciphertext.
+func (k *DGKPrivateKey) DecryptChunk(dst []uint64, cs []*Ciphertext, sc *Scratch) error {
+	if len(dst) != len(cs) {
+		return fmt.Errorf("ahe: %d plaintext slots for %d ciphertexts", len(dst), len(cs))
+	}
+	for i := 0; i < len(cs); i += 2 {
+		var c1 *Ciphertext
+		if i+1 < len(cs) {
+			c1 = cs[i+1]
+		}
+		ms, ok := k.decryptPair(cs[i], c1, sc)
+		for l := range min(2, len(cs)-i) {
+			if dst[i+l] = ms[l]; !ok[l] {
+				dst[i+l], _ = k.decryptNaive(cs[i+l])
+			}
+		}
+	}
+	return nil
+}
+
+// decryptPair recovers the plaintexts of c0 and c1 (nil: lane 0 alone)
+// with one shared squaring chain per ciphertext and the per-key digit
+// tables:
 //
 //	cm = c^vp = gamma^m mod p
 //	round i digit: (cm * gamma^(-(m mod 2^(8i))))^(2^exps[i])
@@ -640,50 +676,77 @@ func (k *DGKPrivateKey) Decrypt(c *Ciphertext) (uint64, error) {
 // squarings snapshotted at each exps[i] (the naive path re-squares
 // from scratch every bit — the O(l^2) inner loop this replaces), and
 // the correction factors gamma^(-d_j << (exps[i]+8j)) are table rows.
-// Total: ~l squarings + O((l/8)^2) multiplications mod p, every one a
-// mulRedc: cm leaves mont.exp in the Montgomery domain, squares and
-// corrections keep it there, and the lookup is keyed by the
-// Montgomery-form bytes, so nothing is converted back.
+// Total: ~l squarings + O((l/8)^2) multiplications mod p per
+// ciphertext, every one on mont.mul2: cm leaves mont.exp2 in the
+// Montgomery domain, squares and corrections keep it there, and the
+// lookup is keyed by the Montgomery-form words, so nothing is converted
+// back. The lanes take the same steps except for corrections, which
+// run where either lane's digit is nonzero; a zero digit multiplies its
+// lane by one. Every temporary lives in sc.
 //
-// ok = false means the value is not in gamma's 2^l-order subgroup
-// (impossible for anything produced by Encrypt/Add/AddPlain/
+// ok[l] = false means lane l's value is not in gamma's 2^l-order
+// subgroup (impossible for anything produced by Encrypt/Add/AddPlain/
 // Rerandomize); the caller falls back to the bit-by-bit path so junk
 // inputs keep their reference behavior.
-func (k *DGKPrivateKey) decryptFast(c *Ciphertext, sc *Scratch) (uint64, bool) {
+func (k *DGKPrivateKey) decryptPair(c0, c1 *Ciphertext, sc *Scratch) (ms [2]uint64, ok [2]bool) {
 	df := k.dec
-	nd := len(df.exps)
-	cur := new(big.Int).Mod(c.v, k.p)
-	df.m.exp(cur, cur, k.vp, df.vpWin, sc)
+	m, nd, w := df.m, len(df.exps), df.m.width
+	buf := grow(&sc.dec, 2*(nd+1)*w)
+	// at(l, i) is lane l's snapshot i, and at(l, nd) its chain; nil for
+	// lane 1 when c1 is.
+	at := func(l, i int) elem {
+		if l == 1 && c1 == nil {
+			return nil
+		}
+		j := l*(nd+1) + i
+		return buf[j*w : (j+1)*w]
+	}
+	for l, c := range [2]*Ciphertext{c0, c1} {
+		if c != nil {
+			sc.q.QuoRem(c.v, k.p, &sc.x)
+			m.set(at(l, nd), &sc.x)
+			ok[l] = true
+		}
+	}
+	cur0, cur1 := at(0, nd), at(1, nd)
+	m.exp2(cur0, cur0, cur1, cur1, k.vp, df.vpWin, sc)
 
 	// One squaring chain, snapshotted at each round's exponent
 	// (exps is strictly decreasing; exps[nd-1] == 0).
-	snaps := make([]big.Int, nd)
 	e := 0
 	for i := nd - 1; i >= 0; i-- {
 		for ; e < df.exps[i]; e++ {
-			df.m.mulRedc(cur, cur, cur, sc)
+			m.mul2(cur0, cur0, cur0, cur1, cur1, cur1, sc)
 		}
-		snaps[i].Set(cur)
+		copy(at(0, i), cur0)
+		copy(at(1, i), cur1)
 	}
 
-	var m uint64
-	key := make([]byte, df.keyLen)
+	if len(sc.key) < 8*w {
+		sc.key = make([]byte, 8*w)
+	}
+	key := sc.key[:8*w]
 	for i := 0; i < nd; i++ {
-		z := &snaps[i] // read by this round only, so corrected in place
+		z0, z1 := at(0, i), at(1, i) // read by this round only, so corrected in place
 		for j := 0; j < i; j++ {
-			d := byte(m >> uint(dgkDecDigitBits*j))
-			if d == 0 {
+			d0, d1 := byte(ms[0]>>uint(dgkDecDigitBits*j)), byte(ms[1]>>uint(dgkDecDigitBits*j))
+			if d0 == 0 && d1 == 0 {
 				continue
 			}
-			df.m.mulRedc(z, z, df.inv[df.exps[i]+dgkDecDigitBits*j][d-1], sc)
+			row := df.inv[df.exps[i]+dgkDecDigitBits*j]
+			m.mul2(z0, z0, m.rowEntry(row, d0), z1, z1, m.rowEntry(row, d1), sc)
 		}
-		d, ok := df.look[i][string(z.FillBytes(key))]
-		if !ok {
-			return 0, false
+		for l, z := range [2]elem{z0, z1} {
+			if !ok[l] {
+				continue
+			}
+			m.putKey(key, z)
+			d, found := df.look[i][string(key)]
+			ms[l] |= uint64(d) << uint(dgkDecDigitBits*i)
+			ok[l] = found
 		}
-		m |= uint64(d) << uint(dgkDecDigitBits*i)
 	}
-	return m, true
+	return ms, ok
 }
 
 // decryptNaive is the bit-by-bit decryption: peel one bit per round,

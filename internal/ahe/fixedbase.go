@@ -10,15 +10,15 @@ package ahe
 // exponent), and multiplying a value by base^e becomes one table lookup
 // and one modular multiplication per NONZERO exponent byte — about 58
 // for a full Encrypt versus the ~580 Montgomery operations of two
-// generic big.Int.Exp calls. Entries are stored in Montgomery form
-// (mont.go) while every value they multiply stays an ordinary residue:
-// REDC(acc * ent*R) = acc*ent mod n exactly, so a modular
-// multiplication is three big.Int.Mul with no division, and nothing
-// outside the tables — ciphertexts, wire bytes, the decryption input —
-// ever sees the Montgomery domain. Measured at 1024 bits
-// (BenchmarkModMul): ~0.2 us per multiplication on the fused kernel and
-// ~0.4 us on the portable branch, against ~0.65 us for Mul+Mod, with no
-// allocation.
+// generic big.Int.Exp calls. Entries are Montgomery-form elems (mont.go)
+// while every value they multiply stays an ordinary residue:
+// REDC(acc * ent*R) = acc*ent mod n exactly, so a chain is one mont.mul
+// per nonzero byte with no division, and nothing outside the package —
+// ciphertexts, wire bytes, the decryption input — ever sees the
+// Montgomery domain. A multiplication at 1024 bits (BenchmarkModMul)
+// costs ~0.13 us on the IFMA kernel, ~0.09 us each when two run
+// interleaved, ~0.2 us on the ADX kernel and ~0.4 us on the portable
+// one, against ~0.65 us for Mul+Mod, with no allocation.
 //
 // A table is immutable after construction and safe for concurrent
 // readers; the per-key tables are built once behind a sync.Once (see
@@ -31,9 +31,10 @@ import (
 
 // fbWindowBits is the window width. 8 keeps the row count at
 // maxBits/8 (50 rows for the 400-bit DGK randomizer — with g's 8
-// rows ~2.6 MB per 1024-bit key, built once by powerRows on every
-// core: BenchmarkDGKKeyPrepare reads ~2.5 ms on 2 vCPUs on the fused
-// kernel, ~4.3 ms on the portable branch; at 3072 bits ~24 ms) while
+// rows ~2.7 MB per 1024-bit key, built once by powerRows on every
+// core: BenchmarkDGKKeyPrepare reads ~1.3 ms on 2 vCPUs on the IFMA
+// kernel, ~2.4 ms on the ADX kernel, ~4.3 ms on the portable one; at
+// 3072 bits ~24 ms) while
 // cutting a 400-bit exponentiation to at most 50 multiplications. Wider
 // windows grow the build cost 16x per +4 bits for <25% fewer
 // multiplications.
@@ -45,7 +46,7 @@ const fbWindowBits = 8
 type fbTable struct {
 	m *mont
 	// win[i][d-1] = base^(d << (8 i)) * R mod n for d in 1..255.
-	win [][]*big.Int
+	win [][]elem
 }
 
 // newFBTable precomputes the window rows for exponents in
@@ -59,32 +60,54 @@ func newFBTable(base *big.Int, m *mont, maxBits int) *fbTable {
 		maxBits = 1
 	}
 	var sc Scratch
-	bases := make([]*big.Int, (maxBits+fbWindowBits-1)/fbWindowBits)
-	bases[0] = m.toMont(new(big.Int).Mod(base, m.n), &sc)
+	bases := m.elems((maxBits + fbWindowBits - 1) / fbWindowBits)
+	copy(bases[0], m.toMont(new(big.Int).Mod(base, m.n), &sc))
 	for i := 1; i < len(bases); i++ {
-		b := new(big.Int).Set(bases[i-1])
+		copy(bases[i], bases[i-1])
 		for range fbWindowBits {
-			m.mulRedc(b, b, b, &sc)
+			m.mul(bases[i], bases[i], bases[i], &sc)
 		}
-		bases[i] = b
 	}
 	return &fbTable{m: m, win: m.powerRows(bases)}
 }
 
 // mulInto multiplies acc, a residue in [0, n), by base^e in place: one
-// table entry per nonzero byte of e. e must lie in [0, 2^maxBits) for
-// the table's maxBits (a wider one indexes past the last row); the
-// callers' exponents do by construction (dgk.go's reduceInto and
-// randomizer). The table is only read, so concurrent calls with
-// distinct acc and sc are safe.
+// table entry per nonzero byte of e, on an accumulator in sc. e must
+// lie in [0, 2^maxBits) for the table's maxBits (a wider one indexes
+// past the last row); the callers' exponents do by construction
+// (dgk.go's reduceInto and randomizer). The table is only read, so
+// concurrent calls with distinct acc and sc are safe.
 func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) {
-	i := 0 // < len(t.win) at every nonzero byte, as e < 2^maxBits
-	for _, w := range e.Bits() {
-		for s := 0; s < bits.UintSize; s += fbWindowBits {
-			if d := byte(w >> uint(s)); d != 0 {
-				t.m.mulRedc(acc, acc, t.win[i][d-1], sc)
-			}
-			i++
-		}
+	a := t.m.scratchElem(sc)
+	t.m.set(a, acc)
+	t.mul2(a, nil, e, nil, sc)
+	t.m.get(acc, a)
+}
+
+// mul2 multiplies a0 by base^e0 and a1 by base^e1 in lockstep, one
+// mont.mul2 per byte position where either exponent byte is nonzero;
+// a zero byte multiplies its lane by one. A nil a1 runs a0's lane
+// alone.
+func (t *fbTable) mul2(a0, a1 elem, e0, e1 *big.Int, sc *Scratch) {
+	w0, w1 := e0.Bits(), []big.Word(nil)
+	if e1 != nil {
+		w1 = e1.Bits()
 	}
+	rows := max(len(w0), len(w1)) * (bits.UintSize / fbWindowBits)
+	for i := range rows { // < len(t.win) at every nonzero byte, as e < 2^maxBits
+		d0, d1 := expByte(w0, i), expByte(w1, i)
+		if d0 == 0 && d1 == 0 {
+			continue
+		}
+		t.m.mul2(a0, a0, t.m.rowEntry(t.win[i], d0), a1, a1, t.m.rowEntry(t.win[i], d1), sc)
+	}
+}
+
+// expByte is byte i of the exponent words w, least significant first.
+func expByte(w []big.Word, i int) byte {
+	const per = bits.UintSize / fbWindowBits
+	if i/per >= len(w) {
+		return 0
+	}
+	return byte(w[i/per] >> (fbWindowBits * (i % per)))
 }

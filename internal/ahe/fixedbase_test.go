@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -53,19 +54,37 @@ func fbTestTable(t *testing.T, maxBits int) (tab *fbTable, base, mod *big.Int, e
 
 // TestFixedBaseExpMatchesBigExp holds the windowed kernel bit-identical
 // to math/big generic exponentiation across exponent shapes: zero,
-// single-window, zero-byte-riddled, and full-width.
+// single-window, zero-byte-riddled, and full-width, on every branch
+// this CPU runs — one chain at a time (mulInto), and two in lockstep
+// (mul2, the refiller's form) on exponents whose zero bytes differ.
 func TestFixedBaseExpMatchesBigExp(t *testing.T) {
 	const maxBits = 400
-	tab, base, mod, exps := fbTestTable(t, maxBits)
-	var sc Scratch
-	for _, e := range exps {
-		got := big.NewInt(1)
-		tab.mulInto(got, e, &sc)
-		want := new(big.Int).Exp(base, e, mod)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("fixed-base mismatch at e=%v", e)
+	_, base, mod, exps := fbTestTable(t, maxBits)
+	forBranches(t, func(t *testing.T, b redcBranch) {
+		var sc Scratch
+		tab := newFBTable(base, newMontOn(mod, b.kern), maxBits)
+		for i, e := range exps {
+			want := new(big.Int).Exp(base, e, mod)
+			got := big.NewInt(1)
+			if !b.pair {
+				if tab.mulInto(got, e, &sc); got.Cmp(want) != 0 {
+					t.Fatalf("%s: fixed-base mismatch at e=%v", b.name, e)
+				}
+				continue
+			}
+			e1 := exps[(i+1)%len(exps)]
+			a := tab.m.elems(2)
+			tab.m.set(a[0], bigOne)
+			tab.m.set(a[1], bigOne)
+			tab.mul2(a[0], a[1], e, e1, &sc)
+			got1 := new(big.Int)
+			tab.m.get(got, a[0])
+			tab.m.get(got1, a[1])
+			if got.Cmp(want) != 0 || got1.Cmp(new(big.Int).Exp(base, e1, mod)) != 0 {
+				t.Fatalf("%s: fixed-base pair mismatch at e=%v, %v", b.name, e, e1)
+			}
 		}
-	}
+	})
 }
 
 // TestFixedBaseEntriesDecode: the per-key tables hold Montgomery-form
@@ -82,8 +101,7 @@ func TestFixedBaseEntriesDecode(t *testing.T) {
 			rows := len(tc.tab.win)
 			for _, i := range []int{0, rows / 2, rows - 1} {
 				for _, d := range []int{1, 2, 128, 255} {
-					got := new(big.Int)
-					fb.m.mulRedc(got, tc.tab.win[i][d-1], bigOne, &sc)
+					got := fb.m.value(tc.tab.win[i][d-1], &sc)
 					e := new(big.Int).Lsh(big.NewInt(int64(d)), uint(fbWindowBits*i))
 					if want := new(big.Int).Exp(tc.base, e, key.n); got.Cmp(want) != 0 {
 						t.Fatalf("l=%d: entry (row %d, digit %d) does not decode to base^(d<<8i)", key.l, i, d)
@@ -95,28 +113,27 @@ func TestFixedBaseEntriesDecode(t *testing.T) {
 }
 
 // serialRow is the reference row build: b^1 .. b^255 for a
-// Montgomery-form b, each entry a fresh big.Int one multiplication
-// after the last.
-func serialRow(m *mont, b *big.Int, sc *Scratch) []*big.Int {
-	row := make([]*big.Int, 255)
-	row[0] = b
+// Montgomery-form b, each entry a fresh elem one multiplication after
+// the last.
+func serialRow(m *mont, b elem, sc *Scratch) []elem {
+	row := m.elems(255)
+	copy(row[0], b)
 	for d := 1; d < len(row); d++ {
-		row[d] = new(big.Int)
-		m.mulRedc(row[d], row[d-1], b, sc)
+		m.mul(row[d], row[d-1], b, sc)
 	}
 	return row
 }
 
 // serialChain is the reference table build: every row in order, each
 // row's unit read off the previous row's last entry (b^255 * b).
-func serialChain(m *mont, base *big.Int, maxBits int) [][]*big.Int {
+func serialChain(m *mont, base *big.Int, maxBits int) [][]elem {
 	var sc Scratch
-	rows := make([][]*big.Int, (maxBits+fbWindowBits-1)/fbWindowBits)
+	rows := make([][]elem, (maxBits+fbWindowBits-1)/fbWindowBits)
 	b := m.toMont(new(big.Int).Mod(base, m.n), &sc)
 	for i := range rows {
 		rows[i] = serialRow(m, b, &sc)
-		next := new(big.Int)
-		m.mulRedc(next, rows[i][254], b, &sc)
+		next := m.elems(1)[0]
+		m.mul(next, rows[i][254], b, &sc)
 		b = next
 	}
 	return rows
@@ -131,14 +148,14 @@ func serialChain(m *mont, base *big.Int, maxBits int) [][]*big.Int {
 func TestPowerRowsMatchSerialChain(t *testing.T) {
 	keys := conformanceKeys(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	sameRows := func(what string, got, want [][]*big.Int) {
+	sameRows := func(what string, got, want [][]elem) {
 		t.Helper()
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
 		}
 		for i := range want {
 			for d := range want[i] {
-				if got[i][d].Cmp(want[i][d]) != 0 {
+				if !slices.Equal(got[i][d], want[i][d]) {
 					t.Fatalf("%s: entry (row %d, digit %d) differs from the serial chain", what, i, d+1)
 				}
 			}
@@ -151,13 +168,13 @@ func TestPowerRowsMatchSerialChain(t *testing.T) {
 			sameRows(fmt.Sprintf("procs=%d l=%d g", procs, key.l), fb.gTab.win, serialChain(fb.m, key.g, key.l))
 			sameRows(fmt.Sprintf("procs=%d l=%d h", procs, key.l), fb.hTab.win, serialChain(fb.m, key.h, dgkRndBits))
 
-			df := newDGKDecFast(key)
+			df := newDGKDecFast(key, newMont(key.p))
 			var sc Scratch
 			for i := 1; i < len(df.exps); i++ {
 				for j := 0; j < i; j++ {
 					pos := df.exps[i] + dgkDecDigitBits*j
 					want := serialRow(df.m, df.m.toMont(key.gammaInvP[pos], &sc), &sc)
-					sameRows(fmt.Sprintf("procs=%d l=%d inv[%d]", procs, key.l, pos), [][]*big.Int{df.inv[pos]}, [][]*big.Int{want})
+					sameRows(fmt.Sprintf("procs=%d l=%d inv[%d]", procs, key.l, pos), [][]elem{df.inv[pos]}, [][]elem{want})
 				}
 			}
 		}
@@ -223,6 +240,13 @@ func (k DGKPublicKey) reduce(m uint64) *big.Int { return k.reduceInto(new(big.In
 // mulExpNaive sets v = v * base^e mod n by generic exponentiation.
 func (k DGKPublicKey) mulExpNaive(v, base, e *big.Int) {
 	v.Mul(v, new(big.Int).Exp(base, e, k.n)).Mod(v, k.n)
+}
+
+// decryptFast is decryptPair's lane 0 alone: the windowed decryption
+// of one ciphertext, without the naive fall-through.
+func (k *DGKPrivateKey) decryptFast(c *Ciphertext, sc *Scratch) (uint64, bool) {
+	ms, ok := k.decryptPair(c, nil, sc)
+	return ms[0], ok[0]
 }
 
 // encryptNaive is Encrypt by generic exponentiation.
@@ -302,9 +326,14 @@ func TestFastPathConformance(t *testing.T) {
 
 // TestFastPathConformanceJunkInput: a deserialized value outside
 // gamma's subgroup is not fast-decodable; Decrypt must fall back and
-// return exactly what the naive reference returns.
+// return exactly what the naive reference returns, and so must a chunk
+// that pairs it with an honest ciphertext, which still decrypts.
 func TestFastPathConformanceJunkInput(t *testing.T) {
 	key := conformanceKeys(t)[0]
+	honest, err := key.Encrypt(77)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		raw := make([]byte, key.CiphertextBytes())
 		if _, err := rand.Read(raw); err != nil {
@@ -325,6 +354,13 @@ func TestFastPathConformanceJunkInput(t *testing.T) {
 		}
 		if fast != naive {
 			t.Fatalf("junk input diverged: fast %x naive %x", fast, naive)
+		}
+		got := make([]uint64, 3)
+		if err := key.DecryptChunk(got, []*Ciphertext{c, honest, c}, key.NewScratch()); err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint64{naive, 77, naive}; !slices.Equal(got, want) {
+			t.Fatalf("a chunk with junk in it decrypts %x, want %x", got, want)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestDGKPrivateKeyRoundTrip(t *testing.T) {
 	// Encrypt under the original, decrypt under the restored key (and
 	// the other way around).
 	for i, enc := range []PublicKey{priv, restored} {
-		dec := []PrivateKey{restored, priv}[i]
+		dec := []*DGKPrivateKey{restored, priv}[i]
 		c, err := enc.Encrypt(uint64(1234567 + i))
 		if err != nil {
 			t.Fatal(err)

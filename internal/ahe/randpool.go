@@ -4,13 +4,15 @@ package ahe
 // the dominant term of Encrypt and Rerandomize (~50 of the ~58
 // division-free multiplications). The pool moves that work off the
 // critical path: refiller goroutines precompute randomizers whenever
-// the pool runs low, and the hot path drains them with a lock-free
-// Treiber-stack pop. A pooled randomizer is h^r*R mod n — Montgomery
-// form, like a table entry — so a hit is one multiplication (mulRedc)
-// into the ciphertext, and an Encrypt that hits the pool costs that
-// plus the at most 8 multiplications of g^m. The exponent r is dropped
-// the moment h^r exists: nothing reads it again, and each one would
-// strip the blinding off the ciphertext it ends up in.
+// the pool runs low, two per step — the two h^r chains run in lockstep
+// on mont.mul2, which the IFMA kernel interleaves — and the hot path
+// drains them with a lock-free Treiber-stack pop. A pooled randomizer
+// is h^r*R mod n — a Montgomery-form elem, like a table entry — so a
+// hit is one multiplication into the ciphertext, and an Encrypt that
+// hits the pool costs that plus the at most 8 multiplications of g^m.
+// The exponent r is dropped the moment h^r exists: nothing reads it
+// again, and each one would strip the blinding off the ciphertext it
+// ends up in.
 //
 // Correctness is unaffected: r is drawn from crypto/rand exactly as the
 // inline path draws it, and none of the protocol conformance suites
@@ -25,7 +27,6 @@ package ahe
 // machine with cores to spare.
 
 import (
-	"math/big"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,7 @@ func poolRefillers() int {
 
 // hrNode is one precomputed randomizer, h^r*R mod n, on the stack.
 type hrNode struct {
-	hr   *big.Int
+	hr   elem
 	next *hrNode
 }
 
@@ -88,10 +89,10 @@ type randPool struct {
 }
 
 // newRandPool starts a pool of poolCapacity randomizers refilled by
-// poolRefillers goroutines; fill computes one fresh h^r*R mod n using
+// poolRefillers goroutines; fill computes two fresh h^r*R mod n using
 // the calling refiller's scratch and must be safe for concurrent calls
 // (crypto/rand and the immutable fixed-base tables are).
-func newRandPool(fill func(sc *Scratch) (*big.Int, error)) *randPool {
+func newRandPool(fill func(sc *Scratch) ([2]elem, error)) *randPool {
 	refillers := poolRefillers()
 	p := &randPool{
 		capacity: int64(poolCapacity()),
@@ -107,10 +108,10 @@ func newRandPool(fill func(sc *Scratch) (*big.Int, error)) *randPool {
 
 // refill tops the stack up to capacity, then sleeps until a drain
 // signals it (or the pool stops). With several refillers the
-// check-then-fill race can overshoot capacity by at most refillers-1
+// check-then-fill race can overshoot capacity by at most 2*refillers-1
 // randomizers — harmless. A fill error ends that refiller; the hot path
 // simply keeps using its inline fallback.
-func (p *randPool) refill(fill func(sc *Scratch) (*big.Int, error)) {
+func (p *randPool) refill(fill func(sc *Scratch) ([2]elem, error)) {
 	defer p.wg.Done()
 	var sc Scratch
 	for {
@@ -124,7 +125,8 @@ func (p *randPool) refill(fill func(sc *Scratch) (*big.Int, error)) {
 			if err != nil {
 				return
 			}
-			p.push(&hrNode{hr: hr})
+			p.push(&hrNode{hr: hr[0]})
+			p.push(&hrNode{hr: hr[1]})
 		}
 		select {
 		case <-p.done:
@@ -154,7 +156,7 @@ func (p *randPool) push(n *hrNode) {
 // reappear. A popped node's next link is left as it is: a concurrent
 // popper that loaded the same head may still be reading it (its CAS
 // then fails), so clearing it here would be a data race.
-func (p *randPool) get() *big.Int {
+func (p *randPool) get() elem {
 	for {
 		n := p.head.Load()
 		if n == nil {

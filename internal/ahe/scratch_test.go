@@ -10,6 +10,8 @@ package ahe
 import (
 	"crypto/rand"
 	"math/big"
+	"os"
+	"slices"
 	"testing"
 
 	"shuffledp/internal/rng"
@@ -190,5 +192,45 @@ func TestScratchKernelAllocs(t *testing.T) {
 	})
 	if rerAllocs > 8 {
 		t.Fatalf("RerandomizeInto fallback allocates %.1f/op, want <= 8", rerAllocs)
+	}
+}
+
+// TestDecryptChunkAllocs pins decryption's steady state at the contract
+// benchmark's 1024-bit key fixture: once a worker's Scratch is warm, a
+// chunk — pairs on mul2, an odd one out alone, c mod p, c^vp, the
+// digit chain and the lookups — allocates nothing per ciphertext.
+func TestDecryptChunkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation counts; the pins are exact only without -race")
+	}
+	blob, err := os.ReadFile("../../benchmark/testdata/dgk1024.key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := UnmarshalDGKPrivateKey(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := make([]*Ciphertext, 7)
+	want := make([]uint64, len(cs))
+	for i := range cs {
+		want[i] = uint64(i) * 0x9e3779b97f4a7c15
+		if cs[i], err = key.Encrypt(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := key.NewScratch()
+	got := make([]uint64, len(cs))
+	decrypt := func() {
+		if err := key.DecryptChunk(got, cs, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decrypt() // warm sc
+	if !slices.Equal(got, want) {
+		t.Fatalf("DecryptChunk = %#x, want %#x", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, decrypt) / float64(len(cs)); allocs != 0 {
+		t.Fatalf("DecryptChunk allocates %.2f objects per ciphertext, want 0", allocs)
 	}
 }

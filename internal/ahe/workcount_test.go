@@ -8,26 +8,38 @@ import (
 
 // TestMontMulsPerOpGolden bounds what each DGK operation costs in
 // Montgomery multiplications at the contract benchmark's 1024-bit key
-// fixture, counted on the caller's Scratch (mont.go bumps its redcs
-// once per multiplication on either branch, the seam's whole cost): at
-// most 8 for g^m, one per nonzero byte of a 64-bit plaintext; at most
-// 50 for an inline h^r, one per nonzero byte of a 400-bit randomizer;
-// 1 for a pooled h^r; and for decryption, c^vp's conversion and the
-// 56 squarings of the digit chain plus one correction per nonzero
-// digit below each round, and on the fused kernel the windowed c^vp
-// (14 powers, 156 squarings, one multiplication per nonzero window of
-// vp after the first) where the portable branch calls big.Int.Exp.
-// With cluster's TestPEOSWorkCountsGolden — how many operations a
-// benchmark round runs — it is the AHE layer's work count.
+// fixture, on every kernel this CPU runs, counted on the caller's
+// Scratch (mont.go bumps its redcs once per multiplication on every
+// kernel, and twice per mul2 — a pair counts two): at most 8 for g^m,
+// one per nonzero byte of a 64-bit plaintext; at most 50 for an inline
+// h^r, one per nonzero byte of a 400-bit randomizer; 1 for a pooled
+// h^r; and for decryption, c^vp's conversion and the 56 squarings of
+// the digit chain plus one correction per nonzero digit below each
+// round, and on the assembly kernels the windowed c^vp (14 powers, 156
+// squarings, one multiplication per nonzero window of vp after the
+// first) where the portable kernel calls big.Int.Exp. A pair of equal
+// ciphertexts decrypts for exactly twice one's count. With cluster's
+// TestPEOSWorkCountsGolden — how many operations a benchmark round
+// runs — it is the AHE layer's work count.
 func TestMontMulsPerOpGolden(t *testing.T) {
 	blob, err := os.ReadFile("../../benchmark/testdata/dgk1024.key")
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := UnmarshalDGKPrivateKey(blob)
+	fixture, err := UnmarshalDGKPrivateKey(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	forKernels(t, func(t *testing.T, kern kernel) {
+		key := onKernel(fixture, kern)
+		if kern == fixture.fb.ensure(fixture.DGKPublicKey).m.kern {
+			key = fixture // the pool runs on the key's own tables
+		}
+		montMulsPerOp(t, key, kern)
+	})
+}
+
+func montMulsPerOp(t *testing.T, key *DGKPrivateKey, kern kernel) {
 	var sc Scratch
 	count := func(op func() error) uint64 {
 		t.Helper()
@@ -74,9 +86,9 @@ func TestMontMulsPerOpGolden(t *testing.T) {
 		t.Errorf("pooled h^r: %d multiplications (pool hits %d -> %d), want 1 from the pool", got, hits, after)
 	}
 
-	// Decryption, on each branch: m's eight digits all nonzero, so
-	// round i corrects i digits (28 in all), and m = 0, which corrects
-	// none. The fixture's vp has 36 nonzero windows of 40.
+	// Decryption: m's eight digits all nonzero, so round i corrects i
+	// digits (28 in all), and m = 0, which corrects none. The fixture's
+	// vp has 36 nonzero windows of 40.
 	for _, tc := range []struct {
 		m                uint64
 		portable, kernel uint64
@@ -85,21 +97,27 @@ func TestMontMulsPerOpGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range redcBranches(key.dec.m) {
-			dec := *key.dec
-			dec.m = b.m
-			onBranch := *key
-			onBranch.dec = &dec
-			want := map[string]uint64{"portable": tc.portable, "kernel": tc.kernel}[b.name]
-			got := count(func() error {
-				if m, ok := onBranch.decryptFast(c, &sc); !ok || m != tc.m {
-					t.Fatalf("%s: decryptFast = %#x, %v; want %#x", b.name, m, ok, tc.m)
-				}
-				return nil
-			})
-			if got != want {
-				t.Errorf("%s: Decrypt of %#x: %d multiplications, want %d", b.name, tc.m, got, want)
+		want := tc.kernel
+		if kern == kernelPortable {
+			want = tc.portable
+		}
+		got := count(func() error {
+			if m, ok := key.decryptFast(c, &sc); !ok || m != tc.m {
+				t.Fatalf("decryptFast = %#x, %v; want %#x", m, ok, tc.m)
 			}
+			return nil
+		})
+		if got != want {
+			t.Errorf("Decrypt of %#x: %d multiplications, want %d", tc.m, got, want)
+		}
+		got = count(func() error {
+			if ms, ok := key.decryptPair(c, c, &sc); ms != [2]uint64{tc.m, tc.m} || ok != [2]bool{true, true} {
+				t.Fatalf("decryptPair = %#x, %v; want %#x twice", ms, ok, tc.m)
+			}
+			return nil
+		})
+		if got != 2*want {
+			t.Errorf("pair decryption of %#x twice: %d multiplications, want %d", tc.m, got, 2*want)
 		}
 	}
 }

@@ -36,13 +36,13 @@ func (k *countingKey) RerandomizeInto(dst, a *ahe.Ciphertext, sc *ahe.Scratch) e
 	return k.PrivateKey.RerandomizeInto(dst, a, sc)
 }
 
-func (k *countingKey) Decrypt(c *ahe.Ciphertext) (uint64, error) {
-	k.decrypts.Add(1)
-	return k.PrivateKey.Decrypt(c)
+func (k *countingKey) DecryptChunk(dst []uint64, cs []*ahe.Ciphertext, sc *ahe.Scratch) error {
+	k.decrypts.Add(int64(len(cs)))
+	return k.PrivateKey.DecryptChunk(dst, cs, sc)
 }
 
-// work is the count of Encrypt, AddPlainInto, RerandomizeInto and
-// Decrypt calls.
+// work is the count of Encrypt, AddPlainInto and RerandomizeInto calls
+// and of ciphertexts decrypted.
 type work [4]int64
 
 func (k *countingKey) work() work {

@@ -323,7 +323,7 @@ func applyPermCipher(vec []*ahe.Ciphertext, perm []int) []*ahe.Ciphertext {
 // RevealParallel reconstructs the shuffled values: the server decrypts
 // the ciphertext vector (if any) and sums all share vectors mod 2^l.
 // It does not mutate st. The AHE decryptions fan out over `workers`
-// goroutines — the paper's server parallelizes exactly this
+// goroutines, one DecryptChunk each — the paper's server parallelizes exactly this
 // phase ("the decryptions is done in parallel ... we use 32 threads",
 // §VII-D). workers < 1 uses GOMAXPROCS, what every production caller
 // passes.
@@ -346,12 +346,12 @@ func RevealParallel(st *State, mod secretshare.Modulus, priv ahe.PrivateKey, wor
 		workers = fanOut()
 	}
 	err := parFor(n, workers, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			m, err := priv.Decrypt(st.Enc[i])
-			if err != nil {
-				return err
-			}
-			out[i] = mod.Add(out[i], m)
+		ms := make([]uint64, hi-lo)
+		if err := priv.DecryptChunk(ms, st.Enc[lo:hi], priv.NewScratch()); err != nil {
+			return err
+		}
+		for i, m := range ms {
+			out[lo+i] = mod.Add(out[lo+i], m)
 		}
 		return nil
 	})

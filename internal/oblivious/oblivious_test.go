@@ -479,9 +479,9 @@ func TestRevealParallelEmptyState(t *testing.T) {
 
 var errInjectedDecrypt = errors.New("oblivious test: injected decrypt fault")
 
-// failingKey wraps a real private key and fails every Decrypt after
-// the first failAt calls — a mid-chunk fault injected into the reveal
-// fan-out.
+// failingKey wraps a real private key and fails every decryption after
+// the first failAt ciphertexts — a mid-chunk fault injected into the
+// reveal fan-out.
 type failingKey struct {
 	ahe.PrivateKey
 	mu     sync.Mutex
@@ -490,18 +490,18 @@ type failingKey struct {
 	err    error
 }
 
-func (k *failingKey) Decrypt(c *ahe.Ciphertext) (uint64, error) {
+func (k *failingKey) DecryptChunk(dst []uint64, cs []*ahe.Ciphertext, sc *ahe.Scratch) error {
 	k.mu.Lock()
 	n := k.calls
-	k.calls++
+	k.calls += len(cs)
 	k.mu.Unlock()
-	if n >= k.failAt {
-		return 0, k.err
+	if n+len(cs) > k.failAt {
+		return k.err
 	}
-	return k.PrivateKey.Decrypt(c)
+	return k.PrivateKey.DecryptChunk(dst, cs, sc)
 }
 
-// TestRevealParallelDecryptErrorPropagates: when one worker's Decrypt
+// TestRevealParallelDecryptErrorPropagates: when one worker's decryption
 // fails mid-chunk, RevealParallel must return that error — not
 // deadlock waiting on the failed worker, not panic, not report partial
 // sums as success. Runs under -race in CI to catch unsynchronized
@@ -537,18 +537,20 @@ func TestRevealParallelDecryptErrorPropagates(t *testing.T) {
 	}
 }
 
-// indexedFailKey fails Decrypt with a per-ciphertext error, so a test
-// can tell WHICH failure a fan-out surfaced.
+// indexedFailKey fails decryption with a per-ciphertext error, so a
+// test can tell WHICH failure a fan-out surfaced.
 type indexedFailKey struct {
 	ahe.PrivateKey
 	fail map[*ahe.Ciphertext]error
 }
 
-func (k *indexedFailKey) Decrypt(c *ahe.Ciphertext) (uint64, error) {
-	if err := k.fail[c]; err != nil {
-		return 0, err
+func (k *indexedFailKey) DecryptChunk(dst []uint64, cs []*ahe.Ciphertext, sc *ahe.Scratch) error {
+	for _, c := range cs {
+		if err := k.fail[c]; err != nil {
+			return err
+		}
 	}
-	return k.PrivateKey.Decrypt(c)
+	return k.PrivateKey.DecryptChunk(dst, cs, sc)
 }
 
 // TestRevealParallelDerivedWidth: RevealParallel(…, 0) — the call every

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"shuffledp/internal/ahe"
 )
 
 var censusProfile = flag.String("census-profile", "",
@@ -35,12 +37,16 @@ var runAllowList = map[string]string{
 	"ahe.DGKPublicKey.Rerandomize": "the allocating PublicKey method; deployments run RerandomizeInto",
 	"ahe.DGKPublicKey.Deserialize": "the per-element decoder; deployments decode whole vectors",
 	"ahe.Ciphertext.Clone":         "benchmark's per-layer replay (--trace) copies its sample through it; the shuffle writes into fresh ciphertexts",
+	"ahe.DGKPrivateKey.Decrypt":    "the one-ciphertext wrapper benchmark's per-layer replay (--trace) times; deployments decrypt chunks",
 	"ahe.DGKPrivateKey.decryptNaive": "the fall-through for a hostile unit outside gamma's subgroup " +
 		"(TestFastPathConformance's junk cases)",
-	"ahe.mont.mulRedcBig": "mulRedc's portable branch, which hosts without ADX and BMI2 and every other GOARCH run; " +
-		"the census host runs the fused kernel (TestPortableBranchMatchesKernel drives it everywhere)",
-	"ahe.montMulADX": "assembly (mont_amd64.s), which coverage does not count; mont.mulWords, its one caller, runs",
-	"ahe.cpuid":      "assembly (mont_amd64.s), which coverage does not count; hasMontKernel's initializer calls it",
+	"ahe.montMulADX":     "assembly (mont_amd64.s), which coverage does not count; mont.mulADX is its one caller",
+	"ahe.montMulIFMA3":   "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA is its one caller",
+	"ahe.montMulIFMA5":   "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA is its one caller",
+	"ahe.montMulIFMA3x2": "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA2 is its one caller",
+	"ahe.montMulIFMA5x2": "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA2 is its one caller",
+	"ahe.cpuid":          "assembly (mont_amd64.s), which coverage does not count; the CPU feature initializer calls it",
+	"ahe.xgetbv0":        "assembly (ifma_amd64.s), which coverage does not count; the CPU feature initializer calls it",
 
 	"oblivious.memMesh.abort": "the in-process mesh fails only when a party errors",
 	"pipeline.Disconnected":   "classifies a shuffler's broken analyzer link; no census run breaks one",
@@ -71,7 +77,7 @@ func TestEveryInternalFunctionRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := loadModuleCensus(t)
-	findings := c.unreached(reached, runAllowList)
+	findings := c.unreached(reached, runAllowList, exemptKernelFuncs(ahe.CPUKernels()))
 	for _, f := range findings {
 		t.Error(f)
 	}
@@ -149,10 +155,103 @@ func (c *census) functions() map[string]types.Object {
 	return fns
 }
 
+// kernelBranches names, per Montgomery kernel of internal/ahe, the
+// functions only that kernel runs. Which one a deployment runs depends
+// on the census host's CPU (ahe.CPUKernels), so no allow-list entry can
+// hold on every host. The rule instead: the kernel a 1024-bit modulus
+// runs on this host — IFMA where the CPU has it, else ADX where it has
+// that, else the portable REDC — must be reached, and the other
+// kernels' functions are exempt (the host runs them for no modulus the
+// census uses, or never). TestPortableBranchMatchesKernel and its
+// neighbours drive every kernel a host runs.
+var kernelBranches = map[string][]string{
+	"portable": {"ahe.mont.mulRedcBig"},
+	"adx":      {"ahe.mont.mulADX"},
+	"ifma": {"ahe.ifmaRows", "ahe.toLimbs", "ahe.fromLimbs",
+		"ahe.mont.canonIFMA", "ahe.mont.mulIFMA", "ahe.mont.mulIFMA2"},
+}
+
+// exemptKernelFuncs returns the kernelBranches functions a host with
+// these CPU kernels need not reach.
+func exemptKernelFuncs(adx, ifma bool) map[string]bool {
+	runs := "portable"
+	switch {
+	case ifma:
+		runs = "ifma"
+	case adx:
+		runs = "adx"
+	}
+	exempt := map[string]bool{}
+	for branch, fns := range kernelBranches {
+		for _, fn := range fns {
+			if branch != runs {
+				exempt[fn] = true
+			}
+		}
+	}
+	return exempt
+}
+
+// The kernel rule holds on an IFMA host, an ADX-only host and a host
+// with neither: for each, a census that reached every function but the
+// other kernels' passes, and one that also missed the host's own
+// kernel flags exactly that kernel's functions.
+func TestKernelBranchRule(t *testing.T) {
+	c := loadModuleCensus(t)
+	fns := c.functions()
+	all := map[string]bool{}
+	for _, names := range kernelBranches {
+		for _, name := range names {
+			if fns[name] == nil {
+				t.Errorf("kernelBranches names %s, which is no function", name)
+			}
+			all[name] = true
+		}
+	}
+	// reachedAll marks every function's declaration run but skip's.
+	reachedAll := func(skip func(name string) bool) map[string][]lineSpan {
+		reached := map[string][]lineSpan{}
+		for name, obj := range fns {
+			if skip(name) {
+				continue
+			}
+			scope := obj.(*types.Func).Scope()
+			from, to := c.fset.Position(scope.Pos()), c.fset.Position(scope.End())
+			file := obj.Pkg().Path() + "/" + filepath.Base(from.Filename)
+			reached[file] = append(reached[file], lineSpan{from.Line, to.Line})
+		}
+		return reached
+	}
+	for _, host := range []struct {
+		name      string
+		adx, ifma bool
+		runs      string
+	}{{"IFMA", true, true, "ifma"}, {"ADX only", true, false, "adx"}, {"neither", false, false, "portable"}} {
+		exempt := exemptKernelFuncs(host.adx, host.ifma)
+		own := map[string]bool{}
+		for _, name := range kernelBranches[host.runs] {
+			own[name] = true
+		}
+		if f := c.unreached(reachedAll(func(name string) bool { return all[name] && !own[name] }), nil, exempt); len(f) != 0 {
+			t.Errorf("%s host: a census reaching its own kernel reports %q", host.name, f)
+		}
+		f := c.unreached(reachedAll(func(name string) bool { return all[name] }), nil, exempt)
+		if len(f) != len(own) {
+			t.Errorf("%s host: a census missing its own kernel reports %q, want one finding per function of %v",
+				host.name, f, kernelBranches[host.runs])
+		}
+		for _, finding := range f {
+			if name := strings.Fields(finding)[1]; !own[name] {
+				t.Errorf("%s host: finding %q names no function of its own kernel", host.name, finding)
+			}
+		}
+	}
+}
+
 // unreached checks every function under internal/ against the census
 // profile: a function runs if an executed block lies inside its
-// declaration.
-func (c *census) unreached(reached map[string][]lineSpan, allow map[string]string) []string {
+// declaration. The exempt functions are left out.
+func (c *census) unreached(reached map[string][]lineSpan, allow map[string]string, exempt map[string]bool) []string {
 	runs := func(obj types.Object) bool {
 		scope := obj.(*types.Func).Scope()
 		from, to := c.fset.Position(scope.Pos()), c.fset.Position(scope.End())
@@ -163,7 +262,11 @@ func (c *census) unreached(reached map[string][]lineSpan, allow map[string]strin
 		}
 		return false
 	}
-	return c.audit(c.functions(), runs, allow, wording{
+	fns := c.functions()
+	for name := range exempt {
+		delete(fns, name)
+	}
+	return c.audit(fns, runs, allow, wording{
 		kind: "function",
 		pass: "runs in the census run",
 		fail: "runs in no census run",
@@ -217,7 +320,7 @@ sample/internal/lib/lib.go:18.16,18.17 0 1
 		"lib.Kept":    "excused",
 		"lib.Claimed": "stale",
 		"lib.Gone":    "names nothing",
-	}), []string{
+	}, nil), []string{
 		"allow-list entry lib.Claimed runs in the census run now",
 		"allow-list entry lib.Gone names no function",
 		"internal/lib/lib.go:9: lib.Idle runs in no census run",
