@@ -2,6 +2,7 @@ package ahe
 
 import (
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -209,7 +210,9 @@ func BenchmarkDGKEncryptPooled(b *testing.B) {
 // mont.mul on every kernel this CPU runs — the portable three-Mul REDC,
 // the fused ADX kernel and the IFMA kernel, the last also as mul2's
 // interleaved pair (ns/mul is per product). The IFMA rows stop at its
-// ifmaMaxRows limbs.
+// ifmaMaxRows limbs. Where newMont picks the 3-block IFMA form (p's 10
+// rows), the 5-block form runs the same rows beside it (ifma5,
+// ifma5-pair): the measurement that keeps the narrower form.
 func BenchmarkModMul(b *testing.B) {
 	key := benchKey(b)
 	n3072 := new(big.Int).Lsh(bigOne, 3071)
@@ -233,27 +236,62 @@ func BenchmarkModMul(b *testing.B) {
 			if missingFeature(br.kern) != "" || !br.covers(c.n) || (br.pair && br.kern != kernelIFMA) {
 				continue
 			}
-			b.Run(c.name+"/"+br.name, func(b *testing.B) {
-				b.ReportAllocs()
-				m := newMontOn(c.n, br.kern)
-				e := m.elems(3)
-				m.set(e[0], x)
-				m.set(e[1], x)
-				m.set(e[2], y)
-				var sc Scratch
-				for i := 0; i < b.N; i++ {
-					if br.pair {
-						m.mul2(e[0], e[0], e[2], e[1], e[1], e[2], &sc)
-					} else {
-						m.mul(e[0], e[0], e[2], &sc)
-					}
-				}
-				muls := b.N
-				if br.pair {
-					muls *= 2
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(muls), "ns/mul")
-			})
+			m := newMontOn(c.n, br.kern)
+			benchMontMul(b, c.name+"/"+br.name, m, x, y, br.pair)
+			if br.kern == kernelIFMA && m.width < 20 {
+				name := strings.Replace(br.name, "ifma", "ifma5", 1)
+				benchMontMul(b, c.name+"/"+name, widenIFMA(b, m, 20), x, y, br.pair)
+			}
 		}
 	}
+}
+
+// benchMontMul times m.mul(x, y), or mul2 on two chains with pair, in
+// the sub-benchmark name.
+func benchMontMul(b *testing.B, name string, m *mont, x, y *big.Int, pair bool) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		e := m.elems(3)
+		m.set(e[0], x)
+		m.set(e[1], x)
+		m.set(e[2], y)
+		var sc Scratch
+		for i := 0; i < b.N; i++ {
+			if pair {
+				m.mul2(e[0], e[0], e[2], e[1], e[1], e[2], &sc)
+			} else {
+				m.mul(e[0], e[0], e[2], &sc)
+			}
+		}
+		muls := b.N
+		if pair {
+			muls *= 2
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(muls), "ns/mul")
+	})
+}
+
+// widenIFMA returns a copy of the IFMA context m whose elems are width
+// words, so mul runs the kernel form of that width at m's rows, and
+// fails tb unless both forms square R^2 alike. The limbs past rows are
+// zero, so widening copies the constants.
+func widenIFMA(tb testing.TB, m *mont, width int) *mont {
+	w := *m
+	w.width = width
+	e := w.elems(4)
+	copy(e[0], m.nw)
+	copy(e[1], m.one)
+	copy(e[2], m.r2)
+	w.nw, w.one, w.r2 = e[0], e[1], e[2]
+	var sc Scratch
+	var got, want big.Int
+	z := m.elems(1)[0]
+	m.mul(z, m.r2, m.r2, &sc)
+	m.get(&want, z)
+	w.mul(e[3], w.r2, w.r2, &sc)
+	w.get(&got, e[3])
+	if got.Cmp(&want) != 0 {
+		tb.Fatalf("%d-word IFMA form squares R^2 to %x, want %x", width, &got, &want)
+	}
+	return &w
 }

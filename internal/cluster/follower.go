@@ -24,6 +24,7 @@ type attempt struct {
 	g      gen
 	n      int
 	cancel chan struct{}
+	done   chan struct{} // closed when the attempt's goroutine returns
 
 	mu      sync.Mutex
 	aborted bool
@@ -215,22 +216,28 @@ func (f *follower) start(g gen, n int) {
 		f.mu.Unlock()
 		return
 	}
-	cur := &attempt{g: g, n: n, cancel: make(chan struct{})}
+	cur := &attempt{g: g, n: n, cancel: make(chan struct{}), done: make(chan struct{})}
 	f.cur = cur
 	f.advance(g)
 	if prev != nil {
 		prev.abort()
 	}
 	f.mu.Unlock()
-	go f.run(cur)
+	go f.run(cur, prev)
 }
 
-// run drives one attempt and reports the failure of a live one to the
-// analyzer, so its Collect fails (and retries) with the cause
-// instead of a bare timeout. A canceled attempt dies silently: the
-// analyzer moved on.
-func (f *follower) run(a *attempt) {
+// run drives one attempt once its predecessor's goroutine has returned,
+// so attempts never share the node's Source (a seeded one is not safe
+// for concurrent use). An aborted predecessor returns at its next wait
+// or I/O. run reports the failure of a live attempt to the analyzer, so
+// its Collect fails (and retries) with the cause instead of a bare
+// timeout. A canceled attempt dies silently: the analyzer moved on.
+func (f *follower) run(a, prev *attempt) {
+	defer close(a.done)
 	defer a.closeConns()
+	if prev != nil {
+		<-prev.done
+	}
 	err := f.work(a)
 	if err == nil || a.canceled() || f.isClosed() {
 		return
