@@ -24,42 +24,51 @@ type Ciphertext struct {
 }
 
 // Clone returns an independent copy, for a caller that keeps a
-// ciphertext across an in-place kernel call (AddPlainInto or
-// RerandomizeInto with dst aliasing it). No role needs one: the
-// oblivious shuffle writes into fresh ciphertexts.
+// ciphertext across an in-place FoldChunk (dst[i] aliasing src[i]). No
+// role needs one: the oblivious shuffle writes into fresh ciphertexts.
 func (c *Ciphertext) Clone() *Ciphertext { return &Ciphertext{v: new(big.Int).Set(c.v)} }
 
-// startAt makes dst (which may be a) hold a's group element in a
-// big.Int of its own and returns it: the accumulator the in-place
-// kernels multiply into.
-func (dst *Ciphertext) startAt(a *Ciphertext) *big.Int {
-	if dst.v == nil {
-		dst.v = new(big.Int)
+// outAt returns the big.Int dst[i] holds its group element in, giving
+// a nil dst[i] a ciphertext of its own: where the chunk kernels write.
+func outAt(dst []*Ciphertext, i int) *big.Int {
+	if dst[i] == nil {
+		dst[i] = new(Ciphertext)
 	}
-	return dst.v.Set(a.v)
+	if dst[i].v == nil {
+		dst[i].v = new(big.Int)
+	}
+	return dst[i].v
 }
 
 // PublicKey is the encryptor/evaluator side: users encrypt their last
-// share with it, shufflers homomorphically add and rerandomize.
+// share with it, shufflers homomorphically add and rerandomize. Every
+// role works in chunks (EncryptChunk, FoldChunk), which DGK runs two
+// ciphertexts at a time; the one-ciphertext methods are wrappers.
 type PublicKey interface {
 	// PlaintextBits returns l: plaintext semantics are Z_{2^l}.
 	PlaintextBits() int
-	// Encrypt encrypts m (reduced mod 2^l).
+	// Encrypt encrypts m (reduced mod 2^l): EncryptChunk of one.
 	Encrypt(m uint64) (*Ciphertext, error)
-	// AddPlain returns a ciphertext of (plaintext of a) + m.
+	// AddPlain returns a ciphertext of (plaintext of a) + m: FoldChunk
+	// of one, without the refresh.
 	AddPlain(a *Ciphertext, m uint64) (*Ciphertext, error)
 	// Rerandomize refreshes the ciphertext so it is unlinkable to its
-	// input (multiplication by a fresh encryption of zero).
+	// input (multiplication by a fresh encryption of zero): FoldChunk of
+	// one, adding 0.
 	Rerandomize(a *Ciphertext) (*Ciphertext, error)
 	// NewScratch returns a fresh scratch area for one worker goroutine
-	// of the in-place kernels below.
+	// of the chunk kernels below.
 	NewScratch() *Scratch
-	// AddPlainInto stores AddPlain(a, m) into dst. dst may alias a, or
-	// be a zero Ciphertext that the call gives a value of its own — the
-	// form the oblivious shuffle uses, so its input vector stays intact.
-	AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error
-	// RerandomizeInto stores Rerandomize(a) into dst. dst may alias a.
-	RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error
+	// EncryptChunk sets dst[i] to a fresh encryption of ms[i] for every
+	// i (len(dst) == len(ms)), on the calling worker's Scratch. A nil
+	// dst[i] gets a ciphertext of its own; any other is overwritten.
+	EncryptChunk(dst []*Ciphertext, ms []uint64, sc *Scratch) error
+	// FoldChunk sets dst[i] to a ciphertext of (plaintext of src[i]) +
+	// ms[i] for every i, refreshed by a fresh h^r when refresh holds
+	// (len(dst) == len(src) == len(ms)). dst[i] may be src[i], or nil —
+	// the form the oblivious shuffle uses, so its input vector stays
+	// intact.
+	FoldChunk(dst, src []*Ciphertext, ms []uint64, refresh bool, sc *Scratch) error
 	// StartRandomizerPool starts or joins the key's background
 	// randomizer refiller, which precomputes encryption randomizers off
 	// the critical path, and returns the matching stop function. Call
@@ -97,18 +106,19 @@ type PrivateKey interface {
 	DecryptChunk(dst []uint64, cs []*Ciphertext, sc *Scratch) error
 }
 
-// Scratch holds the per-worker big.Int temporaries the in-place
-// variants of the hot public-key operations reuse across calls. One
-// Scratch belongs to exactly one goroutine; distinct workers of a
-// parallel loop each allocate their own via NewScratch.
+// Scratch holds the per-worker temporaries the chunk kernels reuse
+// across calls. One Scratch belongs to exactly one goroutine; distinct
+// workers of a parallel loop each allocate their own via NewScratch.
 type Scratch struct {
-	e       big.Int // AddPlainInto's reduced plaintext exponent
-	t, q, u big.Int // mulRedcBig's product, quotient and quotient*modulus
-	x       big.Int // a ciphertext mod p; the portable exp's power
-	// w is the ADX kernel's accumulator, acc a chain's accumulator
-	// elem, pows exp2's window powers, dec decryptPair's chains and
-	// snapshots and key its lookup key (mont.go, dgk.go); redcs counts
-	// the Montgomery multiplications run on this Scratch, which the
+	e, r    [2]big.Int // a pair's reduced plaintexts and randomizers
+	t, q, u big.Int    // mulRedcBig's product, quotient and quotient*modulus
+	x       big.Int    // a ciphertext mod p; the portable exp's power
+	// rnd is the one crypto/rand read a pair's randomizers come from.
+	rnd [2 * dgkRndBits / 8]byte
+	// w is the ADX kernel's accumulator, acc the chunk lanes' elems,
+	// pows exp2's window powers, dec decryptPair's chains and snapshots
+	// and key its lookup key (mont.go, dgk.go); redcs counts the
+	// Montgomery multiplications run on this Scratch, which the
 	// work-count tests read.
 	w, acc, pows, dec []big.Word
 	key               []byte

@@ -46,9 +46,11 @@ import (
 // squaring triangle. Every one of those multiplications is the
 // division-free mont.mul of mont.go: table entries, pooled randomizers
 // and digit rows are stored as Montgomery-form elems, ciphertexts never
-// are. Decryption runs two ciphertexts at a time (DecryptChunk): c^vp's
-// windows are the key's, so both chains take the same steps on
-// mont.mul2.
+// are. Every operation runs two ciphertexts at a time on mont.mul2: the
+// public-key chunks (EncryptChunk, FoldChunk) pair their lanes' g^m
+// chains, their pool hits and their misses' h^r chains (chunk), and
+// decryption pairs its chains (DecryptChunk), since c^vp's windows are
+// the key's and both chains take the same steps.
 // The bit-by-bit decryption (decryptNaive) stays as the fall-through
 // for a unit outside gamma's subgroup, which a hostile peer can send.
 // The generic math/big encryption is the conformance reference in
@@ -413,22 +415,7 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	fb.poolMu.Lock()
 	if fb.poolRefs == 0 {
 		fb.ensure(k)
-		key := k // the fill closure's stable copy
-		fb.pool.Store(newRandPool(func(sc *Scratch) (hr [2]elem, err error) {
-			var r [2]*big.Int
-			for i := range r {
-				if r[i], err = key.randomizer(); err != nil {
-					return hr, err
-				}
-			}
-			// Starting the chains at R yields h^r*R, the form a pool
-			// hit multiplies in with one mont.mul.
-			copy(hr[:], fb.m.elems(2))
-			copy(hr[0], fb.m.one)
-			copy(hr[1], fb.m.one)
-			fb.hTab.mul2(hr[0], hr[1], r[0], r[1], sc)
-			return hr, nil
-		}))
+		fb.pool.Store(newRandPool(poolCapacity(), poolRefillers(), fb.fillPair))
 	}
 	fb.poolRefs++
 	fb.poolMu.Unlock()
@@ -450,6 +437,17 @@ func (k DGKPublicKey) StartRandomizerPool() (stop func()) {
 	}
 }
 
+// fillPair is the refillers' step: two fresh randomizers h^r*R, the
+// form a pool hit multiplies in with one mont.mul — chains started at
+// R. The two elems share one slab.
+func (fb *dgkFast) fillPair(sc *Scratch) [2]elem {
+	hr := fb.m.elems(2)
+	copy(hr[0], fb.m.one)
+	copy(hr[1], fb.m.one)
+	fb.mulH2(hr[0], hr[1], sc)
+	return [2]elem(hr)
+}
+
 // reduceInto sets dst to m mod 2^l, an exponent g's table covers.
 func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
 	if k.l != 64 {
@@ -458,96 +456,173 @@ func (k DGKPublicKey) reduceInto(dst *big.Int, m uint64) *big.Int {
 	return dst.SetUint64(m)
 }
 
-// randomizer draws r uniform in [0, 2^dgkRndBits), an exponent h's
-// table covers.
-func (k DGKPublicKey) randomizer() (*big.Int, error) {
-	bound := new(big.Int).Lsh(big.NewInt(1), dgkRndBits)
-	return rand.Int(rand.Reader, bound)
-}
-
-// mulHPower multiplies v, a residue mod n, by h^r for a fresh
-// randomizer r: one multiplication by a pooled h^r when the background
-// pool has one ready, the fixed-base chain straight into v otherwise.
-// It feeds the hit/miss counters RandomizerPoolStats reports.
-func (k DGKPublicKey) mulHPower(v *big.Int, sc *Scratch) error {
-	fb := k.fb.ensure(k)
-	if p := fb.pool.Load(); p != nil {
-		if hr := p.get(); hr != nil {
-			fb.poolHits.Add(1)
-			a := fb.m.scratchElem(sc)
-			fb.m.set(a, v)
-			fb.m.mul(a, a, hr, sc)
-			fb.m.get(v, a)
-			return nil
-		}
+// mulH2 multiplies a0 and a1 (nil: a0 alone) by h^r for fresh
+// randomizers r uniform in [0, 2^dgkRndBits) — the exponents h's table
+// covers — in lockstep on the table's mul2. Both exponents come from
+// one crypto/rand read into sc, so a draw allocates nothing; the read
+// cannot fail (crypto/rand.Read crashes the program rather than return
+// an error).
+func (fb *dgkFast) mulH2(a0, a1 elem, sc *Scratch) {
+	const size = dgkRndBits / 8
+	b := sc.rnd[:]
+	if a1 == nil {
+		b = b[:size]
 	}
-	fb.poolMisses.Add(1)
-	r, err := k.randomizer()
-	if err != nil {
-		return err
+	rand.Read(b)
+	r0, r1 := sc.r[0].SetBytes(b[:size]), (*big.Int)(nil)
+	if a1 != nil {
+		r1 = sc.r[1].SetBytes(b[size:])
 	}
-	fb.hTab.mulInto(v, r, sc)
-	return nil
+	fb.hTab.mul2(a0, a1, r0, r1, sc)
 }
 
 // RandomizerPoolStats returns the cumulative randomizer accounting of
-// this key: hits (randomizers served from the background pool) and
-// misses (randomizers computed inline, because the pool was dry or
-// never started). The scaling benches record them to prove a
-// multi-worker rerandomize sweep stayed on the pooled fast path.
+// this key: hits (ciphertexts refreshed by a randomizer from the
+// background pool, a spare included) and misses (ciphertexts whose h^r
+// chain ran inline, because the pool was dry or never started). Every
+// refresh is exactly one of the two. The scaling benches record them to
+// prove a multi-worker rerandomize sweep stayed on the pooled fast path.
 func (k DGKPublicKey) RandomizerPoolStats() (hits, misses uint64) {
 	return k.fb.poolHits.Load(), k.fb.poolMisses.Load()
 }
 
-// Encrypt implements PublicKey: g^m h^r mod n, as 1 -> *g^m -> *h^r
-// through the in-place kernels.
-func (k DGKPublicKey) Encrypt(m uint64) (*Ciphertext, error) {
-	c, sc := &Ciphertext{v: big.NewInt(1)}, k.NewScratch()
-	if err := k.AddPlainInto(c, c, m, sc); err != nil {
-		return nil, err
+// scratches serves the one-ciphertext wrappers a warm Scratch, so a
+// call does not build one.
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
+// one runs chunk on a single ciphertext: the one-ciphertext wrappers.
+func (k DGKPublicKey) one(src *Ciphertext, m uint64, refresh bool) (*Ciphertext, error) {
+	sc := scratches.Get().(*Scratch)
+	defer scratches.Put(sc)
+	dst, in := []*Ciphertext{nil}, []*Ciphertext{src}
+	if src == nil {
+		in = nil
 	}
-	if err := k.RerandomizeInto(c, c, sc); err != nil {
-		return nil, err
-	}
-	return c, nil
+	err := k.chunk(dst, in, []uint64{m}, refresh, sc)
+	return dst[0], err
 }
+
+// Encrypt implements PublicKey: EncryptChunk of one.
+func (k DGKPublicKey) Encrypt(m uint64) (*Ciphertext, error) { return k.one(nil, m, true) }
 
 // AddPlain implements PublicKey: multiply by g^m (no fresh randomness;
 // call Rerandomize if unlinkability is needed).
 func (k DGKPublicKey) AddPlain(a *Ciphertext, m uint64) (*Ciphertext, error) {
-	dst := new(Ciphertext)
-	if err := k.AddPlainInto(dst, a, m, k.NewScratch()); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return k.one(a, m, false)
 }
 
 // Rerandomize implements PublicKey: multiply by h^r.
-func (k DGKPublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	dst := new(Ciphertext)
-	if err := k.RerandomizeInto(dst, a, k.NewScratch()); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
+func (k DGKPublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) { return k.one(a, 0, true) }
 
 // NewScratch implements PublicKey.
 func (k DGKPublicKey) NewScratch() *Scratch { return &Scratch{} }
 
-// AddPlainInto implements PublicKey: AddPlain(a, m) into dst (which
-// may alias a). The fixed-base chain runs straight into dst's own
-// big.Int through sc, so a steady-state fold loop allocates nothing.
-func (k DGKPublicKey) AddPlainInto(dst, a *Ciphertext, m uint64, sc *Scratch) error {
-	k.fb.ensure(k).gTab.mulInto(dst.startAt(a), k.reduceInto(&sc.e, m), sc)
-	return nil
+// EncryptChunk implements PublicKey: g^m h^r for each plaintext, as
+// 1 -> *g^m -> *h^r on the two-lane chunk routine.
+func (k DGKPublicKey) EncryptChunk(dst []*Ciphertext, ms []uint64, sc *Scratch) error {
+	return k.chunk(dst, nil, ms, true, sc)
 }
 
-// RerandomizeInto implements PublicKey: Rerandomize(a) into dst
-// (which may alias a). The randomizer comes from the shared pool when
-// one is running and from an inline fixed-base chain into dst
-// otherwise — a crypto/rand draw of the same width either way.
-func (k DGKPublicKey) RerandomizeInto(dst, a *Ciphertext, sc *Scratch) error {
-	return k.mulHPower(dst.startAt(a), sc)
+// FoldChunk implements PublicKey on the two-lane chunk routine.
+func (k DGKPublicKey) FoldChunk(dst, src []*Ciphertext, ms []uint64, refresh bool, sc *Scratch) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("ahe: %d outputs for %d ciphertexts", len(dst), len(src))
+	}
+	return k.chunk(dst, src, ms, refresh, sc)
+}
+
+// chunk sets dst[i] to src[i]·g^ms[i] (1·g^ms[i] for a nil src), times
+// h^r for a fresh r when refresh holds, two lanes at a time. Each pair
+// takes its g^m on the g-table's mul2 and, refreshing, pops one pooled
+// h^r*R per lane: two hits multiply in with one mont.mul2. A lane the
+// pool cannot serve runs its h^r chain on the h-table's mul2 beside the
+// next lane that misses; until then its partial value waits in its dst.
+// A miss left over at the end of the chunk pairs with a spare h^r*R,
+// which is pushed onto the running pool for a later lane — or, with no
+// pool running, runs alone. Hits and misses count lanes; a spare counts
+// as a hit when a lane pops it. Once sc is warm and every dst[i] holds
+// a ciphertext, a chunk allocates nothing but its spare.
+func (k DGKPublicKey) chunk(dst, src []*Ciphertext, ms []uint64, refresh bool, sc *Scratch) error {
+	if len(ms) != len(dst) {
+		return fmt.Errorf("ahe: %d outputs for %d plaintexts", len(dst), len(ms))
+	}
+	fb := k.fb.ensure(k)
+	m, w := fb.m, fb.m.width
+	var pool *randPool
+	if refresh {
+		pool = fb.pool.Load()
+	}
+	buf := grow(&sc.acc, 3*w)
+	a := [3]elem{buf[:w:w], buf[w : 2*w : 2*w], buf[2*w : 3*w : 3*w]}
+	owed := -1 // a lane whose h^r is still owed
+	for i := 0; i < len(dst); i += 2 {
+		lanes := min(2, len(dst)-i)
+		var e [2]*big.Int
+		for l := range lanes {
+			x := bigOne
+			if src != nil {
+				x = src[i+l].v
+			}
+			m.set(a[l], x)
+			e[l] = k.reduceInto(&sc.e[l], ms[i+l])
+		}
+		a1 := a[1]
+		if lanes == 1 {
+			a1 = nil
+		}
+		fb.gTab.mul2(a[0], a1, e[0], e[1], sc)
+		if refresh {
+			var hit, hr, miss [2]elem
+			nh, nm, at := 0, 0, 0
+			for l := range lanes {
+				var r elem
+				if pool != nil {
+					r = pool.get()
+				}
+				if r != nil {
+					hit[nh], hr[nh] = a[l], r
+					nh++
+				} else {
+					miss[nm], at = a[l], i+l
+					nm++
+				}
+			}
+			fb.poolHits.Add(uint64(nh))
+			fb.poolMisses.Add(uint64(nm))
+			if nh > 0 {
+				m.mul2(hit[0], hit[0], hr[0], hit[1], hit[1], hr[1], sc)
+			}
+			switch {
+			case nm == 2: // both lanes missed: a pair of their own
+				fb.mulH2(miss[0], miss[1], sc)
+			case nm == 1 && owed >= 0: // beside the owed lane
+				m.set(a[2], dst[owed].v)
+				fb.mulH2(miss[0], a[2], sc)
+				m.get(dst[owed].v, a[2])
+				owed = -1
+			case nm == 1:
+				owed = at
+			}
+		}
+		for l := range lanes {
+			m.get(outAt(dst, i+l), a[l])
+		}
+	}
+	if owed < 0 {
+		return nil
+	}
+	var spare elem
+	if pool != nil {
+		spare = make(elem, w)
+		copy(spare, m.one)
+	}
+	m.set(a[0], dst[owed].v)
+	fb.mulH2(a[0], spare, sc)
+	m.get(dst[owed].v, a[0])
+	if spare != nil {
+		pool.push(&hrNode{hr: spare})
+	}
+	return nil
 }
 
 // CiphertextBytes implements PublicKey.

@@ -18,7 +18,10 @@ package ahe
 // Montgomery domain. A multiplication at 1024 bits (BenchmarkModMul)
 // costs ~0.13 us on the IFMA kernel, ~0.09 us each when two run
 // interleaved, ~0.2 us on the ADX kernel and ~0.4 us on the portable
-// one, against ~0.65 us for Mul+Mod, with no allocation.
+// one, against ~0.65 us for Mul+Mod, with no allocation. So every chain
+// runs beside another (mul2): dgk.go's chunk routine takes two
+// ciphertexts' g^m, and two h^r — two lanes' misses, a miss and a
+// spare, or the refillers' pair — in lockstep.
 //
 // A table is immutable after construction and safe for concurrent
 // readers; the per-key tables are built once behind a sync.Once (see
@@ -69,19 +72,6 @@ func newFBTable(base *big.Int, m *mont, maxBits int) *fbTable {
 		}
 	}
 	return &fbTable{m: m, win: m.powerRows(bases)}
-}
-
-// mulInto multiplies acc, a residue in [0, n), by base^e in place: one
-// table entry per nonzero byte of e, on an accumulator in sc. e must
-// lie in [0, 2^maxBits) for the table's maxBits (a wider one indexes
-// past the last row); the callers' exponents do by construction
-// (dgk.go's reduceInto and randomizer). The table is only read, so
-// concurrent calls with distinct acc and sc are safe.
-func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) {
-	a := t.m.scratchElem(sc)
-	t.m.set(a, acc)
-	t.mul2(a, nil, e, nil, sc)
-	t.m.get(acc, a)
 }
 
 // mul2 multiplies a0 by base^e0 and a1 by base^e1 in lockstep, one

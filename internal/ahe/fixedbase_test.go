@@ -237,6 +237,21 @@ func conformanceKeys(t *testing.T) []*DGKPrivateKey {
 // reduce returns m mod 2^l as a fresh big.Int.
 func (k DGKPublicKey) reduce(m uint64) *big.Int { return k.reduceInto(new(big.Int), m) }
 
+// randomizer draws r uniform in [0, 2^dgkRndBits), an exponent h's
+// table covers, the way rand.Int would.
+func (k DGKPublicKey) randomizer() (*big.Int, error) {
+	return rand.Int(rand.Reader, new(big.Int).Lsh(bigOne, dgkRndBits))
+}
+
+// mulInto multiplies acc, a residue in [0, n), by base^e in place: one
+// chain of the table alone, through a fresh elem.
+func (t *fbTable) mulInto(acc, e *big.Int, sc *Scratch) {
+	a := t.m.elems(1)[0]
+	t.m.set(a, acc)
+	t.mul2(a, nil, e, nil, sc)
+	t.m.get(acc, a)
+}
+
 // mulExpNaive sets v = v * base^e mod n by generic exponentiation.
 func (k DGKPublicKey) mulExpNaive(v, base, e *big.Int) {
 	v.Mul(v, new(big.Int).Exp(base, e, k.n)).Mod(v, k.n)
@@ -437,7 +452,8 @@ func TestRandomizerPool(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if err := key.RerandomizeInto(c, c, sc); err != nil {
+				cs := []*Ciphertext{c}
+				if err := key.FoldChunk(cs, cs, []uint64{0}, true, sc); err != nil {
 					errs[w] = err
 					return
 				}
@@ -459,8 +475,9 @@ func TestRandomizerPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Every Encrypt and RerandomizeInto draws exactly one randomizer,
-	// from the pool (hit) or inline (miss).
+	// Every encryption and every refresh takes exactly one randomizer,
+	// from the pool (hit) or inline (miss); a spare counts only when a
+	// lane pops it.
 	hits1, misses1 := key.RandomizerPoolStats()
 	if draws := (hits1 - hits0) + (misses1 - misses0); draws != 2*workers*perWorker {
 		t.Fatalf("counters recorded %d randomizer draws, want %d", draws, 2*workers*perWorker)

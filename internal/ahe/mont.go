@@ -256,9 +256,6 @@ func (m *mont) mulRedcBig(z, x, y elem, sc *Scratch) {
 	clear(z[copy(z, hi.Bits()):])
 }
 
-// scratchElem returns the chain accumulator elem in sc.
-func (m *mont) scratchElem(sc *Scratch) elem { return grow(&sc.acc, m.width)[:m.width] }
-
 // rowEntry is entry d of a power row b^1 .. b^255 (powerRows), and the
 // Montgomery one for d = 0: the operand of a lane whose digit is zero.
 func (m *mont) rowEntry(row []elem, d byte) elem {

@@ -14,6 +14,16 @@ package ahe
 // again, and each one would strip the blinding off the ciphertext it
 // ends up in.
 //
+// Misses pair and feed the pool. A chunk lane the pool cannot serve
+// runs its h^r chain inline, beside the chunk's next miss on the same
+// mul2; a miss with no partner left pairs with a spare chain started at
+// R, and the spare — a fresh h^r*R, drawn like any other — is pushed
+// here for a later lane to pop. A hit therefore counts a lane refreshed
+// by a pooled randomizer, the refillers' or a spare, and a miss a lane
+// whose chain ran inline; every refresh is exactly one of the two. A
+// spare is used once, like every pooled randomizer: it is pushed once
+// and popped once.
+//
 // Correctness is unaffected: r is drawn from crypto/rand exactly as the
 // inline path draws it, and none of the protocol conformance suites
 // depend on encryption randomness (share and fake randomness come from
@@ -88,14 +98,14 @@ type randPool struct {
 	wg       sync.WaitGroup
 }
 
-// newRandPool starts a pool of poolCapacity randomizers refilled by
-// poolRefillers goroutines; fill computes two fresh h^r*R mod n using
-// the calling refiller's scratch and must be safe for concurrent calls
-// (crypto/rand and the immutable fixed-base tables are).
-func newRandPool(fill func(sc *Scratch) ([2]elem, error)) *randPool {
-	refillers := poolRefillers()
+// newRandPool starts a pool of capacity randomizers refilled by
+// refillers goroutines (StartRandomizerPool passes poolCapacity and
+// poolRefillers); fill computes two fresh h^r*R mod n using the calling
+// refiller's scratch and must be safe for concurrent calls (crypto/rand
+// and the immutable fixed-base tables are).
+func newRandPool(capacity, refillers int, fill func(sc *Scratch) [2]elem) *randPool {
 	p := &randPool{
-		capacity: int64(poolCapacity()),
+		capacity: int64(capacity),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -109,9 +119,9 @@ func newRandPool(fill func(sc *Scratch) ([2]elem, error)) *randPool {
 // refill tops the stack up to capacity, then sleeps until a drain
 // signals it (or the pool stops). With several refillers the
 // check-then-fill race can overshoot capacity by at most 2*refillers-1
-// randomizers — harmless. A fill error ends that refiller; the hot path
-// simply keeps using its inline fallback.
-func (p *randPool) refill(fill func(sc *Scratch) ([2]elem, error)) {
+// randomizers, and a spare pushed beside them by one per worker that
+// missed — harmless.
+func (p *randPool) refill(fill func(sc *Scratch) [2]elem) {
 	defer p.wg.Done()
 	var sc Scratch
 	for {
@@ -121,10 +131,7 @@ func (p *randPool) refill(fill func(sc *Scratch) ([2]elem, error)) {
 				return
 			default:
 			}
-			hr, err := fill(&sc)
-			if err != nil {
-				return
-			}
+			hr := fill(&sc)
 			p.push(&hrNode{hr: hr[0]})
 			p.push(&hrNode{hr: hr[1]})
 		}
@@ -137,7 +144,7 @@ func (p *randPool) refill(fill func(sc *Scratch) ([2]elem, error)) {
 }
 
 // push CAS-loops so the stack stays consistent across concurrent
-// refillers and pops.
+// refillers, spare pushes and pops.
 func (p *randPool) push(n *hrNode) {
 	for {
 		old := p.head.Load()
@@ -152,8 +159,8 @@ func (p *randPool) push(n *hrNode) {
 // get pops one precomputed randomizer, or returns nil when the pool is
 // dry (the caller computes inline). Lock-free: a CAS retry loop with no
 // mutex on the drain path. The Treiber ABA hazard does not apply —
-// popped nodes are never pushed back, so a head pointer can never
-// reappear. A popped node's next link is left as it is: a concurrent
+// popped nodes are never pushed back (a spare is a new node), so a head
+// pointer can never reappear. A popped node's next link is left as it is: a concurrent
 // popper that loaded the same head may still be reading it (its CAS
 // then fails), so clearing it here would be a data race.
 func (p *randPool) get() elem {

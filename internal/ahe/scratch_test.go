@@ -1,17 +1,20 @@
 package ahe
 
-// Tests for the worker-pool support layer (DESIGN.md §14): the
-// scratch-reusing in-place kernels (AddPlainInto, RerandomizeInto), the
+// Tests for the worker-pool support layer (DESIGN.md §14): the chunk
+// kernels (EncryptChunk, FoldChunk) on every kernel and pool state, the
 // fixed-base accumulate-into kernel under them, and the allocation
-// regression pins of the steady-state fold loops. CI runs this file
+// regression pins of the steady-state chunk loops. CI runs this file
 // under -race (the allocation pins skip there: the race runtime
 // inflates the counts).
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"os"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shuffledp/internal/rng"
@@ -41,11 +44,11 @@ func TestExpIntoMatchesExp(t *testing.T) {
 	}
 }
 
-// TestScratchOpsMatchAllocatingOps: AddPlainInto / RerandomizeInto —
-// including the dst == a in-place form the shuffle loops use — must
-// decrypt identically to the allocating AddPlain / Rerandomize, and
-// AddPlainInto must give the generic-exponentiation reference's group
-// element bit for bit, with one Scratch reused across every call.
+// TestScratchOpsMatchAllocatingOps: FoldChunk — including the
+// dst == src in-place form — must decrypt identically to the allocating
+// AddPlain / Rerandomize, and a fold without the refresh must give the
+// generic-exponentiation reference's group element bit for bit, with
+// one Scratch reused across every call.
 func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 	for _, key := range conformanceKeys(t) {
 		mask := uint64(1)<<uint(key.PlaintextBits()) - 1
@@ -61,16 +64,17 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// In-place chain: add, then rerandomize, dst aliasing a.
+			// In-place chain: add, then rerandomize, dst aliasing src.
+			cs := []*Ciphertext{c}
 			ref := new(big.Int).Set(c.v)
 			key.mulExpNaive(ref, key.g, key.reduce(add))
-			if err := key.AddPlainInto(c, c, add, sc); err != nil {
+			if err := key.FoldChunk(cs, cs, []uint64{add}, false, sc); err != nil {
 				t.Fatal(err)
 			}
 			if c.v.Cmp(ref) != 0 {
-				t.Fatalf("l=%d: in-place AddPlainInto differs from the reference", key.PlaintextBits())
+				t.Fatalf("l=%d: in-place FoldChunk differs from the reference", key.PlaintextBits())
 			}
-			if err := key.RerandomizeInto(c, c, sc); err != nil {
+			if err := key.FoldChunk(cs, cs, []uint64{0}, true, sc); err != nil {
 				t.Fatal(err)
 			}
 			got, err := key.Decrypt(c)
@@ -80,20 +84,20 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 			if want := (m + add) & mask; got != want {
 				t.Fatalf("l=%d: in-place chain decrypts %d, want %d", key.PlaintextBits(), got, want)
 			}
-			// Distinct-destination form, dst starting zero-valued,
-			// against the allocating AddPlain.
-			var out Ciphertext
-			if err := key.AddPlainInto(&out, c, add, sc); err != nil {
+			// Fresh-destination form, dst nil, against the allocating
+			// AddPlain.
+			out := []*Ciphertext{nil}
+			if err := key.FoldChunk(out, cs, []uint64{add}, false, sc); err != nil {
 				t.Fatal(err)
 			}
 			alloc, err := key.AddPlain(c, add)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.v.Cmp(alloc.v) != 0 {
-				t.Fatalf("l=%d: fresh-dst AddPlainInto differs from AddPlain", key.PlaintextBits())
+			if out[0].v.Cmp(alloc.v) != 0 {
+				t.Fatalf("l=%d: fresh-dst FoldChunk differs from AddPlain", key.PlaintextBits())
 			}
-			got, err = key.Decrypt(&out)
+			got, err = key.Decrypt(out[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,21 +108,22 @@ func TestScratchOpsMatchAllocatingOps(t *testing.T) {
 	}
 }
 
-// TestRerandomizeIntoChangesCiphertext: the in-place rerandomize must
+// TestFoldChunkRefreshChangesCiphertext: the in-place refresh must
 // actually refresh the group element (unlinkability), not just keep the
 // plaintext.
-func TestRerandomizeIntoChangesCiphertext(t *testing.T) {
+func TestFoldChunkRefreshChangesCiphertext(t *testing.T) {
 	key := conformanceKeys(t)[0]
 	c, err := key.Encrypt(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := new(big.Int).Set(c.v)
-	if err := key.RerandomizeInto(c, c, key.NewScratch()); err != nil {
+	cs := []*Ciphertext{c}
+	if err := key.FoldChunk(cs, cs, []uint64{0}, true, key.NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if before.Cmp(c.v) == 0 {
-		t.Fatal("RerandomizeInto left the group element unchanged")
+		t.Fatal("FoldChunk's refresh left the group element unchanged")
 	}
 }
 
@@ -131,7 +136,8 @@ func TestCiphertextClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := c.Clone()
-	if err := key.AddPlainInto(c, c, 5, key.NewScratch()); err != nil {
+	cs := []*Ciphertext{c}
+	if err := key.FoldChunk(cs, cs, []uint64{5}, false, key.NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := key.Decrypt(clone)
@@ -143,55 +149,305 @@ func TestCiphertextClone(t *testing.T) {
 	}
 }
 
+// holdPool installs on key's tables, where no pool runs, a pool of the
+// given capacity with no refillers, holding exactly hold fresh
+// randomizers — so a test decides which lanes hit — and returns it with
+// the function that takes it down again.
+func holdPool(t *testing.T, key *DGKPrivateKey, capacity, hold int) (*randPool, func()) {
+	t.Helper()
+	fb := key.fb.ensure(key.DGKPublicKey)
+	p := newRandPool(capacity, 0, nil)
+	var sc Scratch
+	for i := 0; i < hold; i += 2 {
+		hr := fb.fillPair(&sc)
+		for _, e := range hr[:min(2, hold-i)] {
+			p.push(&hrNode{hr: e})
+		}
+	}
+	if !fb.pool.CompareAndSwap(nil, p) {
+		t.Fatal("a randomizer pool is already running on the key")
+	}
+	return p, func() { fb.pool.CompareAndSwap(p, nil) }
+}
+
+// TestChunkConformance holds both chunk methods, on every kernel this
+// CPU runs and for chunks of 0 to 7 ciphertexts, to the one-element
+// wrappers and to decryption: with the pool stopped (every lane misses;
+// misses pair, an odd one runs alone), full (every lane hits) and
+// holding exactly one randomizer (the first lane hits, the rest miss,
+// and an odd count of misses leaves a spare in the pool), refreshing
+// and not, folding in place and into fresh ciphertexts. Every output
+// decrypts to src + m (or to m), equals AddPlain's group element
+// exactly when it was not refreshed (a lane that lost its h^r still
+// decrypts), and every lane is one hit or one miss.
+func TestChunkConformance(t *testing.T) {
+	for _, key := range conformanceKeys(t) {
+		mask := uint64(1)<<uint(key.l) - 1
+		if key.l == 64 {
+			mask = ^uint64(0)
+		}
+		t.Run(fmt.Sprintf("l=%d", key.l), func(t *testing.T) {
+			forKernels(t, func(t *testing.T, kern kernel) {
+				on := onKernel(key, kern)
+				sc := on.NewScratch()
+				r := rng.New(0xc4c)
+				for n := 0; n <= 7; n++ {
+					for _, pool := range []string{"stopped", "full", "one"} {
+						for _, op := range []string{"encrypt", "fold", "fold+refresh", "fold-in-place", "fold-in-place+refresh"} {
+							chunkCase(t, on, sc, r, mask, n, pool, op)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+func chunkCase(t *testing.T, key *DGKPrivateKey, sc *Scratch, r *rng.Rand, mask uint64, n int, pool, op string) {
+	t.Helper()
+	what := fmt.Sprintf("%d ciphertexts, pool %s, %s", n, pool, op)
+	ms, base := make([]uint64, n), make([]uint64, n)
+	src := make([]*Ciphertext, n)
+	for i := range ms {
+		ms[i], base[i] = r.Uint64(), r.Uint64()&mask
+		c, err := key.Encrypt(base[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		src[i] = c
+	}
+	var p *randPool
+	var remove func()
+	switch pool {
+	case "full":
+		p, remove = holdPool(t, key, 8, 8)
+	case "one":
+		p, remove = holdPool(t, key, 1, 1)
+	}
+	refresh := op != "fold" && op != "fold-in-place"
+	hits0, misses0 := key.RandomizerPoolStats()
+	dst := make([]*Ciphertext, n)
+	var err error
+	switch op {
+	case "encrypt":
+		clear(base)
+		err = key.EncryptChunk(dst, ms, sc)
+	case "fold", "fold+refresh":
+		err = key.FoldChunk(dst, src, ms, refresh, sc)
+	default:
+		want := make([]*Ciphertext, n)
+		for i, c := range src {
+			want[i] = c.Clone()
+		}
+		dst = src
+		err = key.FoldChunk(dst, dst, ms, refresh, sc)
+		src = want
+	}
+	if remove != nil {
+		remove()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	hits, misses := key.RandomizerPoolStats()
+	hits, misses = hits-hits0, misses-misses0
+	if !refresh {
+		n = 0 // no lane draws
+	}
+	wantHits := map[string]int{"stopped": 0, "full": n, "one": min(n, 1)}[pool]
+	if hits != uint64(wantHits) || misses != uint64(n-wantHits) {
+		t.Fatalf("%s: %d hits and %d misses, want %d and %d", what, hits, misses, wantHits, n-wantHits)
+	}
+	if pool == "one" && n > 0 && p.size.Load() != int64(n-1)%2 {
+		t.Fatalf("%s: the pool holds %d randomizers after %d misses, want the odd miss's spare only", what, p.size.Load(), n-1)
+	}
+	for i, c := range dst {
+		want := (base[i] + ms[i]) & mask
+		if got, err := key.Decrypt(c); err != nil || got != want {
+			t.Fatalf("%s: ciphertext %d decrypts %d (%v), want %d", what, i, got, err, want)
+		}
+		from := &Ciphertext{v: big.NewInt(1)} // g^m is an encryption's fold of 1
+		if op != "encrypt" {
+			from = src[i]
+		}
+		folded, err := key.AddPlain(from, ms[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch same := folded.v.Cmp(c.v) == 0; {
+		case refresh && same:
+			t.Fatalf("%s: ciphertext %d equals its unrefreshed fold: its h^r was lost", what, i)
+		case !refresh && !same:
+			t.Fatalf("%s: ciphertext %d differs from AddPlain's", what, i)
+		}
+		var one *Ciphertext
+		switch {
+		case op == "encrypt":
+			one, err = key.Encrypt(ms[i])
+		case refresh:
+			one, err = key.Rerandomize(folded)
+		default:
+			one = folded
+		}
+		if got, err2 := key.Decrypt(one); err != nil || err2 != nil || got != want {
+			t.Fatalf("%s: the one-element wrapper of ciphertext %d decrypts %d (%v, %v), want %d", what, i, got, err, err2, want)
+		}
+	}
+}
+
+// TestRandomizersNeverRepeat: 4,096 encryptions of 0 in odd-length
+// chunks on two workers, beside a small pool whose refiller races the
+// spares the misses push, are pairwise distinct — no randomizer, pooled,
+// spare or inline, is used twice. Under -race in CI.
+func TestRandomizersNeverRepeat(t *testing.T) {
+	key := conformanceKeys(t)[0]
+	fb := key.fb.ensure(key.DGKPublicKey)
+	var filled atomic.Int64
+	p := newRandPool(4, 1, func(sc *Scratch) [2]elem {
+		filled.Add(2)
+		return fb.fillPair(sc)
+	})
+	if !fb.pool.CompareAndSwap(nil, p) {
+		t.Fatal("a randomizer pool is already running on the key")
+	}
+	hits0, _ := key.RandomizerPoolStats()
+	const workers, total = 2, 4096
+	out := make([][]*Ciphertext, workers)
+	var wg sync.WaitGroup
+	for w := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := key.NewScratch()
+			for n := 0; n < total/workers; {
+				k := min(2*(n%4)+1, total/workers-n) // 1, 3, 5, 7, ...
+				cs := make([]*Ciphertext, k)
+				if err := key.EncryptChunk(cs, make([]uint64, k), sc); err != nil {
+					t.Error(err)
+					return
+				}
+				out[w] = append(out[w], cs...)
+				n += k
+			}
+		}()
+	}
+	wg.Wait()
+	fb.pool.CompareAndSwap(p, nil)
+	p.stop()
+	seen := make(map[string]bool, total)
+	for _, cs := range out {
+		for _, c := range cs {
+			if seen[c.v.String()] {
+				t.Fatal("two encryptions of 0 share a group element: a randomizer was used twice")
+			}
+			seen[c.v.String()] = true
+		}
+	}
+	if len(seen) != total {
+		t.Fatalf("%d encryptions, want %d", len(seen), total)
+	}
+	hits, _ := key.RandomizerPoolStats()
+	if spares := p.size.Load() + int64(hits-hits0) - filled.Load(); spares <= 0 {
+		t.Fatalf("no spare reached the pool (%d hits, %d from the refiller)", hits-hits0, filled.Load())
+	}
+}
+
 // TestScratchKernelAllocs is the allocation-regression pin of the
-// steady-state parallel loops (no background pool runs here —
-// AllocsPerRun counts every goroutine's allocations). Two pins:
+// steady-state fold: FoldChunk of 7 into preallocated ciphertexts on a
+// warm Scratch. AllocsPerRun counts every goroutine's allocations, so
+// the pools here have no refillers. Four pins:
 //
-//   - AddPlainInto into a warm ciphertext: 0 allocs/op. The fixed-base
-//     chain multiplies into the ciphertext's own big.Int and every
-//     temporary of a mulRedc lives in the warm Scratch, so any
-//     reintroduced per-op object — a ciphertext, a quotient, a fresh
-//     accumulator — trips it. (The shuffle's departure folds into a
-//     fresh ciphertext, whose one big.Int is the vector it hands on.)
-//   - RerandomizeInto on its inline fixed-base fallback, the worst
-//     case: what crypto/rand's randomizer draw allocates (the bound,
-//     the byte buffer, the result — 5 measured) and nothing for the
-//     ~50 multiplications behind it. Pinned at <= 8; the pooled path
-//     the cluster actually runs (pool hit -> one mulRedc) costs 0.
+//   - without the refresh, 0 allocs: the fixed-base chains run on the
+//     Scratch's lane elems and write into each ciphertext's own
+//     big.Int, so any reintroduced per-op object — a ciphertext, a
+//     quotient, a fresh accumulator — trips it;
+//   - refreshed from the pool, 0: a hit is one multiplication;
+//   - refreshed with the pool stopped, 0: the misses' exponents come
+//     from one crypto/rand read into the Scratch;
+//   - a missed lane with its spare, at most 2: the spare's elem and its
+//     pool node, which the pool keeps.
 func TestScratchKernelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates allocation counts; the pins are exact only without -race")
 	}
 	key := conformanceKeys(t)[0]
 	sc := key.NewScratch()
-	c, err := key.Encrypt(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the scratch capacities and the lazily-built tables.
-	for i := 0; i < 4; i++ {
-		if err := key.AddPlainInto(c, c, uint64(i), sc); err != nil {
+	src, dst, ms := make([]*Ciphertext, 7), make([]*Ciphertext, 7), make([]uint64, 7)
+	for i := range src {
+		var err error
+		if src[i], err = key.Encrypt(uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := key.RerandomizeInto(c, c, sc); err != nil {
+		ms[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	fold := func(refresh bool) func() {
+		return func() {
+			if err := key.FoldChunk(dst, src, ms, refresh, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fold(true)() // warm the Scratch, the ciphertexts and the tables
+	if allocs := testing.AllocsPerRun(50, fold(false)); allocs != 0 {
+		t.Fatalf("FoldChunk without the refresh allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, fold(true)); allocs != 0 {
+		t.Fatalf("FoldChunk with the pool stopped allocates %.1f/op, want 0", allocs)
+	}
+	_, remove := holdPool(t, key, 7*51, 7*51)
+	allocs := testing.AllocsPerRun(50, fold(true))
+	remove()
+	if allocs != 0 {
+		t.Fatalf("FoldChunk on pool hits allocates %.1f/op, want 0", allocs)
+	}
+	p, remove := holdPool(t, key, 1, 0)
+	defer remove()
+	lone := func() {
+		p.head.Store(nil) // empty again: the last run's spare goes
+		p.size.Store(0)
+		if err := key.FoldChunk(dst[:1], src[:1], ms[:1], true, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	addAllocs := testing.AllocsPerRun(50, func() {
-		if err := key.AddPlainInto(c, c, 3, sc); err != nil {
+	if allocs := testing.AllocsPerRun(50, lone); allocs > 2 {
+		t.Fatalf("a missed lane with its spare allocates %.1f/op, want <= 2", allocs)
+	}
+}
+
+// TestEncryptChunkAllocs pins encryption's steady state: EncryptChunk
+// of 7 into fresh ciphertexts on a warm Scratch allocates the output
+// ciphertexts and nothing else — 3 objects each (the Ciphertext, its
+// big.Int and its words) — from the pool (hits) and with it stopped
+// (misses, paired, the odd one alone).
+func TestEncryptChunkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation counts; the pins are exact only without -race")
+	}
+	key := conformanceKeys(t)[0]
+	sc := key.NewScratch()
+	ms := make([]uint64, 7)
+	for i := range ms {
+		ms[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	encrypt := func() {
+		if err := key.EncryptChunk(make([]*Ciphertext, len(ms)), ms, sc); err != nil {
 			t.Fatal(err)
+		}
+	}
+	outputs := testing.AllocsPerRun(50, func() {
+		dst := make([]*Ciphertext, len(ms))
+		for i := range dst {
+			outAt(dst, i).SetBits(make([]big.Word, len(key.n.Bits())))
 		}
 	})
-	if addAllocs != 0 {
-		t.Fatalf("AddPlainInto allocates %.1f/op, want 0", addAllocs)
+	encrypt() // warm the Scratch and the tables
+	if allocs := testing.AllocsPerRun(50, encrypt); allocs != outputs {
+		t.Fatalf("EncryptChunk with the pool stopped allocates %.1f/op, want %.1f: the outputs only", allocs, outputs)
 	}
-	rerAllocs := testing.AllocsPerRun(50, func() {
-		if err := key.RerandomizeInto(c, c, sc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if rerAllocs > 8 {
-		t.Fatalf("RerandomizeInto fallback allocates %.1f/op, want <= 8", rerAllocs)
+	_, remove := holdPool(t, key, 7*51, 7*51)
+	defer remove()
+	if allocs := testing.AllocsPerRun(50, encrypt); allocs != outputs {
+		t.Fatalf("EncryptChunk on pool hits allocates %.1f/op, want %.1f: the outputs only", allocs, outputs)
 	}
 }
 

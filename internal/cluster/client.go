@@ -64,15 +64,19 @@ type Client struct {
 	col   uint32
 	// queued[j] holds the closed frames already produced for shuffler j
 	// in the current collection — exactly the bytes a healed connection
-	// replays. The share splits (and the encryption) were drawn when the
-	// report was added, so a resubmit carries identical shares and the
-	// randomness stream position never depends on how many times the
-	// network failed.
+	// replays. The share splits were drawn when the report was added and
+	// the encryption when its frame closed, so a resubmit carries
+	// identical shares and ciphertexts, and the randomness stream
+	// position never depends on how many times the network failed.
 	queued [][][]byte
 	// open[j] holds shuffler j's shares of the frame being filled: users
 	// first..first+k−1, under nonces nonce−k..nonce−1 (k = 0: no frame
-	// is open).
+	// is open). The last shuffler's are still plaintexts, in last, until
+	// closeFrame encrypts them as one chunk into cts on sc.
 	open  [][]byte
+	last  []uint64
+	cts   []*ahe.Ciphertext
+	sc    *ahe.Scratch
 	first uint32
 	k     int
 	// nonce is the next user's nonce: a crypto/rand base plus a
@@ -109,6 +113,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		mod:    secretshare.NewModulus(64),
 		queued: make([][][]byte, cfg.Topology.R()),
 		open:   make([][]byte, cfg.Topology.R()),
+		cts:    make([]*ahe.Ciphertext, sharesPerFrame),
+		sc:     cfg.Pub.NewScratch(),
 		nonce:  binary.LittleEndian.Uint64(seed[:]),
 	}
 	// Every report encrypts one share; keep randomizers h^r precomputed
@@ -171,20 +177,17 @@ func (c *Client) SendReport(index int, rep ldp.Report) error {
 	word := c.enc.Encode(rep)
 	r := len(c.conns)
 	shares := secretshare.Split(word, r, c.mod, c.cfg.Source)
-	ct, err := c.cfg.Pub.Encrypt(shares[r-1])
-	if err != nil {
-		return fmt.Errorf("cluster: client encrypt: %w", err)
-	}
 	if c.k == 0 {
 		c.first = uint32(index)
 		for j := range c.open {
 			c.open[j] = c.open[j][:0]
 		}
+		c.last = c.last[:0]
 	}
 	for j := 0; j < r-1; j++ {
 		c.open[j] = binary.LittleEndian.AppendUint64(c.open[j], shares[j])
 	}
-	c.open[r-1] = append(c.open[r-1], c.cfg.Pub.Serialize(ct)...)
+	c.last = append(c.last, shares[r-1])
 	c.k++
 	c.nonce++
 	if c.k == sharesPerFrame {
@@ -194,14 +197,22 @@ func (c *Client) SendReport(index int, rep ldp.Report) error {
 }
 
 // closeFrame sends the open frame, if any, to every shuffler: plain
-// shares to shufflers 0..R−2, ciphertexts to R−1.
+// shares to shufflers 0..R−2, and to R−1 the ciphertexts of the last
+// shares, encrypted here as one chunk.
 func (c *Client) closeFrame() error {
 	if c.k == 0 {
 		return nil
 	}
 	sf := sharesFrame{collection: c.col, first: c.first, nonce: c.nonce - uint64(c.k)}
+	cts := c.cts[:c.k]
 	c.k = 0
 	last := len(c.open) - 1
+	if err := c.cfg.Pub.EncryptChunk(cts, c.last, c.sc); err != nil {
+		return fmt.Errorf("cluster: client encrypt: %w", err)
+	}
+	for _, ct := range cts {
+		c.open[last] = append(c.open[last], c.cfg.Pub.Serialize(ct)...)
+	}
 	for j, body := range c.open {
 		tag := tagShares
 		if j == last {
@@ -326,12 +337,12 @@ func (c *Client) Flush() error {
 // connection (EOF is the client's "done"). Safe on a partially-dialed
 // client and safe to call more than once.
 func (c *Client) Close() error {
-	c.stopPool() // idempotent
 	first := c.err
 	c.err = nil
 	if err := c.closeFrame(); err != nil && first == nil {
 		first = err
 	}
+	c.stopPool() // idempotent
 	for j, w := range c.w {
 		if w == nil {
 			continue

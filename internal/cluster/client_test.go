@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -125,20 +126,7 @@ func TestClientLinkBytesPerReport(t *testing.T) {
 func TestClientRefusesIndexOutsideWord(t *testing.T) {
 	priv := sharedKey(t)
 	fo := ldp.NewGRR(8, 2)
-	topo, slns, aln := bindTopology(t, 2)
-	aln.Close()
-	for _, ln := range slns {
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func() { _, _ = io.Copy(io.Discard, conn); conn.Close() }()
-			}
-		}()
-		t.Cleanup(func() { ln.Close() })
-	}
+	topo := discardingShufflers(t, 2)
 	rep := fo.Randomize(3, rng.New(1))
 	// firstShare returns the client's link-0 share of user 0.
 	firstShare := func(misuse func(*cluster.Client)) []byte {
@@ -180,5 +168,75 @@ func TestClientRefusesIndexOutsideWord(t *testing.T) {
 	want := firstShare(func(*cluster.Client) {})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("after the refusals the share is %x, a fresh client's is %x: the refusal drew from Source", got, want)
+	}
+}
+
+// discardingShufflers binds r shuffler addresses whose listeners accept
+// clients and read everything they send, answering nothing.
+func discardingShufflers(t *testing.T, r int) cluster.Topology {
+	topo, slns, aln := bindTopology(t, r)
+	aln.Close()
+	for _, ln := range slns {
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() { _, _ = io.Copy(io.Discard, conn); conn.Close() }()
+			}
+		}()
+		t.Cleanup(func() { ln.Close() })
+	}
+	return topo
+}
+
+var errInjectedEncrypt = errors.New("cluster test: injected EncryptChunk fault")
+
+// failingEncrypt is a public key whose EncryptChunk always fails.
+type failingEncrypt struct{ ahe.PublicKey }
+
+func (failingEncrypt) EncryptChunk([]*ahe.Ciphertext, []uint64, *ahe.Scratch) error {
+	return errInjectedEncrypt
+}
+
+// The client encrypts a frame's last shares when the frame closes, so
+// an encryption error returns from whichever call closes it: the
+// SendReport that fills the frame or breaks its run, Flush, Close, or —
+// since it returns nothing — SetCollection, whose error the next Flush
+// returns. The reports before it return nil.
+func TestClientEncryptErrorReturnsFromFrameClose(t *testing.T) {
+	priv := sharedKey(t)
+	fo := ldp.NewGRR(8, 2)
+	topo := discardingShufflers(t, 2)
+	cl, err := cluster.NewClient(cluster.ClientConfig{Topology: topo, FO: fo, Pub: failingEncrypt{priv}, Source: rng.New(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := fo.Randomize(3, rng.New(1))
+	for i := range cluster.SharesPerFrame - 1 {
+		if err := cl.SendReport(i, rep); err != nil {
+			t.Fatalf("SendReport(%d) into an open frame: %v", i, err)
+		}
+	}
+	closers := []struct {
+		name  string
+		close func() error
+	}{
+		{"the SendReport that fills the frame", func() error { return cl.SendReport(cluster.SharesPerFrame-1, rep) }},
+		{"the SendReport that breaks the run", func() error { return cl.SendReport(0, rep) }},
+		{"Flush", cl.Flush},
+		{"SetCollection, then Flush", func() error { cl.SetCollection(1); return cl.Flush() }},
+		{"Close", cl.Close},
+	}
+	for i, c := range closers {
+		if i > 0 {
+			if err := cl.SendReport(1000, rep); err != nil {
+				t.Fatalf("SendReport into a fresh frame before %s: %v", c.name, err)
+			}
+		}
+		if err := c.close(); !errors.Is(err, errInjectedEncrypt) {
+			t.Fatalf("%s: %v, want the encryption error", c.name, err)
+		}
 	}
 }

@@ -158,20 +158,14 @@ func (s *Shuffler) fakesFor(a *attempt) (*fakeSet, error) {
 	if src == nil {
 		src = s.cfg.Source
 	}
-	fs = &fakeSet{}
+	fs = &fakeSet{plain: make([]uint64, s.cfg.NR)}
+	for k := range fs.plain {
+		fs.plain[k] = s.mod.Random(src)
+	}
 	if s.encHolder() {
 		fs.enc = make([]*ahe.Ciphertext, s.cfg.NR)
-		for k := range fs.enc {
-			c, err := s.cfg.Pub.Encrypt(s.mod.Random(src))
-			if err != nil {
-				return nil, err
-			}
-			fs.enc[k] = c
-		}
-	} else {
-		fs.plain = make([]uint64, s.cfg.NR)
-		for k := range fs.plain {
-			fs.plain[k] = s.mod.Random(src)
+		if err := s.cfg.Pub.EncryptChunk(fs.enc, fs.plain, s.cfg.Pub.NewScratch()); err != nil {
+			return nil, err
 		}
 	}
 	s.mu.Lock()

@@ -12,28 +12,26 @@ import (
 	"shuffledp/internal/rng"
 )
 
-// countingKey wraps the server's key pair and counts the four DGK
-// operations a PEOS round pays for. Every role takes its key as an
-// ahe.PublicKey or ahe.PrivateKey, so each one runs on the wrapper as
-// it would on the key.
+// countingKey wraps the server's key pair and counts the ciphertexts of
+// the four DGK operations a PEOS round pays for. Every role takes its
+// key as an ahe.PublicKey or ahe.PrivateKey and works in chunks, so
+// each one runs on the wrapper as it would on the key.
 type countingKey struct {
 	ahe.PrivateKey
 	encrypts, addPlains, rerandomizes, decrypts atomic.Int64
 }
 
-func (k *countingKey) Encrypt(m uint64) (*ahe.Ciphertext, error) {
-	k.encrypts.Add(1)
-	return k.PrivateKey.Encrypt(m)
+func (k *countingKey) EncryptChunk(dst []*ahe.Ciphertext, ms []uint64, sc *ahe.Scratch) error {
+	k.encrypts.Add(int64(len(ms)))
+	return k.PrivateKey.EncryptChunk(dst, ms, sc)
 }
 
-func (k *countingKey) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scratch) error {
-	k.addPlains.Add(1)
-	return k.PrivateKey.AddPlainInto(dst, a, m, sc)
-}
-
-func (k *countingKey) RerandomizeInto(dst, a *ahe.Ciphertext, sc *ahe.Scratch) error {
-	k.rerandomizes.Add(1)
-	return k.PrivateKey.RerandomizeInto(dst, a, sc)
+func (k *countingKey) FoldChunk(dst, src []*ahe.Ciphertext, ms []uint64, refresh bool, sc *ahe.Scratch) error {
+	k.addPlains.Add(int64(len(ms)))
+	if refresh {
+		k.rerandomizes.Add(int64(len(ms)))
+	}
+	return k.PrivateKey.FoldChunk(dst, src, ms, refresh, sc)
 }
 
 func (k *countingKey) DecryptChunk(dst []uint64, cs []*ahe.Ciphertext, sc *ahe.Scratch) error {
@@ -41,8 +39,8 @@ func (k *countingKey) DecryptChunk(dst []uint64, cs []*ahe.Ciphertext, sc *ahe.S
 	return k.PrivateKey.DecryptChunk(dst, cs, sc)
 }
 
-// work is the count of Encrypt, AddPlainInto and RerandomizeInto calls
-// and of ciphertexts decrypted.
+// work is the count of ciphertexts encrypted, folded, refreshed and
+// decrypted.
 type work [4]int64
 
 func (k *countingKey) work() work {
@@ -92,7 +90,7 @@ func TestPEOSWorkCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := key.work(), peosWork(n, nr, departures[r]); got != want {
-			t.Fatalf("PEOS.Run r=%d: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", r, got, want)
+			t.Fatalf("PEOS.Run r=%d: encrypted, folded, refreshed, decrypted = %v, want %v", r, got, want)
 		}
 	}
 
@@ -118,7 +116,7 @@ func TestPEOSWorkCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := key.work(), peosWork(n, nr, departures[r]); got != want {
-		t.Fatalf("cluster r=%d: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", r, got, want)
+		t.Fatalf("cluster r=%d: encrypted, folded, refreshed, decrypted = %v, want %v", r, got, want)
 	}
 }
 
@@ -150,7 +148,7 @@ func TestPEOSWorkCountsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := key.work(), (work{4200, 4200, 4200, 4200}); got != want {
-		t.Errorf("PEOS.Run at peos_inproc_r2's shape: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", got, want)
+		t.Errorf("PEOS.Run at peos_inproc_r2's shape: encrypted, folded, refreshed, decrypted = %v, want %v", got, want)
 	}
 
 	const n, nr = 3000, 150
@@ -174,6 +172,6 @@ func TestPEOSWorkCountsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := key.work(), (work{3150, 6300, 6300, 3150}); got != want {
-		t.Errorf("cluster collection at peos_cluster_r3's shape: Encrypt, AddPlainInto, RerandomizeInto, Decrypt = %v, want %v", got, want)
+		t.Errorf("cluster collection at peos_cluster_r3's shape: encrypted, folded, refreshed, decrypted = %v, want %v", got, want)
 	}
 }

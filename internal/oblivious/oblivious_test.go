@@ -279,30 +279,31 @@ func TestMeterAccountsCommunication(t *testing.T) {
 	}
 }
 
-var errInjectedAddPlain = errors.New("oblivious test: injected AddPlainInto fault")
+var errInjectedAddPlain = errors.New("oblivious test: injected FoldChunk fault")
 
-// failingPub wraps a real public key and fails every AddPlainInto
-// after the first failAt calls — a fault inside one party's ciphertext
-// work while its peers are blocked on the transport.
+// failingPub wraps a real public key and fails every FoldChunk that
+// would take the count of folded ciphertexts past failAt — a fault
+// inside one party's ciphertext work while its peers are blocked on the
+// transport.
 type failingPub struct {
 	ahe.PublicKey
 	calls  atomic.Int64
 	failAt int64
 }
 
-func (k *failingPub) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scratch) error {
-	if k.calls.Add(1) > k.failAt {
+func (k *failingPub) FoldChunk(dst, src []*ahe.Ciphertext, ms []uint64, refresh bool, sc *ahe.Scratch) error {
+	if k.calls.Add(int64(len(ms))) > k.failAt {
 		return errInjectedAddPlain
 	}
-	return k.PublicKey.AddPlainInto(dst, a, m, sc)
+	return k.PublicKey.FoldChunk(dst, src, ms, refresh, sc)
 }
 
 // TestRunAbortsAllPartiesOnError: when one party fails mid-shuffle, Run
 // must return that party's error — not the abort its peers observe —
 // and every goroutine it started (parties and their senders) must
 // exit, whether the fault is in the first departure or the last. At
-// r = 3 there are two, n AddPlainInto each: the hop 2 → 0 while its
-// peers wait on the reshare, then party 0's exit.
+// r = 3 there are two, n folded ciphertexts each: the hop 2 → 0 while
+// its peers wait on the reshare, then party 0's exit.
 func TestRunAbortsAllPartiesOnError(t *testing.T) {
 	key := dgk(t)
 	mod := secretshare.NewModulus(32)

@@ -184,32 +184,20 @@ func RunParty(cfg PartyConfig, tr Transport, plain []uint64, enc []*ahe.Cipherte
 }
 
 // depart is the shuffle's one ciphertext step, taken when the holder's
-// vector leaves the party: one AddPlainInto folds the owed mass into
-// each element and one RerandomizeInto multiplies it by a fresh h^r —
-// the refresh that unlinks positions across every permutation this
-// party applied since the vector arrived. It writes fresh ciphertexts,
-// so the vector it was given stays as it was. There is no Source draw
-// here (the refresh's randomness is crypto/rand), so the work fans out
-// over the cores; it is billed as this shuffler's computation.
+// vector leaves the party: each worker folds its window of the vector
+// in one FoldChunk — the owed mass into each element, times a fresh h^r
+// unless cfg.SkipRerandomize: the refresh that unlinks positions across
+// every permutation this party applied since the vector arrived. It
+// writes fresh ciphertexts, so the vector it was given stays as it was.
+// There is no Source draw here (the refresh's randomness is
+// crypto/rand), so the work fans out over the cores; it is billed as
+// this shuffler's computation.
 func depart(cfg PartyConfig, sh share) ([]*ahe.Ciphertext, error) {
 	out := make([]*ahe.Ciphertext, len(sh.enc))
 	var err error
 	cfg.Meter.Track(shufflerName(cfg.Index), func() {
 		err = parFor(len(out), fanOut(), func(_, lo, hi int) error {
-			sc := cfg.Pub.NewScratch()
-			for i := lo; i < hi; i++ {
-				c := new(ahe.Ciphertext)
-				if err := cfg.Pub.AddPlainInto(c, sh.enc[i], sh.words[i], sc); err != nil {
-					return err
-				}
-				if !cfg.SkipRerandomize {
-					if err := cfg.Pub.RerandomizeInto(c, c, sc); err != nil {
-						return err
-					}
-				}
-				out[i] = c
-			}
-			return nil
+			return cfg.Pub.FoldChunk(out[lo:hi], sh.enc[lo:hi], sh.words[lo:hi], !cfg.SkipRerandomize, cfg.Pub.NewScratch())
 		})
 	})
 	if err != nil {

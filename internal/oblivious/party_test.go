@@ -311,21 +311,19 @@ func (t *recordingTransport) Recv(from int) (Msg, error) {
 	return m, err
 }
 
-// countingPub wraps the key and counts the engine's two ciphertext
-// kernels, call by call.
+// countingPub wraps the key and counts the ciphertexts of the engine's
+// one ciphertext kernel: folded, and refreshed.
 type countingPub struct {
 	ahe.PublicKey
 	addPlains, rerandomizes atomic.Int64
 }
 
-func (k *countingPub) AddPlainInto(dst, a *ahe.Ciphertext, m uint64, sc *ahe.Scratch) error {
-	k.addPlains.Add(1)
-	return k.PublicKey.AddPlainInto(dst, a, m, sc)
-}
-
-func (k *countingPub) RerandomizeInto(dst, a *ahe.Ciphertext, sc *ahe.Scratch) error {
-	k.rerandomizes.Add(1)
-	return k.PublicKey.RerandomizeInto(dst, a, sc)
+func (k *countingPub) FoldChunk(dst, src []*ahe.Ciphertext, ms []uint64, refresh bool, sc *ahe.Scratch) error {
+	k.addPlains.Add(int64(len(ms)))
+	if refresh {
+		k.rerandomizes.Add(int64(len(ms)))
+	}
+	return k.PublicKey.FoldChunk(dst, src, ms, refresh, sc)
 }
 
 // recording is what runRecorded observed of one shuffle.
@@ -333,8 +331,8 @@ type recording struct {
 	trs []*recordingTransport
 	// draws is the number of randomizers the key drew during the shuffle
 	// alone (pool hits + misses) — the users' Encrypt calls happen before
-	// the count starts — and addPlains / rerandomizes the engine's calls
-	// of the two in-place kernels.
+	// the count starts — and addPlains / rerandomizes the ciphertexts the
+	// engine folded and refreshed.
 	draws, addPlains, rerandomizes uint64
 }
 
@@ -473,7 +471,7 @@ func TestForwardedCiphertextsAreUnlinkable(t *testing.T) {
 // ciphertext vector ever moves in a hide phase. The vector's one
 // ciphertext step is a departure — each MsgEnc put on the transport,
 // plus the final holder's exit towards the analyzer — and it takes one
-// AddPlainInto (the owed mass) and one randomizer per element, and
+// fold (the owed mass) and one randomizer per element, and
 // nothing else does: not a split, not a holder dealing the vector back
 // to itself, not a permutation, not the mass a holder takes in.
 func TestOneRefreshPerDeparture(t *testing.T) {
@@ -502,11 +500,11 @@ func TestOneRefreshPerDeparture(t *testing.T) {
 			departures := uint64(sends + 1)
 			want := n * departures
 			if rec.draws != want || rec.rerandomizes != want {
-				t.Fatalf("r=%d seed %d: the shuffle drew %d randomizers in %d RerandomizeInto calls, want %d (n=%d x %d departures)",
+				t.Fatalf("r=%d seed %d: the shuffle drew %d randomizers for %d refreshed ciphertexts, want %d (n=%d x %d departures)",
 					r, seed, rec.draws, rec.rerandomizes, want, n, departures)
 			}
 			if rec.addPlains != want {
-				t.Fatalf("r=%d seed %d: %d AddPlainInto calls, want %d (n=%d x %d departures)",
+				t.Fatalf("r=%d seed %d: %d folded ciphertexts, want %d (n=%d x %d departures)",
 					r, seed, rec.addPlains, want, n, departures)
 			}
 		}

@@ -110,12 +110,15 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 
 	// --- Users (Algorithm 1, "User i"). ---
 	// plainShares[j][i] is user i's j-th share; encShares[i] is the
-	// AHE-encrypted r-th share.
+	// AHE-encrypted r-th share, lastShares[i] its plaintext. The shares
+	// are drawn user by user, then the last ones encrypted as one chunk.
 	plainShares := make([][]uint64, p.R-1)
 	for j := range plainShares {
 		plainShares[j] = make([]uint64, total)
 	}
 	encShares := make([]*ahe.Ciphertext, total)
+	lastShares := make([]uint64, n)
+	sc := pub.NewScratch()
 	var userErr error
 	meter.Track(PartyUsers, func() {
 		for i, v := range values {
@@ -125,13 +128,9 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 			for j := 0; j < p.R-1; j++ {
 				plainShares[j][i] = shares[j]
 			}
-			c, err := pub.Encrypt(shares[p.R-1])
-			if err != nil {
-				userErr = err
-				return
-			}
-			encShares[i] = c
+			lastShares[i] = shares[p.R-1]
 		}
+		userErr = pub.EncryptChunk(encShares[:n], lastShares, sc)
 	})
 	if userErr != nil {
 		return nil, userErr
@@ -157,14 +156,7 @@ func (p *PEOS) Run(values []int, ldpRand *rng.Rand) (*Result, error) {
 		sname := ShufflerName(j)
 		var encErr error
 		meter.Track(sname, func() {
-			for k, s := range fakes {
-				c, err := pub.Encrypt(s)
-				if err != nil {
-					encErr = err
-					return
-				}
-				encShares[n+k] = c
-			}
+			encErr = pub.EncryptChunk(encShares[n:], fakes, sc)
 		})
 		if encErr != nil {
 			return nil, encErr

@@ -33,8 +33,13 @@ var runAllowList = map[string]string{
 	"protocol.SpotCheck.Plant":    "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 	"protocol.SpotCheck.Verify":   "ROADMAP item 4a wires the spot check into cluster.Analyzer",
 
-	"ahe.DGKPublicKey.AddPlain":    "the allocating PublicKey method; deployments run AddPlainInto",
-	"ahe.DGKPublicKey.Rerandomize": "the allocating PublicKey method; deployments run RerandomizeInto",
+	"ahe.DGKPublicKey.Encrypt": "the one-ciphertext wrapper benchmark's per-layer replay (--trace) times " +
+		"(benchmark/replay.go:397); deployments run EncryptChunk",
+	"ahe.DGKPublicKey.AddPlain": "the one-ciphertext wrapper benchmark's per-layer replay (--trace) times " +
+		"(benchmark/replay.go:405); deployments run FoldChunk",
+	"ahe.DGKPublicKey.Rerandomize": "the one-ciphertext wrapper benchmark's per-layer replay (--trace) times " +
+		"(benchmark/replay.go:409); deployments run FoldChunk",
+	"ahe.DGKPublicKey.one":         "the body of the three one-ciphertext wrappers, which only benchmark's per-layer replay calls",
 	"ahe.DGKPublicKey.Deserialize": "the per-element decoder; deployments decode whole vectors",
 	"ahe.Ciphertext.Clone":         "benchmark's per-layer replay (--trace) copies its sample through it; the shuffle writes into fresh ciphertexts",
 	"ahe.DGKPrivateKey.Decrypt":    "the one-ciphertext wrapper benchmark's per-layer replay (--trace) times; deployments decrypt chunks",
