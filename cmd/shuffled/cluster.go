@@ -34,10 +34,10 @@ package main
 // over the same key refuses targets that plan differently.
 //
 // The analyzer's ledger charges every collection the per-collection
-// guarantee the plan was solved for, composed (advanced composition,
-// slack delta/2) against the total (eps1, delta), so it admits exactly
-// -epochs collections; -collections, the rounds this run drives the
-// analyzer to, may not exceed -epochs.
+// guarantee the plan was solved for, composed exactly against the
+// total (eps1, delta), so it admits exactly -epochs collections;
+// -collections, the rounds this run drives the analyzer to, may not
+// exceed -epochs.
 //
 // The analyzer writes the private key to -key (0600) and the public
 // half to -key.pub on first run and reloads them afterwards, so a
@@ -262,10 +262,10 @@ func runAnalyzer(args []string, out io.Writer) (amplify.Plan, *budget.Ledger, []
 	if plan.Achieved.EpsC > per.Eps+1e-12 {
 		return fail(fmt.Errorf("plan %s misses the per-collection eps %g", plan, per.Eps))
 	}
-	// MaxSplit gives each collection the larger of the even and the
-	// advanced split of (eps1, delta); advanced accounting with slack
-	// delta/2 composes either back to at most the total, at -epochs.
-	ledger, err := budget.NewLedger(composition.Guarantee{Eps: *eps1, Delta: *delta}, per, budget.Advanced{Slack: *delta / 2})
+	// PlanContinual splits (eps1, delta) exactly across -epochs, so the
+	// ledger composes the per-collection guarantee back to the total at
+	// -epochs.
+	ledger, err := budget.NewLedger(composition.Guarantee{Eps: *eps1, Delta: *delta}, per)
 	if err != nil {
 		return fail(err)
 	}
@@ -274,8 +274,8 @@ func runAnalyzer(args []string, out io.Writer) (amplify.Plan, *budget.Ledger, []
 	}
 	pf := planFile{D: *d, Plan: plan}
 	fmt.Fprintf(out, "plan at n=%d, d=%d over %d epochs (delta=%.0e): %s\n", *n, *d, *epochs, *delta, plan)
-	fmt.Fprintf(out, "budget ledger: total (%.4g, %.0e), per collection (%.6g, %.3g), %s accounting admits %d collections\n",
-		*eps1, *delta, per.Eps, per.Delta, ledger.AccountantName(), ledger.MaxEpochs())
+	fmt.Fprintf(out, "budget ledger: total (%.4g, %.0e), per collection (%.6g, %.3g), exact composition admits %d collections\n",
+		*eps1, *delta, per.Eps, per.Delta, ledger.MaxEpochs())
 
 	// The plan goes down before a fresh key, so a shuffler that sees the
 	// public key finds the plan beside it.

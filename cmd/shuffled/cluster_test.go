@@ -236,9 +236,10 @@ func TestRoleSubcommandsEndToEnd(t *testing.T) {
 	if after, err := os.ReadFile(keyPath + ".plan"); err != nil || !bytes.Equal(after, planBlob) {
 		t.Errorf("a refused analyzer rewrote the plan file (err %v)", err)
 	}
-	// At 64 epochs MaxSplit picks the advanced split, which a naive
-	// ledger would not admit 64 times; -collections 0 plans, writes the
-	// key and the plan, and collects nothing.
+	// At 64 epochs exact composition affords each collection more than
+	// eps1/64, which naive composition would not admit 64 times;
+	// -collections 0 plans, writes the key and the plan, and collects
+	// nothing.
 	_, ledger, sealed, err := runAnalyzer([]string{
 		"-listen", "127.0.0.1:0", "-shufflers", shufflers, "-keybits", "512",
 		"-key", filepath.Join(t.TempDir(), "peos.key"),

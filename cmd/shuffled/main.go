@@ -10,8 +10,8 @@
 // account (transport.Meter).
 //
 // The run is continual: the stream is cut into -epochs collection
-// rounds, a budget ledger charges each epoch's (eps, delta) against
-// -total-eps under the chosen -accountant, and the sealed epochs
+// rounds, a budget ledger composes each epoch's (eps, delta) exactly
+// against -total-eps and -epochs times -delta, and the sealed epochs
 // answer sliding-window queries. The driver cuts every epoch itself:
 // the gateways connect once and send each epoch's share, and once the
 // service accounts for all of it the driver calls Rotate (Drain after
@@ -42,7 +42,7 @@
 // Usage:
 //
 //	shuffled [-n users] [-d domain] [-eps epsC] [-seed s] [-clients c]
-//	         [-epochs e] [-total-eps B] [-accountant naive|advanced] [-window k]
+//	         [-epochs e] [-total-eps B] [-window k]
 //	         [-data-dir dir] [-fsync always|batch|none]
 //	shuffled analyzer|shuffler|client [role flags; -h lists them]
 package main
@@ -104,7 +104,6 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	clients := fs.Int("clients", 8, "concurrent collector connections")
 	epochs := fs.Int("epochs", 3, "collection rounds to cut the stream into")
 	totalEps := fs.Float64("total-eps", 0, "total privacy budget across epochs (0: exactly -epochs rounds of -eps)")
-	accountant := fs.String("accountant", "naive", "budget composition: naive or advanced")
 	window := fs.Int("window", 2, "sliding-window width for the final window query")
 	dataDir := fs.String("data-dir", "", "durable state directory (WAL + checkpoints); empty runs in-memory")
 	fsync := fs.String("fsync", "batch", "WAL fsync policy: always (every accepted frame before any of its reports is batched), batch (every run handed to the workers), or none (epoch seals only)")
@@ -135,25 +134,21 @@ func runService(args []string, out io.Writer) (amplify.Plan, []service.EpochSnap
 	fo := ldp.NewSOLH(*d, plan.DPrime, plan.EpsL)
 	fmt.Fprintf(out, "plan at %d reports per epoch (delta=%.0e): %s\n", epochReports, *delta, plan)
 
-	// The cross-epoch ledger: by default budget exactly -epochs rounds.
+	// The cross-epoch ledger: by default budget exactly -epochs rounds,
+	// each spending -delta.
 	if *totalEps <= 0 {
 		*totalEps = *epsC * float64(*epochs)
 	}
-	var acct budget.Accountant = budget.Naive{}
-	totalDelta := *delta * 1e2
-	if *accountant == "advanced" {
-		acct = budget.Advanced{Slack: totalDelta / 2}
-	}
+	totalDelta := *delta * float64(*epochs)
 	ledger, err := budget.NewLedger(
 		composition.Guarantee{Eps: *totalEps, Delta: totalDelta},
 		composition.Guarantee{Eps: *epsC, Delta: *delta},
-		acct,
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(out, "budget ledger: total eps=%.2f, per-epoch eps=%.2f, %s accounting admits %d epochs\n",
-		*totalEps, *epsC, ledger.AccountantName(), ledger.MaxEpochs())
+	fmt.Fprintf(out, "budget ledger: total eps=%.2f, per-epoch eps=%.2f, exact composition admits %d epochs\n",
+		*totalEps, *epsC, ledger.MaxEpochs())
 
 	key, err := ecies.GenerateKey()
 	if err != nil {

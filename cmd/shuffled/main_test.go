@@ -83,6 +83,26 @@ func TestServicePlansAtEpochSize(t *testing.T) {
 	}
 }
 
+// With -total-eps unset the ledger budgets exactly -epochs rounds,
+// delta included: past 100 epochs every epoch still seals and no
+// report is rejected.
+func TestServiceBudgetsEveryEpoch(t *testing.T) {
+	const n, epochs = 1010, 101
+	var out bytes.Buffer
+	_, hist := runService([]string{"-n", fmt.Sprint(n), "-epochs", fmt.Sprint(epochs), "-d", "16", "-clients", "2"}, &out)
+	text := out.String()
+	if !strings.Contains(text, fmt.Sprintf("exact composition admits %d epochs\n", epochs)) {
+		t.Errorf("the ledger line does not admit %d epochs:\n%s", epochs, text)
+	}
+	sealed := 0
+	for _, es := range hist {
+		sealed += es.Reports
+	}
+	if len(hist) != epochs || sealed != n || strings.Contains(text, "budget exhausted") {
+		t.Errorf("sealed %d epochs holding %d reports, want %d holding all %d:\n%s", len(hist), sealed, epochs, n, text)
+	}
+}
+
 // A service mode restarted over a -data-dir whose budget a previous run
 // spent recovers exhausted: every epoch is sealed and none is open, and
 // the recovery line must say so rather than name the last sealed epoch

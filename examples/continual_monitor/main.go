@@ -1,7 +1,7 @@
 // Command continual_monitor demonstrates the continual-observation
 // tier: a population whose value distribution drifts is re-collected
 // every epoch through the streaming service, a budget ledger composes
-// the per-epoch privacy loss (advanced composition), and sliding-
+// the per-epoch privacy loss (exact composition), and sliding-
 // window queries smooth the per-epoch estimates into a trend. -eps is
 // the central target of one epoch: SOLH is planned for it at the -n
 // reports each epoch collects (amplify.PlanShuffle). The
@@ -46,13 +46,12 @@ func main() {
 	ledger, err := budget.NewLedger(
 		composition.Guarantee{Eps: *total, Delta: 1e-6},
 		composition.Guarantee{Eps: *eps, Delta: delta},
-		budget.Advanced{Slack: 5e-7},
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ledger: total eps=%.1f, per-epoch eps=%.1f, %s accounting -> %d epochs\n",
-		*total, *eps, ledger.AccountantName(), ledger.MaxEpochs())
+	fmt.Printf("ledger: total eps=%.1f, per-epoch eps=%.1f, exact composition -> %d epochs\n",
+		*total, *eps, ledger.MaxEpochs())
 
 	// SOLH planned for the per-epoch budget at one epoch's reports;
 	// every epoch re-collects the same population, so the budget ledger

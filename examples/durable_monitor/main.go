@@ -6,7 +6,7 @@
 // with service.Recover. The client resumes from Snapshot().Received,
 // the count of durably logged reports, so every report lands exactly
 // once; the demo then asserts that the sliding-window estimate, the
-// sealed-epoch history, and the remaining privacy budget are
+// sealed-epoch history, and the spent privacy budget are
 // bit-identical to the run that never crashed, and exits non-zero if
 // any of them drifted (the CI recovery smoke job runs it).
 //
@@ -85,7 +85,6 @@ func main() {
 		l, err := budget.NewLedger(
 			composition.Guarantee{Eps: perEps * float64(*epochs), Delta: 1e-6},
 			composition.Guarantee{Eps: perEps, Delta: perDelta},
-			budget.Naive{},
 		)
 		if err != nil {
 			log.Fatal(err)
@@ -162,11 +161,11 @@ func main() {
 		fmt.Printf("MISMATCH: %d sealed epochs vs reference %d\n", len(svc.History()), len(ref.History()))
 		fail = true
 	}
-	if got, want := recLedger.Remaining(), refLedger.Remaining(); got != want {
-		fmt.Printf("MISMATCH remaining budget: %+v != %+v\n", got, want)
+	if got, want := recLedger.Spent(), refLedger.Spent(); got != want {
+		fmt.Printf("MISMATCH spent budget: %+v != %+v\n", got, want)
 		fail = true
 	} else {
-		fmt.Printf("ok: remaining budget (%.4g, %.3g) bit-identical across the crash\n", got.Eps, got.Delta)
+		fmt.Printf("ok: spent budget (%.4g, %.3g) bit-identical across the crash\n", got.Eps, got.Delta)
 	}
 	if fail {
 		os.Exit(1)

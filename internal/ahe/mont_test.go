@@ -144,7 +144,7 @@ func checkMulRedc(t *testing.T, b redcBranch, m *mont, x, y *big.Int, sc *Scratc
 		t.Helper()
 		v := m.raw(got)
 		for _, limb := range got {
-			if m.kern == kernelIFMA && limb > ifmaMask {
+			if m.kern == kernelIFMA && uint64(limb) > ifmaMask {
 				t.Fatalf("%s, modulus %v, %s: limb %#x is not normalized", b.name, m.n, shape, limb)
 			}
 		}

@@ -1,8 +1,12 @@
 package amplify
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"shuffledp/internal/budget"
+	"shuffledp/internal/composition"
 )
 
 func TestPEOSEpsilonsFormulas(t *testing.T) {
@@ -207,8 +211,8 @@ func TestPlanContinual(t *testing.T) {
 			single.Variance, per1.Eps, oneShot.Variance, rq.Eps1)
 	}
 	// More epochs: less budget per epoch, more variance per epoch; the
-	// per-epoch guarantee must fit the total under some composition and
-	// never fall below the even basic split.
+	// per-epoch guarantee must fit the total and never fall below the
+	// even basic split.
 	prevVar := single.Variance
 	for _, epochs := range []int{4, 16, 64} {
 		plan, per, err := PlanContinual(rq, epochs)
@@ -226,8 +230,8 @@ func TestPlanContinual(t *testing.T) {
 			t.Fatalf("epochs=%d: plan epsC %v exceeds the per-epoch budget %v", epochs, plan.Achieved.EpsC, per.Eps)
 		}
 	}
-	// At many epochs the advanced split must beat the basic one: each
-	// epoch gets strictly more than total/epochs.
+	// At many epochs exact composition affords each epoch strictly more
+	// than total/epochs.
 	_, per, err := PlanContinual(rq, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +241,82 @@ func TestPlanContinual(t *testing.T) {
 	}
 	if _, _, err := PlanContinual(rq, 0); err == nil {
 		t.Fatal("0 epochs accepted")
+	}
+}
+
+// maxSplit is the split PlanContinual made before it composed exactly:
+// the larger of the even split (total/k at delta/k) and the
+// Dwork–Rothblum–Vadhan split (at delta/(2k), half the total delta as
+// the bound's slack). It stays here to build reference plans.
+func maxSplit(total composition.Guarantee, k int) composition.Guarantee {
+	kf := float64(k)
+	slack, perDelta := total.Delta/2, total.Delta/(2*kf)
+	lo, hi := 0.0, total.Eps
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if mid*math.Sqrt(2*kf*math.Log(1/slack))+kf*mid*(math.Exp(mid)-1) <= total.Eps {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if lo > total.Eps/kf {
+		return composition.Guarantee{Eps: lo, Delta: perDelta}
+	}
+	return composition.Guarantee{Eps: total.Eps / kf, Delta: total.Delta / kf}
+}
+
+// maxSplitPlan is PlanContinual as it planned with maxSplit.
+func maxSplitPlan(rq Requirements, k int) (Plan, error) {
+	per := rq
+	for _, eps := range []*float64{&per.Eps1, &per.Eps2, &per.Eps3} {
+		g := maxSplit(composition.Guarantee{Eps: *eps, Delta: rq.Delta}, k)
+		*eps = g.Eps
+		per.Delta = min(per.Delta, g.Delta)
+	}
+	return PlanPEOS(per)
+}
+
+// Exact composition never plans worse than the split it replaced: for
+// the drill's, the analyzer's and two deployment-sized targets, over 1
+// to 365 epochs, no plan carries more variance than the maxSplit
+// reference, and up to 10 epochs each keeps the reference's oracle, d'
+// and fakes. A ledger built from the per-epoch guarantee admits
+// exactly the planned epochs, as the analyzer checks at startup.
+func TestPlanContinualNoWorseThanMaxSplit(t *testing.T) {
+	for _, rq := range []Requirements{
+		{Eps1: 4, Eps2: 8, Eps3: 8, D: 8, N: 80, Delta: 1e-6},
+		{Eps1: 4, Eps2: 8, Eps3: 8, D: 16, N: 400, Delta: 1e-9},
+		{Eps1: 1, Eps2: 3, Eps3: 8, D: 64, N: 60000, Delta: 1e-10},
+		{Eps1: 2, Eps2: 8, Eps3: 16, D: 64, N: 10000, Delta: 1e-6},
+	} {
+		for _, k := range []int{1, 2, 3, 5, 10, 20, 30, 64, 100, 365} {
+			name := fmt.Sprintf("(%v, %v, %v) d=%d n=%d delta=%g over %d epochs", rq.Eps1, rq.Eps2, rq.Eps3, rq.D, rq.N, rq.Delta, k)
+			plan, per, err := PlanContinual(rq, k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ref, err := maxSplitPlan(rq, k)
+			if err != nil {
+				t.Fatalf("%s: the reference: %v", name, err)
+			}
+			if plan.Variance > ref.Variance {
+				t.Errorf("%s: variance %v, above the maxSplit plan's %v", name, plan.Variance, ref.Variance)
+			}
+			if k <= 10 && (plan.UseGRR != ref.UseGRR || plan.DPrime != ref.DPrime || plan.NR != ref.NR) {
+				t.Errorf("%s: planned %s, the maxSplit plan is %s", name, plan, ref)
+			}
+			l, err := budget.NewLedger(composition.Guarantee{Eps: rq.Eps1, Delta: rq.Delta}, per)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := l.MaxEpochs(); got != k {
+				t.Errorf("%s: a ledger of %+v admits %d epochs", name, per, got)
+			}
+			if k >= 64 {
+				t.Logf("%s: per-epoch %+v, variance %.4g (maxSplit %.4g), nr %d (maxSplit %d)", name, per, plan.Variance, ref.Variance, plan.NR, ref.NR)
+			}
+		}
 	}
 }
 

@@ -234,14 +234,15 @@ func PlanPEOS(rq Requirements) (Plan, error) {
 
 // PlanContinual plans a continual-observation deployment: the same
 // population reports every epoch, so each adversary's total budget in
-// rq must cover the composition of all `epochs` collection rounds.
-// Every budget is split per-epoch with composition.MaxSplit (the
-// better of even basic splitting and the advanced-composition split,
-// which for many epochs affords each round strictly more than
-// total/epochs), and one PEOS configuration is planned at the
-// per-epoch requirements. It returns the per-epoch plan and the
-// per-epoch central guarantee — what a budget.Ledger for the service
-// should charge each rotation.
+// rq must cover the exact composition of all `epochs` collection
+// rounds (composition.Split). It plans at two per-epoch deltas, the
+// total's delta over epochs and half that, each target split exactly
+// at each, and keeps the plan with less variance, the first on a tie:
+// the smaller delta buys each epoch more eps, which pays once epochs
+// are many, and costs planning margin, which does not pay when they
+// are few. It returns the per-epoch plan and the per-epoch central
+// guarantee — what a budget.Ledger for the service should charge each
+// rotation.
 func PlanContinual(rq Requirements, epochs int) (Plan, composition.Guarantee, error) {
 	if err := rq.validate(); err != nil {
 		return Plan{}, composition.Guarantee{}, err
@@ -249,26 +250,33 @@ func PlanContinual(rq Requirements, epochs int) (Plan, composition.Guarantee, er
 	if epochs < 1 {
 		return Plan{}, composition.Guarantee{}, errors.New("amplify: need at least 1 epoch")
 	}
-	per := rq
-	perDelta := rq.Delta
-	for _, split := range []struct {
-		eps *float64
-	}{{&per.Eps1}, {&per.Eps2}, {&per.Eps3}} {
-		g, err := composition.MaxSplit(composition.Guarantee{Eps: *split.eps, Delta: rq.Delta}, epochs)
-		if err != nil {
-			return Plan{}, composition.Guarantee{}, fmt.Errorf("amplify: splitting budget across %d epochs: %w", epochs, err)
+	var (
+		best     Plan
+		bestPer  composition.Guarantee
+		firstErr error
+	)
+	for i, perDelta := range []float64{rq.Delta / float64(epochs), rq.Delta / float64(2*epochs)} {
+		per := rq
+		per.Delta = perDelta
+		for _, eps := range []*float64{&per.Eps1, &per.Eps2, &per.Eps3} {
+			g, err := composition.Split(composition.Guarantee{Eps: *eps, Delta: rq.Delta}, epochs, perDelta)
+			if err != nil {
+				return Plan{}, composition.Guarantee{}, fmt.Errorf("amplify: splitting budget across %d epochs: %w", epochs, err)
+			}
+			*eps = g.Eps
 		}
-		*split.eps = g.Eps
-		if g.Delta < perDelta {
-			perDelta = g.Delta
+		plan, err := PlanPEOS(per)
+		switch {
+		case err != nil && i == 0:
+			firstErr = err
+		case err == nil && (bestPer == composition.Guarantee{} || plan.Variance < best.Variance):
+			best, bestPer = plan, composition.Guarantee{Eps: per.Eps1, Delta: perDelta}
 		}
 	}
-	per.Delta = perDelta
-	plan, err := PlanPEOS(per)
-	if err != nil {
-		return Plan{}, composition.Guarantee{}, err
+	if bestPer == (composition.Guarantee{}) {
+		return Plan{}, composition.Guarantee{}, firstErr
 	}
-	return plan, composition.Guarantee{Eps: per.Eps1, Delta: per.Delta}, nil
+	return best, bestPer, nil
 }
 
 // planAt finds the minimal-variance configuration at a fixed output

@@ -8,14 +8,11 @@
 // and the ledger refuses the payment — which the service turns into
 // refusing ingestion — once the composed loss would exceed the total.
 //
-// Two accountants compose the per-epoch guarantees through
-// internal/composition:
-//
-//   - Naive: basic composition, k epochs cost (k*eps, k*delta). This is
-//     the floor(B/eps) accounting of the acceptance criterion.
-//   - Advanced: the tighter of basic and Dwork–Rothblum–Vadhan advanced
-//     composition, so for small per-epoch budgets the same total B
-//     admits strictly more epochs (the sqrt(k) regime).
+// The ledger composes the per-epoch guarantees exactly
+// (composition.Delta): k epochs fit while their optimal composition at
+// the total eps stays within the total delta. It composes identical
+// charges only; a tier whose collections charge unequal guarantees
+// must charge each at the largest of them.
 package budget
 
 import (
@@ -34,71 +31,6 @@ var ErrExhausted = errors.New("budget: total privacy budget exhausted")
 // billion epochs is unlimited for every practical purpose.
 const maxEpochsCap = 1 << 30
 
-// Accountant composes k identical per-epoch guarantees into the total
-// privacy loss it can prove. Compose must be monotone in k: more
-// epochs never prove a smaller loss.
-type Accountant interface {
-	// Name identifies the accountant in logs and snapshots.
-	Name() string
-	// Compose returns the guarantee of k epochs at per each.
-	Compose(per composition.Guarantee, k int) (composition.Guarantee, error)
-}
-
-// Naive is basic (sequential) composition: k epochs of (eps, delta)
-// cost exactly (k*eps, k*delta).
-type Naive struct{}
-
-// Name implements Accountant.
-func (Naive) Name() string { return "naive" }
-
-// Compose implements Accountant.
-func (Naive) Compose(per composition.Guarantee, k int) (composition.Guarantee, error) {
-	if k < 0 {
-		return composition.Guarantee{}, errors.New("budget: negative epoch count")
-	}
-	kf := float64(k)
-	return composition.Guarantee{Eps: kf * per.Eps, Delta: kf * per.Delta}, nil
-}
-
-// Advanced is the advanced-composition accountant: it proves the
-// tighter of basic composition and the Dwork–Rothblum–Vadhan bound
-// with slack Slack, so it is never worse than Naive and strictly
-// better once eps*sqrt(2k ln(1/slack)) + k eps (e^eps - 1) < k eps.
-type Advanced struct {
-	// Slack is the delta' the advanced bound spends. It must be in
-	// (0, 1) and is additional to the k*delta the epochs themselves
-	// contribute; a ledger comparing against a total delta must leave
-	// room for it.
-	Slack float64
-}
-
-// Name implements Accountant.
-func (a Advanced) Name() string { return "advanced" }
-
-// Compose implements Accountant.
-func (a Advanced) Compose(per composition.Guarantee, k int) (composition.Guarantee, error) {
-	basic, err := Naive{}.Compose(per, k)
-	if err != nil {
-		return composition.Guarantee{}, err
-	}
-	if k == 0 {
-		return basic, nil
-	}
-	if a.Slack <= 0 || a.Slack >= 1 {
-		return composition.Guarantee{}, errors.New("budget: advanced accountant needs slack in (0, 1)")
-	}
-	adv, err := composition.Advanced(per, k, a.Slack)
-	if err != nil {
-		return composition.Guarantee{}, err
-	}
-	// Both bounds hold simultaneously, so the mechanism satisfies the
-	// one with the smaller epsilon.
-	if adv.Eps < basic.Eps {
-		return adv, nil
-	}
-	return basic, nil
-}
-
 // Ledger tracks which collections are paid for against a total
 // budget. Collections are numbered from 0 and paid for in order, so the
 // ledger's whole state is how many of them are paid. It is safe for
@@ -107,40 +39,30 @@ type Ledger struct {
 	mu    sync.Mutex
 	total composition.Guarantee
 	per   composition.Guarantee
-	acct  Accountant
 	paid  int
 }
 
-// NewLedger returns a ledger that admits epochs of guarantee per until
-// acct composes them past total. A nil acct means Naive.
-func NewLedger(total, per composition.Guarantee, acct Accountant) (*Ledger, error) {
+// NewLedger returns a ledger that admits epochs of guarantee per while
+// their exact composition fits total.
+func NewLedger(total, per composition.Guarantee) (*Ledger, error) {
 	if total.Eps <= 0 || total.Delta < 0 || total.Delta >= 1 {
 		return nil, errors.New("budget: total needs eps > 0 and delta in [0, 1)")
 	}
 	if per.Eps <= 0 || per.Delta < 0 || per.Delta >= 1 {
 		return nil, errors.New("budget: per-epoch guarantee needs eps > 0 and delta in [0, 1)")
 	}
-	if acct == nil {
-		acct = Naive{}
-	}
-	// Surface accountant misconfiguration (e.g. an out-of-range slack)
-	// at construction rather than at the first payment.
-	if _, err := acct.Compose(per, 1); err != nil {
-		return nil, fmt.Errorf("budget: accountant rejects a single epoch: %w", err)
-	}
-	return &Ledger{total: total, per: per, acct: acct}, nil
+	return &Ledger{total: total, per: per}, nil
 }
 
-// fits reports whether k epochs stay within the total budget. The
-// tiny relative tolerance keeps charges like 10 epochs of eps = B/10
-// from failing on the last epoch's floating-point rounding.
-func (l *Ledger) fits(k int) (bool, error) {
-	g, err := l.acct.Compose(l.per, k)
-	if err != nil {
-		return false, err
-	}
-	const tol = 1 + 1e-9
-	return g.Eps <= l.total.Eps*tol && g.Delta <= l.total.Delta*tol, nil
+// tol keeps charges like 10 epochs of eps = B/10 from failing on the
+// last epoch's floating-point rounding. It stretches the total eps too,
+// so under a total delta of 0 a k*eps a few ulps past the total, whose
+// composed delta is a few ulps past 0, still fits.
+const tol = 1 + 1e-9
+
+// fits reports whether k epochs stay within the total budget.
+func (l *Ledger) fits(k int) bool {
+	return composition.Delta(l.per, k, l.total.Eps*tol) <= l.total.Delta*tol
 }
 
 // PayThrough makes collections 0..id paid for, charging one per-epoch
@@ -156,71 +78,65 @@ func (l *Ledger) PayThrough(id int) error {
 	if id < l.paid {
 		return nil
 	}
-	ok, err := l.fits(id + 1)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %d epochs of (%.4g, %.3g) under %s accounting spend (%.4g, %.3g) of the total (%.4g, %.3g)",
-			ErrExhausted, l.paid, l.per.Eps, l.per.Delta, l.acct.Name(),
-			l.mustSpent().Eps, l.mustSpent().Delta, l.total.Eps, l.total.Delta)
+	if !l.fits(id + 1) {
+		spent := l.spent()
+		return fmt.Errorf("%w: %d epochs of (%.4g, %.3g) spend (%.4g, %.3g) of the total (%.4g, %.3g)",
+			ErrExhausted, l.paid, l.per.Eps, l.per.Delta, spent.Eps, spent.Delta, l.total.Eps, l.total.Delta)
 	}
 	l.paid = id + 1
 	return nil
 }
 
-// mustSpent is Spent without locking; callers hold l.mu.
-func (l *Ledger) mustSpent() composition.Guarantee {
-	g, err := l.acct.Compose(l.per, l.paid)
-	if err != nil {
-		// The constructor verified Compose(per, 1); monotone accountants
-		// cannot start failing later.
-		panic(fmt.Sprintf("budget: accountant failed at %d paid epochs: %v", l.paid, err))
+// spent is Spent without locking; callers hold l.mu.
+func (l *Ledger) spent() composition.Guarantee {
+	if l.paid == 0 {
+		return composition.Guarantee{}
 	}
-	return g
+	ok := func(eps float64) bool {
+		return composition.Delta(l.per, l.paid, eps) <= l.total.Delta*tol
+	}
+	// At paid*eps the epochs compose to (1-(1-delta)^paid), within the
+	// total once they are paid; bisect down to the least eps that fits.
+	lo, hi := 0.0, float64(l.paid)*l.per.Eps
+	if ok(lo) {
+		hi = lo
+	}
+	for mid := lo + (hi-lo)/2; mid != lo && mid != hi; mid = lo + (hi-lo)/2 {
+		if ok(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return composition.Guarantee{Eps: hi, Delta: composition.Delta(l.per, l.paid, hi)}
 }
 
-// Spent returns the composed privacy loss of the paid epochs.
+// Spent returns the privacy loss of the paid epochs: the least eps at
+// which they compose within the total delta, and their delta there;
+// (0, 0) before any payment. Under exact composition the total minus
+// this is no budget that can still be spent: what remains is counted in
+// epochs, MaxEpochs less those paid.
 func (l *Ledger) Spent() composition.Guarantee {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.mustSpent()
+	return l.spent()
 }
 
 // PerEpoch returns the per-epoch guarantee each paid epoch spends.
 func (l *Ledger) PerEpoch() composition.Guarantee { return l.per }
 
-// AccountantName returns the composing accountant's name.
-func (l *Ledger) AccountantName() string { return l.acct.Name() }
-
-// Remaining returns the budget left before the ledger exhausts:
-// total minus spent, floored at zero component-wise. It is a progress
-// indicator, not a charging rule — PayThrough composes from scratch.
-func (l *Ledger) Remaining() composition.Guarantee {
-	spent := l.Spent()
-	rem := composition.Guarantee{Eps: l.total.Eps - spent.Eps, Delta: l.total.Delta - spent.Delta}
-	if rem.Eps < 0 {
-		rem.Eps = 0
-	}
-	if rem.Delta < 0 {
-		rem.Delta = 0
-	}
-	return rem
-}
-
 // MaxEpochs returns the largest epoch count the total budget admits
-// under this accountant (independent of how many are already paid),
-// capped at 2^30. Compose is monotone in k, so the bound is found by
-// doubling then bisecting.
+// (independent of how many are already paid), capped at 2^30. The
+// composed delta grows with k, so the bound is found by doubling then
+// bisecting.
 func (l *Ledger) MaxEpochs() int {
-	ok, err := l.fits(1)
-	if err != nil || !ok {
+	if !l.fits(1) {
 		return 0
 	}
 	lo := 1 // known to fit
 	hi := 2
 	for hi < maxEpochsCap {
-		if ok, err := l.fits(hi); err == nil && ok {
+		if l.fits(hi) {
 			lo = hi
 			hi *= 2
 		} else {
@@ -233,7 +149,7 @@ func (l *Ledger) MaxEpochs() int {
 	// Invariant: lo fits, hi does not.
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		if ok, err := l.fits(mid); err == nil && ok {
+		if l.fits(mid) {
 			lo = mid
 		} else {
 			hi = mid

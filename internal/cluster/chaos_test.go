@@ -61,7 +61,6 @@ func testLedger(t *testing.T) *budget.Ledger {
 	l, err := budget.NewLedger(
 		composition.Guarantee{Eps: 10, Delta: 1e-8},
 		composition.Guarantee{Eps: 1, Delta: 1e-9},
-		budget.Naive{},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func TestConformanceCrashRecoveredAnalyzer(t *testing.T) {
 		l, err := budget.NewLedger(
 			composition.Guarantee{Eps: 2, Delta: 2e-9},
 			composition.Guarantee{Eps: 1, Delta: 1e-9},
-			budget.Naive{},
 		)
 		if err != nil {
 			t.Fatal(err)

@@ -14,8 +14,10 @@ import (
 // Hooks for the external test package (cluster_test), which owns the
 // multi-node harness but cannot see unexported state or frame tags.
 
-// EpochsPaid is how many collections a naive ledger has paid for, read
-// off what it has spent.
+// EpochsPaid is how many collections a test ledger has paid for, read
+// off what it has spent: the tests' ledgers leave so little delta room
+// that the spent eps stays within a sliver of the paid collections'
+// sum.
 func EpochsPaid(l *budget.Ledger) int {
 	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
 }

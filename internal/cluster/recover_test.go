@@ -66,7 +66,6 @@ func TestRecoverAnalyzerRefusesUnpayableSealedCount(t *testing.T) {
 	ledger, err := budget.NewLedger(
 		composition.Guarantee{Eps: 1, Delta: 1e-9},
 		composition.Guarantee{Eps: 1, Delta: 1e-9},
-		budget.Naive{},
 	)
 	if err != nil {
 		t.Fatal(err)

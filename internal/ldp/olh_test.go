@@ -66,7 +66,9 @@ func TestLocalHashDomainBounds(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("domains past 2^31 need a 64-bit int")
 	}
-	const k32, k31 = 1 << 32, 1 << 31
+	// From a uint64 variable, so the file builds where int is 32 bits.
+	one := uint64(1)
+	k32, k31 := int(one<<32), int(one<<31)
 	for _, tc := range []struct {
 		name      string
 		d, dPrime int
@@ -79,7 +81,7 @@ func TestLocalHashDomainBounds(t *testing.T) {
 		{"d' past the bucket bound", k32, k31 + 1, false},
 		{"d' clamped to d stays in bounds", k31, k32, true},
 		{"d' clamped to d is still too large", k32, k32, false},
-		{"both past", 1 << 33, k32, false},
+		{"both past", 2 * k32, k32, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

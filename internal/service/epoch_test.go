@@ -186,8 +186,9 @@ func TestEpochWindowBitIdenticalToOfflineMerge(t *testing.T) {
 }
 
 // The budget acceptance criterion: with total budget B and per-epoch
-// eps under naive accounting, the service serves exactly floor(B/eps)
-// epochs and then refuses ingestion.
+// eps, the service serves exactly floor(B/eps) epochs and then refuses
+// ingestion; at 0.3 per epoch a fourth epoch's exact composition puts
+// percents of mass past e^B, far over the total delta.
 func TestServiceBudgetExhaustionFloor(t *testing.T) {
 	const totalEps, perEps = 1.0, 0.3 // floor(1.0/0.3) = 3 epochs
 	fo := ldp.NewGRR(8, 1)
@@ -195,7 +196,6 @@ func TestServiceBudgetExhaustionFloor(t *testing.T) {
 	ledger, err := budget.NewLedger(
 		composition.Guarantee{Eps: totalEps, Delta: 1e-6},
 		composition.Guarantee{Eps: perEps, Delta: 1e-9},
-		budget.Naive{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -252,55 +252,36 @@ func TestServiceBudgetExhaustionFloor(t *testing.T) {
 	}
 }
 
-// Advanced composition must let the same total budget serve strictly
-// more epochs than naive accounting — here at the service level, with
-// the epoch count where naive accounting must refuse.
-func TestServiceAdvancedCompositionOutlivesNaive(t *testing.T) {
+// Exact composition lets the same total budget serve strictly more
+// epochs than naive accounting's floor(B/eps) — here at the service
+// level, rotating past the epoch where naive accounting refused, and on
+// to exactly the epoch the ledger refuses.
+func TestServiceExactCompositionOutlivesNaive(t *testing.T) {
 	total := composition.Guarantee{Eps: 1, Delta: 1e-4}
 	per := composition.Guarantee{Eps: 0.01, Delta: 1e-9}
-	fo := ldp.NewGRR(4, 1)
+	ledger, err := budget.NewLedger(total, per)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const naiveMax = 100 // floor(1/0.01)
+	epochs := ledger.MaxEpochs()
+	if epochs <= naiveMax+5 {
+		t.Fatalf("exact MaxEpochs = %d, not past naive's %d", epochs, naiveMax)
+	}
 	key, _ := ecies.GenerateKey()
-
-	naiveLedger, err := budget.NewLedger(total, per, budget.Naive{})
+	svc, err := service.New(service.Config{FO: ldp.NewGRR(4, 1), Key: key, Ledger: ledger})
 	if err != nil {
 		t.Fatal(err)
 	}
-	advLedger, err := budget.NewLedger(total, per, budget.Advanced{Slack: 5e-5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveMax := naiveLedger.MaxEpochs() // floor(1/0.01) = 100
-	if naiveMax != 100 {
-		t.Fatalf("naive MaxEpochs = %d, want 100", naiveMax)
-	}
-	if advLedger.MaxEpochs() <= naiveMax {
-		t.Fatalf("advanced MaxEpochs = %d, not strictly more than naive's %d", advLedger.MaxEpochs(), naiveMax)
-	}
-
-	svcN, err := service.New(service.Config{FO: fo, Key: key, Ledger: naiveLedger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svcN.Close()
-	svcA, err := service.New(service.Config{FO: fo, Key: key, Ledger: advLedger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svcA.Close()
-
-	// Rotate both through naive's limit: the naive service exhausts at
-	// exactly naiveMax epochs, the advanced one keeps going.
-	for i := 0; i < naiveMax+5; i++ {
-		_, errN := svcN.Rotate()
-		_, errA := svcA.Rotate()
-		wantExhausted := i >= naiveMax-1 // epoch naiveMax would be one too many
-		if gotExhausted := errors.Is(errN, budget.ErrExhausted); gotExhausted != wantExhausted {
-			t.Fatalf("naive rotation %d: exhausted=%v, want %v (err %v)", i, gotExhausted, wantExhausted, errN)
-		}
-		if errA != nil {
-			t.Fatalf("advanced rotation %d failed: %v", i, errA)
+	defer svc.Close()
+	// Epoch 0 is paid at New; rotation i pays for epoch i+1.
+	for i := 0; i < epochs; i++ {
+		_, err := svc.Rotate()
+		if wantExhausted := i == epochs-1; errors.Is(err, budget.ErrExhausted) != wantExhausted || (!wantExhausted && err != nil) {
+			t.Fatalf("rotation %d of a %d-epoch ledger returned %v", i, epochs, err)
 		}
 	}
+	t.Logf("B=%v: exact composition serves %d epochs of eps %v, naive %d", total.Eps, epochs, per.Eps, naiveMax)
 }
 
 // The epoch-rotation race test (run under -race): concurrent clients
@@ -561,14 +542,17 @@ func TestAutoRotationFiresOnCrossing(t *testing.T) {
 
 	for _, frame := range []int{100, 7, 256, 1000} {
 		t.Run(fmt.Sprintf("frame%d", frame), func(t *testing.T) {
-			ledger, err := budget.NewLedger(
-				composition.Guarantee{Eps: 100, Delta: 1e-3},
-				composition.Guarantee{Eps: 0.1, Delta: 1e-9},
-				budget.Naive{},
-			)
-			if err != nil {
-				t.Fatal(err)
+			newLedger := func() *budget.Ledger {
+				l, err := budget.NewLedger(
+					composition.Guarantee{Eps: 100, Delta: 1e-3},
+					composition.Guarantee{Eps: 0.1, Delta: 1e-9},
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l
 			}
+			ledger := newLedger()
 			key, _ := ecies.GenerateKey()
 			svc, err := service.New(service.Config{
 				FO: fo, Key: key, BatchSize: 64,
@@ -640,8 +624,15 @@ func TestAutoRotationFiresOnCrossing(t *testing.T) {
 			if last := hist[len(hist)-1].Reports; last != open {
 				t.Fatalf("drain-sealed epoch holds %d reports, want %d", last, open)
 			}
-			if epochsPaid(ledger) != len(hist) {
-				t.Fatalf("ledger charged %d epochs, %d were opened", epochsPaid(ledger), len(hist))
+			// Exact composition leaves most of this ledger's delta
+			// unspent, so its Spent is held to a twin's paid for exactly
+			// the opened epochs rather than rounded from per-epoch eps.
+			twin := newLedger()
+			if err := twin.PayThrough(len(hist) - 1); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ledger.Spent(), twin.Spent(); got != want {
+				t.Fatalf("ledger spent %+v, %d opened epochs spend %+v", got, len(hist), want)
 			}
 			win, err := svc.EstimateWindow(0)
 			if err != nil {
@@ -668,7 +659,6 @@ func TestNewRefusedByEmptyLedger(t *testing.T) {
 	ledger, err := budget.NewLedger(
 		composition.Guarantee{Eps: 0.1, Delta: 1e-6},
 		composition.Guarantee{Eps: 0.3, Delta: 1e-9},
-		budget.Naive{},
 	)
 	if err != nil {
 		t.Fatal(err)

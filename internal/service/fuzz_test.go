@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,6 +28,21 @@ func fuzzOracles() []ldp.FrequencyOracle {
 	}
 }
 
+// narrowInt is why the rows that need the widest word skip where int
+// is 32 bits.
+const narrowInt = "SOLH at d = 2³¹ needs a 64-bit int"
+
+// widestSOLH is SOLH at d = d′ = 2³¹, whose reports take the widest
+// word, 63 bits; false where int is 32 bits. The domain comes from a
+// uint64 variable, so the file builds there.
+func widestSOLH() (ldp.FrequencyOracle, bool) {
+	if strconv.IntSize < 64 {
+		return nil, false
+	}
+	d := uint64(1) << 31
+	return ldp.NewSOLH(int(d), int(d), 1), true
+}
+
 // FuzzCodec locks in the frame format's safety contract across every
 // oracle the service speaks: an arbitrary plaintext either fails
 // unpack, with nothing appended, or yields ⌊8L/B⌋ words that (a) the
@@ -37,7 +53,12 @@ func fuzzOracles() []ldp.FrequencyOracle {
 // arrived).
 func FuzzCodec(f *testing.F) {
 	// The lineup plus the widest word, 63 bits (SOLH at d′ = 2³¹).
-	oracles := append(fuzzOracles(), ldp.NewSOLH(1<<31, 1<<31, 1))
+	oracles := fuzzOracles()
+	if wide, ok := widestSOLH(); ok {
+		oracles = append(oracles, wide)
+	} else {
+		f.Log(narrowInt)
+	}
 	codecs := make([]*Codec, len(oracles))
 	for i, fo := range oracles {
 		codec, err := NewCodec(fo)
@@ -46,7 +67,7 @@ func FuzzCodec(f *testing.F) {
 		}
 		codecs[i] = codec
 	}
-	grr300, solh, wide := codecs[1], codecs[2], codecs[4]
+	grr300, solh := codecs[1], codecs[2]
 	// Seed with a valid three-report frame per oracle, the shapes each
 	// check refuses, and structural edge cases.
 	r := rng.New(7)
@@ -75,7 +96,10 @@ func FuzzCodec(f *testing.F) {
 	f.Add(v2)
 	// The second 63-bit word starts at bit 63, so its bits straddle two
 	// 64-bit loads.
-	f.Add(wide.PackWords(wide.limit-1, 0x5555_5555_5555_5555, wide.limit-1))
+	if len(codecs) > 4 {
+		wide := codecs[4]
+		f.Add(wide.PackWords(wide.limit-1, 0x5555_5555_5555_5555, wide.limit-1))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0x80}, 13))
@@ -257,11 +281,12 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 // past the group — GroupOrder itself, and 2^B − 1 — are refused, never
 // wrapped.
 func TestCodecWordWidth(t *testing.T) {
-	cases := []struct {
+	type row struct {
 		fo    ldp.FrequencyOracle
 		bits  uint
 		width int
-	}{
+	}
+	cases := []row{
 		{ldp.NewGRR(2, 1), 8, 1},
 		{ldp.NewGRR(256, 1), 8, 1},
 		{ldp.NewGRR(257, 1), 9, 2},
@@ -270,8 +295,12 @@ func TestCodecWordWidth(t *testing.T) {
 		{ldp.NewSOLH(1024, 16, 1), 36, 5},
 		{ldp.NewSOLH(1024, 64, 1), 38, 5},
 		{ldp.NewSOLH(42178, 111, 1), 39, 5},
-		{ldp.NewSOLH(1<<31, 1<<31, 1), 63, 8},
 		{ldp.NewOLH(13, 1.5), 35, 5},
+	}
+	if wide, ok := widestSOLH(); ok {
+		cases = append(cases, row{wide, 63, 8})
+	} else {
+		t.Log(narrowInt)
 	}
 	for _, tc := range cases {
 		enc, err := ldp.NewWordEncoder(tc.fo)

@@ -81,7 +81,6 @@ func (w *recoveryWorld) ledger(t *testing.T) *budget.Ledger {
 	l, err := budget.NewLedger(
 		composition.Guarantee{Eps: w.totalEps, Delta: 3e-9},
 		composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
-		budget.Naive{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +88,9 @@ func (w *recoveryWorld) ledger(t *testing.T) *budget.Ledger {
 	return l
 }
 
-// epochsPaid is how many epochs a naive ledger has paid for, read off
-// what it has spent.
+// epochsPaid is how many epochs a world ledger has paid for, read off
+// what it has spent: its total delta leaves so little room that the
+// spent eps stays within a sliver of the paid epochs' sum.
 func epochsPaid(l *budget.Ledger) int {
 	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
 }
@@ -221,8 +221,8 @@ func (ref *recoveryReference) same(t *testing.T, svc *service.Service, snap serv
 	if got, want := epochsPaid(ledger), epochsPaid(ref.ledger); got != want {
 		t.Fatalf("recovered ledger charged %d epochs, reference charged %d", got, want)
 	}
-	if got, want := ledger.Remaining(), ref.ledger.Remaining(); got != want {
-		t.Fatalf("recovered remaining budget %+v, reference %+v (not bit-identical)", got, want)
+	if got, want := ledger.Spent(), ref.ledger.Spent(); got != want {
+		t.Fatalf("recovered spent budget %+v, reference %+v (not bit-identical)", got, want)
 	}
 }
 
@@ -393,7 +393,6 @@ func (w *recoveryWorld) oneEpoch(t *testing.T) *budget.Ledger {
 	l, err := budget.NewLedger(
 		composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
 		composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
-		budget.Naive{},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -574,7 +573,6 @@ func TestRecoverExhaustedLedgerStillRefuses(t *testing.T) {
 		l, err := budget.NewLedger(
 			composition.Guarantee{Eps: 2 * w.perEps, Delta: 2e-9},
 			composition.Guarantee{Eps: w.perEps, Delta: 1e-9},
-			budget.Naive{},
 		)
 		if err != nil {
 			t.Fatal(err)

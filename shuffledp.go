@@ -30,7 +30,6 @@ import (
 	"fmt"
 
 	"shuffledp/internal/amplify"
-	"shuffledp/internal/composition"
 	"shuffledp/internal/dataset"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/rng"
@@ -234,8 +233,9 @@ type FrequentStringsOptions struct {
 // FrequentStrings finds the most frequent `bits`-bit strings among the
 // users' values using TreeHist (§VII-C) with the SOLH frequency oracle
 // in the shuffle model: all users participate in every round and the
-// total budget is split across rounds by the better of basic and
-// advanced composition (§V-B's "one can utilize composition theorems").
+// total budget is split evenly across rounds, as the paper's TreeHist
+// divides its budget "by 6 for each round" (basic composition, §V-B's
+// "one can utilize composition theorems").
 func FrequentStrings(values []uint64, bits int, opt FrequentStringsOptions) ([]uint64, error) {
 	if opt.K == 0 {
 		opt.K = 32
@@ -260,15 +260,11 @@ func FrequentStrings(values []uint64, bits int, opt FrequentStringsOptions) ([]u
 		return nil, errors.New("shuffledp: need at least 2 users")
 	}
 	rounds := bits / opt.RoundBits
-	per, err := composition.MaxSplit(composition.Guarantee{
-		Eps:   opt.EpsilonCentral,
-		Delta: opt.Delta,
-	}, rounds)
-	if err != nil {
-		return nil, fmt.Errorf("shuffledp: %w", err)
+	if rounds < 1 || opt.EpsilonCentral <= 0 || opt.Delta <= 0 || opt.Delta >= 1 {
+		return nil, errors.New("shuffledp: need bits >= RoundBits, EpsilonCentral > 0 and Delta in (0, 1)")
 	}
-	roundEps := per.Eps
-	roundDelta := per.Delta
+	roundEps := opt.EpsilonCentral / float64(rounds)
+	roundDelta := opt.Delta / float64(rounds)
 	// Each round draws a fresh sub-seed from a master stream (rounds run
 	// sequentially, so the derivation order is fixed); within a round the
 	// randomization and aggregation fan out over Concurrency workers with
@@ -280,7 +276,7 @@ func FrequentStrings(values []uint64, bits int, opt FrequentStringsOptions) ([]u
 		fo, err := chooseOracle(SOLH, roundEps, roundDelta, n, d)
 		if err != nil {
 			// Unreachable: PlanShuffle refuses only n < 2, d < 2 or a
-			// budget MaxSplit would not have split.
+			// budget that is not positive.
 			panic(err)
 		}
 		return ldp.EstimateParallel(fo, vals, roundSeed, opt.Concurrency)
