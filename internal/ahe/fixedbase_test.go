@@ -125,7 +125,10 @@ func serialRow(m *mont, b elem, sc *Scratch) []elem {
 }
 
 // serialChain is the reference table build: every row in order, each
-// row's unit read off the previous row's last entry (b^255 * b).
+// row's unit the previous unit squared eight times, as newFBTable
+// reaches it. Reading the unit off the previous row's last entry
+// (b^255 * b) gives the same residue, but on the IFMA kernel, whose
+// values run below 2n, not always the same representative.
 func serialChain(m *mont, base *big.Int, maxBits int) [][]elem {
 	var sc Scratch
 	rows := make([][]elem, (maxBits+fbWindowBits-1)/fbWindowBits)
@@ -133,7 +136,10 @@ func serialChain(m *mont, base *big.Int, maxBits int) [][]elem {
 	for i := range rows {
 		rows[i] = serialRow(m, b, &sc)
 		next := m.elems(1)[0]
-		m.mul(next, rows[i][254], b, &sc)
+		copy(next, b)
+		for range fbWindowBits {
+			m.mul(next, next, next, &sc)
+		}
 		b = next
 	}
 	return rows

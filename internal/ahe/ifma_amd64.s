@@ -320,10 +320,3 @@ row5x2:
 	NORM(DI, R8, rows+56(FP), norm5a)
 	NORM(SI, R9, rows+56(FP), norm5b)
 	RET
-
-// func xgetbv0() (eax uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL   CX, CX
-	XGETBV
-	MOVL   AX, eax+0(FP)
-	RET

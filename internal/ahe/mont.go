@@ -45,6 +45,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"shuffledp/internal/cpuid"
 )
 
 // kernel names the multiplication a mont runs.
@@ -67,21 +69,14 @@ func ifmaRows(n *big.Int) int { return (n.BitLen() + 2 + 51) / 52 }
 
 // hostKernel is the kernel newMont picks for n on this CPU.
 func hostKernel(n *big.Int) kernel {
-	adx, ifma := CPUKernels()
 	switch {
-	case ifma && ifmaRows(n) <= ifmaMaxRows:
+	case cpuid.IFMA && ifmaRows(n) <= ifmaMaxRows:
 		return kernelIFMA
-	case adx:
+	case cpuid.ADX:
 		return kernelADX
 	}
 	return kernelPortable
 }
-
-// CPUKernels reports which assembly kernels this CPU runs: the fused
-// ADX kernel and the IFMA kernel. Both are false off amd64. The
-// coverage census reads it to tell which of mont's branches a host
-// must reach.
-func CPUKernels() (adx, ifma bool) { return cpuADX, cpuIFMA }
 
 // elem is one residue in its mont's number format: width words, least
 // significant first.

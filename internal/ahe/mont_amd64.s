@@ -288,13 +288,3 @@ copy:
 
 done:
 	RET
-
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-20
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	RET

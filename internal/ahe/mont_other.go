@@ -4,9 +4,6 @@ package ahe
 
 import "math/big"
 
-// Off amd64 mont runs its portable three-Mul REDC.
-const cpuADX, cpuIFMA = false, false
-
 func montMulADX(z, x, y, n, t *big.Word, k int, n0 big.Word) {
 	panic("ahe: no fused Montgomery kernel on this architecture")
 }

@@ -6,6 +6,8 @@ import (
 	"math/big"
 	"math/bits"
 	"testing"
+
+	"shuffledp/internal/cpuid"
 )
 
 // redcReference is mont.mul's definition computed the slow way:
@@ -66,11 +68,10 @@ var redcBranchList = func() (list []redcBranch) {
 // missingFeature names what this CPU lacks to run kern, "" when it
 // runs it.
 func missingFeature(kern kernel) string {
-	adx, ifma := CPUKernels()
 	switch {
-	case kern == kernelADX && !adx:
+	case kern == kernelADX && !cpuid.ADX:
 		return "this CPU lacks ADX or BMI2"
-	case kern == kernelIFMA && !ifma:
+	case kern == kernelIFMA && !cpuid.IFMA:
 		return "this CPU or its OS lacks AVX512F, AVX512VL or AVX512_IFMA"
 	}
 	return ""

@@ -68,6 +68,25 @@ func testLedger(t *testing.T) *budget.Ledger {
 	return l
 }
 
+// epochsPaid is how many collections a testLedger has paid for: the k
+// at which a twin testLedger, paid for k collections, has spent exactly
+// what l has. Spent grows with every collection paid, so k is unique;
+// -1 means no count the total admits matches. (Spent over the
+// per-epoch eps is no count: exact composition spends less than k of
+// them by however much delta room the total leaves.)
+func epochsPaid(t *testing.T, l *budget.Ledger) int {
+	t.Helper()
+	twin, spent := testLedger(t), l.Spent()
+	for k := 0; ; k++ {
+		if twin.Spent() == spent {
+			return k
+		}
+		if twin.PayThrough(k) != nil {
+			return -1
+		}
+	}
+}
+
 // The acceptance scenario: a fault plan resets the first
 // peer-mesh connection mid-EOS (the first oblivious-shuffle vector is
 // ~290 bytes; the reset tears it at byte 180) and resets the client's
@@ -173,7 +192,7 @@ func TestChaosClusterSelfHealsBitIdentical(t *testing.T) {
 	if cl.Reconnects() < 1 {
 		t.Fatal("client never reconnected; the planned reset should have forced a resubmit")
 	}
-	if got := cluster.EpochsPaid(ledger); got != 2 {
+	if got := epochsPaid(t, ledger); got != 2 {
 		t.Fatalf("ledger charged %d epochs for 2 sealed collections (retries must not double-charge)", got)
 	}
 }
@@ -332,7 +351,7 @@ func TestChaosLinkClosedWithoutGoodbyeHeals(t *testing.T) {
 	if !estimatesEqual(col.Estimates, ref.Estimates) {
 		t.Fatalf("estimates diverged across the closed link:\n net %v\n ref %v", col.Estimates, ref.Estimates)
 	}
-	if got := cluster.EpochsPaid(ledger); got != 1 {
+	if got := epochsPaid(t, ledger); got != 1 {
 		t.Fatalf("the healed round charged the ledger %d times, want exactly 1", got)
 	}
 	h.analyzer.Close()
@@ -474,7 +493,7 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 	if col.Attempts < 2 {
 		t.Fatalf("round took %d attempt(s); the planned mesh reset should have forced a retry", col.Attempts)
 	}
-	if got := cluster.EpochsPaid(ledger); got != 1 {
+	if got := epochsPaid(t, ledger); got != 1 {
 		t.Fatalf("retried collection charged the ledger %d times, want exactly 1", got)
 	}
 	live := h.analyzer.Estimates()
@@ -508,7 +527,7 @@ func TestChaosRetriedCollectionChargesAndSealsOnce(t *testing.T) {
 	if rec.Collections() != 1 {
 		t.Fatalf("recovered %d collections, want 1", rec.Collections())
 	}
-	if got := cluster.EpochsPaid(ledger2); got != 1 {
+	if got := epochsPaid(t, ledger2); got != 1 {
 		t.Fatalf("recovered ledger shows %d charges, want exactly 1", got)
 	}
 	if !estimatesEqual(rec.Estimates(), live) {
@@ -560,7 +579,7 @@ func TestFailedCollectRepeatedPaysOnce(t *testing.T) {
 	if _, err := h.analyzer.Collect(n); err == nil {
 		t.Fatal("the single-shot round survived the planned mesh reset")
 	}
-	if got := cluster.EpochsPaid(ledger); got != 1 {
+	if got := epochsPaid(t, ledger); got != 1 {
 		t.Fatalf("the failed round paid for %d collections, want 1", got)
 	}
 	if _, err := h.analyzer.Collect(n); err != nil {
@@ -569,7 +588,7 @@ func TestFailedCollectRepeatedPaysOnce(t *testing.T) {
 	if h.analyzer.Collections() != 1 {
 		t.Fatalf("%d collections sealed, want 1", h.analyzer.Collections())
 	}
-	if got := cluster.EpochsPaid(ledger); got != 1 {
+	if got := epochsPaid(t, ledger); got != 1 {
 		t.Fatalf("a failed and a repeated Collect of collection 0 paid for %d collections, want 1", got)
 	}
 }

@@ -499,8 +499,8 @@ func TestRolesRefuseOraclesWithoutFakeEstimator(t *testing.T) {
 			acfg.Listener = aln // nothing but the oracle stands between it and the checkpoint
 			_, err := cluster.RecoverAnalyzer(acfg)
 			refused("RecoverAnalyzer", err)
-			if cluster.EpochsPaid(ledger) != 0 {
-				t.Errorf("refusals charged the ledger %d times", cluster.EpochsPaid(ledger))
+			if epochsPaid(t, ledger) != 0 {
+				t.Errorf("refusals charged the ledger %d times", epochsPaid(t, ledger))
 			}
 		})
 	}

@@ -3,24 +3,14 @@ package cluster
 import (
 	"errors"
 	"io"
-	"math"
 	"time"
 
-	"shuffledp/internal/budget"
 	"shuffledp/internal/ldp"
 	"shuffledp/internal/store"
 )
 
 // Hooks for the external test package (cluster_test), which owns the
 // multi-node harness but cannot see unexported state or frame tags.
-
-// EpochsPaid is how many collections a test ledger has paid for, read
-// off what it has spent: the tests' ledgers leave so little delta room
-// that the spent eps stays within a sliver of the paid collections'
-// sum.
-func EpochsPaid(l *budget.Ledger) int {
-	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
-}
 
 // Crash hard-stops a durable analyzer the way a power cut would: the
 // store is closed without flushing, and RecoverAnalyzer finds the

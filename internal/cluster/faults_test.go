@@ -319,7 +319,7 @@ func (env *faultEnv) run(t *testing.T, row *faultRow) map[pair][]*tapConn {
 	if !estimatesEqual(analyzer.Estimates(), env.cum) {
 		t.Fatalf("bitIdentical: cumulative:\n net %v\n ref %v", analyzer.Estimates(), env.cum)
 	}
-	if got := cluster.EpochsPaid(ledger); got != faultRounds {
+	if got := epochsPaid(t, ledger); got != faultRounds {
 		t.Fatalf("chargedOncePerCollection: the ledger paid for %d collections, want %d", got, faultRounds)
 	}
 	if row != nil {

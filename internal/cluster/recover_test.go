@@ -367,7 +367,7 @@ func TestCollectFailedCheckpointSealsNothing(t *testing.T) {
 	if !estimatesEqual(h.analyzer.Estimates(), ref.Estimates) {
 		t.Fatal("cumulative estimate diverged after the retried seal")
 	}
-	if paid := cluster.EpochsPaid(ledger); paid != 1 {
+	if paid := epochsPaid(t, ledger); paid != 1 {
 		t.Fatalf("the ledger paid for %d collections, want 1", paid)
 	}
 }

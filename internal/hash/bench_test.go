@@ -25,8 +25,10 @@ func BenchmarkFamilyHash(b *testing.B) {
 // order — the register-counted loop at d' = 16 and the key-block sweep
 // at d' = 705 over a 64Ki-value domain — and at the three service
 // shapes the benchmark contract runs (svc_wire_d64, svc_durable_query_d1024
-// and svc_agg_kosarak). allocs/op must stay 0 — the kernel is the hash
-// hot path the perf trajectory tracks.
+// and svc_agg_kosarak). Shapes below sweepMinOutputSize run once per
+// kernel of the register path (/portable, /avx512 where the CPU has
+// it). allocs/op must stay 0 — the kernel is the hash hot path the perf
+// trajectory tracks.
 func BenchmarkCountSupport(b *testing.B) {
 	shapes := []struct {
 		name      string
@@ -39,7 +41,7 @@ func BenchmarkCountSupport(b *testing.B) {
 		{"svc_agg_kosarak", 42178, 111},
 	}
 	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
+		run := func(b *testing.B) {
 			fam := NewFamily(sh.dPrime)
 			const block = 512
 			seeds := make([]uint64, block)
@@ -56,6 +58,17 @@ func BenchmarkCountSupport(b *testing.B) {
 				fam.CountSupport(seeds, ys, counts)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(block*sh.d), "ns/hash")
-		})
+		}
+		if sh.dPrime >= sweepMinOutputSize {
+			b.Run(sh.name, run)
+			continue
+		}
+		for _, k := range supportKernels {
+			b.Run(sh.name+"/"+k.name, func(b *testing.B) {
+				if !onKernel(k.avx512, func() { run(b) }) {
+					b.Skip("this CPU or its OS lacks AVX512F or AVX512DQ")
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package hash
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"shuffledp/internal/cpuid"
+)
 
 // Family is the seeded universal hash family H_seed : [2^32] -> [d'] used
 // by the local-hashing frequency oracles. A user's LDP report carries
@@ -146,8 +150,9 @@ type lane struct{ a, c, w uint64 }
 //     The bounds divide by d' through a Divisor built once per call, so
 //     staging a report costs no hardware division;
 //   - the loop order follows the hit rate, about 1/d'. Below
-//     sweepMinOutputSize, countCandidates runs three candidates under
-//     each report load and counts their misses without a branch. At or
+//     sweepMinOutputSize, countCandidates counts without a branch:
+//     eight candidates against eight reports per pass on AVX-512,
+//     else three candidates under each report load. At or
 //     above it, the scrambled keys pi(v) of a block of the domain are
 //     computed once per chunk and swept under two reports at a time; a
 //     hit is rare enough that a predicted branch around counts[v]++ is
@@ -210,8 +215,13 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 
 // countCandidates adds to each counts[v] the number of staged reports
 // whose bucket test holds at k = pi(v): candidates outer, reports
-// inner, three candidates at a time sharing each lane load (misses3).
+// inner, on the AVX-512 kernel where the CPU has it, else three
+// candidates at a time sharing each lane load (misses3).
 func countCandidates(lanes []lane, counts []int) {
+	if supportAVX512 {
+		countCandidatesAVX512(lanes, counts)
+		return
+	}
 	n := uint64(len(lanes))
 	v := 0
 	for ; v+3 <= len(counts); v += 3 {
@@ -254,4 +264,42 @@ func misses3(lanes []lane, k0, k1, k2 uint64) (m0, m1, m2 uint64) {
 		m2, _ = bits.Add64(m2, 0, b)
 	}
 	return m0, m1, m2
+}
+
+// supportAVX512 is whether the register path runs on hits8x8, the
+// AVX-512 kernel: on amd64 CPUs with AVX512F and AVX512DQ whose OS
+// saves their state, chosen once and by nothing else (DESIGN.md §5).
+// Tests switch it through export_test.go to check both kernels.
+var supportAVX512 = cpuid.AVX512DQ
+
+// countCandidatesAVX512 is countCandidates on hits8x8: eight candidates
+// at a time against eight lanes at a time. The chunk's lanes are copied
+// into one array per word, so one load fills a register with eight
+// lanes' a, c or w, and padded to whole groups of eight with lanes no
+// key hits (a = 0, c = 1, w = 0, as in the sweep). The domain's last
+// len(counts) mod 8 candidates count into a scratch group of eight.
+func countCandidatesAVX512(lanes []lane, counts []int) {
+	var a, c, w [supportChunk]uint64
+	for i, l := range lanes {
+		a[i], c[i], w[i] = l.a, l.c, l.w
+	}
+	groups := (len(lanes) + 7) / 8
+	for i := len(lanes); i < 8*groups; i++ {
+		c[i] = 1
+	}
+	var keys [8]uint64
+	for v := 0; v < len(counts); v += 8 {
+		for j := range keys {
+			keys[j] = scramble(uint32(v + j))
+		}
+		if v+8 <= len(counts) {
+			hits8x8(&a[0], &c[0], &w[0], groups, &keys, &counts[v])
+			continue
+		}
+		var tail [8]int
+		hits8x8(&a[0], &c[0], &w[0], groups, &keys, &tail[0])
+		for j := range counts[v:] {
+			counts[v+j] += tail[j]
+		}
+	}
 }

@@ -31,13 +31,14 @@ func naiveCounts(fam Family, seeds, ys []uint64, d int) []int {
 // FuzzCountSupport is the differential test the kernel rests on: for
 // an arbitrary d' (so both loop orders run, the register-counted one
 // below sweepMinOutputSize and the key-block sweep from it on), block
-// length (so chunks end off the 128-report boundary, and odd chunks
-// leave the sweep a report without a pair), domain size (so the
-// 4-candidate lanes end in a tail and the key blocks end on and off
-// their sweepBlock edges) and target placement (random, all in the
+// length (so chunks end off the 128-report boundary and off the AVX-512
+// kernel's eight-lane groups, and odd chunks leave the sweep a report
+// without a pair), domain size (so the register path's three- and
+// eight-candidate groups end in a tail and the key blocks end on and
+// off their sweepBlock edges) and target placement (random, all in the
 // first bucket, all in the last — the bucket whose upper bound wraps at
-// 2^64), CountSupport equals the per-pair Hash loop, and adds into
-// counts rather than overwriting.
+// 2^64), CountSupport equals the per-pair Hash loop on each kernel this
+// CPU runs, and adds into counts rather than overwriting.
 func FuzzCountSupport(f *testing.F) {
 	f.Add(uint32(111), uint16(512), uint16(97), uint64(1), byte(0))
 	f.Add(uint32(2), uint16(129), uint16(5), uint64(2), byte(1))
@@ -53,10 +54,14 @@ func FuzzCountSupport(f *testing.F) {
 	f.Add(uint32(64), uint16(3), uint16(2*sweepBlock), uint64(12), byte(1))
 	f.Add(uint32(111), uint16(129), uint16(sweepBlock-1), uint64(13), byte(0))
 	f.Add(uint32(705), uint16(1), uint16(2*sweepBlock+1), uint64(14), byte(0))
+	f.Add(uint32(sweepMinOutputSize-1), uint16(supportChunk+9), uint16(23), uint64(15), byte(2))
 	f.Fuzz(func(t *testing.T, dPrime uint32, reports, domain uint16, stream uint64, targets byte) {
 		m := uint64(dPrime)
 		if m < 2 || m > MaxOutputSize {
 			m = 2 + m%(MaxOutputSize-1)
+		}
+		if m > math.MaxInt {
+			t.Skip("d' = 2^31 needs a 64-bit int")
 		}
 		fam := NewFamily(int(m))
 		n, d := int(reports%700), int(domain)%(2*sweepBlock+100)
@@ -74,16 +79,20 @@ func FuzzCountSupport(f *testing.F) {
 				ys[i] = m - 1
 			}
 		}
-		got := make([]int, d)
-		for v := range got {
-			got[v] = v // CountSupport accumulates
-		}
-		fam.CountSupport(seeds, ys, got)
 		want := naiveCounts(fam, seeds, ys, d)
-		for v := range want {
-			if got[v] != want[v]+v {
-				t.Fatalf("d'=%d n=%d d=%d targets=%d: counts[%d] += %d, want %d",
-					m, n, d, targets%3, v, got[v]-v, want[v])
+		got := make([]int, d)
+		for _, k := range supportKernels {
+			for v := range got {
+				got[v] = v // CountSupport accumulates
+			}
+			if !onKernel(k.avx512, func() { fam.CountSupport(seeds, ys, got) }) {
+				continue
+			}
+			for v := range want {
+				if got[v] != want[v]+v {
+					t.Fatalf("%s: d'=%d n=%d d=%d targets=%d: counts[%d] += %d, want %d",
+						k.name, m, n, d, targets%3, v, got[v]-v, want[v])
+				}
 			}
 		}
 	})
@@ -235,17 +244,19 @@ func TestScrambleIsABijectionOnSampledKeys(t *testing.T) {
 
 // Hash runs once per report on every client and CountSupport is the
 // server's whole aggregation cost: neither may allocate, in either of
-// the kernel's loop orders.
+// the kernel's loop orders, on either kernel of the register path.
 func TestFamilyKernelsDoNotAllocate(t *testing.T) {
-	for _, dPrime := range []int{16, 111} {
-		fam := NewFamily(dPrime)
-		seeds := make([]uint64, 301) // an odd chunk: the sweep's lone report
-		ys := make([]uint64, 301)    // zero targets are valid buckets
-		counts := make([]int, sweepBlock+1001)
-		if a := testing.AllocsPerRun(10, func() { fam.CountSupport(seeds, ys, counts) }); a != 0 {
-			t.Errorf("d'=%d: CountSupport allocates %v times per call", dPrime, a)
+	forKernels(t, func(t *testing.T) {
+		for _, dPrime := range []int{16, 111} {
+			fam := NewFamily(dPrime)
+			seeds := make([]uint64, 301) // an odd chunk: the sweep's lone report
+			ys := make([]uint64, 301)    // zero targets are valid buckets
+			counts := make([]int, sweepBlock+1001)
+			if a := testing.AllocsPerRun(10, func() { fam.CountSupport(seeds, ys, counts) }); a != 0 {
+				t.Errorf("d'=%d: CountSupport allocates %v times per call", dPrime, a)
+			}
 		}
-	}
+	})
 	fam := NewFamily(111)
 	sink := 0
 	if a := testing.AllocsPerRun(100, func() { sink += fam.Hash(uint64(sink), 77) }); a != 0 {

@@ -61,33 +61,93 @@ func TestSum64Uint64MatchesBytes(t *testing.T) {
 	}
 }
 
-// CountSupport must agree with the naive per-pair Hash loop for every
-// output size, including powers of two and sizes adjacent to them
-// (where the per-bucket bounds ceil(y*2^32/d') are and are not exact),
-// and for domains that end at every remainder of the register loop's
-// three-key group and on and off the sweep's 1,024-key block.
+// CountSupport must agree with the naive per-pair Hash loop on each
+// kernel of the register path, for every output size, including powers
+// of two and sizes adjacent to them (where the per-bucket bounds
+// ceil(y*2^32/d') are and are not exact), and for domains that end at
+// every remainder of the portable loop's three-key group, of the
+// AVX-512 kernel's eight-key group and on and off the sweep's 1,024-key
+// block. Below sweepMinOutputSize every d' runs every chunk length from
+// 1 to 129: each remainder of the AVX-512 kernel's eight-lane group, and
+// a second chunk of one report.
 func TestCountSupportMatchesNaive(t *testing.T) {
-	r := rng.New(321)
-	for _, d := range []int{1, 2, 3, 4, 5, 64, 97, 1024, 1025} {
-		for _, dPrime := range []int{2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65, 705, 1024} {
-			fam := NewFamily(dPrime)
-			const reports = 200
-			seeds := make([]uint64, reports)
-			ys := make([]uint64, reports)
-			for i := range seeds {
-				seeds[i] = uint64(uint32(r.Uint64())) // 32-bit seeds, as in Report.Seed
-				ys[i] = r.Uint64n(uint64(dPrime))
-			}
-			got := make([]int, d)
-			fam.CountSupport(seeds, ys, got)
-			want := naiveCounts(fam, seeds, ys, d)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("d=%d d'=%d: counts[%d] = %d, want %d", d, dPrime, v, got[v], want[v])
-				}
+	check := func(t *testing.T, r *rng.Rand, d, dPrime, reports int) {
+		t.Helper()
+		fam := NewFamily(dPrime)
+		seeds := make([]uint64, reports)
+		ys := make([]uint64, reports)
+		for i := range seeds {
+			seeds[i] = uint64(uint32(r.Uint64())) // 32-bit seeds, as in Report.Seed
+			ys[i] = r.Uint64n(uint64(dPrime))
+		}
+		got := make([]int, d)
+		fam.CountSupport(seeds, ys, got)
+		want := naiveCounts(fam, seeds, ys, d)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("d=%d d'=%d n=%d: counts[%d] = %d, want %d", d, dPrime, reports, v, got[v], want[v])
 			}
 		}
 	}
+	forKernels(t, func(t *testing.T) {
+		r := rng.New(321)
+		for _, d := range []int{1, 2, 3, 4, 5, 64, 97, 1024, 1025} {
+			for _, dPrime := range []int{2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65, 705, 1024} {
+				check(t, r, d, dPrime, 200)
+			}
+		}
+		for dPrime := 2; dPrime < sweepMinOutputSize; dPrime++ {
+			for reports := 1; reports <= supportChunk+1; reports++ {
+				check(t, r, 1+reports%24, dPrime, reports)
+			}
+		}
+	})
+}
+
+// The register path's kernels count a lane at key k iff a*k + c <= w
+// mod 2^64, and the edges of that test are too thin (one value of h in
+// 2^64) for seeded reports to reach. Lanes built to land on them do:
+// h = w (a hit), h = w + 1 (a miss), w = 2^64 - 1 (a hit at every key)
+// and w = 0 (a hit only where h = 0), each aimed at one candidate of a
+// domain that ends off the eight-key group. An empty chunk counts
+// nothing on either kernel.
+func TestRegisterKernelsAtBucketEdges(t *testing.T) {
+	r := rng.New(99)
+	const d = 43
+	lanes := make([]lane, supportChunk)
+	for i := range lanes {
+		a, w := r.Uint64(), r.Uint64()
+		hk := a * scramble(uint32(r.Uint64n(d)))
+		switch i % 4 {
+		case 0:
+			lanes[i] = lane{a: a, c: w - hk, w: w}
+		case 1:
+			lanes[i] = lane{a: a, c: w + 1 - hk, w: w}
+		case 2:
+			lanes[i] = lane{a: a, c: r.Uint64(), w: math.MaxUint64}
+		case 3:
+			lanes[i] = lane{a: a, c: -hk, w: 0}
+		}
+	}
+	forKernels(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 7, 8, 9, supportChunk} {
+			got, want := make([]int, d), make([]int, d)
+			countCandidates(lanes[:n], got)
+			for v := range want {
+				k := scramble(uint32(v))
+				for _, l := range lanes[:n] {
+					if l.a*k+l.c <= l.w {
+						want[v]++
+					}
+				}
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%d lanes: counts[%d] = %d, want %d", n, v, got[v], want[v])
+				}
+			}
+		}
+	})
 }
 
 // Divisor must give exactly what the hardware division gives: at the

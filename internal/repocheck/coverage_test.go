@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"shuffledp/internal/ahe"
+	"shuffledp/internal/cpuid"
 )
 
 var censusProfile = flag.String("census-profile", "",
@@ -50,8 +50,9 @@ var runAllowList = map[string]string{
 	"ahe.montMulIFMA5":   "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA is its one caller",
 	"ahe.montMulIFMA3x2": "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA2 is its one caller",
 	"ahe.montMulIFMA5x2": "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA2 is its one caller",
-	"ahe.cpuid":          "assembly (mont_amd64.s), which coverage does not count; the CPU feature initializer calls it",
-	"ahe.xgetbv0":        "assembly (ifma_amd64.s), which coverage does not count; the CPU feature initializer calls it",
+	"cpuid.cpuid":        "assembly (cpuid_amd64.s), which coverage does not count; the CPU feature initializer calls it",
+	"cpuid.xgetbv0":      "assembly (cpuid_amd64.s), which coverage does not count; the CPU feature initializer calls it",
+	"hash.hits8x8":       "assembly (support_amd64.s), which coverage does not count; countCandidatesAVX512 is its one caller",
 
 	"oblivious.memMesh.abort": "the in-process mesh fails only when a party errors",
 	"pipeline.Disconnected":   "classifies a shuffler's broken analyzer link; no census run breaks one",
@@ -82,7 +83,7 @@ func TestEveryInternalFunctionRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := loadModuleCensus(t)
-	findings := c.unreached(reached, runAllowList, exemptKernelFuncs(ahe.CPUKernels()))
+	findings := c.unreached(reached, runAllowList, exemptKernelFuncs(hostFeatures{cpuid.ADX, cpuid.IFMA, cpuid.AVX512DQ}))
 	for _, f := range findings {
 		t.Error(f)
 	}
@@ -160,47 +161,68 @@ func (c *census) functions() map[string]types.Object {
 	return fns
 }
 
-// kernelBranches names, per Montgomery kernel of internal/ahe, the
-// functions only that kernel runs. Which one a deployment runs depends
-// on the census host's CPU (ahe.CPUKernels), so no allow-list entry can
-// hold on every host. The rule instead: the kernel a 1024-bit modulus
-// runs on this host — IFMA where the CPU has it, else ADX where it has
-// that, else the portable REDC — must be reached, and the other
-// kernels' functions are exempt (the host runs them for no modulus the
+// kernelBranches names, per CPUID-chosen kernel, the functions only
+// that kernel runs: internal/ahe's Montgomery multiplications and
+// internal/hash's support count below sweepMinOutputSize. Which ones a
+// deployment runs depends on the census host's CPU (internal/cpuid), so
+// no allow-list entry can hold on every host. The rule instead: in each
+// package the kernel this host runs — for ahe the one a 1024-bit
+// modulus takes: IFMA where the CPU has it, else ADX where it has that,
+// else the portable REDC; for hash AVX-512 where the CPU has AVX512F and
+// AVX512DQ, else the portable loop — must be reached, and the other
+// kernels' functions are exempt (the host runs them for no input the
 // census uses, or never). TestPortableBranchMatchesKernel and its
-// neighbours drive every kernel a host runs.
+// neighbours drive every ahe kernel a host runs, and hash's forKernels
+// drives both of its kernels.
 var kernelBranches = map[string][]string{
-	"portable": {"ahe.mont.mulRedcBig"},
-	"adx":      {"ahe.mont.mulADX"},
-	"ifma": {"ahe.ifmaRows", "ahe.toLimbs", "ahe.fromLimbs",
+	"ahe/portable": {"ahe.mont.mulRedcBig"},
+	"ahe/adx":      {"ahe.mont.mulADX"},
+	"ahe/ifma": {"ahe.ifmaRows", "ahe.toLimbs", "ahe.fromLimbs",
 		"ahe.mont.canonIFMA", "ahe.mont.mulIFMA", "ahe.mont.mulIFMA2"},
+	"hash/portable": {"hash.misses3"},
+	"hash/avx512":   {"hash.countCandidatesAVX512"},
+}
+
+// hostFeatures are the CPU features the kernels are chosen by.
+type hostFeatures struct{ adx, ifma, avx512 bool }
+
+// runs returns the kernels a host with these features runs: one per
+// package.
+func (h hostFeatures) runs() []string {
+	ahe, hash := "ahe/portable", "hash/portable"
+	switch {
+	case h.ifma:
+		ahe = "ahe/ifma"
+	case h.adx:
+		ahe = "ahe/adx"
+	}
+	if h.avx512 {
+		hash = "hash/avx512"
+	}
+	return []string{ahe, hash}
 }
 
 // exemptKernelFuncs returns the kernelBranches functions a host with
-// these CPU kernels need not reach.
-func exemptKernelFuncs(adx, ifma bool) map[string]bool {
-	runs := "portable"
-	switch {
-	case ifma:
-		runs = "ifma"
-	case adx:
-		runs = "adx"
-	}
+// these features need not reach.
+func exemptKernelFuncs(h hostFeatures) map[string]bool {
 	exempt := map[string]bool{}
-	for branch, fns := range kernelBranches {
+	for _, fns := range kernelBranches {
 		for _, fn := range fns {
-			if branch != runs {
-				exempt[fn] = true
-			}
+			exempt[fn] = true
+		}
+	}
+	for _, branch := range h.runs() {
+		for _, fn := range kernelBranches[branch] {
+			delete(exempt, fn)
 		}
 	}
 	return exempt
 }
 
-// The kernel rule holds on an IFMA host, an ADX-only host and a host
-// with neither: for each, a census that reached every function but the
-// other kernels' passes, and one that also missed the host's own
-// kernel flags exactly that kernel's functions.
+// The kernel rule holds on every host the kernels tell apart: for
+// each, a census that reached every function but the other kernels'
+// passes, and one that also missed the host's own kernels flags
+// exactly their functions.
 func TestKernelBranchRule(t *testing.T) {
 	c := loadModuleCensus(t)
 	fns := c.functions()
@@ -228,26 +250,32 @@ func TestKernelBranchRule(t *testing.T) {
 		return reached
 	}
 	for _, host := range []struct {
-		name      string
-		adx, ifma bool
-		runs      string
-	}{{"IFMA", true, true, "ifma"}, {"ADX only", true, false, "adx"}, {"neither", false, false, "portable"}} {
-		exempt := exemptKernelFuncs(host.adx, host.ifma)
+		name string
+		hostFeatures
+	}{
+		{"IFMA and AVX-512", hostFeatures{adx: true, ifma: true, avx512: true}},
+		{"ADX and AVX-512", hostFeatures{adx: true, avx512: true}},
+		{"ADX only", hostFeatures{adx: true}},
+		{"neither", hostFeatures{}},
+	} {
+		exempt := exemptKernelFuncs(host.hostFeatures)
 		own := map[string]bool{}
-		for _, name := range kernelBranches[host.runs] {
-			own[name] = true
+		for _, branch := range host.runs() {
+			for _, name := range kernelBranches[branch] {
+				own[name] = true
+			}
 		}
 		if f := c.unreached(reachedAll(func(name string) bool { return all[name] && !own[name] }), nil, exempt); len(f) != 0 {
-			t.Errorf("%s host: a census reaching its own kernel reports %q", host.name, f)
+			t.Errorf("%s host: a census reaching its own kernels reports %q", host.name, f)
 		}
 		f := c.unreached(reachedAll(func(name string) bool { return all[name] }), nil, exempt)
 		if len(f) != len(own) {
-			t.Errorf("%s host: a census missing its own kernel reports %q, want one finding per function of %v",
-				host.name, f, kernelBranches[host.runs])
+			t.Errorf("%s host: a census missing its own kernels reports %q, want one finding per function of %v",
+				host.name, f, host.runs())
 		}
 		for _, finding := range f {
 			if name := strings.Fields(finding)[1]; !own[name] {
-				t.Errorf("%s host: finding %q names no function of its own kernel", host.name, finding)
+				t.Errorf("%s host: finding %q names no function of its own kernels", host.name, finding)
 			}
 		}
 	}

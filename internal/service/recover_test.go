@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -88,11 +87,23 @@ func (w *recoveryWorld) ledger(t *testing.T) *budget.Ledger {
 	return l
 }
 
-// epochsPaid is how many epochs a world ledger has paid for, read off
-// what it has spent: its total delta leaves so little room that the
-// spent eps stays within a sliver of the paid epochs' sum.
-func epochsPaid(l *budget.Ledger) int {
-	return int(math.Round(l.Spent().Eps / l.PerEpoch().Eps))
+// epochsPaid is how many epochs a world ledger has paid for: the k at
+// which a twin from w.ledger, paid for k epochs, has spent exactly what
+// l has. Spent grows with every epoch paid, so k is unique; -1 means no
+// count the total admits matches. (Spent over the per-epoch eps is no
+// count: exact composition spends less than k of them by however much
+// delta room the total leaves.)
+func (w *recoveryWorld) epochsPaid(t *testing.T, l *budget.Ledger) int {
+	t.Helper()
+	twin, spent := w.ledger(t), l.Spent()
+	for k := 0; ; k++ {
+		if twin.Spent() == spent {
+			return k
+		}
+		if twin.PayThrough(k) != nil {
+			return -1
+		}
+	}
 }
 
 func (w *recoveryWorld) config(ledger *budget.Ledger, dir string, sync store.SyncPolicy) service.Config {
@@ -172,11 +183,12 @@ type recoveryReference struct {
 	win    service.WindowSnapshot
 	hist   []service.EpochSnapshot
 	ledger *budget.Ledger
+	w      *recoveryWorld
 }
 
 func (w *recoveryWorld) reference(t *testing.T) *recoveryReference {
 	t.Helper()
-	ref := &recoveryReference{ledger: w.ledger(t)}
+	ref := &recoveryReference{ledger: w.ledger(t), w: w}
 	svc, err := service.New(w.config(ref.ledger, "", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +230,7 @@ func (ref *recoveryReference) same(t *testing.T, svc *service.Service, snap serv
 		}
 		sameEstimates(t, "sealed epoch estimate", hist[i].Estimates, ref.hist[i].Estimates)
 	}
-	if got, want := epochsPaid(ledger), epochsPaid(ref.ledger); got != want {
+	if got, want := ref.w.epochsPaid(t, ledger), ref.w.epochsPaid(t, ref.ledger); got != want {
 		t.Fatalf("recovered ledger charged %d epochs, reference charged %d", got, want)
 	}
 	if got, want := ledger.Spent(), ref.ledger.Spent(); got != want {
@@ -354,7 +366,7 @@ func TestRecoverReplaysInterruptedRotation(t *testing.T) {
 		t.Fatalf("recovered open epoch %d, want 1", got)
 	}
 	// Epoch 0 charged at New plus the replayed rotation's charge.
-	if got := epochsPaid(ledger); got != 2 {
+	if got := w.epochsPaid(t, ledger); got != 2 {
 		t.Fatalf("recovered ledger charged %d epochs, want 2", got)
 	}
 	hist := svc.History()
@@ -917,7 +929,7 @@ func TestRecoverAfterDrainChargesOpenEpoch(t *testing.T) {
 	if got := svc.Epoch(); got != 1 {
 		t.Fatalf("recovered open epoch %d, want 1", got)
 	}
-	if got := epochsPaid(ledger); got != 2 {
+	if got := w.epochsPaid(t, ledger); got != 2 {
 		t.Fatalf("ledger charged %d epochs after drain+recover, want 2 (epoch 0 and the newly opened epoch 1)", got)
 	}
 	w.send(t, svc, 200, 400)
@@ -932,7 +944,7 @@ func TestRecoverAfterDrainChargesOpenEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := epochsPaid(ledger); got != 3 {
+	if got := w.epochsPaid(t, ledger); got != 3 {
 		t.Fatalf("ledger charged %d epochs after second recover, want 3", got)
 	}
 	w.send(t, svc, 400, 600)

@@ -263,7 +263,7 @@ func TestRecoverEveryWALCut(t *testing.T) {
 						t.Fatalf("%s: recovered into epoch %d with %d sealed, want epoch %d", what, svc.Epoch(), len(svc.History()), wantEpoch)
 					}
 					// Epoch 0 at New plus one charge per epoch opened since.
-					if got := epochsPaid(ledger); got != wantEpoch+1 {
+					if got := w.epochsPaid(t, ledger); got != wantEpoch+1 {
 						t.Fatalf("%s: recovered ledger holds %d charges, want %d", what, got, wantEpoch+1)
 					}
 					ref.same(t, svc, w.run(t, svc), ledger)
