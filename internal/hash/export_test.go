@@ -39,3 +39,31 @@ func forKernels(t *testing.T, f func(t *testing.T)) {
 		})
 	}
 }
+
+// countLanes counts staged lanes on the register path's current
+// kernel: countCandidates on the portable one, and on AVX-512 each
+// supportBlock of lanes copied into a laneBlock and counted there.
+func countLanes(lanes []lane, counts []int) {
+	if !supportAVX512 {
+		countCandidates(lanes, counts)
+		return
+	}
+	var blk laneBlock
+	for base := 0; base < len(lanes) || base == 0; base += supportBlock {
+		n := min(supportBlock, len(lanes)-base)
+		for i, l := range lanes[base : base+n] {
+			blk.a[i], blk.c[i], blk.w[i] = l.a, l.c, l.w
+		}
+		blk.count(n, counts)
+	}
+}
+
+// countStaging runs f and returns the seeds CountSupport expanded and
+// the bucket-bound divisions it made meanwhile.
+func countStaging(f func()) (expansions, divisions int64) {
+	var w stagingWork
+	work = &w
+	defer func() { work = nil }()
+	f()
+	return w.expansions.Load(), w.divisions.Load()
+}

@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"shuffledp/internal/cpuid"
 )
@@ -109,12 +110,18 @@ func sweepPair(keys []uint64, counts []int, a0, c0, w0, a1, c1, w1 uint64) {
 	}
 }
 
-// supportChunk is how many reports CountSupport stages per pass. The
-// staged lanes live on the kernel's stack (3 KiB), so the kernel never
-// allocates; the candidate loop streams the counts slice once per
-// chunk, which at a few hundred reports per pass is noise next to the
-// hash work.
+// supportChunk is how many reports the lane-layout loops stage per
+// pass: the portable register loop and the sweep. The staged lanes live
+// on the kernel's stack (3 KiB), so the kernel never allocates; the
+// candidate loop streams the counts slice once per chunk, which at a
+// few hundred reports per pass is noise next to the hash work.
 const supportChunk = 128
+
+// supportBlock is how many reports the AVX-512 register path stages per
+// pass: ldp's whole lhBlock, 12 KiB of staged words on the kernel's
+// stack, so hits8x8 runs once per eight candidates per block rather
+// than per 128-report chunk.
+const supportBlock = 512
 
 // sweepMinOutputSize is the d' from which CountSupport sweeps key
 // blocks under report pairs instead of counting each candidate in
@@ -140,21 +147,24 @@ type lane struct{ a, c, w uint64 }
 // equivalent to calling Hash once per (report, value) pair, but
 // structured for throughput:
 //
-//   - reports are staged supportChunk at a time and each report's
-//     (a, b) is expanded once per chunk;
+//   - each report's (a, b) is expanded once per call, eight seeds per
+//     pass on AVX-512 (expand);
 //   - "bucket == y" is tested as a range check on the raw 64-bit h —
 //     bucket(h) equals y iff h >> 32 lies in
 //     [ceil(y*2^32/d'), ceil((y+1)*2^32/d')) — with the lower bound
-//     folded into the additive term per chunk, so the per-pair work is
-//     one multiply, one add and one compare: a*k + (b - lo) <= width-1.
-//     The bounds divide by d' through a Divisor built once per call, so
-//     staging a report costs no hardware division;
+//     folded into the additive term, so the per-pair work is one
+//     multiply, one add and one compare: a*k + (b - lo) <= width-1.
+//     Below sweepMinOutputSize the bounds of all d' buckets are
+//     divided out once per call into a table; from it on they divide
+//     by d' per report through a Divisor, without a hardware division;
 //   - the loop order follows the hit rate, about 1/d'. Below
-//     sweepMinOutputSize, countCandidates counts without a branch:
-//     eight candidates against eight reports per pass on AVX-512,
-//     else three candidates under each report load. At or
-//     above it, the scrambled keys pi(v) of a block of the domain are
-//     computed once per chunk and swept under two reports at a time; a
+//     sweepMinOutputSize the candidates are counted without a branch:
+//     on AVX-512 a block of up to supportBlock reports is staged
+//     straight into the arrays hits8x8 reads, eight candidates against
+//     eight reports per pass, else 128-report chunks of lanes take
+//     three candidates under each lane load. At or above it, the
+//     scrambled keys pi(v) of a block of the domain are computed once
+//     per 128-report chunk and swept under two reports at a time; a
 //     hit is rare enough that a predicted branch around counts[v]++ is
 //     cheaper than counting every pair.
 //
@@ -171,24 +181,16 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 	if uint64(len(counts)) > MaxKeys {
 		panic("hash: CountSupport domain exceeds the 32-bit key space")
 	}
-	div := NewDivisor(m)
+	bd := newBounds(m)
+	if m < sweepMinOutputSize && supportAVX512 {
+		countBlocksAVX512(seeds, ys, &bd, counts)
+		return
+	}
 	var lanes [supportChunk]lane
 	for base := 0; base < len(seeds); base += supportChunk {
-		ls := lanes[:min(supportChunk, len(seeds)-base)]
-		for i := range ls {
-			y := ys[base+i]
-			if y >= m {
-				panic("hash: CountSupport target outside [0, OutputSize)")
-			}
-			// Bucket y is h in [lo, hi) with lo = ceil(y*2^32/m) << 32 and
-			// hi likewise for y+1 (2^64, wrapped to 0, for the last
-			// bucket); w = width-1 keeps that last bound representable.
-			lo, _ := div.DivMod(y<<32 + m - 1)
-			hi, _ := div.DivMod((y+1)<<32 + m - 1)
-			lo, hi = lo<<32, hi<<32
-			s := seeds[base+i]
-			ls[i] = lane{a: Sum64Uint64(s, 0), c: Sum64Uint64(s, 1) - lo, w: hi - lo - 1}
-		}
+		n := min(supportChunk, len(seeds)-base)
+		ls := lanes[:n]
+		stage(seeds[base:base+n], ys[base:base+n], ls, &bd)
 		if m < sweepMinOutputSize {
 			countCandidates(ls, counts)
 			continue
@@ -213,15 +215,104 @@ func (f Family) CountSupport(seeds, ys []uint64, counts []int) {
 	}
 }
 
-// countCandidates adds to each counts[v] the number of staged reports
-// whose bucket test holds at k = pi(v): candidates outer, reports
-// inner, on the AVX-512 kernel where the CPU has it, else three
-// candidates at a time sharing each lane load (misses3).
-func countCandidates(lanes []lane, counts []int) {
-	if supportAVX512 {
-		countCandidatesAVX512(lanes, counts)
-		return
+// bounds is where CountSupport's staging reads a target's range test:
+// lo and w = width - 1 of bucket y. Below sweepMinOutputSize it holds
+// every bucket's pair, divided out once per call (2·d' divisions); from
+// it on each report's pair is divided out as it is staged (two per
+// report), since d' may be as large as 2^31.
+type bounds struct {
+	div   Divisor
+	table bool
+	lo, w [sweepMinOutputSize]uint64
+}
+
+// newBounds returns the bounds of the buckets of [0, m).
+func newBounds(m uint64) bounds {
+	bd := bounds{div: NewDivisor(m), table: m < sweepMinOutputSize}
+	if bd.table {
+		for y := range m {
+			bd.lo[y], bd.w[y] = bd.divide(y)
+		}
 	}
+	return bd
+}
+
+// of returns bucket y's lo and w from the table, and panics if y is no
+// bucket.
+func (bd *bounds) of(y uint64) (lo, w uint64) {
+	if y >= bd.div.m {
+		panic(badTarget)
+	}
+	return bd.lo[y], bd.w[y]
+}
+
+// divide computes bucket y's lo and w, and panics if y is no bucket:
+// bucket y is h in [lo, hi) with lo = ceil(y*2^32/m) << 32 and hi
+// likewise for y+1 (2^64, wrapped to 0, for the last bucket); w =
+// width-1 keeps that last bound representable.
+func (bd *bounds) divide(y uint64) (lo, w uint64) {
+	m := bd.div.m
+	if y >= m {
+		panic(badTarget)
+	}
+	l, _ := bd.div.DivMod(y<<32 + m - 1)
+	h, _ := bd.div.DivMod((y+1)<<32 + m - 1)
+	if work != nil {
+		work.divisions.Add(2)
+	}
+	lo = l << 32
+	return lo, h<<32 - lo - 1
+}
+
+const badTarget = "hash: CountSupport target outside [0, OutputSize)"
+
+// work, when non-nil, tallies CountSupport's staging work: the seeds
+// expand expands and the divisions bounds makes. Only the package's
+// tests set it (export_test.go).
+var work *stagingWork
+
+type stagingWork struct{ expansions, divisions atomic.Int64 }
+
+// expand sets a[i], b[i] = Sum64Uint64(seeds[i], 0), Sum64Uint64(seeds[i], 1),
+// each report's multiply-add-shift coefficients (see Family): eight
+// seeds per pass on expand8 where the CPU has AVX-512, and the last
+// len(seeds) mod 8, or all of them elsewhere, one at a time.
+func expand(seeds, a, b []uint64) {
+	a, b = a[:len(seeds)], b[:len(seeds)]
+	i := 0
+	if supportAVX512 && len(seeds) >= 8 {
+		i = len(seeds) &^ 7
+		expand8(&seeds[0], &a[0], &b[0], i/8)
+	}
+	for ; i < len(seeds); i++ {
+		s := seeds[i]
+		a[i], b[i] = Sum64Uint64(s, 0), Sum64Uint64(s, 1)
+	}
+	if work != nil {
+		work.expansions.Add(int64(len(seeds)))
+	}
+}
+
+// stage fills ls with the lanes of the reports (seeds, ys).
+func stage(seeds, ys []uint64, ls []lane, bd *bounds) {
+	var a, b [supportChunk]uint64
+	expand(seeds, a[:], b[:])
+	for i, y := range ys {
+		var lo, w uint64
+		if bd.table {
+			lo, w = bd.of(y)
+		} else {
+			lo, w = bd.divide(y)
+		}
+		ls[i] = lane{a: a[i], c: b[i] - lo, w: w}
+	}
+}
+
+// countCandidates adds to each counts[v] the number of staged lanes
+// whose bucket test holds at k = pi(v): candidates outer, lanes inner,
+// three candidates at a time sharing each lane load (misses3). It is
+// the register path where the CPU lacks AVX-512.
+func countCandidates(lanes []lane, counts []int) {
 	n := uint64(len(lanes))
 	v := 0
 	for ; v+3 <= len(counts); v += 3 {
@@ -266,26 +357,46 @@ func misses3(lanes []lane, k0, k1, k2 uint64) (m0, m1, m2 uint64) {
 	return m0, m1, m2
 }
 
-// supportAVX512 is whether the register path runs on hits8x8, the
-// AVX-512 kernel: on amd64 CPUs with AVX512F and AVX512DQ whose OS
-// saves their state, chosen once and by nothing else (DESIGN.md §5).
-// Tests switch it through export_test.go to check both kernels.
+// supportAVX512 is whether the register path runs on hits8x8 and the
+// seed expansion on expand8, the AVX-512 kernels: on amd64 CPUs with
+// AVX512F and AVX512DQ whose OS saves their state, chosen once and by
+// nothing else (DESIGN.md §5). Tests switch it through export_test.go
+// to check both kernels.
 var supportAVX512 = cpuid.AVX512DQ
 
-// countCandidatesAVX512 is countCandidates on hits8x8: eight candidates
-// at a time against eight lanes at a time. The chunk's lanes are copied
-// into one array per word, so one load fills a register with eight
-// lanes' a, c or w, and padded to whole groups of eight with lanes no
-// key hits (a = 0, c = 1, w = 0, as in the sweep). The domain's last
-// len(counts) mod 8 candidates count into a scratch group of eight.
-func countCandidatesAVX512(lanes []lane, counts []int) {
-	var a, c, w [supportChunk]uint64
-	for i, l := range lanes {
-		a[i], c[i], w[i] = l.a, l.c, l.w
+// laneBlock is up to supportBlock staged reports laid out one array per
+// word, as hits8x8 reads them: one load fills a register with eight
+// lanes' a, c or w.
+type laneBlock struct{ a, c, w [supportBlock]uint64 }
+
+// countBlocksAVX512 is CountSupport's register path on AVX-512: each
+// block of up to supportBlock reports is expanded straight into the
+// block's a and c arrays, its bounds read from the table, and counted.
+func countBlocksAVX512(seeds, ys []uint64, bd *bounds, counts []int) {
+	var blk laneBlock
+	for base := 0; base < len(seeds); base += supportBlock {
+		n := min(supportBlock, len(seeds)-base)
+		c, w := blk.c[:n], blk.w[:n]
+		expand(seeds[base:base+n], blk.a[:n], c)
+		for i, y := range ys[base : base+n] {
+			lo, wy := bd.of(y)
+			c[i] -= lo
+			w[i] = wy
+		}
+		blk.count(n, counts)
 	}
-	groups := (len(lanes) + 7) / 8
-	for i := len(lanes); i < 8*groups; i++ {
-		c[i] = 1
+}
+
+// count adds to each counts[v] how many of the block's first n lanes
+// key pi(v) hits, eight candidates against eight lanes per pass
+// (hits8x8). The lanes are padded to whole groups of eight with lanes
+// no key hits (a = 0, c = 1, w = 0, as in the sweep). The domain's
+// last len(counts) mod 8 candidates count into a scratch group of
+// eight.
+func (blk *laneBlock) count(n int, counts []int) {
+	groups := (n + 7) / 8
+	for i := n; i < 8*groups; i++ {
+		blk.a[i], blk.c[i], blk.w[i] = 0, 1, 0
 	}
 	var keys [8]uint64
 	for v := 0; v < len(counts); v += 8 {
@@ -293,11 +404,11 @@ func countCandidatesAVX512(lanes []lane, counts []int) {
 			keys[j] = scramble(uint32(v + j))
 		}
 		if v+8 <= len(counts) {
-			hits8x8(&a[0], &c[0], &w[0], groups, &keys, &counts[v])
+			hits8x8(&blk.a[0], &blk.c[0], &blk.w[0], groups, &keys, &counts[v])
 			continue
 		}
 		var tail [8]int
-		hits8x8(&a[0], &c[0], &w[0], groups, &keys, &tail[0])
+		hits8x8(&blk.a[0], &blk.c[0], &blk.w[0], groups, &keys, &tail[0])
 		for j := range counts[v:] {
 			counts[v+j] += tail[j]
 		}

@@ -31,9 +31,10 @@ func naiveCounts(fam Family, seeds, ys []uint64, d int) []int {
 // FuzzCountSupport is the differential test the kernel rests on: for
 // an arbitrary d' (so both loop orders run, the register-counted one
 // below sweepMinOutputSize and the key-block sweep from it on), block
-// length (so chunks end off the 128-report boundary and off the AVX-512
-// kernel's eight-lane groups, and odd chunks leave the sweep a report
-// without a pair), domain size (so the register path's three- and
+// length (so calls end off the 128-report chunk, off the AVX-512
+// kernel's 512-report block, its eight-lane groups and the expansion's
+// eight-seed passes, and odd chunks leave the sweep a report without a
+// pair), domain size (so the register path's three- and
 // eight-candidate groups end in a tail and the key blocks end on and
 // off their sweepBlock edges) and target placement (random, all in the
 // first bucket, all in the last — the bucket whose upper bound wraps at
@@ -55,6 +56,9 @@ func FuzzCountSupport(f *testing.F) {
 	f.Add(uint32(111), uint16(129), uint16(sweepBlock-1), uint64(13), byte(0))
 	f.Add(uint32(705), uint16(1), uint16(2*sweepBlock+1), uint64(14), byte(0))
 	f.Add(uint32(sweepMinOutputSize-1), uint16(supportChunk+9), uint16(23), uint64(15), byte(2))
+	f.Add(uint32(16), uint16(supportBlock+1), uint16(64), uint64(16), byte(0))
+	f.Add(uint32(5), uint16(supportBlock-1), uint16(9), uint64(17), byte(2))
+	f.Add(uint32(sweepMinOutputSize-1), uint16(2*supportBlock+3), uint16(17), uint64(18), byte(1))
 	f.Fuzz(func(t *testing.T, dPrime uint32, reports, domain uint16, stream uint64, targets byte) {
 		m := uint64(dPrime)
 		if m < 2 || m > MaxOutputSize {
@@ -64,7 +68,7 @@ func FuzzCountSupport(f *testing.F) {
 			t.Skip("d' = 2^31 needs a 64-bit int")
 		}
 		fam := NewFamily(int(m))
-		n, d := int(reports%700), int(domain)%(2*sweepBlock+100)
+		n, d := int(reports)%(2*supportBlock+9), int(domain)%(2*sweepBlock+100)
 		r := rng.New(stream)
 		seeds := make([]uint64, n)
 		ys := make([]uint64, n)
@@ -249,8 +253,10 @@ func TestFamilyKernelsDoNotAllocate(t *testing.T) {
 	forKernels(t, func(t *testing.T) {
 		for _, dPrime := range []int{16, 111} {
 			fam := NewFamily(dPrime)
-			seeds := make([]uint64, 301) // an odd chunk: the sweep's lone report
-			ys := make([]uint64, 301)    // zero targets are valid buckets
+			// A whole AVX-512 block and a ragged one, and an odd last
+			// chunk: the sweep's lone report.
+			seeds := make([]uint64, supportBlock+301)
+			ys := make([]uint64, supportBlock+301) // zero targets are valid buckets
 			counts := make([]int, sweepBlock+1001)
 			if a := testing.AllocsPerRun(10, func() { fam.CountSupport(seeds, ys, counts) }); a != 0 {
 				t.Errorf("d'=%d: CountSupport allocates %v times per call", dPrime, a)
@@ -297,5 +303,62 @@ func TestFamilyOutputSizeBounds(t *testing.T) {
 			}
 		}()
 		Family{OutputSize: int(bound + 1)}.CountSupport([]uint64{1}, []uint64{0}, make([]int, 4))
+	})
+}
+
+// DESIGN.md §5's pairwise claim again, through the staging the kernels
+// run: 10^6 seeds expanded by the kernel under test (expand8 on
+// AVX-512), and for pairs of values — adjacent, far apart, 0 and d - 1
+// of a 64-value domain — every cell of the joint histogram of
+// (H(u), H(v)) over [d']^2 held to a 6-sigma binomial band around
+// 10^6/d'^2. CountSupport then counts the same seeds with each report
+// aimed at its bucket of u: it must find every report at u, and at v
+// exactly the histogram's diagonal, the seeds whose u and v collide.
+func TestFamilyPairwiseUniformThroughKernels(t *testing.T) {
+	const (
+		n = 1_000_000
+		d = 64
+	)
+	pairs := [][2]uint64{{0, 1}, {31, 32}, {5, 58}, {0, d - 1}}
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = testSeed(uint64(i))
+	}
+	a, b := make([]uint64, n), make([]uint64, n)
+	ys := make([]uint64, n)
+	forKernels(t, func(t *testing.T) {
+		expand(seeds, a, b)
+		for _, dPrime := range []int{2, 16, 64, 111} {
+			m := uint64(dPrime)
+			bucket := func(i int, v uint64) uint64 { return ((a[i]*scramble(uint32(v)) + b[i]) >> 32) * m >> 32 }
+			p := 1 / float64(dPrime*dPrime)
+			band := 6 * math.Sqrt(n*p*(1-p))
+			fam := NewFamily(dPrime)
+			for _, pr := range pairs {
+				u, v := pr[0], pr[1]
+				hist := make([]int, dPrime*dPrime)
+				diagonal := 0
+				for i := range seeds {
+					hu, hv := bucket(i, u), bucket(i, v)
+					hist[hu*m+hv]++
+					if hu == hv {
+						diagonal++
+					}
+					ys[i] = hu
+				}
+				for cell, c := range hist {
+					if math.Abs(float64(c)-n*p) > band {
+						t.Fatalf("d'=%d (u,v)=(%d,%d): cell (%d,%d) holds %d seeds, want %.0f ± %.0f",
+							dPrime, u, v, cell/dPrime, cell%dPrime, c, n*p, band)
+					}
+				}
+				counts := make([]int, d)
+				fam.CountSupport(seeds, ys, counts)
+				if counts[u] != n || counts[v] != diagonal {
+					t.Fatalf("d'=%d (u,v)=(%d,%d): CountSupport counts %d at u and %d at v, want %d and the %d collisions",
+						dPrime, u, v, counts[u], counts[v], n, diagonal)
+				}
+			}
+		}
 	})
 }

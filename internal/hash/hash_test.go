@@ -67,9 +67,11 @@ func TestSum64Uint64MatchesBytes(t *testing.T) {
 // ceil(y*2^32/d') are and are not exact), and for domains that end at
 // every remainder of the portable loop's three-key group, of the
 // AVX-512 kernel's eight-key group and on and off the sweep's 1,024-key
-// block. Below sweepMinOutputSize every d' runs every chunk length from
-// 1 to 129: each remainder of the AVX-512 kernel's eight-lane group, and
-// a second chunk of one report.
+// block. Below sweepMinOutputSize every d' runs every call length from
+// 1 to supportBlock+1: each remainder of the AVX-512 kernel's eight-lane
+// group and of the expansion's eight-seed pass, the portable loop's
+// 128-report chunks on and off their edge, and a second AVX-512 block of
+// one report.
 func TestCountSupportMatchesNaive(t *testing.T) {
 	check := func(t *testing.T, r *rng.Rand, d, dPrime, reports int) {
 		t.Helper()
@@ -97,7 +99,7 @@ func TestCountSupportMatchesNaive(t *testing.T) {
 			}
 		}
 		for dPrime := 2; dPrime < sweepMinOutputSize; dPrime++ {
-			for reports := 1; reports <= supportChunk+1; reports++ {
+			for reports := 1; reports <= supportBlock+1; reports++ {
 				check(t, r, 1+reports%24, dPrime, reports)
 			}
 		}
@@ -109,12 +111,13 @@ func TestCountSupportMatchesNaive(t *testing.T) {
 // 2^64) for seeded reports to reach. Lanes built to land on them do:
 // h = w (a hit), h = w + 1 (a miss), w = 2^64 - 1 (a hit at every key)
 // and w = 0 (a hit only where h = 0), each aimed at one candidate of a
-// domain that ends off the eight-key group. An empty chunk counts
-// nothing on either kernel.
+// domain that ends off the eight-key group, in runs of lanes on and off
+// the portable loop's chunk and the AVX-512 kernel's block. An empty run
+// counts nothing on either kernel.
 func TestRegisterKernelsAtBucketEdges(t *testing.T) {
 	r := rng.New(99)
 	const d = 43
-	lanes := make([]lane, supportChunk)
+	lanes := make([]lane, supportBlock+1)
 	for i := range lanes {
 		a, w := r.Uint64(), r.Uint64()
 		hk := a * scramble(uint32(r.Uint64n(d)))
@@ -130,9 +133,9 @@ func TestRegisterKernelsAtBucketEdges(t *testing.T) {
 		}
 	}
 	forKernels(t, func(t *testing.T) {
-		for _, n := range []int{0, 1, 7, 8, 9, supportChunk} {
+		for _, n := range []int{0, 1, 7, 8, 9, supportChunk, supportChunk + 1, supportBlock - 1, supportBlock, supportBlock + 1} {
 			got, want := make([]int, d), make([]int, d)
-			countCandidates(lanes[:n], got)
+			countLanes(lanes[:n], got)
 			for v := range want {
 				k := scramble(uint32(v))
 				for _, l := range lanes[:n] {
@@ -252,4 +255,71 @@ func TestFamilyBucketUniformity(t *testing.T) {
 			t.Errorf("bucket %d: %d, want ~%.0f", b, c, want)
 		}
 	}
+}
+
+// The seed expansion each kernel stages through must be the Sum64Uint64
+// pair, for every lane count around expand8's eight-seed passes — 0 to
+// 129, and 511 to 513 around the AVX-512 block — with the 32-bit
+// extremes 0 and 2^32 - 1 among the seeds, and must write nothing past
+// the seeds it is given.
+func TestExpandMatchesSum64(t *testing.T) {
+	const guard = 0xdeadbeef
+	r := rng.New(17)
+	forKernels(t, func(t *testing.T) {
+		for n := 0; n <= supportBlock+1; n++ {
+			if n == supportChunk+2 {
+				n = supportBlock - 1
+			}
+			seeds := make([]uint64, n)
+			for i := range seeds {
+				seeds[i] = uint64(uint32(r.Uint64()))
+			}
+			if n > 0 {
+				seeds[0], seeds[n-1] = 0, 1<<32-1
+			}
+			a, b := make([]uint64, n+8), make([]uint64, n+8)
+			for i := range a {
+				a[i], b[i] = guard, guard
+			}
+			expand(seeds, a, b)
+			for i, s := range seeds {
+				if a[i] != Sum64Uint64(s, 0) || b[i] != Sum64Uint64(s, 1) {
+					t.Fatalf("%d seeds: lane %d (seed %d) expands to (%#x, %#x), want (%#x, %#x)",
+						n, i, s, a[i], b[i], Sum64Uint64(s, 0), Sum64Uint64(s, 1))
+				}
+			}
+			for i := n; i < len(a); i++ {
+				if a[i] != guard || b[i] != guard {
+					t.Fatalf("%d seeds: expand wrote lane %d", n, i)
+				}
+			}
+		}
+	})
+}
+
+// A target outside [0, d') is a caller's bug, and CountSupport panics
+// on it wherever the report sits — first, in the second portable chunk,
+// in the second AVX-512 block — whether its bounds come from the
+// per-call table (d' < sweepMinOutputSize) or are divided out per
+// report, on each kernel.
+func TestCountSupportRefusesTargetOutsideRange(t *testing.T) {
+	forKernels(t, func(t *testing.T) {
+		for _, dPrime := range []int{2, 16, sweepMinOutputSize - 1, sweepMinOutputSize, 111} {
+			for _, at := range []int{0, supportChunk, supportBlock} {
+				for _, y := range []uint64{uint64(dPrime), 1 << 32, math.MaxUint64} {
+					seeds := make([]uint64, supportBlock+1)
+					ys := make([]uint64, supportBlock+1)
+					ys[at] = y
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("d'=%d: target %d at report %d was counted", dPrime, y, at)
+							}
+						}()
+						NewFamily(dPrime).CountSupport(seeds, ys, make([]int, 10))
+					}()
+				}
+			}
+		}
+	})
 }

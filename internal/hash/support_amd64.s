@@ -98,3 +98,71 @@ sum:
 	VMOVDQU64  Z8, (DI)
 	VZEROUPPER
 	RET
+
+// func expand8(seeds, a, b *uint64, groups int)
+//
+// a[i], b[i] = xxh64(seeds[i], 0), xxh64(seeds[i], 1) for the groups*8
+// seeds; groups may be 0, which writes nothing. xxHash64 of one 8-byte
+// word v under seed s is, with k = rol(v*prime2, 31)*prime1,
+//
+//	h = rol((s + prime5 + 8) ^ k, 27)*prime1 + prime4
+//	h ^= h >> 33; h *= prime2; h ^= h >> 29; h *= prime3; h ^= h >> 32
+//
+// and k is 0 at v = 0 and the constant k1 at v = 1, so a pass loads
+// eight seeds once and runs the two chains side by side: per chain one
+// rotate, three multiplies (VPMULLQ, AVX512DQ) and three shift-xors.
+// Z16-Z21 hold prime1-prime4, prime5 + 8 and k1.
+#define AVALANCHE(h, t) \
+	VPSRLQ  $33, h, t;  \
+	VPXORQ  t, h, h;    \
+	VPMULLQ Z17, h, h;  \
+	VPSRLQ  $29, h, t;  \
+	VPXORQ  t, h, h;    \
+	VPMULLQ Z18, h, h;  \
+	VPSRLQ  $32, h, t;  \
+	VPXORQ  t, h, h
+
+TEXT ·expand8(SB), NOSPLIT, $0-32
+	MOVQ seeds+0(FP), SI
+	MOVQ a+8(FP), DI
+	MOVQ b+16(FP), BX
+	MOVQ groups+24(FP), CX
+	TESTQ CX, CX
+	JZ    done
+
+	MOVQ         $0x9e3779b185ebca87, AX
+	VPBROADCASTQ AX, Z16
+	MOVQ         $0xc2b2ae3d27d4eb4f, AX
+	VPBROADCASTQ AX, Z17
+	MOVQ         $0x165667b19e3779f9, AX
+	VPBROADCASTQ AX, Z18
+	MOVQ         $0x85ebca77c2b2ae63, AX
+	VPBROADCASTQ AX, Z19
+	MOVQ         $0x27d4eb2f165667cd, AX
+	VPBROADCASTQ AX, Z20
+	MOVQ         $0x7f0e345be3649cd2, AX
+	VPBROADCASTQ AX, Z21
+
+loop:
+	VMOVDQU64 (SI), Z0
+	VPADDQ    Z20, Z0, Z0
+	VPXORQ    Z21, Z0, Z1
+	VPROLQ    $27, Z0, Z0
+	VPROLQ    $27, Z1, Z1
+	VPMULLQ   Z16, Z0, Z0
+	VPMULLQ   Z16, Z1, Z1
+	VPADDQ    Z19, Z0, Z0
+	VPADDQ    Z19, Z1, Z1
+	AVALANCHE(Z0, Z2)
+	AVALANCHE(Z1, Z3)
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, (BX)
+	ADDQ      $64, SI
+	ADDQ      $64, DI
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       loop
+	VZEROUPPER
+
+done:
+	RET

@@ -64,9 +64,10 @@ func Disconnected(err error) bool {
 }
 
 // readBufferSize is the read buffer Reader.Run puts in front of its
-// connection: one Read fetches the headers and payloads of many small
-// frames (a 256-report SOLH frame is about 1.3 KB), where reading each
-// frame straight off the connection costs two. A frame larger than the
+// connection: one Read fetches a frame's header and payload together,
+// and those of many small frames (a service client's default
+// 2048-report SOLH frame is 9–10 KB), where reading each frame straight
+// off the connection costs two. A frame larger than the
 // buffer streams through it. It is a constant, not a knob: it bounds
 // what one connection holds beyond its frame buffer.
 const readBufferSize = 16 << 10

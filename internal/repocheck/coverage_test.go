@@ -52,7 +52,8 @@ var runAllowList = map[string]string{
 	"ahe.montMulIFMA5x2": "assembly (ifma_amd64.s), which coverage does not count; mont.mulIFMA2 is its one caller",
 	"cpuid.cpuid":        "assembly (cpuid_amd64.s), which coverage does not count; the CPU feature initializer calls it",
 	"cpuid.xgetbv0":      "assembly (cpuid_amd64.s), which coverage does not count; the CPU feature initializer calls it",
-	"hash.hits8x8":       "assembly (support_amd64.s), which coverage does not count; countCandidatesAVX512 is its one caller",
+	"hash.hits8x8":       "assembly (support_amd64.s), which coverage does not count; laneBlock.count is its one caller",
+	"hash.expand8":       "assembly (support_amd64.s), which coverage does not count; expand is its one caller",
 
 	"oblivious.memMesh.abort": "the in-process mesh fails only when a party errors",
 	"pipeline.Disconnected":   "classifies a shuffler's broken analyzer link; no census run breaks one",
@@ -179,8 +180,8 @@ var kernelBranches = map[string][]string{
 	"ahe/adx":      {"ahe.mont.mulADX"},
 	"ahe/ifma": {"ahe.ifmaRows", "ahe.toLimbs", "ahe.fromLimbs",
 		"ahe.mont.canonIFMA", "ahe.mont.mulIFMA", "ahe.mont.mulIFMA2"},
-	"hash/portable": {"hash.misses3"},
-	"hash/avx512":   {"hash.countCandidatesAVX512"},
+	"hash/portable": {"hash.countCandidates", "hash.misses3"},
+	"hash/avx512":   {"hash.countBlocksAVX512", "hash.laneBlock.count"},
 }
 
 // hostFeatures are the CPU features the kernels are chosen by.

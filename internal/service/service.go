@@ -124,10 +124,10 @@ const DefaultBatchSize = 512
 const DefaultMaxFrame = 4 << 20
 
 // DefaultClientBatch is the session client's reports-per-frame when
-// NewSessionClient is given a batch size of zero: large enough to
-// amortize framing and AEAD costs, small enough that a flush stays
-// well under DefaultMaxFrame for every oracle in the repo.
-const DefaultClientBatch = 256
+// NewSessionClient is given a batch size of zero: the smallest size whose
+// per-frame write, wake-up and AEAD open read within noise of 4096's on
+// the wire-bound workload (DESIGN.md §6, "Frames"), 9–10 KB of SOLH.
+const DefaultClientBatch = 2048
 
 // SessionHelloTag is the frame tag of a session hello — the tag a
 // session client stamps on the FIRST frame of a connection, and the

@@ -275,14 +275,15 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // TestClientWireBytesPerReport is the work count of the service's wire
 // (ROADMAP's perf gate): a session client at the default batch, driven
 // into a counting writer at the benchmark's three service shapes and
-// per-connection sizes, writes exactly 74 + full·(⌈256B/8⌉ + 32) +
+// per-connection sizes, writes exactly 74 + full·(⌈2048B/8⌉ + 32) +
 // tail bytes — the 74-byte hello frame, then per frame an 8-byte
 // header and 24 bytes of session overhead around its B-bit reports
 // packed bit after bit, the last frame carrying the remainder. Per
-// report that is 4.625098, 4.875352 and 5.0104 bytes, which is what
+// report that is 4.515722, 4.76604 and 4.8984 bytes, which is what
 // wire_bytes_per_report reads on svc_wire_d64, svc_durable_query_d1024
-// and svc_agg_kosarak; reports rounded up to whole bytes read
-// 5.125098, 5.125352 and 5.1354.
+// and svc_agg_kosarak; 256-report frames read 4.625098, 4.875352 and
+// 5.0104, and reports rounded up to whole bytes in them 5.125098,
+// 5.125352 and 5.1354.
 func TestClientWireBytesPerReport(t *testing.T) {
 	key, err := ecies.GenerateKey()
 	if err != nil {
@@ -293,9 +294,9 @@ func TestClientWireBytesPerReport(t *testing.T) {
 		d, dPrime, n, bits int
 		perReport          float64
 	}{
-		{64, 16, 1_000_000, 36, 4.625098},
-		{1024, 64, 250_000, 38, 4.875352},
-		{42178, 111, 10_000, 39, 5.0104},
+		{64, 16, 1_000_000, 36, 4.515722},
+		{1024, 64, 250_000, 38, 4.76604},
+		{42178, 111, 10_000, 39, 4.8984},
 	} {
 		fo := ldp.NewSOLH(tc.d, tc.dPrime, 1)
 		codec, err := service.NewCodec(fo)

@@ -683,13 +683,14 @@ func waitBatches(t *testing.T, svc *service.Service, n int64) {
 	waitSnapshot(t, svc, "forwarded batches", n, func(s service.Snapshot) int64 { return s.Batches })
 }
 
-// TestWALBytesPerReport pins what the durable tier writes: after 10 240
+// TestWALBytesPerReport pins what the durable tier writes: after 81 920
 // SOLH(1024, 16) reports at the default client batch the segment holds
-// its 13-byte header and one sealed record per frame of 256 36-bit
-// reports packed bit after bit — ⌈256·36/8⌉ = 1152 plaintext bytes, 28
-// of at-rest seal, 5 of record header, 8 of framing — so (1152 + 28 + 5
-// + 8) / 256 = 4.66 bytes per report; reports rounded up to 5 bytes
-// were 5.16, 8-byte padded reports 8.16 and a record per report 49. A
+// its 13-byte header and one sealed record per frame of 2048 36-bit
+// reports packed bit after bit — ⌈2048·36/8⌉ = 9216 plaintext bytes, 28
+// of at-rest seal, 5 of record header, 8 of framing — so (9216 + 28 + 5
+// + 8) / 2048 = 4.52 bytes per report; 256-report frames were 4.66,
+// reports rounded up to 5 bytes 5.16, 8-byte padded reports 8.16 and a
+// record per report 49. A
 // later change cannot quietly go back to padding reports or logging
 // them one by one. It also scans the segment for every frame's packed
 // plaintext: the WAL never holds a plaintext report.

@@ -35,8 +35,11 @@ func TestIngestWorkCountsGolden(t *testing.T) {
 		// The warm-up streams as many runs as can be in flight at once —
 		// the queue's, one in each worker's hand, the reader's and the
 		// batcher's — so the run free list has grown to its high-water
-		// mark before the count starts.
-		warm = ((queuedBatchesPerWorker+1)*procs + 2) * DefaultBatchSize
+		// mark before the count starts. It is rounded up to whole
+		// frames: a warm-up ending mid-frame flushes a short frame, one
+		// open more than the count's ⌈n/DefaultClientBatch⌉.
+		inFlight = ((queuedBatchesPerWorker+1)*procs + 2) * DefaultBatchSize
+		warm     = (inFlight + DefaultClientBatch - 1) / DefaultClientBatch * DefaultClientBatch
 	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var opens, commits atomic.Int64
